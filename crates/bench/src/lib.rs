@@ -1,5 +1,4 @@
-//! Shared harness code for the figure regeneration binary and the
-//! criterion benches.
+//! Shared harness code for the figure regeneration binary.
 
 use nzomp::report::{bar, fig11_header, relative_performance, ConfigRow};
 use nzomp::BuildConfig;
@@ -13,38 +12,6 @@ pub fn eval_device() -> DeviceConfig {
         check_assumes: false,
         ..DeviceConfig::default()
     }
-}
-
-/// Criterion helper: benchmark `proxy` under `cfg` (compile once, then
-/// measure launch+verify per iteration). The measured wall time tracks the
-/// dynamic instruction count of the simulated kernel, so criterion deltas
-/// between configurations mirror the simulated-cycle deltas the `figures`
-/// binary reports.
-pub fn bench_proxy_config(
-    c: &mut criterion::Criterion,
-    group: &str,
-    proxy: &dyn Proxy,
-    cfg: BuildConfig,
-) {
-    if cfg == BuildConfig::NewRt && !proxy.supports_oversubscription() {
-        return; // the paper's "n/a" cell
-    }
-    let out = nzomp_proxies::compile_for_config(proxy, cfg).expect("bench compile");
-    // Load + upload once; the kernels are idempotent, so re-launching on
-    // the same device measures just the simulated execution.
-    let mut dev = nzomp_vgpu::Device::load(out.module, eval_device());
-    let prep = proxy.prepare(&mut dev);
-    let mut g = c.benchmark_group(group.to_string());
-    g.sample_size(10);
-    g.bench_function(cfg.label(), |b| {
-        b.iter(|| {
-            let metrics = dev
-                .launch(proxy.kernel_name(), prep.launch, &prep.args)
-                .expect("bench launch");
-            criterion::black_box(metrics.cycles)
-        })
-    });
-    g.finish();
 }
 
 /// Run one proxy under every configuration; `None` entries are the paper's

@@ -27,8 +27,8 @@ pub struct CompileOutput {
     /// Optimization remarks (`-Rpass[-missed]=openmp-opt`).
     pub remarks: Remarks,
     /// Per-pass profile and analysis-cache counters from the optimizer
-    /// (the `-ftime-report` analogue; render with
-    /// [`crate::report::compile_stats_table`]).
+    /// (the `-ftime-report` analogue; `nzbench` reports them as
+    /// `opt.pass.*_us` and `opt.cache_hit_share`).
     pub timings: PassTimings,
 }
 
@@ -69,8 +69,9 @@ pub fn compile(app: Module, config: BuildConfig) -> Result<CompileOutput, Compil
 }
 
 /// The front half of [`compile_with`]: link the runtime library into `app`
-/// and verify the result, without optimizing. Used by the `compile_profile`
-/// harness to obtain the optimizer's true input.
+/// and verify the result, without optimizing — the optimizer's true
+/// input (what `nzbench` times as `core.link_only_us`, and what
+/// `tests/golden_ir.rs` re-optimizes with the analysis cache off).
 pub fn link_only(
     mut app: Module,
     config: BuildConfig,
@@ -144,7 +145,8 @@ pub fn module_fingerprint(m: &Module) -> u64 {
 ///
 /// This is the host runtime's recompile eliminator: every launch of an
 /// already-registered kernel image must cost a table lookup, not an
-/// optimizer run (the `offload_overhead` bench asserts the hit counter).
+/// optimizer run (`compile_cache_eliminates_recompiles` in
+/// `crates/host/tests/scheduler.rs` asserts the hit counter).
 #[derive(Default)]
 pub struct CompileCache {
     entries: Vec<(u64, BuildConfig, Rc<CompileOutput>)>,

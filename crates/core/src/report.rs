@@ -1,7 +1,6 @@
 //! Reporting helpers: the Fig. 11-style per-config rows and relative
 //! performance calculations used by the figure harness and examples.
 
-use nzomp_opt::PassTimings;
 use nzomp_vgpu::KernelMetrics;
 
 use crate::config::BuildConfig;
@@ -60,116 +59,6 @@ pub fn relative_performance(
         .collect()
 }
 
-/// One measured point of a worker-thread scaling sweep: `workers` host
-/// threads, total wall time in nanoseconds.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScalingRow {
-    pub workers: usize,
-    pub wall_ns: u128,
-}
-
-/// Speedup of each row over the 1-worker row (higher is better).
-///
-/// `None` when undefined: no 1-worker baseline, a zero baseline, or a
-/// zero row time — the same NaN-free policy as [`relative_performance`].
-pub fn scaling_speedups(rows: &[ScalingRow]) -> Vec<(usize, Option<f64>)> {
-    let base = rows
-        .iter()
-        .find(|r| r.workers == 1)
-        .map(|r| r.wall_ns)
-        .filter(|&t| t > 0);
-    rows.iter()
-        .map(|r| {
-            let speedup = match base {
-                Some(b) if r.wall_ns > 0 => Some(b as f64 / r.wall_ns as f64),
-                _ => None,
-            };
-            (r.workers, speedup)
-        })
-        .collect()
-}
-
-/// Render a scaling sweep as an aligned ASCII table with speedup bars
-/// (1.0x = 10 chars), one row per worker count.
-pub fn scaling_table(rows: &[ScalingRow]) -> String {
-    let rel = scaling_speedups(rows);
-    let mut s = format!("{:>8} | {:>12} | {:>8}\n", "workers", "wall time", "speedup");
-    for (row, (_, speedup)) in rows.iter().zip(rel) {
-        let time = format_time(row.wall_ns as f64 / 1e6);
-        match speedup {
-            Some(v) => {
-                s.push_str(&format!("{:>8} | {:>12} | {:>7.2}x {}\n", row.workers, time, v, bar(v, 10.0)));
-            }
-            None => {
-                s.push_str(&format!("{:>8} | {:>12} | {:>8}\n", row.workers, time, "n/a"));
-            }
-        }
-    }
-    s
-}
-
-/// One measured point of an execution-tier sweep: the tier name
-/// (`"interp"` / `"bytecode"`), total wall time, and the per-launch
-/// instruction / dispatch counters — which must be *identical* across
-/// tiers (bit-identity contract); only `wall_ns` may differ.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExecTierRow {
-    pub tier: String,
-    pub wall_ns: u128,
-    /// Dynamic instruction count of the measured launches.
-    pub instructions: u64,
-    /// Backend dispatch steps (one per fuel unit) of the measured launches.
-    pub dispatched: u64,
-}
-
-/// Speedup of each tier over the `interp` row (higher is better); same
-/// NaN-free policy as [`scaling_speedups`].
-pub fn exec_tier_speedups(rows: &[ExecTierRow]) -> Vec<(String, Option<f64>)> {
-    let base = rows
-        .iter()
-        .find(|r| r.tier == "interp")
-        .map(|r| r.wall_ns)
-        .filter(|&t| t > 0);
-    rows.iter()
-        .map(|r| {
-            let speedup = match base {
-                Some(b) if r.wall_ns > 0 => Some(b as f64 / r.wall_ns as f64),
-                _ => None,
-            };
-            (r.tier.clone(), speedup)
-        })
-        .collect()
-}
-
-/// Render an execution-tier sweep as an aligned ASCII table with speedup
-/// bars (1.0x = 10 chars), one row per tier.
-pub fn exec_tier_table(rows: &[ExecTierRow]) -> String {
-    let rel = exec_tier_speedups(rows);
-    let mut s = format!(
-        "{:>10} | {:>12} | {:>14} | {:>14} | {:>8}\n",
-        "tier", "wall time", "instructions", "dispatched", "speedup"
-    );
-    for (row, (_, speedup)) in rows.iter().zip(rel) {
-        let time = format_time(row.wall_ns as f64 / 1e6);
-        match speedup {
-            Some(v) => s.push_str(&format!(
-                "{:>10} | {:>12} | {:>14} | {:>14} | {:>7.2}x {}\n",
-                row.tier,
-                time,
-                row.instructions,
-                row.dispatched,
-                v,
-                bar(v, 10.0)
-            )),
-            None => s.push_str(&format!(
-                "{:>10} | {:>12} | {:>14} | {:>14} | {:>8}\n",
-                row.tier, time, row.instructions, row.dispatched, "n/a"
-            )),
-        }
-    }
-    s
-}
-
 /// One proxy's sanitizer-overhead measurement: verdict counts plus the
 /// wall time of a plain and a sanitized launch of the same binary.
 #[derive(Clone, Debug, PartialEq)]
@@ -224,83 +113,12 @@ pub fn sanitizer_table(rows: &[SanitizerRow]) -> String {
     s
 }
 
-/// One proxy's chaos-recovery record: how many seeded device-fault
-/// campaigns ran, how many recovered bit-identically, and the aggregate
-/// recovery work (retries, watchdog trips, failovers, journal replays,
-/// quarantines) those campaigns cost.
-///
-/// Plain data on purpose: the core crate cannot depend on the host
-/// runtime, so the chaos harness fills these fields from its own
-/// `RecoveryMetrics` totals.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryRow {
-    pub name: String,
-    pub campaigns: u64,
-    pub recovered: u64,
-    pub retries: u64,
-    pub watchdog_trips: u64,
-    pub failovers: u64,
-    pub replayed_ops: u64,
-    pub quarantines: u64,
-}
-
-impl RecoveryRow {
-    /// `true` iff every campaign recovered to the clean outcome.
-    pub fn is_fully_recovered(&self) -> bool {
-        self.recovered == self.campaigns
-    }
-}
-
-/// Render a chaos-recovery sweep as an aligned ASCII table: one row per
-/// proxy with its recovered/campaign verdict and the recovery-work
-/// counters, followed by a totals line.
-pub fn recovery_table(rows: &[RecoveryRow]) -> String {
-    let mut s = format!(
-        "{:<10} | {:>9} | {:>7} | {:>8} | {:>9} | {:>7} | {:>11}\n",
-        "proxy", "recovered", "retries", "watchdog", "failovers", "replays", "quarantines"
-    );
-    let mut total = RecoveryRow { name: "total".into(), ..RecoveryRow::default() };
-    for row in rows {
-        s.push_str(&format!(
-            "{:<10} | {:>5}/{:<3} | {:>7} | {:>8} | {:>9} | {:>7} | {:>11}\n",
-            row.name,
-            row.recovered,
-            row.campaigns,
-            row.retries,
-            row.watchdog_trips,
-            row.failovers,
-            row.replayed_ops,
-            row.quarantines,
-        ));
-        total.campaigns += row.campaigns;
-        total.recovered += row.recovered;
-        total.retries += row.retries;
-        total.watchdog_trips += row.watchdog_trips;
-        total.failovers += row.failovers;
-        total.replayed_ops += row.replayed_ops;
-        total.quarantines += row.quarantines;
-    }
-    s.push_str(&format!(
-        "{:<10} | {:>5}/{:<3} | {:>7} | {:>8} | {:>9} | {:>7} | {:>11}\n",
-        total.name,
-        total.recovered,
-        total.campaigns,
-        total.retries,
-        total.watchdog_trips,
-        total.failovers,
-        total.replayed_ops,
-        total.quarantines,
-    ));
-    s
-}
-
 /// One tenant's record of a multi-tenant serving run: per-outcome counts,
 /// latency percentiles in modeled cycles, and the peak device-memory
 /// footprint the tenant's quota saw.
 ///
-/// Plain data on purpose (same rule as [`RecoveryRow`]): the core crate
-/// cannot depend on the serving layer, so `nzomp-serve` and the
-/// `serve_load` bench fill these fields from their own metrics.
+/// Plain data on purpose: the core crate cannot depend on the serving
+/// layer, so `nzomp-serve` fills these fields from its own metrics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeRow {
     pub tenant: String,
@@ -336,102 +154,6 @@ pub fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
     sorted.get(rank.max(1) - 1).copied()
 }
 
-/// Render a serving run as an aligned ASCII table: one row per tenant
-/// with outcome counts, latency percentiles, and peak quota footprint,
-/// followed by a totals line (percentile columns show `-` in the totals
-/// row — percentiles do not sum).
-pub fn serve_table(rows: &[ServeRow]) -> String {
-    let mut s = format!(
-        "{:<10} | {:>9} | {:>9} | {:>7} | {:>5} | {:>7} | {:>5} | {:>10} | {:>10} | {:>10}\n",
-        "tenant", "submitted", "completed", "faulted", "quota", "backlog", "sat", "p50 cyc", "p99 cyc", "peak B"
-    );
-    let mut total = ServeRow { tenant: "total".into(), ..ServeRow::default() };
-    for row in rows {
-        s.push_str(&format!(
-            "{:<10} | {:>9} | {:>9} | {:>7} | {:>5} | {:>7} | {:>5} | {:>10} | {:>10} | {:>10}\n",
-            row.tenant,
-            row.submitted,
-            row.completed,
-            row.faulted,
-            row.rejected_quota,
-            row.rejected_backlog,
-            row.rejected_saturated,
-            row.p50_cycles,
-            row.p99_cycles,
-            row.peak_bytes,
-        ));
-        total.submitted += row.submitted;
-        total.completed += row.completed;
-        total.faulted += row.faulted;
-        total.rejected_quota += row.rejected_quota;
-        total.rejected_backlog += row.rejected_backlog;
-        total.rejected_saturated += row.rejected_saturated;
-        total.peak_bytes += row.peak_bytes;
-    }
-    s.push_str(&format!(
-        "{:<10} | {:>9} | {:>9} | {:>7} | {:>5} | {:>7} | {:>5} | {:>10} | {:>10} | {:>10}\n",
-        total.tenant,
-        total.submitted,
-        total.completed,
-        total.faulted,
-        total.rejected_quota,
-        total.rejected_backlog,
-        total.rejected_saturated,
-        "-",
-        "-",
-        total.peak_bytes,
-    ));
-    s
-}
-
-/// Render a compile-time profile (one `optimize_module` run) as an aligned
-/// ASCII table: per-pass runs, changed verdicts, wall time and cumulative
-/// IR deltas, followed by the analysis-cache counters — the `-ftime-report`
-/// analogue for the pass manager.
-pub fn compile_stats_table(t: &PassTimings) -> String {
-    let mut s = format!(
-        "{:<14} | {:>4} | {:>7} | {:>10} | {:>7} | {:>7} | {:>8} | {:>9}\n",
-        "pass", "runs", "changed", "wall", "Δinsts", "Δblocks", "Δglobals", "Δbarriers"
-    );
-    for p in &t.passes {
-        s.push_str(&format!(
-            "{:<14} | {:>4} | {:>7} | {:>10} | {:>+7} | {:>+7} | {:>+8} | {:>+9}\n",
-            p.name,
-            p.runs,
-            p.changed_runs,
-            format_time(p.wall.as_secs_f64() * 1e3),
-            p.insts_delta,
-            p.blocks_delta,
-            p.globals_delta,
-            p.barriers_delta,
-        ));
-    }
-    s.push_str(&format!(
-        "total optimizer wall time: {}\n",
-        format_time(t.total.as_secs_f64() * 1e3)
-    ));
-    use nzomp_ir::analysis::AnalysisKind;
-    let c = &t.cache;
-    let per_kind: Vec<String> = AnalysisKind::ALL
-        .iter()
-        .map(|&k| format!("{} {}/{}", k.label(), c.hits_of(k), c.hits_of(k) + c.misses_of(k)))
-        .collect();
-    match c.hit_rate() {
-        Some(rate) => s.push_str(&format!(
-            "analysis cache: {:.0}% hit rate ({} hits / {} queries; {})\n",
-            rate * 100.0,
-            c.total_hits(),
-            c.total_hits() + c.total_misses(),
-            per_kind.join(", "),
-        )),
-        None => s.push_str("analysis cache: no queries\n"),
-    }
-    if let Some(vf) = &t.verify_failure {
-        s.push_str(&format!("VERIFY FAILURE after pass {}: {}\n", vf.pass, vf.err));
-    }
-    s
-}
-
 pub fn format_time(ms: f64) -> String {
     if ms >= 1000.0 {
         format!("{:.3} s", ms / 1000.0)
@@ -455,39 +177,6 @@ pub fn bar(value: f64, scale: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scaling_speedups_relative_to_one_worker() {
-        let rows = [
-            ScalingRow { workers: 1, wall_ns: 8_000 },
-            ScalingRow { workers: 2, wall_ns: 4_000 },
-            ScalingRow { workers: 8, wall_ns: 1_000 },
-        ];
-        let rel = scaling_speedups(&rows);
-        assert_eq!(rel[0], (1, Some(1.0)));
-        assert_eq!(rel[1], (2, Some(2.0)));
-        assert_eq!(rel[2], (8, Some(8.0)));
-    }
-
-    #[test]
-    fn scaling_speedups_never_divide_by_zero() {
-        // No 1-worker baseline at all.
-        assert_eq!(
-            scaling_speedups(&[ScalingRow { workers: 4, wall_ns: 5 }]),
-            vec![(4, None)]
-        );
-        // Degenerate zero timings on either side of the ratio.
-        let rows = [
-            ScalingRow { workers: 1, wall_ns: 0 },
-            ScalingRow { workers: 2, wall_ns: 7 },
-        ];
-        assert!(scaling_speedups(&rows).iter().all(|(_, s)| s.is_none()));
-        let rows = [
-            ScalingRow { workers: 1, wall_ns: 7 },
-            ScalingRow { workers: 2, wall_ns: 0 },
-        ];
-        assert_eq!(scaling_speedups(&rows)[1], (2, None));
-    }
 
     #[test]
     fn sanitizer_table_renders_verdict_and_overhead() {
@@ -516,84 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_table_renders_rows_and_totals() {
-        let rows = [
-            RecoveryRow {
-                name: "xsbench".into(),
-                campaigns: 24,
-                recovered: 24,
-                retries: 10,
-                watchdog_trips: 3,
-                failovers: 7,
-                replayed_ops: 21,
-                quarantines: 7,
-            },
-            RecoveryRow {
-                name: "rsbench".into(),
-                campaigns: 24,
-                recovered: 23,
-                retries: 4,
-                watchdog_trips: 1,
-                failovers: 2,
-                replayed_ops: 6,
-                quarantines: 2,
-            },
-        ];
-        assert!(rows[0].is_fully_recovered());
-        assert!(!rows[1].is_fully_recovered());
-        let table = recovery_table(&rows);
-        assert!(table.contains("xsbench"), "{table}");
-        assert!(table.contains("24/24"), "{table}");
-        assert!(table.contains("23/24"), "{table}");
-        // header + 2 rows + totals
-        assert_eq!(table.lines().count(), 4, "{table}");
-        assert!(table.lines().last().unwrap().contains("47/48"), "{table}");
-    }
-
-    #[test]
-    fn serve_table_renders_rows_and_totals() {
-        let rows = [
-            ServeRow {
-                tenant: "t0".into(),
-                submitted: 100,
-                completed: 80,
-                faulted: 5,
-                rejected_quota: 10,
-                rejected_backlog: 4,
-                rejected_saturated: 1,
-                p50_cycles: 1_200,
-                p99_cycles: 9_000,
-                peak_bytes: 4_096,
-            },
-            ServeRow {
-                tenant: "t1".into(),
-                submitted: 50,
-                completed: 50,
-                faulted: 0,
-                rejected_quota: 0,
-                rejected_backlog: 0,
-                rejected_saturated: 0,
-                p50_cycles: 800,
-                p99_cycles: 800,
-                peak_bytes: 1_024,
-            },
-        ];
-        assert_eq!(rows[0].rejected(), 15);
-        assert_eq!(rows[1].rejected(), 0);
-        let table = serve_table(&rows);
-        assert!(table.contains("t0"), "{table}");
-        assert!(table.contains("9000"), "{table}");
-        // header + 2 rows + totals
-        assert_eq!(table.lines().count(), 4, "{table}");
-        let totals = table.lines().last().unwrap();
-        assert!(totals.contains("150"), "{table}");
-        assert!(totals.contains("130"), "{table}");
-        assert!(totals.contains("5120"), "{table}");
-        // Percentiles never sum: the totals row shows dashes instead.
-        assert!(totals.contains('-'), "{table}");
-    }
-
-    #[test]
     fn percentile_is_nearest_rank_and_total_on_empty_or_bad_p() {
         let s = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
         assert_eq!(percentile(&s, 50.0), Some(50));
@@ -605,89 +216,5 @@ mod tests {
         assert_eq!(percentile(&s, 0.0), None);
         assert_eq!(percentile(&s, 101.0), None);
         assert_eq!(percentile(&s, f64::NAN), None);
-    }
-
-    #[test]
-    fn compile_stats_table_renders_passes_and_cache() {
-        use nzomp_opt::PassStat;
-        use std::time::Duration;
-        let t = PassTimings {
-            passes: vec![PassStat {
-                name: "fold",
-                runs: 3,
-                changed_runs: 2,
-                wall: Duration::from_micros(1500),
-                insts_delta: -40,
-                blocks_delta: 0,
-                globals_delta: -2,
-                barriers_delta: -1,
-            }],
-            cache: {
-                let mut c = nzomp_ir::analysis::CacheStats::default();
-                c.hits[1] = 9;
-                c.misses[1] = 1;
-                c
-            },
-            total: Duration::from_millis(2),
-            verify_failure: None,
-        };
-        let table = compile_stats_table(&t);
-        assert!(table.contains("fold"), "{table}");
-        assert!(table.contains("90% hit rate"), "{table}");
-        assert!(table.contains("-40"), "{table}");
-        assert!(table.contains("dominators 9/10"), "{table}");
-    }
-
-    #[test]
-    fn scaling_table_renders_every_row() {
-        let rows = [
-            ScalingRow { workers: 1, wall_ns: 2_000_000 },
-            ScalingRow { workers: 2, wall_ns: 1_000_000 },
-        ];
-        let table = scaling_table(&rows);
-        assert!(table.contains("workers"), "{table}");
-        assert!(table.contains("2.00x"), "{table}");
-        assert_eq!(table.lines().count(), 3, "{table}");
-    }
-
-    fn tier_row(tier: &str, wall_ns: u128) -> ExecTierRow {
-        ExecTierRow {
-            tier: tier.into(),
-            wall_ns,
-            instructions: 1_000,
-            dispatched: 1_200,
-        }
-    }
-
-    #[test]
-    fn exec_tier_speedups_relative_to_interp() {
-        let rows = [tier_row("interp", 6_000), tier_row("bytecode", 1_000)];
-        let rel = exec_tier_speedups(&rows);
-        assert_eq!(rel[0], ("interp".into(), Some(1.0)));
-        assert_eq!(rel[1], ("bytecode".into(), Some(6.0)));
-    }
-
-    #[test]
-    fn exec_tier_speedups_never_divide_by_zero() {
-        // No interp baseline at all.
-        assert_eq!(
-            exec_tier_speedups(&[tier_row("bytecode", 5)]),
-            vec![("bytecode".into(), None)]
-        );
-        // Degenerate zero timings on either side of the ratio.
-        let rows = [tier_row("interp", 0), tier_row("bytecode", 7)];
-        assert!(exec_tier_speedups(&rows).iter().all(|(_, s)| s.is_none()));
-        let rows = [tier_row("interp", 7), tier_row("bytecode", 0)];
-        assert_eq!(exec_tier_speedups(&rows)[1], ("bytecode".into(), None));
-    }
-
-    #[test]
-    fn exec_tier_table_renders_every_row() {
-        let rows = [tier_row("interp", 5_000_000), tier_row("bytecode", 1_000_000)];
-        let table = exec_tier_table(&rows);
-        assert!(table.contains("tier"), "{table}");
-        assert!(table.contains("dispatched"), "{table}");
-        assert!(table.contains("5.00x"), "{table}");
-        assert_eq!(table.lines().count(), 3, "{table}");
     }
 }

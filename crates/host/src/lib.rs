@@ -146,8 +146,8 @@ pub struct DeviceStats {
 }
 
 /// Consolidated host-runtime observability snapshot from [`Host::stats`]:
-/// the public stats surface for layers above the host (`nzomp-serve`, the
-/// load bench) — compile cache, recovery work, and per-device state in
+/// the one stats surface for layers above the host (`nzomp-serve`,
+/// `nzbench`) — compile cache, recovery work, and per-device state in
 /// one place.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HostStats {
@@ -264,13 +264,6 @@ impl Host {
         Ok(ImageId((self.images.len() - 1) as u32))
     }
 
-    /// `(cache hits, cache misses)` of the compile cache. Repeated
-    /// launches of a registered image cost zero pipeline runs — the
-    /// overhead bench asserts hits.
-    pub fn compile_stats(&self) -> (u64, u64) {
-        (self.cache.hits, self.cache.misses)
-    }
-
     /// The compiled image (module + remarks + pass timings) behind an id.
     pub fn image(&self, img: ImageId) -> Option<&CompileOutput> {
         self.images.get(img.0 as usize).map(|o| o.as_ref())
@@ -283,33 +276,16 @@ impl Host {
     /// a retired slot after the fleet degraded.
     pub fn bind_image(&mut self, dev: usize, img: ImageId) -> Result<(), HostError> {
         let devices = self.slots.len();
-        let out = self
-            .images
-            .get(img.0 as usize)
-            .ok_or(HostError::UnknownImage(img.0))?
-            .clone();
-        let global = self.fault_plan.clone();
-        let workers = self.worker_threads;
-        let tier = self.exec_tier;
-        let watchdog = self.watchdog_fuel;
+        let image = self.image(img).ok_or(HostError::UnknownImage(img.0))?;
         let slot = self
             .slots
-            .get_mut(dev)
+            .get(dev)
             .ok_or(HostError::NoDevice { device: dev, devices })?;
         if slot.image == Some(img) && slot.dev.is_some() && !slot.quarantined {
             return Ok(());
         }
-        let mut d = Device::load(out.module.clone(), self.dev_cfg.clone());
-        if let Some(w) = workers {
-            d.set_worker_threads(w);
-        }
-        if let Some(t) = tier {
-            d.set_exec_tier(t);
-        }
-        if let Some(p) = effective_plan(&global, &slot.device_plan) {
-            d.set_fault_plan(p);
-        }
-        d.set_watchdog_fuel(watchdog);
+        let d = self.new_device(image, effective_plan(&self.fault_plan, &slot.device_plan));
+        let slot = self.slot_mut(dev)?;
         slot.dev = Some(d);
         slot.image = Some(img);
         slot.table = PresentTable::new();
@@ -396,32 +372,12 @@ impl Host {
     /// `to`/`tofrom` entries are enqueued on `s`.
     pub fn data_enter(&mut self, s: StreamId, dev: usize, maps: &[MapSpec]) -> Result<(), HostError> {
         self.check_stream(s)?;
-        let journaling = self.recovery.is_some();
         for spec in maps {
             let host_len = self.buf_bytes(spec.buf)?.len() as u64;
-            let slot = self.slot_mut(dev)?;
-            let d = slot
-                .dev
-                .as_mut()
-                .ok_or(HostError::Map(ME::Misuse("no image bound to device (bind_image first)")))?;
-            let (allocs0, reuse0) = (slot.pool.device_allocs, slot.pool.reuse_hits);
-            let (ptr, needs_copy) = slot
-                .table
-                .enter_alloc(*spec, d, &mut slot.pool, host_len)
-                .map_err(step_err)?;
-            if journaling {
-                // Journal how this entry changed device memory: a fresh
-                // bump allocation (replayable pointer-for-pointer) or a
-                // reused block's zero-fill. A pure refcount bump touches
-                // no device state and records nothing.
-                if slot.pool.device_allocs > allocs0 {
-                    let size = slot.pool.block_size(ptr).unwrap_or(0);
-                    slot.journal.push(JEffect::Grow { size, at: ptr });
-                } else if slot.pool.reuse_hits > reuse0 {
-                    let len = slot.pool.block_size(ptr).unwrap_or(0);
-                    slot.journal.push(JEffect::Zero { ptr, len });
-                }
-            }
+            // Entering may zero-fill a reused pool block — a device write
+            // like any other, so it runs under the recovery policy too.
+            let (ptr, needs_copy) =
+                self.recoverable(Some(dev), |h| h.enter_alloc(dev, *spec, host_len))?;
             if needs_copy {
                 self.enqueue_op(
                     s,
@@ -742,16 +698,12 @@ impl Host {
                 Ok(())
             }
             // Device-touching operations go through the recovery layer
-            // (a no-op dispatch when recovery is disabled).
+            // (a single attempt when recovery is disabled).
             device_op => {
-                let res = if self.recovery.is_some() {
-                    self.run_recoverable(&device_op)
-                } else {
-                    self.try_op(&device_op)
-                };
+                let res = self.recoverable(op_device(&device_op), |h| h.try_op(&device_op));
                 // One pending decrement per enqueued launch, at resolution
                 // — success, surfaced trap, or exhausted retries alike
-                // (retries within `run_recoverable` are invisible here).
+                // (retries within `recoverable` are invisible here).
                 if let Op::Launch { dev, .. } = &device_op {
                     if let Some(slot) = self.slots.get_mut(*dev) {
                         slot.pending = slot.pending.saturating_sub(1);
@@ -760,6 +712,40 @@ impl Host {
                 res
             }
         }
+    }
+
+    /// The table half of one [`Host::data_enter`] clause: refcount or
+    /// pool-allocate, journaling how device memory changed. A failed
+    /// attempt (the zero-fill of a reused block faulted) leaves table,
+    /// pool, and journal untouched, so the recovery layer re-runs it
+    /// verbatim. Returns the device address and whether a host→device
+    /// copy is owed.
+    fn enter_alloc(&mut self, dev: usize, spec: MapSpec, host_len: u64) -> Result<(DevPtr, bool), HostError> {
+        let journaling = self.recovery.is_some();
+        let slot = self.slot_mut(dev)?;
+        let d = slot
+            .dev
+            .as_mut()
+            .ok_or(HostError::Map(ME::Misuse("no image bound to device (bind_image first)")))?;
+        let (allocs0, reuse0) = (slot.pool.device_allocs, slot.pool.reuse_hits);
+        let (ptr, needs_copy) = slot
+            .table
+            .enter_alloc(spec, d, &mut slot.pool, host_len)
+            .map_err(step_err)?;
+        if journaling {
+            // Journal how this entry changed device memory: a fresh
+            // bump allocation (replayable pointer-for-pointer) or a
+            // reused block's zero-fill. A pure refcount bump touches
+            // no device state and records nothing.
+            if slot.pool.device_allocs > allocs0 {
+                let size = slot.pool.block_size(ptr).unwrap_or(0);
+                slot.journal.push(JEffect::Grow { size, at: ptr });
+            } else if slot.pool.reuse_hits > reuse0 {
+                let len = slot.pool.block_size(ptr).unwrap_or(0);
+                slot.journal.push(JEffect::Zero { ptr, len });
+            }
+        }
+        Ok((ptr, needs_copy))
     }
 
     /// Execute one device-touching stream operation, non-consuming so the
@@ -872,18 +858,24 @@ impl Host {
 
     // ---- recovery -------------------------------------------------------
 
-    /// Run a device op under the armed [`RecoveryPolicy`]: transient
-    /// errors back off (modeled cycles) and retry in place; `DeviceLost`
-    /// fails over to a replacement device and replays the journal;
-    /// program errors surface unchanged.
-    fn run_recoverable(&mut self, op: &Op) -> Result<(), HostError> {
+    /// Run one device-touching `step` on slot `dev` under the armed
+    /// [`RecoveryPolicy`] (a single attempt when none is armed):
+    /// transient errors back off (modeled cycles) and retry in place;
+    /// `DeviceLost` fails over to a replacement device and replays the
+    /// journal; program errors surface unchanged. `step` must leave no
+    /// trace when it fails, so re-running it is exact.
+    fn recoverable<T>(
+        &mut self,
+        dev: Option<usize>,
+        mut step: impl FnMut(&mut Host) -> Result<T, HostError>,
+    ) -> Result<T, HostError> {
         let Some(policy) = self.recovery.clone() else {
-            return self.try_op(op);
+            return step(self);
         };
         let mut transient_attempts: u32 = 0;
         loop {
-            let e = match self.try_op(op) {
-                Ok(()) => return Ok(()),
+            let e = match step(self) {
+                Ok(v) => return Ok(v),
                 Err(e) => e,
             };
             match e.class() {
@@ -896,11 +888,11 @@ impl Host {
                     self.rmetrics.backoff_cycles += policy.backoff_cycles(transient_attempts);
                 }
                 ErrorClass::Permanent if !matches!(e, HostError::FleetLost { .. }) => {
-                    let Some(dev) = op_device(op) else {
+                    let Some(dev) = dev else {
                         return Err(e);
                     };
                     // `?` surfaces budget exhaustion / replay divergence;
-                    // on success the loop retries the op on the fresh
+                    // on success the loop retries the step on the fresh
                     // device with a reset transient budget.
                     self.failover(dev, &policy)?;
                     transient_attempts = 0;
@@ -940,22 +932,8 @@ impl Host {
         let Some(img) = slot_img else {
             return Err(HostError::Replay("failover on a slot with no image".to_string()));
         };
-        let out = self
-            .images
-            .get(img.0 as usize)
-            .ok_or(HostError::UnknownImage(img.0))?
-            .clone();
-        let mut d = Device::load(out.module.clone(), self.dev_cfg.clone());
-        if let Some(w) = self.worker_threads {
-            d.set_worker_threads(w);
-        }
-        if let Some(t) = self.exec_tier {
-            d.set_exec_tier(t);
-        }
-        if let Some(p) = &self.fault_plan {
-            d.set_fault_plan(p.clone());
-        }
-        d.set_watchdog_fuel(self.watchdog_fuel);
+        let image = self.image(img).ok_or(HostError::UnknownImage(img.0))?;
+        let d = self.new_device(image, self.fault_plan.clone());
         let slot = self.slot_mut(dev)?;
         slot.dev = Some(d);
         slot.device_plan = None;
@@ -1068,42 +1046,12 @@ impl Host {
         self.slots.get(i).and_then(|s| s.dev.as_ref())
     }
 
-    /// Simulated cycles of every launch executed on device `i` — the
-    /// per-device makespan input of the multi-device scaling model.
-    pub fn device_cycles(&self, i: usize) -> u64 {
-        self.slots.get(i).map_or(0, |s| s.executed_cycles)
-    }
-
-    /// Launches executed on device `i`.
-    pub fn device_launches(&self, i: usize) -> u64 {
-        self.slots.get(i).map_or(0, |s| s.launches)
-    }
-
-    /// `(fresh device allocations, pool reuse hits, bytes currently
-    /// mapped)` of device `i`'s pool.
-    pub fn pool_stats(&self, i: usize) -> (u64, u64, u64) {
-        self.slots
-            .get(i)
-            .map_or((0, 0, 0), |s| (s.pool.device_allocs, s.pool.reuse_hits, s.pool.in_use()))
-    }
-
-    /// `(host→device, device→host)` transfers issued on device `i`.
-    pub fn transfer_counts(&self, i: usize) -> (u64, u64) {
-        self.slots
-            .get(i)
-            .map_or((0, 0), |s| (s.table.transfers_to, s.table.transfers_from))
-    }
-
-    /// Total stream operations executed (eager + drained).
-    pub fn ops_executed(&self) -> u64 {
-        self.ops_executed
-    }
-
     /// One consolidated snapshot of everything the host runtime counts:
-    /// compile-cache hits/misses, the recovery layer's work, and the
-    /// per-device load/pool/transfer state that was previously internal.
-    /// This is the stats surface `nzomp-serve` and the load bench report
-    /// from, so neither reaches into crate internals.
+    /// compile-cache hits/misses (repeated launches of a registered image
+    /// cost zero pipeline runs), the recovery layer's work, and the
+    /// per-device load/pool/transfer state. This is the stats surface
+    /// `nzomp-serve` and `nzbench` report from, so neither reaches into
+    /// crate internals.
     pub fn stats(&self) -> HostStats {
         HostStats {
             compile_hits: self.cache.hits,
@@ -1234,6 +1182,24 @@ impl Host {
     }
 
     // ---- internals ------------------------------------------------------
+
+    /// A fresh vGPU running `image` with every host-wide pin (worker
+    /// threads, execution tier, watchdog) applied and `plan` armed — the
+    /// one constructor behind both [`Host::bind_image`] and failover.
+    fn new_device(&self, image: &CompileOutput, plan: Option<FaultPlan>) -> Device {
+        let mut d = Device::load(image.module.clone(), self.dev_cfg.clone());
+        if let Some(w) = self.worker_threads {
+            d.set_worker_threads(w);
+        }
+        if let Some(t) = self.exec_tier {
+            d.set_exec_tier(t);
+        }
+        if let Some(p) = plan {
+            d.set_fault_plan(p);
+        }
+        d.set_watchdog_fuel(self.watchdog_fuel);
+        d
+    }
 
     fn check_stream(&self, s: StreamId) -> Result<(), HostError> {
         if (s.0 as usize) < self.streams.len() {

@@ -92,8 +92,8 @@ pub struct PresentEntry {
 #[derive(Default)]
 pub struct PresentTable {
     entries: Vec<PresentEntry>,
-    /// Host→device transfers issued (the overhead bench checks repeated
-    /// launches add none).
+    /// Host→device transfers issued (presence suppresses repeats — see
+    /// `nested_data_environments_transfer_at_outermost_exit_only`).
     pub transfers_to: u64,
     /// Device→host transfers issued.
     pub transfers_from: u64,

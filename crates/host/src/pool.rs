@@ -57,9 +57,12 @@ impl DevicePool {
         // Best fit: `free` is sorted by size, so the first block that fits
         // is the smallest adequate one.
         if let Some(i) = self.free.iter().position(|b| b.size >= aligned) {
-            let block = self.free.remove(i);
+            let block = self.free[i];
             // Reused memory must look like fresh memory (zero-filled).
+            // The block leaves the free list only once the write landed:
+            // a faulted zero-fill must not leak it.
             dev.write_bytes(block.ptr, &vec![0u8; block.size as usize])?;
+            self.free.remove(i);
             self.live.insert(block.ptr.0, block.size);
             self.reuse_hits += 1;
             return Ok(block.ptr);

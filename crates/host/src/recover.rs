@@ -65,8 +65,9 @@ impl RecoveryPolicy {
 }
 
 /// Counters of everything the recovery layer did — surfaced via
-/// [`crate::Host::recovery_metrics`] and printed by the
-/// `recovery_chaos` report table.
+/// [`crate::Host::recovery_metrics`] and [`crate::HostStats`], and
+/// reported by `nzbench` as `host.retries` / `host.failovers` /
+/// `host.replayed_ops`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryMetrics {
     /// Transient retries performed (each after a backoff charge).

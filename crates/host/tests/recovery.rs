@@ -316,3 +316,55 @@ fn failover_is_bit_identical_across_policies_and_fleets() {
         }
     }
 }
+
+/// A device fault that strikes the zero-fill of a *reused* pool block —
+/// a device write issued inside `data_enter`, not by the stream drain —
+/// is recovered like any other device write: a transient memcpy fault
+/// retries in place, a lost device fails over and replays. Either way
+/// the second region ends bit-identical to the fault-free run and the
+/// pool stays balanced: the faulted block is reused, not leaked.
+#[test]
+fn fault_on_reused_block_zero_fill_recovers_without_leaking() {
+    // Two regions back to back: the second maps into the blocks the
+    // first released. The fault site is armed between them, so op 0 of
+    // the plan is the first zero-fill.
+    let run = |fault: Option<DeviceFaultKind>| {
+        let mut h = host(1);
+        h.set_recovery(Some(RecoveryPolicy::default()));
+        let img = h
+            .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
+            .unwrap();
+        let s = h.stream();
+        h.enqueue_region(&[s], img, "k", launch(), region_args()).unwrap();
+        h.sync().unwrap();
+        if let Some(kind) = fault {
+            h.set_device_faults(0, device_plan(&[(0, kind)])).unwrap();
+        }
+        let region = h
+            .enqueue_region(&[s], img, "k", launch(), region_args())
+            .unwrap_or_else(|e| panic!("{fault:?}: zero-fill fault escaped recovery: {e}"));
+        h.sync().unwrap();
+        let dev = h.stats().devices[0].clone();
+        (
+            h.buf_bits(region.bufs[1].unwrap()).unwrap(),
+            h.take_metrics(region.ticket).unwrap(),
+            h.device(0).unwrap().global_bytes().to_vec(),
+            (dev.pool_allocs, dev.pool_reuse_hits, dev.pool_in_use),
+            h.recovery_metrics().clone(),
+        )
+    };
+
+    let clean = run(None);
+    assert_eq!(clean.3, (2, 2, 0), "second region reuses both blocks");
+
+    let retried = run(Some(DeviceFaultKind::MemcpyFail));
+    assert_eq!((retried.4.retries, retried.4.failovers), (1, 0));
+    let failed_over = run(Some(DeviceFaultKind::Lost));
+    assert_eq!(failed_over.4.failovers, 1);
+    for (name, got) in [("MemcpyFail", &retried), ("Lost", &failed_over)] {
+        assert_eq!(got.0, clean.0, "{name}: output bits");
+        assert_eq!(got.1, clean.1, "{name}: kernel metrics");
+        assert_eq!(got.2, clean.2, "{name}: device memory image");
+        assert_eq!(got.3, clean.3, "{name}: pool leaked or grew");
+    }
+}

@@ -265,7 +265,7 @@ fn nested_data_environments_transfer_at_outermost_exit_only() {
         ],
     )
     .unwrap();
-    assert_eq!(host.transfer_counts(0).0, 2, "inner enter re-transferred");
+    assert_eq!(host.stats().devices[0].transfers_to, 2, "inner enter re-transferred");
 
     let ticket = host
         .enqueue_launch(
@@ -292,7 +292,7 @@ fn nested_data_environments_transfer_at_outermost_exit_only() {
     )
     .unwrap();
     host.sync().unwrap();
-    assert_eq!(host.transfer_counts(0).1, 0, "inner exit copied back");
+    assert_eq!(host.stats().devices[0].transfers_from, 0, "inner exit copied back");
     assert!(
         host.buf_bytes(out).unwrap().iter().all(|&b| b == 0),
         "host buffer updated before outermost exit"
@@ -309,9 +309,9 @@ fn nested_data_environments_transfer_at_outermost_exit_only() {
     )
     .unwrap();
     host.sync().unwrap();
-    assert_eq!(host.transfer_counts(0), (2, 1));
+    let dev = host.stats().devices[0].clone();
+    assert_eq!((dev.transfers_to, dev.transfers_from), (2, 1));
     assert_eq!(host.buf_f64(out).unwrap(), scale_add_expected(&input(N)));
     host.take_metrics(ticket).unwrap();
-    let (_, _, in_use) = host.pool_stats(0);
-    assert_eq!(in_use, 0, "everything unmapped");
+    assert_eq!(dev.pool_in_use, 0, "everything unmapped");
 }

@@ -211,9 +211,9 @@ pub fn optimize_module_timed(module: &mut Module, opts: &PassOptions) -> (Remark
 }
 
 /// [`optimize_module_timed`] with the analysis cache optionally disabled —
-/// every query recomputes, isolating what caching buys (the
-/// `compile_profile` harness's control arm). Results are identical either
-/// way; only the profile differs.
+/// every query recomputes, isolating what caching buys. Results are
+/// identical either way (`tests/golden_ir.rs` holds both modes to the same
+/// goldens); only the profile differs.
 pub fn optimize_module_with_caching(
     module: &mut Module,
     opts: &PassOptions,

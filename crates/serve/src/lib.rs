@@ -52,7 +52,7 @@ pub use metrics::ServeMetrics;
 pub use outcome::{Outcome, RejectReason, ServeError};
 pub use session::TenantConfig;
 
-use session::{Session, SessionBuf};
+use session::{Queued, Session, SessionBuf};
 
 /// Handle of a registered tenant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -164,8 +164,6 @@ pub struct Serve {
     host: Host,
     cfg: ServeConfig,
     sessions: Vec<Session>,
-    /// Admitted-but-undispatched specs by request id.
-    specs: Vec<Option<(TenantId, RequestSpec, u64, u64)>>,
     outcomes: Vec<Option<Outcome>>,
     /// Dispatched requests keyed by `(modeled finish cycle, dispatch
     /// sequence)` — the deterministic completion order.
@@ -201,7 +199,6 @@ impl Serve {
         Serve {
             host,
             sessions: Vec::new(),
-            specs: Vec::new(),
             outcomes: Vec::new(),
             active: BTreeMap::new(),
             seq: 0,
@@ -334,7 +331,6 @@ impl Serve {
 
         let req = ReqId(self.outcomes.len() as u32);
         self.outcomes.push(None);
-        self.specs.push(None);
         self.metrics.submitted += 1;
         if let Some(s) = self.sessions.get_mut(t.0 as usize) {
             s.submitted += 1;
@@ -371,12 +367,9 @@ impl Serve {
         }
 
         self.metrics.admitted += 1;
-        if let Some(slot) = self.specs.get_mut(req.0 as usize) {
-            *slot = Some((t, spec, now, needed));
-        }
         if let Some(s) = self.sessions.get_mut(t.0 as usize) {
             s.charge(needed);
-            s.queued.push_back(req);
+            s.queued.push_back(Queued { req, spec, submitted_at: now, bytes: needed });
         }
         self.pump(now);
         Ok(req)
@@ -462,19 +455,19 @@ impl Serve {
             return;
         }
         if self.host.live_devices() == 0 {
-            let queued: Vec<(TenantId, ReqId)> = self
+            let queued: Vec<(TenantId, Queued)> = self
                 .sessions
                 .iter_mut()
                 .enumerate()
                 .flat_map(|(t, s)| {
-                    s.queued.drain(..).map(move |r| (TenantId(t as u32), r)).collect::<Vec<_>>()
+                    s.queued.drain(..).map(move |q| (TenantId(t as u32), q)).collect::<Vec<_>>()
                 })
                 .collect();
-            for (t, r) in queued {
+            for (t, q) in queued {
                 if let Some(s) = self.sessions.get_mut(t.0 as usize) {
                     s.active += 1;
                 }
-                self.fault(r, t, None, now, "fleet lost: every device is quarantined".to_string());
+                self.fault(&q, t, None, now, "fleet lost: every device is quarantined".to_string());
             }
             return;
         }
@@ -489,34 +482,29 @@ impl Serve {
             }
             let Some(t) = picked else { break };
             self.cursor = (t + 1) % n;
-            let Some(req) = self.sessions.get_mut(t).and_then(|s| {
+            let Some(q) = self.sessions.get_mut(t).and_then(|s| {
                 s.active += 1;
                 s.queued.pop_front()
             }) else {
                 break;
             };
-            self.dispatch(req, TenantId(t as u32), now);
+            self.dispatch(q, TenantId(t as u32), now);
         }
     }
 
-    /// Record a terminal fault for `req` as an immediately-retiring
+    /// Record a terminal fault for `q` as an immediately-retiring
     /// active entry, so quota release and counters flow through the one
     /// completion path.
-    fn fault(&mut self, req: ReqId, t: TenantId, device: Option<usize>, now: u64, error: String) {
-        let (submitted_at, bytes) = self
-            .specs
-            .get(req.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map_or((now, 0), |(_, _, at, b)| (*at, *b));
+    fn fault(&mut self, q: &Queued, t: TenantId, device: Option<usize>, now: u64, error: String) {
         let seq = self.seq;
         self.seq += 1;
         self.active.insert(
             (now, seq),
             Active {
-                req,
+                req: q.req,
                 tenant: t,
-                bytes,
-                submitted_at,
+                bytes: q.bytes,
+                submitted_at: q.submitted_at,
                 outcome: Outcome::Faulted { device, started: now, finished: now, error },
             },
         );
@@ -528,31 +516,26 @@ impl Serve {
     /// work executes *now* in admission order (which is what keeps the
     /// engine deterministic); only the completion — quota release and
     /// outcome publication — is deferred to the modeled finish cycle.
-    fn dispatch(&mut self, req: ReqId, t: TenantId, now: u64) {
-        let Some((_, spec, _, _)) = self.specs.get(req.0 as usize).and_then(|s| s.clone()) else {
-            self.fault(req, t, None, now, "internal: dispatched request has no spec".to_string());
-            return;
-        };
+    fn dispatch(&mut self, q: Queued, t: TenantId, now: u64) {
         // Single-flight compile: the host cache keys on the module
         // fingerprint + config, so every tenant after the first hits.
-        let img = match self.host.load_image((*spec.module).clone(), spec.config) {
+        let img = match self.host.load_image((*q.spec.module).clone(), q.spec.config) {
             Ok(i) => i,
             Err(e) => {
-                self.fault(req, t, None, now, e.to_string());
+                self.fault(&q, t, None, now, e.to_string());
                 return;
             }
         };
         let Some(dev) = self.host.pick_device() else {
-            self.fault(req, t, None, now, "fleet lost: every device is quarantined".to_string());
+            self.fault(&q, t, None, now, "fleet lost: every device is quarantined".to_string());
             return;
         };
         if let Err(e) = self.make_resident(dev, img) {
-            self.fault(req, t, Some(dev), now, e.to_string());
+            self.fault(&q, t, Some(dev), now, e.to_string());
             return;
         }
-        match self.run_on_device(req, t, dev, &spec, now) {
-            Ok(()) => {}
-            Err(e) => self.fault(req, t, Some(dev), now, e.to_string()),
+        if let Err(e) = self.run_on_device(&q, t, dev, now) {
+            self.fault(&q, t, Some(dev), now, e.to_string());
         }
     }
 
@@ -597,14 +580,8 @@ impl Serve {
         Ok(())
     }
 
-    fn run_on_device(
-        &mut self,
-        req: ReqId,
-        t: TenantId,
-        dev: usize,
-        spec: &RequestSpec,
-        now: u64,
-    ) -> Result<(), HostError> {
+    fn run_on_device(&mut self, q: &Queued, t: TenantId, dev: usize, now: u64) -> Result<(), HostError> {
+        let spec = &q.spec;
         // Migrate session arguments resident on another device first —
         // residency is exclusive, and the writeback must complete before
         // this device's entries fix the memory layout.
@@ -718,11 +695,6 @@ impl Serve {
         }
 
         let started = now.max(self.dev_free.get(dev).copied().unwrap_or(0));
-        let (submitted_at, bytes) = self
-            .specs
-            .get(req.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map_or((now, 0), |(_, _, at, b)| (*at, *b));
         let outcome = match (self.host.take_metrics(ticket), first_err) {
             (Ok(m), None) => {
                 let finished = started + m.cycles;
@@ -758,7 +730,10 @@ impl Serve {
         }
         let seq = self.seq;
         self.seq += 1;
-        self.active.insert((finished, seq), Active { req, tenant: t, bytes, submitted_at, outcome });
+        self.active.insert(
+            (finished, seq),
+            Active { req: q.req, tenant: t, bytes: q.bytes, submitted_at: q.submitted_at, outcome },
+        );
         Ok(())
     }
 
@@ -808,13 +783,8 @@ impl Serve {
         self.host.stats()
     }
 
-    /// `(hits, misses)` of the shared compile cache.
-    pub fn compile_stats(&self) -> (u64, u64) {
-        self.host.compile_stats()
-    }
-
     /// Per-tenant report rows (sorted-latency percentiles, peak quota
-    /// footprint) for [`nzomp::report::serve_table`].
+    /// footprint) — part of the replay snapshot.
     pub fn tenant_rows(&self) -> Vec<ServeRow> {
         self.sessions
             .iter()

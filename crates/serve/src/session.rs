@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use nzomp_host::BufId;
 
-use crate::ReqId;
+use crate::{ReqId, RequestSpec};
 
 /// Per-tenant limits fixed at registration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,6 +43,18 @@ pub(crate) struct SessionBuf {
     pub unmapped: bool,
 }
 
+/// An admitted request waiting for a device slot. The queue owns the
+/// spec, so dispatch consumes it: a retired request leaves nothing of its
+/// arguments behind in a long-lived service.
+pub(crate) struct Queued {
+    pub req: ReqId,
+    pub spec: RequestSpec,
+    /// Modeled cycle of admission — the latency origin.
+    pub submitted_at: u64,
+    /// Quota bytes reserved at admission, released at completion.
+    pub bytes: u64,
+}
+
 /// One tenant: quota ledger, session buffers, admission queue, and
 /// outcome counters. The namespace boundary is structural — a tenant's
 /// requests can only name `SBuf` handles this session issued, and the
@@ -56,7 +68,7 @@ pub(crate) struct Session {
     pub peak_bytes: u64,
     pub bufs: Vec<SessionBuf>,
     /// Admitted requests not yet dispatched, oldest first.
-    pub queued: VecDeque<ReqId>,
+    pub queued: VecDeque<Queued>,
     /// Dispatched requests whose modeled completion has not arrived.
     pub active: usize,
     pub submitted: u64,

@@ -7,7 +7,7 @@
 //! rows, service metrics, and compile-cache counters. The determinism
 //! contract is `replay(trace, cfg) == replay(trace, cfg)` — bit-identical
 //! across runs, worker counts ({1, 8}), and execution tiers — which the
-//! serve suites and the `serve_load` bench both assert.
+//! serve suites assert.
 
 use nzomp::report::ServeRow;
 
@@ -102,12 +102,13 @@ pub fn snapshot(serve: &mut Serve) -> Result<Replayed, ServeError> {
     for t in 0..serve.num_tenants() {
         session_images.push(serve.session_image(TenantId(t as u32))?);
     }
+    let host = serve.host_stats();
     Ok(Replayed {
         outcomes: serve.outcomes().to_vec(),
         metrics: serve.metrics().clone(),
         rows: serve.tenant_rows(),
         session_images,
-        compile: serve.compile_stats(),
+        compile: (host.compile_hits, host.compile_misses),
     })
 }
 

@@ -215,11 +215,16 @@ fn window_reopens_after_drain() {
     assert!(serve.outcome(r1).is_some_and(Outcome::is_rejected));
     serve.drain();
     // The in-flight window drained; the next request is admitted.
-    let r2 = serve.submit(t, scale_req(&app, inp)).unwrap();
+    let r2 = serve.submit(t, scale_req(&app, inp.clone())).unwrap();
     serve.drain();
     assert!(serve.outcome(r0).is_some_and(Outcome::is_completed));
     assert!(serve.outcome(r2).is_some_and(Outcome::is_completed));
     assert_eq!(serve.metrics().rejected_saturated, 1);
+    // A drained service holds no request spec: completed and rejected
+    // requests alike dropped their module and argument references, so a
+    // long-lived service does not accumulate them.
+    assert_eq!(Rc::strong_count(&inp), 1, "a retired request still holds its input");
+    assert_eq!(Rc::strong_count(&app), 1, "a retired request still holds its module");
 }
 
 #[test]
@@ -274,7 +279,8 @@ fn single_flight_compile_dedup() {
     let t = serve.add_tenant("t6", TenantConfig::default());
     serve.submit(t, scale_req(&scale_app(), inp)).unwrap();
     serve.drain();
-    assert_eq!(serve.compile_stats(), (6, 1));
+    let stats = serve.host_stats();
+    assert_eq!((stats.compile_hits, stats.compile_misses), (6, 1));
 }
 
 #[test]
@@ -442,6 +448,12 @@ fn trace_replays_bit_identically_across_axes() {
         c
     };
     let one = replay(&trace, &base).unwrap();
+    let submits = trace.ops.iter().filter(|op| matches!(op, TraceOp::Submit { .. })).count();
+    assert_eq!(one.metrics.submitted, submits as u64, "every submission is accounted for");
+    assert!(one.outcomes.iter().all(Option::is_some), "every submission has an outcome");
+    // Single-flight at trace scale: three distinct modules, three
+    // pipeline runs, everything else a cache hit.
+    assert_eq!(one.compile.1, 3, "one compile per distinct module: {:?}", one.compile);
 
     // The trace exercised every outcome class, including all three
     // typed rejection reasons.

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use nzomp_ir::analysis::liveness;
-use nzomp_ir::{Module, Space, Ty};
+use nzomp_ir::{Module, Space};
 
 use crate::bytecode::{lower_module, BcModule};
 use crate::cost::{CostModel, DeviceConfig};
@@ -636,10 +636,6 @@ impl Device {
                 func: kernel.to_string(),
             });
         }
-        // Pointer args must not be dangling-typed; only count check above
-        // (the IR is untyped enough that the kernel will trap if wrong).
-        let _ = func.params.iter().map(|t| matches!(t, Ty::Ptr)).count();
-
         // Registers are allocated for the whole call tree on a GPU (no real
         // call stack): take the maximum over every function reachable from
         // the kernel.
@@ -782,6 +778,53 @@ impl Device {
         })
     }
 
+    /// Run one team write-through against the master region with `fuel`
+    /// steps left — the sequential path's unit of work, and the parallel
+    /// path's re-run of a team whose buffered execution could not merge.
+    /// Returns `(result, counters, fuel left, sanitizer state)`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_team_direct(
+        &mut self,
+        bc: Option<&BcModule>,
+        kernel_idx: u32,
+        launch: Launch,
+        shared_total: u64,
+        team: u32,
+        args: &[RtVal],
+        fuel: u64,
+        sanitize: bool,
+    ) -> (TeamResult, Counters, u64, Option<Box<TeamSan>>) {
+        let mut exec = TeamEngine::new(
+            bc,
+            &self.module,
+            &self.cost,
+            self.config.check_assumes,
+            team,
+            launch.teams,
+            launch.threads_per_team,
+            shared_total,
+            &self.layout,
+            GlobalMem::Direct {
+                region: &mut self.global,
+                heap: &mut self.heap,
+            },
+            &self.constant,
+            fuel,
+            self.faults.as_ref(),
+        );
+        if sanitize {
+            exec.set_sanitizer(Some(Box::new(TeamSan::new(
+                team,
+                self.suppress_shared.clone(),
+                self.release_fns.clone(),
+            ))));
+        }
+        let result = exec.run(kernel_idx, args);
+        let san = exec.take_sanitizer();
+        let (counters, fuel_left, _) = exec.into_outcome();
+        (result, counters, fuel_left, san)
+    }
+
     /// The sequential interpreter path: teams run one after another,
     /// write-through to the master region, with the shared fuel budget
     /// threaded team to team. `worker_threads == 1` takes exactly this
@@ -801,34 +844,8 @@ impl Device {
         let mut team_mem_cycles = Vec::with_capacity(launch.teams as usize);
         let mut totals = Counters::default();
         for team in 0..launch.teams {
-            let mut exec = TeamEngine::new(
-                bc,
-                &self.module,
-                &self.cost,
-                self.config.check_assumes,
-                team,
-                launch.teams,
-                launch.threads_per_team,
-                shared_total,
-                &self.layout,
-                GlobalMem::Direct {
-                    region: &mut self.global,
-                    heap: &mut self.heap,
-                },
-                &self.constant,
-                *fuel,
-                self.faults.as_ref(),
-            );
-            if lsan.is_some() {
-                exec.set_sanitizer(Some(Box::new(TeamSan::new(
-                    team,
-                    self.suppress_shared.clone(),
-                    self.release_fns.clone(),
-                ))));
-            }
-            let result = exec.run(kernel_idx, args);
-            let san = exec.take_sanitizer();
-            let (counters, fuel_left, _) = exec.into_outcome();
+            let (result, counters, fuel_left, san) =
+                self.run_team_direct(bc, kernel_idx, launch, shared_total, team, args, *fuel, lsan.is_some());
             // Fold before the trap check: a trapping team's findings up
             // to the trap are still reported (sequential first-trap
             // semantics — later teams never run, so never fold).
@@ -921,34 +938,16 @@ impl Device {
                     // so its sanitizer verdict carries over unchanged.
                     (run.result, run.counters, run.steps, run.san)
                 } else {
-                    let mut exec = TeamEngine::new(
+                    let (result, counters, fuel_left, san) = self.run_team_direct(
                         bc,
-                        &self.module,
-                        &self.cost,
-                        self.config.check_assumes,
-                        team,
-                        launch.teams,
-                        launch.threads_per_team,
+                        kernel_idx,
+                        launch,
                         shared_total,
-                        &self.layout,
-                        GlobalMem::Direct {
-                            region: &mut self.global,
-                            heap: &mut self.heap,
-                        },
-                        &self.constant,
+                        team,
+                        args,
                         *fuel,
-                        self.faults.as_ref(),
+                        lsan.is_some(),
                     );
-                    if lsan.is_some() {
-                        exec.set_sanitizer(Some(Box::new(TeamSan::new(
-                            team,
-                            self.suppress_shared.clone(),
-                            self.release_fns.clone(),
-                        ))));
-                    }
-                    let result = exec.run(kernel_idx, args);
-                    let san = exec.take_sanitizer();
-                    let (counters, fuel_left, _) = exec.into_outcome();
                     (result, counters, *fuel - fuel_left, san)
                 };
                 // Ascending-team fold at the merge position — the same
@@ -970,6 +969,9 @@ impl Device {
         Ok((team_cycles, team_mem_cycles, totals))
     }
 }
+
+/// One team's `(cycles, mem cycles)`, or its trap `(kind, thread)`.
+type TeamResult = Result<(u64, u64), (TrapKind, u32)>;
 
 /// `(per-team cycles, per-team mem cycles, summed counters)` on success;
 /// `(trap, team, thread)` on the first (lowest-team-index) trap.

@@ -12,7 +12,9 @@
 //!   memory image, and every counter agree across tiers;
 //! * the host watchdog fuel check — both tiers charge exactly one fuel
 //!   unit per dispatched op, so a budget of N dispatches N ops and then
-//!   traps identically;
+//!   traps identically, and clean runs (generated kernels and every
+//!   proxy application) consume identical fuel and produce identical
+//!   metrics, outputs and memory;
 //! * the trap taxonomy — malformed IR embedded as lowered trap ops must
 //!   surface the interpreter's exact message.
 
@@ -134,6 +136,30 @@ fn watchdog_fuel_fires_at_identical_op_counts() {
         seen.push((m.dispatched, m.instructions, m.cycles));
     }
     assert_eq!(seen[0], seen[1], "fuel accounting diverged across tiers");
+
+    // The same holds for whole applications: every proxy's clean run —
+    // full metrics (cycles, instructions, per-step dispatch counts),
+    // output bits, and the entire global image — is tier-invariant.
+    let cfg = nzomp::BuildConfig::NewRtNoAssumptions;
+    for p in nzomp_proxies::all_proxies() {
+        let module = nzomp_proxies::compile_for_config(p.as_ref(), cfg).unwrap().module;
+        let mut seen = Vec::new();
+        for tier in TIERS {
+            let mut dev = Device::load(module.clone(), nzomp_proxies::quick_device());
+            dev.set_exec_tier(tier);
+            dev.set_worker_threads(1);
+            let prep = p.prepare(&mut dev);
+            let m = dev.launch(p.kernel_name(), prep.launch, &prep.args).unwrap();
+            let out: Vec<u64> = dev
+                .read_f64(prep.out_ptr, prep.expected.len())
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            seen.push((m, out, dev.global_bytes().to_vec()));
+        }
+        assert!(seen[0] == seen[1], "{} diverged across tiers", p.name());
+    }
 }
 
 /// The host runtime pins the tier across recovery: a device-loss campaign

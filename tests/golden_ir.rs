@@ -6,6 +6,11 @@
 //! suite is the proof that the pass-manager refactor preserves behavior
 //! exactly — not "equivalent output", *identical* output.
 //!
+//! Every variant is optimized twice — through the pipeline, and again
+//! from the same linked input with the analysis cache disabled — and both
+//! prints are held to the same golden: caching must be invisible to the
+//! output.
+//!
 //! Re-bless (only for an intentional optimizer change) with:
 //!
 //! ```sh
@@ -15,9 +20,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use nzomp::pipeline::compile_with;
+use nzomp::pipeline::{compile_with, link_only};
 use nzomp::BuildConfig;
-use nzomp_opt::{Ablation, PassOptions};
+use nzomp_opt::{optimize_module_with_caching, Ablation, PassOptions};
 use nzomp_proxies::{all_proxies, build_for_config};
 
 /// `(file-slug, options)` for all nine pipeline variants.
@@ -56,9 +61,13 @@ fn optimized_ir_matches_goldens_for_every_proxy_and_variant() {
     let mut failures = Vec::new();
     for p in all_proxies() {
         for (slug, opts) in variants() {
-            let out = compile_with(build_for_config(p.as_ref(), cfg), cfg, cfg.rt_config(), opts)
+            let out = compile_with(build_for_config(p.as_ref(), cfg), cfg, cfg.rt_config(), opts.clone())
                 .unwrap_or_else(|e| panic!("{} [{slug}]: compile failed: {e}", p.name()));
             let printed = nzomp_ir::printer::print_module(&out.module);
+            let mut uncached = link_only(build_for_config(p.as_ref(), cfg), cfg, &cfg.rt_config())
+                .unwrap_or_else(|e| panic!("{} [{slug}]: link failed: {e}", p.name()));
+            optimize_module_with_caching(&mut uncached, &opts, false);
+            let printed_uncached = nzomp_ir::printer::print_module(&uncached);
             let path = dir.join(format!("{}-{slug}.ll", p.name().to_lowercase()));
             if bless {
                 fs::write(&path, &printed).unwrap();
@@ -69,6 +78,9 @@ fn optimized_ir_matches_goldens_for_every_proxy_and_variant() {
             });
             if printed != want {
                 failures.push(format!("{} [{slug}]", p.name()));
+            }
+            if printed_uncached != want {
+                failures.push(format!("{} [{slug}, analysis cache off]", p.name()));
             }
         }
     }

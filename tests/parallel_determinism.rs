@@ -8,10 +8,16 @@
 //! identical typed trap (kind, team, thread, function). 25 seeded fault
 //! campaigns per proxy make the trap-path comparison meaningful: traps
 //! must resolve by lowest team index, never by wall-clock race.
+//!
+//! The clean matrix also carries a 64-team compute-bound RSBench — enough
+//! independent teams per occupancy wave to keep 8 workers busy — and
+//! holds its modeled scalability: per-team cycles list-scheduled onto 8
+//! workers must finish at least 2× sooner than on one.
 
 use nzomp::BuildConfig;
 use nzomp_integration::{run_proxy_outcome, ProxyOutcome};
-use nzomp_proxies::all_proxies;
+use nzomp_proxies::rsbench::RSBench;
+use nzomp_proxies::{all_proxies, quick_device, Proxy};
 
 const WORKER_COUNTS: [usize; 3] = [2, 4, 8];
 const CFG: BuildConfig = BuildConfig::NewRtNoAssumptions;
@@ -37,17 +43,58 @@ fn assert_same(name: &str, detail: &str, base: &ProxyOutcome, got: &ProxyOutcome
     );
 }
 
-/// Clean runs: every proxy agrees bit for bit at every worker count.
+/// Greedy list schedule of per-team cycles onto `workers` within each
+/// occupancy wave — the model of what the engine's next-free-worker
+/// pickup achieves on an unloaded `workers`-core host, in simulated
+/// cycles (hardware-independent).
+fn modeled_makespan(team_cycles: &[u64], wave_size: usize, workers: usize) -> u64 {
+    let mut total = 0;
+    for wave in team_cycles.chunks(wave_size.max(1)) {
+        let mut load = vec![0u64; workers.max(1)];
+        for &c in wave {
+            if let Some(next_free) = load.iter_mut().min() {
+                *next_free += c;
+            }
+        }
+        total += load.iter().copied().max().unwrap_or(0);
+    }
+    total
+}
+
+/// Run `p` clean at every worker count and hold each outcome to the
+/// sequential baseline, which is returned.
+fn assert_clean_run_is_worker_invariant(name: &str, p: &dyn Proxy) -> ProxyOutcome {
+    let base = run_proxy_outcome(p, CFG, 1, None);
+    assert!(base.result.is_ok(), "{name}: clean baseline trapped");
+    for &workers in &WORKER_COUNTS {
+        let got = run_proxy_outcome(p, CFG, workers, None);
+        assert_same(name, &format!("@{workers} threads"), &base, &got);
+    }
+    base
+}
+
+/// Clean runs: every proxy agrees bit for bit at every worker count, and
+/// the 64-team instance has the modeled parallelism to use 8 workers.
 #[test]
 fn clean_runs_identical_across_worker_counts() {
     for p in all_proxies() {
-        let base = run_proxy_outcome(p.as_ref(), CFG, 1, None);
-        assert!(base.result.is_ok(), "{}: clean baseline trapped", p.name());
-        for &workers in &WORKER_COUNTS {
-            let got = run_proxy_outcome(p.as_ref(), CFG, workers, None);
-            assert_same(p.name(), &format!("@{workers} threads"), &base, &got);
-        }
+        assert_clean_run_is_worker_invariant(p.name(), p.as_ref());
     }
+    let wide = RSBench {
+        n_nuclides: 12,
+        n_windows: 16,
+        poles_per_window: 6,
+        n_lookups: 64 * 32,
+        threads_per_team: 32,
+        seed: 0x5eed_0002,
+    };
+    let base = assert_clean_run_is_worker_invariant("rsbench-64-teams", &wide);
+    let m = base.result.unwrap();
+    assert_eq!(m.team_cycles.len(), 64);
+    let wave = quick_device().wave_size(m.teams_per_sm);
+    let one = modeled_makespan(&m.team_cycles, wave, 1);
+    let eight = modeled_makespan(&m.team_cycles, wave, 8);
+    assert!(one >= 2 * eight, "modeled 8-worker speedup below 2x ({one} vs {eight} cycles)");
 }
 
 /// Faulted runs: 25 seeded campaigns per proxy. The injected trap (or the

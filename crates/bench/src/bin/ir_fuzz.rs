@@ -13,6 +13,11 @@
 //!    within a variant and output-identical across variants (every 4th
 //!    seed — this is the expensive leg).
 //!
+//! 4. **Hostile text** — seeded line/byte mutations of the module's print
+//!    (every seed) and, once up front, of every corpus file: the parser
+//!    must return `Ok` or `Err`, never unwind, and anything it accepts
+//!    must be a print∘parse fixed point.
+//!
 //! Runs until the wall-clock budget expires, then reports. Any violation
 //! prints the offending seed (re-run with that seed as BASE_SEED to
 //! reproduce) and the process exits nonzero.
@@ -26,10 +31,23 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use nzomp_integration::corpus::{all_variants, fuzz_one};
+use nzomp_integration::corpus::{all_variants, corpus_texts, fuzz_one, mutation_check};
 use nzomp_integration::gen::{all_labels, coverage_labels, generate};
 use nzomp_ir::parser::parse_module_strict;
 use nzomp_ir::printer::print_module;
+
+/// Run the hostile-text check on `text` once per mutation seed; print and
+/// count the failures.
+fn mutation_failures(name: &str, text: &str, seeds: std::ops::Range<u64>) -> u64 {
+    let failed = |s: &u64| match mutation_check(text, *s) {
+        Ok(()) => false,
+        Err(e) => {
+            println!("FAIL {name}: {e}");
+            true
+        }
+    };
+    seeds.filter(failed).count() as u64
+}
 
 fn main() -> ExitCode {
     let budget: u64 = std::env::args()
@@ -51,7 +69,20 @@ fn main() -> ExitCode {
     let mut seed = base;
     let mut roundtrips = 0u64;
     let mut differentials = 0u64;
+    let mut mutations = 0u64;
     let mut failures = 0u64;
+    match corpus_texts() {
+        Ok(corpus) => {
+            for (name, text) in &corpus {
+                mutations += 64;
+                failures += mutation_failures(name, text, base..base + 64);
+            }
+        }
+        Err(e) => {
+            println!("FAIL corpus: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     while Instant::now() < deadline {
         let g = generate(seed);
         if let Err(e) = nzomp_ir::verify_module(&g.module) {
@@ -70,6 +101,8 @@ fn main() -> ExitCode {
                 }
                 Ok(_) => roundtrips += 1,
             }
+            mutations += 8;
+            failures += mutation_failures(&format!("seed {seed}"), &text, seed * 8..seed * 8 + 8);
             let got = coverage_labels(&g.module);
             let missing: Vec<_> = want.difference(&got).collect();
             if !missing.is_empty() {
@@ -89,7 +122,7 @@ fn main() -> ExitCode {
 
     println!(
         "{} seeds fuzzed ({roundtrips} exact round-trips, {differentials} full \
-         differential matrices), {failures} failures",
+         differential matrices, {mutations} text mutations), {failures} failures",
         seed - base
     );
     if failures == 0 {

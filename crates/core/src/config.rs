@@ -41,11 +41,6 @@ impl BuildConfig {
         }
     }
 
-    /// Does this configuration use an OpenMP lowering (vs. native CUDA)?
-    pub fn is_openmp(self) -> bool {
-        !matches!(self, BuildConfig::Cuda)
-    }
-
     /// Which device runtime to link (None for CUDA).
     pub fn runtime(self) -> Option<RuntimeFlavor> {
         match self {

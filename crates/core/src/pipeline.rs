@@ -38,9 +38,10 @@ pub enum CompileError {
     /// Linking the runtime library into the application failed
     /// (duplicate symbols, signature mismatches).
     Link(LinkError),
-    /// The module failed verification — either straight after the link
-    /// (malformed input) or after optimization (a broken pass). The stage
-    /// name distinguishes the two.
+    /// The module failed verification — on entry to the [`CompileCache`]
+    /// (names the text format cannot carry: stage `input`), straight after
+    /// the link (malformed input) or after optimization (a broken pass).
+    /// The stage name distinguishes them.
     Verify { stage: &'static str, err: VerifyError },
 }
 
@@ -107,9 +108,9 @@ pub fn compile_with(
         opts.drop_assumes = false;
     }
     let (remarks, timings) = optimize_module_timed(&mut app, &opts);
-    // With NZOMP_VERIFY_EACH_PASS=1 the optimizer verified after every
-    // pass; a failure there names the offending pass instead of the
-    // generic "optimization" stage below.
+    // Where the optimizer verified after every pass (debug builds), a
+    // failure names the offending pass instead of the generic
+    // "optimization" stage below.
     if let Some(vf) = &timings.verify_failure {
         return Err(CompileError::Verify {
             stage: vf.pass,
@@ -168,6 +169,10 @@ impl CompileCache {
         app: Module,
         config: BuildConfig,
     ) -> Result<Rc<CompileOutput>, CompileError> {
+        // The fingerprint is of the printed text, which identifies a module
+        // only while its names print unambiguously.
+        nzomp_ir::verify::verify_names(&app)
+            .map_err(|err| CompileError::Verify { stage: "input", err })?;
         let fp = module_fingerprint(&app);
         if let Some((_, _, out)) = self
             .entries

@@ -48,35 +48,3 @@ pub fn grid_stride_kernel(
     m.add_kernel(k, ExecMode::Spmd);
     k
 }
-
-/// Emit a one-iteration-per-thread kernel (`i = bid*bdim+tid; if (i < n)`),
-/// the shape CUDA codes use when the launch covers the iteration space —
-/// the hand-written equivalent of the oversubscription assumptions (§III-F).
-pub fn one_iter_kernel(
-    m: &mut Module,
-    name: &str,
-    params: &[Ty],
-    trip_count: impl FnOnce(&mut FuncBuilder, &[Operand]) -> Operand,
-    body: impl FnOnce(&mut Module, &mut FuncBuilder, Operand, &[Operand]),
-) -> FuncRef {
-    let mut b = FuncBuilder::new(name, params.to_vec(), None);
-    let param_vals: Vec<Operand> = (0..params.len() as u32).map(Operand::Param).collect();
-    let n = trip_count(&mut b, &param_vals);
-    let tid = b.thread_id();
-    let bid = b.block_id();
-    let bdim = b.block_dim();
-    let base = b.mul(bid, bdim);
-    let i = b.add(base, tid);
-    let ok = b.icmp_slt(i, n);
-    let body_bb = b.new_block();
-    let exit = b.new_block();
-    b.cond_br(ok, body_bb, exit);
-    b.switch_to(body_bb);
-    body(m, &mut b, i, &param_vals);
-    b.br(exit);
-    b.switch_to(exit);
-    b.ret(None);
-    let k = m.add_function(b.finish());
-    m.add_kernel(k, ExecMode::Spmd);
-    k
-}

@@ -68,11 +68,6 @@ pub fn i64_bytes(v: &[i64]) -> Vec<u8> {
     v.iter().flat_map(|x| x.to_le_bytes()).collect()
 }
 
-/// Encode `i32` values as device bytes.
-pub fn i32_bytes(v: &[i32]) -> Vec<u8> {
-    v.iter().flat_map(|x| x.to_le_bytes()).collect()
-}
-
 /// Decode a device/host byte image back into `f64`s.
 pub fn bytes_to_f64(b: &[u8]) -> Vec<f64> {
     b.chunks_exact(8)
@@ -247,10 +242,6 @@ impl Host {
         self.eager = eager;
     }
 
-    pub fn num_devices(&self) -> usize {
-        self.slots.len()
-    }
-
     // ---- image registry -------------------------------------------------
 
     /// Compile `app` under `config` (or reuse the cached image when this
@@ -304,10 +295,6 @@ impl Host {
 
     pub fn register_f64(&mut self, v: &[f64]) -> BufId {
         self.register_bytes(f64_bytes(v))
-    }
-
-    pub fn register_i64(&mut self, v: &[i64]) -> BufId {
-        self.register_bytes(i64_bytes(v))
     }
 
     pub fn register_zeros(&mut self, len: u64) -> BufId {
@@ -475,9 +462,6 @@ impl Host {
             for a in args {
                 match a {
                     KArg::Buf(b) => vals.push(RtVal::P(slot.table.lookup(*b, 0).map_err(HostError::Map)?)),
-                    KArg::BufAt(b, off) => {
-                        vals.push(RtVal::P(slot.table.lookup(*b, *off).map_err(HostError::Map)?))
-                    }
                     KArg::Val(v) => vals.push(*v),
                 }
             }

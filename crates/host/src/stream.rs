@@ -37,8 +37,6 @@ pub struct Ticket(pub u32);
 pub enum KArg {
     /// Device address of host buffer byte 0.
     Buf(BufId),
-    /// Device address of a byte offset into a host buffer.
-    BufAt(BufId, u64),
     /// A plain scalar.
     Val(RtVal),
 }

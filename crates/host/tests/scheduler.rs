@@ -136,6 +136,36 @@ fn compile_cache_eliminates_recompiles() {
     assert_eq!(compiles(&host), (1, 2), "launching never recompiles");
 }
 
+/// The cache is keyed by a fingerprint of the printed module, and names
+/// print verbatim: a module name carrying a line break prints the same
+/// bytes as an honest module with one more kernel. The cache refuses the
+/// unprintable name before it fingerprints, so the pair cannot share an
+/// entry.
+#[test]
+fn compile_cache_does_not_alias_modules_that_print_alike() {
+    let honest = scale_add_app();
+    let mut forged = honest.clone();
+    forged.kernels.clear();
+    forged.name = format!("{}\n; kernel @k mode=Spmd", honest.name);
+    assert_ne!(forged, honest);
+    assert_eq!(
+        nzomp_ir::print_module(&forged),
+        nzomp_ir::print_module(&honest),
+        "the pair this test needs: different modules, one text"
+    );
+
+    let mut cache = nzomp::CompileCache::new();
+    cache
+        .compile(honest, BuildConfig::NewRtNoAssumptions)
+        .unwrap();
+    let refused = cache.compile(forged, BuildConfig::NewRtNoAssumptions);
+    assert!(
+        matches!(refused, Err(nzomp::CompileError::Verify { stage: "input", .. })),
+        "forged module must be refused, not served the honest image"
+    );
+    assert_eq!((cache.hits, cache.misses, cache.len()), (0, 1, 1));
+}
+
 /// Sharding identical regions across two devices yields bit-identical
 /// outputs to the single-device run, and both devices end with identical
 /// global images (same kernel, same layout — the scheduler adds nothing).

@@ -36,12 +36,6 @@ pub struct Liveness {
     pub max_live: usize,
 }
 
-impl Liveness {
-    pub fn live_out_size(&self, b: BlockId) -> usize {
-        self.live_out_sizes[b.index()]
-    }
-}
-
 /// Compute liveness for `f`.
 pub fn compute(f: &Function) -> Liveness {
     let nb = f.blocks.len();

@@ -128,12 +128,6 @@ impl CacheStats {
     pub fn total_misses(&self) -> u64 {
         self.misses.iter().sum()
     }
-
-    /// Overall hit rate in [0, 1]; `None` before any query.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.total_hits() + self.total_misses();
-        (total > 0).then(|| self.total_hits() as f64 / total as f64)
-    }
 }
 
 fn kind_index(kind: AnalysisKind) -> usize {
@@ -189,18 +183,8 @@ impl AnalysisManager {
         }
     }
 
-    pub fn caching_enabled(&self) -> bool {
-        self.caching
-    }
-
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Current epoch of function `f` (test/diagnostic hook).
-    pub fn epoch_of(&mut self, m: &Module, f: u32) -> u64 {
-        self.ensure(m);
-        self.func_epoch[f as usize]
     }
 
     /// Grow the per-function tables to the module's function count (new

@@ -112,10 +112,6 @@ impl Function {
         &self.blocks[id.index()]
     }
 
-    pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        &mut self.blocks[id.index()]
-    }
-
     /// Append a fresh empty block and return its id.
     pub fn add_block(&mut self) -> BlockId {
         self.blocks.push(Block::new());
@@ -134,11 +130,6 @@ impl Function {
             .iter()
             .enumerate()
             .map(|(i, b)| (BlockId(i as u32), b))
-    }
-
-    /// All block ids in index order.
-    pub fn block_ids(&self) -> impl Iterator<Item = BlockId> {
-        (0..self.blocks.len() as u32).map(BlockId)
     }
 
     /// Number of instructions currently listed in blocks (live code size).

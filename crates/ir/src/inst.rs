@@ -14,31 +14,67 @@ impl InstId {
     }
 }
 
-/// Integer / float binary operators. Integer semantics are 64-bit wrapping
-/// two's complement regardless of the nominal type.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    SDiv,
-    SRem,
-    UDiv,
-    URem,
-    And,
-    Or,
-    Xor,
-    Shl,
-    LShr,
-    AShr,
-    SMin,
-    SMax,
-    FAdd,
-    FSub,
-    FMul,
-    FDiv,
-    FMin,
-    FMax,
+/// Declares an operator enum once. The variant list, `ALL`, `mnemonic()`
+/// and `from_mnemonic()` all come from the one `Variant = "spelling"` table,
+/// so the printer, the parser and the fuzz generator's coverage labels
+/// cannot drift from the enum (or from each other).
+macro_rules! operators {
+    ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $variant:ident $(($payload:tt))? = $mnemonic:literal,)+ }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant $(($payload))?,)+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant $(($payload))?,)+];
+
+            /// The operator's spelling in the text format (`docs/ir-format.md`).
+            #[inline]
+            pub fn mnemonic(self) -> &'static str {
+                match self {
+                    $($name::$variant $(($payload))? => $mnemonic,)+
+                }
+            }
+
+            /// Inverse of [`Self::mnemonic`].
+            pub fn from_mnemonic(s: &str) -> Option<$name> {
+                match s {
+                    $($mnemonic => Some($name::$variant $(($payload))?),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+operators! {
+    /// Integer / float binary operators. Integer semantics are 64-bit wrapping
+    /// two's complement regardless of the nominal type.
+    BinOp {
+        Add = "Add",
+        Sub = "Sub",
+        Mul = "Mul",
+        SDiv = "SDiv",
+        SRem = "SRem",
+        UDiv = "UDiv",
+        URem = "URem",
+        And = "And",
+        Or = "Or",
+        Xor = "Xor",
+        Shl = "Shl",
+        LShr = "LShr",
+        AShr = "AShr",
+        SMin = "SMin",
+        SMax = "SMax",
+        FAdd = "FAdd",
+        FSub = "FSub",
+        FMul = "FMul",
+        FDiv = "FDiv",
+        FMin = "FMin",
+        FMax = "FMax",
+    }
 }
 
 impl BinOp {
@@ -49,111 +85,98 @@ impl BinOp {
             BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv | BinOp::FMin | BinOp::FMax
         )
     }
+}
 
-    /// Commutative operators, used by the folder to canonicalize.
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add
-                | BinOp::Mul
-                | BinOp::And
-                | BinOp::Or
-                | BinOp::Xor
-                | BinOp::SMin
-                | BinOp::SMax
-                | BinOp::FAdd
-                | BinOp::FMul
-                | BinOp::FMin
-                | BinOp::FMax
-        )
+operators! {
+    /// Unary operators (transcendentals are intrinsic-like but modeled as unops
+    /// since they are pure).
+    UnOp {
+        Neg = "Neg",
+        Not = "Not",
+        FNeg = "FNeg",
+        FAbs = "FAbs",
+        Sqrt = "Sqrt",
+        Sin = "Sin",
+        Cos = "Cos",
+        Exp = "Exp",
+        Log = "Log",
     }
 }
 
-/// Unary operators (transcendentals are intrinsic-like but modeled as unops
-/// since they are pure).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum UnOp {
-    Neg,
-    Not,
-    FNeg,
-    FAbs,
-    Sqrt,
-    Sin,
-    Cos,
-    Exp,
-    Log,
+operators! {
+    /// Cast kinds between the scalar types.
+    CastKind {
+        /// Integer-to-integer resize (sign-extends when widening from a signed
+        /// narrower value; truncates when narrowing).
+        IntCast = "IntCast",
+        /// Zero-extending integer resize.
+        ZExtCast = "ZExtCast",
+        /// Signed int -> f64.
+        SiToFp = "SiToFp",
+        /// f64 -> signed int (round toward zero).
+        FpToSi = "FpToSi",
+        /// Reinterpret pointer as i64 or back.
+        PtrCast = "PtrCast",
+    }
 }
 
-/// Cast kinds between the scalar types.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CastKind {
-    /// Integer-to-integer resize (sign-extends when widening from a signed
-    /// narrower value; truncates when narrowing).
-    IntCast,
-    /// Zero-extending integer resize.
-    ZExtCast,
-    /// Signed int -> f64.
-    SiToFp,
-    /// f64 -> signed int (round toward zero).
-    FpToSi,
-    /// Reinterpret pointer as i64 or back.
-    PtrCast,
+operators! {
+    /// Comparison predicates. Apply to ints, floats, or pointers depending on
+    /// the operand type recorded on the instruction.
+    Pred {
+        Eq = "Eq",
+        Ne = "Ne",
+        Slt = "Slt",
+        Sle = "Sle",
+        Sgt = "Sgt",
+        Sge = "Sge",
+        Ult = "Ult",
+        Ule = "Ule",
+        Ugt = "Ugt",
+        Uge = "Uge",
+    }
 }
 
-/// Comparison predicates. Apply to ints, floats, or pointers depending on
-/// the operand type recorded on the instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Pred {
-    Eq,
-    Ne,
-    Slt,
-    Sle,
-    Sgt,
-    Sge,
-    Ult,
-    Ule,
-    Ugt,
-    Uge,
+operators! {
+    /// Read-modify-write atomic operations.
+    AtomicOp {
+        Add = "Add",
+        Max = "Max",
+        Min = "Min",
+        Exchange = "Exchange",
+    }
 }
 
-/// Read-modify-write atomic operations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AtomicOp {
-    Add,
-    Max,
-    Min,
-    Exchange,
-}
-
-/// GPU / runtime intrinsics. These are the only operations with
-/// target-specific semantics; everything the paper's optimizations reason
-/// about (barrier alignment, thread identity, assumptions) is explicit here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Intrinsic {
-    /// Hardware thread id within the team (i64).
-    ThreadId,
-    /// Team (block) id within the grid (i64).
-    BlockId,
-    /// Number of threads per team (i64).
-    BlockDim,
-    /// Number of teams in the grid (i64).
-    GridDim,
-    /// Team-wide barrier that every thread of the team is guaranteed to
-    /// reach (paper §III-G / Fig. 6: `ext_aligned_barrier`). Removable by
-    /// the aligned-barrier-elimination pass (§IV-D).
-    AlignedBarrier,
-    /// Team-wide barrier that may be reached from divergent control flow
-    /// (e.g. the generic-mode state machine). Never removed.
-    Barrier,
-    /// Compiler assumption: the i1 operand is true (paper §III-G). In debug
-    /// builds the vGPU verifies it; in release it is free.
-    Assume(()),
-    /// Abort kernel execution with an assertion failure.
-    AssertFail,
-    /// Device-side heap allocation (fallback of the shared-memory stack).
-    Malloc,
-    /// Device-side heap free.
-    Free,
+operators! {
+    /// GPU / runtime intrinsics. These are the only operations with
+    /// target-specific semantics; everything the paper's optimizations reason
+    /// about (barrier alignment, thread identity, assumptions) is explicit here.
+    Intrinsic {
+        /// Hardware thread id within the team (i64).
+        ThreadId = "thread.id",
+        /// Team (block) id within the grid (i64).
+        BlockId = "block.id",
+        /// Number of threads per team (i64).
+        BlockDim = "block.dim",
+        /// Number of teams in the grid (i64).
+        GridDim = "grid.dim",
+        /// Team-wide barrier that every thread of the team is guaranteed to
+        /// reach (paper §III-G / Fig. 6: `ext_aligned_barrier`). Removable by
+        /// the aligned-barrier-elimination pass (§IV-D).
+        AlignedBarrier = "barrier.aligned",
+        /// Team-wide barrier that may be reached from divergent control flow
+        /// (e.g. the generic-mode state machine). Never removed.
+        Barrier = "barrier",
+        /// Compiler assumption: the i1 operand is true (paper §III-G). In debug
+        /// builds the vGPU verifies it; in release it is free.
+        Assume(()) = "assume",
+        /// Abort kernel execution with an assertion failure.
+        AssertFail = "assert.fail",
+        /// Device-side heap allocation (fallback of the shared-memory stack).
+        Malloc = "malloc",
+        /// Device-side heap free.
+        Free = "free",
+    }
 }
 
 /// One instruction. Instructions that produce a value have a well-defined
@@ -240,6 +263,81 @@ pub enum Inst {
     },
 }
 
+/// The one listing of each variant's operand fields, in use order: `$body`
+/// runs with `$ops` bound to an iterator over them. `$on` is an `Inst` or
+/// `Term` behind `&` or `&mut`; match ergonomics then make the items
+/// `&Operand` or `&mut Operand`, so `operands()` and `map_operands()` are
+/// both this listing (and each arm's iterator knows its exact length).
+macro_rules! each_operand {
+    (inst $on:expr, |$ops:ident| $body:expr) => {
+        match $on {
+            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {
+                let $ops = [lhs, rhs].into_iter();
+                $body
+            }
+            Inst::Un { arg, .. } | Inst::Cast { arg, .. } => {
+                let $ops = [arg].into_iter();
+                $body
+            }
+            Inst::Select {
+                cond,
+                if_true,
+                if_false,
+                ..
+            } => {
+                let $ops = [cond, if_true, if_false].into_iter();
+                $body
+            }
+            Inst::Load { ptr, .. } => {
+                let $ops = [ptr].into_iter();
+                $body
+            }
+            Inst::Store { ptr, value, .. } | Inst::Atomic { ptr, value, .. } => {
+                let $ops = [ptr, value].into_iter();
+                $body
+            }
+            Inst::PtrAdd { base, offset } => {
+                let $ops = [base, offset].into_iter();
+                $body
+            }
+            Inst::Alloca { .. } => {
+                let $ops = std::iter::empty();
+                $body
+            }
+            Inst::Call { callee, args, .. } => {
+                let $ops = std::iter::once(callee).chain(args);
+                $body
+            }
+            Inst::Cas {
+                ptr, expected, new, ..
+            } => {
+                let $ops = [ptr, expected, new].into_iter();
+                $body
+            }
+            Inst::Intr { args, .. } => {
+                let $ops = args.into_iter();
+                $body
+            }
+            Inst::Phi { incomings, .. } => {
+                let $ops = incomings.into_iter().map(|PhiIncoming { value, .. }| value);
+                $body
+            }
+        }
+    };
+    (term $on:expr, |$ops:ident| $body:expr) => {
+        match $on {
+            Term::CondBr { cond: v, .. } | Term::Ret(Some(v)) => {
+                let $ops = std::iter::once(v);
+                $body
+            }
+            Term::Br(_) | Term::Ret(None) | Term::Unreachable => {
+                let $ops = std::iter::empty();
+                $body
+            }
+        }
+    };
+}
+
 impl Inst {
     /// Result type, or `None` for void instructions.
     pub fn result_ty(&self) -> Option<Ty> {
@@ -290,89 +388,12 @@ impl Inst {
 
     /// Iterate over all operand uses (not including phi predecessors).
     pub fn operands(&self) -> Vec<Operand> {
-        match self {
-            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Un { arg, .. } | Inst::Cast { arg, .. } => vec![*arg],
-            Inst::Select {
-                cond,
-                if_true,
-                if_false,
-                ..
-            } => vec![*cond, *if_true, *if_false],
-            Inst::Load { ptr, .. } => vec![*ptr],
-            Inst::Store { ptr, value, .. } => vec![*ptr, *value],
-            Inst::PtrAdd { base, offset } => vec![*base, *offset],
-            Inst::Alloca { .. } => vec![],
-            Inst::Call { callee, args, .. } => {
-                let mut v = vec![*callee];
-                v.extend_from_slice(args);
-                v
-            }
-            Inst::Atomic { ptr, value, .. } => vec![*ptr, *value],
-            Inst::Cas {
-                ptr, expected, new, ..
-            } => vec![*ptr, *expected, *new],
-            Inst::Intr { args, .. } => args.clone(),
-            Inst::Phi { incomings, .. } => incomings.iter().map(|i| i.value).collect(),
-        }
+        each_operand!(inst self, |ops| ops.copied().collect())
     }
 
     /// Apply `f` to every operand use in place (including phi incomings).
     pub fn map_operands(&mut self, mut f: impl FnMut(Operand) -> Operand) {
-        match self {
-            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {
-                *lhs = f(*lhs);
-                *rhs = f(*rhs);
-            }
-            Inst::Un { arg, .. } | Inst::Cast { arg, .. } => *arg = f(*arg),
-            Inst::Select {
-                cond,
-                if_true,
-                if_false,
-                ..
-            } => {
-                *cond = f(*cond);
-                *if_true = f(*if_true);
-                *if_false = f(*if_false);
-            }
-            Inst::Load { ptr, .. } => *ptr = f(*ptr),
-            Inst::Store { ptr, value, .. } => {
-                *ptr = f(*ptr);
-                *value = f(*value);
-            }
-            Inst::PtrAdd { base, offset } => {
-                *base = f(*base);
-                *offset = f(*offset);
-            }
-            Inst::Alloca { .. } => {}
-            Inst::Call { callee, args, .. } => {
-                *callee = f(*callee);
-                for a in args {
-                    *a = f(*a);
-                }
-            }
-            Inst::Atomic { ptr, value, .. } => {
-                *ptr = f(*ptr);
-                *value = f(*value);
-            }
-            Inst::Cas {
-                ptr, expected, new, ..
-            } => {
-                *ptr = f(*ptr);
-                *expected = f(*expected);
-                *new = f(*new);
-            }
-            Inst::Intr { args, .. } => {
-                for a in args {
-                    *a = f(*a);
-                }
-            }
-            Inst::Phi { incomings, .. } => {
-                for inc in incomings {
-                    inc.value = f(inc.value);
-                }
-            }
-        }
+        each_operand!(inst self, |ops| ops.for_each(|o: &mut Operand| *o = f(*o)));
     }
 
     pub fn is_phi(&self) -> bool {
@@ -406,18 +427,10 @@ impl Term {
     }
 
     pub fn operands(&self) -> Vec<Operand> {
-        match self {
-            Term::CondBr { cond, .. } => vec![*cond],
-            Term::Ret(Some(v)) => vec![*v],
-            _ => vec![],
-        }
+        each_operand!(term self, |ops| ops.copied().collect())
     }
 
     pub fn map_operands(&mut self, mut f: impl FnMut(Operand) -> Operand) {
-        match self {
-            Term::CondBr { cond, .. } => *cond = f(*cond),
-            Term::Ret(Some(v)) => *v = f(*v),
-            _ => {}
-        }
+        each_operand!(term self, |ops| ops.for_each(|o: &mut Operand| *o = f(*o)));
     }
 }

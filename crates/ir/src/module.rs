@@ -1,7 +1,5 @@
 //! Modules: functions + globals + kernel entry points.
 
-use std::collections::HashMap;
-
 use crate::func::{Function, Linkage};
 use crate::global::{Global, GlobalId};
 use crate::types::Space;
@@ -85,10 +83,6 @@ impl Module {
         &self.globals[g.index()]
     }
 
-    pub fn global_mut(&mut self, g: GlobalId) -> &mut Global {
-        &mut self.globals[g.index()]
-    }
-
     pub fn find_func(&self, name: &str) -> Option<FuncRef> {
         self.funcs
             .iter()
@@ -112,15 +106,6 @@ impl Module {
         if let Some(k) = self.kernels.iter_mut().find(|k| k.func == func) {
             k.exec_mode = mode;
         }
-    }
-
-    /// Map of function name -> ref (for linking and call resolution).
-    pub fn func_names(&self) -> HashMap<&str, FuncRef> {
-        self.funcs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.as_str(), FuncRef(i as u32)))
-            .collect()
     }
 
     /// Total bytes of shared-space globals: the static shared-memory

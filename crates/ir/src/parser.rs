@@ -15,16 +15,27 @@
 //!
 //! Errors carry the 1-based line, and where the offending token is known,
 //! the 1-based column.
+//!
+//! The text is read twice. [`scan_decls`] reads everything that names
+//! something — the module, globals, function signatures, kernel notes and
+//! each body's result ids — so that [`parse_body`] can build [`Inst`] and
+//! [`Term`] values directly, resolving every operand as it is lexed.
+//!
+//! The input is external text: nothing here may index or slice by a
+//! position computed from it.
+
+#![deny(clippy::string_slice, clippy::indexing_slicing)]
 
 use std::collections::HashMap;
 
 use crate::func::{Block, BlockId, FnAttrs, Function, Linkage};
-use crate::global::{Global, Init};
+use crate::global::{Global, GlobalId, Init};
 use crate::inst::{AtomicOp, BinOp, CastKind, Inst, InstId, Intrinsic, Pred, Term, UnOp};
 use crate::module::{ExecMode, FuncRef, Module};
 use crate::printer::FORMAT_VERSION;
 use crate::types::{Space, Ty};
 use crate::value::{Operand, PhiIncoming};
+use crate::verify::{is_module_name, is_symbol_name};
 
 /// Parse error with line (and, when the offending token is known, column)
 /// context. `col == 0` means "column unknown".
@@ -62,11 +73,7 @@ struct Cx<'a> {
     raw: &'a str,
 }
 
-impl<'a> Cx<'a> {
-    fn new(line: usize, raw: &'a str) -> Cx<'a> {
-        Cx { line, raw }
-    }
-
+impl Cx<'_> {
     /// 1-based column of `tok` within the raw line, or 0 when `tok` is not
     /// a subslice of it.
     fn col_of(&self, tok: &str) -> usize {
@@ -81,23 +88,6 @@ impl<'a> Cx<'a> {
     }
 
     /// Error without a column.
-    fn err<T>(&self, message: impl Into<String>) -> PResult<T> {
-        Err(ParseError {
-            line: self.line,
-            col: 0,
-            message: message.into(),
-        })
-    }
-
-    /// Error anchored at the offending token.
-    fn err_at<T>(&self, tok: &str, message: impl Into<String>) -> PResult<T> {
-        Err(ParseError {
-            line: self.line,
-            col: self.col_of(tok),
-            message: message.into(),
-        })
-    }
-
     fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError {
             line: self.line,
@@ -106,12 +96,90 @@ impl<'a> Cx<'a> {
         }
     }
 
+    /// Error anchored at the offending token.
     fn error_at(&self, tok: &str, message: impl Into<String>) -> ParseError {
         ParseError {
-            line: self.line,
             col: self.col_of(tok),
-            message: message.into(),
+            ..self.error(message)
         }
+    }
+
+    fn err<T>(&self, message: impl Into<String>) -> PResult<T> {
+        Err(self.error(message))
+    }
+
+    fn err_at<T>(&self, tok: &str, message: impl Into<String>) -> PResult<T> {
+        Err(self.error_at(tok, message))
+    }
+}
+
+/// The non-blank lines of `text`, trimmed, each with its context.
+fn lines(text: &str) -> impl Iterator<Item = (Cx<'_>, &str)> {
+    text.lines().enumerate().filter_map(|(idx, raw)| {
+        let s = raw.trim();
+        let cx = Cx { line: idx + 1, raw };
+        (!s.is_empty()).then_some((cx, s))
+    })
+}
+
+/// What a trimmed, non-blank line is. Both passes classify with
+/// [`classify`], so they cannot disagree on which lines are instructions —
+/// and hence on the dense id each instruction gets.
+enum Line<'a> {
+    /// A comment the parser skips.
+    Comment,
+    /// `; nzomp-ir <version>`.
+    Version(&'a str),
+    /// `; module <name>`.
+    ModuleName(&'a str),
+    /// `; kernel @<name> mode=<mode>`.
+    Kernel(&'a str),
+    Global,
+    Declare,
+    Define,
+    /// `}`.
+    Close,
+    /// `<label>:`.
+    Label(&'a str),
+    /// `ret <void | operand>`.
+    Ret(&'a str),
+    /// `br <block>` or `br <cond>, <block>, <block>`.
+    Br(&'a str),
+    Unreachable,
+    /// Anything else: `[%N = ] <body>`.
+    Inst,
+}
+
+fn classify(s: &str, in_func: bool) -> Line<'_> {
+    if in_func && s.starts_with('%') {
+        // Most lines of a module: an instruction with a result.
+        Line::Inst
+    } else if let Some(rest) = s.strip_prefix("; nzomp-ir ") {
+        Line::Version(rest.trim())
+    } else if let Some(rest) = s.strip_prefix("; module ") {
+        Line::ModuleName(rest.trim())
+    } else if let Some(rest) = s.strip_prefix("; kernel @") {
+        Line::Kernel(rest)
+    } else if s.starts_with(';') {
+        Line::Comment
+    } else if s.starts_with('@') && !in_func {
+        Line::Global
+    } else if s.starts_with("declare ") {
+        Line::Declare
+    } else if s.starts_with("define ") {
+        Line::Define
+    } else if s == "}" {
+        Line::Close
+    } else if let Some(label) = s.strip_suffix(':') {
+        Line::Label(label)
+    } else if let Some(rest) = s.strip_prefix("ret ") {
+        Line::Ret(rest.trim())
+    } else if let Some(rest) = s.strip_prefix("br ") {
+        Line::Br(rest)
+    } else if s == "unreachable" {
+        Line::Unreachable
+    } else {
+        Line::Inst
     }
 }
 
@@ -127,6 +195,15 @@ fn parse_ty(s: &str, cx: &Cx<'_>) -> PResult<Ty> {
     }
 }
 
+/// A return type: `void` or a type.
+fn parse_ret_ty(s: &str, cx: &Cx<'_>) -> PResult<Option<Ty>> {
+    if s == "void" {
+        Ok(None)
+    } else {
+        parse_ty(s, cx).map(Some)
+    }
+}
+
 fn parse_space(s: &str, cx: &Cx<'_>) -> PResult<Space> {
     match s {
         "global" => Ok(Space::Global),
@@ -137,149 +214,12 @@ fn parse_space(s: &str, cx: &Cx<'_>) -> PResult<Space> {
     }
 }
 
-fn parse_bin_op(s: &str) -> Option<BinOp> {
-    Some(match s {
-        "Add" => BinOp::Add,
-        "Sub" => BinOp::Sub,
-        "Mul" => BinOp::Mul,
-        "SDiv" => BinOp::SDiv,
-        "SRem" => BinOp::SRem,
-        "UDiv" => BinOp::UDiv,
-        "URem" => BinOp::URem,
-        "And" => BinOp::And,
-        "Or" => BinOp::Or,
-        "Xor" => BinOp::Xor,
-        "Shl" => BinOp::Shl,
-        "LShr" => BinOp::LShr,
-        "AShr" => BinOp::AShr,
-        "SMin" => BinOp::SMin,
-        "SMax" => BinOp::SMax,
-        "FAdd" => BinOp::FAdd,
-        "FSub" => BinOp::FSub,
-        "FMul" => BinOp::FMul,
-        "FDiv" => BinOp::FDiv,
-        "FMin" => BinOp::FMin,
-        "FMax" => BinOp::FMax,
-        _ => return None,
-    })
-}
-
-fn parse_un_op(s: &str) -> Option<UnOp> {
-    Some(match s {
-        "Neg" => UnOp::Neg,
-        "Not" => UnOp::Not,
-        "FNeg" => UnOp::FNeg,
-        "FAbs" => UnOp::FAbs,
-        "Sqrt" => UnOp::Sqrt,
-        "Sin" => UnOp::Sin,
-        "Cos" => UnOp::Cos,
-        "Exp" => UnOp::Exp,
-        "Log" => UnOp::Log,
-        _ => return None,
-    })
-}
-
-fn parse_cast_kind(s: &str) -> Option<CastKind> {
-    Some(match s {
-        "IntCast" => CastKind::IntCast,
-        "ZExtCast" => CastKind::ZExtCast,
-        "SiToFp" => CastKind::SiToFp,
-        "FpToSi" => CastKind::FpToSi,
-        "PtrCast" => CastKind::PtrCast,
-        _ => return None,
-    })
-}
-
-fn parse_pred(s: &str) -> Option<Pred> {
-    Some(match s {
-        "Eq" => Pred::Eq,
-        "Ne" => Pred::Ne,
-        "Slt" => Pred::Slt,
-        "Sle" => Pred::Sle,
-        "Sgt" => Pred::Sgt,
-        "Sge" => Pred::Sge,
-        "Ult" => Pred::Ult,
-        "Ule" => Pred::Ule,
-        "Ugt" => Pred::Ugt,
-        "Uge" => Pred::Uge,
-        _ => return None,
-    })
-}
-
-fn parse_atomic_op(s: &str) -> Option<AtomicOp> {
-    Some(match s {
-        "Add" => AtomicOp::Add,
-        "Max" => AtomicOp::Max,
-        "Min" => AtomicOp::Min,
-        "Exchange" => AtomicOp::Exchange,
-        _ => return None,
-    })
-}
-
-const INTRINSICS: &[(&str, Intrinsic)] = &[
-    ("thread.id", Intrinsic::ThreadId),
-    ("block.id", Intrinsic::BlockId),
-    ("block.dim", Intrinsic::BlockDim),
-    ("grid.dim", Intrinsic::GridDim),
-    ("barrier.aligned", Intrinsic::AlignedBarrier),
-    ("barrier", Intrinsic::Barrier),
-    ("assume", Intrinsic::Assume(())),
-    ("assert.fail", Intrinsic::AssertFail),
-    ("malloc", Intrinsic::Malloc),
-    ("free", Intrinsic::Free),
-];
-
-/// An operand as written (resolved in a second phase).
-#[derive(Clone, Debug)]
-enum RawOp {
-    Inst(u32),
-    Param(u32),
-    ConstI(i64, Ty),
-    ConstF(f64),
-    Symbol(String),
-}
-
 /// Split a comma-separated argument list, respecting that our operands
-/// never contain commas or parens.
-fn split_args(s: &str) -> Vec<&str> {
+/// never contain commas or parens. A blank list has no arguments.
+fn split_args(s: &str) -> impl Iterator<Item = &str> {
     let s = s.trim();
-    if s.is_empty() {
-        return vec![];
-    }
-    s.split(',').map(|a| a.trim()).collect()
-}
-
-/// Parse one operand token like `%5`, `%arg0`, `i64 -3`, `f64 2.5`, `@name`.
-fn parse_raw_op(tok: &str, cx: &Cx<'_>) -> PResult<RawOp> {
-    let tok = tok.trim();
-    if let Some(rest) = tok.strip_prefix("%arg") {
-        return rest
-            .parse::<u32>()
-            .map(RawOp::Param)
-            .or_else(|_| cx.err_at(tok, format!("bad param {tok:?}")));
-    }
-    if let Some(rest) = tok.strip_prefix('%') {
-        return rest
-            .parse::<u32>()
-            .map(RawOp::Inst)
-            .or_else(|_| cx.err_at(tok, format!("bad value id {tok:?}")));
-    }
-    if let Some(rest) = tok.strip_prefix('@') {
-        return Ok(RawOp::Symbol(rest.to_string()));
-    }
-    if let Some((ty_s, val)) = tok.split_once(' ') {
-        let ty = parse_ty(ty_s, cx)?;
-        if ty == Ty::F64 {
-            let v = parse_f64(val.trim(), cx)?;
-            return Ok(RawOp::ConstF(v));
-        }
-        let v = val
-            .trim()
-            .parse::<i64>()
-            .or_else(|_| cx.err_at(val.trim(), format!("bad int constant {val:?}")))?;
-        return Ok(RawOp::ConstI(v, ty));
-    }
-    cx.err_at(tok, format!("cannot parse operand {tok:?}"))
+    let args = (!s.is_empty()).then(|| s.split(','));
+    args.into_iter().flatten().map(str::trim)
 }
 
 /// Parse an f64 literal. Inverse of [`crate::printer::fmt_f64`]: accepts
@@ -315,347 +255,604 @@ fn parse_block_ref(tok: &str, cx: &Cx<'_>) -> PResult<BlockId> {
         .ok_or_else(|| cx.error_at(tok, format!("bad block reference {tok:?}")))
 }
 
-/// A parsed instruction before operand resolution.
-struct RawInst {
-    line: usize,
-    /// Printed result id (None for void instructions).
-    result: Option<u32>,
-    body: RawBody,
+/// Split an instruction line `%N = body` into its printed result id and
+/// body; void instructions are the body alone.
+fn split_result<'a>(s: &'a str, cx: &Cx<'_>) -> PResult<(Option<u32>, &'a str)> {
+    if !s.starts_with('%') {
+        return Ok((None, s));
+    }
+    let (lhs, body) = s.split_once('=').ok_or_else(|| cx.error("expected `=`"))?;
+    let id = lhs
+        .trim()
+        .strip_prefix('%')
+        .and_then(|n| n.parse::<u32>().ok())
+        .ok_or_else(|| cx.error_at(lhs.trim(), "bad result id"))?;
+    Ok((Some(id), body.trim()))
 }
 
-enum RawBody {
-    Bin(BinOp, Ty, RawOp, RawOp),
-    Un(UnOp, Ty, RawOp),
-    Cast(CastKind, Ty, RawOp),
-    Cmp(Pred, Ty, RawOp, RawOp),
-    Select(Ty, RawOp, RawOp, RawOp),
-    Load(Ty, RawOp),
-    Store(Ty, RawOp, RawOp), // value, ptr
-    PtrAdd(RawOp, RawOp),
-    Alloca(u64),
-    Call(Option<Ty>, RawOp, Vec<RawOp>),
-    Atomic(AtomicOp, Ty, RawOp, RawOp),
-    Cas(Ty, RawOp, RawOp, RawOp),
-    Intr(Intrinsic, Vec<RawOp>),
-    Phi(Ty, Vec<(BlockId, RawOp)>),
-}
-
-/// Parse the right-hand side of an instruction line.
-fn parse_inst_body(s: &str, cx: &Cx<'_>) -> PResult<RawBody> {
-    let s = s.trim();
-    // Intrinsics: `name(args)`.
-    for (name, intr) in INTRINSICS {
-        if let Some(rest) = s.strip_prefix(name) {
-            if let Some(inner) = rest.trim().strip_prefix('(').and_then(|r| r.strip_suffix(')')) {
-                let args = split_args(inner)
-                    .into_iter()
-                    .map(|a| parse_raw_op(a, cx))
-                    .collect::<PResult<Vec<_>>>()?;
-                return Ok(RawBody::Intr(*intr, args));
-            }
-        }
+/// A symbol name as the grammar defines it (`docs/ir-format.md`).
+fn parse_name<'a>(s: &'a str, cx: &Cx<'_>) -> PResult<&'a str> {
+    let name = s.trim();
+    if is_symbol_name(name) {
+        Ok(name)
+    } else {
+        cx.err_at(name, format!("bad symbol name {name:?}"))
     }
-    if let Some(rest) = s.strip_prefix("load ") {
-        let (ty_s, ptr) = rest
-            .split_once(',')
-            .ok_or_else(|| cx.error_at(rest, "load needs `ty, ptr`"))?;
-        return Ok(RawBody::Load(
-            parse_ty(ty_s.trim(), cx)?,
-            parse_raw_op(ptr, cx)?,
-        ));
-    }
-    if let Some(rest) = s.strip_prefix("store ") {
-        // `store ty VALUE, PTR` — value may itself start with a type token
-        // (constants), so split at the LAST comma.
-        let comma = rest
-            .rfind(',')
-            .ok_or_else(|| cx.error_at(rest, "store needs `,`"))?;
-        let (head, ptr) = rest.split_at(comma);
-        let ptr = &ptr[1..];
-        let (ty_s, value) = head
-            .trim()
-            .split_once(' ')
-            .ok_or_else(|| cx.error_at(head, "store needs `ty value`"))?;
-        return Ok(RawBody::Store(
-            parse_ty(ty_s, cx)?,
-            parse_raw_op(value, cx)?,
-            parse_raw_op(ptr, cx)?,
-        ));
-    }
-    if let Some(rest) = s.strip_prefix("ptradd ") {
-        let (a, b) = rest
-            .split_once(',')
-            .ok_or_else(|| cx.error_at(rest, "ptradd needs 2 args"))?;
-        return Ok(RawBody::PtrAdd(parse_raw_op(a, cx)?, parse_raw_op(b, cx)?));
-    }
-    if let Some(rest) = s.strip_prefix("alloca ") {
-        let size = rest
-            .trim()
-            .parse::<u64>()
-            .or_else(|_| cx.err_at(rest.trim(), "bad alloca size"))?;
-        return Ok(RawBody::Alloca(size));
-    }
-    if let Some(rest) = s.strip_prefix("call ") {
-        let (retty_s, rest) = rest
-            .split_once(' ')
-            .ok_or_else(|| cx.error_at(rest, "call needs ret type"))?;
-        let ret = if retty_s == "void" {
-            None
-        } else {
-            Some(parse_ty(retty_s, cx)?)
-        };
-        let open = rest
-            .find('(')
-            .ok_or_else(|| cx.error_at(rest, "call needs `(`"))?;
-        let callee = parse_raw_op(&rest[..open], cx)?;
-        let inner = rest[open + 1..]
-            .strip_suffix(')')
-            .ok_or_else(|| cx.error_at(rest, "call needs `)`"))?;
-        let args = split_args(inner)
-            .into_iter()
-            .map(|a| parse_raw_op(a, cx))
-            .collect::<PResult<Vec<_>>>()?;
-        return Ok(RawBody::Call(ret, callee, args));
-    }
-    if let Some(rest) = s.strip_prefix("select.") {
-        let (ty_s, rest) = rest
-            .split_once(' ')
-            .ok_or_else(|| cx.error_at(rest, "select needs type"))?;
-        let ty = parse_ty(ty_s, cx)?;
-        let args = split_args(rest);
-        if args.len() != 3 {
-            return cx.err_at(rest, "select needs 3 operands");
-        }
-        return Ok(RawBody::Select(
-            ty,
-            parse_raw_op(args[0], cx)?,
-            parse_raw_op(args[1], cx)?,
-            parse_raw_op(args[2], cx)?,
-        ));
-    }
-    if let Some(rest) = s.strip_prefix("cmp.") {
-        let (pred_s, rest) = rest
-            .split_once('.')
-            .ok_or_else(|| cx.error_at(rest, "cmp needs pred.ty"))?;
-        let pred = parse_pred(pred_s)
-            .ok_or_else(|| cx.error_at(pred_s, format!("bad predicate {pred_s:?}")))?;
-        let (ty_s, rest) = rest
-            .split_once(' ')
-            .ok_or_else(|| cx.error_at(rest, "cmp needs type"))?;
-        let args = split_args(rest);
-        if args.len() != 2 {
-            return cx.err_at(rest, "cmp needs 2 operands");
-        }
-        return Ok(RawBody::Cmp(
-            pred,
-            parse_ty(ty_s, cx)?,
-            parse_raw_op(args[0], cx)?,
-            parse_raw_op(args[1], cx)?,
-        ));
-    }
-    if let Some(rest) = s.strip_prefix("atomic.") {
-        let (op_s, rest) = rest
-            .split_once('.')
-            .ok_or_else(|| cx.error_at(rest, "atomic needs op.ty"))?;
-        let op = parse_atomic_op(op_s)
-            .ok_or_else(|| cx.error_at(op_s, format!("bad atomic op {op_s:?}")))?;
-        let (ty_s, rest) = rest
-            .split_once(' ')
-            .ok_or_else(|| cx.error_at(rest, "atomic needs type"))?;
-        let args = split_args(rest);
-        if args.len() != 2 {
-            return cx.err_at(rest, "atomic needs 2 operands");
-        }
-        return Ok(RawBody::Atomic(
-            op,
-            parse_ty(ty_s, cx)?,
-            parse_raw_op(args[0], cx)?,
-            parse_raw_op(args[1], cx)?,
-        ));
-    }
-    if let Some(rest) = s.strip_prefix("cas.") {
-        let (ty_s, rest) = rest
-            .split_once(' ')
-            .ok_or_else(|| cx.error_at(rest, "cas needs type"))?;
-        let args = split_args(rest);
-        if args.len() != 3 {
-            return cx.err_at(rest, "cas needs 3 operands");
-        }
-        return Ok(RawBody::Cas(
-            parse_ty(ty_s, cx)?,
-            parse_raw_op(args[0], cx)?,
-            parse_raw_op(args[1], cx)?,
-            parse_raw_op(args[2], cx)?,
-        ));
-    }
-    if let Some(rest) = s.strip_prefix("phi ") {
-        let (ty_s, rest) = rest
-            .split_once(' ')
-            .ok_or_else(|| cx.error_at(rest, "phi needs type"))?;
-        let ty = parse_ty(ty_s, cx)?;
-        let mut incomings = Vec::new();
-        for part in rest.split("],") {
-            let part = part.trim().trim_start_matches('[').trim_end_matches(']');
-            if part.is_empty() {
-                continue;
-            }
-            let (bb, val) = part
-                .split_once(':')
-                .ok_or_else(|| cx.error_at(part, "phi incoming needs `bb: val`"))?;
-            incomings.push((parse_block_ref(bb, cx)?, parse_raw_op(val, cx)?));
-        }
-        return Ok(RawBody::Phi(ty, incomings));
-    }
-    // Bin/Un/Cast: `<Op>.<ty> ...` or `<CastKind> <op> to <ty>`.
-    if let Some((head, rest)) = s.split_once(' ') {
-        if let Some(kind) = parse_cast_kind(head) {
-            let (arg, to) = rest
-                .rsplit_once(" to ")
-                .ok_or_else(|| cx.error_at(rest, "cast needs `to <ty>`"))?;
-            return Ok(RawBody::Cast(
-                kind,
-                parse_ty(to.trim(), cx)?,
-                parse_raw_op(arg, cx)?,
-            ));
-        }
-        if let Some((op_s, ty_s)) = head.split_once('.') {
-            let ty = parse_ty(ty_s, cx)?;
-            let args = split_args(rest);
-            if let Some(op) = parse_bin_op(op_s) {
-                if args.len() != 2 {
-                    return cx.err_at(rest, "binary op needs 2 operands");
-                }
-                return Ok(RawBody::Bin(
-                    op,
-                    ty,
-                    parse_raw_op(args[0], cx)?,
-                    parse_raw_op(args[1], cx)?,
-                ));
-            }
-            if let Some(op) = parse_un_op(op_s) {
-                if args.len() != 1 {
-                    return cx.err_at(rest, "unary op needs 1 operand");
-                }
-                return Ok(RawBody::Un(op, ty, parse_raw_op(args[0], cx)?));
-            }
-        }
-    }
-    cx.err_at(s, format!("unknown opcode: cannot parse instruction {s:?}"))
-}
-
-enum RawTerm {
-    Br(BlockId),
-    CondBr(RawOp, BlockId, BlockId),
-    RetVoid,
-    Ret(RawOp),
-    Unreachable,
-}
-
-fn parse_term(s: &str, cx: &Cx<'_>) -> PResult<Option<RawTerm>> {
-    let s = s.trim();
-    if s == "unreachable" {
-        return Ok(Some(RawTerm::Unreachable));
-    }
-    if s == "ret void" {
-        return Ok(Some(RawTerm::RetVoid));
-    }
-    if let Some(rest) = s.strip_prefix("ret ") {
-        return Ok(Some(RawTerm::Ret(parse_raw_op(rest, cx)?)));
-    }
-    if let Some(rest) = s.strip_prefix("br ") {
-        let args = split_args(rest);
-        return match args.len() {
-            1 => Ok(Some(RawTerm::Br(parse_block_ref(args[0], cx)?))),
-            3 => Ok(Some(RawTerm::CondBr(
-                parse_raw_op(args[0], cx)?,
-                parse_block_ref(args[1], cx)?,
-                parse_block_ref(args[2], cx)?,
-            ))),
-            _ => cx.err_at(rest, "br needs 1 or 3 arguments"),
-        };
-    }
-    Ok(None)
-}
-
-struct RawFunc {
-    /// Line of the `define`/`declare` (for duplicate-symbol reporting).
-    line: usize,
-    name: String,
-    params: Vec<Ty>,
-    ret: Option<Ty>,
-    attrs: FnAttrs,
-    linkage: Linkage,
-    /// Blocks: (id, instructions, terminator, terminator line).
-    blocks: Vec<(BlockId, Vec<RawInst>, RawTerm, usize)>,
-    is_decl: bool,
 }
 
 /// Parse a function header like
-/// `define internal i64 @f(i64 %arg0, ptr %arg1) [noinline] {`.
-fn parse_header(line_s: &str, cx: &Cx<'_>, decl: bool) -> PResult<RawFunc> {
-    let mut rest = line_s.trim();
-    rest = match rest.strip_prefix(if decl { "declare" } else { "define" }) {
-        Some(r) => r.trim(),
-        None => return cx.err("expected `define` or `declare`"),
+/// `define internal i64 @f(i64 %arg0, ptr %arg1) [noinline] {` into a
+/// function without a body.
+fn parse_header(s: &str, cx: &Cx<'_>) -> PResult<Function> {
+    let rest = match s.strip_prefix("define ") {
+        Some(r) => r.trim_end_matches('{'),
+        None => s.strip_prefix("declare ").unwrap_or(s),
     };
-    let linkage = if let Some(r) = rest.strip_prefix("internal ") {
-        rest = r;
-        Linkage::Internal
-    } else {
-        Linkage::External
+    let rest = rest.trim();
+    let (linkage, rest) = match rest.strip_prefix("internal ") {
+        Some(r) => (Linkage::Internal, r),
+        None => (Linkage::External, rest),
     };
-    let (ret_s, r) = rest
+    let (ret_s, rest) = rest
         .split_once(' ')
         .ok_or_else(|| cx.error_at(rest, "malformed header: missing return type"))?;
-    let ret = if ret_s == "void" {
-        None
-    } else {
-        Some(parse_ty(ret_s, cx)?)
-    };
-    let r = r.trim();
-    let at = r
+    let ret = parse_ret_ty(ret_s, cx)?;
+    let rest = rest.trim();
+    let at = rest
         .strip_prefix('@')
-        .ok_or_else(|| cx.error_at(r, "malformed header: missing @name"))?;
-    let open = at
-        .find('(')
+        .ok_or_else(|| cx.error_at(rest, "malformed header: missing @name"))?;
+    let (name, rest) = at
+        .split_once('(')
         .ok_or_else(|| cx.error_at(at, "malformed header: missing `(`"))?;
-    let name = at[..open].to_string();
-    let close = at
-        .find(')')
+    let (params, tail) = rest
+        .split_once(')')
         .ok_or_else(|| cx.error_at(at, "malformed header: missing `)`"))?;
-    let params = split_args(&at[open + 1..close])
-        .into_iter()
-        .map(|p| {
-            let ty_s = p.split_whitespace().next().unwrap_or(p);
-            parse_ty(ty_s, cx)
-        })
+    let params = split_args(params)
+        .map(|p| parse_ty(p.split_whitespace().next().unwrap_or(p), cx))
         .collect::<PResult<Vec<_>>>()?;
-    let tail = &at[close + 1..];
+    let tail = tail.trim();
     let mut attrs = FnAttrs::default();
-    if let Some(a0) = tail.find('[') {
-        if let Some(a1) = tail.find(']') {
-            for a in tail[a0 + 1..a1].split(',') {
-                match a.trim() {
-                    "aligned_barrier" => attrs.aligned_barrier = true,
-                    "no_call_asm" => attrs.no_call_asm = true,
-                    "always_inline" => attrs.always_inline = true,
-                    "noinline" => attrs.no_inline = true,
-                    "read_none" => attrs.read_none = true,
-                    other => return cx.err_at(a, format!("unknown attribute {other:?}")),
-                }
+    if !tail.is_empty() {
+        let list = tail
+            .strip_prefix('[')
+            .and_then(|t| t.strip_suffix(']'))
+            .ok_or_else(|| cx.error_at(tail, "malformed header: expected `[attrs]`"))?;
+        for a in list.split(',') {
+            match a.trim() {
+                "aligned_barrier" => attrs.aligned_barrier = true,
+                "no_call_asm" => attrs.no_call_asm = true,
+                "always_inline" => attrs.always_inline = true,
+                "noinline" => attrs.no_inline = true,
+                "read_none" => attrs.read_none = true,
+                other => return cx.err_at(a, format!("unknown attribute {other:?}")),
             }
         }
     }
-    Ok(RawFunc {
-        line: cx.line,
-        name,
+    Ok(Function {
+        name: parse_name(name, cx)?.to_string(),
         params,
         ret,
+        blocks: Vec::new(),
+        insts: Vec::new(),
         attrs,
         linkage,
-        blocks: Vec::new(),
-        is_decl: decl,
     })
+}
+
+/// `@name = space [N x i8] const? init=... linkage=...`
+fn parse_global(s: &str, cx: &Cx<'_>) -> PResult<Global> {
+    let (name, rest) = s
+        .strip_prefix('@')
+        .and_then(|r| r.split_once('='))
+        .ok_or_else(|| cx.error("global needs `=`"))?;
+    let mut toks = rest.split_whitespace();
+    let (Some(space), Some(size), Some("x"), Some("i8]")) =
+        (toks.next(), toks.next(), toks.next(), toks.next())
+    else {
+        return cx.err("malformed global");
+    };
+    let size = size
+        .trim_start_matches('[')
+        .parse::<u64>()
+        .or_else(|_| cx.err_at(size, "bad global size"))?;
+    let mut g = Global::new(
+        parse_name(name, cx)?,
+        parse_space(space, cx)?,
+        size,
+        Init::Zero,
+    );
+    for t in toks {
+        if t == "const" {
+            g.constant = true;
+        } else if let Some(v) = t.strip_prefix("init=") {
+            g.init = if v == "zero" {
+                Init::Zero
+            } else if let Some(n) = v.strip_prefix("i64:") {
+                Init::I64(n.parse::<i64>().or_else(|_| cx.err_at(t, "bad i64 init"))?)
+            } else if let Some(h) = v.strip_prefix("hex:") {
+                let nibble = |b: u8| (b as char).to_digit(16).map(|d| d as u8);
+                match h.bytes().map(nibble).collect::<Option<Vec<u8>>>() {
+                    Some(d) if d.len() % 2 == 0 => Init::Bytes(
+                        d.chunks_exact(2)
+                            .map(|p| p.iter().fold(0, |acc, n| acc << 4 | n))
+                            .collect(),
+                    ),
+                    _ => return cx.err_at(t, "bad hex init"),
+                }
+            } else {
+                return cx.err_at(t, format!("bad init {v:?}"));
+            };
+        } else if let Some(l) = t.strip_prefix("linkage=") {
+            g.linkage = match l {
+                "internal" => Linkage::Internal,
+                "external" => Linkage::External,
+                other => return cx.err_at(t, format!("bad linkage {other:?}")),
+            };
+        }
+    }
+    Ok(g)
+}
+
+/// One function's result ids: printed `%N` → dense instruction id, sorted
+/// by `N` for binary search. Printed ids almost always ascend already, so
+/// building this is a push per definition — measurably cheaper than
+/// hashing each one.
+#[derive(Default)]
+struct ResultIds {
+    /// `(printed id, dense id, defining line)`.
+    defs: Vec<(u32, InstId, usize)>,
+}
+
+impl ResultIds {
+    /// Sort, and reject an id defined twice (at its later definition: the
+    /// sort is stable).
+    fn finish(&mut self) -> PResult<()> {
+        self.defs.sort_by_key(|d| d.0);
+        let twice = |w: &&[(u32, InstId, usize)]| matches!(w, [a, b] if a.0 == b.0);
+        match self.defs.windows(2).find(twice) {
+            Some([_, (n, _, line)]) => Err(ParseError {
+                line: *line,
+                col: 0,
+                message: format!("duplicate result id %{n}"),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    fn get(&self, n: u32) -> Option<InstId> {
+        let at = self.defs.binary_search_by_key(&n, |d| d.0).ok()?;
+        self.defs.get(at).map(|d| d.1)
+    }
+}
+
+/// Everything a function body can refer to by name, complete before any
+/// body is read.
+struct Decls {
+    /// Name, globals, kernels and every function's signature; bodies empty.
+    module: Module,
+    /// `@name` → the operand it denotes and its defining line. Globals and
+    /// functions share the one namespace the printer emits.
+    symbols: HashMap<String, (Operand, usize)>,
+    /// Per function: printed result id `%N` → dense instruction id. Every
+    /// instruction takes the next id in printed order, void ones too; this
+    /// is what makes the parser reproduce a normalized arena exactly.
+    result_ids: Vec<ResultIds>,
+}
+
+impl Decls {
+    fn define(&mut self, name: &str, what: Operand, cx: &Cx<'_>) -> PResult<()> {
+        if let Some((prev, first)) = self.symbols.get(name) {
+            let kind = match prev {
+                Operand::Global(_) => "global",
+                _ => "function",
+            };
+            return cx.err(format!(
+                "duplicate symbol @{name}: already defined as a {kind} at line {first}"
+            ));
+        }
+        self.symbols.insert(name.to_string(), (what, cx.line));
+        Ok(())
+    }
+}
+
+/// First pass: the module-level structure and every name.
+fn scan_decls(text: &str, strict: bool) -> PResult<Decls> {
+    let mut d = Decls {
+        module: Module::new("parsed"),
+        symbols: HashMap::new(),
+        result_ids: Vec::new(),
+    };
+    let mut kernels = Vec::new();
+    let mut in_func = false;
+    let mut next_inst = 0;
+    let mut saw_any = false;
+    let mut saw_header = false;
+
+    for (cx, s) in lines(text) {
+        let line = classify(s, in_func);
+        if strict && !saw_header && !matches!(line, Line::Version(_)) {
+            return cx.err(format!(
+                "strict mode: first line must be the `; nzomp-ir v{FORMAT_VERSION}` header"
+            ));
+        }
+        match line {
+            Line::Version(tok) => {
+                match tok.strip_prefix('v').and_then(|n| n.parse::<u32>().ok()) {
+                    Some(v) if v == FORMAT_VERSION && !saw_any => saw_header = true,
+                    Some(v) if v == FORMAT_VERSION => {
+                        return cx.err("version header must be the first line");
+                    }
+                    Some(v) => {
+                        return cx.err_at(
+                            tok,
+                            format!("unsupported format version v{v} (this parser reads v{FORMAT_VERSION})"),
+                        );
+                    }
+                    None => return cx.err_at(tok, format!("malformed version header {tok:?}")),
+                }
+            }
+            Line::Comment => {}
+            Line::ModuleName(name) if is_module_name(name) => d.module.name = name.to_string(),
+            Line::ModuleName(name) => return cx.err_at(name, format!("bad module name {name:?}")),
+            Line::Kernel(rest) => {
+                let (name, mode) = rest
+                    .split_once(" mode=")
+                    .ok_or_else(|| cx.error_at(rest, "kernel needs mode"))?;
+                let mode = match mode.trim() {
+                    "Generic" => ExecMode::Generic,
+                    "Spmd" => ExecMode::Spmd,
+                    other => return cx.err_at(other, format!("unknown exec mode {other:?}")),
+                };
+                kernels.push((cx, name.trim(), mode));
+            }
+            Line::Global => {
+                let g = parse_global(s, &cx)?;
+                let id = GlobalId(d.module.globals.len() as u32);
+                d.define(&g.name, Operand::Global(id), &cx)?;
+                d.module.add_global(g);
+            }
+            Line::Declare | Line::Define if in_func => {
+                return cx.err("nested `define` or `declare` (missing `}`?)");
+            }
+            Line::Declare | Line::Define => {
+                let f = parse_header(s, &cx)?;
+                let fr = FuncRef(d.module.funcs.len() as u32);
+                d.define(&f.name, Operand::Func(fr), &cx)?;
+                d.module.add_function(f);
+                d.result_ids.push(ResultIds::default());
+                in_func = matches!(line, Line::Define);
+                next_inst = 0;
+            }
+            Line::Close if in_func => {
+                in_func = false;
+                if let Some(ids) = d.result_ids.last_mut() {
+                    ids.finish()?;
+                }
+            }
+            Line::Close => return cx.err("stray `}`"),
+            Line::Inst if in_func => {
+                let (result, _) = split_result(s, &cx)?;
+                if let (Some(n), Some(ids)) = (result, d.result_ids.last_mut()) {
+                    ids.defs.push((n, InstId(next_inst), cx.line));
+                }
+                next_inst += 1;
+            }
+            // Labels and terminators: the body pass reads them.
+            _ if in_func => {}
+            _ => return cx.err(format!("unexpected line outside function: {s:?}")),
+        }
+        saw_any = true;
+    }
+    if in_func {
+        return Err(ParseError {
+            line: text.lines().count(),
+            col: 0,
+            message: "unterminated function".into(),
+        });
+    }
+    for (cx, name, mode) in kernels {
+        match d.symbols.get(name) {
+            Some((Operand::Func(fr), _)) => d.module.add_kernel(*fr, mode),
+            _ => return cx.err(format!("kernel @{name} not defined")),
+        }
+    }
+    Ok(d)
+}
+
+/// One body line: where it is, and what its operands may refer to.
+struct BodyLine<'a> {
+    cx: Cx<'a>,
+    symbols: &'a HashMap<String, (Operand, usize)>,
+    result_ids: &'a ResultIds,
+}
+
+impl BodyLine<'_> {
+    /// Parse one operand token like `%5`, `%arg0`, `i64 -3`, `f64 2.5`, `@name`.
+    fn operand(&self, tok: &str) -> PResult<Operand> {
+        let (cx, tok) = (&self.cx, tok.trim());
+        if let Some(rest) = tok.strip_prefix("%arg") {
+            return rest
+                .parse::<u32>()
+                .map(Operand::Param)
+                .or_else(|_| cx.err_at(tok, format!("bad param {tok:?}")));
+        }
+        if let Some(rest) = tok.strip_prefix('%') {
+            let n = rest
+                .parse::<u32>()
+                .or_else(|_| cx.err_at(tok, format!("bad value id {tok:?}")))?;
+            return match self.result_ids.get(n) {
+                Some(id) => Ok(Operand::Inst(id)),
+                None => cx.err_at(tok, format!("unknown value %{n}")),
+            };
+        }
+        if let Some(name) = tok.strip_prefix('@') {
+            return match self.symbols.get(name) {
+                Some((op, _)) => Ok(*op),
+                None => cx.err_at(tok, format!("unknown symbol @{name}")),
+            };
+        }
+        if let Some((ty_s, val)) = tok.split_once(' ') {
+            let (ty, val) = (parse_ty(ty_s, cx)?, val.trim());
+            if ty == Ty::F64 {
+                return parse_f64(val, cx).map(Operand::ConstF);
+            }
+            return val
+                .parse::<i64>()
+                .map(|v| Operand::ConstI(v, ty))
+                .or_else(|_| cx.err_at(val, format!("bad int constant {val:?}")));
+        }
+        cx.err_at(tok, format!("cannot parse operand {tok:?}"))
+    }
+
+    /// A comma-separated operand list of any length.
+    fn operand_list(&self, s: &str) -> PResult<Vec<Operand>> {
+        split_args(s).map(|a| self.operand(a)).collect()
+    }
+
+    /// Exactly `N` comma-separated operands.
+    fn operands<const N: usize>(&self, s: &str, what: &str) -> PResult<[Operand; N]> {
+        let arity = || self.cx.error_at(s, format!("{what} needs {N} operand(s)"));
+        let mut toks = split_args(s);
+        let mut out = [Operand::NULL; N];
+        for slot in &mut out {
+            *slot = self.operand(toks.next().ok_or_else(arity)?)?;
+        }
+        match toks.next() {
+            None => Ok(out),
+            Some(_) => Err(arity()),
+        }
+    }
+
+    /// Parse the right-hand side of an instruction line. Operator spellings
+    /// are the `mnemonic()` tables of `inst.rs`.
+    fn inst(&self, s: &str) -> PResult<Inst> {
+        let cx = &self.cx;
+        let unknown = || cx.error_at(s, format!("unknown opcode: cannot parse instruction {s:?}"));
+        // Intrinsics: `name(args)`.
+        if let Some((name, args)) = s.strip_suffix(')').and_then(|s| s.split_once('(')) {
+            if let Some(intr) = Intrinsic::from_mnemonic(name.trim_end()) {
+                let args = self.operand_list(args)?;
+                return Ok(Inst::Intr { intr, args });
+            }
+        }
+        // Everything else: `<opcode>[.<suffix>] <rest>`.
+        let (head, rest) = s.split_once(' ').ok_or_else(unknown)?;
+        let (opcode, suffix) = head.split_once('.').unwrap_or((head, ""));
+        Ok(match (opcode, suffix) {
+            ("load", "") => {
+                let (ty_s, ptr) = rest
+                    .split_once(',')
+                    .ok_or_else(|| cx.error_at(rest, "load needs `ty, ptr`"))?;
+                Inst::Load {
+                    ty: parse_ty(ty_s.trim(), cx)?,
+                    ptr: self.operand(ptr)?,
+                }
+            }
+            // `store ty VALUE, PTR` — a constant value starts with its own
+            // type token.
+            ("store", "") => {
+                let (ty_s, rest) = rest
+                    .trim_start()
+                    .split_once(' ')
+                    .ok_or_else(|| cx.error_at(rest, "store needs `ty value`"))?;
+                let [value, ptr] = self.operands(rest, "store")?;
+                let ty = parse_ty(ty_s, cx)?;
+                Inst::Store { ty, ptr, value }
+            }
+            ("ptradd", "") => {
+                let [base, offset] = self.operands(rest, "ptradd")?;
+                Inst::PtrAdd { base, offset }
+            }
+            ("alloca", "") => Inst::Alloca {
+                size: rest
+                    .trim()
+                    .parse::<u64>()
+                    .or_else(|_| cx.err_at(rest.trim(), "bad alloca size"))?,
+            },
+            ("call", "") => {
+                let (ret_s, rest) = rest
+                    .split_once(' ')
+                    .ok_or_else(|| cx.error_at(rest, "call needs ret type"))?;
+                let (callee, args) = rest
+                    .split_once('(')
+                    .ok_or_else(|| cx.error_at(rest, "call needs `(`"))?;
+                let args = args
+                    .strip_suffix(')')
+                    .ok_or_else(|| cx.error_at(rest, "call needs `)`"))?;
+                Inst::Call {
+                    callee: self.operand(callee)?,
+                    args: self.operand_list(args)?,
+                    ret: parse_ret_ty(ret_s, cx)?,
+                }
+            }
+            ("phi", "") => {
+                let (ty_s, rest) = rest.split_once(' ').unwrap_or((rest, ""));
+                let incoming = |part: &str| {
+                    let (bb, val) = part
+                        .strip_prefix('[')
+                        .and_then(|p| p.strip_suffix(']'))
+                        .and_then(|p| p.split_once(':'))
+                        .ok_or_else(|| cx.error_at(part, "phi incoming needs `[bb: val]`"))?;
+                    Ok(PhiIncoming {
+                        pred: parse_block_ref(bb, cx)?,
+                        value: self.operand(val)?,
+                    })
+                };
+                Inst::Phi {
+                    ty: parse_ty(ty_s, cx)?,
+                    incomings: split_args(rest).map(incoming).collect::<PResult<_>>()?,
+                }
+            }
+            ("select", ty_s) => {
+                let [cond, if_true, if_false] = self.operands(rest, "select")?;
+                Inst::Select {
+                    ty: parse_ty(ty_s, cx)?,
+                    cond,
+                    if_true,
+                    if_false,
+                }
+            }
+            ("cmp", suffix) => {
+                let (pred_s, ty_s) = suffix
+                    .split_once('.')
+                    .ok_or_else(|| cx.error_at(head, "cmp needs pred.ty"))?;
+                let [lhs, rhs] = self.operands(rest, "cmp")?;
+                Inst::Cmp {
+                    pred: Pred::from_mnemonic(pred_s)
+                        .ok_or_else(|| cx.error_at(pred_s, format!("bad predicate {pred_s:?}")))?,
+                    ty: parse_ty(ty_s, cx)?,
+                    lhs,
+                    rhs,
+                }
+            }
+            ("atomic", suffix) => {
+                let (op_s, ty_s) = suffix
+                    .split_once('.')
+                    .ok_or_else(|| cx.error_at(head, "atomic needs op.ty"))?;
+                let [ptr, value] = self.operands(rest, "atomic")?;
+                Inst::Atomic {
+                    op: AtomicOp::from_mnemonic(op_s)
+                        .ok_or_else(|| cx.error_at(op_s, format!("bad atomic op {op_s:?}")))?,
+                    ty: parse_ty(ty_s, cx)?,
+                    ptr,
+                    value,
+                }
+            }
+            ("cas", ty_s) => {
+                let [ptr, expected, new] = self.operands(rest, "cas")?;
+                Inst::Cas {
+                    ty: parse_ty(ty_s, cx)?,
+                    ptr,
+                    expected,
+                    new,
+                }
+            }
+            // `<CastKind> <op> to <ty>`, `<BinOp>.<ty> a, b`, `<UnOp>.<ty> a`.
+            _ => {
+                if let (Some(kind), "") = (CastKind::from_mnemonic(opcode), suffix) {
+                    let (arg, to) = rest
+                        .rsplit_once(" to ")
+                        .ok_or_else(|| cx.error_at(rest, "cast needs `to <ty>`"))?;
+                    Inst::Cast {
+                        kind,
+                        to: parse_ty(to.trim(), cx)?,
+                        arg: self.operand(arg)?,
+                    }
+                } else if let Some(op) = BinOp::from_mnemonic(opcode) {
+                    let [lhs, rhs] = self.operands(rest, "binary op")?;
+                    let ty = parse_ty(suffix, cx)?;
+                    Inst::Bin { op, ty, lhs, rhs }
+                } else if let Some(op) = UnOp::from_mnemonic(opcode) {
+                    let [arg] = self.operands(rest, "unary op")?;
+                    let ty = parse_ty(suffix, cx)?;
+                    Inst::Un { op, ty, arg }
+                } else {
+                    return Err(unknown());
+                }
+            }
+        })
+    }
+}
+
+/// Second pass over one function: read body lines up to the closing `}`
+/// straight into `f`'s blocks and instruction arena.
+fn parse_body<'a>(
+    lines: &mut impl Iterator<Item = (Cx<'a>, &'a str)>,
+    symbols: &HashMap<String, (Operand, usize)>,
+    result_ids: &ResultIds,
+    f: &mut Function,
+) -> PResult<()> {
+    // The block being filled, if a label has opened one.
+    let mut open: Option<Vec<InstId>> = None;
+    for (cx, s) in lines {
+        let line = BodyLine {
+            cx,
+            symbols,
+            result_ids,
+        };
+        let term = match classify(s, true) {
+            Line::Close => {
+                return match open {
+                    None => Ok(()),
+                    Some(insts) => cx.err(format!(
+                        "bb{} has no terminator ({} insts)",
+                        f.blocks.len(),
+                        insts.len()
+                    )),
+                };
+            }
+            Line::Label(label) => {
+                let bid = parse_block_ref(label, &cx)?;
+                if let Some(insts) = &open {
+                    return cx.err(format!(
+                        "bb{} not terminated before new label ({} insts)",
+                        f.blocks.len(),
+                        insts.len()
+                    ));
+                }
+                // The printer lists every block, in index order.
+                if bid.index() != f.blocks.len() {
+                    return cx.err_at(
+                        label,
+                        format!("block label out of order: expected bb{}", f.blocks.len()),
+                    );
+                }
+                open = Some(Vec::new());
+                continue;
+            }
+            Line::Inst => {
+                let Some(insts) = open.as_mut() else {
+                    return cx.err("instruction outside a block");
+                };
+                let (result, body) = split_result(s, &cx)?;
+                let inst = line.inst(body)?;
+                if result.is_some() && inst.result_ty().is_none() {
+                    return cx.err("void instruction cannot define a value");
+                }
+                insts.push(f.add_inst(inst));
+                continue;
+            }
+            Line::Ret("void") => Term::Ret(None),
+            Line::Ret(v) => Term::Ret(Some(line.operand(v)?)),
+            Line::Br(args) => match split_args(args).collect::<Vec<_>>().as_slice() {
+                [b] => Term::Br(parse_block_ref(b, &cx)?),
+                [cond, yes, no] => Term::CondBr {
+                    cond: line.operand(cond)?,
+                    if_true: parse_block_ref(yes, &cx)?,
+                    if_false: parse_block_ref(no, &cx)?,
+                },
+                _ => return cx.err_at(args, "br needs 1 or 3 arguments"),
+            },
+            Line::Unreachable => Term::Unreachable,
+            // Comments and notes; `scan_decls` rejected the rest.
+            _ => continue,
+        };
+        let Some(insts) = open.take() else {
+            return cx.err("instruction outside a block");
+        };
+        f.blocks.push(Block { insts, term });
+    }
+    Ok(())
 }
 
 /// Lenient parse: the `; nzomp-ir vN` header is optional (a *wrong*
@@ -672,451 +869,25 @@ pub fn parse_module_strict(text: &str) -> PResult<Module> {
 }
 
 fn parse_module_inner(text: &str, strict: bool) -> PResult<Module> {
-    let mut module_name = String::from("parsed");
-    let mut globals: Vec<(usize, String)> = Vec::new();
-    let mut kernels: Vec<(usize, String, ExecMode)> = Vec::new();
-    let mut funcs: Vec<RawFunc> = Vec::new();
-    let mut cur: Option<RawFunc> = None;
-    let mut cur_block: Option<(BlockId, Vec<RawInst>)> = None;
-    let mut saw_any = false;
-    let mut saw_header = false;
-
-    for (idx, raw_line) in text.lines().enumerate() {
-        let ln = idx + 1;
-        let cx = Cx::new(ln, raw_line);
-        let line_s = raw_line.trim();
-        if line_s.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line_s.strip_prefix("; nzomp-ir ") {
-            let tok = rest.trim();
-            match tok.strip_prefix('v').and_then(|n| n.parse::<u32>().ok()) {
-                Some(v) if v == FORMAT_VERSION => {
-                    if saw_any {
-                        return cx.err("version header must be the first line");
-                    }
-                    saw_header = true;
-                    saw_any = true;
-                    continue;
-                }
-                Some(v) => {
-                    return cx.err_at(
-                        tok,
-                        format!("unsupported format version v{v} (this parser reads v{FORMAT_VERSION})"),
-                    );
-                }
-                None => {
-                    return cx.err_at(tok, format!("malformed version header {tok:?}"));
+    let Decls {
+        mut module,
+        symbols,
+        result_ids,
+    } = scan_decls(text, strict)?;
+    // Functions in header order, each with its result-id table: the same
+    // order `scan_decls` met the `declare`/`define` lines in.
+    let mut funcs = module.funcs.iter_mut().zip(&result_ids);
+    let mut lines = lines(text);
+    while let Some((_, s)) = lines.next() {
+        match classify(s, false) {
+            Line::Declare => drop(funcs.next()),
+            Line::Define => {
+                if let Some((f, ids)) = funcs.next() {
+                    parse_body(&mut lines, &symbols, ids, f)?;
                 }
             }
-        }
-        if strict && !saw_header {
-            return cx.err(format!(
-                "strict mode: first line must be the `; nzomp-ir v{FORMAT_VERSION}` header"
-            ));
-        }
-        saw_any = true;
-        if let Some(rest) = line_s.strip_prefix("; module ") {
-            module_name = rest.trim().to_string();
-            continue;
-        }
-        if let Some(rest) = line_s.strip_prefix("; kernel @") {
-            let (name, mode) = rest
-                .split_once(" mode=")
-                .ok_or_else(|| cx.error_at(rest, "kernel needs mode"))?;
-            let mode = match mode.trim() {
-                "Generic" => ExecMode::Generic,
-                "Spmd" => ExecMode::Spmd,
-                other => return cx.err_at(other, format!("unknown exec mode {other:?}")),
-            };
-            kernels.push((ln, name.trim().to_string(), mode));
-            continue;
-        }
-        if line_s.starts_with(';') {
-            continue; // other comments
-        }
-        if line_s.starts_with('@') && cur.is_none() {
-            globals.push((ln, line_s.to_string()));
-            continue;
-        }
-        if line_s.starts_with("declare ") {
-            funcs.push(parse_header(line_s, &cx, true)?);
-            continue;
-        }
-        if line_s.starts_with("define ") {
-            if cur.is_some() {
-                return cx.err("nested `define` (missing `}`?)");
-            }
-            cur = Some(parse_header(line_s.trim_end_matches('{').trim(), &cx, false)?);
-            continue;
-        }
-        if line_s == "}" {
-            let mut f = cur.take().ok_or_else(|| cx.error("stray `}`"))?;
-            if let Some((bid, insts)) = cur_block.take() {
-                return cx.err(format!(
-                    "bb{} has no terminator ({} insts)",
-                    bid.0,
-                    insts.len()
-                ));
-            }
-            f.is_decl = false;
-            funcs.push(f);
-            continue;
-        }
-        if let Some(rest) = line_s.strip_suffix(':') {
-            // Block label.
-            if let Some((bid, insts)) = cur_block.take() {
-                return cx.err(format!(
-                    "bb{} not terminated before new label ({} insts)",
-                    bid.0,
-                    insts.len()
-                ));
-            }
-            cur_block = Some((parse_block_ref(rest, &cx)?, Vec::new()));
-            continue;
-        }
-        // Inside a block: instruction or terminator.
-        let Some(f) = cur.as_mut() else {
-            return cx.err(format!("unexpected line outside function: {line_s:?}"));
-        };
-        let Some((bid, insts)) = cur_block.as_mut() else {
-            return cx.err("instruction outside a block");
-        };
-        if let Some(term) = parse_term(line_s, &cx)? {
-            let done = std::mem::take(insts);
-            f.blocks.push((*bid, done, term, ln));
-            cur_block = None;
-            continue;
-        }
-        // `%N = body` or void `body`.
-        let (result, body_s) = if line_s.starts_with('%') {
-            let (lhs, rhs) = line_s
-                .split_once('=')
-                .ok_or_else(|| cx.error("expected `=`"))?;
-            let id = lhs
-                .trim()
-                .strip_prefix('%')
-                .and_then(|n| n.parse::<u32>().ok())
-                .ok_or_else(|| cx.error_at(lhs.trim(), "bad result id"))?;
-            (Some(id), rhs.trim())
-        } else {
-            (None, line_s)
-        };
-        insts.push(RawInst {
-            line: ln,
-            result,
-            body: parse_inst_body(body_s, &cx)?,
-        });
-    }
-    if cur.is_some() {
-        return Err(ParseError {
-            line: text.lines().count(),
-            col: 0,
-            message: "unterminated function".into(),
-        });
-    }
-
-    build_module(module_name, globals, kernels, funcs)
-}
-
-fn parse_global_line(ln: usize, s: &str) -> PResult<Global> {
-    let cx = Cx::new(ln, s);
-    // `@name = space [N x i8] const? init=... linkage=...`
-    let Some(rest) = s.strip_prefix('@') else {
-        return cx.err("global must start with `@`");
-    };
-    let (name, rest) = rest
-        .split_once('=')
-        .ok_or_else(|| cx.error("global needs `=`"))?;
-    let toks: Vec<&str> = rest.split_whitespace().collect();
-    if toks.len() < 4 {
-        return cx.err("malformed global");
-    }
-    let space = parse_space(toks[0], &cx)?;
-    let size = toks[1]
-        .trim_start_matches('[')
-        .parse::<u64>()
-        .or_else(|_| cx.err_at(toks[1], "bad global size"))?;
-    let mut constant = false;
-    let mut init = Init::Zero;
-    let mut linkage = Linkage::Internal;
-    for t in &toks[2..] {
-        if *t == "const" {
-            constant = true;
-        } else if let Some(v) = t.strip_prefix("init=") {
-            init = if v == "zero" {
-                Init::Zero
-            } else if let Some(n) = v.strip_prefix("i64:") {
-                Init::I64(n.parse::<i64>().or_else(|_| cx.err_at(t, "bad i64 init"))?)
-            } else if let Some(h) = v.strip_prefix("hex:") {
-                let bytes = (0..h.len() / 2)
-                    .map(|i| u8::from_str_radix(&h[2 * i..2 * i + 2], 16))
-                    .collect::<Result<Vec<u8>, _>>()
-                    .or_else(|_| cx.err_at(t, "bad hex init"))?;
-                Init::Bytes(bytes)
-            } else {
-                return cx.err_at(t, format!("bad init {v:?}"));
-            };
-        } else if let Some(l) = t.strip_prefix("linkage=") {
-            linkage = match l {
-                "internal" => Linkage::Internal,
-                "external" => Linkage::External,
-                other => return cx.err_at(t, format!("bad linkage {other:?}")),
-            };
+            _ => {}
         }
     }
-    Ok(Global {
-        name: name.trim().to_string(),
-        space,
-        size,
-        init,
-        constant,
-        linkage,
-    })
-}
-
-fn build_module(
-    name: String,
-    globals: Vec<(usize, String)>,
-    kernels: Vec<(usize, String, ExecMode)>,
-    raw_funcs: Vec<RawFunc>,
-) -> PResult<Module> {
-    let mut m = Module::new(name);
-    // Duplicate-symbol detection: `@name` must be unambiguous — the printer
-    // emits one flat symbol namespace shared by globals and functions.
-    let mut symbols: HashMap<&str, (&'static str, usize)> = HashMap::new();
-    let mut parsed_globals = Vec::with_capacity(globals.len());
-    for (ln, g) in &globals {
-        let g = parse_global_line(*ln, g)?;
-        parsed_globals.push((*ln, g));
-    }
-    for (ln, g) in &parsed_globals {
-        if let Some((kind, first)) = symbols.get(g.name.as_str()) {
-            return Err(ParseError {
-                line: *ln,
-                col: 0,
-                message: format!(
-                    "duplicate symbol @{}: already defined as a {kind} at line {first}",
-                    g.name
-                ),
-            });
-        }
-        symbols.insert(g.name.as_str(), ("global", *ln));
-    }
-    for rf in &raw_funcs {
-        if let Some((kind, first)) = symbols.get(rf.name.as_str()) {
-            return Err(ParseError {
-                line: rf.line,
-                col: 0,
-                message: format!(
-                    "duplicate symbol @{}: already defined as a {kind} at line {first}",
-                    rf.name
-                ),
-            });
-        }
-        symbols.insert(rf.name.as_str(), ("function", rf.line));
-    }
-    for (_, g) in parsed_globals {
-        m.add_global(g);
-    }
-    // Pre-create all function shells so symbols resolve.
-    for rf in &raw_funcs {
-        m.add_function(Function {
-            name: rf.name.clone(),
-            params: rf.params.clone(),
-            ret: rf.ret,
-            blocks: Vec::new(),
-            insts: Vec::new(),
-            attrs: rf.attrs.clone(),
-            linkage: rf.linkage,
-        });
-    }
-    let func_by_name: HashMap<String, FuncRef> = m
-        .funcs
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.clone(), FuncRef(i as u32)))
-        .collect();
-    let global_by_name: HashMap<String, crate::global::GlobalId> = m
-        .globals
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.name.clone(), crate::global::GlobalId(i as u32)))
-        .collect();
-
-    for (fi, rf) in raw_funcs.into_iter().enumerate() {
-        if rf.is_decl {
-            continue;
-        }
-        // Phase 1: allocate dense InstIds for every instruction in printed
-        // order — value results and void instructions alike. This is what
-        // makes the parser reproduce a normalized module's arena exactly.
-        let mut id_map: HashMap<u32, InstId> = HashMap::new();
-        let mut next: u32 = 0;
-        for (_bid, insts, _t, _tl) in &rf.blocks {
-            for ri in insts {
-                if let Some(r) = ri.result {
-                    if id_map.insert(r, InstId(next)).is_some() {
-                        return Err(ParseError {
-                            line: ri.line,
-                            col: 0,
-                            message: format!("duplicate result id %{r}"),
-                        });
-                    }
-                }
-                next += 1;
-            }
-        }
-        let resolve = |op: &RawOp, line: usize| -> PResult<Operand> {
-            Ok(match op {
-                RawOp::Inst(n) => Operand::Inst(*id_map.get(n).ok_or(ParseError {
-                    line,
-                    col: 0,
-                    message: format!("unknown value %{n}"),
-                })?),
-                RawOp::Param(p) => Operand::Param(*p),
-                RawOp::ConstI(v, ty) => Operand::ConstI(*v, *ty),
-                RawOp::ConstF(v) => Operand::ConstF(*v),
-                RawOp::Symbol(s) => {
-                    if let Some(g) = global_by_name.get(s) {
-                        Operand::Global(*g)
-                    } else if let Some(f) = func_by_name.get(s) {
-                        Operand::Func(*f)
-                    } else {
-                        return Err(ParseError {
-                            line,
-                            col: 0,
-                            message: format!("unknown symbol @{s}"),
-                        });
-                    }
-                }
-            })
-        };
-
-        // Phase 2: build blocks. Block ids in the text may be sparse (the
-        // printer emits every block including empty unreachable ones), so
-        // size the vector to the max id.
-        let max_bid = rf.blocks.iter().map(|(b, _, _, _)| b.0).max().unwrap_or(0);
-        let mut blocks: Vec<Block> = (0..=max_bid).map(|_| Block::new()).collect();
-        let mut insts: Vec<Inst> = Vec::new();
-        for (bid, rinsts, rterm, term_line) in &rf.blocks {
-            let mut list = Vec::with_capacity(rinsts.len());
-            for ri in rinsts {
-                let inst = match &ri.body {
-                    RawBody::Bin(op, ty, a, b) => Inst::Bin {
-                        op: *op,
-                        ty: *ty,
-                        lhs: resolve(a, ri.line)?,
-                        rhs: resolve(b, ri.line)?,
-                    },
-                    RawBody::Un(op, ty, a) => Inst::Un {
-                        op: *op,
-                        ty: *ty,
-                        arg: resolve(a, ri.line)?,
-                    },
-                    RawBody::Cast(kind, to, a) => Inst::Cast {
-                        kind: *kind,
-                        to: *to,
-                        arg: resolve(a, ri.line)?,
-                    },
-                    RawBody::Cmp(pred, ty, a, b) => Inst::Cmp {
-                        pred: *pred,
-                        ty: *ty,
-                        lhs: resolve(a, ri.line)?,
-                        rhs: resolve(b, ri.line)?,
-                    },
-                    RawBody::Select(ty, c, t, f) => Inst::Select {
-                        ty: *ty,
-                        cond: resolve(c, ri.line)?,
-                        if_true: resolve(t, ri.line)?,
-                        if_false: resolve(f, ri.line)?,
-                    },
-                    RawBody::Load(ty, p) => Inst::Load {
-                        ty: *ty,
-                        ptr: resolve(p, ri.line)?,
-                    },
-                    RawBody::Store(ty, v, p) => Inst::Store {
-                        ty: *ty,
-                        ptr: resolve(p, ri.line)?,
-                        value: resolve(v, ri.line)?,
-                    },
-                    RawBody::PtrAdd(a, b) => Inst::PtrAdd {
-                        base: resolve(a, ri.line)?,
-                        offset: resolve(b, ri.line)?,
-                    },
-                    RawBody::Alloca(size) => Inst::Alloca { size: *size },
-                    RawBody::Call(ret, callee, args) => Inst::Call {
-                        callee: resolve(callee, ri.line)?,
-                        args: args
-                            .iter()
-                            .map(|a| resolve(a, ri.line))
-                            .collect::<PResult<Vec<_>>>()?,
-                        ret: *ret,
-                    },
-                    RawBody::Atomic(op, ty, p, v) => Inst::Atomic {
-                        op: *op,
-                        ty: *ty,
-                        ptr: resolve(p, ri.line)?,
-                        value: resolve(v, ri.line)?,
-                    },
-                    RawBody::Cas(ty, p, e, n) => Inst::Cas {
-                        ty: *ty,
-                        ptr: resolve(p, ri.line)?,
-                        expected: resolve(e, ri.line)?,
-                        new: resolve(n, ri.line)?,
-                    },
-                    RawBody::Intr(intr, args) => Inst::Intr {
-                        intr: *intr,
-                        args: args
-                            .iter()
-                            .map(|a| resolve(a, ri.line))
-                            .collect::<PResult<Vec<_>>>()?,
-                    },
-                    RawBody::Phi(ty, incs) => Inst::Phi {
-                        ty: *ty,
-                        incomings: incs
-                            .iter()
-                            .map(|(b, v)| {
-                                Ok(PhiIncoming {
-                                    pred: *b,
-                                    value: resolve(v, ri.line)?,
-                                })
-                            })
-                            .collect::<PResult<Vec<_>>>()?,
-                    },
-                };
-                let id = InstId(insts.len() as u32);
-                insts.push(inst);
-                list.push(id);
-            }
-            let term = match rterm {
-                RawTerm::Br(b) => Term::Br(*b),
-                RawTerm::CondBr(c, t, f) => Term::CondBr {
-                    cond: resolve(c, *term_line)?,
-                    if_true: *t,
-                    if_false: *f,
-                },
-                RawTerm::RetVoid => Term::Ret(None),
-                RawTerm::Ret(v) => Term::Ret(Some(resolve(v, *term_line)?)),
-                RawTerm::Unreachable => Term::Unreachable,
-            };
-            blocks[bid.index()] = Block {
-                insts: list,
-                term,
-            };
-        }
-        let f = &mut m.funcs[fi];
-        f.blocks = blocks;
-        f.insts = insts;
-    }
-
-    for (kline, kname, mode) in kernels {
-        let fr = m.find_func(&kname).ok_or(ParseError {
-            line: kline,
-            col: 0,
-            message: format!("kernel @{kname} not defined"),
-        })?;
-        m.add_kernel(fr, mode);
-    }
-    Ok(m)
+    Ok(module)
 }

@@ -34,18 +34,9 @@ impl Ty {
         }
     }
 
-    /// True for the integer family (including `I1`).
-    pub fn is_int(self) -> bool {
-        matches!(self, Ty::I1 | Ty::I8 | Ty::I32 | Ty::I64)
-    }
-
     #[inline]
     pub fn is_float(self) -> bool {
         matches!(self, Ty::F64)
-    }
-
-    pub fn is_ptr(self) -> bool {
-        matches!(self, Ty::Ptr)
     }
 }
 

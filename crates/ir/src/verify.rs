@@ -2,6 +2,7 @@
 //! debug builds; catches malformed CFGs, dangling references and type
 //! mismatches early instead of deep inside the interpreter.
 
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::func::{BlockId, Function};
@@ -270,8 +271,48 @@ fn verify_ssa_dominance(f: &Function) -> Result<(), VerifyError> {
     Ok(())
 }
 
+/// Is `s` a symbol name the text format can carry (`docs/ir-format.md`):
+/// non-empty, from `[A-Za-z0-9_.$-]`? Anything else could not be told apart
+/// from the punctuation around it once printed.
+pub fn is_symbol_name(s: &str) -> bool {
+    let ok = |c: u8| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b'$' | b'-');
+    !s.is_empty() && s.bytes().all(ok)
+}
+
+/// Is `s` a module name the text format can carry: one non-empty line with
+/// no surrounding whitespace (the parser trims it)?
+pub fn is_module_name(s: &str) -> bool {
+    !s.is_empty() && s.trim() == s && !s.contains(['\n', '\r'])
+}
+
+/// Every name must survive printing: `print_module` writes names verbatim
+/// and refers to globals and functions by name alone, so a name holding a
+/// line break or punctuation, or one name on two symbols, would print as a
+/// different module — and share its fingerprint in the compile cache.
+pub fn verify_names(m: &Module) -> Result<(), VerifyError> {
+    let bad = |message: String| VerifyError {
+        func: "<module>".into(),
+        message,
+    };
+    if !is_module_name(&m.name) {
+        return Err(bad(format!("module name {:?} cannot be printed", m.name)));
+    }
+    let globals = m.globals.iter().map(|g| g.name.as_str());
+    let mut seen = HashSet::with_capacity(m.globals.len() + m.funcs.len());
+    for name in globals.chain(m.funcs.iter().map(|f| f.name.as_str())) {
+        if !is_symbol_name(name) {
+            return Err(bad(format!("symbol name {name:?} cannot be printed")));
+        }
+        if !seen.insert(name) {
+            return Err(bad(format!("symbol @{name} is defined twice")));
+        }
+    }
+    Ok(())
+}
+
 /// Verify all functions of a module plus kernel metadata.
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
+    verify_names(m)?;
     for f in &m.funcs {
         verify_function(f, Some(m))?;
     }
@@ -290,9 +331,4 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
         }
     }
     Ok(())
-}
-
-#[allow(dead_code)]
-fn block_exists(f: &Function, b: BlockId) -> bool {
-    b.index() < f.blocks.len()
 }

@@ -444,3 +444,22 @@ fn cmp_results_are_i1() {
     let f = b.finish();
     nzomp_ir::verify_function(&f, None).unwrap();
 }
+
+/// The operator vocabulary is declared once (`operators!` in `inst.rs`):
+/// every spelling reads back as its own variant, and no two variants of
+/// one enum share a spelling.
+#[test]
+fn every_operator_mnemonic_round_trips_and_is_distinct() {
+    use nzomp_ir::{AtomicOp, BinOp, CastKind, Intrinsic, Pred, UnOp};
+    macro_rules! check {
+        ($($op:ident),+) => {$(
+            let spellings: Vec<&str> = $op::ALL.iter().map(|v| v.mnemonic()).collect();
+            for (i, v) in $op::ALL.iter().enumerate() {
+                assert_eq!($op::from_mnemonic(v.mnemonic()), Some(*v));
+                assert!(!spellings[..i].contains(&v.mnemonic()), "{v:?} shares a spelling");
+            }
+            assert_eq!($op::from_mnemonic("no such operator"), None);
+        )+};
+    }
+    check!(BinOp, UnOp, CastKind, Pred, AtomicOp, Intrinsic);
+}

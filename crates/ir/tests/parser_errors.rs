@@ -127,6 +127,67 @@ fn missing_terminator_reports_line() {
     assert!(e.message.contains("no terminator"), "{e}");
 }
 
+/// External text must never unwind the parser: each of these made the
+/// old header or global parser slice a string by positions taken from the
+/// input (`)` before `(`, `]` before `[`, a hex digit pair cutting a
+/// multi-byte character).
+#[test]
+fn hostile_punctuation_is_a_typed_error() {
+    for text in [
+        "declare void @f)(",
+        "declare void @f() ] [",
+        "@g = global [2 x i8] init=hex:a\u{e9} linkage=internal",
+    ] {
+        let e = expect_err(text);
+        assert_eq!(e.line, 1, "{text:?}: {e}");
+        assert!(e.col > 0, "{text:?}: expected a column: {e}");
+    }
+}
+
+/// The printer lists every block in index order, so a label names its own
+/// position; sizing the block table from the label would let one line of
+/// input allocate four billion blocks.
+#[test]
+fn out_of_order_block_label_is_rejected() {
+    let text = "define void @f() {\n\
+                bb4294967295:\n\
+                \x20 ret void\n\
+                }\n";
+    let e = expect_err(text);
+    assert_eq!(e.line, 2, "{e}");
+    assert!(e.message.contains("expected bb0"), "{e}");
+}
+
+#[test]
+fn result_id_on_a_void_instruction_is_rejected() {
+    let text = "define void @f(ptr %arg0) {\n\
+                bb0:\n\
+                \x20 %0 = store i64 i64 1, %arg0\n\
+                \x20 ret void\n\
+                }\n";
+    let e = expect_err(text);
+    assert_eq!(e.line, 3, "{e}");
+    assert!(e.message.contains("void instruction"), "{e}");
+}
+
+/// `name` is part of the grammar: a symbol the printer could not write
+/// back unambiguously is refused where it is read.
+#[test]
+fn bad_symbol_name_reports_line_and_col() {
+    for text in [
+        "@a b = global [8 x i8] init=zero linkage=internal",
+        "declare void @f[1]()",
+        "declare void @()",
+    ] {
+        let e = expect_err(text);
+        assert_eq!(e.line, 1, "{text:?}: {e}");
+        assert!(e.message.contains("bad symbol name"), "{text:?}: {e}");
+    }
+    let e = expect_err("; module a\rb\n");
+    assert_eq!((e.line, e.col), (1, 10), "{e}");
+    assert!(e.message.contains("bad module name"), "{e}");
+}
+
 #[test]
 fn unsupported_version_is_rejected() {
     let e = expect_err("; nzomp-ir v99\n; module m\n");

@@ -3,7 +3,8 @@
 
 use nzomp_ir::parser::parse_module;
 use nzomp_ir::printer::print_module;
-use nzomp_ir::{ExecMode, FuncBuilder, Global, Init, Module, Operand, Space, Ty};
+use nzomp_ir::{ExecMode, FuncBuilder, Function, Global, Init, Module, Operand, Space, Ty};
+use proptest::prelude::*;
 
 /// The exact round-trip contract: `parse(print(m))` equals the normalized
 /// `m` structurally, and is itself a fixed point of the round-trip.
@@ -173,4 +174,78 @@ fn parse_f64_specials() {
     let k = m.add_function(b.finish());
     m.add_kernel(k, ExecMode::Spmd);
     assert_roundtrip(&m);
+}
+
+/// Name strings: two in three are drawn from the characters the grammar
+/// admits (so the round-trip side runs often), the rest lean on what the
+/// text format gives meaning to — line breaks, surrounding blanks, the
+/// punctuation around a name — plus arbitrary scalar values.
+fn name_strategy() -> impl Strategy<Value = String> {
+    let chars = |pool: &str| proptest::sample::select(pool.chars().collect::<Vec<char>>());
+    let hostile = prop_oneof![
+        2 => chars("abZ09_.$-"),
+        2 => chars(" \n\r\t()[]{},@%:;=\u{e9}\u{85}\u{2028}"),
+        1 => any::<u32>().prop_map(|x| char::from_u32(x % 0x11_0000).unwrap_or('?')),
+    ];
+    let name = |ch: BoxedStrategy<char>| {
+        proptest::collection::vec(ch, 0..8).prop_map(|cs| cs.into_iter().collect::<String>())
+    };
+    prop_oneof![
+        2 => name(chars("abZ09_.$-").boxed()),
+        1 => name(hostile.boxed()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Names are printed verbatim, so `print_module` is only injective on
+    /// names the grammar admits: any module either fails `verify_module`
+    /// or round-trips exactly — there is no third outcome where two
+    /// different modules share one text.
+    #[test]
+    fn any_name_is_rejected_or_round_trips(
+        module in name_strategy(),
+        global in name_strategy(),
+        func in name_strategy(),
+    ) {
+        let mut m = Module::new(module);
+        m.add_global(Global::new(global, Space::Global, 8, Init::Zero));
+        let mut b = FuncBuilder::new(func, vec![], None);
+        b.ret(None);
+        let k = m.add_function(b.finish());
+        m.add_kernel(k, ExecMode::Spmd);
+        m.add_function(Function::declaration("ext", vec![], None));
+        if nzomp_ir::verify_module(&m).is_ok() {
+            let text = print_module(&m);
+            let back = nzomp_ir::parse_module_strict(&text);
+            prop_assert_eq!(back.as_ref(), Ok(&m), "--- text ---\n{}", text);
+        }
+    }
+}
+
+/// The two shapes the property above was written for, pinned: a module
+/// name that smuggles in a kernel note, and a function name that prints
+/// as a different header.
+#[test]
+fn names_that_would_print_as_something_else_are_rejected() {
+    let mut a = Module::new("m\n; kernel @k mode=Spmd");
+    let mut b = FuncBuilder::new("k", vec![], None);
+    b.ret(None);
+    a.add_function(b.finish());
+    let mut honest = a.clone();
+    honest.name = "m".into();
+    honest.add_kernel(nzomp_ir::module::FuncRef(0), ExecMode::Spmd);
+    assert_ne!(a, honest);
+    assert_eq!(print_module(&a), print_module(&honest), "the alias this rule exists for");
+    assert!(nzomp_ir::verify_module(&a).is_err());
+    assert!(nzomp_ir::verify_module(&honest).is_ok());
+
+    let mut m = Module::new("m");
+    m.add_function(Function::declaration("f(1)", vec![], None));
+    assert!(nzomp_ir::verify_module(&m).is_err());
+    m.funcs[0].name = "f".into();
+    m.add_function(Function::declaration("f", vec![], None));
+    let e = nzomp_ir::verify_module(&m).unwrap_err();
+    assert!(e.message.contains("defined twice"), "{e}");
 }

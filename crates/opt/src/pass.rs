@@ -60,7 +60,7 @@ impl PassEffect {
 
 /// One module-level transformation in the pipeline.
 pub trait ModulePass {
-    /// Stable short name (timings key, `NZOMP_VERIFY_EACH_PASS` stage name).
+    /// Stable short name (timings key, `CompileError::Verify` stage name).
     fn name(&self) -> &'static str;
 
     fn run(

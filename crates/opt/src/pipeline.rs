@@ -9,9 +9,10 @@
 //! time, run counts, changed verdicts, and IR deltas into [`PassTimings`]
 //! (the `-ftime-report` analogue).
 //!
-//! Setting `NZOMP_VERIFY_EACH_PASS=1` runs the module verifier after every
-//! single pass execution and names the offending pass on failure — the
-//! first tool to reach for when a pipeline change breaks a golden.
+//! Builds with `debug_assertions` (every `cargo test` run) verify the
+//! module after every single pass execution and name the offending pass
+//! on failure — the first thing to read when a pipeline change breaks a
+//! golden. Release builds verify once, after the pipeline.
 
 use std::time::{Duration, Instant};
 
@@ -207,7 +208,7 @@ pub struct PassStat {
     pub barriers_delta: i64,
 }
 
-/// A pass broke the module (caught by `NZOMP_VERIFY_EACH_PASS=1`).
+/// A pass broke the module (caught by per-pass verification).
 #[derive(Clone, Debug, PartialEq)]
 pub struct VerifyFailure {
     /// Name of the offending pass.
@@ -259,11 +260,18 @@ pub struct PassManager {
 }
 
 impl PassManager {
+    /// Verifies after every pass exactly when `debug_assertions` are on.
     pub fn new() -> PassManager {
+        PassManager::with_verify_each(cfg!(debug_assertions))
+    }
+
+    /// `verify_each`: run the module verifier after every pass execution and
+    /// stop at the first pass that breaks the module.
+    pub fn with_verify_each(verify_each: bool) -> PassManager {
         PassManager {
             am: AnalysisManager::new(),
             timings: PassTimings::default(),
-            verify_each: std::env::var("NZOMP_VERIFY_EACH_PASS").is_ok_and(|v| v == "1"),
+            verify_each,
             prev_changed: false,
         }
     }

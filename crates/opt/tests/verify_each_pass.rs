@@ -1,11 +1,10 @@
-//! `NZOMP_VERIFY_EACH_PASS=1` pins a pipeline break to the pass that
-//! caused it: the executor verifies the module after every single pass
-//! execution, stops the pipeline on the first failure, and records the
-//! offending pass's name in `PassTimings::verify_failure` (which the
-//! compile pipeline surfaces as `CompileError::Verify { stage: <pass> }`).
-//!
-//! This file is its own test binary, so setting the env var cannot race
-//! with other tests.
+//! Per-pass verification pins a pipeline break to the pass that caused
+//! it: the executor verifies the module after every single pass execution,
+//! stops the pipeline on the first failure, and records the offending
+//! pass's name in `PassTimings::verify_failure` (which the compile pipeline
+//! surfaces as `CompileError::Verify { stage: <pass> }`). It is on exactly
+//! when `debug_assertions` are; the tests below arm and disarm it through
+//! the constructor.
 
 use nzomp_ir::analysis::{AnalysisManager, PreservedAnalyses, Touched};
 use nzomp_ir::inst::Term;
@@ -52,13 +51,9 @@ impl ModulePass for Saboteur {
     }
 }
 
-// One #[test] fn: both scenarios mutate the process env, so they must run
-// sequentially.
 #[test]
 fn verify_each_pass_names_the_offending_pass_and_stops() {
     // -- armed: the saboteur is caught, named, and the pipeline stops --
-    std::env::set_var("NZOMP_VERIFY_EACH_PASS", "1");
-
     let mut m = tiny_module();
     let pipeline = Pipeline {
         stages: vec![
@@ -69,7 +64,8 @@ fn verify_each_pass_names_the_offending_pass_and_stops() {
         ],
     };
     let mut remarks = Remarks::default();
-    let timings = PassManager::new().run(pipeline, &mut m, &PassOptions::full(), &mut remarks);
+    let pm = PassManager::with_verify_each(true);
+    let timings = pm.run(pipeline, &mut m, &PassOptions::full(), &mut remarks);
 
     let vf = timings
         .verify_failure
@@ -86,14 +82,26 @@ fn verify_each_pass_names_the_offending_pass_and_stops() {
 
     // -- disarmed: no per-pass attribution; only the caller's final
     // post-pipeline verify would catch the break --
-    std::env::set_var("NZOMP_VERIFY_EACH_PASS", "0");
+    let mut m = tiny_module();
+    let pipeline = Pipeline {
+        stages: vec![Stage::Pass(Box::new(Saboteur))],
+    };
+    let mut remarks = Remarks::default();
+    let pm = PassManager::with_verify_each(false);
+    let timings = pm.run(pipeline, &mut m, &PassOptions::full(), &mut remarks);
+    assert!(timings.verify_failure.is_none());
+    assert!(nzomp_ir::verify_module(&m).is_err());
+}
 
+/// The default follows the build: every `cargo test` run verifies between
+/// passes, a release build does not.
+#[test]
+fn default_follows_debug_assertions() {
     let mut m = tiny_module();
     let pipeline = Pipeline {
         stages: vec![Stage::Pass(Box::new(Saboteur))],
     };
     let mut remarks = Remarks::default();
     let timings = PassManager::new().run(pipeline, &mut m, &PassOptions::full(), &mut remarks);
-    assert!(timings.verify_failure.is_none());
-    assert!(nzomp_ir::verify_module(&m).is_err());
+    assert_eq!(timings.verify_failure.is_some(), cfg!(debug_assertions));
 }

@@ -23,7 +23,7 @@
 //!   assertions become assumptions (§III-G).
 
 use nzomp_ir::{
-    ExecMode, FuncBuilder, Function, Global, GlobalId, Init, Module, Operand, Pred, Space, Ty,
+    FuncBuilder, Function, Global, GlobalId, Init, Module, Operand, Pred, Space, Ty,
 };
 
 use crate::abi::{self, team_state as ts, thread_state as th, RtConfig};
@@ -801,12 +801,4 @@ fn build_distribute_static_loop(m: &Module, ctx: &Ctx) -> Function {
     no_chunk_loop(&mut b, m, body, args, niters, bid, nbl, ctx.teams_oversub);
     b.ret(None);
     b.finish()
-}
-
-/// Kernel exec-mode helper used by the frontend.
-pub fn exec_mode_const(mode: ExecMode) -> i64 {
-    match mode {
-        ExecMode::Generic => abi::MODE_GENERIC,
-        ExecMode::Spmd => abi::MODE_SPMD,
-    }
 }

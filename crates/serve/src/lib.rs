@@ -665,7 +665,7 @@ impl Serve {
         let arg_ptrs: Vec<Option<u64>> = kargs
             .iter()
             .map(|k| match k {
-                KArg::Buf(b) | KArg::BufAt(b, _) => self.host.dev_addr(dev, *b, 0).ok().map(|p| p.0),
+                KArg::Buf(b) => self.host.dev_addr(dev, *b, 0).ok().map(|p| p.0),
                 KArg::Val(_) => None,
             })
             .collect();
@@ -805,11 +805,6 @@ impl Serve {
                 }
             })
             .collect()
-    }
-
-    /// Tenant names in registration order.
-    pub fn tenant_names(&self) -> Vec<String> {
-        self.sessions.iter().map(|s| s.name.clone()).collect()
     }
 
     /// Final bytes of every live session buffer of `t` — the per-tenant

@@ -33,13 +33,4 @@ impl ServeMetrics {
     pub fn rejected(&self) -> u64 {
         self.rejected_saturated + self.rejected_backlog + self.rejected_quota
     }
-
-    /// Saturation throughput: completed requests per million modeled
-    /// cycles of makespan. `None` for an empty run (no-NaN policy).
-    pub fn throughput_per_mcycle(&self) -> Option<f64> {
-        if self.makespan_cycles == 0 {
-            return None;
-        }
-        Some(self.completed as f64 * 1.0e6 / self.makespan_cycles as f64)
-    }
 }

@@ -85,10 +85,6 @@ impl Outcome {
     pub fn is_rejected(&self) -> bool {
         matches!(self, Outcome::Rejected { .. })
     }
-
-    pub fn is_faulted(&self) -> bool {
-        matches!(self, Outcome::Faulted { .. })
-    }
 }
 
 /// A control-plane misuse of the serving API: naming a tenant or session

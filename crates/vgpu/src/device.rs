@@ -11,7 +11,7 @@ use crate::error::{ExecError, TrapKind};
 use crate::exec::{ExecTier, TeamEngine};
 use crate::faults::{DeviceFaultKind, FaultPlan};
 use crate::gmem::{apply_effects, GlobalMem};
-use crate::interp::{Counters, GlobalLayout, HeapState};
+use crate::exec::{Counters, GlobalLayout, HeapState};
 use crate::memory::{DevPtr, Region};
 use crate::memory::Segment;
 use crate::metrics::KernelMetrics;
@@ -314,10 +314,6 @@ impl Device {
         }
     }
 
-    pub fn sanitize_enabled(&self) -> bool {
-        self.sanitize
-    }
-
     /// Sanitizer findings of the most recent launch, in deterministic
     /// (ascending-team fold) order. Empty when clean — or when sanitizing
     /// is off. Kept even when the launch trapped.
@@ -486,14 +482,6 @@ impl Device {
     pub fn alloc_i64(&mut self, data: &[i64]) -> DevPtr {
         let p = self.alloc((data.len() * 8) as u64);
         if self.write_i64(p, data).is_err() {
-            unreachable!("freshly allocated region is in bounds");
-        }
-        p
-    }
-
-    pub fn alloc_i32(&mut self, data: &[i32]) -> DevPtr {
-        let p = self.alloc((data.len() * 4) as u64);
-        if self.write_i32(p, data).is_err() {
             unreachable!("freshly allocated region is in bounds");
         }
         p

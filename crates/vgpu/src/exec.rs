@@ -667,11 +667,6 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
             })
             .collect()
     }
-
-    /// Final per-thread cycle counts (after `run`).
-    pub fn thread_cycles(&self) -> Vec<u64> {
-        self.threads.iter().map(|t| t.cycles).collect()
-    }
 }
 
 /// A [`TeamExec`] over whichever backend the launch selected — the concrete

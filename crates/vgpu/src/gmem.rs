@@ -1,7 +1,7 @@
 //! Global-memory views: the seam between sequential and parallel team
 //! execution.
 //!
-//! A [`TeamExec`](crate::interp::TeamExec) accesses device global memory
+//! A [`TeamExec`](crate::exec::TeamExec) accesses device global memory
 //! through a [`GlobalMem`]:
 //!
 //! * [`GlobalMem::Direct`] writes straight through to the device's master
@@ -68,7 +68,7 @@ use nzomp_ir::inst::AtomicOp;
 use nzomp_ir::Ty;
 
 use crate::error::TrapKind;
-use crate::interp::HeapState;
+use crate::exec::HeapState;
 use crate::memory::Region;
 use crate::value::RtVal;
 

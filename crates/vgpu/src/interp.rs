@@ -11,16 +11,12 @@ use nzomp_ir::inst::{Inst, InstId, Intrinsic, Term, UnOp};
 use nzomp_ir::{BlockId, Function, Operand, Ty};
 
 use crate::error::TrapKind;
-use crate::exec::{malformed, ExecBackend};
+use crate::exec::{malformed, ExecBackend, Status, TeamExec, ThreadCtx};
 use crate::gmem::{combine_atomic, GlobalMem};
 use crate::memory::{DevPtr, Segment};
 use crate::ops::{corrupt_value, exec_bin, exec_cast, exec_cmp, exec_un};
 use crate::sanitize::{AccessKind, IrLoc};
 use crate::value::RtVal;
-
-// Re-exported so pre-seam paths (`crate::interp::TeamExec` etc.) keep
-// working; the definitions moved to the backend-agnostic `crate::exec`.
-pub use crate::exec::{Counters, GlobalLayout, HeapState, Status, TeamExec, ThreadCtx};
 
 /// One call frame.
 #[derive(Debug)]
@@ -85,40 +81,6 @@ impl<'a> ExecBackend<'a> for InterpBackend {
 }
 
 impl<'a> TeamExec<'a, InterpBackend> {
-    /// Build a team executor on the reference interpreter (the historical
-    /// constructor; tier selection goes through `exec::TeamEngine`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        module: &'a nzomp_ir::Module,
-        cost: &'a crate::cost::CostModel,
-        check_assumes: bool,
-        team_id: u32,
-        num_teams: u32,
-        nthreads: u32,
-        shared_size: u64,
-        layout: &'a GlobalLayout,
-        global: GlobalMem<'a>,
-        constant: &'a crate::memory::Region,
-        fuel: u64,
-        faults: Option<&'a crate::faults::FaultPlan>,
-    ) -> TeamExec<'a, InterpBackend> {
-        TeamExec::with_backend(
-            InterpBackend,
-            module,
-            cost,
-            check_assumes,
-            team_id,
-            num_teams,
-            nthreads,
-            shared_size,
-            layout,
-            global,
-            constant,
-            fuel,
-            faults,
-        )
-    }
-
     fn cur_func(&self, thread: &ThreadCtx<Frame>) -> Result<&'a Function, TrapKind> {
         let Some(f) = thread.frames.last() else {
             return Err(malformed("live thread has no frame"));

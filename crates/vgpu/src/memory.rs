@@ -157,16 +157,6 @@ impl Region {
     }
 }
 
-/// Sign-extend an integer loaded with `size` bytes (loads are sign-free in
-/// the IR; narrow values are kept zero-extended, casts handle signedness).
-pub fn mask_to_width(value: i64, size: u64) -> i64 {
-    match size {
-        1 => value & 0xff,
-        4 => value & 0xffff_ffff,
-        _ => value,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

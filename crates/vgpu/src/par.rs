@@ -36,7 +36,7 @@ use crate::error::TrapKind;
 use crate::exec::TeamEngine;
 use crate::faults::FaultPlan;
 use crate::gmem::{BufferedGlobal, GlobalEffect, GlobalMem};
-use crate::interp::{Counters, GlobalLayout};
+use crate::exec::{Counters, GlobalLayout};
 use crate::memory::Region;
 use crate::sanitize::TeamSan;
 use crate::value::RtVal;

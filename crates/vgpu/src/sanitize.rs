@@ -324,7 +324,7 @@ pub struct BarrierArrival {
 }
 
 /// Per-team sanitizer state, owned by the
-/// [`TeamExec`](crate::interp::TeamExec) when sanitizing is enabled
+/// [`TeamExec`](crate::exec::TeamExec) when sanitizing is enabled
 /// (`None` otherwise — the hot path then pays one pointer test per
 /// access, the same zero-cost-when-disabled shape as
 /// [`FaultPlan`](crate::faults::FaultPlan)).

@@ -19,12 +19,15 @@
 use std::path::PathBuf;
 
 use crate::gen::{generate, GenModule, LaunchMeta};
+use nzomp_ir::parser::parse_module_strict;
 use nzomp_ir::printer::print_module;
 use nzomp_ir::Module;
 use nzomp_opt::{optimize_module, Ablation, PassOptions};
 use nzomp_proxies::quick_device;
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{DevPtr, Device, ExecError, ExecTier, KernelMetrics, RtVal};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The pinned seeds behind `gen-<seed>.nzir`. Twenty edge-case kernels;
 /// together with the five proxy exports the corpus holds 25 entries.
@@ -44,6 +47,22 @@ pub const EXEC_TIERS: [ExecTier; 2] = [ExecTier::Interp, ExecTier::Bytecode];
 
 pub fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus")
+}
+
+/// `(file name, text)` of every `.nzir` file in the corpus, sorted by name.
+pub fn corpus_texts() -> Result<Vec<(String, String)>, String> {
+    let dir = corpus_dir();
+    let mut v = Vec::new();
+    for f in std::fs::read_dir(&dir).map_err(|e| format!("corpus dir {}: {e}", dir.display()))? {
+        let f = f.map_err(|e| format!("corpus dir {}: {e}", dir.display()))?;
+        let name = f.file_name().to_string_lossy().into_owned();
+        if name.ends_with(".nzir") {
+            let text = std::fs::read_to_string(f.path()).map_err(|e| format!("{name}: {e}"))?;
+            v.push((name, text));
+        }
+    }
+    v.sort();
+    Ok(v)
 }
 
 /// The on-disk text of a generated corpus entry: printed module with the
@@ -155,8 +174,7 @@ pub fn differential_check(
     let name = &g.module.name;
     nzomp_ir::verify_module(&g.module).map_err(|e| format!("{name}: verify: {e}"))?;
     let text = print_module(&g.module);
-    let back =
-        nzomp_ir::parse_module_strict(&text).map_err(|e| format!("{name}: reparse: {e}"))?;
+    let back = parse_module_strict(&text).map_err(|e| format!("{name}: reparse: {e}"))?;
     if back != g.module {
         return Err(format!("{name}: parse(print(m)) != m"));
     }
@@ -220,4 +238,56 @@ pub fn differential_check(
 pub fn fuzz_one(seed: u64, variants: &[(String, PassOptions)]) -> Result<(), String> {
     let g = generate(seed);
     differential_check(&g, variants, &WORKER_AXES)
+}
+
+/// What a text mutation swaps in or inserts: the format's punctuation and
+/// digits, the bytes most likely to turn one token into another.
+const MUTATION_BYTES: &[u8] = b"()[],@%.: 0123456789";
+
+/// One to three seeded mutations of `text`: delete or duplicate a line,
+/// truncate the text inside a line, or swap or insert one of
+/// [`MUTATION_BYTES`].
+pub fn mutate_text(text: &str, seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut lines: Vec<Vec<u8>> = text.lines().map(|l| l.as_bytes().to_vec()).collect();
+    for _ in 0..rng.gen_range(1..=3) {
+        if lines.is_empty() {
+            break;
+        }
+        let at = rng.gen_range(0..lines.len());
+        let byte = MUTATION_BYTES[rng.gen_range(0..MUTATION_BYTES.len())];
+        let col = rng.gen_range(0..=lines[at].len());
+        match rng.gen_range(0..5) {
+            0 => drop(lines.remove(at)),
+            1 => lines.insert(at, lines[at].clone()),
+            2 => {
+                lines.truncate(at + 1);
+                lines[at].truncate(col);
+            }
+            3 if col < lines[at].len() => lines[at][col] = byte,
+            _ => lines[at].insert(col, byte),
+        }
+    }
+    let mut out = lines.join(&b'\n');
+    out.push(b'\n');
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+/// The contract for hostile text: on a seeded mutation of `text`,
+/// `parse_module_strict` returns — `Ok` or `Err`, never an unwind — and
+/// whatever it accepts is a fixed point of print∘parse. A failure carries
+/// the seed and the mutated text.
+pub fn mutation_check(text: &str, seed: u64) -> Result<(), String> {
+    let mutated = mutate_text(text, seed);
+    let fail = |what: String| format!("mutation seed {seed}: {what}\n--- mutated text ---\n{mutated}");
+    let parsed = std::panic::catch_unwind(|| parse_module_strict(&mutated))
+        .map_err(|_| fail("parser panicked".into()))?;
+    let Ok(m) = parsed else {
+        return Ok(());
+    };
+    match parse_module_strict(&print_module(&m)) {
+        Ok(back) if back == m => Ok(()),
+        Ok(_) => Err(fail("accepted, but parse(print(m)) != m".into())),
+        Err(e) => Err(fail(format!("accepted, but its print does not parse: {e}"))),
+    }
 }

@@ -173,18 +173,7 @@ fn corpus_differential_none_vs_full_across_worker_counts() {
 /// Read the corpus from disk, sorted by name (panics when empty — the
 /// corpus is checked in, so an empty directory means a broken checkout).
 fn corpus_texts() -> Vec<(String, String)> {
-    let dir = corpus_dir();
-    let mut v: Vec<(String, String)> = fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("corpus dir {}: {e}", dir.display()))
-        .flatten()
-        .filter(|f| f.file_name().to_string_lossy().ends_with(".nzir"))
-        .map(|f| {
-            let name = f.file_name().to_string_lossy().into_owned();
-            let text = fs::read_to_string(f.path()).unwrap();
-            (name, text)
-        })
-        .collect();
-    v.sort();
+    let v = nzomp_integration::corpus::corpus_texts().unwrap();
     assert!(v.len() >= 25, "corpus must hold at least 25 kernels");
     v
 }

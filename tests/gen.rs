@@ -104,52 +104,18 @@ pub fn parse_launch_comment(text: &str) -> Option<LaunchMeta> {
     })
 }
 
-const INT_BINS: [BinOp; 15] = [
-    BinOp::Add,
-    BinOp::Sub,
-    BinOp::Mul,
-    BinOp::SDiv,
-    BinOp::SRem,
-    BinOp::UDiv,
-    BinOp::URem,
-    BinOp::And,
-    BinOp::Or,
-    BinOp::Xor,
-    BinOp::Shl,
-    BinOp::LShr,
-    BinOp::AShr,
-    BinOp::SMin,
-    BinOp::SMax,
-];
-const FLOAT_BINS: [BinOp; 6] = [
-    BinOp::FAdd,
-    BinOp::FSub,
-    BinOp::FMul,
-    BinOp::FDiv,
-    BinOp::FMin,
-    BinOp::FMax,
-];
-const FLOAT_UNS: [UnOp; 7] = [
-    UnOp::FNeg,
-    UnOp::FAbs,
-    UnOp::Sqrt,
-    UnOp::Sin,
-    UnOp::Cos,
-    UnOp::Exp,
-    UnOp::Log,
-];
-const ALL_PREDS: [Pred; 10] = [
-    Pred::Eq,
-    Pred::Ne,
-    Pred::Slt,
-    Pred::Sle,
-    Pred::Sgt,
-    Pred::Sge,
-    Pred::Ult,
-    Pred::Ule,
-    Pred::Ugt,
-    Pred::Uge,
-];
+/// The operator pools the generator draws from, read off each enum's `ALL`:
+/// a new variant is generated with no edit here.
+fn bin_pool(float: bool) -> Vec<BinOp> {
+    let of_kind = |op: &&BinOp| op.is_float() == float;
+    BinOp::ALL.iter().filter(of_kind).copied().collect()
+}
+
+fn float_un_pool() -> Vec<UnOp> {
+    let is_float = |op: &&UnOp| !matches!(op, UnOp::Neg | UnOp::Not);
+    UnOp::ALL.iter().filter(is_float).copied().collect()
+}
+
 const F64_SPECIALS: [f64; 7] = [
     0.0,
     -0.0,
@@ -168,6 +134,7 @@ fn pick(rng: &mut StdRng, pool: &[Operand]) -> Operand {
 /// Deterministically generate one executable module from a seed.
 pub fn generate(seed: u64) -> GenModule {
     let mut rng = StdRng::seed_from_u64(seed);
+    let (int_bins, float_bins, float_uns) = (bin_pool(false), bin_pool(true), float_un_pool());
     let teams = rng.gen_range(1..=4u32);
     let threads = rng.gen_range(1..=8u32);
     let n = (teams * threads) as u64;
@@ -280,7 +247,7 @@ pub fn generate(seed: u64) -> GenModule {
     ];
 
     // Every binary op, with trap guards on divisors and shift amounts.
-    for op in INT_BINS {
+    for &op in &int_bins {
         let lhs = pick(&mut rng, &ints);
         let mut rhs = pick(&mut rng, &ints);
         rhs = match op {
@@ -293,7 +260,7 @@ pub fn generate(seed: u64) -> GenModule {
         let v = b.bin(op, Ty::I64, lhs, rhs);
         ints.push(v);
     }
-    for op in FLOAT_BINS {
+    for &op in &float_bins {
         let (l, r) = (pick(&mut rng, &floats), pick(&mut rng, &floats));
         let v = b.bin(op, Ty::F64, l, r);
         floats.push(v);
@@ -305,7 +272,7 @@ pub fn generate(seed: u64) -> GenModule {
     let x = pick(&mut rng, &ints);
     let v = b.un(UnOp::Not, Ty::I64, x);
     ints.push(v);
-    for op in FLOAT_UNS {
+    for &op in &float_uns {
         let x = pick(&mut rng, &floats);
         let v = b.un(op, Ty::F64, x);
         floats.push(v);
@@ -326,7 +293,7 @@ pub fn generate(seed: u64) -> GenModule {
     let buf_as_int = b.cast(CastKind::PtrCast, Ty::I64, buf);
     let buf_again = b.cast(CastKind::PtrCast, Ty::Ptr, buf_as_int);
     // Every predicate, via select chains (plus one float compare).
-    for pred in ALL_PREDS {
+    for &pred in Pred::ALL {
         let (l, r) = (pick(&mut rng, &ints), pick(&mut rng, &ints));
         let c = b.cmp(pred, Ty::I64, l, r);
         let (t, f) = (pick(&mut rng, &ints), pick(&mut rng, &ints));
@@ -483,7 +450,7 @@ pub fn generate(seed: u64) -> GenModule {
     for _ in 0..rng.gen_range(4..24) {
         match rng.gen_range(0..5) {
             0 => {
-                let op = INT_BINS[rng.gen_range(0..INT_BINS.len())];
+                let op = int_bins[rng.gen_range(0..int_bins.len())];
                 let lhs = pick(&mut rng, &ints);
                 let mut rhs = pick(&mut rng, &ints);
                 rhs = match op {
@@ -497,19 +464,19 @@ pub fn generate(seed: u64) -> GenModule {
                 ints.push(v);
             }
             1 => {
-                let op = FLOAT_BINS[rng.gen_range(0..FLOAT_BINS.len())];
+                let op = float_bins[rng.gen_range(0..float_bins.len())];
                 let (l, r) = (pick(&mut rng, &floats), pick(&mut rng, &floats));
                 let v = b.bin(op, Ty::F64, l, r);
                 floats.push(v);
             }
             2 => {
-                let op = FLOAT_UNS[rng.gen_range(0..FLOAT_UNS.len())];
+                let op = float_uns[rng.gen_range(0..float_uns.len())];
                 let x = pick(&mut rng, &floats);
                 let v = b.un(op, Ty::F64, x);
                 floats.push(v);
             }
             3 => {
-                let pred = ALL_PREDS[rng.gen_range(0..ALL_PREDS.len())];
+                let pred = Pred::ALL[rng.gen_range(0..Pred::ALL.len())];
                 let (l, r) = (pick(&mut rng, &ints), pick(&mut rng, &ints));
                 let c = b.cmp(pred, Ty::I64, l, r);
                 let (t, f) = (pick(&mut rng, &ints), pick(&mut rng, &ints));
@@ -575,9 +542,10 @@ pub fn generate(seed: u64) -> GenModule {
 
 /// Feature labels the coverage test checks off. Every generated module
 /// must cover every label — coverage is structural, not probabilistic.
-pub fn all_labels() -> BTreeSet<&'static str> {
-    let mut s = BTreeSet::new();
-    for l in [
+/// Operator labels come from each enum's `ALL`, so a variant the generator
+/// does not emit is a missing label with no edit here.
+pub fn all_labels() -> BTreeSet<String> {
+    let fixed = [
         // Inst variants
         "inst:Bin",
         "inst:Un",
@@ -612,190 +580,59 @@ pub fn all_labels() -> BTreeSet<&'static str> {
         "linkage:Internal",
         "linkage:External",
         "func:declaration",
-    ] {
-        s.insert(l);
-    }
-    for op in INT_BINS {
-        s.insert(bin_label(op));
-    }
-    for op in FLOAT_BINS {
-        s.insert(bin_label(op));
-    }
-    for op in [
-        UnOp::Neg,
-        UnOp::Not,
-        UnOp::FNeg,
-        UnOp::FAbs,
-        UnOp::Sqrt,
-        UnOp::Sin,
-        UnOp::Cos,
-        UnOp::Exp,
-        UnOp::Log,
-    ] {
-        s.insert(un_label(op));
-    }
-    for k in [
-        CastKind::IntCast,
-        CastKind::ZExtCast,
-        CastKind::SiToFp,
-        CastKind::FpToSi,
-        CastKind::PtrCast,
-    ] {
-        s.insert(cast_label(k));
-    }
-    for p in ALL_PREDS {
-        s.insert(pred_label(p));
-    }
-    for a in [
-        AtomicOp::Add,
-        AtomicOp::Min,
-        AtomicOp::Max,
-        AtomicOp::Exchange,
-    ] {
-        s.insert(atomic_label(a));
-    }
-    for i in [
-        "intr:ThreadId",
-        "intr:BlockId",
-        "intr:BlockDim",
-        "intr:GridDim",
-        "intr:AlignedBarrier",
-        "intr:Barrier",
-        "intr:Assume",
-        "intr:AssertFail",
-        "intr:Malloc",
-        "intr:Free",
-    ] {
-        s.insert(i);
-    }
+    ];
+    let mut s: BTreeSet<String> = fixed.into_iter().map(String::from).collect();
+    s.extend(BinOp::ALL.iter().map(|op| op_label("bin", op.mnemonic())));
+    s.extend(UnOp::ALL.iter().map(|op| op_label("un", op.mnemonic())));
+    s.extend(CastKind::ALL.iter().map(|k| op_label("cast", k.mnemonic())));
+    s.extend(Pred::ALL.iter().map(|p| op_label("pred", p.mnemonic())));
+    s.extend(AtomicOp::ALL.iter().map(|a| op_label("atomic", a.mnemonic())));
+    s.extend(Intrinsic::ALL.iter().map(|i| op_label("intr", i.mnemonic())));
     s
 }
 
-fn bin_label(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "bin:Add",
-        BinOp::Sub => "bin:Sub",
-        BinOp::Mul => "bin:Mul",
-        BinOp::SDiv => "bin:SDiv",
-        BinOp::SRem => "bin:SRem",
-        BinOp::UDiv => "bin:UDiv",
-        BinOp::URem => "bin:URem",
-        BinOp::And => "bin:And",
-        BinOp::Or => "bin:Or",
-        BinOp::Xor => "bin:Xor",
-        BinOp::Shl => "bin:Shl",
-        BinOp::LShr => "bin:LShr",
-        BinOp::AShr => "bin:AShr",
-        BinOp::SMin => "bin:SMin",
-        BinOp::SMax => "bin:SMax",
-        BinOp::FAdd => "bin:FAdd",
-        BinOp::FSub => "bin:FSub",
-        BinOp::FMul => "bin:FMul",
-        BinOp::FDiv => "bin:FDiv",
-        BinOp::FMin => "bin:FMin",
-        BinOp::FMax => "bin:FMax",
-    }
-}
-
-fn un_label(op: UnOp) -> &'static str {
-    match op {
-        UnOp::Neg => "un:Neg",
-        UnOp::Not => "un:Not",
-        UnOp::FNeg => "un:FNeg",
-        UnOp::FAbs => "un:FAbs",
-        UnOp::Sqrt => "un:Sqrt",
-        UnOp::Sin => "un:Sin",
-        UnOp::Cos => "un:Cos",
-        UnOp::Exp => "un:Exp",
-        UnOp::Log => "un:Log",
-    }
-}
-
-fn cast_label(k: CastKind) -> &'static str {
-    match k {
-        CastKind::IntCast => "cast:IntCast",
-        CastKind::ZExtCast => "cast:ZExtCast",
-        CastKind::SiToFp => "cast:SiToFp",
-        CastKind::FpToSi => "cast:FpToSi",
-        CastKind::PtrCast => "cast:PtrCast",
-    }
-}
-
-fn pred_label(p: Pred) -> &'static str {
-    match p {
-        Pred::Eq => "pred:Eq",
-        Pred::Ne => "pred:Ne",
-        Pred::Slt => "pred:Slt",
-        Pred::Sle => "pred:Sle",
-        Pred::Sgt => "pred:Sgt",
-        Pred::Sge => "pred:Sge",
-        Pred::Ult => "pred:Ult",
-        Pred::Ule => "pred:Ule",
-        Pred::Ugt => "pred:Ugt",
-        Pred::Uge => "pred:Uge",
-    }
-}
-
-fn atomic_label(a: AtomicOp) -> &'static str {
-    match a {
-        AtomicOp::Add => "atomic:Add",
-        AtomicOp::Min => "atomic:Min",
-        AtomicOp::Max => "atomic:Max",
-        AtomicOp::Exchange => "atomic:Exchange",
-    }
-}
-
-fn intr_label(i: &Intrinsic) -> &'static str {
-    match i {
-        Intrinsic::ThreadId => "intr:ThreadId",
-        Intrinsic::BlockId => "intr:BlockId",
-        Intrinsic::BlockDim => "intr:BlockDim",
-        Intrinsic::GridDim => "intr:GridDim",
-        Intrinsic::AlignedBarrier => "intr:AlignedBarrier",
-        Intrinsic::Barrier => "intr:Barrier",
-        Intrinsic::Assume(()) => "intr:Assume",
-        Intrinsic::AssertFail => "intr:AssertFail",
-        Intrinsic::Malloc => "intr:Malloc",
-        Intrinsic::Free => "intr:Free",
-    }
+/// `family:mnemonic` — the family keeps `BinOp::Add` and `AtomicOp::Add` apart.
+fn op_label(family: &str, mnemonic: &str) -> String {
+    format!("{family}:{mnemonic}")
 }
 
 /// Which feature labels a module actually contains.
-pub fn coverage_labels(m: &Module) -> BTreeSet<&'static str> {
+pub fn coverage_labels(m: &Module) -> BTreeSet<String> {
     let mut s = BTreeSet::new();
+    let mut add = |label: &str| s.insert(label.to_string());
     for g in &m.globals {
-        s.insert(match g.space {
+        add(match g.space {
             Space::Global => "space:Global",
             Space::Shared => "space:Shared",
             Space::Local => "space:Local",
             Space::Constant => "space:Constant",
         });
-        s.insert(match g.init {
+        add(match g.init {
             Init::Zero => "init:Zero",
             Init::I64(_) => "init:I64",
             Init::Bytes(_) => "init:Bytes",
         });
-        s.insert(match g.linkage {
+        add(match g.linkage {
             Linkage::Internal => "linkage:Internal",
             Linkage::External => "linkage:External",
         });
     }
     for k in &m.kernels {
-        s.insert(match k.exec_mode {
+        add(match k.exec_mode {
             ExecMode::Generic => "mode:Generic",
             ExecMode::Spmd => "mode:Spmd",
         });
     }
     for f in &m.funcs {
         if f.is_declaration() {
-            s.insert("func:declaration");
+            add("func:declaration");
         }
-        s.insert(match f.linkage {
+        add(match f.linkage {
             Linkage::Internal => "linkage:Internal",
             Linkage::External => "linkage:External",
         });
         for blk in &f.blocks {
-            s.insert(match &blk.term {
+            add(match &blk.term {
                 Term::Br(_) => "term:Br",
                 Term::CondBr { .. } => "term:CondBr",
                 Term::Ret(None) => "term:RetVoid",
@@ -803,55 +640,25 @@ pub fn coverage_labels(m: &Module) -> BTreeSet<&'static str> {
                 Term::Unreachable => "term:Unreachable",
             });
             for &iid in &blk.insts {
-                match f.inst(iid) {
-                    Inst::Bin { op, .. } => {
-                        s.insert("inst:Bin");
-                        s.insert(bin_label(*op));
-                    }
-                    Inst::Un { op, .. } => {
-                        s.insert("inst:Un");
-                        s.insert(un_label(*op));
-                    }
-                    Inst::Cast { kind, .. } => {
-                        s.insert("inst:Cast");
-                        s.insert(cast_label(*kind));
-                    }
-                    Inst::Cmp { pred, .. } => {
-                        s.insert("inst:Cmp");
-                        s.insert(pred_label(*pred));
-                    }
-                    Inst::Select { .. } => {
-                        s.insert("inst:Select");
-                    }
-                    Inst::Load { .. } => {
-                        s.insert("inst:Load");
-                    }
-                    Inst::Store { .. } => {
-                        s.insert("inst:Store");
-                    }
-                    Inst::PtrAdd { .. } => {
-                        s.insert("inst:PtrAdd");
-                    }
-                    Inst::Alloca { .. } => {
-                        s.insert("inst:Alloca");
-                    }
-                    Inst::Call { .. } => {
-                        s.insert("inst:Call");
-                    }
-                    Inst::Atomic { op, .. } => {
-                        s.insert("inst:Atomic");
-                        s.insert(atomic_label(*op));
-                    }
-                    Inst::Cas { .. } => {
-                        s.insert("inst:Cas");
-                    }
-                    Inst::Intr { intr, .. } => {
-                        s.insert("inst:Intr");
-                        s.insert(intr_label(intr));
-                    }
-                    Inst::Phi { .. } => {
-                        s.insert("inst:Phi");
-                    }
+                let (variant, operator) = match f.inst(iid) {
+                    Inst::Bin { op, .. } => ("inst:Bin", Some(("bin", op.mnemonic()))),
+                    Inst::Un { op, .. } => ("inst:Un", Some(("un", op.mnemonic()))),
+                    Inst::Cast { kind, .. } => ("inst:Cast", Some(("cast", kind.mnemonic()))),
+                    Inst::Cmp { pred, .. } => ("inst:Cmp", Some(("pred", pred.mnemonic()))),
+                    Inst::Select { .. } => ("inst:Select", None),
+                    Inst::Load { .. } => ("inst:Load", None),
+                    Inst::Store { .. } => ("inst:Store", None),
+                    Inst::PtrAdd { .. } => ("inst:PtrAdd", None),
+                    Inst::Alloca { .. } => ("inst:Alloca", None),
+                    Inst::Call { .. } => ("inst:Call", None),
+                    Inst::Atomic { op, .. } => ("inst:Atomic", Some(("atomic", op.mnemonic()))),
+                    Inst::Cas { .. } => ("inst:Cas", None),
+                    Inst::Intr { intr, .. } => ("inst:Intr", Some(("intr", intr.mnemonic()))),
+                    Inst::Phi { .. } => ("inst:Phi", None),
+                };
+                add(variant);
+                if let Some((family, mnemonic)) = operator {
+                    add(&op_label(family, mnemonic));
                 }
             }
         }

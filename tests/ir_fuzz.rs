@@ -1,9 +1,12 @@
 //! Structured IR fuzzing: the seeded generator drives the exact
 //! round-trip contract over hundreds of modules, proves per-module feature
-//! coverage, and runs the full differential matrix (every pipeline variant
-//! × worker counts) on a fixed seed range.
+//! coverage, runs the full differential matrix (every pipeline variant
+//! × worker counts) on a fixed seed range, and feeds the parser mutated
+//! text.
 
-use nzomp_integration::corpus::{all_variants, fuzz_one, WORKER_AXES};
+use nzomp_integration::corpus::{
+    all_variants, corpus_texts, fuzz_one, mutation_check, WORKER_AXES,
+};
 use nzomp_integration::gen::{all_labels, coverage_labels, generate};
 use nzomp_ir::parser::parse_module_strict;
 use nzomp_ir::printer::print_module;
@@ -60,4 +63,22 @@ fn differential_matrix_on_fixed_seeds() {
     }
     // Axes sanity: the contract above really did run both worker counts.
     assert_eq!(WORKER_AXES, [1, 8]);
+}
+
+/// Hostile text: seeded line/byte mutations of every corpus file and of
+/// generated modules' prints. The parser must return (never unwind), and
+/// anything it accepts must be a print∘parse fixed point. The `ir_fuzz`
+/// bench binary runs the same check open-endedly.
+#[test]
+fn mutated_text_never_panics_the_parser() {
+    let corpus = corpus_texts().unwrap();
+    assert!(corpus.len() >= 25);
+    let generated = (0..8u64).map(|s| (format!("seed {s}"), print_module(&generate(s).module)));
+    for (name, text) in corpus.into_iter().chain(generated) {
+        for seed in 0..16u64 {
+            if let Err(e) = mutation_check(&text, seed) {
+                panic!("{name}: {e}");
+            }
+        }
+    }
 }

@@ -25,7 +25,7 @@ pub mod report;
 
 pub use config::BuildConfig;
 pub use pipeline::{compile, module_fingerprint, CompileCache, CompileError, CompileOutput};
-pub use report::{ConfigRow, SanitizerRow};
+pub use report::ConfigRow;
 
 pub use nzomp_front as front;
 pub use nzomp_ir as ir;

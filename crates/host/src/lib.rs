@@ -41,7 +41,9 @@ use nzomp::{BuildConfig, CompileCache, CompileOutput};
 use nzomp_ir::Module;
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::memory::DevPtr;
-use nzomp_vgpu::{Device, DeviceConfig, ExecError, ExecTier, FaultPlan, KernelMetrics, RtVal};
+use nzomp_vgpu::{
+    Device, DeviceConfig, ExecError, ExecTier, FaultPlan, KernelMetrics, RtVal, RunConfig,
+};
 
 pub use error::{ErrorClass, HostError, MapError, StreamError};
 pub use map::{BufId, MapKind, MapSpec, PresentTable};
@@ -179,13 +181,11 @@ pub struct Host {
     drain_seed: u64,
     eager: bool,
     ops_executed: u64,
-    worker_threads: Option<usize>,
-    /// Execution tier pinned on every current and future device (`None` =
-    /// each device's own `NZOMP_EXEC_TIER` resolution). Pinning matters
-    /// for recovery: journal replay and failover re-execution happen on
-    /// replacement devices, which must run the same tier as the original
-    /// so replayed launches are bit-identical.
-    exec_tier: Option<ExecTier>,
+    /// How every current and future device runs. One value for the whole
+    /// fleet matters for recovery: journal replay and failover
+    /// re-execution happen on replacement devices, which are created from
+    /// it like the device they replace.
+    run: RunConfig,
     fault_plan: Option<FaultPlan>,
 
     /// `Some` enables the recovery layer (journaling, retries, failover);
@@ -199,8 +199,14 @@ pub struct Host {
 
 impl Host {
     /// A host over `n_devices` virtual GPUs (at least one) of identical
-    /// shape. Devices are created lazily when an image is bound.
+    /// shape, running as the environment asks ([`RunConfig::from_env`]).
+    /// Devices are created lazily when an image is bound.
     pub fn new(dev_cfg: DeviceConfig, n_devices: usize) -> Host {
+        Host::with_run(dev_cfg, n_devices, RunConfig::from_env())
+    }
+
+    /// [`Host::new`] under an explicit run configuration.
+    pub fn with_run(dev_cfg: DeviceConfig, n_devices: usize, run: RunConfig) -> Host {
         Host {
             dev_cfg,
             policy: SchedPolicy::default(),
@@ -215,8 +221,7 @@ impl Host {
             drain_seed: 0,
             eager: false,
             ops_executed: 0,
-            worker_threads: None,
-            exec_tier: None,
+            run,
             fault_plan: None,
             recovery: None,
             rmetrics: RecoveryMetrics::default(),
@@ -1063,9 +1068,9 @@ impl Host {
     }
 
     /// Pin the worker-thread count of every current and future device
-    /// (overrides `NZOMP_VGPU_THREADS` resolution in `Device::load`).
+    /// (overrides the `NZOMP_VGPU_THREADS` resolution of [`Host::new`]).
     pub fn set_worker_threads(&mut self, n: usize) {
-        self.worker_threads = Some(n);
+        self.run.workers = n.max(1);
         for s in &mut self.slots {
             if let Some(d) = s.dev.as_mut() {
                 d.set_worker_threads(n);
@@ -1074,12 +1079,12 @@ impl Host {
     }
 
     /// Pin the execution tier of every current and future device
-    /// (overrides `NZOMP_EXEC_TIER` resolution in `Device::load`). The
+    /// (overrides the `NZOMP_EXEC_TIER` resolution of [`Host::new`]). The
     /// pin survives failover: replacement devices — and therefore journal
     /// replays — run the same tier as the device they replace, keeping
     /// recovery bit-identical to the original execution.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
-        self.exec_tier = Some(tier);
+        self.run.tier = tier;
         for s in &mut self.slots {
             if let Some(d) = s.dev.as_mut() {
                 d.set_exec_tier(tier);
@@ -1167,17 +1172,11 @@ impl Host {
 
     // ---- internals ------------------------------------------------------
 
-    /// A fresh vGPU running `image` with every host-wide pin (worker
-    /// threads, execution tier, watchdog) applied and `plan` armed — the
-    /// one constructor behind both [`Host::bind_image`] and failover.
+    /// A fresh vGPU running `image` under the host's run configuration
+    /// and watchdog with `plan` armed — the one constructor behind both
+    /// [`Host::bind_image`] and failover.
     fn new_device(&self, image: &CompileOutput, plan: Option<FaultPlan>) -> Device {
-        let mut d = Device::load(image.module.clone(), self.dev_cfg.clone());
-        if let Some(w) = self.worker_threads {
-            d.set_worker_threads(w);
-        }
-        if let Some(t) = self.exec_tier {
-            d.set_exec_tier(t);
-        }
+        let mut d = Device::load_with(image.module.clone(), self.dev_cfg.clone(), self.run);
         if let Some(p) = plan {
             d.set_fault_plan(p);
         }

@@ -10,7 +10,9 @@ use common::{input, quick, scale_add_app, scale_add_expected};
 use nzomp::BuildConfig;
 use nzomp_host::{Host, HostError, RecoveryPolicy, RegionArg};
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{DeviceFaultKind, DeviceFaultSite, FaultPlan, RtVal, TrapKind};
+use nzomp_vgpu::{
+    DeviceFaultKind, DeviceFaultSite, ExecTier, FaultPlan, RtVal, RunConfig, Sanitize, TrapKind,
+};
 
 const N: usize = 64;
 
@@ -192,6 +194,42 @@ fn device_loss_fails_over_and_replays_bit_identically() {
         scale_add_expected(&input(N))
     );
     assert!(!h.quarantined(0), "the slot carries the replacement, not a tombstone");
+}
+
+/// A failover replacement is created from the host's one run configuration
+/// and watchdog, like the device it replaces: whatever was pinned — at
+/// construction or through a setter — it reports after the swap.
+#[test]
+fn failover_replacement_inherits_the_hosts_pins() {
+    let run = RunConfig { sanitize: Sanitize::Report, ..RunConfig::default() };
+    let mut h = Host::with_run(quick(), 1, run);
+    h.set_exec_tier(ExecTier::Bytecode);
+    h.set_worker_threads(3);
+    h.set_watchdog_fuel(Some(1 << 40));
+    h.set_recovery(Some(RecoveryPolicy::default()));
+    let pinned = RunConfig { workers: 3, tier: ExecTier::Bytecode, sanitize: Sanitize::Report };
+    let img = h
+        .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
+        .unwrap();
+    h.bind_image(0, img).unwrap();
+    assert_eq!(h.device(0).unwrap().run_config(), pinned, "the first device");
+    h.set_device_faults(0, device_plan(&[(1, DeviceFaultKind::Lost)]))
+        .unwrap();
+    let s = h.stream();
+    let region = h.enqueue_region(&[s], img, "k", launch(), region_args()).unwrap();
+    h.sync().unwrap();
+    assert_eq!(h.recovery_metrics().failovers, 1, "the campaign must force a failover");
+
+    let d = h.device(0).unwrap();
+    assert!(!d.is_lost(), "slot 0 holds the replacement");
+    assert_eq!(d.run_config(), pinned);
+    assert_eq!(d.exec_tier(), ExecTier::Bytecode);
+    assert_eq!(d.worker_threads(), 3);
+    assert_eq!(d.watchdog_fuel(), Some(1 << 40));
+    assert_eq!(
+        h.buf_f64(region.bufs[1].unwrap()).unwrap(),
+        scale_add_expected(&input(N))
+    );
 }
 
 /// When the last device dies with no failover budget, the outcome is the

@@ -39,7 +39,6 @@ pub mod trace;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use nzomp::report::{percentile, ServeRow};
 use nzomp::BuildConfig;
 use nzomp_host::{
     BufId, Host, HostError, HostStats, ImageId, KArg, MapKind, MapSpec, SchedPolicy, StreamId,
@@ -48,10 +47,11 @@ use nzomp_ir::Module;
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{DeviceConfig, ExecTier, RtVal};
 
-pub use metrics::ServeMetrics;
+pub use metrics::{ServeMetrics, ServeRow};
 pub use outcome::{Outcome, RejectReason, ServeError};
 pub use session::TenantConfig;
 
+use metrics::percentile;
 use session::{Queued, Session, SessionBuf};
 
 /// Handle of a registered tenant.
@@ -355,16 +355,19 @@ impl Serve {
         if in_flight >= limit {
             return Ok(self.reject(req, t, now, RejectReason::TenantBacklog { in_flight, limit }));
         }
-        // 3. Quota.
-        let needed: u64 = spec.args.iter().map(ReqArg::quota_bytes).sum();
-        if used.saturating_add(needed) > quota {
+        // 3. Quota. Sizes are tenant input: a footprint (or a total) that
+        // overflows `u64` fits no quota, not even an unlimited one.
+        let footprint = spec.args.iter().try_fold(0u64, |n, a| n.checked_add(a.quota_bytes()));
+        let fits = |n: &u64| used.checked_add(*n).is_some_and(|total| total <= quota);
+        let Some(needed) = footprint.filter(fits) else {
+            let needed = footprint.unwrap_or(u64::MAX);
             return Ok(self.reject(
                 req,
                 t,
                 now,
                 RejectReason::QuotaExceeded { needed, in_use: used, quota },
             ));
-        }
+        };
 
         self.metrics.admitted += 1;
         if let Some(s) = self.sessions.get_mut(t.0 as usize) {

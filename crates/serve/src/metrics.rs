@@ -34,3 +34,61 @@ impl ServeMetrics {
         self.rejected_saturated + self.rejected_backlog + self.rejected_quota
     }
 }
+
+/// One tenant's record of a serving run: per-outcome counts, latency
+/// percentiles in modeled cycles, and the peak device-memory footprint the
+/// tenant's quota saw. Plain data, filled by [`crate::Serve::tenant_rows`]
+/// and compared whole by the replay gate.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ServeRow {
+    pub tenant: String,
+    pub submitted: u64,
+    pub completed: u64,
+    pub faulted: u64,
+    pub rejected_quota: u64,
+    pub rejected_backlog: u64,
+    pub rejected_saturated: u64,
+    /// Median completed-request latency in modeled cycles.
+    pub p50_cycles: u64,
+    /// 99th-percentile completed-request latency in modeled cycles.
+    pub p99_cycles: u64,
+    /// Peak device bytes charged against the tenant's quota.
+    pub peak_bytes: u64,
+}
+
+impl ServeRow {
+    /// Total typed rejections (quota + backlog + saturation).
+    pub fn rejected(&self) -> u64 {
+        self.rejected_quota + self.rejected_backlog + self.rejected_saturated
+    }
+}
+
+/// Nearest-rank percentile of a **sorted ascending** latency series.
+/// `None` when the series is empty or `p` is outside `(0, 100]` — no NaN,
+/// no panic.
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
+    if sorted.is_empty() || !(p > 0.0 && p <= 100.0) {
+        return None;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.max(1) - 1).copied()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank_and_total_on_empty_or_bad_p() {
+        let s = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
+        assert_eq!(percentile(&s, 50.0), Some(50));
+        assert_eq!(percentile(&s, 99.0), Some(100));
+        assert_eq!(percentile(&s, 100.0), Some(100));
+        assert_eq!(percentile(&s, 1.0), Some(10));
+        assert_eq!(percentile(&[42], 50.0), Some(42));
+        assert_eq!(percentile(&[], 50.0), None);
+        assert_eq!(percentile(&s, 0.0), None);
+        assert_eq!(percentile(&s, 101.0), None);
+        assert_eq!(percentile(&s, f64::NAN), None);
+    }
+}

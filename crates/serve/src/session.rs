@@ -109,7 +109,7 @@ impl Session {
 
     /// Charge `bytes` against the quota, tracking the high-water mark.
     pub fn charge(&mut self, bytes: u64) {
-        self.used_bytes += bytes;
+        self.used_bytes = self.used_bytes.saturating_add(bytes);
         self.peak_bytes = self.peak_bytes.max(self.used_bytes);
     }
 

@@ -9,9 +9,7 @@
 //! across runs, worker counts ({1, 8}), and execution tiers — which the
 //! serve suites assert.
 
-use nzomp::report::ServeRow;
-
-use crate::metrics::ServeMetrics;
+use crate::metrics::{ServeMetrics, ServeRow};
 use crate::outcome::{Outcome, ServeError};
 use crate::session::TenantConfig;
 use crate::{ReqId, RequestSpec, SBuf, Serve, ServeConfig, TenantId};

@@ -381,6 +381,63 @@ fn session_maps_are_quota_charged() {
     }
 }
 
+/// Hostile sizes: a request whose buffer sizes overflow `u64` — summed
+/// with each other, or with what the tenant already holds — is a typed
+/// quota rejection, never a panic, a wrapped sum that slips under the
+/// quota, or a device allocation. The offender is charged nothing and
+/// nobody else notices.
+#[test]
+fn overflowing_request_footprint_is_a_typed_quota_rejection() {
+    let need = 8 * N as u64 * 2; // In + Out of one scale request
+    let mut serve = Serve::new(cfg(2));
+    let good = serve.add_tenant("good", TenantConfig::default());
+    let hostile = serve.add_tenant("hostile", TenantConfig::new(2 * need, 16));
+    let unlimited = serve.add_tenant("unlimited", TenantConfig::default());
+    let app = scale_app();
+    let inp = Rc::new(nzomp_host::f64_bytes(&input(N)));
+    let bomb = |sizes: &[u64]| RequestSpec {
+        args: sizes.iter().map(|n| ReqArg::Out(*n)).chain([ReqArg::Scalar(RtVal::I(0))]).collect(),
+        ..scale_req(&app, inp.clone())
+    };
+    let quota_rejection = |serve: &Serve, r| match serve.outcome(r) {
+        Some(Outcome::Rejected { reason: RejectReason::QuotaExceeded { needed, in_use, quota }, .. }) => {
+            (*needed, *in_use, *quota)
+        }
+        o => panic!("expected a quota rejection, got {o:?}"),
+    };
+
+    let rg = serve.submit(good, scale_req(&app, inp.clone())).unwrap();
+    // The two sizes wrap to 0, which would fit any quota.
+    let rh = serve.submit(hostile, bomb(&[1 << 63, 1 << 63])).unwrap();
+    assert_eq!(quota_rejection(&serve, rh), (u64::MAX, 0, 2 * need));
+    // No quota is large enough for a footprint that does not fit in `u64`...
+    let ru = serve.submit(unlimited, bomb(&[1 << 63, 1 << 63])).unwrap();
+    assert_eq!(quota_rejection(&serve, ru), (u64::MAX, 0, u64::MAX));
+    // ...or for one that only overflows on top of what is in flight.
+    let ru_ok = serve.submit(unlimited, scale_req(&app, inp.clone())).unwrap();
+    let ru2 = serve.submit(unlimited, bomb(&[u64::MAX - 100])).unwrap();
+    assert_eq!(quota_rejection(&serve, ru2), (u64::MAX - 100, need, u64::MAX));
+
+    // The offender was charged nothing: its whole quota is still there.
+    let rh1 = serve.submit(hostile, scale_req(&app, inp.clone())).unwrap();
+    let rh2 = serve.submit(hostile, scale_req(&app, inp.clone())).unwrap();
+    serve.drain();
+    for r in [rg, ru_ok, rh1, rh2] {
+        match serve.outcome(r) {
+            Some(Outcome::Completed { outputs, .. }) => {
+                assert_eq!(nzomp_host::bytes_to_f64(&outputs[0].1), expected(&input(N)));
+            }
+            o => panic!("expected completion, got {o:?}"),
+        }
+    }
+    let rows = serve.tenant_rows();
+    assert_eq!((rows[1].rejected_quota, rows[1].completed, rows[1].peak_bytes), (1, 2, 2 * need));
+    assert_eq!((rows[2].rejected_quota, rows[2].completed, rows[2].peak_bytes), (2, 1, need));
+    assert_eq!((rows[0].rejected(), rows[0].completed), (0, 1));
+    let m = serve.metrics();
+    assert_eq!((m.submitted, m.admitted, m.completed, m.rejected_quota), (7, 4, 4, 3));
+}
+
 /// The tentpole determinism gate: one mixed trace — 8 tenants, 4
 /// devices, clean, faulting, and quota-rejected requests, session state —
 /// replays bit-identically across runs, worker counts {1, 8}, and both

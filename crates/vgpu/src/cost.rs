@@ -104,17 +104,6 @@ pub struct DeviceConfig {
     /// kernel-time reductions ("most performance benefits can be traced to
     /// reducing and/or eliminating the shared memory and register usage").
     pub latency_penalty: f64,
-    /// Host worker threads used to execute teams of a wave concurrently.
-    /// `0` defers to `NZOMP_VGPU_THREADS` (default 1); `1` runs the exact
-    /// sequential interpreter code path. Results are bit-identical at any
-    /// setting — see `docs/parallel-vgpu.md`.
-    pub worker_threads: u32,
-    /// Arm the data-race & barrier-divergence sanitizer. `false` (the
-    /// default) additionally consults `NZOMP_SANITIZE` (`1`/`true` = on,
-    /// `strict` = on + turn findings into a trap). Sanitizing never
-    /// changes results, traps, cycles, or the pre-existing metrics — see
-    /// `docs/sanitizer.md`.
-    pub sanitize: bool,
 }
 
 impl Default for DeviceConfig {
@@ -130,8 +119,6 @@ impl Default for DeviceConfig {
             max_steps: 2_000_000_000,
             check_assumes: true,
             latency_penalty: 8.0,
-            worker_threads: 0,
-            sanitize: false,
         }
     }
 }

@@ -1,22 +1,23 @@
 //! The device: module loading, host-side memory management, kernel launch.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use nzomp_ir::analysis::callgraph::CallGraph;
 use nzomp_ir::analysis::liveness;
+use nzomp_ir::module::FuncRef;
 use nzomp_ir::{Module, Space};
 
 use crate::bytecode::{lower_module, BcModule};
 use crate::cost::{CostModel, DeviceConfig};
 use crate::error::{ExecError, TrapKind};
-use crate::exec::{ExecTier, TeamEngine};
+use crate::exec::{Counters, ExecTier, GlobalLayout, HeapState, LaunchCtx, TeamEngine, TeamOutcome};
 use crate::faults::{DeviceFaultKind, FaultPlan};
 use crate::gmem::{apply_effects, GlobalMem};
-use crate::exec::{Counters, GlobalLayout, HeapState};
 use crate::memory::{DevPtr, Region};
-use crate::memory::Segment;
 use crate::metrics::KernelMetrics;
-use crate::par::{run_wave, WaveCtx};
-use crate::sanitize::{self, LaunchSan, SanReport, TeamSan, COND_WRITE_SINK};
+use crate::par::run_wave;
+use crate::run::{RunConfig, Sanitize};
+use crate::sanitize::{LaunchSan, ModuleSan, SanReport};
 use crate::value::RtVal;
 
 /// Host-side memcpy errors carry a synthetic function name so the one
@@ -28,51 +29,6 @@ fn host_oob(op: &str) -> ExecError {
         team: 0,
         thread: 0,
         func: format!("<host {op}>"),
-    }
-}
-
-/// Resolve the worker-thread count: an explicit config value wins;
-/// otherwise `NZOMP_VGPU_THREADS` (>= 1) is consulted; default 1
-/// (pure sequential execution).
-fn resolve_workers(config_value: u32) -> usize {
-    if config_value > 0 {
-        return config_value as usize;
-    }
-    std::env::var("NZOMP_VGPU_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Resolve the execution tier from `NZOMP_EXEC_TIER` (`interp` or
-/// `bytecode`); default is the reference interpreter. An explicit
-/// [`Device::set_exec_tier`] call overrides the load-time resolution,
-/// mirroring [`resolve_workers`].
-fn resolve_exec_tier() -> ExecTier {
-    match std::env::var("NZOMP_EXEC_TIER")
-        .ok()
-        .as_deref()
-        .map(str::trim)
-    {
-        Some(v) if v.eq_ignore_ascii_case("bytecode") => ExecTier::Bytecode,
-        _ => ExecTier::Interp,
-    }
-}
-
-/// Resolve `(sanitize, strict)`: an explicit config opt-in wins;
-/// otherwise `NZOMP_SANITIZE` is consulted (`1`/`true`/`on` = report-only,
-/// `strict` = report + trap); default off. Mirrors [`resolve_workers`].
-fn resolve_sanitize(config_value: bool) -> (bool, bool) {
-    if config_value {
-        return (true, false);
-    }
-    match std::env::var("NZOMP_SANITIZE").ok().as_deref().map(str::trim) {
-        Some("strict") => (true, true),
-        Some(v) if v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on") => {
-            (true, false)
-        }
-        _ => (false, false),
     }
 }
 
@@ -96,14 +52,55 @@ impl Launch {
     }
 }
 
+/// Everything that is a pure function of the loaded module: built once
+/// by [`Device::load`], borrowed by every launch, never invalidated.
+pub(crate) struct Image {
+    pub module: Module,
+    pub layout: GlobalLayout,
+    /// What the sanitizer skips and hooks in this module, worked out at
+    /// the first sanitized launch.
+    san: OnceLock<Arc<ModuleSan>>,
+    /// The bytecode image, lowered at the first bytecode-tier launch.
+    bc: OnceLock<BcModule>,
+    /// Register demand per function index, computed at the first launch
+    /// of that function as a kernel.
+    regs: Vec<OnceLock<u32>>,
+}
+
+impl Image {
+    fn sanitizer(&self) -> &Arc<ModuleSan> {
+        self.san
+            .get_or_init(|| Arc::new(ModuleSan::new(&self.module, &self.layout.addr_of)))
+    }
+
+    fn bytecode(&self) -> &BcModule {
+        self.bc.get_or_init(|| lower_module(&self.module, &self.layout))
+    }
+
+    /// Registers are allocated for the whole call tree on a GPU (no real
+    /// call stack): the maximum over every function reachable from the
+    /// kernel.
+    fn regs_per_thread(&self, kernel: FuncRef) -> u32 {
+        *self.regs[kernel.index()].get_or_init(|| {
+            CallGraph::build(&self.module)
+                .reachable_from(&self.module, &[kernel])
+                .into_iter()
+                .map(|fr| self.module.func(fr))
+                .filter(|f| !f.is_declaration())
+                .map(liveness::register_estimate)
+                .max()
+                .unwrap_or_else(|| liveness::register_estimate(self.module.func(kernel)))
+        })
+    }
+}
+
 /// A loaded module plus device memory. Global memory persists across
 /// launches (like a real device), so hosts can upload inputs once and run
 /// several kernels.
 pub struct Device {
     pub config: DeviceConfig,
     pub cost: CostModel,
-    module: Module,
-    layout: GlobalLayout,
+    image: Image,
     global: Region,
     constant: Region,
     heap: HeapState,
@@ -111,24 +108,9 @@ pub struct Device {
     /// (`None` in production: the interpreter hot loop then performs a
     /// single always-false compare per instruction).
     faults: Option<FaultPlan>,
-    /// Host worker threads for parallel team execution (`1` = the exact
-    /// sequential code path). Resolved at load from
-    /// `DeviceConfig::worker_threads` / `NZOMP_VGPU_THREADS`.
-    workers: usize,
-    /// Data-race & barrier-divergence sanitizer armed for launches.
-    /// Resolved at load from `DeviceConfig::sanitize` / `NZOMP_SANITIZE`.
-    sanitize: bool,
-    /// Promote sanitizer findings of an otherwise clean launch to a
-    /// [`TrapKind::SanitizerViolation`] (`NZOMP_SANITIZE=strict`).
-    san_strict: bool,
-    /// Shared-space ranges the sanitizer must not check: the cond-write
-    /// sink (`__omp_rtl_dummy`), whose concurrent plain stores are the
-    /// deliberate Fig. 7b idiom. Computed once at load.
-    suppress_shared: Vec<(u64, u64)>,
-    /// Function indices of the allocator release entry points
-    /// ([`sanitize::REGION_RELEASE_FNS`]) — the sanitizer retires the
-    /// shadow of released ranges. Computed once at load.
-    release_fns: Vec<u32>,
+    /// Worker threads, execution tier and sanitizer mode of subsequent
+    /// launches. No setting changes any observable launch outcome.
+    run: RunConfig,
     /// Sanitizer outcome of the most recent launch (kept even when the
     /// launch trapped).
     last_san: Option<LaunchSan>,
@@ -144,25 +126,23 @@ pub struct Device {
     /// Host-imposed launch watchdog: caps the fuel budget of every launch
     /// at `min(watchdog, plan-or-config budget)`. `None` in production.
     watchdog_fuel: Option<u64>,
-    /// Execution tier for subsequent launches. Resolved at load from
-    /// `NZOMP_EXEC_TIER`; [`Device::set_exec_tier`] overrides. Both tiers
-    /// are bit-identical in every observable (memory image, metrics,
-    /// traps, sanitizer verdicts) — see `docs/exec-tiers.md`.
-    tier: ExecTier,
-    /// Lazily lowered bytecode image. A pure function of the loaded
-    /// module and the fixed global layout, so it is computed at most once
-    /// per device and never invalidated.
-    bc: Option<Arc<BcModule>>,
 }
 
 impl Device {
-    /// Load `module` onto a device with the given configuration.
+    /// Load `module` onto a device with the given configuration, running
+    /// as the environment asks ([`RunConfig::from_env`]).
     ///
     /// Global- and constant-space globals get their initializer images;
     /// shared-space globals are *not* statically initialized (real shared
     /// memory is undefined at kernel start — the runtime initializes what
     /// it needs in `__kmpc_target_init`, exactly as in the paper §III).
     pub fn load(module: Module, config: DeviceConfig) -> Device {
+        Device::load_with(module, config, RunConfig::from_env())
+    }
+
+    /// [`Device::load`] under an explicit run configuration — how a host
+    /// runtime hands its own to every device it creates.
+    pub fn load_with(module: Module, config: DeviceConfig, run: RunConfig) -> Device {
         let mut layout = GlobalLayout {
             addr_of: Vec::with_capacity(module.globals.len()),
             ..GlobalLayout::default()
@@ -219,68 +199,44 @@ impl Device {
             live_allocs: Default::default(),
             limit: global_top + config.heap_bytes,
         };
-        let workers = resolve_workers(config.worker_threads);
-        let (sanitize, san_strict) = resolve_sanitize(config.sanitize);
-        let suppress_shared: Vec<(u64, u64)> = module
-            .globals
-            .iter()
-            .zip(&layout.addr_of)
-            .filter(|(_, addr)| addr.segment() == Segment::Shared)
-            .filter_map(|(g, addr)| match g.name.as_str() {
-                // The cond-write sink (Fig. 7b): every byte is benign.
-                COND_WRITE_SINK => Some((addr.offset(), g.size)),
-                // Team state: only the idempotent `HasThreadState` flag.
-                sanitize::TEAM_STATE => {
-                    let (field_off, len) = sanitize::TEAM_STATE_BENIGN_FIELD;
-                    Some((addr.offset() + field_off, len))
-                }
-                _ => None,
-            })
-            .collect();
-        let release_fns = crate::sanitize::release_fn_ids(&module);
+        let image = Image {
+            regs: module.funcs.iter().map(|_| OnceLock::new()).collect(),
+            module,
+            layout,
+            san: OnceLock::new(),
+            bc: OnceLock::new(),
+        };
         Device {
             config,
             cost: CostModel::default(),
-            module,
-            layout,
+            image,
             global,
             constant,
             heap,
             faults: None,
-            workers,
-            sanitize,
-            san_strict,
-            suppress_shared,
-            release_fns,
+            run,
             last_san: None,
             dev_ops: 0,
             dev_sites_fired: Vec::new(),
             lost: false,
             watchdog_fuel: None,
-            tier: resolve_exec_tier(),
-            bc: None,
         }
+    }
+
+    /// How subsequent launches execute.
+    pub fn run_config(&self) -> RunConfig {
+        self.run
     }
 
     /// Select the execution tier for subsequent launches (overrides the
-    /// load-time `NZOMP_EXEC_TIER` resolution). Switching tiers never
-    /// changes any observable launch outcome.
+    /// load-time resolution). Switching tiers never changes any
+    /// observable launch outcome — see `docs/exec-tiers.md`.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
-        self.tier = tier;
+        self.run.tier = tier;
     }
 
     pub fn exec_tier(&self) -> ExecTier {
-        self.tier
-    }
-
-    /// The bytecode image for the loaded module, lowering it on first use.
-    fn ensure_bytecode(&mut self) -> Arc<BcModule> {
-        if let Some(bc) = &self.bc {
-            return Arc::clone(bc);
-        }
-        let bc = Arc::new(lower_module(&self.module, &self.layout));
-        self.bc = Some(Arc::clone(&bc));
-        bc
+        self.run.tier
     }
 
     /// Set the number of host worker threads used to execute the teams of
@@ -288,30 +244,32 @@ impl Device {
     /// path; any `n` produces bit-identical results (memory, metrics,
     /// traps) — see `docs/parallel-vgpu.md` for the contract.
     pub fn set_worker_threads(&mut self, n: usize) {
-        self.workers = n.max(1);
+        self.run.workers = n.max(1);
     }
 
     pub fn worker_threads(&self) -> usize {
-        self.workers
+        self.run.workers
     }
 
     /// Arm or disarm the sanitizer for subsequent launches (overrides the
-    /// load-time `DeviceConfig::sanitize` / `NZOMP_SANITIZE` resolution).
+    /// load-time resolution). Arming keeps strict mode if it was set.
     pub fn set_sanitize(&mut self, on: bool) {
-        self.sanitize = on;
-        if !on {
-            self.san_strict = false;
-        }
+        self.run.sanitize = match (on, self.run.sanitize) {
+            (false, _) => Sanitize::Off,
+            (true, Sanitize::Off) => Sanitize::Report,
+            (true, armed) => armed,
+        };
     }
 
     /// Strict mode: an otherwise clean launch with sanitizer findings
     /// returns a [`TrapKind::SanitizerViolation`] error (implies
     /// sanitizing when enabled).
     pub fn set_sanitize_strict(&mut self, on: bool) {
-        self.san_strict = on;
-        if on {
-            self.sanitize = true;
-        }
+        self.run.sanitize = match (on, self.run.sanitize) {
+            (true, _) => Sanitize::Strict,
+            (false, Sanitize::Strict) => Sanitize::Report,
+            (false, mode) => mode,
+        };
     }
 
     /// Sanitizer findings of the most recent launch, in deterministic
@@ -340,7 +298,7 @@ impl Device {
     }
 
     pub fn module(&self) -> &Module {
-        &self.module
+        &self.image.module
     }
 
     /// Arm a fault-injection plan; every subsequent launch executes under
@@ -584,9 +542,10 @@ impl Device {
 
     /// Address of a named global (host access to device state).
     pub fn global_addr(&self, name: &str) -> Option<DevPtr> {
-        self.module
+        self.image
+            .module
             .find_global(name)
-            .map(|g| self.layout.addr_of[g.index()])
+            .map(|g| self.image.layout.addr_of[g.index()])
     }
 
     /// Launch a kernel by name. Returns metrics on success; `ExecError` on
@@ -605,13 +564,13 @@ impl Device {
                 func: kernel.to_string(),
             });
         }
-        let func_ref = self.module.find_func(kernel).ok_or_else(|| ExecError {
+        let func_ref = self.image.module.find_func(kernel).ok_or_else(|| ExecError {
             kind: TrapKind::BadLaunch(format!("no kernel @{kernel}")),
             team: 0,
             thread: 0,
             func: kernel.to_string(),
         })?;
-        let func = self.module.func(func_ref);
+        let func = self.image.module.func(func_ref);
         if func.params.len() != args.len() {
             return Err(ExecError {
                 kind: TrapKind::BadLaunch(format!(
@@ -624,19 +583,8 @@ impl Device {
                 func: kernel.to_string(),
             });
         }
-        // Registers are allocated for the whole call tree on a GPU (no real
-        // call stack): take the maximum over every function reachable from
-        // the kernel.
-        let cg = nzomp_ir::analysis::callgraph::CallGraph::build(&self.module);
-        let regs = cg
-            .reachable_from(&self.module, &[func_ref])
-            .into_iter()
-            .map(|fr| self.module.func(fr))
-            .filter(|f| !f.is_declaration())
-            .map(liveness::register_estimate)
-            .max()
-            .unwrap_or_else(|| liveness::register_estimate(func));
-        let smem = self.layout.shared_size;
+        let regs = self.image.regs_per_thread(func_ref);
+        let smem = self.image.layout.shared_size;
         let shared_total = smem + launch.dyn_smem_bytes;
 
         // Occupancy is computed up front: the wave chunking drives *both*
@@ -659,36 +607,28 @@ impl Device {
         // Sanitizer launch state: folded team by team in ascending order
         // (both execution paths), stored on the device even when the
         // launch traps — reports must survive the error return.
-        let mut lsan: Option<LaunchSan> = self.sanitize.then(LaunchSan::default);
-        // Tier selection: the bytecode image (lowered once per device) is
-        // threaded to every team engine of this launch; `None` selects the
-        // reference interpreter.
-        let bc_arc = match self.tier {
-            ExecTier::Bytecode => Some(self.ensure_bytecode()),
-            ExecTier::Interp => None,
+        let mut lsan = (self.run.sanitize != Sanitize::Off).then(LaunchSan::default);
+        let ctx = LaunchCtx {
+            image: &self.image,
+            bc: match self.run.tier {
+                ExecTier::Bytecode => Some(self.image.bytecode()),
+                ExecTier::Interp => None,
+            },
+            cost: &self.cost,
+            constant: &self.constant,
+            faults: self.faults.as_ref(),
+            check_assumes: self.config.check_assumes,
+            kernel: func_ref.0,
+            args,
+            launch,
+            shared_total,
+            san: lsan.is_some().then(|| self.image.sanitizer()),
         };
-        let bc = bc_arc.as_deref();
-        let outcome = if self.workers <= 1 || launch.teams <= 1 {
-            self.run_teams_sequential(
-                bc,
-                func_ref.0,
-                launch,
-                shared_total,
-                args,
-                &mut fuel,
-                &mut lsan,
-            )
+        let outcome = if self.run.workers <= 1 || launch.teams <= 1 {
+            run_teams_sequential(&ctx, &mut self.global, &mut self.heap, &mut fuel, &mut lsan)
         } else {
-            self.run_teams_parallel(
-                bc,
-                func_ref.0,
-                launch,
-                shared_total,
-                wave_size,
-                args,
-                &mut fuel,
-                &mut lsan,
-            )
+            let workers = self.run.workers;
+            run_teams_parallel(&ctx, &mut self.global, &mut self.heap, wave_size, workers, &mut fuel, &mut lsan)
         };
         self.heap.limit = saved_heap_limit;
         let (races, divergences) = lsan.as_ref().map(|l| (l.races, l.divergences)).unwrap_or((0, 0));
@@ -704,7 +644,7 @@ impl Device {
                 })
             }
         };
-        if self.san_strict && (races > 0 || divergences > 0) {
+        if self.run.sanitize == Sanitize::Strict && (races > 0 || divergences > 0) {
             let (team, thread) = self
                 .last_san
                 .as_ref()
@@ -765,83 +705,121 @@ impl Device {
             team_cycles,
         })
     }
+}
 
-    /// Run one team write-through against the master region with `fuel`
-    /// steps left — the sequential path's unit of work, and the parallel
-    /// path's re-run of a team whose buffered execution could not merge.
-    /// Returns `(result, counters, fuel left, sanitizer state)`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_team_direct(
-        &mut self,
-        bc: Option<&BcModule>,
-        kernel_idx: u32,
-        launch: Launch,
-        shared_total: u64,
-        team: u32,
-        args: &[RtVal],
-        fuel: u64,
-        sanitize: bool,
-    ) -> (TeamResult, Counters, u64, Option<Box<TeamSan>>) {
-        let mut exec = TeamEngine::new(
-            bc,
-            &self.module,
-            &self.cost,
-            self.config.check_assumes,
-            team,
-            launch.teams,
-            launch.threads_per_team,
-            shared_total,
-            &self.layout,
-            GlobalMem::Direct {
-                region: &mut self.global,
-                heap: &mut self.heap,
-            },
-            &self.constant,
-            fuel,
-            self.faults.as_ref(),
-        );
-        if sanitize {
-            exec.set_sanitizer(Some(Box::new(TeamSan::new(
-                team,
-                self.suppress_shared.clone(),
-                self.release_fns.clone(),
-            ))));
+/// Run one team write-through against the master region with `fuel`
+/// steps left — the sequential path's unit of work, and the parallel
+/// path's re-run of a team whose buffered execution could not merge.
+fn run_team_direct<'a>(
+    ctx: &LaunchCtx<'a>,
+    global: &'a mut Region,
+    heap: &'a mut HeapState,
+    team: u32,
+    fuel: u64,
+) -> TeamOutcome<'a> {
+    TeamEngine::new(ctx, team, GlobalMem::Direct { region: global, heap }, fuel).run(ctx)
+}
+
+/// The sequential interpreter path: teams run one after another,
+/// write-through to the master region, with the shared fuel budget
+/// threaded team to team. One worker thread takes exactly this path — it
+/// is the semantic reference the parallel engine must match.
+fn run_teams_sequential(
+    ctx: &LaunchCtx<'_>,
+    global: &mut Region,
+    heap: &mut HeapState,
+    fuel: &mut u64,
+    lsan: &mut Option<LaunchSan>,
+) -> TeamsOutcome {
+    let teams = ctx.launch.teams;
+    let mut team_cycles = Vec::with_capacity(teams as usize);
+    let mut team_mem_cycles = Vec::with_capacity(teams as usize);
+    let mut totals = Counters::default();
+    for team in 0..teams {
+        let run = run_team_direct(ctx, global, heap, team, *fuel);
+        // Fold before the trap check: a trapping team's findings up
+        // to the trap are still reported (sequential first-trap
+        // semantics — later teams never run, so never fold).
+        if let (Some(ls), Some(s)) = (lsan.as_mut(), run.san) {
+            ls.fold_team(&ctx.image.module, *s);
         }
-        let result = exec.run(kernel_idx, args);
-        let san = exec.take_sanitizer();
-        let (counters, fuel_left, _) = exec.into_outcome();
-        (result, counters, fuel_left, san)
+        totals.add(&run.counters);
+        *fuel = run.fuel_left;
+        match run.result {
+            Ok((cycles, mem)) => {
+                team_cycles.push(cycles);
+                team_mem_cycles.push(mem);
+            }
+            Err((kind, thread)) => return Err((kind, team, thread)),
+        }
     }
+    Ok((team_cycles, team_mem_cycles, totals))
+}
 
-    /// The sequential interpreter path: teams run one after another,
-    /// write-through to the master region, with the shared fuel budget
-    /// threaded team to team. `worker_threads == 1` takes exactly this
-    /// path — it is the semantic reference the parallel engine must match.
-    #[allow(clippy::too_many_arguments)]
-    fn run_teams_sequential(
-        &mut self,
-        bc: Option<&BcModule>,
-        kernel_idx: u32,
-        launch: Launch,
-        shared_total: u64,
-        args: &[RtVal],
-        fuel: &mut u64,
-        lsan: &mut Option<LaunchSan>,
-    ) -> TeamsOutcome {
-        let mut team_cycles = Vec::with_capacity(launch.teams as usize);
-        let mut team_mem_cycles = Vec::with_capacity(launch.teams as usize);
-        let mut totals = Counters::default();
-        for team in 0..launch.teams {
-            let (result, counters, fuel_left, san) =
-                self.run_team_direct(bc, kernel_idx, launch, shared_total, team, args, *fuel, lsan.is_some());
-            // Fold before the trap check: a trapping team's findings up
-            // to the trap are still reported (sequential first-trap
-            // semantics — later teams never run, so never fold).
+/// The parallel path: teams of each occupancy wave (`wave_size` teams) run
+/// concurrently on `workers` threads against snapshots of global memory,
+/// then their effect logs are replayed onto the master region in ascending
+/// team order ("wave-ordered merge"). The merge also reconciles the shared
+/// fuel budget and re-runs (in direct mode, with the exact remaining
+/// budget) any team that overdrew it or bailed out on an unbufferable
+/// operation — so memory, counters, and traps are bit-identical to
+/// [`run_teams_sequential`]. See `docs/parallel-vgpu.md`.
+fn run_teams_parallel(
+    ctx: &LaunchCtx<'_>,
+    global: &mut Region,
+    heap: &mut HeapState,
+    wave_size: usize,
+    workers: usize,
+    fuel: &mut u64,
+    lsan: &mut Option<LaunchSan>,
+) -> TeamsOutcome {
+    let teams = ctx.launch.teams;
+    let mut team_cycles = Vec::with_capacity(teams as usize);
+    let mut team_mem_cycles = Vec::with_capacity(teams as usize);
+    let mut totals = Counters::default();
+    let teams: Vec<u32> = (0..teams).collect();
+    for wave in teams.chunks(wave_size.max(1)) {
+        let runs = run_wave(ctx, global, wave, *fuel, workers);
+        for (run, &team) in runs.into_iter().zip(wave) {
+            // A team merges its buffered outcome only if, at its
+            // (sequential) turn, it (a) fits the remaining fuel budget
+            // — otherwise sequential execution would have trapped
+            // FuelExhausted partway through; (b) did not touch the
+            // device heap (unbufferable); and (c) every validated
+            // observation — plain global loads, CAS old values, and
+            // live-result atomic RMWs — matched what the master
+            // actually held, so its execution was uncontaminated.
+            // Any failing team is re-executed in direct mode with the
+            // exact remaining budget, which reproduces the sequential
+            // outcome including partial effects.
+            let merged = if run.steps > *fuel || run.bailed() {
+                false
+            } else {
+                match apply_effects(global, &run.effects) {
+                    Ok(committed) => committed,
+                    Err(kind) => return Err((kind, team, 0)),
+                }
+            };
+            // Wave-ordered merge: a trapping team still publishes the
+            // effects it performed before the trap (direct mode wrote
+            // them through), and later teams never merge — exactly the
+            // sequential first-trap-wins behavior.
+            let (result, counters, steps, san) = if merged {
+                // A merged team's buffered access trace is identical
+                // to the sequential one (every observation validated),
+                // so its sanitizer verdict carries over unchanged.
+                (run.result, run.counters, run.steps, run.san)
+            } else {
+                let rerun = run_team_direct(ctx, global, heap, team, *fuel);
+                (rerun.result, rerun.counters, *fuel - rerun.fuel_left, rerun.san)
+            };
+            // Ascending-team fold at the merge position — the same
+            // order and state as the sequential path.
             if let (Some(ls), Some(s)) = (lsan.as_mut(), san) {
-                ls.fold_team(&self.module, *s);
+                ls.fold_team(&ctx.image.module, *s);
             }
             totals.add(&counters);
-            *fuel = fuel_left;
+            *fuel -= steps;
             match result {
                 Ok((cycles, mem)) => {
                     team_cycles.push(cycles);
@@ -850,116 +828,9 @@ impl Device {
                 Err((kind, thread)) => return Err((kind, team, thread)),
             }
         }
-        Ok((team_cycles, team_mem_cycles, totals))
     }
-
-    /// The parallel path: teams of each occupancy wave run concurrently on
-    /// the worker pool against snapshots of global memory, then their
-    /// effect logs are replayed onto the master region in ascending team
-    /// order ("wave-ordered merge"). The merge also reconciles the shared
-    /// fuel budget and re-runs (in direct mode, with the exact remaining
-    /// budget) any team that overdrew it or bailed out on an unbufferable
-    /// operation — so memory, counters, and traps are bit-identical to
-    /// [`Device::run_teams_sequential`]. See `docs/parallel-vgpu.md`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_teams_parallel(
-        &mut self,
-        bc: Option<&BcModule>,
-        kernel_idx: u32,
-        launch: Launch,
-        shared_total: u64,
-        wave_size: usize,
-        args: &[RtVal],
-        fuel: &mut u64,
-        lsan: &mut Option<LaunchSan>,
-    ) -> TeamsOutcome {
-        let mut team_cycles = Vec::with_capacity(launch.teams as usize);
-        let mut team_mem_cycles = Vec::with_capacity(launch.teams as usize);
-        let mut totals = Counters::default();
-        let teams: Vec<u32> = (0..launch.teams).collect();
-        for wave in teams.chunks(wave_size.max(1)) {
-            let ctx = WaveCtx {
-                module: &self.module,
-                bc,
-                cost: &self.cost,
-                layout: &self.layout,
-                constant: &self.constant,
-                plan: self.faults.as_ref(),
-                check_assumes: self.config.check_assumes,
-                kernel: kernel_idx,
-                args,
-                num_teams: launch.teams,
-                threads_per_team: launch.threads_per_team,
-                shared_total,
-                sanitize: lsan.is_some(),
-                suppress_shared: &self.suppress_shared,
-                release_fns: &self.release_fns,
-            };
-            let runs = run_wave(&ctx, &self.global, wave, *fuel, self.workers);
-            for (run, &team) in runs.into_iter().zip(wave) {
-                // A team merges its buffered outcome only if, at its
-                // (sequential) turn, it (a) fits the remaining fuel budget
-                // — otherwise sequential execution would have trapped
-                // FuelExhausted partway through; (b) did not touch the
-                // device heap (unbufferable); and (c) every validated
-                // observation — plain global loads, CAS old values, and
-                // live-result atomic RMWs — matched what the master
-                // actually held, so its execution was uncontaminated.
-                // Any failing team is re-executed in direct mode with the
-                // exact remaining budget, which reproduces the sequential
-                // outcome including partial effects.
-                let merged = if run.steps > *fuel || run.bailed() {
-                    false
-                } else {
-                    match apply_effects(&mut self.global, &run.effects) {
-                        Ok(committed) => committed,
-                        Err(kind) => return Err((kind, team, 0)),
-                    }
-                };
-                // Wave-ordered merge: a trapping team still publishes the
-                // effects it performed before the trap (direct mode wrote
-                // them through), and later teams never merge — exactly the
-                // sequential first-trap-wins behavior.
-                let (result, counters, steps, san) = if merged {
-                    // A merged team's buffered access trace is identical
-                    // to the sequential one (every observation validated),
-                    // so its sanitizer verdict carries over unchanged.
-                    (run.result, run.counters, run.steps, run.san)
-                } else {
-                    let (result, counters, fuel_left, san) = self.run_team_direct(
-                        bc,
-                        kernel_idx,
-                        launch,
-                        shared_total,
-                        team,
-                        args,
-                        *fuel,
-                        lsan.is_some(),
-                    );
-                    (result, counters, *fuel - fuel_left, san)
-                };
-                // Ascending-team fold at the merge position — the same
-                // order and state as the sequential path.
-                if let (Some(ls), Some(s)) = (lsan.as_mut(), san) {
-                    ls.fold_team(&self.module, *s);
-                }
-                totals.add(&counters);
-                *fuel -= steps;
-                match result {
-                    Ok((cycles, mem)) => {
-                        team_cycles.push(cycles);
-                        team_mem_cycles.push(mem);
-                    }
-                    Err((kind, thread)) => return Err((kind, team, thread)),
-                }
-            }
-        }
-        Ok((team_cycles, team_mem_cycles, totals))
-    }
+    Ok((team_cycles, team_mem_cycles, totals))
 }
-
-/// One team's `(cycles, mem cycles)`, or its trap `(kind, thread)`.
-type TeamResult = Result<(u64, u64), (TrapKind, u32)>;
 
 /// `(per-team cycles, per-team mem cycles, summed counters)` on success;
 /// `(trap, team, thread)` on the first (lowest-team-index) trap.

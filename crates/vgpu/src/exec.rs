@@ -21,17 +21,19 @@
 //! suites treat the tier as an invisible knob.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use nzomp_ir::{Function, Module, Operand};
 
 use crate::bytecode::{BcBackend, BcModule};
 use crate::cost::CostModel;
+use crate::device::{Image, Launch};
 use crate::error::TrapKind;
 use crate::faults::{FaultAction, FaultPlan, FaultSite};
 use crate::gmem::{rtval_from_bits, GlobalMem};
 use crate::interp::InterpBackend;
 use crate::memory::{DevPtr, Region, Segment};
-use crate::sanitize::{AccessKind, BarrierArrival, IrLoc, TeamSan};
+use crate::sanitize::{AccessKind, BarrierArrival, IrLoc, ModuleSan, TeamSan};
 use crate::value::RtVal;
 
 /// Typed error for states only reachable through IR the verifier rejects
@@ -69,6 +71,28 @@ pub struct GlobalLayout {
 pub struct HeapState {
     pub live_allocs: HashMap<u64, u64>, // offset -> size
     pub limit: u64,
+}
+
+/// Everything a team runs under that is fixed for the whole launch. Built
+/// once by `Device::launch` and shared immutably by every team — and, on
+/// the parallel path, by every worker thread (all borrows are `Sync`).
+pub(crate) struct LaunchCtx<'a> {
+    pub image: &'a Image,
+    /// Lowered bytecode when the launch runs on the bytecode tier
+    /// (`None` = interpreter tier). Both tiers produce bit-identical runs.
+    pub bc: Option<&'a BcModule>,
+    pub cost: &'a CostModel,
+    pub constant: &'a Region,
+    pub faults: Option<&'a FaultPlan>,
+    pub check_assumes: bool,
+    /// Kernel function index within the module.
+    pub kernel: u32,
+    pub args: &'a [RtVal],
+    pub launch: Launch,
+    /// Static plus dynamic shared memory per team, in bytes.
+    pub shared_total: u64,
+    /// `Some` arms the per-team sanitizer.
+    pub san: Option<&'a Arc<ModuleSan>>,
 }
 
 /// Event counters aggregated into [`crate::KernelMetrics`].
@@ -280,52 +304,35 @@ pub struct TeamExec<'a, B: ExecBackend<'a>> {
 }
 
 impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_backend(
+    /// Team `team_id` of the launch `ctx` describes, over `global` with
+    /// `fuel` steps left.
+    pub(crate) fn with_backend(
         backend: B,
-        module: &'a Module,
-        cost: &'a CostModel,
-        check_assumes: bool,
+        ctx: &LaunchCtx<'a>,
         team_id: u32,
-        num_teams: u32,
-        nthreads: u32,
-        shared_size: u64,
-        layout: &'a GlobalLayout,
         global: GlobalMem<'a>,
-        constant: &'a Region,
         fuel: u64,
-        faults: Option<&'a FaultPlan>,
     ) -> TeamExec<'a, B> {
+        let image = ctx.image;
         TeamExec {
-            module,
-            cost,
-            check_assumes,
+            module: &image.module,
+            cost: ctx.cost,
+            check_assumes: ctx.check_assumes,
             team_id,
-            num_teams,
-            nthreads,
-            shared: Region::with_size(shared_size as usize),
-            layout,
+            num_teams: ctx.launch.teams,
+            nthreads: ctx.launch.threads_per_team,
+            shared: Region::with_size(ctx.shared_total as usize),
+            layout: &image.layout,
             global,
-            constant,
+            constant: ctx.constant,
             counters: Counters::default(),
             fuel,
-            faults,
-            san: None,
+            faults: ctx.faults,
+            san: ctx.san.map(|m| Box::new(TeamSan::new(team_id, Arc::clone(m)))),
             threads: Vec::new(),
             result_used: HashMap::new(),
             backend,
         }
-    }
-
-    /// Arm the data-race & barrier-divergence sanitizer for this team.
-    pub fn set_sanitizer(&mut self, san: Option<Box<TeamSan>>) {
-        self.san = san;
-    }
-
-    /// Detach the sanitizer state. Called before `into_outcome` so the
-    /// reports survive even a trapping run.
-    pub fn take_sanitizer(&mut self) -> Option<Box<TeamSan>> {
-        self.san.take()
     }
 
     /// Sanitizer hook: mirror one executed memory access into the shadow.
@@ -382,10 +389,17 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
         used.get(iid.index()).copied().unwrap_or(true)
     }
 
-    /// Tear down into `(counters, fuel_left, global view)` — what the
-    /// parallel engine needs from a finished team.
-    pub fn into_outcome(self) -> (Counters, u64, GlobalMem<'a>) {
-        (self.counters, self.fuel, self.global)
+    /// Run the launch's kernel and tear down into what the device needs
+    /// from a finished team. The sanitizer state survives a trapping run.
+    fn finish(mut self, ctx: &LaunchCtx<'a>) -> TeamOutcome<'a> {
+        let result = self.run(ctx.kernel, ctx.args);
+        TeamOutcome {
+            result,
+            counters: self.counters,
+            fuel_left: self.fuel,
+            san: self.san,
+            global: self.global,
+        }
     }
 
     /// Run the kernel function with `args` on every thread of the team.
@@ -669,93 +683,45 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
     }
 }
 
+/// One team's `(cycles, mem cycles)`, or its trap `(kind, thread)`.
+pub(crate) type TeamResult = Result<(u64, u64), (TrapKind, u32)>;
+
+/// What a finished team leaves behind.
+pub(crate) struct TeamOutcome<'a> {
+    pub result: TeamResult,
+    pub counters: Counters,
+    pub fuel_left: u64,
+    pub san: Option<Box<TeamSan>>,
+    /// The global view handed in — a buffered view carries its effect log.
+    pub global: GlobalMem<'a>,
+}
+
 /// A [`TeamExec`] over whichever backend the launch selected — the concrete
 /// seam the device and wave engine construct. An enum (rather than a trait
-/// object) because `into_outcome` consumes `self` and because both variants
-/// stay fully monomorphized on the hot path.
+/// object) because `run` consumes `self` and because both variants stay
+/// fully monomorphized on the hot path.
 pub(crate) enum TeamEngine<'a> {
     Interp(TeamExec<'a, InterpBackend>),
     Bytecode(TeamExec<'a, BcBackend<'a>>),
 }
 
 impl<'a> TeamEngine<'a> {
-    /// Build a team executor on the bytecode tier when a lowered module is
-    /// supplied, on the interpreter otherwise.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        bc: Option<&'a BcModule>,
-        module: &'a Module,
-        cost: &'a CostModel,
-        check_assumes: bool,
-        team_id: u32,
-        num_teams: u32,
-        nthreads: u32,
-        shared_size: u64,
-        layout: &'a GlobalLayout,
-        global: GlobalMem<'a>,
-        constant: &'a Region,
-        fuel: u64,
-        faults: Option<&'a FaultPlan>,
-    ) -> TeamEngine<'a> {
-        match bc {
-            Some(bc) => TeamEngine::Bytecode(TeamExec::with_backend(
-                BcBackend { bc },
-                module,
-                cost,
-                check_assumes,
-                team_id,
-                num_teams,
-                nthreads,
-                shared_size,
-                layout,
-                global,
-                constant,
-                fuel,
-                faults,
-            )),
-            None => TeamEngine::Interp(TeamExec::with_backend(
-                InterpBackend,
-                module,
-                cost,
-                check_assumes,
-                team_id,
-                num_teams,
-                nthreads,
-                shared_size,
-                layout,
-                global,
-                constant,
-                fuel,
-                faults,
-            )),
+    /// Build a team executor on the bytecode tier when the launch carries a
+    /// lowered module, on the interpreter otherwise.
+    pub fn new(ctx: &LaunchCtx<'a>, team: u32, global: GlobalMem<'a>, fuel: u64) -> TeamEngine<'a> {
+        match ctx.bc {
+            Some(bc) => {
+                TeamEngine::Bytecode(TeamExec::with_backend(BcBackend { bc }, ctx, team, global, fuel))
+            }
+            None => TeamEngine::Interp(TeamExec::with_backend(InterpBackend, ctx, team, global, fuel)),
         }
     }
 
-    pub fn set_sanitizer(&mut self, san: Option<Box<TeamSan>>) {
+    /// Run the team to completion (or its trap).
+    pub fn run(self, ctx: &LaunchCtx<'a>) -> TeamOutcome<'a> {
         match self {
-            TeamEngine::Interp(e) => e.set_sanitizer(san),
-            TeamEngine::Bytecode(e) => e.set_sanitizer(san),
-        }
-    }
-
-    pub fn take_sanitizer(&mut self) -> Option<Box<TeamSan>> {
-        match self {
-            TeamEngine::Interp(e) => e.take_sanitizer(),
-            TeamEngine::Bytecode(e) => e.take_sanitizer(),
-        }
-    }
-
-    pub fn run(&mut self, kernel: u32, args: &[RtVal]) -> Result<(u64, u64), (TrapKind, u32)> {
-        match self {
-            TeamEngine::Interp(e) => e.run(kernel, args),
-            TeamEngine::Bytecode(e) => e.run(kernel, args),
-        }
-    }
-
-    pub fn into_outcome(self) -> (Counters, u64, GlobalMem<'a>) {
-        match self {
-            TeamEngine::Interp(e) => e.into_outcome(),
-            TeamEngine::Bytecode(e) => e.into_outcome(),
+            TeamEngine::Interp(e) => e.finish(ctx),
+            TeamEngine::Bytecode(e) => e.finish(ctx),
         }
     }
 }

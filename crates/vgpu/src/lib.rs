@@ -38,6 +38,7 @@ pub mod memory;
 pub mod metrics;
 mod ops;
 mod par;
+pub mod run;
 pub mod sanitize;
 pub mod value;
 
@@ -48,5 +49,6 @@ pub use error::{ExecError, TrapKind};
 pub use faults::{DeviceFaultKind, DeviceFaultSite, FaultAction, FaultPlan, FaultSite};
 pub use memory::{DevPtr, Segment};
 pub use metrics::KernelMetrics;
+pub use run::{RunConfig, Sanitize};
 pub use sanitize::{AccessKind, AccessSite, DivergenceReport, RaceReport, SanReport};
 pub use value::RtVal;

@@ -28,60 +28,25 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use nzomp_ir::Module;
-
-use crate::bytecode::BcModule;
-use crate::cost::CostModel;
 use crate::error::TrapKind;
-use crate::exec::TeamEngine;
-use crate::faults::FaultPlan;
+use crate::exec::{Counters, LaunchCtx, TeamEngine, TeamResult};
 use crate::gmem::{BufferedGlobal, GlobalEffect, GlobalMem};
-use crate::exec::{Counters, GlobalLayout};
 use crate::memory::Region;
 use crate::sanitize::TeamSan;
-use crate::value::RtVal;
-
-/// Everything a worker needs to run one team, shared immutably across the
-/// pool for the duration of a wave.
-pub(crate) struct WaveCtx<'a> {
-    pub module: &'a Module,
-    /// Lowered bytecode when the launch runs on the bytecode tier
-    /// (`None` = interpreter tier). Wave execution is backend-agnostic;
-    /// both tiers produce bit-identical runs.
-    pub bc: Option<&'a BcModule>,
-    pub cost: &'a CostModel,
-    pub layout: &'a GlobalLayout,
-    pub constant: &'a Region,
-    pub plan: Option<&'a FaultPlan>,
-    pub check_assumes: bool,
-    /// Kernel function index within the module.
-    pub kernel: u32,
-    pub args: &'a [RtVal],
-    pub num_teams: u32,
-    pub threads_per_team: u32,
-    pub shared_total: u64,
-    /// Arm the per-team sanitizer. A merged team's buffered access trace
-    /// is identical to its sequential trace (the merge validates every
-    /// observation), so its sanitizer verdict is too — worker-count
-    /// independence for free.
-    pub sanitize: bool,
-    /// Suppressed shared-space ranges (the cond-write sink).
-    pub suppress_shared: &'a [(u64, u64)],
-    /// Allocator release entry points (shadow retired on release).
-    pub release_fns: &'a [u32],
-}
 
 /// Outcome of one team's buffered run, in merge-ready form.
 pub(crate) struct TeamRun {
-    /// `Ok((team_cycles, mem_cycles))` or the trap (kind, thread).
-    pub result: Result<(u64, u64), (TrapKind, u32)>,
+    pub result: TeamResult,
     /// Fuel units this team consumed (possibly up to the full wave-start
     /// budget; the merge reconciles against the running budget).
     pub steps: u64,
     pub counters: Counters,
     pub effects: Vec<GlobalEffect>,
     /// Sanitizer state of the buffered run (used only when the run
-    /// merges; re-run teams contribute the re-run's state instead).
+    /// merges; re-run teams contribute the re-run's state instead). A
+    /// merged team's buffered access trace is identical to its sequential
+    /// trace (the merge validates every observation), so its sanitizer
+    /// verdict is too — worker-count independence for free.
     pub san: Option<Box<TeamSan>>,
 }
 
@@ -95,49 +60,26 @@ impl TeamRun {
 
 /// Run one team against a fresh snapshot of `master` with its own fuel
 /// budget, returning the merge-ready outcome.
-fn run_one_team(ctx: &WaveCtx<'_>, master: &Region, team: u32, fuel: u64) -> TeamRun {
-    let mut exec = TeamEngine::new(
-        ctx.bc,
-        ctx.module,
-        ctx.cost,
-        ctx.check_assumes,
-        team,
-        ctx.num_teams,
-        ctx.threads_per_team,
-        ctx.shared_total,
-        ctx.layout,
-        GlobalMem::Buffered(BufferedGlobal::new(&master.bytes)),
-        ctx.constant,
-        fuel,
-        ctx.plan,
-    );
-    if ctx.sanitize {
-        exec.set_sanitizer(Some(Box::new(TeamSan::new(
-            team,
-            ctx.suppress_shared.to_vec(),
-            ctx.release_fns.to_vec(),
-        ))));
-    }
-    let result = exec.run(ctx.kernel, ctx.args);
-    let san = exec.take_sanitizer();
-    let (counters, fuel_left, global) = exec.into_outcome();
-    let effects = match global {
+fn run_one_team(ctx: &LaunchCtx<'_>, master: &Region, team: u32, fuel: u64) -> TeamRun {
+    let view = GlobalMem::Buffered(BufferedGlobal::new(&master.bytes));
+    let out = TeamEngine::new(ctx, team, view, fuel).run(ctx);
+    let effects = match out.global {
         GlobalMem::Buffered(b) => b.log,
         GlobalMem::Direct { .. } => Vec::new(),
     };
     TeamRun {
-        result,
-        steps: fuel - fuel_left,
-        counters,
+        result: out.result,
+        steps: fuel - out.fuel_left,
+        counters: out.counters,
         effects,
-        san,
+        san: out.san,
     }
 }
 
 /// Execute the teams of one wave concurrently on up to `workers` threads.
 /// Returns one [`TeamRun`] per team, in the order of `teams`.
 pub(crate) fn run_wave(
-    ctx: &WaveCtx<'_>,
+    ctx: &LaunchCtx<'_>,
     master: &Region,
     teams: &[u32],
     fuel: u64,

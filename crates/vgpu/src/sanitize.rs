@@ -3,7 +3,7 @@
 //! The paper's headline optimizations — barrier elimination (§IV-D) and
 //! aligned-execution reasoning (§IV-C) — are only sound if every removed
 //! barrier was truly redundant. This module machine-checks that: when
-//! sanitizing is enabled (`DeviceConfig::sanitize` / `NZOMP_SANITIZE`),
+//! sanitizing is enabled ([`crate::RunConfig::sanitize`] / `NZOMP_SANITIZE`),
 //! every shared- and global-space access is mirrored into shadow cells and
 //! checked against a happens-before model; conflicts surface as typed
 //! [`RaceReport`]s through [`crate::Device::sanitizer_reports`] and the
@@ -50,10 +50,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use nzomp_ir::Module;
 
-use crate::memory::Segment;
+use crate::memory::{DevPtr, Segment};
 
 /// Shared-space global the modern runtime uses as the write-only sink of
 /// the Fig. 7b conditional-write idiom (`__omp_rtl_dummy` in
@@ -84,16 +85,47 @@ pub const TEAM_STATE_BENIGN_FIELD: (u64, u64) = (40, 8);
 pub const REGION_RELEASE_FNS: [&str; 2] =
     ["__kmpc_free_shared", "__kmpc_data_sharing_pop_stack_old"];
 
-/// Function indices of [`REGION_RELEASE_FNS`] in `module`, for the
-/// interpreter's call hook.
-pub fn release_fn_ids(module: &Module) -> Vec<u32> {
-    module
-        .funcs
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| REGION_RELEASE_FNS.contains(&f.name.as_str()))
-        .map(|(i, _)| i as u32)
-        .collect()
+/// What the sanitizer knows about a loaded module — a pure function of the
+/// module and where its globals live, computed once and shared by the
+/// [`TeamSan`] of every team of every launch.
+#[derive(Debug)]
+pub struct ModuleSan {
+    /// Shared-space `(offset, length)` ranges exempt from race checking:
+    /// the cond-write sink and the benign team-state flag.
+    suppress_shared: Vec<(u64, u64)>,
+    /// Function indices of [`REGION_RELEASE_FNS`], for the call hook.
+    release_fns: Vec<u32>,
+}
+
+impl ModuleSan {
+    /// `addr_of` is the device address of each module global, by index.
+    pub fn new(module: &Module, addr_of: &[DevPtr]) -> ModuleSan {
+        ModuleSan {
+            suppress_shared: module
+                .globals
+                .iter()
+                .zip(addr_of)
+                .filter(|(_, addr)| addr.segment() == Segment::Shared)
+                .filter_map(|(g, addr)| match g.name.as_str() {
+                    // The cond-write sink (Fig. 7b): every byte is benign.
+                    COND_WRITE_SINK => Some((addr.offset(), g.size)),
+                    // Team state: only the idempotent `HasThreadState` flag.
+                    TEAM_STATE => {
+                        let (field_off, len) = TEAM_STATE_BENIGN_FIELD;
+                        Some((addr.offset() + field_off, len))
+                    }
+                    _ => None,
+                })
+                .collect(),
+            release_fns: module
+                .funcs
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| REGION_RELEASE_FNS.contains(&f.name.as_str()))
+                .map(|(i, _)| i as u32)
+                .collect(),
+        }
+    }
 }
 
 /// Per-team cap on retained race reports (further races are counted, not
@@ -337,11 +369,9 @@ pub struct TeamSan {
     shared: HashMap<u64, Cell>,
     /// Global-space shadow plus the cross-team byte summary.
     global: HashMap<u64, GByte>,
-    /// Shared-space ranges exempt from race checking (the cond-write sink).
-    suppress_shared: Vec<(u64, u64)>,
-    /// Function indices of the allocator release entry points
-    /// ([`REGION_RELEASE_FNS`]).
-    release_fns: Vec<u32>,
+    /// Suppressed ranges and release entry points of the loaded module,
+    /// shared with it — never copied per team.
+    module: Arc<ModuleSan>,
     reports: Vec<RaceReport>,
     dedup: HashMap<DedupKey, usize>,
     divergences: Vec<DivergenceReport>,
@@ -353,14 +383,13 @@ pub struct TeamSan {
 }
 
 impl TeamSan {
-    pub fn new(team: u32, suppress_shared: Vec<(u64, u64)>, release_fns: Vec<u32>) -> TeamSan {
+    pub fn new(team: u32, module: Arc<ModuleSan>) -> TeamSan {
         TeamSan {
             team,
             epoch: 0,
             shared: HashMap::new(),
             global: HashMap::new(),
-            suppress_shared,
-            release_fns,
+            module,
             reports: Vec::new(),
             dedup: HashMap::new(),
             divergences: Vec::new(),
@@ -373,7 +402,7 @@ impl TeamSan {
     /// interpreter must report through [`TeamSan::on_region_release`].
     #[inline]
     pub fn is_release_fn(&self, func: u32) -> bool {
-        self.release_fns.contains(&func)
+        self.module.release_fns.contains(&func)
     }
 
     /// `[off, off+size)` of `space` was released back to a runtime
@@ -413,6 +442,7 @@ impl TeamSan {
         match space {
             Segment::Shared => {
                 if self
+                    .module
                     .suppress_shared
                     .iter()
                     .any(|&(s, len)| off >= s && off + size <= s + len)

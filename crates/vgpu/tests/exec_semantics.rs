@@ -5,7 +5,7 @@ use nzomp_ir::{
     BinOp, CastKind, ExecMode, FuncBuilder, Module, Operand, Pred, Ty, UnOp,
 };
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{Device, DeviceConfig, RtVal, TrapKind};
+use nzomp_vgpu::{Device, DeviceConfig, RtVal, RunConfig, TrapKind};
 
 /// Run a single-thread kernel computing one i64 and storing it to out[0].
 fn run_i64(build: impl FnOnce(&mut FuncBuilder) -> Operand) -> i64 {
@@ -351,4 +351,51 @@ fn dynamic_shared_memory_counts_against_occupancy() {
         .unwrap();
     assert!(fat.teams_per_sm < plain.teams_per_sm);
     assert_eq!(fat.dyn_smem_bytes, 64 * 1024);
+}
+
+/// Register demand is remembered per kernel, not per device: two kernels
+/// of one module launched on one device — in either order, and again —
+/// report what a fresh device reports for each. `fat`'s demand comes from
+/// its callee, so the memo must cover the whole call tree of *that* kernel.
+#[test]
+fn register_demand_is_remembered_per_kernel() {
+    let mut m = Module::new("two");
+    let mut wb = FuncBuilder::new("wide", vec![Ty::I64], Some(Ty::I64));
+    let x = wb.param(0);
+    let terms: Vec<Operand> = (1..=12).map(|k| wb.mul(x, Operand::i64(k))).collect();
+    let sum = terms[1..].iter().fold(terms[0], |acc, t| wb.add(acc, *t));
+    wb.ret(Some(sum));
+    let wide = m.add_function(wb.finish());
+    for (name, call_wide) in [("lean", false), ("fat", true)] {
+        let mut b = FuncBuilder::new(name, vec![Ty::Ptr], None);
+        let tid = b.thread_id();
+        let v = if call_wide {
+            b.call(Operand::Func(wide), vec![tid], Some(Ty::I64)).unwrap()
+        } else {
+            tid
+        };
+        let slot = b.gep(b.param(0), tid, 8);
+        b.store(Ty::I64, slot, v);
+        b.ret(None);
+        let f = m.add_function(b.finish());
+        m.add_kernel(f, ExecMode::Spmd);
+    }
+    nzomp_ir::verify_module(&m).unwrap();
+
+    let load = || Device::load_with(m.clone(), DeviceConfig::default(), RunConfig::default());
+    let regs = |dev: &mut Device, kernel: &str| {
+        let out = dev.alloc(8 * 4);
+        dev.launch(kernel, Launch::new(1, 4), &[RtVal::P(out)]).unwrap().regs_per_thread
+    };
+    let lean = regs(&mut load(), "lean");
+    let fat = regs(&mut load(), "fat");
+    assert!(fat > lean, "the two kernels must differ ({lean} vs {fat} registers)");
+
+    for order in [["lean", "fat"], ["fat", "lean"]] {
+        let mut dev = load();
+        for kernel in order.iter().chain(&order) {
+            let want = if *kernel == "fat" { fat } else { lean };
+            assert_eq!(regs(&mut dev, kernel), want, "@{kernel} after {order:?}");
+        }
+    }
 }

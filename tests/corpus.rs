@@ -25,7 +25,7 @@ use nzomp_ir::Module;
 use nzomp_opt::{optimize_module, Ablation, PassOptions};
 use nzomp_proxies::quick_device;
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{DevPtr, Device, ExecError, ExecTier, KernelMetrics, RtVal};
+use nzomp_vgpu::{DevPtr, Device, ExecError, ExecTier, KernelMetrics, RtVal, RunConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -117,18 +117,12 @@ pub struct RunOutcome {
     pub san_counts: (u64, u64),
 }
 
-/// Launch a generated kernel once with the sanitizer armed and capture the
-/// outcome. Returns `Err` on harness-level failures (bad meta, read OOB).
-pub fn run_generated(
-    m: &Module,
-    meta: LaunchMeta,
-    workers: usize,
-    tier: ExecTier,
-) -> Result<RunOutcome, String> {
-    let mut dev = Device::load(m.clone(), quick_device());
+/// Launch a generated kernel once under `run` with the sanitizer armed
+/// (strict if `run` says so) and capture the outcome. Returns `Err` on
+/// harness-level failures (bad meta, read OOB).
+pub fn run_generated(m: &Module, meta: LaunchMeta, run: RunConfig) -> Result<RunOutcome, String> {
+    let mut dev = Device::load_with(m.clone(), quick_device(), run);
     dev.set_sanitize(true);
-    dev.set_worker_threads(workers);
-    dev.set_exec_tier(tier);
     let buf = dev.alloc(meta.buf_bytes);
     let result = dev.launch(
         "k",
@@ -158,10 +152,10 @@ pub fn run_generated(
 /// 2. `parse(print(m)) == m` exactly (strict mode);
 /// 3. under every optimization variant it still verifies, never traps, and
 ///    the sanitizer stays clean;
-/// 4. within a variant, every worker count *and every execution tier*
-///    produces the *identical* outcome — output bits, metrics (including
-///    the per-step dispatch count, i.e. fuel), and the entire global
-///    image;
+/// 4. within a variant, every worker count in `workers` *and every
+///    execution tier* — the two axes this matrix crosses — produces the
+///    *identical* outcome — output bits, metrics (including the per-step
+///    dispatch count, i.e. fuel), and the entire global image;
 /// 5. across variants, the output bits agree (metrics and non-output
 ///    memory may legitimately differ — optimization removes work).
 ///
@@ -185,6 +179,7 @@ pub fn differential_check(
         out_off: g.out_off,
         out_slots: g.out_slots,
     };
+    let env = RunConfig::from_env();
     let mut baseline_bits: Option<(String, Vec<u64>)> = None;
     for (slug, opts) in variants {
         let mut vm = g.module.clone();
@@ -193,9 +188,9 @@ pub fn differential_check(
             .map_err(|e| format!("{name} [{slug}]: verify after opt: {e}"))?;
         let mut first: Option<(String, RunOutcome)> = None;
         for &tier in &EXEC_TIERS {
-            for &w in workers {
-                let axis = format!("{tier:?}/{w}w");
-                let o = run_generated(&vm, meta, w, tier)?;
+            for &workers in workers {
+                let axis = format!("{tier:?}/{workers}w");
+                let o = run_generated(&vm, meta, RunConfig { workers, tier, ..env })?;
                 if o.san_counts != (0, 0) {
                     return Err(format!(
                         "{name} [{slug}] @{axis}: sanitizer reported {:?}",

@@ -21,7 +21,7 @@ use nzomp_ir::printer::print_module;
 use nzomp_ir::Module;
 use nzomp_opt::{optimize_module, PassOptions};
 use nzomp_proxies::{all_proxies, build_for_config, quick_device, Proxy};
-use nzomp_vgpu::{Device, ExecError, KernelMetrics};
+use nzomp_vgpu::{Device, ExecError, KernelMetrics, RunConfig};
 
 const PROXY_CFG: BuildConfig = BuildConfig::NewRtNoAssumptions;
 
@@ -138,7 +138,7 @@ fn corpus_differential_none_vs_full_across_worker_counts() {
                     .unwrap_or_else(|e| panic!("{name} [{slug}]: verify after opt: {e}"));
                 let mut first: Option<(usize, ProxyRun)> = None;
                 for &w in &WORKER_AXES {
-                    let o = run_proxy_module(p.as_ref(), &vm, w);
+                    let o = run_proxy_module(p.as_ref(), &vm, nzomp_integration::env_run(w));
                     assert_eq!(
                         o.san_counts,
                         (0, 0),
@@ -186,10 +186,9 @@ struct ProxyRun {
     san_counts: (u64, u64),
 }
 
-fn run_proxy_module(p: &dyn Proxy, m: &Module, workers: usize) -> ProxyRun {
-    let mut dev = Device::load(m.clone(), quick_device());
+fn run_proxy_module(p: &dyn Proxy, m: &Module, run: RunConfig) -> ProxyRun {
+    let mut dev = Device::load_with(m.clone(), quick_device(), run);
     dev.set_sanitize(true);
-    dev.set_worker_threads(workers);
     let prep = p.prepare(&mut dev);
     let result = dev.launch(p.kernel_name(), prep.launch, &prep.args);
     let out_bits = if result.is_ok() {

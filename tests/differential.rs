@@ -8,13 +8,19 @@
 use nzomp::pipeline::compile_with;
 use nzomp::BuildConfig;
 use nzomp_front::RuntimeFlavor;
-use nzomp_integration::{run_proxy_host_outcome, run_proxy_outcome};
+use nzomp_integration::{env_run, run_proxy_host_outcome, run_proxy_outcome};
 use nzomp_ir::{Operand, Ty};
 use nzomp_proxies::{
     all_proxies, build_for_config, compile_for_config, quick_device, HostShape, Proxy,
 };
 use nzomp_rt::abi;
-use nzomp_vgpu::{Device, DeviceConfig, ExecError, FaultPlan};
+use nzomp_vgpu::{Device, DeviceConfig, ExecError, FaultPlan, RunConfig};
+
+/// This suite crosses build configurations and execution paths, not run
+/// axes: one worker, tier and sanitizer as the environment asks.
+fn sequential() -> RunConfig {
+    env_run(1)
+}
 
 /// Launch the proxy under `cfg` and return the output buffer as raw bits
 /// (NaN-safe comparison). `None` for the paper's "n/a" cells.
@@ -22,7 +28,7 @@ fn run_clean(p: &dyn Proxy, cfg: BuildConfig) -> Option<Vec<u64>> {
     if cfg == BuildConfig::NewRt && !p.supports_oversubscription() {
         return None;
     }
-    let outcome = run_proxy_outcome(p, cfg, 1, None);
+    let outcome = run_proxy_outcome(p, cfg, sequential(), None);
     outcome.result.unwrap();
     outcome.out_bits
 }
@@ -141,7 +147,7 @@ fn spmd_and_generic_lowerings_agree() {
 
 /// One faulted run, returning either the output bits or the typed error.
 fn run_faulted(p: &dyn Proxy, seed: u64) -> Result<Vec<u64>, ExecError> {
-    let outcome = run_proxy_outcome(p, BuildConfig::NewRtNoAssumptions, 1, Some(seed));
+    let outcome = run_proxy_outcome(p, BuildConfig::NewRtNoAssumptions, sequential(), Some(seed));
     outcome.result?;
     Ok(outcome.out_bits.unwrap_or_default())
 }
@@ -199,10 +205,10 @@ fn host_shapes() -> [HostShape; 3] {
 fn host_runtime_bit_identical_to_direct_device_path() {
     let cfg = BuildConfig::NewRtNoAssumptions;
     for p in all_proxies() {
-        let direct = run_proxy_outcome(p.as_ref(), cfg, 1, None);
+        let direct = run_proxy_outcome(p.as_ref(), cfg, sequential(), None);
         assert!(direct.result.is_ok(), "{}: direct run trapped", p.name());
         for shape in host_shapes() {
-            let host = run_proxy_host_outcome(p.as_ref(), cfg, 1, None, &shape);
+            let host = run_proxy_host_outcome(p.as_ref(), cfg, sequential(), None, &shape);
             assert_eq!(
                 host,
                 direct,
@@ -228,8 +234,8 @@ fn host_runtime_fault_campaigns_match_direct_path() {
     let mut trapped = 0usize;
     for seed in 1..=6u64 {
         for p in &proxies {
-            let direct = run_proxy_outcome(p.as_ref(), cfg, 1, Some(seed));
-            let host = run_proxy_host_outcome(p.as_ref(), cfg, 1, Some(seed), &shape);
+            let direct = run_proxy_outcome(p.as_ref(), cfg, sequential(), Some(seed));
+            let host = run_proxy_host_outcome(p.as_ref(), cfg, sequential(), Some(seed), &shape);
             assert_eq!(
                 host,
                 direct,

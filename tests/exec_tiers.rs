@@ -22,7 +22,7 @@ use nzomp_ir::{ExecMode, FuncBuilder, Module, Operand, Ty};
 use nzomp_integration::gen::generate;
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{
-    Device, DeviceConfig, ExecError, ExecTier, FaultPlan, KernelMetrics, RtVal, TrapKind,
+    Device, DeviceConfig, ExecError, ExecTier, FaultPlan, KernelMetrics, RtVal, RunConfig, TrapKind,
 };
 
 const TIERS: [ExecTier; 2] = [ExecTier::Interp, ExecTier::Bytecode];
@@ -36,18 +36,10 @@ struct Observed {
 }
 
 /// Run a generated corpus kernel (one pointer arg into a fresh buffer)
-/// under an armed fault plan with the sanitizer on, and capture everything.
-fn observe(
-    m: &Module,
-    launch: Launch,
-    buf_bytes: u64,
-    plan: &FaultPlan,
-    workers: usize,
-    tier: ExecTier,
-) -> Observed {
-    let mut dev = Device::load(m.clone(), DeviceConfig::default());
-    dev.set_exec_tier(tier);
-    dev.set_worker_threads(workers);
+/// under `run` and an armed fault plan, with the sanitizer on (strict if
+/// `run` says so), and capture everything.
+fn observe(m: &Module, launch: Launch, buf_bytes: u64, plan: &FaultPlan, run: RunConfig) -> Observed {
+    let mut dev = Device::load_with(m.clone(), DeviceConfig::default(), run);
     dev.set_sanitize(true);
     dev.set_fault_plan(plan.clone());
     let buf = dev.alloc(buf_bytes);
@@ -67,6 +59,7 @@ fn observe(
 /// arrival does so at the same point in both executions.
 #[test]
 fn seeded_fault_campaigns_replay_identically_across_tiers() {
+    let env = RunConfig::from_env();
     let mut trapped = 0usize;
     for campaign in 0..50u64 {
         // Rotate through the pinned generator seeds so campaigns land in
@@ -75,8 +68,9 @@ fn seeded_fault_campaigns_replay_identically_across_tiers() {
         let launch = Launch::new(g.teams, g.threads);
         let plan = FaultPlan::from_seed(campaign, g.teams, g.threads);
         for workers in [1usize, 8] {
-            let base = observe(&g.module, launch, g.buf_bytes, &plan, workers, ExecTier::Interp);
-            let bc = observe(&g.module, launch, g.buf_bytes, &plan, workers, ExecTier::Bytecode);
+            let on = |tier| observe(&g.module, launch, g.buf_bytes, &plan, RunConfig { workers, tier, ..env });
+            let base = on(ExecTier::Interp);
+            let bc = on(ExecTier::Bytecode);
             assert_eq!(
                 base, bc,
                 "campaign {campaign} @{workers} workers diverged across tiers"

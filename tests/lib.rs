@@ -1,10 +1,14 @@
 //! Integration-test crate: all tests live in `tests/*.rs`.
 //!
 //! This lib holds the shared differential-execution harness: one way to
-//! compile a proxy, run it on a device with a chosen worker-thread count
+//! compile a proxy, run it on a device under a chosen [`RunConfig`]
 //! (and optionally an armed fault plan), and capture *everything*
 //! observable about the launch — so the differential tests (PR 1) and the
 //! parallel-determinism tests compare outcomes through the same lens.
+//!
+//! Every suite starts from `RunConfig::from_env()` ([`env_run`]) and
+//! overrides only the axes its matrix crosses, so each CI environment
+//! pass multiplies every matrix by the axes it leaves alone.
 
 pub mod corpus;
 pub mod gen;
@@ -12,7 +16,13 @@ pub mod gen;
 use nzomp::BuildConfig;
 use nzomp_host::{Host, HostError, StreamId};
 use nzomp_proxies::{build_for_config, compile_for_config, quick_device, HostShape, Proxy};
-use nzomp_vgpu::{Device, ExecError, FaultPlan, KernelMetrics};
+use nzomp_vgpu::{Device, ExecError, FaultPlan, KernelMetrics, RunConfig};
+
+/// The environment's run configuration at `workers` host threads — where
+/// every matrix that crosses or pins the worker axis starts from.
+pub fn env_run(workers: usize) -> RunConfig {
+    RunConfig { workers, ..RunConfig::from_env() }
+}
 
 /// Everything observable about one proxy launch. `PartialEq` makes
 /// "bit-identical" a one-line assertion: metrics compare field by field
@@ -27,27 +37,28 @@ pub struct ProxyOutcome {
     /// The entire device global-memory image after the launch — inputs,
     /// outputs, runtime state, heap; nothing can hide a divergence here.
     pub global: Vec<u8>,
-    /// Sanitizer verdict `(races, divergences)` — `(0, 0)` when the
-    /// sanitizer is off (no `NZOMP_SANITIZE` in the environment), so the
-    /// field compares as equal on unsanitized runs.
+    /// Sanitizer verdict `(races, divergences)` — `(0, 0)` when the run
+    /// pinned `Sanitize::Off`, so the field compares as equal between two
+    /// unsanitized runs; outcomes that differ in the sanitize axis compare
+    /// field by field, leaving this one and `san_reports` out.
     pub san_counts: (u64, u64),
     /// Rendered sanitizer reports; the determinism matrix requires the
     /// exact same text at every worker count.
     pub san_reports: Vec<String>,
 }
 
-/// Compile `p` under `cfg`, load it onto a quick device with `workers`
-/// host threads, optionally arm the seeded fault plan, launch once, and
-/// capture the outcome. Panics on compile errors (test context).
+/// Compile `p` under `cfg`, load it onto a quick device running under
+/// `run` (all three axes pinned by the caller), optionally arm the seeded
+/// fault plan, launch once, and capture the outcome. Panics on compile
+/// errors (test context).
 pub fn run_proxy_outcome(
     p: &dyn Proxy,
     cfg: BuildConfig,
-    workers: usize,
+    run: RunConfig,
     fault_seed: Option<u64>,
 ) -> ProxyOutcome {
     let out = compile_for_config(p, cfg).unwrap();
-    let mut dev = Device::load(out.module, quick_device());
-    dev.set_worker_threads(workers);
+    let mut dev = Device::load_with(out.module, quick_device(), run);
     let prep = p.prepare(&mut dev);
     if let Some(seed) = fault_seed {
         dev.set_fault_plan(FaultPlan::from_seed(
@@ -87,14 +98,13 @@ pub fn run_proxy_outcome(
 pub fn run_proxy_host_outcome(
     p: &dyn Proxy,
     cfg: BuildConfig,
-    workers: usize,
+    run: RunConfig,
     fault_seed: Option<u64>,
     shape: &HostShape,
 ) -> ProxyOutcome {
-    let mut host = Host::new(quick_device(), shape.devices);
+    let mut host = Host::with_run(quick_device(), shape.devices, run);
     host.set_policy(shape.policy);
     host.set_drain_seed(shape.drain_seed);
-    host.set_worker_threads(workers);
     let img = host.load_image(build_for_config(p, cfg), cfg).unwrap();
     let hp = p.host_prepare();
     let out_arg = hp.out_arg;

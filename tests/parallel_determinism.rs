@@ -9,15 +9,20 @@
 //! campaigns per proxy make the trap-path comparison meaningful: traps
 //! must resolve by lowest team index, never by wall-clock race.
 //!
+//! Axes crossed here: worker threads everywhere, and the sanitizer mode
+//! on the clean matrix (shadow tracking is only a cost, never a behavior
+//! change). The execution tier is left to the environment.
+//!
 //! The clean matrix also carries a 64-team compute-bound RSBench — enough
 //! independent teams per occupancy wave to keep 8 workers busy — and
 //! holds its modeled scalability: per-team cycles list-scheduled onto 8
 //! workers must finish at least 2× sooner than on one.
 
 use nzomp::BuildConfig;
-use nzomp_integration::{run_proxy_outcome, ProxyOutcome};
+use nzomp_integration::{env_run, run_proxy_outcome, ProxyOutcome};
 use nzomp_proxies::rsbench::RSBench;
 use nzomp_proxies::{all_proxies, quick_device, Proxy};
+use nzomp_vgpu::{RunConfig, Sanitize};
 
 const WORKER_COUNTS: [usize; 3] = [2, 4, 8];
 const CFG: BuildConfig = BuildConfig::NewRtNoAssumptions;
@@ -61,24 +66,33 @@ fn modeled_makespan(team_cycles: &[u64], wave_size: usize, workers: usize) -> u6
     total
 }
 
-/// Run `p` clean at every worker count and hold each outcome to the
-/// sequential baseline, which is returned.
-fn assert_clean_run_is_worker_invariant(name: &str, p: &dyn Proxy) -> ProxyOutcome {
-    let base = run_proxy_outcome(p, CFG, 1, None);
+/// Run `p` clean at every worker count, and at 1 and 8 workers with the
+/// sanitizer off and on, and hold each outcome — output bits, the full
+/// `KernelMetrics`, the global image — to the sequential baseline, which
+/// is returned.
+fn assert_clean_run_is_axis_invariant(name: &str, p: &dyn Proxy) -> ProxyOutcome {
+    let base = run_proxy_outcome(p, CFG, env_run(1), None);
     assert!(base.result.is_ok(), "{name}: clean baseline trapped");
     for &workers in &WORKER_COUNTS {
-        let got = run_proxy_outcome(p, CFG, workers, None);
+        let got = run_proxy_outcome(p, CFG, env_run(workers), None);
         assert_same(name, &format!("@{workers} threads"), &base, &got);
+    }
+    for sanitize in [Sanitize::Off, Sanitize::Report] {
+        for workers in [1, 8] {
+            let got = run_proxy_outcome(p, CFG, RunConfig { sanitize, ..env_run(workers) }, None);
+            assert_same(name, &format!("{sanitize:?} @{workers} threads"), &base, &got);
+        }
     }
     base
 }
 
-/// Clean runs: every proxy agrees bit for bit at every worker count, and
-/// the 64-team instance has the modeled parallelism to use 8 workers.
+/// Clean runs: every proxy agrees bit for bit at every worker count and
+/// with the sanitizer off or on, and the 64-team instance has the modeled
+/// parallelism to use 8 workers.
 #[test]
 fn clean_runs_identical_across_worker_counts() {
     for p in all_proxies() {
-        assert_clean_run_is_worker_invariant(p.name(), p.as_ref());
+        assert_clean_run_is_axis_invariant(p.name(), p.as_ref());
     }
     let wide = RSBench {
         n_nuclides: 12,
@@ -88,7 +102,7 @@ fn clean_runs_identical_across_worker_counts() {
         threads_per_team: 32,
         seed: 0x5eed_0002,
     };
-    let base = assert_clean_run_is_worker_invariant("rsbench-64-teams", &wide);
+    let base = assert_clean_run_is_axis_invariant("rsbench-64-teams", &wide);
     let m = base.result.unwrap();
     assert_eq!(m.team_cycles.len(), 64);
     let wave = quick_device().wave_size(m.teams_per_sm);
@@ -105,12 +119,12 @@ fn faulted_runs_identical_across_worker_counts() {
     let mut trapped = 0usize;
     for p in all_proxies() {
         for seed in 1..=25u64 {
-            let base = run_proxy_outcome(p.as_ref(), CFG, 1, Some(seed));
+            let base = run_proxy_outcome(p.as_ref(), CFG, env_run(1), Some(seed));
             if base.result.is_err() {
                 trapped += 1;
             }
             for &workers in &WORKER_COUNTS {
-                let got = run_proxy_outcome(p.as_ref(), CFG, workers, Some(seed));
+                let got = run_proxy_outcome(p.as_ref(), CFG, env_run(workers), Some(seed));
                 assert_same(p.name(), &format!("seed {seed} @{workers} threads"), &base, &got);
             }
         }
@@ -126,9 +140,10 @@ fn faulted_runs_identical_across_worker_counts() {
 #[test]
 fn repeated_parallel_launches_are_stable() {
     let p = &all_proxies()[0];
-    let first = run_proxy_outcome(p.as_ref(), CFG, 8, None);
+    let run = env_run(8);
+    let first = run_proxy_outcome(p.as_ref(), CFG, run, None);
     for _ in 0..3 {
-        let again = run_proxy_outcome(p.as_ref(), CFG, 8, None);
+        let again = run_proxy_outcome(p.as_ref(), CFG, run, None);
         assert_same(p.name(), "repeat @8 threads", &first, &again);
     }
 }

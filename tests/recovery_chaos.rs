@@ -8,9 +8,16 @@
 
 use nzomp::BuildConfig;
 use nzomp_host::{Host, RecoveryPolicy, SchedPolicy, StreamId};
-use nzomp_integration::{run_proxy_outcome, ProxyOutcome};
+use nzomp_integration::{env_run, run_proxy_outcome, ProxyOutcome};
 use nzomp_proxies::{all_proxies, build_for_config, quick_device, Proxy};
-use nzomp_vgpu::FaultPlan;
+use nzomp_vgpu::{FaultPlan, RunConfig};
+
+/// This suite crosses proxies, fleet sizes, policies and campaign seeds,
+/// not run axes: one worker, tier and sanitizer as the environment asks —
+/// for the clean reference and the recovering host alike.
+fn sequential() -> RunConfig {
+    env_run(1)
+}
 
 /// Mix a device index into a campaign seed so every fleet member runs a
 /// distinct (but reproducible) fault schedule.
@@ -29,9 +36,8 @@ fn run_recovered(
     seed: u64,
 ) -> (ProxyOutcome, nzomp_host::RecoveryMetrics) {
     let cfg = BuildConfig::NewRtNoAssumptions;
-    let mut host = Host::new(quick_device(), devices);
+    let mut host = Host::with_run(quick_device(), devices, sequential());
     host.set_policy(policy);
-    host.set_worker_threads(1);
     // Generous failover budget: a campaign may kill a replacement's
     // predecessor several times over (sites re-fire per plan, devices
     // don't — replacements are healthy).
@@ -100,7 +106,7 @@ fn chaos_campaigns_recover_bit_identically() {
     for p in all_proxies() {
         // The clean reference: the direct device path — what PR 5 proved
         // the host path matches, and what recovery must restore.
-        let clean = run_proxy_outcome(p.as_ref(), cfg, 1, None);
+        let clean = run_proxy_outcome(p.as_ref(), cfg, sequential(), None);
         assert!(clean.result.is_ok(), "{}: clean run must succeed", p.name());
         for devices in [1usize, 2, 4] {
             for policy in [SchedPolicy::RoundRobin, SchedPolicy::LeastLoaded] {

@@ -9,7 +9,9 @@
 //! process abort, so hosts (and the differential harness) can treat a bad
 //! module the same way they treat a device trap: inspect, log, continue.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use nzomp_ir::link::LinkError;
@@ -126,23 +128,35 @@ pub fn compile_with(
     })
 }
 
-/// Structural fingerprint of a module: FNV-1a over its printed IR. Two
-/// modules with the same print are the same compilation input, so the
-/// fingerprint keys the [`CompileCache`] (and the per-device kernel-image
-/// registries built on top of it in `nzomp-host`).
+/// A stable diagnostic digest of a module: FNV-1a (fixed seed) over its
+/// structural [`Hash`]. Nothing decides anything on it — the
+/// [`CompileCache`] compares modules with `==` — it is public for logs
+/// and for the benchmark's `core.fingerprint_us` rung.
 pub fn module_fingerprint(m: &Module) -> u64 {
-    let text = nzomp_ir::printer::print_module(m);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    struct Fnv(u64);
+    impl Hasher for Fnv {
+        fn write(&mut self, bytes: &[u8]) {
+            let step = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = bytes.iter().fold(self.0, step);
+        }
+        fn finish(&self) -> u64 {
+            self.0
+        }
     }
-    h
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    m.hash(&mut h);
+    h.finish()
 }
 
 /// Memoized compile pipeline: repeated compilations of the same
 /// application module under the same [`BuildConfig`] skip the link +
 /// optimization pipeline entirely and share one [`CompileOutput`].
+///
+/// "The same module" is the IR's structural `==` (bit-exact floats): the
+/// map is keyed on `(Module, BuildConfig)`, so a hit is reachable only
+/// through `Module == Module`, and is never iterated, so its hasher seed
+/// reaches no observable value. The slot index of an output is the
+/// image's identity — the host's `ImageId` (DESIGN.md §4d).
 ///
 /// This is the host runtime's recompile eliminator: every launch of an
 /// already-registered kernel image must cost a table lookup, not an
@@ -150,7 +164,8 @@ pub fn module_fingerprint(m: &Module) -> u64 {
 /// `crates/host/tests/scheduler.rs` asserts the hit counter).
 #[derive(Default)]
 pub struct CompileCache {
-    entries: Vec<(u64, BuildConfig, Rc<CompileOutput>)>,
+    slots: HashMap<(Module, BuildConfig), usize>,
+    outputs: Vec<Rc<CompileOutput>>,
     /// Compilations served from the cache.
     pub hits: u64,
     /// Compilations that ran the real pipeline.
@@ -162,38 +177,155 @@ impl CompileCache {
         CompileCache::default()
     }
 
-    /// Compile `app` under `config`, reusing a previous output when the
-    /// `(fingerprint, config)` pair was seen before.
+    /// Compile `app` under `config`, reusing a previous output when an
+    /// equal `(module, config)` pair was seen before.
     pub fn compile(
         &mut self,
         app: Module,
         config: BuildConfig,
     ) -> Result<Rc<CompileOutput>, CompileError> {
-        // The fingerprint is of the printed text, which identifies a module
-        // only while its names print unambiguously.
+        let slot = self.compile_slot(app, config)?;
+        Ok(Rc::clone(&self.outputs[slot]))
+    }
+
+    /// [`CompileCache::compile`], answering with the output's slot: dense
+    /// from 0 in first-compiled order, stable, and never assigned to a
+    /// module that failed to compile.
+    pub fn compile_slot(&mut self, app: Module, config: BuildConfig) -> Result<usize, CompileError> {
+        // Tenant input: names the text format cannot carry are refused.
         nzomp_ir::verify::verify_names(&app)
             .map_err(|err| CompileError::Verify { stage: "input", err })?;
-        let fp = module_fingerprint(&app);
-        if let Some((_, _, out)) = self
-            .entries
-            .iter()
-            .find(|(f, c, _)| *f == fp && *c == config)
-        {
+        let key = (app, config);
+        if let Some(&slot) = self.slots.get(&key) {
             self.hits += 1;
-            return Ok(Rc::clone(out));
+            return Ok(slot);
         }
         self.misses += 1;
-        let out = Rc::new(compile(app, config)?);
-        self.entries.push((fp, config, Rc::clone(&out)));
-        Ok(out)
+        let slot = self.outputs.len();
+        self.outputs.push(Rc::new(compile(key.0.clone(), config)?));
+        self.slots.insert(key, slot);
+        Ok(slot)
+    }
+
+    /// The compiled image in `slot`.
+    pub fn output(&self, slot: usize) -> Option<&CompileOutput> {
+        self.outputs.get(slot).map(|o| o.as_ref())
     }
 
     /// Number of distinct compiled images held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.outputs.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.outputs.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nzomp_front::spmd_kernel_for;
+    use nzomp_ir::{ExecMode, FuncBuilder, Operand, Ty};
+    use nzomp_rt::RuntimeFlavor;
+
+    const CFG: BuildConfig = BuildConfig::NewRtNoAssumptions;
+
+    /// `out[i] = a[i] * scale`, built from scratch on every call.
+    fn app(scale: f64) -> Module {
+        let mut m = Module::new("cache_test_app");
+        spmd_kernel_for(
+            &mut m,
+            RuntimeFlavor::Modern,
+            "k",
+            &[Ty::Ptr, Ty::Ptr, Ty::I64],
+            |_b, p| p[2],
+            move |_m, b, iv, p| {
+                let pa = b.gep(p[0], iv, 8);
+                let x = b.load(Ty::F64, pa);
+                let v = b.fmul(x, Operand::f64(scale));
+                let po = b.gep(p[1], iv, 8);
+                b.store(Ty::F64, po, v);
+            },
+        );
+        m
+    }
+
+    /// Verifies on entry, fails at the link stage: a phi with no incoming
+    /// for one of its predecessors.
+    fn malformed() -> Module {
+        let mut m = Module::new("mal");
+        let mut b = FuncBuilder::new("mal", vec![], None);
+        let tid = b.thread_id();
+        let never = b.icmp_eq(tid, Operand::i64(-1));
+        let t = b.new_block();
+        let join = b.new_block();
+        b.cond_br(never, t, join);
+        b.switch_to(t);
+        b.br(join);
+        b.switch_to(join);
+        let _ = b.phi(Ty::I64, vec![(t, Operand::i64(1))]);
+        b.ret(None);
+        let f = m.add_function(b.finish());
+        m.add_kernel(f, ExecMode::Spmd);
+        m
+    }
+
+    #[test]
+    fn separately_built_equal_modules_hit() {
+        let mut c = CompileCache::new();
+        let a = c.compile(app(2.0), CFG).unwrap();
+        let b = c.compile(app(2.0), CFG).unwrap();
+        assert_eq!(Rc::as_ptr(&a), Rc::as_ptr(&b), "one shared output");
+        assert_eq!((c.hits, c.misses, c.len()), (1, 1, 1));
+    }
+
+    #[test]
+    fn one_immediate_of_difference_misses() {
+        let mut c = CompileCache::new();
+        let a = c.compile(app(2.0), CFG).unwrap();
+        let b = c.compile(app(2.5), CFG).unwrap();
+        assert_ne!(a.module, b.module, "each tenant gets its own kernel");
+        assert_eq!((c.hits, c.misses, c.len()), (0, 2, 2));
+        // Bitwise floats: `0.0 == -0.0` in IEEE, but not as a cache key.
+        assert_ne!(
+            c.compile_slot(app(0.0), CFG).unwrap(),
+            c.compile_slot(app(-0.0), CFG).unwrap()
+        );
+    }
+
+    #[test]
+    fn one_module_under_two_configs_is_two_slots() {
+        let mut c = CompileCache::new();
+        let full = c.compile_slot(app(2.0), CFG).unwrap();
+        let nightly = c.compile_slot(app(2.0), BuildConfig::NewRtNightly).unwrap();
+        assert_ne!(full, nightly);
+        assert_eq!(c.compile_slot(app(2.0), CFG).unwrap(), full);
+        assert_eq!((c.hits, c.misses, c.len()), (1, 2, 2));
+    }
+
+    #[test]
+    fn failed_compile_leaves_no_slot_and_fails_identically_again() {
+        let mut c = CompileCache::new();
+        let first = c.compile_slot(malformed(), CFG).unwrap_err();
+        assert!(matches!(first, CompileError::Verify { stage: "link", .. }), "{first}");
+        assert!(c.is_empty() && c.output(0).is_none());
+        let second = c.compile_slot(malformed(), CFG).unwrap_err();
+        assert_eq!(first, second);
+        assert_eq!((c.hits, c.misses, c.len()), (0, 2, 0));
+        // The failure did not burn a slot: the next image is slot 0.
+        assert_eq!(c.compile_slot(app(2.0), CFG).unwrap(), 0);
+    }
+
+    #[test]
+    fn slots_are_dense_and_stable() {
+        let mut c = CompileCache::new();
+        let slots: Vec<usize> = [2.0, 3.0, 2.0]
+            .map(|s| c.compile_slot(app(s), CFG).unwrap())
+            .to_vec();
+        assert_eq!(slots, [0, 1, 0]);
+        let a = c.compile(app(2.0), CFG).unwrap();
+        assert_eq!(Rc::as_ptr(&a), std::ptr::from_ref(c.output(0).unwrap()), "compile is the slot's output");
+        assert!(c.output(2).is_none());
     }
 }

@@ -13,9 +13,9 @@
 //!   deterministic seeded round-robin executor that is bit-identical to
 //!   eager execution ([`stream`], [`Host::sync`]);
 //! * a **multi-device scheduler** — N virtual GPUs behind round-robin or
-//!   least-loaded placement, with a per-host kernel-image registry whose
-//!   compile cache makes repeated launches skip the pipeline entirely
-//!   ([`sched`], [`Host::load_image`]).
+//!   least-loaded placement, with the compile cache as the per-host
+//!   kernel-image registry, so repeated launches skip the pipeline
+//!   entirely ([`sched`], [`Host::load_image`]).
 //!
 //! Every failure is a typed [`HostError`]; the crate is panic-free by the
 //! same contract (and clippy gate) as the rest of the workspace.
@@ -35,7 +35,6 @@ pub mod sched;
 pub mod stream;
 
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use nzomp::{BuildConfig, CompileCache, CompileOutput};
 use nzomp_ir::Module;
@@ -170,8 +169,8 @@ pub struct Host {
     slots: Vec<DeviceSlot>,
     rr_next: usize,
 
+    /// The image registry: an [`ImageId`] is a slot of this cache.
     cache: CompileCache,
-    images: Vec<Rc<CompileOutput>>,
 
     bufs: Vec<Vec<u8>>,
     streams: Vec<VecDeque<Op>>,
@@ -213,7 +212,6 @@ impl Host {
             slots: (0..n_devices.max(1)).map(|_| DeviceSlot::new()).collect(),
             rr_next: 0,
             cache: CompileCache::new(),
-            images: Vec::new(),
             bufs: Vec::new(),
             streams: Vec::new(),
             events: Vec::new(),
@@ -252,17 +250,20 @@ impl Host {
     /// Compile `app` under `config` (or reuse the cached image when this
     /// module/config pair was compiled before) and register it.
     pub fn load_image(&mut self, app: Module, config: BuildConfig) -> Result<ImageId, HostError> {
-        let out = self.cache.compile(app, config)?;
-        if let Some(i) = self.images.iter().position(|o| Rc::ptr_eq(o, &out)) {
-            return Ok(ImageId(i as u32));
-        }
-        self.images.push(out);
-        Ok(ImageId((self.images.len() - 1) as u32))
+        Ok(ImageId(self.cache.compile_slot(app, config)? as u32))
     }
 
     /// The compiled image (module + remarks + pass timings) behind an id.
     pub fn image(&self, img: ImageId) -> Option<&CompileOutput> {
-        self.images.get(img.0 as usize).map(|o| o.as_ref())
+        self.cache.output(img.0 as usize)
+    }
+
+    /// The image slot `dev` is running: `Some` iff it holds a live,
+    /// non-quarantined device — exactly when [`Host::bind_image`] of that
+    /// image keeps the device (and its memory) instead of reloading it.
+    pub fn bound_image(&self, dev: usize) -> Option<ImageId> {
+        let slot = self.slots.get(dev)?;
+        slot.image.filter(|_| slot.dev.is_some() && !slot.quarantined)
     }
 
     /// Ensure device slot `dev` runs image `img`, (re)creating the device
@@ -271,13 +272,9 @@ impl Host {
     /// Binding revives a quarantined slot — the explicit opt-in to reuse
     /// a retired slot after the fleet degraded.
     pub fn bind_image(&mut self, dev: usize, img: ImageId) -> Result<(), HostError> {
-        let devices = self.slots.len();
         let image = self.image(img).ok_or(HostError::UnknownImage(img.0))?;
-        let slot = self
-            .slots
-            .get(dev)
-            .ok_or(HostError::NoDevice { device: dev, devices })?;
-        if slot.image == Some(img) && slot.dev.is_some() && !slot.quarantined {
+        let slot = self.slot(dev)?;
+        if self.bound_image(dev) == Some(img) {
             return Ok(());
         }
         let d = self.new_device(image, effective_plan(&self.fault_plan, &slot.device_plan));
@@ -425,25 +422,13 @@ impl Host {
         off: u64,
         len: u64,
     ) -> Result<Vec<u8>, HostError> {
-        let devices = self.slots.len();
-        let ptr = self
-            .slots
-            .get(dev)
-            .ok_or(HostError::NoDevice { device: dev, devices })?
-            .table
-            .lookup(buf, off)
-            .map_err(HostError::Map)?;
+        let ptr = self.slot(dev)?.table.lookup(buf, off).map_err(HostError::Map)?;
         Ok(self.loaded_dev(dev)?.read_bytes(ptr, len as usize)?)
     }
 
     /// Device address of a mapped host location (diagnostics, tests).
     pub fn dev_addr(&self, dev: usize, buf: BufId, off: u64) -> Result<DevPtr, HostError> {
-        let devices = self.slots.len();
-        let slot = self
-            .slots
-            .get(dev)
-            .ok_or(HostError::NoDevice { device: dev, devices })?;
-        slot.table.lookup(buf, off).map_err(HostError::Map)
+        self.slot(dev)?.table.lookup(buf, off).map_err(HostError::Map)
     }
 
     // ---- launches -------------------------------------------------------
@@ -1198,6 +1183,11 @@ impl Host {
         } else {
             Err(HostError::Stream(SE::UnknownEvent(e.0)))
         }
+    }
+
+    fn slot(&self, dev: usize) -> Result<&DeviceSlot, HostError> {
+        let devices = self.slots.len();
+        self.slots.get(dev).ok_or(HostError::NoDevice { device: dev, devices })
     }
 
     fn slot_mut(&mut self, dev: usize) -> Result<&mut DeviceSlot, HostError> {

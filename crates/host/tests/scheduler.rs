@@ -7,9 +7,9 @@ mod common;
 
 use common::{input, quick, scale_add_app, scale_add_expected};
 use nzomp::BuildConfig;
-use nzomp_host::{Host, RegionArg, SchedPolicy};
+use nzomp_host::{Host, RecoveryPolicy, RegionArg, SchedPolicy};
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::RtVal;
+use nzomp_vgpu::{DeviceFaultKind, DeviceFaultSite, FaultPlan, RtVal};
 
 const N: usize = 48;
 
@@ -164,6 +164,55 @@ fn compile_cache_does_not_alias_modules_that_print_alike() {
         "forged module must be refused, not served the honest image"
     );
     assert_eq!((cache.hits, cache.misses, cache.len()), (0, 1, 1));
+}
+
+/// `Host::bound_image` answers "will `bind_image(dev, img)` keep this
+/// device?": nothing before the first bind, the image while a live device
+/// runs it — the replacement a failover installs included — and nothing
+/// once the slot is quarantined, until an explicit bind revives it.
+#[test]
+fn bound_image_follows_bind_failover_and_quarantine() {
+    let lose_at = |after_ops: u64| FaultPlan {
+        device_sites: vec![DeviceFaultSite { after_ops, kind: DeviceFaultKind::Lost }],
+        ..FaultPlan::default()
+    };
+    let mut host = Host::new(quick(), 1);
+    host.set_worker_threads(1);
+    host.set_eager(true);
+    host.set_recovery(Some(RecoveryPolicy { max_failovers: 1, ..RecoveryPolicy::default() }));
+    let img = host
+        .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
+        .unwrap();
+    let other = host
+        .load_image(scale_add_app(), BuildConfig::NewRtNightly)
+        .unwrap();
+    assert_ne!(img, other);
+    assert_eq!(host.bound_image(0), None, "no device yet");
+    assert_eq!(host.bound_image(9), None, "no such slot");
+
+    host.bind_image(0, other).unwrap();
+    assert_eq!(host.bound_image(0), Some(other));
+    host.bind_image(0, img).unwrap();
+    assert_eq!(host.bound_image(0), Some(img), "a rebind replaces the answer");
+
+    // The launch hits a device loss; the one budgeted failover succeeds.
+    host.set_device_faults(0, lose_at(1)).unwrap();
+    let s = host.stream();
+    host.enqueue_region(&[s], img, "k", launch(), region_args())
+        .unwrap();
+    assert_eq!(host.stats().recovery.failovers, 1);
+    assert_eq!(host.bound_image(0), Some(img), "the replacement runs the same image");
+
+    // The replacement dies too; the budget is spent, the slot retires.
+    host.set_device_faults(0, lose_at(0)).unwrap();
+    assert!(host
+        .enqueue_region(&[s], img, "k", launch(), region_args())
+        .is_err());
+    assert!(host.quarantined(0));
+    assert_eq!(host.bound_image(0), None, "a quarantined slot runs nothing");
+
+    host.bind_image(0, img).unwrap();
+    assert_eq!(host.bound_image(0), Some(img), "an explicit bind revives it");
 }
 
 /// Sharding identical regions across two devices yields bit-identical

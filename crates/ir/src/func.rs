@@ -17,7 +17,7 @@ impl BlockId {
 }
 
 /// A basic block: instruction list plus mandatory terminator.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Block {
     pub insts: Vec<InstId>,
     pub term: Term,
@@ -41,7 +41,7 @@ impl Default for Block {
 /// Symbol linkage. `Internal` functions may be freely specialized and
 /// removed; `External` ones must be preserved unless internalized first
 /// (paper §IV-A1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Linkage {
     Internal,
     External,
@@ -49,7 +49,7 @@ pub enum Linkage {
 
 /// Function attributes. These carry the OpenMP 5.1 `assumes` extensions the
 /// paper attaches to runtime code (Fig. 6), plus inlining control.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct FnAttrs {
     /// `ext_aligned_barrier`: every barrier this function executes is
     /// aligned, i.e. reached by all threads of the team together.
@@ -67,7 +67,7 @@ pub struct FnAttrs {
 }
 
 /// A function: parameter types, optional return, block/instruction arenas.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Function {
     pub name: String,
     pub params: Vec<Ty>,

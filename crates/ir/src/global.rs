@@ -14,7 +14,7 @@ impl GlobalId {
 }
 
 /// Static initializer of a global.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Init {
     /// All-zero bytes. The field-sensitive access analysis exploits this for
     /// the "loads from a zero-initialized region fold to zero" deduction
@@ -55,7 +55,7 @@ impl Init {
 /// A global variable. Shared-space globals are the runtime state the
 /// paper's optimizations try to eliminate — their total retained size is
 /// the "SMem" column of Fig. 11.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Global {
     pub name: String,
     pub space: Space,

@@ -181,7 +181,7 @@ operators! {
 
 /// One instruction. Instructions that produce a value have a well-defined
 /// result type (see [`Inst::result_ty`]); the rest are `void`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Inst {
     Bin {
         op: BinOp,
@@ -402,7 +402,7 @@ impl Inst {
 }
 
 /// Block terminators.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Term {
     Br(BlockId),
     CondBr {

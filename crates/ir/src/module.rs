@@ -16,7 +16,7 @@ impl FuncRef {
 
 /// Kernel execution mode (paper §II-C). Generic-mode kernels run the
 /// fork-join state machine; SPMD kernels start all threads in parallel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     Generic,
     Spmd,
@@ -31,7 +31,7 @@ pub struct LaunchDims {
 
 /// Kernel entry-point metadata (mirrors the named-symbol + exec-mode pair
 /// the LLVM offload plugin loads, §II-B).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Kernel {
     pub func: FuncRef,
     pub exec_mode: ExecMode,
@@ -41,7 +41,8 @@ pub struct Kernel {
 ///
 /// `PartialEq` is structural, and deliberately so: the printer/parser
 /// round-trip property (`parse(print(m)) == m`) is checked against it.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// With `Eq + Hash` it is the one module identity (the compile cache's key).
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Module {
     pub name: String,
     pub funcs: Vec<Function>,

@@ -45,6 +45,21 @@ impl PartialEq for Operand {
     }
 }
 
+impl Eq for Operand {}
+
+/// Agrees with `==` above: float constants hash by their bits.
+impl std::hash::Hash for Operand {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Operand::Inst(InstId(n)) | Operand::Param(n) => n.hash(h),
+            Operand::Global(GlobalId(n)) | Operand::Func(crate::module::FuncRef(n)) => n.hash(h),
+            Operand::ConstI(a, t) => (a, t).hash(h),
+            Operand::ConstF(a) => a.to_bits().hash(h),
+        }
+    }
+}
+
 impl Operand {
     /// Null pointer constant.
     pub const NULL: Operand = Operand::ConstI(0, Ty::Ptr);
@@ -95,7 +110,7 @@ impl Operand {
 }
 
 /// An incoming edge of a phi node.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PhiIncoming {
     pub pred: BlockId,
     pub value: Operand,

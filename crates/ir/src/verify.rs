@@ -288,7 +288,7 @@ pub fn is_module_name(s: &str) -> bool {
 /// Every name must survive printing: `print_module` writes names verbatim
 /// and refers to globals and functions by name alone, so a name holding a
 /// line break or punctuation, or one name on two symbols, would print as a
-/// different module — and share its fingerprint in the compile cache.
+/// different module — its text would no longer identify it.
 pub fn verify_names(m: &Module) -> Result<(), VerifyError> {
     let bad = |message: String| VerifyError {
         func: "<module>".into(),

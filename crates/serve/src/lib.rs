@@ -15,8 +15,8 @@
 //!   the next tenant; [`nzomp_host::Host::pick_device`] (the `sched.rs`
 //!   policies, quarantine-aware) picks the device;
 //! * **single-flight compilation** — every dispatch goes through the
-//!   host's fingerprint-keyed compile cache, so N tenants submitting the
-//!   same module cost exactly one pipeline run;
+//!   host's compile cache, keyed on the module itself, so N tenants
+//!   submitting equal modules cost exactly one pipeline run;
 //! * **deterministic replay** — the engine is a single-threaded
 //!   simulation over modeled cycles: a recorded request trace replays
 //!   bit-identically (outcomes, session memory images, metrics) across
@@ -171,8 +171,6 @@ pub struct Serve {
     seq: u32,
     /// Modeled cycle each device becomes free.
     dev_free: Vec<u64>,
-    /// Image currently bound per device (`None` until first dispatch).
-    dev_image: Vec<Option<ImageId>>,
     /// Session buffers resident per device.
     residents: Vec<Vec<SBuf>>,
     /// Fair-share rotation cursor over tenants.
@@ -203,7 +201,6 @@ impl Serve {
             active: BTreeMap::new(),
             seq: 0,
             dev_free: vec![0; devices],
-            dev_image: vec![None; devices],
             residents: vec![Vec::new(); devices],
             cursor: cfg.seed as usize,
             clock: 0,
@@ -521,7 +518,7 @@ impl Serve {
     /// outcome publication — is deferred to the modeled finish cycle.
     fn dispatch(&mut self, q: Queued, t: TenantId, now: u64) {
         // Single-flight compile: the host cache keys on the module
-        // fingerprint + config, so every tenant after the first hits.
+        // (structural `==`) + config, so every tenant after the first hits.
         let img = match self.host.load_image((*q.spec.module).clone(), q.spec.config) {
             Ok(i) => i,
             Err(e) => {
@@ -543,10 +540,11 @@ impl Serve {
     }
 
     /// Ensure `dev` runs `img`, writing back and evicting every resident
-    /// session buffer first when the image changes (a rebind resets the
-    /// device's present table and memory).
+    /// session buffer first when the bind will reload the device (a
+    /// reload resets its present table and memory) — the host's call,
+    /// asked through [`Host::bound_image`].
     fn make_resident(&mut self, dev: usize, img: ImageId) -> Result<(), HostError> {
-        if self.dev_image.get(dev).copied().flatten() == Some(img) && !self.host.quarantined(dev) {
+        if self.host.bound_image(dev) == Some(img) {
             return Ok(());
         }
         let residents = self.residents.get_mut(dev).map(std::mem::take).unwrap_or_default();
@@ -568,11 +566,7 @@ impl Serve {
                 b.resident = None;
             }
         }
-        self.host.bind_image(dev, img)?;
-        if let Some(slot) = self.dev_image.get_mut(dev) {
-            *slot = Some(img);
-        }
-        Ok(())
+        self.host.bind_image(dev, img)
     }
 
     /// Write a resident buffer back to its host storage and unmap it.

@@ -28,6 +28,11 @@ fn launch() -> Launch {
 
 /// `out[i] = a[i] * 2 + i` — the workspace's standard clean kernel.
 fn scale_app() -> Rc<Module> {
+    scale_app_by(2.0)
+}
+
+/// `out[i] = a[i] * k + i`: one immediate apart per `k`.
+fn scale_app_by(k: f64) -> Rc<Module> {
     let mut m = Module::new("serve_scale");
     spmd_kernel_for(
         &mut m,
@@ -35,10 +40,10 @@ fn scale_app() -> Rc<Module> {
         "k",
         &[Ty::Ptr, Ty::Ptr, Ty::I64],
         |_b, p| p[2],
-        |_m, b, iv, p| {
+        move |_m, b, iv, p| {
             let pa = b.gep(p[0], iv, 8);
             let x = b.load(Ty::F64, pa);
-            let two = b.fmul(x, Operand::f64(2.0));
+            let two = b.fmul(x, Operand::f64(k));
             let i_f = b.si_to_fp(iv);
             let v = b.fadd(two, i_f);
             let po = b.gep(p[1], iv, 8);
@@ -281,6 +286,32 @@ fn single_flight_compile_dedup() {
     serve.drain();
     let stats = serve.host_stats();
     assert_eq!((stats.compile_hits, stats.compile_misses), (6, 1));
+}
+
+/// The other side of single-flight: modules one immediate apart are two
+/// images, and each tenant is served its own kernel's result.
+#[test]
+fn modules_one_immediate_apart_never_share_an_image() {
+    let mut serve = Serve::new(cfg(2));
+    let inp = Rc::new(nzomp_host::f64_bytes(&input(N)));
+    let reqs: Vec<_> = [2.0, 3.0]
+        .iter()
+        .enumerate()
+        .map(|(i, k)| {
+            let t = serve.add_tenant(&format!("t{i}"), TenantConfig::default());
+            serve.submit(t, scale_req(&scale_app_by(*k), inp.clone())).unwrap()
+        })
+        .collect();
+    serve.drain();
+    let stats = serve.host_stats();
+    assert_eq!((stats.compile_hits, stats.compile_misses, stats.images), (0, 2, 2));
+    let out = |r| match serve.outcome(r) {
+        Some(Outcome::Completed { outputs, .. }) => nzomp_host::bytes_to_f64(&outputs[0].1),
+        other => panic!("expected completion, got {other:?}"),
+    };
+    assert_eq!(out(reqs[0]), expected(&input(N)));
+    let by_three: Vec<f64> = input(N).iter().enumerate().map(|(i, x)| x * 3.0 + i as f64).collect();
+    assert_eq!(out(reqs[1]), by_three);
 }
 
 #[test]

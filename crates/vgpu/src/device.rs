@@ -1,5 +1,6 @@
 //! The device: module loading, host-side memory management, kernel launch.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use nzomp_ir::analysis::callgraph::CallGraph;
@@ -23,9 +24,9 @@ use crate::value::RtVal;
 /// Host-side memcpy errors carry a synthetic function name so the one
 /// [`ExecError`] type (and its `Display`) covers both device traps and
 /// host accesses; `team`/`thread` are 0 because no device thread ran.
-fn host_oob(op: &str) -> ExecError {
+fn host_err(kind: TrapKind, op: &str) -> ExecError {
     ExecError {
-        kind: TrapKind::OutOfBounds,
+        kind,
         team: 0,
         thread: 0,
         func: format!("<host {op}>"),
@@ -407,15 +408,10 @@ impl Device {
     }
 
     /// Poll wrapper for the host memcpy primitives: same synthetic
-    /// `<host read>` / `<host write>` context as [`host_oob`].
+    /// `<host read>` / `<host write>` context as [`host_err`].
     fn poll_memcpy_fault(&mut self, op: &str) -> Result<(), ExecError> {
         match self.poll_device_fault(false) {
-            Some(kind) => Err(ExecError {
-                kind,
-                team: 0,
-                thread: 0,
-                func: format!("<host {op}>"),
-            }),
+            Some(kind) => Err(host_err(kind, op)),
             None => Ok(()),
         }
     }
@@ -428,56 +424,64 @@ impl Device {
         DevPtr::global(off as u32)
     }
 
-    /// Allocate and upload a little-endian `f64` slice.
+    /// Allocate and upload a little-endian `f64` slice (a lost device drops the upload).
     pub fn alloc_f64(&mut self, data: &[f64]) -> DevPtr {
         let p = self.alloc((data.len() * 8) as u64);
-        if self.write_f64(p, data).is_err() {
-            unreachable!("freshly allocated region is in bounds");
-        }
+        let _ = self.write_f64(p, data);
         p
     }
 
     pub fn alloc_i64(&mut self, data: &[i64]) -> DevPtr {
         let p = self.alloc((data.len() * 8) as u64);
-        if self.write_i64(p, data).is_err() {
-            unreachable!("freshly allocated region is in bounds");
-        }
+        let _ = self.write_i64(p, data);
         p
+    }
+
+    /// The one checked path under every host memcpy: a latched-lost device
+    /// answers `DeviceLost`, then the whole `n × size`-byte range is bounds-
+    /// checked before a byte moves. Reads the latch only: the device-fault
+    /// clock ticks in `write_bytes`/`read_bytes` alone (campaigns count those).
+    fn host_range(&self, op: &str, ptr: DevPtr, n: usize, size: usize) -> Result<Range<usize>, ExecError> {
+        if self.lost {
+            return Err(host_err(TrapKind::DeviceLost, op));
+        }
+        let off = ptr.offset() as usize;
+        n.checked_mul(size)
+            .and_then(|len| off.checked_add(len))
+            .filter(|end| *end <= self.global.bytes.len())
+            .map(|end| off..end)
+            .ok_or_else(|| host_err(TrapKind::OutOfBounds, op))
+    }
+
+    fn write_le<T: Copy, const N: usize>(&mut self, ptr: DevPtr, data: &[T], le: impl Fn(T) -> [u8; N]) -> Result<(), ExecError> {
+        let range = self.host_range("write", ptr, data.len(), N)?;
+        for (dst, v) in self.global.bytes[range].as_chunks_mut::<N>().0.iter_mut().zip(data) {
+            *dst = le(*v);
+        }
+        Ok(())
+    }
+
+    fn read_le<T, const N: usize>(&self, ptr: DevPtr, len: usize, le: impl Fn([u8; N]) -> T) -> Result<Vec<T>, ExecError> {
+        let range = self.host_range("read", ptr, len, N)?;
+        Ok(self.global.bytes[range].as_chunks::<N>().0.iter().map(|b| le(*b)).collect())
     }
 
     /// Host→device memcpy. Errors (typed, never a panic) if any part of
     /// the destination lies outside device global memory.
     pub fn write_f64(&mut self, ptr: DevPtr, data: &[f64]) -> Result<(), ExecError> {
-        for (i, v) in data.iter().enumerate() {
-            self.global
-                .write(ptr.offset() + (i * 8) as u64, 8, v.to_bits() as i64)
-                .map_err(|_| host_oob("write"))?;
-        }
-        Ok(())
+        self.write_le(ptr, data, f64::to_le_bytes)
     }
 
     pub fn write_i64(&mut self, ptr: DevPtr, data: &[i64]) -> Result<(), ExecError> {
-        for (i, v) in data.iter().enumerate() {
-            self.global
-                .write(ptr.offset() + (i * 8) as u64, 8, *v)
-                .map_err(|_| host_oob("write"))?;
-        }
-        Ok(())
+        self.write_le(ptr, data, i64::to_le_bytes)
     }
 
     pub fn write_i32(&mut self, ptr: DevPtr, data: &[i32]) -> Result<(), ExecError> {
-        for (i, v) in data.iter().enumerate() {
-            self.global
-                .write(ptr.offset() + (i * 4) as u64, 4, *v as i64)
-                .map_err(|_| host_oob("write"))?;
-        }
-        Ok(())
+        self.write_le(ptr, data, i32::to_le_bytes)
     }
 
     pub fn write_ptr(&mut self, ptr: DevPtr, value: DevPtr) -> Result<(), ExecError> {
-        self.global
-            .write(ptr.offset(), 8, value.0 as i64)
-            .map_err(|_| host_oob("write"))
+        self.write_le(ptr, &[value.0], u64::to_le_bytes)
     }
 
     /// Raw host→device memcpy — the transfer primitive of the offload
@@ -485,12 +489,8 @@ impl Device {
     /// than typed slices.
     pub fn write_bytes(&mut self, ptr: DevPtr, data: &[u8]) -> Result<(), ExecError> {
         self.poll_memcpy_fault("write")?;
-        let off = ptr.offset() as usize;
-        let end = off.checked_add(data.len()).ok_or_else(|| host_oob("write"))?;
-        if end > self.global.bytes.len() {
-            return Err(host_oob("write"));
-        }
-        self.global.bytes[off..end].copy_from_slice(data);
+        let range = self.host_range("write", ptr, data.len(), 1)?;
+        self.global.bytes[range].copy_from_slice(data);
         Ok(())
     }
 
@@ -499,45 +499,21 @@ impl Device {
     /// host-visible transfer, even reads.
     pub fn read_bytes(&mut self, ptr: DevPtr, len: usize) -> Result<Vec<u8>, ExecError> {
         self.poll_memcpy_fault("read")?;
-        let off = ptr.offset() as usize;
-        let end = off.checked_add(len).ok_or_else(|| host_oob("read"))?;
-        if end > self.global.bytes.len() {
-            return Err(host_oob("read"));
-        }
-        Ok(self.global.bytes[off..end].to_vec())
+        let range = self.host_range("read", ptr, len, 1)?;
+        Ok(self.global.bytes[range].to_vec())
     }
 
     /// Device→host memcpy; typed out-of-bounds error instead of a panic.
     pub fn read_f64(&self, ptr: DevPtr, len: usize) -> Result<Vec<f64>, ExecError> {
-        (0..len)
-            .map(|i| {
-                self.global
-                    .read(ptr.offset() + (i * 8) as u64, 8)
-                    .map(|bits| f64::from_bits(bits as u64))
-                    .map_err(|_| host_oob("read"))
-            })
-            .collect()
+        self.read_le(ptr, len, f64::from_le_bytes)
     }
 
     pub fn read_i64(&self, ptr: DevPtr, len: usize) -> Result<Vec<i64>, ExecError> {
-        (0..len)
-            .map(|i| {
-                self.global
-                    .read(ptr.offset() + (i * 8) as u64, 8)
-                    .map_err(|_| host_oob("read"))
-            })
-            .collect()
+        self.read_le(ptr, len, i64::from_le_bytes)
     }
 
     pub fn read_i32(&self, ptr: DevPtr, len: usize) -> Result<Vec<i32>, ExecError> {
-        (0..len)
-            .map(|i| {
-                self.global
-                    .read(ptr.offset() + (i * 4) as u64, 4)
-                    .map(|v| v as i32)
-                    .map_err(|_| host_oob("read"))
-            })
-            .collect()
+        self.read_le(ptr, len, i32::from_le_bytes)
     }
 
     /// Address of a named global (host access to device state).

@@ -10,6 +10,7 @@ use nzomp_integration::corpus::{
 use nzomp_integration::gen::{all_labels, coverage_labels, generate};
 use nzomp_ir::parser::parse_module_strict;
 use nzomp_ir::printer::print_module;
+use nzomp_ir::{FuncBuilder, Module, Operand, Ty};
 use proptest::prelude::*;
 
 proptest! {
@@ -63,6 +64,53 @@ fn differential_matrix_on_fixed_seeds() {
     }
     // Axes sanity: the contract above really did run both worker counts.
     assert_eq!(WORKER_AXES, [1, 8]);
+}
+
+/// The module identity law the compile cache rests on: `a == b` implies
+/// `hash(a) == hash(b)`, for copies made by `clone` and by the text
+/// round-trip, over the generator and the corpus — and float constants
+/// are keys by bit pattern (`0.0`/`-0.0` apart, every NaN payload its own
+/// reflexive key).
+#[test]
+fn module_hash_agrees_with_module_eq() {
+    use std::collections::HashSet;
+    use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+    let hash = |m: &Module| BuildHasherDefault::<DefaultHasher>::default().hash_one(m);
+    let check = |name: &str, m: &Module| {
+        let reparsed = parse_module_strict(&print_module(m)).unwrap();
+        for copy in [m.clone(), reparsed] {
+            assert_eq!(&copy, m, "{name}");
+            assert_eq!(hash(&copy), hash(m), "{name}: equal modules, unequal hashes");
+            assert_eq!(
+                nzomp::module_fingerprint(&copy),
+                nzomp::module_fingerprint(m),
+                "{name}: the digest is a function of the same hash"
+            );
+        }
+    };
+    for seed in 0..64u64 {
+        check(&format!("seed {seed}"), &generate(seed).module);
+    }
+    for (name, text) in corpus_texts().unwrap() {
+        check(&name, &parse_module_strict(&text).unwrap());
+    }
+
+    let with_const = |c: f64| {
+        let mut b = FuncBuilder::new("f", vec![Ty::F64], Some(Ty::F64));
+        let v = b.fadd(b.param(0), Operand::f64(c));
+        b.ret(Some(v));
+        let mut m = Module::new("consts");
+        m.add_function(b.finish());
+        m
+    };
+    let nan = |payload: u64| f64::from_bits(f64::NAN.to_bits() | payload);
+    let consts = [0.0, -0.0, nan(1), nan(2)];
+    let keys: HashSet<Module> = consts.iter().map(|c| with_const(*c)).collect();
+    assert_eq!(keys.len(), consts.len(), "bitwise-distinct constants are distinct keys");
+    for c in consts {
+        assert!(keys.contains(&with_const(c)), "{c:?} ({:#x}) is not reflexive", c.to_bits());
+        check(&format!("const {:#x}", c.to_bits()), &with_const(c));
+    }
 }
 
 /// Hostile text: seeded line/byte mutations of every corpus file and of

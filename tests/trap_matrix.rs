@@ -563,6 +563,21 @@ fn device_loss_latches_until_replan() {
         dev.launch("k", Launch::new(1, 1), &[]).unwrap_err().kind,
         TrapKind::DeviceLost
     );
+    // The typed memcpys answer for the same latch, with the host context.
+    let r = dev.read_f64(p, 1).unwrap_err();
+    assert_eq!(r.kind, TrapKind::DeviceLost);
+    assert_eq!(r.func, "<host read>");
+    let w = dev.write_i64(p, &[1]).unwrap_err();
+    assert_eq!(w.kind, TrapKind::DeviceLost);
+    assert_eq!(w.func, "<host write>");
+    assert_eq!(dev.read_i64(p, 1).unwrap_err().kind, TrapKind::DeviceLost);
+    assert_eq!(dev.read_i32(p, 1).unwrap_err().kind, TrapKind::DeviceLost);
+    assert_eq!(dev.write_f64(p, &[1.0]).unwrap_err().kind, TrapKind::DeviceLost);
+    assert_eq!(dev.write_i32(p, &[1]).unwrap_err().kind, TrapKind::DeviceLost);
+    assert_eq!(dev.write_ptr(p, p).unwrap_err().kind, TrapKind::DeviceLost);
+    // Allocation is host-side bookkeeping: the upload is dropped, no panic.
+    let q = dev.alloc_f64(&[1.0]);
+    assert_eq!(dev.read_f64(q, 1).unwrap_err().kind, TrapKind::DeviceLost);
     // Re-arming resets the device-fault clock and resurrects the device.
     dev.set_fault_plan(FaultPlan::default());
     assert!(!dev.is_lost());

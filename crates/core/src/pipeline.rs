@@ -18,7 +18,7 @@ use nzomp_ir::link::LinkError;
 use nzomp_ir::verify::VerifyError;
 use nzomp_ir::Module;
 use nzomp_opt::{optimize_module_timed, PassOptions, PassTimings, Remarks};
-use nzomp_rt::{build_runtime, RtConfig};
+use nzomp_rt::{runtime_library, RtConfig};
 
 use crate::config::BuildConfig;
 
@@ -86,8 +86,7 @@ pub fn link_only(
         let needs_ds = app
             .find_func(nzomp_rt::abi::OLD_DATA_SHARING_PUSH)
             .is_some();
-        let rt = build_runtime(flavor, rt_cfg, needs_ds);
-        nzomp_ir::link::link(&mut app, rt)?;
+        nzomp_ir::link::link(&mut app, runtime_library(flavor, rt_cfg, needs_ds))?;
     }
     // Link-time verification: catch malformed input (e.g. a phi missing an
     // incoming for one of its predecessors) before it reaches the

@@ -54,11 +54,11 @@ impl CallGraph {
                             }
                         }
                     } else {
-                        for op in inst.operands() {
+                        inst.for_each_operand(|op| {
                             if let Operand::Func(fr) = op {
                                 address_taken.insert(fr);
                             }
-                        }
+                        });
                     }
                 }
             }
@@ -92,13 +92,13 @@ impl CallGraph {
             let func = m.func(f);
             for block in &func.blocks {
                 for &iid in &block.insts {
-                    for op in func.inst(iid).operands() {
+                    func.inst(iid).for_each_operand(|op| {
                         if let Operand::Func(fr) = op {
                             if self.address_taken.contains(&fr) && !seen.contains(&fr) {
                                 stack.push(fr);
                             }
                         }
-                    }
+                    });
                 }
             }
         }

@@ -1,19 +1,63 @@
 //! Control-flow-graph helpers: predecessors, reachability, orderings.
 
-use crate::func::{BlockId, Function};
+use crate::func::{Block, BlockId, Function};
 
-/// Predecessor lists indexed by block.
-pub fn predecessors(f: &Function) -> Vec<Vec<BlockId>> {
-    let mut preds = vec![Vec::new(); f.blocks.len()];
+/// The distinct blocks `block` branches to (a conditional branch with both
+/// arms on one block is one edge).
+fn edges(block: &Block) -> impl Iterator<Item = BlockId> {
+    let succs = block.term.succs();
+    let distinct = if succs.len() == 2 && succs[0] == succs[1] { 1 } else { succs.len() };
+    succs.into_iter().take(distinct)
+}
+
+/// Number of distinct predecessors of each block.
+pub fn pred_counts(f: &Function) -> Vec<u32> {
+    let mut counts = vec![0; f.blocks.len()];
+    for succ in f.blocks.iter().flat_map(edges) {
+        counts[succ.index()] += 1;
+    }
+    counts
+}
+
+/// Predecessor lists indexed by block: `preds[b]` is the slice of distinct
+/// predecessors of block `b`, in block order. One flat list behind an
+/// offset table, so building it costs a fixed number of allocations however
+/// many blocks there are.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Preds {
+    /// `list[start[b]..start[b + 1]]` are the predecessors of block `b`.
+    start: Vec<u32>,
+    list: Vec<BlockId>,
+}
+
+impl std::ops::Index<usize> for Preds {
+    type Output = [BlockId];
+
+    fn index(&self, block: usize) -> &[BlockId] {
+        &self.list[self.start[block] as usize..self.start[block + 1] as usize]
+    }
+}
+
+/// Predecessor lists of every block of `f`.
+pub fn predecessors(f: &Function) -> Preds {
+    // Counts become offsets; each count's slot then serves as its block's
+    // fill cursor.
+    let mut cursor = pred_counts(f);
+    let mut start = Vec::with_capacity(cursor.len() + 1);
+    let mut total = 0;
+    for slot in &mut cursor {
+        start.push(total);
+        total += std::mem::replace(slot, total);
+    }
+    start.push(total);
+    let mut list = vec![BlockId::ENTRY; total as usize];
     for (bid, block) in f.iter_blocks() {
-        for succ in block.term.succs() {
-            let list = &mut preds[succ.index()];
-            if !list.contains(&bid) {
-                list.push(bid);
-            }
+        for succ in edges(block) {
+            list[cursor[succ.index()] as usize] = bid;
+            cursor[succ.index()] += 1;
         }
     }
-    preds
+    Preds { start, list }
 }
 
 /// Blocks reachable from entry, as a bitset-like bool vec.

@@ -41,7 +41,6 @@ pub fn compute(f: &Function) -> Liveness {
     let nb = f.blocks.len();
     let mut live_in: Vec<HashSet<Key>> = vec![HashSet::new(); nb];
     let mut live_out: Vec<HashSet<Key>> = vec![HashSet::new(); nb];
-    let preds = crate::analysis::cfg::predecessors(f);
 
     // Iterate to fixpoint (backward dataflow).
     let mut changed = true;
@@ -75,20 +74,12 @@ pub fn compute(f: &Function) -> Liveness {
             }
             // live-in = (live-out minus defs) plus uses, walked backward.
             let mut cur = out.clone();
-            for op in block.term.operands() {
-                if let Some(k) = key_of(op) {
-                    cur.insert(k);
-                }
-            }
+            block.term.for_each_operand(|op| cur.extend(key_of(op)));
             for &iid in block.insts.iter().rev() {
                 let inst = f.inst(iid);
                 cur.remove(&Key::Inst(iid.0));
                 if !inst.is_phi() {
-                    for op in inst.operands() {
-                        if let Some(k) = key_of(op) {
-                            cur.insert(k);
-                        }
-                    }
+                    inst.for_each_operand(|op| cur.extend(key_of(op)));
                 }
             }
             // Phi defs are live-in (they are defined "at the block start"),
@@ -106,7 +97,6 @@ pub fn compute(f: &Function) -> Liveness {
                 changed = true;
             }
         }
-        let _ = &preds; // preds reserved for future precision work
     }
 
     // Max pressure: walk each block forward tracking the live set.
@@ -115,21 +105,13 @@ pub fn compute(f: &Function) -> Liveness {
         // Recompute backward death points within the block.
         let mut live: HashSet<Key> = live_out[bi].clone();
         max_live = max_live.max(live.len());
-        for op in block.term.operands() {
-            if let Some(k) = key_of(op) {
-                live.insert(k);
-            }
-        }
+        block.term.for_each_operand(|op| live.extend(key_of(op)));
         max_live = max_live.max(live.len());
         for &iid in block.insts.iter().rev() {
             let inst = f.inst(iid);
             live.remove(&Key::Inst(iid.0));
             if !inst.is_phi() {
-                for op in inst.operands() {
-                    if let Some(k) = key_of(op) {
-                        live.insert(k);
-                    }
-                }
+                inst.for_each_operand(|op| live.extend(key_of(op)));
             }
             max_live = max_live.max(live.len());
         }

@@ -21,7 +21,6 @@ use crate::analysis::callgraph::CallGraph;
 use crate::analysis::dom::DomTree;
 use crate::analysis::liveness::{self, Liveness};
 use crate::analysis::cfg;
-use crate::func::BlockId;
 use crate::module::Module;
 
 /// The analyses the manager knows how to cache and invalidate.
@@ -154,7 +153,7 @@ pub struct AnalysisManager {
     /// Module-level epoch (any function change bumps it — the call graph
     /// depends on every body).
     module_epoch: u64,
-    preds: Vec<Option<Cached<Vec<Vec<BlockId>>>>>,
+    preds: Vec<Option<Cached<cfg::Preds>>>,
     doms: Vec<Option<Cached<DomTree>>>,
     live: Vec<Option<Cached<Liveness>>>,
     callgraph: Option<Cached<CallGraph>>,
@@ -200,7 +199,7 @@ impl AnalysisManager {
     }
 
     /// CFG predecessor lists of function `f` (cached).
-    pub fn predecessors(&mut self, m: &Module, f: u32) -> Rc<Vec<Vec<BlockId>>> {
+    pub fn predecessors(&mut self, m: &Module, f: u32) -> Rc<cfg::Preds> {
         self.ensure(m);
         let epoch = self.func_epoch[f as usize];
         let slot = &mut self.preds[f as usize];

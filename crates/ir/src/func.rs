@@ -137,6 +137,17 @@ impl Function {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
+    /// Apply `f` to every operand use in the function: the whole arena
+    /// (dead entries included) and every terminator.
+    pub fn map_operands(&mut self, mut f: impl FnMut(Operand) -> Operand) {
+        for inst in &mut self.insts {
+            inst.map_operands(&mut f);
+        }
+        for block in &mut self.blocks {
+            block.term.map_operands(&mut f);
+        }
+    }
+
     /// Is the instruction arena in *normal form*: exactly the live
     /// instructions, stored in block-traversal order? Normal form is what
     /// the textual format can represent losslessly — the parser produces

@@ -266,8 +266,8 @@ pub enum Inst {
 /// The one listing of each variant's operand fields, in use order: `$body`
 /// runs with `$ops` bound to an iterator over them. `$on` is an `Inst` or
 /// `Term` behind `&` or `&mut`; match ergonomics then make the items
-/// `&Operand` or `&mut Operand`, so `operands()` and `map_operands()` are
-/// both this listing (and each arm's iterator knows its exact length).
+/// `&Operand` or `&mut Operand`, so `for_each_operand()` and
+/// `map_operands()` are both this listing, and neither allocates.
 macro_rules! each_operand {
     (inst $on:expr, |$ops:ident| $body:expr) => {
         match $on {
@@ -386,9 +386,11 @@ impl Inst {
         }
     }
 
-    /// Iterate over all operand uses (not including phi predecessors).
-    pub fn operands(&self) -> Vec<Operand> {
-        each_operand!(inst self, |ops| ops.copied().collect())
+    /// Call `f` on every operand use, in use order (phi incomings by
+    /// value; their predecessors are not operands).
+    #[inline]
+    pub fn for_each_operand(&self, f: impl FnMut(Operand)) {
+        each_operand!(inst self, |ops| ops.copied().for_each(f));
     }
 
     /// Apply `f` to every operand use in place (including phi incomings).
@@ -414,20 +416,52 @@ pub enum Term {
     Unreachable,
 }
 
+/// The successors of a terminator: at most two blocks, held inline. Reads
+/// as a slice and iterates by value, so walking a CFG edge costs no heap
+/// allocation.
+#[derive(Clone, Copy, Debug)]
+pub struct Succs {
+    blocks: [BlockId; 2],
+    len: usize,
+}
+
+impl std::ops::Deref for Succs {
+    type Target = [BlockId];
+
+    #[inline]
+    fn deref(&self) -> &[BlockId] {
+        &self.blocks[..self.len]
+    }
+}
+
+impl IntoIterator for Succs {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter().take(self.len)
+    }
+}
+
 impl Term {
     /// Successor blocks in order.
-    pub fn succs(&self) -> Vec<BlockId> {
-        match self {
-            Term::Br(b) => vec![*b],
+    #[inline]
+    pub fn succs(&self) -> Succs {
+        let (blocks, len) = match self {
+            Term::Br(b) => ([*b, *b], 1),
             Term::CondBr {
                 if_true, if_false, ..
-            } => vec![*if_true, *if_false],
-            Term::Ret(_) | Term::Unreachable => vec![],
-        }
+            } => ([*if_true, *if_false], 2),
+            Term::Ret(_) | Term::Unreachable => ([BlockId::ENTRY; 2], 0),
+        };
+        Succs { blocks, len }
     }
 
-    pub fn operands(&self) -> Vec<Operand> {
-        each_operand!(term self, |ops| ops.copied().collect())
+    /// Call `f` on every operand use.
+    #[inline]
+    pub fn for_each_operand(&self, f: impl FnMut(Operand)) {
+        each_operand!(term self, |ops| ops.copied().for_each(f));
     }
 
     pub fn map_operands(&mut self, mut f: impl FnMut(Operand) -> Operand) {

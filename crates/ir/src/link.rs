@@ -3,7 +3,6 @@
 //! bytecode library and then optimized together with the user application")
 //! into the application module, resolving declarations to definitions.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::global::GlobalId;
@@ -38,88 +37,75 @@ impl std::error::Error for LinkError {}
 
 /// Link `src` into `dst`. Declarations in either module are resolved against
 /// definitions in the other; remaining unresolved declarations are allowed
-/// (they fail at execution time if actually called).
+/// (they fail at execution time if actually called). `src` is consumed: its
+/// globals and function bodies move into `dst`, nothing is copied.
 pub fn link(dst: &mut Module, src: Module) -> Result<(), LinkError> {
     // --- globals: names must be unique across modules -------------------
-    let mut global_map: HashMap<GlobalId, GlobalId> = HashMap::new();
-    for (i, g) in src.globals.iter().enumerate() {
+    // `global_map[i]` / `func_map[i]` is where src's i-th symbol landed.
+    let mut global_map: Vec<GlobalId> = Vec::with_capacity(src.globals.len());
+    for g in src.globals {
         if dst.find_global(&g.name).is_some() {
-            return Err(LinkError::DuplicateGlobal(g.name.clone()));
+            return Err(LinkError::DuplicateGlobal(g.name));
         }
-        let new_id = dst.add_global(g.clone());
-        global_map.insert(GlobalId(i as u32), new_id);
+        global_map.push(dst.add_global(g));
     }
 
     // --- functions -------------------------------------------------------
-    // First decide, for every src function, which dst slot it maps to.
-    let mut func_map: HashMap<FuncRef, FuncRef> = HashMap::new();
-    let mut to_install: Vec<(FuncRef, FuncRef)> = Vec::new(); // (dst slot, src idx)
-    for (i, sf) in src.funcs.iter().enumerate() {
-        let src_ref = FuncRef(i as u32);
-        match dst.find_func(&sf.name) {
+    let mut func_map: Vec<FuncRef> = Vec::with_capacity(src.funcs.len());
+    // dst slots that received a body from src.
+    let mut installed: Vec<FuncRef> = Vec::new();
+    for sf in src.funcs {
+        let slot = match dst.find_func(&sf.name) {
             Some(existing) => {
-                let df = dst.func(existing);
+                let df = dst.func_mut(existing);
                 if df.params != sf.params || df.ret != sf.ret {
-                    return Err(LinkError::SignatureMismatch(sf.name.clone()));
+                    return Err(LinkError::SignatureMismatch(sf.name));
                 }
                 match (df.is_declaration(), sf.is_declaration()) {
+                    // src only declares; resolve to dst's slot.
+                    (_, true) => {}
+                    // dst declared, src defines: the body moves in.
                     (true, false) => {
-                        // dst declared, src defines: install src body later.
-                        to_install.push((existing, src_ref));
-                        func_map.insert(src_ref, existing);
+                        df.blocks = sf.blocks;
+                        df.insts = sf.insts;
+                        df.attrs = sf.attrs;
+                        df.linkage = sf.linkage;
+                        installed.push(existing);
                     }
-                    (_, true) => {
-                        // src only declares; resolve to dst's slot.
-                        func_map.insert(src_ref, existing);
-                    }
-                    (false, false) => {
-                        return Err(LinkError::DuplicateFunction(sf.name.clone()));
-                    }
+                    (false, false) => return Err(LinkError::DuplicateFunction(sf.name)),
                 }
+                existing
             }
             None => {
-                let new_ref = dst.add_function(sf.clone());
-                func_map.insert(src_ref, new_ref);
-                if !sf.is_declaration() {
-                    to_install.push((new_ref, src_ref));
+                let defined = !sf.is_declaration();
+                let new_ref = dst.add_function(sf);
+                if defined {
+                    installed.push(new_ref);
                 }
+                new_ref
             }
-        }
+        };
+        func_map.push(slot);
     }
 
-    // Install bodies for replaced declarations.
-    for &(dst_ref, src_ref) in &to_install {
-        let sf = &src.funcs[src_ref.index()];
-        let d = dst.func_mut(dst_ref);
-        d.blocks = sf.blocks.clone();
-        d.insts = sf.insts.clone();
-        d.attrs = sf.attrs.clone();
-        d.linkage = sf.linkage;
-    }
-
-    // Remap Func/Global operands in every function we pulled from src.
+    // Remap Func/Global operands in every body we pulled from src.
+    // (An index src itself does not have is left as it is.)
     let remap = |op: Operand| -> Operand {
         match op {
-            Operand::Func(fr) => Operand::Func(*func_map.get(&fr).unwrap_or(&fr)),
-            Operand::Global(g) => Operand::Global(*global_map.get(&g).unwrap_or(&g)),
+            Operand::Func(f) => Operand::Func(*func_map.get(f.index()).unwrap_or(&f)),
+            Operand::Global(g) => Operand::Global(*global_map.get(g.index()).unwrap_or(&g)),
             other => other,
         }
     };
-    for &(dst_ref, _) in &to_install {
-        let f = dst.func_mut(dst_ref);
-        for inst in &mut f.insts {
-            inst.map_operands(remap);
-        }
-        for block in &mut f.blocks {
-            block.term.map_operands(remap);
-        }
+    for &dst_ref in &installed {
+        dst.func_mut(dst_ref).map_operands(remap);
     }
 
     // Kernels from src (rare, but allowed). Every src function index is in
     // `func_map`, so a miss means the kernel table itself is malformed.
     for k in &src.kernels {
         let func = *func_map
-            .get(&k.func)
+            .get(k.func.index())
             .ok_or(LinkError::MalformedKernel(k.func.0))?;
         dst.add_kernel(func, k.exec_mode);
     }

@@ -31,6 +31,19 @@ fn err(func: &Function, message: impl Into<String>) -> VerifyError {
     }
 }
 
+/// A fallible per-operand check as an operand visitor: `ok` keeps the first
+/// error and later operands are skipped.
+fn first_error<'a>(
+    ok: &'a mut Result<(), VerifyError>,
+    mut check: impl FnMut(Operand) -> Result<(), VerifyError> + 'a,
+) -> impl FnMut(Operand) + 'a {
+    move |op| {
+        if ok.is_ok() {
+            *ok = check(op);
+        }
+    }
+}
+
 fn check_operand(f: &Function, m: Option<&Module>, op: Operand) -> Result<(), VerifyError> {
     match op {
         Operand::Inst(i) => {
@@ -93,9 +106,9 @@ pub fn verify_function(f: &Function, m: Option<&Module>) -> Result<(), VerifyErr
             } else {
                 in_phi_prefix = false;
             }
-            for op in inst.operands() {
-                check_operand(f, m, op)?;
-            }
+            let mut ok = Ok(());
+            inst.for_each_operand(first_error(&mut ok, |op| check_operand(f, m, op)));
+            ok?;
             // Phi incomings must name existing blocks.
             if let Inst::Phi { incomings, .. } = inst {
                 for inc in incomings {
@@ -137,9 +150,9 @@ pub fn verify_function(f: &Function, m: Option<&Module>) -> Result<(), VerifyErr
                 return Err(err(f, format!("bb{} branches to missing bb{}", bid.0, target.0)));
             }
         }
-        for op in block.term.operands() {
-            check_operand(f, m, op)?;
-        }
+        let mut ok = Ok(());
+        block.term.for_each_operand(first_error(&mut ok, |op| check_operand(f, m, op)));
+        ok?;
         if let Term::Ret(v) = &block.term {
             match (v, f.ret) {
                 (Some(_), None) => return Err(err(f, "ret with value in void function")),
@@ -257,16 +270,16 @@ fn verify_ssa_dominance(f: &Function) -> Result<(), VerifyError> {
                     }
                 }
                 inst => {
-                    for op in inst.operands() {
-                        check_use(op, bid, pos)?;
-                    }
+                    let mut ok = Ok(());
+                    inst.for_each_operand(first_error(&mut ok, |op| check_use(op, bid, pos)));
+                    ok?;
                 }
             }
         }
         let end = block.insts.len();
-        for op in block.term.operands() {
-            check_use(op, bid, end)?;
-        }
+        let mut ok = Ok(());
+        block.term.for_each_operand(first_error(&mut ok, |op| check_use(op, bid, end)));
+        ok?;
     }
     Ok(())
 }

@@ -264,11 +264,12 @@ fn link_remaps_global_and_func_operands() {
     // lib_g moved to index 1 in app; the load must point at it.
     let uses = app.find_func("uses").unwrap();
     let f = app.func(uses);
-    let found = f.blocks.iter().flat_map(|b| &b.insts).any(|&i| {
-        f.inst(i).operands().iter().any(|o| {
-            matches!(o, Operand::Global(g) if app.global(*g).name == "lib_g")
-        })
-    });
+    let mut found = false;
+    for &i in f.blocks.iter().flat_map(|b| &b.insts) {
+        f.inst(i).for_each_operand(|o| {
+            found |= matches!(o, Operand::Global(g) if app.global(g).name == "lib_g");
+        });
+    }
     assert!(found);
 }
 
@@ -311,6 +312,31 @@ fn rpo_starts_at_entry_and_covers_reachable() {
     let rpo = cfg::reverse_post_order(&f);
     assert_eq!(rpo[0], BlockId::ENTRY);
     assert_eq!(rpo.len(), 4);
+}
+
+#[test]
+fn predecessors_are_distinct_and_in_block_order() {
+    let f = diamond();
+    let preds = cfg::predecessors(&f);
+    assert!(preds[0].is_empty());
+    assert_eq!(preds[1], [BlockId(0)]);
+    assert_eq!(preds[3], [BlockId(1), BlockId(2)]);
+    assert_eq!(cfg::pred_counts(&f), [0, 1, 1, 2]);
+
+    // Both arms on one block is one edge; a self-loop is its own
+    // predecessor; a later block may precede an earlier one.
+    let mut fb = FuncBuilder::new("e", vec![Ty::I1], None);
+    let (same, spin) = (fb.new_block(), fb.new_block());
+    fb.cond_br(fb.param(0), same, same);
+    fb.switch_to(same);
+    fb.br(spin);
+    fb.switch_to(spin);
+    fb.cond_br(fb.param(0), spin, same);
+    let f = fb.finish();
+    let preds = cfg::predecessors(&f);
+    assert_eq!(preds[1], [BlockId(0), BlockId(2)]);
+    assert_eq!(preds[2], [BlockId(1), BlockId(2)]);
+    assert_eq!(cfg::pred_counts(&f), [0, 2, 2]);
 }
 
 #[test]
@@ -426,14 +452,16 @@ fn exec_mode_update() {
 
 #[test]
 fn term_successors() {
-    assert_eq!(Term::Br(BlockId(3)).succs(), vec![BlockId(3)]);
-    assert_eq!(Term::Ret(None).succs(), vec![]);
+    assert_eq!(*Term::Br(BlockId(3)).succs(), [BlockId(3)]);
+    assert!(Term::Ret(None).succs().is_empty());
+    assert!(Term::Unreachable.succs().into_iter().next().is_none());
     let t = Term::CondBr {
         cond: Operand::TRUE,
         if_true: BlockId(1),
         if_false: BlockId(2),
     };
-    assert_eq!(t.succs(), vec![BlockId(1), BlockId(2)]);
+    assert_eq!(*t.succs(), [BlockId(1), BlockId(2)]);
+    assert_eq!(t.succs().into_iter().collect::<Vec<_>>(), [BlockId(1), BlockId(2)]);
 }
 
 #[test]

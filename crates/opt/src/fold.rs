@@ -133,7 +133,12 @@ fn fold_loads(
 
     // Per-function replacement maps (constants) and in-place rewrites
     // (rematerialized intrinsics).
-    let mut const_repl: HashMap<u32, HashMap<InstId, Operand>> = HashMap::new();
+    let mut const_repl: HashMap<u32, Vec<Option<Operand>>> = HashMap::new();
+    let mut replace = |site: &LoadSite, op: Operand| {
+        let arena = module.funcs[site.func as usize].insts.len();
+        const_repl.entry(site.func).or_insert_with(|| vec![None; arena])[site.inst.index()] =
+            Some(op);
+    };
     let mut remat: Vec<(u32, InstId, Intrinsic)> = Vec::new();
 
     for site in &sites {
@@ -149,24 +154,16 @@ fn fold_loads(
                 } else {
                     Operand::ConstI(v, site.ty)
                 };
-                const_repl.entry(site.func).or_default().insert(site.inst, op);
+                replace(site, op);
                 remarks.passed(
                     "openmp-opt",
                     &fname,
                     format!("folded load of {:?} to constant {v}", site.obj),
                 );
             }
-            FoldVal::Float(v) => {
-                const_repl
-                    .entry(site.func)
-                    .or_default()
-                    .insert(site.inst, Operand::ConstF(v));
-            }
+            FoldVal::Float(v) => replace(site, Operand::ConstF(v)),
             FoldVal::Func(fr) => {
-                const_repl.entry(site.func).or_default().insert(
-                    site.inst,
-                    Operand::Func(nzomp_ir::module::FuncRef(fr)),
-                );
+                replace(site, Operand::Func(nzomp_ir::module::FuncRef(fr)));
                 remarks.passed(
                     "openmp-opt",
                     &fname,
@@ -175,21 +172,13 @@ fn fold_loads(
             }
             FoldVal::BlockDim => remat.push((site.func, site.inst, Intrinsic::BlockDim)),
             FoldVal::GridDim => remat.push((site.func, site.inst, Intrinsic::GridDim)),
-            FoldVal::Param(p) => {
-                const_repl
-                    .entry(site.func)
-                    .or_default()
-                    .insert(site.inst, Operand::Param(p));
-            }
+            FoldVal::Param(p) => replace(site, Operand::Param(p)),
             FoldVal::Bottom => {}
         }
     }
 
     let mut changed = false;
     for (fidx, map) in &const_repl {
-        if map.is_empty() {
-            continue;
-        }
         crate::simplify::apply_replacements(&mut module.funcs[*fidx as usize], map);
         // The folded loads become dead; DCE in simplify removes them.
         if !touched.contains(fidx) {
@@ -486,15 +475,15 @@ fn dead_store_elim(
 fn rmw_result_used(module: &Module, a: &fsaa::Access) -> bool {
     let f = &module.funcs[a.func as usize];
     let target = Operand::Inst(a.inst);
+    let mut used = false;
     for block in &f.blocks {
         for &iid in &block.insts {
-            if f.inst(iid).operands().contains(&target) {
-                return true;
-            }
+            f.inst(iid).for_each_operand(|op| used |= op == target);
         }
-        if block.term.operands().contains(&target) {
-            return true;
+        block.term.for_each_operand(|op| used |= op == target);
+        if used {
+            break;
         }
     }
-    false
+    used
 }

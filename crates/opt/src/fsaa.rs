@@ -338,9 +338,9 @@ pub fn build(module: &Module, assumed_content: bool, invariant_prop: bool) -> Fs
                     _ => {}
                 }
             }
-            for op in block.term.operands() {
-                mark_escapes(f, fidx, op, &mut fsaa);
-            }
+            block
+                .term
+                .for_each_operand(|op| mark_escapes(f, fidx, op, &mut fsaa));
         }
     }
     fsaa

@@ -134,11 +134,11 @@ pub fn run(module: &mut Module, _opts: &PassOptions, remarks: &mut Remarks) -> b
                         _ => {}
                     }
                 }
-                for op in block.term.operands() {
-                    if matches!(op, Operand::Inst(i) if derived.contains(&i)) {
-                        ok = false;
-                        break 'scan;
-                    }
+                block.term.for_each_operand(|op| {
+                    ok &= !matches!(op, Operand::Inst(i) if derived.contains(&i));
+                });
+                if !ok {
+                    break 'scan;
                 }
             }
             if !ok {

@@ -4,8 +4,6 @@
 //! kernel, their state accesses become analyzable and their mode parameters
 //! become constants.
 
-use std::collections::HashMap;
-
 use nzomp_ir::analysis::callgraph::CallGraph;
 use nzomp_ir::inst::{Inst, InstId, Term};
 use nzomp_ir::{BlockId, Function, Module, Operand, Ty};
@@ -21,11 +19,10 @@ pub fn run(module: &mut Module, budget: usize) -> bool {
 pub fn run_collect(module: &mut Module, budget: usize, touched: &mut Vec<u32>) -> bool {
     let mut changed = false;
     // Bound total growth to keep the fixpoint loop tame.
-    let start_size = module.live_inst_count();
-    let max_size = start_size * 16 + 50_000;
+    let mut size = module.live_inst_count();
+    let max_size = size * 16 + 50_000;
 
-    for round in 0..8 {
-        let _ = round;
+    for _ in 0..8 {
         let cg = CallGraph::build(module);
         let mut did = false;
         for caller_idx in 0..module.funcs.len() {
@@ -33,7 +30,7 @@ pub fn run_collect(module: &mut Module, budget: usize, touched: &mut Vec<u32>) -
                 continue;
             }
             loop {
-                if module.live_inst_count() > max_size {
+                if size > max_size {
                     return changed;
                 }
                 let Some((block, pos, callee_idx)) =
@@ -41,7 +38,9 @@ pub fn run_collect(module: &mut Module, budget: usize, touched: &mut Vec<u32>) -
                 else {
                     break;
                 };
+                let before = module.funcs[caller_idx].live_inst_count();
                 inline_call(module, caller_idx, block, pos, callee_idx);
+                size = size - before + module.funcs[caller_idx].live_inst_count();
                 if !touched.contains(&(caller_idx as u32)) {
                     touched.push(caller_idx as u32);
                 }
@@ -97,8 +96,14 @@ fn inline_call(
     pos: usize,
     callee_idx: usize,
 ) {
-    let callee = module.funcs[callee_idx].clone();
-    let caller = &mut module.funcs[caller_idx];
+    // A function is never inlined into itself, so the two are disjoint.
+    let (caller, callee) = if caller_idx < callee_idx {
+        let (lo, hi) = module.funcs.split_at_mut(callee_idx);
+        (&mut lo[caller_idx], &hi[0])
+    } else {
+        let (lo, hi) = module.funcs.split_at_mut(caller_idx);
+        (&mut hi[0], &lo[callee_idx])
+    };
 
     let call_id = caller.block(block).insts[pos];
     let (call_args, _call_ret) = match caller.inst(call_id) {
@@ -171,18 +176,7 @@ fn inline_call(
     caller.blocks[cont.index()].term = orig_term;
     // Successor phis that referenced `block` now come from `cont`.
     for s in caller.blocks[cont.index()].term.succs() {
-        let insts: Vec<InstId> = caller.block(s).insts.clone();
-        for iid in insts {
-            if let Inst::Phi { incomings, .. } = caller.inst_mut(iid) {
-                for inc in incomings.iter_mut() {
-                    if inc.pred == block {
-                        inc.pred = cont;
-                    }
-                }
-            } else {
-                break;
-            }
-        }
+        crate::simplify::retarget_phi_incomings(caller, s, block, cont);
     }
 
     // Patch return blocks to branch to the continuation; materialize the
@@ -217,43 +211,34 @@ fn inline_call(
 
     // Replace uses of the call result.
     if let Some(rv) = ret_op {
-        let mut map = HashMap::new();
-        map.insert(call_id, rv);
-        crate::simplify::apply_replacements(caller, &map);
+        let call = Operand::Inst(call_id);
+        caller.map_operands(|op| if op == call { rv } else { op });
     }
 
     // Hoist inlined allocas into the caller entry so they execute once
     // (LLVM's static-alloca semantics) even if the call site is in a loop.
-    hoist_allocas(caller, BlockId(block_off), block_off);
+    hoist_allocas(caller);
 }
 
-fn hoist_allocas(caller: &mut Function, _inlined_entry: BlockId, _block_off: u32) {
+fn hoist_allocas(caller: &mut Function) {
+    let Function { blocks, insts, .. } = caller;
+    let is_alloca = |i: &InstId| matches!(insts[i.index()], Inst::Alloca { .. });
+    let Some((entry, rest)) = blocks.split_first_mut() else {
+        return;
+    };
     let mut hoist: Vec<InstId> = Vec::new();
-    for bi in 1..caller.blocks.len() {
-        let ids: Vec<InstId> = caller.blocks[bi].insts.clone();
-        let mut any = false;
-        for iid in &ids {
-            if matches!(caller.insts[iid.index()], Inst::Alloca { .. }) {
-                hoist.push(*iid);
-                any = true;
-            }
-        }
-        if any {
-            let keep: Vec<InstId> = ids
-                .into_iter()
-                .filter(|i| !matches!(caller.insts[i.index()], Inst::Alloca { .. }))
-                .collect();
-            caller.blocks[bi].insts = keep;
+    for block in rest {
+        if block.insts.iter().any(is_alloca) {
+            hoist.extend(block.insts.iter().copied().filter(is_alloca));
+            block.insts.retain(|i| !is_alloca(i));
         }
     }
     if !hoist.is_empty() {
-        let at = caller.blocks[0]
+        let at = entry
             .insts
             .iter()
-            .position(|i| !matches!(caller.insts[i.index()], Inst::Alloca { .. }))
-            .unwrap_or(caller.blocks[0].insts.len());
-        for (k, iid) in hoist.into_iter().enumerate() {
-            caller.blocks[0].insts.insert(at + k, iid);
-        }
+            .position(|i| !is_alloca(i))
+            .unwrap_or(entry.insts.len());
+        entry.insts.splice(at..at, hoist);
     }
 }

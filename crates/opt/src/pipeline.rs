@@ -166,7 +166,7 @@ fn cleanup(p: impl ModulePass + 'static) -> PassEntry {
 // instrumentation
 // ---------------------------------------------------------------------------
 
-/// IR size snapshot, taken before and after each pass run for the deltas.
+/// IR size snapshot; each pass run's deltas are the difference of two.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IrStats {
     pub insts: usize,
@@ -257,6 +257,8 @@ pub struct PassManager {
     verify_each: bool,
     /// Did the most recently executed stage change the module?
     prev_changed: bool,
+    /// The module as the last pass left it — the next pass's "before".
+    stats: IrStats,
 }
 
 impl PassManager {
@@ -273,6 +275,7 @@ impl PassManager {
             timings: PassTimings::default(),
             verify_each,
             prev_changed: false,
+            stats: IrStats::default(),
         }
     }
 
@@ -285,6 +288,7 @@ impl PassManager {
         remarks: &mut Remarks,
     ) -> PassTimings {
         let start = Instant::now();
+        self.stats = IrStats::of(module);
         'stages: for stage in pipeline.stages {
             match stage {
                 Stage::Pass(mut pass) => {
@@ -337,12 +341,24 @@ impl PassManager {
         opts: &PassOptions,
         remarks: &mut Remarks,
     ) -> bool {
-        let before = IrStats::of(module);
         let t0 = Instant::now();
         let effect = pass.run(module, &mut self.am, opts, remarks);
         let wall = t0.elapsed();
         self.am.invalidate(module, &effect.touched, &effect.preserved);
-        let after = IrStats::of(module);
+        // Nothing touches the module between passes, so one walk per
+        // changing pass serves as its "after" and the next one's "before".
+        let before = self.stats;
+        if effect.changed {
+            self.stats = IrStats::of(module);
+        } else {
+            debug_assert_eq!(
+                IrStats::of(module),
+                before,
+                "{} changed the module and reported no change",
+                pass.name()
+            );
+        }
+        let after = self.stats;
 
         let stat = self.timings.stat_mut(pass.name());
         stat.runs += 1;

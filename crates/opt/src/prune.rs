@@ -93,20 +93,17 @@ pub fn drop_assumes_collect(module: &mut Module, touched: &mut Vec<u32>) -> bool
 /// to zero once the runtime state folded away.
 pub fn prune_dead_globals(module: &mut Module, remarks: &mut Remarks) -> bool {
     let mut referenced: HashSet<u32> = HashSet::new();
+    let mut note = |op: Operand| {
+        if let Operand::Global(g) = op {
+            referenced.insert(g.0);
+        }
+    };
     for f in &module.funcs {
         for block in &f.blocks {
             for &iid in &block.insts {
-                for op in f.inst(iid).operands() {
-                    if let Operand::Global(g) = op {
-                        referenced.insert(g.0);
-                    }
-                }
+                f.inst(iid).for_each_operand(&mut note);
             }
-            for op in block.term.operands() {
-                if let Operand::Global(g) = op {
-                    referenced.insert(g.0);
-                }
-            }
+            block.term.for_each_operand(&mut note);
         }
     }
     let n = module.globals.len();
@@ -138,12 +135,7 @@ pub fn prune_dead_globals(module: &mut Module, remarks: &mut Remarks) -> bool {
                 other => other,
             }
         };
-        for inst in &mut f.insts {
-            inst.map_operands(fix);
-        }
-        for block in &mut f.blocks {
-            block.term.map_operands(fix);
-        }
+        f.map_operands(fix);
     }
     remarks.passed(
         "openmp-opt",

@@ -3,11 +3,10 @@
 //! branch folding, phi simplification, unreachable-block removal, block
 //! merging, and dead-code elimination.
 
-use std::collections::HashMap;
-
 use nzomp_ir::analysis::cfg;
 use nzomp_ir::inst::{BinOp, CastKind, Inst, InstId, Intrinsic, Pred, Term, UnOp};
-use nzomp_ir::{BlockId, Function, Module, Operand, Ty};
+use nzomp_ir::value::PhiIncoming;
+use nzomp_ir::{BlockId, Function, Global, Module, Operand, Ty};
 
 use crate::PassOptions;
 
@@ -21,19 +20,13 @@ pub fn run(module: &mut Module, opts: &PassOptions) -> bool {
 /// pass manager's targeted analysis invalidation).
 pub fn run_collect(module: &mut Module, opts: &PassOptions, touched: &mut Vec<u32>) -> bool {
     let mut changed = false;
-    // Constant-global values are read-only inputs to the folder.
-    let const_globals: HashMap<u32, (nzomp_ir::Init, u64)> = module
-        .globals
-        .iter()
-        .enumerate()
-        .filter(|(_, g)| g.constant)
-        .map(|(i, g)| (i as u32, (g.init.clone(), g.size)))
-        .collect();
-    for (fi, f) in module.funcs.iter_mut().enumerate() {
+    // Constant globals are read-only inputs to the folder.
+    let Module { funcs, globals, .. } = module;
+    for (fi, f) in funcs.iter_mut().enumerate() {
         if f.is_declaration() {
             continue;
         }
-        if simplify_function(f, &const_globals, opts) {
+        if simplify_function(f, globals, opts) != Simplified::Unchanged {
             touched.push(fi as u32);
             changed = true;
         }
@@ -41,17 +34,33 @@ pub fn run_collect(module: &mut Module, opts: &PassOptions, touched: &mut Vec<u3
     changed
 }
 
-/// Iterate local simplifications on one function to a (bounded) fixpoint.
-pub fn simplify_function(
-    f: &mut Function,
-    const_globals: &HashMap<u32, (nzomp_ir::Init, u64)>,
-    opts: &PassOptions,
-) -> bool {
+/// Rounds one [`simplify_function`] call may spend. A compile-time budget,
+/// not a convergence proof: each round peels one level off a chain of
+/// dependent folds, and how deep such a chain runs is up to the input.
+const MAX_ROUNDS: usize = 16;
+
+/// What one [`simplify_function`] call did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Simplified {
+    /// Already at the fixpoint; the function was not touched.
+    Unchanged,
+    /// Changed, and a further round found nothing left to do.
+    Converged,
+    /// Still changing when the round budget ran out. A caller iterating
+    /// to a fixpoint (the pass manager's groups) resumes from here.
+    OutOfRounds,
+}
+
+/// Iterate local simplifications on one function to a fixpoint, or until
+/// [`MAX_ROUNDS`] are spent. Every round is linear in the function:
+/// one arena walk per step, dense replacement tables, and one
+/// predecessor/reachability computation per `merge_blocks`.
+pub fn simplify_function(f: &mut Function, globals: &[Global], opts: &PassOptions) -> Simplified {
     let mut any = false;
-    for _ in 0..16 {
+    for _ in 0..MAX_ROUNDS {
         let mut changed = false;
         if opts.fold_constants {
-            changed |= fold_insts(f, const_globals);
+            changed |= fold_insts(f, globals);
         }
         if opts.simplify_cfg {
             changed |= fold_branches(f);
@@ -60,38 +69,36 @@ pub fn simplify_function(
             changed |= merge_blocks(f);
         }
         changed |= dce(f);
-        any |= changed;
         if !changed {
-            break;
+            return if any {
+                Simplified::Converged
+            } else {
+                Simplified::Unchanged
+            };
         }
+        any = true;
     }
-    any
+    Simplified::OutOfRounds
 }
 
 // ---------------------------------------------------------------------------
 // constant folding
 // ---------------------------------------------------------------------------
 
-fn as_const(f: &Function, op: Operand) -> Option<Operand> {
-    match op {
-        Operand::ConstI(..) | Operand::ConstF(..) => Some(op),
-        _ => {
-            let _ = f;
-            None
-        }
-    }
+fn as_const(op: Operand) -> Option<Operand> {
+    matches!(op, Operand::ConstI(..) | Operand::ConstF(..)).then_some(op)
 }
 
-fn const_i(op: Operand) -> Option<i64> {
-    op.as_const_int()
-}
-
-fn fold_insts(f: &mut Function, const_globals: &HashMap<u32, (nzomp_ir::Init, u64)>) -> bool {
-    let mut map: HashMap<InstId, Operand> = HashMap::new();
+fn fold_insts(f: &mut Function, globals: &[Global]) -> bool {
+    // Dense over the arena; allocated by the first fold.
+    let mut map: Vec<Option<Operand>> = Vec::new();
     for block in &f.blocks {
         for &iid in &block.insts {
-            if let Some(rep) = fold_one(f, iid, const_globals) {
-                map.insert(iid, rep);
+            if let Some(rep) = fold_one(f, iid, globals) {
+                if map.is_empty() {
+                    map.resize(f.insts.len(), None);
+                }
+                map[iid.index()] = Some(rep);
             }
         }
     }
@@ -103,40 +110,29 @@ fn fold_insts(f: &mut Function, const_globals: &HashMap<u32, (nzomp_ir::Init, u6
 }
 
 /// Try to fold instruction `iid` into an operand.
-fn fold_one(
-    f: &Function,
-    iid: InstId,
-    const_globals: &HashMap<u32, (nzomp_ir::Init, u64)>,
-) -> Option<Operand> {
+fn fold_one(f: &Function, iid: InstId, globals: &[Global]) -> Option<Operand> {
     let inst = f.inst(iid);
     match inst {
-        Inst::Bin { op, ty, lhs, rhs } => fold_bin(f, *op, *ty, *lhs, *rhs),
-        Inst::Un { op, ty, arg } => {
-            let a = as_const(f, *arg)?;
-            fold_un(*op, *ty, a)
-        }
-        Inst::Cast { kind, to, arg } => {
-            let a = as_const(f, *arg)?;
-            fold_cast(*kind, *to, a)
-        }
-        Inst::Cmp { pred, ty, lhs, rhs } => fold_cmp(f, *pred, *ty, *lhs, *rhs),
+        Inst::Bin { op, ty, lhs, rhs } => fold_bin(*op, *ty, *lhs, *rhs),
+        Inst::Un { op, ty, arg } => fold_un(*op, *ty, as_const(*arg)?),
+        Inst::Cast { kind, to, arg } => fold_cast(*kind, *to, as_const(*arg)?),
+        Inst::Cmp { pred, ty, lhs, rhs } => fold_cmp(*pred, *ty, *lhs, *rhs),
         Inst::Select {
-            ty,
             cond,
             if_true,
             if_false,
+            ..
         } => {
-            if let Some(c) = const_i(*cond) {
+            if let Some(c) = cond.as_const_int() {
                 return Some(if c != 0 { *if_true } else { *if_false });
             }
             if if_true == if_false {
                 return Some(*if_true);
             }
-            let _ = ty;
             None
         }
         Inst::PtrAdd { base, offset } => {
-            if const_i(*offset) == Some(0) {
+            if offset.as_const_int() == Some(0) {
                 return Some(*base);
             }
             None
@@ -152,16 +148,16 @@ fn fold_one(
                     Inst::PtrAdd {
                         base: Operand::Global(g),
                         offset,
-                    } => (*g, const_i(*offset)? as u64),
+                    } => (*g, offset.as_const_int()? as u64),
                     _ => return None,
                 },
                 _ => return None,
             };
-            let (init, size) = const_globals.get(&g.0)?;
-            if off + ty.size() > *size {
+            let global = globals.get(g.index()).filter(|g| g.constant)?;
+            if off + ty.size() > global.size {
                 return None;
             }
-            let bits = init.read_int(off, ty.size());
+            let bits = global.init.read_int(off, ty.size());
             Some(match ty {
                 Ty::F64 => Operand::ConstF(f64::from_bits(bits as u64)),
                 _ => Operand::ConstI(bits, *ty),
@@ -186,9 +182,9 @@ fn fold_one(
     }
 }
 
-fn fold_bin(f: &Function, op: BinOp, ty: Ty, lhs: Operand, rhs: Operand) -> Option<Operand> {
-    let cl = as_const(f, lhs);
-    let cr = as_const(f, rhs);
+fn fold_bin(op: BinOp, ty: Ty, lhs: Operand, rhs: Operand) -> Option<Operand> {
+    let cl = as_const(lhs);
+    let cr = as_const(rhs);
     if op.is_float() {
         if let (Some(a), Some(b)) = (
             cl.and_then(|c| c.as_const_f64()),
@@ -313,9 +309,9 @@ fn fold_cast(kind: CastKind, to: Ty, a: Operand) -> Option<Operand> {
     }
 }
 
-fn fold_cmp(f: &Function, pred: Pred, ty: Ty, lhs: Operand, rhs: Operand) -> Option<Operand> {
-    let cl = as_const(f, lhs);
-    let cr = as_const(f, rhs);
+fn fold_cmp(pred: Pred, ty: Ty, lhs: Operand, rhs: Operand) -> Option<Operand> {
+    let cl = as_const(lhs);
+    let cr = as_const(rhs);
     if ty.is_float() {
         let (a, b) = (
             cl.and_then(|c| c.as_const_f64())?,
@@ -350,13 +346,14 @@ fn fold_cmp(f: &Function, pred: Pred, ty: Ty, lhs: Operand, rhs: Operand) -> Opt
     Some(Operand::bool_(v))
 }
 
-/// Apply a replacement map (with chain resolution) to all uses.
-pub fn apply_replacements(f: &mut Function, map: &HashMap<InstId, Operand>) {
+/// Apply a replacement table — one slot per arena entry, `Some` where the
+/// instruction's result is to be replaced — to all uses, resolving chains.
+pub fn apply_replacements(f: &mut Function, map: &[Option<Operand>]) {
     let resolve = |mut op: Operand| -> Operand {
         let mut hops = 0;
         while let Operand::Inst(i) = op {
-            match map.get(&i) {
-                Some(&next) if next != op => {
+            match map.get(i.index()).copied().flatten() {
+                Some(next) if next != op => {
                     op = next;
                     hops += 1;
                     if hops > 64 {
@@ -368,12 +365,7 @@ pub fn apply_replacements(f: &mut Function, map: &HashMap<InstId, Operand>) {
         }
         op
     };
-    for inst in &mut f.insts {
-        inst.map_operands(resolve);
-    }
-    for block in &mut f.blocks {
-        block.term.map_operands(resolve);
-    }
+    f.map_operands(resolve);
 }
 
 // ---------------------------------------------------------------------------
@@ -415,15 +407,28 @@ fn fold_branches(f: &mut Function) -> bool {
     changed
 }
 
-fn remove_phi_incomings(f: &mut Function, block: BlockId, pred: BlockId) {
-    let insts: Vec<InstId> = f.block(block).insts.clone();
-    for iid in insts {
-        if let Inst::Phi { incomings, .. } = f.inst_mut(iid) {
-            incomings.retain(|i| i.pred != pred);
-        } else {
+/// Call `each` on the incoming list of every phi at the head of `block`.
+fn for_each_phi(f: &mut Function, block: BlockId, mut each: impl FnMut(&mut Vec<PhiIncoming>)) {
+    let Function { blocks, insts, .. } = f;
+    for &iid in &blocks[block.index()].insts {
+        let Inst::Phi { incomings, .. } = &mut insts[iid.index()] else {
             break;
-        }
+        };
+        each(incomings);
     }
+}
+
+fn remove_phi_incomings(f: &mut Function, block: BlockId, pred: BlockId) {
+    for_each_phi(f, block, |incomings| incomings.retain(|i| i.pred != pred));
+}
+
+/// The edge `from -> block` now leaves `to` instead: re-point the phis.
+pub(crate) fn retarget_phi_incomings(f: &mut Function, block: BlockId, from: BlockId, to: BlockId) {
+    for_each_phi(f, block, |incomings| {
+        for inc in incomings.iter_mut().filter(|i| i.pred == from) {
+            inc.pred = to;
+        }
+    });
 }
 
 fn remove_unreachable(f: &mut Function) -> bool {
@@ -450,22 +455,30 @@ fn remove_unreachable(f: &mut Function) -> bool {
 
 fn simplify_phis(f: &mut Function) -> bool {
     // Align phi incomings with actual predecessors, then fold trivial phis.
-    let preds = cfg::predecessors(f);
-    let mut map: HashMap<InstId, Operand> = HashMap::new();
+    // Dense over the arena; allocated by the first trivial phi.
+    let mut map: Vec<Option<Operand>> = Vec::new();
     let mut changed = false;
-    for bi in 0..f.blocks.len() {
-        let insts: Vec<InstId> = f.blocks[bi].insts.clone();
-        for iid in insts {
-            let Inst::Phi { incomings, .. } = f.inst_mut(iid) else {
+    let Function { blocks, insts, .. } = &mut *f;
+    let arena = insts.len();
+    for (bi, block) in blocks.iter().enumerate() {
+        let here = BlockId(bi as u32);
+        for &iid in &block.insts {
+            let Inst::Phi { incomings, .. } = &mut insts[iid.index()] else {
                 break;
             };
             let before = incomings.len();
-            incomings.retain(|i| preds[bi].contains(&i.pred));
-            if incomings.len() != before {
-                changed = true;
-            }
-            if incomings.len() == 1 {
-                map.insert(iid, incomings[0].value);
+            // A predecessor is a block whose terminator names this one.
+            incomings.retain(|i| {
+                blocks
+                    .get(i.pred.index())
+                    .is_some_and(|p| p.term.succs().contains(&here))
+            });
+            changed |= incomings.len() != before;
+            if let [only] = incomings.as_slice() {
+                if map.is_empty() {
+                    map.resize(arena, None);
+                }
+                map[iid.index()] = Some(only.value);
             }
         }
     }
@@ -474,65 +487,51 @@ fn simplify_phis(f: &mut Function) -> bool {
         apply_replacements(f, &map);
         // Drop the trivial phis from their blocks.
         for block in &mut f.blocks {
-            block.insts.retain(|i| !map.contains_key(i));
+            block.insts.retain(|i| map[i.index()].is_none());
         }
         changed = true;
     }
     changed
 }
 
+/// Merge every block into its unique predecessor where that predecessor
+/// branches nowhere else. Linear: predecessor counts and reachability are
+/// computed once and kept current across merges. Merging `b` into `a`
+/// hands `b`'s out-edges to `a` — every successor of `b` trades the
+/// predecessor `b` for `a`, so its count stands — and leaves `b` empty,
+/// unreachable and without predecessors. No other block's eligibility
+/// moves, so the scan stays on `a` while it keeps absorbing its successor
+/// and never needs to look back.
 fn merge_blocks(f: &mut Function) -> bool {
+    let mut npreds = cfg::pred_counts(f);
+    let mut reach = cfg::reachable(f);
     let mut changed = false;
-    loop {
-        let preds = cfg::predecessors(f);
-        let reach = cfg::reachable(f);
-        let mut merged = false;
-        for ai in 0..f.blocks.len() {
-            if !reach[ai] {
-                continue;
-            }
-            let Term::Br(b) = f.blocks[ai].term else {
-                continue;
-            };
+    for ai in 0..f.blocks.len() {
+        if !reach[ai] {
+            continue;
+        }
+        let a = BlockId(ai as u32);
+        while let Term::Br(b) = f.blocks[ai].term {
             let bi = b.index();
-            if bi == ai || preds[bi].len() != 1 {
-                continue;
+            if bi == ai || npreds[bi] != 1 {
+                break;
             }
             // No phis in the target (trivial ones were folded already).
-            let has_phi = f.blocks[bi]
-                .insts
-                .first()
-                .map(|&i| f.inst(i).is_phi())
-                .unwrap_or(false);
-            if has_phi {
-                continue;
+            if f.blocks[bi].insts.first().is_some_and(|&i| f.inst(i).is_phi()) {
+                break;
             }
             // Merge B into A.
             let b_insts = std::mem::take(&mut f.blocks[bi].insts);
             let b_term = std::mem::replace(&mut f.blocks[bi].term, Term::Unreachable);
             // Phis in B's successors must re-point their incoming edge.
             for s in b_term.succs() {
-                let insts: Vec<InstId> = f.block(s).insts.clone();
-                for iid in insts {
-                    if let Inst::Phi { incomings, .. } = f.inst_mut(iid) {
-                        for inc in incomings.iter_mut() {
-                            if inc.pred == b {
-                                inc.pred = BlockId(ai as u32);
-                            }
-                        }
-                    } else {
-                        break;
-                    }
-                }
+                retarget_phi_incomings(f, s, b, a);
             }
+            npreds[bi] = 0;
+            reach[bi] = false;
             f.blocks[ai].insts.extend(b_insts);
             f.blocks[ai].term = b_term;
-            merged = true;
             changed = true;
-            break; // recompute preds
-        }
-        if !merged {
-            break;
         }
     }
     changed
@@ -580,14 +579,13 @@ pub fn dce(f: &mut Function) -> bool {
                 work.push(iid);
             }
         }
-        for op in block.term.operands() {
-            mark(op, &mut live, &mut work);
-        }
+        block
+            .term
+            .for_each_operand(|op| mark(op, &mut live, &mut work));
     }
     while let Some(iid) = work.pop() {
-        for op in f.inst(iid).operands() {
-            mark(op, &mut live, &mut work);
-        }
+        f.inst(iid)
+            .for_each_operand(|op| mark(op, &mut live, &mut work));
     }
     let mut changed = false;
     for block in &mut f.blocks {
@@ -596,4 +594,312 @@ pub fn dce(f: &mut Function) -> bool {
         changed |= block.insts.len() != before;
     }
     changed
+}
+
+#[cfg(test)]
+mod tests {
+    //! The linear `merge_blocks` and the dense `apply_replacements` against
+    //! the forms they replaced, kept here as references: same function out,
+    //! `==`, on hand shapes and on seeded generator modules.
+
+    use std::collections::HashMap;
+
+    use nzomp_integration::gen;
+    use nzomp_ir::FuncBuilder;
+
+    use super::*;
+
+    /// Reference: recompute predecessors and reachability and restart the
+    /// scan from block 0 after every single merge.
+    fn merge_blocks_restart(f: &mut Function) -> bool {
+        let mut changed = false;
+        loop {
+            let preds = cfg::predecessors(f);
+            let reach = cfg::reachable(f);
+            let mut merged = false;
+            for ai in 0..f.blocks.len() {
+                if !reach[ai] {
+                    continue;
+                }
+                let Term::Br(b) = f.blocks[ai].term else {
+                    continue;
+                };
+                let bi = b.index();
+                if bi == ai || preds[bi].len() != 1 {
+                    continue;
+                }
+                let has_phi = f.blocks[bi]
+                    .insts
+                    .first()
+                    .map(|&i| f.inst(i).is_phi())
+                    .unwrap_or(false);
+                if has_phi {
+                    continue;
+                }
+                let b_insts = std::mem::take(&mut f.blocks[bi].insts);
+                let b_term = std::mem::replace(&mut f.blocks[bi].term, Term::Unreachable);
+                for s in b_term.succs() {
+                    let insts: Vec<InstId> = f.block(s).insts.clone();
+                    for iid in insts {
+                        if let Inst::Phi { incomings, .. } = f.inst_mut(iid) {
+                            for inc in incomings.iter_mut() {
+                                if inc.pred == b {
+                                    inc.pred = BlockId(ai as u32);
+                                }
+                            }
+                        } else {
+                            break;
+                        }
+                    }
+                }
+                f.blocks[ai].insts.extend(b_insts);
+                f.blocks[ai].term = b_term;
+                merged = true;
+                changed = true;
+                break; // recompute preds
+            }
+            if !merged {
+                break;
+            }
+        }
+        changed
+    }
+
+    /// Reference: the replacement table as a hash map probed per operand.
+    fn apply_replacements_hashed(f: &mut Function, map: &HashMap<InstId, Operand>) {
+        let resolve = |mut op: Operand| -> Operand {
+            let mut hops = 0;
+            while let Operand::Inst(i) = op {
+                match map.get(&i) {
+                    Some(&next) if next != op => {
+                        op = next;
+                        hops += 1;
+                        if hops > 64 {
+                            break;
+                        }
+                    }
+                    _ => break,
+                }
+            }
+            op
+        };
+        for inst in &mut f.insts {
+            inst.map_operands(resolve);
+        }
+        for block in &mut f.blocks {
+            block.term.map_operands(resolve);
+        }
+    }
+
+    /// Both merges on copies of `f`: same verdict, same function. Returns
+    /// the merged function and the verdict.
+    fn merges_agree(f: &Function) -> (Function, bool) {
+        let (mut linear, mut restart) = (f.clone(), f.clone());
+        let changed = merge_blocks(&mut linear);
+        assert_eq!(changed, merge_blocks_restart(&mut restart), "@{}", f.name);
+        assert_eq!(linear, restart, "@{}", f.name);
+        (linear, changed)
+    }
+
+    /// Both replacement forms on copies of `f`, for the same pairs.
+    fn replacements_agree(f: &Function, pairs: &[(InstId, Operand)]) -> Function {
+        let (mut dense, mut hashed) = (f.clone(), f.clone());
+        let mut table = vec![None; f.insts.len()];
+        for &(i, op) in pairs {
+            table[i.index()] = Some(op);
+        }
+        apply_replacements(&mut dense, &table);
+        apply_replacements_hashed(&mut hashed, &pairs.iter().copied().collect());
+        assert_eq!(dense, hashed, "@{}", f.name);
+        dense
+    }
+
+    /// `n` blocks, each storing its own index through the pointer
+    /// parameter; the caller wires the terminators.
+    fn blocks(n: usize, wire: impl FnOnce(&mut FuncBuilder, &[BlockId])) -> Function {
+        let mut b = FuncBuilder::new("shape", vec![Ty::Ptr, Ty::I1], None);
+        let mut ids = vec![b.current_block()];
+        ids.extend((1..n).map(|_| b.new_block()));
+        for (i, &id) in ids.iter().enumerate() {
+            b.switch_to(id);
+            b.store(Ty::I64, b.param(0), Operand::i64(i as i64));
+        }
+        wire(&mut b, &ids);
+        b.finish()
+    }
+
+    fn wire(b: &mut FuncBuilder, from: BlockId, term: Term) {
+        b.switch_to(from);
+        match term {
+            Term::Br(t) => b.br(t),
+            Term::CondBr {
+                cond,
+                if_true,
+                if_false,
+            } => b.cond_br(cond, if_true, if_false),
+            Term::Ret(v) => b.ret(v),
+            Term::Unreachable => b.unreachable(),
+        }
+    }
+
+    fn cond(if_true: BlockId, if_false: BlockId) -> Term {
+        Term::CondBr {
+            cond: Operand::Param(1),
+            if_true,
+            if_false,
+        }
+    }
+
+    #[test]
+    fn linear_merge_matches_restart_merge_on_hand_shapes() {
+        // Chain 0 -> 1 -> 2 -> 3: all four end up in block 0, in order.
+        let chain = blocks(4, |b, id| {
+            for w in id.windows(2) {
+                wire(b, w[0], Term::Br(w[1]));
+            }
+            wire(b, id[3], Term::Ret(None));
+        });
+        let (merged, changed) = merges_agree(&chain);
+        assert!(changed);
+        assert_eq!(merged.blocks[0].insts.len(), 4);
+        assert_eq!(merged.blocks[0].term, Term::Ret(None));
+        assert!(merged.blocks[1..].iter().all(|b| b.insts.is_empty()));
+
+        // The same chain against the index order: 0 -> 3 -> 2 -> 1.
+        let (merged, _) = merges_agree(&blocks(4, |b, id| {
+            wire(b, id[0], Term::Br(id[3]));
+            wire(b, id[3], Term::Br(id[2]));
+            wire(b, id[2], Term::Br(id[1]));
+            wire(b, id[1], Term::Ret(None));
+        }));
+        assert_eq!(merged.blocks[0].insts.len(), 4);
+
+        // Diamond with a tail: only join -> tail merges.
+        let (merged, _) = merges_agree(&blocks(5, |b, id| {
+            wire(b, id[0], cond(id[1], id[2]));
+            wire(b, id[1], Term::Br(id[3]));
+            wire(b, id[2], Term::Br(id[3]));
+            wire(b, id[3], Term::Br(id[4]));
+            wire(b, id[4], Term::Ret(None));
+        }));
+        assert_eq!(merged.blocks[3].insts.len(), 2);
+        assert_eq!(merged.blocks[1].term, Term::Br(BlockId(3)));
+
+        // Self-loops: 1 spins on itself, 3 branches to itself only.
+        merges_agree(&blocks(4, |b, id| {
+            wire(b, id[0], Term::Br(id[1]));
+            wire(b, id[1], cond(id[1], id[2]));
+            wire(b, id[2], Term::Br(id[3]));
+            wire(b, id[3], Term::Br(id[3]));
+        }));
+
+        // A loop whose latch merges back into its header's chain, and a
+        // two-block cycle through the entry.
+        merges_agree(&blocks(4, |b, id| {
+            wire(b, id[0], Term::Br(id[1]));
+            wire(b, id[1], Term::Br(id[2]));
+            wire(b, id[2], cond(id[1], id[3]));
+            wire(b, id[3], Term::Ret(None));
+        }));
+        merges_agree(&blocks(2, |b, id| {
+            wire(b, id[0], Term::Br(id[1]));
+            wire(b, id[1], Term::Br(id[0]));
+        }));
+
+        // An unreachable, not yet cleared predecessor keeps 1 from merging
+        // into 0; the unreachable chain 2 -> 3 is left alone too.
+        let (_, changed) = merges_agree(&blocks(4, |b, id| {
+            wire(b, id[0], Term::Br(id[1]));
+            wire(b, id[1], Term::Ret(None));
+            wire(b, id[2], Term::Br(id[3]));
+            wire(b, id[3], Term::Br(id[1]));
+        }));
+        assert!(!changed);
+
+        // A phi in the successor of the merged block follows the edge.
+        let (merged, _) = merges_agree(&blocks(5, |b, id| {
+            wire(b, id[0], cond(id[1], id[3]));
+            wire(b, id[1], Term::Br(id[2]));
+            wire(b, id[2], Term::Br(id[4]));
+            wire(b, id[3], Term::Br(id[4]));
+            b.switch_to(id[4]);
+            let v = b.phi(Ty::I64, vec![(id[2], Operand::i64(1)), (id[3], Operand::i64(2))]);
+            b.store(Ty::I64, b.param(0), v);
+            b.ret(None);
+        }));
+        let phi_preds: Vec<BlockId> = merged
+            .insts
+            .iter()
+            .find_map(|i| match i {
+                Inst::Phi { incomings, .. } => Some(incomings.iter().map(|i| i.pred).collect()),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(phi_preds, [BlockId(1), BlockId(3)]);
+    }
+
+    /// One simplify round at a time over `m` (inlined first, which is where
+    /// the long branch chains come from), checking the replaced steps
+    /// against their references wherever they run. Returns how many merge
+    /// steps merged and how many replacements were applied.
+    fn steps_agree(m: &mut Module) -> (usize, usize) {
+        let (mut merges, mut replaced) = (0, 0);
+        crate::inline::run(m, 256);
+        let Module { funcs, globals, .. } = m;
+        for f in funcs.iter_mut().filter(|f| !f.is_declaration()) {
+            for _ in 0..MAX_ROUNDS {
+                let folds: Vec<(InstId, Operand)> = f
+                    .blocks
+                    .iter()
+                    .flat_map(|b| &b.insts)
+                    .filter_map(|&i| Some((i, fold_one(f, i, globals)?)))
+                    .collect();
+                replaced += folds.len();
+                *f = replacements_agree(f, &folds);
+                let mut changed = !folds.is_empty();
+                changed |= fold_branches(f);
+                changed |= remove_unreachable(f);
+                changed |= simplify_phis(f);
+                let (merged, did) = merges_agree(f);
+                *f = merged;
+                merges += did as usize;
+                changed |= did | dce(f);
+                if !changed {
+                    break;
+                }
+            }
+        }
+        nzomp_ir::verify_module(m).unwrap_or_else(|e| panic!("{}: {e}", m.name));
+        (merges, replaced)
+    }
+
+    #[test]
+    fn linear_steps_match_references_on_seeded_modules() {
+        let (mut merges, mut replaced) = (0, 0);
+        for seed in 0..256 {
+            let (m, r) = steps_agree(&mut gen::generate(seed).module);
+            merges += m;
+            replaced += r;
+        }
+        assert!(merges >= 100 && replaced >= 1000, "{merges} merges, {replaced} folds");
+    }
+
+    /// The same over what the pipeline really feeds simplify: every proxy
+    /// linked against its runtime, under every configuration.
+    #[test]
+    fn linear_steps_match_references_on_linked_proxies() {
+        use nzomp::pipeline::link_only;
+        use nzomp::BuildConfig;
+        use nzomp_proxies::{all_proxies, build_for_config};
+
+        for p in all_proxies() {
+            for cfg in BuildConfig::ALL {
+                let app = build_for_config(p.as_ref(), cfg);
+                let mut linked = link_only(app, cfg, &cfg.rt_config()).unwrap();
+                let (merges, _) = steps_agree(&mut linked);
+                // Inlining the runtime is what leaves chains to merge.
+                assert!(merges > 0 || cfg.runtime().is_none(), "{} under {cfg:?}", p.name());
+            }
+        }
+    }
 }

@@ -109,6 +109,73 @@ fn dce_removes_unused_loads_but_keeps_stores() {
     assert_eq!(count_insts(f, |i| matches!(i, Inst::Store { .. })), 1);
 }
 
+/// `depth` branches, each on a value only the previous level's fold makes
+/// constant: level `i` tests `v == i`, joins, and its phi yields `i + 1` on
+/// the taken side. One simplify round peels exactly one level. The kernel
+/// stores the last level's value.
+fn branch_cascade(depth: i64) -> Module {
+    let mut b = FuncBuilder::new("k", vec![Ty::Ptr], None);
+    let mut v = Operand::i64(0);
+    for level in 0..depth {
+        let (taken, skipped, join) = (b.new_block(), b.new_block(), b.new_block());
+        let hit = b.icmp_eq(v, Operand::i64(level));
+        b.cond_br(hit, taken, skipped);
+        b.switch_to(taken);
+        b.br(join);
+        b.switch_to(skipped);
+        b.br(join);
+        b.switch_to(join);
+        v = b.phi(Ty::I64, vec![(taken, Operand::i64(level + 1)), (skipped, Operand::i64(-1))]);
+    }
+    b.store(Ty::I64, b.param(0), v);
+    b.ret(None);
+    kernel_module(b)
+}
+
+#[test]
+fn simplify_reports_running_out_of_rounds_and_the_pipeline_finishes_the_cascade() {
+    use simplify::Simplified;
+    let opts = PassOptions::full();
+    // Deeper than one call's round budget: the first call says so, the
+    // next one resumes and converges, and then there is nothing left.
+    let mut m = branch_cascade(24);
+    nzomp_ir::verify_module(&m).unwrap();
+    let mut verdicts = Vec::new();
+    for _ in 0..3 {
+        let Module { funcs, globals, .. } = &mut m;
+        verdicts.push(simplify::simplify_function(&mut funcs[0], globals, &opts));
+    }
+    assert_eq!(verdicts, [Simplified::OutOfRounds, Simplified::Converged, Simplified::Unchanged]);
+    let folded = |m: &Module, want: i64| {
+        let f = &m.funcs[0];
+        let live: Vec<&Inst> = f.blocks.iter().flat_map(|b| &b.insts).map(|&i| f.inst(i)).collect();
+        assert!(
+            matches!(live[..], [Inst::Store { value: Operand::ConstI(v, _), .. }] if *v == want),
+            "{live:?}"
+        );
+        assert_eq!(f.blocks[0].term, nzomp_ir::Term::Ret(None));
+    };
+    folded(&m, 24);
+
+    // The pipeline gets there through its fixpoint groups, and to the very
+    // IR a cascade that fits in one call's budget gets to.
+    let mut deep = branch_cascade(24);
+    optimize_module(&mut deep, &opts);
+    nzomp_ir::verify_module(&deep).unwrap();
+    folded(&deep, 24);
+    deep.renumber();
+    m.renumber();
+    let live_blocks = |m: &Module| -> Vec<nzomp_ir::Block> {
+        m.funcs[0].blocks.iter().filter(|b| !b.insts.is_empty()).cloned().collect()
+    };
+    assert_eq!(live_blocks(&deep), live_blocks(&m));
+    assert_eq!(deep.funcs[0].insts, m.funcs[0].insts);
+    let mut shallow = branch_cascade(3);
+    optimize_module(&mut shallow, &opts);
+    folded(&shallow, 3);
+    assert_eq!(live_blocks(&shallow).len(), live_blocks(&deep).len());
+}
+
 // ---------------------------------------------------------------------------
 // inline
 // ---------------------------------------------------------------------------

@@ -37,7 +37,9 @@ pub enum RuntimeFlavor {
     Modern,
 }
 
-/// Build the runtime library module for `flavor`.
+/// Build the runtime library module for `flavor` from scratch — the
+/// definition of the library, and what `nzbench` times as `rt.build_*_us`.
+/// Compiles link [`runtime_library`]'s prebuilt copy of it instead.
 ///
 /// `needs_data_sharing` only matters for the legacy flavor: kernels that
 /// globalize local variables get the legacy data-sharing stack reserved in
@@ -52,6 +54,51 @@ pub fn build_runtime(
         RuntimeFlavor::Modern => modern::build(cfg),
         RuntimeFlavor::Legacy => legacy::build(cfg, needs_data_sharing),
     }
+}
+
+/// How many distinct runtime builds [`runtime_library`] keeps. Every key the
+/// pipeline produces fits with room to spare (two flavors, data sharing on
+/// or off, the `BuildConfig` oversubscription pairs, four debug kinds), and
+/// the store never outgrows this whatever `RtConfig`s a caller invents.
+const LIBRARY_SLOTS: usize = 32;
+
+type LibraryKey = (RuntimeFlavor, RtConfig, bool);
+
+static LIBRARY: std::sync::Mutex<Vec<(LibraryKey, nzomp_ir::Module)>> =
+    std::sync::Mutex::new(Vec::new());
+
+/// The runtime library for `flavor`, prebuilt: [`build_runtime`]'s module,
+/// built on first request and handed out as a copy the caller may link and
+/// mutate (§II-B ships the device runtime as a bytecode library; it is not
+/// regenerated per translation unit). Always `==` a fresh `build_runtime`.
+///
+/// The store holds at most [`LIBRARY_SLOTS`] builds; a key beyond that is
+/// served by a fresh build each time, which is what every compile used to
+/// pay.
+pub fn runtime_library(
+    flavor: RuntimeFlavor,
+    cfg: &RtConfig,
+    needs_data_sharing: bool,
+) -> nzomp_ir::Module {
+    // Only the legacy runtime looks at the flag.
+    let key = (
+        flavor,
+        *cfg,
+        needs_data_sharing && flavor == RuntimeFlavor::Legacy,
+    );
+    // The only write is the push of a finished build, so a panic elsewhere
+    // while holding the lock leaves the store valid.
+    let mut library = LIBRARY
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    if let Some((_, built)) = library.iter().find(|(k, _)| *k == key) {
+        return built.clone();
+    }
+    let built = build_runtime(flavor, cfg, needs_data_sharing);
+    if library.len() < LIBRARY_SLOTS {
+        library.push((key, built.clone()));
+    }
+    built
 }
 
 /// Signature of a public runtime entry point, for emitting declarations in
@@ -96,4 +143,23 @@ pub fn declare_api(m: &mut nzomp_ir::Module, name: &str) -> nzomp_ir::module::Fu
     let (params, ret) =
         api_signature(name).unwrap_or_else(|| panic!("unknown runtime API @{name}"));
     m.add_function(nzomp_ir::Function::declaration(name, params, ret))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_full_library_keeps_its_size_and_still_serves_fresh_builds() {
+        // More distinct configurations than the store has slots.
+        for debug_kind in 0..(LIBRARY_SLOTS as i64 + 8) {
+            let cfg = RtConfig { debug_kind, ..RtConfig::default() };
+            for flavor in [RuntimeFlavor::Legacy, RuntimeFlavor::Modern] {
+                for _ in 0..2 {
+                    assert_eq!(runtime_library(flavor, &cfg, false), build_runtime(flavor, &cfg, false));
+                }
+            }
+        }
+        assert_eq!(LIBRARY.lock().unwrap().len(), LIBRARY_SLOTS);
+    }
 }

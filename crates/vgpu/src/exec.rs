@@ -204,20 +204,18 @@ pub(crate) fn next_trigger<F>(thread: &ThreadCtx<F>) -> u64 {
 /// operand (instructions, phi incomings, or block terminators).
 pub(crate) fn used_results(func: &Function) -> Vec<bool> {
     let mut used = vec![false; func.insts.len()];
-    let mut mark = |ops: Vec<Operand>| {
-        for op in ops {
-            if let Operand::Inst(i) = op {
-                if let Some(u) = used.get_mut(i.index()) {
-                    *u = true;
-                }
+    let mut mark = |op: Operand| {
+        if let Operand::Inst(i) = op {
+            if let Some(u) = used.get_mut(i.index()) {
+                *u = true;
             }
         }
     };
     for inst in &func.insts {
-        mark(inst.operands());
+        inst.for_each_operand(&mut mark);
     }
     for block in &func.blocks {
-        mark(block.term.operands());
+        block.term.for_each_operand(&mut mark);
     }
     used
 }

@@ -90,3 +90,38 @@ fn optimized_ir_matches_goldens_for_every_proxy_and_variant() {
          (diff the golden against fresh output; only bless if the change is intentional)"
     );
 }
+
+/// The analysis cache is invisible to everything but wall time: with it on
+/// and off, every proxy under every configuration and every Fig. 13
+/// ablation optimizes to the same module and the same remarks, through the
+/// same pass executions — each pass runs as often, changes as often and
+/// moves the instruction count as far.
+#[test]
+fn analysis_cache_changes_no_module_remark_or_pass_statistic() {
+    let mut variants = vec![None];
+    variants.extend(Ablation::ALL.map(Some));
+    for p in all_proxies() {
+        for cfg in BuildConfig::ALL {
+            let linked = link_only(build_for_config(p.as_ref(), cfg), cfg, &cfg.rt_config()).unwrap();
+            for ab in &variants {
+                let mut opts = cfg.pass_options();
+                if let Some(ab) = ab {
+                    opts.disable(*ab);
+                }
+                let run = |caching: bool| {
+                    let mut m = linked.clone();
+                    let (remarks, timings) = optimize_module_with_caching(&mut m, &opts, caching);
+                    assert!(timings.verify_failure.is_none());
+                    let remarks: Vec<String> = remarks.entries.iter().map(|r| r.to_string()).collect();
+                    let passes: Vec<_> = timings
+                        .passes
+                        .iter()
+                        .map(|s| (s.name, s.runs, s.changed_runs, s.insts_delta))
+                        .collect();
+                    (m, remarks, passes)
+                };
+                assert_eq!(run(true), run(false), "{} {cfg:?} without {ab:?}", p.name());
+            }
+        }
+    }
+}

@@ -3,6 +3,8 @@
 //! hit zero exactly at the outermost exit, and every lookup agrees with
 //! the shadow.
 
+// The other three suites use every fixture; this one needs only `quick`.
+#[allow(dead_code)]
 mod common;
 
 use common::quick;

@@ -8,6 +8,7 @@ use crate::inst::Inst;
 use crate::module::{FuncRef, Module};
 use crate::value::Operand;
 
+#[derive(Debug, PartialEq, Eq)]
 pub struct CallGraph {
     /// Direct call edges caller -> callees (deduped).
     pub callees: HashMap<FuncRef, Vec<FuncRef>>,

@@ -5,6 +5,3 @@ pub mod callgraph;
 pub mod cfg;
 pub mod dom;
 pub mod liveness;
-pub mod manager;
-
-pub use manager::{AnalysisKind, AnalysisManager, CacheStats, PreservedAnalyses, Touched};

@@ -69,17 +69,6 @@ pub fn count_aligned_barriers(f: &Function) -> usize {
 }
 
 pub fn run(module: &mut Module, opts: &PassOptions, remarks: &mut Remarks) -> bool {
-    run_collect(module, opts, remarks, &mut Vec::new())
-}
-
-/// Like [`run`], recording which function indices changed (the pass
-/// manager's targeted analysis invalidation).
-pub fn run_collect(
-    module: &mut Module,
-    opts: &PassOptions,
-    remarks: &mut Remarks,
-    touched: &mut Vec<u32>,
-) -> bool {
     let kernel_funcs: HashSet<u32> = module.kernels.iter().map(|k| k.func.0).collect();
     let mut changed = false;
     for fidx in 0..module.funcs.len() {
@@ -178,7 +167,6 @@ pub fn run_collect(
         }
         if removed > 0 {
             changed = true;
-            touched.push(fidx as u32);
             remarks.passed(
                 "openmp-opt",
                 &module.funcs[fidx].name.clone(),

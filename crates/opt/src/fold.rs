@@ -16,21 +16,13 @@
 use std::collections::{HashMap, HashSet};
 
 use nzomp_ir::analysis::callgraph::CallGraph;
-use nzomp_ir::analysis::manager::AnalysisManager;
 use nzomp_ir::inst::{Inst, InstId, Intrinsic};
 use nzomp_ir::{Module, Operand, Space, Ty};
 
+use crate::analyses::Analyses;
 use crate::fsaa::{self, AccessKind, FoldVal, Fsaa, ObjectId};
 use crate::remarks::Remarks;
 use crate::PassOptions;
-
-/// Run one folding + DSE round. Returns true if anything changed.
-pub fn run(module: &mut Module, opts: &PassOptions, remarks: &mut Remarks) -> bool {
-    // Standalone entry: a throwaway manager (the pass-manager pipeline
-    // threads a shared, cached one through `run_with` instead).
-    let mut am = AnalysisManager::new();
-    run_with(module, &mut am, opts, remarks, &mut Vec::new())
-}
 
 /// Call sites per callee: `(caller, block, pos, is_direct)`; indirect calls
 /// recorded under every address-taken function. Built once per folding
@@ -67,20 +59,19 @@ fn build_call_sites(module: &Module, cg: &CallGraph) -> CallSites {
     call_sites
 }
 
-/// Like [`run`], querying dominators and the call graph lazily through the
-/// analysis manager (only functions with fold candidates pay for them) and
-/// recording which function indices were mutated.
-pub fn run_with(
+/// Run one folding + DSE round. Returns true if anything changed.
+/// Dominators and the call graph are asked of `memo` lazily (only
+/// functions with fold candidates pay for them).
+pub fn run(
     module: &mut Module,
-    am: &mut AnalysisManager,
+    memo: &mut Analyses,
     opts: &PassOptions,
     remarks: &mut Remarks,
-    touched: &mut Vec<u32>,
 ) -> bool {
     let analysis = fsaa::build(module, opts.assumed_content, opts.invariant_prop);
 
-    let mut changed = fold_loads(module, opts, &analysis, am, remarks, touched);
-    changed |= dead_store_elim(module, opts, remarks, touched);
+    let mut changed = fold_loads(module, opts, &analysis, memo, remarks);
+    changed |= dead_store_elim(module, opts, remarks);
     changed
 }
 
@@ -102,11 +93,10 @@ fn fold_loads(
     module: &mut Module,
     opts: &PassOptions,
     analysis: &Fsaa,
-    am: &mut AnalysisManager,
+    memo: &mut Analyses,
     remarks: &mut Remarks,
-    touched: &mut Vec<u32>,
 ) -> bool {
-    let cg = am.callgraph(module);
+    let cg = memo.callgraph(module);
     // Built lazily by the first inter-procedural dominance query, then
     // shared by every site in this round.
     let mut call_sites: Option<CallSites> = None;
@@ -142,7 +132,7 @@ fn fold_loads(
     let mut remat: Vec<(u32, InstId, Intrinsic)> = Vec::new();
 
     for site in &sites {
-        let Some(val) = fold_load(site, opts, analysis, am, &cg, &mut call_sites, module)
+        let Some(val) = fold_load(site, opts, analysis, memo, &cg, &mut call_sites, module)
         else {
             continue;
         };
@@ -181,9 +171,6 @@ fn fold_loads(
     for (fidx, map) in &const_repl {
         crate::simplify::apply_replacements(&mut module.funcs[*fidx as usize], map);
         // The folded loads become dead; DCE in simplify removes them.
-        if !touched.contains(fidx) {
-            touched.push(*fidx);
-        }
         changed = true;
     }
     for (fidx, iid, intr) in remat {
@@ -192,9 +179,6 @@ fn fold_loads(
             intr,
             args: vec![],
         };
-        if !touched.contains(&fidx) {
-            touched.push(fidx);
-        }
         changed = true;
     }
     changed
@@ -205,7 +189,7 @@ fn fold_load(
     site: &LoadSite,
     opts: &PassOptions,
     analysis: &Fsaa,
-    am: &mut AnalysisManager,
+    memo: &mut Analyses,
     cg: &CallGraph,
     call_sites: &mut Option<CallSites>,
     module: &Module,
@@ -300,7 +284,7 @@ fn fold_load(
             {
                 return false;
             }
-            dominates(w, site, am, cg, call_sites, module, opts)
+            dominates(w, site, memo, cg, call_sites, module, opts)
         });
         if !dominated {
             return None;
@@ -314,7 +298,7 @@ fn fold_load(
 fn dominates(
     w: &fsaa::Access,
     site: &LoadSite,
-    am: &mut AnalysisManager,
+    memo: &mut Analyses,
     cg: &CallGraph,
     call_sites: &mut Option<CallSites>,
     module: &Module,
@@ -324,7 +308,7 @@ fn dominates(
         if w.block == site.block {
             return w.pos < site.pos;
         }
-        return am.dominators(module, w.func).dominates(w.block, site.block);
+        return memo.dominators(module, w.func).dominates(w.block, site.block);
     }
     if !opts.reach_dom {
         return false;
@@ -333,7 +317,7 @@ fn dominates(
     // call site dominated by the write. Fixpoint over "fully dominated"
     // functions.
     let wf = w.func;
-    let dt = am.dominators(module, wf);
+    let dt = memo.dominators(module, wf);
     // Program points in w.func dominated by w.
     let point_dominated = |func: u32, block: nzomp_ir::BlockId, pos: usize| -> bool {
         if func == wf {
@@ -389,12 +373,7 @@ fn dominates(
 /// Remove stores and RMWs into objects that no longer have any readers —
 /// after the ICV loads fold away, the runtime's initialization stores are
 /// dead and, once they are gone, the state itself can be pruned.
-fn dead_store_elim(
-    module: &mut Module,
-    opts: &PassOptions,
-    remarks: &mut Remarks,
-    touched: &mut Vec<u32>,
-) -> bool {
+fn dead_store_elim(module: &mut Module, opts: &PassOptions, remarks: &mut Remarks) -> bool {
     // Re-run the analysis: folding above changed the function bodies.
     let analysis = fsaa::build(module, opts.assumed_content, opts.invariant_prop);
 
@@ -459,9 +438,6 @@ fn dead_store_elim(
         let after: usize = f.blocks.iter().map(|b| b.insts.len()).sum();
         if after != before {
             changed = true;
-            if !touched.contains(&fidx) {
-                touched.push(fidx);
-            }
             remarks.passed(
                 "openmp-opt",
                 &module.funcs[fidx as usize].name.clone(),

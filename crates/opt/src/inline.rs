@@ -11,12 +11,6 @@ use nzomp_ir::{BlockId, Function, Module, Operand, Ty};
 /// Inline eligible call sites across the module. Returns true if anything
 /// was inlined.
 pub fn run(module: &mut Module, budget: usize) -> bool {
-    run_collect(module, budget, &mut Vec::new())
-}
-
-/// Like [`run`], also recording the indices of caller functions that were
-/// mutated (the pass manager's targeted analysis invalidation).
-pub fn run_collect(module: &mut Module, budget: usize, touched: &mut Vec<u32>) -> bool {
     let mut changed = false;
     // Bound total growth to keep the fixpoint loop tame.
     let mut size = module.live_inst_count();
@@ -41,9 +35,6 @@ pub fn run_collect(module: &mut Module, budget: usize, touched: &mut Vec<u32>) -
                 let before = module.funcs[caller_idx].live_inst_count();
                 inline_call(module, caller_idx, block, pos, callee_idx);
                 size = size - before + module.funcs[caller_idx].live_inst_count();
-                if !touched.contains(&(caller_idx as u32)) {
-                    touched.push(caller_idx as u32);
-                }
                 did = true;
                 changed = true;
             }

@@ -25,6 +25,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod analyses;
 pub mod barrier;
 pub mod fold;
 pub mod fsaa;
@@ -38,7 +39,8 @@ pub mod simplify;
 pub mod spmdize;
 
 use nzomp_ir::Module;
-pub use pass::{ModulePass, PassEffect};
+pub use analyses::{Analyses, CacheStats};
+pub use pass::Pass;
 pub use pipeline::{IrStats, PassManager, PassStat, PassTimings, Pipeline, Stage, VerifyFailure};
 pub use remarks::{Remark, RemarkKind, Remarks};
 
@@ -204,16 +206,16 @@ pub fn optimize_module(module: &mut Module, opts: &PassOptions) -> Remarks {
 }
 
 /// Like [`optimize_module`], also returning the per-pass profile and
-/// analysis-cache counters (the `-ftime-report` analogue; see
+/// analysis-memo counters (the `-ftime-report` analogue; see
 /// [`PassTimings`]).
 pub fn optimize_module_timed(module: &mut Module, opts: &PassOptions) -> (Remarks, PassTimings) {
     optimize_module_with_caching(module, opts, true)
 }
 
-/// [`optimize_module_timed`] with the analysis cache optionally disabled —
-/// every query recomputes, isolating what caching buys. Results are
-/// identical either way (`tests/golden_ir.rs` holds both modes to the same
-/// goldens); only the profile differs.
+/// [`optimize_module_timed`] with the analysis memo optionally never
+/// storing — every query computes afresh. Results are identical either way
+/// (`tests/golden_ir.rs` holds both modes to the same goldens); only the
+/// profile differs.
 pub fn optimize_module_with_caching(
     module: &mut Module,
     opts: &PassOptions,
@@ -221,7 +223,7 @@ pub fn optimize_module_with_caching(
 ) -> (Remarks, PassTimings) {
     let mut remarks = Remarks::default();
     let mut pm = pipeline::PassManager::new();
-    pm.am.set_caching(caching);
+    pm.analyses.set_caching(caching);
     let timings = pm.run(Pipeline::for_options(opts), module, opts, &mut remarks);
     remarks.normalize();
     if timings.verify_failure.is_none() {

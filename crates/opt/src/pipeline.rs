@@ -1,11 +1,10 @@
-//! The declarative pass pipeline and its instrumented executor — the mini
-//! analogue of LLVM's new pass manager driving `openmp-opt`.
+//! The declarative pass pipeline and its instrumented executor.
 //!
 //! [`Pipeline::for_options`] turns a [`PassOptions`] into an ordered list
 //! of [`Stage`]s (single passes and fixpoint groups), so the Fig. 13
 //! ablations are literally "this pass is absent from the list". The
-//! executor threads one [`AnalysisManager`] through every pass, applies
-//! each pass's [`PassEffect`] to the caches, and records per-pass wall
+//! executor hands one [`Analyses`] memo to every pass, empties it after
+//! every pass execution that changed the module, and records per-pass wall
 //! time, run counts, changed verdicts, and IR deltas into [`PassTimings`]
 //! (the `-ftime-report` analogue).
 //!
@@ -16,20 +15,20 @@
 
 use std::time::{Duration, Instant};
 
-use nzomp_ir::analysis::{AnalysisManager, CacheStats};
 use nzomp_ir::verify::VerifyError;
 use nzomp_ir::Module;
 
+use crate::analyses::{Analyses, CacheStats};
 use crate::pass::{
-    BarrierElim, DropAssumes, Fold, GlobalDce, Globalize, Inline, Internalize, ModulePass,
-    PruneDeadGlobals, Simplify, Spmdize,
+    Pass, BARRIER_ELIM, DROP_ASSUMES, FOLD, GLOBALIZE, GLOBAL_DCE, INLINE, INTERNALIZE,
+    PRUNE_DEAD_GLOBALS, SIMPLIFY, SPMDIZE,
 };
 use crate::remarks::Remarks;
 use crate::PassOptions;
 
 /// One pass inside a fixpoint group.
 pub struct PassEntry {
-    pub pass: Box<dyn ModulePass>,
+    pub pass: Pass,
     /// Whether this pass's changed-verdict counts toward convergence.
     /// Cleanup passes (`global-dce`) run every iteration but must not keep
     /// the loop alive on their own.
@@ -39,7 +38,7 @@ pub struct PassEntry {
 /// A pipeline element.
 pub enum Stage {
     /// Run one pass once.
-    Pass(Box<dyn ModulePass>),
+    Pass(Pass),
     /// Iterate a pass group until no driving pass reports a change, at
     /// most `max_iters` times.
     Fixpoint {
@@ -67,23 +66,23 @@ impl Pipeline {
         }
 
         if opts.internalize {
-            stages.push(Stage::Pass(Box::new(Internalize)));
+            stages.push(Stage::Pass(INTERNALIZE));
         }
         if opts.spmdization {
-            stages.push(Stage::Pass(Box::new(Spmdize)));
+            stages.push(Stage::Pass(SPMDIZE));
         }
-        stages.push(Stage::Pass(Box::new(GlobalDce)));
+        stages.push(Stage::Pass(GLOBAL_DCE));
 
         // Inline + local folding to expose the runtime internals to
         // analysis (bounded warm-up round).
         let mut warmup: Vec<PassEntry> = Vec::new();
         if opts.inline {
-            warmup.push(driver(Inline));
+            warmup.push(driver(INLINE));
         }
         if opts.fold_constants || opts.simplify_cfg {
-            warmup.push(driver(Simplify));
+            warmup.push(driver(SIMPLIFY));
         }
-        warmup.push(cleanup(GlobalDce));
+        warmup.push(cleanup(GLOBAL_DCE));
         stages.push(Stage::Fixpoint {
             passes: warmup,
             max_iters: 3,
@@ -91,25 +90,25 @@ impl Pipeline {
         });
 
         if opts.globalization_elim {
-            stages.push(Stage::Pass(Box::new(Globalize)));
+            stages.push(Stage::Pass(GLOBALIZE));
         }
 
         // Interprocedural fixpoint: fold runtime state, kill dead stores,
         // remove redundant barriers, repeat.
         let mut main: Vec<PassEntry> = Vec::new();
         if opts.fsaa {
-            main.push(driver(Fold));
+            main.push(driver(FOLD));
         }
         if opts.fold_constants || opts.simplify_cfg {
-            main.push(driver(Simplify));
+            main.push(driver(SIMPLIFY));
         }
         if opts.inline {
-            main.push(driver(Inline));
+            main.push(driver(INLINE));
         }
         if opts.barrier_elim {
-            main.push(driver(BarrierElim));
+            main.push(driver(BARRIER_ELIM));
         }
-        main.push(cleanup(GlobalDce));
+        main.push(cleanup(GLOBAL_DCE));
         stages.push(Stage::Fixpoint {
             passes: main,
             max_iters: opts.max_iterations,
@@ -117,21 +116,21 @@ impl Pipeline {
         });
 
         if opts.drop_assumes {
-            stages.push(Stage::Pass(Box::new(DropAssumes)));
+            stages.push(Stage::Pass(DROP_ASSUMES));
             // One more round so stores feeding the assumes can die — only
             // when assumes were actually dropped (no inlining here: the
             // module is already flat).
             let mut post: Vec<PassEntry> = Vec::new();
             if opts.fsaa {
-                post.push(driver(Fold));
+                post.push(driver(FOLD));
             }
             if opts.fold_constants || opts.simplify_cfg {
-                post.push(driver(Simplify));
+                post.push(driver(SIMPLIFY));
             }
             if opts.barrier_elim {
-                post.push(driver(BarrierElim));
+                post.push(driver(BARRIER_ELIM));
             }
-            post.push(cleanup(GlobalDce));
+            post.push(cleanup(GLOBAL_DCE));
             stages.push(Stage::Fixpoint {
                 passes: post,
                 max_iters: opts.max_iterations,
@@ -140,24 +139,24 @@ impl Pipeline {
         }
 
         if opts.state_prune {
-            stages.push(Stage::Pass(Box::new(PruneDeadGlobals)));
+            stages.push(Stage::Pass(PRUNE_DEAD_GLOBALS));
         }
-        stages.push(Stage::Pass(Box::new(GlobalDce)));
+        stages.push(Stage::Pass(GLOBAL_DCE));
 
         Pipeline { stages }
     }
 }
 
-fn driver(p: impl ModulePass + 'static) -> PassEntry {
+fn driver(pass: Pass) -> PassEntry {
     PassEntry {
-        pass: Box::new(p),
+        pass,
         drives_fixpoint: true,
     }
 }
 
-fn cleanup(p: impl ModulePass + 'static) -> PassEntry {
+fn cleanup(pass: Pass) -> PassEntry {
     PassEntry {
-        pass: Box::new(p),
+        pass,
         drives_fixpoint: false,
     }
 }
@@ -217,13 +216,13 @@ pub struct VerifyFailure {
 }
 
 /// The compile-time observability record of one `optimize_module` run —
-/// per-pass profile plus analysis-cache counters (`-ftime-report` +
+/// per-pass profile plus the analysis memo's counters (`-ftime-report` +
 /// cache diagnostics).
 #[derive(Clone, Debug, Default)]
 pub struct PassTimings {
     /// Per-pass stats in first-execution order.
     pub passes: Vec<PassStat>,
-    /// Analysis-cache hit/miss counters.
+    /// Queries the analysis memo answered (hits) and computed (misses).
     pub cache: CacheStats,
     /// Total optimizer wall time.
     pub total: Duration,
@@ -252,7 +251,7 @@ impl PassTimings {
 
 /// Executor state for one pipeline run.
 pub struct PassManager {
-    pub am: AnalysisManager,
+    pub analyses: Analyses,
     timings: PassTimings,
     verify_each: bool,
     /// Did the most recently executed stage change the module?
@@ -271,7 +270,7 @@ impl PassManager {
     /// stop at the first pass that breaks the module.
     pub fn with_verify_each(verify_each: bool) -> PassManager {
         PassManager {
-            am: AnalysisManager::new(),
+            analyses: Analyses::new(),
             timings: PassTimings::default(),
             verify_each,
             prev_changed: false,
@@ -291,15 +290,15 @@ impl PassManager {
         self.stats = IrStats::of(module);
         'stages: for stage in pipeline.stages {
             match stage {
-                Stage::Pass(mut pass) => {
-                    let changed = self.run_one(pass.as_mut(), module, opts, remarks);
+                Stage::Pass(pass) => {
+                    let changed = self.run_one(pass, module, opts, remarks);
                     self.prev_changed = changed;
                     if self.timings.verify_failure.is_some() {
                         break 'stages;
                     }
                 }
                 Stage::Fixpoint {
-                    mut passes,
+                    passes,
                     max_iters,
                     gated_on_prev,
                 } => {
@@ -309,8 +308,8 @@ impl PassManager {
                     let mut any = false;
                     for _ in 0..max_iters {
                         let mut changed = false;
-                        for entry in &mut passes {
-                            let c = self.run_one(entry.pass.as_mut(), module, opts, remarks);
+                        for entry in &passes {
+                            let c = self.run_one(entry.pass, module, opts, remarks);
                             if self.timings.verify_failure.is_some() {
                                 break 'stages;
                             }
@@ -327,42 +326,43 @@ impl PassManager {
                 }
             }
         }
-        self.timings.cache = self.am.stats();
+        self.timings.cache = self.analyses.stats();
         self.timings.total = start.elapsed();
         self.timings
     }
 
-    /// Run one pass once: time it, apply its invalidation, record deltas,
-    /// and (optionally) verify the module it left behind.
+    /// Run one pass once: time it, forget every memoized analysis if it
+    /// changed the module, record deltas, and (optionally) verify the
+    /// module it left behind.
     fn run_one(
         &mut self,
-        pass: &mut dyn ModulePass,
+        pass: Pass,
         module: &mut Module,
         opts: &PassOptions,
         remarks: &mut Remarks,
     ) -> bool {
         let t0 = Instant::now();
-        let effect = pass.run(module, &mut self.am, opts, remarks);
+        let changed = (pass.run)(module, &mut self.analyses, opts, remarks);
         let wall = t0.elapsed();
-        self.am.invalidate(module, &effect.touched, &effect.preserved);
         // Nothing touches the module between passes, so one walk per
         // changing pass serves as its "after" and the next one's "before".
         let before = self.stats;
-        if effect.changed {
+        if changed {
+            self.analyses.clear();
             self.stats = IrStats::of(module);
         } else {
             debug_assert_eq!(
                 IrStats::of(module),
                 before,
                 "{} changed the module and reported no change",
-                pass.name()
+                pass.name
             );
         }
         let after = self.stats;
 
-        let stat = self.timings.stat_mut(pass.name());
+        let stat = self.timings.stat_mut(pass.name);
         stat.runs += 1;
-        if effect.changed {
+        if changed {
             stat.changed_runs += 1;
         }
         stat.wall += wall;
@@ -374,12 +374,12 @@ impl PassManager {
         if self.verify_each {
             if let Err(err) = nzomp_ir::verify_module(module) {
                 self.timings.verify_failure = Some(VerifyFailure {
-                    pass: pass.name(),
+                    pass: pass.name,
                     err,
                 });
             }
         }
-        effect.changed
+        changed
     }
 }
 

@@ -4,30 +4,22 @@
 
 use std::collections::HashSet;
 
-use nzomp_ir::analysis::callgraph::CallGraph;
 use nzomp_ir::global::GlobalId;
 use nzomp_ir::inst::{Inst, Intrinsic};
 use nzomp_ir::module::FuncRef;
 use nzomp_ir::{Module, Operand};
 
+use crate::analyses::Analyses;
 use crate::remarks::Remarks;
 
 /// Strip bodies of functions unreachable from any kernel (indices stay
 /// stable; the husks become declarations and cost nothing).
-pub fn global_dce(module: &mut Module) -> bool {
-    let cg = CallGraph::build(module);
-    global_dce_with(module, &cg, &mut Vec::new())
-}
-
-/// Like [`global_dce`], but reusing a caller-provided call graph (the pass
-/// manager's cached one) and recording which function indices were
-/// stripped.
-pub fn global_dce_with(module: &mut Module, cg: &CallGraph, touched: &mut Vec<u32>) -> bool {
+pub fn global_dce(module: &mut Module, analyses: &mut Analyses) -> bool {
     let roots: Vec<FuncRef> = module.kernels.iter().map(|k| k.func).collect();
     if roots.is_empty() {
         return false;
     }
-    let live = cg.reachable_from(module, &roots);
+    let live = analyses.callgraph(module).reachable_from(module, &roots);
     let mut changed = false;
     for fi in 0..module.funcs.len() {
         let fr = FuncRef(fi as u32);
@@ -38,7 +30,6 @@ pub fn global_dce_with(module: &mut Module, cg: &CallGraph, touched: &mut Vec<u3
         if !f.is_declaration() {
             f.blocks.clear();
             f.insts.clear();
-            touched.push(fi as u32);
             changed = true;
         }
     }
@@ -49,17 +40,11 @@ pub fn global_dce_with(module: &mut Module, cg: &CallGraph, touched: &mut Vec<u3
 /// fixpoint): their information has been consumed; keeping them would keep
 /// the loads that feed them alive and block state death.
 pub fn drop_assumes(module: &mut Module) -> bool {
-    drop_assumes_collect(module, &mut Vec::new())
-}
-
-/// Like [`drop_assumes`], recording which function indices changed.
-pub fn drop_assumes_collect(module: &mut Module, touched: &mut Vec<u32>) -> bool {
     let mut changed = false;
-    for (fi, f) in module.funcs.iter_mut().enumerate() {
+    for f in module.funcs.iter_mut() {
         if f.is_declaration() {
             continue;
         }
-        let mut func_changed = false;
         for bi in 0..f.blocks.len() {
             let before = f.blocks[bi].insts.len();
             let ids: Vec<_> = f.blocks[bi].insts.clone();
@@ -77,12 +62,8 @@ pub fn drop_assumes_collect(module: &mut Module, touched: &mut Vec<u32>) -> bool
                 .collect();
             if keep.len() != before {
                 f.blocks[bi].insts = keep;
-                func_changed = true;
+                changed = true;
             }
-        }
-        if func_changed {
-            touched.push(fi as u32);
-            changed = true;
         }
     }
     changed

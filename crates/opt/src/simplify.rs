@@ -13,23 +13,14 @@ use crate::PassOptions;
 /// Run simplification over every defined function. Returns whether anything
 /// changed.
 pub fn run(module: &mut Module, opts: &PassOptions) -> bool {
-    run_collect(module, opts, &mut Vec::new())
-}
-
-/// Like [`run`], also recording the indices of functions that changed (the
-/// pass manager's targeted analysis invalidation).
-pub fn run_collect(module: &mut Module, opts: &PassOptions, touched: &mut Vec<u32>) -> bool {
     let mut changed = false;
     // Constant globals are read-only inputs to the folder.
     let Module { funcs, globals, .. } = module;
-    for (fi, f) in funcs.iter_mut().enumerate() {
+    for f in funcs.iter_mut() {
         if f.is_declaration() {
             continue;
         }
-        if simplify_function(f, globals, opts) != Simplified::Unchanged {
-            touched.push(fi as u32);
-            changed = true;
-        }
+        changed |= simplify_function(f, globals, opts) != Simplified::Unchanged;
     }
     changed
 }

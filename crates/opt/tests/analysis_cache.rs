@@ -1,22 +1,108 @@
-//! Property test for the analysis cache's invalidation contract: after any
-//! random interleaving of mutating passes, every cached analysis must equal
-//! a fresh recomputation.
+//! The one contract between a pass and the executor, and the one rule of
+//! the analysis memo, held through the real [`PassManager`]:
 //!
-//! Querying the manager after each pass primes the caches, so the *next*
-//! pass's [`PassEffect`] preservation claim is what is under test: a pass
-//! that mutates the CFG while claiming to preserve dominators leaves a
-//! stale (epoch-restamped) tree behind, and the comparison against
-//! `DomTree::compute` catches it.
+//! (a) a pass returns `true` exactly when it changed the module
+//!     (`changed == (module != module_before)`), and
+//! (b) the memo is emptied after every pass execution that returned `true`
+//!     and by nothing else, so whatever it holds equals a fresh computation.
+//!
+//! A pass is a `fn`, so both checks are passes themselves: [`CHECKED`]
+//! wraps each of the ten passes in (a), and [`PROBE`] asks the memo for
+//! every analysis — priming it for whichever pass runs next — and compares
+//! each answer with a from-scratch run.
 
-use nzomp_ir::analysis::{cfg, dom::DomTree, liveness, AnalysisManager};
+use nzomp::pipeline::link_only;
+use nzomp::BuildConfig;
+use nzomp_ir::analysis::callgraph::CallGraph;
+use nzomp_ir::analysis::dom::DomTree;
 use nzomp_ir::module::FuncRef;
 use nzomp_ir::{ExecMode, FuncBuilder, Function, Module, Operand, Ty};
 use nzomp_opt::pass::{
-    BarrierElim, DropAssumes, Fold, GlobalDce, Globalize, Inline, Internalize, ModulePass,
-    PruneDeadGlobals, Simplify, Spmdize,
+    BARRIER_ELIM, DROP_ASSUMES, FOLD, GLOBALIZE, GLOBAL_DCE, INLINE, INTERNALIZE,
+    PRUNE_DEAD_GLOBALS, SIMPLIFY, SPMDIZE,
 };
-use nzomp_opt::{PassOptions, Remarks};
+use nzomp_opt::{
+    Ablation, Analyses, CacheStats, Pass, PassManager, PassOptions, Pipeline, Remarks, Stage,
+};
+use nzomp_proxies::{all_proxies, build_for_config};
 use proptest::prelude::*;
+
+/// The ten passes, in the order the property test's indices draw them.
+const PASSES: [Pass; 10] = [
+    INTERNALIZE,
+    SPMDIZE,
+    GLOBAL_DCE,
+    INLINE,
+    SIMPLIFY,
+    GLOBALIZE,
+    FOLD,
+    BARRIER_ELIM,
+    DROP_ASSUMES,
+    PRUNE_DEAD_GLOBALS,
+];
+
+/// `PASSES[I]`, held to contract (a).
+fn checked<const I: usize>(
+    m: &mut Module,
+    analyses: &mut Analyses,
+    opts: &PassOptions,
+    remarks: &mut Remarks,
+) -> bool {
+    let before = m.clone();
+    let changed = (PASSES[I].run)(m, analyses, opts, remarks);
+    assert_eq!(
+        changed,
+        *m != before,
+        "{} returned {changed} and the module says otherwise",
+        PASSES[I].name
+    );
+    changed
+}
+
+macro_rules! checked_passes {
+    ($($i:literal)*) => {
+        [$(Pass { name: PASSES[$i].name, run: checked::<$i> }),*]
+    };
+}
+
+/// `PASSES`, each under its own name and wrapped in [`checked`].
+const CHECKED: [Pass; 10] = checked_passes!(0 1 2 3 4 5 6 7 8 9);
+
+fn checked_version(pass: Pass) -> Pass {
+    let i = PASSES
+        .iter()
+        .position(|p| p.name == pass.name)
+        .expect("the pipeline schedules only the ten passes");
+    CHECKED[i]
+}
+
+/// Contract (b): every analysis the memo hands out equals a fresh
+/// computation. Changes nothing, so the memo it leaves primed is what the
+/// next pass's verdict keeps or drops.
+const PROBE: Pass = Pass {
+    name: "probe",
+    run: probe,
+};
+
+fn probe(m: &mut Module, analyses: &mut Analyses, _: &PassOptions, _: &mut Remarks) -> bool {
+    for (fi, f) in m.funcs.iter().enumerate() {
+        if f.is_declaration() {
+            continue;
+        }
+        assert_eq!(
+            *analyses.dominators(m, fi as u32),
+            DomTree::compute(f),
+            "stale dominators for {}",
+            f.name
+        );
+    }
+    assert_eq!(
+        *analyses.callgraph(m),
+        CallGraph::build(m),
+        "stale call graph"
+    );
+    false
+}
 
 /// Build one function of the given shape. Shapes: 0 = straight-line,
 /// 1 = one diamond, 2 = two chained diamonds.
@@ -88,21 +174,6 @@ fn build_module(shapes: &[u8], seeds: &[i64], with_barrier: bool, with_assume: b
     m
 }
 
-fn make_pass(i: u8) -> Box<dyn ModulePass> {
-    match i % 10 {
-        0 => Box::new(Internalize),
-        1 => Box::new(Spmdize),
-        2 => Box::new(GlobalDce),
-        3 => Box::new(Inline),
-        4 => Box::new(Simplify),
-        5 => Box::new(Globalize),
-        6 => Box::new(Fold),
-        7 => Box::new(BarrierElim),
-        8 => Box::new(DropAssumes),
-        _ => Box::new(PruneDeadGlobals),
-    }
-}
-
 proptest! {
     #[test]
     fn cached_analyses_match_fresh_recomputation(
@@ -115,41 +186,116 @@ proptest! {
         let mut m = build_module(&shapes, &seeds, with_barrier, with_assume);
         prop_assert_eq!(nzomp_ir::verify_module(&m), Ok(()));
 
-        let opts = PassOptions::full();
-        let mut am = AnalysisManager::new();
-        let mut remarks = Remarks::default();
+        let mut stages = vec![Stage::Pass(PROBE)];
         for &pi in &passes {
-            let mut pass = make_pass(pi);
-            let effect = pass.run(&mut m, &mut am, &opts, &mut remarks);
-            am.invalidate(&m, &effect.touched, &effect.preserved);
-            prop_assert_eq!(nzomp_ir::verify_module(&m), Ok(()));
+            stages.push(Stage::Pass(CHECKED[pi as usize]));
+            stages.push(Stage::Pass(PROBE));
+        }
+        let timings = PassManager::with_verify_each(true).run(
+            Pipeline { stages },
+            &mut m,
+            &PassOptions::full(),
+            &mut Remarks::default(),
+        );
+        prop_assert_eq!(timings.verify_failure, None);
+    }
+}
 
-            // Every cached analysis must agree with a from-scratch run,
-            // for every function still carrying a body.
-            for fi in 0..m.funcs.len() as u32 {
-                let f = &m.funcs[fi as usize];
-                if f.is_declaration() {
-                    continue;
+/// Contract (a) on the pipelines that ship: every proxy under every
+/// configuration and every Fig. 13 ablation, through the stage list
+/// `Pipeline::for_options` builds, with each pass swapped for its checked
+/// version.
+#[test]
+fn every_pass_reports_change_exactly_on_every_proxy_pipeline() {
+    let mut variants = vec![None];
+    variants.extend(Ablation::ALL.map(Some));
+    for p in all_proxies() {
+        for cfg in BuildConfig::ALL {
+            let linked =
+                link_only(build_for_config(p.as_ref(), cfg), cfg, &cfg.rt_config()).unwrap();
+            for ab in &variants {
+                let mut opts = cfg.pass_options();
+                if let Some(ab) = ab {
+                    opts.disable(*ab);
                 }
-                let cached_preds = am.predecessors(&m, fi);
-                prop_assert_eq!(
-                    &*cached_preds,
-                    &cfg::predecessors(&m.funcs[fi as usize]),
-                    "stale predecessors for f{} after pass {}", fi, pass.name()
-                );
-                let cached_dom = am.dominators(&m, fi);
-                prop_assert_eq!(
-                    &*cached_dom,
-                    &DomTree::compute(&m.funcs[fi as usize]),
-                    "stale dominators for f{} after pass {}", fi, pass.name()
-                );
-                let cached_live = am.liveness(&m, fi);
-                prop_assert_eq!(
-                    &*cached_live,
-                    &liveness::compute(&m.funcs[fi as usize]),
-                    "stale liveness for f{} after pass {}", fi, pass.name()
+                let mut pipeline = Pipeline::for_options(&opts);
+                for stage in &mut pipeline.stages {
+                    match stage {
+                        Stage::Pass(pass) => *pass = checked_version(*pass),
+                        Stage::Fixpoint { passes, .. } => {
+                            for entry in passes {
+                                entry.pass = checked_version(entry.pass);
+                            }
+                        }
+                    }
+                }
+                let mut m = linked.clone();
+                let timings =
+                    PassManager::new().run(pipeline, &mut m, &opts, &mut Remarks::default());
+                assert_eq!(
+                    timings.verify_failure,
+                    None,
+                    "{} {cfg:?} without {ab:?}",
+                    p.name()
                 );
             }
         }
     }
+}
+
+/// The rule of the memo, read off the counters the executor reports: a
+/// pass that changes the module empties it, one that does not keeps it,
+/// and with caching off nothing is ever kept.
+#[test]
+fn a_changing_pass_empties_the_memo_and_an_unchanged_one_keeps_it() {
+    const QUERY: Pass = Pass {
+        name: "query",
+        run: |m, analyses, _, _| {
+            analyses.dominators(m, 0);
+            analyses.callgraph(m);
+            false
+        },
+    };
+    let run = |caching: bool| {
+        // `simplify` folds `2 + 3` on its first run and finds nothing on
+        // its second.
+        let mut b = FuncBuilder::new("k", vec![Ty::Ptr], None);
+        let five = b.add(Operand::i64(2), Operand::i64(3));
+        b.store(Ty::I64, b.param(0), five);
+        b.ret(None);
+        let mut m = Module::new("t");
+        let k = m.add_function(b.finish());
+        m.add_kernel(k, ExecMode::Spmd);
+        let stages = [QUERY, SIMPLIFY, QUERY, SIMPLIFY, QUERY]
+            .map(Stage::Pass)
+            .into();
+        let mut pm = PassManager::new();
+        pm.analyses.set_caching(caching);
+        let timings = pm.run(
+            Pipeline { stages },
+            &mut m,
+            &PassOptions::full(),
+            &mut Remarks::default(),
+        );
+        let simplify = &timings.passes[1];
+        assert_eq!(
+            (simplify.name, simplify.runs, simplify.changed_runs),
+            ("simplify", 2, 1)
+        );
+        timings.cache
+    };
+    let kept_once = CacheStats {
+        dom_hits: 1,
+        dom_misses: 2,
+        callgraph_hits: 1,
+        callgraph_misses: 2,
+    };
+    assert_eq!(run(true), kept_once);
+    let never_kept = CacheStats {
+        dom_hits: 0,
+        dom_misses: 3,
+        callgraph_hits: 0,
+        callgraph_misses: 3,
+    };
+    assert_eq!(run(false), never_kept);
 }

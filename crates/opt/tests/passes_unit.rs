@@ -1,10 +1,8 @@
 //! Unit tests for individual optimization passes on hand-crafted IR.
 
 use nzomp_ir::inst::{Inst, Intrinsic};
-use nzomp_ir::{
-    BinOp, ExecMode, FuncBuilder, Function, Global, Init, Module, Operand, Pred, Space, Ty,
-};
-use nzomp_opt::{barrier, fold, globalize, inline, prune, simplify, Remarks};
+use nzomp_ir::{ExecMode, FuncBuilder, Function, Global, Init, Module, Operand, Pred, Space, Ty};
+use nzomp_opt::{barrier, fold, globalize, inline, prune, simplify, Analyses, Remarks};
 use nzomp_opt::{optimize_module, PassOptions};
 
 fn count_insts(f: &Function, pred: impl Fn(&Inst) -> bool) -> usize {
@@ -464,7 +462,7 @@ fn fold_respects_escaped_objects() {
     let f = m.add_function(b.finish());
     m.add_kernel(f, ExecMode::Spmd);
     let mut r = Remarks::default();
-    fold::run(&mut m, &PassOptions::full(), &mut r);
+    fold::run(&mut m, &mut Analyses::new(), &PassOptions::full(), &mut r);
     // The escaped object's load must not fold to 5 through FSAA alone.
     let kf = m.funcs.iter().find(|f| f.name == "k").unwrap();
     assert!(count_insts(kf, |i| matches!(i, Inst::Load { .. })) >= 1);
@@ -525,7 +523,7 @@ fn global_dce_strips_unreachable_functions() {
     b.ret(None);
     let k = m.add_function(b.finish());
     m.add_kernel(k, ExecMode::Spmd);
-    prune::global_dce(&mut m);
+    prune::global_dce(&mut m, &mut Analyses::new());
     assert!(m.funcs[dead.index()].is_declaration());
     assert!(!m.funcs[k.index()].is_declaration());
 }

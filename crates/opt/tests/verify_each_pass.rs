@@ -6,12 +6,11 @@
 //! when `debug_assertions` are; the tests below arm and disarm it through
 //! the constructor.
 
-use nzomp_ir::analysis::{AnalysisManager, PreservedAnalyses, Touched};
 use nzomp_ir::inst::Term;
 use nzomp_ir::{BlockId, ExecMode, FuncBuilder, Module, Operand, Ty};
-use nzomp_opt::pass::{GlobalDce, Simplify};
+use nzomp_opt::pass::{GLOBAL_DCE, SIMPLIFY};
 use nzomp_opt::pipeline::{PassManager, Pipeline, Stage};
-use nzomp_opt::{ModulePass, PassEffect, PassOptions, Remarks};
+use nzomp_opt::{Analyses, Pass, PassOptions, Remarks};
 
 fn tiny_module() -> Module {
     let mut b = FuncBuilder::new("k", vec![Ty::Ptr, Ty::I64], None);
@@ -28,27 +27,14 @@ fn tiny_module() -> Module {
 
 /// A deliberately broken pass: points the entry terminator at a block
 /// that does not exist.
-struct Saboteur;
+const SABOTEUR: Pass = Pass {
+    name: "saboteur",
+    run: sabotage,
+};
 
-impl ModulePass for Saboteur {
-    fn name(&self) -> &'static str {
-        "saboteur"
-    }
-
-    fn run(
-        &mut self,
-        m: &mut Module,
-        _am: &mut AnalysisManager,
-        _opts: &PassOptions,
-        _remarks: &mut Remarks,
-    ) -> PassEffect {
-        m.funcs[0].blocks[0].term = Term::Br(BlockId(999));
-        PassEffect {
-            changed: true,
-            preserved: PreservedAnalyses::none(),
-            touched: Touched::All,
-        }
-    }
+fn sabotage(m: &mut Module, _: &mut Analyses, _: &PassOptions, _: &mut Remarks) -> bool {
+    m.funcs[0].blocks[0].term = Term::Br(BlockId(999));
+    true
 }
 
 #[test]
@@ -57,10 +43,10 @@ fn verify_each_pass_names_the_offending_pass_and_stops() {
     let mut m = tiny_module();
     let pipeline = Pipeline {
         stages: vec![
-            Stage::Pass(Box::new(Simplify)),
-            Stage::Pass(Box::new(Saboteur)),
+            Stage::Pass(SIMPLIFY),
+            Stage::Pass(SABOTEUR),
             // Must never run: the pipeline stops at the failure.
-            Stage::Pass(Box::new(GlobalDce)),
+            Stage::Pass(GLOBAL_DCE),
         ],
     };
     let mut remarks = Remarks::default();
@@ -84,7 +70,7 @@ fn verify_each_pass_names_the_offending_pass_and_stops() {
     // post-pipeline verify would catch the break --
     let mut m = tiny_module();
     let pipeline = Pipeline {
-        stages: vec![Stage::Pass(Box::new(Saboteur))],
+        stages: vec![Stage::Pass(SABOTEUR)],
     };
     let mut remarks = Remarks::default();
     let pm = PassManager::with_verify_each(false);
@@ -99,7 +85,7 @@ fn verify_each_pass_names_the_offending_pass_and_stops() {
 fn default_follows_debug_assertions() {
     let mut m = tiny_module();
     let pipeline = Pipeline {
-        stages: vec![Stage::Pass(Box::new(Saboteur))],
+        stages: vec![Stage::Pass(SABOTEUR)],
     };
     let mut remarks = Remarks::default();
     let timings = PassManager::new().run(pipeline, &mut m, &PassOptions::full(), &mut remarks);

@@ -22,7 +22,7 @@ pub mod xsbench;
 
 use nzomp::{BuildConfig, CompileError, CompileOutput};
 use nzomp_front::RuntimeFlavor;
-use nzomp_host::{Host, HostError, RegionArg, SchedPolicy, StreamId};
+use nzomp_host::{RegionArg, SchedPolicy};
 use nzomp_ir::Module;
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::memory::DevPtr;
@@ -173,9 +173,10 @@ pub fn run_config(
     })
 }
 
-/// How to shape the host-runtime run of [`run_config_host`]: how many
-/// async streams carry the transfers, how many devices the scheduler may
-/// place on, the placement policy, and the drain seed. The defaults are
+/// How to shape a run through the `nzomp-host` offload runtime
+/// (`run_proxy_host_outcome` in `tests/lib.rs` drives it): how many async
+/// streams carry the transfers, how many devices the scheduler may place
+/// on, the placement policy, and the drain seed. The defaults are
 /// the minimal shape (1 stream, 1 device) — every other shape must be
 /// observationally identical, which the differential suite checks.
 #[derive(Clone, Copy, Debug)]
@@ -195,55 +196,6 @@ impl Default for HostShape {
             drain_seed: 0,
         }
     }
-}
-
-fn host_run_err(e: HostError) -> RunError {
-    match e {
-        HostError::Compile(c) => RunError::Compile(c),
-        HostError::Exec(x) => RunError::Exec(x),
-        other => RunError::Host(other),
-    }
-}
-
-/// Compile + run + verify the proxy under `cfg` through the `nzomp-host`
-/// offload runtime (present table, streams, scheduler) instead of driving
-/// the device directly. Same contract as [`run_config`], same results —
-/// bit-identical, as the differential suite proves.
-pub fn run_config_host(
-    proxy: &dyn Proxy,
-    cfg: BuildConfig,
-    dev_cfg: &DeviceConfig,
-    shape: &HostShape,
-) -> Result<RunResult, RunError> {
-    if cfg == BuildConfig::NewRt && !proxy.supports_oversubscription() {
-        return Err(RunError::NotApplicable);
-    }
-    let mut host = Host::new(dev_cfg.clone(), shape.devices);
-    host.set_policy(shape.policy);
-    host.set_drain_seed(shape.drain_seed);
-    let img = host
-        .load_image(build_for_config(proxy, cfg), cfg)
-        .map_err(host_run_err)?;
-    let hp = proxy.host_prepare();
-    let streams: Vec<StreamId> = (0..shape.streams.max(1)).map(|_| host.stream()).collect();
-    let region = host
-        .enqueue_region(&streams, img, proxy.kernel_name(), hp.launch, hp.args)
-        .map_err(host_run_err)?;
-    host.sync().map_err(host_run_err)?;
-    let metrics = host.take_metrics(region.ticket).map_err(host_run_err)?;
-    let out_buf = region
-        .bufs
-        .get(hp.out_arg)
-        .copied()
-        .flatten()
-        .ok_or_else(|| RunError::Verify("output argument is not a buffer".into()))?;
-    let got = host.buf_f64(out_buf).map_err(host_run_err)?;
-    verify_values(&got, &hp.expected, hp.tol).map_err(RunError::Verify)?;
-    let remarks = match host.image(img) {
-        Some(o) => o.remarks.clone(),
-        None => return Err(RunError::Host(HostError::UnknownImage(img.0))),
-    };
-    Ok(RunResult { metrics, remarks })
 }
 
 /// Compare an output vector with the host reference.
@@ -272,9 +224,6 @@ pub enum RunError {
     Compile(CompileError),
     Exec(ExecError),
     Verify(String),
-    /// A host-runtime failure outside the compile/trap classes (mapping,
-    /// stream, registry misuse).
-    Host(HostError),
 }
 
 impl std::fmt::Display for RunError {
@@ -284,7 +233,6 @@ impl std::fmt::Display for RunError {
             RunError::Compile(e) => write!(f, "compile failed: {e}"),
             RunError::Exec(e) => write!(f, "device trap: {e}"),
             RunError::Verify(m) => write!(f, "verification failed: {m}"),
-            RunError::Host(e) => write!(f, "host runtime failed: {e}"),
         }
     }
 }

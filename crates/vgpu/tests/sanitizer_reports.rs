@@ -174,7 +174,7 @@ fn atomic_vs_plain_store_races_golden() {
 /// Two teams plain-store to the same global word: no ordering exists
 /// between teams of a launch — cross-team race.
 fn cross_team_module() -> Module {
-    let mut m = Module::new("xt");
+    let m = Module::new("xt");
     let mut b = FuncBuilder::new("xt", vec![Ty::Ptr], None);
     let out = b.param(0);
     let bid = b.block_id();
@@ -224,7 +224,7 @@ fn cross_team_verdict_identical_across_worker_counts() {
 /// Per-team atomics to one global accumulator synchronize across teams.
 #[test]
 fn cross_team_atomics_clean() {
-    let mut m = Module::new("xa");
+    let m = Module::new("xa");
     let mut b = FuncBuilder::new("xa", vec![Ty::Ptr], None);
     let out = b.param(0);
     let _old = b.atomic_add(Ty::I64, out, Operand::i64(1));
@@ -243,7 +243,7 @@ fn cross_team_atomics_clean() {
 /// the release is flagged, execution is unchanged.
 #[test]
 fn divergent_aligned_barrier_sites_golden() {
-    let mut m = Module::new("div");
+    let m = Module::new("div");
     let mut b = FuncBuilder::new("div", vec![], None);
     let tid = b.thread_id();
     let is0 = b.icmp_eq(tid, Operand::i64(0));
@@ -280,7 +280,7 @@ fn divergent_aligned_barrier_sites_golden() {
 /// survives the trap.
 #[test]
 fn aligned_subset_reports_through_trap() {
-    let mut m = Module::new("dead");
+    let m = Module::new("dead");
     let mut b = FuncBuilder::new("dead", vec![], None);
     let tid = b.thread_id();
     let is0 = b.icmp_eq(tid, Operand::i64(0));

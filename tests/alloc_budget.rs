@@ -20,9 +20,10 @@ use nzomp_rt::RuntimeFlavor;
 
 /// Allocations one `compile` of the scale kernel may make (`realloc`
 /// counts as one). Measured under `cargo test`, where the optimizer
-/// verifies the module after every pass: 4_311 when the budget was
-/// introduced, 26_613 at the commit before it. Raise it only with a reason.
-const BUDGET: u64 = 4_500;
+/// verifies the module after every pass: 4_274 now, 4_311 when the budget
+/// was introduced, 26_613 at the commit before it. Raise it only with a
+/// reason.
+const BUDGET: u64 = 4_450;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };

@@ -1,15 +1,14 @@
-//! Refactor-equivalence goldens: the printed optimized IR of every proxy
+//! Optimizer-output goldens: the printed optimized IR of every proxy
 //! under every pipeline variant (none, baseline, full, and each Fig. 13
 //! ablation) is pinned bit-for-bit against committed `.ll` files.
 //!
-//! The goldens were captured from the pre-pass-manager optimizer, so this
-//! suite is the proof that the pass-manager refactor preserves behavior
-//! exactly — not "equivalent output", *identical* output.
-//!
 //! Every variant is optimized twice — through the pipeline, and again
-//! from the same linked input with the analysis cache disabled — and both
-//! prints are held to the same golden: caching must be invisible to the
-//! output.
+//! from the same linked input with the analysis memo never storing
+//! (`optimize_module_with_caching(.., false)`: every dominator tree and
+//! call graph a pass asks for is computed at the query) — and both prints
+//! are held to the same golden. The uncached leg is the reference for the
+//! memo's one rule: an analysis kept across a pass that changed the
+//! module is the only way the two legs can part.
 //!
 //! Re-bless (only for an intentional optimizer change) with:
 //!
@@ -86,7 +85,7 @@ fn optimized_ir_matches_goldens_for_every_proxy_and_variant() {
     }
     assert!(
         failures.is_empty(),
-        "optimized IR diverged from pre-refactor goldens for: {failures:?}\n\
+        "optimized IR diverged from the goldens for: {failures:?}\n\
          (diff the golden against fresh output; only bless if the change is intentional)"
     );
 }

@@ -923,14 +923,19 @@ impl Host {
     /// (asserted), and the interpreter reproduces every byte and metric.
     /// Any divergence is a typed [`HostError::Replay`].
     fn replay_journal(&mut self, dev: usize) -> Result<(), HostError> {
-        let effects = self
-            .slots
-            .get(dev)
-            .map(|s| s.journal.effects.clone())
-            .unwrap_or_default();
+        // Replay journals nothing, so the effects are lent out for its
+        // duration and handed back whatever it returns — copying them would
+        // copy every written byte since bind, on every failover.
+        let effects = std::mem::take(&mut self.slot_mut(dev)?.journal.effects);
+        let replayed = self.replay_effects(dev, &effects);
+        self.slot_mut(dev)?.journal.effects = effects;
+        replayed
+    }
+
+    fn replay_effects(&mut self, dev: usize, effects: &[JEffect]) -> Result<(), HostError> {
         for eff in effects {
             self.rmetrics.replayed_ops += 1;
-            match eff {
+            match *eff {
                 JEffect::Grow { size, at } => {
                     let p = self.loaded_dev(dev)?.alloc(size);
                     if p != at {
@@ -944,22 +949,22 @@ impl Host {
                         .write_bytes(ptr, &vec![0u8; len as usize])
                         .map_err(|e| HostError::Replay(format!("zero-fill diverged: {e}")))?;
                 }
-                JEffect::Write { ptr, bytes } => {
+                JEffect::Write { ptr, ref bytes } => {
                     self.loaded_dev(dev)?
-                        .write_bytes(ptr, &bytes)
+                        .write_bytes(ptr, bytes)
                         .map_err(|e| HostError::Replay(format!("write diverged: {e}")))?;
                 }
                 JEffect::Launch {
-                    kernel,
+                    ref kernel,
                     launch,
-                    args,
+                    ref args,
                     ticket,
                 } => {
                     let slot = self.slot_mut(dev)?;
                     let Some(d) = slot.dev.as_mut() else {
                         return Err(HostError::Replay("replay on an empty slot".to_string()));
                     };
-                    let res = d.launch(&kernel, launch, &args);
+                    let res = d.launch(kernel, launch, args);
                     match res {
                         Ok(m) => {
                             slot.executed_cycles += m.cycles;

@@ -237,16 +237,8 @@ impl FuncBuilder {
     }
 
     pub fn intr(&mut self, intr: Intrinsic, args: Vec<Operand>) -> Option<Operand> {
-        let has_result = matches!(
-            intr,
-            Intrinsic::ThreadId
-                | Intrinsic::BlockId
-                | Intrinsic::BlockDim
-                | Intrinsic::GridDim
-                | Intrinsic::Malloc
-        );
         let id = self.push(Inst::Intr { intr, args });
-        has_result.then_some(Operand::Inst(id))
+        intr.result_ty().map(|_| Operand::Inst(id))
     }
 
     /// Like [`intr`](FuncBuilder::intr) for intrinsics that always produce

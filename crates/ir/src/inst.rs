@@ -17,7 +17,9 @@ impl InstId {
 /// Declares an operator enum once. The variant list, `ALL`, `mnemonic()`
 /// and `from_mnemonic()` all come from the one `Variant = "spelling"` table,
 /// so the printer, the parser and the fuzz generator's coverage labels
-/// cannot drift from the enum (or from each other).
+/// cannot drift from the enum (or from each other). What each row computes
+/// and costs is `ops.rs`, the one evaluator the optimizer and the device
+/// share.
 macro_rules! operators {
     ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $variant:ident $(($payload:tt))? = $mnemonic:literal,)+ }) => {
         $(#[$meta])*
@@ -74,16 +76,6 @@ operators! {
         FDiv = "FDiv",
         FMin = "FMin",
         FMax = "FMax",
-    }
-}
-
-impl BinOp {
-    #[inline]
-    pub fn is_float(self) -> bool {
-        matches!(
-            self,
-            BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv | BinOp::FMin | BinOp::FMax
-        )
     }
 }
 
@@ -351,14 +343,7 @@ impl Inst {
             Inst::PtrAdd { .. } | Inst::Alloca { .. } => Some(Ty::Ptr),
             Inst::Call { ret, .. } => *ret,
             Inst::Atomic { ty, .. } | Inst::Cas { ty, .. } => Some(*ty),
-            Inst::Intr { intr, .. } => match intr {
-                Intrinsic::ThreadId
-                | Intrinsic::BlockId
-                | Intrinsic::BlockDim
-                | Intrinsic::GridDim => Some(Ty::I64),
-                Intrinsic::Malloc => Some(Ty::Ptr),
-                _ => None,
-            },
+            Inst::Intr { intr, .. } => intr.result_ty(),
             Inst::Phi { ty, .. } => Some(*ty),
         }
     }
@@ -374,14 +359,7 @@ impl Inst {
             | Inst::Call { .. }
             | Inst::Atomic { .. }
             | Inst::Cas { .. } => true,
-            Inst::Intr { intr, .. } => !matches!(
-                intr,
-                Intrinsic::ThreadId
-                    | Intrinsic::BlockId
-                    | Intrinsic::BlockDim
-                    | Intrinsic::GridDim
-                    | Intrinsic::Assume(())
-            ),
+            Inst::Intr { intr, .. } => !intr.is_pure(),
             _ => false,
         }
     }

@@ -29,6 +29,7 @@ pub mod global;
 pub mod inst;
 pub mod link;
 pub mod module;
+pub mod ops;
 pub mod parser;
 pub mod printer;
 pub mod types;
@@ -40,6 +41,7 @@ pub use func::{Block, BlockId, FnAttrs, Function, Linkage};
 pub use global::{Global, GlobalId, Init};
 pub use inst::{AtomicOp, BinOp, CastKind, Inst, InstId, Intrinsic, Pred, Term, UnOp};
 pub use module::{ExecMode, Kernel, LaunchDims, Module};
+pub use ops::OpClass;
 pub use parser::{parse_module, parse_module_strict, ParseError};
 pub use printer::{fmt_f64, print_function, print_module, FORMAT_VERSION};
 pub use types::{Space, Ty};

@@ -120,6 +120,15 @@ pub fn verify_function(f: &Function, m: Option<&Module>) -> Result<(), VerifyErr
                     }
                 }
             }
+            // Intrinsics: the operand count is fixed per intrinsic.
+            if let Inst::Intr { intr, args } = inst {
+                let (want, found) = (intr.arity(), args.len());
+                if found != want {
+                    let name = intr.mnemonic();
+                    let what = format!("%{}: {name} takes {want} operand(s), found {found}", iid.0);
+                    return Err(err(f, what));
+                }
+            }
             // Direct calls: check arity/signature against the module.
             if let (Inst::Call { callee: Operand::Func(fr), args, ret }, Some(m)) = (inst, m) {
                 let callee_f = m.func(*fr);

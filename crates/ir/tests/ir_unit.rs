@@ -161,6 +161,32 @@ fn verify_rejects_call_arity_mismatch() {
 }
 
 #[test]
+fn verify_rejects_intrinsic_arity_mismatch() {
+    use nzomp_ir::Intrinsic;
+    let p = Operand::Param(0);
+    for (intr, args, needle) in [
+        (Intrinsic::Malloc, vec![], "malloc takes 1 operand(s), found 0"),
+        (Intrinsic::Free, vec![], "free takes 1 operand(s), found 0"),
+        (Intrinsic::Assume(()), vec![], "assume takes 1 operand(s), found 0"),
+        (Intrinsic::Free, vec![p, p], "free takes 1 operand(s), found 2"),
+        (Intrinsic::ThreadId, vec![p, p], "thread.id takes 0 operand(s), found 2"),
+        (Intrinsic::AlignedBarrier, vec![p], "barrier.aligned takes 0 operand(s), found 1"),
+    ] {
+        let mut b = FuncBuilder::new("f", vec![Ty::I64], None);
+        b.intr(intr, args);
+        b.ret(None);
+        expect_err(b.finish(), needle);
+    }
+    // Every intrinsic at its own arity verifies.
+    for &intr in Intrinsic::ALL {
+        let mut b = FuncBuilder::new("f", vec![Ty::I64], None);
+        b.intr(intr, vec![p; intr.arity()]);
+        b.ret(None);
+        assert_eq!(nzomp_ir::verify_function(&b.finish(), None), Ok(()), "{intr:?}");
+    }
+}
+
+#[test]
 fn verify_rejects_kernel_declaration() {
     let mut m = Module::new("m");
     let d = m.add_function(Function::declaration("k", vec![], None));

@@ -188,6 +188,24 @@ fn bad_symbol_name_reports_line_and_col() {
     assert!(e.message.contains("bad module name"), "{e}");
 }
 
+/// An intrinsic's operand list is free-form to the parser; its length is
+/// the verifier's business, so a wrong count never reaches a device.
+#[test]
+fn intrinsic_operand_count_is_rejected_by_the_verifier() {
+    for (line, needle) in [
+        ("%0 = malloc()", "malloc takes 1 operand(s), found 0"),
+        ("free()", "free takes 1 operand(s), found 0"),
+        ("assume()", "assume takes 1 operand(s), found 0"),
+        ("%0 = thread.id(%arg0, %arg1)", "thread.id takes 0 operand(s), found 2"),
+    ] {
+        let text = format!("define void @f(i64 %arg0, i64 %arg1) {{\nbb0:\n  {line}\n  ret void\n}}\n");
+        let m = parse_module(&text).unwrap_or_else(|e| panic!("{line:?} must parse: {e}"));
+        let e = nzomp_ir::verify_module(&m).expect_err(line);
+        assert_eq!(e.func, "f", "{e}");
+        assert!(e.message.contains(needle), "{line:?}: {e}");
+    }
+}
+
 #[test]
 fn unsupported_version_is_rejected() {
     let e = expect_err("; nzomp-ir v99\n; module m\n");

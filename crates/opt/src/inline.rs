@@ -8,9 +8,13 @@ use nzomp_ir::analysis::callgraph::CallGraph;
 use nzomp_ir::inst::{Inst, InstId, Term};
 use nzomp_ir::{BlockId, Function, Module, Operand, Ty};
 
+/// A callee of at most this many live instructions is inlined without an
+/// `always_inline` attribute.
+const BUDGET: usize = 256;
+
 /// Inline eligible call sites across the module. Returns true if anything
 /// was inlined.
-pub fn run(module: &mut Module, budget: usize) -> bool {
+pub fn run(module: &mut Module) -> bool {
     let mut changed = false;
     // Bound total growth to keep the fixpoint loop tame.
     let mut size = module.live_inst_count();
@@ -28,7 +32,7 @@ pub fn run(module: &mut Module, budget: usize) -> bool {
                     return changed;
                 }
                 let Some((block, pos, callee_idx)) =
-                    find_inlinable_call(module, caller_idx, budget, &cg)
+                    find_inlinable_call(module, caller_idx, &cg)
                 else {
                     break;
                 };
@@ -50,7 +54,6 @@ pub fn run(module: &mut Module, budget: usize) -> bool {
 fn find_inlinable_call(
     module: &Module,
     caller_idx: usize,
-    budget: usize,
     cg: &CallGraph,
 ) -> Option<(BlockId, usize, usize)> {
     let caller = &module.funcs[caller_idx];
@@ -70,7 +73,7 @@ fn find_inlinable_call(
                     continue;
                 }
                 let size = callee.live_inst_count();
-                if callee.attrs.always_inline || size <= budget {
+                if callee.attrs.always_inline || size <= BUDGET {
                     return Some((bid, pos, target.index()));
                 }
             }

@@ -17,7 +17,8 @@
 //! The pre-existing LLVM capabilities (§IV-A: internalization,
 //! globalization elimination, SPMDization) plus standard folding and
 //! inlining form the *baseline* pipeline — the "Nightly" columns of the
-//! evaluation run with exactly that.
+//! evaluation run with exactly that. No configuration takes them apart, so
+//! they share the one `baseline` switch.
 //!
 //! A pass must degrade to "no change", never abort: `unwrap`/`expect` are
 //! denied crate-wide (tests are exempt).
@@ -48,29 +49,21 @@ pub use remarks::{Remark, RemarkKind, Remarks};
 /// the paper's sections.
 #[derive(Clone, Debug)]
 pub struct PassOptions {
-    // -- baseline (pre-paper LLVM) --
-    pub internalize: bool,
-    pub inline: bool,
-    pub fold_constants: bool,
-    pub simplify_cfg: bool,
-    pub globalization_elim: bool,
-    pub spmdization: bool,
+    /// The pre-paper LLVM pipeline as one unit: internalization, SPMDization
+    /// and globalization elimination (§IV-A), inlining, and local folding /
+    /// CFG simplification. Off means no pass runs at all (`-O0`).
+    pub baseline: bool,
     // -- this paper (§IV-B..D) --
+    /// Also removes shared-state globals once all their accesses folded away.
     pub fsaa: bool,
     pub reach_dom: bool,
     pub assumed_content: bool,
     pub invariant_prop: bool,
     pub aligned_exec: bool,
     pub barrier_elim: bool,
-    /// Remove shared-state globals once all their accesses folded away
-    /// (rides on `fsaa`).
-    pub state_prune: bool,
     /// Drop `assume`s after the fixpoint (release builds) so the stores
     /// feeding them can die. Debug builds keep them (they are checked).
     pub drop_assumes: bool,
-    // -- tuning --
-    pub inline_budget: usize,
-    pub max_iterations: usize,
 }
 
 impl PassOptions {
@@ -84,39 +77,23 @@ impl PassOptions {
     /// them.
     pub fn none() -> PassOptions {
         PassOptions {
-            internalize: false,
-            inline: false,
-            fold_constants: false,
-            simplify_cfg: false,
-            globalization_elim: false,
-            spmdization: false,
+            baseline: false,
             fsaa: false,
             reach_dom: false,
             assumed_content: false,
             invariant_prop: false,
             aligned_exec: false,
             barrier_elim: false,
-            state_prune: false,
             drop_assumes: false,
-            inline_budget: 0,
-            max_iterations: 0,
         }
     }
 
     /// The pre-paper pipeline: what LLVM nightly did *before* this work's
     /// passes landed. Used for the "Old RT (Nightly)" and "New RT (Nightly)"
-    /// configurations. Derived from [`none`](PassOptions::none) by enabling
-    /// exactly the §IV-A/baseline switches.
+    /// configurations.
     pub fn baseline() -> PassOptions {
         PassOptions {
-            internalize: true,
-            inline: true,
-            fold_constants: true,
-            simplify_cfg: true,
-            globalization_elim: true,
-            spmdization: true,
-            inline_budget: 256,
-            max_iterations: 8,
+            baseline: true,
             ..PassOptions::none()
         }
     }
@@ -130,7 +107,6 @@ impl PassOptions {
             invariant_prop: true,
             aligned_exec: true,
             barrier_elim: true,
-            state_prune: true,
             drop_assumes: true,
             ..PassOptions::baseline()
         }
@@ -155,7 +131,6 @@ impl PassOptions {
                 self.reach_dom = false;
                 self.assumed_content = false;
                 self.invariant_prop = false;
-                self.state_prune = false;
             }
             Ablation::ReachDom => self.reach_dom = false,
             Ablation::AssumedContent => self.assumed_content = false,

@@ -46,13 +46,13 @@ pub const GLOBAL_DCE: Pass = Pass {
 /// module between rounds, so a memoized one would go stale mid-pass).
 pub const INLINE: Pass = Pass {
     name: "inline",
-    run: |m, _, o, _| inline::run(m, o.inline_budget),
+    run: |m, _, _, _| inline::run(m),
 };
 
 /// Local folding / CFG simplification / DCE.
 pub const SIMPLIFY: Pass = Pass {
     name: "simplify",
-    run: |m, _, o, _| simplify::run(m, o),
+    run: |m, _, _, _| simplify::run(m),
 };
 
 /// §IV-A2 globalization elimination.

@@ -50,6 +50,9 @@ pub enum Stage {
     },
 }
 
+/// Iteration cap of the interprocedural fixpoint groups.
+const MAX_ITERATIONS: usize = 8;
+
 /// An ordered list of stages — what `optimize_module` executes.
 pub struct Pipeline {
     pub stages: Vec<Stage>,
@@ -61,37 +64,23 @@ impl Pipeline {
     /// Fig. 13 ablations drop one optimization at a time.
     pub fn for_options(opts: &PassOptions) -> Pipeline {
         let mut stages: Vec<Stage> = Vec::new();
-        if opts.max_iterations == 0 {
+        if !opts.baseline {
             return Pipeline { stages };
         }
 
-        if opts.internalize {
-            stages.push(Stage::Pass(INTERNALIZE));
-        }
-        if opts.spmdization {
-            stages.push(Stage::Pass(SPMDIZE));
-        }
+        stages.push(Stage::Pass(INTERNALIZE));
+        stages.push(Stage::Pass(SPMDIZE));
         stages.push(Stage::Pass(GLOBAL_DCE));
 
         // Inline + local folding to expose the runtime internals to
         // analysis (bounded warm-up round).
-        let mut warmup: Vec<PassEntry> = Vec::new();
-        if opts.inline {
-            warmup.push(driver(INLINE));
-        }
-        if opts.fold_constants || opts.simplify_cfg {
-            warmup.push(driver(SIMPLIFY));
-        }
-        warmup.push(cleanup(GLOBAL_DCE));
         stages.push(Stage::Fixpoint {
-            passes: warmup,
+            passes: vec![driver(INLINE), driver(SIMPLIFY), cleanup(GLOBAL_DCE)],
             max_iters: 3,
             gated_on_prev: false,
         });
 
-        if opts.globalization_elim {
-            stages.push(Stage::Pass(GLOBALIZE));
-        }
+        stages.push(Stage::Pass(GLOBALIZE));
 
         // Interprocedural fixpoint: fold runtime state, kill dead stores,
         // remove redundant barriers, repeat.
@@ -99,19 +88,15 @@ impl Pipeline {
         if opts.fsaa {
             main.push(driver(FOLD));
         }
-        if opts.fold_constants || opts.simplify_cfg {
-            main.push(driver(SIMPLIFY));
-        }
-        if opts.inline {
-            main.push(driver(INLINE));
-        }
+        main.push(driver(SIMPLIFY));
+        main.push(driver(INLINE));
         if opts.barrier_elim {
             main.push(driver(BARRIER_ELIM));
         }
         main.push(cleanup(GLOBAL_DCE));
         stages.push(Stage::Fixpoint {
             passes: main,
-            max_iters: opts.max_iterations,
+            max_iters: MAX_ITERATIONS,
             gated_on_prev: false,
         });
 
@@ -124,21 +109,19 @@ impl Pipeline {
             if opts.fsaa {
                 post.push(driver(FOLD));
             }
-            if opts.fold_constants || opts.simplify_cfg {
-                post.push(driver(SIMPLIFY));
-            }
+            post.push(driver(SIMPLIFY));
             if opts.barrier_elim {
                 post.push(driver(BARRIER_ELIM));
             }
             post.push(cleanup(GLOBAL_DCE));
             stages.push(Stage::Fixpoint {
                 passes: post,
-                max_iters: opts.max_iterations,
+                max_iters: MAX_ITERATIONS,
                 gated_on_prev: true,
             });
         }
 
-        if opts.state_prune {
+        if opts.fsaa {
             stages.push(Stage::Pass(PRUNE_DEAD_GLOBALS));
         }
         stages.push(Stage::Pass(GLOBAL_DCE));

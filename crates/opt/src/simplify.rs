@@ -8,11 +8,9 @@ use nzomp_ir::inst::{BinOp, CastKind, Inst, InstId, Intrinsic, Pred, Term, UnOp}
 use nzomp_ir::value::PhiIncoming;
 use nzomp_ir::{BlockId, Function, Global, Module, Operand, Ty};
 
-use crate::PassOptions;
-
 /// Run simplification over every defined function. Returns whether anything
 /// changed.
-pub fn run(module: &mut Module, opts: &PassOptions) -> bool {
+pub fn run(module: &mut Module) -> bool {
     let mut changed = false;
     // Constant globals are read-only inputs to the folder.
     let Module { funcs, globals, .. } = module;
@@ -20,7 +18,7 @@ pub fn run(module: &mut Module, opts: &PassOptions) -> bool {
         if f.is_declaration() {
             continue;
         }
-        changed |= simplify_function(f, globals, opts) != Simplified::Unchanged;
+        changed |= simplify_function(f, globals) != Simplified::Unchanged;
     }
     changed
 }
@@ -46,19 +44,14 @@ pub enum Simplified {
 /// [`MAX_ROUNDS`] are spent. Every round is linear in the function:
 /// one arena walk per step, dense replacement tables, and one
 /// predecessor/reachability computation per `merge_blocks`.
-pub fn simplify_function(f: &mut Function, globals: &[Global], opts: &PassOptions) -> Simplified {
+pub fn simplify_function(f: &mut Function, globals: &[Global]) -> Simplified {
     let mut any = false;
     for _ in 0..MAX_ROUNDS {
-        let mut changed = false;
-        if opts.fold_constants {
-            changed |= fold_insts(f, globals);
-        }
-        if opts.simplify_cfg {
-            changed |= fold_branches(f);
-            changed |= remove_unreachable(f);
-            changed |= simplify_phis(f);
-            changed |= merge_blocks(f);
-        }
+        let mut changed = fold_insts(f, globals);
+        changed |= fold_branches(f);
+        changed |= remove_unreachable(f);
+        changed |= simplify_phis(f);
+        changed |= merge_blocks(f);
         changed |= dce(f);
         if !changed {
             return if any {
@@ -75,10 +68,6 @@ pub fn simplify_function(f: &mut Function, globals: &[Global], opts: &PassOption
 // ---------------------------------------------------------------------------
 // constant folding
 // ---------------------------------------------------------------------------
-
-fn as_const(op: Operand) -> Option<Operand> {
-    matches!(op, Operand::ConstI(..) | Operand::ConstF(..)).then_some(op)
-}
 
 fn fold_insts(f: &mut Function, globals: &[Global]) -> bool {
     // Dense over the arena; allocated by the first fold.
@@ -105,8 +94,8 @@ fn fold_one(f: &Function, iid: InstId, globals: &[Global]) -> Option<Operand> {
     let inst = f.inst(iid);
     match inst {
         Inst::Bin { op, ty, lhs, rhs } => fold_bin(*op, *ty, *lhs, *rhs),
-        Inst::Un { op, ty, arg } => fold_un(*op, *ty, as_const(*arg)?),
-        Inst::Cast { kind, to, arg } => fold_cast(*kind, *to, as_const(*arg)?),
+        Inst::Un { op, ty, arg } => fold_un(*op, *ty, *arg),
+        Inst::Cast { kind, to, arg } => fold_cast(*kind, *to, *arg),
         Inst::Cmp { pred, ty, lhs, rhs } => fold_cmp(*pred, *ty, *lhs, *rhs),
         Inst::Select {
             cond,
@@ -173,70 +162,21 @@ fn fold_one(f: &Function, iid: InstId, globals: &[Global]) -> Option<Operand> {
     }
 }
 
+// What an operator computes is `nzomp_ir::ops`, the evaluator the device
+// executes through; the four functions below only move constants in and out
+// of it. An operation it gives no result for (a zero divisor, an operator in
+// the wrong domain) is simply not folded.
+
 fn fold_bin(op: BinOp, ty: Ty, lhs: Operand, rhs: Operand) -> Option<Operand> {
-    let cl = as_const(lhs);
-    let cr = as_const(rhs);
     if op.is_float() {
-        if let (Some(a), Some(b)) = (
-            cl.and_then(|c| c.as_const_f64()),
-            cr.and_then(|c| c.as_const_f64()),
-        ) {
-            let v = match op {
-                BinOp::FAdd => a + b,
-                BinOp::FSub => a - b,
-                BinOp::FMul => a * b,
-                BinOp::FDiv => a / b,
-                BinOp::FMin => a.min(b),
-                BinOp::FMax => a.max(b),
-                _ => unreachable!(),
-            };
-            return Some(Operand::ConstF(v));
-        }
         // Float identities are unsafe in general (signed zero, NaN); skip.
-        return None;
+        let v = op.eval_float(lhs.as_const_f64()?, rhs.as_const_f64()?)?;
+        return Some(Operand::ConstF(v));
     }
-    let il = cl.and_then(|c| c.as_const_int());
-    let ir = cr.and_then(|c| c.as_const_int());
+    let il = lhs.as_const_int();
+    let ir = rhs.as_const_int();
     if let (Some(a), Some(b)) = (il, ir) {
-        let v = match op {
-            BinOp::Add => a.wrapping_add(b),
-            BinOp::Sub => a.wrapping_sub(b),
-            BinOp::Mul => a.wrapping_mul(b),
-            BinOp::SDiv => {
-                if b == 0 {
-                    return None;
-                }
-                a.wrapping_div(b)
-            }
-            BinOp::SRem => {
-                if b == 0 {
-                    return None;
-                }
-                a.wrapping_rem(b)
-            }
-            BinOp::UDiv => {
-                if b == 0 {
-                    return None;
-                }
-                ((a as u64) / (b as u64)) as i64
-            }
-            BinOp::URem => {
-                if b == 0 {
-                    return None;
-                }
-                ((a as u64) % (b as u64)) as i64
-            }
-            BinOp::And => a & b,
-            BinOp::Or => a | b,
-            BinOp::Xor => a ^ b,
-            BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-            BinOp::LShr => ((a as u64).wrapping_shr(b as u32 & 63)) as i64,
-            BinOp::AShr => a.wrapping_shr(b as u32 & 63),
-            BinOp::SMin => a.min(b),
-            BinOp::SMax => a.max(b),
-            _ => unreachable!(),
-        };
-        return Some(Operand::ConstI(v, ty));
+        return Some(Operand::ConstI(op.eval_int(a, b)?, ty));
     }
     // Identities (one constant side).
     match (op, il, ir) {
@@ -256,85 +196,29 @@ fn fold_bin(op: BinOp, ty: Ty, lhs: Operand, rhs: Operand) -> Option<Operand> {
 }
 
 fn fold_un(op: UnOp, ty: Ty, a: Operand) -> Option<Operand> {
-    match op {
-        UnOp::Neg => Some(Operand::ConstI(a.as_const_int()?.wrapping_neg(), ty)),
-        UnOp::Not => Some(Operand::ConstI(!a.as_const_int()?, ty)),
-        UnOp::FNeg => Some(Operand::ConstF(-a.as_const_f64()?)),
-        UnOp::FAbs => Some(Operand::ConstF(a.as_const_f64()?.abs())),
-        UnOp::Sqrt => Some(Operand::ConstF(a.as_const_f64()?.sqrt())),
-        UnOp::Sin => Some(Operand::ConstF(a.as_const_f64()?.sin())),
-        UnOp::Cos => Some(Operand::ConstF(a.as_const_f64()?.cos())),
-        UnOp::Exp => Some(Operand::ConstF(a.as_const_f64()?.exp())),
-        UnOp::Log => Some(Operand::ConstF(a.as_const_f64()?.ln())),
+    if op.is_float() {
+        Some(Operand::ConstF(op.eval_float(a.as_const_f64()?)?))
+    } else {
+        Some(Operand::ConstI(op.eval_int(a.as_const_int()?)?, ty))
     }
 }
 
 fn fold_cast(kind: CastKind, to: Ty, a: Operand) -> Option<Operand> {
-    match kind {
-        CastKind::IntCast => {
-            let v = a.as_const_int()?;
-            let v = match to {
-                Ty::I1 => v & 1,
-                Ty::I8 => v as i8 as i64,
-                Ty::I32 => v as i32 as i64,
-                _ => v,
-            };
-            Some(Operand::ConstI(v, to))
-        }
-        CastKind::ZExtCast => {
-            let v = a.as_const_int()?;
-            let v = match to {
-                Ty::I1 => v & 1,
-                Ty::I8 => v & 0xff,
-                Ty::I32 => v & 0xffff_ffff,
-                _ => v,
-            };
-            Some(Operand::ConstI(v, to))
-        }
-        CastKind::SiToFp => Some(Operand::ConstF(a.as_const_int()? as f64)),
-        CastKind::FpToSi => Some(Operand::ConstI(a.as_const_f64()? as i64, to)),
-        CastKind::PtrCast => {
-            let v = a.as_const_int()?;
-            Some(Operand::ConstI(v, to))
-        }
-    }
+    Some(match kind {
+        CastKind::IntCast => Operand::ConstI(CastKind::int_cast(to, a.as_const_int()?), to),
+        CastKind::ZExtCast => Operand::ConstI(CastKind::zext_cast(to, a.as_const_int()?), to),
+        CastKind::SiToFp => Operand::ConstF(CastKind::si_to_fp(a.as_const_int()?)),
+        CastKind::FpToSi => Operand::ConstI(CastKind::fp_to_si(a.as_const_f64()?), to),
+        CastKind::PtrCast => Operand::ConstI(a.as_const_int()?, to),
+    })
 }
 
 fn fold_cmp(pred: Pred, ty: Ty, lhs: Operand, rhs: Operand) -> Option<Operand> {
-    let cl = as_const(lhs);
-    let cr = as_const(rhs);
-    if ty.is_float() {
-        let (a, b) = (
-            cl.and_then(|c| c.as_const_f64())?,
-            cr.and_then(|c| c.as_const_f64())?,
-        );
-        let v = match pred {
-            Pred::Eq => a == b,
-            Pred::Ne => a != b,
-            Pred::Slt | Pred::Ult => a < b,
-            Pred::Sle | Pred::Ule => a <= b,
-            Pred::Sgt | Pred::Ugt => a > b,
-            Pred::Sge | Pred::Uge => a >= b,
-        };
-        return Some(Operand::bool_(v));
-    }
-    let (a, b) = (
-        cl.and_then(|c| c.as_const_int())?,
-        cr.and_then(|c| c.as_const_int())?,
-    );
-    let v = match pred {
-        Pred::Eq => a == b,
-        Pred::Ne => a != b,
-        Pred::Slt => a < b,
-        Pred::Sle => a <= b,
-        Pred::Sgt => a > b,
-        Pred::Sge => a >= b,
-        Pred::Ult => (a as u64) < (b as u64),
-        Pred::Ule => (a as u64) <= (b as u64),
-        Pred::Ugt => (a as u64) > (b as u64),
-        Pred::Uge => (a as u64) >= (b as u64),
-    };
-    Some(Operand::bool_(v))
+    Some(Operand::bool_(if ty.is_float() {
+        pred.eval_float(lhs.as_const_f64()?, rhs.as_const_f64()?)
+    } else {
+        pred.eval_int(lhs.as_const_int()?, rhs.as_const_int()?)
+    }))
 }
 
 /// Apply a replacement table — one slot per arena entry, `Some` where the
@@ -835,7 +719,7 @@ mod tests {
     /// steps merged and how many replacements were applied.
     fn steps_agree(m: &mut Module) -> (usize, usize) {
         let (mut merges, mut replaced) = (0, 0);
-        crate::inline::run(m, 256);
+        crate::inline::run(m);
         let Module { funcs, globals, .. } = m;
         for f in funcs.iter_mut().filter(|f| !f.is_declaration()) {
             for _ in 0..MAX_ROUNDS {

@@ -42,7 +42,7 @@ fn simplify_folds_constants_and_identities() {
     b.store(Ty::I64, b.param(0), z);
     b.ret(None);
     let mut m = kernel_module(b);
-    simplify::run(&mut m, &PassOptions::full());
+    simplify::run(&mut m);
     let f = &m.funcs[0];
     // Only the final add and the store remain.
     assert_eq!(count_insts(f, |i| matches!(i, Inst::Bin { .. })), 1);
@@ -65,7 +65,7 @@ fn simplify_folds_constant_branches_and_merges_blocks() {
     b.switch_to(done);
     b.ret(None);
     let mut m = kernel_module(b);
-    simplify::run(&mut m, &PassOptions::full());
+    simplify::run(&mut m);
     let f = &m.funcs[0];
     // Everything merged into the entry block; dead branch gone.
     let reach = nzomp_ir::analysis::cfg::reachable(f);
@@ -84,7 +84,7 @@ fn simplify_reads_constant_globals() {
     b.ret(None);
     let f = m.add_function(b.finish());
     m.add_kernel(f, ExecMode::Spmd);
-    simplify::run(&mut m, &PassOptions::full());
+    simplify::run(&mut m);
     let f = &m.funcs[0];
     assert_eq!(count_insts(f, |i| matches!(i, Inst::Load { .. })), 0);
     // 43 stored directly.
@@ -101,7 +101,7 @@ fn dce_removes_unused_loads_but_keeps_stores() {
     b.store(Ty::I64, b.param(0), Operand::i64(1));
     b.ret(None);
     let mut m = kernel_module(b);
-    simplify::run(&mut m, &PassOptions::full());
+    simplify::run(&mut m);
     let f = &m.funcs[0];
     assert_eq!(count_insts(f, |i| matches!(i, Inst::Load { .. })), 0);
     assert_eq!(count_insts(f, |i| matches!(i, Inst::Store { .. })), 1);
@@ -141,7 +141,7 @@ fn simplify_reports_running_out_of_rounds_and_the_pipeline_finishes_the_cascade(
     let mut verdicts = Vec::new();
     for _ in 0..3 {
         let Module { funcs, globals, .. } = &mut m;
-        verdicts.push(simplify::simplify_function(&mut funcs[0], globals, &opts));
+        verdicts.push(simplify::simplify_function(&mut funcs[0], globals));
     }
     assert_eq!(verdicts, [Simplified::OutOfRounds, Simplified::Converged, Simplified::Unchanged]);
     let folded = |m: &Module, want: i64| {
@@ -201,7 +201,7 @@ fn inliner_respects_attributes() {
     let k = m.add_function(b.finish());
     m.add_kernel(k, ExecMode::Spmd);
 
-    inline::run(&mut m, 100);
+    inline::run(&mut m);
     nzomp_ir::verify_module(&m).unwrap();
     let kf = &m.funcs[k.index()];
     let calls: Vec<&Inst> = kf
@@ -239,7 +239,7 @@ fn inliner_skips_recursion() {
     b.ret(None);
     let k = m.add_function(b.finish());
     m.add_kernel(k, ExecMode::Spmd);
-    inline::run(&mut m, 1000);
+    inline::run(&mut m);
     nzomp_ir::verify_module(&m).unwrap();
     // The recursive function still exists and is still recursive.
     assert!(count_insts(&m.funcs[rec.index()], |i| matches!(i, Inst::Call { .. })) >= 1);
@@ -266,8 +266,8 @@ fn inlined_results_and_correctness() {
     b.ret(None);
     let k = m.add_function(b.finish());
     m.add_kernel(k, ExecMode::Spmd);
-    inline::run(&mut m, 100);
-    simplify::run(&mut m, &PassOptions::full());
+    inline::run(&mut m);
+    simplify::run(&mut m);
     nzomp_ir::verify_module(&m).unwrap();
     assert_eq!(count_in_module(&m, |i| matches!(i, Inst::Call { .. })), 0);
 

@@ -22,7 +22,7 @@
 //! The dispatch loop keeps the interpreter's observable behavior *bit for
 //! bit*: one op is one fuel unit and one step, fault polls and watchdog
 //! fuel checks fire at identical op counts, cycle/instruction accounting
-//! uses the same [`CostModel`](crate::cost::CostModel) tables in the same
+//! uses the same [`cost`](crate::cost) table in the same
 //! order, and malformed shapes trap with the interpreter's exact messages
 //! at the exact op where the interpreter would meet them (lowering never
 //! fails eagerly). See `docs/exec-tiers.md` for the full contract.
@@ -32,13 +32,14 @@ mod lower;
 pub(crate) use lower::lower_module;
 
 use nzomp_ir::inst::{AtomicOp, BinOp, CastKind, Pred, UnOp};
-use nzomp_ir::Ty;
+use nzomp_ir::{OpClass, Ty};
 
+use crate::cost;
 use crate::error::TrapKind;
 use crate::exec::{malformed, ExecBackend, Status, TeamExec, ThreadCtx};
-use crate::gmem::{combine_atomic, rtval_from_bits, GlobalMem};
+use crate::gmem::{rtval_from_bits, GlobalMem};
 use crate::memory::{DevPtr, Segment};
-use crate::ops::{corrupt_value, exec_bin, exec_cast, exec_cmp, exec_un};
+use crate::ops::{combine_atomic, corrupt_value, exec_bin, exec_cast, exec_cmp, exec_un};
 use crate::sanitize::{AccessKind, IrLoc};
 use crate::value::RtVal;
 
@@ -295,7 +296,6 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         thread: &mut ThreadCtx<BcFrame>,
     ) -> Result<(), TrapKind> {
         let bc: &'a BcModule = exec.backend.bc;
-        let cost = exec.cost;
         let Some(mut frame) = thread.frames.pop() else {
             return Err(malformed("live thread has no frame"));
         };
@@ -346,9 +346,6 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 ((op_ptr as usize - ops.as_ptr() as usize) / std::mem::size_of::<Op>()) as u32
             };
         }
-        let c_issue = cost.issue;
-        let c_alu = cost.alu;
-        let c_fp = cost.fp;
         // Fuel, the step counter and the dispatch counter all advance by
         // exactly one per dispatched op, so the loop carries a single
         // progress counter `n` (ops whose fuel is consumed this run) with
@@ -360,13 +357,11 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         let mut fault_at = thread.next_fault_step.saturating_sub(steps0);
         let mut instructions = exec.counters.instructions;
         let mut flops = exec.counters.flops;
-        // `busy_cycles` tracks `cycles` exactly except for plain-ALU unops
-        // (charged to `cycles` only); carrying that difference in `quiet`
-        // and deriving busy at exit drops an add from every issue/charge.
+        // `busy_cycles` advances in lockstep with `cycles` inside a run, so
+        // deriving it at exit drops an add from every issue/charge.
         let cycles0 = thread.cycles;
         let busy0 = thread.busy_cycles;
         let mut cycles = cycles0;
-        let mut quiet: u64 = 0;
         let mut memc = thread.mem_cycles;
 
         macro_rules! sync {
@@ -377,7 +372,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 exec.counters.instructions = instructions;
                 exec.counters.flops = flops;
                 thread.cycles = cycles;
-                thread.busy_cycles = busy0 + (cycles - cycles0 - quiet);
+                thread.busy_cycles = busy0 + (cycles - cycles0);
                 thread.mem_cycles = memc;
             }};
         }
@@ -413,7 +408,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         macro_rules! issue {
             () => {{
                 instructions += 1;
-                cycles += c_issue;
+                cycles += cost::ISSUE;
             }};
         }
         macro_rules! charge {
@@ -526,9 +521,9 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     let v = try_v!(exec_bin(*op, av, bv));
                     if op.is_float() {
                         flops += 1;
-                        charge!(c_fp);
+                        charge!(cost::FP);
                     } else {
-                        charge!(c_alu);
+                        charge!(cost::ALU);
                     }
                     setv(&mut regs, *dst, v);
                 }
@@ -536,31 +531,18 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     issue!();
                     let av = readv!(a);
                     let v = exec_un(*op, av);
-                    match op {
-                        UnOp::Sqrt | UnOp::Sin | UnOp::Cos | UnOp::Exp | UnOp::Log => {
-                            flops += 1;
-                            charge!(cost.transcendental);
-                        }
-                        UnOp::FNeg | UnOp::FAbs => {
-                            flops += 1;
-                            charge!(c_fp);
-                        }
-                        // The reference interpreter charges plain-ALU unops
-                        // to `cycles` only (not `busy_cycles`); replicated
-                        // for exact cycle parity (`quiet` keeps the charge
-                        // out of the derived busy count).
-                        _ => {
-                            cycles += c_alu;
-                            quiet += c_alu;
-                        }
+                    let class = op.class();
+                    if class != OpClass::Alu {
+                        flops += 1;
                     }
+                    charge!(cost::class(class));
                     setv(&mut regs, *dst, v);
                 }
                 Op::Cast { kind, to, a, dst } => {
                     issue!();
                     let av = readv!(a);
                     let v = exec_cast(*kind, *to, av);
-                    charge!(c_alu);
+                    charge!(cost::ALU);
                     setv(&mut regs, *dst, v);
                 }
                 Op::Cmp {
@@ -574,7 +556,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     let av = readv!(a);
                     let bv = readv!(b);
                     let v = exec_cmp(*pred, *float, av, bv);
-                    charge!(c_alu);
+                    charge!(cost::ALU);
                     setv(&mut regs, *dst, RtVal::I(v as i64));
                 }
                 Op::Select { c, t, f, dst } => {
@@ -585,13 +567,13 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     } else {
                         readv!(f)
                     };
-                    charge!(c_alu);
+                    charge!(cost::ALU);
                     setv(&mut regs, *dst, v);
                 }
                 Op::Load { ty, p, dst } => {
                     issue!();
                     let pv = readv!(p).as_ptr();
-                    charge_mem!(cost.mem(pv.segment()));
+                    charge_mem!(cost::mem(pv.segment()));
                     let bits = try_v!(exec.mem_read(thread, pv, ty.size()));
                     let mut v = rtval_from_bits(bits, *ty);
                     if exec.san_armed() {
@@ -607,7 +589,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     issue!();
                     let pv = readv!(p).as_ptr();
                     let vv = readv!(v);
-                    charge_mem!(cost.mem(pv.segment()));
+                    charge_mem!(cost::mem(pv.segment()));
                     try_v!(exec.mem_write(thread, pv, ty.size(), vv.to_bits()));
                     if exec.san_armed() {
                         let loc = loc_of(cur, frame.func, cur_pc!() as usize - 1);
@@ -618,7 +600,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     issue!();
                     let base = readv!(a).as_ptr();
                     let off = readv!(b).as_i();
-                    charge!(c_alu);
+                    charge!(cost::ALU);
                     setv(&mut regs, *dst, RtVal::P(base.add_bytes(off)));
                 }
                 Op::Alloca { size, dst } => {
@@ -635,7 +617,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     runtime,
                 } => {
                     issue!();
-                    charge!(cost.call);
+                    charge!(cost::CALL);
                     if *runtime {
                         exec.counters.runtime_calls += 1;
                     }
@@ -701,8 +683,8 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                             m.params
                         )));
                     }
-                    charge!(cost.call);
-                    charge!(cost.indirect_call);
+                    charge!(cost::CALL);
+                    charge!(cost::INDIRECT_CALL);
                     if m.runtime {
                         exec.counters.runtime_calls += 1;
                     }
@@ -754,7 +736,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     issue!();
                     let pv = readv!(p).as_ptr();
                     let vv = readv!(v);
-                    charge_mem!(cost.atomic);
+                    charge_mem!(cost::ATOMIC);
                     if pv.segment() == Segment::Global {
                         exec.counters.global_accesses += 2;
                         let result_used = match &exec.global {
@@ -780,7 +762,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     let pv = readv!(p).as_ptr();
                     let ev = readv!(e);
                     let nv = readv!(n);
-                    charge_mem!(cost.atomic);
+                    charge_mem!(cost::ATOMIC);
                     if pv.segment() == Segment::Global {
                         exec.counters.global_accesses += 1;
                         let (old, stored) =
@@ -850,7 +832,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 Op::Malloc { size, dst } => {
                     issue!();
                     let sz = readv!(size).as_i().max(0) as u64;
-                    charge_mem!(cost.malloc);
+                    charge_mem!(cost::MALLOC);
                     exec.counters.device_mallocs += 1;
                     let off = try_v!(exec.heap_alloc(sz));
                     setv(&mut regs, *dst, RtVal::P(DevPtr::global(off as u32)));
@@ -867,7 +849,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 }
                 Op::CondBr { c, t, f } => {
                     let cv = readv!(c).as_bool();
-                    charge!(c_alu);
+                    charge!(cost::ALU);
                     follow!(if cv { *t } else { *f });
                 }
                 Op::Ret { v } => {
@@ -939,7 +921,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         exec.counters.instructions = instructions;
         exec.counters.flops = flops;
         thread.cycles = cycles;
-        thread.busy_cycles = busy0 + (cycles - cycles0 - quiet);
+        thread.busy_cycles = busy0 + (cycles - cycles0);
         thread.mem_cycles = memc;
         thread.frames.push(frame);
         Err(err)

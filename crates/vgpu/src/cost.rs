@@ -1,4 +1,4 @@
-//! Cost model and device configuration (occupancy).
+//! Cost model (a table of constants) and device configuration (occupancy).
 //!
 //! The constants are not an A100 die model; they are chosen so that the
 //! artifacts the paper's co-design eliminates — runtime calls, shared-state
@@ -6,71 +6,58 @@
 //! impact on the simulated kernel time, which is what makes the Fig. 10–13
 //! shapes reproducible.
 
+use nzomp_ir::OpClass;
+
 use crate::memory::Segment;
 
-/// Per-operation cycle charges.
-#[derive(Clone, Debug)]
-pub struct CostModel {
-    /// Base issue cost charged for every executed instruction.
-    pub issue: u64,
-    /// Integer / pointer ALU op (on top of issue).
-    pub alu: u64,
-    /// f64 arithmetic.
-    pub fp: u64,
-    /// Transcendentals (sin/cos/exp/log/sqrt).
-    pub transcendental: u64,
-    /// Global-memory access (per load/store).
-    pub mem_global: u64,
-    /// Shared-memory access.
-    pub mem_shared: u64,
-    /// Local (per-thread) memory access.
-    pub mem_local: u64,
-    /// Constant-memory access (cached, cheap).
-    pub mem_constant: u64,
-    /// Team barrier, aligned (all threads arrive together).
-    pub barrier_aligned: u64,
-    /// Team barrier from divergent control flow (state machine).
-    pub barrier_unaligned: u64,
-    /// Atomic RMW / CAS.
-    pub atomic: u64,
-    /// Direct call / return bookkeeping.
-    pub call: u64,
-    /// Indirect call penalty (on top of `call`).
-    pub indirect_call: u64,
-    /// Device-side malloc (global heap fallback of the shared stack).
-    pub malloc: u64,
-}
+/// Base issue cost charged for every executed instruction.
+pub const ISSUE: u64 = 1;
+/// Integer / pointer ALU op (on top of issue).
+pub const ALU: u64 = 0;
+/// f64 arithmetic.
+pub const FP: u64 = 3;
+/// Transcendentals (sin/cos/exp/log/sqrt).
+pub const TRANSCENDENTAL: u64 = 19;
+/// Global-memory access (per load/store).
+pub const MEM_GLOBAL: u64 = 39;
+/// Shared-memory access.
+pub const MEM_SHARED: u64 = 7;
+/// Local (per-thread) memory access.
+pub const MEM_LOCAL: u64 = 3;
+/// Constant-memory access (cached, cheap).
+pub const MEM_CONSTANT: u64 = 3;
+/// Team barrier, aligned (all threads arrive together).
+pub const BARRIER_ALIGNED: u64 = 29;
+/// Team barrier from divergent control flow (state machine).
+pub const BARRIER_UNALIGNED: u64 = 44;
+/// Atomic RMW / CAS.
+pub const ATOMIC: u64 = 59;
+/// Direct call / return bookkeeping.
+pub const CALL: u64 = 14;
+/// Indirect call penalty (on top of `CALL`).
+pub const INDIRECT_CALL: u64 = 10;
+/// Device-side malloc (global heap fallback of the shared stack).
+pub const MALLOC: u64 = 799;
 
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel {
-            issue: 1,
-            alu: 0,
-            fp: 3,
-            transcendental: 19,
-            mem_global: 39,
-            mem_shared: 7,
-            mem_local: 3,
-            mem_constant: 3,
-            barrier_aligned: 29,
-            barrier_unaligned: 44,
-            atomic: 59,
-            call: 14,
-            indirect_call: 10,
-            malloc: 799,
-        }
+/// The charge (on top of issue) for an arithmetic operator of class `c`.
+#[inline]
+pub const fn class(c: OpClass) -> u64 {
+    match c {
+        OpClass::Alu => ALU,
+        OpClass::Fp => FP,
+        OpClass::Transcendental => TRANSCENDENTAL,
     }
 }
 
-impl CostModel {
-    pub fn mem(&self, seg: Segment) -> u64 {
-        match seg {
-            Segment::Global => self.mem_global,
-            Segment::Shared => self.mem_shared,
-            Segment::Local => self.mem_local,
-            Segment::Constant => self.mem_constant,
-            _ => self.mem_global,
-        }
+/// The charge for one access to memory segment `seg`.
+#[inline]
+pub const fn mem(seg: Segment) -> u64 {
+    match seg {
+        Segment::Global => MEM_GLOBAL,
+        Segment::Shared => MEM_SHARED,
+        Segment::Local => MEM_LOCAL,
+        Segment::Constant => MEM_CONSTANT,
+        _ => MEM_GLOBAL,
     }
 }
 

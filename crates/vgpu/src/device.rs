@@ -9,7 +9,7 @@ use nzomp_ir::module::FuncRef;
 use nzomp_ir::{Module, Space};
 
 use crate::bytecode::{lower_module, BcModule};
-use crate::cost::{CostModel, DeviceConfig};
+use crate::cost::DeviceConfig;
 use crate::error::{ExecError, TrapKind};
 use crate::exec::{Counters, ExecTier, GlobalLayout, HeapState, LaunchCtx, TeamEngine, TeamOutcome};
 use crate::faults::{DeviceFaultKind, FaultPlan};
@@ -100,7 +100,6 @@ impl Image {
 /// several kernels.
 pub struct Device {
     pub config: DeviceConfig,
-    pub cost: CostModel,
     image: Image,
     global: Region,
     constant: Region,
@@ -209,7 +208,6 @@ impl Device {
         };
         Device {
             config,
-            cost: CostModel::default(),
             image,
             global,
             constant,
@@ -590,7 +588,6 @@ impl Device {
                 ExecTier::Bytecode => Some(self.image.bytecode()),
                 ExecTier::Interp => None,
             },
-            cost: &self.cost,
             constant: &self.constant,
             faults: self.faults.as_ref(),
             check_assumes: self.config.check_assumes,

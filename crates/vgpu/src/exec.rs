@@ -26,7 +26,7 @@ use std::sync::Arc;
 use nzomp_ir::{Function, Module, Operand};
 
 use crate::bytecode::{BcBackend, BcModule};
-use crate::cost::CostModel;
+use crate::cost;
 use crate::device::{Image, Launch};
 use crate::error::TrapKind;
 use crate::faults::{FaultAction, FaultPlan, FaultSite};
@@ -81,7 +81,6 @@ pub(crate) struct LaunchCtx<'a> {
     /// Lowered bytecode when the launch runs on the bytecode tier
     /// (`None` = interpreter tier). Both tiers produce bit-identical runs.
     pub bc: Option<&'a BcModule>,
-    pub cost: &'a CostModel,
     pub constant: &'a Region,
     pub faults: Option<&'a FaultPlan>,
     pub check_assumes: bool,
@@ -233,7 +232,7 @@ pub(crate) fn used_results(func: &Function) -> Vec<bool> {
 /// * **Traps.** Identical programs produce identical [`TrapKind`]s —
 ///   including `MalformedIr` message strings — at identical step counts.
 /// * **Accounting.** Instruction counters, per-op cycle charges from
-///   [`CostModel`], and the memory-cycle split match the reference
+///   the [`cost`] table, and the memory-cycle split match the reference
 ///   interpreter exactly.
 /// * **Sanitizer and effects.** Memory accesses reach
 ///   [`TeamExec::san_record`] with the same [`IrLoc`]s, and global-memory
@@ -263,11 +262,10 @@ pub trait ExecBackend<'a>: Sized {
 /// counters, the remaining fuel, and (in buffered mode) the copy-on-write
 /// overlay of global memory — is *owned*, so a `TeamExec` built over a
 /// [`GlobalMem::Buffered`] view is `Send` and can run on a worker thread;
-/// the shared borrows (`module`, `cost`, `layout`, `constant`, `faults`,
+/// the shared borrows (`module`, `layout`, `constant`, `faults`,
 /// and the buffered view's wave-start base image) are all `Sync`.
 pub struct TeamExec<'a, B: ExecBackend<'a>> {
     pub module: &'a Module,
-    pub cost: &'a CostModel,
     pub check_assumes: bool,
     pub team_id: u32,
     pub num_teams: u32,
@@ -314,7 +312,6 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
         let image = ctx.image;
         TeamExec {
             module: &image.module,
-            cost: ctx.cost,
             check_assumes: ctx.check_assumes,
             team_id,
             num_teams: ctx.launch.teams,
@@ -481,9 +478,9 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
                     )
                 });
                 let cost = if aligned {
-                    self.cost.barrier_aligned
+                    cost::BARRIER_ALIGNED
                 } else {
-                    self.cost.barrier_unaligned
+                    cost::BARRIER_UNALIGNED
                 };
                 // Sanitizer: check arrival uniformity, then open a new
                 // barrier epoch (every release synchronizes the live

@@ -70,6 +70,7 @@ use nzomp_ir::Ty;
 use crate::error::TrapKind;
 use crate::exec::HeapState;
 use crate::memory::Region;
+use crate::ops::combine_atomic;
 use crate::value::RtVal;
 
 /// Reinterpret raw load bits as a typed runtime value — the single
@@ -80,26 +81,6 @@ pub(crate) fn rtval_from_bits(bits: i64, ty: Ty) -> RtVal {
         Ty::F64 => RtVal::F(f64::from_bits(bits as u64)),
         Ty::Ptr => RtVal::P(crate::memory::DevPtr(bits as u64)),
         _ => RtVal::I(bits),
-    }
-}
-
-/// Combine an atomic RMW operation (shared by direct execution, buffered
-/// execution, and wave-ordered replay — one implementation so all three
-/// agree bit for bit).
-pub(crate) fn combine_atomic(op: AtomicOp, ty: Ty, old: RtVal, v: RtVal) -> RtVal {
-    if ty.is_float() {
-        return match op {
-            AtomicOp::Add => RtVal::F(old.as_f() + v.as_f()),
-            AtomicOp::Max => RtVal::F(old.as_f().max(v.as_f())),
-            AtomicOp::Min => RtVal::F(old.as_f().min(v.as_f())),
-            AtomicOp::Exchange => v,
-        };
-    }
-    match op {
-        AtomicOp::Add => RtVal::I(old.as_i().wrapping_add(v.as_i())),
-        AtomicOp::Max => RtVal::I(old.as_i().max(v.as_i())),
-        AtomicOp::Min => RtVal::I(old.as_i().min(v.as_i())),
-        AtomicOp::Exchange => v,
     }
 }
 

@@ -7,14 +7,15 @@
 //! It is deliberately simple — the semantic reference the bytecode tier
 //! (`crate::bytecode`) must match bit for bit; see `docs/exec-tiers.md`.
 
-use nzomp_ir::inst::{Inst, InstId, Intrinsic, Term, UnOp};
-use nzomp_ir::{BlockId, Function, Operand, Ty};
+use nzomp_ir::inst::{Inst, InstId, Intrinsic, Term};
+use nzomp_ir::{BlockId, Function, OpClass, Operand, Ty};
 
+use crate::cost;
 use crate::error::TrapKind;
 use crate::exec::{malformed, ExecBackend, Status, TeamExec, ThreadCtx};
-use crate::gmem::{combine_atomic, GlobalMem};
+use crate::gmem::GlobalMem;
 use crate::memory::{DevPtr, Segment};
-use crate::ops::{corrupt_value, exec_bin, exec_cast, exec_cmp, exec_un};
+use crate::ops::{combine_atomic, corrupt_value, exec_bin, exec_cast, exec_cmp, exec_un};
 use crate::sanitize::{AccessKind, IrLoc};
 use crate::value::RtVal;
 
@@ -139,8 +140,8 @@ impl<'a> TeamExec<'a, InterpBackend> {
         };
         let inst: &'a Inst = inst;
         self.counters.instructions += 1;
-        thread.cycles += self.cost.issue;
-        thread.busy_cycles += self.cost.issue;
+        thread.cycles += cost::ISSUE;
+        thread.busy_cycles += cost::ISSUE;
         self.exec_inst(thread, iid, inst)
     }
 
@@ -183,6 +184,17 @@ impl<'a> TeamExec<'a, InterpBackend> {
         Ok(())
     }
 
+    /// Charge an arithmetic operator by its class; anything but plain ALU
+    /// work counts as a flop.
+    #[inline]
+    fn charge_class(&mut self, thread: &mut ThreadCtx<Frame>, class: OpClass) {
+        if class != OpClass::Alu {
+            self.counters.flops += 1;
+        }
+        thread.cycles += cost::class(class);
+        thread.busy_cycles += cost::class(class);
+    }
+
     // ---- instruction dispatch ---------------------------------------------
 
     fn exec_inst(
@@ -206,47 +218,28 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 let a = self.eval(thread, *lhs)?;
                 let b = self.eval(thread, *rhs)?;
                 let v = exec_bin(*op, a, b)?;
-                if op.is_float() {
-                    self.counters.flops += 1;
-                    thread.cycles += self.cost.fp;
-                    thread.busy_cycles += self.cost.fp;
-                } else {
-                    thread.cycles += self.cost.alu;
-                    thread.busy_cycles += self.cost.alu;
-                }
+                self.charge_class(thread, op.class());
                 self.set_reg(thread, iid, v)?;
             }
             Inst::Un { op, arg, .. } => {
                 let a = self.eval(thread, *arg)?;
                 let v = exec_un(*op, a);
-                match op {
-                    UnOp::Sqrt | UnOp::Sin | UnOp::Cos | UnOp::Exp | UnOp::Log => {
-                        self.counters.flops += 1;
-                        thread.cycles += self.cost.transcendental;
-                        thread.busy_cycles += self.cost.transcendental;
-                    }
-                    UnOp::FNeg | UnOp::FAbs => {
-                        self.counters.flops += 1;
-                        thread.cycles += self.cost.fp;
-                        thread.busy_cycles += self.cost.fp;
-                    }
-                    _ => thread.cycles += self.cost.alu,
-                }
+                self.charge_class(thread, op.class());
                 self.set_reg(thread, iid, v)?;
             }
             Inst::Cast { kind, to, arg } => {
                 let a = self.eval(thread, *arg)?;
                 let v = exec_cast(*kind, *to, a);
-                thread.cycles += self.cost.alu;
-                thread.busy_cycles += self.cost.alu;
+                thread.cycles += cost::ALU;
+                thread.busy_cycles += cost::ALU;
                 self.set_reg(thread, iid, v)?;
             }
             Inst::Cmp { pred, ty, lhs, rhs } => {
                 let a = self.eval(thread, *lhs)?;
                 let b = self.eval(thread, *rhs)?;
                 let v = exec_cmp(*pred, ty.is_float(), a, b);
-                thread.cycles += self.cost.alu;
-                thread.busy_cycles += self.cost.alu;
+                thread.cycles += cost::ALU;
+                thread.busy_cycles += cost::ALU;
                 self.set_reg(thread, iid, RtVal::I(v as i64))?;
             }
             Inst::Select {
@@ -261,13 +254,13 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 } else {
                     self.eval(thread, *if_false)?
                 };
-                thread.cycles += self.cost.alu;
-                thread.busy_cycles += self.cost.alu;
+                thread.cycles += cost::ALU;
+                thread.busy_cycles += cost::ALU;
                 self.set_reg(thread, iid, v)?;
             }
             Inst::Load { ty, ptr } => {
                 let p = self.eval(thread, *ptr)?.as_ptr();
-                let c = self.cost.mem(p.segment());
+                let c = cost::mem(p.segment());
                 thread.cycles += c;
                 thread.busy_cycles += c;
                 thread.mem_cycles += c;
@@ -281,7 +274,7 @@ impl<'a> TeamExec<'a, InterpBackend> {
             Inst::Store { ty, ptr, value } => {
                 let p = self.eval(thread, *ptr)?.as_ptr();
                 let v = self.eval(thread, *value)?;
-                let c = self.cost.mem(p.segment());
+                let c = cost::mem(p.segment());
                 thread.cycles += c;
                 thread.busy_cycles += c;
                 thread.mem_cycles += c;
@@ -291,8 +284,8 @@ impl<'a> TeamExec<'a, InterpBackend> {
             Inst::PtrAdd { base, offset } => {
                 let b = self.eval(thread, *base)?.as_ptr();
                 let o = self.eval(thread, *offset)?.as_i();
-                thread.cycles += self.cost.alu;
-                thread.busy_cycles += self.cost.alu;
+                thread.cycles += cost::ALU;
+                thread.busy_cycles += cost::ALU;
                 self.set_reg(thread, iid, RtVal::P(b.add_bytes(o)))?;
             }
             Inst::Alloca { size } => {
@@ -308,9 +301,9 @@ impl<'a> TeamExec<'a, InterpBackend> {
             Inst::Atomic { op, ty, ptr, value } => {
                 let p = self.eval(thread, *ptr)?.as_ptr();
                 let v = self.eval(thread, *value)?;
-                thread.cycles += self.cost.atomic;
-                thread.busy_cycles += self.cost.atomic;
-                thread.mem_cycles += self.cost.atomic;
+                thread.cycles += cost::ATOMIC;
+                thread.busy_cycles += cost::ATOMIC;
+                thread.mem_cycles += cost::ATOMIC;
                 if p.segment() == Segment::Global {
                     // Global atomics go through the global view so buffered
                     // execution can log the *operation* for wave-ordered
@@ -349,9 +342,9 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 let p = self.eval(thread, *ptr)?.as_ptr();
                 let e = self.eval(thread, *expected)?;
                 let n = self.eval(thread, *new)?;
-                thread.cycles += self.cost.atomic;
-                thread.busy_cycles += self.cost.atomic;
-                thread.mem_cycles += self.cost.atomic;
+                thread.cycles += cost::ATOMIC;
+                thread.busy_cycles += cost::ATOMIC;
+                thread.mem_cycles += cost::ATOMIC;
                 if p.segment() == Segment::Global {
                     self.counters.global_accesses += 1;
                     let (old, stored) =
@@ -415,11 +408,11 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 func.params.len()
             )));
         }
-        thread.cycles += self.cost.call;
-        thread.busy_cycles += self.cost.call;
+        thread.cycles += cost::CALL;
+        thread.busy_cycles += cost::CALL;
         if indirect {
-            thread.cycles += self.cost.indirect_call;
-            thread.busy_cycles += self.cost.indirect_call;
+            thread.cycles += cost::INDIRECT_CALL;
+            thread.busy_cycles += cost::INDIRECT_CALL;
         }
         if func.name.starts_with("__kmpc") || func.name.starts_with("omp_") {
             self.counters.runtime_calls += 1;
@@ -514,9 +507,9 @@ impl<'a> TeamExec<'a, InterpBackend> {
                     return Err(malformed("malloc intrinsic with no operand"));
                 };
                 let size = self.eval(thread, sz)?.as_i().max(0) as u64;
-                thread.cycles += self.cost.malloc;
-                thread.busy_cycles += self.cost.malloc;
-                thread.mem_cycles += self.cost.malloc;
+                thread.cycles += cost::MALLOC;
+                thread.busy_cycles += cost::MALLOC;
+                thread.mem_cycles += cost::MALLOC;
                 self.counters.device_mallocs += 1;
                 let off = self.heap_alloc(size)?;
                 self.set_reg(thread, iid, RtVal::P(DevPtr::global(off as u32)))?;
@@ -544,8 +537,8 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 if_false,
             } => {
                 let c = self.eval(thread, *cond)?.as_bool();
-                thread.cycles += self.cost.alu;
-                thread.busy_cycles += self.cost.alu;
+                thread.cycles += cost::ALU;
+                thread.busy_cycles += cost::ALU;
                 let t = if c { *if_true } else { *if_false };
                 self.jump(thread, t)
             }

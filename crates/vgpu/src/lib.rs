@@ -42,7 +42,7 @@ pub mod run;
 pub mod sanitize;
 pub mod value;
 
-pub use cost::{CostModel, DeviceConfig};
+pub use cost::DeviceConfig;
 pub use device::Device;
 pub use exec::ExecTier;
 pub use error::{ExecError, TrapKind};

@@ -1,109 +1,54 @@
-//! Scalar operation semantics shared by every execution backend.
+//! `RtVal` adapters over the operator semantics of `nzomp_ir::ops`.
 //!
-//! The team interpreter (`interp.rs`) and the bytecode tier (`bytecode/`)
-//! must produce bit-identical values for every arithmetic, cast, compare
-//! and fault-corruption operation — the cross-tier differential suites
-//! compare raw output bits. Keeping the scalar semantics in one module is
-//! what makes that a structural guarantee instead of a test-enforced one.
+//! What an operator computes is defined once, in `nzomp-ir`, and the
+//! optimizer's constant folder calls the same methods — so a folded value
+//! and an executed one are the same function's result. What is left here is
+//! what only the device knows: how a dynamically typed [`RtVal`] coerces to
+//! the operator's domain (`as_i` / `as_f`), that an integer operation
+//! without a result is a [`TrapKind::DivByZero`], the address-space tag a
+//! `PtrCast` carries, and fault-injected load corruption. The interpreter
+//! (`interp.rs`) and the bytecode tier (`bytecode/`) both execute through
+//! these adapters.
 
-use nzomp_ir::inst::{BinOp, CastKind, Pred, UnOp};
+use nzomp_ir::inst::{AtomicOp, BinOp, CastKind, Pred, UnOp};
 use nzomp_ir::Ty;
 
 use crate::error::TrapKind;
+use crate::gmem::rtval_from_bits;
 use crate::memory::DevPtr;
 use crate::value::RtVal;
 
-/// Binary arithmetic. Integer ops wrap; divides and remainders by zero
-/// are a typed [`TrapKind::DivByZero`]; shifts mask the amount to 6 bits.
+/// Binary arithmetic in the domain the operator's class names. The one
+/// operation without a result is an integer divide or remainder by zero.
 #[inline]
 pub(crate) fn exec_bin(op: BinOp, a: RtVal, b: RtVal) -> Result<RtVal, TrapKind> {
-    if op.is_float() {
-        let (x, y) = (a.as_f(), b.as_f());
-        let v = match op {
-            BinOp::FAdd => x + y,
-            BinOp::FSub => x - y,
-            BinOp::FMul => x * y,
-            BinOp::FDiv => x / y,
-            BinOp::FMin => x.min(y),
-            BinOp::FMax => x.max(y),
-            _ => unreachable!(),
-        };
-        return Ok(RtVal::F(v));
-    }
-    let (x, y) = (a.as_i(), b.as_i());
-    let v = match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::SDiv => {
-            if y == 0 {
-                return Err(TrapKind::DivByZero);
-            }
-            x.wrapping_div(y)
-        }
-        BinOp::SRem => {
-            if y == 0 {
-                return Err(TrapKind::DivByZero);
-            }
-            x.wrapping_rem(y)
-        }
-        BinOp::UDiv => {
-            if y == 0 {
-                return Err(TrapKind::DivByZero);
-            }
-            ((x as u64) / (y as u64)) as i64
-        }
-        BinOp::URem => {
-            if y == 0 {
-                return Err(TrapKind::DivByZero);
-            }
-            ((x as u64) % (y as u64)) as i64
-        }
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => x.wrapping_shl(y as u32 & 63),
-        BinOp::LShr => ((x as u64).wrapping_shr(y as u32 & 63)) as i64,
-        BinOp::AShr => x.wrapping_shr(y as u32 & 63),
-        BinOp::SMin => x.min(y),
-        BinOp::SMax => x.max(y),
-        _ => unreachable!(),
+    let v = if op.is_float() {
+        op.eval_float(a.as_f(), b.as_f()).map(RtVal::F)
+    } else {
+        op.eval_int(a.as_i(), b.as_i()).map(RtVal::I)
     };
-    Ok(RtVal::I(v))
+    v.ok_or(TrapKind::DivByZero)
 }
 
+/// Unary arithmetic. Every operator has exactly one of the two meanings, so
+/// the operand never passes through unchanged.
 #[inline]
 pub(crate) fn exec_un(op: UnOp, a: RtVal) -> RtVal {
-    match op {
-        UnOp::Neg => RtVal::I(a.as_i().wrapping_neg()),
-        UnOp::Not => RtVal::I(!a.as_i()),
-        UnOp::FNeg => RtVal::F(-a.as_f()),
-        UnOp::FAbs => RtVal::F(a.as_f().abs()),
-        UnOp::Sqrt => RtVal::F(a.as_f().sqrt()),
-        UnOp::Sin => RtVal::F(a.as_f().sin()),
-        UnOp::Cos => RtVal::F(a.as_f().cos()),
-        UnOp::Exp => RtVal::F(a.as_f().exp()),
-        UnOp::Log => RtVal::F(a.as_f().ln()),
-    }
+    let v = if op.is_float() {
+        op.eval_float(a.as_f()).map(RtVal::F)
+    } else {
+        op.eval_int(a.as_i()).map(RtVal::I)
+    };
+    v.unwrap_or(a)
 }
 
 #[inline]
 pub(crate) fn exec_cast(kind: CastKind, to: Ty, a: RtVal) -> RtVal {
     match kind {
-        CastKind::IntCast => RtVal::I(match to {
-            Ty::I1 => a.as_i() & 1,
-            Ty::I8 => a.as_i() as i8 as i64,
-            Ty::I32 => a.as_i() as i32 as i64,
-            _ => a.as_i(),
-        }),
-        CastKind::ZExtCast => RtVal::I(match to {
-            Ty::I1 => a.as_i() & 1,
-            Ty::I8 => a.as_i() & 0xff,
-            Ty::I32 => a.as_i() & 0xffff_ffff,
-            _ => a.as_i(),
-        }),
-        CastKind::SiToFp => RtVal::F(a.as_i() as f64),
-        CastKind::FpToSi => RtVal::I(a.as_f() as i64),
+        CastKind::IntCast => RtVal::I(CastKind::int_cast(to, a.as_i())),
+        CastKind::ZExtCast => RtVal::I(CastKind::zext_cast(to, a.as_i())),
+        CastKind::SiToFp => RtVal::F(CastKind::si_to_fp(a.as_i())),
+        CastKind::FpToSi => RtVal::I(CastKind::fp_to_si(a.as_f())),
         CastKind::PtrCast => {
             if to == Ty::Ptr {
                 RtVal::P(DevPtr(a.as_i() as u64))
@@ -114,47 +59,36 @@ pub(crate) fn exec_cast(kind: CastKind, to: Ty, a: RtVal) -> RtVal {
     }
 }
 
-/// Comparison. `float` selects IEEE semantics (signed/unsigned predicate
-/// pairs collapse); integer compares go through the raw bit pattern with
-/// signedness taken from the predicate.
+/// Comparison. `float` selects IEEE semantics; integer compares go through
+/// the raw bit pattern (pointers compare by address and tag).
 #[inline]
 pub(crate) fn exec_cmp(pred: Pred, float: bool, a: RtVal, b: RtVal) -> bool {
     if float {
-        let (x, y) = (a.as_f(), b.as_f());
-        return match pred {
-            Pred::Eq => x == y,
-            Pred::Ne => x != y,
-            Pred::Slt | Pred::Ult => x < y,
-            Pred::Sle | Pred::Ule => x <= y,
-            Pred::Sgt | Pred::Ugt => x > y,
-            Pred::Sge | Pred::Uge => x >= y,
-        };
+        pred.eval_float(a.as_f(), b.as_f())
+    } else {
+        pred.eval_int(a.to_bits(), b.to_bits())
     }
-    let (x, y) = (a.to_bits(), b.to_bits());
-    match pred {
-        Pred::Eq => x == y,
-        Pred::Ne => x != y,
-        Pred::Slt => x < y,
-        Pred::Sle => x <= y,
-        Pred::Sgt => x > y,
-        Pred::Sge => x >= y,
-        Pred::Ult => (x as u64) < (y as u64),
-        Pred::Ule => (x as u64) <= (y as u64),
-        Pred::Ugt => (x as u64) > (y as u64),
-        Pred::Uge => (x as u64) >= (y as u64),
-    }
+}
+
+/// The value an atomic read-modify-write of type `ty` stores (shared by
+/// direct execution, buffered execution, and wave-ordered replay, so all
+/// three agree bit for bit): the operation's binary operator over the value
+/// found and the operand — none of them can trap — or, for an exchange, the
+/// operand as it is. Out of line on purpose: inlined, it plants a second
+/// copy of `exec_bin`'s switch in the bytecode dispatch loop, which costs
+/// `exec_seq` a fifth of its throughput (the codegen cliff of
+/// docs/exec-tiers.md).
+#[inline(never)]
+pub(crate) fn combine_atomic(op: AtomicOp, ty: Ty, old: RtVal, v: RtVal) -> RtVal {
+    let bin = op.combiner(ty.is_float());
+    bin.and_then(|bin| exec_bin(bin, old, v).ok()).unwrap_or(v)
 }
 
 /// Apply a [`crate::faults::FaultAction::CorruptLoad`] mask, keeping the
 /// value's type (the same bit-reinterpretation rule typed loads use).
 #[inline]
 pub(crate) fn corrupt_value(v: RtVal, xor: u64, ty: Ty) -> RtVal {
-    let bits = (v.to_bits() as u64) ^ xor;
-    match ty {
-        Ty::F64 => RtVal::F(f64::from_bits(bits)),
-        Ty::Ptr => RtVal::P(DevPtr(bits)),
-        _ => RtVal::I(bits as i64),
-    }
+    rtval_from_bits(v.to_bits() ^ xor as i64, ty)
 }
 
 #[cfg(test)]
@@ -162,120 +96,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn int_arithmetic_wraps() {
-        let v = exec_bin(BinOp::Add, RtVal::I(i64::MAX), RtVal::I(1)).unwrap();
-        assert_eq!(v, RtVal::I(i64::MIN));
-        let v = exec_bin(BinOp::Mul, RtVal::I(i64::MIN), RtVal::I(-1)).unwrap();
-        assert_eq!(v, RtVal::I(i64::MIN));
-        let v = exec_bin(BinOp::Sub, RtVal::I(i64::MIN), RtVal::I(1)).unwrap();
-        assert_eq!(v, RtVal::I(i64::MAX));
-        // INT_MIN / -1 overflows in two's complement; wrapping_div keeps it.
-        let v = exec_bin(BinOp::SDiv, RtVal::I(i64::MIN), RtVal::I(-1)).unwrap();
-        assert_eq!(v, RtVal::I(i64::MIN));
-    }
-
-    #[test]
-    fn div_rem_by_zero_trap() {
-        for op in [BinOp::SDiv, BinOp::SRem, BinOp::UDiv, BinOp::URem] {
-            assert!(matches!(
-                exec_bin(op, RtVal::I(7), RtVal::I(0)),
-                Err(TrapKind::DivByZero)
-            ));
-        }
-        // Float division by zero is IEEE, not a trap.
-        let v = exec_bin(BinOp::FDiv, RtVal::F(1.0), RtVal::F(0.0)).unwrap();
-        assert_eq!(v, RtVal::F(f64::INFINITY));
-    }
-
-    #[test]
-    fn unsigned_div_uses_bit_pattern() {
-        let v = exec_bin(BinOp::UDiv, RtVal::I(-2), RtVal::I(2)).unwrap();
-        assert_eq!(v, RtVal::I(((u64::MAX - 1) / 2) as i64));
-        let v = exec_bin(BinOp::URem, RtVal::I(-1), RtVal::I(10)).unwrap();
-        assert_eq!(v, RtVal::I((u64::MAX % 10) as i64));
-    }
-
-    #[test]
-    fn shifts_mask_amount_to_six_bits() {
-        // Shift by 64 == shift by 0 after the & 63 mask.
-        assert_eq!(
-            exec_bin(BinOp::Shl, RtVal::I(1), RtVal::I(64)).unwrap(),
-            RtVal::I(1)
-        );
-        assert_eq!(
-            exec_bin(BinOp::Shl, RtVal::I(1), RtVal::I(65)).unwrap(),
-            RtVal::I(2)
-        );
-        // Logical vs arithmetic right shift on a negative value.
-        assert_eq!(
-            exec_bin(BinOp::LShr, RtVal::I(-1), RtVal::I(1)).unwrap(),
-            RtVal::I((u64::MAX >> 1) as i64)
-        );
-        assert_eq!(
-            exec_bin(BinOp::AShr, RtVal::I(-1), RtVal::I(1)).unwrap(),
-            RtVal::I(-1)
-        );
-    }
-
-    #[test]
-    fn float_min_max_and_neg() {
-        assert_eq!(
-            exec_bin(BinOp::FMin, RtVal::F(-0.0), RtVal::F(1.0)).unwrap(),
-            RtVal::F(-0.0)
-        );
-        assert_eq!(exec_un(UnOp::FNeg, RtVal::F(0.0)).to_bits(), (-0.0f64).to_bits() as i64);
-        assert_eq!(exec_un(UnOp::FAbs, RtVal::F(-2.5)), RtVal::F(2.5));
-        assert_eq!(exec_un(UnOp::Neg, RtVal::I(i64::MIN)), RtVal::I(i64::MIN));
-    }
-
-    #[test]
-    fn int_casts_truncate_and_extend() {
-        // IntCast sign-extends from the target width.
-        assert_eq!(exec_cast(CastKind::IntCast, Ty::I8, RtVal::I(0x1ff)), RtVal::I(-1));
-        assert_eq!(
-            exec_cast(CastKind::IntCast, Ty::I32, RtVal::I(0x1_8000_0000)),
-            RtVal::I(-0x8000_0000)
-        );
-        assert_eq!(exec_cast(CastKind::IntCast, Ty::I1, RtVal::I(3)), RtVal::I(1));
-        // ZExtCast keeps only the low bits.
-        assert_eq!(exec_cast(CastKind::ZExtCast, Ty::I8, RtVal::I(-1)), RtVal::I(0xff));
-        assert_eq!(
-            exec_cast(CastKind::ZExtCast, Ty::I32, RtVal::I(-1)),
-            RtVal::I(0xffff_ffff)
-        );
-        assert_eq!(exec_cast(CastKind::ZExtCast, Ty::I64, RtVal::I(-1)), RtVal::I(-1));
-    }
-
-    #[test]
-    fn fp_int_conversions_saturate_like_rust() {
-        assert_eq!(exec_cast(CastKind::FpToSi, Ty::I64, RtVal::F(1e300)), RtVal::I(i64::MAX));
-        assert_eq!(exec_cast(CastKind::FpToSi, Ty::I64, RtVal::F(f64::NAN)), RtVal::I(0));
-        assert_eq!(exec_cast(CastKind::SiToFp, Ty::F64, RtVal::I(1 << 53)), RtVal::F(9007199254740992.0));
-    }
-
-    #[test]
     fn ptr_cast_round_trips_bits() {
         let p = exec_cast(CastKind::PtrCast, Ty::Ptr, RtVal::I(0x1234));
         assert_eq!(p, RtVal::P(DevPtr(0x1234)));
         assert_eq!(exec_cast(CastKind::PtrCast, Ty::I64, p), RtVal::I(0x1234));
-    }
-
-    #[test]
-    fn nan_compares_are_all_false_except_ne() {
-        let nan = RtVal::F(f64::NAN);
-        for pred in [Pred::Eq, Pred::Slt, Pred::Sle, Pred::Sgt, Pred::Sge] {
-            assert!(!exec_cmp(pred, true, nan, nan), "{pred:?}");
-        }
-        assert!(exec_cmp(Pred::Ne, true, nan, nan));
-    }
-
-    #[test]
-    fn signed_vs_unsigned_predicates() {
-        let (a, b) = (RtVal::I(-1), RtVal::I(1));
-        assert!(exec_cmp(Pred::Slt, false, a, b));
-        assert!(exec_cmp(Pred::Ugt, false, a, b)); // -1 is u64::MAX unsigned
-        // Float compares collapse the signedness distinction.
-        assert!(exec_cmp(Pred::Ult, true, RtVal::F(-1.0), RtVal::F(1.0)));
     }
 
     #[test]

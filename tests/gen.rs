@@ -112,8 +112,7 @@ fn bin_pool(float: bool) -> Vec<BinOp> {
 }
 
 fn float_un_pool() -> Vec<UnOp> {
-    let is_float = |op: &&UnOp| !matches!(op, UnOp::Neg | UnOp::Not);
-    UnOp::ALL.iter().filter(is_float).copied().collect()
+    UnOp::ALL.iter().filter(|op| op.is_float()).copied().collect()
 }
 
 const F64_SPECIALS: [f64; 7] = [

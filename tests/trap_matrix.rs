@@ -651,3 +651,31 @@ fn compile_rejects_malformed_module_with_typed_error() {
         "unexpected CompileError display: {msg}"
     );
 }
+
+/// An intrinsic with the wrong operand count is a link-time `Verify` error
+/// too: before the verifier knew the arity column, `malloc()` compiled and
+/// only trapped `MalformedIr` on the device.
+#[test]
+fn compile_rejects_intrinsic_arity_with_typed_error() {
+    use nzomp::{BuildConfig, CompileError};
+    use nzomp_ir::Intrinsic;
+    for (intr, args, needle) in [
+        (Intrinsic::Malloc, vec![], "malloc takes 1 operand(s), found 0"),
+        (Intrinsic::Free, vec![], "free takes 1 operand(s), found 0"),
+        (Intrinsic::Assume(()), vec![], "assume takes 1 operand(s), found 0"),
+        (Intrinsic::ThreadId, vec![Operand::i64(1), Operand::i64(2)], "thread.id takes 0"),
+    ] {
+        let mut m = Module::new("arity");
+        let mut b = FuncBuilder::new("arity", vec![], None);
+        b.intr(intr, args);
+        b.ret(None);
+        let f = m.add_function(b.finish());
+        m.add_kernel(f, ExecMode::Spmd);
+        match nzomp::compile(m, BuildConfig::NewRtNoAssumptions) {
+            Err(CompileError::Verify { stage: "link", err }) => {
+                assert!(err.message.contains(needle), "{intr:?}: {err}")
+            }
+            other => panic!("{intr:?}: expected a link-stage Verify error, got {:?}", other.map(|_| ())),
+        }
+    }
+}

@@ -52,11 +52,10 @@ pub use sched::{ImageId, SchedPolicy};
 pub use stream::{EventId, KArg, StreamId, Ticket};
 
 use error::{MapError as ME, StreamError as SE};
-use journal::JEffect;
 use map::MapStepError;
 use nzomp_vgpu::TrapKind;
 use sched::{pick_device, DeviceSlot};
-use stream::Op;
+use stream::{DevOp, Op};
 
 /// Encode `f64` values as the device byte image `Device::write_f64`
 /// produces (IEEE bits, little-endian).
@@ -104,15 +103,17 @@ pub enum RegionArg {
     Scalar(RtVal),
 }
 
-/// Handle of an enqueued target region: the launch ticket, the device the
-/// scheduler placed it on, and the host buffer registered for each map
-/// argument (`None` for scalars) — index with the kernel-parameter
-/// position to read results back after [`Host::sync`].
+/// Handle of an enqueued target region: the launch ticket, the device it
+/// was placed on, and per kernel parameter (`None` for scalars) the host
+/// buffer registered for it — read results back through it after
+/// [`Host::sync`] — and the device address it was mapped at, captured
+/// while the region's maps were live.
 #[derive(Clone, Debug)]
 pub struct Region {
     pub ticket: Ticket,
     pub device: usize,
     pub bufs: Vec<Option<BufId>>,
+    pub ptrs: Vec<Option<DevPtr>>,
 }
 
 /// Per-device slice of a [`HostStats`] snapshot: the load signals the
@@ -361,26 +362,40 @@ impl Host {
     /// `to`/`tofrom` entries are enqueued on `s`.
     pub fn data_enter(&mut self, s: StreamId, dev: usize, maps: &[MapSpec]) -> Result<(), HostError> {
         self.check_stream(s)?;
-        for spec in maps {
-            let host_len = self.buf_bytes(spec.buf)?.len() as u64;
-            // Entering may zero-fill a reused pool block — a device write
-            // like any other, so it runs under the recovery policy too.
-            let (ptr, needs_copy) =
-                self.recoverable(Some(dev), |h| h.enter_alloc(dev, *spec, host_len))?;
-            if needs_copy {
-                self.enqueue_op(
-                    s,
-                    Op::MemcpyTo {
-                        dev,
-                        dst: ptr,
-                        buf: spec.buf,
-                        off: spec.off,
-                        len: spec.len,
-                    },
-                )?;
-            }
+        maps.iter().try_for_each(|spec| self.enter(s, dev, *spec).map(|_| ()))
+    }
+
+    /// One [`Host::data_enter`] clause; returns the device address of the
+    /// spec range.
+    fn enter(&mut self, s: StreamId, dev: usize, spec: MapSpec) -> Result<DevPtr, HostError> {
+        let host_len = self.buf_bytes(spec.buf)?.len() as u64;
+        // Entering may zero-fill a reused pool block — a device write
+        // like any other, so it runs under the recovery policy too. A
+        // failed attempt leaves table and pool untouched, so the retry is
+        // exact.
+        let entered = self.recoverable(dev, |h| {
+            let slot = h.slot_mut(dev)?;
+            let d = slot.dev.as_mut().ok_or(NO_IMAGE)?;
+            slot.table
+                .enter_alloc(spec, d, &mut slot.pool, host_len)
+                .map_err(step_err)
+        })?;
+        if let Some(op) = entered.did {
+            self.keep(dev, op)?;
         }
-        Ok(())
+        if entered.copy {
+            self.enqueue_op(
+                s,
+                Op::MemcpyTo {
+                    dev,
+                    dst: entered.ptr,
+                    buf: spec.buf,
+                    off: spec.off,
+                    len: spec.len,
+                },
+            )?;
+        }
+        Ok(entered.ptr)
     }
 
     /// Exit map clauses on device `dev`. Refcounts decide immediately (in
@@ -393,16 +408,8 @@ impl Host {
             let slot = self.slot_mut(dev)?;
             let action = slot.table.prepare_exit(*spec).map_err(HostError::Map)?;
             if let Some((src, host_off, len)) = action.copy {
-                self.enqueue_op(
-                    s,
-                    Op::MemcpyFrom {
-                        dev,
-                        src,
-                        buf: spec.buf,
-                        off: host_off,
-                        len,
-                    },
-                )?;
+                let op = DevOp::ReadBack { src, buf: spec.buf, off: host_off, len };
+                self.enqueue_op(s, Op::Dev { dev, op })?;
             }
             if let Some(ptr) = action.free {
                 self.enqueue_op(s, Op::PoolFree { dev, ptr })?;
@@ -411,8 +418,9 @@ impl Host {
         Ok(())
     }
 
-    /// Read `len` device bytes of a mapped host range without exiting the
-    /// map — the non-destructive readback a serving layer needs for
+    /// Bring `len` bytes of a mapped host range up to date from device
+    /// `dev` without exiting the map (a `target update from`), and return
+    /// them — the non-destructive readback a serving layer needs for
     /// tenant-visible session state (a `from` exit would release the
     /// entry). The range must be present on device `dev`.
     pub fn read_present(
@@ -422,8 +430,9 @@ impl Host {
         off: u64,
         len: u64,
     ) -> Result<Vec<u8>, HostError> {
-        let ptr = self.slot(dev)?.table.lookup(buf, off).map_err(HostError::Map)?;
-        Ok(self.loaded_dev(dev)?.read_bytes(ptr, len as usize)?)
+        let src = self.dev_addr(dev, buf, off)?;
+        self.issue(dev, DevOp::ReadBack { src, buf, off, len })?;
+        Ok(self.buf_bytes(buf)?[off as usize..(off + len) as usize].to_vec())
     }
 
     /// Device address of a mapped host location (diagnostics, tests).
@@ -446,31 +455,31 @@ impl Host {
         args: &[KArg],
     ) -> Result<Ticket, HostError> {
         self.check_stream(s)?;
-        let mut vals = Vec::with_capacity(args.len());
-        {
-            let slot = self.slot_mut(dev)?;
-            for a in args {
-                match a {
-                    KArg::Buf(b) => vals.push(RtVal::P(slot.table.lookup(*b, 0).map_err(HostError::Map)?)),
-                    KArg::Val(v) => vals.push(*v),
-                }
-            }
-        }
+        let table = &self.slot(dev)?.table;
+        let vals = args
+            .iter()
+            .map(|a| match a {
+                KArg::Buf(b) => table.lookup(*b, 0).map(RtVal::P).map_err(HostError::Map),
+                KArg::Val(v) => Ok(*v),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        self.launch_on(s, dev, kernel, launch, vals)
+    }
+
+    /// Enqueue a launch whose arguments are already device values.
+    fn launch_on(
+        &mut self,
+        s: StreamId,
+        dev: usize,
+        kernel: &str,
+        launch: Launch,
+        args: Vec<RtVal>,
+    ) -> Result<Ticket, HostError> {
         let ticket = Ticket(self.tickets.len() as u32);
         self.tickets.push(None);
-        if let Some(slot) = self.slots.get_mut(dev) {
-            slot.pending += 1;
-        }
-        self.enqueue_op(
-            s,
-            Op::Launch {
-                dev,
-                kernel: kernel.to_string(),
-                launch,
-                args: vals,
-                ticket,
-            },
-        )?;
+        self.slot_mut(dev)?.pending += 1;
+        let op = DevOp::Launch { kernel: kernel.to_string(), launch, args, ticket };
+        self.enqueue_op(s, Op::Dev { dev, op })?;
         Ok(ticket)
     }
 
@@ -483,12 +492,9 @@ impl Host {
         pick_device(self.policy, &self.slots, &mut self.rr_next)
     }
 
-    /// Enqueue a whole `#pragma omp target` region: the scheduler picks a
-    /// device (per [`SchedPolicy`]), the image is bound, buffers are
-    /// registered and mapped in argument order (so device memory layout
-    /// matches the direct `Device::alloc` path), input transfers are
-    /// spread round-robin over `streams` (events ordering them before the
-    /// launch on `streams[0]`), and the exits ride the primary stream.
+    /// Enqueue a whole `#pragma omp target` region where the scheduler
+    /// says: pick a device (per [`SchedPolicy`]), bind the image, and
+    /// drive the region there with [`Host::enqueue_region_on`].
     pub fn enqueue_region(
         &mut self,
         streams: &[StreamId],
@@ -497,74 +503,72 @@ impl Host {
         launch: Launch,
         args: Vec<RegionArg>,
     ) -> Result<Region, HostError> {
-        let Some(&primary) = streams.first() else {
-            return Err(HostError::Map(ME::Misuse("enqueue_region needs at least one stream")));
-        };
         // Quarantined slots are excluded; an empty live fleet is the typed
         // terminal outcome of graceful degradation.
         let dev = self.pick_device().ok_or(HostError::FleetLost {
             devices: self.slots.len(),
         })?;
         self.bind_image(dev, img)?;
+        self.enqueue_region_on(streams, dev, kernel, launch, args)
+    }
 
-        let mut kargs = Vec::with_capacity(args.len());
-        let mut bufids = Vec::with_capacity(args.len());
-        let mut enter_specs = Vec::new();
-        let mut exit_specs = Vec::new();
-        for arg in args {
-            match arg {
-                RegionArg::To(bytes) => {
-                    let len = bytes.len() as u64;
-                    let b = self.register_bytes(bytes);
-                    enter_specs.push(MapSpec::whole(b, len, MapKind::To));
-                    exit_specs.push(MapSpec::whole(b, len, MapKind::Release));
-                    kargs.push(KArg::Buf(b));
-                    bufids.push(Some(b));
-                }
-                RegionArg::From(len) => {
-                    let b = self.register_zeros(len);
-                    enter_specs.push(MapSpec::whole(b, len, MapKind::From));
-                    exit_specs.push(MapSpec::whole(b, len, MapKind::From));
-                    kargs.push(KArg::Buf(b));
-                    bufids.push(Some(b));
-                }
-                RegionArg::Alloc(len) => {
-                    let b = self.register_zeros(len);
-                    enter_specs.push(MapSpec::whole(b, len, MapKind::Alloc));
-                    exit_specs.push(MapSpec::whole(b, len, MapKind::Release));
-                    kargs.push(KArg::Buf(b));
-                    bufids.push(Some(b));
-                }
-                RegionArg::Scalar(v) => {
-                    kargs.push(KArg::Val(v));
-                    bufids.push(None);
-                }
-            }
-        }
+    /// Drive a target region on device `dev`, whose bound image holds
+    /// `kernel`: buffers are registered and mapped in argument order (so
+    /// device memory layout matches the direct `Device::alloc` path),
+    /// input transfers are spread round-robin over `streams` (events
+    /// ordering them before the launch on `streams[0]`), and the exits
+    /// ride the primary stream. The one region driver — placement is the
+    /// caller's ([`Host::enqueue_region`], the `nzomp-serve` engine).
+    pub fn enqueue_region_on(
+        &mut self,
+        streams: &[StreamId],
+        dev: usize,
+        kernel: &str,
+        launch: Launch,
+        args: Vec<RegionArg>,
+    ) -> Result<Region, HostError> {
+        let Some(&primary) = streams.first() else {
+            return Err(HostError::Map(ME::Misuse("enqueue_region needs at least one stream")));
+        };
+        streams.iter().try_for_each(|s| self.check_stream(*s))?;
 
         // Enter in argument order — this fixes the device memory layout
         // regardless of how many streams carry the transfers.
-        let mut used = vec![false; streams.len()];
-        for (i, spec) in enter_specs.iter().enumerate() {
-            let si = i % streams.len();
-            used[si] = true;
-            self.data_enter(streams[si], dev, std::slice::from_ref(spec))?;
+        let mut vals = Vec::with_capacity(args.len());
+        let mut bufs = Vec::with_capacity(args.len());
+        let mut ptrs = Vec::with_capacity(args.len());
+        let mut exits = Vec::new();
+        for arg in args {
+            let (bytes, enter, exit) = match arg {
+                RegionArg::To(bytes) => (bytes, MapKind::To, MapKind::Release),
+                RegionArg::From(len) => (vec![0u8; len as usize], MapKind::From, MapKind::From),
+                RegionArg::Alloc(len) => (vec![0u8; len as usize], MapKind::Alloc, MapKind::Release),
+                RegionArg::Scalar(v) => {
+                    vals.push(v);
+                    bufs.push(None);
+                    ptrs.push(None);
+                    continue;
+                }
+            };
+            let len = bytes.len() as u64;
+            let b = self.register_bytes(bytes);
+            let s = streams[exits.len() % streams.len()];
+            let ptr = self.enter(s, dev, MapSpec::whole(b, len, enter))?;
+            exits.push(MapSpec::whole(b, len, exit));
+            vals.push(RtVal::P(ptr));
+            bufs.push(Some(b));
+            ptrs.push(Some(ptr));
         }
-        // Secondary streams signal completion; the launch stream waits.
-        for (si, &s) in streams.iter().enumerate().skip(1) {
-            if used[si] {
-                let ev = self.event();
-                self.record(s, ev)?;
-                self.wait(primary, ev)?;
-            }
+        // Secondary streams that carried a transfer (map `k` rode stream
+        // `k % n`) signal completion; the launch stream waits.
+        for &s in streams.iter().take(exits.len()).skip(1) {
+            let ev = self.event();
+            self.record(s, ev)?;
+            self.wait(primary, ev)?;
         }
-        let ticket = self.enqueue_launch(primary, dev, kernel, launch, &kargs)?;
-        self.data_exit(primary, dev, &exit_specs)?;
-        Ok(Region {
-            ticket,
-            device: dev,
-            bufs: bufids,
-        })
+        let ticket = self.launch_on(primary, dev, kernel, launch, vals)?;
+        self.data_exit(primary, dev, &exits)?;
+        Ok(Region { ticket, device: dev, bufs, ptrs })
     }
 
     // ---- the executor ---------------------------------------------------
@@ -671,163 +675,111 @@ impl Host {
                 f();
                 Ok(())
             }
-            // Device-touching operations go through the recovery layer
-            // (a single attempt when recovery is disabled).
-            device_op => {
-                let res = self.recoverable(op_device(&device_op), |h| h.try_op(&device_op));
+            Op::PoolFree { dev, ptr } => {
+                self.slot_mut(dev)?.pool.free(ptr);
+                Ok(())
+            }
+            Op::MemcpyTo { dev, dst, buf, off, len } => {
+                let bytes = self.buf_bytes(buf)?[off as usize..(off + len) as usize].to_vec();
+                self.issue(dev, DevOp::Write { ptr: dst, bytes })
+            }
+            Op::Dev { dev, op } => {
+                let is_launch = matches!(op, DevOp::Launch { .. });
+                let res = self.issue(dev, op);
                 // One pending decrement per enqueued launch, at resolution
                 // — success, surfaced trap, or exhausted retries alike
-                // (retries within `recoverable` are invisible here).
-                if let Op::Launch { dev, .. } = &device_op {
-                    if let Some(slot) = self.slots.get_mut(*dev) {
-                        slot.pending = slot.pending.saturating_sub(1);
-                    }
+                // (retries within `issue` are invisible here).
+                if is_launch {
+                    let slot = self.slot_mut(dev)?;
+                    slot.pending = slot.pending.saturating_sub(1);
                 }
                 res
             }
         }
     }
 
-    /// The table half of one [`Host::data_enter`] clause: refcount or
-    /// pool-allocate, journaling how device memory changed. A failed
-    /// attempt (the zero-fill of a reused block faulted) leaves table,
-    /// pool, and journal untouched, so the recovery layer re-runs it
-    /// verbatim. Returns the device address and whether a host→device
-    /// copy is owed.
-    fn enter_alloc(&mut self, dev: usize, spec: MapSpec, host_len: u64) -> Result<(DevPtr, bool), HostError> {
-        let journaling = self.recovery.is_some();
-        let slot = self.slot_mut(dev)?;
-        let d = slot
-            .dev
-            .as_mut()
-            .ok_or(HostError::Map(ME::Misuse("no image bound to device (bind_image first)")))?;
-        let (allocs0, reuse0) = (slot.pool.device_allocs, slot.pool.reuse_hits);
-        let (ptr, needs_copy) = slot
-            .table
-            .enter_alloc(spec, d, &mut slot.pool, host_len)
-            .map_err(step_err)?;
-        if journaling {
-            // Journal how this entry changed device memory: a fresh
-            // bump allocation (replayable pointer-for-pointer) or a
-            // reused block's zero-fill. A pure refcount bump touches
-            // no device state and records nothing.
-            if slot.pool.device_allocs > allocs0 {
-                let size = slot.pool.block_size(ptr).unwrap_or(0);
-                slot.journal.push(JEffect::Grow { size, at: ptr });
-            } else if slot.pool.reuse_hits > reuse0 {
-                let len = slot.pool.block_size(ptr).unwrap_or(0);
-                slot.journal.push(JEffect::Zero { ptr, len });
-            }
-        }
-        Ok((ptr, needs_copy))
-    }
+    // ---- the one door to the device -------------------------------------
 
-    /// Execute one device-touching stream operation, non-consuming so the
-    /// recovery layer can re-run it verbatim. Journals the device effect
-    /// on success when recovery is enabled.
-    fn try_op(&mut self, op: &Op) -> Result<(), HostError> {
-        let journaling = self.recovery.is_some();
+    /// Run `op` on slot `dev`'s [`Device`] — the only code of this file
+    /// that calls one, and so the only copy of the launch bookkeeping and
+    /// the watchdog classification. A first execution ([`Host::issue`])
+    /// and a failover replay ([`Host::replay_journal`]) are both this
+    /// function over the same value. An `op` that fails leaves no trace
+    /// (device operations are atomic), so running it again is exact.
+    fn dev_op(&mut self, dev: usize, op: &DevOp) -> Result<(), HostError> {
+        let devices = self.slots.len();
+        let slot = self
+            .slots
+            .get_mut(dev)
+            .ok_or(HostError::NoDevice { device: dev, devices })?;
+        let d = slot.dev.as_mut().ok_or(NO_IMAGE)?;
         match op {
-            Op::MemcpyTo { dev, dst, buf, off, len } => {
-                let bytes = {
-                    let b = self.buf_bytes(*buf)?;
-                    b[*off as usize..(*off + *len) as usize].to_vec()
-                };
-                self.loaded_dev(*dev)?.write_bytes(*dst, &bytes)?;
-                if journaling {
-                    // The journal owns a shadow of the bytes: the host
-                    // buffer may change before a replay needs them.
-                    self.slot_mut(*dev)?
-                        .journal
-                        .push(JEffect::Write { ptr: *dst, bytes });
+            DevOp::Grow { size, at } => {
+                let p = d.alloc(*size);
+                if p != *at {
+                    return Err(HostError::Replay(format!("alloc({size}) returned {p:?}, not {at:?}")));
                 }
-                Ok(())
             }
-            Op::MemcpyFrom { dev, src, buf, off, len } => {
-                let bytes = self.loaded_dev(*dev)?.read_bytes(*src, *len as usize)?;
-                let b = self
+            DevOp::Zero { ptr, len } => d.write_bytes(*ptr, &vec![0u8; *len as usize])?,
+            DevOp::Write { ptr, bytes } => d.write_bytes(*ptr, bytes)?,
+            DevOp::ReadBack { src, buf, off, len } => {
+                let bytes = d.read_bytes(*src, *len as usize)?;
+                let host = self
                     .bufs
                     .get_mut(buf.0 as usize)
                     .ok_or(HostError::UnknownBuffer(buf.0))?;
-                b[*off as usize..(*off + *len) as usize].copy_from_slice(&bytes);
-                if journaling {
-                    self.slot_mut(*dev)?.journal.push(JEffect::ReadBack {
-                        src: *src,
-                        buf: *buf,
-                        off: *off,
-                        len: *len,
-                    });
-                }
-                Ok(())
+                let buf_len = host.len() as u64;
+                host.get_mut(*off as usize..(*off + *len) as usize)
+                    .ok_or(HostError::Map(ME::HostRange { buf: *buf, off: *off, len: *len, buf_len }))?
+                    .copy_from_slice(&bytes);
             }
-            Op::PoolFree { dev, ptr } => {
-                self.slot_mut(*dev)?.pool.free(*ptr);
-                Ok(())
-            }
-            Op::Launch {
-                dev,
-                kernel,
-                launch,
-                args,
-                ticket,
-            } => {
-                let slot = self.slot_mut(*dev)?;
-                let Some(d) = slot.dev.as_mut() else {
-                    return Err(HostError::Map(ME::Misuse("launch on a device with no image")));
-                };
-                // Whether the host watchdog (not the plan/config budget)
-                // is the binding fuel constraint — decides if a plain
-                // FuelExhausted trap is really a watchdog trip.
-                let base_fuel = d
-                    .fault_plan()
-                    .and_then(|p| p.fuel_limit)
-                    .unwrap_or(d.config.max_steps);
-                let wd_binding = d.watchdog_fuel().is_some_and(|w| w <= base_fuel);
-                let wd_fuel = d.watchdog_fuel().unwrap_or(0);
+            DevOp::Launch { kernel, launch, args, ticket } => {
                 let res = d.launch(kernel, *launch, args);
                 if let Ok(m) = &res {
                     slot.executed_cycles += m.cycles;
                     slot.launches += 1;
                 }
-                let trap = res.as_ref().err().cloned();
-                // Every attempt records its outcome; the last one wins —
+                // A stall (and a fuel trap the watchdog caused) is the
+                // host watchdog's typed error; every other trap surfaces
+                // as it is and aborts the drain: remaining operations
+                // (including result readbacks) stay queued, exactly as
+                // the direct harness stops at a failed `Device::launch`.
+                let failed = res.as_ref().err().map(|e| {
+                    let fuel = match e.kind {
+                        TrapKind::Stalled { fuel } => Some(fuel),
+                        TrapKind::FuelExhausted => d.binding_watchdog(),
+                        _ => None,
+                    };
+                    match fuel {
+                        Some(fuel) => HostError::Watchdog { kernel: kernel.clone(), fuel },
+                        None => HostError::Exec(e.clone()),
+                    }
+                });
+                // Every run records its outcome; the last one wins —
                 // after a successful retry the ticket holds the metrics.
                 if let Some(t) = self.tickets.get_mut(ticket.0 as usize) {
                     *t = Some(res);
                 }
-                match trap {
-                    None => {
-                        if journaling {
-                            self.slot_mut(*dev)?.journal.push(JEffect::Launch {
-                                kernel: kernel.clone(),
-                                launch: *launch,
-                                args: args.clone(),
-                                ticket: *ticket,
-                            });
-                        }
-                        Ok(())
-                    }
-                    // A stall (and a fuel trap the watchdog caused) is the
-                    // host watchdog's typed error; everything else aborts
-                    // the drain as before: remaining operations (including
-                    // result readbacks) stay queued, exactly as the direct
-                    // harness stops at a failed `Device::launch`.
-                    Some(e) => match e.kind {
-                        TrapKind::Stalled { fuel } => Err(HostError::Watchdog {
-                            kernel: kernel.clone(),
-                            fuel,
-                        }),
-                        TrapKind::FuelExhausted if wd_binding => Err(HostError::Watchdog {
-                            kernel: kernel.clone(),
-                            fuel: wd_fuel,
-                        }),
-                        _ => Err(HostError::Exec(e)),
-                    },
-                }
+                return failed.map_or(Ok(()), Err);
             }
-            // Host-only operations never reach the recovery dispatch.
-            Op::Record(_) | Op::Wait(_) | Op::Callback(_) => Ok(()),
         }
+        Ok(())
+    }
+
+    /// First execution of a [`DevOp`]: through the door under the
+    /// recovery policy, then kept for replay.
+    fn issue(&mut self, dev: usize, op: DevOp) -> Result<(), HostError> {
+        self.recoverable(dev, |h| h.dev_op(dev, &op))?;
+        self.keep(dev, op)
+    }
+
+    /// Keep a [`DevOp`] that succeeded on slot `dev` — iff recovery is
+    /// armed, the only reader being failover.
+    fn keep(&mut self, dev: usize, op: DevOp) -> Result<(), HostError> {
+        if self.recovery.is_some() {
+            self.slot_mut(dev)?.journal.push(op);
+        }
+        Ok(())
     }
 
     // ---- recovery -------------------------------------------------------
@@ -840,7 +792,7 @@ impl Host {
     /// trace when it fails, so re-running it is exact.
     fn recoverable<T>(
         &mut self,
-        dev: Option<usize>,
+        dev: usize,
         mut step: impl FnMut(&mut Host) -> Result<T, HostError>,
     ) -> Result<T, HostError> {
         let Some(policy) = self.recovery.clone() else {
@@ -862,9 +814,6 @@ impl Host {
                     self.rmetrics.backoff_cycles += policy.backoff_cycles(transient_attempts);
                 }
                 ErrorClass::Permanent if !matches!(e, HostError::FleetLost { .. }) => {
-                    let Some(dev) = dev else {
-                        return Err(e);
-                    };
                     // `?` surfaces budget exhaustion / replay divergence;
                     // on success the loop retries the step on the fresh
                     // device with a reset transient budget.
@@ -918,85 +867,26 @@ impl Host {
         self.replay_journal(dev)
     }
 
-    /// Re-execute the slot's journal on its (fresh) device. Determinism
-    /// does the heavy lifting: bump allocation reproduces every pointer
-    /// (asserted), and the interpreter reproduces every byte and metric.
-    /// Any divergence is a typed [`HostError::Replay`].
+    /// Run the slot's journal again on its (fresh) device, through the
+    /// door that ran it the first time. Determinism does the heavy
+    /// lifting: bump allocation reproduces every pointer (checked), and
+    /// the interpreter reproduces every byte and metric. Kept operations
+    /// all succeeded originally, so a failure here is a broken invariant,
+    /// not a recoverable fault: a typed [`HostError::Replay`].
     fn replay_journal(&mut self, dev: usize) -> Result<(), HostError> {
-        // Replay journals nothing, so the effects are lent out for its
-        // duration and handed back whatever it returns — copying them would
-        // copy every written byte since bind, on every failover.
-        let effects = std::mem::take(&mut self.slot_mut(dev)?.journal.effects);
-        let replayed = self.replay_effects(dev, &effects);
-        self.slot_mut(dev)?.journal.effects = effects;
-        replayed
-    }
-
-    fn replay_effects(&mut self, dev: usize, effects: &[JEffect]) -> Result<(), HostError> {
-        for eff in effects {
+        // Replay keeps nothing, so the ops are lent out for its duration
+        // and handed back whatever it returns — copying them would copy
+        // every written byte since bind, on every failover.
+        let ops = std::mem::take(&mut self.slot_mut(dev)?.journal.ops);
+        let replayed = ops.iter().try_for_each(|op| {
             self.rmetrics.replayed_ops += 1;
-            match *eff {
-                JEffect::Grow { size, at } => {
-                    let p = self.loaded_dev(dev)?.alloc(size);
-                    if p != at {
-                        return Err(HostError::Replay(format!(
-                            "replayed alloc({size}) returned {p:?}, journal recorded {at:?}"
-                        )));
-                    }
-                }
-                JEffect::Zero { ptr, len } => {
-                    self.loaded_dev(dev)?
-                        .write_bytes(ptr, &vec![0u8; len as usize])
-                        .map_err(|e| HostError::Replay(format!("zero-fill diverged: {e}")))?;
-                }
-                JEffect::Write { ptr, ref bytes } => {
-                    self.loaded_dev(dev)?
-                        .write_bytes(ptr, bytes)
-                        .map_err(|e| HostError::Replay(format!("write diverged: {e}")))?;
-                }
-                JEffect::Launch {
-                    ref kernel,
-                    launch,
-                    ref args,
-                    ticket,
-                } => {
-                    let slot = self.slot_mut(dev)?;
-                    let Some(d) = slot.dev.as_mut() else {
-                        return Err(HostError::Replay("replay on an empty slot".to_string()));
-                    };
-                    let res = d.launch(kernel, launch, args);
-                    match res {
-                        Ok(m) => {
-                            slot.executed_cycles += m.cycles;
-                            slot.launches += 1;
-                            if let Some(t) = self.tickets.get_mut(ticket.0 as usize) {
-                                *t = Some(Ok(m));
-                            }
-                        }
-                        // Journaled launches all completed originally; a
-                        // trap on replay is a broken invariant, not a
-                        // recoverable fault.
-                        Err(e) => {
-                            return Err(HostError::Replay(format!(
-                                "journaled launch @{kernel} trapped on replay: {e}"
-                            )))
-                        }
-                    }
-                }
-                JEffect::ReadBack { src, buf, off, len } => {
-                    let bytes = self
-                        .loaded_dev(dev)?
-                        .read_bytes(src, len as usize)
-                        .map_err(|e| HostError::Replay(format!("readback diverged: {e}")))?;
-                    let b = self
-                        .bufs
-                        .get_mut(buf.0 as usize)
-                        .ok_or(HostError::UnknownBuffer(buf.0))?;
-                    b[off as usize..(off + len) as usize].copy_from_slice(&bytes);
-                }
-            }
-        }
-        Ok(())
+            self.dev_op(dev, op).map_err(|e| match e {
+                HostError::Replay(_) => e,
+                e => HostError::Replay(format!("{op} diverged: {e}")),
+            })
+        });
+        self.slot_mut(dev)?.journal.ops = ops;
+        replayed
     }
 
     // ---- results and observability --------------------------------------
@@ -1201,15 +1091,10 @@ impl Host {
             .get_mut(dev)
             .ok_or(HostError::NoDevice { device: dev, devices })
     }
-
-    fn loaded_dev(&mut self, dev: usize) -> Result<&mut Device, HostError> {
-        let devices = self.slots.len();
-        self.slots
-            .get_mut(dev)
-            .and_then(|s| s.dev.as_mut())
-            .ok_or(HostError::NoDevice { device: dev, devices })
-    }
 }
+
+/// A device operation named a slot no image was bound to.
+const NO_IMAGE: HostError = HostError::Map(ME::Misuse("no image bound to device (bind_image first)"));
 
 fn step_err(e: MapStepError) -> HostError {
     match e {
@@ -1221,10 +1106,7 @@ fn step_err(e: MapStepError) -> HostError {
 /// The device slot a stream operation touches (`None` for host-only ops).
 fn op_device(op: &Op) -> Option<usize> {
     match op {
-        Op::MemcpyTo { dev, .. }
-        | Op::MemcpyFrom { dev, .. }
-        | Op::PoolFree { dev, .. }
-        | Op::Launch { dev, .. } => Some(*dev),
+        Op::Dev { dev, .. } | Op::MemcpyTo { dev, .. } | Op::PoolFree { dev, .. } => Some(*dev),
         Op::Record(_) | Op::Wait(_) | Op::Callback(_) => None,
     }
 }

@@ -35,6 +35,7 @@ use nzomp_vgpu::{Device, ExecError};
 
 use crate::error::MapError;
 use crate::pool::DevicePool;
+use crate::stream::DevOp;
 
 /// Id of a registered host buffer (see [`crate::Host::register_bytes`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -97,6 +98,17 @@ pub struct PresentTable {
     pub transfers_to: u64,
     /// Device→host transfers issued.
     pub transfers_from: u64,
+}
+
+/// What [`PresentTable::enter_alloc`] decided and did.
+pub struct EnterAction {
+    /// Device address of the spec range.
+    pub ptr: DevPtr,
+    /// A host→device copy is owed (fresh `to`/`tofrom` entry).
+    pub copy: bool,
+    /// What the step did to device memory: the fresh allocation or the
+    /// reused block's zero-fill. `None` for a pure refcount bump.
+    pub did: Option<DevOp>,
 }
 
 /// What the caller must still do after [`PresentTable::prepare_exit`]:
@@ -165,15 +177,13 @@ impl PresentTable {
     }
 
     /// Phase one of an enter: refcount or allocate, **no transfer**.
-    /// Returns the device address of the spec range and whether a
-    /// host→device copy is owed (fresh `to`/`tofrom` entry).
     pub fn enter_alloc(
         &mut self,
         spec: MapSpec,
         dev: &mut Device,
         pool: &mut DevicePool,
         host_len: u64,
-    ) -> Result<(DevPtr, bool), MapStepError> {
+    ) -> Result<EnterAction, MapStepError> {
         if spec.len == 0 {
             return Err(MapError::Misuse("zero-length map range").into());
         }
@@ -194,10 +204,14 @@ impl PresentTable {
                 // Present: refcount up, no transfer (presence wins).
                 let e = &mut self.entries[i];
                 e.refs += 1;
-                Ok((e.dev_ptr.add_bytes((spec.off - e.off) as i64), false))
+                Ok(EnterAction {
+                    ptr: e.dev_ptr.add_bytes((spec.off - e.off) as i64),
+                    copy: false,
+                    did: None,
+                })
             }
             Err(MapError::NotPresent { .. }) => {
-                let dev_ptr = pool.alloc(dev, spec.len).map_err(MapStepError::Exec)?;
+                let (dev_ptr, did) = pool.alloc(dev, spec.len).map_err(MapStepError::Exec)?;
                 self.entries.push(PresentEntry {
                     buf: spec.buf,
                     off: spec.off,
@@ -205,11 +219,11 @@ impl PresentTable {
                     dev_ptr,
                     refs: 1,
                 });
-                let needs_copy = matches!(spec.kind, MapKind::To | MapKind::ToFrom);
-                if needs_copy {
+                let copy = matches!(spec.kind, MapKind::To | MapKind::ToFrom);
+                if copy {
                     self.transfers_to += 1;
                 }
-                Ok((dev_ptr, needs_copy))
+                Ok(EnterAction { ptr: dev_ptr, copy, did: Some(did) })
             }
             Err(e) => Err(e.into()),
         }
@@ -259,12 +273,12 @@ impl PresentTable {
         pool: &mut DevicePool,
         host: &[u8],
     ) -> Result<DevPtr, MapStepError> {
-        let (ptr, needs_copy) = self.enter_alloc(spec, dev, pool, host.len() as u64)?;
-        if needs_copy {
+        let entered = self.enter_alloc(spec, dev, pool, host.len() as u64)?;
+        if entered.copy {
             let bytes = &host[spec.off as usize..(spec.off + spec.len) as usize];
-            dev.write_bytes(ptr, bytes).map_err(MapStepError::Exec)?;
+            dev.write_bytes(entered.ptr, bytes).map_err(MapStepError::Exec)?;
         }
-        Ok(ptr)
+        Ok(entered.ptr)
     }
 
     /// Immediate-mode exit: [`PresentTable::prepare_exit`] plus the copy

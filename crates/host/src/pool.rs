@@ -22,6 +22,8 @@ use std::collections::HashMap;
 use nzomp_vgpu::memory::DevPtr;
 use nzomp_vgpu::{Device, ExecError};
 
+use crate::stream::DevOp;
+
 /// A released block available for reuse.
 #[derive(Clone, Copy, Debug)]
 struct FreeBlock {
@@ -51,8 +53,9 @@ impl DevicePool {
     }
 
     /// Allocate `size` bytes (rounded up to 8) on `dev`, reusing a free
-    /// block when one is large enough.
-    pub fn alloc(&mut self, dev: &mut Device, size: u64) -> Result<DevPtr, ExecError> {
+    /// block when one is large enough. Returns the block and what getting
+    /// it did to device memory — the [`DevOp`] that reproduces it.
+    pub fn alloc(&mut self, dev: &mut Device, size: u64) -> Result<(DevPtr, DevOp), ExecError> {
         let aligned = size.max(1).div_ceil(8) * 8;
         // Best fit: `free` is sorted by size, so the first block that fits
         // is the smallest adequate one.
@@ -65,13 +68,13 @@ impl DevicePool {
             self.free.remove(i);
             self.live.insert(block.ptr.0, block.size);
             self.reuse_hits += 1;
-            return Ok(block.ptr);
+            return Ok((block.ptr, DevOp::Zero { ptr: block.ptr, len: block.size }));
         }
         let ptr = dev.alloc(aligned);
         self.device_bytes += aligned;
         self.device_allocs += 1;
         self.live.insert(ptr.0, aligned);
-        Ok(ptr)
+        Ok((ptr, DevOp::Grow { size: aligned, at: ptr }))
     }
 
     /// Return a block to the free list. Unknown pointers are ignored
@@ -86,12 +89,6 @@ impl DevicePool {
             .free
             .partition_point(|b| (b.size, b.ptr.offset()) < (size, ptr.offset()));
         self.free.insert(at, block);
-    }
-
-    /// Size of the live block at `ptr`, if the pool handed it out — how
-    /// the journal learns the byte count of a `Grow`/`Zero` effect.
-    pub fn block_size(&self, ptr: DevPtr) -> Option<u64> {
-        self.live.get(&ptr.0).copied()
     }
 
     /// Bytes currently handed out. Zero once every mapping has been
@@ -120,17 +117,19 @@ mod tests {
     fn reuses_freed_blocks_best_fit() {
         let mut d = dev();
         let mut pool = DevicePool::new();
-        let a = pool.alloc(&mut d, 64).unwrap();
-        let b = pool.alloc(&mut d, 16).unwrap();
+        let (a, grew) = pool.alloc(&mut d, 64).unwrap();
+        assert!(matches!(grew, DevOp::Grow { size: 64, at } if at == a));
+        let (b, _) = pool.alloc(&mut d, 16).unwrap();
         assert_eq!(pool.device_allocs, 2);
         pool.free(a);
         pool.free(b);
         assert_eq!(pool.in_use(), 0);
         // 16 bytes fits both; best fit picks the 16-byte block.
-        let c = pool.alloc(&mut d, 16).unwrap();
+        let (c, zeroed) = pool.alloc(&mut d, 16).unwrap();
         assert_eq!(c, b);
+        assert!(matches!(zeroed, DevOp::Zero { ptr, len: 16 } if ptr == b));
         // 40 bytes only fits the 64-byte block.
-        let e = pool.alloc(&mut d, 40).unwrap();
+        let (e, _) = pool.alloc(&mut d, 40).unwrap();
         assert_eq!(e, a);
         assert_eq!(pool.reuse_hits, 2);
         assert_eq!(pool.device_allocs, 2, "no new device allocation");
@@ -140,10 +139,10 @@ mod tests {
     fn reused_blocks_are_zeroed() {
         let mut d = dev();
         let mut pool = DevicePool::new();
-        let a = pool.alloc(&mut d, 32).unwrap();
+        let (a, _) = pool.alloc(&mut d, 32).unwrap();
         d.write_bytes(a, &[0xab; 32]).unwrap();
         pool.free(a);
-        let b = pool.alloc(&mut d, 32).unwrap();
+        let (b, _) = pool.alloc(&mut d, 32).unwrap();
         assert_eq!(b, a);
         assert_eq!(d.read_bytes(b, 32).unwrap(), vec![0u8; 32]);
     }

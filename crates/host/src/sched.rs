@@ -11,7 +11,7 @@ use crate::pool::DevicePool;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ImageId(pub u32);
 
-/// How [`crate::Host::enqueue_target`] places launches across devices.
+/// How [`crate::Host::enqueue_region`] places launches across devices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
     /// Strict rotation over the fleet.

@@ -41,10 +41,59 @@ pub enum KArg {
     Val(RtVal),
 }
 
-/// One stream operation. Device addresses were resolved at enqueue time;
-/// executing an op only moves bytes, launches, or touches events.
+/// One operation on a device slot's [`nzomp_vgpu::Device`] — the value
+/// a stream queues, [`crate::Host`]'s one door executes, and the journal
+/// keeps for failover to execute again. Device addresses were resolved
+/// when it was built.
+pub enum DevOp {
+    /// `Device::alloc(size)` returned `at` (a fresh pool block). Bump
+    /// allocation is deterministic, so running it again on a fresh device
+    /// of the same image must return `at` again — checked.
+    Grow { size: u64, at: DevPtr },
+    /// Zero-fill a reused pool block before it is handed out.
+    Zero { ptr: DevPtr, len: u64 },
+    /// Land `bytes` at `ptr`. The op owns the bytes: the host buffer they
+    /// came from may be overwritten before a replay needs them.
+    Write { ptr: DevPtr, bytes: Vec<u8> },
+    /// Launch a kernel; the outcome (metrics or the trap) lands in
+    /// `ticket` every time it runs, the last run winning.
+    Launch {
+        kernel: String,
+        launch: Launch,
+        args: Vec<RtVal>,
+        ticket: Ticket,
+    },
+    /// Copy `len` device bytes back into host buffer `buf` at `off`.
+    ReadBack {
+        src: DevPtr,
+        buf: BufId,
+        off: u64,
+        len: u64,
+    },
+}
+
+impl std::fmt::Display for DevOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DevOp::Grow { size, at } => write!(f, "alloc({size}) at {at:?}"),
+            DevOp::Zero { ptr, len } => write!(f, "zero-fill of {len} bytes at {ptr:?}"),
+            DevOp::Write { ptr, bytes } => write!(f, "write of {} bytes at {ptr:?}", bytes.len()),
+            DevOp::Launch { kernel, .. } => write!(f, "launch @{kernel}"),
+            DevOp::ReadBack { src, buf, len, .. } => {
+                write!(f, "readback of {len} bytes at {src:?} into buffer {}", buf.0)
+            }
+        }
+    }
+}
+
+/// One stream operation: executing it runs a [`DevOp`], returns a block
+/// to the pool, or touches events — every mapping decision was taken at
+/// enqueue time.
 pub(crate) enum Op {
-    /// Copy `len` bytes of host buffer `buf` at `off` to device memory.
+    /// A device operation complete at enqueue time (launch, read-back).
+    Dev { dev: usize, op: DevOp },
+    /// Upload `len` bytes of host buffer `buf` at `off`: a
+    /// [`DevOp::Write`] of the bytes the buffer holds when the op runs.
     MemcpyTo {
         dev: usize,
         dst: DevPtr,
@@ -52,47 +101,13 @@ pub(crate) enum Op {
         off: u64,
         len: u64,
     },
-    /// Copy `len` device bytes back into host buffer `buf` at `off`.
-    MemcpyFrom {
-        dev: usize,
-        src: DevPtr,
-        buf: BufId,
-        off: u64,
-        len: u64,
-    },
     /// Return an unmapped block to the device's pool. Deferred behind any
-    /// `MemcpyFrom` of the same range so the copy reads intact bytes.
+    /// read-back of the same range so the copy reads intact bytes.
     PoolFree { dev: usize, ptr: DevPtr },
-    /// Launch a kernel; the outcome lands in `ticket`.
-    Launch {
-        dev: usize,
-        kernel: String,
-        launch: Launch,
-        args: Vec<RtVal>,
-        ticket: Ticket,
-    },
     /// Signal an event.
     Record(EventId),
     /// Block the stream until the event is signaled.
     Wait(EventId),
     /// Host-side callback (ordering probe, notification, ...).
     Callback(Box<dyn FnOnce()>),
-}
-
-impl std::fmt::Debug for Op {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Op::MemcpyTo { dev, buf, off, len, .. } => {
-                write!(f, "MemcpyTo(dev{dev}, buf{}[{off}..+{len}])", buf.0)
-            }
-            Op::MemcpyFrom { dev, buf, off, len, .. } => {
-                write!(f, "MemcpyFrom(dev{dev}, buf{}[{off}..+{len}])", buf.0)
-            }
-            Op::PoolFree { dev, ptr } => write!(f, "PoolFree(dev{dev}, {:#x})", ptr.0),
-            Op::Launch { dev, kernel, .. } => write!(f, "Launch(dev{dev}, @{kernel})"),
-            Op::Record(e) => write!(f, "Record({})", e.0),
-            Op::Wait(e) => write!(f, "Wait({})", e.0),
-            Op::Callback(_) => write!(f, "Callback"),
-        }
-    }
 }

@@ -406,3 +406,49 @@ fn fault_on_reused_block_zero_fill_recovers_without_leaking() {
         assert_eq!(got.3, clean.3, "{name}: pool leaked or grew");
     }
 }
+
+/// `Host::read_present` is a device read like any other: with recovery
+/// armed a transient memcpy fault on it retries in place and a lost
+/// device fails over and replays, both to the bytes of the fault-free
+/// run — it used to call the device outside the recovery path and
+/// surface the raw fault.
+#[test]
+fn read_present_recovers_like_every_other_memcpy() {
+    use nzomp_host::{KArg, MapKind, MapSpec};
+    let len = 8 * N as u64;
+    let run = |fault: Option<DeviceFaultKind>| {
+        let mut h = host(1);
+        h.set_recovery(Some(RecoveryPolicy::default()));
+        let img = h
+            .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
+            .unwrap();
+        h.bind_image(0, img).unwrap();
+        let s = h.stream();
+        let a = h.register_f64(&input(N));
+        let out = h.register_zeros(len);
+        h.data_enter(s, 0, &[MapSpec::whole(a, len, MapKind::To), MapSpec::whole(out, len, MapKind::From)])
+            .unwrap();
+        let args = [KArg::Buf(a), KArg::Buf(out), KArg::Val(RtVal::I(N as i64))];
+        h.enqueue_launch(s, 0, "k", launch(), &args).unwrap();
+        h.sync().unwrap();
+        // The result lives on the device only; the fault is armed so that
+        // op 0 of the plan is the read under test.
+        if let Some(kind) = fault {
+            h.set_device_faults(0, device_plan(&[(0, kind)])).unwrap();
+        }
+        let bytes = h
+            .read_present(0, out, 0, len)
+            .unwrap_or_else(|e| panic!("{fault:?}: read_present escaped recovery: {e}"));
+        (bytes, h.recovery_metrics().clone())
+    };
+
+    let (clean, _) = run(None);
+    assert_eq!(nzomp_host::bytes_to_f64(&clean), scale_add_expected(&input(N)));
+    let (retried, m) = run(Some(DeviceFaultKind::MemcpyFail));
+    assert_eq!((m.retries, m.failovers), (1, 0));
+    assert_eq!(retried, clean, "transient fault retried to the clean bytes");
+    let (failed_over, m) = run(Some(DeviceFaultKind::Lost));
+    assert_eq!(m.failovers, 1);
+    assert!(m.replayed_ops >= 4, "allocs, upload and launch replayed, got {}", m.replayed_ops);
+    assert_eq!(failed_over, clean, "lost device failed over to the clean bytes");
+}

@@ -41,11 +41,12 @@ use std::rc::Rc;
 
 use nzomp::BuildConfig;
 use nzomp_host::{
-    BufId, Host, HostError, HostStats, ImageId, KArg, MapKind, MapSpec, SchedPolicy, StreamId,
+    BufId, Host, HostError, HostStats, ImageId, MapError, MapKind, MapSpec, RegionArg, SchedPolicy,
+    StreamId,
 };
 use nzomp_ir::Module;
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{DeviceConfig, ExecTier, RtVal};
+use nzomp_vgpu::{DevPtr, DeviceConfig, ExecTier, RtVal};
 
 pub use metrics::{ServeMetrics, ServeRow};
 pub use outcome::{Outcome, RejectReason, ServeError};
@@ -171,8 +172,6 @@ pub struct Serve {
     seq: u32,
     /// Modeled cycle each device becomes free.
     dev_free: Vec<u64>,
-    /// Session buffers resident per device.
-    residents: Vec<Vec<SBuf>>,
     /// Fair-share rotation cursor over tenants.
     cursor: usize,
     /// The serve clock, in modeled cycles.
@@ -201,7 +200,6 @@ impl Serve {
             active: BTreeMap::new(),
             seq: 0,
             dev_free: vec![0; devices],
-            residents: vec![Vec::new(); devices],
             cursor: cfg.seed as usize,
             clock: 0,
             stream,
@@ -265,6 +263,10 @@ impl Serve {
         }
     }
 
+    fn sbuf_mut(&mut self, sb: SBuf) -> Option<&mut SessionBuf> {
+        self.sessions.get_mut(sb.tenant.0 as usize)?.bufs.get_mut(sb.idx as usize)
+    }
+
     /// Current bytes of a session buffer — the device copy when resident,
     /// the host copy otherwise. Non-destructive (the map survives).
     pub fn session_read(&mut self, t: TenantId, sb: SBuf) -> Result<Vec<u8>, ServeError> {
@@ -288,13 +290,9 @@ impl Serve {
         let (buf, len, resident) = self.sbuf_info(t, sb)?;
         if let Some(dev) = resident {
             self.evict(dev, buf, len).map_err(|e| ServeError::Host(e.to_string()))?;
-            if let Some(r) = self.residents.get_mut(dev) {
-                r.retain(|x| *x != sb);
-            }
         }
-        let s = self.session_mut(t)?;
-        s.release(len);
-        if let Some(b) = s.bufs.get_mut(sb.idx as usize) {
+        self.session_mut(t)?.release(len);
+        if let Some(b) = self.sbuf_mut(sb) {
             b.resident = None;
             b.unmapped = true;
         }
@@ -517,6 +515,16 @@ impl Serve {
     /// engine deterministic); only the completion — quota release and
     /// outcome publication — is deferred to the modeled finish cycle.
     fn dispatch(&mut self, q: Queued, t: TenantId, now: u64) {
+        // A session buffer may have been unmapped while the request was
+        // queued: the tenant's error, typed, before any host call.
+        let stale = q.spec.args.iter().find_map(|a| match a {
+            ReqArg::Session(sb) => self.sbuf_info(t, *sb).err(),
+            _ => None,
+        });
+        if let Some(e) = stale {
+            self.fault(&q, t, None, now, e.to_string());
+            return;
+        }
         // Single-flight compile: the host cache keys on the module
         // (structural `==`) + config, so every tenant after the first hits.
         let img = match self.host.load_image((*q.spec.module).clone(), q.spec.config) {
@@ -539,30 +547,25 @@ impl Serve {
         }
     }
 
-    /// Ensure `dev` runs `img`, writing back and evicting every resident
-    /// session buffer first when the bind will reload the device (a
-    /// reload resets its present table and memory) — the host's call,
+    /// Ensure `dev` runs `img`, writing back and evicting every session
+    /// buffer resident there first when the bind will reload the device
+    /// (a reload resets its present table and memory) — the host's call,
     /// asked through [`Host::bound_image`].
     fn make_resident(&mut self, dev: usize, img: ImageId) -> Result<(), HostError> {
         if self.host.bound_image(dev) == Some(img) {
             return Ok(());
         }
-        let residents = self.residents.get_mut(dev).map(std::mem::take).unwrap_or_default();
-        for sb in residents {
-            let Some((buf, len)) = self
-                .sessions
-                .get(sb.tenant.0 as usize)
-                .and_then(|s| s.bufs.get(sb.idx as usize))
-                .map(|b| (b.buf, b.len))
-            else {
-                continue;
-            };
+        let mut on_dev = Vec::new();
+        for (s, t) in self.sessions.iter().zip(0..) {
+            for (b, idx) in s.bufs.iter().zip(0..) {
+                if b.resident == Some(dev) {
+                    on_dev.push((SBuf { tenant: TenantId(t), idx }, b.buf, b.len));
+                }
+            }
+        }
+        for (sb, buf, len) in on_dev {
             self.evict(dev, buf, len)?;
-            if let Some(b) = self
-                .sessions
-                .get_mut(sb.tenant.0 as usize)
-                .and_then(|s| s.bufs.get_mut(sb.idx as usize))
-            {
+            if let Some(b) = self.sbuf_mut(sb) {
                 b.resident = None;
             }
         }
@@ -577,98 +580,65 @@ impl Serve {
         Ok(())
     }
 
+    /// Device address of session buffer `sb` on `dev`, mapping it there
+    /// first if need be — after writing it back off any other device:
+    /// residency is exclusive.
+    fn resident_on(&mut self, dev: usize, t: TenantId, sb: SBuf) -> Result<DevPtr, HostError> {
+        // `dispatch` checked the handle; nothing since could unmap it.
+        let (buf, len, resident) = self
+            .sbuf_info(t, sb)
+            .map_err(|_| HostError::Map(MapError::Misuse("session buffer unmapped during dispatch")))?;
+        if resident != Some(dev) {
+            if let Some(from) = resident {
+                self.evict(from, buf, len)?;
+                self.metrics.evictions -= 1; // counted as a migration instead
+                self.metrics.migrations += 1;
+            }
+            self.host
+                .data_enter(self.stream, dev, &[MapSpec::whole(buf, len, MapKind::ToFrom)])?;
+            if let Some(b) = self.sbuf_mut(sb) {
+                b.resident = Some(dev);
+            }
+        }
+        self.host.dev_addr(dev, buf, 0)
+    }
+
+    /// What of a request is the service's own: make its session arguments
+    /// resident, lower the rest to the host's region arguments, drive the
+    /// region through [`Host::enqueue_region_on`], drain, and build the
+    /// outcome.
     fn run_on_device(&mut self, q: &Queued, t: TenantId, dev: usize, now: u64) -> Result<(), HostError> {
         let spec = &q.spec;
-        // Migrate session arguments resident on another device first —
-        // residency is exclusive, and the writeback must complete before
-        // this device's entries fix the memory layout.
-        for a in &spec.args {
-            if let ReqArg::Session(sb) = a {
-                let Ok((buf, len, resident)) = self.sbuf_info(t, *sb) else { continue };
-                if let Some(d2) = resident {
-                    if d2 != dev {
-                        self.evict(d2, buf, len)?;
-                        self.metrics.evictions -= 1; // counted as a migration instead
-                        self.metrics.migrations += 1;
-                        if let Some(r) = self.residents.get_mut(d2) {
-                            r.retain(|x| x != sb);
-                        }
-                        if let Some(b) = self
-                            .sessions
-                            .get_mut(t.0 as usize)
-                            .and_then(|s| s.bufs.get_mut(sb.idx as usize))
-                        {
-                            b.resident = None;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Enter maps in kernel-argument order — device memory layout is
-        // part of the replay contract, exactly like `enqueue_region`.
-        let mut kargs: Vec<KArg> = Vec::with_capacity(spec.args.len());
-        let mut exits: Vec<MapSpec> = Vec::new();
-        let mut outs: Vec<(usize, BufId)> = Vec::new();
+        // The device address behind each argument is the isolation
+        // evidence in the outcome. A resident session buffer's argument
+        // *is* its device address; the region reports the rest.
+        let mut arg_ptrs: Vec<Option<u64>> = Vec::with_capacity(spec.args.len());
+        let mut args = Vec::with_capacity(spec.args.len());
+        let mut outs: Vec<usize> = Vec::new();
         for (i, a) in spec.args.iter().enumerate() {
-            match a {
-                ReqArg::In(bytes) => {
-                    let len = bytes.len() as u64;
-                    let b = self.host.register_bytes((**bytes).clone());
-                    self.host.data_enter(self.stream, dev, &[MapSpec::whole(b, len, MapKind::To)])?;
-                    exits.push(MapSpec::whole(b, len, MapKind::Release));
-                    kargs.push(KArg::Buf(b));
-                }
+            let mut ptr = None;
+            args.push(match a {
+                ReqArg::In(bytes) => RegionArg::To((**bytes).clone()),
                 ReqArg::Out(len) => {
-                    let b = self.host.register_zeros(*len);
-                    self.host.data_enter(self.stream, dev, &[MapSpec::whole(b, *len, MapKind::From)])?;
-                    exits.push(MapSpec::whole(b, *len, MapKind::From));
-                    outs.push((i, b));
-                    kargs.push(KArg::Buf(b));
+                    outs.push(i);
+                    RegionArg::From(*len)
                 }
-                ReqArg::Scratch(len) => {
-                    let b = self.host.register_zeros(*len);
-                    self.host.data_enter(self.stream, dev, &[MapSpec::whole(b, *len, MapKind::Alloc)])?;
-                    exits.push(MapSpec::whole(b, *len, MapKind::Release));
-                    kargs.push(KArg::Buf(b));
-                }
-                ReqArg::Scalar(v) => kargs.push(KArg::Val(*v)),
+                ReqArg::Scratch(len) => RegionArg::Alloc(*len),
+                ReqArg::Scalar(v) => RegionArg::Scalar(*v),
                 ReqArg::Session(sb) => {
-                    let Ok((buf, len, resident)) = self.sbuf_info(t, *sb) else {
-                        kargs.push(KArg::Val(RtVal::I(0)));
-                        continue;
-                    };
-                    if resident != Some(dev) {
-                        self.host
-                            .data_enter(self.stream, dev, &[MapSpec::whole(buf, len, MapKind::ToFrom)])?;
-                        if let Some(r) = self.residents.get_mut(dev) {
-                            r.push(*sb);
-                        }
-                        if let Some(b) = self
-                            .sessions
-                            .get_mut(t.0 as usize)
-                            .and_then(|s| s.bufs.get_mut(sb.idx as usize))
-                        {
-                            b.resident = Some(dev);
-                        }
-                    }
-                    kargs.push(KArg::Buf(buf));
+                    let p = self.resident_on(dev, t, *sb)?;
+                    ptr = Some(p.0);
+                    RegionArg::Scalar(RtVal::P(p))
                 }
-            }
+            });
+            arg_ptrs.push(ptr);
         }
-
-        // The device addresses behind each argument, captured while the
-        // maps are live — the isolation evidence in the outcome.
-        let arg_ptrs: Vec<Option<u64>> = kargs
-            .iter()
-            .map(|k| match k {
-                KArg::Buf(b) => self.host.dev_addr(dev, *b, 0).ok().map(|p| p.0),
-                KArg::Val(_) => None,
-            })
-            .collect();
-
-        let ticket = self.host.enqueue_launch(self.stream, dev, &spec.kernel, spec.launch, &kargs)?;
-        self.host.data_exit(self.stream, dev, &exits)?;
+        let region = self
+            .host
+            .enqueue_region_on(&[self.stream], dev, &spec.kernel, spec.launch, args)?;
+        for (ptr, mapped) in arg_ptrs.iter_mut().zip(&region.ptrs) {
+            *ptr = ptr.or(mapped.map(|p| p.0));
+        }
 
         // Drain to completion. A trap aborts the drain with the rest of
         // the request's ops still queued; keep draining so device memory
@@ -692,12 +662,18 @@ impl Serve {
         }
 
         let started = now.max(self.dev_free.get(dev).copied().unwrap_or(0));
-        let outcome = match (self.host.take_metrics(ticket), first_err) {
+        let outcome = match (self.host.take_metrics(region.ticket), first_err) {
             (Ok(m), None) => {
                 let finished = started + m.cycles;
+                // An exact-size iterator: outcomes are retained, and a
+                // grown `Vec` would keep its spare capacity per request.
                 let outputs = outs
                     .iter()
-                    .map(|(i, b)| (*i, self.host.buf_bytes(*b).map(|x| x.to_vec()).unwrap_or_default()))
+                    .map(|&i| {
+                        let b = region.bufs.get(i).copied().flatten();
+                        let bytes = b.and_then(|b| self.host.buf_bytes(b).ok());
+                        (i, bytes.map(|x| x.to_vec()).unwrap_or_default())
+                    })
                     .collect();
                 Outcome::Completed {
                     device: dev,

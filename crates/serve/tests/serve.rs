@@ -379,6 +379,41 @@ fn session_state_accumulates_across_requests() {
     ));
 }
 
+/// A session buffer unmapped while a request naming it is still queued
+/// is the tenant's error, typed, decided before any host call — the
+/// engine used to launch the kernel with a null in the pointer slot and
+/// blame the tenant's kernel for the dereference.
+#[test]
+fn request_queued_behind_a_session_unmap_faults_typed_and_never_launches() {
+    let mut serve = Serve::new(cfg(1));
+    let t = serve.add_tenant("t0", TenantConfig::default());
+    let app = accum_app();
+    let state = serve.session_map(t, vec![0u8; 8 * N]).unwrap();
+    let acc_req = || RequestSpec {
+        module: app.clone(),
+        config: BuildConfig::NewRtNoAssumptions,
+        kernel: "acc".into(),
+        launch: launch(),
+        args: vec![ReqArg::Session(state), ReqArg::Scalar(RtVal::I(N as i64))],
+    };
+    // One device: the first request dispatches at once, the second queues.
+    let first = serve.submit(t, acc_req()).unwrap();
+    let second = serve.submit(t, acc_req()).unwrap();
+    serve.session_unmap(t, state).unwrap();
+    serve.drain();
+
+    assert!(serve.outcome(first).unwrap().is_completed());
+    match serve.outcome(second) {
+        Some(Outcome::Faulted { device: None, error, .. }) => assert_eq!(
+            *error,
+            ServeError::UnknownSession { tenant: t.0, buf: state.idx }.to_string()
+        ),
+        o => panic!("expected a typed unknown-session fault, got {o:?}"),
+    }
+    assert_eq!(serve.host_stats().devices[0].launches, 1, "the stale request never reached the device");
+    assert_eq!((serve.metrics().completed, serve.metrics().faulted), (1, 1));
+}
+
 #[test]
 fn cross_tenant_session_references_are_refused() {
     let mut serve = Serve::new(cfg(1));

@@ -18,7 +18,7 @@ use nzomp_ir::inst::{Inst, InstId, Intrinsic, Term};
 use nzomp_ir::{BlockId, Function, Module, Operand, Ty};
 
 use crate::error::TrapKind;
-use crate::exec::{malformed, used_results, GlobalLayout};
+use crate::exec::{is_runtime_fn, malformed, used_results, GlobalLayout};
 use crate::memory::DevPtr;
 use crate::value::RtVal;
 
@@ -34,7 +34,7 @@ pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout) -> BcModule {
             name: f.name.clone(),
             params: f.params.len() as u32,
             is_decl: f.is_declaration(),
-            runtime: f.name.starts_with("__kmpc") || f.name.starts_with("omp_"),
+            runtime: is_runtime_fn(&f.name),
         })
         .collect();
     let funcs = module
@@ -477,8 +477,7 @@ impl<'m> FnLowerer<'m> {
                             self.emit(Op::TrapInst { t }, loc);
                             return true;
                         }
-                        let runtime =
-                            g.name.starts_with("__kmpc") || g.name.starts_with("omp_");
+                        let runtime = is_runtime_fn(&g.name);
                         let args = self.srcs(args);
                         self.emit(
                             Op::Call {

@@ -1,4 +1,5 @@
-//! Cost model (a table of constants) and device configuration (occupancy).
+//! Cost model and device shape (two tables of constants), the occupancy
+//! model over them, and the device configuration.
 //!
 //! The constants are not an A100 die model; they are chosen so that the
 //! artifacts the paper's co-design eliminates — runtime calls, shared-state
@@ -61,92 +62,81 @@ pub const fn mem(seg: Segment) -> u64 {
     }
 }
 
-/// Static device shape, used by the occupancy model.
+/// Number of streaming multiprocessors.
+pub const NUM_SMS: u32 = 8;
+/// Register file size per SM (32-bit registers).
+pub const REGS_PER_SM: u32 = 65_536;
+/// Shared memory per SM in bytes.
+pub const SMEM_PER_SM: u64 = 96 * 1024;
+/// Max resident threads per SM.
+pub const MAX_THREADS_PER_SM: u32 = 2048;
+/// Max resident teams per SM.
+pub const MAX_TEAMS_PER_SM: u32 = 32;
+/// Clock in GHz (cycles -> time conversion for reports).
+pub const CLOCK_GHZ: f64 = 1.4;
+/// Device heap size in bytes.
+pub const HEAP_BYTES: u64 = 64 * 1024 * 1024;
+/// Latency-hiding model: the memory portion of a team's cycles is scaled
+/// by `1 + LATENCY_PENALTY / resident_teams_per_sm`. High occupancy (many
+/// resident teams) hides memory latency; a kernel whose shared-memory or
+/// register footprint caps residency pays exposed latency — this is how
+/// the paper's SMem/register reductions turn into kernel-time reductions
+/// ("most performance benefits can be traced to reducing and/or
+/// eliminating the shared memory and register usage").
+pub const LATENCY_PENALTY: f64 = 8.0;
+
+/// What a caller chooses about a device; its shape is the constants above.
 #[derive(Clone, Debug)]
 pub struct DeviceConfig {
-    /// Number of streaming multiprocessors.
-    pub num_sms: u32,
-    /// Register file size per SM (32-bit registers).
-    pub regs_per_sm: u32,
-    /// Shared memory per SM in bytes.
-    pub smem_per_sm: u64,
-    /// Max resident threads per SM.
-    pub max_threads_per_sm: u32,
-    /// Max resident teams per SM.
-    pub max_teams_per_sm: u32,
-    /// Clock in GHz (cycles -> time conversion for reports).
-    pub clock_ghz: f64,
-    /// Device heap size in bytes.
-    pub heap_bytes: u64,
     /// Interpreter step budget per launch (runaway guard).
     pub max_steps: u64,
     /// Verify `assume` operands and run debug-only runtime paths. Mirrors
     /// the paper's debug builds (§III-G): assumptions become assertions.
     pub check_assumes: bool,
-    /// Latency-hiding model: the memory portion of a team's cycles is
-    /// scaled by `1 + latency_penalty / resident_teams_per_sm`. High
-    /// occupancy (many resident teams) hides memory latency; a kernel whose
-    /// shared-memory or register footprint caps residency pays exposed
-    /// latency — this is how the paper's SMem/register reductions turn into
-    /// kernel-time reductions ("most performance benefits can be traced to
-    /// reducing and/or eliminating the shared memory and register usage").
-    pub latency_penalty: f64,
 }
 
 impl Default for DeviceConfig {
     fn default() -> DeviceConfig {
         DeviceConfig {
-            num_sms: 8,
-            regs_per_sm: 65_536,
-            smem_per_sm: 96 * 1024,
-            max_threads_per_sm: 2048,
-            max_teams_per_sm: 32,
-            clock_ghz: 1.4,
-            heap_bytes: 64 * 1024 * 1024,
             max_steps: 2_000_000_000,
             check_assumes: true,
-            latency_penalty: 8.0,
         }
     }
 }
 
-impl DeviceConfig {
-    /// Memory-latency exposure factor for a given residency.
-    pub fn latency_exposure(&self, resident_teams_per_sm: u32) -> f64 {
-        1.0 + self.latency_penalty / resident_teams_per_sm.max(1) as f64
-    }
-
-    /// Teams issued per wave at the given residency — the chunking used by
-    /// *both* the cycle aggregation and the parallel team engine, so the
-    /// two can never disagree about wave boundaries.
-    pub fn wave_size(&self, resident_teams_per_sm: u32) -> usize {
-        (self.num_sms * resident_teams_per_sm).max(1) as usize
-    }
+/// Memory-latency exposure factor for a given residency.
+pub fn latency_exposure(resident_teams_per_sm: u32) -> f64 {
+    1.0 + LATENCY_PENALTY / resident_teams_per_sm.max(1) as f64
 }
 
-impl DeviceConfig {
-    /// Resident teams per SM given per-thread register demand and per-team
-    /// shared-memory demand — the occupancy calculation behind the paper's
-    /// observation that "most performance benefits can be traced to reducing
-    /// and/or eliminating the shared memory and register usage".
-    pub fn teams_per_sm(&self, regs_per_thread: u32, threads_per_team: u32, smem_per_team: u64) -> u32 {
-        let by_regs = if regs_per_thread == 0 {
-            self.max_teams_per_sm
-        } else {
-            self.regs_per_sm / (regs_per_thread * threads_per_team.max(1)).max(1)
-        };
-        let by_smem = if smem_per_team == 0 {
-            self.max_teams_per_sm
-        } else {
-            (self.smem_per_sm / smem_per_team) as u32
-        };
-        let by_threads = self.max_threads_per_sm / threads_per_team.max(1);
-        self.max_teams_per_sm
-            .min(by_regs)
-            .min(by_smem)
-            .min(by_threads)
-            .max(1) // a kernel that fits nowhere still runs, one team at a time
-    }
+/// Teams issued per wave at the given residency — the chunking used by
+/// *both* the cycle aggregation and the parallel team engine, so the
+/// two can never disagree about wave boundaries.
+pub fn wave_size(resident_teams_per_sm: u32) -> usize {
+    (NUM_SMS * resident_teams_per_sm).max(1) as usize
+}
+
+/// Resident teams per SM given per-thread register demand and per-team
+/// shared-memory demand — the occupancy calculation behind the paper's
+/// observation that "most performance benefits can be traced to reducing
+/// and/or eliminating the shared memory and register usage".
+pub fn teams_per_sm(regs_per_thread: u32, threads_per_team: u32, smem_per_team: u64) -> u32 {
+    let by_regs = if regs_per_thread == 0 {
+        MAX_TEAMS_PER_SM
+    } else {
+        REGS_PER_SM / (regs_per_thread * threads_per_team.max(1)).max(1)
+    };
+    let by_smem = if smem_per_team == 0 {
+        MAX_TEAMS_PER_SM
+    } else {
+        (SMEM_PER_SM / smem_per_team) as u32
+    };
+    let by_threads = MAX_THREADS_PER_SM / threads_per_team.max(1);
+    MAX_TEAMS_PER_SM
+        .min(by_regs)
+        .min(by_smem)
+        .min(by_threads)
+        .max(1) // a kernel that fits nowhere still runs, one team at a time
 }
 
 #[cfg(test)]
@@ -155,14 +145,13 @@ mod tests {
 
     #[test]
     fn occupancy_limits() {
-        let cfg = DeviceConfig::default();
         // Unconstrained: thread-count limited (2048/128 = 16).
-        assert_eq!(cfg.teams_per_sm(0, 128, 0), 16);
+        assert_eq!(teams_per_sm(0, 128, 0), 16);
         // Register limited: 65536/(255*128) = 2.
-        assert_eq!(cfg.teams_per_sm(255, 128, 0), 2);
+        assert_eq!(teams_per_sm(255, 128, 0), 2);
         // Shared-memory limited: 96K/48K = 2.
-        assert_eq!(cfg.teams_per_sm(32, 128, 48 * 1024), 2);
+        assert_eq!(teams_per_sm(32, 128, 48 * 1024), 2);
         // Never zero.
-        assert_eq!(cfg.teams_per_sm(10_000, 1024, 1 << 20), 1);
+        assert_eq!(teams_per_sm(10_000, 1024, 1 << 20), 1);
     }
 }

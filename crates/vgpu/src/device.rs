@@ -9,7 +9,7 @@ use nzomp_ir::module::FuncRef;
 use nzomp_ir::{Module, Space};
 
 use crate::bytecode::{lower_module, BcModule};
-use crate::cost::DeviceConfig;
+use crate::cost::{self, DeviceConfig};
 use crate::error::{ExecError, TrapKind};
 use crate::exec::{Counters, ExecTier, GlobalLayout, HeapState, LaunchCtx, TeamEngine, TeamOutcome};
 use crate::faults::{DeviceFaultKind, FaultPlan};
@@ -197,7 +197,7 @@ impl Device {
 
         let heap = HeapState {
             live_allocs: Default::default(),
-            limit: global_top + config.heap_bytes,
+            limit: global_top + cost::HEAP_BYTES,
         };
         let image = Image {
             regs: module.funcs.iter().map(|_| OnceLock::new()).collect(),
@@ -337,6 +337,13 @@ impl Device {
 
     pub fn watchdog_fuel(&self) -> Option<u64> {
         self.watchdog_fuel
+    }
+
+    /// The watchdog's fuel when it — not the plan-or-config budget — is
+    /// what caps the next launch: how a host tells a watchdog trip from
+    /// a plain [`TrapKind::FuelExhausted`].
+    pub fn binding_watchdog(&self) -> Option<u64> {
+        self.watchdog_fuel.filter(|w| *w == self.effective_fuel())
     }
 
     /// Whether the device has been lost to a [`DeviceFaultKind::Lost`]
@@ -564,10 +571,8 @@ impl Device {
         // Occupancy is computed up front: the wave chunking drives *both*
         // the parallel team engine (which wave a team runs in) and the
         // cycle aggregation below, so they can never disagree.
-        let tps = self
-            .config
-            .teams_per_sm(regs, launch.threads_per_team, shared_total.max(1));
-        let wave_size = self.config.wave_size(tps);
+        let tps = cost::teams_per_sm(regs, launch.threads_per_team, shared_total.max(1));
+        let wave_size = cost::wave_size(tps);
 
         // Fault plans and the host watchdog can shrink the step budget,
         // and fault plans the device heap, for this launch; the heap
@@ -636,7 +641,7 @@ impl Device {
         // at a time; each wave lasts as long as its slowest team. A team's
         // effective duration exposes memory latency in inverse proportion
         // to how many teams the SM can keep resident (latency hiding).
-        let exposure = self.config.latency_exposure(tps);
+        let exposure = cost::latency_exposure(tps);
         let effective: Vec<u64> = team_cycles
             .iter()
             .zip(&team_mem_cycles)
@@ -651,7 +656,7 @@ impl Device {
             cycles_total += chunk.iter().copied().max().unwrap_or(0);
             waves += 1;
         }
-        let time_ms = cycles_total as f64 / (self.config.clock_ghz * 1e6);
+        let time_ms = cycles_total as f64 / (cost::CLOCK_GHZ * 1e6);
 
         Ok(KernelMetrics {
             kernel_name: kernel.to_string(),

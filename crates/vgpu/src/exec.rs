@@ -94,6 +94,14 @@ pub(crate) struct LaunchCtx<'a> {
     pub san: Option<&'a Arc<ModuleSan>>,
 }
 
+/// Whether a call to `name` counts as a runtime call
+/// ([`Counters::runtime_calls`]): the OpenMP device runtime's entry points
+/// and the user-facing `omp_*` API.
+#[inline]
+pub(crate) fn is_runtime_fn(name: &str) -> bool {
+    name.starts_with("__kmpc") || name.starts_with("omp_")
+}
+
 /// Event counters aggregated into [`crate::KernelMetrics`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Counters {

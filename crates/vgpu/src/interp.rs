@@ -12,7 +12,7 @@ use nzomp_ir::{BlockId, Function, OpClass, Operand, Ty};
 
 use crate::cost;
 use crate::error::TrapKind;
-use crate::exec::{malformed, ExecBackend, Status, TeamExec, ThreadCtx};
+use crate::exec::{is_runtime_fn, malformed, ExecBackend, Status, TeamExec, ThreadCtx};
 use crate::gmem::GlobalMem;
 use crate::memory::{DevPtr, Segment};
 use crate::ops::{combine_atomic, corrupt_value, exec_bin, exec_cast, exec_cmp, exec_un};
@@ -414,7 +414,7 @@ impl<'a> TeamExec<'a, InterpBackend> {
             thread.cycles += cost::INDIRECT_CALL;
             thread.busy_cycles += cost::INDIRECT_CALL;
         }
-        if func.name.starts_with("__kmpc") || func.name.starts_with("omp_") {
+        if is_runtime_fn(&func.name) {
             self.counters.runtime_calls += 1;
         }
         let argv: Vec<RtVal> = args

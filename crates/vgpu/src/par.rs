@@ -4,7 +4,7 @@
 //! Design (see `docs/parallel-vgpu.md` for the user-facing contract):
 //!
 //! * Teams are issued **wave by wave**, mirroring the occupancy model —
-//!   a wave is `num_sms × teams_per_sm` teams, exactly the chunking the
+//!   a wave is `NUM_SMS × teams_per_sm` teams, exactly the chunking the
 //!   cycle aggregation in `Device::launch` uses. Within a wave, teams run
 //!   concurrently on up to `worker_threads` host threads, each against a
 //!   [`BufferedGlobal`](crate::gmem::BufferedGlobal) copy-on-write view

@@ -21,7 +21,7 @@
 use nzomp::BuildConfig;
 use nzomp_integration::{env_run, run_proxy_outcome, ProxyOutcome};
 use nzomp_proxies::rsbench::RSBench;
-use nzomp_proxies::{all_proxies, quick_device, Proxy};
+use nzomp_proxies::{all_proxies, Proxy};
 use nzomp_vgpu::{RunConfig, Sanitize};
 
 const WORKER_COUNTS: [usize; 3] = [2, 4, 8];
@@ -105,7 +105,7 @@ fn clean_runs_identical_across_worker_counts() {
     let base = assert_clean_run_is_axis_invariant("rsbench-64-teams", &wide);
     let m = base.result.unwrap();
     assert_eq!(m.team_cycles.len(), 64);
-    let wave = quick_device().wave_size(m.teams_per_sm);
+    let wave = nzomp_vgpu::cost::wave_size(m.teams_per_sm);
     let one = modeled_makespan(&m.team_cycles, wave, 1);
     let eight = modeled_makespan(&m.team_cycles, wave, 8);
     assert!(one >= 2 * eight, "modeled 8-worker speedup below 2x ({one} vs {eight} cycles)");

@@ -187,3 +187,18 @@ proptest! {
         );
     }
 }
+
+/// The sanitizer's suppressions name four facts of the device runtime's
+/// ABI, and `nzomp-vgpu` cannot depend on `nzomp-rt` to import them: a
+/// runtime layout change that left these copies behind would turn each
+/// suppression into a silent false negative (or a flood of benign
+/// reports). This is the one place the two spellings meet.
+#[test]
+fn sanitizer_suppressions_name_the_runtime_abi() {
+    use nzomp_rt::abi;
+    use nzomp_vgpu::sanitize;
+    assert_eq!(sanitize::COND_WRITE_SINK, abi::G_COND_WRITE_DUMMY);
+    assert_eq!(sanitize::TEAM_STATE, abi::G_TEAM_STATE);
+    assert_eq!(sanitize::TEAM_STATE_BENIGN_FIELD.0, abi::team_state::HAS_THREAD_STATE);
+    assert_eq!(sanitize::REGION_RELEASE_FNS, [abi::FREE_SHARED, abi::OLD_DATA_SHARING_POP]);
+}

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use nzomp_ir::link::LinkError;
 use nzomp_ir::verify::VerifyError;
@@ -161,15 +161,28 @@ pub fn module_fingerprint(m: &Module) -> u64 {
 /// already-registered kernel image must cost a table lookup, not an
 /// optimizer run (`compile_cache_eliminates_recompiles` in
 /// `crates/host/tests/scheduler.rs` asserts the hit counter).
+///
+/// A caller that holds its module in an `Rc` and submits it again and
+/// again ([`CompileCache::compile_slot_rc`]) pays for `==` once per `Rc`:
+/// `seen` remembers which slot `==` resolved that allocation to. A pointer
+/// is only ever used to repeat such a decision, and only while a `Weak`
+/// of the entry pins it: the allocation cannot be freed and handed to
+/// another module, and its content cannot change in place (`Rc::get_mut`
+/// refuses while a `Weak` exists, `Rc::make_mut` moves to a new address).
+/// A `Weak` does not keep the module alive.
 #[derive(Default)]
 pub struct CompileCache {
     slots: HashMap<(Module, BuildConfig), usize>,
     outputs: Vec<Rc<CompileOutput>>,
+    seen: HashMap<(*const Module, BuildConfig), (Weak<Module>, usize)>,
     /// Compilations served from the cache.
     pub hits: u64,
     /// Compilations that ran the real pipeline.
     pub misses: u64,
 }
+
+/// Most `Rc`s [`CompileCache::compile_slot_rc`] remembers at once.
+const SEEN_MAX: usize = 1024;
 
 impl CompileCache {
     pub fn new() -> CompileCache {
@@ -203,6 +216,31 @@ impl CompileCache {
         let slot = self.outputs.len();
         self.outputs.push(Rc::new(compile(key.0.clone(), config)?));
         self.slots.insert(key, slot);
+        Ok(slot)
+    }
+
+    /// [`CompileCache::compile_slot`] of a shared module: the same slot,
+    /// the same counters (a repeated `Rc` is a hit), without cloning,
+    /// re-verifying, hashing and comparing a module this cache resolved
+    /// before through the very same `Rc`. First sight of an `Rc` is
+    /// `compile_slot` of a clone; a module that fails to compile is never
+    /// remembered.
+    pub fn compile_slot_rc(&mut self, app: &Rc<Module>, config: BuildConfig) -> Result<usize, CompileError> {
+        let key = (Rc::as_ptr(app), config);
+        if let Some(&(_, slot)) = self.seen.get(&key) {
+            self.hits += 1;
+            return Ok(slot);
+        }
+        let slot = self.compile_slot(Module::clone(app), config)?;
+        if self.seen.len() >= SEEN_MAX {
+            // Forget the modules that are gone; if every one is still
+            // alive, forget them all — `seen` only saves time.
+            self.seen.retain(|_, (pin, _)| pin.strong_count() > 0);
+            if self.seen.len() >= SEEN_MAX {
+                self.seen.clear();
+            }
+        }
+        self.seen.insert(key, (Rc::downgrade(app), slot));
         Ok(slot)
     }
 
@@ -326,5 +364,109 @@ mod tests {
         let a = c.compile(app(2.0), CFG).unwrap();
         assert_eq!(Rc::as_ptr(&a), std::ptr::from_ref(c.output(0).unwrap()), "compile is the slot's output");
         assert!(c.output(2).is_none());
+    }
+
+    /// SplitMix64: the seeded choices of the memo tests.
+    struct Mix(u64);
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// `compile_slot_rc` can only repeat a decision `==` made: over a
+    /// stream of `Rc`s that are resubmitted, dropped and re-created (with
+    /// equal and with unequal content, so the allocator hands old
+    /// addresses to new modules), shared, and changed through
+    /// `Rc::make_mut` between submissions, under three configurations, it
+    /// answers and counts exactly as `compile_slot` of a clone does on a
+    /// cache of its own.
+    #[test]
+    fn remembered_rcs_agree_with_structural_lookup() {
+        const CONFIGS: [BuildConfig; 3] =
+            [CFG, BuildConfig::NewRtNightly, BuildConfig::NewRt];
+        for seed in [1, 2, 7] {
+            let mut rng = Mix(seed);
+            // Six distinct contents: a miss costs a real compile.
+            let content = |rng: &mut Mix| app([2.0, 3.0, 4.0][rng.below(3)]);
+            let mut rcs: Vec<Rc<Module>> = (0..8).map(|_| Rc::new(content(&mut rng))).collect();
+            let mut sharers: Vec<Rc<Module>> = Vec::new();
+            let (mut by_rc, mut by_value) = (CompileCache::new(), CompileCache::new());
+            for step in 0..3_000 {
+                let i = rng.below(rcs.len());
+                match rng.below(10) {
+                    // Dropped and re-created: its address is free again.
+                    0 => rcs[i] = Rc::new(content(&mut rng)),
+                    // Changed in place, alone (a `Weak` of `seen` makes
+                    // `make_mut` move it) or shared (it clones).
+                    1 => {
+                        if rng.below(2) == 0 {
+                            sharers.push(Rc::clone(&rcs[i]));
+                        }
+                        let renamed = ["cache_test_app", "renamed"][rng.below(2)];
+                        Rc::make_mut(&mut rcs[i]).name = renamed.to_string();
+                        sharers.truncate(2);
+                    }
+                    _ => {}
+                }
+                let config = CONFIGS[rng.below(3)];
+                let slot = by_rc.compile_slot_rc(&rcs[i], config).unwrap();
+                assert_eq!(
+                    slot,
+                    by_value.compile_slot(Module::clone(&rcs[i]), config).unwrap(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(by_rc.output(slot).unwrap().module, by_value.output(slot).unwrap().module);
+                assert_eq!(
+                    (by_rc.hits, by_rc.misses, by_rc.len()),
+                    (by_value.hits, by_value.misses, by_value.len()),
+                    "seed {seed} step {step}"
+                );
+            }
+            assert!(by_rc.len() <= 6 * 3 && by_rc.hits > 2_900);
+        }
+    }
+
+    /// `seen` is bounded by its constant and pins no module: 10⁵
+    /// short-lived `Rc`s leave at most `SEEN_MAX` entries, every one of a
+    /// dropped module dead, and an `Rc` that outlives them all is still
+    /// remembered.
+    #[test]
+    fn remembered_rcs_are_bounded_and_not_kept_alive() {
+        let mut c = CompileCache::new();
+        let kept = Rc::new(app(2.0));
+        let slot = c.compile_slot_rc(&kept, CFG).unwrap();
+        // Two contents, so an address a forgotten module gave back comes
+        // round again holding the other one.
+        let templates = [app(3.0), app(4.0)];
+        let slots = [1, 2];
+        assert_eq!(templates.each_ref().map(|t| c.compile_slot(t.clone(), CFG).unwrap()), slots);
+        let mut rng = Mix(20);
+        let mut last = Weak::new();
+        for _ in 0..100_000 {
+            let which = rng.below(2);
+            let short_lived = Rc::new(templates[which].clone());
+            assert_eq!(c.compile_slot_rc(&short_lived, CFG).unwrap(), slots[which]);
+            assert!(c.seen.len() <= SEEN_MAX);
+            last = Rc::downgrade(&short_lived);
+        }
+        assert_eq!(last.strong_count(), 0, "the cache kept a dropped module alive");
+        let live = c.seen.values().filter(|(pin, _)| pin.strong_count() > 0).count();
+        assert_eq!(live, 1, "only `kept` is alive");
+        assert_eq!(Rc::strong_count(&kept), 1);
+        let hits = c.hits;
+        assert_eq!(c.compile_slot_rc(&kept, CFG).unwrap(), slot);
+        assert_eq!((c.hits, c.misses, c.len()), (hits + 1, 3, 3));
+
+        // Full of live modules: forgotten wholesale, never over the bound.
+        let live: Vec<Rc<Module>> = (0..SEEN_MAX + 8).map(|_| Rc::new(templates[0].clone())).collect();
+        for rc in &live {
+            c.compile_slot_rc(rc, CFG).unwrap();
+            assert!(c.seen.len() <= SEEN_MAX);
+        }
     }
 }

@@ -127,6 +127,11 @@ pub enum HostError {
     /// nothing left to fail over to. The typed terminal outcome of
     /// graceful degradation — never a panic.
     FleetLost { devices: usize },
+    /// [`crate::Host::bind_image`] would reload a device that still has
+    /// work queued: the queued operations were translated against the old
+    /// device's memory and name the old image's kernels. Nothing changed —
+    /// [`crate::Host::sync`], then bind again.
+    DeviceBusy { device: usize, queued_ops: u64, pending_launches: u64 },
     /// Journal replay on a replacement device diverged from the recorded
     /// history (an internal recovery invariant broke). Carries a
     /// diagnostic; always a program error, never retried.
@@ -168,6 +173,7 @@ impl HostError {
             | HostError::NoDevice { .. }
             | HostError::UnknownImage(_)
             | HostError::UnknownBuffer(_)
+            | HostError::DeviceBusy { .. }
             | HostError::Replay(_) => ErrorClass::Program,
         }
     }
@@ -205,6 +211,11 @@ impl fmt::Display for HostError {
             HostError::FleetLost { devices } => {
                 write!(f, "all {devices} device(s) lost; offload fleet exhausted")
             }
+            HostError::DeviceBusy { device, queued_ops, pending_launches } => write!(
+                f,
+                "device {device} cannot be rebound with {queued_ops} operation(s) queued \
+                 and {pending_launches} launch(es) pending; sync first"
+            ),
             HostError::Replay(m) => write!(f, "recovery replay diverged: {m}"),
         }
     }
@@ -307,6 +318,7 @@ mod tests {
             HostError::NoDevice { device: 9, devices: 2 },
             HostError::UnknownImage(3),
             HostError::UnknownBuffer(5),
+            HostError::DeviceBusy { device: 0, queued_ops: 3, pending_launches: 1 },
             HostError::Replay("ptr mismatch".into()),
         ] {
             assert_eq!(e.class(), Program, "{e}");

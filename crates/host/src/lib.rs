@@ -35,13 +35,15 @@ pub mod sched;
 pub mod stream;
 
 use std::collections::VecDeque;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use nzomp::{BuildConfig, CompileCache, CompileOutput};
 use nzomp_ir::Module;
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::memory::DevPtr;
 use nzomp_vgpu::{
-    Device, DeviceConfig, ExecError, ExecTier, FaultPlan, KernelMetrics, RtVal, RunConfig,
+    Device, DeviceConfig, ExecError, ExecTier, FaultPlan, Image, KernelMetrics, RtVal, RunConfig,
 };
 
 pub use error::{ErrorClass, HostError, MapError, StreamError};
@@ -172,6 +174,10 @@ pub struct Host {
 
     /// The image registry: an [`ImageId`] is a slot of this cache.
     cache: CompileCache,
+    /// The loaded form of the [`RECENT_IMAGES`] images loaded last, oldest
+    /// first. With the slots, which keep what their devices run, this is
+    /// every loaded image the host owns ([`Host::loaded_image`]).
+    recent: VecDeque<(ImageId, Arc<Image>)>,
 
     bufs: Vec<Vec<u8>>,
     streams: Vec<VecDeque<Op>>,
@@ -213,6 +219,7 @@ impl Host {
             slots: (0..n_devices.max(1)).map(|_| DeviceSlot::new()).collect(),
             rr_next: 0,
             cache: CompileCache::new(),
+            recent: VecDeque::new(),
             bufs: Vec::new(),
             streams: Vec::new(),
             events: Vec::new(),
@@ -254,6 +261,14 @@ impl Host {
         Ok(ImageId(self.cache.compile_slot(app, config)? as u32))
     }
 
+    /// [`Host::load_image`] of a module the caller keeps in an `Rc`: the
+    /// same id and the same hit/miss counts, and submitting the same `Rc`
+    /// again skips the clone, the name check and the structural compare
+    /// ([`CompileCache::compile_slot_rc`]).
+    pub fn load_image_rc(&mut self, app: &Rc<Module>, config: BuildConfig) -> Result<ImageId, HostError> {
+        Ok(ImageId(self.cache.compile_slot_rc(app, config)? as u32))
+    }
+
     /// The compiled image (module + remarks + pass timings) behind an id.
     pub fn image(&self, img: ImageId) -> Option<&CompileOutput> {
         self.cache.output(img.0 as usize)
@@ -264,29 +279,62 @@ impl Host {
     /// image keeps the device (and its memory) instead of reloading it.
     pub fn bound_image(&self, dev: usize) -> Option<ImageId> {
         let slot = self.slots.get(dev)?;
-        slot.image.filter(|_| slot.dev.is_some() && !slot.quarantined)
+        let (img, _) = slot.image.as_ref()?;
+        (slot.dev.is_some() && !slot.quarantined).then_some(*img)
     }
 
     /// Ensure device slot `dev` runs image `img`, (re)creating the device
     /// if the slot is empty or held a different image. A reload resets
-    /// the slot's present table, pool, and journal (fresh device memory).
+    /// the slot's present table, pool, and journal: a fresh device's
+    /// memory over the image's loaded form, which is shared with every
+    /// other device running it. Work still queued for the old device
+    /// would run against the new one's memory and kernels, so a reload
+    /// under queued work is refused ([`HostError::DeviceBusy`]) with
+    /// nothing changed: [`Host::sync`] first.
     /// Binding revives a quarantined slot — the explicit opt-in to reuse
     /// a retired slot after the fleet degraded.
     pub fn bind_image(&mut self, dev: usize, img: ImageId) -> Result<(), HostError> {
-        let image = self.image(img).ok_or(HostError::UnknownImage(img.0))?;
         let slot = self.slot(dev)?;
         if self.bound_image(dev) == Some(img) {
             return Ok(());
         }
-        let d = self.new_device(image, effective_plan(&self.fault_plan, &slot.device_plan));
+        if slot.queued_ops > 0 || slot.pending > 0 {
+            return Err(HostError::DeviceBusy {
+                device: dev,
+                queued_ops: slot.queued_ops,
+                pending_launches: slot.pending,
+            });
+        }
+        let plan = effective_plan(&self.fault_plan, &slot.device_plan);
+        let image = self.loaded_image(img)?;
+        let d = self.new_device(&image, plan);
         let slot = self.slot_mut(dev)?;
         slot.dev = Some(d);
-        slot.image = Some(img);
+        slot.image = Some((img, image));
         slot.table = PresentTable::new();
         slot.pool = DevicePool::new();
         slot.journal.clear();
         slot.quarantined = false;
         Ok(())
+    }
+
+    /// The loaded form of image `img`: the one a slot's device runs or
+    /// one of the last [`RECENT_IMAGES`] loaded, else loaded now. An
+    /// `Image` is a pure function of the compiled module, so which of
+    /// these answers changes how long a bind takes and nothing else.
+    fn loaded_image(&mut self, img: ImageId) -> Result<Arc<Image>, HostError> {
+        let bound = self.slots.iter().filter_map(|s| s.image.as_ref());
+        let kept = bound.chain(self.recent.iter()).find(|(id, _)| *id == img);
+        if let Some((_, image)) = kept {
+            return Ok(Arc::clone(image));
+        }
+        let out = self.image(img).ok_or(HostError::UnknownImage(img.0))?;
+        let image = Arc::new(Image::new(out.module.clone()));
+        if self.recent.len() == RECENT_IMAGES {
+            self.recent.pop_front();
+        }
+        self.recent.push_back((img, Arc::clone(&image)));
+        Ok(image)
     }
 
     // ---- host buffers ---------------------------------------------------
@@ -851,11 +899,9 @@ impl Host {
         }
         self.rmetrics.failovers += 1;
 
-        let slot_img = self.slots.get(dev).and_then(|s| s.image);
-        let Some(img) = slot_img else {
+        let Some((_, image)) = &self.slot(dev)?.image else {
             return Err(HostError::Replay("failover on a slot with no image".to_string()));
         };
-        let image = self.image(img).ok_or(HostError::UnknownImage(img.0))?;
         let d = self.new_device(image, self.fault_plan.clone());
         let slot = self.slot_mut(dev)?;
         slot.dev = Some(d);
@@ -1055,8 +1101,8 @@ impl Host {
     /// A fresh vGPU running `image` under the host's run configuration
     /// and watchdog with `plan` armed — the one constructor behind both
     /// [`Host::bind_image`] and failover.
-    fn new_device(&self, image: &CompileOutput, plan: Option<FaultPlan>) -> Device {
-        let mut d = Device::load_with(image.module.clone(), self.dev_cfg.clone(), self.run);
+    fn new_device(&self, image: &Arc<Image>, plan: Option<FaultPlan>) -> Device {
+        let mut d = Device::from_image(Arc::clone(image), self.dev_cfg.clone(), self.run);
         if let Some(p) = plan {
             d.set_fault_plan(p);
         }
@@ -1092,6 +1138,9 @@ impl Host {
             .ok_or(HostError::NoDevice { device: dev, devices })
     }
 }
+
+/// Loaded images the host keeps beyond those its devices run.
+const RECENT_IMAGES: usize = 16;
 
 /// A device operation named a slot no image was bound to.
 const NO_IMAGE: HostError = HostError::Map(ME::Misuse("no image bound to device (bind_image first)"));

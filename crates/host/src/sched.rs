@@ -1,7 +1,9 @@
 //! Multi-device scheduling: device slots, kernel-image registry, and
 //! launch-placement policies.
 
-use nzomp_vgpu::{Device, FaultPlan};
+use std::sync::Arc;
+
+use nzomp_vgpu::{Device, FaultPlan, Image};
 
 use crate::journal::OpJournal;
 use crate::map::PresentTable;
@@ -29,7 +31,9 @@ pub enum SchedPolicy {
 /// and with it the present table, pool, and journal.
 pub(crate) struct DeviceSlot {
     pub dev: Option<Device>,
-    pub image: Option<ImageId>,
+    /// What `dev` runs (was last bound to), and its loaded form, which
+    /// the slot keeps for the failover replacement.
+    pub image: Option<(ImageId, Arc<Image>)>,
     pub table: PresentTable,
     pub pool: DevicePool,
     /// Launches enqueued but not yet executed (LeastLoaded's signal).

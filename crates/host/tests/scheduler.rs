@@ -7,7 +7,9 @@ mod common;
 
 use common::{input, quick, scale_add_app, scale_add_expected};
 use nzomp::BuildConfig;
-use nzomp_host::{Host, RecoveryPolicy, RegionArg, SchedPolicy};
+use nzomp_front::{spmd_kernel_for, RuntimeFlavor};
+use nzomp_host::{Host, HostError, RecoveryPolicy, RegionArg, SchedPolicy};
+use nzomp_ir::{Module, Operand, Ty};
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{DeviceFaultKind, DeviceFaultSite, FaultPlan, RtVal};
 
@@ -318,4 +320,99 @@ fn least_loaded_sees_queued_transfer_backlog() {
     host.sync().unwrap();
     assert_eq!(host.stats().devices[0].queued_ops, 0, "drain clears the backlog");
     assert_eq!(host.stats().devices[1].queued_ops, 0);
+}
+
+/// A bind that would reload a device is refused while work is still
+/// queued for the device it would replace — typed, with nothing changed,
+/// and the same bind succeeds after a `sync`. It used to go through: the
+/// fresh device's pool handed out the old addresses, the queued launch
+/// found a kernel of the same name in the new image, and both regions
+/// read back the second image's results.
+#[test]
+fn rebind_under_queued_work_is_refused_not_miscomputed() {
+    // `out[i] = a[i] * factor`, kernel `k` in both images.
+    let scale = |factor: f64| -> Module {
+        let mut m = Module::new("scale");
+        spmd_kernel_for(
+            &mut m,
+            RuntimeFlavor::Modern,
+            "k",
+            &[Ty::Ptr, Ty::Ptr, Ty::I64],
+            |_b, p| p[2],
+            move |_m, b, iv, p| {
+                let pa = b.gep(p[0], iv, 8);
+                let x = b.load(Ty::F64, pa);
+                let v = b.fmul(x, Operand::f64(factor));
+                let po = b.gep(p[1], iv, 8);
+                b.store(Ty::F64, po, v);
+            },
+        );
+        m
+    };
+    let args = || {
+        vec![
+            RegionArg::To(nzomp_host::f64_bytes(&[1.0, 2.0, 3.0, 4.0])),
+            RegionArg::From(32),
+            RegionArg::Scalar(RtVal::I(4)),
+        ]
+    };
+    let mut host = Host::new(quick(), 1);
+    host.set_worker_threads(1);
+    let a = host.load_image(scale(2.0), BuildConfig::NewRtNoAssumptions).unwrap();
+    let b = host.load_image(scale(10.0), BuildConfig::NewRtNoAssumptions).unwrap();
+    let s = host.stream();
+
+    let ra = host.enqueue_region(&[s], a, "k", launch(), args()).unwrap();
+    let queued = host.stats();
+    let refused = host.enqueue_region(&[s], b, "k", launch(), args()).unwrap_err();
+    assert!(
+        matches!(refused, HostError::DeviceBusy { device: 0, queued_ops, pending_launches: 1 } if queued_ops > 0),
+        "{refused}"
+    );
+    assert!(matches!(host.bind_image(0, b), Err(HostError::DeviceBusy { .. })));
+    host.bind_image(0, a).unwrap(); // not a reload: nothing to refuse
+    assert_eq!(host.bound_image(0), Some(a));
+    assert_eq!(host.stats(), queued, "a refused bind changes nothing");
+
+    host.sync().unwrap();
+    assert_eq!(host.buf_f64(ra.bufs[1].unwrap()).unwrap(), [2.0, 4.0, 6.0, 8.0]);
+    let rb = host.enqueue_region(&[s], b, "k", launch(), args()).unwrap();
+    host.sync().unwrap();
+    assert_eq!(host.buf_f64(rb.bufs[1].unwrap()).unwrap(), [10.0, 20.0, 30.0, 40.0]);
+    assert_eq!(host.buf_f64(ra.bufs[1].unwrap()).unwrap(), [2.0, 4.0, 6.0, 8.0]);
+}
+
+/// A rebind is fresh device memory over the image's shared loaded form:
+/// bind A, run, bind B, run, bind A again — the device starts from the
+/// memory the first bind of A started from (nothing A's first launch
+/// wrote survives in the image), the pool hands out the same addresses,
+/// and the launch reports the same metrics and results.
+#[test]
+fn rebinding_an_image_starts_from_its_first_bind() {
+    let mut host = Host::new(quick(), 1);
+    host.set_worker_threads(1);
+    let a = host.load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions).unwrap();
+    let b = host.load_image(scale_add_app(), BuildConfig::NewRtNightly).unwrap();
+    assert_ne!(a, b);
+    let s = host.stream();
+    let run = |host: &mut Host, img| {
+        host.bind_image(0, img).unwrap();
+        let initial = host.device(0).unwrap().global_bytes().to_vec();
+        let r = host.enqueue_region(&[s], img, "k", launch(), region_args()).unwrap();
+        host.sync().unwrap();
+        let dev = host.stats().devices[0].clone();
+        (
+            initial,
+            r.ptrs.clone(),
+            host.take_metrics(r.ticket).unwrap(),
+            host.buf_bits(r.bufs[1].unwrap()).unwrap(),
+            host.device(0).unwrap().global_bytes().to_vec(),
+            (dev.pool_allocs, dev.pool_reuse_hits, dev.pool_in_use),
+        )
+    };
+    let first = run(&mut host, a);
+    let other = run(&mut host, b);
+    let again = run(&mut host, a);
+    assert_eq!(again, first, "the second bind of A is not the first");
+    assert_eq!(run(&mut host, b), other);
 }

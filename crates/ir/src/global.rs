@@ -42,6 +42,20 @@ impl Init {
         }
     }
 
+    /// Write the initializer's image over `dst` (the global's storage):
+    /// [`Init::byte_at`] for every offset of `dst`, as slice copies.
+    pub fn fill(&self, dst: &mut [u8]) {
+        let image: &[u8] = match self {
+            Init::Zero => &[],
+            Init::Bytes(b) => b,
+            Init::I64(v) => &v.to_le_bytes(),
+        };
+        let n = image.len().min(dst.len());
+        let (head, tail) = dst.split_at_mut(n);
+        head.copy_from_slice(&image[..n]);
+        tail.fill(0);
+    }
+
     /// Read `size` (1/4/8) little-endian bytes at `off` as a sign-free int.
     pub fn read_int(&self, off: u64, size: u64) -> i64 {
         let mut bytes = [0u8; 8];

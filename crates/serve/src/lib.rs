@@ -526,8 +526,9 @@ impl Serve {
             return;
         }
         // Single-flight compile: the host cache keys on the module
-        // (structural `==`) + config, so every tenant after the first hits.
-        let img = match self.host.load_image((*q.spec.module).clone(), q.spec.config) {
+        // (structural `==`) + config, so every tenant after the first
+        // hits — and an `Rc` it has resolved before is a lookup.
+        let img = match self.host.load_image_rc(&q.spec.module, q.spec.config) {
             Ok(i) => i,
             Err(e) => {
                 self.fault(&q, t, None, now, e.to_string());

@@ -61,13 +61,13 @@ struct FnLowerer<'m> {
     pending: Vec<(usize, BlockId, BlockId)>,
     /// First post-phi op offset per block.
     block_start: Vec<u32>,
-    /// Interned immediate operands as `(slot, value)`; each gets a
-    /// dedicated value slot (pre-filled at frame setup) so operands stay
-    /// plain `Src::Reg` reads. `const_of` dedups by (tag, bits).
-    consts: Vec<(u32, RtVal)>,
+    /// The frame template under construction, one entry per value slot:
+    /// instruction results first (zero), then the interned immediate
+    /// operands, each already in the dedicated slot `cnum` appended for
+    /// it, so operands stay plain `Src::Reg` reads. `const_of` dedups by
+    /// (tag, bits).
+    regs0: Vec<RtVal>,
     const_of: HashMap<(u8, i64), u32>,
-    /// Next free value slot (instruction results first, then consts).
-    n_slots: u32,
 }
 
 fn lower_func(module: &Module, layout: &GlobalLayout, func: &Function) -> BcFunc {
@@ -80,8 +80,7 @@ fn lower_func(module: &Module, layout: &GlobalLayout, func: &Function) -> BcFunc
             locs: vec![(0, 0)],
             edges: Vec::new(),
             traps: vec![t],
-            consts: Vec::new(),
-            n_slots: 1,
+            regs0: vec![RtVal::I(0)],
             entry: 0,
         };
     }
@@ -108,9 +107,8 @@ fn lower_func(module: &Module, layout: &GlobalLayout, func: &Function) -> BcFunc
         edges: Vec::new(),
         pending: Vec::new(),
         block_start: Vec::new(),
-        consts: Vec::new(),
+        regs0: vec![RtVal::I(0); n_slots as usize],
         const_of: HashMap::new(),
-        n_slots,
     };
 
     for (bi, block) in func.blocks.iter().enumerate() {
@@ -194,22 +192,21 @@ fn lower_func(module: &Module, layout: &GlobalLayout, func: &Function) -> BcFunc
         locs: lw.locs,
         edges: lw.edges,
         traps: lw.traps,
-        consts: lw.consts,
-        n_slots: lw.n_slots,
+        regs0: lw.regs0,
         entry,
     })
 }
 
 /// Validation gate for the dispatch loop's unchecked register file: every
-/// `Src::Reg` index, every destination slot, and every interned-constant
-/// slot a function can name must be in range. `getv` / `setv` rely on
+/// `Src::Reg` index and every destination slot a function can name must
+/// be in range of its frame template `regs0`, which every frame copies. `getv` / `setv` rely on
 /// this to skip per-access bounds checks — verify once at lowering,
 /// dispatch unchecked. The lowerer above never produces an out-of-range
 /// index; the gate makes the dispatch loop's soundness independent of
 /// that claim. A function that fails is replaced by a trap-only body
 /// (never observed in practice).
 fn validated(f: BcFunc) -> BcFunc {
-    let n_slots = f.n_slots;
+    let n_slots = f.regs0.len() as u32;
     let src_ok = |s: &Src| match *s {
         Src::Reg(i) => i < n_slots,
         // Bounds-checked at dispatch (arity varies; traps are lazy).
@@ -272,12 +269,10 @@ fn validated(f: BcFunc) -> BcFunc {
         Some(Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. })
             | Some(Op::TrapBare { .. } | Op::TrapInst { .. })
     );
-    let consts_ok = f.consts.iter().all(|(slot, _)| *slot < n_slots);
     if n_slots > 0
         && f.entry < n_ops
         && end_ok
         && edges_ok
-        && consts_ok
         && f.ops.iter().all(|o| op_ok(o) && flow_ok(o))
     {
         return f;
@@ -288,8 +283,7 @@ fn validated(f: BcFunc) -> BcFunc {
         locs: vec![(0, 0)],
         edges: Vec::new(),
         traps: vec![t],
-        consts: Vec::new(),
-        n_slots: 1,
+        regs0: vec![RtVal::I(0)],
         entry: 0,
     }
 }
@@ -317,7 +311,7 @@ impl<'m> FnLowerer<'m> {
     }
 
     /// Intern an immediate into a dedicated value slot (dedup by tag +
-    /// bits); frame setup pre-fills it, so the operand is a plain `Reg`.
+    /// bits) of the frame template, so the operand is a plain `Reg`.
     fn cnum(&mut self, v: RtVal) -> Src {
         let key = (
             match v {
@@ -327,11 +321,10 @@ impl<'m> FnLowerer<'m> {
             },
             v.to_bits(),
         );
-        let next = self.n_slots;
+        let next = self.regs0.len() as u32;
         let slot = *self.const_of.entry(key).or_insert(next);
         if slot == next {
-            self.consts.push((slot, v));
-            self.n_slots += 1;
+            self.regs0.push(v);
         }
         Src::Reg(slot)
     }

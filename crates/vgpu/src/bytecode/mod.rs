@@ -49,7 +49,7 @@ use crate::value::RtVal;
 /// lazily-reproduced evaluation trap. Immediates (constants, resolved
 /// globals, function pointers) have no variant of their own: lowering
 /// interns each into a dedicated value slot that frame setup pre-fills
-/// (see [`BcFunc::consts`]), so the overwhelmingly common operand kind is
+/// (see [`BcFunc::regs0`]), so the overwhelmingly common operand kind is
 /// `Reg` and the read compiles to a compare plus an unchecked load — a
 /// third operand kind turns this match into an indirect jump per operand,
 /// which measurably drags the dispatch loop.
@@ -156,13 +156,13 @@ pub(crate) struct BcFunc {
     pub edges: Vec<Edge>,
     /// Pre-built trap values (malformed-IR messages, static call errors).
     pub traps: Vec<TrapKind>,
-    /// Interned immediate operands as `(slot, value)` pairs: frame setup
-    /// writes each value into its dedicated slot (disjoint from every
-    /// instruction-result slot), and operands reference them as plain
-    /// [`Src::Reg`] reads.
-    pub consts: Vec<(u32, RtVal)>,
-    /// Frame value-slot count (slot 0 is the shared dead-result scratch).
-    pub n_slots: u32,
+    /// The register file a frame of this function starts from, one entry
+    /// per value slot (slot 0 is the shared dead-result scratch): zero,
+    /// except that every interned immediate operand already sits in its
+    /// dedicated slot (disjoint from every instruction-result slot), so
+    /// operands reference immediates as plain [`Src::Reg`] reads and
+    /// frame setup is one copy.
+    pub regs0: Vec<RtVal>,
     /// Entry op offset.
     pub entry: u32,
 }
@@ -213,8 +213,9 @@ fn getv(regs: &[RtVal], frame: &BcFrame, s: &Src) -> Option<RtVal> {
     match *s {
         // SAFETY: every `Reg` index a lowered function can name is
         // range-checked against the function's slot count by the
-        // validation gate in `lower.rs` (`validated`), and frames always
-        // carry exactly `n_slots` value slots. Verified once at lowering,
+        // validation gate in `lower.rs` (`validated`), and a frame's
+        // register file is always a copy of the function's `regs0`, one
+        // entry per slot. Verified once at lowering,
         // dispatched unchecked (the JVM/Wasm layout). `Arg` stays
         // checked: callee arity varies at runtime through indirect calls.
         Src::Reg(i) => Some(unsafe { *regs.get_unchecked(i as usize) }),
@@ -233,26 +234,17 @@ fn getv_err(traps: &[TrapKind], s: &Src) -> TrapKind {
     }
 }
 
-/// A fresh frame register file: zeroed slots with the function's interned
-/// immediates materialized into their dedicated slots.
+/// A fresh frame register file: a copy of the function's template.
 fn fresh_regs(f: &BcFunc) -> Vec<RtVal> {
-    let mut regs = vec![RtVal::I(0); f.n_slots as usize];
-    for &(slot, v) in &f.consts {
-        // Const slots are allocated from the same counter as value slots,
-        // so they are always in range; the guard keeps this panic-free.
-        if let Some(r) = regs.get_mut(slot as usize) {
-            *r = v;
-        }
-    }
-    regs
+    f.regs0.clone()
 }
 
 #[inline(always)]
 fn setv(regs: &mut [RtVal], i: u32, v: RtVal) {
     // The dead-result scratch (slot 0) absorbs every dead write.
     // SAFETY: destination slots are range-checked against the slot count
-    // by the validation gate in `lower.rs` (`validated`), and frames
-    // always carry exactly `n_slots` value slots.
+    // by the validation gate in `lower.rs` (`validated`), and a frame's
+    // register file is always a copy of the function's `regs0`.
     unsafe { *regs.get_unchecked_mut(i as usize) = v }
 }
 
@@ -277,15 +269,22 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         exec: &TeamExec<'a, Self>,
         kernel: u32,
         args: &[RtVal],
+        spent: Option<BcFrame>,
     ) -> Result<BcFrame, TrapKind> {
         let Some(f) = exec.backend.bc.funcs.get(kernel as usize) else {
             return Err(malformed(format!("kernel index {kernel} out of range")));
         };
+        // A spent kernel frame lends its two vectors; every field is set.
+        let (mut regs, mut argv) = spent.map(|s| (s.regs, s.args)).unwrap_or_default();
+        regs.clear();
+        regs.extend_from_slice(&f.regs0);
+        argv.clear();
+        argv.extend_from_slice(args);
         Ok(BcFrame {
             func: kernel,
             pc: f.entry,
-            regs: fresh_regs(f),
-            args: args.to_vec(),
+            regs,
+            args: argv,
             ret_dst: None,
             local_base: 0,
         })
@@ -860,6 +859,10 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     thread.local_top = frame.local_base;
                     match thread.frames.pop() {
                         None => {
+                            // The kernel frame has returned: it stays on
+                            // the stack for the team to hand on.
+                            frame.regs = regs;
+                            thread.frames.push(frame);
                             thread.status = Status::Done;
                             sync!();
                             return Ok(());

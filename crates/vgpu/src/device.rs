@@ -53,11 +53,21 @@ impl Launch {
     }
 }
 
-/// Everything that is a pure function of the loaded module: built once
-/// by [`Device::load`], borrowed by every launch, never invalidated.
-pub(crate) struct Image {
-    pub module: Module,
-    pub layout: GlobalLayout,
+/// Everything that is a pure function of the loaded module — layout,
+/// initial memory, and the lazily derived sanitizer tables, bytecode and
+/// register demands: built once by [`Image::new`], shared (`Arc`) by every
+/// device created from it, borrowed by every launch, never invalidated.
+/// Which device fills a lazy part first cannot matter: each is a pure
+/// function of the module.
+pub struct Image {
+    pub(crate) module: Module,
+    pub(crate) layout: GlobalLayout,
+    /// Initializer image of the global-space globals: the bytes a fresh
+    /// device's global memory starts from.
+    global_init: Vec<u8>,
+    /// The constant segment. Device code cannot write it (a store there
+    /// traps), so devices read the image's own copy.
+    pub(crate) constant: Region,
     /// What the sanitizer skips and hooks in this module, worked out at
     /// the first sanitized launch.
     san: OnceLock<Arc<ModuleSan>>,
@@ -69,6 +79,57 @@ pub(crate) struct Image {
 }
 
 impl Image {
+    /// Lay `module` out in device memory and render its initial bytes.
+    ///
+    /// Global- and constant-space globals get their initializer images;
+    /// shared-space globals are *not* statically initialized (real shared
+    /// memory is undefined at kernel start — the runtime initializes what
+    /// it needs in `__kmpc_target_init`, exactly as in the paper §III).
+    pub fn new(module: Module) -> Image {
+        let mut layout = GlobalLayout {
+            addr_of: Vec::with_capacity(module.globals.len()),
+            ..GlobalLayout::default()
+        };
+        // 8-byte aligned bump allocation per segment.
+        fn place(top: &mut u64, size: u64) -> u32 {
+            let at = (*top + 7) & !7;
+            *top = at + size;
+            at as u32
+        }
+        for g in &module.globals {
+            layout.addr_of.push(match g.space {
+                Space::Global => DevPtr::global(place(&mut layout.global_static_size, g.size)),
+                Space::Constant => DevPtr::constant(place(&mut layout.const_size, g.size)),
+                // Local-space globals make no sense; treat as shared so
+                // they at least have storage.
+                Space::Shared | Space::Local => DevPtr::shared(place(&mut layout.shared_size, g.size)),
+            });
+        }
+
+        let mut global_init = vec![0; layout.global_static_size as usize];
+        let mut constant = Region::with_size(layout.const_size as usize);
+        for (g, addr) in module.globals.iter().zip(&layout.addr_of) {
+            let bytes = match g.space {
+                Space::Global => &mut global_init,
+                Space::Constant => &mut constant.bytes,
+                _ => continue,
+            };
+            let at = addr.offset() as usize;
+            if let Some(dst) = bytes.get_mut(at..at + g.size as usize) {
+                g.init.fill(dst);
+            }
+        }
+        Image {
+            regs: module.funcs.iter().map(|_| OnceLock::new()).collect(),
+            module,
+            layout,
+            global_init,
+            constant,
+            san: OnceLock::new(),
+            bc: OnceLock::new(),
+        }
+    }
+
     fn sanitizer(&self) -> &Arc<ModuleSan> {
         self.san
             .get_or_init(|| Arc::new(ModuleSan::new(&self.module, &self.layout.addr_of)))
@@ -100,9 +161,8 @@ impl Image {
 /// several kernels.
 pub struct Device {
     pub config: DeviceConfig,
-    image: Image,
+    image: Arc<Image>,
     global: Region,
-    constant: Region,
     heap: HeapState,
     /// Armed fault-injection plan applied to every subsequent launch
     /// (`None` in production: the interpreter hot loop then performs a
@@ -131,86 +191,29 @@ pub struct Device {
 impl Device {
     /// Load `module` onto a device with the given configuration, running
     /// as the environment asks ([`RunConfig::from_env`]).
-    ///
-    /// Global- and constant-space globals get their initializer images;
-    /// shared-space globals are *not* statically initialized (real shared
-    /// memory is undefined at kernel start — the runtime initializes what
-    /// it needs in `__kmpc_target_init`, exactly as in the paper §III).
     pub fn load(module: Module, config: DeviceConfig) -> Device {
         Device::load_with(module, config, RunConfig::from_env())
     }
 
-    /// [`Device::load`] under an explicit run configuration — how a host
-    /// runtime hands its own to every device it creates.
+    /// [`Device::load`] under an explicit run configuration.
     pub fn load_with(module: Module, config: DeviceConfig, run: RunConfig) -> Device {
-        let mut layout = GlobalLayout {
-            addr_of: Vec::with_capacity(module.globals.len()),
-            ..GlobalLayout::default()
-        };
-        let mut global_top: u64 = 0;
-        let mut shared_top: u64 = 0;
-        let mut const_top: u64 = 0;
-        for g in &module.globals {
-            let align = 8u64;
-            match g.space {
-                Space::Global => {
-                    global_top = (global_top + align - 1) & !(align - 1);
-                    layout.addr_of.push(DevPtr::global(global_top as u32));
-                    global_top += g.size;
-                }
-                Space::Shared => {
-                    shared_top = (shared_top + align - 1) & !(align - 1);
-                    layout.addr_of.push(DevPtr::shared(shared_top as u32));
-                    shared_top += g.size;
-                }
-                Space::Constant => {
-                    const_top = (const_top + align - 1) & !(align - 1);
-                    layout.addr_of.push(DevPtr::constant(const_top as u32));
-                    const_top += g.size;
-                }
-                Space::Local => {
-                    // Local-space globals make no sense; treat as shared so
-                    // they at least have storage.
-                    shared_top = (shared_top + align - 1) & !(align - 1);
-                    layout.addr_of.push(DevPtr::shared(shared_top as u32));
-                    shared_top += g.size;
-                }
-            }
-        }
-        layout.shared_size = shared_top;
-        layout.global_static_size = global_top;
-        layout.const_size = const_top;
+        Device::from_image(Arc::new(Image::new(module)), config, run)
+    }
 
-        let mut global = Region::with_size(global_top as usize);
-        let mut constant = Region::with_size(const_top as usize);
-        for (i, g) in module.globals.iter().enumerate() {
-            let addr = layout.addr_of[i];
-            let region = match g.space {
-                Space::Global => &mut global,
-                Space::Constant => &mut constant,
-                _ => continue,
-            };
-            for off in 0..g.size {
-                region.bytes[(addr.offset() + off) as usize] = g.init.byte_at(off);
-            }
-        }
-
+    /// A fresh device over a loaded `image` — the one constructor: global
+    /// memory is a copy of the image's initial bytes, the heap is empty,
+    /// no fault plan or watchdog is armed. How a host runtime creates
+    /// every device (under its own run configuration), so binding an
+    /// image again costs the memory, not the load.
+    pub fn from_image(image: Arc<Image>, config: DeviceConfig, run: RunConfig) -> Device {
         let heap = HeapState {
             live_allocs: Default::default(),
-            limit: global_top + cost::HEAP_BYTES,
-        };
-        let image = Image {
-            regs: module.funcs.iter().map(|_| OnceLock::new()).collect(),
-            module,
-            layout,
-            san: OnceLock::new(),
-            bc: OnceLock::new(),
+            limit: image.layout.global_static_size + cost::HEAP_BYTES,
         };
         Device {
             config,
+            global: Region { bytes: image.global_init.clone() },
             image,
-            global,
-            constant,
             heap,
             faults: None,
             run,
@@ -593,7 +596,6 @@ impl Device {
                 ExecTier::Bytecode => Some(self.image.bytecode()),
                 ExecTier::Interp => None,
             },
-            constant: &self.constant,
             faults: self.faults.as_ref(),
             check_assumes: self.config.check_assumes,
             kernel: func_ref.0,

@@ -81,7 +81,6 @@ pub(crate) struct LaunchCtx<'a> {
     /// Lowered bytecode when the launch runs on the bytecode tier
     /// (`None` = interpreter tier). Both tiers produce bit-identical runs.
     pub bc: Option<&'a BcModule>,
-    pub constant: &'a Region,
     pub faults: Option<&'a FaultPlan>,
     pub check_assumes: bool,
     /// Kernel function index within the module.
@@ -250,14 +249,19 @@ pub trait ExecBackend<'a>: Sized {
     /// Backend-specific call-frame representation.
     type Frame: std::fmt::Debug;
 
-    /// Build the kernel entry frame (validating the kernel index).
+    /// Build the kernel entry frame (validating the kernel index) — in
+    /// the storage of `spent`, the kernel frame of a thread of this team
+    /// that has returned, when the team has one to hand on.
     fn kernel_frame(
         exec: &TeamExec<'a, Self>,
         kernel: u32,
         args: &[RtVal],
+        spent: Option<Self::Frame>,
     ) -> Result<Self::Frame, TrapKind>;
 
     /// Run one thread until it blocks at a barrier, finishes, or traps.
+    /// A thread that finishes ([`Status::Done`]) leaves its kernel frame
+    /// as the only entry of `thread.frames`.
     fn run_thread(
         exec: &mut TeamExec<'a, Self>,
         thread: &mut ThreadCtx<Self::Frame>,
@@ -327,7 +331,7 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
             shared: Region::with_size(ctx.shared_total as usize),
             layout: &image.layout,
             global,
-            constant: ctx.constant,
+            constant: &image.constant,
             counters: Counters::default(),
             fuel,
             faults: ctx.faults,
@@ -412,36 +416,48 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
     /// `team_cycles * Σ mem_i / Σ cycles_i` (robust against irregular
     /// per-thread work and barrier-synchronized counters).
     pub fn run(&mut self, kernel: u32, args: &[RtVal]) -> Result<(u64, u64), (TrapKind, u32)> {
-        let mut threads = Vec::with_capacity(self.nthreads as usize);
-        for tid in 0..self.nthreads {
-            let frame = match B::kernel_frame(self, kernel, args) {
-                Ok(f) => f,
-                Err(kind) => return Err((kind, 0)),
-            };
-            let faults = self
-                .faults
-                .map(|p| p.sites_for(self.team_id, tid))
-                .unwrap_or_default();
-            let next_fault_step = faults.first().map_or(u64::MAX, |s| s.after_steps);
-            threads.push(ThreadCtx {
-                tid,
-                frames: vec![frame],
-                status: Status::Running,
-                faults,
-                next_fault_step,
-                ..ThreadCtx::default()
-            });
-        }
-        self.threads = threads;
+        // A thread's context is built when the thread is first scheduled
+        // (the first pass below, in thread-id order), and a thread that
+        // has returned hands its frame stack — the kernel frame's register
+        // file and argument copy with it — to the next one built. A team
+        // whose threads never wait for each other, the shape SPMD-ization
+        // and barrier elimination produce, so runs in one frame.
+        self.threads = Vec::with_capacity(self.nthreads as usize);
+        let mut spent: Vec<B::Frame> = Vec::new();
 
         loop {
             let mut progressed = false;
-            for t in 0..self.threads.len() {
+            for t in 0..self.nthreads as usize {
+                if t == self.threads.len() {
+                    let tid = t as u32;
+                    let frame = match B::kernel_frame(self, kernel, args, spent.pop()) {
+                        Ok(f) => f,
+                        Err(kind) => return Err((kind, 0)),
+                    };
+                    spent.clear();
+                    spent.push(frame);
+                    let faults = self
+                        .faults
+                        .map(|p| p.sites_for(self.team_id, tid))
+                        .unwrap_or_default();
+                    let next_fault_step = faults.first().map_or(u64::MAX, |s| s.after_steps);
+                    self.threads.push(ThreadCtx {
+                        tid,
+                        frames: std::mem::take(&mut spent),
+                        status: Status::Running,
+                        faults,
+                        next_fault_step,
+                        ..ThreadCtx::default()
+                    });
+                }
                 if self.threads[t].status == Status::Running {
                     progressed = true;
                     let mut thread = std::mem::take(&mut self.threads[t]);
                     let r = B::run_thread(self, &mut thread);
                     let tid = thread.tid;
+                    if thread.status == Status::Done {
+                        spent = std::mem::take(&mut thread.frames);
+                    }
                     self.threads[t] = thread;
                     if let Err(kind) = r {
                         return Err((kind, tid));

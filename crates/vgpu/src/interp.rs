@@ -44,16 +44,23 @@ impl<'a> ExecBackend<'a> for InterpBackend {
         exec: &TeamExec<'a, Self>,
         kernel: u32,
         args: &[RtVal],
+        spent: Option<Frame>,
     ) -> Result<Frame, TrapKind> {
         let Some(func) = exec.module.funcs.get(kernel as usize) else {
             return Err(malformed(format!("kernel index {kernel} out of range")));
         };
+        // A spent kernel frame lends its two vectors; every field is set.
+        let (mut regs, mut argv) = spent.map(|s| (s.regs, s.args)).unwrap_or_default();
+        regs.clear();
+        regs.resize(func.insts.len(), RtVal::I(0));
+        argv.clear();
+        argv.extend_from_slice(args);
         Ok(Frame {
             func: kernel,
             block: BlockId::ENTRY,
             inst_idx: 0,
-            regs: vec![RtVal::I(0); func.insts.len()],
-            args: args.to_vec(),
+            regs,
+            args: argv,
             ret_dst: None,
             local_base: 0,
         })
@@ -553,6 +560,9 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 thread.local_top = frame.local_base;
                 match thread.frames.last_mut() {
                     None => {
+                        // The kernel frame has returned: it stays on the
+                        // stack for the team to hand on.
+                        thread.frames.push(frame);
                         thread.status = Status::Done;
                     }
                     Some(caller) => {

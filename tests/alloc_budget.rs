@@ -1,22 +1,31 @@
-//! Heap allocations per compile miss, held to a checked-in budget.
+//! Heap allocations per compile miss, per served request, per rebind and
+//! per launch, each held to a checked-in budget.
 //!
 //! Wall time on a shared CI box cannot tell a 10 % regression from noise;
-//! this count repeats exactly. It is its own test binary because it
+//! these counts repeat exactly. It is its own test binary because it
 //! installs a counting `#[global_allocator]`; the counter is per thread, so
 //! the harness's own threads do not disturb it.
 //!
-//! The kernel is `nzbench`'s `serve_cold` request kernel (`scale_module` in
-//! `crates/bench/src/bin/nzbench/api.rs`) under the configuration the
-//! service compiles with.
+//! The kernel is `nzbench`'s `serve_hot` / `serve_cold` request kernel
+//! (`scale_module` in `crates/bench/src/bin/nzbench/api.rs`) under the
+//! configuration the service compiles with, launched as the benchmark
+//! launches it: one team of 16 threads over 128-byte buffers, bytecode
+//! tier, one worker.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
 use nzomp::pipeline::compile;
 use nzomp::BuildConfig;
 use nzomp_front::spmd_kernel_for;
+use nzomp_host::{f64_bytes, Host, RegionArg};
 use nzomp_ir::{Module, Operand, Ty};
 use nzomp_rt::RuntimeFlavor;
+use nzomp_serve::{Outcome, ReqArg, RequestSpec, Serve, ServeConfig, TenantConfig};
+use nzomp_vgpu::device::Launch;
+use nzomp_proxies::quick_device;
+use nzomp_vgpu::{Device, ExecTier, RtVal, RunConfig, Sanitize};
 
 /// Allocations one `compile` of the scale kernel may make (`realloc`
 /// counts as one). Measured under `cargo test`, where the optimizer
@@ -111,4 +120,158 @@ fn a_compile_miss_stays_within_its_allocation_budget() {
         "{} allocations per compile miss, budget {BUDGET}",
         counts[0]
     );
+}
+
+// ---- the request path ------------------------------------------------------
+
+const CFG: BuildConfig = BuildConfig::NewRtNoAssumptions;
+const LANES: usize = 16;
+const RUN: RunConfig = RunConfig { workers: 1, tier: ExecTier::Bytecode, sanitize: Sanitize::Off };
+
+fn input() -> Vec<f64> {
+    (0..LANES).map(|i| i as f64 * 0.5).collect()
+}
+
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Operations before the counted ones: the vectors a long-lived host or
+/// service appends to per operation (host buffers, tickets, outcomes)
+/// double often while they are short.
+const WARM_UP: usize = 40;
+
+/// The smallest of eight `counts`, which at least six must equal: the
+/// operation that meets one of those doublings pays an allocation more.
+fn steady(counts: &[u64]) -> u64 {
+    let n = counts.iter().copied().min().unwrap();
+    let repeats = counts.iter().filter(|&&c| c == n).count();
+    assert!(counts.len() == 8 && repeats >= 6, "the count must repeat: {counts:?}");
+    n
+}
+
+/// Allocations one 16-thread launch of the scale kernel may make on the
+/// bytecode tier, once the image is lowered: 8 now — the threads of a
+/// team that never waits run one after another in one kernel frame
+/// (`TeamExec::run`) — 53 when every thread got its own register file,
+/// argument copy and frame stack up front.
+const LAUNCH_BUDGET: u64 = 8;
+
+#[test]
+fn a_launch_stays_within_its_allocation_budget() {
+    let image = compile(scale_module(2.0), CFG).unwrap().module;
+    let mut dev = Device::load_with(image, quick_device(), RUN);
+    let a = dev.alloc_f64(&input());
+    let out = dev.alloc(8 * LANES as u64);
+    let args = [RtVal::P(a), RtVal::P(out), RtVal::I(LANES as i64)];
+    let launch = Launch::new(1, LANES as u32);
+    let first = dev.launch("k", launch, &args).unwrap();
+    let counts: Vec<u64> = (0..8)
+        .map(|_| {
+            let (n, m) = allocations_of(|| dev.launch("k", launch, &args).unwrap());
+            assert_eq!(m, first);
+            n
+        })
+        .collect();
+    assert!(counts.iter().all(|&c| c == counts[0]), "the count must repeat exactly: {counts:?}");
+    println!("allocations per 16-thread launch: {}", counts[0]);
+    assert!(counts[0] <= LAUNCH_BUDGET, "{} allocations per launch, budget {LAUNCH_BUDGET}", counts[0]);
+    assert_eq!(dev.read_f64(out, LANES).unwrap()[3], 1.5 * 2.0 + 3.0);
+}
+
+fn region_args() -> Vec<RegionArg> {
+    vec![
+        RegionArg::To(f64_bytes(&input())),
+        RegionArg::From(8 * LANES as u64),
+        RegionArg::Scalar(RtVal::I(LANES as i64)),
+    ]
+}
+
+/// Allocations of one region (enqueue + sync) that finds its device
+/// running another image and rebinds it to one loaded before: 21 now — a
+/// bind is fresh device memory over the loaded image the host kept — 287
+/// when every bind cloned the linked module, laid it out, lowered it and
+/// sized its registers again. (Building the arguments is the caller's.)
+const REBIND_BUDGET: u64 = 22;
+
+#[test]
+fn a_rebinding_region_stays_within_its_allocation_budget() {
+    let mut host = Host::with_run(quick_device(), 1, RUN);
+    let images = [2.0, 3.0].map(|f| host.load_image(scale_module(f), CFG).unwrap());
+    let s = host.stream();
+    let region = |host: &mut Host, round: usize| {
+        let args = region_args();
+        let (n, r) = allocations_of(|| {
+            let r = host.enqueue_region(&[s], images[round % 2], "k", Launch::new(1, LANES as u32), args).unwrap();
+            host.sync().unwrap();
+            r
+        });
+        host.take_metrics(r.ticket).unwrap();
+        n
+    };
+    // Both images loaded and launched, the host's vectors grown.
+    for round in 0..WARM_UP {
+        region(&mut host, round);
+    }
+    let counts: Vec<u64> = (WARM_UP..WARM_UP + 8).map(|round| region(&mut host, round)).collect();
+    let n = steady(&counts);
+    println!("allocations per rebinding region: {n}");
+    assert!(n <= REBIND_BUDGET, "{n} allocations per rebinding region, budget {REBIND_BUDGET}");
+}
+
+/// Allocations of one served request (submit + drain: admission,
+/// dispatch, region, launch, outcome, completion) whose module the
+/// service has resolved before through the same `Rc` and whose image its
+/// device is running: 26 now, 94 when every dispatch cloned, re-verified,
+/// hashed and compared the module and every thread of the launch
+/// allocated its own frame. (Building the request is the tenant's.)
+const REQUEST_BUDGET: u64 = 27;
+
+#[test]
+fn a_served_hot_request_stays_within_its_allocation_budget() {
+    // A service takes its sanitizer mode from the environment alone, and
+    // a sanitized launch allocates its shadow state.
+    if RunConfig::from_env().sanitize != Sanitize::Off {
+        return;
+    }
+    let mut cfg = ServeConfig::new(1);
+    cfg.dev_cfg = quick_device();
+    cfg.worker_threads = Some(RUN.workers);
+    cfg.exec_tier = Some(RUN.tier);
+    let mut serve = Serve::new(cfg);
+    let tenant = serve.add_tenant("t", TenantConfig::default());
+    let module = Rc::new(scale_module(2.0));
+    let bytes = Rc::new(f64_bytes(&input()));
+    let request = |serve: &mut Serve| {
+        let spec = RequestSpec {
+            module: Rc::clone(&module),
+            config: CFG,
+            kernel: "k".to_string(),
+            launch: Launch::new(1, LANES as u32),
+            args: vec![
+                ReqArg::In(Rc::clone(&bytes)),
+                ReqArg::Out(8 * LANES as u64),
+                ReqArg::Scalar(RtVal::I(LANES as i64)),
+            ],
+        };
+        let (n, id) = allocations_of(|| {
+            let id = serve.submit(tenant, spec).unwrap();
+            serve.drain();
+            id
+        });
+        assert!(matches!(serve.outcome(id), Some(Outcome::Completed { .. })));
+        n
+    };
+    // The first request compiles, binds and lowers.
+    for _ in 0..WARM_UP {
+        request(&mut serve);
+    }
+    let counts: Vec<u64> = (0..8).map(|_| request(&mut serve)).collect();
+    let n = steady(&counts);
+    println!("allocations per served hot request: {n}");
+    assert!(n <= REQUEST_BUDGET, "{n} allocations per served request, budget {REQUEST_BUDGET}");
+    let stats = serve.host_stats();
+    assert_eq!((stats.compile_hits, stats.compile_misses), (WARM_UP as u64 + 7, 1));
 }

@@ -58,7 +58,13 @@ pub fn run_proxy_outcome(
     fault_seed: Option<u64>,
 ) -> ProxyOutcome {
     let out = compile_for_config(p, cfg).unwrap();
-    let mut dev = Device::load_with(out.module, quick_device(), run);
+    observe_proxy(p, Device::load_with(out.module, quick_device(), run), fault_seed)
+}
+
+/// [`run_proxy_outcome`] on a device the caller built — however it was
+/// built, from whatever image: prepare `p`'s buffers on it, optionally arm
+/// the seeded fault plan, launch once, capture the outcome.
+pub fn observe_proxy(p: &dyn Proxy, mut dev: Device, fault_seed: Option<u64>) -> ProxyOutcome {
     let prep = p.prepare(&mut dev);
     if let Some(seed) = fault_seed {
         dev.set_fault_plan(FaultPlan::from_seed(

@@ -13,7 +13,7 @@ use crate::cost::{self, DeviceConfig};
 use crate::error::{ExecError, TrapKind};
 use crate::exec::{Counters, ExecTier, GlobalLayout, HeapState, LaunchCtx, TeamEngine, TeamOutcome};
 use crate::faults::{DeviceFaultKind, FaultPlan};
-use crate::gmem::{apply_effects, GlobalMem};
+use crate::gmem::{apply_effects, GlobalMem, WaveScratch};
 use crate::memory::{DevPtr, Region};
 use crate::metrics::KernelMetrics;
 use crate::par::run_wave;
@@ -51,6 +51,34 @@ impl Launch {
             dyn_smem_bytes: 0,
         }
     }
+}
+
+/// What the wave engine did in one multi-worker launch
+/// ([`Device::last_wave_stats`]). Every count is exact and a pure function
+/// of program, inputs and wave size — equal at every worker count ≥ 2 —
+/// and none is part of [`KernelMetrics`], which must equal the one-worker
+/// run's. A launch that traps counts the teams up to and including the
+/// trapping one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WaveStats {
+    pub waves: u64,
+    /// Teams that reached the merge; each is one of `merged`,
+    /// `rerun_validation`, `rerun_fuel`, `bailed`.
+    pub teams: u64,
+    /// Teams whose buffered run committed.
+    pub merged: u64,
+    /// Teams re-run because a validated observation was stale.
+    pub rerun_validation: u64,
+    /// Teams re-run because they used more fuel than was left at their turn.
+    pub rerun_fuel: u64,
+    /// Teams re-run because they touched the device heap.
+    pub bailed: u64,
+    /// Effect-log entries of those teams' buffered runs, and how many of
+    /// them the merge validates against the master.
+    pub effects: u64,
+    pub validated: u64,
+    /// 64-byte chunks those teams copied privately.
+    pub private_chunks: u64,
 }
 
 /// Everything that is a pure function of the loaded module — layout,
@@ -174,6 +202,8 @@ pub struct Device {
     /// Sanitizer outcome of the most recent launch (kept even when the
     /// launch trapped).
     last_san: Option<LaunchSan>,
+    /// What the wave engine did in the most recent multi-worker launch.
+    last_wave: Option<WaveStats>,
     /// Host-visible device operations performed (memcpys + launches) —
     /// the trigger clock of [`crate::faults::DeviceFaultSite`]s. Reset
     /// when a plan is (re-)armed so seeded campaigns reproduce.
@@ -218,6 +248,7 @@ impl Device {
             faults: None,
             run,
             last_san: None,
+            last_wave: None,
             dev_ops: 0,
             dev_sites_fired: Vec::new(),
             lost: false,
@@ -291,6 +322,13 @@ impl Device {
             .as_ref()
             .map(|l| (l.races, l.divergences))
             .unwrap_or((0, 0))
+    }
+
+    /// What the wave engine did in the most recent launch that ran on it
+    /// (more than one worker and more than one team); `None` before the
+    /// first. Kept even when the launch trapped.
+    pub fn last_wave_stats(&self) -> Option<WaveStats> {
+        self.last_wave
     }
 
     /// Raw bytes of device global memory — the determinism tests compare
@@ -608,7 +646,10 @@ impl Device {
             run_teams_sequential(&ctx, &mut self.global, &mut self.heap, &mut fuel, &mut lsan)
         } else {
             let workers = self.run.workers;
-            run_teams_parallel(&ctx, &mut self.global, &mut self.heap, wave_size, workers, &mut fuel, &mut lsan)
+            let (outcome, stats) =
+                run_teams_parallel(&ctx, &mut self.global, &mut self.heap, wave_size, workers, &mut fuel, &mut lsan);
+            self.last_wave = Some(stats);
+            outcome
         };
         self.heap.limit = saved_heap_limit;
         let (races, divergences) = lsan.as_ref().map(|l| (l.races, l.divergences)).unwrap_or((0, 0));
@@ -752,15 +793,24 @@ fn run_teams_parallel(
     workers: usize,
     fuel: &mut u64,
     lsan: &mut Option<LaunchSan>,
-) -> TeamsOutcome {
+) -> (TeamsOutcome, WaveStats) {
     let teams = ctx.launch.teams;
     let mut team_cycles = Vec::with_capacity(teams as usize);
     let mut team_mem_cycles = Vec::with_capacity(teams as usize);
     let mut totals = Counters::default();
+    let mut stats = WaveStats::default();
+    // One per worker, for the whole launch.
+    let mut scratch: Vec<WaveScratch> = (0..workers).map(|_| WaveScratch::default()).collect();
     let teams: Vec<u32> = (0..teams).collect();
     for wave in teams.chunks(wave_size.max(1)) {
-        let runs = run_wave(ctx, global, wave, *fuel, workers);
+        let runs = run_wave(ctx, global, wave, *fuel, &mut scratch);
+        stats.waves += 1;
         for (run, &team) in runs.into_iter().zip(wave) {
+            stats.teams += 1;
+            let effects = &scratch[run.worker].log()[run.log.effects.clone()];
+            stats.effects += effects.len() as u64;
+            stats.validated += run.log.validated as u64;
+            stats.private_chunks += run.log.private_chunks as u64;
             // A team merges its buffered outcome only if, at its
             // (sequential) turn, it (a) fits the remaining fuel budget
             // — otherwise sequential execution would have trapped
@@ -772,12 +822,23 @@ fn run_teams_parallel(
             // Any failing team is re-executed in direct mode with the
             // exact remaining budget, which reproduces the sequential
             // outcome including partial effects.
-            let merged = if run.steps > *fuel || run.bailed() {
+            let merged = if run.steps > *fuel {
+                stats.rerun_fuel += 1;
+                false
+            } else if run.bailed() {
+                stats.bailed += 1;
                 false
             } else {
-                match apply_effects(global, &run.effects) {
-                    Ok(committed) => committed,
-                    Err(kind) => return Err((kind, team, 0)),
+                match apply_effects(global, effects) {
+                    Ok(true) => {
+                        stats.merged += 1;
+                        true
+                    }
+                    Ok(false) => {
+                        stats.rerun_validation += 1;
+                        false
+                    }
+                    Err(kind) => return (Err((kind, team, 0)), stats),
                 }
             };
             // Wave-ordered merge: a trapping team still publishes the
@@ -805,11 +866,11 @@ fn run_teams_parallel(
                     team_cycles.push(cycles);
                     team_mem_cycles.push(mem);
                 }
-                Err((kind, thread)) => return Err((kind, team, thread)),
+                Err((kind, thread)) => return (Err((kind, team, thread)), stats),
             }
         }
     }
-    Ok((team_cycles, team_mem_cycles, totals))
+    (Ok((team_cycles, team_mem_cycles, totals)), stats)
 }
 
 /// `(per-team cycles, per-team mem cycles, summed counters)` on success;

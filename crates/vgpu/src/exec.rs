@@ -271,8 +271,9 @@ pub trait ExecBackend<'a>: Sized {
 /// Executes one team to completion over a pluggable [`ExecBackend`].
 ///
 /// All team-local state — thread contexts, shared memory, the cycle/event
-/// counters, the remaining fuel, and (in buffered mode) the copy-on-write
-/// overlay of global memory — is *owned*, so a `TeamExec` built over a
+/// counters, the remaining fuel — is *owned*, and in buffered mode the
+/// copy-on-write view of global memory is the running worker's own
+/// scratch, borrowed exclusively, so a `TeamExec` built over a
 /// [`GlobalMem::Buffered`] view is `Send` and can run on a worker thread;
 /// the shared borrows (`module`, `layout`, `constant`, `faults`,
 /// and the buffered view's wave-start base image) are all `Sync`.

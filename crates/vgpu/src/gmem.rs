@@ -16,7 +16,9 @@
 //!   region **in team-index order**, which makes the merged memory image
 //!   identical to what the sequential interpreter produces — for *any*
 //!   kernel (see `docs/parallel-vgpu.md` for the contract and how it is
-//!   enforced).
+//!   enforced). The view's state is flat and the worker's, not the
+//!   team's: one [`WaveScratch`] per worker thread, indexed by chunk,
+//!   handed from team to team.
 //!
 //! Atomics are logged as *operations*, not resulting values: replay
 //! re-applies `add`/`min`/`max`/`cas` against the then-current master
@@ -62,7 +64,7 @@
 //! fold (ascending team order) sees the same per-team states at any
 //! worker count.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use nzomp_ir::inst::AtomicOp;
 use nzomp_ir::Ty;
@@ -86,39 +88,51 @@ pub(crate) fn rtval_from_bits(bits: i64, ty: Ty) -> RtVal {
 
 /// One buffered global-memory interaction. Replayed onto the master
 /// region in team-index order ("wave-ordered merge").
+///
+/// 16 bytes: a team logs one per first-touched word, so the two plain
+/// variants carry a 32-bit offset (device pointers have no more) and an
+/// 8-bit size inline, and the rare atomic payloads sit behind a `Box`.
 #[derive(Clone, Debug)]
 pub enum GlobalEffect {
     /// A plain load: `observed` is what the team's view held. Replay
     /// validates it against the master — a mismatch means the team read a
     /// location some lower-indexed team wrote this wave, so its execution
     /// diverged from the sequential order and it must be re-run.
-    Load { off: u64, size: u64, observed: i64 },
+    Load { off: u32, size: u8, observed: i64 },
     /// A plain store of `size` bytes.
-    Store { off: u64, size: u64, value: i64 },
-    /// An atomic read-modify-write. The operand is kept as a typed value:
-    /// `combine_atomic` converts `I`/`F` operands differently, and replay
-    /// must combine exactly as execution did. `observed` is the old value
-    /// (bits) the team saw in its view; `validate` is set when the result
-    /// register is live, i.e. the observed value could have steered the
-    /// team's behavior.
-    Atomic {
-        op: AtomicOp,
-        ty: Ty,
-        off: u64,
-        operand: RtVal,
-        observed: i64,
-        validate: bool,
-    },
+    Store { off: u32, size: u8, value: i64 },
+    /// An atomic read-modify-write.
+    Atomic(Box<AtomicEffect>),
     /// A compare-and-swap. Always validated: the success of the swap (and
     /// with it the access counters) depends on the observed old value even
     /// when the result register is dead.
-    Cas {
-        ty: Ty,
-        off: u64,
-        expected: i64,
-        new: i64,
-        observed: i64,
-    },
+    Cas(Box<CasEffect>),
+}
+
+/// Payload of [`GlobalEffect::Atomic`]. The operand is kept as a typed
+/// value: `combine_atomic` converts `I`/`F` operands differently, and
+/// replay must combine exactly as execution did. `observed` is the old
+/// value (bits) the team saw in its view; `validate` is set when the
+/// result register is live, i.e. the observed value could have steered the
+/// team's behavior.
+#[derive(Clone, Copy, Debug)]
+pub struct AtomicEffect {
+    pub op: AtomicOp,
+    pub ty: Ty,
+    pub off: u64,
+    pub operand: RtVal,
+    pub observed: i64,
+    pub validate: bool,
+}
+
+/// Payload of [`GlobalEffect::Cas`].
+#[derive(Clone, Copy, Debug)]
+pub struct CasEffect {
+    pub ty: Ty,
+    pub off: u64,
+    pub expected: i64,
+    pub new: i64,
+    pub observed: i64,
 }
 
 impl GlobalEffect {
@@ -134,185 +148,299 @@ impl GlobalEffect {
         match self {
             GlobalEffect::Load { .. } => true,
             GlobalEffect::Store { .. } => false,
-            GlobalEffect::Atomic { validate, .. } => *validate,
-            GlobalEffect::Cas { .. } => true,
+            GlobalEffect::Atomic(a) => a.validate,
+            GlobalEffect::Cas(_) => true,
         }
     }
 }
 
-/// Copy-on-write chunk granularity (bytes). Also the granularity of one
-/// [`SyncMask`] bitmask word (one bit per byte).
+/// Copy-on-write chunk granularity (bytes). Also the width of one sync
+/// mask (one bit per byte).
 const CHUNK: usize = 64;
 
-/// A team's private view of global memory: an immutable borrow of the
-/// wave-start master image plus a sparse overlay of written chunks. Teams
-/// that write little share the master bytes instead of each cloning the
-/// full region (the master is only read during a wave, so the borrow is
-/// sound and `Sync`).
-#[derive(Debug)]
-pub struct CowRegion<'a> {
-    base: &'a [u8],
-    overlay: HashMap<u64, Box<[u8; CHUNK]>>,
+/// What a team knows about one 64-byte chunk of the wave-start image.
+#[derive(Clone, Copy, Debug, Default)]
+struct ChunkRec {
+    /// Bytes whose view value provably equals the replay master at the
+    /// team's current log position — read-validated bytes, self-written
+    /// bytes, and bytes after a validated (or value-independent) atomic.
+    /// Reads of fully synced ranges would always re-validate successfully,
+    /// so they are not logged again; this bounds the effect log by *unique
+    /// bytes touched*, not dynamic access count.
+    synced: u64,
+    /// Index of the team's private copy in [`WaveScratch::copies`];
+    /// 0 = not written, the chunk still reads from the shared base.
+    slot: u32,
 }
 
-impl<'a> CowRegion<'a> {
-    pub fn new(base: &'a [u8]) -> CowRegion<'a> {
-        CowRegion {
-            base,
-            overlay: HashMap::new(),
-        }
-    }
-
-    pub fn read(&self, off: u64, size: u64) -> Result<i64, TrapKind> {
-        let end = off.checked_add(size).ok_or(TrapKind::OutOfBounds)?;
-        if end as usize > self.base.len() || size > 8 {
-            return Err(TrapKind::OutOfBounds);
-        }
-        if size == 0 {
-            return Ok(0);
-        }
-        // A read touches at most two chunks; resolve each overlay entry
-        // once (read-heavy kernels mostly miss the overlay entirely and
-        // fall through to the shared base image).
-        let c0 = off / CHUNK as u64;
-        let c1 = (end - 1) / CHUNK as u64;
-        let ch0 = self.overlay.get(&c0);
-        let ch1 = if c1 == c0 { ch0 } else { self.overlay.get(&c1) };
-        let mut buf = [0u8; 8];
-        if ch0.is_none() && ch1.is_none() {
-            buf[..size as usize].copy_from_slice(&self.base[off as usize..end as usize]);
-            return Ok(i64::from_le_bytes(buf));
-        }
-        for i in 0..size {
-            let o = off + i;
-            let ch = if o / CHUNK as u64 == c0 { ch0 } else { ch1 };
-            buf[i as usize] = match ch {
-                Some(c) => c[(o % CHUNK as u64) as usize],
-                // Bounds-checked above.
-                None => self.base.get(o as usize).copied().unwrap_or(0),
-            };
-        }
-        Ok(i64::from_le_bytes(buf))
-    }
-
-    pub fn write(&mut self, off: u64, size: u64, value: i64) -> Result<(), TrapKind> {
-        let end = off.checked_add(size).ok_or(TrapKind::OutOfBounds)?;
-        if end as usize > self.base.len() || size > 8 {
-            return Err(TrapKind::OutOfBounds);
-        }
-        let base = self.base;
-        let bytes = value.to_le_bytes();
-        for i in 0..size {
-            let o = off + i;
-            let ci = o / CHUNK as u64;
-            let chunk = self.overlay.entry(ci).or_insert_with(|| {
-                let mut c = Box::new([0u8; CHUNK]);
-                let start = ci as usize * CHUNK;
-                let copy = (base.len().saturating_sub(start)).min(CHUNK);
-                c[..copy].copy_from_slice(&base[start..start + copy]);
-                c
-            });
-            chunk[(o % CHUNK as u64) as usize] = bytes[i as usize];
-        }
-        Ok(())
-    }
+/// The byte bitmask of `n <= 8` bytes starting at byte `lo` of a chunk.
+fn byte_mask(lo: usize, n: usize) -> u64 {
+    ((1u64 << n) - 1) << lo
 }
 
-/// Byte-granular set of global offsets whose view value provably equals
-/// the replay master at the team's current log position — read-validated
-/// bytes, self-written bytes, and bytes after a validated (or
-/// value-independent) atomic. Reads of fully synced ranges would always
-/// re-validate successfully, so they are not logged again; this bounds the
-/// effect log by *unique bytes touched*, not dynamic access count.
+/// The `(chunk, first byte within it, byte count)` pieces a `size <= 8`
+/// range falls into: one, two when the range crosses a chunk boundary,
+/// none when it is empty.
+fn pieces(off: u64, size: u64) -> impl Iterator<Item = (usize, usize, usize)> {
+    let (ci, lo) = (off as usize / CHUNK, off as usize % CHUNK);
+    let n0 = (size as usize).min(CHUNK - lo);
+    [(ci, lo, n0), (ci + 1, 0, size as usize - n0)]
+        .into_iter()
+        .filter(|&(_, _, n)| n != 0)
+}
+
+/// A worker's flat view state: one [`ChunkRec`] per chunk of the
+/// wave-start image, reached by index, and the private copies of written
+/// chunks in one vector. Teams that write little share the master bytes
+/// instead of each cloning the region (the master is only read during a
+/// wave, so the borrow is sound and `Sync`).
+///
+/// The tables outlive a team: the worker hands the same scratch to one
+/// team after another, and [`BufferedGlobal::new`] puts back exactly the
+/// records the previous team changed — set-up and tear-down cost what the
+/// team touched, never the size of the region.
+///
+/// Aligned so that two workers' scratches, neighbours in one vector,
+/// share no cache line: every logged effect writes a length in here.
 #[derive(Debug, Default)]
-struct SyncMask {
-    chunks: HashMap<u64, u64>,
+#[repr(align(128))]
+pub struct WaveScratch {
+    /// Covers the base image (`ceil(len / 64)` records) whenever a team
+    /// runs; all-default outside the chunks listed in `touched`.
+    recs: Vec<ChunkRec>,
+    /// `copies[0]` is never read: slot 0 means "no private copy".
+    copies: Vec<[u8; CHUNK]>,
+    /// Chunks whose record the current team changed.
+    touched: Vec<u32>,
+    /// The effect logs of the teams this worker ran in the current wave,
+    /// back to back: one buffer that keeps its capacity, not one
+    /// allocation per team.
+    log: Vec<GlobalEffect>,
 }
 
-impl SyncMask {
-    /// The (chunk index, byte bitmask) pairs a `size <= 8` range covers —
-    /// one pair, or two when the range crosses a chunk boundary.
-    fn masks(off: u64, size: u64) -> [(u64, u64); 2] {
-        let end = off + size.max(1) - 1;
-        let (c0, c1) = (off / 64, end / 64);
-        if c0 == c1 {
-            let mask = (((1u128 << size) - 1) << (off % 64)) as u64;
-            [(c0, mask), (c0, 0)]
-        } else {
-            let n0 = 64 - off % 64;
-            let mask0 = (((1u128 << n0) - 1) << (off % 64)) as u64;
-            let mask1 = ((1u128 << (size - n0)) - 1) as u64;
-            [(c0, mask0), (c1, mask1)]
+impl WaveScratch {
+    /// A new wave: the previous wave's logs have been merged.
+    pub(crate) fn start_wave(&mut self) {
+        self.log.clear();
+    }
+
+    /// The worker's log of the current wave; a team's part of it is the
+    /// range [`BufferedGlobal::finish`] returned.
+    pub fn log(&self) -> &[GlobalEffect] {
+        &self.log
+    }
+
+    /// Forget the previous team and cover a base image of `len` bytes.
+    fn reset(&mut self, len: usize) {
+        for ci in self.touched.drain(..) {
+            self.recs[ci as usize] = ChunkRec::default();
+        }
+        self.copies.truncate(1);
+        if self.copies.is_empty() {
+            self.copies.push([0; CHUNK]);
+        }
+        // The master only ever grows (device malloc in a direct re-run).
+        let chunks = len.div_ceil(CHUNK);
+        if self.recs.len() < chunks {
+            self.recs.resize(chunks, ChunkRec::default());
         }
     }
 
+    /// The record of chunk `ci`, about to be changed: the first change
+    /// enters the chunk in the list the next `reset` walks.
+    fn dirty(&mut self, ci: usize) -> &mut ChunkRec {
+        let rec = &mut self.recs[ci];
+        if rec.synced == 0 && rec.slot == 0 {
+            self.touched.push(ci as u32);
+        }
+        rec
+    }
+
+    /// The sync mask and the private copy of chunk `ci`, copied from
+    /// `base` at the first write.
+    fn private(&mut self, base: &[u8], ci: usize) -> (&mut u64, &mut [u8; CHUNK]) {
+        if self.recs[ci].slot == 0 {
+            let slot = self.copies.len() as u32;
+            self.dirty(ci).slot = slot;
+            let src = &base[ci * CHUNK..base.len().min((ci + 1) * CHUNK)];
+            let mut copy = [0; CHUNK];
+            copy[..src.len()].copy_from_slice(src);
+            self.copies.push(copy);
+        }
+        let rec = &mut self.recs[ci];
+        (&mut rec.synced, &mut self.copies[rec.slot as usize])
+    }
+
+    /// The view's `n` bytes at byte `lo` of chunk `ci`, whose record
+    /// names `slot`.
+    fn bytes<'s>(&'s self, base: &'s [u8], slot: u32, ci: usize, lo: usize, n: usize) -> &'s [u8] {
+        match slot {
+            0 => &base[ci * CHUNK + lo..][..n],
+            slot => &self.copies[slot as usize][lo..lo + n],
+        }
+    }
+
+    /// The view's value of an in-bounds range, any alignment.
+    fn peek(&self, base: &[u8], off: u64, size: u64) -> i64 {
+        let mut buf = [0u8; 8];
+        let mut at = 0;
+        for (ci, lo, n) in pieces(off, size) {
+            buf[at..at + n].copy_from_slice(self.bytes(base, self.recs[ci].slot, ci, lo, n));
+            at += n;
+        }
+        i64::from_le_bytes(buf)
+    }
+
+    /// Store to the view (in-bounds range, any alignment).
+    fn poke(&mut self, base: &[u8], off: u64, size: u64, value: i64) {
+        let bytes = value.to_le_bytes();
+        let mut at = 0;
+        for (ci, lo, n) in pieces(off, size) {
+            self.private(base, ci).1[lo..lo + n].copy_from_slice(&bytes[at..at + n]);
+            at += n;
+        }
+    }
+
+    /// Whether every byte of the range is synced.
     fn covered(&self, off: u64, size: u64) -> bool {
-        SyncMask::masks(off, size).iter().all(|&(c, mask)| {
-            mask == 0 || self.chunks.get(&c).is_some_and(|m| m & mask == mask)
-        })
+        pieces(off, size).all(|(ci, lo, n)| self.recs[ci].synced & byte_mask(lo, n) == byte_mask(lo, n))
     }
 
-    fn set(&mut self, off: u64, size: u64) {
-        for (c, mask) in SyncMask::masks(off, size) {
-            if mask != 0 {
-                *self.chunks.entry(c).or_insert(0) |= mask;
-            }
-        }
-    }
-
-    fn clear(&mut self, off: u64, size: u64) {
-        for (c, mask) in SyncMask::masks(off, size) {
-            if mask != 0 {
-                if let Some(m) = self.chunks.get_mut(&c) {
-                    *m &= !mask;
-                }
+    /// Mark the range synced (`on`) or not.
+    fn sync(&mut self, off: u64, size: u64, on: bool) {
+        for (ci, lo, n) in pieces(off, size) {
+            if on {
+                self.dirty(ci).synced |= byte_mask(lo, n);
+            } else {
+                self.recs[ci].synced &= !byte_mask(lo, n);
             }
         }
     }
 }
 
-/// Per-team buffered view of global memory (parallel execution).
+/// Per-team buffered view of global memory (parallel execution): the
+/// wave-start master image and the worker's scratch, which holds what this
+/// team changed of it and, from `start` on, the team's ordered log of
+/// globally visible interactions for the merge to replay. The team reads
+/// and writes the view, so it observes its own effects.
 #[derive(Debug)]
 pub struct BufferedGlobal<'a> {
-    /// Copy-on-write view over the wave-start master image. The team reads
-    /// and writes here, so it observes its own effects.
-    view: CowRegion<'a>,
-    /// Ordered log of globally visible interactions, for the merge.
-    pub log: Vec<GlobalEffect>,
-    synced: SyncMask,
+    base: &'a [u8],
+    scratch: &'a mut WaveScratch,
+    start: usize,
+    /// How many of the team's effects need validation at the merge.
+    validated: usize,
+}
+
+/// What a finished team hands the merge: where its effects sit in
+/// [`WaveScratch::log`], how many of them the merge validates, and how
+/// many chunks the team copied.
+#[derive(Clone, Debug, Default)]
+pub struct TeamLog {
+    pub effects: Range<usize>,
+    pub validated: usize,
+    pub private_chunks: usize,
 }
 
 impl<'a> BufferedGlobal<'a> {
     /// `base` is the master region's bytes at wave start (immutable for
-    /// the duration of the wave).
-    pub fn new(base: &'a [u8]) -> BufferedGlobal<'a> {
+    /// the duration of the wave); `scratch` is the running worker's, in
+    /// whatever state its previous team left it.
+    pub fn new(base: &'a [u8], scratch: &'a mut WaveScratch) -> BufferedGlobal<'a> {
+        // Device pointers carry 32 offset bits, so no access reaches past
+        // them and every logged offset fits the effect's `u32`.
+        let base = &base[..base.len().min(u32::MAX as usize)];
+        scratch.reset(base.len());
         BufferedGlobal {
-            view: CowRegion::new(base),
-            log: Vec::new(),
-            synced: SyncMask::default(),
+            base,
+            start: scratch.log.len(),
+            scratch,
+            validated: 0,
         }
     }
 
+    pub fn finish(self) -> TeamLog {
+        TeamLog {
+            effects: self.start..self.scratch.log.len(),
+            validated: self.validated,
+            private_chunks: self.scratch.copies.len() - 1,
+        }
+    }
+
+    fn log(&mut self, effect: GlobalEffect) {
+        self.validated += usize::from(effect.needs_validation());
+        self.scratch.log.push(effect);
+    }
+
+    /// The bounds rule of both views (`Region::read` states it too).
+    fn check(&self, off: u64, size: u64) -> Result<(), TrapKind> {
+        match off.checked_add(size) {
+            Some(end) if end <= self.base.len() as u64 && size <= 8 => Ok(()),
+            _ => Err(TrapKind::OutOfBounds),
+        }
+    }
+
+    // The four accessors stay out of line, and `GlobalMem::read`/`write`
+    // with them: the sequential path's code — `mem_read` calling a
+    // `GlobalMem::read` that is a test, `Region::read` and a jump here —
+    // then stays as it was, and the `Direct` arm pays no prologue for this
+    // one (the codegen cliff of docs/exec-tiers.md: `exec_seq` read 3–4 %
+    // lower with `read`/`write`, or with `atomic`/`cas`, left to the
+    // inliner).
+    #[inline(never)]
     fn read(&mut self, off: u64, size: u64) -> Result<i64, TrapKind> {
-        let v = self.view.read(off, size)?;
-        if !self.synced.covered(off, size) {
-            self.log.push(GlobalEffect::Load {
-                off,
-                size,
-                observed: v,
-            });
-            self.synced.set(off, size);
+        self.check(off, size)?;
+        let (ci, lo, n) = (off as usize / CHUNK, off as usize % CHUNK, size as usize);
+        if n == 0 || lo + n > CHUNK {
+            // Reads nothing, or crosses a chunk boundary.
+            let v = self.scratch.peek(self.base, off, size);
+            if !self.scratch.covered(off, size) {
+                self.log_load(off, size, v);
+                self.scratch.sync(off, size, true);
+            }
+            return Ok(v);
+        }
+        let rec = self.scratch.recs[ci];
+        let mut buf = [0u8; 8];
+        buf[..n].copy_from_slice(self.scratch.bytes(self.base, rec.slot, ci, lo, n));
+        let v = i64::from_le_bytes(buf);
+        let mask = byte_mask(lo, n);
+        if rec.synced & mask != mask {
+            self.log_load(off, size, v);
+            self.scratch.dirty(ci).synced |= mask;
         }
         Ok(v)
     }
 
+    fn log_load(&mut self, off: u64, size: u64, observed: i64) {
+        self.log(GlobalEffect::Load {
+            off: off as u32,
+            size: size as u8,
+            observed,
+        });
+    }
+
+    #[inline(never)]
     fn write(&mut self, off: u64, size: u64, value: i64) -> Result<(), TrapKind> {
-        self.view.write(off, size, value)?;
-        self.log.push(GlobalEffect::Store { off, size, value });
-        self.synced.set(off, size);
+        self.check(off, size)?;
+        let (ci, lo, n) = (off as usize / CHUNK, off as usize % CHUNK, size as usize);
+        if n != 0 && lo + n <= CHUNK {
+            let (synced, copy) = self.scratch.private(self.base, ci);
+            copy[lo..lo + n].copy_from_slice(&value.to_le_bytes()[..n]);
+            *synced |= byte_mask(lo, n);
+        } else {
+            self.scratch.poke(self.base, off, size, value);
+            self.scratch.sync(off, size, true);
+        }
+        self.log(GlobalEffect::Store {
+            off: off as u32,
+            size: size as u8,
+            value,
+        });
         Ok(())
     }
 
+    #[inline(never)]
     fn atomic(
         &mut self,
         op: AtomicOp,
@@ -322,46 +450,45 @@ impl<'a> BufferedGlobal<'a> {
         result_used: bool,
     ) -> Result<RtVal, TrapKind> {
         let size = ty.size();
-        let old = rtval_from_bits(self.view.read(off, size)?, ty);
-        self.view
-            .write(off, size, combine_atomic(op, ty, old, v).to_bits())?;
-        self.log.push(GlobalEffect::Atomic {
+        self.check(off, size)?;
+        let old = rtval_from_bits(self.scratch.peek(self.base, off, size), ty);
+        self.scratch
+            .poke(self.base, off, size, combine_atomic(op, ty, old, v).to_bits());
+        self.log(GlobalEffect::Atomic(Box::new(AtomicEffect {
             op,
             ty,
             off,
             operand: v,
             observed: old.to_bits(),
             validate: result_used,
-        });
-        if result_used || matches!(op, AtomicOp::Exchange) {
-            // Validated (commits only if observed == master) or exchange
-            // (result independent of the old value): view == replay master
-            // afterwards.
-            self.synced.set(off, size);
-        } else {
-            // Unvalidated add/min/max: replay combines against the
-            // *master* old value, which may differ from the view's — any
-            // later read of these bytes must be logged and validated.
-            self.synced.clear(off, size);
-        }
+        })));
+        // Validated (commits only if observed == master) or exchange
+        // (result independent of the old value): view == replay master
+        // afterwards. An unvalidated add/min/max replays against the
+        // *master* old value, which may differ from the view's — any later
+        // read of these bytes must be logged and validated.
+        self.scratch
+            .sync(off, size, result_used || matches!(op, AtomicOp::Exchange));
         Ok(old)
     }
 
+    #[inline(never)]
     fn cas(&mut self, ty: Ty, off: u64, expected: i64, new: i64) -> Result<(RtVal, bool), TrapKind> {
         let size = ty.size();
-        let old = rtval_from_bits(self.view.read(off, size)?, ty);
+        self.check(off, size)?;
+        let old = rtval_from_bits(self.scratch.peek(self.base, off, size), ty);
         let stored = old.to_bits() == expected;
         if stored {
-            self.view.write(off, size, new)?;
+            self.scratch.poke(self.base, off, size, new);
         }
-        self.log.push(GlobalEffect::Cas {
+        self.log(GlobalEffect::Cas(Box::new(CasEffect {
             ty,
             off,
             expected,
             new,
             observed: old.to_bits(),
-        });
-        self.synced.set(off, size);
+        })));
+        self.scratch.sync(off, size, true);
         Ok((old, stored))
     }
 }
@@ -379,6 +506,7 @@ pub enum GlobalMem<'a> {
 }
 
 impl GlobalMem<'_> {
+    #[inline(never)]
     pub fn read(&mut self, off: u64, size: u64) -> Result<i64, TrapKind> {
         match self {
             GlobalMem::Direct { region, .. } => region.read(off, size),
@@ -386,6 +514,7 @@ impl GlobalMem<'_> {
         }
     }
 
+    #[inline(never)]
     pub fn write(&mut self, off: u64, size: u64, value: i64) -> Result<(), TrapKind> {
         match self {
             GlobalMem::Direct { region, .. } => region.write(off, size, value),
@@ -456,24 +585,26 @@ fn replay(
                 size,
                 observed,
             } => {
-                if region.read(off, size)? != observed {
+                if region.read(off.into(), size.into())? != observed {
                     return Ok(false);
                 }
             }
             GlobalEffect::Store { off, size, value } => {
+                let (off, size) = (off.into(), size.into());
                 if let Some(u) = undo.as_deref_mut() {
                     u.push((off, size, region.read(off, size)?));
                 }
                 region.write(off, size, value)?;
             }
-            GlobalEffect::Atomic {
-                op,
-                ty,
-                off,
-                operand,
-                observed,
-                validate,
-            } => {
+            GlobalEffect::Atomic(ref a) => {
+                let AtomicEffect {
+                    op,
+                    ty,
+                    off,
+                    operand,
+                    observed,
+                    validate,
+                } = **a;
                 let size = ty.size();
                 let bits = region.read(off, size)?;
                 if validate && bits != observed {
@@ -485,13 +616,14 @@ fn replay(
                 let old = rtval_from_bits(bits, ty);
                 region.write(off, size, combine_atomic(op, ty, old, operand).to_bits())?;
             }
-            GlobalEffect::Cas {
-                ty,
-                off,
-                expected,
-                new,
-                observed,
-            } => {
+            GlobalEffect::Cas(ref c) => {
+                let CasEffect {
+                    ty,
+                    off,
+                    expected,
+                    new,
+                    observed,
+                } = **c;
                 let size = ty.size();
                 let old = region.read(off, size)?;
                 if old != observed {
@@ -549,39 +681,55 @@ pub(crate) fn apply_effects(master: &mut Region, log: &[GlobalEffect]) -> Result
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
     fn cow_region_reads_base_until_written() {
         let base: Vec<u8> = (0..200u8).collect();
-        let mut cow = CowRegion::new(&base);
-        assert_eq!(cow.read(10, 1).unwrap(), 10);
-        cow.write(10, 1, 0x55).unwrap();
-        assert_eq!(cow.read(10, 1).unwrap(), 0x55);
+        let mut scratch = WaveScratch::default();
+        let mut view = BufferedGlobal::new(&base, &mut scratch);
+        assert_eq!(view.read(10, 1).unwrap(), 10);
+        view.write(10, 1, 0x55).unwrap();
+        assert_eq!(view.read(10, 1).unwrap(), 0x55);
         // Neighboring bytes in the same chunk keep their base values.
-        assert_eq!(cow.read(9, 1).unwrap(), 9);
-        assert_eq!(cow.read(11, 1).unwrap(), 11);
+        assert_eq!(view.read(9, 1).unwrap(), 9);
+        assert_eq!(view.read(11, 1).unwrap(), 11);
         // Multi-byte write spanning a chunk boundary.
-        cow.write(63, 2, 0x0201).unwrap();
-        assert_eq!(cow.read(63, 2).unwrap(), 0x0201);
-        assert!(cow.read(199, 2).is_err());
-        assert!(cow.write(200, 1, 0).is_err());
+        view.write(63, 2, 0x0201).unwrap();
+        assert_eq!(view.read(63, 2).unwrap(), 0x0201);
+        assert_eq!(view.read(62, 4).unwrap(), 0x41_02_01_3e);
+        assert!(view.read(199, 2).is_err());
+        assert!(view.write(200, 1, 0).is_err());
+        // The last chunk is 8 bytes of base and zero fill: writing one
+        // byte of it copies the other seven.
+        view.write(199, 1, 0x77).unwrap();
+        assert_eq!(view.read(192, 8).unwrap() as u64, 0x77c6_c5c4_c3c2_c1c0);
+        // Three chunks written, and nothing of it reached the base.
+        assert_eq!(view.finish().private_chunks, 3);
+        assert_eq!(base[10], 10);
     }
 
     #[test]
     fn sync_mask_set_clear_covered() {
-        let mut m = SyncMask::default();
+        let mut m = WaveScratch::default();
+        m.reset(128);
         assert!(!m.covered(0, 8));
-        m.set(0, 8);
+        m.sync(0, 8, true);
         assert!(m.covered(0, 8));
         assert!(m.covered(2, 4));
         assert!(!m.covered(6, 4)); // bytes 8..10 unset
-        m.clear(4, 2);
+        m.sync(4, 2, false);
         assert!(!m.covered(0, 8));
         assert!(m.covered(0, 4));
         // Across a 64-byte chunk boundary.
-        m.set(60, 8);
+        m.sync(60, 8, true);
         assert!(m.covered(60, 8));
+        assert!(!m.covered(64, 8));
+        // The next team starts from nothing.
+        m.reset(128);
+        assert!(!m.covered(0, 1) && !m.covered(60, 8));
     }
 
     #[test]
@@ -597,14 +745,14 @@ mod tests {
                 size: 8,
                 value: 100,
             },
-            GlobalEffect::Atomic {
+            GlobalEffect::Atomic(Box::new(AtomicEffect {
                 op: AtomicOp::Add,
                 ty: Ty::I64,
                 off: 8,
                 operand: RtVal::I(1),
                 observed: 9,
                 validate: false,
-            },
+            })),
             GlobalEffect::Load {
                 off: 16,
                 size: 8,
@@ -616,5 +764,155 @@ mod tests {
             master.bytes, before,
             "failed merge must leave master untouched"
         );
+    }
+
+    #[test]
+    fn an_effect_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<GlobalEffect>(), 16);
+    }
+
+    /// One worker, two teams: the second finds no private chunk and no
+    /// synced byte of the first, so its first load of a byte the first
+    /// team stored reads — and logs — the base value.
+    #[test]
+    fn a_scratch_carries_nothing_from_one_team_to_the_next() {
+        let base = vec![3u8; 300];
+        let mut scratch = WaveScratch::default();
+        let mut first = BufferedGlobal::new(&base, &mut scratch);
+        first.write(8, 8, -1).unwrap();
+        first.write(62, 4, 0x0a0b_0c0d).unwrap();
+        assert_eq!(first.read(16, 1).unwrap(), 3);
+        first.atomic(AtomicOp::Add, Ty::I64, 128, RtVal::I(5), false).unwrap();
+        let first = first.finish();
+        assert_eq!((first.effects.clone(), first.validated, first.private_chunks), (0..4, 1, 3));
+
+        let mut second = BufferedGlobal::new(&base, &mut scratch);
+        assert_eq!(second.read(8, 8).unwrap(), 0x0303_0303_0303_0303);
+        assert_eq!(second.read(62, 4).unwrap(), 0x0303_0303);
+        assert_eq!(second.read(16, 1).unwrap(), 3);
+        assert_eq!(second.read(128, 8).unwrap(), 0x0303_0303_0303_0303);
+        let second = second.finish();
+        // The same wave: the second team's log follows the first's.
+        assert_eq!((second.effects.clone(), second.validated, second.private_chunks), (4..8, 4, 0));
+        assert!(matches!(
+            scratch.log()[second.effects],
+            [
+                GlobalEffect::Load { off: 8, size: 8, observed: 0x0303_0303_0303_0303 },
+                GlobalEffect::Load { off: 62, size: 4, observed: 0x0303_0303 },
+                GlobalEffect::Load { off: 16, size: 1, observed: 3 },
+                GlobalEffect::Load { off: 128, size: 8, observed: 0x0303_0303_0303_0303 },
+            ]
+        ));
+        scratch.start_wave();
+        assert!(scratch.log().is_empty());
+    }
+
+    // ---- buffered ≡ direct ----------------------------------------------------
+
+    #[derive(Clone, Debug)]
+    enum Access {
+        Load { off: u64, size: u64 },
+        Store { off: u64, size: u64, value: i64 },
+        Atomic { op: AtomicOp, ty: Ty, off: u64, operand: i64, live: bool },
+        /// `hit`: expect what is there (the swap stores) instead of `expected`.
+        Cas { ty: Ty, off: u64, expected: i64, new: i64, hit: bool },
+    }
+
+    /// A region that ends inside a chunk.
+    const LEN: usize = 203;
+
+    /// Anywhere, around the first chunk boundary, and around the end of
+    /// the region (the last in-range bytes and past them).
+    fn arb_off() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..LEN as u64, 61u64..=67, LEN as u64 - 9..LEN as u64 + 3, Just(u64::MAX - 3)]
+    }
+
+    fn arb_ty() -> impl Strategy<Value = Ty> {
+        prop::sample::select(vec![Ty::I8, Ty::I32, Ty::I64, Ty::F64])
+    }
+
+    fn arb_access() -> impl Strategy<Value = Access> {
+        let size = || prop::sample::select(vec![1u64, 4, 8, 0, 9]);
+        let op = prop::sample::select(vec![AtomicOp::Add, AtomicOp::Min, AtomicOp::Max, AtomicOp::Exchange]);
+        prop_oneof![
+            3 => (arb_off(), size()).prop_map(|(off, size)| Access::Load { off, size }),
+            3 => (arb_off(), size(), any::<i64>()).prop_map(|(off, size, value)| Access::Store { off, size, value }),
+            2 => (op, arb_ty(), arb_off(), -4i64..4, any::<bool>())
+                .prop_map(|(op, ty, off, operand, live)| Access::Atomic { op, ty, off, operand, live }),
+            1 => (arb_ty(), arb_off(), any::<i64>(), any::<i64>(), any::<bool>())
+                .prop_map(|(ty, off, expected, new, hit)| Access::Cas { ty, off, expected, new, hit }),
+        ]
+    }
+
+    /// What a team sees of one access: the value it gets back, or the trap.
+    fn perform(mem: &mut GlobalMem<'_>, a: &Access) -> Result<(i64, bool), TrapKind> {
+        match *a {
+            Access::Load { off, size } => mem.read(off, size).map(|v| (v, false)),
+            Access::Store { off, size, value } => mem.write(off, size, value).map(|()| (0, false)),
+            Access::Atomic { op, ty, off, operand, live } => {
+                let v = if ty.is_float() { RtVal::F(operand as f64 * 0.5) } else { RtVal::I(operand) };
+                mem.atomic(op, ty, off, v, live).map(|old| (old.to_bits(), false))
+            }
+            Access::Cas { ty, off, expected, new, hit } => {
+                let expected = match mem.read(off, ty.size()) {
+                    Ok(there) if hit => there,
+                    _ => expected,
+                };
+                mem.cas(ty, off, expected, new).map(|(old, stored)| (old.to_bits(), stored))
+            }
+        }
+    }
+
+    proptest! {
+        /// Whatever a team does to global memory, the buffered view hands
+        /// it the values and traps the direct one does, and its merged log
+        /// leaves the bytes the direct run leaves. With a byte the team
+        /// loaded changed under it, the merge refuses and restores.
+        #[test]
+        fn buffered_is_direct(
+            image in prop::collection::vec(any::<u8>(), LEN..LEN + 1),
+            accesses in prop::collection::vec(arb_access(), 1..60),
+        ) {
+            let mut direct = Region { bytes: image.clone() };
+            let mut heap = HeapState { live_allocs: Default::default(), limit: 0 };
+            let mut mem = GlobalMem::Direct { region: &mut direct, heap: &mut heap };
+            let want: Vec<_> = accesses.iter().map(|a| perform(&mut mem, a)).collect();
+
+            let mut scratch = WaveScratch::default();
+            let mut mem = GlobalMem::Buffered(BufferedGlobal::new(&image, &mut scratch));
+            let got: Vec<_> = accesses.iter().map(|a| perform(&mut mem, a)).collect();
+            prop_assert_eq!(&got, &want);
+            let GlobalMem::Buffered(view) = mem else { unreachable!() };
+            let team = view.finish();
+            let log = &scratch.log()[team.effects];
+            prop_assert_eq!(team.validated, log.iter().filter(|e| e.needs_validation()).count());
+
+            let mut master = Region { bytes: image.clone() };
+            prop_assert_eq!(apply_effects(&mut master, log), Ok(true));
+            prop_assert_eq!(&master.bytes, &direct.bytes);
+
+            // A lower-indexed team got to a byte this one loaded before
+            // writing it.
+            let mut written = [false; LEN];
+            let loaded = log.iter().find_map(|e| {
+                let (off, size) = match *e {
+                    GlobalEffect::Load { off, size, .. } => {
+                        return (off as usize..off as usize + size as usize).find(|&at| !written[at]);
+                    }
+                    GlobalEffect::Store { off, size, .. } => (off as usize, size as usize),
+                    GlobalEffect::Atomic(ref a) => (a.off as usize, a.ty.size() as usize),
+                    GlobalEffect::Cas(ref c) => (c.off as usize, c.ty.size() as usize),
+                };
+                written[off..off + size].fill(true);
+                None
+            });
+            if let Some(at) = loaded {
+                let mut master = Region { bytes: image.clone() };
+                master.bytes[at] ^= 0x80;
+                let before = master.bytes.clone();
+                prop_assert_eq!(apply_effects(&mut master, log), Ok(false));
+                prop_assert_eq!(&master.bytes, &before);
+            }
+        }
     }
 }

@@ -9,8 +9,10 @@
 //!   concurrently on up to `worker_threads` host threads, each against a
 //!   [`BufferedGlobal`](crate::gmem::BufferedGlobal) copy-on-write view
 //!   of global memory taken at wave start (teams share the immutable
-//!   wave-start image and overlay only the chunks they write, so peak
-//!   memory stays near one region regardless of worker count).
+//!   wave-start image and copy only the chunks they write, so peak
+//!   memory stays near one region regardless of worker count). The
+//!   view's tables are the worker's ([`WaveScratch`]), handed from one
+//!   team to the next.
 //! * After the wave, the device replays each team's effect log onto the
 //!   master region **in ascending team order** and reconciles the shared
 //!   fuel budget, so results, metrics, and traps are bit-identical to the
@@ -29,8 +31,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::error::TrapKind;
-use crate::exec::{Counters, LaunchCtx, TeamEngine, TeamResult};
-use crate::gmem::{BufferedGlobal, GlobalEffect, GlobalMem};
+use crate::exec::{Counters, LaunchCtx, TeamEngine, TeamOutcome, TeamResult};
+use crate::gmem::{BufferedGlobal, GlobalMem, TeamLog, WaveScratch};
 use crate::memory::Region;
 use crate::sanitize::TeamSan;
 
@@ -41,7 +43,10 @@ pub(crate) struct TeamRun {
     /// budget; the merge reconciles against the running budget).
     pub steps: u64,
     pub counters: Counters,
-    pub effects: Vec<GlobalEffect>,
+    /// The worker that ran the team (an index into the wave's scratches),
+    /// whose [`WaveScratch::log`] holds the team's effects.
+    pub worker: usize,
+    pub log: TeamLog,
     /// Sanitizer state of the buffered run (used only when the run
     /// merges; re-run teams contribute the re-run's state instead). A
     /// merged team's buffered access trace is identical to its sequential
@@ -60,46 +65,63 @@ impl TeamRun {
 
 /// Run one team against a fresh snapshot of `master` with its own fuel
 /// budget, returning the merge-ready outcome.
-fn run_one_team(ctx: &LaunchCtx<'_>, master: &Region, team: u32, fuel: u64) -> TeamRun {
-    let view = GlobalMem::Buffered(BufferedGlobal::new(&master.bytes));
-    let out = TeamEngine::new(ctx, team, view, fuel).run(ctx);
-    let effects = match out.global {
-        GlobalMem::Buffered(b) => b.log,
-        GlobalMem::Direct { .. } => Vec::new(),
+fn run_one_team(
+    ctx: &LaunchCtx<'_>,
+    master: &Region,
+    team: u32,
+    fuel: u64,
+    (worker, scratch): (usize, &mut WaveScratch),
+) -> TeamRun {
+    let view = GlobalMem::Buffered(BufferedGlobal::new(&master.bytes, scratch));
+    let TeamOutcome {
+        result,
+        counters,
+        fuel_left,
+        san,
+        global,
+    } = TeamEngine::new(ctx, team, view, fuel).run(ctx);
+    let log = match global {
+        GlobalMem::Buffered(b) => b.finish(),
+        GlobalMem::Direct { .. } => TeamLog::default(),
     };
     TeamRun {
-        result: out.result,
-        steps: fuel - out.fuel_left,
-        counters: out.counters,
-        effects,
-        san: out.san,
+        result,
+        steps: fuel - fuel_left,
+        counters,
+        worker,
+        log,
+        san,
     }
 }
 
-/// Execute the teams of one wave concurrently on up to `workers` threads.
-/// Returns one [`TeamRun`] per team, in the order of `teams`.
+/// Execute the teams of one wave concurrently, one worker thread per
+/// entry of `scratch` (and no more workers than teams). Returns one
+/// [`TeamRun`] per team, in the order of `teams`.
 pub(crate) fn run_wave(
     ctx: &LaunchCtx<'_>,
     master: &Region,
     teams: &[u32],
     fuel: u64,
-    workers: usize,
+    scratch: &mut [WaveScratch],
 ) -> Vec<TeamRun> {
-    let workers = workers.min(teams.len()).max(1);
-    if workers == 1 || teams.len() == 1 {
+    let workers = scratch.len().min(teams.len());
+    let scratch = &mut scratch[..workers];
+    scratch.iter_mut().for_each(WaveScratch::start_wave);
+    if let [own] = scratch {
         return teams
             .iter()
-            .map(|&t| run_one_team(ctx, master, t, fuel))
+            .map(|&t| run_one_team(ctx, master, t, fuel, (0, own)))
             .collect();
     }
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<TeamRun>>> = teams.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
+        let (cursor, slots) = (&cursor, &slots);
+        for (worker, own) in scratch.iter_mut().enumerate() {
+            s.spawn(move || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(&team) = teams.get(i) else { break };
-                let run = run_one_team(ctx, master, team, fuel);
+                let run = run_one_team(ctx, master, team, fuel, (worker, own));
                 if let Ok(mut slot) = slots[i].lock() {
                     *slot = Some(run);
                 }
@@ -127,7 +149,8 @@ pub(crate) fn run_wave(
                     )),
                     steps: 0,
                     counters: Counters::default(),
-                    effects: Vec::new(),
+                    worker: 0,
+                    log: TeamLog::default(),
                     san: None,
                 })
         })

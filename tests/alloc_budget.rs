@@ -1,5 +1,5 @@
-//! Heap allocations per compile miss, per served request, per rebind and
-//! per launch, each held to a checked-in budget.
+//! Heap allocations per compile miss, per served request, per rebind, per
+//! launch and per buffered team, each held to a checked-in budget.
 //!
 //! Wall time on a shared CI box cannot tell a 10 % regression from noise;
 //! these counts repeat exactly. It is its own test binary because it
@@ -274,4 +274,38 @@ fn a_served_hot_request_stays_within_its_allocation_budget() {
     assert!(n <= REQUEST_BUDGET, "{n} allocations per served request, budget {REQUEST_BUDGET}");
     let stats = serve.host_stats();
     assert_eq!((stats.compile_hits, stats.compile_misses), (WARM_UP as u64 + 7, 1));
+}
+
+// ---- the buffered view of global memory ------------------------------------
+
+/// Allocations of one buffered team that stores 8 bytes into each of 1 000
+/// distinct chunks and then loads 10 000 other words, its worker's scratch
+/// included: 34 now — vector doublings only (the chunk records once, the
+/// private copies, the touched list, the log), so 2 000 chunks cost 35
+/// — 1 034 when every written chunk was a `Box` in a `HashMap`
+/// beside a second map of sync masks.
+const BUFFERED_VIEW_BUDGET: u64 = 36;
+
+#[test]
+fn a_buffered_view_allocates_by_doubling_not_per_chunk() {
+    use nzomp_vgpu::gmem::{BufferedGlobal, GlobalMem, WaveScratch};
+    const CHUNKS: u64 = 1_000;
+    const WORDS: u64 = 10_000;
+    let base = vec![7u8; (CHUNKS * 64 + WORDS * 8) as usize];
+    let team = || {
+        let mut scratch = WaveScratch::default();
+        let mut view = GlobalMem::Buffered(BufferedGlobal::new(&base, &mut scratch));
+        for chunk in 0..CHUNKS {
+            view.write(chunk * 64 + 8, 8, chunk as i64).unwrap();
+        }
+        let sum: i64 = (0..WORDS).map(|w| view.read(CHUNKS * 64 + w * 8, 8).unwrap() & 1).sum();
+        assert_eq!(sum, WORDS as i64);
+        let GlobalMem::Buffered(view) = view else { unreachable!() };
+        let log = view.finish();
+        assert_eq!((log.effects.len() as u64, log.private_chunks as u64), (CHUNKS + WORDS, CHUNKS));
+    };
+    let counts: Vec<u64> = (0..4).map(|_| allocations_of(team).0).collect();
+    assert!(counts.iter().all(|&c| c == counts[0]), "the count must repeat exactly: {counts:?}");
+    println!("allocations per buffered team: {}", counts[0]);
+    assert!(counts[0] <= BUFFERED_VIEW_BUDGET, "{} allocations, budget {BUFFERED_VIEW_BUDGET}", counts[0]);
 }

@@ -153,3 +153,133 @@ fn dead_result_reduction_stays_exact() {
     let want = vec![(1..=n).sum::<i64>(), acc.to_bits() as i64];
     assert_matches_sequential(&m, TEAMS, THREADS, 2, &want);
 }
+
+// ---- what the wave engine did (`Device::last_wave_stats`) ---------------------
+
+use nzomp::BuildConfig;
+use nzomp_proxies::gridmini::GridMini;
+use nzomp_proxies::minifmm::MiniFmm;
+use nzomp_proxies::rsbench::RSBench;
+use nzomp_proxies::testsnap::TestSnap;
+use nzomp_proxies::xsbench::XSBench;
+use nzomp_proxies::{compile_for_config, quick_device, verify_output, Proxy};
+use nzomp_vgpu::WaveStats;
+
+/// An SPMD kernel `k(buf)` whose body gets the buffer and the global
+/// thread id.
+fn kernel(name: &str, body: impl FnOnce(&mut FuncBuilder, Operand, Operand)) -> Module {
+    let mut m = Module::new(name);
+    let mut b = FuncBuilder::new("k", vec![Ty::Ptr], None);
+    let buf = b.param(0);
+    let (tid, team, dim) = (b.thread_id(), b.block_id(), b.block_dim());
+    let base = b.mul(team, dim);
+    let gid = b.add(base, tid);
+    body(&mut b, buf, gid);
+    b.ret(None);
+    let f = m.add_function(b.finish());
+    m.add_kernel(f, ExecMode::Spmd);
+    m
+}
+
+/// The counts of one launch of `k`, the same at every worker count ≥ 2.
+fn wave_stats(m: &Module, teams: u32, threads: u32, slots: usize) -> WaveStats {
+    let per_workers = WORKER_COUNTS.map(|workers| {
+        let mut dev = Device::load(m.clone(), DeviceConfig::default());
+        dev.set_worker_threads(workers);
+        let buf = dev.alloc((slots * 8) as u64);
+        dev.launch("k", Launch::new(teams, threads), &[RtVal::P(buf)]).unwrap();
+        dev.last_wave_stats().unwrap()
+    });
+    assert!(per_workers.iter().all(|s| *s == per_workers[0]), "{per_workers:?}");
+    per_workers[0]
+}
+
+/// Fetch-add index allocation (`slots[counter++] = gid`) serialises every
+/// team but the first: team 0 observed the counter the master holds, every
+/// later team observed the wave-start 0 under a live result and is re-run.
+/// Per thread one validated atomic and one store, all in a team's one
+/// chunk. One worker takes the sequential path, which counts nothing.
+#[test]
+fn fetch_add_index_allocation_reruns_every_team_but_the_first() {
+    let m = kernel("fetch_add_index", |b, buf, gid| {
+        let idx = b.atomic_add(Ty::I64, buf, Operand::i64(1));
+        let slots = b.ptr_add(buf, Operand::i64(8));
+        let slotp = b.gep(slots, idx, 8);
+        b.store(Ty::I64, slotp, gid);
+    });
+    assert_eq!(
+        wave_stats(&m, 16, 4, 65),
+        WaveStats {
+            waves: 1,
+            teams: 16,
+            merged: 1,
+            rerun_validation: 15,
+            rerun_fuel: 0,
+            bailed: 0,
+            effects: 16 * 4 * 2,
+            validated: 16 * 4,
+            private_chunks: 16,
+        }
+    );
+
+    let mut dev = Device::load(m, DeviceConfig::default());
+    dev.set_worker_threads(1);
+    let buf = dev.alloc(65 * 8);
+    dev.launch("k", Launch::new(16, 4), &[RtVal::P(buf)]).unwrap();
+    assert_eq!(dev.last_wave_stats(), None);
+}
+
+/// A dead-result reduction validates nothing and re-runs nobody.
+#[test]
+fn a_dead_result_reduction_reruns_no_team() {
+    let m = kernel("reduction", |b, buf, gid| {
+        b.atomic_add(Ty::I64, buf, gid);
+    });
+    assert_eq!(
+        wave_stats(&m, 24, 8, 1),
+        WaveStats {
+            waves: 1,
+            teams: 24,
+            merged: 24,
+            effects: 24 * 8,
+            private_chunks: 24,
+            ..WaveStats::default()
+        }
+    );
+}
+
+/// The five proxies as `exec_par` launches them (`large()`; the default
+/// seeds): every team merges, none re-runs, none bails out, and what each
+/// logs, validates and copies is a fixed count —
+/// `[teams, effects, validated, private chunks]`.
+#[test]
+fn the_proxies_merge_every_team_at_benchmark_size() {
+    let proxies: [(Box<dyn Proxy>, [u64; 4]); 5] = [
+        (Box::new(XSBench::large()), [16, 252_968, 242_728, 1_280]),
+        (Box::new(RSBench::large()), [16, 183_808, 181_760, 256]),
+        (Box::new(TestSnap::large()), [8, 64_576, 61_504, 384]),
+        (Box::new(MiniFmm::large()), [8, 115_460, 52_352, 2_048]),
+        (Box::new(GridMini::large()), [32, 221_184, 147_456, 9_216]),
+    ];
+    for (proxy, [teams, effects, validated, private_chunks]) in proxies {
+        let image = compile_for_config(&*proxy, BuildConfig::NewRtNoAssumptions).unwrap().module;
+        let per_workers = [2, 8].map(|workers| {
+            let mut dev = Device::load(image.clone(), quick_device());
+            dev.set_worker_threads(workers);
+            let prep = proxy.prepare(&mut dev);
+            dev.launch(proxy.kernel_name(), prep.launch, &prep.args).unwrap();
+            verify_output(&dev, &prep).unwrap();
+            dev.last_wave_stats().unwrap()
+        });
+        let want = WaveStats {
+            waves: 1,
+            teams,
+            merged: teams,
+            effects,
+            validated,
+            private_chunks,
+            ..WaveStats::default()
+        };
+        assert_eq!(per_workers, [want, want], "{}", proxy.name());
+    }
+}

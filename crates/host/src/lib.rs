@@ -1004,9 +1004,10 @@ impl Host {
         }
     }
 
-    /// Pin the execution tier of every current and future device
-    /// (overrides the `NZOMP_EXEC_TIER` resolution of [`Host::new`]). The
-    /// pin survives failover: replacement devices — and therefore journal
+    /// Pin the execution tier of every current and future device — how a
+    /// test runs a host on the interpreter, the oracle (every host is on
+    /// bytecode otherwise: no configuration selects a tier). The pin
+    /// survives failover: replacement devices — and therefore journal
     /// replays — run the same tier as the device they replace, keeping
     /// recovery bit-identical to the original execution.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {

@@ -198,16 +198,18 @@ fn device_loss_fails_over_and_replays_bit_identically() {
 
 /// A failover replacement is created from the host's one run configuration
 /// and watchdog, like the device it replaces: whatever was pinned — at
-/// construction or through a setter — it reports after the swap.
+/// construction or through a setter — it reports after the swap. Every
+/// pin is a non-default value, so a replacement built from
+/// `RunConfig::default()` fails here.
 #[test]
 fn failover_replacement_inherits_the_hosts_pins() {
     let run = RunConfig { sanitize: Sanitize::Report, ..RunConfig::default() };
     let mut h = Host::with_run(quick(), 1, run);
-    h.set_exec_tier(ExecTier::Bytecode);
+    h.set_exec_tier(ExecTier::Interp);
     h.set_worker_threads(3);
     h.set_watchdog_fuel(Some(1 << 40));
     h.set_recovery(Some(RecoveryPolicy::default()));
-    let pinned = RunConfig { workers: 3, tier: ExecTier::Bytecode, sanitize: Sanitize::Report };
+    let pinned = RunConfig { workers: 3, tier: ExecTier::Interp, sanitize: Sanitize::Report };
     let img = h
         .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
         .unwrap();
@@ -223,7 +225,7 @@ fn failover_replacement_inherits_the_hosts_pins() {
     let d = h.device(0).unwrap();
     assert!(!d.is_lost(), "slot 0 holds the replacement");
     assert_eq!(d.run_config(), pinned);
-    assert_eq!(d.exec_tier(), ExecTier::Bytecode);
+    assert_eq!(d.exec_tier(), ExecTier::Interp);
     assert_eq!(d.worker_threads(), 3);
     assert_eq!(d.watchdog_fuel(), Some(1 << 40));
     assert_eq!(

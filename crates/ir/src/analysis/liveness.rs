@@ -53,10 +53,14 @@ pub fn compute(f: &Function) -> Liveness {
             // defs) plus the phi incomings contributed along this edge.
             let mut out: HashSet<Key> = HashSet::new();
             for s in block.term.succs() {
+                // A branch to a missing block — IR the verifier rejects,
+                // which a device still launches into a typed trap —
+                // contributes nothing.
+                let Some(succ) = f.blocks.get(s.index()) else { continue };
                 for k in &live_in[s.index()] {
                     out.insert(*k);
                 }
-                for &iid in &f.block(s).insts {
+                for &iid in &succ.insts {
                     match f.inst(iid) {
                         Inst::Phi { incomings, .. } => {
                             out.remove(&Key::Inst(iid.0));

@@ -128,7 +128,9 @@ pub struct ServeConfig {
     /// Pin every device's worker-thread count (the `NZOMP_VGPU_THREADS`
     /// axis); `None` leaves env resolution in charge.
     pub worker_threads: Option<usize>,
-    /// Pin every device's execution tier (the `NZOMP_EXEC_TIER` axis).
+    /// Pin every device's execution tier: `Some(ExecTier::Interp)` runs
+    /// the service on the oracle for a differential test. `None` is
+    /// bytecode; no configuration selects a tier.
     pub exec_tier: Option<ExecTier>,
 }
 

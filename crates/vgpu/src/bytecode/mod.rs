@@ -218,7 +218,10 @@ fn getv(regs: &[RtVal], frame: &BcFrame, s: &Src) -> Option<RtVal> {
         // entry per slot. Verified once at lowering,
         // dispatched unchecked (the JVM/Wasm layout). `Arg` stays
         // checked: callee arity varies at runtime through indirect calls.
-        Src::Reg(i) => Some(unsafe { *regs.get_unchecked(i as usize) }),
+        Src::Reg(i) => {
+            debug_assert!((i as usize) < regs.len());
+            Some(unsafe { *regs.get_unchecked(i as usize) })
+        }
         Src::Arg(i) => frame.args.get(i as usize).copied(),
         Src::Trap(_) => None,
     }
@@ -245,6 +248,7 @@ fn setv(regs: &mut [RtVal], i: u32, v: RtVal) {
     // SAFETY: destination slots are range-checked against the slot count
     // by the validation gate in `lower.rs` (`validated`), and a frame's
     // register file is always a copy of the function's `regs0`.
+    debug_assert!((i as usize) < regs.len());
     unsafe { *regs.get_unchecked_mut(i as usize) = v }
 }
 
@@ -339,6 +343,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         // validation gate in `lower.rs` guarantees neither a `Call` nor a
         // `Barrier` can be the last op (the last op is a terminator), so a
         // stored "next op" index never reaches `ops.len()`.
+        debug_assert!((frame.pc as usize) < ops.len());
         let mut op_ptr: *const Op = unsafe { ops.as_ptr().add(frame.pc as usize) };
         macro_rules! cur_pc {
             () => {
@@ -428,6 +433,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
             ($ei:expr) => {{
                 // SAFETY: edge indexes are range-checked by the
                 // validation gate in `lower.rs`.
+                debug_assert!(($ei as usize) < edges.len());
                 match unsafe { edges.get_unchecked($ei as usize) } {
                     Edge::Go { pc: target, moves } => {
                         // Parallel copy: all reads precede all writes. One-
@@ -473,6 +479,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                         }
                         // SAFETY: edge targets are range-checked by the
                         // validation gate in `lower.rs`.
+                        debug_assert!((*target as usize) < ops.len());
                         op_ptr = unsafe { ops.as_ptr().add(*target as usize) };
                     }
                     Edge::Trap(t) => fail!(trap_at(traps, *t)),
@@ -509,6 +516,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
             // branch target are in range and the last op never falls
             // through, so the post-increment cursor is at most one-past-end
             // (legal to form) and is only dereferenced while in range.
+            debug_assert!(ops.as_ptr_range().contains(&op_ptr));
             let op = unsafe { &*op_ptr };
             op_ptr = unsafe { op_ptr.add(1) };
 
@@ -655,6 +663,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     traps = &cur.traps;
                     edges = &cur.edges;
                     // SAFETY: `frame.pc` is the callee's validated entry.
+                    debug_assert!((frame.pc as usize) < ops.len());
                     op_ptr = unsafe { ops.as_ptr().add(frame.pc as usize) };
                 }
                 Op::CallInd {
@@ -722,6 +731,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     traps = &cur.traps;
                     edges = &cur.edges;
                     // SAFETY: `frame.pc` is the callee's validated entry.
+                    debug_assert!((frame.pc as usize) < ops.len());
                     op_ptr = unsafe { ops.as_ptr().add(frame.pc as usize) };
                 }
                 Op::Atomic {
@@ -896,6 +906,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                             // from this function's own ops, and a `Call` is
                             // never the last op (the validation gate puts a
                             // terminator there), so it is in range.
+                            debug_assert!((frame.pc as usize) < ops.len());
                             op_ptr = unsafe { ops.as_ptr().add(frame.pc as usize) };
                             if let (Some(d), Some(v)) = (ret_dst, val) {
                                 setv(&mut regs, d, v);

@@ -261,8 +261,10 @@ impl Device {
         self.run
     }
 
-    /// Select the execution tier for subsequent launches (overrides the
-    /// load-time resolution). Switching tiers never changes any
+    /// Select the execution tier for subsequent launches. Bytecode is the
+    /// default and the only tier a configuration reaches; this exists to
+    /// name the interpreter — the oracle differential tests and the
+    /// benchmark ladder compare against. Switching tiers never changes any
     /// observable launch outcome — see `docs/exec-tiers.md`.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
         self.run.tier = tier;

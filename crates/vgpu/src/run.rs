@@ -1,12 +1,15 @@
 //! The run configuration: the three execution axes that never change a
 //! result — host worker threads, execution tier, sanitizer mode — as one
-//! value, with the one reader of their environment variables.
+//! value, with the one reader of the two environment variables. The tier
+//! has none: it is bytecode unless code names the interpreter, the oracle
+//! the differential tests compare against.
 //!
 //! Every layer holds exactly one [`RunConfig`]: a [`crate::Device`]
 //! launches under its own, a host runtime hands its own to every device it
 //! creates. Precedence (DESIGN.md, "Run configuration"): an explicit setter
 //! on a device wins over the pin of the host or service that owns it, which
-//! wins over the environment, which wins over the default.
+//! wins over the environment (workers and sanitizer only), which wins over
+//! the default.
 
 use crate::exec::ExecTier;
 
@@ -37,11 +40,11 @@ pub struct RunConfig {
 }
 
 impl Default for RunConfig {
-    /// One worker, the reference interpreter, sanitizer off.
+    /// One worker, the bytecode engine, sanitizer off.
     fn default() -> RunConfig {
         RunConfig {
             workers: 1,
-            tier: ExecTier::Interp,
+            tier: ExecTier::Bytecode,
             sanitize: Sanitize::Off,
         }
     }
@@ -49,38 +52,33 @@ impl Default for RunConfig {
 
 impl RunConfig {
     /// The configuration the process environment asks for:
-    /// `NZOMP_VGPU_THREADS`, `NZOMP_EXEC_TIER`, `NZOMP_SANITIZE`, each
-    /// falling back to its default when unset or unrecognized.
+    /// `NZOMP_VGPU_THREADS` and `NZOMP_SANITIZE`, each falling back to its
+    /// default when unset or unrecognized.
     pub fn from_env() -> RunConfig {
         let threads = std::env::var("NZOMP_VGPU_THREADS").ok();
-        let tier = std::env::var("NZOMP_EXEC_TIER").ok();
         let sanitize = std::env::var("NZOMP_SANITIZE").ok();
-        RunConfig::parse(threads.as_deref(), tier.as_deref(), sanitize.as_deref())
+        RunConfig::parse(threads.as_deref(), sanitize.as_deref())
     }
 
-    /// [`RunConfig::from_env`] over the three variables' values (`None` =
+    /// [`RunConfig::from_env`] over the two variables' values (`None` =
     /// unset). Surrounding whitespace is ignored. Threads: an integer
-    /// `>= 1`. Tier: `bytecode` (any case); anything else is the
-    /// interpreter. Sanitize: `1`, `true` or `on` (any case) report,
-    /// `strict` reports and traps; anything else is off.
-    pub fn parse(threads: Option<&str>, tier: Option<&str>, sanitize: Option<&str>) -> RunConfig {
+    /// `>= 1`. Sanitize: `1`, `true` or `on` report, `strict` reports and
+    /// traps (words in any case); anything else is off.
+    pub fn parse(threads: Option<&str>, sanitize: Option<&str>) -> RunConfig {
         let default = RunConfig::default();
         RunConfig {
             workers: threads
                 .and_then(|s| s.trim().parse::<usize>().ok())
                 .filter(|&n| n >= 1)
                 .unwrap_or(default.workers),
-            tier: match tier.map(str::trim) {
-                Some(v) if v.eq_ignore_ascii_case("bytecode") => ExecTier::Bytecode,
-                _ => default.tier,
-            },
             sanitize: match sanitize.map(str::trim) {
-                Some("strict") => Sanitize::Strict,
+                Some(v) if v.eq_ignore_ascii_case("strict") => Sanitize::Strict,
                 Some(v) if v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on") => {
                     Sanitize::Report
                 }
                 _ => default.sanitize,
             },
+            ..default
         }
     }
 }
@@ -92,10 +90,10 @@ mod tests {
     #[test]
     fn parse_covers_every_documented_spelling() {
         let d = RunConfig::default();
-        assert_eq!(RunConfig::parse(None, None, None), d);
+        assert_eq!(RunConfig::parse(None, None), d);
         assert_eq!(
             d,
-            RunConfig { workers: 1, tier: ExecTier::Interp, sanitize: Sanitize::Off }
+            RunConfig { workers: 1, tier: ExecTier::Bytecode, sanitize: Sanitize::Off }
         );
 
         for (text, workers) in [
@@ -109,24 +107,9 @@ mod tests {
             ("2.5", 1),
         ] {
             assert_eq!(
-                RunConfig::parse(Some(text), None, None),
+                RunConfig::parse(Some(text), None),
                 RunConfig { workers, ..d },
                 "NZOMP_VGPU_THREADS={text:?}"
-            );
-        }
-
-        for (text, tier) in [
-            ("bytecode", ExecTier::Bytecode),
-            ("BYTECODE", ExecTier::Bytecode),
-            (" Bytecode ", ExecTier::Bytecode),
-            ("interp", ExecTier::Interp),
-            ("jit", ExecTier::Interp),
-            ("", ExecTier::Interp),
-        ] {
-            assert_eq!(
-                RunConfig::parse(None, Some(text), None),
-                RunConfig { tier, ..d },
-                "NZOMP_EXEC_TIER={text:?}"
             );
         }
 
@@ -138,8 +121,7 @@ mod tests {
             (" On ", Sanitize::Report),
             ("strict", Sanitize::Strict),
             (" strict ", Sanitize::Strict),
-            // `strict` is case-sensitive, as it always was.
-            ("STRICT", Sanitize::Off),
+            ("STRICT", Sanitize::Strict),
             ("0", Sanitize::Off),
             ("false", Sanitize::Off),
             ("off", Sanitize::Off),
@@ -147,15 +129,15 @@ mod tests {
             ("", Sanitize::Off),
         ] {
             assert_eq!(
-                RunConfig::parse(None, None, Some(text)),
+                RunConfig::parse(None, Some(text)),
                 RunConfig { sanitize, ..d },
                 "NZOMP_SANITIZE={text:?}"
             );
         }
 
-        // The axes are independent.
+        // The axes are independent, and no environment value moves the tier.
         assert_eq!(
-            RunConfig::parse(Some("4"), Some("bytecode"), Some("strict")),
+            RunConfig::parse(Some("4"), Some("strict")),
             RunConfig { workers: 4, tier: ExecTier::Bytecode, sanitize: Sanitize::Strict }
         );
     }

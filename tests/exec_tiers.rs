@@ -16,10 +16,14 @@
 //!   proxy application) consume identical fuel and produce identical
 //!   metrics, outputs and memory;
 //! * the trap taxonomy — malformed IR embedded as lowered trap ops must
-//!   surface the interpreter's exact message.
+//!   surface the interpreter's exact message, for one hand-built module
+//!   and for every verifier-rejected text mutation of the corpus (the
+//!   fuzz of the validation gate behind the dispatch loop's `unsafe`).
 
+use nzomp_ir::parser::parse_module_strict;
 use nzomp_ir::{ExecMode, FuncBuilder, Module, Operand, Ty};
-use nzomp_integration::gen::generate;
+use nzomp_integration::corpus::{corpus_texts, mutate_text};
+use nzomp_integration::gen::{generate, parse_launch_comment};
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{
     Device, DeviceConfig, ExecError, ExecTier, FaultPlan, KernelMetrics, RtVal, RunConfig, TrapKind,
@@ -244,4 +248,57 @@ fn malformed_ir_message_is_tier_invariant() {
         errs.push(err);
     }
     assert_eq!(errs[0], errs[1]);
+}
+
+/// The validation gate that licenses the bytecode loop's unchecked
+/// accesses, under fuzz: every seeded text mutation of every corpus file
+/// that still *parses* but fails `verify_module` is loaded unverified and
+/// launched on both tiers. Same typed trap (kind and `MalformedIr`
+/// message) or same result, and the same memory image — never a panic,
+/// and (this is a debug-assertions build) never a tripped bound
+/// `debug_assert!` in `bytecode/mod.rs`.
+#[test]
+fn verifier_rejected_mutants_behave_identically_across_tiers() {
+    let proxies = nzomp_proxies::all_proxies();
+    let env = RunConfig::from_env();
+    let mut rejected = 0usize;
+    for (name, text) in corpus_texts().unwrap() {
+        let meta = parse_launch_comment(&text);
+        let proxy = proxies
+            .iter()
+            .find(|p| name == format!("proxy-{}.nzir", p.name().to_lowercase()));
+        // About one mutation in 350 gets past the parser and stops at
+        // the verifier; most die in the parser in microseconds.
+        for seed in 0..512u64 {
+            let mutated = mutate_text(&text, seed);
+            let Ok(m) = parse_module_strict(&mutated) else { continue };
+            if nzomp_ir::verify_module(&m).is_ok() {
+                continue;
+            }
+            rejected += 1;
+            let on = |tier| {
+                let mut dev = Device::load_with(m.clone(), DeviceConfig::default(), RunConfig { tier, ..env });
+                // A mutant may loop forever; both tiers charge one fuel
+                // unit per op, so the cap cuts them at the same op.
+                dev.set_watchdog_fuel(Some(1 << 22));
+                let result = match (meta, proxy) {
+                    (Some(g), _) => {
+                        let buf = dev.alloc(g.buf_bytes);
+                        dev.launch("k", Launch::new(g.teams, g.threads), &[RtVal::P(buf)])
+                    }
+                    (None, Some(p)) => {
+                        let prep = p.prepare(&mut dev);
+                        dev.launch(p.kernel_name(), prep.launch, &prep.args)
+                    }
+                    (None, None) => panic!("{name}: neither a launch comment nor a proxy"),
+                };
+                (result, dev.global_bytes().to_vec())
+            };
+            let seen = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| TIERS.map(on)))
+                .unwrap_or_else(|_| panic!("{name} seed {seed}: a tier panicked on\n{mutated}"));
+            assert!(seen[0] == seen[1], "{name} seed {seed}: tiers diverged on\n{mutated}");
+        }
+    }
+    // The mutator must actually get past the parser and stop at the verifier.
+    assert!(rejected >= 20, "only {rejected} mutants parsed and failed verification");
 }

@@ -8,7 +8,9 @@
 //!
 //! Every suite starts from `RunConfig::from_env()` ([`env_run`]) and
 //! overrides only the axes its matrix crosses, so each CI environment
-//! pass multiplies every matrix by the axes it leaves alone.
+//! pass (workers × sanitizer) multiplies every matrix by the axes it
+//! leaves alone. The tier is not an environment axis: a suite that
+//! compares against the interpreter names `ExecTier::Interp` itself.
 
 pub mod corpus;
 pub mod gen;

@@ -3,7 +3,7 @@
 //! allocations and can never observe each other's bytes, and quota
 //! exhaustion in one tenant leaves every other tenant's in-flight work
 //! untouched. Runs — like the whole workspace — under both
-//! `NZOMP_VGPU_THREADS` axes and `NZOMP_EXEC_TIER=bytecode` in CI.
+//! `NZOMP_VGPU_THREADS` axes, sanitizer off and armed, in CI.
 
 use std::rc::Rc;
 

@@ -71,7 +71,8 @@ pub fn compile(app: Module, config: BuildConfig) -> Result<CompileOutput, Compil
     compile_with(app, config, config.rt_config(), config.pass_options())
 }
 
-/// The front half of [`compile_with`]: link the runtime library into `app`
+/// The front half of [`compile_with`]: link a copy of the prebuilt runtime
+/// library, `rt_cfg` patched onto its flag globals (§III-F/G), into `app`
 /// and verify the result, without optimizing — the optimizer's true
 /// input (what `nzbench` times as `core.link_only_us`, and what
 /// `tests/golden_ir.rs` re-optimizes with the analysis cache off).

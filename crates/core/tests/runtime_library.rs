@@ -110,3 +110,55 @@ fn concurrent_compiles_get_what_a_lone_compile_gets() {
     });
     assert_library_is_fresh();
 }
+
+/// The library is three prebuilt modules whatever configurations are asked
+/// for: a few hundred nobody compiles with are each served `==` a fresh
+/// build (there is no per-configuration entry to run out of).
+#[test]
+fn configurations_nobody_compiles_with_are_served_like_any_other() {
+    for debug_kind in 0..64 {
+        for (teams, threads) in [(false, false), (false, true), (true, false), (true, true)] {
+            let cfg = RtConfig {
+                debug_kind,
+                assume_teams_oversubscription: teams,
+                assume_threads_oversubscription: threads,
+            };
+            for flavor in [RuntimeFlavor::Legacy, RuntimeFlavor::Modern] {
+                for needs_ds in [false, true] {
+                    assert_eq!(
+                        runtime_library(flavor, &cfg, needs_ds),
+                        build_runtime(flavor, &cfg, needs_ds),
+                        "{flavor:?} {cfg:?} needs_ds={needs_ds}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Configuration reaches the library as the initialisers of the three
+/// §III-F/G flag globals and as nothing else.
+#[test]
+fn a_configuration_is_the_init_of_three_globals_and_nothing_else() {
+    use nzomp_ir::Init;
+    use nzomp_rt::abi::{G_ASSUME_TEAMS_OVERSUB, G_ASSUME_THREADS_OVERSUB, G_DEBUG_KIND};
+    const FLAGS: [&str; 3] = [G_DEBUG_KIND, G_ASSUME_TEAMS_OVERSUB, G_ASSUME_THREADS_OVERSUB];
+    for (flavor, cfg, needs_ds) in keys() {
+        let mut configured = runtime_library(flavor, &cfg, needs_ds);
+        let default = runtime_library(flavor, &RtConfig::default(), needs_ds);
+        let want = [
+            cfg.debug_kind,
+            cfg.assume_teams_oversubscription as i64,
+            cfg.assume_threads_oversubscription as i64,
+        ];
+        for (name, value) in FLAGS.into_iter().zip(want) {
+            // The legacy runtime has no flag globals.
+            assert_eq!(configured.find_global(name).is_some(), flavor == RuntimeFlavor::Modern);
+            if let Some(g) = configured.find_global(name) {
+                assert_eq!(configured.global(g).init, Init::I64(value), "{name} {cfg:?}");
+                configured.globals[g.index()].init = default.global(g).init.clone();
+            }
+        }
+        assert_eq!(configured, default, "{flavor:?} {cfg:?} needs_ds={needs_ds}");
+    }
+}

@@ -27,7 +27,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod error;
-pub mod journal;
 pub mod map;
 pub mod pool;
 pub mod recover;
@@ -923,7 +922,7 @@ impl Host {
         // Replay keeps nothing, so the ops are lent out for its duration
         // and handed back whatever it returns — copying them would copy
         // every written byte since bind, on every failover.
-        let ops = std::mem::take(&mut self.slot_mut(dev)?.journal.ops);
+        let ops = std::mem::take(&mut self.slot_mut(dev)?.journal);
         let replayed = ops.iter().try_for_each(|op| {
             self.rmetrics.replayed_ops += 1;
             self.dev_op(dev, op).map_err(|e| match e {
@@ -931,7 +930,7 @@ impl Host {
                 e => HostError::Replay(format!("{op} diverged: {e}")),
             })
         });
-        self.slot_mut(dev)?.journal.ops = ops;
+        self.slot_mut(dev)?.journal = ops;
         replayed
     }
 

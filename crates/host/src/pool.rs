@@ -19,8 +19,8 @@
 
 use std::collections::HashMap;
 
-use nzomp_vgpu::memory::DevPtr;
-use nzomp_vgpu::{Device, ExecError};
+use nzomp_vgpu::memory::{DevPtr, GLOBAL_SPACE_BYTES};
+use nzomp_vgpu::{Device, ExecError, TrapKind};
 
 use crate::stream::DevOp;
 
@@ -54,9 +54,13 @@ impl DevicePool {
 
     /// Allocate `size` bytes (rounded up to 8) on `dev`, reusing a free
     /// block when one is large enough. Returns the block and what getting
-    /// it did to device memory — the [`DevOp`] that reproduces it.
+    /// it did to device memory — the [`DevOp`] that reproduces it. A block
+    /// that would end past the device's addressable space is
+    /// [`TrapKind::OutOfMemory`] with nothing allocated: sizes reach here
+    /// from callers' claims, and a wrapped 32-bit offset would alias
+    /// somebody else's block.
     pub fn alloc(&mut self, dev: &mut Device, size: u64) -> Result<(DevPtr, DevOp), ExecError> {
-        let aligned = size.max(1).div_ceil(8) * 8;
+        let aligned = size.max(1).div_ceil(8).saturating_mul(8);
         // Best fit: `free` is sorted by size, so the first block that fits
         // is the smallest adequate one.
         if let Some(i) = self.free.iter().position(|b| b.size >= aligned) {
@@ -69,6 +73,15 @@ impl DevicePool {
             self.live.insert(block.ptr.0, block.size);
             self.reuse_hits += 1;
             return Ok((block.ptr, DevOp::Zero { ptr: block.ptr, len: block.size }));
+        }
+        let end = (dev.global_bytes().len() as u64).next_multiple_of(8).saturating_add(aligned);
+        if end > GLOBAL_SPACE_BYTES {
+            return Err(ExecError {
+                kind: TrapKind::OutOfMemory,
+                team: 0,
+                thread: 0,
+                func: "<host alloc>".into(),
+            });
         }
         let ptr = dev.alloc(aligned);
         self.device_bytes += aligned;
@@ -133,6 +146,22 @@ mod tests {
         assert_eq!(e, a);
         assert_eq!(pool.reuse_hits, 2);
         assert_eq!(pool.device_allocs, 2, "no new device allocation");
+    }
+
+    #[test]
+    fn a_block_no_pointer_can_address_is_out_of_memory_and_allocates_nothing() {
+        let mut d = dev();
+        let mut pool = DevicePool::new();
+        let (a, _) = pool.alloc(&mut d, 64).unwrap();
+        let before = d.global_bytes().len();
+        for size in [GLOBAL_SPACE_BYTES, 1 << 33, u64::MAX - 100, u64::MAX] {
+            let refused = pool.alloc(&mut d, size).map(|(p, _)| p);
+            assert!(matches!(&refused, Err(e) if e.kind == TrapKind::OutOfMemory), "{size}: {refused:?}");
+        }
+        assert_eq!((d.global_bytes().len(), pool.device_allocs, pool.in_use()), (before, 1, 64));
+        // The pool still works, right behind the block it held before.
+        let (b, _) = pool.alloc(&mut d, 8).unwrap();
+        assert_eq!(b.offset(), a.offset() + 64);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   off and retry the same operation on the same device, up to
 //!   [`RecoveryPolicy::transient_retries`] times per operation.
 //! * **Permanent** (`DeviceLost`): quarantine the dead device, bind a
-//!   replacement, replay the slot's [`crate::journal::OpJournal`], and
+//!   replacement, replay the slot's op journal (`DeviceSlot::journal`), and
 //!   retry — up to [`RecoveryPolicy::max_failovers`] times per host.
 //! * **Program**: surface immediately; a retry would reproduce it.
 //!

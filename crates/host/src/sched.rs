@@ -5,9 +5,9 @@ use std::sync::Arc;
 
 use nzomp_vgpu::{Device, FaultPlan, Image};
 
-use crate::journal::OpJournal;
 use crate::map::PresentTable;
 use crate::pool::DevicePool;
+use crate::stream::DevOp;
 
 /// Handle of a compiled kernel image in the host's registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,9 +58,22 @@ pub(crate) struct DeviceSlot {
     /// on a failover replacement — the replacement models healthy
     /// hardware.
     pub device_plan: Option<FaultPlan>,
-    /// Redo log of every device-state effect since the image was bound —
-    /// what failover replays onto a replacement device.
-    pub journal: OpJournal,
+    /// The op journal, the redo log behind device-loss recovery: while
+    /// recovery is armed, every `DevOp` that succeeded since the image was
+    /// bound, in device order; failover runs them again, through the same
+    /// door, on a replacement device. Cleared on rebind to a different image
+    /// (device memory is reset, so the history describes nothing reachable).
+    ///
+    /// Replay is sound (`docs/robustness.md`, "Recovery policy and op
+    /// journal") because `Device::alloc` is a pure bump allocator — the kept
+    /// [`DevOp::Grow`]s reproduce the *identical* pointers on a fresh device
+    /// of the same image, so the present table, pool and every translated
+    /// kernel argument stay valid ([`crate::HostError::Replay`] on
+    /// divergence) — and the device engine is deterministic, so the kept
+    /// launches reproduce memory, metrics and sanitizer verdicts bit for
+    /// bit. Pool frees are *not* kept: a free only moves a block to the
+    /// host-side free list, and the pool object survives the failover.
+    pub journal: Vec<DevOp>,
 }
 
 impl DeviceSlot {
@@ -76,7 +89,7 @@ impl DeviceSlot {
             launches: 0,
             quarantined: false,
             device_plan: None,
-            journal: OpJournal::new(),
+            journal: Vec::new(),
         }
     }
 }

@@ -168,7 +168,7 @@ fn check_eligibility(module: &Module, fidx: u32) -> Result<Plan, String> {
 /// Returns false (module untouched) when the modern runtime is not linked —
 /// a generic-mode kernel without `__kmpc_parallel_spmd` cannot be promoted.
 fn apply(module: &mut Module, fidx: u32, plan: &Plan) -> bool {
-    let Some(spmd_fork) = module.find_func("__kmpc_parallel_spmd") else {
+    let Some(spmd_fork) = module.find_func(abi::PARALLEL_SPMD) else {
         return false;
     };
     let f = &mut module.funcs[fidx as usize];

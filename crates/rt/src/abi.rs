@@ -2,6 +2,8 @@
 //! runtimes, the frontend (which emits calls against these symbols) and the
 //! optimizer (which recognizes them).
 
+use nzomp_ir::Ty::{self, Ptr, I1, I64};
+
 /// Kernel execution mode values passed to `__kmpc_target_init`.
 pub const MODE_GENERIC: i64 = 0;
 pub const MODE_SPMD: i64 = 1;
@@ -17,6 +19,8 @@ pub const DEBUG_FUNCTION_TRACING: i64 = 1 << 1;
 pub const TARGET_INIT: &str = "__kmpc_target_init";
 pub const TARGET_DEINIT: &str = "__kmpc_target_deinit";
 pub const PARALLEL_51: &str = "__kmpc_parallel_51";
+/// The SPMD fork SPMDization retargets `__kmpc_parallel_51` to.
+pub const PARALLEL_SPMD: &str = "__kmpc_parallel_spmd";
 pub const WORKER_LOOP: &str = "__kmpc_worker_loop";
 pub const DIST_PAR_FOR_LOOP: &str = "__kmpc_distribute_parallel_for_static_loop";
 pub const FOR_STATIC_LOOP: &str = "__kmpc_for_static_loop";
@@ -117,9 +121,46 @@ pub mod old_state {
 /// 2336 + 5952 = 8288.
 pub const OLD_DS_STACK_SIZE: u64 = 5944; // + 8 bytes top pointer = 5952
 
-/// Compile-time runtime configuration: which feature globals are baked into
-/// the runtime image (paper §III-F/G — command-line flags become constant
-/// globals read "at compile time via constant propagation").
+/// The runtime ABI: `(name, params, ret)` of every entry point either runtime
+/// defines, one row per name. Declarations in application modules and in the
+/// runtime builders are all made from this table (`declare_api`).
+pub const API: &[(&str, &[Ty], Option<Ty>)] = &[
+    (NZOMP_TRACE, &[], None),
+    (NZOMP_ASSERT, &[I1], None),
+    (SYNCTHREADS_ALIGNED, &[], None),
+    (KMPC_BARRIER, &[], None),
+    (TARGET_INIT, &[I64], Some(I64)),
+    (TARGET_DEINIT, &[I64], None),
+    (OMP_GET_THREAD_NUM, &[], Some(I64)),
+    (OMP_GET_NUM_THREADS, &[], Some(I64)),
+    (OMP_GET_LEVEL, &[], Some(I64)),
+    (OMP_GET_TEAM_NUM, &[], Some(I64)),
+    (OMP_GET_NUM_TEAMS, &[], Some(I64)),
+    (ALLOC_SHARED, &[I64], Some(Ptr)),
+    (FREE_SHARED, &[Ptr, I64], None),
+    (PARALLEL_51, &[Ptr, Ptr], None),
+    (PARALLEL_SPMD, &[Ptr, Ptr], None),
+    (WORKER_LOOP, &[], None),
+    (DIST_PAR_FOR_LOOP, &[Ptr, Ptr, I64], None),
+    (FOR_STATIC_LOOP, &[Ptr, Ptr, I64, I64], None),
+    (DISTRIBUTE_STATIC_LOOP, &[Ptr, Ptr, I64], None),
+    (OLD_TARGET_INIT, &[I64], Some(I64)),
+    (OLD_TARGET_DEINIT, &[I64], None),
+    (OLD_WORKER_LOOP, &[], None),
+    (OLD_PARALLEL_PREPARE, &[Ptr, Ptr], None),
+    (OLD_PARALLEL_END, &[], None),
+    (OLD_FOR_STATIC_INIT, &[Ptr, Ptr, Ptr, I64], None),
+    (OLD_FOR_STATIC_FINI, &[], None),
+    (OLD_DISTRIBUTE_INIT, &[Ptr, Ptr, Ptr, I64], None),
+    (OLD_BARRIER, &[], None),
+    (OLD_DATA_SHARING_PUSH, &[I64], Some(Ptr)),
+    (OLD_DATA_SHARING_POP, &[Ptr, I64], None),
+];
+
+/// Compile-time runtime configuration: the values of the three feature
+/// globals, patched onto the linked copy of the runtime (paper §III-F/G —
+/// command-line flags become constant globals read "at compile time via
+/// constant propagation").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RtConfig {
     /// Debug bit-field; 0 = release build.

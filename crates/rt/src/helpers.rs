@@ -1,6 +1,40 @@
 //! Builder helpers shared by both runtime implementations and the frontend.
 
-use nzomp_ir::{FuncBuilder, GlobalId, Operand, Ty};
+use nzomp_ir::{FuncBuilder, Function, GlobalId, Module, Operand, Ty};
+
+/// A runtime entry point: its name, and how to build its definition once
+/// every entry point of the module is declared.
+pub(crate) type EntryPoint<'a> = (&'a str, &'a dyn Fn(&Module) -> Function);
+
+/// Declare every entry point from the ABI table, in order, so bodies can
+/// reference each other; then build each definition against the declared
+/// module and put it in its declaration's place.
+pub(crate) fn define_all(m: &mut Module, entry_points: &[EntryPoint]) {
+    for (name, _) in entry_points {
+        crate::declare_api(m, name);
+    }
+    for (_, define) in entry_points {
+        let f = define(m);
+        install(m, f);
+    }
+}
+
+/// Replace the declaration of `f.name` with the definition `f`. A
+/// definition that disagrees with the ABI table its declaration came from
+/// is a programming error, caught here at build time.
+pub(crate) fn install(m: &mut Module, f: Function) {
+    let slot = m
+        .find_func(&f.name)
+        .unwrap_or_else(|| panic!("@{} not declared", f.name));
+    assert_eq!(m.func(slot).params, f.params, "@{} signature", f.name);
+    assert_eq!(m.func(slot).ret, f.ret, "@{} return", f.name);
+    m.funcs[slot.index()] = f;
+}
+
+/// The declared runtime function `name`, as a call target.
+pub(crate) fn callee(m: &Module, name: &str) -> Operand {
+    Operand::Func(m.find_func(name).unwrap_or_else(|| panic!("@{name}")))
+}
 
 /// Pointer to `byte_off` inside global `g`.
 pub fn field_ptr(b: &mut FuncBuilder, g: GlobalId, byte_off: u64) -> Operand {

@@ -21,8 +21,8 @@
 
 use nzomp_ir::{FuncBuilder, Function, Global, GlobalId, Init, Module, Operand, Pred, Space, Ty};
 
-use crate::abi::{self, old_state as os, RtConfig};
-use crate::helpers::{align8, call_val, field_ptr, imin};
+use crate::abi::{self, old_state as os};
+use crate::helpers::{align8, call_val, callee, define_all, field_ptr, imin};
 
 struct Ctx {
     state: GlobalId,
@@ -31,9 +31,9 @@ struct Ctx {
 }
 
 /// Build the legacy runtime. `needs_data_sharing` reserves the
-/// data-sharing stack used by variable globalization.
-pub fn build(cfg: &RtConfig, needs_data_sharing: bool) -> Module {
-    let _ = cfg; // the legacy runtime has no compile-time feature globals
+/// data-sharing stack used by variable globalization. The legacy runtime
+/// has no compile-time feature globals.
+pub fn build(needs_data_sharing: bool) -> Module {
     let mut m = Module::new("nzomp-rt-legacy");
     let state = m.add_global(Global::new(
         abi::G_OLD_STATE,
@@ -60,68 +60,32 @@ pub fn build(cfg: &RtConfig, needs_data_sharing: bool) -> Module {
         ds_top,
     };
 
-    let decls: Vec<(&str, Vec<Ty>, Option<Ty>)> = vec![
-        (abi::OLD_TARGET_INIT, vec![Ty::I64], Some(Ty::I64)),
-        (abi::OLD_TARGET_DEINIT, vec![Ty::I64], None),
-        (abi::OLD_WORKER_LOOP, vec![], None),
-        (abi::OLD_PARALLEL_PREPARE, vec![Ty::Ptr, Ty::Ptr], None),
-        (abi::OLD_PARALLEL_END, vec![], None),
-        (abi::OMP_GET_THREAD_NUM, vec![], Some(Ty::I64)),
-        (abi::OMP_GET_NUM_THREADS, vec![], Some(Ty::I64)),
-        (abi::OMP_GET_LEVEL, vec![], Some(Ty::I64)),
-        (abi::OMP_GET_TEAM_NUM, vec![], Some(Ty::I64)),
-        (abi::OMP_GET_NUM_TEAMS, vec![], Some(Ty::I64)),
-        (
-            abi::OLD_FOR_STATIC_INIT,
-            vec![Ty::Ptr, Ty::Ptr, Ty::Ptr, Ty::I64],
-            None,
-        ),
-        (abi::OLD_FOR_STATIC_FINI, vec![], None),
-        (
-            abi::OLD_DISTRIBUTE_INIT,
-            vec![Ty::Ptr, Ty::Ptr, Ty::Ptr, Ty::I64],
-            None,
-        ),
-        (abi::OLD_BARRIER, vec![], None),
-        (abi::OLD_DATA_SHARING_PUSH, vec![Ty::I64], Some(Ty::Ptr)),
-        (abi::OLD_DATA_SHARING_POP, vec![Ty::Ptr, Ty::I64], None),
-    ];
-    for (name, params, ret) in &decls {
-        m.add_function(Function::declaration(*name, params.clone(), *ret));
-    }
-
-    let f = build_init(&m, &ctx); install(&mut m, f);
-    install(&mut m, build_deinit(&ctx));
-    install(&mut m, build_worker_loop(&ctx));
-    install(&mut m, build_prepare_parallel(&ctx));
-    install(&mut m, build_end_parallel(&ctx));
-    install(&mut m, build_get_thread_num(&ctx));
-    install(&mut m, build_get_num_threads(&ctx));
-    install(&mut m, build_get_level(&ctx));
-    install(&mut m, build_get_team_num());
-    install(&mut m, build_get_num_teams());
-    let f = build_for_static_init(&m, &ctx); install(&mut m, f);
-    install(&mut m, build_for_static_fini());
-    install(&mut m, build_distribute_init(&ctx));
-    install(&mut m, build_barrier());
-    install(&mut m, build_ds_push(&ctx));
-    install(&mut m, build_ds_pop(&ctx));
+    // Every entry point, in declaration order (function indices, and so
+    // every printed module, depend on it); all are declared before any body
+    // is built, so bodies can reference each other.
+    define_all(&mut m, &[
+        (abi::OLD_TARGET_INIT, &|m| build_init(m, &ctx)),
+        (abi::OLD_TARGET_DEINIT, &|_| build_deinit(&ctx)),
+        (abi::OLD_WORKER_LOOP, &|_| build_worker_loop(&ctx)),
+        (abi::OLD_PARALLEL_PREPARE, &|_| build_prepare_parallel(&ctx)),
+        (abi::OLD_PARALLEL_END, &|_| build_end_parallel(&ctx)),
+        (abi::OMP_GET_THREAD_NUM, &|_| build_get_thread_num(&ctx)),
+        (abi::OMP_GET_NUM_THREADS, &|_| build_get_num_threads(&ctx)),
+        (abi::OMP_GET_LEVEL, &|_| build_get_level(&ctx)),
+        (abi::OMP_GET_TEAM_NUM, &|_| build_get_team_num()),
+        (abi::OMP_GET_NUM_TEAMS, &|_| build_get_num_teams()),
+        (abi::OLD_FOR_STATIC_INIT, &|m| build_for_static_init(m, &ctx)),
+        (abi::OLD_FOR_STATIC_FINI, &|_| build_for_static_fini()),
+        (abi::OLD_DISTRIBUTE_INIT, &|_| build_distribute_init(&ctx)),
+        (abi::OLD_BARRIER, &|_| build_barrier()),
+        (abi::OLD_DATA_SHARING_PUSH, &|_| build_ds_push(&ctx)),
+        (abi::OLD_DATA_SHARING_POP, &|_| build_ds_pop(&ctx)),
+    ]);
 
     if let Err(e) = nzomp_ir::verify_module(&m) {
         unreachable!("legacy runtime verifies: {e}");
     }
     m
-}
-
-fn install(m: &mut Module, f: Function) {
-    let slot = m
-        .find_func(&f.name)
-        .unwrap_or_else(|| panic!("@{} not declared", f.name));
-    m.funcs[slot.index()] = f;
-}
-
-fn callee(m: &Module, name: &str) -> Operand {
-    Operand::Func(m.find_func(name).unwrap_or_else(|| panic!("@{name}")))
 }
 
 /// Pointer to thread `tid`'s task descriptor.

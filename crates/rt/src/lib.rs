@@ -26,6 +26,11 @@ pub mod helpers;
 pub mod legacy;
 pub mod modern;
 
+use std::sync::OnceLock;
+
+use nzomp_ir::module::FuncRef;
+use nzomp_ir::{Function, Init, Module, Ty};
+
 pub use abi::RtConfig;
 
 /// Which device runtime to link.
@@ -37,129 +42,113 @@ pub enum RuntimeFlavor {
     Modern,
 }
 
-/// Build the runtime library module for `flavor` from scratch — the
-/// definition of the library, and what `nzbench` times as `rt.build_*_us`.
-/// Compiles link [`runtime_library`]'s prebuilt copy of it instead.
+/// The library itself: a function of the flavor and, for the legacy one,
+/// of whether the data-sharing stack is reserved — never of an `RtConfig`.
+fn build(flavor: RuntimeFlavor, needs_data_sharing: bool) -> Module {
+    match flavor {
+        RuntimeFlavor::Modern => modern::build(),
+        RuntimeFlavor::Legacy => legacy::build(needs_data_sharing),
+    }
+}
+
+/// Set the three §III-F/G flag globals of a runtime module to `cfg`'s
+/// values, by name. The legacy runtime has none, so this leaves it as built.
+fn configure(m: &mut Module, cfg: &RtConfig) {
+    for (name, value) in [
+        (abi::G_DEBUG_KIND, cfg.debug_kind),
+        (abi::G_ASSUME_TEAMS_OVERSUB, i64::from(cfg.assume_teams_oversubscription)),
+        (abi::G_ASSUME_THREADS_OVERSUB, i64::from(cfg.assume_threads_oversubscription)),
+    ] {
+        if let Some(g) = m.find_global(name) {
+            m.globals[g.index()].init = Init::I64(value);
+        }
+    }
+}
+
+/// Build the runtime library module for `flavor` from scratch and configure
+/// it — the definition of what a compile links, and what `nzbench` times as
+/// `rt.build_*_us`. Compiles link [`runtime_library`]'s prebuilt copy instead.
 ///
 /// `needs_data_sharing` only matters for the legacy flavor: kernels that
 /// globalize local variables get the legacy data-sharing stack reserved in
 /// shared memory (this is why Old-RT SMem differs between XSBench and
 /// RSBench in Fig. 11).
-pub fn build_runtime(
-    flavor: RuntimeFlavor,
-    cfg: &RtConfig,
-    needs_data_sharing: bool,
-) -> nzomp_ir::Module {
-    match flavor {
-        RuntimeFlavor::Modern => modern::build(cfg),
-        RuntimeFlavor::Legacy => legacy::build(cfg, needs_data_sharing),
-    }
+pub fn build_runtime(flavor: RuntimeFlavor, cfg: &RtConfig, needs_data_sharing: bool) -> Module {
+    let mut m = build(flavor, needs_data_sharing);
+    configure(&mut m, cfg);
+    m
 }
 
-/// How many distinct runtime builds [`runtime_library`] keeps. Every key the
-/// pipeline produces fits with room to spare (two flavors, data sharing on
-/// or off, the `BuildConfig` oversubscription pairs, four debug kinds), and
-/// the store never outgrows this whatever `RtConfig`s a caller invents.
-const LIBRARY_SLOTS: usize = 32;
-
-type LibraryKey = (RuntimeFlavor, RtConfig, bool);
-
-static LIBRARY: std::sync::Mutex<Vec<(LibraryKey, nzomp_ir::Module)>> =
-    std::sync::Mutex::new(Vec::new());
-
-/// The runtime library for `flavor`, prebuilt: [`build_runtime`]'s module,
-/// built on first request and handed out as a copy the caller may link and
-/// mutate (§II-B ships the device runtime as a bytecode library; it is not
-/// regenerated per translation unit). Always `==` a fresh `build_runtime`.
-///
-/// The store holds at most [`LIBRARY_SLOTS`] builds; a key beyond that is
-/// served by a fresh build each time, which is what every compile used to
-/// pay.
-pub fn runtime_library(
-    flavor: RuntimeFlavor,
-    cfg: &RtConfig,
-    needs_data_sharing: bool,
-) -> nzomp_ir::Module {
+/// The runtime library for `flavor`, prebuilt: one of three modules (modern,
+/// legacy, legacy with the data-sharing stack), each built on first request,
+/// handed out as a copy with `cfg` patched onto its flag globals (§II-B ships
+/// one device runtime as a bitcode library; §III-F/G emit the flags as
+/// constant globals where it meets the application). The caller may link and
+/// mutate the copy. Always `==` a fresh `build_runtime`.
+pub fn runtime_library(flavor: RuntimeFlavor, cfg: &RtConfig, needs_data_sharing: bool) -> Module {
+    static LIBRARY: [OnceLock<Module>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
     // Only the legacy runtime looks at the flag.
-    let key = (
-        flavor,
-        *cfg,
-        needs_data_sharing && flavor == RuntimeFlavor::Legacy,
-    );
-    // The only write is the push of a finished build, so a panic elsewhere
-    // while holding the lock leaves the store valid.
-    let mut library = LIBRARY
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some((_, built)) = library.iter().find(|(k, _)| *k == key) {
-        return built.clone();
-    }
-    let built = build_runtime(flavor, cfg, needs_data_sharing);
-    if library.len() < LIBRARY_SLOTS {
-        library.push((key, built.clone()));
-    }
-    built
-}
-
-/// Signature of a public runtime entry point, for emitting declarations in
-/// application modules. `None` for unknown names.
-pub fn api_signature(name: &str) -> Option<(Vec<nzomp_ir::Ty>, Option<nzomp_ir::Ty>)> {
-    use nzomp_ir::Ty::{Ptr, I1, I64};
-    let sig = match name {
-        abi::NZOMP_TRACE => (vec![], None),
-        abi::NZOMP_ASSERT => (vec![I1], None),
-        abi::SYNCTHREADS_ALIGNED | abi::KMPC_BARRIER => (vec![], None),
-        abi::TARGET_INIT => (vec![I64], Some(I64)),
-        abi::TARGET_DEINIT => (vec![I64], None),
-        abi::OMP_GET_THREAD_NUM
-        | abi::OMP_GET_NUM_THREADS
-        | abi::OMP_GET_LEVEL
-        | abi::OMP_GET_TEAM_NUM
-        | abi::OMP_GET_NUM_TEAMS => (vec![], Some(I64)),
-        abi::ALLOC_SHARED => (vec![I64], Some(Ptr)),
-        abi::FREE_SHARED => (vec![Ptr, I64], None),
-        abi::PARALLEL_51 | "__kmpc_parallel_spmd" => (vec![Ptr, Ptr], None),
-        abi::WORKER_LOOP | abi::OLD_WORKER_LOOP => (vec![], None),
-        abi::DIST_PAR_FOR_LOOP | abi::DISTRIBUTE_STATIC_LOOP => (vec![Ptr, Ptr, I64], None),
-        abi::FOR_STATIC_LOOP => (vec![Ptr, Ptr, I64, I64], None),
-        abi::OLD_TARGET_INIT => (vec![I64], Some(I64)),
-        abi::OLD_TARGET_DEINIT => (vec![I64], None),
-        abi::OLD_PARALLEL_PREPARE => (vec![Ptr, Ptr], None),
-        abi::OLD_PARALLEL_END => (vec![], None),
-        abi::OLD_FOR_STATIC_INIT | abi::OLD_DISTRIBUTE_INIT => (vec![Ptr, Ptr, Ptr, I64], None),
-        abi::OLD_FOR_STATIC_FINI | abi::OLD_BARRIER => (vec![], None),
-        abi::OLD_DATA_SHARING_PUSH => (vec![I64], Some(Ptr)),
-        abi::OLD_DATA_SHARING_POP => (vec![Ptr, I64], None),
-        _ => return None,
+    let needs_data_sharing = needs_data_sharing && flavor == RuntimeFlavor::Legacy;
+    let slot = match flavor {
+        RuntimeFlavor::Modern => 0,
+        RuntimeFlavor::Legacy => 1 + usize::from(needs_data_sharing),
     };
-    Some(sig)
+    let mut m = LIBRARY[slot].get_or_init(|| build(flavor, needs_data_sharing)).clone();
+    configure(&mut m, cfg);
+    m
 }
 
-/// Find-or-declare a runtime entry point in an application module.
-pub fn declare_api(m: &mut nzomp_ir::Module, name: &str) -> nzomp_ir::module::FuncRef {
+/// Signature of a public runtime entry point ([`abi::API`]'s row), for
+/// emitting declarations in application modules. `None` for unknown names.
+pub fn api_signature(name: &str) -> Option<(Vec<Ty>, Option<Ty>)> {
+    let (_, params, ret) = abi::API.iter().find(|(n, ..)| *n == name)?;
+    Some((params.to_vec(), *ret))
+}
+
+/// Find-or-declare a runtime entry point in a module.
+///
+/// # Panics
+/// On a name [`abi::API`] does not list: the callers are the frontend and
+/// the runtime builders, which only pass `abi` constants, so this is a
+/// builder-time programming error like a definition that disagrees with its
+/// declaration.
+pub fn declare_api(m: &mut Module, name: &str) -> FuncRef {
     if let Some(f) = m.find_func(name) {
         return f;
     }
     let (params, ret) =
         api_signature(name).unwrap_or_else(|| panic!("unknown runtime API @{name}"));
-    m.add_function(nzomp_ir::Function::declaration(name, params, ret))
+    m.add_function(Function::declaration(name, params, ret))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The set of names is closed: every function of a built runtime was
+    /// declared from the table (`declare_api` panics otherwise) and defined,
+    /// and the table has no row, or second row, for a name neither defines.
     #[test]
-    fn a_full_library_keeps_its_size_and_still_serves_fresh_builds() {
-        // More distinct configurations than the store has slots.
-        for debug_kind in 0..(LIBRARY_SLOTS as i64 + 8) {
-            let cfg = RtConfig { debug_kind, ..RtConfig::default() };
-            for flavor in [RuntimeFlavor::Legacy, RuntimeFlavor::Modern] {
-                for _ in 0..2 {
-                    assert_eq!(runtime_library(flavor, &cfg, false), build_runtime(flavor, &cfg, false));
-                }
-            }
+    fn the_abi_table_lists_exactly_what_the_builders_define() {
+        let built = [build(RuntimeFlavor::Modern, false), build(RuntimeFlavor::Legacy, true)];
+        let defined: Vec<&str> = built.iter().flat_map(|m| &m.funcs).map(|f| f.name.as_str()).collect();
+        for f in built.iter().flat_map(|m| &m.funcs) {
+            assert!(!f.is_declaration(), "@{} is declared and never defined", f.name);
+            assert!(api_signature(&f.name).is_some(), "@{} is defined, the table lacks it", f.name);
         }
-        assert_eq!(LIBRARY.lock().unwrap().len(), LIBRARY_SLOTS);
+        for (i, (name, ..)) in abi::API.iter().enumerate() {
+            assert!(defined.contains(name), "the table lists @{name}, no builder defines it");
+            assert!(abi::API[..i].iter().all(|(n, ..)| n != name), "@{name} has two rows");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "@__kmpc_barrier_old signature")]
+    fn a_legacy_definition_that_disagrees_with_the_table_panics_at_build() {
+        let mut m = Module::new("t");
+        declare_api(&mut m, abi::OLD_BARRIER);
+        let mut b = nzomp_ir::FuncBuilder::new(abi::OLD_BARRIER, vec![Ty::I64], None);
+        b.ret(None);
+        helpers::install(&mut m, b.finish());
     }
 }

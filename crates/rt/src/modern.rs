@@ -26,8 +26,10 @@ use nzomp_ir::{
     FuncBuilder, Function, Global, GlobalId, Init, Module, Operand, Pred, Space, Ty,
 };
 
-use crate::abi::{self, team_state as ts, thread_state as th, RtConfig};
-use crate::helpers::{align8, array_slot_ptr, assume_field_eq, call_val, cond_write, field_ptr};
+use crate::abi::{self, team_state as ts, thread_state as th};
+use crate::helpers::{
+    align8, array_slot_ptr, assume_field_eq, call_val, callee, cond_write, define_all, field_ptr,
+};
 
 /// Global ids of the runtime state, needed while building function bodies.
 struct Ctx {
@@ -43,8 +45,10 @@ struct Ctx {
     trace_count: GlobalId,
 }
 
-/// Build the modern runtime module for the given compile-time configuration.
-pub fn build(cfg: &RtConfig) -> Module {
+/// Build the modern runtime module. The three configuration globals carry
+/// their default initialisers; the crate root patches them on the copy a
+/// compile links.
+pub fn build() -> Module {
     let mut m = Module::new("nzomp-rt-modern");
 
     let ctx = Ctx {
@@ -80,24 +84,24 @@ pub fn build(cfg: &RtConfig) -> Module {
             Init::Zero,
         )),
         // The compile-time configuration globals (§III-F/G): constant space,
-        // value baked in by the "compiler driver".
+        // value set by the "compiler driver" at link time.
         debug_kind: m.add_global(Global::constant(
             abi::G_DEBUG_KIND,
             Space::Constant,
             8,
-            Init::I64(cfg.debug_kind),
+            Init::I64(0),
         )),
         teams_oversub: m.add_global(Global::constant(
             abi::G_ASSUME_TEAMS_OVERSUB,
             Space::Constant,
             8,
-            Init::I64(cfg.assume_teams_oversubscription as i64),
+            Init::I64(0),
         )),
         threads_oversub: m.add_global(Global::constant(
             abi::G_ASSUME_THREADS_OVERSUB,
             Space::Constant,
             8,
-            Init::I64(cfg.assume_threads_oversubscription as i64),
+            Init::I64(0),
         )),
         trace_count: m.add_global(Global::new(
             abi::G_TRACE_COUNT,
@@ -107,82 +111,35 @@ pub fn build(cfg: &RtConfig) -> Module {
         )),
     };
 
-    // Declare everything first so bodies can reference each other.
-    let decls: Vec<(&str, Vec<Ty>, Option<Ty>)> = vec![
-        (abi::NZOMP_TRACE, vec![], None),
-        (abi::NZOMP_ASSERT, vec![Ty::I1], None),
-        (abi::SYNCTHREADS_ALIGNED, vec![], None),
-        (abi::KMPC_BARRIER, vec![], None),
-        (abi::TARGET_INIT, vec![Ty::I64], Some(Ty::I64)),
-        (abi::TARGET_DEINIT, vec![Ty::I64], None),
-        (abi::OMP_GET_THREAD_NUM, vec![], Some(Ty::I64)),
-        (abi::OMP_GET_NUM_THREADS, vec![], Some(Ty::I64)),
-        (abi::OMP_GET_LEVEL, vec![], Some(Ty::I64)),
-        (abi::OMP_GET_TEAM_NUM, vec![], Some(Ty::I64)),
-        (abi::OMP_GET_NUM_TEAMS, vec![], Some(Ty::I64)),
-        (abi::ALLOC_SHARED, vec![Ty::I64], Some(Ty::Ptr)),
-        (abi::FREE_SHARED, vec![Ty::Ptr, Ty::I64], None),
-        (abi::PARALLEL_51, vec![Ty::Ptr, Ty::Ptr], None),
-        ("__kmpc_parallel_spmd", vec![Ty::Ptr, Ty::Ptr], None),
-        (abi::WORKER_LOOP, vec![], None),
-        (
-            abi::DIST_PAR_FOR_LOOP,
-            vec![Ty::Ptr, Ty::Ptr, Ty::I64],
-            None,
-        ),
-        (
-            abi::FOR_STATIC_LOOP,
-            vec![Ty::Ptr, Ty::Ptr, Ty::I64, Ty::I64],
-            None,
-        ),
-        (
-            abi::DISTRIBUTE_STATIC_LOOP,
-            vec![Ty::Ptr, Ty::Ptr, Ty::I64],
-            None,
-        ),
-    ];
-    for (name, params, ret) in &decls {
-        m.add_function(Function::declaration(*name, params.clone(), *ret));
-    }
-
-    install(&mut m, build_trace(&ctx));
-    let f = build_assert(&m, &ctx); install(&mut m, f);
-    install(&mut m, build_syncthreads_aligned());
-    let f = build_kmpc_barrier(&m, &ctx); install(&mut m, f);
-    let f = build_target_init(&m, &ctx); install(&mut m, f);
-    let f = build_target_deinit(&m, &ctx); install(&mut m, f);
-    let f = build_get_thread_num(&m, &ctx); install(&mut m, f);
-    let f = build_get_num_threads(&m, &ctx); install(&mut m, f);
-    let f = build_get_level(&m, &ctx); install(&mut m, f);
-    let f = build_get_team_num(&m); install(&mut m, f);
-    let f = build_get_num_teams(&m); install(&mut m, f);
-    let f = build_alloc_shared(&m, &ctx); install(&mut m, f);
-    let f = build_free_shared(&m, &ctx); install(&mut m, f);
-    let f = build_parallel_51(&m, &ctx); install(&mut m, f);
-    let f = build_parallel_spmd(&m); install(&mut m, f);
-    let f = build_worker_loop(&m, &ctx); install(&mut m, f);
-    let f = build_dist_par_for(&m, &ctx); install(&mut m, f);
-    let f = build_for_static_loop(&m, &ctx); install(&mut m, f);
-    let f = build_distribute_static_loop(&m, &ctx); install(&mut m, f);
+    // Every entry point, in declaration order (function indices, and so
+    // every printed module, depend on it); all are declared before any body
+    // is built, so bodies can reference each other.
+    define_all(&mut m, &[
+        (abi::NZOMP_TRACE, &|_| build_trace(&ctx)),
+        (abi::NZOMP_ASSERT, &|m| build_assert(m, &ctx)),
+        (abi::SYNCTHREADS_ALIGNED, &|_| build_syncthreads_aligned()),
+        (abi::KMPC_BARRIER, &|m| build_kmpc_barrier(m, &ctx)),
+        (abi::TARGET_INIT, &|m| build_target_init(m, &ctx)),
+        (abi::TARGET_DEINIT, &|m| build_target_deinit(m, &ctx)),
+        (abi::OMP_GET_THREAD_NUM, &|m| build_get_thread_num(m, &ctx)),
+        (abi::OMP_GET_NUM_THREADS, &|m| build_get_num_threads(m, &ctx)),
+        (abi::OMP_GET_LEVEL, &|m| build_get_level(m, &ctx)),
+        (abi::OMP_GET_TEAM_NUM, &build_get_team_num),
+        (abi::OMP_GET_NUM_TEAMS, &build_get_num_teams),
+        (abi::ALLOC_SHARED, &|m| build_alloc_shared(m, &ctx)),
+        (abi::FREE_SHARED, &|m| build_free_shared(m, &ctx)),
+        (abi::PARALLEL_51, &|m| build_parallel_51(m, &ctx)),
+        (abi::PARALLEL_SPMD, &build_parallel_spmd),
+        (abi::WORKER_LOOP, &|m| build_worker_loop(m, &ctx)),
+        (abi::DIST_PAR_FOR_LOOP, &|m| build_dist_par_for(m, &ctx)),
+        (abi::FOR_STATIC_LOOP, &|m| build_for_static_loop(m, &ctx)),
+        (abi::DISTRIBUTE_STATIC_LOOP, &|m| build_distribute_static_loop(m, &ctx)),
+    ]);
 
     if let Err(e) = nzomp_ir::verify_module(&m) {
         unreachable!("modern runtime verifies: {e}");
     }
     m
-}
-
-/// Replace the declaration of `f.name` with the definition `f`.
-fn install(m: &mut Module, f: Function) {
-    let slot = m
-        .find_func(&f.name)
-        .unwrap_or_else(|| panic!("@{} not declared", f.name));
-    assert_eq!(m.func(slot).params, f.params, "@{} signature", f.name);
-    assert_eq!(m.func(slot).ret, f.ret, "@{} return", f.name);
-    m.funcs[slot.index()] = f;
-}
-
-fn callee(m: &Module, name: &str) -> Operand {
-    Operand::Func(m.find_func(name).unwrap_or_else(|| panic!("@{name}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -641,7 +598,7 @@ fn build_parallel_51(m: &Module, ctx: &Ctx) -> Function {
 /// barriers the paper notes "cannot always be removed" (§VII) but often can
 /// (§IV-D).
 fn build_parallel_spmd(m: &Module) -> Function {
-    let mut b = FuncBuilder::new("__kmpc_parallel_spmd", vec![Ty::Ptr, Ty::Ptr], None);
+    let mut b = FuncBuilder::new(abi::PARALLEL_SPMD, vec![Ty::Ptr, Ty::Ptr], None);
     let work_fn = b.param(0);
     let work_args = b.param(1);
     b.call(callee(m, abi::NZOMP_TRACE), vec![], None);

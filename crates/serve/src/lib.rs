@@ -347,7 +347,11 @@ impl Serve {
         // 2. Tenant backlog.
         let (in_flight, limit, used, quota) = {
             let s = self.session(t)?;
-            (s.in_flight(), s.cfg.max_in_flight, s.used_bytes, s.cfg.mem_quota)
+            // No device can address more than its pointer encoding spans,
+            // whatever the tenant was granted — refused here, before any
+            // host or device byte is allocated for the claim.
+            let quota = s.cfg.mem_quota.min(nzomp_vgpu::memory::GLOBAL_SPACE_BYTES);
+            (s.in_flight(), s.cfg.max_in_flight, s.used_bytes, quota)
         };
         if in_flight >= limit {
             return Ok(self.reject(req, t, now, RejectReason::TenantBacklog { in_flight, limit }));

@@ -14,6 +14,7 @@ use nzomp_serve::{
     TenantId,
 };
 use nzomp_vgpu::device::Launch;
+use nzomp_vgpu::memory::GLOBAL_SPACE_BYTES;
 use nzomp_vgpu::{DeviceConfig, ExecTier, RtVal};
 
 const N: usize = 32;
@@ -476,13 +477,14 @@ fn overflowing_request_footprint_is_a_typed_quota_rejection() {
     // The two sizes wrap to 0, which would fit any quota.
     let rh = serve.submit(hostile, bomb(&[1 << 63, 1 << 63])).unwrap();
     assert_eq!(quota_rejection(&serve, rh), (u64::MAX, 0, 2 * need));
-    // No quota is large enough for a footprint that does not fit in `u64`...
+    // No quota is large enough for a footprint that does not fit in `u64`
+    // (an unlimited tenant's limit is what a device can address)...
     let ru = serve.submit(unlimited, bomb(&[1 << 63, 1 << 63])).unwrap();
-    assert_eq!(quota_rejection(&serve, ru), (u64::MAX, 0, u64::MAX));
+    assert_eq!(quota_rejection(&serve, ru), (u64::MAX, 0, GLOBAL_SPACE_BYTES));
     // ...or for one that only overflows on top of what is in flight.
     let ru_ok = serve.submit(unlimited, scale_req(&app, inp.clone())).unwrap();
     let ru2 = serve.submit(unlimited, bomb(&[u64::MAX - 100])).unwrap();
-    assert_eq!(quota_rejection(&serve, ru2), (u64::MAX - 100, need, u64::MAX));
+    assert_eq!(quota_rejection(&serve, ru2), (u64::MAX - 100, need, GLOBAL_SPACE_BYTES));
 
     // The offender was charged nothing: its whole quota is still there.
     let rh1 = serve.submit(hostile, scale_req(&app, inp.clone())).unwrap();
@@ -502,6 +504,65 @@ fn overflowing_request_footprint_is_a_typed_quota_rejection() {
     assert_eq!((rows[0].rejected(), rows[0].completed), (0, 1));
     let m = serve.metrics();
     assert_eq!((m.submitted, m.admitted, m.completed, m.rejected_quota), (7, 4, 4, 3));
+}
+
+/// Hostile sizes, the other kind: a claim that fits `u64` and an unlimited
+/// quota but that no device can address (offsets are 32 bits). It is a typed
+/// rejection at admission — nothing compiled, mapped or allocated for it, in
+/// the host or on a device — and the tenant next to it cannot tell the
+/// hostile requests were ever made.
+#[test]
+fn unaddressable_footprint_is_rejected_before_anything_is_allocated() {
+    let (scale, accum) = (scale_app(), accum_app());
+    let inp = Rc::new(nzomp_host::f64_bytes(&input(N)));
+    // What `good` observes of a run in which `hostile` submits `claims`
+    // between each of its requests, and what the host did in that run.
+    let run = |claims: &[u64]| {
+        let mut serve = Serve::new(cfg(2));
+        let good = serve.add_tenant("good", TenantConfig::default());
+        let hostile = serve.add_tenant("hostile", TenantConfig::default());
+        let state = serve.session_map(good, vec![0u8; 8 * N]).unwrap();
+        let mut goods = Vec::new();
+        for _ in 0..3 {
+            let acc = RequestSpec {
+                module: accum.clone(),
+                kernel: "acc".into(),
+                args: vec![ReqArg::Session(state), ReqArg::Scalar(RtVal::I(N as i64))],
+                ..scale_req(&scale, inp.clone())
+            };
+            for spec in [acc, scale_req(&scale, inp.clone())] {
+                for &n in claims {
+                    let bomb = RequestSpec {
+                        args: vec![ReqArg::In(inp.clone()), ReqArg::Out(n), ReqArg::Scalar(RtVal::I(0))],
+                        ..scale_req(&scale_app_by(n as f64), inp.clone())
+                    };
+                    let r = serve.submit(hostile, bomb).unwrap();
+                    let want = RejectReason::QuotaExceeded {
+                        needed: n + 8 * N as u64,
+                        in_use: 0,
+                        quota: GLOBAL_SPACE_BYTES,
+                    };
+                    assert!(
+                        matches!(serve.outcome(r), Some(Outcome::Rejected { reason, .. }) if *reason == want),
+                        "claim of {n} bytes: {:?}",
+                        serve.outcome(r)
+                    );
+                }
+                goods.push(serve.submit(good, spec).unwrap());
+            }
+        }
+        serve.drain();
+        let outcomes: Vec<Outcome> = goods.iter().map(|r| serve.outcome(*r).unwrap().clone()).collect();
+        assert!(outcomes.iter().all(Outcome::is_completed), "{outcomes:?}");
+        let snap = nzomp_serve::trace::snapshot(&mut serve).unwrap();
+        assert_eq!(snap.rows[1].rejected_quota, 6 * claims.len() as u64);
+        (outcomes, snap.rows[0].clone(), snap.session_images[0].clone(), serve.host_stats())
+    };
+    // The smallest claim that cannot fit, the 8 GiB of the report, and the
+    // largest that still sums in `u64`.
+    let alone = run(&[]);
+    let beside = run(&[GLOBAL_SPACE_BYTES - 8 * N as u64 + 1, 1 << 33, u64::MAX - 8 * N as u64]);
+    assert_eq!(alone, beside);
 }
 
 /// The tentpole determinism gate: one mixed trace — 8 tenants, 4

@@ -33,6 +33,11 @@ const TAG_LOCAL: u64 = 3;
 const TAG_CONST: u64 = 4;
 const TAG_FUNC: u64 = 5;
 
+/// Bytes of global memory a device can address: pointer offsets are 32 bits.
+/// A constant of the encoding, not a setting — an allocation that would end
+/// past it has no pointer, so hosts refuse it (`OutOfMemory`) up front.
+pub const GLOBAL_SPACE_BYTES: u64 = 1 << 32;
+
 /// An encoded device pointer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DevPtr(pub u64);

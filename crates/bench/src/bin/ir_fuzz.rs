@@ -8,8 +8,8 @@
 //! 2. **Coverage** — the module contains every instruction / terminator /
 //!    operator / address-space / atomic variant (every seed).
 //! 3. **Differential** — optimize under all nine pipeline variants (none,
-//!    baseline, full, each Fig. 13 ablation) and execute at 1 and 8 worker
-//!    threads with the sanitizer armed; outcomes must be bit-identical
+//!    baseline, full, each Fig. 13 ablation) and execute on both tiers at
+//!    1 and 8 workers, sanitizer off and armed; outcomes must be bit-identical
 //!    within a variant and output-identical across variants (every 4th
 //!    seed — this is the expensive leg).
 //!

@@ -1,4 +1,5 @@
 //! Capture packing/unpacking and globalized-local lowering.
+//! One run setting suffices: every launch is one thread of one team.
 
 use nzomp_front::capture::{args_size, load_captures, store_captures};
 use nzomp_front::{free_globalized, globalized_local, RuntimeFlavor};

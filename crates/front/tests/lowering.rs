@@ -1,5 +1,7 @@
 //! Frontend lowering tests: directives → IR → executed on the vGPU against
 //! both runtimes, results checked against host references.
+//! One run setting suffices: this pins lowering; executing lowered
+//! proxies across the run axes is `parallel_determinism`'s.
 
 use nzomp_front::{cuda, generic_kernel, spmd_kernel_for, RuntimeFlavor};
 use nzomp_ir::{Module, Operand, Ty};

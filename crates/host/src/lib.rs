@@ -204,10 +204,10 @@ pub struct Host {
 
 impl Host {
     /// A host over `n_devices` virtual GPUs (at least one) of identical
-    /// shape, running as the environment asks ([`RunConfig::from_env`]).
-    /// Devices are created lazily when an image is bound.
+    /// shape, running [`RunConfig::default`]. Devices are created lazily
+    /// when an image is bound.
     pub fn new(dev_cfg: DeviceConfig, n_devices: usize) -> Host {
-        Host::with_run(dev_cfg, n_devices, RunConfig::from_env())
+        Host::with_run(dev_cfg, n_devices, RunConfig::default())
     }
 
     /// [`Host::new`] under an explicit run configuration.
@@ -993,7 +993,7 @@ impl Host {
     }
 
     /// Pin the worker-thread count of every current and future device
-    /// (overrides the `NZOMP_VGPU_THREADS` resolution of [`Host::new`]).
+    /// ([`Host::new`] runs one).
     pub fn set_worker_threads(&mut self, n: usize) {
         self.run.workers = n.max(1);
         for s in &mut self.slots {

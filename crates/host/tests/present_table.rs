@@ -2,6 +2,7 @@
 //! random nested map/unmap sequences never leak pool memory, refcounts
 //! hit zero exactly at the outermost exit, and every lookup agrees with
 //! the shadow.
+//! No device launches: the run axes do not apply.
 
 // The other three suites use every fixture; this one needs only `quick`.
 #[allow(dead_code)]

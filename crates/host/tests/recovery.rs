@@ -3,6 +3,7 @@
 //! fails over to a replacement vGPU whose journal replay reproduces the
 //! clean run bit-for-bit, and a shrinking fleet degrades gracefully down
 //! to a typed `FleetLost` — never a panic, never a wrong answer.
+//! One run setting suffices: `recovery_chaos` crosses the run axes.
 
 mod common;
 

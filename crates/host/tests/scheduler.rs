@@ -2,6 +2,8 @@
 //! policies behave as documented, the compile cache eliminates repeated
 //! pipeline runs, and sharding across devices preserves bit-identical
 //! results.
+//! One worker suffices: `differential` crosses the run axes through the
+//! host, multi-device shapes included.
 
 mod common;
 

@@ -2,6 +2,8 @@
 //! bit-identical to eager execution, events order cross-stream work,
 //! declared-dependency cycles surface as typed deadlocks, and nested data
 //! environments transfer only at the outermost exit.
+//! One worker suffices: `differential` crosses the run axes through the
+//! host, multi-stream shapes included.
 
 mod common;
 

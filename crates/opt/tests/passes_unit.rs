@@ -1,4 +1,5 @@
 //! Unit tests for individual optimization passes on hand-crafted IR.
+//! One run setting suffices: these pin pass output.
 
 use nzomp_ir::inst::{Inst, Intrinsic};
 use nzomp_ir::{ExecMode, FuncBuilder, Function, Global, Init, Module, Operand, Pred, Space, Ty};

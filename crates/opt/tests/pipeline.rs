@@ -6,6 +6,9 @@
 //!   Fig. 11).
 //! * SPMDization removes the generic-mode state machine (§IV-A3).
 //! * Ablations degrade in the expected directions (Fig. 13).
+//!
+//! One run setting suffices: optimized proxies cross the run axes in
+//! `parallel_determinism` and `opt_preserves_sync`.
 
 use nzomp_front::{cuda, generic_kernel, spmd_kernel_for, RuntimeFlavor};
 use nzomp_ir::{Module, Operand, Ty};

@@ -7,6 +7,8 @@
 //! sees cross-team runtime traffic; the only Global-space runtime cell is
 //! the debug trace counter, which is accumulated with a result-unused
 //! atomic add and merges exactly.
+//! The sanitizer stays off: `parallel_determinism` holds sanitized
+//! execution to unsanitized for both runtimes' proxies.
 
 use nzomp_ir::{ExecMode, FuncBuilder, Module, Operand, Ty};
 use nzomp_rt::{abi, build_runtime, declare_api, RtConfig, RuntimeFlavor};

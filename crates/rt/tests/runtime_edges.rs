@@ -1,10 +1,14 @@
 //! Edge cases of the device runtimes: ICV queries per mode, worksharing
 //! degenerate shapes, shared-stack LIFO behavior.
+//! One run setting suffices — `parallel_runtime` crosses worker counts on
+//! both runtimes, `parallel_determinism` the sanitizer — except for
+//! freeing shared memory nothing touched, which meets the sanitizer only
+//! here: that test runs with it off and on.
 
 use nzomp_ir::{ExecMode, FuncBuilder, Module, Operand, Ty};
 use nzomp_rt::{abi, build_runtime, declare_api, RtConfig, RuntimeFlavor};
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{Device, DeviceConfig, RtVal};
+use nzomp_vgpu::{Device, DeviceConfig, RtVal, Sanitize};
 
 fn link_modern(mut app: Module) -> Module {
     let rt = build_runtime(RuntimeFlavor::Modern, &RtConfig::default(), true);
@@ -146,10 +150,13 @@ fn shared_stack_is_lifo() {
     let k = m.add_function(b.finish());
     m.add_kernel(k, ExecMode::Spmd);
     let m = link_modern(m);
-    let mut dev = Device::load(m, DeviceConfig::default());
-    let out = dev.alloc(8);
-    dev.launch("k", Launch::new(1, 1), &[RtVal::P(out)]).unwrap();
-    assert_eq!(dev.read_i64(out, 1).unwrap()[0], 1);
+    for sanitize in [Sanitize::Off, Sanitize::Report] {
+        let mut dev = Device::load(m.clone(), DeviceConfig::default());
+        dev.set_sanitize(sanitize);
+        let out = dev.alloc(8);
+        dev.launch("k", Launch::new(1, 1), &[RtVal::P(out)]).unwrap();
+        assert_eq!(dev.read_i64(out, 1).unwrap()[0], 1, "{sanitize:?}");
+    }
 }
 
 /// The legacy runtime without data sharing builds a smaller image and

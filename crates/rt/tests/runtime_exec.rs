@@ -1,11 +1,15 @@
 //! Behavioral tests: hand-lowered kernels (what the frontend will emit)
 //! linked against each runtime and executed on the virtual GPU. These pin
 //! down the runtime semantics before any optimization runs.
+//! One run setting suffices — `parallel_runtime` crosses worker counts on
+//! both runtimes, `parallel_determinism` the sanitizer — except for the
+//! nested parallel's serialized ICV state, whose release meets the
+//! sanitizer only here: that test runs with it off and on.
 
 use nzomp_ir::{ExecMode, FuncBuilder, Module, Operand, Ty};
 use nzomp_rt::{abi, build_runtime, declare_api, RtConfig, RuntimeFlavor};
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{Device, DeviceConfig, RtVal, TrapKind};
+use nzomp_vgpu::{Device, DeviceConfig, RtVal, Sanitize, TrapKind};
 
 fn link_rt(mut app: Module, flavor: RuntimeFlavor, cfg: &RtConfig) -> Module {
     let rt = build_runtime(flavor, cfg, true);
@@ -273,16 +277,19 @@ fn modern_nested_parallel_is_serialized() {
     m.add_kernel(k, ExecMode::Generic);
 
     let m = link_rt(m, RuntimeFlavor::Modern, &RtConfig::default());
-    let mut dev = Device::load(m, DeviceConfig::default());
-    let threads = 8u32;
-    let out = dev.alloc(24 * threads as u64);
-    dev.launch("kernel", Launch::new(1, threads), &[RtVal::P(out)])
-        .unwrap();
-    let got = dev.read_i64(out, 3 * threads as usize).unwrap();
-    for t in 0..threads as usize {
-        assert_eq!(got[3 * t], 0, "nested thread_num (thread {t})");
-        assert_eq!(got[3 * t + 1], 2, "nested level (thread {t})");
-        assert_eq!(got[3 * t + 2], 1, "nested num_threads (thread {t})");
+    for sanitize in [Sanitize::Off, Sanitize::Report] {
+        let mut dev = Device::load(m.clone(), DeviceConfig::default());
+        dev.set_sanitize(sanitize);
+        let threads = 8u32;
+        let out = dev.alloc(24 * threads as u64);
+        dev.launch("kernel", Launch::new(1, threads), &[RtVal::P(out)])
+            .unwrap();
+        let got = dev.read_i64(out, 3 * threads as usize).unwrap();
+        for t in 0..threads as usize {
+            assert_eq!(got[3 * t], 0, "nested thread_num (thread {t}, {sanitize:?})");
+            assert_eq!(got[3 * t + 1], 2, "nested level (thread {t}, {sanitize:?})");
+            assert_eq!(got[3 * t + 2], 1, "nested num_threads (thread {t}, {sanitize:?})");
+        }
     }
 }
 

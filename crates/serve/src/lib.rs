@@ -125,8 +125,7 @@ pub struct ServeConfig {
     pub global_max_in_flight: usize,
     /// Seeds the fairness cursor and the host's stream-drain schedule.
     pub seed: u64,
-    /// Pin every device's worker-thread count (the `NZOMP_VGPU_THREADS`
-    /// axis); `None` leaves env resolution in charge.
+    /// Pin every device's worker-thread count; `None` = one worker.
     pub worker_threads: Option<usize>,
     /// Pin every device's execution tier: `Some(ExecTier::Interp)` runs
     /// the service on the oracle for a differential test. `None` is

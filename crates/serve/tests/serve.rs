@@ -565,6 +565,55 @@ fn unaddressable_footprint_is_rejected_before_anything_is_allocated() {
     assert_eq!(alone, beside);
 }
 
+/// Hostile shapes: a launch no SM can hold — more threads than an SM has,
+/// or more shared memory, up to `u64::MAX` bytes — ends `Faulted` with the
+/// device's typed `BadLaunch` instead of taking the service down, and the
+/// tenant beside it cannot tell the requests were ever made.
+#[test]
+fn launch_shapes_past_an_sm_fault_typed_and_leave_neighbours_alone() {
+    let (scale, accum) = (scale_app(), accum_app());
+    let inp = Rc::new(nzomp_host::f64_bytes(&input(N)));
+    // The good tenant's row and session image in a run where `hostile`
+    // submits one request per shape between each pair of its own.
+    let run = |shapes: &[Launch]| {
+        let mut serve = Serve::new(cfg(2));
+        let good = serve.add_tenant("good", TenantConfig::default());
+        let hostile = serve.add_tenant("hostile", TenantConfig::default());
+        let state = serve.session_map(good, vec![0u8; 8 * N]).unwrap();
+        let mut refused = Vec::new();
+        for _ in 0..3 {
+            let acc = RequestSpec {
+                module: accum.clone(),
+                kernel: "acc".into(),
+                args: vec![ReqArg::Session(state), ReqArg::Scalar(RtVal::I(N as i64))],
+                ..scale_req(&scale, inp.clone())
+            };
+            serve.submit(good, acc).unwrap();
+            for &launch in shapes {
+                let bomb = RequestSpec { launch, ..scale_req(&scale, inp.clone()) };
+                refused.push(serve.submit(hostile, bomb).unwrap());
+            }
+            serve.submit(good, scale_req(&scale, inp.clone())).unwrap();
+        }
+        serve.drain();
+        for r in refused {
+            match serve.outcome(r) {
+                Some(Outcome::Faulted { error, .. }) => assert!(error.contains("bad launch"), "{error}"),
+                o => panic!("expected a BadLaunch fault, got {o:?}"),
+            }
+        }
+        let snap = nzomp_serve::trace::snapshot(&mut serve).unwrap();
+        assert_eq!(snap.rows[0].completed, 6);
+        (snap.rows[0].clone(), snap.session_images[0].clone())
+    };
+    let shapes = [
+        Launch { threads_per_team: u32::MAX, ..launch() },
+        Launch { dyn_smem_bytes: 1 << 40, ..launch() },
+        Launch { dyn_smem_bytes: u64::MAX, ..launch() },
+    ];
+    assert_eq!(run(&[]), run(&shapes));
+}
+
 /// The tentpole determinism gate: one mixed trace — 8 tenants, 4
 /// devices, clean, faulting, and quota-rejected requests, session state —
 /// replays bit-identically across runs, worker counts {1, 8}, and both

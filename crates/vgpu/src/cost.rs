@@ -136,7 +136,10 @@ pub fn teams_per_sm(regs_per_thread: u32, threads_per_team: u32, smem_per_team: 
         .min(by_regs)
         .min(by_smem)
         .min(by_threads)
-        .max(1) // a kernel that fits nowhere still runs, one team at a time
+        // Registers only: a register demand no SM can hold still runs, one
+        // team at a time (`Device::launch` refuses a thread count or shared
+        // memory past an SM).
+        .max(1)
 }
 
 #[cfg(test)]

@@ -220,9 +220,9 @@ pub struct Device {
 
 impl Device {
     /// Load `module` onto a device with the given configuration, running
-    /// as the environment asks ([`RunConfig::from_env`]).
+    /// [`RunConfig::default`].
     pub fn load(module: Module, config: DeviceConfig) -> Device {
-        Device::load_with(module, config, RunConfig::from_env())
+        Device::load_with(module, config, RunConfig::default())
     }
 
     /// [`Device::load`] under an explicit run configuration.
@@ -286,25 +286,11 @@ impl Device {
         self.run.workers
     }
 
-    /// Arm or disarm the sanitizer for subsequent launches (overrides the
-    /// load-time resolution). Arming keeps strict mode if it was set.
-    pub fn set_sanitize(&mut self, on: bool) {
-        self.run.sanitize = match (on, self.run.sanitize) {
-            (false, _) => Sanitize::Off,
-            (true, Sanitize::Off) => Sanitize::Report,
-            (true, armed) => armed,
-        };
-    }
-
-    /// Strict mode: an otherwise clean launch with sanitizer findings
-    /// returns a [`TrapKind::SanitizerViolation`] error (implies
-    /// sanitizing when enabled).
-    pub fn set_sanitize_strict(&mut self, on: bool) {
-        self.run.sanitize = match (on, self.run.sanitize) {
-            (true, _) => Sanitize::Strict,
-            (false, Sanitize::Strict) => Sanitize::Report,
-            (false, mode) => mode,
-        };
+    /// Select the sanitizer mode for subsequent launches. Under
+    /// [`Sanitize::Strict`] an otherwise clean launch with findings returns
+    /// a [`TrapKind::SanitizerViolation`] error.
+    pub fn set_sanitize(&mut self, mode: Sanitize) {
+        self.run.sanitize = mode;
     }
 
     /// Sanitizer findings of the most recent launch, in deterministic
@@ -580,36 +566,36 @@ impl Device {
         launch: Launch,
         args: &[RtVal],
     ) -> Result<KernelMetrics, ExecError> {
+        let refuse = |kind| ExecError { kind, team: 0, thread: 0, func: kernel.to_string() };
         if let Some(kind) = self.poll_device_fault(true) {
-            return Err(ExecError {
-                kind,
-                team: 0,
-                thread: 0,
-                func: kernel.to_string(),
-            });
+            return Err(refuse(kind));
         }
-        let func_ref = self.image.module.find_func(kernel).ok_or_else(|| ExecError {
-            kind: TrapKind::BadLaunch(format!("no kernel @{kernel}")),
-            team: 0,
-            thread: 0,
-            func: kernel.to_string(),
-        })?;
+        let func_ref = self
+            .image
+            .module
+            .find_func(kernel)
+            .ok_or_else(|| refuse(TrapKind::BadLaunch(format!("no kernel @{kernel}"))))?;
         let func = self.image.module.func(func_ref);
         if func.params.len() != args.len() {
-            return Err(ExecError {
-                kind: TrapKind::BadLaunch(format!(
-                    "kernel @{kernel} takes {} args, got {}",
-                    func.params.len(),
-                    args.len()
-                )),
-                team: 0,
-                thread: 0,
-                func: kernel.to_string(),
-            });
+            let msg = format!("kernel @{kernel} takes {} args, got {}", func.params.len(), args.len());
+            return Err(refuse(TrapKind::BadLaunch(msg)));
         }
-        let regs = self.image.regs_per_thread(func_ref);
+        // A shape no SM can hold is refused before anything is sized from it.
         let smem = self.image.layout.shared_size;
-        let shared_total = smem + launch.dyn_smem_bytes;
+        let shared_total = match smem.checked_add(launch.dyn_smem_bytes) {
+            Some(s) if s <= cost::SMEM_PER_SM && launch.threads_per_team <= cost::MAX_THREADS_PER_SM => s,
+            _ => {
+                let msg = format!(
+                    "{} threads and {smem} + {} B of shared memory per team exceed an SM ({} threads, {} B)",
+                    launch.threads_per_team,
+                    launch.dyn_smem_bytes,
+                    cost::MAX_THREADS_PER_SM,
+                    cost::SMEM_PER_SM
+                );
+                return Err(refuse(TrapKind::BadLaunch(msg)));
+            }
+        };
+        let regs = self.image.regs_per_thread(func_ref);
 
         // Occupancy is computed up front: the wave chunking drives *both*
         // the parallel team engine (which wave a team runs in) and the

@@ -59,7 +59,7 @@ pub enum TrapKind {
     /// one-shot — an immediate retry succeeds.
     MemcpyFault,
     /// The sanitizer found data races / divergent barriers and strict
-    /// mode (`NZOMP_SANITIZE=strict`) promotes findings to a trap after
+    /// mode (`Sanitize::Strict`) promotes findings to a trap after
     /// the (otherwise clean) launch completes. The reports remain
     /// available through `Device::sanitizer_reports`.
     SanitizerViolation { races: u64, divergences: u64 },

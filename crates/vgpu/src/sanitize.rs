@@ -3,7 +3,7 @@
 //! The paper's headline optimizations — barrier elimination (§IV-D) and
 //! aligned-execution reasoning (§IV-C) — are only sound if every removed
 //! barrier was truly redundant. This module machine-checks that: when
-//! sanitizing is enabled ([`crate::RunConfig::sanitize`] / `NZOMP_SANITIZE`),
+//! sanitizing is enabled ([`crate::RunConfig::sanitize`], `Device::set_sanitize`),
 //! every shared- and global-space access is mirrored into shadow cells and
 //! checked against a happens-before model; conflicts surface as typed
 //! [`RaceReport`]s through [`crate::Device::sanitizer_reports`] and the

@@ -1,11 +1,14 @@
 //! Instruction-level semantics of the interpreter: each operator class,
 //! trap conditions, counters and occupancy bookkeeping.
+//! One run setting suffices: the corpus crosses every operator with the
+//! run axes.
 
 use nzomp_ir::{
-    BinOp, CastKind, ExecMode, FuncBuilder, Module, Operand, Pred, Ty, UnOp,
+    BinOp, CastKind, ExecMode, FuncBuilder, Global, Init, Module, Operand, Pred, Space, Ty, UnOp,
 };
+use nzomp_vgpu::cost::{MAX_THREADS_PER_SM, SMEM_PER_SM};
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{Device, DeviceConfig, RtVal, RunConfig, TrapKind};
+use nzomp_vgpu::{Device, DeviceConfig, RtVal, TrapKind};
 
 /// Run a single-thread kernel computing one i64 and storing it to out[0].
 fn run_i64(build: impl FnOnce(&mut FuncBuilder) -> Operand) -> i64 {
@@ -353,6 +356,42 @@ fn dynamic_shared_memory_counts_against_occupancy() {
     assert_eq!(fat.dyn_smem_bytes, 64 * 1024);
 }
 
+/// A shape no SM can hold is a typed `BadLaunch`, decided before anything
+/// is sized from it: a launch at each limit runs, one past it is refused,
+/// and neither `u32::MAX` threads nor `u64::MAX` bytes of shared memory
+/// overflows or allocates.
+#[test]
+fn launch_shapes_past_an_sm_are_refused() {
+    let mut m = Module::new("shape");
+    // Static shared memory counts against the limit with the dynamic.
+    m.add_global(Global::new("s", Space::Shared, 8, Init::Zero));
+    let mut b = FuncBuilder::new("k", vec![], None);
+    b.ret(None);
+    let f = m.add_function(b.finish());
+    m.add_kernel(f, ExecMode::Spmd);
+    let mut dev = Device::load(m, DeviceConfig::default());
+    let mut launch = |threads_per_team, dyn_smem_bytes| {
+        dev.launch("k", Launch { teams: 2, threads_per_team, dyn_smem_bytes }, &[])
+    };
+    let widest = launch(MAX_THREADS_PER_SM, 0).unwrap();
+    assert_eq!(widest.threads_per_team, MAX_THREADS_PER_SM);
+    let fullest = launch(1, SMEM_PER_SM - 8).unwrap();
+    assert_eq!(fullest.smem_bytes + fullest.dyn_smem_bytes, SMEM_PER_SM);
+    for (threads, dyn_smem) in [
+        (MAX_THREADS_PER_SM + 1, 0),
+        (u32::MAX, 0),
+        (1, SMEM_PER_SM - 7),
+        (1, 1 << 40),
+        (1, u64::MAX),
+    ] {
+        let err = launch(threads, dyn_smem).unwrap_err();
+        assert!(
+            matches!(err.kind, TrapKind::BadLaunch(_)),
+            "{threads} threads, {dyn_smem} B: {err}"
+        );
+    }
+}
+
 /// Register demand is remembered per kernel, not per device: two kernels
 /// of one module launched on one device — in either order, and again —
 /// report what a fresh device reports for each. `fat`'s demand comes from
@@ -382,7 +421,7 @@ fn register_demand_is_remembered_per_kernel() {
     }
     nzomp_ir::verify_module(&m).unwrap();
 
-    let load = || Device::load_with(m.clone(), DeviceConfig::default(), RunConfig::default());
+    let load = || Device::load(m.clone(), DeviceConfig::default());
     let regs = |dev: &mut Device, kernel: &str| {
         let out = dev.alloc(8 * 4);
         dev.launch(kernel, Launch::new(1, 4), &[RtVal::P(out)]).unwrap().regs_per_thread

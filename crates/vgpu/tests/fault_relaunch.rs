@@ -6,6 +6,8 @@
 //! fault seeds are independent between launches. A regression here would
 //! silently skew every multi-launch fault campaign (the second launch
 //! would run cleaner than seeded), so each facet is pinned separately.
+//! The sanitizer stays off: `parallel_determinism` runs the fault
+//! campaigns sanitized too.
 
 use nzomp_ir::{ExecMode, FuncBuilder, Module, Operand, Ty};
 use nzomp_vgpu::device::Launch;

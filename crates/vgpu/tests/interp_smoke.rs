@@ -1,5 +1,7 @@
 //! End-to-end interpreter smoke tests: hand-built IR kernels executed on the
 //! virtual device.
+//! One run setting suffices: the corpus and `parallel_determinism` cross
+//! the run axes.
 
 use nzomp_ir::builder::build_counted_loop;
 use nzomp_ir::{ExecMode, FuncBuilder, Global, Init, Module, Operand, Space, Ty};

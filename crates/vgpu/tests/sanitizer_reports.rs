@@ -5,7 +5,7 @@
 
 use nzomp_ir::{ExecMode, FuncBuilder, Global, Init, Module, Operand, Space, Ty};
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{Device, DeviceConfig, RtVal, TrapKind};
+use nzomp_vgpu::{Device, DeviceConfig, RtVal, Sanitize, TrapKind};
 
 fn finish_kernel(mut m: Module, b: FuncBuilder) -> Module {
     let f = m.add_function(b.finish());
@@ -16,10 +16,9 @@ fn finish_kernel(mut m: Module, b: FuncBuilder) -> Module {
 
 fn sanitized_device(m: Module) -> Device {
     let mut dev = Device::load(m, DeviceConfig::default());
-    // Force report-only mode regardless of the NZOMP_SANITIZE env (these
-    // kernels race on purpose; strict would turn the launches into traps).
-    dev.set_sanitize_strict(false);
-    dev.set_sanitize(true);
+    // Report-only: these kernels race on purpose, and strict would turn
+    // the launches into traps.
+    dev.set_sanitize(Sanitize::Report);
     dev
 }
 
@@ -183,22 +182,28 @@ fn cross_team_module() -> Module {
     finish_kernel(m, b)
 }
 
+/// At one worker and through the wave engine's merge, whose fold of a
+/// merged team's verdict is what the second worker count checks.
 #[test]
 fn cross_team_write_write_race_golden() {
-    let mut dev = sanitized_device(cross_team_module());
-    let out = dev.alloc(8);
-    let metrics = dev
-        .launch("xt", Launch::new(2, 1), &[RtVal::P(out)])
-        .unwrap();
-    assert_eq!(metrics.sanitizer_races, 1);
-    assert_eq!(
-        rendered(&dev),
-        vec![format!(
-            "[race:sanitize] global+0x{:x}: write by team 1 thread 0 at @xt bb0 %1 \
-             conflicts with write by team 0 thread 0 at @xt bb0 %1 (cross-team)",
-            out.offset()
-        )]
-    );
+    for workers in [1, 8] {
+        let mut dev = sanitized_device(cross_team_module());
+        dev.set_worker_threads(workers);
+        let out = dev.alloc(8);
+        let metrics = dev
+            .launch("xt", Launch::new(2, 1), &[RtVal::P(out)])
+            .unwrap();
+        assert_eq!(metrics.sanitizer_races, 1, "workers={workers}");
+        assert_eq!(
+            rendered(&dev),
+            vec![format!(
+                "[race:sanitize] global+0x{:x}: write by team 1 thread 0 at @xt bb0 %1 \
+                 conflicts with write by team 0 thread 0 at @xt bb0 %1 (cross-team)",
+                out.offset()
+            )],
+            "workers={workers}"
+        );
+    }
 }
 
 #[test]
@@ -329,19 +334,17 @@ fn cond_write_sink_is_suppressed() {
 /// racy kernel.
 #[test]
 fn sanitizer_does_not_change_execution() {
-    let run = |sanitize: bool| {
+    let run = |sanitize| {
         let mut dev = Device::load(write_write_module(), DeviceConfig::default());
-        dev.set_sanitize_strict(false);
         dev.set_sanitize(sanitize);
         let m = dev.launch("wr", Launch::new(1, 4), &[]).unwrap();
         (m.cycles, m.instructions, m.barriers, dev.global_bytes().to_vec())
     };
-    let off = run(false);
-    let on = run(true);
+    let off = run(Sanitize::Off);
+    let on = run(Sanitize::Report);
     assert_eq!(off, on);
 
     let mut plain = Device::load(write_write_module(), DeviceConfig::default());
-    plain.set_sanitize(false);
     plain.launch("wr", Launch::new(1, 4), &[]).unwrap();
     assert!(plain.sanitizer_reports().is_empty());
     assert_eq!(plain.sanitizer_counts(), (0, 0));
@@ -352,7 +355,7 @@ fn sanitizer_does_not_change_execution() {
 #[test]
 fn strict_mode_promotes_findings_to_trap() {
     let mut dev = Device::load(write_write_module(), DeviceConfig::default());
-    dev.set_sanitize_strict(true);
+    dev.set_sanitize(Sanitize::Strict);
     let err = dev.launch("wr", Launch::new(1, 2), &[]).unwrap_err();
     assert_eq!(
         err.kind,

@@ -231,11 +231,6 @@ const REQUEST_BUDGET: u64 = 27;
 
 #[test]
 fn a_served_hot_request_stays_within_its_allocation_budget() {
-    // A service takes its sanitizer mode from the environment alone, and
-    // a sanitized launch allocates its shadow state.
-    if RunConfig::from_env().sanitize != Sanitize::Off {
-        return;
-    }
     let mut cfg = ServeConfig::new(1);
     cfg.dev_cfg = quick_device();
     cfg.worker_threads = Some(RUN.workers);

@@ -13,6 +13,9 @@
 //! * a CAS-elected winner cell + winner count — exactly one winner, and
 //!   it must be the *sequentially first* thread (team 0, thread 0), not
 //!   whichever host thread won a wall-clock race.
+//!
+//! The sanitizer stays off: `parallel_determinism` holds sanitized
+//! execution to unsanitized at every worker count.
 
 use nzomp_ir::inst::AtomicOp;
 use nzomp_ir::{ExecMode, FuncBuilder, Module, Operand, Ty};

@@ -18,14 +18,14 @@
 
 use std::path::PathBuf;
 
-use crate::gen::{generate, GenModule, LaunchMeta};
+use crate::gen::{generate, parse_launch_comment, GenModule, LaunchMeta};
+use crate::{alike, observe_generated, tier_axes};
 use nzomp_ir::parser::parse_module_strict;
 use nzomp_ir::printer::print_module;
 use nzomp_ir::Module;
 use nzomp_opt::{optimize_module, Ablation, PassOptions};
 use nzomp_proxies::quick_device;
-use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{DevPtr, Device, ExecError, ExecTier, KernelMetrics, RtVal, RunConfig};
+use nzomp_vgpu::Device;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,15 +35,6 @@ pub const GEN_SEEDS: [u64; 20] = [
     1000, 1001, 1002, 1003, 1004, 1005, 1006, 1007, 1008, 1009, 1010, 1011, 1012, 1013, 1014,
     1015, 1016, 1017, 1018, 1019,
 ];
-
-/// Worker-thread axes every corpus kernel is replayed on.
-pub const WORKER_AXES: [usize; 2] = [1, 8];
-
-/// Execution-tier axes: every corpus kernel is replayed on the reference
-/// interpreter and on the bytecode tier, and the outcomes must be
-/// bit-identical — output bits, the whole global image, traps, metrics
-/// (including fuel-equivalent dispatch counts), and sanitizer verdicts.
-pub const EXEC_TIERS: [ExecTier; 2] = [ExecTier::Interp, ExecTier::Bytecode];
 
 pub fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus")
@@ -105,122 +96,59 @@ pub fn corpus_variants() -> Vec<(String, PassOptions)> {
     ]
 }
 
-/// Everything observable about one generated-kernel launch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunOutcome {
-    pub result: Result<KernelMetrics, ExecError>,
-    /// Raw bits of the output region (`out_slots` 8-byte words).
-    pub out_bits: Vec<u64>,
-    /// Full device global-memory image.
-    pub global: Vec<u8>,
-    /// Sanitizer verdict `(races, divergences)` — must be `(0, 0)`.
-    pub san_counts: (u64, u64),
-}
-
-/// Launch a generated kernel once under `run` with the sanitizer armed
-/// (strict if `run` says so) and capture the outcome. Returns `Err` on
-/// harness-level failures (bad meta, read OOB).
-pub fn run_generated(m: &Module, meta: LaunchMeta, run: RunConfig) -> Result<RunOutcome, String> {
-    let mut dev = Device::load_with(m.clone(), quick_device(), run);
-    dev.set_sanitize(true);
-    let buf = dev.alloc(meta.buf_bytes);
-    let result = dev.launch(
-        "k",
-        Launch::new(meta.teams, meta.threads),
-        &[RtVal::P(buf)],
-    );
-    let out_bits = if result.is_ok() {
-        dev.read_f64(DevPtr(buf.0 + meta.out_off), meta.out_slots)
-            .map_err(|e| format!("reading out region: {e}"))?
-            .iter()
-            .map(|v| v.to_bits())
-            .collect()
-    } else {
-        Vec::new()
-    };
-    Ok(RunOutcome {
-        result,
-        out_bits,
-        global: dev.global_bytes().to_vec(),
-        san_counts: dev.sanitizer_counts(),
-    })
-}
-
-/// The full differential contract for one generated module:
+/// The full differential contract for one generated module `m`, launched
+/// as `meta` says:
 ///
 /// 1. it verifies;
 /// 2. `parse(print(m)) == m` exactly (strict mode);
 /// 3. under every optimization variant it still verifies, never traps, and
 ///    the sanitizer stays clean;
-/// 4. within a variant, every worker count in `workers` *and every
-///    execution tier* — the two axes this matrix crosses — produces the
-///    *identical* outcome — output bits, metrics (including the per-step
-///    dispatch count, i.e. fuel), and the entire global image;
+/// 4. within a variant, both execution tiers on every one of the run
+///    `AXES` produce the *identical* outcome — output bits, metrics
+///    (including the per-step dispatch count, i.e. fuel), and the entire
+///    global image;
 /// 5. across variants, the output bits agree (metrics and non-output
 ///    memory may legitimately differ — optimization removes work).
 ///
 /// Returns a description of the first divergence, or `Ok(())`.
 pub fn differential_check(
-    g: &GenModule,
+    m: &Module,
+    meta: LaunchMeta,
     variants: &[(String, PassOptions)],
-    workers: &[usize],
 ) -> Result<(), String> {
-    let name = &g.module.name;
-    nzomp_ir::verify_module(&g.module).map_err(|e| format!("{name}: verify: {e}"))?;
-    let text = print_module(&g.module);
+    let name = &m.name;
+    nzomp_ir::verify_module(m).map_err(|e| format!("{name}: verify: {e}"))?;
+    let text = print_module(m);
     let back = parse_module_strict(&text).map_err(|e| format!("{name}: reparse: {e}"))?;
-    if back != g.module {
+    if &back != m {
         return Err(format!("{name}: parse(print(m)) != m"));
     }
-    let meta = LaunchMeta {
-        teams: g.teams,
-        threads: g.threads,
-        buf_bytes: g.buf_bytes,
-        out_off: g.out_off,
-        out_slots: g.out_slots,
-    };
-    let env = RunConfig::from_env();
-    let mut baseline_bits: Option<(String, Vec<u64>)> = None;
+    let runs = tier_axes();
+    let mut baseline_bits: Option<(String, Option<Vec<u64>>)> = None;
     for (slug, opts) in variants {
-        let mut vm = g.module.clone();
+        let mut vm = m.clone();
         let _remarks = optimize_module(&mut vm, opts);
         nzomp_ir::verify_module(&vm)
             .map_err(|e| format!("{name} [{slug}]: verify after opt: {e}"))?;
-        let mut first: Option<(String, RunOutcome)> = None;
-        for &tier in &EXEC_TIERS {
-            for &workers in workers {
-                let axis = format!("{tier:?}/{workers}w");
-                let o = run_generated(&vm, meta, RunConfig { workers, tier, ..env })?;
-                if o.san_counts != (0, 0) {
-                    return Err(format!(
-                        "{name} [{slug}] @{axis}: sanitizer reported {:?}",
-                        o.san_counts
-                    ));
-                }
-                if let Err(e) = &o.result {
-                    return Err(format!("{name} [{slug}] @{axis}: trapped: {e}"));
-                }
-                match &first {
-                    None => first = Some((axis, o)),
-                    Some((a0, o0)) => {
-                        if o0 != &o {
-                            return Err(format!(
-                                "{name} [{slug}]: outcome diverges between {a0} and {axis}"
-                            ));
-                        }
-                    }
-                }
-            }
+        let mut findings = (0, 0);
+        let o = alike(&format!("{name} [{slug}]"), &runs, |run| {
+            let o = observe_generated(Device::load_with(vm.clone(), quick_device(), run), meta);
+            findings = (findings.0 + o.san_counts.0, findings.1 + o.san_counts.1);
+            o
+        })?;
+        if findings != (0, 0) {
+            return Err(format!("{name} [{slug}]: sanitizer reported {findings:?}"));
         }
-        if let Some((_, o)) = first {
-            match &baseline_bits {
-                None => baseline_bits = Some((slug.clone(), o.out_bits)),
-                Some((s0, bits)) => {
-                    if bits != &o.out_bits {
-                        return Err(format!(
-                            "{name}: output bits diverge between [{s0}] and [{slug}]"
-                        ));
-                    }
+        if let Err(e) = &o.result {
+            return Err(format!("{name} [{slug}]: trapped: {e}"));
+        }
+        match &baseline_bits {
+            None => baseline_bits = Some((slug.clone(), o.out_bits)),
+            Some((s0, bits)) => {
+                if bits != &o.out_bits {
+                    return Err(format!(
+                        "{name}: output bits diverge between [{s0}] and [{slug}]"
+                    ));
                 }
             }
         }
@@ -229,10 +157,12 @@ pub fn differential_check(
 }
 
 /// Convenience used by the fuzz bench bin and smoke tests: run the whole
-/// contract for a seed on the default axes.
+/// contract for a seed.
 pub fn fuzz_one(seed: u64, variants: &[(String, PassOptions)]) -> Result<(), String> {
     let g = generate(seed);
-    differential_check(&g, variants, &WORKER_AXES)
+    let meta = parse_launch_comment(&g.launch_comment())
+        .ok_or_else(|| format!("seed {seed}: unreadable launch comment"))?;
+    differential_check(&g.module, meta, variants)
 }
 
 /// What a text mutation swaps in or inserts: the format's punctuation and

@@ -5,7 +5,8 @@
 //!    `NZOMP_BLESS=1 cargo test -q --test corpus_suite`),
 //! 2. parse in strict mode, verify, and round-trip exactly, and
 //! 3. execute bit-identically across optimization variants ({none, full})
-//!    and worker counts ({1, 8}) with a clean sanitizer verdict.
+//!    and the run `AXES` (generated kernels on both tiers too) with a
+//!    clean sanitizer verdict.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -13,15 +14,14 @@ use std::fs;
 use nzomp::pipeline::compile_with;
 use nzomp::BuildConfig;
 use nzomp_integration::corpus::{
-    corpus_dir, corpus_variants, differential_check, gen_corpus_text, GEN_SEEDS, WORKER_AXES,
+    corpus_dir, corpus_variants, differential_check, gen_corpus_text, GEN_SEEDS,
 };
-use nzomp_integration::gen::{generate, parse_launch_comment, GenModule};
+use nzomp_integration::gen::{generate, parse_launch_comment};
+use nzomp_integration::{assert_alike, run_proxy_outcome, AXES};
 use nzomp_ir::parser::parse_module_strict;
 use nzomp_ir::printer::print_module;
-use nzomp_ir::Module;
 use nzomp_opt::{optimize_module, PassOptions};
-use nzomp_proxies::{all_proxies, build_for_config, quick_device, Proxy};
-use nzomp_vgpu::{Device, ExecError, KernelMetrics, RunConfig};
+use nzomp_proxies::{all_proxies, build_for_config};
 
 const PROXY_CFG: BuildConfig = BuildConfig::NewRtNoAssumptions;
 
@@ -101,7 +101,7 @@ fn corpus_roundtrips_and_verifies() {
     }
 }
 
-/// The differential replay: every corpus kernel, {none, full} × {1, 8}.
+/// The differential replay: every corpus kernel, {none, full} × `AXES`.
 #[test]
 fn corpus_differential_none_vs_full_across_worker_counts() {
     let variants = corpus_variants();
@@ -110,15 +110,7 @@ fn corpus_differential_none_vs_full_across_worker_counts() {
         let m = parse_module_strict(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         if let Some(meta) = parse_launch_comment(&text) {
             // Generated kernel: self-describing launch.
-            let g = GenModule {
-                module: m,
-                teams: meta.teams,
-                threads: meta.threads,
-                buf_bytes: meta.buf_bytes,
-                out_off: meta.out_off,
-                out_slots: meta.out_slots,
-            };
-            if let Err(e) = differential_check(&g, &variants, &WORKER_AXES) {
+            if let Err(e) = differential_check(&m, meta, &variants) {
                 panic!("{name}: {e}");
             }
         } else {
@@ -130,34 +122,20 @@ fn corpus_differential_none_vs_full_across_worker_counts() {
                 .iter()
                 .find(|p| p.name().to_lowercase() == pname)
                 .unwrap_or_else(|| panic!("{name}: no proxy named {pname}"));
-            let mut baseline: Option<(String, Vec<u64>)> = None;
+            let mut baseline: Option<(String, Option<Vec<u64>>)> = None;
             for (slug, opts) in &variants {
                 let mut vm = m.clone();
                 let _ = optimize_module(&mut vm, opts);
                 nzomp_ir::verify_module(&vm)
                     .unwrap_or_else(|e| panic!("{name} [{slug}]: verify after opt: {e}"));
-                let mut first: Option<(usize, ProxyRun)> = None;
-                for &w in &WORKER_AXES {
-                    let o = run_proxy_module(p.as_ref(), &vm, nzomp_integration::env_run(w));
-                    assert_eq!(
-                        o.san_counts,
-                        (0, 0),
-                        "{name} [{slug}] @{w} workers: sanitizer not clean"
-                    );
-                    assert!(
-                        o.result.is_ok(),
-                        "{name} [{slug}] @{w} workers: trapped: {:?}",
-                        o.result
-                    );
-                    match &first {
-                        None => first = Some((w, o)),
-                        Some((w0, o0)) => assert_eq!(
-                            o0, &o,
-                            "{name} [{slug}]: outcome diverges between {w0} and {w} workers"
-                        ),
-                    }
-                }
-                let (_, o) = first.unwrap();
+                let mut findings = (0, 0);
+                let o = assert_alike(&format!("{name} [{slug}]"), &AXES, |run| {
+                    let o = run_proxy_outcome(p.as_ref(), &vm, run, None);
+                    findings = (findings.0 + o.san_counts.0, findings.1 + o.san_counts.1);
+                    o
+                });
+                assert_eq!(findings, (0, 0), "{name} [{slug}]: sanitizer not clean");
+                assert!(o.result.is_ok(), "{name} [{slug}]: trapped: {:?}", o.result);
                 match &baseline {
                     None => baseline = Some((slug.clone(), o.out_bits)),
                     Some((s0, bits)) => assert_eq!(
@@ -176,34 +154,4 @@ fn corpus_texts() -> Vec<(String, String)> {
     let v = nzomp_integration::corpus::corpus_texts().unwrap();
     assert!(v.len() >= 25, "corpus must hold at least 25 kernels");
     v
-}
-
-#[derive(Clone, Debug, PartialEq)]
-struct ProxyRun {
-    result: Result<KernelMetrics, ExecError>,
-    out_bits: Vec<u64>,
-    global: Vec<u8>,
-    san_counts: (u64, u64),
-}
-
-fn run_proxy_module(p: &dyn Proxy, m: &Module, run: RunConfig) -> ProxyRun {
-    let mut dev = Device::load_with(m.clone(), quick_device(), run);
-    dev.set_sanitize(true);
-    let prep = p.prepare(&mut dev);
-    let result = dev.launch(p.kernel_name(), prep.launch, &prep.args);
-    let out_bits = if result.is_ok() {
-        dev.read_f64(prep.out_ptr, prep.expected.len())
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect()
-    } else {
-        Vec::new()
-    };
-    ProxyRun {
-        result,
-        out_bits,
-        global: dev.global_bytes().to_vec(),
-        san_counts: dev.sanitizer_counts(),
-    }
 }

@@ -1,5 +1,7 @@
 //! Debug-mode parity, failure injection, and optimization remarks
 //! (the `-Rpass[-missed]=openmp-opt` diagnostics of paper §VII).
+//! One run setting suffices: this pins compiled code and its remarks;
+//! `differential` holds debug builds to release on every run axis.
 
 use nzomp::opt::RemarkKind;
 use nzomp::pipeline::compile_with;

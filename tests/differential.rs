@@ -2,25 +2,24 @@
 //! legacy-vs-modern runtime, SPMD-vs-generic lowering, debug-vs-release,
 //! and direct-`Device`-vs-`nzomp-host` offload must produce
 //! **bit-identical** outputs on clean runs; under injected faults every
-//! outcome is a typed [`ExecError`] (never a process panic) and is exactly
-//! reproducible per seed — on both execution paths.
+//! outcome is a typed `ExecError` (never a process panic) and is exactly
+//! reproducible per seed — on both execution paths. Every clean
+//! comparison holds on each of [`AXES`].
 
 use nzomp::pipeline::compile_with;
 use nzomp::BuildConfig;
 use nzomp_front::RuntimeFlavor;
-use nzomp_integration::{env_run, run_proxy_host_outcome, run_proxy_outcome};
+use nzomp_integration::{
+    assert_alike, assert_same, compiled, observe_launch, observe_proxy, run_proxy_host_outcome,
+    run_proxy_outcome, AXES,
+};
 use nzomp_ir::{Operand, Ty};
 use nzomp_proxies::{
     all_proxies, build_for_config, compile_for_config, quick_device, HostShape, Proxy,
 };
 use nzomp_rt::abi;
-use nzomp_vgpu::{Device, DeviceConfig, ExecError, FaultPlan, RunConfig};
-
-/// This suite crosses build configurations and execution paths, not run
-/// axes: one worker, tier and sanitizer as the environment asks.
-fn sequential() -> RunConfig {
-    env_run(1)
-}
+use nzomp_vgpu::device::Launch;
+use nzomp_vgpu::{Device, DeviceConfig, FaultPlan, RtVal, RunConfig};
 
 /// Launch the proxy under `cfg` and return the output buffer as raw bits
 /// (NaN-safe comparison). `None` for the paper's "n/a" cells.
@@ -28,7 +27,9 @@ fn run_clean(p: &dyn Proxy, cfg: BuildConfig) -> Option<Vec<u64>> {
     if cfg == BuildConfig::NewRt && !p.supports_oversubscription() {
         return None;
     }
-    let outcome = run_proxy_outcome(p, cfg, sequential(), None);
+    let what = format!("{} {cfg:?}", p.name());
+    let module = compiled(p, cfg);
+    let outcome = assert_alike(&what, &AXES, |run| run_proxy_outcome(p, &module, run, None));
     outcome.result.unwrap();
     outcome.out_bits
 }
@@ -49,7 +50,7 @@ fn clean_runs_bit_identical_across_runtimes() {
 }
 
 /// Debug-vs-release: assertions + tracing + checked assumptions observe,
-/// they never perturb results — on every proxy.
+/// they never perturb results — on every proxy, on every run axis.
 #[test]
 fn clean_runs_bit_identical_debug_vs_release() {
     let cfg = BuildConfig::NewRtNoAssumptions;
@@ -67,21 +68,15 @@ fn clean_runs_bit_identical_debug_vs_release() {
             check_assumes: true,
             ..DeviceConfig::default()
         };
-        let mut dev = Device::load(out.module, dev_cfg);
-        let prep = p.prepare(&mut dev);
-        dev.launch(p.kernel_name(), prep.launch, &prep.args).unwrap();
-        let debug: Vec<u64> = dev
-            .read_f64(prep.out_ptr, prep.expected.len())
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(debug, release, "{}: debug build perturbed results", p.name());
+        let debug = assert_alike(&format!("{} debug build", p.name()), &AXES, |run| {
+            observe_proxy(p.as_ref(), Device::load_with(out.module.clone(), dev_cfg.clone(), run), None)
+        });
+        assert_eq!(debug.out_bits, Some(release), "{}: debug build perturbed results", p.name());
     }
 }
 
 /// SPMD-vs-generic lowering of the same `out[i] = 2*a[i] + i` loop agree
-/// bitwise after the full pipeline.
+/// bitwise after the full pipeline, on every run axis.
 #[test]
 fn spmd_and_generic_lowerings_agree() {
     let n = 64usize;
@@ -99,23 +94,17 @@ fn spmd_and_generic_lowerings_agree() {
         b.store(Ty::F64, po, v);
     };
 
-    let run = |m: nzomp_ir::Module| -> Vec<u64> {
-        let out = nzomp::compile(m, BuildConfig::NewRtNoAssumptions).unwrap();
-        let mut dev = Device::load(out.module, quick_device());
-        let pa = dev.alloc_f64(&input);
-        let po = dev.alloc(8 * n as u64);
-        use nzomp_vgpu::RtVal;
-        dev.launch(
-            "k",
-            nzomp_vgpu::device::Launch::new(2, 8),
-            &[RtVal::P(pa), RtVal::P(po), RtVal::I(n as i64)],
-        )
-        .unwrap();
-        dev.read_f64(po, n)
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect()
+    let run = |m: nzomp_ir::Module| -> Option<Vec<u64>> {
+        let what = m.name.clone();
+        let module = nzomp::compile(m, BuildConfig::NewRtNoAssumptions).unwrap().module;
+        let o = assert_alike(&what, &AXES, |run| {
+            let mut dev = Device::load_with(module.clone(), quick_device(), run);
+            let pa = dev.alloc_f64(&input);
+            let po = dev.alloc(8 * n as u64);
+            let args = [RtVal::P(pa), RtVal::P(po), RtVal::I(n as i64)];
+            observe_launch(&mut dev, "k", Launch::new(2, 8), &args, (po, n))
+        });
+        o.out_bits
     };
 
     let mut spmd = nzomp_ir::Module::new("diff_spmd");
@@ -142,36 +131,27 @@ fn spmd_and_generic_lowerings_agree() {
         },
     );
 
-    assert_eq!(run(spmd), run(generic), "SPMD and generic lowerings disagree");
-}
-
-/// One faulted run, returning either the output bits or the typed error.
-fn run_faulted(p: &dyn Proxy, seed: u64) -> Result<Vec<u64>, ExecError> {
-    let outcome = run_proxy_outcome(p, BuildConfig::NewRtNoAssumptions, sequential(), Some(seed));
-    outcome.result?;
-    Ok(outcome.out_bits.unwrap_or_default())
+    let spmd = run(spmd);
+    assert!(spmd.is_some(), "SPMD lowering trapped");
+    assert_eq!(spmd, run(generic), "SPMD and generic lowerings disagree");
 }
 
 /// Faulted runs are deterministic: the same seed on the same proxy yields
-/// the same outcome — same trap (kind, team, thread, func) or same output.
+/// the same outcome — same trap (kind, team, thread, func) or same output,
+/// same memory image.
 #[test]
 fn faulted_runs_reproduce_per_seed() {
+    let cfg = BuildConfig::NewRtNoAssumptions;
     let proxies = all_proxies();
+    let modules: Vec<_> = proxies.iter().map(|p| compiled(p.as_ref(), cfg)).collect();
     let mut trapped = 0usize;
     for seed in 1..=10u64 {
-        for p in &proxies {
-            let first = run_faulted(p.as_ref(), seed);
-            let second = run_faulted(p.as_ref(), seed);
-            assert_eq!(
-                first,
-                second,
-                "{} seed {} not reproducible",
-                p.name(),
-                seed
-            );
-            if first.is_err() {
-                trapped += 1;
-            }
+        for (p, module) in proxies.iter().zip(&modules) {
+            let what = format!("{} seed {seed} reproduced", p.name());
+            let first = assert_alike(&what, &[RunConfig::default(); 2], |run| {
+                run_proxy_outcome(p.as_ref(), module, run, Some(seed))
+            });
+            trapped += usize::from(first.result.is_err());
         }
     }
     // The seed derivation is biased toward early steps, so a healthy
@@ -200,53 +180,50 @@ fn host_shapes() -> [HostShape; 3] {
 /// Every proxy routed through the `nzomp-host` runtime — present table,
 /// async streams, scheduler — observes *exactly* what the direct
 /// `Device` path observes: same metrics, same output bits, same global
-/// memory image, byte for byte, under every offload shape.
+/// memory image, byte for byte, under every offload shape and run axis.
 #[test]
 fn host_runtime_bit_identical_to_direct_device_path() {
     let cfg = BuildConfig::NewRtNoAssumptions;
     for p in all_proxies() {
-        let direct = run_proxy_outcome(p.as_ref(), cfg, sequential(), None);
+        let module = compiled(p.as_ref(), cfg);
+        let direct = assert_alike(p.name(), &AXES, |run| {
+            let direct = run_proxy_outcome(p.as_ref(), &module, run, None);
+            for shape in host_shapes() {
+                let host = run_proxy_host_outcome(p.as_ref(), cfg, run, None, &shape);
+                let what = format!("{} through the host under {shape:?} @{run:?}", p.name());
+                assert_same(&what, &direct, &host);
+            }
+            direct
+        });
         assert!(direct.result.is_ok(), "{}: direct run trapped", p.name());
-        for shape in host_shapes() {
-            let host = run_proxy_host_outcome(p.as_ref(), cfg, sequential(), None, &shape);
-            assert_eq!(
-                host,
-                direct,
-                "{} diverges through the host runtime under {:?}",
-                p.name(),
-                shape
-            );
-        }
     }
 }
 
 /// Fault campaigns through the host runtime: with the same seeded plan
 /// armed, the offload path reaches the exact same outcome as the direct
 /// path — the same typed trap (kind, team, thread, func) with the same
-/// partially-mutated global image, or the same clean bits. 5 proxies x 6
-/// seeds = 30 campaigns, and a healthy fraction must actually trap.
+/// partially-mutated global image, or the same clean bits — on every run
+/// axis. 5 proxies x 6 seeds = 30 campaigns, and a healthy fraction must
+/// actually trap.
 #[test]
 fn host_runtime_fault_campaigns_match_direct_path() {
     let cfg = BuildConfig::NewRtNoAssumptions;
     let proxies = all_proxies();
+    let modules: Vec<_> = proxies.iter().map(|p| compiled(p.as_ref(), cfg)).collect();
     let shape = HostShape::default();
     let mut campaigns = 0usize;
     let mut trapped = 0usize;
     for seed in 1..=6u64 {
-        for p in &proxies {
-            let direct = run_proxy_outcome(p.as_ref(), cfg, sequential(), Some(seed));
-            let host = run_proxy_host_outcome(p.as_ref(), cfg, sequential(), Some(seed), &shape);
-            assert_eq!(
-                host,
-                direct,
-                "{} seed {}: host path diverges from direct path under faults",
-                p.name(),
-                seed
-            );
+        for (p, module) in proxies.iter().zip(&modules) {
+            let what = format!("{} seed {seed}", p.name());
+            let direct = assert_alike(&what, &AXES, |run| {
+                let direct = run_proxy_outcome(p.as_ref(), module, run, Some(seed));
+                let host = run_proxy_host_outcome(p.as_ref(), cfg, run, Some(seed), &shape);
+                assert_same(&format!("{what}: host path under faults @{run:?}"), &direct, &host);
+                direct
+            });
             campaigns += 1;
-            if host.result.is_err() {
-                trapped += 1;
-            }
+            trapped += usize::from(direct.result.is_err());
         }
     }
     assert!(campaigns >= 25, "only {campaigns} fault campaigns ran");

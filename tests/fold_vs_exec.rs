@@ -9,6 +9,7 @@
 //! edge-value set twice — operands as kernel parameters (executed on the
 //! device) and as immediates (folded away by `simplify`) — runs both on the
 //! interpreter and on the bytecode tier, and demands identical result bits.
+//! One run setting suffices: every launch is one thread of one team.
 
 use nzomp_ir::inst::{BinOp, CastKind, Inst, Pred, UnOp};
 use nzomp_ir::{ExecMode, FuncBuilder, Module, Operand, Ty};

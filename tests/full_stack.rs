@@ -1,6 +1,8 @@
 //! Full-stack integration: every proxy app under every build
 //! configuration, verified against host references, plus the qualitative
 //! orderings the paper's evaluation establishes.
+//! One run setting suffices: `parallel_determinism` crosses the run axes
+//! for every proxy under every OpenMP configuration.
 
 use nzomp::BuildConfig;
 use nzomp_proxies::{all_proxies, quick_device, run_config, RunError};

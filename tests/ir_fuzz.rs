@@ -1,12 +1,10 @@
 //! Structured IR fuzzing: the seeded generator drives the exact
 //! round-trip contract over hundreds of modules, proves per-module feature
 //! coverage, runs the full differential matrix (every pipeline variant
-//! × worker counts) on a fixed seed range, and feeds the parser mutated
-//! text.
+//! × both tiers × the run `AXES`) on a fixed seed range, and feeds the
+//! parser mutated text.
 
-use nzomp_integration::corpus::{
-    all_variants, corpus_texts, fuzz_one, mutation_check, WORKER_AXES,
-};
+use nzomp_integration::corpus::{all_variants, corpus_texts, fuzz_one, mutation_check};
 use nzomp_integration::gen::{all_labels, coverage_labels, generate};
 use nzomp_ir::parser::parse_module_strict;
 use nzomp_ir::printer::print_module;
@@ -50,10 +48,11 @@ fn every_generated_module_covers_every_variant() {
 }
 
 /// The differential matrix on a fixed seed range: parse → verify →
-/// optimize under all nine pipeline variants → execute at 1 and 8 workers.
-/// Within a variant every worker count must produce an identical outcome
-/// (output bits, metrics, the entire global image); across variants the
-/// output bits must agree; the sanitizer must stay clean everywhere.
+/// optimize under all nine pipeline variants → execute on both tiers at
+/// every run axis. Within a variant every run must produce an identical
+/// outcome (output bits, metrics, the entire global image); across
+/// variants the output bits must agree; the sanitizer must stay clean
+/// everywhere.
 #[test]
 fn differential_matrix_on_fixed_seeds() {
     let variants = all_variants();
@@ -62,8 +61,6 @@ fn differential_matrix_on_fixed_seeds() {
             panic!("differential failure: {e}");
         }
     }
-    // Axes sanity: the contract above really did run both worker counts.
-    assert_eq!(WORKER_AXES, [1, 8]);
 }
 
 /// The module identity law the compile cache rests on: `a == b` implies

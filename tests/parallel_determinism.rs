@@ -1,17 +1,16 @@
 //! Parallel-execution determinism suite: the contract of
 //! `docs/parallel-vgpu.md`, enforced.
 //!
-//! Every proxy, at every worker-thread count in {1, 2, 4, 8}, must
-//! produce an outcome **bit-identical** to the sequential (1-thread)
-//! baseline — the entire global-memory image, every `KernelMetrics`
-//! field (cycles, waves, counters), and, under injected faults, the
-//! identical typed trap (kind, team, thread, function). 25 seeded fault
-//! campaigns per proxy make the trap-path comparison meaningful: traps
-//! must resolve by lowest team index, never by wall-clock race.
-//!
-//! Axes crossed here: worker threads everywhere, and the sanitizer mode
-//! on the clean matrix (shadow tracking is only a cost, never a behavior
-//! change). The execution tier is left to the environment.
+//! Every proxy, at every worker-thread count in {1, 2, 4, 8} and with the
+//! sanitizer off and armed, must produce an outcome **bit-identical** to
+//! the sequential baseline — the entire global-memory image, every
+//! `KernelMetrics` field (cycles, waves, counters), and, under injected
+//! faults, the identical typed trap (kind, team, thread, function). The
+//! clean matrix runs every OpenMP build configuration a proxy supports,
+//! so the state-machine (generic-mode) builds and their unaligned barriers
+//! meet every axis too. 25 seeded fault campaigns per proxy make the
+//! trap-path comparison meaningful: traps must resolve by lowest team
+//! index, never by wall-clock race.
 //!
 //! The clean matrix also carries a 64-team compute-bound RSBench — enough
 //! independent teams per occupancy wave to keep 8 workers busy — and
@@ -19,33 +18,29 @@
 //! workers must finish at least 2× sooner than on one.
 
 use nzomp::BuildConfig;
-use nzomp_integration::{env_run, run_proxy_outcome, ProxyOutcome};
+use nzomp_ir::Module;
+use nzomp_integration::{assert_alike, compiled, run_proxy_outcome, ProxyOutcome, AXES};
 use nzomp_proxies::rsbench::RSBench;
 use nzomp_proxies::{all_proxies, Proxy};
-use nzomp_vgpu::{RunConfig, Sanitize};
+use nzomp_vgpu::RunConfig;
 
-const WORKER_COUNTS: [usize; 3] = [2, 4, 8];
-const CFG: BuildConfig = BuildConfig::NewRtNoAssumptions;
+/// [`AXES`], then the worker counts between.
+fn runs() -> Vec<RunConfig> {
+    let mut runs = AXES.to_vec();
+    runs.extend([2, 4].map(|workers| RunConfig { workers, ..AXES[0] }));
+    runs
+}
 
-fn assert_same(name: &str, detail: &str, base: &ProxyOutcome, got: &ProxyOutcome) {
-    assert_eq!(
-        base.result, got.result,
-        "{name} {detail}: metrics/trap diverge from sequential baseline"
-    );
-    assert_eq!(
-        base.out_bits, got.out_bits,
-        "{name} {detail}: output buffer bits diverge"
-    );
-    assert!(
-        base.global == got.global,
-        "{name} {detail}: global-memory image diverges ({} vs {} bytes, first diff at {:?})",
-        base.global.len(),
-        got.global.len(),
-        base.global
-            .iter()
-            .zip(&got.global)
-            .position(|(a, b)| a != b)
-    );
+/// Run `p`'s `module` on every configuration of `runs`, optionally under
+/// the seeded fault plan, and hold each outcome to the first.
+fn assert_axis_invariant(
+    what: &str,
+    p: &dyn Proxy,
+    module: &Module,
+    runs: &[RunConfig],
+    fault_seed: Option<u64>,
+) -> ProxyOutcome {
+    assert_alike(what, runs, |run| run_proxy_outcome(p, module, run, fault_seed))
 }
 
 /// Greedy list schedule of per-team cycles onto `workers` within each
@@ -66,33 +61,23 @@ fn modeled_makespan(team_cycles: &[u64], wave_size: usize, workers: usize) -> u6
     total
 }
 
-/// Run `p` clean at every worker count, and at 1 and 8 workers with the
-/// sanitizer off and on, and hold each outcome — output bits, the full
-/// `KernelMetrics`, the global image — to the sequential baseline, which
-/// is returned.
-fn assert_clean_run_is_axis_invariant(name: &str, p: &dyn Proxy) -> ProxyOutcome {
-    let base = run_proxy_outcome(p, CFG, env_run(1), None);
-    assert!(base.result.is_ok(), "{name}: clean baseline trapped");
-    for &workers in &WORKER_COUNTS {
-        let got = run_proxy_outcome(p, CFG, env_run(workers), None);
-        assert_same(name, &format!("@{workers} threads"), &base, &got);
-    }
-    for sanitize in [Sanitize::Off, Sanitize::Report] {
-        for workers in [1, 8] {
-            let got = run_proxy_outcome(p, CFG, RunConfig { sanitize, ..env_run(workers) }, None);
-            assert_same(name, &format!("{sanitize:?} @{workers} threads"), &base, &got);
-        }
-    }
-    base
-}
-
-/// Clean runs: every proxy agrees bit for bit at every worker count and
-/// with the sanitizer off or on, and the 64-team instance has the modeled
+/// Clean runs: every proxy, under every OpenMP build configuration it
+/// supports, agrees bit for bit at every worker count and with the
+/// sanitizer off or on, and the 64-team instance has the modeled
 /// parallelism to use 8 workers.
 #[test]
 fn clean_runs_identical_across_worker_counts() {
+    use BuildConfig::*;
+    let runs = runs();
     for p in all_proxies() {
-        assert_clean_run_is_axis_invariant(p.name(), p.as_ref());
+        for cfg in [OldRtNightly, NewRtNightly, NewRtNoAssumptions, NewRt] {
+            if cfg == NewRt && !p.supports_oversubscription() {
+                continue;
+            }
+            let what = format!("{} {cfg:?}", p.name());
+            let base = assert_axis_invariant(&what, p.as_ref(), &compiled(p.as_ref(), cfg), &runs, None);
+            assert!(base.result.is_ok(), "{what}: clean baseline trapped");
+        }
     }
     let wide = RSBench {
         n_nuclides: 12,
@@ -102,7 +87,8 @@ fn clean_runs_identical_across_worker_counts() {
         threads_per_team: 32,
         seed: 0x5eed_0002,
     };
-    let base = assert_clean_run_is_axis_invariant("rsbench-64-teams", &wide);
+    let module = compiled(&wide, NewRtNoAssumptions);
+    let base = assert_axis_invariant("rsbench-64-teams", &wide, &module, &runs, None);
     let m = base.result.unwrap();
     assert_eq!(m.team_cycles.len(), 64);
     let wave = nzomp_vgpu::cost::wave_size(m.teams_per_sm);
@@ -112,21 +98,19 @@ fn clean_runs_identical_across_worker_counts() {
 }
 
 /// Faulted runs: 25 seeded campaigns per proxy. The injected trap (or the
-/// surviving output) is identical at every worker count — first-trap-wins
-/// resolves by lowest team index, not by which host thread finished first.
+/// surviving output) is identical at every worker count and sanitizer
+/// mode — first-trap-wins resolves by lowest team index, not by which
+/// host thread finished first.
 #[test]
 fn faulted_runs_identical_across_worker_counts() {
+    let runs = runs();
     let mut trapped = 0usize;
     for p in all_proxies() {
+        let module = compiled(p.as_ref(), BuildConfig::NewRtNoAssumptions);
         for seed in 1..=25u64 {
-            let base = run_proxy_outcome(p.as_ref(), CFG, env_run(1), Some(seed));
-            if base.result.is_err() {
-                trapped += 1;
-            }
-            for &workers in &WORKER_COUNTS {
-                let got = run_proxy_outcome(p.as_ref(), CFG, env_run(workers), Some(seed));
-                assert_same(p.name(), &format!("seed {seed} @{workers} threads"), &base, &got);
-            }
+            let what = format!("{} seed {seed}", p.name());
+            let base = assert_axis_invariant(&what, p.as_ref(), &module, &runs, Some(seed));
+            trapped += usize::from(base.result.is_err());
         }
     }
     assert!(
@@ -140,10 +124,7 @@ fn faulted_runs_identical_across_worker_counts() {
 #[test]
 fn repeated_parallel_launches_are_stable() {
     let p = &all_proxies()[0];
-    let run = env_run(8);
-    let first = run_proxy_outcome(p.as_ref(), CFG, run, None);
-    for _ in 0..3 {
-        let again = run_proxy_outcome(p.as_ref(), CFG, run, None);
-        assert_same(p.name(), "repeat @8 threads", &first, &again);
-    }
+    let repeats = [AXES[1], AXES[1], AXES[1], AXES[3], AXES[3]];
+    let module = compiled(p.as_ref(), BuildConfig::NewRtNoAssumptions);
+    assert_axis_invariant("repeat @8 threads", p.as_ref(), &module, &repeats, None);
 }

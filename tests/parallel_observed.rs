@@ -5,6 +5,8 @@
 //! wave-ordered merge, with a direct re-run on mismatch. Without that,
 //! these kernels silently diverge from sequential execution at
 //! `worker_threads > 1`.
+//! The sanitizer stays off: `parallel_determinism` holds sanitized
+//! execution to unsanitized at every worker count.
 
 use nzomp_ir::{ExecMode, FuncBuilder, Module, Operand, Ty};
 use nzomp_vgpu::device::Launch;

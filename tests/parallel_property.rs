@@ -6,6 +6,9 @@
 //!    identical metrics at any worker-thread count.
 //! 2. **Printer/parser round-trip**: `parse(print(m)) == m` structurally,
 //!    for random kernels and for every compiled proxy module.
+//!
+//! The sanitizer stays off here; `sanitizer_property` runs random
+//! kernels sanitized at every worker count.
 
 use nzomp_ir::inst::AtomicOp;
 use nzomp_ir::parser::parse_module;

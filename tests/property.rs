@@ -1,5 +1,7 @@
 //! Property-based tests over the whole stack: randomized programs and
 //! launch geometries, checking the invariants the system promises.
+//! One run setting suffices: `parallel_property` crosses worker counts on
+//! random kernels, `sanitizer_property` the sanitizer.
 
 use nzomp_front::{cuda, spmd_kernel_for, RuntimeFlavor};
 use nzomp_ir::{BinOp, Module, Operand, Ty, UnOp};

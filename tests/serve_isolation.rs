@@ -2,8 +2,9 @@
 //! tenants mapping the same logical host range get disjoint device
 //! allocations and can never observe each other's bytes, and quota
 //! exhaustion in one tenant leaves every other tenant's in-flight work
-//! untouched. Runs — like the whole workspace — under both
-//! `NZOMP_VGPU_THREADS` axes, sanitizer off and armed, in CI.
+//! untouched. The replay test crosses workers {1, 8} and both tiers; one
+//! sanitizer setting suffices: serve adds no device code, and
+//! `ServeConfig` has no sanitizer field.
 
 use std::rc::Rc;
 

@@ -12,27 +12,15 @@
 use std::sync::Arc;
 
 use nzomp::BuildConfig;
-use nzomp_integration::{env_run, observe_proxy};
+use nzomp_integration::{
+    assert_alike, assert_same, compiled, observe_launch, observe_proxy, tier_axes, ProxyOutcome,
+};
 use nzomp_ir::{ExecMode, FuncBuilder, Global, Init, Module, Operand, Space, Ty};
-use nzomp_proxies::{all_proxies, compile_for_config, quick_device};
+use nzomp_proxies::{all_proxies, quick_device};
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{
-    Device, ExecError, ExecTier, FaultAction, FaultPlan, FaultSite, Image, KernelMetrics, RtVal,
-    RunConfig, Sanitize, TrapKind,
+    Device, ExecTier, FaultAction, FaultPlan, FaultSite, Image, RtVal, RunConfig, TrapKind,
 };
-
-/// {Interp, Bytecode} × workers {1, 8} × sanitize {Off, Report}.
-fn matrix() -> Vec<RunConfig> {
-    let mut runs = Vec::new();
-    for tier in [ExecTier::Interp, ExecTier::Bytecode] {
-        for workers in [1, 8] {
-            for sanitize in [Sanitize::Off, Sanitize::Report] {
-                runs.push(RunConfig { tier, sanitize, ..env_run(workers) });
-            }
-        }
-    }
-    runs
-}
 
 fn other_tier(run: RunConfig) -> RunConfig {
     let tier = match run.tier {
@@ -42,20 +30,17 @@ fn other_tier(run: RunConfig) -> RunConfig {
     RunConfig { tier, ..run }
 }
 
-/// For each run configuration: three devices over one image — the first
+/// For each tier and run axis: three devices over one image — the first
 /// on the *other* tier, so what it leaves in the image is read by a
 /// device that would have derived it differently, the second on the
 /// configured tier, the third finding every lazy part filled — and a
 /// device loaded from a clone of the module. `observe` returns everything
 /// observable about one launch on the device it is given; all four must
-/// agree (tiers are bit-identical by contract), and every device must
-/// start from the same memory.
-fn shared_equals_fresh<O: PartialEq + std::fmt::Debug>(
-    what: &str,
-    module: &Module,
-    observe: impl Fn(Device) -> O,
-) {
-    for run in matrix() {
+/// agree, every device must start from the same memory, and the
+/// configurations must agree with each other (tiers and axes are
+/// bit-identical by contract). Returns the reference observation.
+fn shared_equals_fresh(what: &str, module: &Module, observe: impl Fn(Device) -> ProxyOutcome) -> ProxyOutcome {
+    assert_alike(what, &tier_axes(), |run| {
         let image = Arc::new(Image::new(module.clone()));
         let fresh = Device::load_with(module.clone(), quick_device(), run);
         let initial = fresh.global_bytes().to_vec();
@@ -63,27 +48,27 @@ fn shared_equals_fresh<O: PartialEq + std::fmt::Debug>(
         for (nth, run) in [other_tier(run), run, run].into_iter().enumerate() {
             let dev = Device::from_image(Arc::clone(&image), quick_device(), run);
             assert_eq!(dev.global_bytes(), initial, "{what}: device {nth} of the image starts dirty ({run:?})");
-            assert_eq!(observe(dev), fresh, "{what}: device {nth} of the image diverged ({run:?})");
+            assert_same(&format!("{what}: device {nth} of the image ({run:?})"), &fresh, &observe(dev));
         }
-    }
+        fresh
+    })
 }
 
 /// Every proxy, clean and under seeded fault plans that trap it (a null
 /// dereference mid-team, a step budget that runs out in a later team):
 /// outputs, the whole memory image, `KernelMetrics` (`team_cycles` and
-/// `regs_per_thread` included) or the typed trap and its text, and the
-/// sanitizer's verdict and reports.
+/// `regs_per_thread` included) or the typed trap, and the sanitizer's
+/// verdict and reports.
 #[test]
 fn every_proxy_runs_alike_on_a_shared_image() {
     let traps = std::cell::Cell::new(0);
     for p in all_proxies() {
-        let module = compile_for_config(p.as_ref(), BuildConfig::NewRtNoAssumptions).unwrap().module;
+        let module = compiled(p.as_ref(), BuildConfig::NewRtNoAssumptions);
         for fault_seed in [None, Some(1), Some(4)] {
             shared_equals_fresh(&format!("{} (faults {fault_seed:?})", p.name()), &module, |dev| {
                 let o = observe_proxy(p.as_ref(), dev, fault_seed);
-                let trap = o.result.as_ref().err().map(ExecError::to_string);
-                traps.set(traps.get() + usize::from(trap.is_some()));
-                (trap, o)
+                traps.set(traps.get() + usize::from(o.result.is_err()));
+                o
             });
         }
     }
@@ -124,23 +109,20 @@ fn tally_module() -> Module {
 /// device find `tally` at 7 and an empty heap again.
 #[test]
 fn a_launch_leaves_no_trace_in_the_image() {
-    type Seen = (Result<KernelMetrics, ExecError>, Option<Vec<i64>>, Vec<u8>, (u64, u64));
     let launch = Launch::new(2, 4);
     // A trap in the second team's third thread: five threads' bumps and
     // heap cells are in memory when the launch fails.
     let site = FaultSite { team: 1, thread: 2, after_steps: 5, action: FaultAction::Trap(TrapKind::OutOfBounds) };
     let faulty = FaultPlan { sites: vec![site], ..FaultPlan::default() };
     for plan in [None, Some(faulty)] {
-        shared_equals_fresh("tally", &tally_module(), |mut dev| -> Seen {
+        let o = shared_equals_fresh("tally", &tally_module(), |mut dev| {
             if let Some(p) = &plan {
                 dev.set_fault_plan(p.clone());
             }
             let out = dev.alloc(8 * 8);
-            let result = dev.launch("k", launch, &[RtVal::P(out)]);
-            assert_eq!(result.as_ref().err().map(|e| (e.team, e.thread)), plan.as_ref().map(|_| (1, 2)));
-            let read = result.is_ok().then(|| dev.read_i64(out, 8).unwrap());
-            (result, read, dev.global_bytes().to_vec(), dev.sanitizer_counts())
+            observe_launch(&mut dev, "k", launch, &[RtVal::P(out)], (out, 8))
         });
+        assert_eq!(o.result.err().map(|e| (e.team, e.thread)), plan.as_ref().map(|_| (1, 2)));
     }
     // And the launch does what the test thinks it does.
     let mut dev = Device::load(tally_module(), quick_device());

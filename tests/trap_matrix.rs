@@ -2,6 +2,8 @@
 //! [`TrapKind`] variant, asserting the exact [`ExecError`] fields (kind,
 //! team, thread, func) and the exact `Display` rendering. This pins both
 //! the error semantics and the user-facing strings.
+//! One run setting suffices: every kernel is one team, which no worker
+//! count splits; multi-team traps are `parallel_determinism`'s.
 
 use nzomp_ir::{ExecMode, FuncBuilder, Function, Global, Init, Module, Operand, Space, Ty};
 use nzomp_vgpu::device::Launch;

@@ -56,7 +56,7 @@ use error::{MapError as ME, StreamError as SE};
 use map::MapStepError;
 use nzomp_vgpu::TrapKind;
 use sched::{pick_device, DeviceSlot};
-use stream::{DevOp, Op};
+use stream::{DevOp, Op, Payload};
 
 /// Encode `f64` values as the device byte image `Device::write_f64`
 /// produces (IEEE bits, little-endian).
@@ -358,6 +358,15 @@ impl Host {
             .ok_or(HostError::UnknownBuffer(b.0))
     }
 
+    /// Move a buffer's bytes out, leaving it empty: how a caller done with
+    /// a region's output takes it without a copy.
+    pub fn take_buf(&mut self, b: BufId) -> Result<Vec<u8>, HostError> {
+        self.bufs
+            .get_mut(b.0 as usize)
+            .map(std::mem::take)
+            .ok_or(HostError::UnknownBuffer(b.0))
+    }
+
     /// The buffer decoded as `f64`s (post-`sync` result readback).
     pub fn buf_f64(&self, b: BufId) -> Result<Vec<f64>, HostError> {
         Ok(bytes_to_f64(self.buf_bytes(b)?))
@@ -431,16 +440,8 @@ impl Host {
             self.keep(dev, op)?;
         }
         if entered.copy {
-            self.enqueue_op(
-                s,
-                Op::MemcpyTo {
-                    dev,
-                    dst: entered.ptr,
-                    buf: spec.buf,
-                    off: spec.off,
-                    len: spec.len,
-                },
-            )?;
+            let bytes = Payload::Host { buf: spec.buf, off: spec.off, len: spec.len };
+            self.enqueue_op(s, Op::Dev { dev, op: DevOp::Write { ptr: entered.ptr, bytes } })?;
         }
         Ok(entered.ptr)
     }
@@ -524,8 +525,17 @@ impl Host {
     ) -> Result<Ticket, HostError> {
         let ticket = Ticket(self.tickets.len() as u32);
         self.tickets.push(None);
-        self.slot_mut(dev)?.pending += 1;
-        let op = DevOp::Launch { kernel: kernel.to_string(), launch, args, ticket };
+        let slot = self.slot_mut(dev)?;
+        slot.pending += 1;
+        // The bound image's shared name, so neither the op nor the
+        // metrics copy it. A name the image lacks fails at the launch,
+        // like any unknown kernel.
+        let kernel = slot
+            .image
+            .as_ref()
+            .and_then(|(_, image)| image.kernel_name(kernel))
+            .unwrap_or_else(|| Arc::from(kernel));
+        let op = DevOp::Launch { kernel, launch, args, ticket };
         self.enqueue_op(s, Op::Dev { dev, op })?;
         Ok(ticket)
     }
@@ -726,10 +736,6 @@ impl Host {
                 self.slot_mut(dev)?.pool.free(ptr);
                 Ok(())
             }
-            Op::MemcpyTo { dev, dst, buf, off, len } => {
-                let bytes = self.buf_bytes(buf)?[off as usize..(off + len) as usize].to_vec();
-                self.issue(dev, DevOp::Write { ptr: dst, bytes })
-            }
             Op::Dev { dev, op } => {
                 let is_launch = matches!(op, DevOp::Launch { .. });
                 let res = self.issue(dev, op);
@@ -767,18 +773,16 @@ impl Host {
                     return Err(HostError::Replay(format!("alloc({size}) returned {p:?}, not {at:?}")));
                 }
             }
-            DevOp::Zero { ptr, len } => d.write_bytes(*ptr, &vec![0u8; *len as usize])?,
-            DevOp::Write { ptr, bytes } => d.write_bytes(*ptr, bytes)?,
+            DevOp::Zero { ptr, len } => d.zero_bytes(*ptr, *len as usize)?,
+            DevOp::Write { ptr, bytes } => {
+                let bytes = match bytes {
+                    Payload::Host { buf, off, len } => host_range(&mut self.bufs, *buf, *off, *len)?,
+                    Payload::Owned(bytes) => bytes.as_slice(),
+                };
+                d.write_bytes(*ptr, bytes)?
+            }
             DevOp::ReadBack { src, buf, off, len } => {
-                let bytes = d.read_bytes(*src, *len as usize)?;
-                let host = self
-                    .bufs
-                    .get_mut(buf.0 as usize)
-                    .ok_or(HostError::UnknownBuffer(buf.0))?;
-                let buf_len = host.len() as u64;
-                host.get_mut(*off as usize..(*off + *len) as usize)
-                    .ok_or(HostError::Map(ME::HostRange { buf: *buf, off: *off, len: *len, buf_len }))?
-                    .copy_from_slice(&bytes);
+                d.read_into(*src, host_range(&mut self.bufs, *buf, *off, *len)?)?
             }
             DevOp::Launch { kernel, launch, args, ticket } => {
                 let res = d.launch(kernel, *launch, args);
@@ -798,7 +802,7 @@ impl Host {
                         _ => None,
                     };
                     match fuel {
-                        Some(fuel) => HostError::Watchdog { kernel: kernel.clone(), fuel },
+                        Some(fuel) => HostError::Watchdog { kernel: kernel.to_string(), fuel },
                         None => HostError::Exec(e.clone()),
                     }
                 });
@@ -821,11 +825,20 @@ impl Host {
     }
 
     /// Keep a [`DevOp`] that succeeded on slot `dev` — iff recovery is
-    /// armed, the only reader being failover.
+    /// armed, the only reader being failover. An upload is kept as the
+    /// bytes it wrote: the host buffer may change before a replay.
     fn keep(&mut self, dev: usize, op: DevOp) -> Result<(), HostError> {
-        if self.recovery.is_some() {
-            self.slot_mut(dev)?.journal.push(op);
+        if self.recovery.is_none() {
+            return Ok(());
         }
+        let op = match op {
+            DevOp::Write { ptr, bytes: Payload::Host { buf, off, len } } => {
+                let bytes = host_range(&mut self.bufs, buf, off, len)?.to_vec();
+                DevOp::Write { ptr, bytes: Payload::Owned(bytes) }
+            }
+            op => op,
+        };
+        self.slot_mut(dev)?.journal.push(op);
         Ok(())
     }
 
@@ -1152,10 +1165,19 @@ fn step_err(e: MapStepError) -> HostError {
     }
 }
 
+/// `len` bytes of host buffer `buf` at `off`.
+fn host_range(bufs: &mut [Vec<u8>], buf: BufId, off: u64, len: u64) -> Result<&mut [u8], HostError> {
+    let host = bufs.get_mut(buf.0 as usize).ok_or(HostError::UnknownBuffer(buf.0))?;
+    let buf_len = host.len() as u64;
+    off.checked_add(len)
+        .and_then(|end| host.get_mut(off as usize..end as usize))
+        .ok_or(HostError::Map(ME::HostRange { buf, off, len, buf_len }))
+}
+
 /// The device slot a stream operation touches (`None` for host-only ops).
 fn op_device(op: &Op) -> Option<usize> {
     match op {
-        Op::Dev { dev, .. } | Op::MemcpyTo { dev, .. } | Op::PoolFree { dev, .. } => Some(*dev),
+        Op::Dev { dev, .. } | Op::PoolFree { dev, .. } => Some(*dev),
         Op::Record(_) | Op::Wait(_) | Op::Callback(_) => None,
     }
 }

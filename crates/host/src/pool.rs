@@ -68,7 +68,7 @@ impl DevicePool {
             // Reused memory must look like fresh memory (zero-filled).
             // The block leaves the free list only once the write landed:
             // a faulted zero-fill must not leak it.
-            dev.write_bytes(block.ptr, &vec![0u8; block.size as usize])?;
+            dev.zero_bytes(block.ptr, block.size as usize)?;
             self.free.remove(i);
             self.live.insert(block.ptr.0, block.size);
             self.reuse_hits += 1;

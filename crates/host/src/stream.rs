@@ -12,6 +12,8 @@
 //! seed produces results bit-identical to eager (enqueue-time) execution.
 //! The differential suite proves this on every proxy.
 
+use std::sync::Arc;
+
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::memory::DevPtr;
 use nzomp_vgpu::RtVal;
@@ -52,13 +54,13 @@ pub enum DevOp {
     Grow { size: u64, at: DevPtr },
     /// Zero-fill a reused pool block before it is handed out.
     Zero { ptr: DevPtr, len: u64 },
-    /// Land `bytes` at `ptr`. The op owns the bytes: the host buffer they
-    /// came from may be overwritten before a replay needs them.
-    Write { ptr: DevPtr, bytes: Vec<u8> },
-    /// Launch a kernel; the outcome (metrics or the trap) lands in
-    /// `ticket` every time it runs, the last run winning.
+    /// Land `bytes` at `ptr`.
+    Write { ptr: DevPtr, bytes: Payload },
+    /// Launch a kernel, named by the bound image's shared name; the
+    /// outcome (metrics or the trap) lands in `ticket` every time it runs,
+    /// the last run winning.
     Launch {
-        kernel: String,
+        kernel: Arc<str>,
         launch: Launch,
         args: Vec<RtVal>,
         ticket: Ticket,
@@ -72,12 +74,27 @@ pub enum DevOp {
     },
 }
 
+/// The bytes of a [`DevOp::Write`].
+pub enum Payload {
+    /// `len` bytes of host buffer `buf` at `off`, read when the op runs: a
+    /// first execution uploads straight from the buffer.
+    Host { buf: BufId, off: u64, len: u64 },
+    /// The bytes themselves: what the journal keeps, because the host
+    /// buffer they came from may be overwritten before a replay needs them.
+    Owned(Vec<u8>),
+}
+
 impl std::fmt::Display for DevOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DevOp::Grow { size, at } => write!(f, "alloc({size}) at {at:?}"),
             DevOp::Zero { ptr, len } => write!(f, "zero-fill of {len} bytes at {ptr:?}"),
-            DevOp::Write { ptr, bytes } => write!(f, "write of {} bytes at {ptr:?}", bytes.len()),
+            DevOp::Write { ptr, bytes: Payload::Host { buf, len, .. } } => {
+                write!(f, "write of {len} bytes of buffer {} at {ptr:?}", buf.0)
+            }
+            DevOp::Write { ptr, bytes: Payload::Owned(bytes) } => {
+                write!(f, "write of {} bytes at {ptr:?}", bytes.len())
+            }
             DevOp::Launch { kernel, .. } => write!(f, "launch @{kernel}"),
             DevOp::ReadBack { src, buf, len, .. } => {
                 write!(f, "readback of {len} bytes at {src:?} into buffer {}", buf.0)
@@ -90,17 +107,9 @@ impl std::fmt::Display for DevOp {
 /// to the pool, or touches events — every mapping decision was taken at
 /// enqueue time.
 pub(crate) enum Op {
-    /// A device operation complete at enqueue time (launch, read-back).
+    /// A device operation complete at enqueue time: an upload (of the
+    /// bytes its host buffer holds when it runs), a launch, a read-back.
     Dev { dev: usize, op: DevOp },
-    /// Upload `len` bytes of host buffer `buf` at `off`: a
-    /// [`DevOp::Write`] of the bytes the buffer holds when the op runs.
-    MemcpyTo {
-        dev: usize,
-        dst: DevPtr,
-        buf: BufId,
-        off: u64,
-        len: u64,
-    },
     /// Return an unmapped block to the device's pool. Deferred behind any
     /// read-back of the same range so the copy reads intact bytes.
     PoolFree { dev: usize, ptr: DevPtr },

@@ -671,14 +671,15 @@ impl Serve {
         let outcome = match (self.host.take_metrics(region.ticket), first_err) {
             (Ok(m), None) => {
                 let finished = started + m.cycles;
-                // An exact-size iterator: outcomes are retained, and a
-                // grown `Vec` would keep its spare capacity per request.
+                // Each output moves out of its host buffer, which nothing
+                // reads again. An exact-size iterator: outcomes are
+                // retained, and a grown `Vec` would keep its spare
+                // capacity per request.
                 let outputs = outs
                     .iter()
                     .map(|&i| {
                         let b = region.bufs.get(i).copied().flatten();
-                        let bytes = b.and_then(|b| self.host.buf_bytes(b).ok());
-                        (i, bytes.map(|x| x.to_vec()).unwrap_or_default())
+                        (i, b.and_then(|b| self.host.take_buf(b).ok()).unwrap_or_default())
                     })
                     .collect();
                 Outcome::Completed {

@@ -614,6 +614,56 @@ fn launch_shapes_past_an_sm_fault_typed_and_leave_neighbours_alone() {
     assert_eq!(run(&[]), run(&shapes));
 }
 
+/// A grid of `u32::MAX` teams is a shape an SM can hold, so it runs: a
+/// launch keeps state per wave, not per team, so the request spends the
+/// step budget and ends `Faulted` on it, on one worker and on two — and
+/// the tenant beside it cannot tell it was ever made.
+#[test]
+fn a_grid_of_u32_max_teams_faults_on_fuel_and_leaves_neighbours_alone() {
+    let (scale, accum) = (scale_app(), accum_app());
+    let inp = Rc::new(nzomp_host::f64_bytes(&input(N)));
+    let run = |workers: usize, bomb: bool| {
+        let mut c = cfg(2);
+        c.dev_cfg.max_steps = 20_000;
+        c.worker_threads = Some(workers);
+        let mut serve = Serve::new(c);
+        let good = serve.add_tenant("good", TenantConfig::default());
+        let hostile = serve.add_tenant("hostile", TenantConfig::default());
+        let state = serve.session_map(good, vec![0u8; 8 * N]).unwrap();
+        let mut bombs = Vec::new();
+        for _ in 0..2 {
+            let acc = RequestSpec {
+                module: accum.clone(),
+                kernel: "acc".into(),
+                args: vec![ReqArg::Session(state), ReqArg::Scalar(RtVal::I(N as i64))],
+                ..scale_req(&scale, inp.clone())
+            };
+            serve.submit(good, acc).unwrap();
+            if bomb {
+                let grid = Launch { teams: u32::MAX, ..launch() };
+                let req = RequestSpec { launch: grid, ..scale_req(&scale, inp.clone()) };
+                bombs.push(serve.submit(hostile, req).unwrap());
+            }
+            serve.submit(good, scale_req(&scale, inp.clone())).unwrap();
+        }
+        serve.drain();
+        for r in bombs {
+            match serve.outcome(r) {
+                Some(Outcome::Faulted { error, .. }) => {
+                    assert!(error.contains("step budget exhausted"), "{error}")
+                }
+                o => panic!("expected a fuel fault, got {o:?}"),
+            }
+        }
+        let snap = nzomp_serve::trace::snapshot(&mut serve).unwrap();
+        assert_eq!(snap.rows[0].completed, 4);
+        (snap.rows[0].clone(), snap.session_images[0].clone())
+    };
+    let alone = run(1, false);
+    assert_eq!(alone, run(1, true));
+    assert_eq!(alone, run(2, true));
+}
+
 /// The tentpole determinism gate: one mixed trace — 8 tenants, 4
 /// devices, clean, faulting, and quota-rejected requests, session state —
 /// replays bit-identically across runs, worker counts {1, 8}, and both

@@ -85,15 +85,17 @@ fn lower_func(module: &Module, layout: &GlobalLayout, func: &Function) -> BcFunc
         };
     }
 
-    let used = used_results(func);
     let mut slot_of = vec![0u32; func.insts.len()];
     let mut n_slots = 1u32; // slot 0: shared dead-result scratch
-    for (i, &u) in used.iter().enumerate() {
+    for (i, u) in listed_uses(func).into_iter().enumerate() {
         if u {
             slot_of[i] = n_slots;
             n_slots += 1;
         }
     }
+    // An atomic's merge validation keys on the arena-wide map, as the
+    // interpreter's does, so validation counts match across tiers.
+    let used = used_results(func);
 
     let mut lw = FnLowerer {
         module,
@@ -195,6 +197,30 @@ fn lower_func(module: &Module, layout: &GlobalLayout, func: &Function) -> BcFunc
         regs0: lw.regs0,
         entry,
     })
+}
+
+/// Which instruction results code that can run references: operands of
+/// the instructions some block lists (phi incomings included) and of the
+/// terminators. Only these get a value slot, so a frame's register file
+/// is sized by the code that runs, not by the arena, whose dead entries
+/// no block lists. A referenced result whose instruction is itself
+/// unlisted keeps a slot that stays zero, as the interpreter's does.
+fn listed_uses(func: &Function) -> Vec<bool> {
+    let mut used = vec![false; func.insts.len()];
+    let mut mark = |op: Operand| {
+        if let Operand::Inst(i) = op {
+            if let Some(u) = used.get_mut(i.index()) {
+                *u = true;
+            }
+        }
+    };
+    for block in &func.blocks {
+        for inst in block.insts.iter().filter_map(|i| func.insts.get(i.index())) {
+            inst.for_each_operand(&mut mark);
+        }
+        block.term.for_each_operand(&mut mark);
+    }
+    used
 }
 
 /// Validation gate for the dispatch loop's unchecked register file: every
@@ -665,5 +691,47 @@ impl<'m> FnLowerer<'m> {
             pc,
             moves: moves.into_boxed_slice(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use nzomp_ir::inst::BinOp;
+    use nzomp_ir::FuncBuilder;
+
+    use super::*;
+
+    /// `out[0] = tid + 1`: three listed instructions.
+    fn store_tid_plus_one() -> Function {
+        let mut b = FuncBuilder::new("k", vec![Ty::Ptr], None);
+        let tid = b.thread_id();
+        let x = b.add(tid, Operand::i64(1));
+        b.store(Ty::I64, Operand::Param(0), x);
+        b.ret(None);
+        b.finish()
+    }
+
+    fn slots(f: Function) -> usize {
+        let mut m = Module::new("slots");
+        m.add_function(f);
+        lower_module(&m, &GlobalLayout::default()).funcs[0].regs0.len()
+    }
+
+    /// Arena entries no block lists — here a chain of adds, each reading
+    /// the one before and the first reading a live result — get no slot:
+    /// the register file is the listed code's alone.
+    #[test]
+    fn unlisted_arena_entries_get_no_value_slot() {
+        let live = store_tid_plus_one();
+        let mut padded = live.clone();
+        let mut prev = Operand::Inst(InstId(1));
+        for _ in 0..16 {
+            let dead = Inst::Bin { op: BinOp::Add, ty: Ty::I64, lhs: prev, rhs: Operand::i64(2) };
+            prev = Operand::Inst(padded.add_inst(dead));
+        }
+        assert_eq!(padded.live_inst_count(), live.live_inst_count());
+        // Slot 0, `tid`, `x` and the interned `1`.
+        assert_eq!(slots(live), 4);
+        assert_eq!(slots(padded), 4);
     }
 }

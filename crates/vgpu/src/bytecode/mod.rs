@@ -4,10 +4,10 @@
 //! Lowering (`lower.rs`) runs once per module and moves every per-step
 //! lookup the interpreter performs out of the hot loop:
 //!
-//! * **Register allocation** — SSA results with at least one use get a
-//!   dense value slot; dead results share one scratch slot. Frames carry a
-//!   flat `Vec<RtVal>` sized to the slot count instead of the instruction
-//!   arena.
+//! * **Register allocation** — SSA results that code a block lists (or a
+//!   terminator) uses get a dense value slot; dead results share one
+//!   scratch slot. Frames carry a flat `Vec<RtVal>` sized to the slot
+//!   count instead of the instruction arena.
 //! * **Pre-translated operands** ([`Src`]) — instruction results become
 //!   slot reads, params become argument reads, constants (including
 //!   resolved global addresses and function pointers) are immediate

@@ -83,8 +83,9 @@ pub struct WaveStats {
 
 /// Everything that is a pure function of the loaded module — layout,
 /// initial memory, and the lazily derived sanitizer tables, bytecode and
-/// register demands: built once by [`Image::new`], shared (`Arc`) by every
-/// device created from it, borrowed by every launch, never invalidated.
+/// kernels (shared name, register demand): built once by [`Image::new`],
+/// shared (`Arc`) by every device created from it, borrowed by every
+/// launch, never invalidated.
 /// Which device fills a lazy part first cannot matter: each is a pure
 /// function of the module.
 pub struct Image {
@@ -101,9 +102,16 @@ pub struct Image {
     san: OnceLock<Arc<ModuleSan>>,
     /// The bytecode image, lowered at the first bytecode-tier launch.
     bc: OnceLock<BcModule>,
-    /// Register demand per function index, computed at the first launch
-    /// of that function as a kernel.
-    regs: Vec<OnceLock<u32>>,
+    /// Per function index, what launching it as a kernel needs, worked
+    /// out at its first launch.
+    kernels: Vec<OnceLock<Kernel>>,
+}
+
+/// A function as a kernel: its name, shared by every launch's
+/// [`KernelMetrics`], and its register demand.
+struct Kernel {
+    name: Arc<str>,
+    regs: u32,
 }
 
 impl Image {
@@ -148,7 +156,7 @@ impl Image {
             }
         }
         Image {
-            regs: module.funcs.iter().map(|_| OnceLock::new()).collect(),
+            kernels: module.funcs.iter().map(|_| OnceLock::new()).collect(),
             module,
             layout,
             global_init,
@@ -170,17 +178,27 @@ impl Image {
     /// Registers are allocated for the whole call tree on a GPU (no real
     /// call stack): the maximum over every function reachable from the
     /// kernel.
-    fn regs_per_thread(&self, kernel: FuncRef) -> u32 {
-        *self.regs[kernel.index()].get_or_init(|| {
-            CallGraph::build(&self.module)
+    fn kernel(&self, kernel: FuncRef) -> &Kernel {
+        self.kernels[kernel.index()].get_or_init(|| {
+            let func = self.module.func(kernel);
+            let regs = CallGraph::build(&self.module)
                 .reachable_from(&self.module, &[kernel])
                 .into_iter()
                 .map(|fr| self.module.func(fr))
                 .filter(|f| !f.is_declaration())
                 .map(liveness::register_estimate)
                 .max()
-                .unwrap_or_else(|| liveness::register_estimate(self.module.func(kernel)))
+                .unwrap_or_else(|| liveness::register_estimate(func));
+            Kernel { name: Arc::from(func.name.as_str()), regs }
         })
+    }
+
+    /// The shared name of kernel `name` — what [`KernelMetrics::kernel_name`]
+    /// of its launches will hold — or `None` if the module has no such
+    /// function.
+    pub fn kernel_name(&self, name: &str) -> Option<Arc<str>> {
+        let f = self.module.find_func(name)?;
+        Some(Arc::clone(&self.kernel(f).name))
     }
 }
 
@@ -441,13 +459,14 @@ impl Device {
         None
     }
 
-    /// Poll wrapper for the host memcpy primitives: same synthetic
-    /// `<host read>` / `<host write>` context as [`host_err`].
-    fn poll_memcpy_fault(&mut self, op: &str) -> Result<(), ExecError> {
-        match self.poll_device_fault(false) {
-            Some(kind) => Err(host_err(kind, op)),
-            None => Ok(()),
+    /// The entry of the raw memcpy primitives: the device-fault poll
+    /// (same synthetic `<host read>` / `<host write>` context as
+    /// [`host_err`]), then the bounds check of `len` bytes at `ptr`.
+    fn host_memcpy(&mut self, op: &str, ptr: DevPtr, len: usize) -> Result<Range<usize>, ExecError> {
+        if let Some(kind) = self.poll_device_fault(false) {
+            return Err(host_err(kind, op));
         }
+        self.host_range(op, ptr, len, 1)
     }
 
     /// Host-side allocation in device global memory.
@@ -474,7 +493,8 @@ impl Device {
     /// The one checked path under every host memcpy: a latched-lost device
     /// answers `DeviceLost`, then the whole `n × size`-byte range is bounds-
     /// checked before a byte moves. Reads the latch only: the device-fault
-    /// clock ticks in `write_bytes`/`read_bytes` alone (campaigns count those).
+    /// clock ticks in the raw byte copies alone (`host_memcpy`; campaigns
+    /// count those).
     fn host_range(&self, op: &str, ptr: DevPtr, n: usize, size: usize) -> Result<Range<usize>, ExecError> {
         if self.lost {
             return Err(host_err(TrapKind::DeviceLost, op));
@@ -522,9 +542,15 @@ impl Device {
     /// host runtime (`nzomp-host`), which moves opaque byte images rather
     /// than typed slices.
     pub fn write_bytes(&mut self, ptr: DevPtr, data: &[u8]) -> Result<(), ExecError> {
-        self.poll_memcpy_fault("write")?;
-        let range = self.host_range("write", ptr, data.len(), 1)?;
+        let range = self.host_memcpy("write", ptr, data.len())?;
         self.global.bytes[range].copy_from_slice(data);
+        Ok(())
+    }
+
+    /// [`Device::write_bytes`] of `len` zero bytes, without the bytes.
+    pub fn zero_bytes(&mut self, ptr: DevPtr, len: usize) -> Result<(), ExecError> {
+        let range = self.host_memcpy("write", ptr, len)?;
+        self.global.bytes[range].fill(0);
         Ok(())
     }
 
@@ -532,9 +558,15 @@ impl Device {
     /// panic. `&mut` because the device-fault clock ticks on every
     /// host-visible transfer, even reads.
     pub fn read_bytes(&mut self, ptr: DevPtr, len: usize) -> Result<Vec<u8>, ExecError> {
-        self.poll_memcpy_fault("read")?;
-        let range = self.host_range("read", ptr, len, 1)?;
+        let range = self.host_memcpy("read", ptr, len)?;
         Ok(self.global.bytes[range].to_vec())
+    }
+
+    /// [`Device::read_bytes`] of `dst.len()` bytes into `dst`.
+    pub fn read_into(&mut self, ptr: DevPtr, dst: &mut [u8]) -> Result<(), ExecError> {
+        let range = self.host_memcpy("read", ptr, dst.len())?;
+        dst.copy_from_slice(&self.global.bytes[range]);
+        Ok(())
     }
 
     /// Device→host memcpy; typed out-of-bounds error instead of a panic.
@@ -595,13 +627,15 @@ impl Device {
                 return Err(refuse(TrapKind::BadLaunch(msg)));
             }
         };
-        let regs = self.image.regs_per_thread(func_ref);
+        let Kernel { name, regs } = self.image.kernel(func_ref);
+        let regs = *regs;
 
         // Occupancy is computed up front: the wave chunking drives *both*
         // the parallel team engine (which wave a team runs in) and the
-        // cycle aggregation below, so they can never disagree.
+        // cycle aggregation, so they can never disagree. Teams fold into
+        // it as they retire, so nothing is sized by the grid.
         let tps = cost::teams_per_sm(regs, launch.threads_per_team, shared_total.max(1));
-        let wave_size = cost::wave_size(tps);
+        let mut waves = Waves::new(cost::wave_size(tps), cost::latency_exposure(tps));
 
         // Fault plans and the host watchdog can shrink the step budget,
         // and fault plans the device heap, for this launch; the heap
@@ -631,19 +665,19 @@ impl Device {
             san: lsan.is_some().then(|| self.image.sanitizer()),
         };
         let outcome = if self.run.workers <= 1 || launch.teams <= 1 {
-            run_teams_sequential(&ctx, &mut self.global, &mut self.heap, &mut fuel, &mut lsan)
+            run_teams_sequential(&ctx, &mut self.global, &mut self.heap, &mut waves, &mut fuel, &mut lsan)
         } else {
             let workers = self.run.workers;
-            let (outcome, stats) =
-                run_teams_parallel(&ctx, &mut self.global, &mut self.heap, wave_size, workers, &mut fuel, &mut lsan);
+            let (global, heap) = (&mut self.global, &mut self.heap);
+            let (outcome, stats) = run_teams_parallel(&ctx, global, heap, &mut waves, workers, &mut fuel, &mut lsan);
             self.last_wave = Some(stats);
             outcome
         };
         self.heap.limit = saved_heap_limit;
         let (races, divergences) = lsan.as_ref().map(|l| (l.races, l.divergences)).unwrap_or((0, 0));
         self.last_san = lsan;
-        let (team_cycles, team_mem_cycles, counters) = match outcome {
-            Ok(parts) => parts,
+        let counters = match outcome {
+            Ok(counters) => counters,
             Err((kind, team, thread)) => {
                 return Err(ExecError {
                     kind,
@@ -668,29 +702,11 @@ impl Device {
             });
         }
 
-        // Occupancy / wave model: teams are issued in launch order, one wave
-        // at a time; each wave lasts as long as its slowest team. A team's
-        // effective duration exposes memory latency in inverse proportion
-        // to how many teams the SM can keep resident (latency hiding).
-        let exposure = cost::latency_exposure(tps);
-        let effective: Vec<u64> = team_cycles
-            .iter()
-            .zip(&team_mem_cycles)
-            .map(|(&total, &mem)| {
-                let compute = total.saturating_sub(mem);
-                compute + (mem as f64 * exposure) as u64
-            })
-            .collect();
-        let mut cycles_total: u64 = 0;
-        let mut waves = 0u32;
-        for chunk in effective.chunks(wave_size) {
-            cycles_total += chunk.iter().copied().max().unwrap_or(0);
-            waves += 1;
-        }
+        let (cycles_total, waves) = waves.finish();
         let time_ms = cycles_total as f64 / (cost::CLOCK_GHZ * 1e6);
 
         Ok(KernelMetrics {
-            kernel_name: kernel.to_string(),
+            kernel_name: Arc::clone(name),
             teams: launch.teams,
             threads_per_team: launch.threads_per_team,
             regs_per_thread: regs,
@@ -711,8 +727,53 @@ impl Device {
             flops: counters.flops,
             sanitizer_races: races,
             sanitizer_divergences: divergences,
-            team_cycles,
         })
+    }
+}
+
+/// The occupancy / wave model, folded team by team: teams are issued in
+/// launch order, one wave of `size` at a time, and each wave lasts as long
+/// as its slowest team. A team's effective duration exposes its memory
+/// cycles in inverse proportion to how many teams the SM keeps resident
+/// (latency hiding) — `exposure`, known before the first team runs.
+struct Waves {
+    size: usize,
+    exposure: f64,
+    /// Teams retired into the open wave, and the slowest of them.
+    open: usize,
+    slowest: u64,
+    cycles: u64,
+    count: u32,
+}
+
+impl Waves {
+    fn new(size: usize, exposure: f64) -> Waves {
+        Waves { size: size.max(1), exposure, open: 0, slowest: 0, cycles: 0, count: 0 }
+    }
+
+    /// Fold in the next team's `(cycles, mem cycles)`.
+    fn retire(&mut self, (total, mem): (u64, u64)) {
+        let compute = total.saturating_sub(mem);
+        self.slowest = self.slowest.max(compute + (mem as f64 * self.exposure) as u64);
+        self.open += 1;
+        if self.open == self.size {
+            self.close();
+        }
+    }
+
+    fn close(&mut self) {
+        self.cycles += self.slowest;
+        self.count += 1;
+        self.open = 0;
+        self.slowest = 0;
+    }
+
+    /// `(kernel cycles, waves)` once every team has retired.
+    fn finish(mut self) -> (u64, u32) {
+        if self.open > 0 {
+            self.close();
+        }
+        (self.cycles, self.count)
     }
 }
 
@@ -737,14 +798,12 @@ fn run_teams_sequential(
     ctx: &LaunchCtx<'_>,
     global: &mut Region,
     heap: &mut HeapState,
+    waves: &mut Waves,
     fuel: &mut u64,
     lsan: &mut Option<LaunchSan>,
 ) -> TeamsOutcome {
-    let teams = ctx.launch.teams;
-    let mut team_cycles = Vec::with_capacity(teams as usize);
-    let mut team_mem_cycles = Vec::with_capacity(teams as usize);
     let mut totals = Counters::default();
-    for team in 0..teams {
+    for team in 0..ctx.launch.teams {
         let run = run_team_direct(ctx, global, heap, team, *fuel);
         // Fold before the trap check: a trapping team's findings up
         // to the trap are still reported (sequential first-trap
@@ -754,15 +813,9 @@ fn run_teams_sequential(
         }
         totals.add(&run.counters);
         *fuel = run.fuel_left;
-        match run.result {
-            Ok((cycles, mem)) => {
-                team_cycles.push(cycles);
-                team_mem_cycles.push(mem);
-            }
-            Err((kind, thread)) => return Err((kind, team, thread)),
-        }
+        waves.retire(run.result.map_err(|(kind, thread)| (kind, team, thread))?);
     }
-    Ok((team_cycles, team_mem_cycles, totals))
+    Ok(totals)
 }
 
 /// The parallel path: teams of each occupancy wave (`wave_size` teams) run
@@ -777,23 +830,23 @@ fn run_teams_parallel(
     ctx: &LaunchCtx<'_>,
     global: &mut Region,
     heap: &mut HeapState,
-    wave_size: usize,
+    waves: &mut Waves,
     workers: usize,
     fuel: &mut u64,
     lsan: &mut Option<LaunchSan>,
 ) -> (TeamsOutcome, WaveStats) {
     let teams = ctx.launch.teams;
-    let mut team_cycles = Vec::with_capacity(teams as usize);
-    let mut team_mem_cycles = Vec::with_capacity(teams as usize);
     let mut totals = Counters::default();
     let mut stats = WaveStats::default();
     // One per worker, for the whole launch.
     let mut scratch: Vec<WaveScratch> = (0..workers).map(|_| WaveScratch::default()).collect();
-    let teams: Vec<u32> = (0..teams).collect();
-    for wave in teams.chunks(wave_size.max(1)) {
-        let runs = run_wave(ctx, global, wave, *fuel, &mut scratch);
+    let mut first = 0;
+    while first < teams {
+        let wave = first..first.saturating_add(waves.size as u32).min(teams);
+        first = wave.end;
+        let runs = run_wave(ctx, global, wave.clone(), *fuel, &mut scratch);
         stats.waves += 1;
-        for (run, &team) in runs.into_iter().zip(wave) {
+        for (run, team) in runs.into_iter().zip(wave) {
             stats.teams += 1;
             let effects = &scratch[run.worker].log()[run.log.effects.clone()];
             stats.effects += effects.len() as u64;
@@ -850,17 +903,14 @@ fn run_teams_parallel(
             totals.add(&counters);
             *fuel -= steps;
             match result {
-                Ok((cycles, mem)) => {
-                    team_cycles.push(cycles);
-                    team_mem_cycles.push(mem);
-                }
+                Ok(cycles) => waves.retire(cycles),
                 Err((kind, thread)) => return (Err((kind, team, thread)), stats),
             }
         }
     }
-    (Ok((team_cycles, team_mem_cycles, totals)), stats)
+    (Ok(totals), stats)
 }
 
-/// `(per-team cycles, per-team mem cycles, summed counters)` on success;
-/// `(trap, team, thread)` on the first (lowest-team-index) trap.
-type TeamsOutcome = Result<(Vec<u64>, Vec<u64>, Counters), (TrapKind, u32, u32)>;
+/// The summed counters on success (every team retired into the launch's
+/// [`Waves`]); `(trap, team, thread)` on the first (lowest-team-index) trap.
+type TeamsOutcome = Result<Counters, (TrapKind, u32, u32)>;

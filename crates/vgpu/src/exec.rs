@@ -1,11 +1,12 @@
 //! The execution-backend seam: everything about running one team that is
 //! *not* opcode dispatch.
 //!
-//! A [`TeamExec`] owns the team-local machine state — thread contexts,
-//! shared memory, the global-memory view, cycle/event counters, the fuel
-//! budget, the fault plan, and the sanitizer — and drives the
-//! run-to-synchronization-point scheduler. How one thread actually steps
-//! through a kernel is delegated to an [`ExecBackend`]:
+//! A [`TeamExec`] owns the team-local machine state — shared memory, the
+//! global-memory view, cycle/event counters, the fuel budget, the fault
+//! plan, and the sanitizer — and drives the run-to-synchronization-point
+//! scheduler, which recycles one thread context from each returned thread
+//! to the next. How one thread actually steps through a kernel is
+//! delegated to an [`ExecBackend`]:
 //!
 //! * [`crate::interp::InterpBackend`] — the tree-walking reference
 //!   interpreter, stepping IR instructions directly;
@@ -270,9 +271,9 @@ pub trait ExecBackend<'a>: Sized {
 
 /// Executes one team to completion over a pluggable [`ExecBackend`].
 ///
-/// All team-local state — thread contexts, shared memory, the cycle/event
-/// counters, the remaining fuel — is *owned*, and in buffered mode the
-/// copy-on-write view of global memory is the running worker's own
+/// All team-local state — shared memory, the cycle/event counters, the
+/// remaining fuel — is *owned*, and in buffered mode the copy-on-write
+/// view of global memory is the running worker's own
 /// scratch, borrowed exclusively, so a `TeamExec` built over a
 /// [`GlobalMem::Buffered`] view is `Send` and can run on a worker thread;
 /// the shared borrows (`module`, `layout`, `constant`, `faults`,
@@ -302,7 +303,6 @@ pub struct TeamExec<'a, B: ExecBackend<'a>> {
     /// every hook then degenerates to one pointer test — the same
     /// zero-cost-when-disabled shape as `faults`).
     pub(crate) san: Option<Box<TeamSan>>,
-    pub(crate) threads: Vec<ThreadCtx<B::Frame>>,
     /// Per-function cache of which instruction results are referenced by
     /// any operand — computed lazily, only consulted by buffered global
     /// atomics to decide whether their observed old value needs merge
@@ -337,7 +337,6 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
             fuel,
             faults: ctx.faults,
             san: ctx.san.map(|m| Box::new(TeamSan::new(team_id, Arc::clone(m)))),
-            threads: Vec::new(),
             result_used: HashMap::new(),
             backend,
         }
@@ -411,98 +410,47 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
     }
 
     /// Run the kernel function with `args` on every thread of the team.
-    /// Returns `(team_cycles, mem_cycles)`: `team_cycles` is the slowest
-    /// thread's total; `mem_cycles` is the memory share of the team's
-    /// critical path, estimated work-weighted as
-    /// `team_cycles * Σ mem_i / Σ cycles_i` (robust against irregular
-    /// per-thread work and barrier-synchronized counters).
+    /// Returns `(cycles, mem_cycles)`: `cycles` is the slowest thread's
+    /// total; `mem_cycles` is the memory share of the team's critical
+    /// path, estimated work-weighted as `cycles * Σ mem_i / Σ busy_i`
+    /// (robust against irregular per-thread work and barrier-synchronized
+    /// counters).
     pub fn run(&mut self, kernel: u32, args: &[RtVal]) -> Result<(u64, u64), (TrapKind, u32)> {
-        // A thread's context is built when the thread is first scheduled
-        // (the first pass below, in thread-id order), and a thread that
-        // has returned hands its frame stack — the kernel frame's register
-        // file and argument copy with it — to the next one built. A team
-        // whose threads never wait for each other, the shape SPMD-ization
-        // and barrier elimination produce, so runs in one frame.
-        self.threads = Vec::with_capacity(self.nthreads as usize);
-        let mut spent: Vec<B::Frame> = Vec::new();
-
-        loop {
-            let mut progressed = false;
-            for t in 0..self.nthreads as usize {
-                if t == self.threads.len() {
-                    let tid = t as u32;
-                    let frame = match B::kernel_frame(self, kernel, args, spent.pop()) {
-                        Ok(f) => f,
-                        Err(kind) => return Err((kind, 0)),
-                    };
-                    spent.clear();
-                    spent.push(frame);
-                    let faults = self
-                        .faults
-                        .map(|p| p.sites_for(self.team_id, tid))
-                        .unwrap_or_default();
-                    let next_fault_step = faults.first().map_or(u64::MAX, |s| s.after_steps);
-                    self.threads.push(ThreadCtx {
-                        tid,
-                        frames: std::mem::take(&mut spent),
-                        status: Status::Running,
-                        faults,
-                        next_fault_step,
-                        ..ThreadCtx::default()
-                    });
-                }
-                if self.threads[t].status == Status::Running {
-                    progressed = true;
-                    let mut thread = std::mem::take(&mut self.threads[t]);
-                    let r = B::run_thread(self, &mut thread);
-                    let tid = thread.tid;
-                    if thread.status == Status::Done {
-                        spent = std::mem::take(&mut thread.frames);
-                    }
-                    self.threads[t] = thread;
-                    if let Err(kind) = r {
-                        return Err((kind, tid));
-                    }
-                }
+        // Threads are built in thread-id order and each runs until it
+        // waits at a barrier, returns or traps. A thread that returns is
+        // folded into the team totals on the spot, and its whole context —
+        // kernel frame, frame stack, local memory — becomes the next
+        // thread's. Only threads waiting at a barrier are kept, in
+        // thread-id order, so a team whose threads never wait for each
+        // other (the shape SPMD-ization and barrier elimination produce)
+        // runs in one context.
+        let mut team = TeamTotals::default();
+        let mut live: Vec<ThreadCtx<B::Frame>> = Vec::new();
+        let mut thread = ThreadCtx::default();
+        for tid in 0..self.nthreads {
+            self.recycle(&mut thread, tid, kernel, args)?;
+            B::run_thread(self, &mut thread).map_err(|kind| (kind, tid))?;
+            if thread.status == Status::Done {
+                team.retire(&thread);
+            } else {
+                live.push(std::mem::take(&mut thread));
             }
-            let live: Vec<usize> = (0..self.threads.len())
-                .filter(|&t| self.threads[t].status != Status::Done)
-                .collect();
-            if live.is_empty() {
-                break;
-            }
-            let all_waiting = live
-                .iter()
-                .all(|&t| matches!(self.threads[t].status, Status::AtBarrier { .. }));
-            if all_waiting {
+        }
+        let mut progressed = true;
+        while let Some(first) = live.first() {
+            if live.iter().all(|t| matches!(t.status, Status::AtBarrier { .. })) {
+                let aligned_wait = |t: &ThreadCtx<B::Frame>| t.status == Status::AtBarrier { aligned: true };
                 // An *aligned* barrier promises that every thread of the
                 // team reaches it; if some threads already exited, that
                 // promise is broken (miscompile or bad user code) — trap.
-                let any_done = self.threads.iter().any(|t| t.status == Status::Done);
-                let any_aligned_wait = live.iter().any(|&t| {
-                    matches!(
-                        self.threads[t].status,
-                        Status::AtBarrier { aligned: true }
-                    )
-                });
-                if any_done && any_aligned_wait {
-                    if self.san.is_some() {
-                        let waiting = self.barrier_arrivals(&live);
-                        let done = self.threads.len() - live.len();
-                        if let Some(san) = self.san.as_deref_mut() {
-                            san.on_aligned_subset(self.module, &waiting, done);
-                        }
+                if team.done > 0 && live.iter().any(aligned_wait) {
+                    if let Some(san) = self.san.as_deref_mut() {
+                        san.on_aligned_subset(self.module, &barrier_arrivals(&live), team.done);
                     }
-                    return Err((TrapKind::BarrierDeadlock, self.threads[live[0]].tid));
+                    return Err((TrapKind::BarrierDeadlock, first.tid));
                 }
                 // Release the barrier: synchronize cycle counters.
-                let aligned = live.iter().all(|&t| {
-                    matches!(
-                        self.threads[t].status,
-                        Status::AtBarrier { aligned: true }
-                    )
-                });
-                let cost = if aligned {
+                let cost = if live.iter().all(aligned_wait) {
                     cost::BARRIER_ALIGNED
                 } else {
                     cost::BARRIER_UNALIGNED
@@ -510,37 +458,70 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
                 // Sanitizer: check arrival uniformity, then open a new
                 // barrier epoch (every release synchronizes the live
                 // threads, aligned or not).
-                if self.san.is_some() {
-                    let arrivals = self.barrier_arrivals(&live);
-                    if let Some(san) = self.san.as_deref_mut() {
-                        san.on_barrier_release(self.module, &arrivals);
-                    }
+                if let Some(san) = self.san.as_deref_mut() {
+                    san.on_barrier_release(self.module, &barrier_arrivals(&live));
                 }
-                let max_cycles = live
-                    .iter()
-                    .map(|&t| self.threads[t].cycles)
-                    .max()
-                    .unwrap_or(0);
-                for &t in &live {
-                    self.threads[t].cycles = max_cycles + cost;
-                    self.threads[t].busy_cycles += cost;
-                    self.threads[t].status = Status::Running;
+                let max_cycles = live.iter().map(|t| t.cycles).max().unwrap_or(0);
+                for t in &mut live {
+                    t.cycles = max_cycles + cost;
+                    t.busy_cycles += cost;
+                    t.status = Status::Running;
                 }
                 self.counters.barriers += 1;
             } else if !progressed {
                 // Some threads wait forever: mismatched barrier.
-                return Err((TrapKind::BarrierDeadlock, self.threads[live[0]].tid));
+                return Err((TrapKind::BarrierDeadlock, first.tid));
             }
+            progressed = false;
+            for thread in &mut live {
+                if thread.status == Status::Running {
+                    progressed = true;
+                    B::run_thread(self, thread).map_err(|kind| (kind, thread.tid))?;
+                    if thread.status == Status::Done {
+                        team.retire(thread);
+                    }
+                }
+            }
+            live.retain(|t| t.status != Status::Done);
         }
-        let max_cycles = self.threads.iter().map(|t| t.cycles).max().unwrap_or(0);
-        let sum_busy: u64 = self.threads.iter().map(|t| t.busy_cycles).sum();
-        let sum_mem: u64 = self.threads.iter().map(|t| t.mem_cycles).sum();
-        let mem = if sum_busy == 0 {
+        let mem = if team.busy == 0 {
             0
         } else {
-            (max_cycles as f64 * (sum_mem as f64 / sum_busy as f64).min(1.0)) as u64
+            (team.cycles as f64 * (team.mem as f64 / team.busy as f64).min(1.0)) as u64
         };
-        Ok((max_cycles, mem))
+        Ok((team.cycles, mem))
+    }
+
+    /// Make `thread` thread `tid`'s context, in the storage of what it
+    /// holds — a returned thread's context, or an empty one. Every field
+    /// starts fresh by construction except the storage handed on: the
+    /// frame stack (whose kernel frame lends its register file and
+    /// argument copy to the new one) and the local-memory buffer, emptied.
+    fn recycle(
+        &self,
+        thread: &mut ThreadCtx<B::Frame>,
+        tid: u32,
+        kernel: u32,
+        args: &[RtVal],
+    ) -> Result<(), (TrapKind, u32)> {
+        let spent = thread.frames.pop();
+        let frame = B::kernel_frame(self, kernel, args, spent).map_err(|kind| (kind, 0))?;
+        let mut frames = std::mem::take(&mut thread.frames);
+        frames.clear();
+        frames.push(frame);
+        let mut local = std::mem::take(&mut thread.local);
+        local.bytes.clear();
+        let faults = self.faults.map(|p| p.sites_for(self.team_id, tid)).unwrap_or_default();
+        *thread = ThreadCtx {
+            tid,
+            frames,
+            local,
+            status: Status::Running,
+            next_fault_step: faults.first().map_or(u64::MAX, |s| s.after_steps),
+            faults,
+            ..ThreadCtx::default()
+        };
+        Ok(())
     }
 
     /// Fire every pending fault whose trigger step has been reached.
@@ -686,21 +667,37 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
         }
         Ok(())
     }
+}
 
-    /// Arrival snapshot of the given live (waiting) threads, for the
-    /// sanitizer's divergence checks.
-    fn barrier_arrivals(&self, live: &[usize]) -> Vec<BarrierArrival> {
-        live.iter()
-            .map(|&t| {
-                let th = &self.threads[t];
-                BarrierArrival {
-                    tid: th.tid,
-                    aligned: matches!(th.status, Status::AtBarrier { aligned: true }),
-                    site: th.barrier_site,
-                }
-            })
-            .collect()
+/// What a team keeps of its returned threads: the slowest one's cycles,
+/// the sums of busy and memory cycles, and how many have returned.
+#[derive(Default)]
+struct TeamTotals {
+    cycles: u64,
+    busy: u64,
+    mem: u64,
+    done: usize,
+}
+
+impl TeamTotals {
+    fn retire<F>(&mut self, t: &ThreadCtx<F>) {
+        self.cycles = self.cycles.max(t.cycles);
+        self.busy += t.busy_cycles;
+        self.mem += t.mem_cycles;
+        self.done += 1;
     }
+}
+
+/// Arrival snapshot of the live (waiting) threads, for the sanitizer's
+/// divergence checks.
+fn barrier_arrivals<F>(live: &[ThreadCtx<F>]) -> Vec<BarrierArrival> {
+    live.iter()
+        .map(|th| BarrierArrival {
+            tid: th.tid,
+            aligned: matches!(th.status, Status::AtBarrier { aligned: true }),
+            site: th.barrier_site,
+        })
+        .collect()
 }
 
 /// One team's `(cycles, mem cycles)`, or its trap `(kind, thread)`.

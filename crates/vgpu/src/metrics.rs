@@ -1,6 +1,8 @@
 //! Kernel execution metrics — the columns of the paper's Fig. 11 plus
 //! counters used by tests and the ablation analysis.
 
+use std::sync::Arc;
+
 /// Metrics of one kernel launch.
 ///
 /// `PartialEq` is part of the parallel-execution contract: the
@@ -8,7 +10,9 @@
 /// to the sequential baseline, field for field.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct KernelMetrics {
-    pub kernel_name: String,
+    /// The kernel's name, shared with the loaded image (a clone copies no
+    /// bytes).
+    pub kernel_name: Arc<str>,
     pub teams: u32,
     pub threads_per_team: u32,
 
@@ -52,9 +56,6 @@ pub struct KernelMetrics {
     pub sanitizer_races: u64,
     /// Divergent aligned-barrier releases found by the sanitizer.
     pub sanitizer_divergences: u64,
-
-    /// Per-team cycle counts (diagnostics).
-    pub team_cycles: Vec<u64>,
 }
 
 impl KernelMetrics {

@@ -27,6 +27,7 @@
 //! preserving fidelity; we reproduce that shape with the stronger
 //! guarantee of bit-exact equivalence to the sequential semantics.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -96,11 +97,11 @@ fn run_one_team(
 
 /// Execute the teams of one wave concurrently, one worker thread per
 /// entry of `scratch` (and no more workers than teams). Returns one
-/// [`TeamRun`] per team, in the order of `teams`.
+/// [`TeamRun`] per team, in team order.
 pub(crate) fn run_wave(
     ctx: &LaunchCtx<'_>,
     master: &Region,
-    teams: &[u32],
+    teams: Range<u32>,
     fuel: u64,
     scratch: &mut [WaveScratch],
 ) -> Vec<TeamRun> {
@@ -108,19 +109,16 @@ pub(crate) fn run_wave(
     let scratch = &mut scratch[..workers];
     scratch.iter_mut().for_each(WaveScratch::start_wave);
     if let [own] = scratch {
-        return teams
-            .iter()
-            .map(|&t| run_one_team(ctx, master, t, fuel, (0, own)))
-            .collect();
+        return teams.map(|t| run_one_team(ctx, master, t, fuel, (0, own))).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<TeamRun>>> = teams.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<TeamRun>>> = teams.clone().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
-        let (cursor, slots) = (&cursor, &slots);
+        let (cursor, slots, teams) = (&cursor, &slots, &teams);
         for (worker, own) in scratch.iter_mut().enumerate() {
             s.spawn(move || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&team) = teams.get(i) else { break };
+                let Some(team) = teams.clone().nth(i) else { break };
                 let run = run_one_team(ctx, master, team, fuel, (worker, own));
                 if let Ok(mut slot) = slots[i].lock() {
                     *slot = Some(run);
@@ -131,7 +129,7 @@ pub(crate) fn run_wave(
     slots
         .into_iter()
         .zip(teams)
-        .map(|(m, &team)| {
+        .map(|(m, team)| {
             m.into_inner()
                 .unwrap_or_else(|poison| poison.into_inner())
                 // Unreachable in practice: every claimed slot is filled,

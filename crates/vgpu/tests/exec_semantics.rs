@@ -392,6 +392,38 @@ fn launch_shapes_past_an_sm_are_refused() {
     }
 }
 
+/// A grid of `u32::MAX` teams is a shape an SM can hold: it runs, with
+/// state kept per wave rather than per team, until the step budget is
+/// spent — a typed `FuelExhausted` at the same team and thread on one
+/// worker and on two, after the few waves the budget pays for.
+#[test]
+fn a_grid_of_u32_max_teams_spends_the_step_budget() {
+    let mut m = Module::new("grid");
+    let mut b = FuncBuilder::new("k", vec![Ty::Ptr], None);
+    let tid = b.thread_id();
+    let slot = b.gep(b.param(0), tid, 8);
+    let team = b.block_id();
+    b.store(Ty::I64, slot, team);
+    b.ret(None);
+    let f = m.add_function(b.finish());
+    m.add_kernel(f, ExecMode::Spmd);
+    let traps: Vec<_> = [1, 2]
+        .map(|workers| {
+            let cfg = DeviceConfig { max_steps: 10_000, ..DeviceConfig::default() };
+            let mut dev = Device::load(m.clone(), cfg);
+            dev.set_worker_threads(workers);
+            let out = dev.alloc(8 * 16);
+            let err = dev.launch("k", Launch::new(u32::MAX, 16), &[RtVal::P(out)]).unwrap_err();
+            assert_eq!(err.kind, TrapKind::FuelExhausted, "{workers} workers: {err}");
+            if let Some(w) = dev.last_wave_stats() {
+                assert!(w.teams < 1_000, "{workers} workers ran {w:?}");
+            }
+            (err, dev.global_bytes().to_vec())
+        })
+        .into();
+    assert_eq!(traps[0], traps[1]);
+}
+
 /// Register demand is remembered per kernel, not per device: two kernels
 /// of one module launched on one device — in either order, and again —
 /// report what a fresh device reports for each. `fat`'s demand comes from

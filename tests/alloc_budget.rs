@@ -153,11 +153,14 @@ fn steady(counts: &[u64]) -> u64 {
 }
 
 /// Allocations one 16-thread launch of the scale kernel may make on the
-/// bytecode tier, once the image is lowered: 8 now — the threads of a
-/// team that never waits run one after another in one kernel frame
-/// (`TeamExec::run`) — 53 when every thread got its own register file,
-/// argument copy and frame stack up front.
-const LAUNCH_BUDGET: u64 = 8;
+/// bytecode tier, once the image is lowered: 3 now — the kernel frame's
+/// register file and argument copy and the frame stack, which the threads
+/// of a team that never waits hand on in one recycled context
+/// (`TeamExec::run`), with the kernel name shared and no per-team vector
+/// — 8 when each launch copied the name and sized vectors by the grid,
+/// 53 when every thread got its own register file, argument copy and
+/// frame stack up front.
+const LAUNCH_BUDGET: u64 = 3;
 
 #[test]
 fn a_launch_stays_within_its_allocation_budget() {
@@ -190,11 +193,13 @@ fn region_args() -> Vec<RegionArg> {
 }
 
 /// Allocations of one region (enqueue + sync) that finds its device
-/// running another image and rebinds it to one loaded before: 21 now — a
-/// bind is fresh device memory over the loaded image the host kept — 287
+/// running another image and rebinds it to one loaded before: 13 now — a
+/// bind is fresh device memory over the loaded image the host kept, and
+/// uploads and read-backs copy straight between host buffer and device —
+/// 21 when every transfer, zero-fill and launch made its own copy, 287
 /// when every bind cloned the linked module, laid it out, lowered it and
 /// sized its registers again. (Building the arguments is the caller's.)
-const REBIND_BUDGET: u64 = 22;
+const REBIND_BUDGET: u64 = 13;
 
 #[test]
 fn a_rebinding_region_stays_within_its_allocation_budget() {
@@ -224,10 +229,12 @@ fn a_rebinding_region_stays_within_its_allocation_budget() {
 /// Allocations of one served request (submit + drain: admission,
 /// dispatch, region, launch, outcome, completion) whose module the
 /// service has resolved before through the same `Rc` and whose image its
-/// device is running: 26 now, 94 when every dispatch cloned, re-verified,
-/// hashed and compared the module and every thread of the launch
-/// allocated its own frame. (Building the request is the tenant's.)
-const REQUEST_BUDGET: u64 = 27;
+/// device is running: 13 now — no copy of the kernel name, of an upload,
+/// a read-back, a zero-fill or an output, and no per-team vector — 26
+/// when each of those was made, 94 when every dispatch cloned,
+/// re-verified, hashed and compared the module and every thread of the
+/// launch allocated its own frame. (Building the request is the tenant's.)
+const REQUEST_BUDGET: u64 = 13;
 
 #[test]
 fn a_served_hot_request_stays_within_its_allocation_budget() {

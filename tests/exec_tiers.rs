@@ -15,6 +15,8 @@
 //!   traps identically, and clean runs (generated kernels and every
 //!   proxy application) consume identical fuel and produce identical
 //!   metrics, outputs and memory;
+//! * the recycled thread context — a thread built in the context another
+//!   returned sees fresh local memory and none of its pending faults;
 //! * the trap taxonomy — malformed IR embedded as lowered trap ops must
 //!   surface the interpreter's exact message, for one hand-built module
 //!   and for every verifier-rejected text mutation of the corpus (the
@@ -30,7 +32,7 @@ use nzomp_integration::{
     run_proxy_outcome, run_recovered, tier_axes, TIERS,
 };
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{DevPtr, Device, DeviceConfig, FaultPlan, TrapKind};
+use nzomp_vgpu::{DevPtr, Device, DeviceConfig, FaultAction, FaultPlan, FaultSite, RtVal, TrapKind};
 
 /// 50 seeded fault campaigns, replayed on both tiers at every run axis:
 /// the typed trap (or clean metrics), the whole memory image, and the
@@ -121,6 +123,86 @@ fn host_recovery_replays_on_the_pinned_tier() {
         });
     }
     assert!(failovers > 0, "no campaign forced a failover");
+}
+
+/// One team of four: thread 0 waits at an (unaligned) barrier, thread 1
+/// writes `0xdead` to its local memory, reads it back into `out[1]` and
+/// returns, and threads 2 and 3 read their own local memory into
+/// `out[tid]` before waiting at the barrier too. Thread 2 is built from
+/// the context thread 1 returned.
+fn recycling_kernel() -> Module {
+    let mut m = Module::new("recycle");
+    let mut b = FuncBuilder::new("k", vec![Ty::Ptr], None);
+    let tid = b.thread_id();
+    let local = b.alloca(8);
+    let out = b.gep(b.param(0), tid, 8);
+    let (waiter, others, writer, reader) = (b.new_block(), b.new_block(), b.new_block(), b.new_block());
+    let is0 = b.icmp_eq(tid, Operand::i64(0));
+    b.cond_br(is0, waiter, others);
+    b.switch_to(waiter);
+    b.barrier();
+    b.ret(None);
+    b.switch_to(others);
+    let is1 = b.icmp_eq(tid, Operand::i64(1));
+    b.cond_br(is1, writer, reader);
+    b.switch_to(writer);
+    b.store(Ty::I64, local, Operand::i64(0xdead));
+    let mine = b.load(Ty::I64, local);
+    b.store(Ty::I64, out, mine);
+    b.ret(None);
+    b.switch_to(reader);
+    let fresh = b.load(Ty::I64, local);
+    b.store(Ty::I64, out, fresh);
+    b.barrier();
+    b.ret(None);
+    let f = m.add_function(b.finish());
+    m.add_kernel(f, ExecMode::Spmd);
+    nzomp_ir::verify_module(&m).unwrap();
+    m
+}
+
+/// A returned thread's context becomes the next thread's, and the next
+/// thread starts fresh in it: thread 2 reads zeros from local memory
+/// thread 1 wrote, and a load corruption or dropped barrier arrival armed
+/// in thread 1 — at every step it takes, so some are still pending when
+/// it returns — acts on thread 1 alone. Then a seeded campaign aims at
+/// both threads, and every run is held alike across tiers and run axes.
+#[test]
+fn a_recycled_thread_context_starts_fresh() {
+    let m = recycling_kernel();
+    let observe = |what: &str, plan: Option<FaultPlan>| {
+        assert_alike(what, &tier_axes(), |run| {
+            let mut dev = Device::load_with(m.clone(), DeviceConfig::default(), run);
+            if let Some(plan) = plan.clone() {
+                dev.set_fault_plan(plan);
+            }
+            let out = dev.alloc(8 * 4);
+            observe_launch(&mut dev, "k", Launch::new(1, 4), &[RtVal::P(out)], (out, 4))
+        })
+    };
+    let clean = observe("clean", None);
+    assert_eq!(clean.out_bits.as_deref(), Some(&[0, 0xdead, 0, 0][..]));
+    for after_steps in 0..16 {
+        for action in [FaultAction::CorruptLoad { xor: 0xff00 }, FaultAction::DropBarrierArrival] {
+            let site = FaultSite { team: 0, thread: 1, after_steps, action };
+            let what = format!("{site:?}");
+            let got = observe(&what, Some(FaultPlan { sites: vec![site], ..FaultPlan::default() }));
+            let bits = got.out_bits.unwrap_or_default();
+            // Thread 1's own load may be corrupted; nothing else may move.
+            assert!(matches!(bits[..], [0, 0xdead | 0x21ad, 0, 0]), "{what}: {bits:x?}");
+            assert_eq!(got.result, clean.result, "{what}");
+        }
+    }
+    let mut trapped = 0;
+    for seed in 0..32 {
+        let mut plan = FaultPlan::from_seed(seed, 1, 2);
+        for site in &mut plan.sites {
+            site.thread += 1;
+            site.after_steps %= 16;
+        }
+        trapped += usize::from(observe(&format!("seed {seed}"), Some(plan)).result.is_err());
+    }
+    assert!(trapped > 0, "no campaign trapped");
 }
 
 /// Malformed IR the verifier rejects still degrades to the *same* typed

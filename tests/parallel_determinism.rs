@@ -14,15 +14,15 @@
 //!
 //! The clean matrix also carries a 64-team compute-bound RSBench — enough
 //! independent teams per occupancy wave to keep 8 workers busy — and
-//! holds its modeled scalability: per-team cycles list-scheduled onto 8
-//! workers must finish at least 2× sooner than on one.
+//! holds what the wave engine reports of it: at least two teams per
+//! worker in every wave, each merged from its buffered run.
 
 use nzomp::BuildConfig;
 use nzomp_ir::Module;
 use nzomp_integration::{assert_alike, compiled, run_proxy_outcome, ProxyOutcome, AXES};
 use nzomp_proxies::rsbench::RSBench;
-use nzomp_proxies::{all_proxies, Proxy};
-use nzomp_vgpu::RunConfig;
+use nzomp_proxies::{all_proxies, quick_device, Proxy};
+use nzomp_vgpu::{Device, RunConfig};
 
 /// [`AXES`], then the worker counts between.
 fn runs() -> Vec<RunConfig> {
@@ -41,24 +41,6 @@ fn assert_axis_invariant(
     fault_seed: Option<u64>,
 ) -> ProxyOutcome {
     assert_alike(what, runs, |run| run_proxy_outcome(p, module, run, fault_seed))
-}
-
-/// Greedy list schedule of per-team cycles onto `workers` within each
-/// occupancy wave — the model of what the engine's next-free-worker
-/// pickup achieves on an unloaded `workers`-core host, in simulated
-/// cycles (hardware-independent).
-fn modeled_makespan(team_cycles: &[u64], wave_size: usize, workers: usize) -> u64 {
-    let mut total = 0;
-    for wave in team_cycles.chunks(wave_size.max(1)) {
-        let mut load = vec![0u64; workers.max(1)];
-        for &c in wave {
-            if let Some(next_free) = load.iter_mut().min() {
-                *next_free += c;
-            }
-        }
-        total += load.iter().copied().max().unwrap_or(0);
-    }
-    total
 }
 
 /// Clean runs: every proxy, under every OpenMP build configuration it
@@ -90,11 +72,17 @@ fn clean_runs_identical_across_worker_counts() {
     let module = compiled(&wide, NewRtNoAssumptions);
     let base = assert_axis_invariant("rsbench-64-teams", &wide, &module, &runs, None);
     let m = base.result.unwrap();
-    assert_eq!(m.team_cycles.len(), 64);
-    let wave = nzomp_vgpu::cost::wave_size(m.teams_per_sm);
-    let one = modeled_makespan(&m.team_cycles, wave, 1);
-    let eight = modeled_makespan(&m.team_cycles, wave, 8);
-    assert!(one >= 2 * eight, "modeled 8-worker speedup below 2x ({one} vs {eight} cycles)");
+    // A launch keeps per-wave state only (no per-team cycles), so the
+    // parallelism is read off the wave engine: every wave hands each of 8
+    // workers at least two teams, and no team's buffered run is thrown
+    // away and re-run serially.
+    let mut dev = Device::load_with(module, quick_device(), AXES[1]);
+    let prep = wide.prepare(&mut dev);
+    dev.launch(wide.kernel_name(), prep.launch, &prep.args).unwrap();
+    let w = dev.last_wave_stats().unwrap();
+    assert_eq!((w.waves, w.teams), (u64::from(m.waves), 64));
+    assert!(w.teams >= 2 * 8 * w.waves, "under two teams per worker per wave: {w:?}");
+    assert_eq!(w.merged, w.teams, "a team was re-run serially: {w:?}");
 }
 
 /// Faulted runs: 25 seeded campaigns per proxy. The injected trap (or the

@@ -56,7 +56,7 @@ fn shared_equals_fresh(what: &str, module: &Module, observe: impl Fn(Device) -> 
 
 /// Every proxy, clean and under seeded fault plans that trap it (a null
 /// dereference mid-team, a step budget that runs out in a later team):
-/// outputs, the whole memory image, `KernelMetrics` (`team_cycles` and
+/// outputs, the whole memory image, `KernelMetrics` (`cycles`, `waves` and
 /// `regs_per_thread` included) or the typed trap, and the sanitizer's
 /// verdict and reports.
 #[test]

@@ -1,8 +1,8 @@
 //! Call graph over a module, including conservative treatment of indirect
 //! calls via the address-taken set (needed by the interprocedural analyses
 //! of §IV-B2, which must account for "unknown callers and callees").
-
-use std::collections::{HashMap, HashSet};
+//!
+//! Every table is dense, indexed by [`FuncRef::index`].
 
 use crate::inst::Inst;
 use crate::module::{FuncRef, Module};
@@ -10,54 +10,67 @@ use crate::value::Operand;
 
 #[derive(Debug, PartialEq, Eq)]
 pub struct CallGraph {
-    /// Direct call edges caller -> callees (deduped).
-    pub callees: HashMap<FuncRef, Vec<FuncRef>>,
-    /// Inverse edges.
-    pub callers: HashMap<FuncRef, Vec<FuncRef>>,
+    /// Direct call edges caller -> callees (deduped, first-call order).
+    pub callees: Vec<Vec<FuncRef>>,
+    /// Inverse edges, callers in function order.
+    pub callers: Vec<Vec<FuncRef>>,
     /// Functions whose address escapes into data / indirect calls.
-    pub address_taken: HashSet<FuncRef>,
+    pub address_taken: Vec<bool>,
+    /// The same functions as a list, in the order their addresses were
+    /// first seen.
+    pub address_taken_list: Vec<FuncRef>,
+    /// The functions whose address each function takes (deduped).
+    pub takes_address_of: Vec<Vec<FuncRef>>,
     /// Functions containing at least one indirect call.
-    pub has_indirect_call: HashSet<FuncRef>,
+    pub has_indirect_call: Vec<bool>,
 }
 
 impl CallGraph {
     pub fn build(m: &Module) -> CallGraph {
-        let mut callees: HashMap<FuncRef, Vec<FuncRef>> = HashMap::new();
-        let mut callers: HashMap<FuncRef, Vec<FuncRef>> = HashMap::new();
-        let mut address_taken = HashSet::new();
-        let mut has_indirect_call = HashSet::new();
-
+        let n = m.funcs.len();
+        let mut callees: Vec<Vec<FuncRef>> = vec![Vec::new(); n];
+        let mut callers: Vec<Vec<FuncRef>> = vec![Vec::new(); n];
+        let mut address_taken = vec![false; n];
+        let mut address_taken_list = Vec::new();
+        let mut takes_address_of: Vec<Vec<FuncRef>> = vec![Vec::new(); n];
+        let mut has_indirect_call = vec![false; n];
+        let mut take_address = |i: usize, fr: FuncRef| {
+            if !std::mem::replace(&mut address_taken[fr.index()], true) {
+                address_taken_list.push(fr);
+            }
+            if !takes_address_of[i].contains(&fr) {
+                takes_address_of[i].push(fr);
+            }
+        };
         for (i, f) in m.funcs.iter().enumerate() {
             let me = FuncRef(i as u32);
-            for (_bid, block) in f.iter_blocks() {
+            for block in &f.blocks {
                 for &iid in &block.insts {
                     let inst = f.inst(iid);
                     if let Inst::Call { callee, args, .. } = inst {
                         match callee {
                             Operand::Func(target) => {
-                                let list = callees.entry(me).or_default();
+                                let list = &mut callees[i];
                                 if !list.contains(target) {
                                     list.push(*target);
                                 }
-                                let rlist = callers.entry(*target).or_default();
+                                let rlist = &mut callers[target.index()];
                                 if !rlist.contains(&me) {
                                     rlist.push(me);
                                 }
                             }
-                            _ => {
-                                has_indirect_call.insert(me);
-                            }
+                            _ => has_indirect_call[i] = true,
                         }
                         // A function passed *as an argument* is address-taken.
                         for a in args {
                             if let Operand::Func(fr) = a {
-                                address_taken.insert(*fr);
+                                take_address(i, *fr);
                             }
                         }
                     } else {
                         inst.for_each_operand(|op| {
                             if let Operand::Func(fr) = op {
-                                address_taken.insert(fr);
+                                take_address(i, fr);
                             }
                         });
                     }
@@ -68,49 +81,33 @@ impl CallGraph {
             callees,
             callers,
             address_taken,
+            address_taken_list,
+            takes_address_of,
             has_indirect_call,
         }
     }
 
     /// All functions transitively reachable from `roots` through direct
-    /// calls, plus (conservatively) every address-taken function if any
-    /// reachable function performs an indirect call.
-    pub fn reachable_from(&self, m: &Module, roots: &[FuncRef]) -> HashSet<FuncRef> {
-        let mut seen: HashSet<FuncRef> = HashSet::new();
+    /// calls and taken addresses, plus (conservatively) every address-taken
+    /// function and what it reaches if any reachable function performs an
+    /// indirect call — as a bitset indexed by [`FuncRef::index`]. One walk
+    /// marks one set, so each function is visited at most once.
+    pub fn reachable_from(&self, roots: &[FuncRef]) -> Vec<bool> {
+        let mut seen = vec![false; self.callees.len()];
         let mut stack: Vec<FuncRef> = roots.to_vec();
-        let mut saw_indirect = false;
+        let mut pulled_address_taken = false;
         while let Some(f) = stack.pop() {
-            if !seen.insert(f) {
+            if std::mem::replace(&mut seen[f.index()], true) {
                 continue;
             }
-            if self.has_indirect_call.contains(&f) {
-                saw_indirect = true;
+            if self.has_indirect_call[f.index()] && !pulled_address_taken {
+                // An indirect call may land on any address-taken function.
+                pulled_address_taken = true;
+                stack.extend(self.address_taken_list.iter().filter(|fr| !seen[fr.index()]));
             }
-            if let Some(cs) = self.callees.get(&f) {
-                stack.extend(cs.iter().copied());
-            }
-            // Address-taken functions referenced inside f also escape there.
-            let func = m.func(f);
-            for block in &func.blocks {
-                for &iid in &block.insts {
-                    func.inst(iid).for_each_operand(|op| {
-                        if let Operand::Func(fr) = op {
-                            if self.address_taken.contains(&fr) && !seen.contains(&fr) {
-                                stack.push(fr);
-                            }
-                        }
-                    });
-                }
-            }
-        }
-        if saw_indirect {
-            for fr in &self.address_taken {
-                if !seen.contains(fr) {
-                    // Pull in the whole closure below them too.
-                    let more = self.reachable_from(m, &[*fr]);
-                    seen.extend(more);
-                }
-            }
+            // Functions whose address f takes escape there.
+            let edges = self.callees[f.index()].iter().chain(&self.takes_address_of[f.index()]);
+            stack.extend(edges.filter(|fr| !seen[fr.index()]));
         }
         seen
     }
@@ -118,20 +115,18 @@ impl CallGraph {
     /// Is `f` potentially recursive (participates in a directed cycle of
     /// direct calls, or performs indirect calls while being address-taken)?
     pub fn maybe_recursive(&self, f: FuncRef) -> bool {
-        if self.address_taken.contains(&f) && self.has_indirect_call.contains(&f) {
+        if self.address_taken[f.index()] && self.has_indirect_call[f.index()] {
             return true;
         }
         // DFS from f looking for a path back to f.
-        let mut seen = HashSet::new();
-        let mut stack: Vec<FuncRef> = self.callees.get(&f).cloned().unwrap_or_default();
+        let mut seen = vec![false; self.callees.len()];
+        let mut stack: Vec<FuncRef> = self.callees[f.index()].clone();
         while let Some(c) = stack.pop() {
             if c == f {
                 return true;
             }
-            if seen.insert(c) {
-                if let Some(cs) = self.callees.get(&c) {
-                    stack.extend(cs.iter().copied());
-                }
+            if !std::mem::replace(&mut seen[c.index()], true) {
+                stack.extend(self.callees[c.index()].iter().copied());
             }
         }
         false

@@ -419,8 +419,8 @@ fn callgraph_edges_and_recursion() {
     let cg = CallGraph::build(&m);
     assert!(cg.maybe_recursive(rec));
     assert!(!cg.maybe_recursive(leaf));
-    assert!(cg.callees.get(&rec).unwrap().contains(&leaf));
-    assert!(cg.callers.get(&leaf).unwrap().contains(&rec));
+    assert!(cg.callees[rec.index()].contains(&leaf));
+    assert!(cg.callers[leaf.index()].contains(&rec));
 }
 
 #[test]
@@ -438,9 +438,11 @@ fn callgraph_address_taken_reachability() {
     let k = m.add_function(b.finish());
     m.add_kernel(k, ExecMode::Spmd);
     let cg = CallGraph::build(&m);
-    assert!(cg.address_taken.contains(&target));
-    let live = cg.reachable_from(&m, &[k]);
-    assert!(live.contains(&target), "address-taken functions stay live");
+    assert!(cg.address_taken[target.index()]);
+    assert_eq!(cg.address_taken_list, [target]);
+    assert_eq!(cg.takes_address_of[k.index()], [target]);
+    let live = cg.reachable_from(&[k]);
+    assert!(live[target.index()], "address-taken functions stay live");
 }
 
 // ---------------------------------------------------------------------------

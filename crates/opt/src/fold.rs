@@ -24,31 +24,23 @@ use crate::fsaa::{self, AccessKind, FoldVal, Fsaa, ObjectId};
 use crate::remarks::Remarks;
 use crate::PassOptions;
 
-/// Call sites per callee: `(caller, block, pos, is_direct)`; indirect calls
-/// recorded under every address-taken function. Built once per folding
-/// round (the module is immutable during the decision phase) instead of
-/// once per dominance query.
-type CallSites = HashMap<u32, Vec<(u32, nzomp_ir::BlockId, usize, bool)>>;
+/// Call sites per callee, indexed by callee: `(caller, block, pos,
+/// is_direct)`; indirect calls recorded under every address-taken function.
+/// Built once per folding round (the module is immutable during the
+/// decision phase) instead of once per dominance query.
+type CallSites = Vec<Vec<(u32, nzomp_ir::BlockId, usize, bool)>>;
 
 fn build_call_sites(module: &Module, cg: &CallGraph) -> CallSites {
-    let mut call_sites: CallSites = HashMap::new();
-    let address_taken: HashSet<u32> = cg.address_taken.iter().map(|f| f.0).collect();
+    let mut call_sites: CallSites = vec![Vec::new(); module.funcs.len()];
     for (fi, f) in module.funcs.iter().enumerate() {
-        if f.is_declaration() {
-            continue;
-        }
         for (bid, block) in f.iter_blocks() {
             for (pos, &iid) in block.insts.iter().enumerate() {
                 if let Inst::Call { callee, .. } = f.inst(iid) {
                     match callee {
-                        Operand::Func(t) => call_sites.entry(t.0).or_default().push((
-                            fi as u32, bid, pos, true,
-                        )),
+                        Operand::Func(t) => call_sites[t.index()].push((fi as u32, bid, pos, true)),
                         _ => {
-                            for at in &address_taken {
-                                call_sites.entry(*at).or_default().push((
-                                    fi as u32, bid, pos, false,
-                                ));
+                            for at in &cg.address_taken_list {
+                                call_sites[at.index()].push((fi as u32, bid, pos, false));
                             }
                         }
                     }
@@ -68,11 +60,13 @@ pub fn run(
     opts: &PassOptions,
     remarks: &mut Remarks,
 ) -> bool {
-    let analysis = fsaa::build(module, opts.assumed_content, opts.invariant_prop);
-
-    let mut changed = fold_loads(module, opts, &analysis, memo, remarks);
-    changed |= dead_store_elim(module, opts, remarks);
-    changed
+    let mut analysis = fsaa::build(module, opts.assumed_content, opts.invariant_prop);
+    let folded = fold_loads(module, opts, &analysis, memo, remarks);
+    if folded {
+        // Folding changed function bodies; what DSE reads must see them.
+        analysis = fsaa::build(module, opts.assumed_content, opts.invariant_prop);
+    }
+    dead_store_elim(module, &analysis, remarks) | folded
 }
 
 // ---------------------------------------------------------------------------
@@ -333,29 +327,24 @@ fn dominates(
 
     // Iterate: F is fully dominated if every call site of F is at a
     // dominated point (in w.func past w, or inside a fully dominated fn).
-    let mut fully: HashSet<u32> = HashSet::new();
+    let mut fully = vec![false; module.funcs.len()];
     // Kernels other than w.func can never be dominated (they are entries).
-    let kernel_funcs: HashSet<u32> = module.kernels.iter().map(|k| k.func.0).collect();
+    let mut kernel_funcs = vec![false; module.funcs.len()];
+    for k in &module.kernels {
+        kernel_funcs[k.func.index()] = true;
+    }
     loop {
         let mut grew = false;
-        for fi in 0..module.funcs.len() as u32 {
-            if fully.contains(&fi) || fi == wf {
-                continue;
-            }
-            if kernel_funcs.contains(&fi) {
-                continue;
-            }
-            let Some(sites) = call_sites.get(&fi) else {
-                continue; // never called: irrelevant
-            };
-            if sites.is_empty() {
+        for (fi, sites) in call_sites.iter().enumerate() {
+            // A function never called is irrelevant.
+            if fully[fi] || fi as u32 == wf || kernel_funcs[fi] || sites.is_empty() {
                 continue;
             }
             let all_dom = sites.iter().all(|(caller, block, pos, _direct)| {
-                fully.contains(caller) || point_dominated(*caller, *block, *pos)
+                fully[*caller as usize] || point_dominated(*caller, *block, *pos)
             });
             if all_dom {
-                fully.insert(fi);
+                fully[fi] = true;
                 grew = true;
             }
         }
@@ -363,7 +352,7 @@ fn dominates(
             break;
         }
     }
-    fully.contains(&site.func)
+    fully[site.func as usize]
 }
 
 // ---------------------------------------------------------------------------
@@ -373,10 +362,7 @@ fn dominates(
 /// Remove stores and RMWs into objects that no longer have any readers —
 /// after the ICV loads fold away, the runtime's initialization stores are
 /// dead and, once they are gone, the state itself can be pruned.
-fn dead_store_elim(module: &mut Module, opts: &PassOptions, remarks: &mut Remarks) -> bool {
-    // Re-run the analysis: folding above changed the function bodies.
-    let analysis = fsaa::build(module, opts.assumed_content, opts.invariant_prop);
-
+fn dead_store_elim(module: &mut Module, analysis: &Fsaa, remarks: &mut Remarks) -> bool {
     // Candidate dead objects: analyzable, not escaped, no reads, no
     // assume-pseudo-writes left (assumes still *read* the value in debug),
     // and not host-visible (shared memory and allocas die with the kernel).

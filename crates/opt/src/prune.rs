@@ -19,15 +19,10 @@ pub fn global_dce(module: &mut Module, analyses: &mut Analyses) -> bool {
     if roots.is_empty() {
         return false;
     }
-    let live = analyses.callgraph(module).reachable_from(module, &roots);
+    let live = analyses.callgraph(module).reachable_from(&roots);
     let mut changed = false;
-    for fi in 0..module.funcs.len() {
-        let fr = FuncRef(fi as u32);
-        if live.contains(&fr) {
-            continue;
-        }
-        let f = &mut module.funcs[fi];
-        if !f.is_declaration() {
+    for (f, live) in module.funcs.iter_mut().zip(live) {
+        if !live && !f.is_declaration() {
             f.blocks.clear();
             f.insts.clear();
             changed = true;

@@ -24,8 +24,9 @@ pub fn run(module: &mut Module) -> bool {
 }
 
 /// Rounds one [`simplify_function`] call may spend. A compile-time budget,
-/// not a convergence proof: each round peels one level off a chain of
-/// dependent folds, and how deep such a chain runs is up to the input.
+/// not a convergence proof: a chain of dependent folds in walk order folds
+/// in one round, but a cascade through phis and branches takes a round per
+/// level, and how deep that runs is up to the input.
 const MAX_ROUNDS: usize = 16;
 
 /// What one [`simplify_function`] call did.
@@ -42,17 +43,40 @@ pub enum Simplified {
 
 /// Iterate local simplifications on one function to a fixpoint, or until
 /// [`MAX_ROUNDS`] are spent. Every round is linear in the function:
-/// one arena walk per step, dense replacement tables, and one
-/// predecessor/reachability computation per `merge_blocks`.
+/// one arena walk per step, dense replacement tables, one reachability
+/// and one predecessor-count computation.
 pub fn simplify_function(f: &mut Function, globals: &[Global]) -> Simplified {
+    simplify_with(f, globals, fold_insts)
+}
+
+/// The buffers one [`simplify_function`] call hands to every round.
+/// Simplification never appends to the arena, so each is sized once.
+#[derive(Default)]
+struct Scratch {
+    /// Replacement table, one slot per arena entry, allocated by the first
+    /// step with something to replace and all `None` between steps.
+    repl: Vec<Option<Operand>>,
+    /// DCE's live set and worklist.
+    live: Vec<bool>,
+    work: Vec<InstId>,
+}
+
+/// The fold step a round starts with: [`fold_insts`], or the reference a
+/// test holds it to.
+type FoldStep = fn(&mut Function, &[Global], &mut Vec<Option<Operand>>) -> bool;
+
+fn simplify_with(f: &mut Function, globals: &[Global], fold: FoldStep) -> Simplified {
+    let mut s = Scratch::default();
     let mut any = false;
     for _ in 0..MAX_ROUNDS {
-        let mut changed = fold_insts(f, globals);
+        let mut changed = fold(f, globals, &mut s.repl);
         changed |= fold_branches(f);
-        changed |= remove_unreachable(f);
-        changed |= simplify_phis(f);
-        changed |= merge_blocks(f);
-        changed |= dce(f);
+        // Neither of the next two steps changes which blocks are reachable.
+        let reach = cfg::reachable(f);
+        changed |= remove_unreachable(f, &reach);
+        changed |= simplify_phis(f, &mut s.repl);
+        changed |= merge_blocks(f, reach);
+        changed |= dce(f, &mut s.live, &mut s.work);
         if !changed {
             return if any {
                 Simplified::Converged
@@ -69,24 +93,34 @@ pub fn simplify_function(f: &mut Function, globals: &[Global]) -> Simplified {
 // constant folding
 // ---------------------------------------------------------------------------
 
-fn fold_insts(f: &mut Function, globals: &[Global]) -> bool {
-    // Dense over the arena; allocated by the first fold.
-    let mut map: Vec<Option<Operand>> = Vec::new();
-    for block in &f.blocks {
-        for &iid in &block.insts {
+/// Fold every listed instruction in one walk. Each instruction's operands
+/// are first resolved through the folds made so far in the walk, so a
+/// chain of dependent folds in walk order collapses here rather than one
+/// level per round.
+fn fold_insts(f: &mut Function, globals: &[Global], repl: &mut Vec<Option<Operand>>) -> bool {
+    let mut folded = false;
+    for bi in 0..f.blocks.len() {
+        for k in 0..f.blocks[bi].insts.len() {
+            let iid = f.blocks[bi].insts[k];
+            if folded {
+                f.insts[iid.index()].map_operands(|op| resolve(repl, op));
+            }
             if let Some(rep) = fold_one(f, iid, globals) {
-                if map.is_empty() {
-                    map.resize(f.insts.len(), None);
+                if repl.is_empty() {
+                    repl.resize(f.insts.len(), None);
                 }
-                map[iid.index()] = Some(rep);
+                repl[iid.index()] = Some(rep);
+                folded = true;
             }
         }
     }
-    if map.is_empty() {
-        return false;
+    if folded {
+        // Uses before their definition in walk order, terminators and dead
+        // arena entries.
+        apply_replacements(f, repl);
+        repl.fill(None);
     }
-    apply_replacements(f, &map);
-    true
+    folded
 }
 
 /// Try to fold instruction `iid` into an operand.
@@ -224,23 +258,25 @@ fn fold_cmp(pred: Pred, ty: Ty, lhs: Operand, rhs: Operand) -> Option<Operand> {
 /// Apply a replacement table — one slot per arena entry, `Some` where the
 /// instruction's result is to be replaced — to all uses, resolving chains.
 pub fn apply_replacements(f: &mut Function, map: &[Option<Operand>]) {
-    let resolve = |mut op: Operand| -> Operand {
-        let mut hops = 0;
-        while let Operand::Inst(i) = op {
-            match map.get(i.index()).copied().flatten() {
-                Some(next) if next != op => {
-                    op = next;
-                    hops += 1;
-                    if hops > 64 {
-                        break;
-                    }
+    f.map_operands(|op| resolve(map, op));
+}
+
+/// `op` after the replacements in `map`, following chains.
+fn resolve(map: &[Option<Operand>], mut op: Operand) -> Operand {
+    let mut hops = 0;
+    while let Operand::Inst(i) = op {
+        match map.get(i.index()).copied().flatten() {
+            Some(next) if next != op => {
+                op = next;
+                hops += 1;
+                if hops > 64 {
+                    break;
                 }
-                _ => break,
             }
+            _ => break,
         }
-        op
-    };
-    f.map_operands(resolve);
+    }
+    op
 }
 
 // ---------------------------------------------------------------------------
@@ -306,8 +342,8 @@ pub(crate) fn retarget_phi_incomings(f: &mut Function, block: BlockId, from: Blo
     });
 }
 
-fn remove_unreachable(f: &mut Function) -> bool {
-    let reach = cfg::reachable(f);
+/// Empty every block outside `reach`, the blocks reachable from the entry.
+fn remove_unreachable(f: &mut Function, reach: &[bool]) -> bool {
     let mut changed = false;
     for (bi, r) in reach.iter().enumerate() {
         if *r {
@@ -328,10 +364,9 @@ fn remove_unreachable(f: &mut Function) -> bool {
     changed
 }
 
-fn simplify_phis(f: &mut Function) -> bool {
+fn simplify_phis(f: &mut Function, map: &mut Vec<Option<Operand>>) -> bool {
     // Align phi incomings with actual predecessors, then fold trivial phis.
-    // Dense over the arena; allocated by the first trivial phi.
-    let mut map: Vec<Option<Operand>> = Vec::new();
+    let mut trivial = false;
     let mut changed = false;
     let Function { blocks, insts, .. } = &mut *f;
     let arena = insts.len();
@@ -354,32 +389,34 @@ fn simplify_phis(f: &mut Function) -> bool {
                     map.resize(arena, None);
                 }
                 map[iid.index()] = Some(only.value);
+                trivial = true;
             }
         }
     }
-    if !map.is_empty() {
+    if trivial {
         // Chains among phis resolve transitively in apply_replacements.
-        apply_replacements(f, &map);
+        apply_replacements(f, map);
         // Drop the trivial phis from their blocks.
         for block in &mut f.blocks {
             block.insts.retain(|i| map[i.index()].is_none());
         }
+        map.fill(None);
         changed = true;
     }
     changed
 }
 
 /// Merge every block into its unique predecessor where that predecessor
-/// branches nowhere else. Linear: predecessor counts and reachability are
-/// computed once and kept current across merges. Merging `b` into `a`
-/// hands `b`'s out-edges to `a` — every successor of `b` trades the
-/// predecessor `b` for `a`, so its count stands — and leaves `b` empty,
-/// unreachable and without predecessors. No other block's eligibility
-/// moves, so the scan stays on `a` while it keeps absorbing its successor
-/// and never needs to look back.
-fn merge_blocks(f: &mut Function) -> bool {
+/// branches nowhere else. Linear: predecessor counts are computed once,
+/// and they and `reach` (the blocks reachable from the entry) are kept
+/// current across merges. Merging `b` into `a` hands `b`'s out-edges to
+/// `a` — every successor of `b` trades the predecessor `b` for `a`, so
+/// its count stands — and leaves `b` empty, unreachable and without
+/// predecessors. No other block's eligibility moves, so the scan stays on
+/// `a` while it keeps absorbing its successor and never needs to look
+/// back.
+fn merge_blocks(f: &mut Function, mut reach: Vec<bool>) -> bool {
     let mut npreds = cfg::pred_counts(f);
-    let mut reach = cfg::reachable(f);
     let mut changed = false;
     for ai in 0..f.blocks.len() {
         if !reach[ai] {
@@ -418,10 +455,10 @@ fn merge_blocks(f: &mut Function) -> bool {
 
 /// Remove instructions whose results are unused and which have no side
 /// effects. `assume(true)` and `assume(<constant>)` are also dropped.
-pub fn dce(f: &mut Function) -> bool {
-    let n = f.insts.len();
-    let mut live = vec![false; n];
-    let mut work: Vec<InstId> = Vec::new();
+/// `live` and `work` are the caller's buffers; `work` is left empty.
+fn dce(f: &mut Function, live: &mut Vec<bool>, work: &mut Vec<InstId>) -> bool {
+    live.clear();
+    live.resize(f.insts.len(), false);
 
     let mark = |op: Operand, live: &mut Vec<bool>, work: &mut Vec<InstId>| {
         if let Operand::Inst(i) = op {
@@ -454,13 +491,10 @@ pub fn dce(f: &mut Function) -> bool {
                 work.push(iid);
             }
         }
-        block
-            .term
-            .for_each_operand(|op| mark(op, &mut live, &mut work));
+        block.term.for_each_operand(|op| mark(op, live, work));
     }
     while let Some(iid) = work.pop() {
-        f.inst(iid)
-            .for_each_operand(|op| mark(op, &mut live, &mut work));
+        f.inst(iid).for_each_operand(|op| mark(op, live, work));
     }
     let mut changed = false;
     for block in &mut f.blocks {
@@ -473,9 +507,11 @@ pub fn dce(f: &mut Function) -> bool {
 
 #[cfg(test)]
 mod tests {
-    //! The linear `merge_blocks` and the dense `apply_replacements` against
-    //! the forms they replaced, kept here as references: same function out,
-    //! `==`, on hand shapes and on seeded generator modules.
+    //! The linear `merge_blocks`, the dense `apply_replacements` and the
+    //! one-walk `fold_insts` against the forms they replaced, kept here as
+    //! references: the same function out (`==`; for the fold, the same
+    //! listed code), on hand shapes, on seeded generator modules and on
+    //! every linked proxy.
 
     use std::collections::HashMap;
 
@@ -540,6 +576,32 @@ mod tests {
         changed
     }
 
+    /// Reference: fold what folds given the operands as they stand, and
+    /// apply the table once at the end — one level of a dependent chain
+    /// per round.
+    fn fold_insts_per_round(
+        f: &mut Function,
+        globals: &[Global],
+        _: &mut Vec<Option<Operand>>,
+    ) -> bool {
+        let mut map: Vec<Option<Operand>> = Vec::new();
+        for block in &f.blocks {
+            for &iid in &block.insts {
+                if let Some(rep) = fold_one(f, iid, globals) {
+                    if map.is_empty() {
+                        map.resize(f.insts.len(), None);
+                    }
+                    map[iid.index()] = Some(rep);
+                }
+            }
+        }
+        if map.is_empty() {
+            return false;
+        }
+        apply_replacements(f, &map);
+        true
+    }
+
     /// Reference: the replacement table as a hash map probed per operand.
     fn apply_replacements_hashed(f: &mut Function, map: &HashMap<InstId, Operand>) {
         let resolve = |mut op: Operand| -> Operand {
@@ -570,7 +632,7 @@ mod tests {
     /// the merged function and the verdict.
     fn merges_agree(f: &Function) -> (Function, bool) {
         let (mut linear, mut restart) = (f.clone(), f.clone());
-        let changed = merge_blocks(&mut linear);
+        let changed = merge_blocks(&mut linear, cfg::reachable(f));
         assert_eq!(changed, merge_blocks_restart(&mut restart), "@{}", f.name);
         assert_eq!(linear, restart, "@{}", f.name);
         (linear, changed)
@@ -733,12 +795,12 @@ mod tests {
                 *f = replacements_agree(f, &folds);
                 let mut changed = !folds.is_empty();
                 changed |= fold_branches(f);
-                changed |= remove_unreachable(f);
-                changed |= simplify_phis(f);
+                changed |= remove_unreachable(f, &cfg::reachable(f));
+                changed |= simplify_phis(f, &mut Vec::new());
                 let (merged, did) = merges_agree(f);
                 *f = merged;
                 merges += did as usize;
-                changed |= did | dce(f);
+                changed |= did | dce(f, &mut Vec::new(), &mut Vec::new());
                 if !changed {
                     break;
                 }
@@ -776,5 +838,123 @@ mod tests {
                 assert!(merges > 0 || cfg.runtime().is_none(), "{} under {cfg:?}", p.name());
             }
         }
+    }
+
+    /// `a` and `b` have the same blocks and, at every id a block lists,
+    /// the same instruction — up to the type of an integer constant where
+    /// `tags` is false. Entries no block lists may differ: the walk
+    /// resolves an instruction's operands before a later fold in the same
+    /// round leaves it dead, where the reference had dropped it unresolved.
+    fn same_code(a: &Function, b: &Function, tags: bool) -> bool {
+        let untagged = |i: &Inst| {
+            let mut i = i.clone();
+            if !tags {
+                i.map_operands(|op| match op {
+                    Operand::ConstI(v, _) => Operand::ConstI(v, Ty::I64),
+                    op => op,
+                });
+            }
+            i
+        };
+        a.blocks == b.blocks
+            && a.insts.len() == b.insts.len()
+            && a.blocks
+                .iter()
+                .flat_map(|b| &b.insts)
+                .all(|&i| untagged(a.inst(i)) == untagged(b.inst(i)))
+    }
+
+    /// `simplify_function` with the one-walk fold and with the per-round
+    /// reference on copies of every function of `m` (inlined first), called
+    /// until it stops running out of rounds: the same verdicts, and the
+    /// same code after each call up to constant tags. Returns how many
+    /// calls changed something, and whether every tag agreed too.
+    fn folds_agree(m: &mut Module) -> (usize, bool) {
+        crate::inline::run(m);
+        let Module { funcs, globals, .. } = m;
+        let (mut changed, mut tags) = (0, true);
+        for f in funcs.iter_mut().filter(|f| !f.is_declaration()) {
+            let (mut walk, mut per_round) = (f.clone(), f.clone());
+            loop {
+                let verdict = simplify_with(&mut walk, globals, fold_insts);
+                let reference = simplify_with(&mut per_round, globals, fold_insts_per_round);
+                assert_eq!(verdict, reference, "@{}", f.name);
+                let name = &f.name;
+                assert!(same_code(&walk, &per_round, false), "@{name}: {walk:?} vs {per_round:?}");
+                tags &= same_code(&walk, &per_round, true);
+                changed += (verdict != Simplified::Unchanged) as usize;
+                if verdict != Simplified::OutOfRounds {
+                    break;
+                }
+            }
+        }
+        (changed, tags)
+    }
+
+    #[test]
+    fn one_walk_fold_matches_per_round_fold_on_seeded_modules() {
+        let (mut changed, mut retagged) = (0, Vec::new());
+        for seed in 0..256 {
+            let (n, tags) = folds_agree(&mut gen::generate(seed).module);
+            changed += n;
+            if !tags {
+                retagged.push(seed);
+            }
+        }
+        assert!(changed >= 256, "{changed} functions simplified");
+        // The generator feeds an `i32` value to an `i64 shl` by a constant
+        // 0 here. Once both operands are constants the walk evaluates the
+        // shift to `i64 8`; the reference meets the identity first, a round
+        // before the `i32` operand folds, and forwards it as `i32 8`. The
+        // same bits, and a tag only ill-typed input can make differ.
+        assert_eq!(retagged, [238]);
+    }
+
+    #[test]
+    fn one_walk_fold_matches_per_round_fold_on_linked_proxies() {
+        use nzomp::pipeline::link_only;
+        use nzomp::BuildConfig;
+        use nzomp_proxies::{all_proxies, build_for_config};
+
+        for p in all_proxies() {
+            for cfg in BuildConfig::ALL {
+                let app = build_for_config(p.as_ref(), cfg);
+                let mut linked = link_only(app, cfg, &cfg.rt_config()).unwrap();
+                let (changed, tags) = folds_agree(&mut linked);
+                assert!(tags, "{} under {cfg:?}", p.name());
+                assert!(changed > 0 || cfg.runtime().is_none(), "{} under {cfg:?}", p.name());
+            }
+        }
+    }
+
+    /// A chain of 40 dependent `add`s, each on the one before, stored.
+    fn add_chain(depth: i64) -> Function {
+        let mut b = FuncBuilder::new("chain", vec![Ty::Ptr], None);
+        let mut v = Operand::i64(0);
+        for i in 0..depth {
+            v = b.add(v, Operand::i64(i));
+        }
+        b.store(Ty::I64, b.param(0), v);
+        b.ret(None);
+        b.finish()
+    }
+
+    #[test]
+    fn a_dependent_chain_in_walk_order_folds_in_one_call() {
+        let mut walk = add_chain(40);
+        let mut per_round = walk.clone();
+        assert_eq!(simplify_function(&mut walk, &[]), Simplified::Converged);
+        let stored = |f: &Function| {
+            let live: Vec<&Inst> =
+                f.blocks.iter().flat_map(|b| &b.insts).map(|&i| f.inst(i)).collect();
+            match live[..] {
+                [Inst::Store { value, .. }] => *value,
+                _ => panic!("{live:?}"),
+            }
+        };
+        assert_eq!(stored(&walk), Operand::i64((0..40).sum()));
+        // The reference peels one add per round, so one call cannot finish.
+        let reference = simplify_with(&mut per_round, &[], fold_insts_per_round);
+        assert_eq!(reference, Simplified::OutOfRounds);
     }
 }

@@ -181,12 +181,14 @@ impl Image {
     fn kernel(&self, kernel: FuncRef) -> &Kernel {
         self.kernels[kernel.index()].get_or_init(|| {
             let func = self.module.func(kernel);
-            let regs = CallGraph::build(&self.module)
-                .reachable_from(&self.module, &[kernel])
-                .into_iter()
-                .map(|fr| self.module.func(fr))
-                .filter(|f| !f.is_declaration())
-                .map(liveness::register_estimate)
+            let live = CallGraph::build(&self.module).reachable_from(&[kernel]);
+            let regs = self
+                .module
+                .funcs
+                .iter()
+                .zip(live)
+                .filter(|(f, live)| *live && !f.is_declaration())
+                .map(|(f, _)| liveness::register_estimate(f))
                 .max()
                 .unwrap_or_else(|| liveness::register_estimate(func));
             Kernel { name: Arc::from(func.name.as_str()), regs }

@@ -2,7 +2,7 @@
 //!
 //! [`HostError`] folds every failure class a host-side offload operation
 //! can hit — compile pipeline failures, device traps, mapping-table
-//! misuse, and stream-graph problems — into one error the drivers (and
+//! misuse, and unknown handles — into one error the drivers (and
 //! the differential harness) can inspect, log, and continue past, in the
 //! same spirit as [`nzomp::CompileError`] and [`nzomp_vgpu::ExecError`]
 //! (the PR 1 robustness contract).
@@ -71,29 +71,18 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-/// Why the stream layer refused or aborted.
+/// A stream id or launch ticket the host never handed out.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StreamError {
     UnknownStream(u32),
-    UnknownEvent(u32),
     UnknownTicket(u32),
-    /// Every non-empty stream is blocked on an event no stream will ever
-    /// record — the dependency graph has a cycle (or a wait on a never-
-    /// recorded event).
-    Deadlock { blocked_streams: usize },
 }
 
 impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StreamError::UnknownStream(s) => write!(f, "unknown stream {s}"),
-            StreamError::UnknownEvent(e) => write!(f, "unknown event {e}"),
             StreamError::UnknownTicket(t) => write!(f, "unknown launch ticket {t}"),
-            StreamError::Deadlock { blocked_streams } => write!(
-                f,
-                "stream drain deadlocked: {blocked_streams} non-empty stream(s) \
-                 blocked on events that will never be recorded"
-            ),
         }
     }
 }
@@ -111,7 +100,7 @@ pub enum HostError {
     Exec(ExecError),
     /// Present-table / mapping misuse.
     Map(MapError),
-    /// Stream-graph misuse or deadlock.
+    /// An unknown stream id or launch ticket.
     Stream(StreamError),
     /// A device index outside the registered fleet.
     NoDevice { device: usize, devices: usize },
@@ -314,7 +303,7 @@ mod tests {
         for e in [
             HostError::Map(MapError::Misuse("zero-length map")),
             HostError::Stream(StreamError::UnknownStream(7)),
-            HostError::Stream(StreamError::Deadlock { blocked_streams: 2 }),
+            HostError::Stream(StreamError::UnknownTicket(2)),
             HostError::NoDevice { device: 9, devices: 2 },
             HostError::UnknownImage(3),
             HostError::UnknownBuffer(5),

@@ -8,10 +8,9 @@
 //!   `map(to/from/tofrom/alloc/release/delete)` semantics with nested
 //!   `target data` environments and a reusing device-memory pool
 //!   ([`map`], [`pool`]);
-//! * **async streams** — ordered queues of memcpy / launch / callback
-//!   operations with events and cross-stream dependencies, drained by a
-//!   deterministic seeded round-robin executor that is bit-identical to
-//!   eager execution ([`stream`], [`Host::sync`]);
+//! * **one op queue** — memcpy / launch / pool-free operations deferred
+//!   to [`Host::sync`], which runs them in the order they were enqueued,
+//!   bit-identical to eager execution ([`stream`]);
 //! * a **multi-device scheduler** — N virtual GPUs behind round-robin or
 //!   least-loaded placement, with the compile cache as the per-host
 //!   kernel-image registry, so repeated launches skip the pipeline
@@ -50,7 +49,7 @@ pub use map::{BufId, MapKind, MapSpec, PresentTable};
 pub use pool::DevicePool;
 pub use recover::{RecoveryMetrics, RecoveryPolicy};
 pub use sched::{ImageId, SchedPolicy};
-pub use stream::{EventId, KArg, StreamId, Ticket};
+pub use stream::{KArg, StreamId, Ticket};
 
 use error::{MapError as ME, StreamError as SE};
 use map::MapStepError;
@@ -127,7 +126,7 @@ pub struct DeviceStats {
     pub executed_cycles: u64,
     /// Launches enqueued but not yet drained.
     pub pending_launches: u64,
-    /// Device-touching stream ops queued but not yet drained.
+    /// Operations on this device queued but not yet drained.
     pub queued_ops: u64,
     /// Retired by the recovery layer.
     pub quarantined: bool,
@@ -157,14 +156,14 @@ pub struct HostStats {
     pub images: usize,
     /// Everything the recovery layer did so far.
     pub recovery: RecoveryMetrics,
-    /// Total stream operations executed (eager + drained).
+    /// Total queued operations executed (eager + drained).
     pub ops_executed: u64,
     /// One entry per device slot, in fleet order.
     pub devices: Vec<DeviceStats>,
 }
 
 /// The offload host runtime: device fleet, image registry, host buffers,
-/// streams, events, and launch tickets.
+/// the op queue, and launch tickets.
 pub struct Host {
     dev_cfg: DeviceConfig,
     policy: SchedPolicy,
@@ -179,11 +178,12 @@ pub struct Host {
     recent: VecDeque<(ImageId, Arc<Image>)>,
 
     bufs: Vec<Vec<u8>>,
-    streams: Vec<VecDeque<Op>>,
-    events: Vec<bool>,
+    /// Deferred operations, in the order they were enqueued.
+    queue: VecDeque<Op>,
+    /// Stream ids handed out so far; every one names `queue`.
+    streams: u32,
     tickets: Vec<Option<Result<KernelMetrics, ExecError>>>,
 
-    drain_seed: u64,
     eager: bool,
     ops_executed: u64,
     /// How every current and future device runs. One value for the whole
@@ -220,10 +220,9 @@ impl Host {
             cache: CompileCache::new(),
             recent: VecDeque::new(),
             bufs: Vec::new(),
-            streams: Vec::new(),
-            events: Vec::new(),
+            queue: VecDeque::new(),
+            streams: 0,
             tickets: Vec::new(),
-            drain_seed: 0,
             eager: false,
             ops_executed: 0,
             run,
@@ -238,16 +237,9 @@ impl Host {
         self.policy = policy;
     }
 
-    /// Seed of the round-robin drain in [`Host::sync`] — any value yields
-    /// the same results (the differential suite's claim), but a different
-    /// deterministic interleaving.
-    pub fn set_drain_seed(&mut self, seed: u64) {
-        self.drain_seed = seed;
-    }
-
     /// Eager mode executes every operation at enqueue time instead of
     /// deferring to [`Host::sync`] — the semantic reference the deferred
-    /// executor is differentially tested against. Set before enqueuing.
+    /// queue is differentially tested against. Set before enqueuing.
     pub fn set_eager(&mut self, eager: bool) {
         self.eager = eager;
     }
@@ -377,37 +369,14 @@ impl Host {
         Ok(bytes_to_bits(self.buf_bytes(b)?))
     }
 
-    // ---- streams and events ---------------------------------------------
+    // ---- the queue ------------------------------------------------------
 
+    /// A validated name for the host's queue: the operations that take a
+    /// [`StreamId`] check it, and every id enqueues on the same queue.
     pub fn stream(&mut self) -> StreamId {
-        self.streams.push(VecDeque::new());
-        StreamId((self.streams.len() - 1) as u32)
-    }
-
-    pub fn event(&mut self) -> EventId {
-        self.events.push(false);
-        EventId((self.events.len() - 1) as u32)
-    }
-
-    /// Enqueue an event signal on `s`.
-    pub fn record(&mut self, s: StreamId, e: EventId) -> Result<(), HostError> {
-        self.check_stream(s)?;
-        self.check_event(e)?;
-        self.enqueue_op(s, Op::Record(e))
-    }
-
-    /// Enqueue a cross-stream dependency: `s` stalls until `e` is
-    /// signaled.
-    pub fn wait(&mut self, s: StreamId, e: EventId) -> Result<(), HostError> {
-        self.check_stream(s)?;
-        self.check_event(e)?;
-        self.enqueue_op(s, Op::Wait(e))
-    }
-
-    /// Enqueue a host callback (runs in drain order).
-    pub fn callback(&mut self, s: StreamId, f: impl FnOnce() + 'static) -> Result<(), HostError> {
-        self.check_stream(s)?;
-        self.enqueue_op(s, Op::Callback(Box::new(f)))
+        let id = StreamId(self.streams);
+        self.streams = self.streams.saturating_add(1);
+        id
     }
 
     // ---- mapping --------------------------------------------------------
@@ -415,15 +384,15 @@ impl Host {
     /// Enter map clauses on device `dev` (a `target data` begin / `target
     /// enter data`). Table state — refcounts, device allocation — updates
     /// immediately in program order; the host→device copies owed by fresh
-    /// `to`/`tofrom` entries are enqueued on `s`.
+    /// `to`/`tofrom` entries are enqueued.
     pub fn data_enter(&mut self, s: StreamId, dev: usize, maps: &[MapSpec]) -> Result<(), HostError> {
         self.check_stream(s)?;
-        maps.iter().try_for_each(|spec| self.enter(s, dev, *spec).map(|_| ()))
+        maps.iter().try_for_each(|spec| self.enter(dev, *spec).map(|_| ()))
     }
 
     /// One [`Host::data_enter`] clause; returns the device address of the
     /// spec range.
-    fn enter(&mut self, s: StreamId, dev: usize, spec: MapSpec) -> Result<DevPtr, HostError> {
+    fn enter(&mut self, dev: usize, spec: MapSpec) -> Result<DevPtr, HostError> {
         let host_len = self.buf_bytes(spec.buf)?.len() as u64;
         // Entering may zero-fill a reused pool block — a device write
         // like any other, so it runs under the recovery policy too. A
@@ -441,14 +410,14 @@ impl Host {
         }
         if entered.copy {
             let bytes = Payload::Host { buf: spec.buf, off: spec.off, len: spec.len };
-            self.enqueue_op(s, Op::Dev { dev, op: DevOp::Write { ptr: entered.ptr, bytes } })?;
+            self.enqueue_op(Op::Dev { dev, op: DevOp::Write { ptr: entered.ptr, bytes } })?;
         }
         Ok(entered.ptr)
     }
 
     /// Exit map clauses on device `dev`. Refcounts decide immediately (in
     /// program order); outermost `from`/`tofrom` copies and pool releases
-    /// are enqueued on `s` — the free ordered behind its copy.
+    /// are enqueued — the free behind its copy.
     pub fn data_exit(&mut self, s: StreamId, dev: usize, maps: &[MapSpec]) -> Result<(), HostError> {
         self.check_stream(s)?;
         for spec in maps {
@@ -457,10 +426,10 @@ impl Host {
             let action = slot.table.prepare_exit(*spec).map_err(HostError::Map)?;
             if let Some((src, host_off, len)) = action.copy {
                 let op = DevOp::ReadBack { src, buf: spec.buf, off: host_off, len };
-                self.enqueue_op(s, Op::Dev { dev, op })?;
+                self.enqueue_op(Op::Dev { dev, op })?;
             }
             if let Some(ptr) = action.free {
-                self.enqueue_op(s, Op::PoolFree { dev, ptr })?;
+                self.enqueue_op(Op::PoolFree { dev, ptr })?;
             }
         }
         Ok(())
@@ -490,7 +459,7 @@ impl Host {
 
     // ---- launches -------------------------------------------------------
 
-    /// Enqueue a kernel launch on `s`. Buffer arguments are translated to
+    /// Enqueue a kernel launch. Buffer arguments are translated to
     /// device addresses through `dev`'s present table now (the maps must
     /// already be entered); the returned ticket holds the metrics (or the
     /// trap) after [`Host::sync`].
@@ -511,13 +480,12 @@ impl Host {
                 KArg::Val(v) => Ok(*v),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        self.launch_on(s, dev, kernel, launch, vals)
+        self.launch_on(dev, kernel, launch, vals)
     }
 
     /// Enqueue a launch whose arguments are already device values.
     fn launch_on(
         &mut self,
-        s: StreamId,
         dev: usize,
         kernel: &str,
         launch: Launch,
@@ -536,7 +504,7 @@ impl Host {
             .and_then(|(_, image)| image.kernel_name(kernel))
             .unwrap_or_else(|| Arc::from(kernel));
         let op = DevOp::Launch { kernel, launch, args, ticket };
-        self.enqueue_op(s, Op::Dev { dev, op })?;
+        self.enqueue_op(Op::Dev { dev, op })?;
         Ok(ticket)
     }
 
@@ -551,7 +519,8 @@ impl Host {
 
     /// Enqueue a whole `#pragma omp target` region where the scheduler
     /// says: pick a device (per [`SchedPolicy`]), bind the image, and
-    /// drive the region there with [`Host::enqueue_region_on`].
+    /// drive the region there with [`Host::enqueue_region_on`]. Every id
+    /// in `streams` is checked; the region rides the first.
     pub fn enqueue_region(
         &mut self,
         streams: &[StreamId],
@@ -560,37 +529,36 @@ impl Host {
         launch: Launch,
         args: Vec<RegionArg>,
     ) -> Result<Region, HostError> {
+        let Some(&s) = streams.first() else {
+            return Err(HostError::Map(ME::Misuse("enqueue_region needs at least one stream")));
+        };
+        streams.iter().try_for_each(|s| self.check_stream(*s))?;
         // Quarantined slots are excluded; an empty live fleet is the typed
         // terminal outcome of graceful degradation.
         let dev = self.pick_device().ok_or(HostError::FleetLost {
             devices: self.slots.len(),
         })?;
         self.bind_image(dev, img)?;
-        self.enqueue_region_on(streams, dev, kernel, launch, args)
+        self.enqueue_region_on(s, dev, kernel, launch, args)
     }
 
     /// Drive a target region on device `dev`, whose bound image holds
     /// `kernel`: buffers are registered and mapped in argument order (so
-    /// device memory layout matches the direct `Device::alloc` path),
-    /// input transfers are spread round-robin over `streams` (events
-    /// ordering them before the launch on `streams[0]`), and the exits
-    /// ride the primary stream. The one region driver — placement is the
-    /// caller's ([`Host::enqueue_region`], the `nzomp-serve` engine).
+    /// device memory layout matches the direct `Device::alloc` path), then
+    /// the launch and the exits are enqueued behind the uploads. The one
+    /// region driver — placement is the caller's
+    /// ([`Host::enqueue_region`], the `nzomp-serve` engine).
     pub fn enqueue_region_on(
         &mut self,
-        streams: &[StreamId],
+        s: StreamId,
         dev: usize,
         kernel: &str,
         launch: Launch,
         args: Vec<RegionArg>,
     ) -> Result<Region, HostError> {
-        let Some(&primary) = streams.first() else {
-            return Err(HostError::Map(ME::Misuse("enqueue_region needs at least one stream")));
-        };
-        streams.iter().try_for_each(|s| self.check_stream(*s))?;
+        self.check_stream(s)?;
 
-        // Enter in argument order — this fixes the device memory layout
-        // regardless of how many streams carry the transfers.
+        // Enter in argument order — this fixes the device memory layout.
         let mut vals = Vec::with_capacity(args.len());
         let mut bufs = Vec::with_capacity(args.len());
         let mut ptrs = Vec::with_capacity(args.len());
@@ -609,129 +577,49 @@ impl Host {
             };
             let len = bytes.len() as u64;
             let b = self.register_bytes(bytes);
-            let s = streams[exits.len() % streams.len()];
-            let ptr = self.enter(s, dev, MapSpec::whole(b, len, enter))?;
+            let ptr = self.enter(dev, MapSpec::whole(b, len, enter))?;
             exits.push(MapSpec::whole(b, len, exit));
             vals.push(RtVal::P(ptr));
             bufs.push(Some(b));
             ptrs.push(Some(ptr));
         }
-        // Secondary streams that carried a transfer (map `k` rode stream
-        // `k % n`) signal completion; the launch stream waits.
-        for &s in streams.iter().take(exits.len()).skip(1) {
-            let ev = self.event();
-            self.record(s, ev)?;
-            self.wait(primary, ev)?;
-        }
-        let ticket = self.launch_on(primary, dev, kernel, launch, vals)?;
-        self.data_exit(primary, dev, &exits)?;
+        let ticket = self.launch_on(dev, kernel, launch, vals)?;
+        self.data_exit(s, dev, &exits)?;
         Ok(Region { ticket, device: dev, bufs, ptrs })
     }
 
     // ---- the executor ---------------------------------------------------
 
-    /// Drain every stream to completion with a seeded round-robin
-    /// schedule: starting from `drain_seed % streams`, scan for the first
-    /// stream whose head is ready (a `Wait` is ready only once its event
-    /// is signaled), execute exactly one operation, move the scan cursor
-    /// past that stream, repeat. Deterministic for a given seed;
-    /// bit-identical to eager execution for every seed. If no stream can
-    /// make progress, the declared dependencies deadlock — a typed error,
-    /// not a hang.
+    /// Run the queued operations in the order they were enqueued. An
+    /// operation leaves the queue before it runs, so on the first failure
+    /// the failed one is gone, its error is returned, and the operations
+    /// behind it stay queued for the next call.
     pub fn sync(&mut self) -> Result<(), HostError> {
-        let n = self.streams.len();
-        if n == 0 {
-            return Ok(());
-        }
-        let mut cursor = (self.drain_seed as usize) % n;
-        loop {
-            let mut progressed = false;
-            for k in 0..n {
-                let si = (cursor + k) % n;
-                let ready = match self.streams[si].front() {
-                    None => false,
-                    Some(Op::Wait(e)) => self.events.get(e.0 as usize).copied().unwrap_or(false),
-                    Some(_) => true,
-                };
-                if !ready {
-                    continue;
-                }
-                let Some(op) = self.streams[si].pop_front() else {
-                    continue;
-                };
-                // The op leaves the queue whether or not it succeeds —
-                // mirror that in the per-device backlog counter.
-                if let Some(d) = op_device(&op) {
-                    if let Some(slot) = self.slots.get_mut(d) {
-                        slot.queued_ops = slot.queued_ops.saturating_sub(1);
-                    }
-                }
-                self.execute_op(op)?;
-                cursor = (si + 1) % n;
-                progressed = true;
-                break;
+        while let Some(op) = self.queue.pop_front() {
+            if let Some(slot) = self.slots.get_mut(op.device()) {
+                slot.queued_ops = slot.queued_ops.saturating_sub(1);
             }
-            if !progressed {
-                let blocked = self.streams.iter().filter(|q| !q.is_empty()).count();
-                if blocked == 0 {
-                    return Ok(());
-                }
-                return Err(SE::Deadlock {
-                    blocked_streams: blocked,
-                }
-                .into());
-            }
+            self.execute_op(op)?;
         }
+        Ok(())
     }
 
-    fn enqueue_op(&mut self, s: StreamId, op: Op) -> Result<(), HostError> {
+    fn enqueue_op(&mut self, op: Op) -> Result<(), HostError> {
         if self.eager {
             return self.execute_op(op);
         }
-        let dev = op_device(&op);
-        let q = self
-            .streams
-            .get_mut(s.0 as usize)
-            .ok_or(HostError::Stream(SE::UnknownStream(s.0)))?;
-        q.push_back(op);
         // Count the queued device work so LeastLoaded placement sees the
         // backlog committed to each device, not just enqueued launches.
-        if let Some(d) = dev {
-            if let Some(slot) = self.slots.get_mut(d) {
-                slot.queued_ops += 1;
-            }
+        if let Some(slot) = self.slots.get_mut(op.device()) {
+            slot.queued_ops += 1;
         }
+        self.queue.push_back(op);
         Ok(())
     }
 
     fn execute_op(&mut self, op: Op) -> Result<(), HostError> {
         self.ops_executed += 1;
         match op {
-            Op::Record(e) => {
-                let v = self
-                    .events
-                    .get_mut(e.0 as usize)
-                    .ok_or(HostError::Stream(SE::UnknownEvent(e.0)))?;
-                *v = true;
-                Ok(())
-            }
-            Op::Wait(e) => {
-                let signaled = self
-                    .events
-                    .get(e.0 as usize)
-                    .copied()
-                    .ok_or(HostError::Stream(SE::UnknownEvent(e.0)))?;
-                if !signaled {
-                    // Only reachable in eager mode: a deferred Wait is held
-                    // until its event signals.
-                    return Err(SE::Deadlock { blocked_streams: 1 }.into());
-                }
-                Ok(())
-            }
-            Op::Callback(f) => {
-                f();
-                Ok(())
-            }
             Op::PoolFree { dev, ptr } => {
                 self.slot_mut(dev)?.pool.free(ptr);
                 Ok(())
@@ -1124,18 +1012,10 @@ impl Host {
     }
 
     fn check_stream(&self, s: StreamId) -> Result<(), HostError> {
-        if (s.0 as usize) < self.streams.len() {
+        if s.0 < self.streams {
             Ok(())
         } else {
             Err(HostError::Stream(SE::UnknownStream(s.0)))
-        }
-    }
-
-    fn check_event(&self, e: EventId) -> Result<(), HostError> {
-        if (e.0 as usize) < self.events.len() {
-            Ok(())
-        } else {
-            Err(HostError::Stream(SE::UnknownEvent(e.0)))
         }
     }
 
@@ -1172,14 +1052,6 @@ fn host_range(bufs: &mut [Vec<u8>], buf: BufId, off: u64, len: u64) -> Result<&m
     off.checked_add(len)
         .and_then(|end| host.get_mut(off as usize..end as usize))
         .ok_or(HostError::Map(ME::HostRange { buf, off, len, buf_len }))
-}
-
-/// The device slot a stream operation touches (`None` for host-only ops).
-fn op_device(op: &Op) -> Option<usize> {
-    match op {
-        Op::Dev { dev, .. } | Op::PoolFree { dev, .. } => Some(*dev),
-        Op::Record(_) | Op::Wait(_) | Op::Callback(_) => None,
-    }
 }
 
 /// Merge the host-wide fault plan with a slot-scoped one: sites of both

@@ -21,12 +21,12 @@
 //! * A range that **partially overlaps** a present entry (neither
 //!   contained nor disjoint) is a typed [`MapError::PartialOverlap`].
 //!
-//! The table operations are split in two phases so the async stream layer
+//! The table operations are split in two phases so the host's op queue
 //! can defer byte movement without perturbing device memory layout:
 //! [`PresentTable::enter_alloc`] / [`PresentTable::prepare_exit`] mutate
 //! the table (refcounts, pool allocation, entry removal) synchronously —
 //! in driver program order — and merely *describe* the transfer, which
-//! the stream executor performs later. The combined [`PresentTable::enter`]
+//! [`crate::Host::sync`] performs later. The combined [`PresentTable::enter`]
 //! / [`PresentTable::exit`] perform everything immediately (the semantic
 //! reference, used by the property tests).
 

@@ -1,7 +1,7 @@
 //! Recovery policy and metrics — retry budgets, deterministic backoff,
 //! and the counters the chaos report prints.
 //!
-//! The policy decides what [`crate::Host`] does with a failed stream
+//! The policy decides what [`crate::Host`] does with a failed device
 //! operation, dispatching on [`crate::error::ErrorClass`]:
 //!
 //! * **Transient** (memcpy fault, stalled launch, watchdog trip): back

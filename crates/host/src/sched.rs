@@ -20,7 +20,7 @@ pub enum SchedPolicy {
     #[default]
     RoundRobin,
     /// The device with the fewest pending launches (ties broken by the
-    /// least queued-but-undrained stream work, then by least simulated
+    /// least queued-but-undrained work, then by least simulated
     /// cycles executed so far, then by lowest index).
     LeastLoaded,
 }
@@ -38,8 +38,8 @@ pub(crate) struct DeviceSlot {
     pub pool: DevicePool,
     /// Launches enqueued but not yet executed (LeastLoaded's signal).
     pub pending: u64,
-    /// Device-touching stream operations (memcpys, frees, launches)
-    /// queued but not yet drained. `pending` alone misses the transfer
+    /// Operations on this device (memcpys, frees, launches) queued but
+    /// not yet drained. `pending` alone misses the transfer
     /// work already committed to a device, so placement under concurrent
     /// enqueue used to send a launch to a device with a deep memcpy
     /// backlog; LeastLoaded now breaks `pending` ties on this count.

@@ -1,16 +1,13 @@
-//! Async streams: ordered queues of memcpy / launch / callback operations
-//! with events and cross-stream dependencies.
+//! The host's op queue: memcpys, launches and pool frees, run in the
+//! order they were enqueued.
 //!
-//! A stream is a FIFO; operations on one stream execute in enqueue order.
-//! Across streams the only ordering is through events: a stream whose head
-//! is an [`Op::Wait`] stalls until some stream has executed the matching
-//! [`Op::Record`]. The executor ([`crate::Host::sync`]) drains all streams
-//! with a **seeded round-robin** schedule: deterministic for a given seed,
-//! and — because mapping decisions (refcounts, device allocation, launch
-//! argument translation) are taken at *enqueue* time in driver program
-//! order, leaving streams nothing but byte movement and launches — every
-//! seed produces results bit-identical to eager (enqueue-time) execution.
-//! The differential suite proves this on every proxy.
+//! A host has one FIFO. [`crate::Host::sync`] pops and runs its ops in
+//! enqueue order and stops at the first error, leaving the rest queued.
+//! Mapping decisions (refcounts, device allocation, launch argument
+//! translation) are taken at *enqueue* time in driver program order, so
+//! the queue holds nothing but byte movement and launches, and draining
+//! it is bit-identical to eager (enqueue-time) execution. The
+//! differential suite proves this on every proxy.
 
 use std::sync::Arc;
 
@@ -20,13 +17,10 @@ use nzomp_vgpu::RtVal;
 
 use crate::map::BufId;
 
-/// Handle of a stream created by [`crate::Host::stream`].
+/// A validated name for the host's queue, minted by
+/// [`crate::Host::stream`]. Every id names the same queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamId(pub u32);
-
-/// Handle of an event created by [`crate::Host::event`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EventId(pub u32);
 
 /// Handle for retrieving the result of an enqueued launch after `sync`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +38,7 @@ pub enum KArg {
 }
 
 /// One operation on a device slot's [`nzomp_vgpu::Device`] — the value
-/// a stream queues, [`crate::Host`]'s one door executes, and the journal
+/// the queue holds, [`crate::Host`]'s one door executes, and the journal
 /// keeps for failover to execute again. Device addresses were resolved
 /// when it was built.
 pub enum DevOp {
@@ -103,9 +97,8 @@ impl std::fmt::Display for DevOp {
     }
 }
 
-/// One stream operation: executing it runs a [`DevOp`], returns a block
-/// to the pool, or touches events — every mapping decision was taken at
-/// enqueue time.
+/// One queued operation: executing it runs a [`DevOp`] or returns a block
+/// to the pool — every mapping decision was taken at enqueue time.
 pub(crate) enum Op {
     /// A device operation complete at enqueue time: an upload (of the
     /// bytes its host buffer holds when it runs), a launch, a read-back.
@@ -113,10 +106,13 @@ pub(crate) enum Op {
     /// Return an unmapped block to the device's pool. Deferred behind any
     /// read-back of the same range so the copy reads intact bytes.
     PoolFree { dev: usize, ptr: DevPtr },
-    /// Signal an event.
-    Record(EventId),
-    /// Block the stream until the event is signaled.
-    Wait(EventId),
-    /// Host-side callback (ordering probe, notification, ...).
-    Callback(Box<dyn FnOnce()>),
+}
+
+impl Op {
+    /// The device slot the operation touches.
+    pub(crate) fn device(&self) -> usize {
+        match self {
+            Op::Dev { dev, .. } | Op::PoolFree { dev, .. } => *dev,
+        }
+    }
 }

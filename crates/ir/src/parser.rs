@@ -16,9 +16,9 @@
 //! Errors carry the 1-based line, and where the offending token is known,
 //! the 1-based column.
 //!
-//! The text is read twice. [`scan_decls`] reads everything that names
+//! The text is read twice. `scan_decls` reads everything that names
 //! something — the module, globals, function signatures, kernel notes and
-//! each body's result ids — so that [`parse_body`] can build [`Inst`] and
+//! each body's result ids — so that `parse_body` can build [`Inst`] and
 //! [`Term`] values directly, resolving every operand as it is lexed.
 //!
 //! The input is external text: nothing here may index or slice by a

@@ -42,7 +42,7 @@ pub enum Simplified {
 }
 
 /// Iterate local simplifications on one function to a fixpoint, or until
-/// [`MAX_ROUNDS`] are spent. Every round is linear in the function:
+/// `MAX_ROUNDS` (16) are spent. Every round is linear in the function:
 /// one arena walk per step, dense replacement tables, one reachability
 /// and one predecessor-count computation.
 pub fn simplify_function(f: &mut Function, globals: &[Global]) -> Simplified {

@@ -22,7 +22,7 @@ pub mod xsbench;
 
 use nzomp::{BuildConfig, CompileError, CompileOutput};
 use nzomp_front::RuntimeFlavor;
-use nzomp_host::{RegionArg, SchedPolicy};
+use nzomp_host::RegionArg;
 use nzomp_ir::Module;
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::memory::DevPtr;
@@ -171,31 +171,6 @@ pub fn run_config(
         metrics,
         remarks: out.remarks,
     })
-}
-
-/// How to shape a run through the `nzomp-host` offload runtime
-/// (`run_proxy_host_outcome` in `tests/lib.rs` drives it): how many async
-/// streams carry the transfers, how many devices the scheduler may place
-/// on, the placement policy, and the drain seed. The defaults are
-/// the minimal shape (1 stream, 1 device) — every other shape must be
-/// observationally identical, which the differential suite checks.
-#[derive(Clone, Copy, Debug)]
-pub struct HostShape {
-    pub streams: usize,
-    pub devices: usize,
-    pub policy: SchedPolicy,
-    pub drain_seed: u64,
-}
-
-impl Default for HostShape {
-    fn default() -> HostShape {
-        HostShape {
-            streams: 1,
-            devices: 1,
-            policy: SchedPolicy::RoundRobin,
-            drain_seed: 0,
-        }
-    }
 }
 
 /// Compare an output vector with the host reference.

@@ -123,7 +123,7 @@ pub struct ServeConfig {
     /// Queued + dispatched requests across every tenant — the global
     /// backpressure window.
     pub global_max_in_flight: usize,
-    /// Seeds the fairness cursor and the host's stream-drain schedule.
+    /// Seeds the fairness cursor.
     pub seed: u64,
     /// Pin every device's worker-thread count; `None` = one worker.
     pub worker_threads: Option<usize>,
@@ -185,7 +185,6 @@ impl Serve {
     pub fn new(cfg: ServeConfig) -> Serve {
         let mut host = Host::new(cfg.dev_cfg.clone(), cfg.devices);
         host.set_policy(cfg.policy);
-        host.set_drain_seed(cfg.seed);
         if let Some(w) = cfg.worker_threads {
             host.set_worker_threads(w);
         }
@@ -291,6 +290,7 @@ impl Serve {
         let (buf, len, resident) = self.sbuf_info(t, sb)?;
         if let Some(dev) = resident {
             self.evict(dev, buf, len).map_err(|e| ServeError::Host(e.to_string()))?;
+            self.metrics.evictions += 1;
         }
         self.session_mut(t)?.release(len);
         if let Some(b) = self.sbuf_mut(sb) {
@@ -571,6 +571,7 @@ impl Serve {
         }
         for (sb, buf, len) in on_dev {
             self.evict(dev, buf, len)?;
+            self.metrics.evictions += 1;
             if let Some(b) = self.sbuf_mut(sb) {
                 b.resident = None;
             }
@@ -578,12 +579,11 @@ impl Serve {
         self.host.bind_image(dev, img)
     }
 
-    /// Write a resident buffer back to its host storage and unmap it.
+    /// Write a resident buffer back to its host storage and unmap it. The
+    /// caller counts it, as an eviction or a migration.
     fn evict(&mut self, dev: usize, buf: BufId, len: u64) -> Result<(), HostError> {
         self.host.data_exit(self.stream, dev, &[MapSpec::whole(buf, len, MapKind::ToFrom)])?;
-        self.host.sync()?;
-        self.metrics.evictions += 1;
-        Ok(())
+        self.host.sync()
     }
 
     /// Device address of session buffer `sb` on `dev`, mapping it there
@@ -597,7 +597,6 @@ impl Serve {
         if resident != Some(dev) {
             if let Some(from) = resident {
                 self.evict(from, buf, len)?;
-                self.metrics.evictions -= 1; // counted as a migration instead
                 self.metrics.migrations += 1;
             }
             self.host
@@ -641,30 +640,19 @@ impl Serve {
         }
         let region = self
             .host
-            .enqueue_region_on(&[self.stream], dev, &spec.kernel, spec.launch, args)?;
+            .enqueue_region_on(self.stream, dev, &spec.kernel, spec.launch, args)?;
         for (ptr, mapped) in arg_ptrs.iter_mut().zip(&region.ptrs) {
             *ptr = ptr.or(mapped.map(|p| p.0));
         }
 
-        // Drain to completion. A trap aborts the drain with the rest of
-        // the request's ops still queued; keep draining so device memory
-        // is released and the streams are empty for the next dispatch —
-        // the first error is the request's fault.
+        // Drain to completion. A trap stops the drain with the rest of the
+        // request's ops still queued; keep draining so device memory is
+        // released and the queue is empty for the next dispatch — the
+        // first error is the request's fault. A failing `sync` has
+        // consumed the op that failed, so every pass shortens the queue.
         let mut first_err: Option<String> = None;
-        let mut fuel = 0u32;
-        loop {
-            match self.host.sync() {
-                Ok(()) => break,
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e.to_string());
-                    }
-                    fuel += 1;
-                    if fuel > 100_000 {
-                        break;
-                    }
-                }
-            }
+        while let Err(e) = self.host.sync() {
+            first_err.get_or_insert_with(|| e.to_string());
         }
 
         let started = now.max(self.dev_free.get(dev).copied().unwrap_or(0));

@@ -380,6 +380,42 @@ fn session_state_accumulates_across_requests() {
     ));
 }
 
+/// A session buffer that leaves a device is counted once, as what moved
+/// it: a migration when its tenant's next request runs on the other
+/// device, an eviction when a rebind or an unmap writes it back.
+#[test]
+fn evictions_and_migrations_are_each_counted_once() {
+    let (scale, accum) = (scale_app(), accum_app());
+    let inp = Rc::new(nzomp_host::f64_bytes(&input(N)));
+    let mut c = cfg(2);
+    c.policy = nzomp_host::SchedPolicy::RoundRobin;
+    let mut serve = Serve::new(c);
+    let t = serve.add_tenant("t", TenantConfig::default());
+    let state = serve.session_map(t, vec![0u8; 8 * N]).unwrap();
+    let acc = RequestSpec {
+        module: accum.clone(),
+        kernel: "acc".into(),
+        args: vec![ReqArg::Session(state), ReqArg::Scalar(RtVal::I(N as i64))],
+        ..scale_req(&scale, inp.clone())
+    };
+    let other = scale_req(&scale, inp.clone());
+    let mut moved = Vec::new();
+    // Round-robin: the accumulate on device 0, then on device 1 (a
+    // migration), the scale kernel rebinding device 0 (nothing resident)
+    // and device 1 (an eviction), the accumulate on device 0 again (the
+    // buffer enters from the host), and an unmap (an eviction).
+    for spec in [acc.clone(), acc.clone(), other.clone(), other, acc] {
+        serve.submit(t, spec).unwrap();
+        serve.drain();
+        moved.push((serve.metrics().evictions, serve.metrics().migrations));
+    }
+    assert_eq!(nzomp_host::bytes_to_f64(&serve.session_read(t, state).unwrap()), vec![3.0; N]);
+    serve.session_unmap(t, state).unwrap();
+    moved.push((serve.metrics().evictions, serve.metrics().migrations));
+    assert_eq!(moved, [(0, 0), (0, 1), (0, 1), (1, 1), (1, 1), (2, 1)]);
+    assert_eq!(serve.metrics().completed, 5);
+}
+
 /// A session buffer unmapped while a request naming it is still queued
 /// is the tenant's error, typed, decided before any host call — the
 /// engine used to launch the kernel with a null in the pointer slot and

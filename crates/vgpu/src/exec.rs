@@ -10,7 +10,7 @@
 //!
 //! * [`crate::interp::InterpBackend`] — the tree-walking reference
 //!   interpreter, stepping IR instructions directly;
-//! * [`crate::bytecode::BcBackend`] — the register-allocated bytecode
+//! * `bytecode::BcBackend` — the register-allocated bytecode
 //!   tier, dispatching pre-lowered ops.
 //!
 //! The backend contract (see `docs/exec-tiers.md`) is exact, not
@@ -243,7 +243,7 @@ pub(crate) fn used_results(func: &Function) -> Vec<bool> {
 ///   the [`cost`] table, and the memory-cycle split match the reference
 ///   interpreter exactly.
 /// * **Sanitizer and effects.** Memory accesses reach
-///   [`TeamExec::san_record`] with the same [`IrLoc`]s, and global-memory
+///   `TeamExec::san_record` with the same [`IrLoc`]s, and global-memory
 ///   traffic goes through [`TeamExec::global`] so buffered (parallel)
 ///   execution logs the same effects.
 pub trait ExecBackend<'a>: Sized {

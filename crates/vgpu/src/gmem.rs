@@ -189,7 +189,7 @@ fn pieces(off: u64, size: u64) -> impl Iterator<Item = (usize, usize, usize)> {
         .filter(|&(_, _, n)| n != 0)
 }
 
-/// A worker's flat view state: one [`ChunkRec`] per chunk of the
+/// A worker's flat view state: one `ChunkRec` per chunk of the
 /// wave-start image, reached by index, and the private copies of written
 /// chunks in one vector. Teams that write little share the master bytes
 /// instead of each cloning the region (the master is only read during a

@@ -831,9 +831,4 @@ impl LaunchSan {
         self.dedup.insert(key, self.reports.len());
         self.reports.push(SanReport::Race(report));
     }
-
-    /// `true` when no finding of any kind was recorded.
-    pub fn is_clean(&self) -> bool {
-        self.races == 0 && self.divergences == 0
-    }
 }

@@ -11,12 +11,10 @@ use nzomp::BuildConfig;
 use nzomp_front::RuntimeFlavor;
 use nzomp_integration::{
     assert_alike, assert_same, compiled, observe_launch, observe_proxy, run_proxy_host_outcome,
-    run_proxy_outcome, AXES,
+    run_proxy_outcome, HostShape, AXES,
 };
 use nzomp_ir::{Operand, Ty};
-use nzomp_proxies::{
-    all_proxies, build_for_config, compile_for_config, quick_device, HostShape, Proxy,
-};
+use nzomp_proxies::{all_proxies, build_for_config, compile_for_config, quick_device, Proxy};
 use nzomp_rt::abi;
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{Device, DeviceConfig, FaultPlan, RtVal, RunConfig};
@@ -160,14 +158,12 @@ fn faulted_runs_reproduce_per_seed() {
 }
 
 /// The offload shapes the host runtime must prove observationally
-/// equivalent: a single stream, four streams under a non-trivial drain
-/// seed, and a two-device fleet.
+/// equivalent: a single stream, four stream ids, and a two-device fleet.
 fn host_shapes() -> [HostShape; 3] {
     [
         HostShape::default(),
         HostShape {
             streams: 4,
-            drain_seed: 0xdead_beef,
             ..HostShape::default()
         },
         HostShape {
@@ -178,7 +174,7 @@ fn host_shapes() -> [HostShape; 3] {
 }
 
 /// Every proxy routed through the `nzomp-host` runtime — present table,
-/// async streams, scheduler — observes *exactly* what the direct
+/// op queue, scheduler — observes *exactly* what the direct
 /// `Device` path observes: same metrics, same output bits, same global
 /// memory image, byte for byte, under every offload shape and run axis.
 #[test]

@@ -20,7 +20,7 @@ use nzomp_host::{
     Host, HostError, RecoveryMetrics, RecoveryPolicy, Region, SchedPolicy, StreamId,
 };
 use nzomp_ir::Module;
-use nzomp_proxies::{build_for_config, compile_for_config, quick_device, HostShape, Proxy};
+use nzomp_proxies::{build_for_config, compile_for_config, quick_device, Proxy};
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{
     DevPtr, Device, ExecError, ExecTier, FaultPlan, KernelMetrics, RtVal, RunConfig, Sanitize,
@@ -149,12 +149,28 @@ pub fn compiled(p: &dyn Proxy, cfg: BuildConfig) -> Module {
     compile_for_config(p, cfg).unwrap().module
 }
 
+/// How to shape a run through the `nzomp-host` offload runtime
+/// ([`run_proxy_host_outcome`]): how many stream ids the region is handed
+/// and how many devices the scheduler may place on. The default is the
+/// minimal shape (1 stream id, 1 device); every other shape must be
+/// observationally identical, which the differential suite checks.
+#[derive(Clone, Copy, Debug)]
+pub struct HostShape {
+    pub streams: usize,
+    pub devices: usize,
+}
+
+impl Default for HostShape {
+    fn default() -> HostShape {
+        HostShape { streams: 1, devices: 1 }
+    }
+}
+
 /// The same run through the `nzomp-host` offload runtime: map the region
-/// through the present table, carry transfers and the launch on
-/// `shape.streams` streams, let the scheduler place it across
-/// `shape.devices` vGPUs, and observe it. On a clean run this must equal
-/// [`run_proxy_outcome`] bit for bit — the host runtime's differential
-/// contract.
+/// through the present table, hand it `shape.streams` stream ids, let the
+/// scheduler place it across `shape.devices` vGPUs, and observe it. On a
+/// clean run this must equal [`run_proxy_outcome`] bit for bit — the host
+/// runtime's differential contract.
 pub fn run_proxy_host_outcome(
     p: &dyn Proxy,
     cfg: BuildConfig,
@@ -163,8 +179,6 @@ pub fn run_proxy_host_outcome(
     shape: &HostShape,
 ) -> ProxyOutcome {
     let mut host = Host::with_run(quick_device(), shape.devices, run);
-    host.set_policy(shape.policy);
-    host.set_drain_seed(shape.drain_seed);
     let img = host.load_image(build_for_config(p, cfg), cfg).unwrap();
     let hp = p.host_prepare();
     if let Some(seed) = fault_seed {

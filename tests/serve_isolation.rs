@@ -1,20 +1,27 @@
-//! Tenant-isolation suite of the serving layer (PR 9 satellite): two
-//! tenants mapping the same logical host range get disjoint device
-//! allocations and can never observe each other's bytes, and quota
-//! exhaustion in one tenant leaves every other tenant's in-flight work
-//! untouched. The replay test crosses workers {1, 8} and both tiers; one
-//! sanitizer setting suffices: serve adds no device code, and
-//! `ServeConfig` has no sanitizer field.
+//! Tenant-isolation suite of the serving layer: two tenants mapping the
+//! same logical host range get disjoint device allocations and can never
+//! observe each other's bytes, quota exhaustion in one tenant leaves every
+//! other tenant's in-flight work untouched, and a hostile tenant's
+//! generated, mutated, misshapen and quota-edge requests each end in one
+//! typed outcome without changing what its neighbour computes. The replay
+//! test crosses workers {1, 8} and both tiers; one sanitizer setting
+//! suffices: serve adds no device code, and `ServeConfig` has no sanitizer
+//! field.
 
 use std::rc::Rc;
 
 use nzomp::BuildConfig;
 use nzomp_front::{spmd_kernel_for, RuntimeFlavor};
+use nzomp_integration::corpus::{corpus_texts, mutate_text};
+use nzomp_integration::gen::{generate, parse_launch_comment, LaunchMeta};
+use nzomp_ir::parser::parse_module_strict;
 use nzomp_ir::{Module, Operand, Ty};
 use nzomp_serve::trace::{replay, Trace, TraceOp};
 use nzomp_serve::{
-    Outcome, RejectReason, ReqArg, RequestSpec, SBuf, Serve, ServeConfig, TenantConfig, TenantId,
+    Outcome, RejectReason, ReqArg, ReqId, RequestSpec, SBuf, Serve, ServeConfig, TenantConfig,
+    TenantId,
 };
+use nzomp_vgpu::cost::{MAX_THREADS_PER_SM, SMEM_PER_SM};
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{DeviceConfig, RtVal};
 
@@ -257,4 +264,150 @@ fn tenant_memory_images_replay_bit_identically() {
         replay(&trace, &bytecode).unwrap(),
         "session images diverged across execution tiers"
     );
+}
+
+/// The hostile tenant's device-memory quota.
+const HOSTILE_QUOTA: u64 = 1 << 16;
+
+/// Modeled cycles between two submissions: every request has retired
+/// before the next arrives, so the hostile tenant's volume never fills the
+/// global window its neighbour shares, and its quota is free again.
+const GAP: u64 = 1 << 24;
+
+/// How a hostile request must end.
+#[derive(Clone, Copy, Debug)]
+enum Want {
+    /// Any typed outcome: a mutated module may be refused by the compiler,
+    /// trap on the device, or run.
+    Typed,
+    Completed,
+    /// Faulted with an error containing this text.
+    Faulted(&'static str),
+    /// Rejected at admission as needing this many bytes, with nothing in
+    /// use.
+    OverQuota(u64),
+}
+
+/// `module`'s kernel `@k` built for CUDA, over one fresh buffer, launched
+/// as `meta` says — the IR fuzzer's launch of a generated kernel.
+fn generated_req(module: Module, meta: LaunchMeta) -> RequestSpec {
+    RequestSpec {
+        module: Rc::new(module),
+        config: BuildConfig::Cuda,
+        kernel: "k".into(),
+        launch: Launch::new(meta.teams, meta.threads),
+        args: vec![ReqArg::Out(meta.buf_bytes)],
+    }
+}
+
+/// What the hostile tenant submits: generator modules, the first seeded
+/// mutation of each `gen-*.nzir` corpus file that still parses, launch
+/// shapes past what a device runs, and footprints at the quota's edge.
+fn hostile_requests(scale: &Rc<Module>, inp: &Rc<Vec<u8>>) -> Vec<(Want, RequestSpec)> {
+    let mut reqs = Vec::new();
+    for seed in 0..4 {
+        let g = generate(seed);
+        let meta = parse_launch_comment(&g.launch_comment()).unwrap();
+        reqs.push((Want::Completed, generated_req(g.module, meta)));
+    }
+    let corpus = corpus_texts().unwrap();
+    for (_, text) in corpus.iter().filter(|(name, _)| name.starts_with("gen-")) {
+        let parsed = (0..64u64).find_map(|seed| {
+            let mutated = mutate_text(text, seed);
+            let m = parse_module_strict(&mutated).ok()?;
+            let meta = parse_launch_comment(&mutated).or_else(|| parse_launch_comment(text))?;
+            Some(generated_req(m, meta))
+        });
+        reqs.push((Want::Typed, parsed.expect("no mutation of a corpus file parses")));
+    }
+    let shaped = |launch| RequestSpec { launch, ..scale_req(scale, inp.clone()) };
+    let grid = Launch { teams: u32::MAX, ..launch() };
+    reqs.push((Want::Faulted("step budget exhausted"), shaped(grid)));
+    let wide = Launch { threads_per_team: MAX_THREADS_PER_SM + 1, ..launch() };
+    reqs.push((Want::Faulted("bad launch"), shaped(wide)));
+    let fat = Launch { dyn_smem_bytes: SMEM_PER_SM + 1, ..launch() };
+    reqs.push((Want::Faulted("bad launch"), shaped(fat)));
+    // The scale kernel's arguments with an output of `out` bytes, then
+    // `scratch` buffers past the ones it reads.
+    let sized = |out: u64, scratch: &[u64]| {
+        let mut args =
+            vec![ReqArg::In(inp.clone()), ReqArg::Out(out), ReqArg::Scalar(RtVal::I(N as i64))];
+        args.extend(scratch.iter().map(|&n| ReqArg::Scratch(n)));
+        RequestSpec { args, ..scale_req(scale, inp.clone()) }
+    };
+    let room = HOSTILE_QUOTA - inp.len() as u64;
+    reqs.push((Want::Completed, sized(room, &[])));
+    reqs.push((Want::OverQuota(HOSTILE_QUOTA + 1), sized(room + 1, &[])));
+    reqs.push((Want::OverQuota(u64::MAX), sized(8 * N as u64, &[u64::MAX / 2, u64::MAX / 2])));
+    reqs.push((Want::Faulted("zero-length map"), sized(8 * N as u64, &[0])));
+    reqs
+}
+
+/// A hostile tenant submits, through `Serve::submit_at`, generator
+/// modules and parsing mutations of the corpus (compiled for CUDA), a grid
+/// of `u32::MAX` teams under a small step budget, launches past an SM's
+/// threads and shared memory, a zero-length scratch buffer, and footprints
+/// of exactly its quota, one byte more, and a sum past `u64`. Every request ends in exactly one
+/// typed outcome, and the well-behaved tenant beside it computes the same
+/// outputs and session image as in a run without it; only its latency may
+/// move.
+#[test]
+fn hostile_tenant_ends_typed_and_leaves_its_neighbour_alone() {
+    let (w, scale) = (writer_app(), scale_app());
+    let inp = Rc::new(nzomp_host::f64_bytes(
+        &(0..N).map(|i| i as f64 + 0.5).collect::<Vec<_>>(),
+    ));
+    let run = |hostile: &[(Want, RequestSpec)]| {
+        let mut c = cfg(2);
+        c.dev_cfg.max_steps = 1_000_000;
+        let mut serve = Serve::new(c);
+        let good = serve.add_tenant("good", TenantConfig::default());
+        let evil = serve.add_tenant("evil", TenantConfig::new(HOSTILE_QUOTA, usize::MAX));
+        let state = serve.session_map(good, vec![0u8; 8 * N]).unwrap();
+        let mut at = 0;
+        let mut submit = |serve: &mut Serve, t, spec| {
+            at += GAP;
+            serve.submit_at(at, t, spec).unwrap()
+        };
+        const ROUNDS: usize = 6;
+        let mut goods = Vec::new();
+        let mut evils: Vec<(Want, ReqId)> = Vec::new();
+        let mut bombs = hostile.iter();
+        for round in 0..ROUNDS {
+            goods.push(submit(&mut serve, good, write_req(&w, state, round as i64 + 1)));
+            for (want, spec) in bombs.by_ref().take(hostile.len().div_ceil(ROUNDS)) {
+                evils.push((*want, submit(&mut serve, evil, spec.clone())));
+            }
+            goods.push(submit(&mut serve, good, scale_req(&scale, inp.clone())));
+        }
+        serve.drain();
+
+        assert!(serve.outcomes().iter().all(Option::is_some), "a request has no outcome");
+        let m = serve.metrics();
+        assert_eq!(m.submitted, m.completed + m.faulted + m.rejected(), "{m:?}");
+        for (i, (want, r)) in evils.iter().enumerate() {
+            let got = serve.outcome(*r).unwrap();
+            let ok = match (want, got) {
+                (Want::Typed, _) => true,
+                (Want::Completed, Outcome::Completed { .. }) => true,
+                (Want::Faulted(text), Outcome::Faulted { error, .. }) => error.contains(text),
+                (Want::OverQuota(n), Outcome::Rejected { reason, .. }) => {
+                    let quota = HOSTILE_QUOTA;
+                    *reason == RejectReason::QuotaExceeded { needed: *n, in_use: 0, quota }
+                }
+                _ => false,
+            };
+            assert!(ok, "hostile request {i}: wanted {want:?}, got {got:?}");
+        }
+        let outputs: Vec<_> = goods
+            .iter()
+            .map(|r| match serve.outcome(*r) {
+                Some(Outcome::Completed { outputs, .. }) => outputs.clone(),
+                o => panic!("the neighbour's request did not complete: {o:?}"),
+            })
+            .collect();
+        (outputs, serve.session_image(good).unwrap())
+    };
+    let hostile = hostile_requests(&scale, &inp);
+    assert_eq!(run(&[]), run(&hostile));
 }

@@ -108,10 +108,6 @@ pub enum HostError {
     UnknownImage(u32),
     /// A launch argument named a host buffer id that was never registered.
     UnknownBuffer(u32),
-    /// The host launch watchdog fired: the kernel made no progress within
-    /// `fuel` modeled steps. Transient by classification — a stall can be
-    /// contention, so the recovery policy retries before surfacing.
-    Watchdog { kernel: String, fuel: u64 },
     /// Every device in the fleet has been lost and quarantined; there is
     /// nothing left to fail over to. The typed terminal outcome of
     /// graceful degradation — never a panic.
@@ -132,7 +128,7 @@ pub enum HostError {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorClass {
     /// Worth retrying on the same device after backoff: transient memcpy
-    /// faults, stalled launches, watchdog trips.
+    /// faults and stalled launches (a stall can be contention).
     Transient,
     /// The device is gone; retrying on it is pointless. Fail over to a
     /// replacement (or surface `FleetLost` when none remains).
@@ -154,7 +150,6 @@ impl HostError {
                 TrapKind::MemcpyFault | TrapKind::Stalled { .. } => ErrorClass::Transient,
                 _ => ErrorClass::Program,
             },
-            HostError::Watchdog { .. } => ErrorClass::Transient,
             HostError::FleetLost { .. } => ErrorClass::Permanent,
             HostError::Compile(_)
             | HostError::Map(_)
@@ -193,10 +188,6 @@ impl fmt::Display for HostError {
             }
             HostError::UnknownImage(i) => write!(f, "unknown kernel image {i}"),
             HostError::UnknownBuffer(b) => write!(f, "unknown host buffer {b}"),
-            HostError::Watchdog { kernel, fuel } => write!(
-                f,
-                "watchdog: kernel @{kernel} made no progress within {fuel} steps"
-            ),
             HostError::FleetLost { devices } => {
                 write!(f, "all {devices} device(s) lost; offload fleet exhausted")
             }
@@ -261,7 +252,6 @@ mod tests {
         for e in [
             exec(TrapKind::MemcpyFault),
             exec(TrapKind::Stalled { fuel: 100 }),
-            HostError::Watchdog { kernel: "k".into(), fuel: 100 },
         ] {
             assert_eq!(e.class(), Transient, "{e}");
             assert!(e.is_retryable(), "{e}");
@@ -292,7 +282,6 @@ mod tests {
             TrapKind::BadFree,
             TrapKind::BadLaunch("m".into()),
             TrapKind::MalformedIr("m".into()),
-            TrapKind::SanitizerViolation { races: 1, divergences: 0 },
         ] {
             let e = exec(kind);
             assert_eq!(e.class(), Program, "{e}");
@@ -317,11 +306,6 @@ mod tests {
 
     #[test]
     fn new_variants_display() {
-        let w = HostError::Watchdog { kernel: "spmv".into(), fuel: 4096 };
-        assert_eq!(
-            w.to_string(),
-            "watchdog: kernel @spmv made no progress within 4096 steps"
-        );
         let fl = HostError::FleetLost { devices: 4 };
         assert_eq!(fl.to_string(), "all 4 device(s) lost; offload fleet exhausted");
         let r = HostError::Replay("grow returned 0x40, journal says 0x80".into());

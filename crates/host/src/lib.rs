@@ -191,15 +191,11 @@ pub struct Host {
     /// re-execution happen on replacement devices, which are created from
     /// it like the device they replace.
     run: RunConfig,
-    fault_plan: Option<FaultPlan>,
 
     /// `Some` enables the recovery layer (journaling, retries, failover);
     /// `None` is the PR 5 fast path, byte-for-byte.
     recovery: Option<RecoveryPolicy>,
     rmetrics: RecoveryMetrics,
-    /// Host launch watchdog fuel, applied to every current and future
-    /// device.
-    watchdog_fuel: Option<u64>,
 }
 
 impl Host {
@@ -226,10 +222,8 @@ impl Host {
             eager: false,
             ops_executed: 0,
             run,
-            fault_plan: None,
             recovery: None,
             rmetrics: RecoveryMetrics::default(),
-            watchdog_fuel: None,
         }
     }
 
@@ -296,7 +290,7 @@ impl Host {
                 pending_launches: slot.pending,
             });
         }
-        let plan = effective_plan(&self.fault_plan, &slot.device_plan);
+        let plan = slot.device_plan.clone();
         let image = self.loaded_image(img)?;
         let d = self.new_device(&image, plan);
         let slot = self.slot_mut(dev)?;
@@ -642,11 +636,11 @@ impl Host {
     // ---- the one door to the device -------------------------------------
 
     /// Run `op` on slot `dev`'s [`Device`] — the only code of this file
-    /// that calls one, and so the only copy of the launch bookkeeping and
-    /// the watchdog classification. A first execution ([`Host::issue`])
-    /// and a failover replay ([`Host::replay_journal`]) are both this
-    /// function over the same value. An `op` that fails leaves no trace
-    /// (device operations are atomic), so running it again is exact.
+    /// that calls one, and so the only copy of the launch bookkeeping. A
+    /// first execution ([`Host::issue`]) and a failover replay
+    /// ([`Host::replay_journal`]) are both this function over the same
+    /// value. An `op` that fails leaves no trace (device operations are
+    /// atomic), so running it again is exact.
     fn dev_op(&mut self, dev: usize, op: &DevOp) -> Result<(), HostError> {
         let devices = self.slots.len();
         let slot = self
@@ -678,22 +672,11 @@ impl Host {
                     slot.executed_cycles += m.cycles;
                     slot.launches += 1;
                 }
-                // A stall (and a fuel trap the watchdog caused) is the
-                // host watchdog's typed error; every other trap surfaces
-                // as it is and aborts the drain: remaining operations
-                // (including result readbacks) stay queued, exactly as
-                // the direct harness stops at a failed `Device::launch`.
-                let failed = res.as_ref().err().map(|e| {
-                    let fuel = match e.kind {
-                        TrapKind::Stalled { fuel } => Some(fuel),
-                        TrapKind::FuelExhausted => d.binding_watchdog(),
-                        _ => None,
-                    };
-                    match fuel {
-                        Some(fuel) => HostError::Watchdog { kernel: kernel.to_string(), fuel },
-                        None => HostError::Exec(e.clone()),
-                    }
-                });
+                // A trap surfaces as it is and aborts the drain: remaining
+                // operations (including result readbacks) stay queued,
+                // exactly as the direct harness stops at a failed
+                // `Device::launch`.
+                let failed = res.as_ref().err().map(|e| HostError::Exec(e.clone()));
                 // Every run records its outcome; the last one wins —
                 // after a successful retry the ticket holds the metrics.
                 if let Some(t) = self.tickets.get_mut(ticket.0 as usize) {
@@ -756,7 +739,7 @@ impl Host {
                 ErrorClass::Transient if transient_attempts < policy.transient_retries => {
                     transient_attempts += 1;
                     self.rmetrics.retries += 1;
-                    if matches!(e, HostError::Watchdog { .. }) {
+                    if matches!(e, HostError::Exec(ExecError { kind: TrapKind::Stalled { .. }, .. })) {
                         self.rmetrics.watchdog_trips += 1;
                     }
                     self.rmetrics.backoff_cycles += policy.backoff_cycles(transient_attempts);
@@ -774,11 +757,10 @@ impl Host {
     }
 
     /// Replace the lost device in slot `dev`: quarantine the dead one,
-    /// bind a fresh vGPU of the same image (host-wide fault plan only —
-    /// the replacement models healthy hardware, so the slot's chaos
-    /// campaign is not re-armed), and replay the journal so present
-    /// table, pool, and already-translated kernel arguments stay valid
-    /// verbatim. When the failover budget is spent the slot is retired
+    /// bind a fresh vGPU of the same image (no fault plan — the
+    /// replacement models healthy hardware, so the slot's chaos campaign
+    /// is not re-armed), and replay the journal so present table, pool,
+    /// and already-translated kernel arguments stay valid verbatim. When the failover budget is spent the slot is retired
     /// instead and the loss surfaces (typed, never a panic).
     fn failover(&mut self, dev: usize, policy: &RecoveryPolicy) -> Result<(), HostError> {
         self.rmetrics.quarantines += 1;
@@ -802,7 +784,7 @@ impl Host {
         let Some((_, image)) = &self.slot(dev)?.image else {
             return Err(HostError::Replay("failover on a slot with no image".to_string()));
         };
-        let d = self.new_device(image, self.fault_plan.clone());
+        let d = self.new_device(image, None);
         let slot = self.slot_mut(dev)?;
         slot.dev = Some(d);
         slot.device_plan = None;
@@ -919,58 +901,18 @@ impl Host {
         }
     }
 
-    /// Arm a fault plan on every current and future device (merged with
-    /// any per-slot plan from [`Host::set_device_faults`]).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = Some(plan);
-        for s in &mut self.slots {
-            if let Some(d) = s.dev.as_mut() {
-                if let Some(p) = effective_plan(&self.fault_plan, &s.device_plan) {
-                    d.set_fault_plan(p);
-                }
-            }
-        }
-    }
-
-    pub fn clear_fault_plan(&mut self) {
-        self.fault_plan = None;
-        for s in &mut self.slots {
-            if let Some(d) = s.dev.as_mut() {
-                match effective_plan(&None, &s.device_plan) {
-                    Some(p) => d.set_fault_plan(p),
-                    None => d.clear_fault_plan(),
-                }
-            }
-        }
-    }
-
-    /// Arm a fault plan scoped to device slot `dev` only — how a chaos
-    /// campaign kills one device of a fleet. Merged over the host-wide
-    /// plan; applied to the slot's device now (if one is bound) and at
-    /// every future bind. Failover replacements are *not* re-armed: the
-    /// replacement models healthy hardware.
+    /// Arm the fault plan of device slot `dev` — the one plan a device
+    /// runs under, and how a chaos campaign kills one device of a fleet.
+    /// Applied to the slot's device now (if one is bound) and at every
+    /// future bind; [`FaultPlan::none`] disarms. Failover replacements
+    /// are *not* re-armed: the replacement models healthy hardware.
     pub fn set_device_faults(&mut self, dev: usize, plan: FaultPlan) -> Result<(), HostError> {
-        let global = self.fault_plan.clone();
         let slot = self.slot_mut(dev)?;
-        slot.device_plan = Some(plan);
         if let Some(d) = slot.dev.as_mut() {
-            if let Some(p) = effective_plan(&global, &slot.device_plan) {
-                d.set_fault_plan(p);
-            }
+            d.set_fault_plan(plan.clone());
         }
+        slot.device_plan = Some(plan);
         Ok(())
-    }
-
-    /// Arm (or disarm) the host launch watchdog on every current and
-    /// future device: a kernel that exceeds `fuel` modeled steps trips a
-    /// typed [`HostError::Watchdog`] instead of consuming the drain.
-    pub fn set_watchdog_fuel(&mut self, fuel: Option<u64>) {
-        self.watchdog_fuel = fuel;
-        for s in &mut self.slots {
-            if let Some(d) = s.dev.as_mut() {
-                d.set_watchdog_fuel(fuel);
-            }
-        }
     }
 
     /// Enable (`Some`) or disable (`None`) the recovery layer. Enabling
@@ -999,15 +941,14 @@ impl Host {
 
     // ---- internals ------------------------------------------------------
 
-    /// A fresh vGPU running `image` under the host's run configuration
-    /// and watchdog with `plan` armed — the one constructor behind both
-    /// [`Host::bind_image`] and failover.
+    /// A fresh vGPU running `image` under the host's device and run
+    /// configuration with the slot's `plan` armed — the one constructor
+    /// behind both [`Host::bind_image`] and failover.
     fn new_device(&self, image: &Arc<Image>, plan: Option<FaultPlan>) -> Device {
         let mut d = Device::from_image(Arc::clone(image), self.dev_cfg.clone(), self.run);
         if let Some(p) = plan {
             d.set_fault_plan(p);
         }
-        d.set_watchdog_fuel(self.watchdog_fuel);
         d
     }
 
@@ -1052,26 +993,4 @@ fn host_range(bufs: &mut [Vec<u8>], buf: BufId, off: u64, len: u64) -> Result<&m
     off.checked_add(len)
         .and_then(|end| host.get_mut(off as usize..end as usize))
         .ok_or(HostError::Map(ME::HostRange { buf, off, len, buf_len }))
-}
-
-/// Merge the host-wide fault plan with a slot-scoped one: sites of both
-/// fire; the slot plan's fuel/heap overrides win when set.
-fn effective_plan(global: &Option<FaultPlan>, device: &Option<FaultPlan>) -> Option<FaultPlan> {
-    match (global, device) {
-        (None, None) => None,
-        (Some(g), None) => Some(g.clone()),
-        (None, Some(d)) => Some(d.clone()),
-        (Some(g), Some(d)) => {
-            let mut p = g.clone();
-            p.sites.extend(d.sites.iter().cloned());
-            p.device_sites.extend(d.device_sites.iter().copied());
-            if d.fuel_limit.is_some() {
-                p.fuel_limit = d.fuel_limit;
-            }
-            if d.heap_limit.is_some() {
-                p.heap_limit = d.heap_limit;
-            }
-            Some(p)
-        }
-    }
 }

@@ -4,7 +4,7 @@
 //! The policy decides what [`crate::Host`] does with a failed device
 //! operation, dispatching on [`crate::error::ErrorClass`]:
 //!
-//! * **Transient** (memcpy fault, stalled launch, watchdog trip): back
+//! * **Transient** (memcpy fault, stalled launch): back
 //!   off and retry the same operation on the same device, up to
 //!   [`RecoveryPolicy::transient_retries`] times per operation.
 //! * **Permanent** (`DeviceLost`): quarantine the dead device, bind a
@@ -72,7 +72,8 @@ impl RecoveryPolicy {
 pub struct RecoveryMetrics {
     /// Transient retries performed (each after a backoff charge).
     pub retries: u64,
-    /// How many of those retries answered a watchdog trip / stall.
+    /// How many of those retries answered a stalled launch
+    /// ([`nzomp_vgpu::TrapKind::Stalled`]).
     pub watchdog_trips: u64,
     /// Replacement devices bound after `DeviceLost`.
     pub failovers: u64,

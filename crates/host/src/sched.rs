@@ -53,8 +53,8 @@ pub(crate) struct DeviceSlot {
     /// is exhausted. The scheduler never places work here; only an
     /// explicit `bind_image` revives it.
     pub quarantined: bool,
-    /// A fault plan scoped to *this* slot's device (chaos campaigns),
-    /// merged over the host-wide plan at bind. Deliberately not re-armed
+    /// The fault plan of *this* slot's device (chaos campaigns), armed
+    /// at bind. Deliberately not re-armed
     /// on a failover replacement — the replacement models healthy
     /// hardware.
     pub device_plan: Option<FaultPlan>,

@@ -1,5 +1,6 @@
 //! The recovery contract of the offload host runtime: transient faults
-//! retry to a clean result, stalls trip a typed watchdog, device loss
+//! retry to a clean result, a stall is a typed transient trap, a runaway
+//! kernel is a program error that is never retried, device loss
 //! fails over to a replacement vGPU whose journal replay reproduces the
 //! clean run bit-for-bit, and a shrinking fleet degrades gracefully down
 //! to a typed `FleetLost` — never a panic, never a wrong answer.
@@ -12,7 +13,8 @@ use nzomp::BuildConfig;
 use nzomp_host::{Host, HostError, RecoveryPolicy, RegionArg};
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{
-    DeviceFaultKind, DeviceFaultSite, ExecTier, FaultPlan, RtVal, RunConfig, Sanitize, TrapKind,
+    DeviceConfig, DeviceFaultKind, DeviceFaultSite, ExecTier, FaultPlan, RtVal, RunConfig, Sanitize,
+    TrapKind,
 };
 
 const N: usize = 64;
@@ -91,11 +93,11 @@ fn transient_memcpy_fault_retries_to_clean_result() {
     assert_eq!(h.device(0).unwrap().global_bytes(), clean.2.as_slice());
 }
 
-/// A stalled launch trips the typed watchdog; under recovery the retry
+/// A stalled launch is a typed, transient trap; under recovery the retry
 /// (the stall site is one-shot) completes the region cleanly.
 #[test]
 fn stalled_launch_trips_watchdog_and_retries() {
-    // Without recovery: the stall surfaces as HostError::Watchdog.
+    // Without recovery: the stall surfaces as the launch's trap.
     let mut h = host(1);
     let img = h
         .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
@@ -106,11 +108,11 @@ fn stalled_launch_trips_watchdog_and_retries() {
     let s = h.stream();
     h.enqueue_region(&[s], img, "k", launch(), region_args()).unwrap();
     match h.sync() {
-        Err(HostError::Watchdog { kernel, fuel }) => {
-            assert_eq!(kernel, "k");
-            assert!(fuel > 0);
+        Err(HostError::Exec(e)) => {
+            assert_eq!(e.func, "k");
+            assert!(matches!(e.kind, TrapKind::Stalled { fuel } if fuel > 0), "{e}");
         }
-        other => panic!("expected a watchdog trip, got {other:?}"),
+        other => panic!("expected a stalled launch, got {other:?}"),
     }
 
     // With recovery: retried to the clean result.
@@ -132,13 +134,12 @@ fn stalled_launch_trips_watchdog_and_retries() {
     assert_eq!(h.buf_bits(region.bufs[1].unwrap()).unwrap(), clean.0);
 }
 
-/// A genuinely runaway kernel (fuel exceeded under a binding host
-/// watchdog) is a watchdog trip too — and exhausts the retry budget
-/// instead of consuming the drain forever.
+/// A kernel that outruns its step budget is a program error: the device
+/// is deterministic, so a retry would exhaust the same budget again.
+/// Under recovery it surfaces at once, and nothing is retried.
 #[test]
-fn runaway_kernel_exhausts_watchdog_retries() {
-    let mut h = host(1);
-    h.set_watchdog_fuel(Some(10));
+fn runaway_kernel_is_a_program_error_and_never_retried() {
+    let mut h = Host::new(DeviceConfig { max_steps: 10, ..quick() }, 1);
     h.set_recovery(Some(RecoveryPolicy::default()));
     let img = h
         .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
@@ -146,16 +147,11 @@ fn runaway_kernel_exhausts_watchdog_retries() {
     let s = h.stream();
     h.enqueue_region(&[s], img, "k", launch(), region_args()).unwrap();
     match h.sync() {
-        Err(HostError::Watchdog { fuel, .. }) => assert_eq!(fuel, 10),
-        other => panic!("expected a watchdog trip, got {other:?}"),
+        Err(HostError::Exec(e)) => assert_eq!(e.kind, TrapKind::FuelExhausted, "{e}"),
+        other => panic!("expected an exhausted step budget, got {other:?}"),
     }
     let m = h.recovery_metrics();
-    assert_eq!(
-        m.retries,
-        u64::from(RecoveryPolicy::default().transient_retries),
-        "the full transient budget was spent before surfacing"
-    );
-    assert_eq!(m.watchdog_trips, m.retries);
+    assert_eq!((m.retries, m.watchdog_trips, m.failovers), (0, 0, 0));
 }
 
 /// Device loss mid-drain: the host quarantines the dead device, binds a
@@ -197,18 +193,17 @@ fn device_loss_fails_over_and_replays_bit_identically() {
     assert!(!h.quarantined(0), "the slot carries the replacement, not a tombstone");
 }
 
-/// A failover replacement is created from the host's one run configuration
-/// and watchdog, like the device it replaces: whatever was pinned — at
+/// A failover replacement is created from the host's one device and run
+/// configuration, like the device it replaces: whatever was pinned — at
 /// construction or through a setter — it reports after the swap. Every
 /// pin is a non-default value, so a replacement built from
-/// `RunConfig::default()` fails here.
+/// `RunConfig::default()` or `DeviceConfig::default()` fails here.
 #[test]
 fn failover_replacement_inherits_the_hosts_pins() {
     let run = RunConfig { sanitize: Sanitize::Report, ..RunConfig::default() };
-    let mut h = Host::with_run(quick(), 1, run);
+    let mut h = Host::with_run(DeviceConfig { max_steps: 1 << 40, ..quick() }, 1, run);
     h.set_exec_tier(ExecTier::Interp);
     h.set_worker_threads(3);
-    h.set_watchdog_fuel(Some(1 << 40));
     h.set_recovery(Some(RecoveryPolicy::default()));
     let pinned = RunConfig { workers: 3, tier: ExecTier::Interp, sanitize: Sanitize::Report };
     let img = h
@@ -228,7 +223,7 @@ fn failover_replacement_inherits_the_hosts_pins() {
     assert_eq!(d.run_config(), pinned);
     assert_eq!(d.exec_tier(), ExecTier::Interp);
     assert_eq!(d.worker_threads(), 3);
-    assert_eq!(d.watchdog_fuel(), Some(1 << 40));
+    assert_eq!(d.config.max_steps, 1 << 40);
     assert_eq!(
         h.buf_f64(region.bufs[1].unwrap()).unwrap(),
         scale_add_expected(&input(N))

@@ -74,10 +74,6 @@ impl Operand {
         Operand::ConstI(v, Ty::I64)
     }
 
-    pub fn i32(v: i32) -> Operand {
-        Operand::ConstI(v as i64, Ty::I32)
-    }
-
     pub fn f64(v: f64) -> Operand {
         Operand::ConstF(v)
     }

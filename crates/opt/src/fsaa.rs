@@ -437,23 +437,3 @@ fn assume_pseudo_write(
         },
     ))
 }
-
-impl Fsaa {
-    /// Writes (incl. RMW and pseudo-writes) recorded for `obj`.
-    pub fn writes(&self, obj: ObjectId) -> impl Iterator<Item = &Access> {
-        self.objects
-            .get(&obj)
-            .into_iter()
-            .flat_map(|i| i.accesses.iter())
-            .filter(|a| a.kind != AccessKind::Read)
-    }
-
-    /// Reads recorded for `obj`.
-    pub fn reads(&self, obj: ObjectId) -> impl Iterator<Item = &Access> {
-        self.objects
-            .get(&obj)
-            .into_iter()
-            .flat_map(|i| i.accesses.iter())
-            .filter(|a| a.kind == AccessKind::Read)
-    }
-}

@@ -10,8 +10,6 @@ pub enum RemarkKind {
     Passed,
     /// An optimization was applicable but blocked; the message says why.
     Missed,
-    /// Analysis note.
-    Analysis,
 }
 
 #[derive(Clone, Debug)]
@@ -29,7 +27,6 @@ impl fmt::Display for Remark {
         let k = match self.kind {
             RemarkKind::Passed => "remark",
             RemarkKind::Missed => "missed",
-            RemarkKind::Analysis => "analysis",
         };
         write!(f, "[{k}:{}] @{}: {}", self.pass, self.func, self.message)
     }
@@ -60,15 +57,6 @@ impl Remarks {
         });
     }
 
-    pub fn analysis(&mut self, pass: &'static str, func: &str, message: impl Into<String>) {
-        self.entries.push(Remark {
-            kind: RemarkKind::Analysis,
-            pass,
-            func: func.to_string(),
-            message: message.into(),
-        });
-    }
-
     /// All remarks of a kind for a pass (test helper).
     pub fn of(&self, kind: RemarkKind, pass: &str) -> Vec<&Remark> {
         self.entries
@@ -91,7 +79,6 @@ impl Remarks {
             match k {
                 RemarkKind::Passed => 0,
                 RemarkKind::Missed => 1,
-                RemarkKind::Analysis => 2,
             }
         }
         self.entries.sort_by(|a, b| {

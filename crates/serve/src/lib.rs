@@ -726,11 +726,6 @@ impl Serve {
         self.metrics.makespan_cycles = self.clock;
     }
 
-    /// The serve clock, in modeled cycles.
-    pub fn clock(&self) -> u64 {
-        self.clock
-    }
-
     pub fn metrics(&self) -> &ServeMetrics {
         &self.metrics
     }

@@ -81,10 +81,6 @@ impl Outcome {
     pub fn is_completed(&self) -> bool {
         matches!(self, Outcome::Completed { .. })
     }
-
-    pub fn is_rejected(&self) -> bool {
-        matches!(self, Outcome::Rejected { .. })
-    }
 }
 
 /// A control-plane misuse of the serving API: naming a tenant or session

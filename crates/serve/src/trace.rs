@@ -12,7 +12,7 @@
 use crate::metrics::{ServeMetrics, ServeRow};
 use crate::outcome::{Outcome, ServeError};
 use crate::session::TenantConfig;
-use crate::{ReqId, RequestSpec, SBuf, Serve, ServeConfig, TenantId};
+use crate::{RequestSpec, SBuf, Serve, ServeConfig, TenantId};
 
 /// One externally-visible serving operation. Tenant and session-buffer
 /// references are positional (registration order), so a trace is
@@ -108,10 +108,4 @@ pub fn snapshot(serve: &mut Serve) -> Result<Replayed, ServeError> {
         session_images,
         compile: (host.compile_hits, host.compile_misses),
     })
-}
-
-/// Convenience: the outcome slots a trace produced for a submission
-/// index (`Submit` ops are request 0, 1, … in order).
-pub fn req(i: usize) -> ReqId {
-    ReqId(i as u32)
 }

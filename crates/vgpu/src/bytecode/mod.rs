@@ -20,8 +20,8 @@
 //!   per-step arena/block/operand chasing.
 //!
 //! The dispatch loop keeps the interpreter's observable behavior *bit for
-//! bit*: one op is one fuel unit and one step, fault polls and watchdog
-//! fuel checks fire at identical op counts, cycle/instruction accounting
+//! bit*: one op is one fuel unit and one step, fault polls and step
+//! budget checks fire at identical op counts, cycle/instruction accounting
 //! uses the same [`cost`](crate::cost) table in the same
 //! order, and malformed shapes trap with the interpreter's exact messages
 //! at the exact op where the interpreter would meet them (lowering never

@@ -233,9 +233,6 @@ pub struct Device {
     /// The device vanished (a [`DeviceFaultKind::Lost`] site fired):
     /// every further memcpy/launch returns [`TrapKind::DeviceLost`].
     lost: bool,
-    /// Host-imposed launch watchdog: caps the fuel budget of every launch
-    /// at `min(watchdog, plan-or-config budget)`. `None` in production.
-    watchdog_fuel: Option<u64>,
 }
 
 impl Device {
@@ -252,9 +249,9 @@ impl Device {
 
     /// A fresh device over a loaded `image` — the one constructor: global
     /// memory is a copy of the image's initial bytes, the heap is empty,
-    /// no fault plan or watchdog is armed. How a host runtime creates
-    /// every device (under its own run configuration), so binding an
-    /// image again costs the memory, not the load.
+    /// no fault plan is armed. How a host runtime creates every device
+    /// (under its own run configuration), so binding an image again costs
+    /// the memory, not the load.
     pub fn from_image(image: Arc<Image>, config: DeviceConfig, run: RunConfig) -> Device {
         let heap = HeapState {
             live_allocs: Default::default(),
@@ -272,7 +269,6 @@ impl Device {
             dev_ops: 0,
             dev_sites_fired: Vec::new(),
             lost: false,
-            watchdog_fuel: None,
         }
     }
 
@@ -306,9 +302,9 @@ impl Device {
         self.run.workers
     }
 
-    /// Select the sanitizer mode for subsequent launches. Under
-    /// [`Sanitize::Strict`] an otherwise clean launch with findings returns
-    /// a [`TrapKind::SanitizerViolation`] error.
+    /// Select the sanitizer mode for subsequent launches. Findings never
+    /// change a launch's result: they are counted in its metrics and kept
+    /// in [`Device::sanitizer_reports`].
     pub fn set_sanitize(&mut self, mode: Sanitize) {
         self.run.sanitize = mode;
     }
@@ -350,7 +346,8 @@ impl Device {
     }
 
     /// Arm a fault-injection plan; every subsequent launch executes under
-    /// it until [`Device::clear_fault_plan`]. Empty plans disarm.
+    /// it until another is armed. An empty plan ([`FaultPlan::none`])
+    /// disarms.
     ///
     /// (Re-)arming resets the device-fault clock: the op counter, the
     /// consumed-site flags, and the `lost` latch — a test hook that makes
@@ -363,38 +360,6 @@ impl Device {
         self.faults = if plan.is_empty() { None } else { Some(plan) };
     }
 
-    pub fn clear_fault_plan(&mut self) {
-        self.faults = None;
-        self.dev_ops = 0;
-        self.lost = false;
-        self.dev_sites_fired.clear();
-    }
-
-    /// The armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
-    /// Arm (or disarm with `None`) a host launch watchdog: every launch's
-    /// fuel budget becomes `min(watchdog, plan-or-config budget)`, so a
-    /// runaway kernel traps within a host-chosen step bound instead of
-    /// the device default. The host runtime (`nzomp-host`) maps the
-    /// resulting budget trap to its typed `Watchdog` error.
-    pub fn set_watchdog_fuel(&mut self, fuel: Option<u64>) {
-        self.watchdog_fuel = fuel;
-    }
-
-    pub fn watchdog_fuel(&self) -> Option<u64> {
-        self.watchdog_fuel
-    }
-
-    /// The watchdog's fuel when it — not the plan-or-config budget — is
-    /// what caps the next launch: how a host tells a watchdog trip from
-    /// a plain [`TrapKind::FuelExhausted`].
-    pub fn binding_watchdog(&self) -> Option<u64> {
-        self.watchdog_fuel.filter(|w| *w == self.effective_fuel())
-    }
-
     /// Whether the device has been lost to a [`DeviceFaultKind::Lost`]
     /// site. Lost devices fail every memcpy/launch with
     /// [`TrapKind::DeviceLost`].
@@ -402,18 +367,12 @@ impl Device {
         self.lost
     }
 
-    /// The fuel budget the next launch will run under: the watchdog cap,
-    /// the armed plan's override, or the device default — whichever binds.
+    /// The step budget the next launch runs under: the device's
+    /// `max_steps`, capped by the armed plan's `fuel_limit` — a plan can
+    /// only shrink it.
     fn effective_fuel(&self) -> u64 {
-        let base = self
-            .faults
-            .as_ref()
-            .and_then(|p| p.fuel_limit)
-            .unwrap_or(self.config.max_steps);
-        match self.watchdog_fuel {
-            Some(w) => w.min(base),
-            None => base,
-        }
+        let limit = self.faults.as_ref().and_then(|p| p.fuel_limit);
+        limit.unwrap_or(u64::MAX).min(self.config.max_steps)
     }
 
     /// Device-fault poll, run at the entry of every host-visible device
@@ -639,10 +598,9 @@ impl Device {
         let tps = cost::teams_per_sm(regs, launch.threads_per_team, shared_total.max(1));
         let mut waves = Waves::new(cost::wave_size(tps), cost::latency_exposure(tps));
 
-        // Fault plans and the host watchdog can shrink the step budget,
-        // and fault plans the device heap, for this launch; the heap
-        // limit is restored afterwards (even on a trap) so one faulted
-        // launch does not poison the next.
+        // A fault plan can shrink the step budget and the device heap
+        // for this launch; the heap limit is restored afterwards (even on
+        // a trap) so one faulted launch does not poison the next.
         let mut fuel = self.effective_fuel();
         let saved_heap_limit = self.heap.limit;
         if let Some(budget) = self.faults.as_ref().and_then(|p| p.heap_limit) {
@@ -689,20 +647,6 @@ impl Device {
                 })
             }
         };
-        if self.run.sanitize == Sanitize::Strict && (races > 0 || divergences > 0) {
-            let (team, thread) = self
-                .last_san
-                .as_ref()
-                .and_then(|l| l.reports.first())
-                .map(|r| r.site())
-                .unwrap_or((0, 0));
-            return Err(ExecError {
-                kind: TrapKind::SanitizerViolation { races, divergences },
-                team,
-                thread,
-                func: kernel.to_string(),
-            });
-        }
 
         let (cycles_total, waves) = waves.finish();
         let time_ms = cycles_total as f64 / (cost::CLOCK_GHZ * 1e6);

@@ -47,10 +47,9 @@ pub enum TrapKind {
     /// until a fresh device replaces it — recovery is the host runtime's
     /// job (`nzomp-host`), never the interpreter's.
     DeviceLost,
-    /// The launch made no progress within its watchdog fuel budget — the
-    /// device-level symptom a host launch watchdog converts into a typed
-    /// `Watchdog` host error. Injected by
-    /// [`crate::faults::DeviceFaultKind::StallLaunch`]; carries the fuel
+    /// The launch made no progress within its step budget — a hang the
+    /// host runtime classifies as transient and may retry. Injected by
+    /// [`crate::faults::DeviceFaultKind::StallLaunch`]; carries the step
     /// budget that was in effect so the reproducer is in the message.
     Stalled { fuel: u64 },
     /// A transient host<->device memcpy failure (injected by
@@ -58,11 +57,6 @@ pub enum TrapKind {
     /// not happen, device memory is unchanged, and — faults being
     /// one-shot — an immediate retry succeeds.
     MemcpyFault,
-    /// The sanitizer found data races / divergent barriers and strict
-    /// mode (`Sanitize::Strict`) promotes findings to a trap after
-    /// the (otherwise clean) launch completes. The reports remain
-    /// available through `Device::sanitizer_reports`.
-    SanitizerViolation { races: u64, divergences: u64 },
     /// Internal control-flow signal of the parallel engine: the team
     /// executed an operation that cannot be buffered (device
     /// `malloc`/`free`) and must be re-run in direct/sequential mode.
@@ -97,10 +91,6 @@ impl fmt::Display for TrapKind {
                 "kernel stalled: watchdog fired after {fuel} steps without completion"
             ),
             TrapKind::MemcpyFault => write!(f, "transient memcpy failure"),
-            TrapKind::SanitizerViolation { races, divergences } => write!(
-                f,
-                "sanitizer reported {races} data race(s) and {divergences} barrier divergence(s)"
-            ),
             TrapKind::ParallelBailout => {
                 write!(f, "internal: team requires sequential re-execution")
             }

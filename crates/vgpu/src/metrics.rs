@@ -66,18 +66,4 @@ impl KernelMetrics {
         }
         (self.flops as f64) / (self.time_ms * 1e-3) / 1e9
     }
-
-    /// One-line summary used by examples and the figure harness.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}: {:.3} ms | {} regs | {} B smem | {} insts | {} rt-calls | {} barriers",
-            self.kernel_name,
-            self.time_ms,
-            self.regs_per_thread,
-            self.smem_bytes + self.dyn_smem_bytes,
-            self.instructions,
-            self.runtime_calls,
-            self.barriers
-        )
-    }
 }

@@ -13,16 +13,13 @@ use crate::exec::ExecTier;
 
 /// Data-race & barrier-divergence sanitizer mode (`docs/sanitizer.md`).
 /// Sanitizing never changes results, traps, cycles, or the pre-existing
-/// metrics; `Strict` additionally turns the findings of an otherwise clean
-/// launch into a [`crate::TrapKind::SanitizerViolation`].
+/// metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Sanitize {
     #[default]
     Off,
     /// Shadow-track every access and report findings.
     Report,
-    /// Report, and trap a clean launch that has findings.
-    Strict,
 }
 
 /// How launches execute. Every combination produces bit-identical

@@ -279,17 +279,6 @@ pub enum SanReport {
     Divergence(DivergenceReport),
 }
 
-impl SanReport {
-    /// `(team, thread)` of the access that completed the finding — the
-    /// location strict mode attributes its trap to.
-    pub fn site(&self) -> (u32, u32) {
-        match self {
-            SanReport::Race(r) => (r.second.team, r.second.thread),
-            SanReport::Divergence(d) => (d.team, 0),
-        }
-    }
-}
-
 impl fmt::Display for SanReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

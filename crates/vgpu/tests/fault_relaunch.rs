@@ -132,6 +132,28 @@ fn fuel_limit_resets_between_launches() {
     }
 }
 
+/// A plan's `fuel_limit` can only shrink the step budget: above the
+/// device's `max_steps` it is ignored, and the launch traps exactly where
+/// the device budget alone would trap it.
+#[test]
+fn fuel_limit_never_raises_the_step_budget() {
+    let launch = Launch::new(1, 4);
+    let run = |fuel_limit: Option<u64>| {
+        let mut dev = Device::load(module(), DeviceConfig { max_steps: 10, ..DeviceConfig::default() });
+        let (pa, po) = (dev.alloc_f64(&[1.0, 2.0, 3.0, 4.0]), dev.alloc(32));
+        dev.set_fault_plan(FaultPlan { fuel_limit, ..FaultPlan::none() });
+        dev.launch("k", launch, &[RtVal::P(pa), RtVal::P(po)])
+    };
+    let capped = run(None).unwrap_err();
+    assert_eq!(capped.kind, TrapKind::FuelExhausted);
+    assert_eq!(run(Some(1_000_000)).unwrap_err(), capped);
+
+    // The same plan on a device with room to spare completes the launch.
+    let (mut dev, pa, po) = device();
+    dev.set_fault_plan(FaultPlan { fuel_limit: Some(1_000_000), ..FaultPlan::none() });
+    dev.launch("k", launch, &[RtVal::P(pa), RtVal::P(po)]).unwrap();
+}
+
 /// The whole relaunch story holds in parallel execution too.
 #[test]
 fn relaunch_identical_across_worker_counts() {

@@ -16,8 +16,6 @@ fn finish_kernel(mut m: Module, b: FuncBuilder) -> Module {
 
 fn sanitized_device(m: Module) -> Device {
     let mut dev = Device::load(m, DeviceConfig::default());
-    // Report-only: these kernels race on purpose, and strict would turn
-    // the launches into traps.
     dev.set_sanitize(Sanitize::Report);
     dev
 }
@@ -348,24 +346,4 @@ fn sanitizer_does_not_change_execution() {
     plain.launch("wr", Launch::new(1, 4), &[]).unwrap();
     assert!(plain.sanitizer_reports().is_empty());
     assert_eq!(plain.sanitizer_counts(), (0, 0));
-}
-
-/// Strict mode turns findings of an otherwise clean launch into a typed
-/// trap that names the counts.
-#[test]
-fn strict_mode_promotes_findings_to_trap() {
-    let mut dev = Device::load(write_write_module(), DeviceConfig::default());
-    dev.set_sanitize(Sanitize::Strict);
-    let err = dev.launch("wr", Launch::new(1, 2), &[]).unwrap_err();
-    assert_eq!(
-        err.kind,
-        TrapKind::SanitizerViolation {
-            races: 1,
-            divergences: 0
-        }
-    );
-    assert_eq!(err.team, 0);
-    assert_eq!(err.thread, 1);
-    // Reports remain inspectable after the strict trap.
-    assert_eq!(dev.sanitizer_reports().len(), 1);
 }

@@ -239,7 +239,7 @@ fn clearing_fault_plan_restores_clean_execution() {
     dev.set_fault_plan(FaultPlan::from_seed(3, prep.launch.teams, prep.launch.threads_per_team));
     let _ = dev.launch(p.kernel_name(), prep.launch, &prep.args);
 
-    dev.clear_fault_plan();
+    dev.set_fault_plan(FaultPlan::none());
     dev.launch(p.kernel_name(), prep.launch, &prep.args).unwrap();
     nzomp_proxies::verify_output(&dev, &prep).unwrap();
 }

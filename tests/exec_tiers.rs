@@ -10,7 +10,7 @@
 //! * 50 seeded fault campaigns per tier — `FaultPlan` launch-entry polls
 //!   must fire at identical op counts, so the injected trap, the partial
 //!   memory image, and every counter agree across tiers;
-//! * the host watchdog fuel check — both tiers charge exactly one fuel
+//! * the step budget check — both tiers charge exactly one fuel
 //!   unit per dispatched op, so a budget of N dispatches N ops and then
 //!   traps identically, and clean runs (generated kernels and every
 //!   proxy application) consume identical fuel and produce identical
@@ -61,7 +61,7 @@ fn seeded_fault_campaigns_replay_identically_across_tiers() {
     assert!(trapped >= 10, "campaigns barely fire ({trapped}/50)");
 }
 
-/// The watchdog pin: a spin kernel under watchdog fuel `n` dispatches
+/// The step-budget pin: a spin kernel under `max_steps = n` dispatches
 /// exactly `n` ops on *both* tiers before trapping `FuelExhausted` — the
 /// fuel check sits at the identical point in both dispatch loops. Every
 /// comparison crosses the run axes too: the wave engine reconciles fuel
@@ -80,12 +80,12 @@ fn watchdog_fuel_fires_at_identical_op_counts() {
 
     let runs = tier_axes();
     for fuel in [1u64, 2, 3, 17, 100] {
-        let spun = assert_alike(&format!("watchdog {fuel}"), &runs, |run| {
-            let mut dev = Device::load_with(m.clone(), DeviceConfig::default(), run);
-            dev.set_watchdog_fuel(Some(fuel));
+        let spun = assert_alike(&format!("step budget {fuel}"), &runs, |run| {
+            let cfg = DeviceConfig { max_steps: fuel, ..DeviceConfig::default() };
+            let mut dev = Device::load_with(m.clone(), cfg, run);
             observe_launch(&mut dev, "spin", Launch::new(1, 1), &[], (DevPtr::NULL, 0))
         });
-        assert_eq!(spun.result.unwrap_err().kind, TrapKind::FuelExhausted, "watchdog {fuel}");
+        assert_eq!(spun.result.unwrap_err().kind, TrapKind::FuelExhausted, "step budget {fuel}");
     }
 
     // Clean termination consumes the identical fuel: dispatch counts (one
@@ -269,10 +269,10 @@ fn verifier_rejected_mutants_behave_identically_across_tiers() {
             }
             rejected += 1;
             let on = |run| {
-                let mut dev = Device::load_with(m.clone(), DeviceConfig::default(), run);
                 // A mutant may loop forever; both tiers charge one fuel
-                // unit per op, so the cap cuts them at the same op.
-                dev.set_watchdog_fuel(Some(1 << 22));
+                // unit per op, so the step budget cuts them at the same op.
+                let cfg = DeviceConfig { max_steps: 1 << 22, ..DeviceConfig::default() };
+                let dev = Device::load_with(m.clone(), cfg, run);
                 match (meta, proxy) {
                     (Some(g), _) => observe_generated(dev, g),
                     (None, Some(p)) => observe_proxy(p.as_ref(), dev, None),

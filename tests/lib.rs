@@ -182,7 +182,10 @@ pub fn run_proxy_host_outcome(
     let img = host.load_image(build_for_config(p, cfg), cfg).unwrap();
     let hp = p.host_prepare();
     if let Some(seed) = fault_seed {
-        host.set_fault_plan(FaultPlan::from_seed(seed, hp.launch.teams, hp.launch.threads_per_team));
+        let plan = FaultPlan::from_seed(seed, hp.launch.teams, hp.launch.threads_per_team);
+        for dev in 0..shape.devices.max(1) {
+            host.set_device_faults(dev, plan.clone()).unwrap();
+        }
     }
     let streams: Vec<StreamId> = (0..shape.streams.max(1)).map(|_| host.stream()).collect();
     let region = host

@@ -9,16 +9,18 @@
 //! process abort, so hosts (and the differential harness) can treat a bad
 //! module the same way they treat a device trap: inspect, log, continue.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::{Rc, Weak};
+use std::sync::Arc;
 
 use nzomp_ir::link::LinkError;
 use nzomp_ir::verify::VerifyError;
 use nzomp_ir::Module;
 use nzomp_opt::{optimize_module_timed, PassOptions, PassTimings, Remarks};
 use nzomp_rt::{runtime_library, RtConfig};
+use nzomp_vgpu::Image;
 
 use crate::config::BuildConfig;
 
@@ -154,14 +156,24 @@ pub fn module_fingerprint(m: &Module) -> u64 {
 ///
 /// "The same module" is the IR's structural `==` (bit-exact floats): the
 /// map is keyed on `(Module, BuildConfig)`, so a hit is reachable only
-/// through `Module == Module`, and is never iterated, so its hasher seed
-/// reaches no observable value. The slot index of an output is the
-/// image's identity — the host's `ImageId` (DESIGN.md §4d).
+/// through `Module == Module`, and is never iterated in an order anything
+/// observes, so its hasher seed reaches no observable value. The slot of
+/// an entry is the image's identity — the host's `ImageId` (DESIGN.md
+/// §4d): numbered from 0 in miss order and never reused.
 ///
 /// This is the host runtime's recompile eliminator: every launch of an
 /// already-registered kernel image must cost a table lookup, not an
 /// optimizer run (`compile_cache_eliminates_recompiles` in
 /// `crates/host/tests/scheduler.rs` asserts the hit counter).
+///
+/// It is also the one store of loaded images, and it is bounded: an entry
+/// owns its output and, from the first [`CompileCache::loaded`] on, the
+/// [`Image`] every device running it shares. At most [`CACHE_ENTRIES`]
+/// entries are held; a miss past that evicts the least recently used one
+/// (recency is a counter that every hit, miss and load advances, so
+/// eviction is deterministic). An entry whose image is shared — a device
+/// runs it — is never evicted. An evicted slot names nothing from then on,
+/// and the module, submitted again, is a miss that compiles anew.
 ///
 /// A caller that holds its module in an `Rc` and submits it again and
 /// again ([`CompileCache::compile_slot_rc`]) pays for `==` once per `Rc`:
@@ -170,17 +182,45 @@ pub fn module_fingerprint(m: &Module) -> u64 {
 /// of the entry pins it: the allocation cannot be freed and handed to
 /// another module, and its content cannot change in place (`Rc::get_mut`
 /// refuses while a `Weak` exists, `Rc::make_mut` moves to a new address).
-/// A `Weak` does not keep the module alive.
+/// A `Weak` does not keep the module alive, and a remembered slot is
+/// answered only while its entry is still held.
 #[derive(Default)]
 pub struct CompileCache {
     slots: HashMap<(Module, BuildConfig), usize>,
-    outputs: Vec<Rc<CompileOutput>>,
+    entries: BTreeMap<usize, Entry>,
     seen: HashMap<(*const Module, BuildConfig), (Weak<Module>, usize)>,
+    /// The slot the next miss gets.
+    next_slot: usize,
+    /// The recency clock: one tick per hit, miss and load.
+    clock: u64,
     /// Compilations served from the cache.
     pub hits: u64,
     /// Compilations that ran the real pipeline.
     pub misses: u64,
 }
+
+/// One compiled module: its output, its loaded form once a device asked
+/// for it, and when it was last used.
+struct Entry {
+    output: Rc<CompileOutput>,
+    image: Option<Arc<Image>>,
+    last_used: u64,
+}
+
+impl Entry {
+    /// Whether anything beyond the cache holds the loaded image: a device
+    /// runs it, or a host slot keeps it for one.
+    fn in_use(&self) -> bool {
+        self.image.as_ref().is_some_and(|i| Arc::strong_count(i) > 1)
+    }
+}
+
+/// Most entries a [`CompileCache`] holds: the retention bound of a
+/// long-lived service. A module is reused only if it comes back within
+/// this many other modules (`serve_cold` reuses each after 100). A cache
+/// whose every entry is in use grows past it rather than refuse a
+/// compile, which takes more devices than this.
+pub const CACHE_ENTRIES: usize = 256;
 
 /// Most `Rc`s [`CompileCache::compile_slot_rc`] remembers at once.
 const SEEN_MAX: usize = 1024;
@@ -191,19 +231,20 @@ impl CompileCache {
     }
 
     /// Compile `app` under `config`, reusing a previous output when an
-    /// equal `(module, config)` pair was seen before.
+    /// equal `(module, config)` pair is still held.
     pub fn compile(
         &mut self,
         app: Module,
         config: BuildConfig,
     ) -> Result<Rc<CompileOutput>, CompileError> {
         let slot = self.compile_slot(app, config)?;
-        Ok(Rc::clone(&self.outputs[slot]))
+        // The entry was just hit or inserted.
+        Ok(Rc::clone(&self.entries[&slot].output))
     }
 
-    /// [`CompileCache::compile`], answering with the output's slot: dense
-    /// from 0 in first-compiled order, stable, and never assigned to a
-    /// module that failed to compile.
+    /// [`CompileCache::compile`], answering with the entry's slot:
+    /// numbered from 0 in miss order, never reused, and never assigned to
+    /// a module that failed to compile.
     pub fn compile_slot(&mut self, app: Module, config: BuildConfig) -> Result<usize, CompileError> {
         // Tenant input: names the text format cannot carry are refused.
         nzomp_ir::verify::verify_names(&app)
@@ -211,11 +252,18 @@ impl CompileCache {
         let key = (app, config);
         if let Some(&slot) = self.slots.get(&key) {
             self.hits += 1;
+            self.touch(slot);
             return Ok(slot);
         }
         self.misses += 1;
-        let slot = self.outputs.len();
-        self.outputs.push(Rc::new(compile(key.0.clone(), config)?));
+        let output = Rc::new(compile(key.0.clone(), config)?);
+        if self.entries.len() >= CACHE_ENTRIES {
+            self.evict_one();
+        }
+        let slot = self.next_slot;
+        self.next_slot += 1;
+        self.clock += 1;
+        self.entries.insert(slot, Entry { output, image: None, last_used: self.clock });
         self.slots.insert(key, slot);
         Ok(slot)
     }
@@ -223,20 +271,24 @@ impl CompileCache {
     /// [`CompileCache::compile_slot`] of a shared module: the same slot,
     /// the same counters (a repeated `Rc` is a hit), without cloning,
     /// re-verifying, hashing and comparing a module this cache resolved
-    /// before through the very same `Rc`. First sight of an `Rc` is
-    /// `compile_slot` of a clone; a module that fails to compile is never
-    /// remembered.
+    /// before through the very same `Rc` into an entry it still holds.
+    /// Anything else is `compile_slot` of a clone; a module that fails to
+    /// compile is never remembered.
     pub fn compile_slot_rc(&mut self, app: &Rc<Module>, config: BuildConfig) -> Result<usize, CompileError> {
         let key = (Rc::as_ptr(app), config);
         if let Some(&(_, slot)) = self.seen.get(&key) {
-            self.hits += 1;
-            return Ok(slot);
+            if self.touch(slot).is_some() {
+                self.hits += 1;
+                return Ok(slot);
+            }
         }
         let slot = self.compile_slot(Module::clone(app), config)?;
         if self.seen.len() >= SEEN_MAX {
-            // Forget the modules that are gone; if every one is still
-            // alive, forget them all — `seen` only saves time.
-            self.seen.retain(|_, (pin, _)| pin.strong_count() > 0);
+            // Forget the modules that are gone and the entries evicted; if
+            // nothing is, forget them all — `seen` only saves time.
+            let entries = &self.entries;
+            self.seen
+                .retain(|_, (pin, slot)| pin.strong_count() > 0 && entries.contains_key(slot));
             if self.seen.len() >= SEEN_MAX {
                 self.seen.clear();
             }
@@ -245,18 +297,51 @@ impl CompileCache {
         Ok(slot)
     }
 
-    /// The compiled image in `slot`.
+    /// The compiled image in `slot`; `None` once it was evicted.
     pub fn output(&self, slot: usize) -> Option<&CompileOutput> {
-        self.outputs.get(slot).map(|o| o.as_ref())
+        self.entries.get(&slot).map(|e| e.output.as_ref())
     }
 
-    /// Number of distinct compiled images held.
+    /// The loaded form of the image in `slot`, shared by every device that
+    /// runs it: loaded at the first call, kept as long as the entry. Counts
+    /// as a use of the entry. `None` once it was evicted.
+    pub fn loaded(&mut self, slot: usize) -> Option<Arc<Image>> {
+        let e = self.touch(slot)?;
+        let image = e.image.get_or_insert_with(|| Arc::new(Image::new(e.output.module.clone())));
+        Some(Arc::clone(image))
+    }
+
+    /// Number of entries held: at most [`CACHE_ENTRIES`], unless more are
+    /// in use.
     pub fn len(&self) -> usize {
-        self.outputs.len()
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
+        self.entries.is_empty()
+    }
+
+    /// Mark the entry in `slot` used now; `None` once it was evicted.
+    fn touch(&mut self, slot: usize) -> Option<&mut Entry> {
+        let e = self.entries.get_mut(&slot)?;
+        self.clock += 1;
+        e.last_used = self.clock;
+        Some(e)
+    }
+
+    /// Drop the least recently used entry that is not in use, if any. Its
+    /// slot then answers nothing: it is never handed out again.
+    fn evict_one(&mut self) {
+        let victim = self
+            .entries
+            .iter()
+            .filter(|(_, e)| !e.in_use())
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(&slot, _)| slot);
+        if let Some(victim) = victim {
+            self.entries.remove(&victim);
+            self.slots.retain(|_, slot| *slot != victim);
+        }
     }
 }
 
@@ -367,6 +452,38 @@ mod tests {
         assert!(c.output(2).is_none());
     }
 
+    /// Two more distinct modules than the bound: the cache never holds
+    /// more than `CACHE_ENTRIES`, the least recently used entry goes first
+    /// unless its loaded image is in use, an evicted slot answers nothing
+    /// and is never handed out again, and the evicted module compiles anew
+    /// to an output equal to the first.
+    #[test]
+    fn the_cache_is_bounded_and_evicts_the_least_recently_used() {
+        let mut c = CompileCache::new();
+        let evicted = c.compile(app(0.0), CFG).unwrap();
+        assert_eq!(c.compile_slot(app(1.0), CFG).unwrap(), 1);
+        let in_use = c.loaded(1).unwrap();
+        for k in 2..CACHE_ENTRIES + 2 {
+            assert_eq!(c.compile_slot(app(k as f64), CFG).unwrap(), k);
+            assert!(c.len() <= CACHE_ENTRIES);
+        }
+        assert_eq!(c.len(), CACHE_ENTRIES);
+        // Slot 1 is the oldest, but a device would be running it.
+        assert!(c.output(0).is_none() && c.loaded(0).is_none());
+        assert!(c.output(1).is_some() && c.output(2).is_none() && c.output(3).is_some());
+
+        let again = c.compile_slot(app(0.0), CFG).unwrap();
+        assert_eq!(again, CACHE_ENTRIES + 2, "an evicted slot is never handed out again");
+        assert_eq!(c.output(again).unwrap().module, evicted.module);
+        assert!(c.output(3).is_none(), "the next least recently used went");
+        assert_eq!((c.hits, c.misses, c.len()), (0, CACHE_ENTRIES as u64 + 3, CACHE_ENTRIES));
+
+        // Out of use, the oldest entry is the next to go.
+        drop(in_use);
+        c.compile_slot(app(-1.0), CFG).unwrap();
+        assert!(c.output(1).is_none() && c.output(4).is_some());
+    }
+
     /// SplitMix64: the seeded choices of the memo tests.
     struct Mix(u64);
     impl Mix {
@@ -379,25 +496,59 @@ mod tests {
         }
     }
 
-    /// `compile_slot_rc` can only repeat a decision `==` made: over a
-    /// stream of `Rc`s that are resubmitted, dropped and re-created (with
-    /// equal and with unequal content, so the allocator hands old
-    /// addresses to new modules), shared, and changed through
-    /// `Rc::make_mut` between submissions, under three configurations, it
-    /// answers and counts exactly as `compile_slot` of a clone does on a
-    /// cache of its own.
+    /// The reference a cache must agree with: the keys it holds, least
+    /// recently used first, each with its slot, never more than
+    /// `CACHE_ENTRIES` of them.
+    #[derive(Default)]
+    struct Lru {
+        keys: Vec<((Module, BuildConfig), usize)>,
+        next: usize,
+    }
+
+    impl Lru {
+        /// The slot a lookup of `key` answers, and whether it is a hit.
+        fn lookup(&mut self, key: (Module, BuildConfig)) -> (usize, bool) {
+            if let Some(at) = self.keys.iter().position(|(k, _)| *k == key) {
+                let held = self.keys.remove(at);
+                let slot = held.1;
+                self.keys.push(held);
+                return (slot, true);
+            }
+            if self.keys.len() == CACHE_ENTRIES {
+                self.keys.remove(0);
+            }
+            self.keys.push((key, self.next));
+            self.next += 1;
+            (self.next - 1, false)
+        }
+    }
+
+    /// `compile_slot_rc` can only repeat a decision `==` made, and only
+    /// while the entry it made it for is held: over a stream of `Rc`s that
+    /// are resubmitted, dropped and re-created (with equal and with
+    /// unequal content, so the allocator hands old addresses to new
+    /// modules), shared, and changed through `Rc::make_mut` between
+    /// submissions, it answers and counts exactly as `compile_slot` of a
+    /// clone does on a cache of its own, and both answer as the reference
+    /// LRU does. Two kinds of stream: six contents under three
+    /// configurations, which always fit, and 300 `Rc`s drawn from 1 000
+    /// contents, which do not, so `seen` keeps remembering `Rc`s whose
+    /// entries were evicted.
     #[test]
     fn remembered_rcs_agree_with_structural_lookup() {
         const CONFIGS: [BuildConfig; 3] =
             [CFG, BuildConfig::NewRtNightly, BuildConfig::NewRt];
-        for seed in [1, 2, 7] {
+        // (seed, `Rc`s, contents, configurations, steps)
+        let streams = [(1, 8, 3, 3, 3_000), (2, 8, 3, 3, 3_000), (7, 8, 3, 3, 3_000), (3, 300, 1_000, 1, 1_200)];
+        for (seed, n_rcs, contents, configs, steps) in streams {
             let mut rng = Mix(seed);
-            // Six distinct contents: a miss costs a real compile.
-            let content = |rng: &mut Mix| app([2.0, 3.0, 4.0][rng.below(3)]);
-            let mut rcs: Vec<Rc<Module>> = (0..8).map(|_| Rc::new(content(&mut rng))).collect();
+            // A miss costs a real compile.
+            let content = |rng: &mut Mix| app(2.0 + rng.below(contents) as f64);
+            let mut rcs: Vec<Rc<Module>> = (0..n_rcs).map(|_| Rc::new(content(&mut rng))).collect();
             let mut sharers: Vec<Rc<Module>> = Vec::new();
             let (mut by_rc, mut by_value) = (CompileCache::new(), CompileCache::new());
-            for step in 0..3_000 {
+            let mut model = Lru::default();
+            for step in 0..steps {
                 let i = rng.below(rcs.len());
                 match rng.below(10) {
                     // Dropped and re-created: its address is free again.
@@ -414,8 +565,11 @@ mod tests {
                     }
                     _ => {}
                 }
-                let config = CONFIGS[rng.below(3)];
+                let config = CONFIGS[rng.below(configs)];
+                let hits = by_rc.hits;
                 let slot = by_rc.compile_slot_rc(&rcs[i], config).unwrap();
+                let want = model.lookup((Module::clone(&rcs[i]), config));
+                assert_eq!((slot, by_rc.hits > hits), want, "seed {seed} step {step}");
                 assert_eq!(
                     slot,
                     by_value.compile_slot(Module::clone(&rcs[i]), config).unwrap(),
@@ -428,7 +582,12 @@ mod tests {
                     "seed {seed} step {step}"
                 );
             }
-            assert!(by_rc.len() <= 6 * 3 && by_rc.hits > 2_900);
+            if contents == 3 {
+                assert!(by_rc.len() <= 6 * 3 && by_rc.hits > 2_900);
+            } else {
+                assert_eq!(by_rc.len(), CACHE_ENTRIES);
+                assert!(by_rc.misses > CACHE_ENTRIES as u64 + 100 && by_rc.hits > 500, "{} hits", by_rc.hits);
+            }
         }
     }
 

@@ -104,8 +104,9 @@ pub enum HostError {
     Stream(StreamError),
     /// A device index outside the registered fleet.
     NoDevice { device: usize, devices: usize },
-    /// An image id that was never produced by `load_image`.
-    UnknownImage(u32),
+    /// An image id that was never produced by `load_image`, or whose
+    /// entry the compile cache has since evicted.
+    UnknownImage(u64),
     /// A launch argument named a host buffer id that was never registered.
     UnknownBuffer(u32),
     /// Every device in the fleet has been lost and quarantined; there is

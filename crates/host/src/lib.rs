@@ -152,7 +152,8 @@ pub struct HostStats {
     pub compile_hits: u64,
     /// Compilations that ran the real pipeline.
     pub compile_misses: u64,
-    /// Distinct compiled images held by the cache.
+    /// Distinct compiled images held by the cache: at most
+    /// [`nzomp::pipeline::CACHE_ENTRIES`], unless the devices run more.
     pub images: usize,
     /// Everything the recovery layer did so far.
     pub recovery: RecoveryMetrics,
@@ -170,12 +171,9 @@ pub struct Host {
     slots: Vec<DeviceSlot>,
     rr_next: usize,
 
-    /// The image registry: an [`ImageId`] is a slot of this cache.
+    /// The image registry and the one store of loaded images, bounded: an
+    /// [`ImageId`] is a slot of this cache.
     cache: CompileCache,
-    /// The loaded form of the [`RECENT_IMAGES`] images loaded last, oldest
-    /// first. With the slots, which keep what their devices run, this is
-    /// every loaded image the host owns ([`Host::loaded_image`]).
-    recent: VecDeque<(ImageId, Arc<Image>)>,
 
     bufs: Vec<Vec<u8>>,
     /// Deferred operations, in the order they were enqueued.
@@ -214,7 +212,6 @@ impl Host {
             slots: (0..n_devices.max(1)).map(|_| DeviceSlot::new()).collect(),
             rr_next: 0,
             cache: CompileCache::new(),
-            recent: VecDeque::new(),
             bufs: Vec::new(),
             queue: VecDeque::new(),
             streams: 0,
@@ -243,7 +240,7 @@ impl Host {
     /// Compile `app` under `config` (or reuse the cached image when this
     /// module/config pair was compiled before) and register it.
     pub fn load_image(&mut self, app: Module, config: BuildConfig) -> Result<ImageId, HostError> {
-        Ok(ImageId(self.cache.compile_slot(app, config)? as u32))
+        Ok(ImageId(self.cache.compile_slot(app, config)? as u64))
     }
 
     /// [`Host::load_image`] of a module the caller keeps in an `Rc`: the
@@ -251,10 +248,11 @@ impl Host {
     /// again skips the clone, the name check and the structural compare
     /// ([`CompileCache::compile_slot_rc`]).
     pub fn load_image_rc(&mut self, app: &Rc<Module>, config: BuildConfig) -> Result<ImageId, HostError> {
-        Ok(ImageId(self.cache.compile_slot_rc(app, config)? as u32))
+        Ok(ImageId(self.cache.compile_slot_rc(app, config)? as u64))
     }
 
-    /// The compiled image (module + remarks + pass timings) behind an id.
+    /// The compiled image (module + remarks + pass timings) behind an id;
+    /// `None` once the cache evicted it.
     pub fn image(&self, img: ImageId) -> Option<&CompileOutput> {
         self.cache.output(img.0 as usize)
     }
@@ -303,23 +301,13 @@ impl Host {
         Ok(())
     }
 
-    /// The loaded form of image `img`: the one a slot's device runs or
-    /// one of the last [`RECENT_IMAGES`] loaded, else loaded now. An
-    /// `Image` is a pure function of the compiled module, so which of
-    /// these answers changes how long a bind takes and nothing else.
+    /// The loaded form of image `img`, which the cache keeps with the
+    /// entry (loading it at the first bind). An `Image` is a pure function
+    /// of the compiled module, so whether it was kept changes how long a
+    /// bind takes and nothing else. An evicted id is
+    /// [`HostError::UnknownImage`].
     fn loaded_image(&mut self, img: ImageId) -> Result<Arc<Image>, HostError> {
-        let bound = self.slots.iter().filter_map(|s| s.image.as_ref());
-        let kept = bound.chain(self.recent.iter()).find(|(id, _)| *id == img);
-        if let Some((_, image)) = kept {
-            return Ok(Arc::clone(image));
-        }
-        let out = self.image(img).ok_or(HostError::UnknownImage(img.0))?;
-        let image = Arc::new(Image::new(out.module.clone()));
-        if self.recent.len() == RECENT_IMAGES {
-            self.recent.pop_front();
-        }
-        self.recent.push_back((img, Arc::clone(&image)));
-        Ok(image)
+        self.cache.loaded(img.0 as usize).ok_or(HostError::UnknownImage(img.0))
     }
 
     // ---- host buffers ---------------------------------------------------
@@ -972,9 +960,6 @@ impl Host {
             .ok_or(HostError::NoDevice { device: dev, devices })
     }
 }
-
-/// Loaded images the host keeps beyond those its devices run.
-const RECENT_IMAGES: usize = 16;
 
 /// A device operation named a slot no image was bound to.
 const NO_IMAGE: HostError = HostError::Map(ME::Misuse("no image bound to device (bind_image first)"));

@@ -9,9 +9,10 @@ use crate::map::PresentTable;
 use crate::pool::DevicePool;
 use crate::stream::DevOp;
 
-/// Handle of a compiled kernel image in the host's registry.
+/// Handle of a compiled kernel image in the host's registry: a compile
+/// cache slot, never reused, so an evicted id names no image at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ImageId(pub u32);
+pub struct ImageId(pub u64);
 
 /// How [`crate::Host::enqueue_region`] places launches across devices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]

@@ -8,6 +8,7 @@
 mod common;
 
 use common::{input, quick, scale_add_app, scale_add_expected};
+use nzomp::pipeline::CACHE_ENTRIES;
 use nzomp::BuildConfig;
 use nzomp_front::{spmd_kernel_for, RuntimeFlavor};
 use nzomp_host::{Host, HostError, RecoveryPolicy, RegionArg, SchedPolicy};
@@ -324,6 +325,35 @@ fn least_loaded_sees_queued_transfer_backlog() {
     assert_eq!(host.stats().devices[1].queued_ops, 0);
 }
 
+/// `out[i] = a[i] * factor`, kernel `k`: one image per factor.
+fn scale(factor: f64) -> Module {
+    let mut m = Module::new("scale");
+    spmd_kernel_for(
+        &mut m,
+        RuntimeFlavor::Modern,
+        "k",
+        &[Ty::Ptr, Ty::Ptr, Ty::I64],
+        |_b, p| p[2],
+        move |_m, b, iv, p| {
+            let pa = b.gep(p[0], iv, 8);
+            let x = b.load(Ty::F64, pa);
+            let v = b.fmul(x, Operand::f64(factor));
+            let po = b.gep(p[1], iv, 8);
+            b.store(Ty::F64, po, v);
+        },
+    );
+    m
+}
+
+/// `scale`'s region over `[1, 2, 3, 4]`.
+fn scale_args() -> Vec<RegionArg> {
+    vec![
+        RegionArg::To(nzomp_host::f64_bytes(&[1.0, 2.0, 3.0, 4.0])),
+        RegionArg::From(32),
+        RegionArg::Scalar(RtVal::I(4)),
+    ]
+}
+
 /// A bind that would reload a device is refused while work is still
 /// queued for the device it would replace — typed, with nothing changed,
 /// and the same bind succeeds after a `sync`. It used to go through: the
@@ -332,32 +362,7 @@ fn least_loaded_sees_queued_transfer_backlog() {
 /// read back the second image's results.
 #[test]
 fn rebind_under_queued_work_is_refused_not_miscomputed() {
-    // `out[i] = a[i] * factor`, kernel `k` in both images.
-    let scale = |factor: f64| -> Module {
-        let mut m = Module::new("scale");
-        spmd_kernel_for(
-            &mut m,
-            RuntimeFlavor::Modern,
-            "k",
-            &[Ty::Ptr, Ty::Ptr, Ty::I64],
-            |_b, p| p[2],
-            move |_m, b, iv, p| {
-                let pa = b.gep(p[0], iv, 8);
-                let x = b.load(Ty::F64, pa);
-                let v = b.fmul(x, Operand::f64(factor));
-                let po = b.gep(p[1], iv, 8);
-                b.store(Ty::F64, po, v);
-            },
-        );
-        m
-    };
-    let args = || {
-        vec![
-            RegionArg::To(nzomp_host::f64_bytes(&[1.0, 2.0, 3.0, 4.0])),
-            RegionArg::From(32),
-            RegionArg::Scalar(RtVal::I(4)),
-        ]
-    };
+    let args = scale_args;
     let mut host = Host::new(quick(), 1);
     host.set_worker_threads(1);
     let a = host.load_image(scale(2.0), BuildConfig::NewRtNoAssumptions).unwrap();
@@ -417,4 +422,47 @@ fn rebinding_an_image_starts_from_its_first_bind() {
     let again = run(&mut host, a);
     assert_eq!(again, first, "the second bind of A is not the first");
     assert_eq!(run(&mut host, b), other);
+}
+
+/// A long-lived host holds a bounded set of images: three times
+/// `CACHE_ENTRIES` distinct modules, each bound and run on device 1 while
+/// device 0 keeps running the first. The cache never holds more than the
+/// bound and never evicts the image device 0 runs; an evicted id is
+/// `UnknownImage` and never names another image; its module, loaded again,
+/// is a miss under a new id and runs to the same result.
+#[test]
+fn a_long_lived_host_holds_a_bounded_set_of_images() {
+    const CFG: BuildConfig = BuildConfig::NewRtNoAssumptions;
+    let mut host = Host::new(quick(), 2);
+    host.set_worker_threads(1);
+    let s = host.stream();
+    let run = |host: &mut Host, dev: usize, img| -> Result<Vec<f64>, HostError> {
+        host.bind_image(dev, img)?;
+        let r = host.enqueue_region_on(s, dev, "k", launch(), scale_args())?;
+        host.sync()?;
+        host.buf_f64(r.bufs[1].unwrap())
+    };
+    let times = |factor: f64| [1.0, 2.0, 3.0, 4.0].map(|x| x * factor);
+    let kept = host.load_image(scale(-1.0), CFG).unwrap();
+    assert_eq!(run(&mut host, 0, kept).unwrap(), times(-1.0));
+    let mut ids = Vec::new();
+    for k in 0..3 * CACHE_ENTRIES {
+        let img = host.load_image(scale(k as f64), CFG).unwrap();
+        assert_eq!(run(&mut host, 1, img).unwrap(), times(k as f64), "module {k}");
+        assert!(host.stats().images <= CACHE_ENTRIES);
+        assert_eq!(host.bound_image(0), Some(kept));
+        ids.push(img);
+    }
+    assert!(host.image(kept).is_some(), "the image device 0 runs was evicted");
+    assert_eq!(run(&mut host, 0, kept).unwrap(), times(-1.0));
+
+    let stale = ids[0];
+    assert!(host.image(stale).is_none());
+    assert!(matches!(host.bind_image(1, stale), Err(HostError::UnknownImage(id)) if id == stale.0));
+    let again = host.load_image(scale(0.0), CFG).unwrap();
+    assert!(again != kept && !ids.contains(&again), "an evicted id is never handed out again");
+    assert_eq!(run(&mut host, 1, again).unwrap(), times(0.0));
+    let stats = host.stats();
+    assert_eq!((stats.compile_hits, stats.compile_misses), (0, 3 * CACHE_ENTRIES as u64 + 2));
+    assert_eq!(stats.images, CACHE_ENTRIES);
 }

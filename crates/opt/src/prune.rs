@@ -13,7 +13,8 @@ use crate::analyses::Analyses;
 use crate::remarks::Remarks;
 
 /// Strip bodies of functions unreachable from any kernel (indices stay
-/// stable; the husks become declarations and cost nothing).
+/// stable; the husks become declarations and cost nothing — their storage
+/// is released, not kept for a body that never comes back).
 pub fn global_dce(module: &mut Module, analyses: &mut Analyses) -> bool {
     let roots: Vec<FuncRef> = module.kernels.iter().map(|k| k.func).collect();
     if roots.is_empty() {
@@ -23,8 +24,8 @@ pub fn global_dce(module: &mut Module, analyses: &mut Analyses) -> bool {
     let mut changed = false;
     for (f, live) in module.funcs.iter_mut().zip(live) {
         if !live && !f.is_declaration() {
-            f.blocks.clear();
-            f.insts.clear();
+            f.blocks = Vec::new();
+            f.insts = Vec::new();
             changed = true;
         }
     }
@@ -37,28 +38,19 @@ pub fn global_dce(module: &mut Module, analyses: &mut Analyses) -> bool {
 pub fn drop_assumes(module: &mut Module) -> bool {
     let mut changed = false;
     for f in module.funcs.iter_mut() {
-        if f.is_declaration() {
-            continue;
-        }
-        for bi in 0..f.blocks.len() {
-            let before = f.blocks[bi].insts.len();
-            let ids: Vec<_> = f.blocks[bi].insts.clone();
-            let keep: Vec<_> = ids
-                .into_iter()
-                .filter(|&iid| {
-                    !matches!(
-                        f.insts[iid.index()],
-                        Inst::Intr {
-                            intr: Intrinsic::Assume(()),
-                            ..
-                        }
-                    )
-                })
-                .collect();
-            if keep.len() != before {
-                f.blocks[bi].insts = keep;
-                changed = true;
-            }
+        let insts = &f.insts;
+        for block in &mut f.blocks {
+            let before = block.insts.len();
+            block.insts.retain(|&iid| {
+                !matches!(
+                    insts[iid.index()],
+                    Inst::Intr {
+                        intr: Intrinsic::Assume(()),
+                        ..
+                    }
+                )
+            });
+            changed |= block.insts.len() != before;
         }
     }
     changed

@@ -529,6 +529,31 @@ fn global_dce_strips_unreachable_functions() {
     assert!(!m.funcs[k.index()].is_declaration());
 }
 
+/// A husk keeps no storage: a compiled image is retained by a long-lived
+/// service, and each of its stripped runtime functions would otherwise
+/// keep its whole block and instruction arenas.
+#[test]
+fn global_dce_releases_a_husks_storage() {
+    let mut m = Module::new("t");
+    let mut b = FuncBuilder::new("dead", vec![Ty::I64], None);
+    let x = b.add(b.param(0), Operand::i64(1));
+    let y = b.mul(x, x);
+    let next = b.new_block();
+    b.br(next);
+    b.switch_to(next);
+    b.store(Ty::I64, Operand::NULL, y);
+    b.ret(None);
+    let dead = m.add_function(b.finish());
+    let mut b = FuncBuilder::new("k", vec![], None);
+    b.ret(None);
+    let k = m.add_function(b.finish());
+    m.add_kernel(k, ExecMode::Spmd);
+    assert!(m.funcs[dead.index()].insts.capacity() > 0);
+    assert!(prune::global_dce(&mut m, &mut Analyses::new()));
+    let husk = &m.funcs[dead.index()];
+    assert_eq!((husk.blocks.capacity(), husk.insts.capacity()), (0, 0));
+}
+
 #[test]
 fn prune_remaps_surviving_global_indices() {
     let mut m = Module::new("t");

@@ -105,6 +105,10 @@ pub struct Image {
     /// Per function index, what launching it as a kernel needs, worked
     /// out at its first launch.
     kernels: Vec<OnceLock<Kernel>>,
+    /// Every function index ordered by name (ties by index), sorted at the
+    /// first lookup: a launch finds its kernel by binary search, not by a
+    /// scan of the module.
+    by_name: OnceLock<Box<[u32]>>,
 }
 
 /// A function as a kernel: its name, shared by every launch's
@@ -163,6 +167,7 @@ impl Image {
             constant,
             san: OnceLock::new(),
             bc: OnceLock::new(),
+            by_name: OnceLock::new(),
         }
     }
 
@@ -195,11 +200,26 @@ impl Image {
         })
     }
 
+    /// The function named `name` — the first, as `Module::find_func`
+    /// answers — resolved through the image's name index.
+    fn resolve(&self, name: &str) -> Option<FuncRef> {
+        let funcs = &self.module.funcs;
+        let name_of = |i: u32| funcs[i as usize].name.as_str();
+        let order = self.by_name.get_or_init(|| {
+            let mut order: Vec<u32> = (0..funcs.len() as u32).collect();
+            // Stable: equal names stay in index order.
+            order.sort_by(|&a, &b| name_of(a).cmp(name_of(b)));
+            order.into_boxed_slice()
+        });
+        let at = order.partition_point(|&i| name_of(i) < name);
+        order.get(at).filter(|&&i| name_of(i) == name).map(|&i| FuncRef(i))
+    }
+
     /// The shared name of kernel `name` — what [`KernelMetrics::kernel_name`]
     /// of its launches will hold — or `None` if the module has no such
     /// function.
     pub fn kernel_name(&self, name: &str) -> Option<Arc<str>> {
-        let f = self.module.find_func(name)?;
+        let f = self.resolve(name)?;
         Some(Arc::clone(&self.kernel(f).name))
     }
 }
@@ -565,8 +585,7 @@ impl Device {
         }
         let func_ref = self
             .image
-            .module
-            .find_func(kernel)
+            .resolve(kernel)
             .ok_or_else(|| refuse(TrapKind::BadLaunch(format!("no kernel @{kernel}"))))?;
         let func = self.image.module.func(func_ref);
         if func.params.len() != args.len() {
@@ -860,3 +879,24 @@ fn run_teams_parallel(
 /// The summed counters on success (every team retired into the launch's
 /// [`Waves`]); `(trap, team, thread)` on the first (lowest-team-index) trap.
 type TeamsOutcome = Result<Counters, (TrapKind, u32, u32)>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nzomp_ir::Function;
+
+    /// The name index answers as the scan it replaced: the first function
+    /// of a name (names may repeat), and nothing for a name the module
+    /// lacks, whether it sorts before, between or after the others.
+    #[test]
+    fn the_name_index_answers_as_find_func() {
+        let mut m = Module::new("names");
+        for name in ["m", "b", "k", "a", "b", "zz", "__kmpc", "b"] {
+            m.add_function(Function::declaration(name, vec![], None));
+        }
+        let image = Image::new(m.clone());
+        for name in ["m", "b", "k", "a", "zz", "__kmpc", "", "0", "c", "z", "zzz", "B"] {
+            assert_eq!(image.resolve(name), m.find_func(name), "{name:?}");
+        }
+    }
+}

@@ -52,10 +52,9 @@ pub use sched::{ImageId, SchedPolicy};
 pub use stream::{KArg, StreamId, Ticket};
 
 use error::{MapError as ME, StreamError as SE};
-use map::MapStepError;
 use nzomp_vgpu::TrapKind;
 use sched::{pick_device, DeviceSlot};
-use stream::{DevOp, Op, Payload};
+use stream::{backlog, DevOp, Op, Payload};
 
 /// Encode `f64` values as the device byte image `Device::write_f64`
 /// produces (IEEE bits, little-endian).
@@ -281,12 +280,9 @@ impl Host {
         if self.bound_image(dev) == Some(img) {
             return Ok(());
         }
-        if slot.queued_ops > 0 || slot.pending > 0 {
-            return Err(HostError::DeviceBusy {
-                device: dev,
-                queued_ops: slot.queued_ops,
-                pending_launches: slot.pending,
-            });
+        let (pending_launches, queued_ops) = backlog(&self.queue, dev);
+        if queued_ops > 0 {
+            return Err(HostError::DeviceBusy { device: dev, queued_ops, pending_launches });
         }
         let plan = slot.device_plan.clone();
         let image = self.loaded_image(img)?;
@@ -376,25 +372,23 @@ impl Host {
     /// spec range.
     fn enter(&mut self, dev: usize, spec: MapSpec) -> Result<DevPtr, HostError> {
         let host_len = self.buf_bytes(spec.buf)?.len() as u64;
-        // Entering may zero-fill a reused pool block — a device write
-        // like any other, so it runs under the recovery policy too. A
-        // failed attempt leaves table and pool untouched, so the retry is
-        // exact.
-        let entered = self.recoverable(dev, |h| {
-            let slot = h.slot_mut(dev)?;
-            let d = slot.dev.as_mut().ok_or(NO_IMAGE)?;
-            slot.table
-                .enter_alloc(spec, d, &mut slot.pool, host_len)
-                .map_err(step_err)
-        })?;
-        if let Some(op) = entered.did {
-            self.keep(dev, op)?;
+        let slot = self.slot_mut(dev)?;
+        let dev_len = slot.dev.as_ref().ok_or(NO_IMAGE)?.global_bytes().len() as u64;
+        if let Some(ptr) = slot.table.enter_present(spec, host_len).map_err(HostError::Map)? {
+            return Ok(ptr);
         }
-        if entered.copy {
+        // Handing a block out — its zero-fill or its allocation — is a
+        // device op like any other. Pool and table take the block only
+        // once it landed, so a failed attempt leaves both as they were.
+        let block = slot.pool.pick(spec.len, dev_len)?;
+        self.issue(dev, block.op())?;
+        let slot = self.slot_mut(dev)?;
+        slot.pool.take(block);
+        if slot.table.insert(spec, block.ptr) {
             let bytes = Payload::Host { buf: spec.buf, off: spec.off, len: spec.len };
-            self.enqueue_op(Op::Dev { dev, op: DevOp::Write { ptr: entered.ptr, bytes } })?;
+            self.enqueue_op(Op::Dev { dev, op: DevOp::Write { ptr: block.ptr, bytes } })?;
         }
-        Ok(entered.ptr)
+        Ok(block.ptr)
     }
 
     /// Exit map clauses on device `dev`. Refcounts decide immediately (in
@@ -402,19 +396,21 @@ impl Host {
     /// are enqueued — the free behind its copy.
     pub fn data_exit(&mut self, s: StreamId, dev: usize, maps: &[MapSpec]) -> Result<(), HostError> {
         self.check_stream(s)?;
-        for spec in maps {
-            self.buf_bytes(spec.buf)?;
-            let slot = self.slot_mut(dev)?;
-            let action = slot.table.prepare_exit(*spec).map_err(HostError::Map)?;
-            if let Some((src, host_off, len)) = action.copy {
-                let op = DevOp::ReadBack { src, buf: spec.buf, off: host_off, len };
-                self.enqueue_op(Op::Dev { dev, op })?;
-            }
-            if let Some(ptr) = action.free {
-                self.enqueue_op(Op::PoolFree { dev, ptr })?;
-            }
+        maps.iter().try_for_each(|spec| self.exit(dev, *spec))
+    }
+
+    /// One [`Host::data_exit`] clause.
+    fn exit(&mut self, dev: usize, spec: MapSpec) -> Result<(), HostError> {
+        self.buf_bytes(spec.buf)?;
+        let action = self.slot_mut(dev)?.table.prepare_exit(spec).map_err(HostError::Map)?;
+        if let Some((src, host_off, len)) = action.copy {
+            let op = DevOp::ReadBack { src, buf: spec.buf, off: host_off, len };
+            self.enqueue_op(Op::Dev { dev, op })?;
         }
-        Ok(())
+        match action.free {
+            Some(ptr) => self.enqueue_op(Op::PoolFree { dev, ptr }),
+            None => Ok(()),
+        }
     }
 
     /// Bring `len` bytes of a mapped host range up to date from device
@@ -437,6 +433,12 @@ impl Host {
     /// Device address of a mapped host location (diagnostics, tests).
     pub fn dev_addr(&self, dev: usize, buf: BufId, off: u64) -> Result<DevPtr, HostError> {
         self.slot(dev)?.table.lookup(buf, off).map_err(HostError::Map)
+    }
+
+    /// The first device whose present table maps any range of `buf`: where
+    /// the buffer lives, read off the tables that decide it.
+    pub fn present_on(&self, buf: BufId) -> Option<usize> {
+        self.slots.iter().position(|s| s.table.entries().iter().any(|e| e.buf == buf))
     }
 
     // ---- launches -------------------------------------------------------
@@ -476,7 +478,6 @@ impl Host {
         let ticket = Ticket(self.tickets.len() as u32);
         self.tickets.push(None);
         let slot = self.slot_mut(dev)?;
-        slot.pending += 1;
         // The bound image's shared name, so neither the op nor the
         // metrics copy it. A name the image lacks fails at the launch,
         // like any unknown kernel.
@@ -496,7 +497,8 @@ impl Host {
     /// the host (the `nzomp-serve` admission engine) can reuse the
     /// placement policies instead of reimplementing them.
     pub fn pick_device(&mut self) -> Option<usize> {
-        pick_device(self.policy, &self.slots, &mut self.rr_next)
+        let queue = &self.queue;
+        pick_device(self.policy, &self.slots, |d| backlog(queue, d), &mut self.rr_next)
     }
 
     /// Enqueue a whole `#pragma omp target` region where the scheduler
@@ -559,7 +561,17 @@ impl Host {
             };
             let len = bytes.len() as u64;
             let b = self.register_bytes(bytes);
-            let ptr = self.enter(dev, MapSpec::whole(b, len, enter))?;
+            let ptr = match self.enter(dev, MapSpec::whole(b, len, enter)) {
+                Ok(ptr) => ptr,
+                Err(e) => {
+                    // The caller never learns these buffers: release what
+                    // the region entered so far, without copying back.
+                    for x in exits {
+                        self.exit(dev, MapSpec { kind: MapKind::Release, ..x })?;
+                    }
+                    return Err(e);
+                }
+            };
             exits.push(MapSpec::whole(b, len, exit));
             vals.push(RtVal::P(ptr));
             bufs.push(Some(b));
@@ -578,9 +590,6 @@ impl Host {
     /// behind it stay queued for the next call.
     pub fn sync(&mut self) -> Result<(), HostError> {
         while let Some(op) = self.queue.pop_front() {
-            if let Some(slot) = self.slots.get_mut(op.device()) {
-                slot.queued_ops = slot.queued_ops.saturating_sub(1);
-            }
             self.execute_op(op)?;
         }
         Ok(())
@@ -589,11 +598,6 @@ impl Host {
     fn enqueue_op(&mut self, op: Op) -> Result<(), HostError> {
         if self.eager {
             return self.execute_op(op);
-        }
-        // Count the queued device work so LeastLoaded placement sees the
-        // backlog committed to each device, not just enqueued launches.
-        if let Some(slot) = self.slots.get_mut(op.device()) {
-            slot.queued_ops += 1;
         }
         self.queue.push_back(op);
         Ok(())
@@ -606,18 +610,7 @@ impl Host {
                 self.slot_mut(dev)?.pool.free(ptr);
                 Ok(())
             }
-            Op::Dev { dev, op } => {
-                let is_launch = matches!(op, DevOp::Launch { .. });
-                let res = self.issue(dev, op);
-                // One pending decrement per enqueued launch, at resolution
-                // — success, surfaced trap, or exhausted retries alike
-                // (retries within `issue` are invisible here).
-                if is_launch {
-                    let slot = self.slot_mut(dev)?;
-                    slot.pending = slot.pending.saturating_sub(1);
-                }
-                res
-            }
+            Op::Dev { dev, op } => self.issue(dev, op),
         }
     }
 
@@ -679,7 +672,7 @@ impl Host {
     /// First execution of a [`DevOp`]: through the door under the
     /// recovery policy, then kept for replay.
     fn issue(&mut self, dev: usize, op: DevOp) -> Result<(), HostError> {
-        self.recoverable(dev, |h| h.dev_op(dev, &op))?;
+        self.recoverable(dev, &op)?;
         self.keep(dev, op)
     }
 
@@ -703,25 +696,20 @@ impl Host {
 
     // ---- recovery -------------------------------------------------------
 
-    /// Run one device-touching `step` on slot `dev` under the armed
+    /// Run `op` through the door on slot `dev` under the armed
     /// [`RecoveryPolicy`] (a single attempt when none is armed):
     /// transient errors back off (modeled cycles) and retry in place;
     /// `DeviceLost` fails over to a replacement device and replays the
-    /// journal; program errors surface unchanged. `step` must leave no
-    /// trace when it fails, so re-running it is exact.
-    fn recoverable<T>(
-        &mut self,
-        dev: usize,
-        mut step: impl FnMut(&mut Host) -> Result<T, HostError>,
-    ) -> Result<T, HostError> {
+    /// journal; program errors surface unchanged. A failed op leaves no
+    /// trace, so running it again is exact.
+    fn recoverable(&mut self, dev: usize, op: &DevOp) -> Result<(), HostError> {
         let Some(policy) = self.recovery.clone() else {
-            return step(self);
+            return self.dev_op(dev, op);
         };
         let mut transient_attempts: u32 = 0;
         loop {
-            let e = match step(self) {
-                Ok(v) => return Ok(v),
-                Err(e) => e,
+            let Err(e) = self.dev_op(dev, op) else {
+                return Ok(());
             };
             match e.class() {
                 ErrorClass::Transient if transient_attempts < policy.transient_retries => {
@@ -847,17 +835,21 @@ impl Host {
             devices: self
                 .slots
                 .iter()
-                .map(|s| DeviceStats {
-                    launches: s.launches,
-                    executed_cycles: s.executed_cycles,
-                    pending_launches: s.pending,
-                    queued_ops: s.queued_ops,
-                    quarantined: s.quarantined,
-                    pool_allocs: s.pool.device_allocs,
-                    pool_reuse_hits: s.pool.reuse_hits,
-                    pool_in_use: s.pool.in_use(),
-                    transfers_to: s.table.transfers_to,
-                    transfers_from: s.table.transfers_from,
+                .enumerate()
+                .map(|(d, s)| {
+                    let (pending_launches, queued_ops) = backlog(&self.queue, d);
+                    DeviceStats {
+                        launches: s.launches,
+                        executed_cycles: s.executed_cycles,
+                        pending_launches,
+                        queued_ops,
+                        quarantined: s.quarantined,
+                        pool_allocs: s.pool.device_allocs,
+                        pool_reuse_hits: s.pool.reuse_hits,
+                        pool_in_use: s.pool.in_use(),
+                        transfers_to: s.table.transfers_to,
+                        transfers_from: s.table.transfers_from,
+                    }
                 })
                 .collect(),
         }
@@ -963,13 +955,6 @@ impl Host {
 
 /// A device operation named a slot no image was bound to.
 const NO_IMAGE: HostError = HostError::Map(ME::Misuse("no image bound to device (bind_image first)"));
-
-fn step_err(e: MapStepError) -> HostError {
-    match e {
-        MapStepError::Map(m) => HostError::Map(m),
-        MapStepError::Exec(x) => HostError::Exec(x),
-    }
-}
 
 /// `len` bytes of host buffer `buf` at `off`.
 fn host_range(bufs: &mut [Vec<u8>], buf: BufId, off: u64, len: u64) -> Result<&mut [u8], HostError> {

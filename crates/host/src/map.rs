@@ -21,21 +21,19 @@
 //! * A range that **partially overlaps** a present entry (neither
 //!   contained nor disjoint) is a typed [`MapError::PartialOverlap`].
 //!
-//! The table operations are split in two phases so the host's op queue
-//! can defer byte movement without perturbing device memory layout:
-//! [`PresentTable::enter_alloc`] / [`PresentTable::prepare_exit`] mutate
-//! the table (refcounts, pool allocation, entry removal) synchronously —
-//! in driver program order — and merely *describe* the transfer, which
-//! [`crate::Host::sync`] performs later. The combined [`PresentTable::enter`]
-//! / [`PresentTable::exit`] perform everything immediately (the semantic
-//! reference, used by the property tests).
+//! The table only decides; [`crate::Host`] performs. An enter is
+//! [`PresentTable::enter_present`] (count a reference to a present range),
+//! else the pool's pick, its op run through the host's one door to the
+//! device, and [`PresentTable::insert`] once that op landed — a faulted op
+//! leaves the table as it was. [`PresentTable::prepare_exit`] takes its
+//! refcount decision at once and *describes* the copy-back and the free,
+//! which the host's queue performs later. Every decision is taken in
+//! driver program order, so deferring the byte movement cannot perturb
+//! device memory layout.
 
 use nzomp_vgpu::memory::DevPtr;
-use nzomp_vgpu::{Device, ExecError};
 
 use crate::error::MapError;
-use crate::pool::DevicePool;
-use crate::stream::DevOp;
 
 /// Id of a registered host buffer (see [`crate::Host::register_bytes`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -98,17 +96,6 @@ pub struct PresentTable {
     pub transfers_to: u64,
     /// Device→host transfers issued.
     pub transfers_from: u64,
-}
-
-/// What [`PresentTable::enter_alloc`] decided and did.
-pub struct EnterAction {
-    /// Device address of the spec range.
-    pub ptr: DevPtr,
-    /// A host→device copy is owed (fresh `to`/`tofrom` entry).
-    pub copy: bool,
-    /// What the step did to device memory: the fresh allocation or the
-    /// reused block's zero-fill. `None` for a pure refcount bump.
-    pub did: Option<DevOp>,
 }
 
 /// What the caller must still do after [`PresentTable::prepare_exit`]:
@@ -176,19 +163,17 @@ impl PresentTable {
         Ok(e.dev_ptr.add_bytes((off - e.off) as i64))
     }
 
-    /// Phase one of an enter: refcount or allocate, **no transfer**.
-    pub fn enter_alloc(
-        &mut self,
-        spec: MapSpec,
-        dev: &mut Device,
-        pool: &mut DevicePool,
-        host_len: u64,
-    ) -> Result<EnterAction, MapStepError> {
+    /// Phase one of an enter: check `spec` against the host buffer
+    /// (`host_len` bytes) and, when a containing entry is present, count
+    /// the reference and return the spec range's device address — no
+    /// transfer (presence wins). `Ok(None)`: the range is absent, and the
+    /// caller allocates it and [`PresentTable::insert`]s it.
+    pub fn enter_present(&mut self, spec: MapSpec, host_len: u64) -> Result<Option<DevPtr>, MapError> {
         if spec.len == 0 {
-            return Err(MapError::Misuse("zero-length map range").into());
+            return Err(MapError::Misuse("zero-length map range"));
         }
         if matches!(spec.kind, MapKind::Release | MapKind::Delete) {
-            return Err(MapError::Misuse("release/delete are exit-only map kinds").into());
+            return Err(MapError::Misuse("release/delete are exit-only map kinds"));
         }
         if spec.off.saturating_add(spec.len) > host_len {
             return Err(MapError::HostRange {
@@ -196,37 +181,33 @@ impl PresentTable {
                 off: spec.off,
                 len: spec.len,
                 buf_len: host_len,
-            }
-            .into());
+            });
         }
         match self.find(spec.buf, spec.off, spec.len) {
             Ok(i) => {
-                // Present: refcount up, no transfer (presence wins).
                 let e = &mut self.entries[i];
                 e.refs += 1;
-                Ok(EnterAction {
-                    ptr: e.dev_ptr.add_bytes((spec.off - e.off) as i64),
-                    copy: false,
-                    did: None,
-                })
+                Ok(Some(e.dev_ptr.add_bytes((spec.off - e.off) as i64)))
             }
-            Err(MapError::NotPresent { .. }) => {
-                let (dev_ptr, did) = pool.alloc(dev, spec.len).map_err(MapStepError::Exec)?;
-                self.entries.push(PresentEntry {
-                    buf: spec.buf,
-                    off: spec.off,
-                    len: spec.len,
-                    dev_ptr,
-                    refs: 1,
-                });
-                let copy = matches!(spec.kind, MapKind::To | MapKind::ToFrom);
-                if copy {
-                    self.transfers_to += 1;
-                }
-                Ok(EnterAction { ptr: dev_ptr, copy, did: Some(did) })
-            }
-            Err(e) => Err(e.into()),
+            Err(MapError::NotPresent { .. }) => Ok(None),
+            Err(e) => Err(e),
         }
+    }
+
+    /// Phase two of an enter that found `spec` absent: record it at
+    /// `dev_ptr`, a block whose allocation has landed. Returns whether a
+    /// host→device copy is owed (a fresh `to`/`tofrom` entry).
+    pub fn insert(&mut self, spec: MapSpec, dev_ptr: DevPtr) -> bool {
+        self.entries.push(PresentEntry {
+            buf: spec.buf,
+            off: spec.off,
+            len: spec.len,
+            dev_ptr,
+            refs: 1,
+        });
+        let copy = matches!(spec.kind, MapKind::To | MapKind::ToFrom);
+        self.transfers_to += u64::from(copy);
+        copy
     }
 
     /// Phase one of an exit: decide the refcount outcome now (in driver
@@ -262,58 +243,5 @@ impl PresentTable {
             copy,
             free: Some(entry.dev_ptr),
         })
-    }
-
-    /// Immediate-mode enter: [`PresentTable::enter_alloc`] plus the
-    /// host→device copy it describes. Returns the device address.
-    pub fn enter(
-        &mut self,
-        spec: MapSpec,
-        dev: &mut Device,
-        pool: &mut DevicePool,
-        host: &[u8],
-    ) -> Result<DevPtr, MapStepError> {
-        let entered = self.enter_alloc(spec, dev, pool, host.len() as u64)?;
-        if entered.copy {
-            let bytes = &host[spec.off as usize..(spec.off + spec.len) as usize];
-            dev.write_bytes(entered.ptr, bytes).map_err(MapStepError::Exec)?;
-        }
-        Ok(entered.ptr)
-    }
-
-    /// Immediate-mode exit: [`PresentTable::prepare_exit`] plus the copy
-    /// and free it describes.
-    pub fn exit(
-        &mut self,
-        spec: MapSpec,
-        dev: &mut Device,
-        pool: &mut DevicePool,
-        host: &mut [u8],
-    ) -> Result<(), MapStepError> {
-        let action = self.prepare_exit(spec)?;
-        if let Some((dev_ptr, host_off, len)) = action.copy {
-            let bytes = dev
-                .read_bytes(dev_ptr, len as usize)
-                .map_err(MapStepError::Exec)?;
-            host[host_off as usize..(host_off + len) as usize].copy_from_slice(&bytes);
-        }
-        if let Some(ptr) = action.free {
-            pool.free(ptr);
-        }
-        Ok(())
-    }
-}
-
-/// A mapping step fails either as table misuse ([`MapError`]) or as a
-/// device-side memcpy trap ([`ExecError`]).
-#[derive(Debug)]
-pub enum MapStepError {
-    Map(MapError),
-    Exec(ExecError),
-}
-
-impl From<MapError> for MapStepError {
-    fn from(e: MapError) -> MapStepError {
-        MapStepError::Map(e)
     }
 }

@@ -6,11 +6,16 @@
 //! list of released blocks and serves new mappings from it (deterministic
 //! best-fit) before falling back to a fresh device allocation.
 //!
+//! The pool only decides: [`DevicePool::pick`] names the block and the
+//! [`DevOp`] that hands it out, [`crate::Host`] runs that op through its
+//! one door to the device, and [`DevicePool::take`] records the block once
+//! the op landed — a faulted op leaves the pool as it was.
+//!
 //! Two properties matter for the bit-identity contract with the direct
 //! `Device::alloc` path (see `docs/host-runtime.md`):
 //!
-//! * A fresh allocation calls `Device::alloc` with the same 8-byte-aligned
-//!   size the direct path would, so as long as mapping order matches
+//! * A fresh block is a `Device::alloc` of the same 8-byte-aligned size
+//!   the direct path would ask for, so as long as mapping order matches
 //!   allocation order, device addresses are identical.
 //! * A **reused** block is zero-filled before it is handed out, because a
 //!   fresh `Device::alloc` block is zero-filled by construction — a kernel
@@ -20,23 +25,38 @@
 use std::collections::HashMap;
 
 use nzomp_vgpu::memory::{DevPtr, GLOBAL_SPACE_BYTES};
-use nzomp_vgpu::{Device, ExecError, TrapKind};
+use nzomp_vgpu::{ExecError, TrapKind};
 
 use crate::stream::DevOp;
 
-/// A released block available for reuse.
-#[derive(Clone, Copy, Debug)]
-struct FreeBlock {
-    ptr: DevPtr,
-    size: u64,
+/// A block of device memory: a released one on the free list, or the one
+/// [`DevicePool::pick`] chose.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Block {
+    pub ptr: DevPtr,
+    pub size: u64,
+    /// Served from the free list rather than grown.
+    pub reused: bool,
+}
+
+impl Block {
+    /// What handing the block out does to device memory: a reused block is
+    /// zero-filled, a fresh one is the bump allocation that returns `ptr`.
+    pub fn op(self) -> DevOp {
+        if self.reused {
+            DevOp::Zero { ptr: self.ptr, len: self.size }
+        } else {
+            DevOp::Grow { size: self.size, at: self.ptr }
+        }
+    }
 }
 
 /// Pool allocator over one device's global memory.
 #[derive(Default)]
 pub struct DevicePool {
-    /// Free blocks, kept sorted by `(size, offset)` so the best-fit scan
-    /// (first block large enough) is deterministic.
-    free: Vec<FreeBlock>,
+    /// Free blocks (every one `reused`), kept sorted by `(size, offset)`
+    /// so the best-fit scan (first block large enough) is deterministic.
+    free: Vec<Block>,
     /// Size of every block currently handed out, keyed by pointer bits.
     live: HashMap<u64, u64>,
     /// Total bytes obtained from `Device::alloc` over the pool's life.
@@ -52,30 +72,22 @@ impl DevicePool {
         DevicePool::default()
     }
 
-    /// Allocate `size` bytes (rounded up to 8) on `dev`, reusing a free
-    /// block when one is large enough. Returns the block and what getting
-    /// it did to device memory — the [`DevOp`] that reproduces it. A block
-    /// that would end past the device's addressable space is
-    /// [`TrapKind::OutOfMemory`] with nothing allocated: sizes reach here
-    /// from callers' claims, and a wrapped 32-bit offset would alias
-    /// somebody else's block.
-    pub fn alloc(&mut self, dev: &mut Device, size: u64) -> Result<(DevPtr, DevOp), ExecError> {
+    /// The block an allocation of `size` bytes (rounded up to 8) gets on a
+    /// device whose global memory is `dev_len` bytes long: the smallest
+    /// free block large enough, else a fresh one at the next 8-byte
+    /// boundary, where `Device::alloc` will put it. Changes nothing. A
+    /// block that would end past the device's addressable space is
+    /// [`TrapKind::OutOfMemory`]: sizes reach here from callers' claims,
+    /// and a wrapped 32-bit offset would alias somebody else's block.
+    pub fn pick(&self, size: u64, dev_len: u64) -> Result<Block, ExecError> {
         let aligned = size.max(1).div_ceil(8).saturating_mul(8);
         // Best fit: `free` is sorted by size, so the first block that fits
         // is the smallest adequate one.
-        if let Some(i) = self.free.iter().position(|b| b.size >= aligned) {
-            let block = self.free[i];
-            // Reused memory must look like fresh memory (zero-filled).
-            // The block leaves the free list only once the write landed:
-            // a faulted zero-fill must not leak it.
-            dev.zero_bytes(block.ptr, block.size as usize)?;
-            self.free.remove(i);
-            self.live.insert(block.ptr.0, block.size);
-            self.reuse_hits += 1;
-            return Ok((block.ptr, DevOp::Zero { ptr: block.ptr, len: block.size }));
+        if let Some(b) = self.free.iter().find(|b| b.size >= aligned) {
+            return Ok(Block { reused: true, ..*b });
         }
-        let end = (dev.global_bytes().len() as u64).next_multiple_of(8).saturating_add(aligned);
-        if end > GLOBAL_SPACE_BYTES {
+        let at = dev_len.next_multiple_of(8);
+        if at.saturating_add(aligned) > GLOBAL_SPACE_BYTES {
             return Err(ExecError {
                 kind: TrapKind::OutOfMemory,
                 team: 0,
@@ -83,11 +95,19 @@ impl DevicePool {
                 func: "<host alloc>".into(),
             });
         }
-        let ptr = dev.alloc(aligned);
-        self.device_bytes += aligned;
-        self.device_allocs += 1;
-        self.live.insert(ptr.0, aligned);
-        Ok((ptr, DevOp::Grow { size: aligned, at: ptr }))
+        Ok(Block { ptr: DevPtr::global(at as u32), size: aligned, reused: false })
+    }
+
+    /// Hand out `block`, a [`DevicePool::pick`] whose op has landed.
+    pub fn take(&mut self, block: Block) {
+        if block.reused {
+            self.free.retain(|b| b.ptr != block.ptr);
+            self.reuse_hits += 1;
+        } else {
+            self.device_bytes += block.size;
+            self.device_allocs += 1;
+        }
+        self.live.insert(block.ptr.0, block.size);
     }
 
     /// Return a block to the free list. Unknown pointers are ignored
@@ -97,11 +117,10 @@ impl DevicePool {
         let Some(size) = self.live.remove(&ptr.0) else {
             return;
         };
-        let block = FreeBlock { ptr, size };
         let at = self
             .free
             .partition_point(|b| (b.size, b.ptr.offset()) < (size, ptr.offset()));
-        self.free.insert(at, block);
+        self.free.insert(at, Block { ptr, size, reused: true });
     }
 
     /// Bytes currently handed out. Zero once every mapping has been
@@ -119,60 +138,85 @@ impl DevicePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nzomp_ir::Module;
-    use nzomp_vgpu::DeviceConfig;
 
-    fn dev() -> Device {
-        Device::load(Module::new("pool_test"), DeviceConfig::default())
+    /// Pick and take a block, returning it and its op, with `dev_len`
+    /// advanced as `Device::alloc` would for a fresh block.
+    fn alloc(pool: &mut DevicePool, dev_len: &mut u64, size: u64) -> (DevPtr, DevOp) {
+        let block = pool.pick(size, *dev_len).unwrap();
+        if !block.reused {
+            *dev_len = block.ptr.offset() + block.size;
+        }
+        pool.take(block);
+        (block.ptr, block.op())
     }
 
     #[test]
     fn reuses_freed_blocks_best_fit() {
-        let mut d = dev();
         let mut pool = DevicePool::new();
-        let (a, grew) = pool.alloc(&mut d, 64).unwrap();
+        let mut len = 0;
+        let (a, grew) = alloc(&mut pool, &mut len, 64);
         assert!(matches!(grew, DevOp::Grow { size: 64, at } if at == a));
-        let (b, _) = pool.alloc(&mut d, 16).unwrap();
+        let (b, _) = alloc(&mut pool, &mut len, 16);
         assert_eq!(pool.device_allocs, 2);
         pool.free(a);
         pool.free(b);
         assert_eq!(pool.in_use(), 0);
         // 16 bytes fits both; best fit picks the 16-byte block.
-        let (c, zeroed) = pool.alloc(&mut d, 16).unwrap();
+        let (c, zeroed) = alloc(&mut pool, &mut len, 16);
         assert_eq!(c, b);
         assert!(matches!(zeroed, DevOp::Zero { ptr, len: 16 } if ptr == b));
         // 40 bytes only fits the 64-byte block.
-        let (e, _) = pool.alloc(&mut d, 40).unwrap();
+        let (e, _) = alloc(&mut pool, &mut len, 40);
         assert_eq!(e, a);
         assert_eq!(pool.reuse_hits, 2);
         assert_eq!(pool.device_allocs, 2, "no new device allocation");
+        assert_eq!((pool.in_use(), pool.free_bytes()), (80, 0));
+    }
+
+    /// A reused block is handed out behind a zero-fill of the whole block
+    /// (the bytes a fresh `Device::alloc` block would hold), and a fresh
+    /// one behind the bump allocation at the next 8-byte boundary.
+    #[test]
+    fn reused_blocks_are_zeroed() {
+        let mut pool = DevicePool::new();
+        let mut len = 5;
+        let (a, grew) = alloc(&mut pool, &mut len, 20);
+        assert_eq!(a, DevPtr::global(8));
+        assert!(matches!(grew, DevOp::Grow { size: 24, at } if at == a));
+        pool.free(a);
+        let (b, zeroed) = alloc(&mut pool, &mut len, 10);
+        assert_eq!(b, a);
+        assert!(matches!(zeroed, DevOp::Zero { ptr, len: 24 } if ptr == a), "{zeroed}");
+    }
+
+    /// Picking decides and changes nothing: a block whose op never landed
+    /// is still free, and the next pick names it again.
+    #[test]
+    fn a_pick_not_taken_leaves_the_pool_as_it_was() {
+        let mut pool = DevicePool::new();
+        let mut len = 0;
+        let (a, _) = alloc(&mut pool, &mut len, 32);
+        pool.free(a);
+        let first = pool.pick(32, len).unwrap();
+        assert_eq!(pool.pick(32, len).unwrap(), first);
+        assert_eq!((pool.in_use(), pool.free_bytes(), pool.reuse_hits), (0, 32, 0));
+        let fresh = pool.pick(64, len).unwrap();
+        assert_eq!(pool.pick(64, len).unwrap(), fresh);
+        assert_eq!(pool.device_allocs, 1);
     }
 
     #[test]
     fn a_block_no_pointer_can_address_is_out_of_memory_and_allocates_nothing() {
-        let mut d = dev();
         let mut pool = DevicePool::new();
-        let (a, _) = pool.alloc(&mut d, 64).unwrap();
-        let before = d.global_bytes().len();
+        let mut len = 0;
+        let (a, _) = alloc(&mut pool, &mut len, 64);
         for size in [GLOBAL_SPACE_BYTES, 1 << 33, u64::MAX - 100, u64::MAX] {
-            let refused = pool.alloc(&mut d, size).map(|(p, _)| p);
+            let refused = pool.pick(size, len);
             assert!(matches!(&refused, Err(e) if e.kind == TrapKind::OutOfMemory), "{size}: {refused:?}");
         }
-        assert_eq!((d.global_bytes().len(), pool.device_allocs, pool.in_use()), (before, 1, 64));
+        assert_eq!((len, pool.device_allocs, pool.in_use()), (64, 1, 64));
         // The pool still works, right behind the block it held before.
-        let (b, _) = pool.alloc(&mut d, 8).unwrap();
+        let (b, _) = alloc(&mut pool, &mut len, 8);
         assert_eq!(b.offset(), a.offset() + 64);
-    }
-
-    #[test]
-    fn reused_blocks_are_zeroed() {
-        let mut d = dev();
-        let mut pool = DevicePool::new();
-        let (a, _) = pool.alloc(&mut d, 32).unwrap();
-        d.write_bytes(a, &[0xab; 32]).unwrap();
-        pool.free(a);
-        let (b, _) = pool.alloc(&mut d, 32).unwrap();
-        assert_eq!(b, a);
-        assert_eq!(d.read_bytes(b, 32).unwrap(), vec![0u8; 32]);
     }
 }

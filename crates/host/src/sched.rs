@@ -20,9 +20,9 @@ pub enum SchedPolicy {
     /// Strict rotation over the fleet.
     #[default]
     RoundRobin,
-    /// The device with the fewest pending launches (ties broken by the
-    /// least queued-but-undrained work, then by least simulated
-    /// cycles executed so far, then by lowest index).
+    /// The device with the fewest launches in the host's queue (ties
+    /// broken by the fewest queued operations of any kind, then by least
+    /// simulated cycles executed so far, then by lowest index).
     LeastLoaded,
 }
 
@@ -37,14 +37,6 @@ pub(crate) struct DeviceSlot {
     pub image: Option<(ImageId, Arc<Image>)>,
     pub table: PresentTable,
     pub pool: DevicePool,
-    /// Launches enqueued but not yet executed (LeastLoaded's signal).
-    pub pending: u64,
-    /// Operations on this device (memcpys, frees, launches) queued but
-    /// not yet drained. `pending` alone misses the transfer
-    /// work already committed to a device, so placement under concurrent
-    /// enqueue used to send a launch to a device with a deep memcpy
-    /// backlog; LeastLoaded now breaks `pending` ties on this count.
-    pub queued_ops: u64,
     /// Simulated cycles of every launch executed on this device — the
     /// per-device makespan input of the multi-device scaling model.
     pub executed_cycles: u64,
@@ -84,8 +76,6 @@ impl DeviceSlot {
             image: None,
             table: PresentTable::new(),
             pool: DevicePool::new(),
-            pending: 0,
-            queued_ops: 0,
             executed_cycles: 0,
             launches: 0,
             quarantined: false,
@@ -97,10 +87,14 @@ impl DeviceSlot {
 
 /// Pick a device for the next launch, skipping quarantined slots. `None`
 /// iff every slot is quarantined — the caller surfaces
-/// [`crate::HostError::FleetLost`].
+/// [`crate::HostError::FleetLost`]. `backlog(d)` is device `d`'s
+/// `(launches, operations)` waiting in the host's queue
+/// ([`crate::stream::backlog`]): the work committed to it but not yet
+/// run, which LeastLoaded ranks first.
 pub(crate) fn pick_device(
     policy: SchedPolicy,
     slots: &[DeviceSlot],
+    backlog: impl Fn(usize) -> (u64, u64),
     rr_next: &mut usize,
 ) -> Option<usize> {
     match policy {
@@ -119,7 +113,10 @@ pub(crate) fn pick_device(
             .iter()
             .enumerate()
             .filter(|(_, s)| !s.quarantined)
-            .min_by_key(|(i, s)| (s.pending, s.queued_ops, s.executed_cycles, *i))
+            .min_by_key(|&(i, s)| {
+                let (launches, ops) = backlog(i);
+                (launches, ops, s.executed_cycles, i)
+            })
             .map(|(i, _)| i),
     }
 }
@@ -132,66 +129,61 @@ mod tests {
         (0..n).map(|_| DeviceSlot::new()).collect()
     }
 
+    /// LeastLoaded over `slots` with per-device `(launches, ops)` queued.
+    fn least_loaded(slots: &[DeviceSlot], queued: &[(u64, u64)]) -> Option<usize> {
+        let backlog = |d: usize| queued.get(d).copied().unwrap_or_default();
+        pick_device(SchedPolicy::LeastLoaded, slots, backlog, &mut 0)
+    }
+
+    fn round_robin(slots: &[DeviceSlot], rr: &mut usize) -> Option<usize> {
+        pick_device(SchedPolicy::RoundRobin, slots, |_| (0, 0), rr)
+    }
+
     #[test]
     fn least_loaded_breaks_ties_by_cycles_then_index() {
         let mut slots = fleet(3);
-        // Same pending everywhere: the cycle tie-break decides.
+        // Nothing queued anywhere: the cycle tie-break decides.
         slots[0].executed_cycles = 500;
         slots[1].executed_cycles = 100;
         slots[2].executed_cycles = 100;
-        let mut rr = 0;
+        assert_eq!(least_loaded(&slots, &[]), Some(1), "equal cycles resolve to the lowest index");
+        // Queued launches dominate cycles.
         assert_eq!(
-            pick_device(SchedPolicy::LeastLoaded, &slots, &mut rr),
-            Some(1),
-            "equal cycles resolve to the lowest index"
-        );
-        // Pending dominates cycles.
-        slots[1].pending = 2;
-        slots[2].pending = 2;
-        assert_eq!(
-            pick_device(SchedPolicy::LeastLoaded, &slots, &mut rr),
+            least_loaded(&slots, &[(0, 0), (2, 2), (2, 2)]),
             Some(0),
-            "fewest pending wins even with the most cycles"
+            "fewest queued launches wins even with the most cycles"
         );
         // Full tie: lowest index.
-        let slots = fleet(4);
-        assert_eq!(pick_device(SchedPolicy::LeastLoaded, &slots, &mut rr), Some(0));
+        assert_eq!(least_loaded(&fleet(4), &[]), Some(0));
     }
 
-    /// The satellite fix: queued-but-undrained stream work (transfers,
-    /// frees) counts toward a device's load, not just enqueued launches
-    /// and completed cycles. The full corrected tie-break order is
-    /// `pending > queued_ops > executed_cycles > index`.
+    /// Queued-but-undrained work of any kind (transfers, frees) counts
+    /// toward a device's load, not just queued launches and completed
+    /// cycles. The full tie-break order is
+    /// `launches > operations > executed_cycles > index`.
     #[test]
     fn least_loaded_counts_queued_stream_work() {
-        let mut rr = 0;
         let mut slots = fleet(3);
-        // No launches pending anywhere, but slot 0 has a deep memcpy
+        // No launches queued anywhere, but slot 0 has a deep memcpy
         // backlog: a fresh enqueue must avoid it.
-        slots[0].queued_ops = 6;
-        slots[1].queued_ops = 2;
-        slots[2].queued_ops = 2;
         assert_eq!(
-            pick_device(SchedPolicy::LeastLoaded, &slots, &mut rr),
+            least_loaded(&slots, &[(0, 6), (0, 2), (0, 2)]),
             Some(1),
-            "queued stream work breaks the pending tie; equal backlogs fall to index"
+            "queued work breaks the launch tie; equal backlogs fall to index"
         );
         // Queued work dominates executed cycles (history never outranks
         // committed-but-undrained work)...
         slots[1].executed_cycles = 9_999;
-        slots[2].queued_ops = 3;
         assert_eq!(
-            pick_device(SchedPolicy::LeastLoaded, &slots, &mut rr),
+            least_loaded(&slots, &[(0, 6), (0, 2), (0, 3)]),
             Some(1),
             "least queued work wins regardless of cycle history"
         );
-        // ...but pending launches dominate queued transfer work.
-        slots[1].pending = 1;
-        slots[2].pending = 1;
+        // ...but queued launches dominate queued transfer work.
         assert_eq!(
-            pick_device(SchedPolicy::LeastLoaded, &slots, &mut rr),
+            least_loaded(&slots, &[(0, 6), (1, 2), (1, 3)]),
             Some(0),
-            "fewest pending launches still outranks everything"
+            "fewest queued launches still outranks everything"
         );
     }
 
@@ -201,19 +193,11 @@ mod tests {
         slots[1].quarantined = true;
         let mut rr = 0;
         // Round-robin skips slot 1 but keeps rotating over the survivors.
-        let picks: Vec<_> = (0..4)
-            .map(|_| pick_device(SchedPolicy::RoundRobin, &slots, &mut rr))
-            .collect();
+        let picks: Vec<_> = (0..4).map(|_| round_robin(&slots, &mut rr)).collect();
         assert_eq!(picks, vec![Some(0), Some(2), Some(0), Some(2)]);
         // Least-loaded ignores the quarantined slot even when it looks
         // idle.
-        slots[0].pending = 9;
-        slots[2].pending = 9;
-        let mut rr = 0;
-        assert_eq!(
-            pick_device(SchedPolicy::LeastLoaded, &slots, &mut rr),
-            Some(0)
-        );
+        assert_eq!(least_loaded(&slots, &[(9, 9), (0, 0), (9, 9)]), Some(0));
     }
 
     #[test]
@@ -221,21 +205,15 @@ mod tests {
         let mut slots = fleet(2);
         slots[0].quarantined = true;
         slots[1].quarantined = true;
-        let mut rr = 0;
-        assert_eq!(pick_device(SchedPolicy::RoundRobin, &slots, &mut rr), None);
-        assert_eq!(pick_device(SchedPolicy::LeastLoaded, &slots, &mut rr), None);
+        assert_eq!(round_robin(&slots, &mut 0), None);
+        assert_eq!(least_loaded(&slots, &[]), None);
     }
 
     #[test]
     fn round_robin_preserves_rotation_without_quarantine() {
         let slots = fleet(3);
         let mut rr = 0;
-        let picks: Vec<_> = (0..6)
-            .map(|_| pick_device(SchedPolicy::RoundRobin, &slots, &mut rr))
-            .collect();
-        assert_eq!(
-            picks,
-            vec![Some(0), Some(1), Some(2), Some(0), Some(1), Some(2)]
-        );
+        let picks: Vec<_> = (0..6).map(|_| round_robin(&slots, &mut rr)).collect();
+        assert_eq!(picks, vec![Some(0), Some(1), Some(2), Some(0), Some(1), Some(2)]);
     }
 }

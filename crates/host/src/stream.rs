@@ -9,6 +9,7 @@
 //! it is bit-identical to eager (enqueue-time) execution. The
 //! differential suite proves this on every proxy.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use nzomp_vgpu::device::Launch;
@@ -110,9 +111,21 @@ pub(crate) enum Op {
 
 impl Op {
     /// The device slot the operation touches.
-    pub(crate) fn device(&self) -> usize {
+    fn device(&self) -> usize {
         match self {
             Op::Dev { dev, .. } | Op::PoolFree { dev, .. } => *dev,
         }
     }
+}
+
+/// Device `dev`'s backlog in `queue`: `(launches, operations)` enqueued
+/// for it and not yet run — the load LeastLoaded places by, what
+/// [`crate::HostError::DeviceBusy`] reports, and what
+/// [`crate::DeviceStats`] shows. The queue is the one record of it.
+pub(crate) fn backlog(queue: &VecDeque<Op>, dev: usize) -> (u64, u64) {
+    let launch = |op: &Op| matches!(op, Op::Dev { op: DevOp::Launch { .. }, .. });
+    queue
+        .iter()
+        .filter(|op| op.device() == dev)
+        .fold((0, 0), |(launches, ops), op| (launches + u64::from(launch(op)), ops + 1))
 }

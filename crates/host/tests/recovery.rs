@@ -405,6 +405,38 @@ fn fault_on_reused_block_zero_fill_recovers_without_leaking() {
     }
 }
 
+/// A region whose enter fails part-way hands the caller no buffer, so it
+/// must not keep the ones it already entered. With recovery off, a
+/// memcpy fault on the second argument's zero-fill fails the enqueue
+/// after the first argument's landed; once the queue drains, the pool is
+/// back where it was and the first argument is no longer mapped.
+#[test]
+fn a_failed_region_enter_releases_the_arguments_it_entered() {
+    let mut h = host(1);
+    let img = h
+        .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
+        .unwrap();
+    let s = h.stream();
+    let first = h.enqueue_region(&[s], img, "k", launch(), region_args()).unwrap();
+    h.sync().unwrap();
+    let before = h.stats().devices[0].pool_in_use;
+    // Op 0 of the plan is argument 0's zero-fill, op 1 argument 1's.
+    h.set_device_faults(0, device_plan(&[(1, DeviceFaultKind::MemcpyFail)])).unwrap();
+    match h.enqueue_region(&[s], img, "k", launch(), region_args()) {
+        Err(HostError::Exec(e)) => assert_eq!(e.kind, TrapKind::MemcpyFault),
+        other => panic!("expected the zero-fill fault, got {other:?}"),
+    }
+    h.sync().unwrap();
+    assert_eq!(h.stats().devices[0].pool_in_use, before, "the failed region leaked device memory");
+    // The second region registered its argument 0 right after the first
+    // region's buffers.
+    let arg0 = nzomp_host::BufId(first.bufs[1].unwrap().0 + 1);
+    assert!(
+        matches!(h.dev_addr(0, arg0, 0), Err(HostError::Map(nzomp_host::MapError::NotPresent { .. }))),
+        "argument 0 is still mapped"
+    );
+}
+
 /// `Host::read_present` is a device read like any other: with recovery
 /// armed a transient memcpy fault on it retries in place and a lost
 /// device fails over and replays, both to the bytes of the fault-free

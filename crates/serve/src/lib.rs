@@ -247,24 +247,22 @@ impl Serve {
         let buf = self.host.register_bytes(bytes);
         let s = self.session_mut(t)?;
         s.charge(len);
-        s.bufs.push(SessionBuf { buf, len, resident: None, unmapped: false });
+        s.bufs.push(SessionBuf { buf, len, unmapped: false });
         let idx = (s.bufs.len() - 1) as u32;
         Ok(SBuf { tenant: t, idx })
     }
 
+    /// A live session buffer's host id and length, and the device it is
+    /// resident on, if any.
     fn sbuf_info(&self, caller: TenantId, sb: SBuf) -> Result<(BufId, u64, Option<usize>), ServeError> {
         if sb.tenant != caller {
             return Err(ServeError::CrossTenant { owner: sb.tenant.0, caller: caller.0 });
         }
         let s = self.session(caller)?;
         match s.bufs.get(sb.idx as usize) {
-            Some(b) if !b.unmapped => Ok((b.buf, b.len, b.resident)),
+            Some(b) if !b.unmapped => Ok((b.buf, b.len, self.host.present_on(b.buf))),
             _ => Err(ServeError::UnknownSession { tenant: caller.0, buf: sb.idx }),
         }
-    }
-
-    fn sbuf_mut(&mut self, sb: SBuf) -> Option<&mut SessionBuf> {
-        self.sessions.get_mut(sb.tenant.0 as usize)?.bufs.get_mut(sb.idx as usize)
     }
 
     /// Current bytes of a session buffer — the device copy when resident,
@@ -292,9 +290,9 @@ impl Serve {
             self.evict(dev, buf, len).map_err(|e| ServeError::Host(e.to_string()))?;
             self.metrics.evictions += 1;
         }
-        self.session_mut(t)?.release(len);
-        if let Some(b) = self.sbuf_mut(sb) {
-            b.resident = None;
+        let s = self.session_mut(t)?;
+        s.release(len);
+        if let Some(b) = s.bufs.get_mut(sb.idx as usize) {
             b.unmapped = true;
         }
         Ok(())
@@ -561,20 +559,16 @@ impl Serve {
         if self.host.bound_image(dev) == Some(img) {
             return Ok(());
         }
-        let mut on_dev = Vec::new();
-        for (s, t) in self.sessions.iter().zip(0..) {
-            for (b, idx) in s.bufs.iter().zip(0..) {
-                if b.resident == Some(dev) {
-                    on_dev.push((SBuf { tenant: TenantId(t), idx }, b.buf, b.len));
-                }
-            }
-        }
-        for (sb, buf, len) in on_dev {
+        let on_dev: Vec<(BufId, u64)> = self
+            .sessions
+            .iter()
+            .flat_map(|s| &s.bufs)
+            .filter(|b| self.host.present_on(b.buf) == Some(dev))
+            .map(|b| (b.buf, b.len))
+            .collect();
+        for (buf, len) in on_dev {
             self.evict(dev, buf, len)?;
             self.metrics.evictions += 1;
-            if let Some(b) = self.sbuf_mut(sb) {
-                b.resident = None;
-            }
         }
         self.host.bind_image(dev, img)
     }
@@ -601,9 +595,6 @@ impl Serve {
             }
             self.host
                 .data_enter(self.stream, dev, &[MapSpec::whole(buf, len, MapKind::ToFrom)])?;
-            if let Some(b) = self.sbuf_mut(sb) {
-                b.resident = Some(dev);
-            }
         }
         self.host.dev_addr(dev, buf, 0)
     }

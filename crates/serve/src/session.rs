@@ -32,14 +32,13 @@ impl Default for TenantConfig {
 }
 
 /// One session-mapped buffer: host storage registered with the host
-/// runtime plus where (if anywhere) it currently lives on a device.
+/// runtime. Where it lives is the host's present tables' answer
+/// ([`nzomp_host::Host::present_on`]): residency is lazy — established by
+/// the first dispatched request that names the buffer — and exclusive:
+/// migrating writes back and unmaps first.
 pub(crate) struct SessionBuf {
     pub buf: BufId,
     pub len: u64,
-    /// Device index the buffer is currently mapped on. Residency is
-    /// lazy — established by the first dispatched request that names the
-    /// buffer — and exclusive: migrating writes back and unmaps first.
-    pub resident: Option<usize>,
     pub unmapped: bool,
 }
 

@@ -8,16 +8,49 @@ use std::rc::Rc;
 use nzomp::BuildConfig;
 use nzomp_front::{spmd_kernel_for, RuntimeFlavor};
 use nzomp_ir::{Module, Operand, Ty};
-use nzomp_serve::trace::{replay, Trace, TraceOp};
+use nzomp_serve::trace::{self, Replayed, Trace, TraceOp};
 use nzomp_serve::{
-    Outcome, RejectReason, ReqArg, RequestSpec, Serve, ServeConfig, ServeError, TenantConfig,
-    TenantId,
+    Outcome, RejectReason, ReqArg, RequestSpec, Serve, ServeConfig, ServeError, ServeRow,
+    TenantConfig, TenantId,
 };
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::memory::GLOBAL_SPACE_BYTES;
 use nzomp_vgpu::{DeviceConfig, ExecTier, RtVal};
 
 const N: usize = 32;
+
+/// `ServeMetrics` repeats what the sessions count, so a snapshot's two
+/// records must agree: each service total is the sum over the tenant
+/// rows, `admitted` is what admission did not reject, and `completed` /
+/// `faulted` count the matching outcomes.
+fn assert_counters_agree(snap: &Replayed) {
+    let (m, rows) = (&snap.metrics, &snap.rows);
+    let sum = |f: fn(&ServeRow) -> u64| rows.iter().map(f).sum::<u64>();
+    assert_eq!(m.submitted, sum(|r| r.submitted), "submitted");
+    assert_eq!(m.completed, sum(|r| r.completed), "completed");
+    assert_eq!(m.faulted, sum(|r| r.faulted), "faulted");
+    assert_eq!(m.rejected_saturated, sum(|r| r.rejected_saturated), "rejected_saturated");
+    assert_eq!(m.rejected_backlog, sum(|r| r.rejected_backlog), "rejected_backlog");
+    assert_eq!(m.rejected_quota, sum(|r| r.rejected_quota), "rejected_quota");
+    assert_eq!(m.admitted, m.submitted - m.rejected(), "admitted");
+    let count = |f: fn(&Outcome) -> bool| snap.outcomes.iter().flatten().filter(|o| f(o)).count() as u64;
+    assert_eq!(m.completed, count(|o| matches!(o, Outcome::Completed { .. })), "completed outcomes");
+    assert_eq!(m.faulted, count(|o| matches!(o, Outcome::Faulted { .. })), "faulted outcomes");
+}
+
+/// [`trace::replay`], its snapshot's counters checked.
+fn replay(t: &Trace, cfg: &ServeConfig) -> Result<Replayed, ServeError> {
+    let snap = trace::replay(t, cfg)?;
+    assert_counters_agree(&snap);
+    Ok(snap)
+}
+
+/// [`trace::snapshot`], its counters checked.
+fn snapshot(serve: &mut Serve) -> Result<Replayed, ServeError> {
+    let snap = trace::snapshot(serve)?;
+    assert_counters_agree(&snap);
+    Ok(snap)
+}
 
 fn quick() -> DeviceConfig {
     DeviceConfig { check_assumes: false, ..DeviceConfig::default() }
@@ -590,7 +623,7 @@ fn unaddressable_footprint_is_rejected_before_anything_is_allocated() {
         serve.drain();
         let outcomes: Vec<Outcome> = goods.iter().map(|r| serve.outcome(*r).unwrap().clone()).collect();
         assert!(outcomes.iter().all(Outcome::is_completed), "{outcomes:?}");
-        let snap = nzomp_serve::trace::snapshot(&mut serve).unwrap();
+        let snap = snapshot(&mut serve).unwrap();
         assert_eq!(snap.rows[1].rejected_quota, 6 * claims.len() as u64);
         (outcomes, snap.rows[0].clone(), snap.session_images[0].clone(), serve.host_stats())
     };
@@ -638,7 +671,7 @@ fn launch_shapes_past_an_sm_fault_typed_and_leave_neighbours_alone() {
                 o => panic!("expected a BadLaunch fault, got {o:?}"),
             }
         }
-        let snap = nzomp_serve::trace::snapshot(&mut serve).unwrap();
+        let snap = snapshot(&mut serve).unwrap();
         assert_eq!(snap.rows[0].completed, 6);
         (snap.rows[0].clone(), snap.session_images[0].clone())
     };
@@ -691,7 +724,7 @@ fn a_grid_of_u32_max_teams_faults_on_fuel_and_leaves_neighbours_alone() {
                 o => panic!("expected a fuel fault, got {o:?}"),
             }
         }
-        let snap = nzomp_serve::trace::snapshot(&mut serve).unwrap();
+        let snap = snapshot(&mut serve).unwrap();
         assert_eq!(snap.rows[0].completed, 4);
         (snap.rows[0].clone(), snap.session_images[0].clone())
     };

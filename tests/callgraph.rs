@@ -310,6 +310,7 @@ fn a_served_request_for_it_completes_and_leaves_neighbours_alone() {
             }
         }
         let snap = nzomp_serve::trace::snapshot(&mut serve).unwrap();
+        nzomp_integration::assert_counters_agree(&snap);
         assert_eq!(snap.rows[0].completed, 3);
         (snap.rows[0].clone(), snap.session_images[0].clone())
     };

@@ -21,6 +21,8 @@ use nzomp_host::{
 };
 use nzomp_ir::Module;
 use nzomp_proxies::{build_for_config, compile_for_config, quick_device, Proxy};
+use nzomp_serve::trace::Replayed;
+use nzomp_serve::{Outcome, ServeRow};
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{
     DevPtr, Device, ExecError, ExecTier, FaultPlan, KernelMetrics, RtVal, RunConfig, Sanitize,
@@ -329,4 +331,23 @@ fn first_difference(base: &ProxyOutcome, got: &ProxyOutcome, verdict: bool) -> O
         return Some(format!("san_reports {}", at(&base.san_reports, &got.san_reports)));
     }
     None
+}
+
+/// `ServeMetrics` repeats what the sessions count, so a snapshot's two
+/// records must agree: each service total is the sum over the tenant
+/// rows, `admitted` is what admission did not reject, and `completed` /
+/// `faulted` count the matching outcomes.
+pub fn assert_counters_agree(snap: &Replayed) {
+    let (m, rows) = (&snap.metrics, &snap.rows);
+    let sum = |f: fn(&ServeRow) -> u64| rows.iter().map(f).sum::<u64>();
+    assert_eq!(m.submitted, sum(|r| r.submitted), "submitted");
+    assert_eq!(m.completed, sum(|r| r.completed), "completed");
+    assert_eq!(m.faulted, sum(|r| r.faulted), "faulted");
+    assert_eq!(m.rejected_saturated, sum(|r| r.rejected_saturated), "rejected_saturated");
+    assert_eq!(m.rejected_backlog, sum(|r| r.rejected_backlog), "rejected_backlog");
+    assert_eq!(m.rejected_quota, sum(|r| r.rejected_quota), "rejected_quota");
+    assert_eq!(m.admitted, m.submitted - m.rejected(), "admitted");
+    let count = |f: fn(&Outcome) -> bool| snap.outcomes.iter().flatten().filter(|o| f(o)).count() as u64;
+    assert_eq!(m.completed, count(|o| matches!(o, Outcome::Completed { .. })), "completed outcomes");
+    assert_eq!(m.faulted, count(|o| matches!(o, Outcome::Faulted { .. })), "faulted outcomes");
 }

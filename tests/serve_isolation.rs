@@ -13,13 +13,14 @@ use std::rc::Rc;
 use nzomp::BuildConfig;
 use nzomp_front::{spmd_kernel_for, RuntimeFlavor};
 use nzomp_integration::corpus::{corpus_texts, mutate_text};
+use nzomp_integration::assert_counters_agree;
 use nzomp_integration::gen::{generate, parse_launch_comment, LaunchMeta};
 use nzomp_ir::parser::parse_module_strict;
 use nzomp_ir::{Module, Operand, Ty};
-use nzomp_serve::trace::{replay, Trace, TraceOp};
+use nzomp_serve::trace::{self, Replayed, Trace, TraceOp};
 use nzomp_serve::{
-    Outcome, RejectReason, ReqArg, ReqId, RequestSpec, SBuf, Serve, ServeConfig, TenantConfig,
-    TenantId,
+    Outcome, RejectReason, ReqArg, ReqId, RequestSpec, SBuf, Serve, ServeConfig, ServeError,
+    TenantConfig, TenantId,
 };
 use nzomp_vgpu::cost::{MAX_THREADS_PER_SM, SMEM_PER_SM};
 use nzomp_vgpu::device::Launch;
@@ -33,6 +34,13 @@ fn quick() -> DeviceConfig {
 
 fn launch() -> Launch {
     Launch { teams: 2, threads_per_team: 12, dyn_smem_bytes: 0 }
+}
+
+/// [`trace::replay`], its snapshot's counters checked.
+fn replay(t: &Trace, cfg: &ServeConfig) -> Result<Replayed, ServeError> {
+    let snap = trace::replay(t, cfg)?;
+    assert_counters_agree(&snap);
+    Ok(snap)
 }
 
 /// `state[i] = (f64) c` — a writer whose output identifies its tenant.

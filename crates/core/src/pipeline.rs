@@ -255,6 +255,12 @@ impl CompileCache {
             self.touch(slot);
             return Ok(slot);
         }
+        // So is a module whose values the class rule cannot prove: a device
+        // would run it on its interpreter, at a third of the speed, and
+        // devices are shared. Checked past the lookup, since a module that
+        // fails never gets an entry to hit.
+        nzomp_ir::analysis::class::value_classes(&key.0)
+            .map_err(|err| CompileError::Verify { stage: "input", err })?;
         self.misses += 1;
         let output = Rc::new(compile(key.0.clone(), config)?);
         if self.entries.len() >= CACHE_ENTRIES {
@@ -425,6 +431,29 @@ mod tests {
         assert_ne!(full, nightly);
         assert_eq!(c.compile_slot(app(2.0), CFG).unwrap(), full);
         assert_eq!((c.hits, c.misses, c.len()), (1, 2, 2));
+    }
+
+    /// A module whose values the class rule cannot prove — here a branch
+    /// on a double — is refused at the `input` stage while the verifier
+    /// still accepts it: neither a hit nor a miss, and no slot.
+    #[test]
+    fn an_unprovable_module_is_refused_at_input() {
+        let mut m = Module::new("branch_on_f64");
+        let mut b = FuncBuilder::new("k", vec![Ty::F64], None);
+        let (t, f) = (b.new_block(), b.new_block());
+        b.cond_br(Operand::Param(0), t, f);
+        for bb in [t, f] {
+            b.switch_to(bb);
+            b.ret(None);
+        }
+        let k = m.add_function(b.finish());
+        m.add_kernel(k, ExecMode::Spmd);
+        assert!(nzomp_ir::verify_module(&m).is_ok());
+        let mut c = CompileCache::new();
+        let err = c.compile_slot(m, BuildConfig::Cuda).unwrap_err();
+        assert!(matches!(err, CompileError::Verify { stage: "input", .. }), "{err}");
+        assert!(err.to_string().contains("@k: terminator of bb0: reads float bits"), "{err}");
+        assert_eq!((c.hits, c.misses, c.len()), (0, 0, 0));
     }
 
     #[test]

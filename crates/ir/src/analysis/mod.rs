@@ -2,6 +2,7 @@
 //! collection (register-pressure estimation).
 
 pub mod callgraph;
+pub mod class;
 pub mod cfg;
 pub mod dom;
 pub mod liveness;

@@ -11,22 +11,41 @@
 //! one class the interpreter performs per execution that lowering resolves
 //! eagerly; since the outcome cannot depend on runtime state, the lowered
 //! [`Op::TrapInst`] fires identically.
+//!
+//! What lowering does refuse is a module the value-class rule
+//! (`nzomp_ir::analysis::class`) cannot prove: the register file holds bits
+//! without a tag, which is only the tagged interpreter's behaviour when
+//! every operand is read in the domain it was produced in. The device runs
+//! such a module on the interpreter instead.
 
 use std::collections::HashMap;
 
+use nzomp_ir::analysis::class::{value_classes, Class, Classes};
 use nzomp_ir::inst::{Inst, InstId, Intrinsic, Term};
-use nzomp_ir::{BlockId, Function, Module, Operand, Ty};
+use nzomp_ir::{BlockId, Function, Module, Operand};
 
 use crate::error::TrapKind;
 use crate::exec::{is_runtime_fn, malformed, used_results, GlobalLayout};
 use crate::memory::DevPtr;
-use crate::value::RtVal;
+use crate::sanitize::REGION_RELEASE_FNS;
 
 use super::{BcFunc, BcModule, Edge, FuncMeta, Op, Src};
 
 /// Lower every function of `module`. `layout` resolves global operands to
 /// their device addresses (fixed at device load, like the layout itself).
-pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout) -> BcModule {
+/// `None` when the value-class rule fails the module, or when a call that
+/// can reach an allocator release function passes arguments whose
+/// pointer/integer tags (which the sanitizer's release hook keys on) the
+/// rule leaves open: the module then runs on the tagged interpreter.
+pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout) -> Option<BcModule> {
+    let classes = value_classes(module).ok()?;
+    let release: Vec<u32> = module
+        .funcs
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| !f.is_declaration() && REGION_RELEASE_FNS.contains(&f.name.as_str()))
+        .map(|(i, _)| i as u32)
+        .collect();
     let meta = module
         .funcs
         .iter()
@@ -37,17 +56,26 @@ pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout) -> BcModule {
             runtime: is_runtime_fn(&f.name),
         })
         .collect();
-    let funcs = module
-        .funcs
-        .iter()
-        .map(|f| lower_func(module, layout, f))
-        .collect();
-    BcModule { funcs, meta }
+    let ctx = Ctx { module, layout, classes: &classes, release: &release };
+    let funcs = (0..module.funcs.len())
+        .map(|fi| lower_func(&ctx, fi))
+        .collect::<Option<_>>()?;
+    Some(BcModule { funcs, meta })
+}
+
+/// What lowering one function reads of the whole module.
+struct Ctx<'m> {
+    module: &'m Module,
+    layout: &'m GlobalLayout,
+    classes: &'m Classes,
+    /// Defined allocator release functions (`REGION_RELEASE_FNS`).
+    release: &'m [u32],
 }
 
 struct FnLowerer<'m> {
-    module: &'m Module,
-    layout: &'m GlobalLayout,
+    ctx: &'m Ctx<'m>,
+    /// Index of `func` in the module.
+    fi: usize,
     func: &'m Function,
     /// Value slot per arena instruction (0 = dead-result scratch).
     slot_of: Vec<u32>,
@@ -65,24 +93,35 @@ struct FnLowerer<'m> {
     /// instruction results first (zero), then the interned immediate
     /// operands, each already in the dedicated slot `cnum` appended for
     /// it, so operands stay plain `Src::Reg` reads. `const_of` dedups by
-    /// (tag, bits).
-    regs0: Vec<RtVal>,
-    const_of: HashMap<(u8, i64), u32>,
+    /// bits.
+    regs0: Vec<u64>,
+    const_of: HashMap<u64, u32>,
+    /// Call ops whose first two arguments are a pointer and an integer.
+    ptr_size_calls: Vec<u32>,
+    /// A call that may reach a release function passes arguments whose
+    /// tags the class rule leaves open.
+    open_tags: bool,
 }
 
-fn lower_func(module: &Module, layout: &GlobalLayout, func: &Function) -> BcFunc {
+/// A function whose every execution traps with `t` on its first step.
+fn trap_only(t: TrapKind) -> BcFunc {
+    BcFunc {
+        ops: vec![Op::TrapBare { t: 0 }],
+        locs: vec![(0, 0)],
+        edges: Vec::new(),
+        traps: vec![t],
+        regs0: vec![0],
+        ptr_size_calls: Box::new([]),
+        entry: 0,
+    }
+}
+
+fn lower_func(ctx: &Ctx<'_>, fi: usize) -> Option<BcFunc> {
+    let func = &ctx.module.funcs[fi];
     if func.blocks.is_empty() {
         // Declaration (or stripped body): executing it meets the
         // interpreter's missing-entry-block trap on the first step.
-        let t = malformed(format!("frame in @{} references missing bb0", func.name));
-        return BcFunc {
-            ops: vec![Op::TrapBare { t: 0 }],
-            locs: vec![(0, 0)],
-            edges: Vec::new(),
-            traps: vec![t],
-            regs0: vec![RtVal::I(0)],
-            entry: 0,
-        };
+        return Some(trap_only(malformed(format!("frame in @{} references missing bb0", func.name))));
     }
 
     let mut slot_of = vec![0u32; func.insts.len()];
@@ -98,8 +137,8 @@ fn lower_func(module: &Module, layout: &GlobalLayout, func: &Function) -> BcFunc
     let used = used_results(func);
 
     let mut lw = FnLowerer {
-        module,
-        layout,
+        ctx,
+        fi,
         func,
         slot_of,
         used,
@@ -109,8 +148,10 @@ fn lower_func(module: &Module, layout: &GlobalLayout, func: &Function) -> BcFunc
         edges: Vec::new(),
         pending: Vec::new(),
         block_start: Vec::new(),
-        regs0: vec![RtVal::I(0); n_slots as usize],
+        regs0: vec![0; n_slots as usize],
         const_of: HashMap::new(),
+        ptr_size_calls: Vec::new(),
+        open_tags: false,
     };
 
     for (bi, block) in func.blocks.iter().enumerate() {
@@ -189,14 +230,18 @@ fn lower_func(module: &Module, layout: &GlobalLayout, func: &Function) -> BcFunc
         }
     }
 
-    validated(BcFunc {
+    if lw.open_tags {
+        return None;
+    }
+    Some(validated(BcFunc {
         ops: lw.ops,
         locs: lw.locs,
         edges: lw.edges,
         traps: lw.traps,
         regs0: lw.regs0,
+        ptr_size_calls: lw.ptr_size_calls.into_boxed_slice(),
         entry,
-    })
+    }))
 }
 
 /// Which instruction results code that can run references: operands of
@@ -303,15 +348,7 @@ fn validated(f: BcFunc) -> BcFunc {
     {
         return f;
     }
-    let t = malformed("bytecode validation failed: value index out of range");
-    BcFunc {
-        ops: vec![Op::TrapBare { t: 0 }],
-        locs: vec![(0, 0)],
-        edges: Vec::new(),
-        traps: vec![t],
-        regs0: vec![RtVal::I(0)],
-        entry: 0,
-    }
+    trap_only(malformed("bytecode validation failed: value index out of range"))
 }
 
 impl<'m> FnLowerer<'m> {
@@ -336,23 +373,36 @@ impl<'m> FnLowerer<'m> {
         ei as u32
     }
 
-    /// Intern an immediate into a dedicated value slot (dedup by tag +
-    /// bits) of the frame template, so the operand is a plain `Reg`.
-    fn cnum(&mut self, v: RtVal) -> Src {
-        let key = (
-            match v {
-                RtVal::I(_) => 0u8,
-                RtVal::F(_) => 1,
-                RtVal::P(_) => 2,
-            },
-            v.to_bits(),
-        );
+    /// Intern an immediate into a dedicated value slot (dedup by bits) of
+    /// the frame template, so the operand is a plain `Reg`.
+    fn cnum(&mut self, bits: u64) -> Src {
         let next = self.regs0.len() as u32;
-        let slot = *self.const_of.entry(key).or_insert(next);
+        let slot = *self.const_of.entry(bits).or_insert(next);
         if slot == next {
-            self.regs0.push(v);
+            self.regs0.push(bits);
         }
         Src::Reg(slot)
+    }
+
+    /// Record what the sanitizer's release hook needs of the call at the
+    /// next op, whose arguments are `args`, when it may reach one of
+    /// `targets` among the release functions: the tagged engine releases
+    /// exactly when the first argument is a pointer and the second an
+    /// integer. A value that is never assigned is zero, and releasing
+    /// from a null pointer or for zero bytes retires nothing, so such a
+    /// value may count either way.
+    fn note_release_args(&mut self, args: &[Operand], mut targets: impl FnMut(&Function) -> bool) {
+        let m = self.ctx.module;
+        if !self.ctx.release.iter().any(|&g| targets(&m.funcs[g as usize])) {
+            return;
+        }
+        let class = |i: usize| args.get(i).map_or(Class::NONE, |a| self.ctx.classes.operand(self.fi, *a));
+        let (p, size) = (class(0), class(1));
+        if args.len() >= 2 && p.within(Class::PTR) && size.within(Class::INT) {
+            self.ptr_size_calls.push(self.ops.len() as u32);
+        } else if args.len() >= 2 && Class::PTR.within(p) && Class::INT.within(size) {
+            self.open_tags = true;
+        }
     }
 
     /// Pre-translate one operand (the interpreter's `eval`, done once).
@@ -370,14 +420,10 @@ impl<'m> FnLowerer<'m> {
                 }
             }
             Operand::Param(p) => Src::Arg(p),
-            Operand::ConstI(v, ty) => self.cnum(if ty == Ty::Ptr {
-                RtVal::P(DevPtr(v as u64))
-            } else {
-                RtVal::I(v)
-            }),
-            Operand::ConstF(v) => self.cnum(RtVal::F(v)),
-            Operand::Global(g) => match self.layout.addr_of.get(g.index()) {
-                Some(&p) => self.cnum(RtVal::P(p)),
+            Operand::ConstI(v, _) => self.cnum(v as u64),
+            Operand::ConstF(v) => self.cnum(v.to_bits()),
+            Operand::Global(g) => match self.ctx.layout.addr_of.get(g.index()) {
+                Some(&p) => self.cnum(p.0),
                 None => {
                     let t = self.add_trap(malformed(format!(
                         "operand references missing global {}",
@@ -386,7 +432,7 @@ impl<'m> FnLowerer<'m> {
                     Src::Trap(t)
                 }
             },
-            Operand::Func(f) => self.cnum(RtVal::P(DevPtr::func(f.0))),
+            Operand::Func(f) => self.cnum(DevPtr::func(f.0).0),
         }
     }
 
@@ -476,7 +522,7 @@ impl<'m> FnLowerer<'m> {
                         // Static checks — the interpreter performs these
                         // before charging call cost or evaluating args, so
                         // an eager trap op is observationally identical.
-                        let Some(g) = self.module.funcs.get(f.0 as usize) else {
+                        let Some(g) = self.ctx.module.funcs.get(f.0 as usize) else {
                             let t = self.add_trap(TrapKind::BadIndirectCall);
                             self.emit(Op::TrapInst { t }, loc);
                             return true;
@@ -497,6 +543,7 @@ impl<'m> FnLowerer<'m> {
                             return true;
                         }
                         let runtime = is_runtime_fn(&g.name);
+                        self.note_release_args(args, |r| std::ptr::eq(r, g));
                         let args = self.srcs(args);
                         self.emit(
                             Op::Call {
@@ -509,6 +556,7 @@ impl<'m> FnLowerer<'m> {
                         );
                     }
                     other => {
+                        self.note_release_args(args, |r| r.params.len() == args.len());
                         let callee = self.src(*other);
                         let args = self.srcs(args);
                         self.emit(
@@ -697,7 +745,7 @@ impl<'m> FnLowerer<'m> {
 #[cfg(test)]
 mod tests {
     use nzomp_ir::inst::BinOp;
-    use nzomp_ir::FuncBuilder;
+    use nzomp_ir::{FuncBuilder, Ty};
 
     use super::*;
 
@@ -714,7 +762,7 @@ mod tests {
     fn slots(f: Function) -> usize {
         let mut m = Module::new("slots");
         m.add_function(f);
-        lower_module(&m, &GlobalLayout::default()).funcs[0].regs0.len()
+        lower_module(&m, &GlobalLayout::default()).unwrap().funcs[0].regs0.len()
     }
 
     /// Arena entries no block lists — here a chain of adds, each reading

@@ -6,8 +6,19 @@
 //!
 //! * **Register allocation** — SSA results that code a block lists (or a
 //!   terminator) uses get a dense value slot; dead results share one
-//!   scratch slot. Frames carry a flat `Vec<RtVal>` sized to the slot
+//!   scratch slot. Frames carry a flat `Vec<u64>` sized to the slot
 //!   count instead of the instruction arena.
+//! * **Registers are bits** — a slot, an argument and an immediate hold a
+//!   value's raw 64 bits with no type tag. Each op reads them in the
+//!   domain its operator's static class names (`ops::bits_*`, over the
+//!   same `nzomp_ir` rules the interpreter's tagged adapters use), loads
+//!   and stores move the bits as they are, and `RtVal` appears only at
+//!   the edges: launch arguments (converted once per thread in
+//!   `kernel_frame`) and atomics handed to [`GlobalMem`]. That is the
+//!   interpreter's behaviour exactly when every operand is read in the
+//!   domain it was produced in, which lowering proves with the value-class
+//!   rule (`nzomp_ir::analysis::class`); a module it cannot prove is not
+//!   lowered and runs on the tagged interpreter (`Device::launch`).
 //! * **Pre-translated operands** ([`Src`]) — instruction results become
 //!   slot reads, params become argument reads, constants (including
 //!   resolved global addresses and function pointers) are immediate
@@ -39,7 +50,7 @@ use crate::error::TrapKind;
 use crate::exec::{malformed, ExecBackend, Status, TeamExec, ThreadCtx};
 use crate::gmem::{rtval_from_bits, GlobalMem};
 use crate::memory::{DevPtr, Segment};
-use crate::ops::{combine_atomic, corrupt_value, exec_bin, exec_cast, exec_cmp, exec_un};
+use crate::ops::{bits_bin, bits_cast, bits_cmp, bits_un, combine_atomic};
 use crate::sanitize::{AccessKind, IrLoc};
 use crate::value::RtVal;
 
@@ -162,7 +173,12 @@ pub(crate) struct BcFunc {
     /// dedicated slot (disjoint from every instruction-result slot), so
     /// operands reference immediates as plain [`Src::Reg`] reads and
     /// frame setup is one copy.
-    pub regs0: Vec<RtVal>,
+    pub regs0: Vec<u64>,
+    /// Sorted indexes of the call ops whose first two arguments the
+    /// tagged engine holds as a pointer and an integer — the shape the
+    /// sanitizer's region-release hook keys on
+    /// ([`TeamExec::san_on_call_bits`]).
+    pub ptr_size_calls: Box<[u32]>,
     /// Entry op offset.
     pub entry: u32,
 }
@@ -191,8 +207,8 @@ pub(crate) struct BcModule {
 pub(crate) struct BcFrame {
     func: u32,
     pc: u32,
-    regs: Vec<RtVal>,
-    args: Vec<RtVal>,
+    regs: Vec<u64>,
+    args: Vec<u64>,
     /// Caller value slot that receives the return value.
     ret_dst: Option<u32>,
     /// Thread-local stack watermark to restore on return.
@@ -209,7 +225,7 @@ pub(crate) struct BcBackend<'a> {
 /// that cold path. Keeping the hot return at 16 bytes (vs. a
 /// `Result<_, TrapKind>` at 40) matters: this runs 1–3× per op.
 #[inline(always)]
-fn getv(regs: &[RtVal], frame: &BcFrame, s: &Src) -> Option<RtVal> {
+fn getv(regs: &[u64], frame: &BcFrame, s: &Src) -> Option<u64> {
     match *s {
         // SAFETY: every `Reg` index a lowered function can name is
         // range-checked against the function's slot count by the
@@ -238,12 +254,12 @@ fn getv_err(traps: &[TrapKind], s: &Src) -> TrapKind {
 }
 
 /// A fresh frame register file: a copy of the function's template.
-fn fresh_regs(f: &BcFunc) -> Vec<RtVal> {
+fn fresh_regs(f: &BcFunc) -> Vec<u64> {
     f.regs0.clone()
 }
 
 #[inline(always)]
-fn setv(regs: &mut [RtVal], i: u32, v: RtVal) {
+fn setv(regs: &mut [u64], i: u32, v: u64) {
     // The dead-result scratch (slot 0) absorbs every dead write.
     // SAFETY: destination slots are range-checked against the slot count
     // by the validation gate in `lower.rs` (`validated`), and a frame's
@@ -283,7 +299,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         regs.clear();
         regs.extend_from_slice(&f.regs0);
         argv.clear();
-        argv.extend_from_slice(args);
+        argv.extend(args.iter().map(|a| a.to_bits() as u64));
         Ok(BcFrame {
             func: kernel,
             pc: f.entry,
@@ -318,12 +334,12 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         let mut edges: &'a [Edge] = &cur.edges;
 
         // Reusable phi parallel-copy buffer (no per-branch allocation).
-        let mut movebuf: Vec<RtVal> = Vec::new();
+        let mut movebuf: Vec<u64> = Vec::new();
 
         // The live frame's value slots, held as a plain local for the
         // whole run (restored into the frame at every exit, call and
         // return) so slot reads/writes don't round-trip the frame struct.
-        let mut regs: Vec<RtVal> = std::mem::take(&mut frame.regs);
+        let mut regs: Vec<u64> = std::mem::take(&mut frame.regs);
 
         // Hot accounting state, cached in locals for the whole run: the
         // compiler cannot keep these in registers on its own because every
@@ -525,7 +541,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     issue!();
                     let av = readv!(a);
                     let bv = readv!(b);
-                    let v = try_v!(exec_bin(*op, av, bv));
+                    let v = try_v!(bits_bin(*op, av, bv));
                     if op.is_float() {
                         flops += 1;
                         charge!(cost::FP);
@@ -537,7 +553,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 Op::Un { op, a, dst } => {
                     issue!();
                     let av = readv!(a);
-                    let v = exec_un(*op, av);
+                    let v = bits_un(*op, av);
                     let class = op.class();
                     if class != OpClass::Alu {
                         flops += 1;
@@ -548,7 +564,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 Op::Cast { kind, to, a, dst } => {
                     issue!();
                     let av = readv!(a);
-                    let v = exec_cast(*kind, *to, av);
+                    let v = bits_cast(*kind, *to, av);
                     charge!(cost::ALU);
                     setv(&mut regs, *dst, v);
                 }
@@ -562,13 +578,13 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     issue!();
                     let av = readv!(a);
                     let bv = readv!(b);
-                    let v = exec_cmp(*pred, *float, av, bv);
+                    let v = bits_cmp(*pred, *float, av, bv);
                     charge!(cost::ALU);
-                    setv(&mut regs, *dst, RtVal::I(v as i64));
+                    setv(&mut regs, *dst, v as u64);
                 }
                 Op::Select { c, t, f, dst } => {
                     issue!();
-                    let cv = readv!(c).as_bool();
+                    let cv = readv!(c) != 0;
                     let v = if cv {
                         readv!(t)
                     } else {
@@ -579,25 +595,24 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 }
                 Op::Load { ty, p, dst } => {
                     issue!();
-                    let pv = readv!(p).as_ptr();
+                    let pv = DevPtr(readv!(p));
                     charge_mem!(cost::mem(pv.segment()));
-                    let bits = try_v!(exec.mem_read(thread, pv, ty.size()));
-                    let mut v = rtval_from_bits(bits, *ty);
+                    let mut v = try_v!(exec.mem_read(thread, pv, ty.size())) as u64;
                     if exec.san_armed() {
                         let loc = loc_of(cur, frame.func, cur_pc!() as usize - 1);
                         exec.san_record(thread.tid, loc, AccessKind::Read, pv, ty.size());
                     }
                     if let Some(xor) = thread.corrupt_next_load.take() {
-                        v = corrupt_value(v, xor, *ty);
+                        v ^= xor;
                     }
                     setv(&mut regs, *dst, v);
                 }
                 Op::Store { ty, p, v } => {
                     issue!();
-                    let pv = readv!(p).as_ptr();
+                    let pv = DevPtr(readv!(p));
                     let vv = readv!(v);
                     charge_mem!(cost::mem(pv.segment()));
-                    try_v!(exec.mem_write(thread, pv, ty.size(), vv.to_bits()));
+                    try_v!(exec.mem_write(thread, pv, ty.size(), vv as i64));
                     if exec.san_armed() {
                         let loc = loc_of(cur, frame.func, cur_pc!() as usize - 1);
                         exec.san_record(thread.tid, loc, AccessKind::Write, pv, ty.size());
@@ -605,17 +620,17 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 }
                 Op::PtrAdd { a, b, dst } => {
                     issue!();
-                    let base = readv!(a).as_ptr();
-                    let off = readv!(b).as_i();
+                    let base = DevPtr(readv!(a));
+                    let off = readv!(b) as i64;
                     charge!(cost::ALU);
-                    setv(&mut regs, *dst, RtVal::P(base.add_bytes(off)));
+                    setv(&mut regs, *dst, base.add_bytes(off).0);
                 }
                 Op::Alloca { size, dst } => {
                     issue!();
                     let off = thread.local_top;
                     thread.local_top += size;
                     thread.local.grow_to(thread.local_top as usize);
-                    setv(&mut regs, *dst, RtVal::P(DevPtr::local(thread.tid, off as u32)));
+                    setv(&mut regs, *dst, DevPtr::local(thread.tid, off as u32).0);
                 }
                 Op::Call {
                     target,
@@ -645,7 +660,10 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     if let Some(s) = bad {
                         fail!(getv_err(traps, s));
                     }
-                    exec.san_on_call(*target, &argv);
+                    if exec.san_armed() {
+                        let tags = cur.ptr_size_calls.binary_search(&(cur_pc!() - 1)).is_ok();
+                        exec.san_on_call_bits(*target, &argv, tags);
+                    }
                     let new_frame = BcFrame {
                         func: *target,
                         pc: callee.entry,
@@ -672,7 +690,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     ret_dst,
                 } => {
                     issue!();
-                    let cp = readv!(callee).as_ptr();
+                    let cp = DevPtr(readv!(callee));
                     if cp.segment() != Segment::Func {
                         fail!(TrapKind::BadIndirectCall);
                     }
@@ -713,7 +731,10 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     if let Some(s) = bad {
                         fail!(getv_err(traps, s));
                     }
-                    exec.san_on_call(target, &argv);
+                    if exec.san_armed() {
+                        let tags = cur.ptr_size_calls.binary_search(&(cur_pc!() - 1)).is_ok();
+                        exec.san_on_call_bits(target, &argv, tags);
+                    }
                     let new_frame = BcFrame {
                         func: target,
                         pc: callee_fn.entry,
@@ -743,8 +764,12 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     used,
                 } => {
                     issue!();
-                    let pv = readv!(p).as_ptr();
-                    let vv = readv!(v);
+                    let pv = DevPtr(readv!(p));
+                    // The operand as the tagged engine would combine it:
+                    // the class rule puts it in the domain of `ty` unless
+                    // the op is an exchange, which stores its bits as
+                    // they are.
+                    let vv = rtval_from_bits(readv!(v) as i64, *ty);
                     charge_mem!(cost::ATOMIC);
                     if pv.segment() == Segment::Global {
                         exec.counters.global_accesses += 2;
@@ -754,12 +779,12 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                         };
                         let old =
                             try_v!(exec.global.atomic(*op, *ty, pv.offset(), vv, result_used));
-                        setv(&mut regs, *dst, old);
+                        setv(&mut regs, *dst, old.to_bits() as u64);
                     } else {
-                        let old = try_v!(exec.load_typed(thread, pv, *ty));
-                        let new = combine_atomic(*op, *ty, old, vv);
+                        let old = try_v!(exec.mem_read(thread, pv, ty.size()));
+                        let new = combine_atomic(*op, *ty, rtval_from_bits(old, *ty), vv);
                         try_v!(exec.mem_write(thread, pv, ty.size(), new.to_bits()));
-                        setv(&mut regs, *dst, old);
+                        setv(&mut regs, *dst, old as u64);
                     }
                     if exec.san_armed() {
                         let loc = loc_of(cur, frame.func, cur_pc!() as usize - 1);
@@ -768,24 +793,23 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 }
                 Op::Cas { ty, p, e, n, dst } => {
                     issue!();
-                    let pv = readv!(p).as_ptr();
-                    let ev = readv!(e);
-                    let nv = readv!(n);
+                    let pv = DevPtr(readv!(p));
+                    let ev = readv!(e) as i64;
+                    let nv = readv!(n) as i64;
                     charge_mem!(cost::ATOMIC);
                     if pv.segment() == Segment::Global {
                         exec.counters.global_accesses += 1;
-                        let (old, stored) =
-                            try_v!(exec.global.cas(*ty, pv.offset(), ev.to_bits(), nv.to_bits()));
+                        let (old, stored) = try_v!(exec.global.cas(*ty, pv.offset(), ev, nv));
                         if stored {
                             exec.counters.global_accesses += 1;
                         }
-                        setv(&mut regs, *dst, old);
+                        setv(&mut regs, *dst, old.to_bits() as u64);
                     } else {
-                        let old = try_v!(exec.load_typed(thread, pv, *ty));
-                        if old.to_bits() == ev.to_bits() {
-                            try_v!(exec.mem_write(thread, pv, ty.size(), nv.to_bits()));
+                        let old = try_v!(exec.mem_read(thread, pv, ty.size()));
+                        if old == ev {
+                            try_v!(exec.mem_write(thread, pv, ty.size(), nv));
                         }
-                        setv(&mut regs, *dst, old);
+                        setv(&mut regs, *dst, old as u64);
                     }
                     if exec.san_armed() {
                         let loc = loc_of(cur, frame.func, cur_pc!() as usize - 1);
@@ -794,19 +818,19 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 }
                 Op::ThreadId { dst } => {
                     issue!();
-                    setv(&mut regs, *dst, RtVal::I(thread.tid as i64));
+                    setv(&mut regs, *dst, thread.tid as u64);
                 }
                 Op::TeamId { dst } => {
                     issue!();
-                    setv(&mut regs, *dst, RtVal::I(exec.team_id as i64));
+                    setv(&mut regs, *dst, exec.team_id as u64);
                 }
                 Op::BlockDim { dst } => {
                     issue!();
-                    setv(&mut regs, *dst, RtVal::I(exec.nthreads as i64));
+                    setv(&mut regs, *dst, exec.nthreads as u64);
                 }
                 Op::GridDim { dst } => {
                     issue!();
-                    setv(&mut regs, *dst, RtVal::I(exec.num_teams as i64));
+                    setv(&mut regs, *dst, exec.num_teams as u64);
                 }
                 Op::Barrier { aligned } => {
                     issue!();
@@ -832,23 +856,22 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                         let Some(s) = c else {
                             fail!(malformed("assume intrinsic with no operand"));
                         };
-                        let cv = readv!(s).as_bool();
-                        if !cv {
+                        if readv!(s) == 0 {
                             fail!(TrapKind::AssumeViolated);
                         }
                     }
                 }
                 Op::Malloc { size, dst } => {
                     issue!();
-                    let sz = readv!(size).as_i().max(0) as u64;
+                    let sz = (readv!(size) as i64).max(0) as u64;
                     charge_mem!(cost::MALLOC);
                     exec.counters.device_mallocs += 1;
                     let off = try_v!(exec.heap_alloc(sz));
-                    setv(&mut regs, *dst, RtVal::P(DevPtr::global(off as u32)));
+                    setv(&mut regs, *dst, DevPtr::global(off as u32).0);
                 }
                 Op::Free { p } => {
                     issue!();
-                    let pv = readv!(p).as_ptr();
+                    let pv = DevPtr(readv!(p));
                     if !pv.is_null() {
                         try_v!(exec.heap_free(pv));
                     }
@@ -857,7 +880,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     follow!(*edge);
                 }
                 Op::CondBr { c, t, f } => {
-                    let cv = readv!(c).as_bool();
+                    let cv = readv!(c) != 0;
                     charge!(cost::ALU);
                     follow!(if cv { *t } else { *f });
                 }

@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 use nzomp_ir::analysis::callgraph::CallGraph;
 use nzomp_ir::analysis::liveness;
 use nzomp_ir::module::FuncRef;
-use nzomp_ir::{Module, Space};
+use nzomp_ir::{Module, Space, Ty};
 
 use crate::bytecode::{lower_module, BcModule};
 use crate::cost::{self, DeviceConfig};
@@ -100,8 +100,10 @@ pub struct Image {
     /// What the sanitizer skips and hooks in this module, worked out at
     /// the first sanitized launch.
     san: OnceLock<Arc<ModuleSan>>,
-    /// The bytecode image, lowered at the first bytecode-tier launch.
-    bc: OnceLock<BcModule>,
+    /// The bytecode image, lowered at the first bytecode-tier launch;
+    /// `None` when the value-class rule cannot prove the module, which
+    /// then runs on the interpreter.
+    bc: OnceLock<Option<BcModule>>,
     /// Per function index, what launching it as a kernel needs, worked
     /// out at its first launch.
     kernels: Vec<OnceLock<Kernel>>,
@@ -176,8 +178,8 @@ impl Image {
             .get_or_init(|| Arc::new(ModuleSan::new(&self.module, &self.layout.addr_of)))
     }
 
-    fn bytecode(&self) -> &BcModule {
-        self.bc.get_or_init(|| lower_module(&self.module, &self.layout))
+    fn bytecode(&self) -> Option<&BcModule> {
+        self.bc.get_or_init(|| lower_module(&self.module, &self.layout)).as_ref()
     }
 
     /// Registers are allocated for the whole call tree on a GPU (no real
@@ -221,6 +223,14 @@ impl Image {
     pub fn kernel_name(&self, name: &str) -> Option<Arc<str>> {
         let f = self.resolve(name)?;
         Some(Arc::clone(&self.kernel(f).name))
+    }
+
+    /// Whether launches of this image can run untagged on the bytecode
+    /// tier: the value-class rule proved its module (lowering it now if
+    /// no launch has yet). A `false` image runs every launch on the
+    /// interpreter, with identical results and about a third the speed.
+    pub fn runs_untagged(&self) -> bool {
+        self.bytecode().is_some()
     }
 }
 
@@ -631,9 +641,11 @@ impl Device {
         let mut lsan = (self.run.sanitize != Sanitize::Off).then(LaunchSan::default);
         let ctx = LaunchCtx {
             image: &self.image,
+            // The untagged tier runs only what the class rule proved, so
+            // the launch arguments must carry the classes it assumed.
             bc: match self.run.tier {
-                ExecTier::Bytecode => Some(self.image.bytecode()),
-                ExecTier::Interp => None,
+                ExecTier::Bytecode if args_fit(&func.params, args) => self.image.bytecode(),
+                ExecTier::Bytecode | ExecTier::Interp => None,
             },
             faults: self.faults.as_ref(),
             check_assumes: self.config.check_assumes,
@@ -694,6 +706,12 @@ impl Device {
             sanitizer_divergences: divergences,
         })
     }
+}
+
+/// Whether every launch argument holds the class the value-class rule
+/// assumes of its parameter: float exactly when the parameter is `f64`.
+fn args_fit(params: &[Ty], args: &[RtVal]) -> bool {
+    params.iter().zip(args).all(|(ty, a)| ty.is_float() == matches!(a, RtVal::F(_)))
 }
 
 /// The occupancy / wave model, folded team by team: teams are issued in

@@ -1,14 +1,18 @@
-//! `RtVal` adapters over the operator semantics of `nzomp_ir::ops`.
+//! Device adapters over the operator semantics of `nzomp_ir::ops`.
 //!
 //! What an operator computes is defined once, in `nzomp-ir`, and the
 //! optimizer's constant folder calls the same methods — so a folded value
 //! and an executed one are the same function's result. What is left here is
-//! what only the device knows: how a dynamically typed [`RtVal`] coerces to
-//! the operator's domain (`as_i` / `as_f`), that an integer operation
-//! without a result is a [`TrapKind::DivByZero`], the address-space tag a
-//! `PtrCast` carries, and fault-injected load corruption. The interpreter
-//! (`interp.rs`) and the bytecode tier (`bytecode/`) both execute through
-//! these adapters.
+//! what only the device knows: how an operand reaches the operator's
+//! domain, that an integer operation without a result is a
+//! [`TrapKind::DivByZero`], the address-space tag a `PtrCast` carries, and
+//! fault-injected load corruption. There are two forms. The interpreter
+//! (`interp.rs`) runs the tagged one, where a dynamically typed [`RtVal`]
+//! coerces to the domain (`as_i` / `as_f`). The bytecode tier (`bytecode/`)
+//! runs the untagged one (`bits_*`), where a register is raw bits and the
+//! operator's static class says how to read them — sound only on images
+//! that pass `nzomp_ir::analysis::class`, which is the only kind the
+//! device lowers.
 
 use nzomp_ir::inst::{AtomicOp, BinOp, CastKind, Pred, UnOp};
 use nzomp_ir::Ty;
@@ -67,6 +71,51 @@ pub(crate) fn exec_cmp(pred: Pred, float: bool, a: RtVal, b: RtVal) -> bool {
         pred.eval_float(a.as_f(), b.as_f())
     } else {
         pred.eval_int(a.to_bits(), b.to_bits())
+    }
+}
+
+/// [`exec_bin`] on register bits, read in the operator's domain.
+#[inline]
+pub(crate) fn bits_bin(op: BinOp, a: u64, b: u64) -> Result<u64, TrapKind> {
+    let v = if op.is_float() {
+        op.eval_float(f64::from_bits(a), f64::from_bits(b)).map(f64::to_bits)
+    } else {
+        op.eval_int(a as i64, b as i64).map(|v| v as u64)
+    };
+    v.ok_or(TrapKind::DivByZero)
+}
+
+/// [`exec_un`] on register bits.
+#[inline]
+pub(crate) fn bits_un(op: UnOp, a: u64) -> u64 {
+    let v = if op.is_float() {
+        op.eval_float(f64::from_bits(a)).map(f64::to_bits)
+    } else {
+        op.eval_int(a as i64).map(|v| v as u64)
+    };
+    v.unwrap_or(a)
+}
+
+/// [`exec_cast`] on register bits. A `PtrCast` keeps the bits (the tag it
+/// changes exists only in the tagged form).
+#[inline]
+pub(crate) fn bits_cast(kind: CastKind, to: Ty, a: u64) -> u64 {
+    match kind {
+        CastKind::IntCast => CastKind::int_cast(to, a as i64) as u64,
+        CastKind::ZExtCast => CastKind::zext_cast(to, a as i64) as u64,
+        CastKind::SiToFp => CastKind::si_to_fp(a as i64).to_bits(),
+        CastKind::FpToSi => CastKind::fp_to_si(f64::from_bits(a)) as u64,
+        CastKind::PtrCast => a,
+    }
+}
+
+/// [`exec_cmp`] on register bits.
+#[inline]
+pub(crate) fn bits_cmp(pred: Pred, float: bool, a: u64, b: u64) -> bool {
+    if float {
+        pred.eval_float(f64::from_bits(a), f64::from_bits(b))
+    } else {
+        pred.eval_int(a as i64, b as i64)
     }
 }
 

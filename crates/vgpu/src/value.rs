@@ -1,8 +1,12 @@
-//! Runtime values.
+//! Tagged runtime values.
 
 use crate::memory::DevPtr;
 
-/// A dynamic value flowing through the interpreter. Integers of all widths
+/// A dynamically typed value: what a launch argument is, and what the
+/// interpreter — the tagged oracle — computes with, converting at a use
+/// whose domain differs from the tag. The bytecode tier keeps only the
+/// bits (`to_bits`) and converts at no use; it runs only modules whose
+/// uses the value-class rule proves never differ. Integers of all widths
 /// are carried as `i64` (the IR performs arithmetic in 64-bit two's
 /// complement); memory access width comes from the instruction type.
 #[derive(Clone, Copy, Debug, PartialEq)]

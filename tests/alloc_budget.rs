@@ -18,12 +18,10 @@ use std::rc::Rc;
 
 use nzomp::pipeline::compile;
 use nzomp::BuildConfig;
-use nzomp_front::spmd_kernel_for;
 use nzomp_host::{f64_bytes, Host, RegionArg};
-use nzomp_ir::{Module, Operand, Ty};
-use nzomp_rt::RuntimeFlavor;
 use nzomp_serve::{Outcome, ReqArg, RequestSpec, Serve, ServeConfig, TenantConfig};
 use nzomp_vgpu::device::Launch;
+use nzomp_integration::scale_module;
 use nzomp_proxies::quick_device;
 use nzomp_vgpu::{Device, ExecTier, RtVal, RunConfig, Sanitize};
 
@@ -80,27 +78,6 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// `out[i] = in[i] * factor + i`.
-fn scale_module(factor: f64) -> Module {
-    let mut m = Module::new("nzbench_scale");
-    spmd_kernel_for(
-        &mut m,
-        RuntimeFlavor::Modern,
-        "k",
-        &[Ty::Ptr, Ty::Ptr, Ty::I64],
-        |_b, p| p[2],
-        |_m, b, iv, p| {
-            let pa = b.gep(p[0], iv, 8);
-            let x = b.load(Ty::F64, pa);
-            let scaled = b.fmul(x, Operand::f64(factor));
-            let i_f = b.si_to_fp(iv);
-            let v = b.fadd(scaled, i_f);
-            let po = b.gep(p[1], iv, 8);
-            b.store(Ty::F64, po, v);
-        },
-    );
-    m
-}
 
 fn allocations_of_one_compile(factor: f64) -> u64 {
     let app = scale_module(factor);

@@ -22,17 +22,23 @@
 //!   and for every verifier-rejected text mutation of the corpus (the
 //!   fuzz of the validation gate behind the dispatch loop's `unsafe`).
 
+use nzomp::pipeline::compile;
+use nzomp::BuildConfig;
+use nzomp_ir::analysis::class::value_classes;
 use nzomp_ir::parser::parse_module_strict;
-use nzomp_ir::{ExecMode, FuncBuilder, Module, Operand, Ty};
+use nzomp_ir::{CastKind, ExecMode, FuncBuilder, Global, Init, Module, Operand, Space, Ty};
 use nzomp_integration::corpus::{corpus_texts, mutate_text};
 use nzomp_integration::gen::{generate, parse_launch_comment};
 use nzomp_host::SchedPolicy;
 use nzomp_integration::{
     alike, assert_alike, compiled, observe_generated, observe_launch, observe_proxy,
-    run_proxy_outcome, run_recovered, tier_axes, TIERS,
+    run_proxy_outcome, run_recovered, scale_module, tier_axes, ProxyOutcome, TIERS,
 };
 use nzomp_vgpu::device::Launch;
-use nzomp_vgpu::{DevPtr, Device, DeviceConfig, FaultAction, FaultPlan, FaultSite, RtVal, TrapKind};
+use nzomp_vgpu::{
+    DevPtr, Device, DeviceConfig, FaultAction, FaultPlan, FaultSite, Image, RtVal, RunConfig,
+    Sanitize, TrapKind,
+};
 
 /// 50 seeded fault campaigns, replayed on both tiers at every run axis:
 /// the typed trap (or clean metrics), the whole memory image, and the
@@ -251,23 +257,50 @@ fn malformed_ir_message_is_tier_invariant() {
 /// `debug_assert!` in `bytecode/mod.rs`.
 #[test]
 fn verifier_rejected_mutants_behave_identically_across_tiers() {
+    // About one mutation in 350 gets past the parser and stops at the
+    // verifier; most die in the parser in microseconds.
+    let rejected = corpus_mutants_alike(false, |_| usize::MAX);
+    // The mutator must actually get past the parser and stop at the verifier.
+    assert!(rejected >= 20, "only {rejected} mutants parsed and failed verification");
+}
+
+/// The other half: mutants the verifier *accepts*. The verifier checks no
+/// operand type, so a mutation in a type position lands here — an `i64`
+/// constant where a double was, a float load of a pointer — and the
+/// value-class rule decides which tier runs it. Either way the result is
+/// the interpreter's. At most 16 mutants of each generated kernel run,
+/// and 2 of each proxy application, whose launches cost a hundred times
+/// more: a few seconds in all.
+#[test]
+fn verifier_accepted_mutants_behave_identically_across_tiers() {
+    let cap = |name: &str| if name.starts_with("proxy-") { 2 } else { 16 };
+    let accepted = corpus_mutants_alike(true, cap);
+    assert!(accepted >= 200, "only {accepted} mutants parsed and verified");
+}
+
+/// Launch every seeded text mutation of every corpus file that parses and
+/// whose `verify_module` verdict is `verified`, at most `cap(file name)`
+/// per file, on both tiers at every axis; returns how many ran.
+fn corpus_mutants_alike(verified: bool, cap: impl Fn(&str) -> usize) -> usize {
     let proxies = nzomp_proxies::all_proxies();
     let runs = tier_axes();
-    let mut rejected = 0usize;
+    let mut total = 0usize;
     for (name, text) in corpus_texts().unwrap() {
         let meta = parse_launch_comment(&text);
         let proxy = proxies
             .iter()
             .find(|p| name == format!("proxy-{}.nzir", p.name().to_lowercase()));
-        // About one mutation in 350 gets past the parser and stops at
-        // the verifier; most die in the parser in microseconds.
+        let (mut ran, cap) = (0usize, cap(&name));
         for seed in 0..512u64 {
+            if ran == cap {
+                break;
+            }
             let mutated = mutate_text(&text, seed);
             let Ok(m) = parse_module_strict(&mutated) else { continue };
-            if nzomp_ir::verify_module(&m).is_ok() {
+            if nzomp_ir::verify_module(&m).is_ok() != verified {
                 continue;
             }
-            rejected += 1;
+            ran += 1;
             let on = |run| {
                 // A mutant may loop forever; both tiers charge one fuel
                 // unit per op, so the step budget cuts them at the same op.
@@ -284,7 +317,198 @@ fn verifier_rejected_mutants_behave_identically_across_tiers() {
                 .unwrap_or_else(|_| panic!("{what}: a run panicked on\n{mutated}"))
                 .unwrap_or_else(|e| panic!("{e} on\n{mutated}"));
         }
+        total += ran;
     }
-    // The mutator must actually get past the parser and stop at the verifier.
-    assert!(rejected >= 20, "only {rejected} mutants parsed and failed verification");
+    total
+}
+
+/// Every image we ship runs untagged. A module the value-class rule cannot
+/// prove runs on the interpreter with every result still correct and at a
+/// third of the speed, so a silent fallback shows nowhere but here: every
+/// proxy under every build configuration, the benchmark's request kernel
+/// and every corpus file must pass.
+#[test]
+fn nothing_we_ship_falls_back_to_the_interpreter() {
+    let untagged = |what: &str, m: Module| {
+        if let Err(e) = value_classes(&m) {
+            panic!("{what}: {e}");
+        }
+        assert!(Image::new(m).runs_untagged(), "{what}: a release call's argument tags are open");
+    };
+    for p in nzomp_proxies::all_proxies() {
+        for cfg in BuildConfig::ALL {
+            untagged(&format!("{} {cfg:?}", p.name()), compiled(p.as_ref(), cfg));
+        }
+    }
+    let scale = compile(scale_module(2.0), BuildConfig::NewRtNoAssumptions).unwrap().module;
+    untagged("scale kernel", scale);
+    for (name, text) in corpus_texts().unwrap() {
+        untagged(&name, parse_module_strict(&text).unwrap());
+    }
+}
+
+/// Threads per team of the mixed-class kernels; two teams run.
+const MIXED_THREADS: u32 = 8;
+
+/// `@k(out, extra..)`: thread `g` of the grid stores the double `body`
+/// computes to `out[g]`.
+fn mixed_kernel(
+    extra: &[Ty],
+    body: impl FnOnce(&mut Module, &mut FuncBuilder, Operand) -> Operand,
+) -> Module {
+    let mut m = Module::new("mixed");
+    let mut b = FuncBuilder::new("k", [&[Ty::Ptr], extra].concat(), None);
+    let tid = b.thread_id();
+    let team = b.block_id();
+    let base = b.mul(team, Operand::i64(MIXED_THREADS as i64));
+    let g = b.add(base, tid);
+    let v = body(&mut m, &mut b, g);
+    let p = b.gep(Operand::Param(0), g, 8);
+    b.store(Ty::F64, p, v);
+    b.ret(None);
+    let k = m.add_function(b.finish());
+    m.add_kernel(k, ExecMode::Spmd);
+    m
+}
+
+/// Run `m`'s `@k` over a fresh `out` plus `extra` on the interpreter and
+/// on the bytecode tier at every axis: each must equal the interpreter's
+/// outputs, memory image, metrics and trap. Returns the first outcome.
+fn alike_across_tiers(what: &str, m: &Module, extra: &[RtVal]) -> ProxyOutcome {
+    let words = 2 * MIXED_THREADS as usize;
+    assert_alike(what, &tier_axes(), |run| {
+        let mut dev = Device::load_with(m.clone(), DeviceConfig::default(), run);
+        let out = dev.alloc(8 * words as u64);
+        let args = [&[RtVal::P(out)], extra].concat();
+        observe_launch(&mut dev, "k", Launch::new(2, MIXED_THREADS), &args, (out, words))
+    })
+}
+
+fn out_f64(o: &ProxyOutcome) -> Vec<f64> {
+    o.out_bits.as_ref().expect("the launch trapped").iter().map(|&b| f64::from_bits(b)).collect()
+}
+
+/// A module the value-class rule cannot prove runs on the tagged
+/// interpreter whichever tier is asked for, so it computes what the
+/// oracle computes — conversions at the mismatched uses included — in
+/// outputs, memory, metrics and traps, at every worker count and
+/// sanitizer setting.
+#[test]
+fn unprovable_modules_fall_back_to_the_interpreter_exactly() {
+    let ill_classed = |what: &str, m: &Module, extra: &[RtVal]| {
+        assert!(value_classes(m).is_err(), "{what}: the class rule proved it");
+        assert!(!Image::new(m.clone()).runs_untagged(), "{what}");
+        alike_across_tiers(what, m, extra)
+    };
+
+    // A float operator on an `i64` parameter: the oracle converts 5 to 5.0.
+    let m = mixed_kernel(&[Ty::I64], |_, b, _| b.fadd(Operand::Param(1), Operand::f64(1.5)));
+    let o = ill_classed("fadd of an i64 parameter", &m, &[RtVal::I(5)]);
+    assert_eq!(out_f64(&o), vec![6.5; 16]);
+
+    // A phi merging a double (even threads) and an integer (odd ones).
+    let m = mixed_kernel(&[], |_, b, g| {
+        let bit = b.and(g, Operand::i64(1));
+        let even = b.icmp_eq(bit, Operand::i64(0));
+        let (t, f, join) = (b.new_block(), b.new_block(), b.new_block());
+        b.cond_br(even, t, f);
+        for bb in [t, f] {
+            b.switch_to(bb);
+            b.br(join);
+        }
+        b.switch_to(join);
+        let v = b.phi(Ty::F64, vec![(t, Operand::f64(2.5)), (f, Operand::i64(7))]);
+        b.fadd(v, Operand::f64(0.25))
+    });
+    let o = ill_classed("phi of f64 and i64", &m, &[]);
+    assert_eq!(out_f64(&o)[..2], [2.75, 7.25]);
+
+    // A select of a double and an integer.
+    let m = mixed_kernel(&[], |_, b, g| {
+        let bit = b.and(g, Operand::i64(1));
+        let v = b.select(Ty::F64, bit, Operand::f64(1.5), Operand::i64(3));
+        b.fmul(v, Operand::f64(2.0))
+    });
+    let o = ill_classed("select of f64 and i64", &m, &[]);
+    assert_eq!(out_f64(&o)[..2], [6.0, 3.0]);
+
+    // An indirect call passing an integer to an `f64` parameter.
+    let m = mixed_kernel(&[], |m, b, g| {
+        let mut h = FuncBuilder::new("twice", vec![Ty::F64], Some(Ty::F64));
+        let x = h.fmul(Operand::Param(0), Operand::f64(2.0));
+        h.ret(Some(x));
+        let twice = Operand::Func(m.add_function(h.finish()));
+        let never = b.icmp_eq(g, Operand::i64(-1));
+        let callee = b.select(Ty::Ptr, never, twice, twice);
+        b.call(callee, vec![g], Some(Ty::F64)).unwrap()
+    });
+    let o = ill_classed("indirect call of an f64-taking function", &m, &[]);
+    assert_eq!(out_f64(&o)[..3], [0.0, 2.0, 4.0]);
+
+    // A double used as a pointer reads as null: the same trap on both.
+    let m = mixed_kernel(&[], |_, b, _| b.load(Ty::F64, Operand::f64(8.0)));
+    let o = ill_classed("load through a double", &m, &[]);
+    assert_eq!(o.result.unwrap_err().kind, TrapKind::NullDeref);
+
+    // A provable kernel launched with an integer for its `f64` parameter:
+    // the image runs untagged, that launch does not.
+    let m = mixed_kernel(&[Ty::F64], |_, b, _| b.fmul(Operand::Param(1), Operand::f64(2.0)));
+    assert!(Image::new(m.clone()).runs_untagged());
+    let o = alike_across_tiers("RtVal::I for an f64 parameter", &m, &[RtVal::I(3)]);
+    assert_eq!(out_f64(&o), vec![6.0; 16]);
+}
+
+/// The sanitizer's region-release hook keys on the tagged engine's
+/// pointer and integer tags of a release call's first two arguments, and
+/// the untagged tier has no tags: lowering decides each such call from the
+/// value classes, and refuses a module where they leave it open. Every
+/// thread of `@k` writes shared `x` and then calls `@__kmpc_free_shared`
+/// on it: released, the next thread's write meets a fresh shadow; not
+/// released, it races with the previous one.
+#[test]
+fn the_release_hook_sees_the_tags_the_oracle_sees() {
+    let build = |arg: fn(&mut FuncBuilder, Operand) -> Operand| {
+        let mut m = Module::new("release");
+        let x = Operand::Global(m.add_global(Global::new("x", Space::Shared, 8, Init::Zero)));
+        let mut f = FuncBuilder::new("__kmpc_free_shared", vec![Ty::Ptr, Ty::I64], None);
+        f.ret(None);
+        let free = Operand::Func(m.add_function(f.finish()));
+        let mut b = FuncBuilder::new("k", vec![Ty::Ptr], None);
+        b.store(Ty::I64, x, Operand::i64(1));
+        let p = arg(&mut b, x);
+        b.call(free, vec![p, Operand::i64(8)], None);
+        b.ret(None);
+        let k = m.add_function(b.finish());
+        m.add_kernel(k, ExecMode::Spmd);
+        m
+    };
+    let races = |what: &str, m: &Module| {
+        assert_alike(what, &tier_axes(), |run| {
+            let mut dev = Device::load_with(m.clone(), DeviceConfig::default(), run);
+            let out = dev.alloc(8);
+            observe_launch(&mut dev, "k", Launch::new(1, 4), &[RtVal::P(out)], (out, 1))
+        });
+        let run = RunConfig { sanitize: Sanitize::Report, ..RunConfig::default() };
+        let mut dev = Device::load_with(m.clone(), DeviceConfig::default(), run);
+        let out = dev.alloc(8);
+        dev.launch("k", Launch::new(1, 4), &[RtVal::P(out)]).unwrap();
+        dev.sanitizer_counts().0
+    };
+
+    let pointer = build(|_, x| x);
+    assert!(Image::new(pointer.clone()).runs_untagged());
+    assert_eq!(races("a pointer argument", &pointer), 0);
+
+    let integer = build(|b, x| b.cast(CastKind::PtrCast, Ty::I64, x));
+    assert!(Image::new(integer.clone()).runs_untagged());
+    assert!(races("an integer argument", &integer) > 0);
+
+    let either = build(|b, x| {
+        let i = b.cast(CastKind::PtrCast, Ty::I64, x);
+        let tid = b.thread_id();
+        let odd = b.and(tid, Operand::i64(1));
+        b.select(Ty::Ptr, odd, x, i)
+    });
+    assert!(!Image::new(either.clone()).runs_untagged());
+    races("a pointer or an integer", &either);
 }

@@ -19,7 +19,9 @@ use nzomp::BuildConfig;
 use nzomp_host::{
     Host, HostError, RecoveryMetrics, RecoveryPolicy, Region, SchedPolicy, StreamId,
 };
-use nzomp_ir::Module;
+use nzomp_front::spmd_kernel_for;
+use nzomp_ir::{Module, Operand, Ty};
+use nzomp_rt::RuntimeFlavor;
 use nzomp_proxies::{build_for_config, compile_for_config, quick_device, Proxy};
 use nzomp_serve::trace::Replayed;
 use nzomp_serve::{Outcome, ServeRow};
@@ -149,6 +151,30 @@ pub fn run_proxy_outcome(
 /// `p` compiled under `cfg` (panics on compile errors: test context).
 pub fn compiled(p: &dyn Proxy, cfg: BuildConfig) -> Module {
     compile_for_config(p, cfg).unwrap().module
+}
+
+/// `nzbench`'s `serve_hot` / `serve_cold` request kernel (`scale_module`
+/// in `crates/bench/src/bin/nzbench/api.rs`): `out[i] = in[i] * factor + i`
+/// over `(in, out, n)`.
+pub fn scale_module(factor: f64) -> Module {
+    let mut m = Module::new("nzbench_scale");
+    spmd_kernel_for(
+        &mut m,
+        RuntimeFlavor::Modern,
+        "k",
+        &[Ty::Ptr, Ty::Ptr, Ty::I64],
+        |_b, p| p[2],
+        |_m, b, iv, p| {
+            let pa = b.gep(p[0], iv, 8);
+            let x = b.load(Ty::F64, pa);
+            let scaled = b.fmul(x, Operand::f64(factor));
+            let i_f = b.si_to_fp(iv);
+            let v = b.fadd(scaled, i_f);
+            let po = b.gep(p[1], iv, 8);
+            b.store(Ty::F64, po, v);
+        },
+    );
+    m
 }
 
 /// How to shape a run through the `nzomp-host` offload runtime

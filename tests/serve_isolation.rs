@@ -83,6 +83,35 @@ fn scale_app() -> Rc<Module> {
     Rc::new(m)
 }
 
+/// The writer with `state[i] = c + 1.0` for an `i64` parameter `c`: an
+/// `fadd` of integer bits, which the value-class rule refuses at the door.
+fn ill_classed_req() -> RequestSpec {
+    let mut m = Module::new("serve_ill_classed");
+    spmd_kernel_for(
+        &mut m,
+        RuntimeFlavor::Modern,
+        "w",
+        &[Ty::Ptr, Ty::I64, Ty::I64],
+        |_b, p| p[2],
+        |_m, b, iv, p| {
+            let v = b.fadd(p[1], Operand::f64(1.0));
+            let ps = b.gep(p[0], iv, 8);
+            b.store(Ty::F64, ps, v);
+        },
+    );
+    RequestSpec {
+        module: Rc::new(m),
+        config: BuildConfig::NewRtNoAssumptions,
+        kernel: "w".into(),
+        launch: launch(),
+        args: vec![
+            ReqArg::Out(8 * N as u64),
+            ReqArg::Scalar(RtVal::I(3)),
+            ReqArg::Scalar(RtVal::I(N as i64)),
+        ],
+    }
+}
+
 fn write_req(module: &Rc<Module>, state: SBuf, value: i64) -> RequestSpec {
     RequestSpec {
         module: module.clone(),
@@ -309,8 +338,9 @@ fn generated_req(module: Module, meta: LaunchMeta) -> RequestSpec {
 }
 
 /// What the hostile tenant submits: generator modules, the first seeded
-/// mutation of each `gen-*.nzir` corpus file that still parses, launch
-/// shapes past what a device runs, and footprints at the quota's edge.
+/// mutation of each `gen-*.nzir` corpus file that still parses, a kernel
+/// the value-class rule cannot prove, launch shapes past what a device
+/// runs, and footprints at the quota's edge.
 fn hostile_requests(scale: &Rc<Module>, inp: &Rc<Vec<u8>>) -> Vec<(Want, RequestSpec)> {
     let mut reqs = Vec::new();
     for seed in 0..4 {
@@ -328,6 +358,11 @@ fn hostile_requests(scale: &Rc<Module>, inp: &Rc<Vec<u8>>) -> Vec<(Want, Request
         });
         reqs.push((Want::Typed, parsed.expect("no mutation of a corpus file parses")));
     }
+    // Refused before it is compiled, naming the function and instruction,
+    // rather than run on the interpreter of the device both tenants share.
+    let refused = "after input: verify error in @w.omp_outlined.body.0: %5 (FAdd) in bb0: \
+                   reads integer bits where float bits are required";
+    reqs.push((Want::Faulted(refused), ill_classed_req()));
     let shaped = |launch| RequestSpec { launch, ..scale_req(scale, inp.clone()) };
     let grid = Launch { teams: u32::MAX, ..launch() };
     reqs.push((Want::Faulted("step budget exhausted"), shaped(grid)));
@@ -352,7 +387,8 @@ fn hostile_requests(scale: &Rc<Module>, inp: &Rc<Vec<u8>>) -> Vec<(Want, Request
 }
 
 /// A hostile tenant submits, through `Serve::submit_at`, generator
-/// modules and parsing mutations of the corpus (compiled for CUDA), a grid
+/// modules and parsing mutations of the corpus (compiled for CUDA), a
+/// kernel that adds a float to an integer parameter, a grid
 /// of `u32::MAX` teams under a small step budget, launches past an SM's
 /// threads and shared memory, a zero-length scratch buffer, and footprints
 /// of exactly its quota, one byte more, and a sum past `u64`. Every request ends in exactly one

@@ -13,6 +13,7 @@ use nzomp::CompileError;
 use nzomp_vgpu::{ExecError, TrapKind};
 
 use crate::map::BufId;
+use crate::stream::Ticket;
 
 /// Why a mapping-table operation was refused.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,23 +72,50 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-/// A stream id or launch ticket the host never handed out.
+/// A stream id the host never handed out, or a launch ticket it never
+/// handed out or has since retired.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StreamError {
     UnknownStream(u32),
-    UnknownTicket(u32),
+    UnknownTicket(Ticket),
 }
 
 impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StreamError::UnknownStream(s) => write!(f, "unknown stream {s}"),
-            StreamError::UnknownTicket(t) => write!(f, "unknown launch ticket {t}"),
+            StreamError::UnknownTicket(t) => write!(f, "unknown launch ticket {}", t.0),
         }
     }
 }
 
 impl std::error::Error for StreamError {}
+
+/// Why [`crate::Host::retire`] or [`crate::Host::unregister`] refused to
+/// free what it was handed: the host still has work or state that names
+/// it. Nothing was freed.
+#[derive(Clone, Debug, PartialEq)]
+pub enum InUse {
+    /// A queued operation reads or writes the buffer: sync first.
+    Queued(BufId),
+    /// A present-table entry maps the buffer on `device`: exit its maps
+    /// first.
+    Mapped { buf: BufId, device: usize },
+    /// The launch has not run: sync first.
+    Pending(Ticket),
+}
+
+impl fmt::Display for InUse {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InUse::Queued(b) => write!(f, "host buffer {} is named by a queued operation", b.0),
+            InUse::Mapped { buf, device } => {
+                write!(f, "host buffer {} is mapped on device {device}", buf.0)
+            }
+            InUse::Pending(t) => write!(f, "launch ticket {} has not run", t.0),
+        }
+    }
+}
 
 /// Any failure of the offload host runtime. Never a panic: drivers match
 /// on the class and decide whether to retry, skip, or surface.
@@ -107,8 +135,14 @@ pub enum HostError {
     /// An image id that was never produced by `load_image`, or whose
     /// entry the compile cache has since evicted.
     UnknownImage(u64),
-    /// A launch argument named a host buffer id that was never registered.
-    UnknownBuffer(u32),
+    /// A host buffer id that was never registered, or whose buffer has
+    /// since been released.
+    UnknownBuffer(BufId),
+    /// Every slot of a host id space (`what`: buffers or launch tickets)
+    /// is live, so no id can be minted.
+    IdsExhausted(&'static str),
+    /// A release was refused: the host still uses what it names.
+    InUse(InUse),
     /// Every device in the fleet has been lost and quarantined; there is
     /// nothing left to fail over to. The typed terminal outcome of
     /// graceful degradation — never a panic.
@@ -158,6 +192,8 @@ impl HostError {
             | HostError::NoDevice { .. }
             | HostError::UnknownImage(_)
             | HostError::UnknownBuffer(_)
+            | HostError::IdsExhausted(_)
+            | HostError::InUse(_)
             | HostError::DeviceBusy { .. }
             | HostError::Replay(_) => ErrorClass::Program,
         }
@@ -188,7 +224,9 @@ impl fmt::Display for HostError {
                 write!(f, "device {device} out of range ({devices} registered)")
             }
             HostError::UnknownImage(i) => write!(f, "unknown kernel image {i}"),
-            HostError::UnknownBuffer(b) => write!(f, "unknown host buffer {b}"),
+            HostError::UnknownBuffer(b) => write!(f, "unknown host buffer {}", b.0),
+            HostError::IdsExhausted(what) => write!(f, "every {what} id is in use"),
+            HostError::InUse(e) => write!(f, "release refused: {e}"),
             HostError::FleetLost { devices } => {
                 write!(f, "all {devices} device(s) lost; offload fleet exhausted")
             }
@@ -247,7 +285,9 @@ mod tests {
     /// promise of the `HostError` doc.
     #[test]
     fn every_variant_classifies_as_documented() {
+        use crate::slab::Key;
         use ErrorClass::*;
+        let key = |slot| Key { slot, gen: 0 };
 
         // Transient: the retry-worthy device hiccups.
         for e in [
@@ -293,10 +333,14 @@ mod tests {
         for e in [
             HostError::Map(MapError::Misuse("zero-length map")),
             HostError::Stream(StreamError::UnknownStream(7)),
-            HostError::Stream(StreamError::UnknownTicket(2)),
+            HostError::Stream(StreamError::UnknownTicket(Ticket(key(2)))),
             HostError::NoDevice { device: 9, devices: 2 },
             HostError::UnknownImage(3),
-            HostError::UnknownBuffer(5),
+            HostError::UnknownBuffer(BufId(key(5))),
+            HostError::IdsExhausted("host buffer"),
+            HostError::InUse(InUse::Queued(BufId(key(1)))),
+            HostError::InUse(InUse::Mapped { buf: BufId(key(1)), device: 0 }),
+            HostError::InUse(InUse::Pending(Ticket(key(3)))),
             HostError::DeviceBusy { device: 0, queued_ops: 3, pending_launches: 1 },
             HostError::Replay("ptr mismatch".into()),
         ] {

@@ -30,6 +30,7 @@ pub mod map;
 pub mod pool;
 pub mod recover;
 pub mod sched;
+mod slab;
 pub mod stream;
 
 use std::collections::VecDeque;
@@ -44,16 +45,18 @@ use nzomp_vgpu::{
     Device, DeviceConfig, ExecError, ExecTier, FaultPlan, Image, KernelMetrics, RtVal, RunConfig,
 };
 
-pub use error::{ErrorClass, HostError, MapError, StreamError};
+pub use error::{ErrorClass, HostError, InUse, MapError, StreamError};
 pub use map::{BufId, MapKind, MapSpec, PresentTable};
 pub use pool::DevicePool;
 pub use recover::{RecoveryMetrics, RecoveryPolicy};
 pub use sched::{ImageId, SchedPolicy};
+pub use slab::Key;
 pub use stream::{KArg, StreamId, Ticket};
 
 use error::{MapError as ME, StreamError as SE};
 use nzomp_vgpu::TrapKind;
 use sched::{pick_device, DeviceSlot};
+use slab::Slab;
 use stream::{backlog, DevOp, Op, Payload};
 
 /// Encode `f64` values as the device byte image `Device::write_f64`
@@ -104,15 +107,34 @@ pub enum RegionArg {
 
 /// Handle of an enqueued target region: the launch ticket, the device it
 /// was placed on, and per kernel parameter (`None` for scalars) the host
-/// buffer registered for it — read results back through it after
-/// [`Host::sync`] — and the device address it was mapped at, captured
-/// while the region's maps were live.
+/// buffer registered for it and the device address it was mapped at,
+/// captured while the region's maps were live. The host holds the ticket
+/// and the buffers until [`Host::retire`] hands back the launch result
+/// and the outputs and frees them.
 #[derive(Clone, Debug)]
 pub struct Region {
     pub ticket: Ticket,
     pub device: usize,
     pub bufs: Vec<Option<BufId>>,
     pub ptrs: Vec<Option<DevPtr>>,
+}
+
+/// What [`Host::retire`] hands back of a finished region.
+#[derive(Debug)]
+pub struct Retired {
+    /// The launch's metrics, or its trap.
+    pub result: Result<KernelMetrics, ExecError>,
+    /// `(kernel-parameter index, bytes)` of every [`RegionArg::From`]
+    /// argument, in parameter order.
+    pub outputs: Vec<(usize, Vec<u8>)>,
+}
+
+/// A registered host buffer.
+struct HostBuf {
+    bytes: Vec<u8>,
+    /// Registered by a region for a [`RegionArg::From`] argument: one of
+    /// the outputs [`Host::retire`] hands back.
+    output: bool,
 }
 
 /// Per-device slice of a [`HostStats`] snapshot: the load signals the
@@ -158,6 +180,16 @@ pub struct HostStats {
     pub recovery: RecoveryMetrics,
     /// Total queued operations executed (eager + drained).
     pub ops_executed: u64,
+    /// Host buffers registered and not yet released.
+    pub bufs_held: usize,
+    /// Buffer slots ever handed out: what the buffer table is sized by.
+    /// Released slots are reused, so a host that retires its regions
+    /// holds as many as it ever had live at once.
+    pub buf_slots: usize,
+    /// Launch tickets minted and not yet retired.
+    pub tickets_held: usize,
+    /// Ticket slots ever handed out, reused like buffer slots.
+    pub ticket_slots: usize,
     /// One entry per device slot, in fleet order.
     pub devices: Vec<DeviceStats>,
 }
@@ -174,12 +206,16 @@ pub struct Host {
     /// [`ImageId`] is a slot of this cache.
     cache: CompileCache,
 
-    bufs: Vec<Vec<u8>>,
+    /// Registered host buffers, until released ([`Host::retire`],
+    /// [`Host::unregister`]).
+    bufs: Slab<HostBuf>,
     /// Deferred operations, in the order they were enqueued.
     queue: VecDeque<Op>,
     /// Stream ids handed out so far; every one names `queue`.
     streams: u32,
-    tickets: Vec<Option<Result<KernelMetrics, ExecError>>>,
+    /// Per launch, `None` until it ran, then its metrics or trap; until
+    /// [`Host::retire`].
+    tickets: Slab<Option<Result<KernelMetrics, ExecError>>>,
 
     eager: bool,
     ops_executed: u64,
@@ -211,10 +247,10 @@ impl Host {
             slots: (0..n_devices.max(1)).map(|_| DeviceSlot::new()).collect(),
             rr_next: 0,
             cache: CompileCache::new(),
-            bufs: Vec::new(),
+            bufs: Slab::default(),
             queue: VecDeque::new(),
             streams: 0,
-            tickets: Vec::new(),
+            tickets: Slab::default(),
             eager: false,
             ops_executed: 0,
             run,
@@ -308,9 +344,18 @@ impl Host {
 
     // ---- host buffers ---------------------------------------------------
 
+    /// Hold `bytes` as a host buffer until [`Host::unregister`]. Ids are
+    /// slots that released buffers hand back, each under a new
+    /// generation. With every one of the 2³² − 1 slots live the bytes are
+    /// dropped and the id names nothing: every call taking it is
+    /// [`HostError::UnknownBuffer`].
     pub fn register_bytes(&mut self, bytes: Vec<u8>) -> BufId {
-        self.bufs.push(bytes);
-        BufId((self.bufs.len() - 1) as u32)
+        self.register(bytes, false).unwrap_or(BufId(Key::NONE))
+    }
+
+    fn register(&mut self, bytes: Vec<u8>, output: bool) -> Result<BufId, HostError> {
+        let key = self.bufs.insert(HostBuf { bytes, output });
+        key.map(BufId).ok_or(HostError::IdsExhausted("host buffer"))
     }
 
     pub fn register_f64(&mut self, v: &[f64]) -> BufId {
@@ -323,18 +368,48 @@ impl Host {
 
     pub fn buf_bytes(&self, b: BufId) -> Result<&[u8], HostError> {
         self.bufs
-            .get(b.0 as usize)
-            .map(|v| v.as_slice())
-            .ok_or(HostError::UnknownBuffer(b.0))
+            .get(b.0)
+            .map(|h| h.bytes.as_slice())
+            .ok_or(HostError::UnknownBuffer(b))
     }
 
-    /// Move a buffer's bytes out, leaving it empty: how a caller done with
-    /// a region's output takes it without a copy.
+    /// Move a buffer's bytes out, leaving it registered and empty.
     pub fn take_buf(&mut self, b: BufId) -> Result<Vec<u8>, HostError> {
         self.bufs
-            .get_mut(b.0 as usize)
-            .map(std::mem::take)
-            .ok_or(HostError::UnknownBuffer(b.0))
+            .get_mut(b.0)
+            .map(|h| std::mem::take(&mut h.bytes))
+            .ok_or(HostError::UnknownBuffer(b))
+    }
+
+    /// Release a buffer: move its bytes out and free its id, which names
+    /// nothing from then on. Refused ([`HostError::InUse`]) while a
+    /// queued operation or a present-table entry names the buffer.
+    pub fn unregister(&mut self, b: BufId) -> Result<Vec<u8>, HostError> {
+        self.check_unused(b)?;
+        Ok(self.release(b).map(|h| h.bytes).unwrap_or_default())
+    }
+
+    /// `Ok` iff `b` is registered and nothing the host still runs or maps
+    /// names it.
+    fn check_unused(&self, b: BufId) -> Result<(), HostError> {
+        self.buf_bytes(b)?;
+        if self.queue.iter().any(|op| op.names(b)) {
+            return Err(HostError::InUse(InUse::Queued(b)));
+        }
+        match self.present_on(b) {
+            Some(device) => Err(HostError::InUse(InUse::Mapped { buf: b, device })),
+            None => Ok(()),
+        }
+    }
+
+    /// Free `b`'s slot, and drop every read-back into it from the device
+    /// journals: a read-back changes no device state, so a failover replay
+    /// needs none of them, and one kept would name a released buffer.
+    fn release(&mut self, b: BufId) -> Option<HostBuf> {
+        for slot in &mut self.slots {
+            slot.journal.retain(|op| !op.names(b));
+        }
+        self.bufs.remove(b.0)
     }
 
     /// The buffer decoded as `f64`s (post-`sync` result readback).
@@ -467,7 +542,9 @@ impl Host {
         self.launch_on(dev, kernel, launch, vals)
     }
 
-    /// Enqueue a launch whose arguments are already device values.
+    /// Enqueue a launch whose arguments are already device values. A
+    /// launch that does not end up queued (a bad device, or an eager one
+    /// that failed) hands no ticket out and keeps none.
     fn launch_on(
         &mut self,
         dev: usize,
@@ -475,19 +552,21 @@ impl Host {
         launch: Launch,
         args: Vec<RtVal>,
     ) -> Result<Ticket, HostError> {
-        let ticket = Ticket(self.tickets.len() as u32);
-        self.tickets.push(None);
-        let slot = self.slot_mut(dev)?;
         // The bound image's shared name, so neither the op nor the
         // metrics copy it. A name the image lacks fails at the launch,
         // like any unknown kernel.
-        let kernel = slot
+        let kernel = self
+            .slot(dev)?
             .image
             .as_ref()
             .and_then(|(_, image)| image.kernel_name(kernel))
             .unwrap_or_else(|| Arc::from(kernel));
+        let ticket = Ticket(self.tickets.insert(None).ok_or(HostError::IdsExhausted("launch ticket"))?);
         let op = DevOp::Launch { kernel, launch, args, ticket };
-        self.enqueue_op(Op::Dev { dev, op })?;
+        if let Err(e) = self.enqueue_op(Op::Dev { dev, op }) {
+            self.tickets.remove(ticket.0);
+            return Err(e);
+        }
         Ok(ticket)
     }
 
@@ -531,7 +610,8 @@ impl Host {
     /// device memory layout matches the direct `Device::alloc` path), then
     /// the launch and the exits are enqueued behind the uploads. The one
     /// region driver — placement is the caller's
-    /// ([`Host::enqueue_region`], the `nzomp-serve` engine).
+    /// ([`Host::enqueue_region`], the `nzomp-serve` engine). The region's
+    /// buffers and ticket stay held until [`Host::retire`].
     pub fn enqueue_region_on(
         &mut self,
         s: StreamId,
@@ -541,45 +621,88 @@ impl Host {
         args: Vec<RegionArg>,
     ) -> Result<Region, HostError> {
         self.check_stream(s)?;
+        let queued = self.queue.len();
 
         // Enter in argument order — this fixes the device memory layout.
         let mut vals = Vec::with_capacity(args.len());
         let mut bufs = Vec::with_capacity(args.len());
         let mut ptrs = Vec::with_capacity(args.len());
         let mut exits = Vec::new();
-        for arg in args {
-            let (bytes, enter, exit) = match arg {
-                RegionArg::To(bytes) => (bytes, MapKind::To, MapKind::Release),
-                RegionArg::From(len) => (vec![0u8; len as usize], MapKind::From, MapKind::From),
-                RegionArg::Alloc(len) => (vec![0u8; len as usize], MapKind::Alloc, MapKind::Release),
-                RegionArg::Scalar(v) => {
-                    vals.push(v);
-                    bufs.push(None);
-                    ptrs.push(None);
-                    continue;
-                }
-            };
-            let len = bytes.len() as u64;
-            let b = self.register_bytes(bytes);
-            let ptr = match self.enter(dev, MapSpec::whole(b, len, enter)) {
-                Ok(ptr) => ptr,
-                Err(e) => {
-                    // The caller never learns these buffers: release what
-                    // the region entered so far, without copying back.
-                    for x in exits {
-                        self.exit(dev, MapSpec { kind: MapKind::Release, ..x })?;
+        let enter_and_launch = || {
+            for arg in args {
+                let (bytes, enter, exit) = match arg {
+                    RegionArg::To(bytes) => (bytes, MapKind::To, MapKind::Release),
+                    RegionArg::From(len) => (vec![0u8; len as usize], MapKind::From, MapKind::From),
+                    RegionArg::Alloc(len) => (vec![0u8; len as usize], MapKind::Alloc, MapKind::Release),
+                    RegionArg::Scalar(v) => {
+                        vals.push(v);
+                        bufs.push(None);
+                        ptrs.push(None);
+                        continue;
                     }
-                    return Err(e);
+                };
+                let len = bytes.len() as u64;
+                let b = self.register(bytes, enter == MapKind::From)?;
+                bufs.push(Some(b));
+                let ptr = self.enter(dev, MapSpec::whole(b, len, enter))?;
+                exits.push(MapSpec::whole(b, len, exit));
+                vals.push(RtVal::P(ptr));
+                ptrs.push(Some(ptr));
+            }
+            self.launch_on(dev, kernel, launch, vals)
+        };
+        let ticket = match enter_and_launch() {
+            Ok(ticket) => ticket,
+            Err(e) => {
+                // The caller never learns these buffers: drop the uploads
+                // still queued for them, release what the region entered
+                // without copying back, and free the buffers.
+                self.queue.truncate(queued);
+                for x in exits {
+                    self.exit(dev, MapSpec { kind: MapKind::Release, ..x })?;
                 }
-            };
-            exits.push(MapSpec::whole(b, len, exit));
-            vals.push(RtVal::P(ptr));
-            bufs.push(Some(b));
-            ptrs.push(Some(ptr));
-        }
-        let ticket = self.launch_on(dev, kernel, launch, vals)?;
+                for b in bufs.into_iter().flatten() {
+                    self.release(b);
+                }
+                return Err(e);
+            }
+        };
         self.data_exit(s, dev, &exits)?;
         Ok(Region { ticket, device: dev, bufs, ptrs })
+    }
+
+    /// Consume a finished region: hand back its launch result and move out
+    /// the bytes of its [`RegionArg::From`] buffers, then free every
+    /// buffer and the ticket for reuse — their ids name nothing after.
+    /// Refused with nothing freed ([`HostError::InUse`]) while a queued
+    /// operation or a present-table entry names one of its buffers or the
+    /// launch has not run: [`Host::sync`] first.
+    ///
+    /// The launch stays in the device journal, so a failover replay still
+    /// re-runs it for the device state it leaves; the result of that run
+    /// lands in the retired ticket, which names nothing.
+    pub fn retire(&mut self, region: Region) -> Result<Retired, HostError> {
+        let held = region.bufs.iter().flatten();
+        held.clone().try_for_each(|b| self.check_unused(*b))?;
+        if self.ticket_result(region.ticket)?.is_none() {
+            return Err(HostError::InUse(InUse::Pending(region.ticket)));
+        }
+        let result = self
+            .tickets
+            .remove(region.ticket.0)
+            .flatten()
+            .ok_or(HostError::Stream(SE::UnknownTicket(region.ticket)))?;
+        // Sized exactly: a caller may keep the outputs for long.
+        let n = held.filter(|b| self.bufs.get(b.0).is_some_and(|h| h.output)).count();
+        let mut outputs = Vec::with_capacity(n);
+        for (i, b) in region.bufs.iter().enumerate() {
+            if let Some(h) = b.and_then(|b| self.release(b)) {
+                if h.output {
+                    outputs.push((i, h.bytes));
+                }
+            }
+        }
+        Ok(Retired { result, outputs })
     }
 
     // ---- the executor ---------------------------------------------------
@@ -660,7 +783,8 @@ impl Host {
                 let failed = res.as_ref().err().map(|e| HostError::Exec(e.clone()));
                 // Every run records its outcome; the last one wins —
                 // after a successful retry the ticket holds the metrics.
-                if let Some(t) = self.tickets.get_mut(ticket.0 as usize) {
+                // A replay of a retired region's launch lands nowhere.
+                if let Some(t) = self.tickets.get_mut(ticket.0) {
                     *t = Some(res);
                 }
                 return failed.map_or(Ok(()), Err);
@@ -799,9 +923,9 @@ impl Host {
     /// `Ok(Some(_))` once executed (metrics or the trap).
     pub fn ticket_result(&self, t: Ticket) -> Result<Option<&Result<KernelMetrics, ExecError>>, HostError> {
         self.tickets
-            .get(t.0 as usize)
+            .get(t.0)
             .map(|o| o.as_ref())
-            .ok_or(HostError::Stream(SE::UnknownTicket(t.0)))
+            .ok_or(HostError::Stream(SE::UnknownTicket(t)))
     }
 
     /// The metrics of a completed launch; a trap or a still-pending ticket
@@ -810,7 +934,7 @@ impl Host {
         match self.ticket_result(t)? {
             Some(Ok(m)) => Ok(m.clone()),
             Some(Err(e)) => Err(HostError::Exec(e.clone())),
-            None => Err(HostError::Stream(SE::UnknownTicket(t.0))),
+            None => Err(HostError::Stream(SE::UnknownTicket(t))),
         }
     }
 
@@ -832,6 +956,10 @@ impl Host {
             images: self.cache.len(),
             recovery: self.rmetrics.clone(),
             ops_executed: self.ops_executed,
+            bufs_held: self.bufs.len(),
+            buf_slots: self.bufs.slots(),
+            tickets_held: self.tickets.len(),
+            ticket_slots: self.tickets.slots(),
             devices: self
                 .slots
                 .iter()
@@ -957,8 +1085,8 @@ impl Host {
 const NO_IMAGE: HostError = HostError::Map(ME::Misuse("no image bound to device (bind_image first)"));
 
 /// `len` bytes of host buffer `buf` at `off`.
-fn host_range(bufs: &mut [Vec<u8>], buf: BufId, off: u64, len: u64) -> Result<&mut [u8], HostError> {
-    let host = bufs.get_mut(buf.0 as usize).ok_or(HostError::UnknownBuffer(buf.0))?;
+fn host_range(bufs: &mut Slab<HostBuf>, buf: BufId, off: u64, len: u64) -> Result<&mut [u8], HostError> {
+    let host = &mut bufs.get_mut(buf.0).ok_or(HostError::UnknownBuffer(buf))?.bytes;
     let buf_len = host.len() as u64;
     off.checked_add(len)
         .and_then(|end| host.get_mut(off as usize..end as usize))

@@ -34,10 +34,13 @@
 use nzomp_vgpu::memory::DevPtr;
 
 use crate::error::MapError;
+use crate::slab::Key;
 
-/// Id of a registered host buffer (see [`crate::Host::register_bytes`]).
+/// Id of a registered host buffer (see [`crate::Host::register_bytes`]):
+/// a slot of the host's buffer slab and its generation, so an id kept past
+/// the buffer's release names nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct BufId(pub u32);
+pub struct BufId(pub Key);
 
 /// A map clause kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

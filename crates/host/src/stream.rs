@@ -17,15 +17,18 @@ use nzomp_vgpu::memory::DevPtr;
 use nzomp_vgpu::RtVal;
 
 use crate::map::BufId;
+use crate::slab::Key;
 
 /// A validated name for the host's queue, minted by
 /// [`crate::Host::stream`]. Every id names the same queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamId(pub u32);
 
-/// Handle for retrieving the result of an enqueued launch after `sync`.
+/// Handle for retrieving the result of an enqueued launch after `sync`: a
+/// slot of the host's ticket slab and its generation, so a ticket kept
+/// past its region's retirement names nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Ticket(pub u32);
+pub struct Ticket(pub Key);
 
 /// A kernel launch argument, host-side: buffer references are translated
 /// to device addresses through the present table when the launch is
@@ -114,6 +117,21 @@ impl Op {
     fn device(&self) -> usize {
         match self {
             Op::Dev { dev, .. } | Op::PoolFree { dev, .. } => *dev,
+        }
+    }
+
+    /// Whether running the operation reads or writes host buffer `b`.
+    pub(crate) fn names(&self, b: BufId) -> bool {
+        matches!(self, Op::Dev { op, .. } if op.names(b))
+    }
+}
+
+impl DevOp {
+    /// Whether running the operation reads or writes host buffer `b`.
+    pub(crate) fn names(&self, b: BufId) -> bool {
+        match self {
+            DevOp::Write { bytes: Payload::Host { buf, .. }, .. } | DevOp::ReadBack { buf, .. } => *buf == b,
+            _ => false,
         }
     }
 }

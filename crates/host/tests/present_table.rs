@@ -13,13 +13,18 @@ use common::quick;
 use nzomp_host::error::MapError;
 use nzomp_host::map::{BufId, MapKind, MapSpec, PresentTable};
 use nzomp_host::stream::DevOp;
-use nzomp_host::DevicePool;
+use nzomp_host::{DevicePool, Key};
 use nzomp_ir::Module;
 use nzomp_vgpu::{DevPtr, Device};
 use proptest::prelude::*;
 
 const BUFS: usize = 3;
 const BUF_LEN: u64 = 96;
+
+/// Host buffer `i` of the test's `BUFS`.
+fn buf_id(i: usize) -> BufId {
+    BufId(Key { slot: i as u32, gen: 0 })
+}
 
 fn device() -> Device {
     Device::load(Module::new("present_prop"), quick())
@@ -202,13 +207,13 @@ proptest! {
         for op in &ops {
             match *op {
                 OpSpec::Enter { buf, off, len, kind } => {
-                    let spec = MapSpec::new(BufId(buf as u32), off, len, kind);
+                    let spec = MapSpec::new(buf_id(buf), off, len, kind);
                     let got = m.enter(spec, &hosts[buf]);
                     let want = shadow.enter(buf, off, len);
                     prop_assert_eq!(classify_step(got.as_ref().map(|_| ())), want);
                 }
                 OpSpec::Exit { buf, off, len, kind } => {
-                    let spec = MapSpec::new(BufId(buf as u32), off, len, kind);
+                    let spec = MapSpec::new(buf_id(buf), off, len, kind);
                     let got = m.exit(spec, &mut hosts[buf]);
                     let want = shadow.exit(buf, off, len, kind == MapKind::Delete);
                     prop_assert_eq!(classify_step(got.as_ref().map(|_| ())), want);
@@ -220,7 +225,7 @@ proptest! {
                 .table
                 .entries()
                 .iter()
-                .map(|e| (e.buf.0, e.off, e.len, e.refs))
+                .map(|e| (e.buf.0.slot, e.off, e.len, e.refs))
                 .collect();
             real.sort_unstable();
             let mut model: Vec<(u32, u64, u64, u32)> = shadow
@@ -243,7 +248,7 @@ proptest! {
             // Lookup agreement on a fixed probe grid.
             for buf in 0..BUFS {
                 for off in (0..BUF_LEN).step_by(8) {
-                    let real = m.table.lookup(BufId(buf as u32), off).is_ok();
+                    let real = m.table.lookup(buf_id(buf), off).is_ok();
                     let model = shadow.find(buf, off, 1).is_ok();
                     prop_assert_eq!(real, model, "lookup({}, {})", buf, off);
                 }
@@ -258,7 +263,7 @@ proptest! {
             .map(|e| MapSpec::new(e.buf, e.off, e.len, MapKind::Delete))
             .collect();
         for spec in leftovers {
-            let buf = spec.buf.0 as usize;
+            let buf = spec.buf.0.slot as usize;
             m.exit(spec, &mut hosts[buf]).unwrap();
         }
         prop_assert_eq!(m.table.entries().len(), 0);
@@ -271,7 +276,7 @@ proptest! {
     fn from_copy_exactly_at_outermost_exit(k in 1u32..6) {
         let mut m = Mapped::new();
         let mut host = vec![0u8; 32];
-        let spec = MapSpec::whole(BufId(0), 32, MapKind::ToFrom);
+        let spec = MapSpec::whole(buf_id(0), 32, MapKind::ToFrom);
 
         let ptr = m.enter(spec, &host).unwrap();
         for _ in 1..k {
@@ -296,11 +301,11 @@ proptest! {
 fn a_reused_block_reads_as_zeros() {
     let mut m = Mapped::new();
     let mut host = vec![0u8; 32];
-    let scratch = MapSpec::whole(BufId(0), 32, MapKind::Alloc);
+    let scratch = MapSpec::whole(buf_id(0), 32, MapKind::Alloc);
     let a = m.enter(scratch, &host).unwrap();
     m.dev.write_bytes(a, &[0xab; 32]).unwrap();
     m.exit(MapSpec { kind: MapKind::Release, ..scratch }, &mut host).unwrap();
-    let b = m.enter(MapSpec::whole(BufId(1), 32, MapKind::Alloc), &host).unwrap();
+    let b = m.enter(MapSpec::whole(buf_id(1), 32, MapKind::Alloc), &host).unwrap();
     assert_eq!(b, a, "the freed block is reused");
     assert_eq!(m.dev.read_bytes(b, 32).unwrap(), vec![0u8; 32]);
     assert_eq!((m.pool.device_allocs, m.pool.reuse_hits), (1, 1));

@@ -10,7 +10,7 @@ mod common;
 
 use common::{input, quick, scale_add_app, scale_add_expected};
 use nzomp::BuildConfig;
-use nzomp_host::{Host, HostError, RecoveryPolicy, RegionArg};
+use nzomp_host::{BufId, Host, HostError, Key, RecoveryPolicy, RegionArg};
 use nzomp_vgpu::device::Launch;
 use nzomp_vgpu::{
     DeviceConfig, DeviceFaultKind, DeviceFaultSite, ExecTier, FaultPlan, RtVal, RunConfig, Sanitize,
@@ -409,7 +409,8 @@ fn fault_on_reused_block_zero_fill_recovers_without_leaking() {
 /// must not keep the ones it already entered. With recovery off, a
 /// memcpy fault on the second argument's zero-fill fails the enqueue
 /// after the first argument's landed; once the queue drains, the pool is
-/// back where it was and the first argument is no longer mapped.
+/// back where it was, the first argument is no longer mapped, and the host
+/// holds as many buffers and tickets as before the region.
 #[test]
 fn a_failed_region_enter_releases_the_arguments_it_entered() {
     let mut h = host(1);
@@ -419,7 +420,7 @@ fn a_failed_region_enter_releases_the_arguments_it_entered() {
     let s = h.stream();
     let first = h.enqueue_region(&[s], img, "k", launch(), region_args()).unwrap();
     h.sync().unwrap();
-    let before = h.stats().devices[0].pool_in_use;
+    let before = h.stats();
     // Op 0 of the plan is argument 0's zero-fill, op 1 argument 1's.
     h.set_device_faults(0, device_plan(&[(1, DeviceFaultKind::MemcpyFail)])).unwrap();
     match h.enqueue_region(&[s], img, "k", launch(), region_args()) {
@@ -427,14 +428,142 @@ fn a_failed_region_enter_releases_the_arguments_it_entered() {
         other => panic!("expected the zero-fill fault, got {other:?}"),
     }
     h.sync().unwrap();
-    assert_eq!(h.stats().devices[0].pool_in_use, before, "the failed region leaked device memory");
-    // The second region registered its argument 0 right after the first
-    // region's buffers.
-    let arg0 = nzomp_host::BufId(first.bufs[1].unwrap().0 + 1);
+    let after = h.stats();
+    assert_eq!(after.devices[0].pool_in_use, before.devices[0].pool_in_use, "the failed region leaked device memory");
+    assert_eq!(
+        (after.bufs_held, after.tickets_held),
+        (before.bufs_held, before.tickets_held),
+        "the failed region kept host buffers or a ticket"
+    );
+    // The second region registered its argument 0 in the slot right after
+    // the first region's buffers.
+    let arg0 = BufId(Key { slot: first.bufs[1].unwrap().0.slot + 1, gen: 0 });
     assert!(
         matches!(h.dev_addr(0, arg0, 0), Err(HostError::Map(nzomp_host::MapError::NotPresent { .. }))),
         "argument 0 is still mapped"
     );
+    assert!(matches!(h.buf_bytes(arg0), Err(HostError::UnknownBuffer(b)) if b == arg0));
+}
+
+/// A launch that cannot be queued hands out no ticket and keeps none: an
+/// all-scalar region on a device the host does not have used to leave one
+/// behind.
+#[test]
+fn a_region_on_a_missing_device_keeps_no_ticket() {
+    let mut h = host(1);
+    let s = h.stream();
+    let scalars = vec![RegionArg::Scalar(RtVal::I(N as i64))];
+    assert!(matches!(
+        h.enqueue_region_on(s, 7, "k", launch(), scalars),
+        Err(HostError::NoDevice { device: 7, devices: 1 })
+    ));
+    let stats = h.stats();
+    assert_eq!((stats.tickets_held, stats.ticket_slots, stats.bufs_held), (0, 0, 0));
+}
+
+/// Retirement under recovery. Region A runs on device 0 and is retired;
+/// region B reuses A's buffer and ticket slots on device 1; then device 0
+/// is lost under region C, and failover replays device 0's journal, A's
+/// launch among it. Retiring A dropped A's read-back from the journal
+/// (replaying it would name a released buffer) and the replayed launch's
+/// result lands in A's retired ticket, which names nothing: B's outputs
+/// and metrics, C's outputs and both device images equal the fault-free
+/// run's.
+#[test]
+fn a_retired_region_replays_for_device_state_and_lands_nowhere() {
+    let args = |n: usize| {
+        vec![
+            RegionArg::To(nzomp_host::f64_bytes(&input(n))),
+            RegionArg::From(8 * n as u64),
+            RegionArg::Scalar(RtVal::I(n as i64)),
+        ]
+    };
+    let run = |lose: bool| {
+        let mut h = host(2);
+        h.set_recovery(Some(RecoveryPolicy::default()));
+        let img = h
+            .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
+            .unwrap();
+        let s = h.stream();
+        let a = h.enqueue_region(&[s], img, "k", launch(), args(N)).unwrap();
+        h.sync().unwrap();
+        let a_done = h.retire(a.clone()).unwrap();
+        assert!(a_done.result.is_ok());
+        let b = h.enqueue_region(&[s], img, "k", launch(), args(N / 2)).unwrap();
+        h.sync().unwrap();
+        assert_eq!((a.device, b.device), (0, 1), "round robin");
+        assert_eq!(b.ticket.0.slot, a.ticket.0.slot, "B reuses A's ticket slot");
+        let slots = |r: &nzomp_host::Region| {
+            let mut v: Vec<u32> = r.bufs.iter().flatten().map(|b| b.0.slot).collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(slots(&b), slots(&a), "B reuses A's buffer slots");
+        assert!(matches!(h.ticket_result(a.ticket), Err(HostError::Stream(_))), "A's ticket is stale");
+        if lose {
+            // Op 0 of the plan is C's first zero-fill.
+            h.set_device_faults(0, device_plan(&[(0, DeviceFaultKind::Lost)])).unwrap();
+        }
+        let c = h.enqueue_region(&[s], img, "k", launch(), args(N)).unwrap();
+        h.sync().unwrap();
+        assert_eq!(c.device, 0);
+        let devices: Vec<Vec<u8>> = (0..2).map(|d| h.device(d).unwrap().global_bytes().to_vec()).collect();
+        let failovers = h.recovery_metrics().failovers;
+        let b_done = h.retire(b).unwrap();
+        let c_done = h.retire(c).unwrap();
+        let stats = h.stats();
+        assert_eq!((stats.bufs_held, stats.tickets_held), (0, 0));
+        (b_done.result.unwrap(), b_done.outputs, c_done.outputs, devices, failovers)
+    };
+    let clean = run(false);
+    let lost = run(true);
+    assert_eq!((clean.4, lost.4), (0, 1), "failovers");
+    assert_eq!(lost.0, clean.0, "B's kernel metrics");
+    assert_eq!(lost.1, clean.1, "B's outputs");
+    assert_eq!(lost.2, clean.2, "C's outputs");
+    assert_eq!(lost.3, clean.3, "device images");
+    assert_eq!(nzomp_host::bytes_to_f64(&lost.1[0].1), scale_add_expected(&input(N / 2)));
+}
+
+/// A retired region's ids name nothing, and retiring is refused, with
+/// nothing freed, while the host still has work or a map for the region.
+#[test]
+fn retiring_is_refused_while_the_region_is_live_and_its_ids_go_stale() {
+    use nzomp_host::{InUse, MapKind, MapSpec};
+    let mut h = host(1);
+    let img = h
+        .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
+        .unwrap();
+    let s = h.stream();
+    let r = h.enqueue_region(&[s], img, "k", launch(), region_args()).unwrap();
+    let input_buf = r.bufs[0].unwrap();
+    assert!(matches!(h.retire(r.clone()), Err(HostError::InUse(InUse::Queued(b))) if b == input_buf));
+    h.sync().unwrap();
+    // A map of the region's output buffer the caller entered itself.
+    let out = r.bufs[1].unwrap();
+    let spec = MapSpec::whole(out, 8 * N as u64, MapKind::To);
+    h.data_enter(s, 0, &[spec]).unwrap();
+    h.sync().unwrap();
+    assert!(matches!(
+        h.retire(r.clone()),
+        Err(HostError::InUse(InUse::Mapped { buf, device: 0 })) if buf == out
+    ));
+    h.data_exit(s, 0, &[MapSpec { kind: MapKind::Release, ..spec }]).unwrap();
+    h.sync().unwrap();
+    let done = h.retire(r.clone()).unwrap();
+    assert_eq!(done.outputs.len(), 1);
+    assert_eq!(nzomp_host::bytes_to_f64(&done.outputs[0].1), scale_add_expected(&input(N)));
+    assert!(matches!(h.buf_bytes(out), Err(HostError::UnknownBuffer(b)) if b == out));
+    assert!(matches!(h.take_metrics(r.ticket), Err(HostError::Stream(_))));
+    assert!(matches!(h.retire(r), Err(HostError::UnknownBuffer(_))), "a second retire is refused");
+    let stats = h.stats();
+    assert_eq!((stats.bufs_held, stats.tickets_held), (0, 0));
+    // A region whose launch has not run yet, and then traps.
+    let pending = h.enqueue_region(&[s], img, "k", launch(), vec![RegionArg::Scalar(RtVal::I(0))]).unwrap();
+    assert!(matches!(h.retire(pending.clone()), Err(HostError::InUse(InUse::Pending(t))) if t == pending.ticket));
+    assert!(matches!(h.sync(), Err(HostError::Exec(_))));
+    let trapped = h.retire(pending).unwrap();
+    assert!(matches!(trapped.result, Err(e) if matches!(e.kind, TrapKind::BadLaunch(_))));
 }
 
 /// `Host::read_present` is a device read like any other: with recovery

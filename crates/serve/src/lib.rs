@@ -59,6 +59,13 @@ use session::{Queued, Session, SessionBuf};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
 
+impl TenantId {
+    /// The id no tenant has: what [`Serve::add_tenant`] returns once
+    /// every id is taken, which every call answers
+    /// [`ServeError::UnknownTenant`].
+    pub const NONE: TenantId = TenantId(u32::MAX);
+}
+
 /// Handle of a submitted request — the index into [`Serve::outcomes`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqId(pub u32);
@@ -210,10 +217,15 @@ impl Serve {
 
     // ---- tenants and sessions -------------------------------------------
 
-    /// Register a tenant with its quota and backlog limits.
+    /// Register a tenant with its quota and backlog limits. With every
+    /// tenant id taken nothing is registered and the id is
+    /// [`TenantId::NONE`].
     pub fn add_tenant(&mut self, name: &str, cfg: TenantConfig) -> TenantId {
+        let Ok(t) = next_id(self.sessions.len(), "tenant") else {
+            return TenantId::NONE;
+        };
         self.sessions.push(Session::new(name.to_string(), cfg));
-        TenantId((self.sessions.len() - 1) as u32)
+        TenantId(t)
     }
 
     pub fn num_tenants(&self) -> usize {
@@ -244,11 +256,11 @@ impl Serve {
                 quota: s.cfg.mem_quota,
             });
         }
+        let idx = next_id(s.bufs.len(), "session buffer")?;
         let buf = self.host.register_bytes(bytes);
         let s = self.session_mut(t)?;
         s.charge(len);
         s.bufs.push(SessionBuf { buf, len, unmapped: false });
-        let idx = (s.bufs.len() - 1) as u32;
         Ok(SBuf { tenant: t, idx })
     }
 
@@ -282,14 +294,16 @@ impl Serve {
         }
     }
 
-    /// Write back (if resident), unmap, and release the quota charge of a
-    /// session buffer.
+    /// Write back (if resident) and unmap a session buffer, release its
+    /// host bytes, and release its quota charge. The handle answers
+    /// [`ServeError::UnknownSession`] from then on.
     pub fn session_unmap(&mut self, t: TenantId, sb: SBuf) -> Result<(), ServeError> {
         let (buf, len, resident) = self.sbuf_info(t, sb)?;
         if let Some(dev) = resident {
             self.evict(dev, buf, len).map_err(|e| ServeError::Host(e.to_string()))?;
             self.metrics.evictions += 1;
         }
+        self.host.unregister(buf).map_err(|e| ServeError::Host(e.to_string()))?;
         let s = self.session_mut(t)?;
         s.release(len);
         if let Some(b) = s.bufs.get_mut(sb.idx as usize) {
@@ -323,7 +337,7 @@ impl Serve {
         let now = at.max(self.clock);
         self.advance(now);
 
-        let req = ReqId(self.outcomes.len() as u32);
+        let req = ReqId(next_id(self.outcomes.len(), "request")?);
         self.outcomes.push(None);
         self.metrics.submitted += 1;
         if let Some(s) = self.sessions.get_mut(t.0 as usize) {
@@ -602,7 +616,8 @@ impl Serve {
     /// What of a request is the service's own: make its session arguments
     /// resident, lower the rest to the host's region arguments, drive the
     /// region through [`Host::enqueue_region_on`], drain, and build the
-    /// outcome.
+    /// outcome from what [`Host::retire`] hands back — so the host holds
+    /// nothing of a request once its outcome exists.
     fn run_on_device(&mut self, q: &Queued, t: TenantId, dev: usize, now: u64) -> Result<(), HostError> {
         let spec = &q.spec;
         // The device address behind each argument is the isolation
@@ -610,15 +625,11 @@ impl Serve {
         // *is* its device address; the region reports the rest.
         let mut arg_ptrs: Vec<Option<u64>> = Vec::with_capacity(spec.args.len());
         let mut args = Vec::with_capacity(spec.args.len());
-        let mut outs: Vec<usize> = Vec::new();
-        for (i, a) in spec.args.iter().enumerate() {
+        for a in &spec.args {
             let mut ptr = None;
             args.push(match a {
                 ReqArg::In(bytes) => RegionArg::To((**bytes).clone()),
-                ReqArg::Out(len) => {
-                    outs.push(i);
-                    RegionArg::From(*len)
-                }
+                ReqArg::Out(len) => RegionArg::From(*len),
                 ReqArg::Scratch(len) => RegionArg::Alloc(*len),
                 ReqArg::Scalar(v) => RegionArg::Scalar(*v),
                 ReqArg::Session(sb) => {
@@ -647,29 +658,19 @@ impl Serve {
         }
 
         let started = now.max(self.dev_free.get(dev).copied().unwrap_or(0));
-        let outcome = match (self.host.take_metrics(region.ticket), first_err) {
-            (Ok(m), None) => {
-                let finished = started + m.cycles;
-                // Each output moves out of its host buffer, which nothing
-                // reads again. An exact-size iterator: outcomes are
-                // retained, and a grown `Vec` would keep its spare
-                // capacity per request.
-                let outputs = outs
-                    .iter()
-                    .map(|&i| {
-                        let b = region.bufs.get(i).copied().flatten();
-                        (i, b.and_then(|b| self.host.take_buf(b).ok()).unwrap_or_default())
-                    })
-                    .collect();
-                Outcome::Completed {
-                    device: dev,
-                    started,
-                    finished,
-                    cycles: m.cycles,
-                    outputs,
-                    arg_ptrs,
-                }
-            }
+        // The drain emptied the queue and the region's maps are exited, so
+        // retiring cannot be refused. The outputs move out of their host
+        // buffers, sized exactly: outcomes are retained.
+        let retired = self.host.retire(region)?;
+        let outcome = match (retired.result, first_err) {
+            (Ok(m), None) => Outcome::Completed {
+                device: dev,
+                started,
+                finished: started + m.cycles,
+                cycles: m.cycles,
+                outputs: retired.outputs,
+                arg_ptrs,
+            },
             (Ok(_), Some(e)) => {
                 Outcome::Faulted { device: Some(dev), started, finished: started, error: e }
             }
@@ -677,7 +678,7 @@ impl Serve {
                 device: Some(dev),
                 started,
                 finished: started,
-                error: first.unwrap_or_else(|| e.to_string()),
+                error: first.unwrap_or_else(|| HostError::Exec(e).to_string()),
             },
         };
         let finished = match &outcome {
@@ -779,4 +780,14 @@ impl Serve {
         }
         Ok(out)
     }
+}
+
+/// The id of the next entry of a table that holds `len`: its index, while
+/// that is below `u32::MAX` — the one minting rule for requests, tenants
+/// and session buffers, so an id never wraps onto another's entry.
+fn next_id(len: usize, what: &'static str) -> Result<u32, ServeError> {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id < u32::MAX)
+        .ok_or(ServeError::IdsExhausted(what))
 }

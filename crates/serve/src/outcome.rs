@@ -104,6 +104,9 @@ pub enum ServeError {
     /// A host-runtime failure outside any request (session readback or
     /// eviction), rendered.
     Host(String),
+    /// Every id of a kind (`what`: requests or session buffers) has been
+    /// handed out.
+    IdsExhausted(&'static str),
 }
 
 impl fmt::Display for ServeError {
@@ -122,6 +125,7 @@ impl fmt::Display for ServeError {
                 "tenant {tenant} session map of {needed} B exceeds quota ({in_use} B in use of {quota} B)"
             ),
             ServeError::Host(e) => write!(f, "host runtime failed: {e}"),
+            ServeError::IdsExhausted(what) => write!(f, "every {what} id is taken"),
         }
     }
 }

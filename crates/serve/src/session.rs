@@ -35,7 +35,9 @@ impl Default for TenantConfig {
 /// runtime. Where it lives is the host's present tables' answer
 /// ([`nzomp_host::Host::present_on`]): residency is lazy — established by
 /// the first dispatched request that names the buffer — and exclusive:
-/// migrating writes back and unmaps first.
+/// migrating writes back and unmaps first. An unmapped buffer's host bytes
+/// are released; its entry stays, `unmapped`, so its handle never names a
+/// later buffer.
 pub(crate) struct SessionBuf {
     pub buf: BufId,
     pub len: u64,

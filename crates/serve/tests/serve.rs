@@ -517,6 +517,49 @@ fn session_maps_are_quota_charged() {
     }
 }
 
+/// Unmapping a session buffer releases its host bytes as well as its
+/// quota charge: a tenant that maps and unmaps a 4 KB buffer 1 000 times
+/// (every tenth one made resident by a request first) ends with the host
+/// holding what it held before, its quota back at zero (a map of the whole
+/// quota fits), and a stale handle answering `UnknownSession`.
+#[test]
+fn session_unmap_releases_the_host_bytes() {
+    const LEN: usize = 4096;
+    let mut serve = Serve::new(cfg(1));
+    let t = serve.add_tenant("t0", TenantConfig::new(LEN as u64, 16));
+    let app = accum_app();
+    let held = |serve: &Serve| {
+        let s = serve.host_stats();
+        (s.bufs_held, s.buf_slots)
+    };
+    let before = held(&serve);
+    let mut last = None;
+    for i in 0..1_000 {
+        let state = serve.session_map(t, vec![0u8; LEN]).unwrap();
+        if i % 10 == 0 {
+            let spec = RequestSpec {
+                module: app.clone(),
+                config: BuildConfig::NewRtNoAssumptions,
+                kernel: "acc".into(),
+                launch: launch(),
+                args: vec![ReqArg::Session(state), ReqArg::Scalar(RtVal::I(N as i64))],
+            };
+            serve.submit(t, spec).unwrap();
+            serve.drain();
+        }
+        serve.session_unmap(t, state).unwrap();
+        assert_eq!(held(&serve).0, before.0, "map {i}: the host still holds the bytes");
+        last = Some(state);
+    }
+    assert!(held(&serve).1 <= before.1 + 1, "buffer slots grew: {:?}", held(&serve));
+    assert_eq!(serve.metrics().completed, 100);
+    let stale = last.unwrap();
+    assert_eq!(serve.session_read(t, stale), Err(ServeError::UnknownSession { tenant: t.0, buf: stale.idx }));
+    assert_eq!(serve.session_unmap(t, stale), Err(ServeError::UnknownSession { tenant: t.0, buf: stale.idx }));
+    let whole = serve.session_map(t, vec![7u8; LEN]).unwrap();
+    assert_eq!(serve.session_read(t, whole).unwrap(), vec![7u8; LEN]);
+}
+
 /// Hostile sizes: a request whose buffer sizes overflow `u64` — summed
 /// with each other, or with what the tenant already holds — is a typed
 /// quota rejection, never a panic, a wrapped sum that slips under the

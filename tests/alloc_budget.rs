@@ -1,10 +1,11 @@
 //! Heap allocations per compile miss, per served request, per rebind, per
-//! launch and per buffered team, each held to a checked-in budget.
+//! launch and per buffered team, each held to a checked-in budget — and
+//! what a long-lived host or service keeps: nothing of a retired region.
 //!
 //! Wall time on a shared CI box cannot tell a 10 % regression from noise;
 //! these counts repeat exactly. It is its own test binary because it
-//! installs a counting `#[global_allocator]`; the counter is per thread, so
-//! the harness's own threads do not disturb it.
+//! installs a counting `#[global_allocator]`; the counters are per thread,
+//! so the harness's own threads do not disturb them.
 //!
 //! The kernel is `nzbench`'s `serve_hot` / `serve_cold` request kernel
 //! (`scale_module` in `crates/bench/src/bin/nzbench/api.rs`) under the
@@ -19,7 +20,7 @@ use std::rc::Rc;
 use nzomp::pipeline::compile;
 use nzomp::BuildConfig;
 use nzomp_host::{f64_bytes, Host, RegionArg};
-use nzomp_serve::{Outcome, ReqArg, RequestSpec, Serve, ServeConfig, TenantConfig};
+use nzomp_serve::{Outcome, ReqArg, ReqId, RequestSpec, Serve, ServeConfig, TenantConfig, TenantId};
 use nzomp_vgpu::device::Launch;
 use nzomp_integration::scale_module;
 use nzomp_proxies::quick_device;
@@ -37,6 +38,8 @@ const BUDGET: u64 = 3_840;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated and not yet freed by this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -47,29 +50,37 @@ fn count() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn live(delta: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + delta));
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; counting touches only a const-initialized
-// thread-local `Cell` and never allocates.
+// `GlobalAlloc` contract; counting touches only const-initialized
+// thread-local `Cell`s and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        live(layout.size() as i64);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        live(layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -193,7 +204,7 @@ fn a_rebinding_region_stays_within_its_allocation_budget() {
             host.sync().unwrap();
             r
         });
-        host.take_metrics(r.ticket).unwrap();
+        host.retire(r).unwrap().result.unwrap();
         n
     };
     // Both images loaded and launched, the host's vectors grown.
@@ -209,15 +220,18 @@ fn a_rebinding_region_stays_within_its_allocation_budget() {
 /// Allocations of one served request (submit + drain: admission,
 /// dispatch, region, launch, outcome, completion) whose module the
 /// service has resolved before through the same `Rc` and whose image its
-/// device is running: 13 now — no copy of the kernel name, of an upload,
-/// a read-back, a zero-fill or an output, and no per-team vector — 26
-/// when each of those was made, 94 when every dispatch cloned,
-/// re-verified, hashed and compared the module and every thread of the
-/// launch allocated its own frame. (Building the request is the tenant's.)
-const REQUEST_BUDGET: u64 = 13;
+/// device is running: 12 now — the outputs come back from retiring the
+/// region, with no list of output indices beside them — 13 with that
+/// list, 26 when each upload, read-back, zero-fill, output and kernel name
+/// was copied and a launch sized vectors by the grid, 94 when every
+/// dispatch cloned, re-verified, hashed and compared the module and every
+/// thread of the launch allocated its own frame. (Building the request is
+/// the tenant's.)
+const REQUEST_BUDGET: u64 = 12;
 
-#[test]
-fn a_served_hot_request_stays_within_its_allocation_budget() {
+/// A service over one device with one tenant, and the benchmark's hot
+/// request for it.
+fn hot_service() -> (Serve, TenantId, impl Fn() -> RequestSpec) {
     let mut cfg = ServeConfig::new(1);
     cfg.dev_cfg = quick_device();
     cfg.worker_threads = Some(RUN.workers);
@@ -226,31 +240,42 @@ fn a_served_hot_request_stays_within_its_allocation_budget() {
     let tenant = serve.add_tenant("t", TenantConfig::default());
     let module = Rc::new(scale_module(2.0));
     let bytes = Rc::new(f64_bytes(&input()));
-    let request = |serve: &mut Serve| {
-        let spec = RequestSpec {
-            module: Rc::clone(&module),
-            config: CFG,
-            kernel: "k".to_string(),
-            launch: Launch::new(1, LANES as u32),
-            args: vec![
-                ReqArg::In(Rc::clone(&bytes)),
-                ReqArg::Out(8 * LANES as u64),
-                ReqArg::Scalar(RtVal::I(LANES as i64)),
-            ],
-        };
-        let (n, id) = allocations_of(|| {
-            let id = serve.submit(tenant, spec).unwrap();
-            serve.drain();
-            id
-        });
-        assert!(matches!(serve.outcome(id), Some(Outcome::Completed { .. })));
-        n
+    let request = move || RequestSpec {
+        module: Rc::clone(&module),
+        config: CFG,
+        kernel: "k".to_string(),
+        launch: Launch::new(1, LANES as u32),
+        args: vec![
+            ReqArg::In(Rc::clone(&bytes)),
+            ReqArg::Out(8 * LANES as u64),
+            ReqArg::Scalar(RtVal::I(LANES as i64)),
+        ],
     };
+    (serve, tenant, request)
+}
+
+/// Submit `spec` and drain; the request's id.
+fn serve_one(serve: &mut Serve, tenant: TenantId, spec: RequestSpec) -> ReqId {
+    let id = serve.submit(tenant, spec).unwrap();
+    serve.drain();
+    id
+}
+
+#[test]
+fn a_served_hot_request_stays_within_its_allocation_budget() {
+    let (mut serve, tenant, request) = hot_service();
     // The first request compiles, binds and lowers.
     for _ in 0..WARM_UP {
-        request(&mut serve);
+        serve_one(&mut serve, tenant, request());
     }
-    let counts: Vec<u64> = (0..8).map(|_| request(&mut serve)).collect();
+    let counts: Vec<u64> = (0..8)
+        .map(|_| {
+            let spec = request();
+            let (n, id) = allocations_of(|| serve_one(&mut serve, tenant, spec));
+            assert!(matches!(serve.outcome(id), Some(Outcome::Completed { .. })));
+            n
+        })
+        .collect();
     let n = steady(&counts);
     println!("allocations per served hot request: {n}");
     assert!(n <= REQUEST_BUDGET, "{n} allocations per served request, budget {REQUEST_BUDGET}");
@@ -290,4 +315,67 @@ fn a_buffered_view_allocates_by_doubling_not_per_chunk() {
     assert!(counts.iter().all(|&c| c == counts[0]), "the count must repeat exactly: {counts:?}");
     println!("allocations per buffered team: {}", counts[0]);
     assert!(counts[0] <= BUFFERED_VIEW_BUDGET, "{} allocations, budget {BUFFERED_VIEW_BUDGET}", counts[0]);
+}
+
+// ---- a long-lived host and service -------------------------------------------
+
+/// Requests and regions of the soaks below, after a warm-up of
+/// `SOAK_WARM_UP`.
+const SOAK: usize = 100_000;
+const SOAK_WARM_UP: usize = 1_000;
+
+/// A service holds host state for the requests in flight, not for every
+/// request it ever served: after 10⁵ hot requests the host has as many
+/// buffer and ticket slots as after the first 1 000, and none held.
+#[test]
+fn a_long_lived_service_holds_a_bounded_set_of_host_slots() {
+    let (mut serve, tenant, request) = hot_service();
+    let slots = |serve: &Serve| {
+        let s = serve.host_stats();
+        (s.buf_slots, s.ticket_slots, s.bufs_held, s.tickets_held)
+    };
+    for _ in 0..SOAK_WARM_UP {
+        serve_one(&mut serve, tenant, request());
+    }
+    let warm = slots(&serve);
+    for _ in 0..SOAK {
+        serve_one(&mut serve, tenant, request());
+    }
+    println!("host (buffer slots, ticket slots, buffers held, tickets held) after {SOAK_WARM_UP} and {} requests: {warm:?}, {:?}", SOAK_WARM_UP + SOAK, slots(&serve));
+    assert_eq!(slots(&serve), warm, "(buffer slots, ticket slots, buffers held, tickets held)");
+    assert_eq!(warm.2 + warm.3, 0, "a drained service holds nothing of a request");
+    assert_eq!(serve.metrics().completed, (SOAK_WARM_UP + SOAK) as u64);
+}
+
+/// A host that retires its regions leaves nothing of them behind: after
+/// 10⁵ regions (enqueue, sync, retire), this thread's live heap bytes are
+/// exactly what they were after the warm-up.
+#[test]
+fn a_host_that_retires_its_regions_keeps_no_heap_for_them() {
+    let mut host = Host::with_run(quick_device(), 1, RUN);
+    let img = host.load_image(scale_module(2.0), CFG).unwrap();
+    let s = host.stream();
+    let want = (1.5f64 * 2.0 + 3.0).to_le_bytes();
+    let region = |host: &mut Host| {
+        let r = host.enqueue_region(&[s], img, "k", Launch::new(1, LANES as u32), region_args()).unwrap();
+        host.sync().unwrap();
+        let done = host.retire(r).unwrap();
+        assert!(done.result.is_ok());
+        assert_eq!(done.outputs[0].1[24..32], want);
+    };
+    for _ in 0..SOAK_WARM_UP {
+        region(&mut host);
+    }
+    let warm = LIVE.with(Cell::get);
+    for _ in 0..SOAK {
+        region(&mut host);
+    }
+    // Read before printing: the harness's capture of stdout allocates on
+    // this thread.
+    let end = LIVE.with(Cell::get);
+    println!("live heap bytes after {SOAK_WARM_UP} and {} regions: {warm}, {end}", SOAK_WARM_UP + SOAK);
+    assert_eq!(end, warm, "live heap bytes after {SOAK} more regions");
+    let stats = host.stats();
+    assert_eq!((stats.bufs_held, stats.tickets_held), (0, 0));
+    assert_eq!(stats.devices[0].launches, (SOAK_WARM_UP + SOAK) as u64);
 }

@@ -55,7 +55,7 @@ pub use stream::{KArg, StreamId, Ticket};
 
 use error::{MapError as ME, StreamError as SE};
 use nzomp_vgpu::TrapKind;
-use sched::{pick_device, DeviceSlot};
+use sched::{pick_device, Checkpoint, DeviceSlot};
 use slab::Slab;
 use stream::{backlog, DevOp, Op, Payload};
 
@@ -303,9 +303,9 @@ impl Host {
 
     /// Ensure device slot `dev` runs image `img`, (re)creating the device
     /// if the slot is empty or held a different image. A reload resets
-    /// the slot's present table, pool, and journal: a fresh device's
-    /// memory over the image's loaded form, which is shared with every
-    /// other device running it. Work still queued for the old device
+    /// the slot's present table, pool, checkpoint and journal: a fresh
+    /// device's memory over the image's loaded form, which is shared with
+    /// every other device running it. Work still queued for the old device
     /// would run against the new one's memory and kernels, so a reload
     /// under queued work is refused ([`HostError::DeviceBusy`]) with
     /// nothing changed: [`Host::sync`] first.
@@ -328,6 +328,7 @@ impl Host {
         slot.image = Some((img, image));
         slot.table = PresentTable::new();
         slot.pool = DevicePool::new();
+        slot.checkpoint = None;
         slot.journal.clear();
         slot.quarantined = false;
         Ok(())
@@ -386,7 +387,7 @@ impl Host {
     /// queued operation or a present-table entry names the buffer.
     pub fn unregister(&mut self, b: BufId) -> Result<Vec<u8>, HostError> {
         self.check_unused(b)?;
-        Ok(self.release(b).map(|h| h.bytes).unwrap_or_default())
+        Ok(self.bufs.remove(b.0).map(|h| h.bytes).unwrap_or_default())
     }
 
     /// `Ok` iff `b` is registered and nothing the host still runs or maps
@@ -400,16 +401,6 @@ impl Host {
             Some(device) => Err(HostError::InUse(InUse::Mapped { buf: b, device })),
             None => Ok(()),
         }
-    }
-
-    /// Free `b`'s slot, and drop every read-back into it from the device
-    /// journals: a read-back changes no device state, so a failover replay
-    /// needs none of them, and one kept would name a released buffer.
-    fn release(&mut self, b: BufId) -> Option<HostBuf> {
-        for slot in &mut self.slots {
-            slot.journal.retain(|op| !op.names(b));
-        }
-        self.bufs.remove(b.0)
     }
 
     /// The buffer decoded as `f64`s (post-`sync` result readback).
@@ -662,7 +653,7 @@ impl Host {
                     self.exit(dev, MapSpec { kind: MapKind::Release, ..x })?;
                 }
                 for b in bufs.into_iter().flatten() {
-                    self.release(b);
+                    self.bufs.remove(b.0);
                 }
                 return Err(e);
             }
@@ -678,9 +669,9 @@ impl Host {
     /// operation or a present-table entry names one of its buffers or the
     /// launch has not run: [`Host::sync`] first.
     ///
-    /// The launch stays in the device journal, so a failover replay still
-    /// re-runs it for the device state it leaves; the result of that run
-    /// lands in the retired ticket, which names nothing.
+    /// What the launch left on the device lives on in the slot's
+    /// checkpoint, so a later failover restores it; the host journals
+    /// nothing that names a retired buffer or ticket.
     pub fn retire(&mut self, region: Region) -> Result<Retired, HostError> {
         let held = region.bufs.iter().flatten();
         held.clone().try_for_each(|b| self.check_unused(*b))?;
@@ -696,7 +687,7 @@ impl Host {
         let n = held.filter(|b| self.bufs.get(b.0).is_some_and(|h| h.output)).count();
         let mut outputs = Vec::with_capacity(n);
         for (i, b) in region.bufs.iter().enumerate() {
-            if let Some(h) = b.and_then(|b| self.release(b)) {
+            if let Some(h) = b.and_then(|b| self.bufs.remove(b.0)) {
                 if h.output {
                     outputs.push((i, h.bytes));
                 }
@@ -783,7 +774,9 @@ impl Host {
                 let failed = res.as_ref().err().map(|e| HostError::Exec(e.clone()));
                 // Every run records its outcome; the last one wins —
                 // after a successful retry the ticket holds the metrics.
-                // A replay of a retired region's launch lands nowhere.
+                // (A ticket lives until its region retires, which waits
+                // for the launch; failover restores launches, never runs
+                // them again.)
                 if let Some(t) = self.tickets.get_mut(ticket.0) {
                     *t = Some(res);
                 }
@@ -801,8 +794,11 @@ impl Host {
     }
 
     /// Keep a [`DevOp`] that succeeded on slot `dev` — iff recovery is
-    /// armed, the only reader being failover. An upload is kept as the
-    /// bytes it wrote: the host buffer may change before a replay.
+    /// armed, the only reader being failover. A launch is kept as a
+    /// checkpoint of the state it left, which ends the journal; a
+    /// read-back changes no device state and is not kept. An upload is
+    /// kept as the bytes it wrote: the host buffer may change before a
+    /// replay.
     fn keep(&mut self, dev: usize, op: DevOp) -> Result<(), HostError> {
         if self.recovery.is_none() {
             return Ok(());
@@ -811,6 +807,17 @@ impl Host {
             DevOp::Write { ptr, bytes: Payload::Host { buf, off, len } } => {
                 let bytes = host_range(&mut self.bufs, buf, off, len)?.to_vec();
                 DevOp::Write { ptr, bytes: Payload::Owned(bytes) }
+            }
+            DevOp::ReadBack { .. } => return Ok(()),
+            DevOp::Launch { .. } => {
+                let slot = self.slot_mut(dev)?;
+                let d = slot.dev.as_ref().ok_or(NO_IMAGE)?;
+                let cp = slot.checkpoint.get_or_insert_with(Checkpoint::default);
+                d.save_state(&mut cp.state);
+                cp.executed_cycles = slot.executed_cycles;
+                cp.launches = slot.launches;
+                slot.journal.clear();
+                return Ok(());
             }
             op => op,
         };
@@ -823,9 +830,10 @@ impl Host {
     /// Run `op` through the door on slot `dev` under the armed
     /// [`RecoveryPolicy`] (a single attempt when none is armed):
     /// transient errors back off (modeled cycles) and retry in place;
-    /// `DeviceLost` fails over to a replacement device and replays the
-    /// journal; program errors surface unchanged. A failed op leaves no
-    /// trace, so running it again is exact.
+    /// `DeviceLost` fails over to a replacement device, restores the last
+    /// checkpoint and replays the journal since; program errors surface
+    /// unchanged. A failed op leaves no trace, so running it again is
+    /// exact.
     fn recoverable(&mut self, dev: usize, op: &DevOp) -> Result<(), HostError> {
         let Some(policy) = self.recovery.clone() else {
             return self.dev_op(dev, op);
@@ -859,9 +867,12 @@ impl Host {
     /// Replace the lost device in slot `dev`: quarantine the dead one,
     /// bind a fresh vGPU of the same image (no fault plan — the
     /// replacement models healthy hardware, so the slot's chaos campaign
-    /// is not re-armed), and replay the journal so present table, pool,
-    /// and already-translated kernel arguments stay valid verbatim. When the failover budget is spent the slot is retired
-    /// instead and the loss surfaces (typed, never a panic).
+    /// is not re-armed), restore the slot's checkpoint on it, and replay
+    /// the journal since, so present table, pool, and already-translated
+    /// kernel arguments stay valid verbatim. The replacement holds what
+    /// the lost device held, silent faults included. When the failover
+    /// budget is spent the slot is retired instead and the loss surfaces
+    /// (typed, never a panic).
     fn failover(&mut self, dev: usize, policy: &RecoveryPolicy) -> Result<(), HostError> {
         self.rmetrics.quarantines += 1;
         if self.rmetrics.failovers >= u64::from(policy.max_failovers) {
@@ -884,27 +895,34 @@ impl Host {
         let Some((_, image)) = &self.slot(dev)?.image else {
             return Err(HostError::Replay("failover on a slot with no image".to_string()));
         };
-        let d = self.new_device(image, None);
+        let mut d = self.new_device(image, None);
         let slot = self.slot_mut(dev)?;
+        // The totals as they were at the checkpoint: the journal since
+        // holds no launch, so the recovered totals equal a clean run's.
+        let (cycles, launches) = match &slot.checkpoint {
+            Some(cp) if !d.restore_state(&cp.state) => {
+                return Err(HostError::Replay("checkpoint of another image".to_string()))
+            }
+            Some(cp) => (cp.executed_cycles, cp.launches),
+            None => (0, 0),
+        };
         slot.dev = Some(d);
         slot.device_plan = None;
-        // Replay rebuilds these from the journal; resetting first keeps
-        // the recovered totals identical to a clean run's.
-        slot.executed_cycles = 0;
-        slot.launches = 0;
+        slot.executed_cycles = cycles;
+        slot.launches = launches;
         self.replay_journal(dev)
     }
 
-    /// Run the slot's journal again on its (fresh) device, through the
-    /// door that ran it the first time. Determinism does the heavy
-    /// lifting: bump allocation reproduces every pointer (checked), and
-    /// the interpreter reproduces every byte and metric. Kept operations
-    /// all succeeded originally, so a failure here is a broken invariant,
-    /// not a recoverable fault: a typed [`HostError::Replay`].
+    /// Run the slot's journal again on its replacement device, restored
+    /// to the checkpoint, through the door that ran it the first time.
+    /// Bump allocation reproduces every pointer (checked) and the journal
+    /// holds no launch, so the device ends as the lost one was. Kept
+    /// operations all succeeded originally, so a failure here is a broken
+    /// invariant, not a recoverable fault: a typed [`HostError::Replay`].
     fn replay_journal(&mut self, dev: usize) -> Result<(), HostError> {
         // Replay keeps nothing, so the ops are lent out for its duration
         // and handed back whatever it returns — copying them would copy
-        // every written byte since bind, on every failover.
+        // every byte uploaded since the checkpoint, on every failover.
         let ops = std::mem::take(&mut self.slot_mut(dev)?.journal);
         let replayed = ops.iter().try_for_each(|op| {
             self.rmetrics.replayed_ops += 1;

@@ -8,8 +8,11 @@
 //!   off and retry the same operation on the same device, up to
 //!   [`RecoveryPolicy::transient_retries`] times per operation.
 //! * **Permanent** (`DeviceLost`): quarantine the dead device, bind a
-//!   replacement, replay the slot's op journal (`DeviceSlot::journal`), and
-//!   retry — up to [`RecoveryPolicy::max_failovers`] times per host.
+//!   replacement, restore the slot's checkpoint on it (the device state
+//!   after the last kept launch, `DeviceSlot::checkpoint`), replay the op
+//!   journal since (`DeviceSlot::journal`: the current region's
+//!   allocations, zero-fills and uploads), and retry — up to
+//!   [`RecoveryPolicy::max_failovers`] times per host.
 //! * **Program**: surface immediately; a retry would reproduce it.
 //!
 //! Backoff is measured in *modeled* cycles, not wall clock, and is
@@ -79,7 +82,9 @@ pub struct RecoveryMetrics {
     pub failovers: u64,
     /// Dead devices quarantined (== failovers + retired slots).
     pub quarantines: u64,
-    /// Journal effects re-executed on replacement devices.
+    /// Journaled operations re-executed on replacement devices after
+    /// their checkpoint was restored (launches are restored, never
+    /// counted here).
     pub replayed_ops: u64,
     /// Total modeled-cycle backoff charged.
     pub backoff_cycles: u64,

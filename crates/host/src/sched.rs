@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use nzomp_vgpu::{Device, FaultPlan, Image};
+use nzomp_vgpu::{Device, DeviceState, FaultPlan, Image};
 
 use crate::map::PresentTable;
 use crate::pool::DevicePool;
@@ -29,7 +29,7 @@ pub enum SchedPolicy {
 /// One registered virtual GPU plus its host-side shadow state. The
 /// device itself is created lazily when an image is first placed on the
 /// slot; re-placing a different image resets the device (fresh memory)
-/// and with it the present table, pool, and journal.
+/// and with it the present table, pool, checkpoint and journal.
 pub(crate) struct DeviceSlot {
     pub dev: Option<Device>,
     /// What `dev` runs (was last bound to), and its loaded form, which
@@ -51,21 +51,29 @@ pub(crate) struct DeviceSlot {
     /// on a failover replacement — the replacement models healthy
     /// hardware.
     pub device_plan: Option<FaultPlan>,
-    /// The op journal, the redo log behind device-loss recovery: while
-    /// recovery is armed, every `DevOp` that succeeded since the image was
-    /// bound, in device order; failover runs them again, through the same
-    /// door, on a replacement device. Cleared on rebind to a different image
-    /// (device memory is reset, so the history describes nothing reachable).
+    /// The device's state after the last launch the recovery layer kept,
+    /// with this slot's `executed_cycles` and `launches` as they were
+    /// then: where failover starts a replacement device. `None` until a
+    /// launch succeeds under recovery after a bind (a replacement then
+    /// starts from the image's fresh memory).
+    pub checkpoint: Option<Checkpoint>,
+    /// The op journal, the tail of the redo log behind device-loss
+    /// recovery: while recovery is armed, every `DevOp` that changed the
+    /// device since its checkpoint (or, before the first one, since the
+    /// image was bound), in device order. A kept launch saves a new
+    /// checkpoint and empties it, so it holds the current region's
+    /// allocations, zero-fills and uploads. Failover restores the
+    /// checkpoint on a replacement device and runs the journal again,
+    /// through the same door.
     ///
     /// Replay is sound (`docs/robustness.md`, "Recovery policy and op
-    /// journal") because `Device::alloc` is a pure bump allocator — the kept
-    /// [`DevOp::Grow`]s reproduce the *identical* pointers on a fresh device
-    /// of the same image, so the present table, pool and every translated
+    /// journal") because `Device::alloc` is a pure bump allocator — the
+    /// kept [`DevOp::Grow`]s reproduce the *identical* pointers over the
+    /// checkpoint's memory, so the present table, pool and every translated
     /// kernel argument stay valid ([`crate::HostError::Replay`] on
-    /// divergence) — and the device engine is deterministic, so the kept
-    /// launches reproduce memory, metrics and sanitizer verdicts bit for
-    /// bit. Pool frees are *not* kept: a free only moves a block to the
-    /// host-side free list, and the pool object survives the failover.
+    /// divergence). Read-backs and pool frees are *not* kept: neither
+    /// changes device memory (a free only moves a block to the host-side
+    /// free list, and the pool object survives the failover).
     pub journal: Vec<DevOp>,
 }
 
@@ -80,9 +88,18 @@ impl DeviceSlot {
             launches: 0,
             quarantined: false,
             device_plan: None,
+            checkpoint: None,
             journal: Vec::new(),
         }
     }
+}
+
+/// A saved device state and the slot's launch totals at the save.
+#[derive(Default)]
+pub(crate) struct Checkpoint {
+    pub state: DeviceState,
+    pub executed_cycles: u64,
+    pub launches: u64,
 }
 
 /// Pick a device for the next launch, skipping quarantined slots. `None`

@@ -43,12 +43,14 @@ pub enum KArg {
 
 /// One operation on a device slot's [`nzomp_vgpu::Device`] — the value
 /// the queue holds, [`crate::Host`]'s one door executes, and the journal
-/// keeps for failover to execute again. Device addresses were resolved
-/// when it was built.
+/// keeps for failover to execute again (allocations, zero-fills and
+/// uploads only: a launch is kept as a checkpoint, a read-back not at
+/// all). Device addresses were resolved when it was built.
 pub enum DevOp {
     /// `Device::alloc(size)` returned `at` (a fresh pool block). Bump
-    /// allocation is deterministic, so running it again on a fresh device
-    /// of the same image must return `at` again — checked.
+    /// allocation is deterministic, so running it again on a replacement
+    /// device restored to the same checkpoint must return `at` again —
+    /// checked.
     Grow { size: u64, at: DevPtr },
     /// Zero-fill a reused pool block before it is handed out.
     Zero { ptr: DevPtr, len: u64 },
@@ -56,7 +58,7 @@ pub enum DevOp {
     Write { ptr: DevPtr, bytes: Payload },
     /// Launch a kernel, named by the bound image's shared name; the
     /// outcome (metrics or the trap) lands in `ticket` every time it runs,
-    /// the last run winning.
+    /// the last (retried) run winning.
     Launch {
         kernel: Arc<str>,
         launch: Launch,
@@ -122,15 +124,10 @@ impl Op {
 
     /// Whether running the operation reads or writes host buffer `b`.
     pub(crate) fn names(&self, b: BufId) -> bool {
-        matches!(self, Op::Dev { op, .. } if op.names(b))
-    }
-}
-
-impl DevOp {
-    /// Whether running the operation reads or writes host buffer `b`.
-    pub(crate) fn names(&self, b: BufId) -> bool {
         match self {
-            DevOp::Write { bytes: Payload::Host { buf, .. }, .. } | DevOp::ReadBack { buf, .. } => *buf == b,
+            Op::Dev { op: DevOp::Write { bytes: Payload::Host { buf, .. }, .. } | DevOp::ReadBack { buf, .. }, .. } => {
+                *buf == b
+            }
             _ => false,
         }
     }

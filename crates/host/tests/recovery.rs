@@ -1,9 +1,10 @@
 //! The recovery contract of the offload host runtime: transient faults
 //! retry to a clean result, a stall is a typed transient trap, a runaway
 //! kernel is a program error that is never retried, device loss
-//! fails over to a replacement vGPU whose journal replay reproduces the
-//! clean run bit-for-bit, and a shrinking fleet degrades gracefully down
-//! to a typed `FleetLost` — never a panic, never a wrong answer.
+//! fails over to a replacement vGPU whose checkpoint restore and journal
+//! replay reproduce the clean run bit-for-bit, and a shrinking fleet
+//! degrades gracefully down to a typed `FleetLost` — never a panic,
+//! never a wrong answer.
 //! One run setting suffices: `recovery_chaos` crosses the run axes.
 
 mod common;
@@ -463,14 +464,14 @@ fn a_region_on_a_missing_device_keeps_no_ticket() {
 
 /// Retirement under recovery. Region A runs on device 0 and is retired;
 /// region B reuses A's buffer and ticket slots on device 1; then device 0
-/// is lost under region C, and failover replays device 0's journal, A's
-/// launch among it. Retiring A dropped A's read-back from the journal
-/// (replaying it would name a released buffer) and the replayed launch's
-/// result lands in A's retired ticket, which names nothing: B's outputs
-/// and metrics, C's outputs and both device images equal the fault-free
+/// is lost under region C, and failover restores device 0's checkpoint,
+/// taken after A's launch. Nothing the host journals names A's buffers or
+/// ticket (a read-back is not journaled, a launch is kept as device
+/// state), so nothing of A lands in B's reused slots: B's outputs and
+/// metrics, C's outputs and both device images equal the fault-free
 /// run's.
 #[test]
-fn a_retired_region_replays_for_device_state_and_lands_nowhere() {
+fn a_retired_region_survives_failover_as_device_state_alone() {
     let args = |n: usize| {
         vec![
             RegionArg::To(nzomp_host::f64_bytes(&input(n))),
@@ -566,6 +567,100 @@ fn retiring_is_refused_while_the_region_is_live_and_its_ids_go_stale() {
     assert!(matches!(trapped.result, Err(e) if matches!(e.kind, TrapKind::BadLaunch(_))));
 }
 
+/// Moving a region's output out with `take_buf` and then losing the
+/// device recovers to the fault-free bytes: a read-back changes no device
+/// state and is not journaled, so failover never copies into the emptied
+/// buffer (it used to, and failed with `HostError::Replay`).
+#[test]
+fn a_taken_output_does_not_break_a_later_failover() {
+    let run = |lose: bool| {
+        let mut h = host(1);
+        h.set_recovery(Some(RecoveryPolicy::default()));
+        let img = h
+            .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
+            .unwrap();
+        let s = h.stream();
+        let a = h.enqueue_region(&[s], img, "k", launch(), region_args()).unwrap();
+        h.sync().unwrap();
+        let a_out = h.take_buf(a.bufs[1].unwrap()).unwrap();
+        if lose {
+            // Op 0 of the plan is the second region's first zero-fill.
+            h.set_device_faults(0, device_plan(&[(0, DeviceFaultKind::Lost)])).unwrap();
+        }
+        let b = h
+            .enqueue_region(&[s], img, "k", launch(), region_args())
+            .and_then(|b| h.sync().map(|()| b))
+            .unwrap_or_else(|e| panic!("lose = {lose}: {e}"));
+        let d = &h.stats().devices[0];
+        (
+            a_out,
+            h.buf_bytes(b.bufs[1].unwrap()).unwrap().to_vec(),
+            h.take_metrics(b.ticket).unwrap(),
+            h.device(0).unwrap().global_bytes().to_vec(),
+            h.recovery_metrics().failovers,
+            (d.launches, d.executed_cycles),
+        )
+    };
+    let clean = run(false);
+    let lost = run(true);
+    assert_eq!((clean.4, lost.4), (0, 1), "failovers");
+    assert_eq!(lost.0, clean.0, "the taken output");
+    assert_eq!(lost.1, clean.1, "the second region's output");
+    assert_eq!(lost.2, clean.2, "the second region's metrics");
+    assert_eq!(lost.3, clean.3, "device image");
+    assert_eq!(lost.5, clean.5, "the slot's launches and executed cycles, restored with the checkpoint");
+    assert_eq!(nzomp_host::bytes_to_f64(&lost.1), scale_add_expected(&input(N)));
+}
+
+/// A replacement device holds what the lost one held at its last launch,
+/// silent faults included: a load corrupted by the slot's fault plan in a
+/// launch that succeeds stays corrupted after a later loss, so the bytes
+/// read back equal the run that lost nothing. (Failover used to run the
+/// launch again on the replacement, without the plan, and hand back
+/// different bytes.)
+#[test]
+fn recovery_keeps_what_a_silent_fault_left_behind() {
+    use nzomp_host::{KArg, MapKind, MapSpec};
+    use nzomp_vgpu::{FaultAction, FaultSite};
+    let len = 8 * N as u64;
+    let run = |lose: bool| {
+        let mut h = host(1);
+        h.set_recovery(Some(RecoveryPolicy::default()));
+        let img = h
+            .load_image(scale_add_app(), BuildConfig::NewRtNoAssumptions)
+            .unwrap();
+        h.bind_image(0, img).unwrap();
+        let corrupt = FaultSite { team: 1, thread: 3, after_steps: 0, action: FaultAction::CorruptLoad { xor: 1 << 62 } };
+        h.set_device_faults(0, FaultPlan { sites: vec![corrupt], ..FaultPlan::default() }).unwrap();
+        let s = h.stream();
+        let a = h.register_f64(&input(N));
+        let out = h.register_zeros(len);
+        h.data_enter(s, 0, &[MapSpec::whole(a, len, MapKind::To), MapSpec::whole(out, len, MapKind::From)])
+            .unwrap();
+        let args = [KArg::Buf(a), KArg::Buf(out), KArg::Val(RtVal::I(N as i64))];
+        h.enqueue_launch(s, 0, "k", launch(), &args).unwrap();
+        h.sync().unwrap();
+        if lose {
+            // Op 0 of the plan is the read under test.
+            h.set_device_faults(0, device_plan(&[(0, DeviceFaultKind::Lost)])).unwrap();
+        }
+        let bytes = h.read_present(0, out, 0, len).unwrap();
+        let d = &h.stats().devices[0];
+        (bytes, h.recovery_metrics().failovers, (d.launches, d.executed_cycles))
+    };
+    let (kept, failovers, totals) = run(false);
+    assert_eq!(failovers, 0);
+    assert_ne!(
+        nzomp_host::bytes_to_f64(&kept),
+        scale_add_expected(&input(N)),
+        "the corrupted load reaches the output"
+    );
+    let (recovered, failovers, recovered_totals) = run(true);
+    assert_eq!(failovers, 1);
+    assert_eq!(recovered, kept, "recovered bytes equal the run that lost nothing");
+    assert_eq!(recovered_totals, totals, "the slot's launches and executed cycles");
+}
+
 /// `Host::read_present` is a device read like any other: with recovery
 /// armed a transient memcpy fault on it retries in place and a lost
 /// device fails over and replays, both to the bytes of the fault-free
@@ -608,6 +703,8 @@ fn read_present_recovers_like_every_other_memcpy() {
     assert_eq!(retried, clean, "transient fault retried to the clean bytes");
     let (failed_over, m) = run(Some(DeviceFaultKind::Lost));
     assert_eq!(m.failovers, 1);
-    assert!(m.replayed_ops >= 4, "allocs, upload and launch replayed, got {}", m.replayed_ops);
+    // The launch is restored from its checkpoint, not run again, and
+    // nothing changed the device after it: no operation is replayed.
+    assert_eq!(m.replayed_ops, 0, "nothing after the launch's checkpoint to replay");
     assert_eq!(failed_over, clean, "lost device failed over to the clean bytes");
 }

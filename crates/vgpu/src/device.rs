@@ -234,6 +234,23 @@ impl Image {
     }
 }
 
+/// Everything a memcpy or a launch changes on a [`Device`]: global memory
+/// (the device heap included), the heap allocator, and what the last
+/// launch left for the host to read (sanitizer outcome, wave stats).
+/// [`Device::save_state`] fills one and [`Device::restore_state`] puts it
+/// back on a device of the same image — a copy inside the simulator, not
+/// a modeled transfer: neither ticks the device-fault clock, charges a
+/// cycle or reads a fault plan. How a host checkpoints a device it may
+/// have to replace.
+#[derive(Default)]
+pub struct DeviceState {
+    image: Option<Arc<Image>>,
+    global: Vec<u8>,
+    heap: HeapState,
+    last_san: Option<LaunchSan>,
+    last_wave: Option<WaveStats>,
+}
+
 /// A loaded module plus device memory. Global memory persists across
 /// launches (like a real device), so hosts can upload inputs once and run
 /// several kernels.
@@ -369,6 +386,36 @@ impl Device {
     /// the entire image bit for bit across worker counts.
     pub fn global_bytes(&self) -> &[u8] {
         &self.global.bytes
+    }
+
+    /// Copy this device's [`DeviceState`] into `into`, reusing its
+    /// buffers: once they have grown to fit, a save allocates nothing.
+    pub fn save_state(&self, into: &mut DeviceState) {
+        if !into.image.as_ref().is_some_and(|i| Arc::ptr_eq(i, &self.image)) {
+            into.image = Some(Arc::clone(&self.image));
+        }
+        into.global.clone_from(&self.global.bytes);
+        into.heap.live_allocs.clone_from(&self.heap.live_allocs);
+        into.heap.limit = self.heap.limit;
+        into.last_san.clone_from(&self.last_san);
+        into.last_wave = self.last_wave;
+    }
+
+    /// Put a saved [`DeviceState`] back: afterwards memory, heap and the
+    /// last launch's outcome read as they did on the device it was saved
+    /// from. `false`, with nothing changed, if that device ran another
+    /// image (or nothing was saved).
+    #[must_use]
+    pub fn restore_state(&mut self, from: &DeviceState) -> bool {
+        if !from.image.as_ref().is_some_and(|i| Arc::ptr_eq(i, &self.image)) {
+            return false;
+        }
+        self.global.bytes.clone_from(&from.global);
+        self.heap.live_allocs.clone_from(&from.heap.live_allocs);
+        self.heap.limit = from.heap.limit;
+        self.last_san.clone_from(&from.last_san);
+        self.last_wave = from.last_wave;
+        true
     }
 
     pub fn module(&self) -> &Module {
@@ -901,7 +948,59 @@ type TeamsOutcome = Result<Counters, (TrapKind, u32, u32)>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nzomp_ir::Function;
+    use crate::faults::DeviceFaultSite;
+    use nzomp_ir::{ExecMode, FuncBuilder, Function, Operand};
+
+    /// A saved state put back on a fresh device of the same image reads
+    /// as the device it was saved from: memory, the next bump allocation,
+    /// the device heap, the last launch's sanitizer findings and wave
+    /// stats. Restoring ticks no device-fault clock (saving cannot: it
+    /// borrows the device shared), and a device of another image refuses
+    /// the state.
+    #[test]
+    fn a_restored_state_reads_as_the_saved_device_and_ticks_no_fault_clock() {
+        // Every thread writes its id to `out[0]` and to `out[1 + tid]`:
+        // the first store races, so the sanitizer has findings to keep.
+        let mut m = Module::new("state");
+        let mut b = FuncBuilder::new("k", vec![Ty::Ptr], None);
+        let tid = b.thread_id();
+        b.store(Ty::I64, b.param(0), tid);
+        let off = b.add(tid, Operand::i64(1));
+        let off = b.mul(off, Operand::i64(8));
+        let p = b.ptr_add(b.param(0), off);
+        b.store(Ty::I64, p, tid);
+        b.ret(None);
+        let f = m.add_function(b.finish());
+        m.add_kernel(f, ExecMode::Spmd);
+        let image = Arc::new(Image::new(m));
+        let run = RunConfig { workers: 2, sanitize: Sanitize::Report, ..RunConfig::default() };
+        let fresh = || Device::from_image(Arc::clone(&image), DeviceConfig::default(), run);
+        let mut dev = fresh();
+        let out = dev.alloc(72);
+        dev.launch("k", Launch::new(2, 4), &[RtVal::P(out)]).unwrap();
+        // What a device-side `malloc` the kernel never freed leaves behind.
+        dev.heap.live_allocs.insert(dev.global.len() as u64, 8);
+        let mut state = DeviceState::default();
+        dev.save_state(&mut state);
+
+        let mut other = Device::load(Module::new("other"), DeviceConfig::default());
+        assert!(!other.restore_state(&state), "a state of another image");
+        let mut again = fresh();
+        assert!(!again.restore_state(&DeviceState::default()), "a state never saved");
+        let fail_next_memcpy = DeviceFaultSite { after_ops: 0, kind: DeviceFaultKind::MemcpyFail };
+        again.set_fault_plan(FaultPlan { device_sites: vec![fail_next_memcpy], ..FaultPlan::default() });
+        assert!(again.restore_state(&state));
+        assert_eq!(again.global_bytes(), dev.global_bytes());
+        assert_eq!((&again.heap.live_allocs, again.heap.limit), (&dev.heap.live_allocs, dev.heap.limit));
+        assert!(!dev.sanitizer_reports().is_empty());
+        assert_eq!(again.sanitizer_reports(), dev.sanitizer_reports());
+        assert_eq!(again.sanitizer_counts(), dev.sanitizer_counts());
+        assert!(again.last_wave_stats().is_some());
+        assert_eq!(again.last_wave_stats(), dev.last_wave_stats());
+        assert_eq!(again.alloc(8), dev.alloc(8));
+        let fault = again.write_bytes(out, &[0; 8]).unwrap_err();
+        assert_eq!(fault.kind, TrapKind::MemcpyFault, "op 0 of the plan is still ahead");
+    }
 
     /// The name index answers as the scan it replaced: the first function
     /// of a name (names may repeat), and nothing for a name the module

@@ -43,7 +43,7 @@ pub mod sanitize;
 pub mod value;
 
 pub use cost::DeviceConfig;
-pub use device::{Device, Image, WaveStats};
+pub use device::{Device, DeviceState, Image, WaveStats};
 pub use exec::ExecTier;
 pub use error::{ExecError, TrapKind};
 pub use faults::{DeviceFaultKind, DeviceFaultSite, FaultAction, FaultPlan, FaultSite};

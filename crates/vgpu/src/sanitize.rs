@@ -682,7 +682,7 @@ struct LaunchByte {
 /// Launch-level sanitizer state: team outcomes folded in ascending team
 /// order (the wave-merge order), which makes reports and verdicts
 /// independent of the worker-thread count.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct LaunchSan {
     global: HashMap<u64, LaunchByte>,
     /// All retained findings, in fold (= team) order.

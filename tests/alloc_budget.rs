@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use nzomp::pipeline::compile;
 use nzomp::BuildConfig;
-use nzomp_host::{f64_bytes, Host, RegionArg};
+use nzomp_host::{f64_bytes, Host, RecoveryPolicy, RegionArg};
 use nzomp_serve::{Outcome, ReqArg, ReqId, RequestSpec, Serve, ServeConfig, TenantConfig, TenantId};
 use nzomp_vgpu::device::Launch;
 use nzomp_integration::scale_module;
@@ -352,7 +352,21 @@ fn a_long_lived_service_holds_a_bounded_set_of_host_slots() {
 /// exactly what they were after the warm-up.
 #[test]
 fn a_host_that_retires_its_regions_keeps_no_heap_for_them() {
+    soak_retiring_host(None);
+}
+
+/// The same soak with recovery armed: what the host keeps for a failover
+/// is each device's checkpoint (its state after the last launch) and the
+/// journal since, which a launch empties, so neither grows with the
+/// regions run.
+#[test]
+fn a_host_with_recovery_armed_keeps_a_bounded_journal() {
+    soak_retiring_host(Some(RecoveryPolicy::default()));
+}
+
+fn soak_retiring_host(recovery: Option<RecoveryPolicy>) {
     let mut host = Host::with_run(quick_device(), 1, RUN);
+    host.set_recovery(recovery);
     let img = host.load_image(scale_module(2.0), CFG).unwrap();
     let s = host.stream();
     let want = (1.5f64 * 2.0 + 3.0).to_le_bytes();

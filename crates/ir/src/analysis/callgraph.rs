@@ -34,8 +34,12 @@ impl CallGraph {
         let mut address_taken_list = Vec::new();
         let mut takes_address_of: Vec<Vec<FuncRef>> = vec![Vec::new(); n];
         let mut has_indirect_call = vec![false; n];
+        // A listed instruction missing from the arena and a function
+        // reference past the module — IR the verifier rejects, which a
+        // device still launches into a typed trap — contribute nothing.
         let mut take_address = |i: usize, fr: FuncRef| {
-            if !std::mem::replace(&mut address_taken[fr.index()], true) {
+            let Some(taken) = address_taken.get_mut(fr.index()) else { return };
+            if !std::mem::replace(taken, true) {
                 address_taken_list.push(fr);
             }
             if !takes_address_of[i].contains(&fr) {
@@ -45,11 +49,10 @@ impl CallGraph {
         for (i, f) in m.funcs.iter().enumerate() {
             let me = FuncRef(i as u32);
             for block in &f.blocks {
-                for &iid in &block.insts {
-                    let inst = f.inst(iid);
+                for inst in block.insts.iter().filter_map(|iid| f.insts.get(iid.index())) {
                     if let Inst::Call { callee, args, .. } = inst {
                         match callee {
-                            Operand::Func(target) => {
+                            Operand::Func(target) if target.index() < n => {
                                 let list = &mut callees[i];
                                 if !list.contains(target) {
                                     list.push(*target);
@@ -59,6 +62,7 @@ impl CallGraph {
                                     rlist.push(me);
                                 }
                             }
+                            Operand::Func(_) => {}
                             _ => has_indirect_call[i] = true,
                         }
                         // A function passed *as an argument* is address-taken.

@@ -61,8 +61,8 @@ pub fn compute(f: &Function) -> Liveness {
                     out.insert(*k);
                 }
                 for &iid in &succ.insts {
-                    match f.inst(iid) {
-                        Inst::Phi { incomings, .. } => {
+                    match f.insts.get(iid.index()) {
+                        Some(Inst::Phi { incomings, .. }) => {
                             out.remove(&Key::Inst(iid.0));
                             for inc in incomings {
                                 if inc.pred == b {
@@ -80,7 +80,9 @@ pub fn compute(f: &Function) -> Liveness {
             let mut cur = out.clone();
             block.term.for_each_operand(|op| cur.extend(key_of(op)));
             for &iid in block.insts.iter().rev() {
-                let inst = f.inst(iid);
+                // A listed instruction missing from the arena (IR the
+                // verifier rejects) defines and uses nothing.
+                let Some(inst) = f.insts.get(iid.index()) else { continue };
                 cur.remove(&Key::Inst(iid.0));
                 if !inst.is_phi() {
                     inst.for_each_operand(|op| cur.extend(key_of(op)));
@@ -89,7 +91,7 @@ pub fn compute(f: &Function) -> Liveness {
             // Phi defs are live-in (they are defined "at the block start"),
             // so add them back.
             for &iid in &block.insts {
-                if f.inst(iid).is_phi() {
+                if f.insts.get(iid.index()).is_some_and(Inst::is_phi) {
                     cur.insert(Key::Inst(iid.0));
                 } else {
                     break;
@@ -112,7 +114,7 @@ pub fn compute(f: &Function) -> Liveness {
         block.term.for_each_operand(|op| live.extend(key_of(op)));
         max_live = max_live.max(live.len());
         for &iid in block.insts.iter().rev() {
-            let inst = f.inst(iid);
+            let Some(inst) = f.insts.get(iid.index()) else { continue };
             live.remove(&Key::Inst(iid.0));
             if !inst.is_phi() {
                 inst.for_each_operand(|op| live.extend(key_of(op)));

@@ -1,22 +1,23 @@
 //! IR → bytecode lowering.
 //!
-//! Lowering never fails: malformed shapes (the ones the verifier rejects
-//! but a hand-built module can still carry) are embedded as trap ops or
-//! trap operands that reproduce the interpreter's exact `MalformedIr`
-//! message at the exact execution point where the interpreter would meet
-//! them. That keeps the malformed-IR trap-message pins — and every other
-//! differential suite — valid across tiers.
+//! Lowering translates well-formed modules only. The shapes the
+//! interpreter meets as `MalformedIr` / `BadLaunch` / `BadIndirectCall`
+//! traps — a listed instruction missing from the arena, a phi after a
+//! non-phi or at function entry, an operand naming a missing instruction,
+//! global or parameter, a direct call of a missing function or with the
+//! wrong arity, `malloc` / `free` / `assume` without an operand, a branch
+//! to a missing block, a phi with no incoming for an edge into its block —
+//! make [`lower_module`] return `None` wherever in the module's listed
+//! code they sit, and the device runs the module on the interpreter, which
+//! raises those traps itself. The verifier rejects all of them but the
+//! phi at function entry. What verified IR can reach otherwise stays a
+//! trap op: a direct call of a declaration, `assert.fail`, `unreachable`,
+//! and the body of a declaration launched as a kernel.
 //!
-//! Static direct-call checks (missing target, declaration, arity) are the
-//! one class the interpreter performs per execution that lowering resolves
-//! eagerly; since the outcome cannot depend on runtime state, the lowered
-//! [`Op::TrapInst`] fires identically.
-//!
-//! What lowering does refuse is a module the value-class rule
+//! Lowering also refuses a module the value-class rule
 //! (`nzomp_ir::analysis::class`) cannot prove: the register file holds bits
 //! without a tag, which is only the tagged interpreter's behaviour when
-//! every operand is read in the domain it was produced in. The device runs
-//! such a module on the interpreter instead.
+//! every operand is read in the domain it was produced in.
 
 use std::collections::HashMap;
 
@@ -33,10 +34,11 @@ use super::{BcFunc, BcModule, Edge, FuncMeta, Op, Src};
 
 /// Lower every function of `module`. `layout` resolves global operands to
 /// their device addresses (fixed at device load, like the layout itself).
-/// `None` when the value-class rule fails the module, or when a call that
-/// can reach an allocator release function passes arguments whose
-/// pointer/integer tags (which the sanitizer's release hook keys on) the
-/// rule leaves open: the module then runs on the tagged interpreter.
+/// `None` when the module is malformed (see the module docs), when the
+/// value-class rule fails it, or when a call that can reach an allocator
+/// release function passes arguments whose pointer/integer tags (which
+/// the sanitizer's release hook keys on) the rule leaves open: the module
+/// then runs on the tagged interpreter.
 pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout) -> Option<BcModule> {
     let classes = value_classes(module).ok()?;
     let release: Vec<u32> = module
@@ -83,10 +85,9 @@ struct FnLowerer<'m> {
     ops: Vec<Op>,
     locs: Vec<(u32, u32)>,
     traps: Vec<TrapKind>,
-    edges: Vec<Edge>,
-    /// `(edge index, from block, target block)` fixups resolved once every
+    /// `(from block, target block)` per edge index, resolved once every
     /// block's op offset is known.
-    pending: Vec<(usize, BlockId, BlockId)>,
+    pending: Vec<(BlockId, BlockId)>,
     /// First post-phi op offset per block.
     block_start: Vec<u32>,
     /// The frame template under construction, one entry per value slot:
@@ -98,9 +99,6 @@ struct FnLowerer<'m> {
     const_of: HashMap<u64, u32>,
     /// Call ops whose first two arguments are a pointer and an integer.
     ptr_size_calls: Vec<u32>,
-    /// A call that may reach a release function passes arguments whose
-    /// tags the class rule leaves open.
-    open_tags: bool,
 }
 
 /// A function whose every execution traps with `t` on its first step.
@@ -112,7 +110,6 @@ fn trap_only(t: TrapKind) -> BcFunc {
         traps: vec![t],
         regs0: vec![0],
         ptr_size_calls: Box::new([]),
-        entry: 0,
     }
 }
 
@@ -145,103 +142,51 @@ fn lower_func(ctx: &Ctx<'_>, fi: usize) -> Option<BcFunc> {
         ops: Vec::new(),
         locs: Vec::new(),
         traps: Vec::new(),
-        edges: Vec::new(),
         pending: Vec::new(),
         block_start: Vec::new(),
         regs0: vec![0; n_slots as usize],
         const_of: HashMap::new(),
         ptr_size_calls: Vec::new(),
-        open_tags: false,
     };
 
+    let is_phi = |iid: &InstId| func.insts.get(iid.index()).is_some_and(Inst::is_phi);
+    // Function entry is bb0's first op: a phi there has no edge to
+    // materialize it.
+    if func.blocks[0].insts.first().is_some_and(is_phi) {
+        return None;
+    }
     for (bi, block) in func.blocks.iter().enumerate() {
         let b = bi as u32;
         // Leading phis are materialized by incoming edges; the block body
-        // starts at the first entry that is not a live leading phi.
-        let mut body_start = 0usize;
-        while body_start < block.insts.len() {
-            let iid = block.insts[body_start];
-            match func.insts.get(iid.index()) {
-                Some(inst) if inst.is_phi() => body_start += 1,
-                _ => break,
-            }
-        }
+        // starts at the first entry that is not a leading phi, and any
+        // later phi is one after a non-phi.
+        let body_start = block.insts.iter().take_while(|i| is_phi(i)).count();
         lw.block_start.push(lw.ops.len() as u32);
-        let mut terminated = false;
-        for idx in body_start..block.insts.len() {
-            let iid = block.insts[idx];
-            match func.insts.get(iid.index()) {
-                None => {
-                    // Listed instruction missing from the arena: trap
-                    // before any instruction accounting (the interpreter's
-                    // step fails its arena lookup pre-charge).
-                    let t = lw.add_trap(malformed(format!(
-                        "bb{} in @{} lists missing inst %{}",
-                        b, func.name, iid.0
-                    )));
-                    lw.emit(Op::TrapBare { t }, (b, iid.0));
-                    terminated = true;
-                    break;
-                }
-                Some(inst) if inst.is_phi() => {
-                    let t = lw.add_trap(malformed("phi executed directly (phi after non-phi)"));
-                    lw.emit(Op::TrapInst { t }, (b, iid.0));
-                    terminated = true;
-                    break;
-                }
-                Some(inst) => {
-                    if lw.lower_inst(b, iid, inst) {
-                        terminated = true;
-                        break;
-                    }
-                }
-            }
+        for &iid in &block.insts[body_start..] {
+            lw.lower_inst(b, iid, func.insts.get(iid.index())?)?;
         }
-        if !terminated {
-            lw.lower_term(b, &block.term);
-        }
+        lw.lower_term(b, &block.term)?;
     }
-
-    // Function entry: direct entry starts at instruction index 0, *before*
-    // any leading phi — stepping onto a live phi is the interpreter's
-    // phi-executed-directly trap, charged as an instruction.
-    let entry = match func.blocks[0].insts.first() {
-        Some(&iid0) => match func.insts.get(iid0.index()) {
-            Some(inst) if inst.is_phi() => {
-                let pc = lw.ops.len() as u32;
-                let t = lw.add_trap(malformed("phi executed directly (phi after non-phi)"));
-                lw.emit(Op::TrapInst { t }, (0, iid0.0));
-                pc
-            }
-            // Missing arena entries fall through to the body's listing
-            // trap at block_start; plain instructions start the body.
-            _ => lw.block_start[0],
-        },
-        None => lw.block_start[0],
-    };
 
     // Resolve branch targets and phi moves now that every block's op
     // offset is known.
     let pending = std::mem::take(&mut lw.pending);
-    for (ei, from, target) in pending {
-        let edge = lw.resolve_edge(from, target);
-        if let Some(slot) = lw.edges.get_mut(ei) {
-            *slot = edge;
-        }
-    }
+    let edges = pending
+        .into_iter()
+        .map(|(from, target)| lw.resolve_edge(from, target))
+        .collect::<Option<_>>()?;
 
-    if lw.open_tags {
-        return None;
-    }
-    Some(validated(BcFunc {
-        ops: lw.ops,
-        locs: lw.locs,
-        edges: lw.edges,
-        traps: lw.traps,
-        regs0: lw.regs0,
-        ptr_size_calls: lw.ptr_size_calls.into_boxed_slice(),
-        entry,
-    }))
+    validated(
+        BcFunc {
+            ops: lw.ops,
+            locs: lw.locs,
+            edges,
+            traps: lw.traps,
+            regs0: lw.regs0,
+            ptr_size_calls: lw.ptr_size_calls.into_boxed_slice(),
+        },
+        func.params.len() as u32,
+    )
 }
 
 /// Which instruction results code that can run references: operands of
@@ -268,20 +213,22 @@ fn listed_uses(func: &Function) -> Vec<bool> {
     used
 }
 
-/// Validation gate for the dispatch loop's unchecked register file: every
-/// `Src::Reg` index and every destination slot a function can name must
-/// be in range of its frame template `regs0`, which every frame copies. `getv` / `setv` rely on
-/// this to skip per-access bounds checks — verify once at lowering,
-/// dispatch unchecked. The lowerer above never produces an out-of-range
-/// index; the gate makes the dispatch loop's soundness independent of
-/// that claim. A function that fails is replaced by a trap-only body
-/// (never observed in practice).
-fn validated(f: BcFunc) -> BcFunc {
+/// Validation gate for the dispatch loop's unchecked accesses: every
+/// `Src::Reg` index and every destination slot a function of `params`
+/// parameters can name must be in range of its frame template `regs0`,
+/// which every frame copies, and every `Src::Arg` index below `params`,
+/// the argument count every frame of it is entered with (launch, direct
+/// calls at lowering and indirect calls at dispatch each check arity).
+/// `getv` / `setv` rely on this to skip per-access bounds checks — verify
+/// once at lowering, dispatch unchecked. The lowerer above never produces
+/// an out-of-range index; the gate makes the dispatch loop's soundness
+/// independent of that claim. A function that fails refuses the module,
+/// which then runs on the interpreter.
+fn validated(f: BcFunc, params: u32) -> Option<BcFunc> {
     let n_slots = f.regs0.len() as u32;
     let src_ok = |s: &Src| match *s {
         Src::Reg(i) => i < n_slots,
-        // Bounds-checked at dispatch (arity varies; traps are lazy).
-        Src::Arg(_) | Src::Trap(_) => true,
+        Src::Arg(i) => i < params,
     };
     let dst_ok = |d: u32| d < n_slots;
     let op_ok = |op: &Op| match op {
@@ -310,25 +257,21 @@ fn validated(f: BcFunc) -> BcFunc {
             dst_ok(*dst)
         }
         Op::Malloc { size, dst } => src_ok(size) && dst_ok(*dst),
-        Op::Free { p } => src_ok(p),
-        Op::CondBr { c, .. } => src_ok(c),
-        Op::Assume { c } => c.as_ref().is_none_or(src_ok),
+        Op::Free { p } | Op::Assume { c: p } | Op::CondBr { c: p, .. } => src_ok(p),
         Op::Ret { v } => v.as_ref().is_none_or(src_ok),
         Op::Barrier { .. } | Op::Br { .. } | Op::TrapBare { .. } | Op::TrapInst { .. } => true,
     };
     let n_ops = f.ops.len() as u32;
     let n_edges = f.edges.len() as u32;
-    let edges_ok = f.edges.iter().all(|e| match e {
-        Edge::Go { pc, moves } => {
-            *pc < n_ops && moves.iter().all(|(d, s)| dst_ok(*d) && src_ok(s))
-        }
-        Edge::Trap(_) => true,
-    });
+    let edges_ok = f
+        .edges
+        .iter()
+        .all(|e| e.pc < n_ops && e.moves.iter().all(|(d, s)| dst_ok(*d) && src_ok(s)));
     // The op fetch is unchecked too, so `pc` must never be able to reach
-    // `ops.len()`: the entry and every branch target are in range, every
-    // edge index resolves, and the final op never falls through (each
-    // block ends with a terminator, so sequential execution always meets
-    // a jump, return or trap before running off the end).
+    // `ops.len()`: the entry (op 0) and every branch target are in range,
+    // every edge index resolves, and the final op never falls through
+    // (each block ends with a terminator, so sequential execution always
+    // meets a jump, return or trap before running off the end).
     let eix_ok = |e: u32| e < n_edges;
     let flow_ok = |op: &Op| match op {
         Op::Br { edge } => eix_ok(*edge),
@@ -340,15 +283,7 @@ fn validated(f: BcFunc) -> BcFunc {
         Some(Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. })
             | Some(Op::TrapBare { .. } | Op::TrapInst { .. })
     );
-    if n_slots > 0
-        && f.entry < n_ops
-        && end_ok
-        && edges_ok
-        && f.ops.iter().all(|o| op_ok(o) && flow_ok(o))
-    {
-        return f;
-    }
-    trap_only(malformed("bytecode validation failed: value index out of range"))
+    (n_slots > 0 && end_ok && edges_ok && f.ops.iter().all(|o| op_ok(o) && flow_ok(o))).then_some(f)
 }
 
 impl<'m> FnLowerer<'m> {
@@ -362,15 +297,10 @@ impl<'m> FnLowerer<'m> {
         (self.traps.len() - 1) as u32
     }
 
-    /// Allocate an edge slot for `from → target`, resolved after layout.
+    /// Allocate an edge index for `from → target`, resolved after layout.
     fn new_edge(&mut self, from: BlockId, target: BlockId) -> u32 {
-        let ei = self.edges.len();
-        self.edges.push(Edge::Go {
-            pc: 0,
-            moves: Box::new([]),
-        });
-        self.pending.push((ei, from, target));
-        ei as u32
+        self.pending.push((from, target));
+        (self.pending.len() - 1) as u32
     }
 
     /// Intern an immediate into a dedicated value slot (dedup by bits) of
@@ -390,73 +320,57 @@ impl<'m> FnLowerer<'m> {
     /// exactly when the first argument is a pointer and the second an
     /// integer. A value that is never assigned is zero, and releasing
     /// from a null pointer or for zero bytes retires nothing, so such a
-    /// value may count either way.
-    fn note_release_args(&mut self, args: &[Operand], mut targets: impl FnMut(&Function) -> bool) {
+    /// value may count either way. `None` when the class rule leaves
+    /// those tags open.
+    fn note_release_args(&mut self, args: &[Operand], mut targets: impl FnMut(&Function) -> bool) -> Option<()> {
         let m = self.ctx.module;
         if !self.ctx.release.iter().any(|&g| targets(&m.funcs[g as usize])) {
-            return;
+            return Some(());
         }
         let class = |i: usize| args.get(i).map_or(Class::NONE, |a| self.ctx.classes.operand(self.fi, *a));
         let (p, size) = (class(0), class(1));
         if args.len() >= 2 && p.within(Class::PTR) && size.within(Class::INT) {
             self.ptr_size_calls.push(self.ops.len() as u32);
         } else if args.len() >= 2 && Class::PTR.within(p) && Class::INT.within(size) {
-            self.open_tags = true;
+            return None;
         }
+        Some(())
     }
 
-    /// Pre-translate one operand (the interpreter's `eval`, done once).
-    fn src(&mut self, op: Operand) -> Src {
-        match op {
-            Operand::Inst(i) => {
-                if i.index() < self.slot_of.len() {
-                    Src::Reg(self.slot_of[i.index()])
-                } else {
-                    let t = self.add_trap(malformed(format!(
-                        "operand references missing inst %{}",
-                        i.0
-                    )));
-                    Src::Trap(t)
-                }
-            }
-            Operand::Param(p) => Src::Arg(p),
+    /// Pre-translate one operand (the interpreter's `eval`, done once);
+    /// `None` when it names a missing instruction, parameter or global.
+    fn src(&mut self, op: Operand) -> Option<Src> {
+        Some(match op {
+            Operand::Inst(i) => Src::Reg(*self.slot_of.get(i.index())?),
+            Operand::Param(p) if (p as usize) < self.func.params.len() => Src::Arg(p),
+            Operand::Param(_) => return None,
             Operand::ConstI(v, _) => self.cnum(v as u64),
             Operand::ConstF(v) => self.cnum(v.to_bits()),
-            Operand::Global(g) => match self.ctx.layout.addr_of.get(g.index()) {
-                Some(&p) => self.cnum(p.0),
-                None => {
-                    let t = self.add_trap(malformed(format!(
-                        "operand references missing global {}",
-                        g.0
-                    )));
-                    Src::Trap(t)
-                }
-            },
+            Operand::Global(g) => self.cnum(self.ctx.layout.addr_of.get(g.index())?.0),
             Operand::Func(f) => self.cnum(DevPtr::func(f.0).0),
-        }
+        })
     }
 
-    fn srcs(&mut self, args: &[Operand]) -> Box<[Src]> {
+    fn srcs(&mut self, args: &[Operand]) -> Option<Box<[Src]>> {
         args.iter().map(|a| self.src(*a)).collect()
     }
 
-    /// Lower one instruction. Returns `true` when the op unconditionally
-    /// traps (the rest of the block is unreachable).
-    fn lower_inst(&mut self, b: u32, iid: InstId, inst: &Inst) -> bool {
+    /// Lower one listed instruction; `None` refuses the module.
+    fn lower_inst(&mut self, b: u32, iid: InstId, inst: &Inst) -> Option<()> {
         let loc = (b, iid.0);
-        let dst = self.slot_of.get(iid.index()).copied().unwrap_or(0);
+        let dst = self.slot_of[iid.index()];
         match inst {
             Inst::Bin { op, lhs, rhs, .. } => {
-                let a = self.src(*lhs);
-                let bb = self.src(*rhs);
+                let a = self.src(*lhs)?;
+                let bb = self.src(*rhs)?;
                 self.emit(Op::Bin { op: *op, a, b: bb, dst }, loc);
             }
             Inst::Un { op, arg, .. } => {
-                let a = self.src(*arg);
+                let a = self.src(*arg)?;
                 self.emit(Op::Un { op: *op, a, dst }, loc);
             }
             Inst::Cast { kind, to, arg } => {
-                let a = self.src(*arg);
+                let a = self.src(*arg)?;
                 self.emit(
                     Op::Cast {
                         kind: *kind,
@@ -468,8 +382,8 @@ impl<'m> FnLowerer<'m> {
                 );
             }
             Inst::Cmp { pred, ty, lhs, rhs } => {
-                let a = self.src(*lhs);
-                let bb = self.src(*rhs);
+                let a = self.src(*lhs)?;
+                let bb = self.src(*rhs)?;
                 self.emit(
                     Op::Cmp {
                         pred: *pred,
@@ -487,23 +401,23 @@ impl<'m> FnLowerer<'m> {
                 if_false,
                 ..
             } => {
-                let c = self.src(*cond);
-                let t = self.src(*if_true);
-                let f = self.src(*if_false);
+                let c = self.src(*cond)?;
+                let t = self.src(*if_true)?;
+                let f = self.src(*if_false)?;
                 self.emit(Op::Select { c, t, f, dst }, loc);
             }
             Inst::Load { ty, ptr } => {
-                let p = self.src(*ptr);
+                let p = self.src(*ptr)?;
                 self.emit(Op::Load { ty: *ty, p, dst }, loc);
             }
             Inst::Store { ty, ptr, value } => {
-                let p = self.src(*ptr);
-                let v = self.src(*value);
+                let p = self.src(*ptr)?;
+                let v = self.src(*value)?;
                 self.emit(Op::Store { ty: *ty, p, v }, loc);
             }
             Inst::PtrAdd { base, offset } => {
-                let a = self.src(*base);
-                let bb = self.src(*offset);
+                let a = self.src(*base)?;
+                let bb = self.src(*offset)?;
                 self.emit(Op::PtrAdd { a, b: bb, dst }, loc);
             }
             Inst::Alloca { size } => {
@@ -519,32 +433,22 @@ impl<'m> FnLowerer<'m> {
                 let ret_dst = ret.is_some().then_some(dst);
                 match callee {
                     Operand::Func(f) => {
-                        // Static checks — the interpreter performs these
-                        // before charging call cost or evaluating args, so
-                        // an eager trap op is observationally identical.
-                        let Some(g) = self.ctx.module.funcs.get(f.0 as usize) else {
-                            let t = self.add_trap(TrapKind::BadIndirectCall);
-                            self.emit(Op::TrapInst { t }, loc);
-                            return true;
-                        };
+                        // A declaration is checked before arity, as the
+                        // interpreter does, and traps before charging call
+                        // cost or evaluating args, so an eager trap op is
+                        // observationally identical.
+                        let g = self.ctx.module.funcs.get(f.0 as usize)?;
                         if g.is_declaration() {
                             let t = self.add_trap(TrapKind::UnresolvedCall(g.name.clone()));
                             self.emit(Op::TrapInst { t }, loc);
-                            return true;
+                            return Some(());
                         }
                         if g.params.len() != args.len() {
-                            let t = self.add_trap(TrapKind::BadLaunch(format!(
-                                "call of @{} with {} args (expects {})",
-                                g.name,
-                                args.len(),
-                                g.params.len()
-                            )));
-                            self.emit(Op::TrapInst { t }, loc);
-                            return true;
+                            return None;
                         }
                         let runtime = is_runtime_fn(&g.name);
-                        self.note_release_args(args, |r| std::ptr::eq(r, g));
-                        let args = self.srcs(args);
+                        self.note_release_args(args, |r| std::ptr::eq(r, g))?;
+                        let args = self.srcs(args)?;
                         self.emit(
                             Op::Call {
                                 target: f.0,
@@ -556,9 +460,9 @@ impl<'m> FnLowerer<'m> {
                         );
                     }
                     other => {
-                        self.note_release_args(args, |r| r.params.len() == args.len());
-                        let callee = self.src(*other);
-                        let args = self.srcs(args);
+                        self.note_release_args(args, |r| r.params.len() == args.len())?;
+                        let callee = self.src(*other)?;
+                        let args = self.srcs(args)?;
                         self.emit(
                             Op::CallInd {
                                 callee,
@@ -571,8 +475,8 @@ impl<'m> FnLowerer<'m> {
                 }
             }
             Inst::Atomic { op, ty, ptr, value } => {
-                let p = self.src(*ptr);
-                let v = self.src(*value);
+                let p = self.src(*ptr)?;
+                let v = self.src(*value)?;
                 let used = self.used.get(iid.index()).copied().unwrap_or(true);
                 self.emit(
                     Op::Atomic {
@@ -592,9 +496,9 @@ impl<'m> FnLowerer<'m> {
                 expected,
                 new,
             } => {
-                let p = self.src(*ptr);
-                let e = self.src(*expected);
-                let n = self.src(*new);
+                let p = self.src(*ptr)?;
+                let e = self.src(*expected)?;
+                let n = self.src(*new)?;
                 self.emit(
                     Op::Cas {
                         ty: *ty,
@@ -614,52 +518,29 @@ impl<'m> FnLowerer<'m> {
                 Intrinsic::AlignedBarrier => self.emit(Op::Barrier { aligned: true }, loc),
                 Intrinsic::Barrier => self.emit(Op::Barrier { aligned: false }, loc),
                 Intrinsic::Assume(()) => {
-                    // A missing operand traps only when assume checking is
-                    // on — the dispatch loop decides, like the interpreter.
-                    let c = args.first().map(|a| self.src(*a));
+                    let c = self.src(*args.first()?)?;
                     self.emit(Op::Assume { c }, loc);
                 }
                 Intrinsic::AssertFail => {
                     let t = self.add_trap(TrapKind::AssertFail);
                     self.emit(Op::TrapInst { t }, loc);
-                    return true;
                 }
-                Intrinsic::Malloc => match args.first() {
-                    None => {
-                        let t =
-                            self.add_trap(malformed("malloc intrinsic with no operand"));
-                        self.emit(Op::TrapInst { t }, loc);
-                        return true;
-                    }
-                    Some(a) => {
-                        let size = self.src(*a);
-                        self.emit(Op::Malloc { size, dst }, loc);
-                    }
-                },
-                Intrinsic::Free => match args.first() {
-                    None => {
-                        let t = self.add_trap(malformed("free intrinsic with no operand"));
-                        self.emit(Op::TrapInst { t }, loc);
-                        return true;
-                    }
-                    Some(a) => {
-                        let p = self.src(*a);
-                        self.emit(Op::Free { p }, loc);
-                    }
-                },
+                Intrinsic::Malloc => {
+                    let size = self.src(*args.first()?)?;
+                    self.emit(Op::Malloc { size, dst }, loc);
+                }
+                Intrinsic::Free => {
+                    let p = self.src(*args.first()?)?;
+                    self.emit(Op::Free { p }, loc);
+                }
             },
-            Inst::Phi { .. } => {
-                // Callers filter phis; defensive parity with the
-                // interpreter's direct-phi trap.
-                let t = self.add_trap(malformed("phi executed directly (phi after non-phi)"));
-                self.emit(Op::TrapInst { t }, loc);
-                return true;
-            }
+            // A phi after a non-phi: leading phis never reach here.
+            Inst::Phi { .. } => return None,
         }
-        false
+        Some(())
     }
 
-    fn lower_term(&mut self, b: u32, term: &Term) {
+    fn lower_term(&mut self, b: u32, term: &Term) -> Option<()> {
         let from = BlockId(b);
         match term {
             Term::Br(t) => {
@@ -671,13 +552,16 @@ impl<'m> FnLowerer<'m> {
                 if_true,
                 if_false,
             } => {
-                let c = self.src(*cond);
+                let c = self.src(*cond)?;
                 let t = self.new_edge(from, *if_true);
                 let f = self.new_edge(from, *if_false);
                 self.emit(Op::CondBr { c, t, f }, (b, 0));
             }
             Term::Ret(v) => {
-                let v = v.as_ref().map(|op| self.src(*op));
+                let v = match v {
+                    Some(op) => Some(self.src(*op)?),
+                    None => None,
+                };
                 self.emit(Op::Ret { v }, (b, 0));
             }
             Term::Unreachable => {
@@ -686,59 +570,29 @@ impl<'m> FnLowerer<'m> {
                 self.emit(Op::TrapBare { t }, (b, 0));
             }
         }
+        Some(())
     }
 
     /// Resolve `from → target`: branch offset plus the phi parallel-move
-    /// list, reproducing the interpreter's jump scan (including where in
-    /// the scan each malformed shape traps).
-    fn resolve_edge(&mut self, from: BlockId, target: BlockId) -> Edge {
-        let Some(block) = self.func.blocks.get(target.index()) else {
-            let t = self.add_trap(malformed(format!(
-                "branch in @{} targets missing bb{}",
-                self.func.name, target.0
-            )));
-            return Edge::Trap(t);
-        };
+    /// list. `None` when the target block is missing or one of its
+    /// leading phis has no incoming for `from`.
+    fn resolve_edge(&mut self, from: BlockId, target: BlockId) -> Option<Edge> {
+        let block = self.func.blocks.get(target.index())?;
         let mut moves: Vec<(u32, Src)> = Vec::new();
         for &iid in &block.insts {
-            match self.func.insts.get(iid.index()) {
-                None => {
-                    let t = self.add_trap(malformed(format!(
-                        "bb{} in @{} lists missing inst %{}",
-                        target.0, self.func.name, iid.0
-                    )));
-                    moves.push((0, Src::Trap(t)));
-                    break;
-                }
-                Some(Inst::Phi { incomings, .. }) => {
-                    match incomings.iter().find(|i| i.pred == from) {
-                        None => {
-                            let t = self.add_trap(malformed(format!(
-                                "phi %{} in @{} bb{} missing incoming for bb{}",
-                                iid.0, self.func.name, target.0, from.0
-                            )));
-                            moves.push((0, Src::Trap(t)));
-                            break;
-                        }
-                        Some(inc) => {
-                            let s = self.src(inc.value);
-                            let slot = self.slot_of.get(iid.index()).copied().unwrap_or(0);
-                            moves.push((slot, s));
-                        }
-                    }
-                }
-                Some(_) => break,
-            }
+            // Every listed entry is in the arena: lowering the block's
+            // body checked that.
+            let Some(Inst::Phi { incomings, .. }) = self.func.insts.get(iid.index()) else {
+                break;
+            };
+            let inc = incomings.iter().find(|i| i.pred == from)?;
+            let s = self.src(inc.value)?;
+            moves.push((self.slot_of[iid.index()], s));
         }
-        let pc = self
-            .block_start
-            .get(target.index())
-            .copied()
-            .unwrap_or_default();
-        Edge::Go {
-            pc,
+        Some(Edge {
+            pc: self.block_start[target.index()],
             moves: moves.into_boxed_slice(),
-        }
+        })
     }
 }
 
@@ -759,10 +613,10 @@ mod tests {
         b.finish()
     }
 
-    fn slots(f: Function) -> usize {
+    fn lowered(f: Function) -> BcFunc {
         let mut m = Module::new("slots");
         m.add_function(f);
-        lower_module(&m, &GlobalLayout::default()).unwrap().funcs[0].regs0.len()
+        lower_module(&m, &GlobalLayout::default()).unwrap().funcs.remove(0)
     }
 
     /// Arena entries no block lists — here a chain of adds, each reading
@@ -779,7 +633,26 @@ mod tests {
         }
         assert_eq!(padded.live_inst_count(), live.live_inst_count());
         // Slot 0, `tid`, `x` and the interned `1`.
-        assert_eq!(slots(live), 4);
-        assert_eq!(slots(padded), 4);
+        assert_eq!(lowered(live).regs0.len(), 4);
+        assert_eq!(lowered(padded).regs0.len(), 4);
+    }
+
+    /// The gate refuses a function naming a slot past its frame template
+    /// or an argument past its parameter count — the module then runs on
+    /// the interpreter — and passes the same function with both in range.
+    #[test]
+    fn the_validation_gate_refuses_out_of_range_indexes() {
+        let f = lowered(store_tid_plus_one());
+        let (n_slots, params) = (f.regs0.len() as u32, 1);
+        let with_store = |p: Src, v: Src| {
+            let mut g = f.clone();
+            let store = g.ops.iter_mut().find(|o| matches!(o, Op::Store { .. })).unwrap();
+            *store = Op::Store { ty: Ty::I64, p, v };
+            g
+        };
+        assert!(validated(with_store(Src::Arg(0), Src::Reg(n_slots - 1)), params).is_some());
+        assert!(validated(with_store(Src::Arg(0), Src::Reg(n_slots)), params).is_none());
+        assert!(validated(with_store(Src::Arg(params), Src::Reg(1)), params).is_none());
+        assert!(validated(with_store(Src::Arg(params), Src::Reg(n_slots)), params).is_none());
     }
 }

@@ -22,8 +22,7 @@
 //! * **Pre-translated operands** ([`Src`]) — instruction results become
 //!   slot reads, params become argument reads, constants (including
 //!   resolved global addresses and function pointers) are immediate
-//!   values. Operands the interpreter would reject at evaluation time
-//!   become [`Src::Trap`] entries that reproduce the exact trap lazily.
+//!   values interned into slots.
 //! * **Pre-resolved control flow** ([`Edge`]) — branch targets are op
 //!   offsets and phi materialization is a pre-computed parallel move list;
 //!   the superinstruction shape (operand fetch fused into each op,
@@ -34,9 +33,11 @@
 //! bit*: one op is one fuel unit and one step, fault polls and step
 //! budget checks fire at identical op counts, cycle/instruction accounting
 //! uses the same [`cost`](crate::cost) table in the same
-//! order, and malformed shapes trap with the interpreter's exact messages
-//! at the exact op where the interpreter would meet them (lowering never
-//! fails eagerly). See `docs/exec-tiers.md` for the full contract.
+//! order, and the traps verified IR can reach (a direct call of a
+//! declaration, `assert.fail`, `unreachable`, an indirect call's checks)
+//! carry the interpreter's exact kinds and messages. Malformed IR is not
+//! lowered at all: it runs on the interpreter, which raises its own
+//! `MalformedIr` traps. See `docs/exec-tiers.md` for the full contract.
 
 mod lower;
 
@@ -56,44 +57,30 @@ use crate::value::RtVal;
 
 /// A pre-translated operand. Resolution that the interpreter performs per
 /// evaluation (arena lookup, constant tagging, global address lookup) has
-/// already happened; what remains is a slot read, an argument read, or a
-/// lazily-reproduced evaluation trap. Immediates (constants, resolved
-/// globals, function pointers) have no variant of their own: lowering
-/// interns each into a dedicated value slot that frame setup pre-fills
-/// (see [`BcFunc::regs0`]), so the overwhelmingly common operand kind is
-/// `Reg` and the read compiles to a compare plus an unchecked load — a
-/// third operand kind turns this match into an indirect jump per operand,
-/// which measurably drags the dispatch loop.
+/// already happened; what remains is a slot read or an argument read.
+/// Immediates (constants, resolved globals, function pointers) have no
+/// variant of their own: lowering interns each into a dedicated value
+/// slot that frame setup pre-fills (see [`BcFunc::regs0`]), so the
+/// overwhelmingly common operand kind is `Reg` and the read compiles to
+/// one compare plus an unchecked load — an immediate variant, beside the
+/// three the enum once had, turned this match into an indirect jump per
+/// operand, which measurably drags the dispatch loop.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Src {
     /// Value slot in the current frame.
     Reg(u32),
-    /// Function argument `n` (bounds-checked at read, like the
-    /// interpreter's param lookup — callees can be entered with any arity
-    /// through indirect calls of hand-built modules).
+    /// Function argument `n`, below the function's parameter count.
     Arg(u32),
-    /// Evaluating this operand traps (e.g. it references a missing arena
-    /// instruction). Index into [`BcFunc::traps`]. Lazy: the trap fires
-    /// only if and when the operand is actually evaluated.
-    Trap(u32),
 }
 
 /// A resolved control-flow edge: where to go and which phi moves to
 /// materialize (parallel-copy semantics, evaluated in phi listing order).
 #[derive(Clone, Debug)]
-pub(crate) enum Edge {
-    Go {
-        /// Target op offset (the target block's first post-phi op).
-        pc: u32,
-        /// `(dst_slot, src)` per leading phi of the target block. A
-        /// malformed phi (missing incoming / missing arena entry) appears
-        /// as a [`Src::Trap`] move at its listing position, so traps
-        /// interleave with prior phi evaluations exactly as in the
-        /// interpreter's jump scan.
-        moves: Box<[(u32, Src)]>,
-    },
-    /// Taking this edge traps (branch to a missing block).
-    Trap(u32),
+pub(crate) struct Edge {
+    /// Target op offset (the target block's first post-phi op).
+    pub pc: u32,
+    /// `(dst_slot, src)` per leading phi of the target block.
+    pub moves: Box<[(u32, Src)]>,
 }
 
 /// One bytecode op. Each op corresponds to exactly one interpreter step —
@@ -140,20 +127,17 @@ pub(crate) enum Op {
     BlockDim { dst: u32 },
     GridDim { dst: u32 },
     Barrier { aligned: bool },
-    /// `None` reproduces the interpreter's missing-operand trap — but only
-    /// when assume checking is enabled, exactly like the interpreter.
-    Assume { c: Option<Src> },
+    Assume { c: Src },
     Malloc { size: Src, dst: u32 },
     Free { p: Src },
     Br { edge: u32 },
     CondBr { c: Src, t: u32, f: u32 },
     Ret { v: Option<Src> },
-    /// Trap without instruction accounting (terminator-position traps and
-    /// pre-issue malformed shapes: missing blocks, missing arena entries).
+    /// Trap without instruction accounting (`unreachable`, and the first
+    /// step of a declaration's body).
     TrapBare { t: u32 },
     /// Trap *as* an instruction: charge issue + count the instruction,
-    /// then trap (e.g. direct call of a declaration, phi executed
-    /// directly, `assert.fail`).
+    /// then trap (a direct call of a declaration, `assert.fail`).
     TrapInst { t: u32 },
 }
 
@@ -165,7 +149,7 @@ pub(crate) struct BcFunc {
     /// side table (consulted only when sanitizing is armed).
     pub locs: Vec<(u32, u32)>,
     pub edges: Vec<Edge>,
-    /// Pre-built trap values (malformed-IR messages, static call errors).
+    /// Pre-built trap values of the trap ops.
     pub traps: Vec<TrapKind>,
     /// The register file a frame of this function starts from, one entry
     /// per value slot (slot 0 is the shared dead-result scratch): zero,
@@ -179,8 +163,6 @@ pub(crate) struct BcFunc {
     /// sanitizer's region-release hook keys on
     /// ([`TeamExec::san_on_call_bits`]).
     pub ptr_size_calls: Box<[u32]>,
-    /// Entry op offset.
-    pub entry: u32,
 }
 
 /// Per-function call metadata for indirect-call checks at dispatch.
@@ -220,36 +202,28 @@ pub(crate) struct BcBackend<'a> {
     pub bc: &'a BcModule,
 }
 
-/// Fast operand read. Returns `None` for [`Src::Trap`] and
-/// out-of-range indexes; [`getv_err`] reconstructs the exact trap on
-/// that cold path. Keeping the hot return at 16 bytes (vs. a
-/// `Result<_, TrapKind>` at 40) matters: this runs 1–3× per op.
+/// Operand read; runs 1–3× per op.
 #[inline(always)]
-fn getv(regs: &[u64], frame: &BcFrame, s: &Src) -> Option<u64> {
+fn getv(regs: &[u64], frame: &BcFrame, s: &Src) -> u64 {
     match *s {
         // SAFETY: every `Reg` index a lowered function can name is
         // range-checked against the function's slot count by the
         // validation gate in `lower.rs` (`validated`), and a frame's
         // register file is always a copy of the function's `regs0`, one
         // entry per slot. Verified once at lowering,
-        // dispatched unchecked (the JVM/Wasm layout). `Arg` stays
-        // checked: callee arity varies at runtime through indirect calls.
+        // dispatched unchecked (the JVM/Wasm layout).
         Src::Reg(i) => {
             debug_assert!((i as usize) < regs.len());
-            Some(unsafe { *regs.get_unchecked(i as usize) })
+            unsafe { *regs.get_unchecked(i as usize) }
         }
-        Src::Arg(i) => frame.args.get(i as usize).copied(),
-        Src::Trap(_) => None,
-    }
-}
-
-/// The slow half of [`getv`]: rebuild the trap a failed read stands for.
-#[cold]
-fn getv_err(traps: &[TrapKind], s: &Src) -> TrapKind {
-    match *s {
-        Src::Reg(_) => malformed("bytecode register out of range"),
-        Src::Arg(i) => malformed(format!("operand references missing param {i}")),
-        Src::Trap(t) => trap_at(traps, t),
+        // SAFETY: the gate holds every `Arg` index below the function's
+        // parameter count, and every frame is entered with exactly that
+        // many arguments: the launch, lowering (direct calls) and
+        // `CallInd` (at dispatch) each check arity.
+        Src::Arg(i) => {
+            debug_assert!((i as usize) < frame.args.len());
+            unsafe { *frame.args.get_unchecked(i as usize) }
+        }
     }
 }
 
@@ -302,7 +276,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         argv.extend(args.iter().map(|a| a.to_bits() as u64));
         Ok(BcFrame {
             func: kernel,
-            pc: f.entry,
+            pc: 0,
             regs,
             args: argv,
             ret_dst: None,
@@ -354,8 +328,9 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         // while a pointer is a plain load + bump. It is rebased whenever
         // `ops` changes (call/return) and folded back to an index by
         // `cur_pc!` at every (cold) exit.
-        // SAFETY: `frame.pc` is always in range for `ops` — it is either a
-        // validated entry pc or a resume point stored by this loop, and the
+        // SAFETY: `frame.pc` is always in range for `ops` — it is either
+        // the entry (op 0; the gate holds `ops` non-empty) or a resume
+        // point stored by this loop, and the
         // validation gate in `lower.rs` guarantees neither a `Call` nor a
         // `Barrier` can be the last op (the last op is a terminator), so a
         // stored "next op" index never reaches `ops.len()`.
@@ -397,7 +372,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
             }};
         }
         // Exit with an error. A single epilogue below the dispatch loop
-        // performs the frame restore and counter write-back — keeping ~30
+        // performs the frame restore and counter write-back — keeping ~20
         // trap sites down to one `break` each keeps the loop body small
         // (code bloat in the exits measurably degrades hot-path codegen).
         macro_rules! fail {
@@ -413,15 +388,10 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 }
             };
         }
-        // Operand read with the trap rebuilt off the hot path.
         macro_rules! readv {
-            ($s:expr) => {{
-                let s = $s;
-                match getv(&regs, &frame, s) {
-                    Some(v) => v,
-                    None => fail!(getv_err(traps, s)),
-                }
-            }};
+            ($s:expr) => {
+                getv(&regs, &frame, $s)
+            };
         }
         // Instruction accounting (instruction-position ops only;
         // terminators charge nothing, exactly like the interpreter).
@@ -450,56 +420,37 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 // SAFETY: edge indexes are range-checked by the
                 // validation gate in `lower.rs`.
                 debug_assert!(($ei as usize) < edges.len());
-                match unsafe { edges.get_unchecked($ei as usize) } {
-                    Edge::Go { pc: target, moves } => {
-                        // Parallel copy: all reads precede all writes. One-
-                        // and two-move edges (the overwhelming majority of
-                        // phi rotations) stay out of the spill buffer.
-                        match &moves[..] {
-                            [] => {}
-                            [(d, s)] => {
-                                let v = readv!(s);
-                                setv(&mut regs, *d, v);
-                                instructions += 1;
-                            }
-                            [(d0, s0), (d1, s1)] => {
-                                let v0 = readv!(s0);
-                                let v1 = readv!(s1);
-                                setv(&mut regs, *d0, v0);
-                                setv(&mut regs, *d1, v1);
-                                instructions += 2;
-                            }
-                            moves => {
-                                // Unlabeled `fail!` can't cross an inner
-                                // loop, so record the bad operand and trap
-                                // after the `for` instead.
-                                movebuf.clear();
-                                let mut bad: Option<&Src> = None;
-                                for (_, s) in moves.iter() {
-                                    match getv(&regs, &frame, s) {
-                                        Some(v) => movebuf.push(v),
-                                        None => {
-                                            bad = Some(s);
-                                            break;
-                                        }
-                                    }
-                                }
-                                if let Some(s) = bad {
-                                    fail!(getv_err(traps, s));
-                                }
-                                for ((d, _), v) in moves.iter().zip(movebuf.iter()) {
-                                    setv(&mut regs, *d, *v);
-                                }
-                                instructions += moves.len() as u64;
-                            }
-                        }
-                        // SAFETY: edge targets are range-checked by the
-                        // validation gate in `lower.rs`.
-                        debug_assert!((*target as usize) < ops.len());
-                        op_ptr = unsafe { ops.as_ptr().add(*target as usize) };
+                let Edge { pc: target, moves } = unsafe { edges.get_unchecked($ei as usize) };
+                // Parallel copy: all reads precede all writes. One- and
+                // two-move edges (the overwhelming majority of phi
+                // rotations) stay out of the spill buffer.
+                match &moves[..] {
+                    [] => {}
+                    [(d, s)] => {
+                        let v = readv!(s);
+                        setv(&mut regs, *d, v);
+                        instructions += 1;
                     }
-                    Edge::Trap(t) => fail!(trap_at(traps, *t)),
+                    [(d0, s0), (d1, s1)] => {
+                        let v0 = readv!(s0);
+                        let v1 = readv!(s1);
+                        setv(&mut regs, *d0, v0);
+                        setv(&mut regs, *d1, v1);
+                        instructions += 2;
+                    }
+                    moves => {
+                        movebuf.clear();
+                        movebuf.extend(moves.iter().map(|(_, s)| readv!(s)));
+                        for ((d, _), v) in moves.iter().zip(movebuf.iter()) {
+                            setv(&mut regs, *d, *v);
+                        }
+                        instructions += moves.len() as u64;
+                    }
                 }
+                // SAFETY: edge targets are range-checked by the
+                // validation gate in `lower.rs`.
+                debug_assert!((*target as usize) < ops.len());
+                op_ptr = unsafe { ops.as_ptr().add(*target as usize) };
             }};
         }
 
@@ -646,27 +597,14 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     let Some(callee) = bc.funcs.get(*target as usize) else {
                         fail!(TrapKind::BadIndirectCall);
                     };
-                    let mut argv = Vec::with_capacity(args.len());
-                    let mut bad: Option<&Src> = None;
-                    for s in args.iter() {
-                        match getv(&regs, &frame, s) {
-                            Some(v) => argv.push(v),
-                            None => {
-                                bad = Some(s);
-                                break;
-                            }
-                        }
-                    }
-                    if let Some(s) = bad {
-                        fail!(getv_err(traps, s));
-                    }
+                    let argv: Vec<u64> = args.iter().map(|s| readv!(s)).collect();
                     if exec.san_armed() {
                         let tags = cur.ptr_size_calls.binary_search(&(cur_pc!() - 1)).is_ok();
                         exec.san_on_call_bits(*target, &argv, tags);
                     }
                     let new_frame = BcFrame {
                         func: *target,
-                        pc: callee.entry,
+                        pc: 0,
                         regs: fresh_regs(callee),
                         args: argv,
                         ret_dst: *ret_dst,
@@ -680,9 +618,8 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     ops = &cur.ops;
                     traps = &cur.traps;
                     edges = &cur.edges;
-                    // SAFETY: `frame.pc` is the callee's validated entry.
-                    debug_assert!((frame.pc as usize) < ops.len());
-                    op_ptr = unsafe { ops.as_ptr().add(frame.pc as usize) };
+                    // A function's entry is its op 0.
+                    op_ptr = ops.as_ptr();
                 }
                 Op::CallInd {
                     callee,
@@ -717,27 +654,14 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     let Some(callee_fn) = bc.funcs.get(target as usize) else {
                         fail!(TrapKind::BadIndirectCall);
                     };
-                    let mut argv = Vec::with_capacity(args.len());
-                    let mut bad: Option<&Src> = None;
-                    for s in args.iter() {
-                        match getv(&regs, &frame, s) {
-                            Some(v) => argv.push(v),
-                            None => {
-                                bad = Some(s);
-                                break;
-                            }
-                        }
-                    }
-                    if let Some(s) = bad {
-                        fail!(getv_err(traps, s));
-                    }
+                    let argv: Vec<u64> = args.iter().map(|s| readv!(s)).collect();
                     if exec.san_armed() {
                         let tags = cur.ptr_size_calls.binary_search(&(cur_pc!() - 1)).is_ok();
                         exec.san_on_call_bits(target, &argv, tags);
                     }
                     let new_frame = BcFrame {
                         func: target,
-                        pc: callee_fn.entry,
+                        pc: 0,
                         regs: fresh_regs(callee_fn),
                         args: argv,
                         ret_dst: *ret_dst,
@@ -751,9 +675,8 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     ops = &cur.ops;
                     traps = &cur.traps;
                     edges = &cur.edges;
-                    // SAFETY: `frame.pc` is the callee's validated entry.
-                    debug_assert!((frame.pc as usize) < ops.len());
-                    op_ptr = unsafe { ops.as_ptr().add(frame.pc as usize) };
+                    // A function's entry is its op 0.
+                    op_ptr = ops.as_ptr();
                 }
                 Op::Atomic {
                     op,
@@ -852,13 +775,8 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 }
                 Op::Assume { c } => {
                     issue!();
-                    if exec.check_assumes {
-                        let Some(s) = c else {
-                            fail!(malformed("assume intrinsic with no operand"));
-                        };
-                        if readv!(s) == 0 {
-                            fail!(TrapKind::AssumeViolated);
-                        }
+                    if exec.check_assumes && readv!(c) == 0 {
+                        fail!(TrapKind::AssumeViolated);
                     }
                 }
                 Op::Malloc { size, dst } => {
@@ -885,10 +803,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     follow!(if cv { *t } else { *f });
                 }
                 Op::Ret { v } => {
-                    let val = match v {
-                        Some(s) => Some(readv!(s)),
-                        None => None,
-                    };
+                    let val = v.map(|s| readv!(&s));
                     thread.local_top = frame.local_base;
                     match thread.frames.pop() {
                         None => {

@@ -101,8 +101,9 @@ pub struct Image {
     /// the first sanitized launch.
     san: OnceLock<Arc<ModuleSan>>,
     /// The bytecode image, lowered at the first bytecode-tier launch;
-    /// `None` when the value-class rule cannot prove the module, which
-    /// then runs on the interpreter.
+    /// `None` when the module is malformed (a shape the verifier rejects)
+    /// or the value-class rule cannot prove it: it then runs on the
+    /// interpreter.
     bc: OnceLock<Option<BcModule>>,
     /// Per function index, what launching it as a kernel needs, worked
     /// out at its first launch.
@@ -226,9 +227,10 @@ impl Image {
     }
 
     /// Whether launches of this image can run untagged on the bytecode
-    /// tier: the value-class rule proved its module (lowering it now if
-    /// no launch has yet). A `false` image runs every launch on the
-    /// interpreter, with identical results and about a third the speed.
+    /// tier: its module is well-formed and the value-class rule proved it
+    /// (lowering it now if no launch has yet). A `false` image runs every
+    /// launch on the interpreter, with identical results and about a third
+    /// the speed.
     pub fn runs_untagged(&self) -> bool {
         self.bytecode().is_some()
     }

@@ -79,8 +79,10 @@ pub struct HeapState {
 /// the parallel path, by every worker thread (all borrows are `Sync`).
 pub(crate) struct LaunchCtx<'a> {
     pub image: &'a Image,
-    /// Lowered bytecode when the launch runs on the bytecode tier
-    /// (`None` = interpreter tier). Both tiers produce bit-identical runs.
+    /// Lowered bytecode when the launch runs on the bytecode tier; `None`
+    /// runs it on the interpreter: the interpreter tier was asked for, or
+    /// the image is malformed or unprovable, or a launch argument's tag
+    /// does not fit its parameter. Both tiers produce bit-identical runs.
     pub bc: Option<&'a BcModule>,
     pub faults: Option<&'a FaultPlan>,
     pub check_assumes: bool,

@@ -17,16 +17,22 @@
 //!   metrics, outputs and memory;
 //! * the recycled thread context — a thread built in the context another
 //!   returned sees fresh local memory and none of its pending faults;
-//! * the trap taxonomy — malformed IR embedded as lowered trap ops must
-//!   surface the interpreter's exact message, for one hand-built module
-//!   and for every verifier-rejected text mutation of the corpus (the
+//! * the trap taxonomy — malformed IR is not lowered, so it runs on the
+//!   interpreter whichever tier is asked for and surfaces the
+//!   interpreter's exact message: one hand-built module per refused
+//!   shape, the phi shape of the trap matrix, and every verifier-rejected
+//!   text mutation of the corpus (those lowering still accepts are the
 //!   fuzz of the validation gate behind the dispatch loop's `unsafe`).
 
 use nzomp::pipeline::compile;
 use nzomp::BuildConfig;
 use nzomp_ir::analysis::class::value_classes;
 use nzomp_ir::parser::parse_module_strict;
-use nzomp_ir::{CastKind, ExecMode, FuncBuilder, Global, Init, Module, Operand, Space, Ty};
+use nzomp_ir::module::FuncRef;
+use nzomp_ir::{
+    BlockId, CastKind, ExecMode, FuncBuilder, Function, Global, GlobalId, Init, Inst, InstId,
+    Intrinsic, Module, Operand, Space, Term, Ty,
+};
 use nzomp_integration::corpus::{corpus_texts, mutate_text};
 use nzomp_integration::gen::{generate, parse_launch_comment};
 use nzomp_host::SchedPolicy;
@@ -456,6 +462,142 @@ fn unprovable_modules_fall_back_to_the_interpreter_exactly() {
     assert!(Image::new(m.clone()).runs_untagged());
     let o = alike_across_tiers("RtVal::I for an f64 parameter", &m, &[RtVal::I(3)]);
     assert_eq!(out_f64(&o), vec![6.0; 16]);
+}
+
+/// Malformed IR takes the interpreter's door: a module with any shape the
+/// interpreter meets as a `MalformedIr`, `BadLaunch` or `BadIndirectCall`
+/// trap is not lowered, so it runs on the interpreter whichever tier is
+/// asked for, with the interpreter's outputs, memory, metrics, trap kind
+/// and exact message at every axis. The verifier rejects every shape but
+/// one, a phi at function entry. Each module passes the
+/// value-class rule, so the shape alone refuses it; refusal is per
+/// module, so a malformed function that is never called refuses its
+/// module too.
+#[test]
+fn malformed_modules_run_on_the_interpreter() {
+    let to_f64 = |_: &mut Module, b: &mut FuncBuilder, v: Operand| b.si_to_fp(v);
+    // `@k` storing each thread's index as a double, then changed by `edit`.
+    let broken = |edit: &dyn Fn(&mut Function)| {
+        let mut m = mixed_kernel(&[], to_f64);
+        let k = m.find_func("k").unwrap();
+        edit(m.func_mut(k));
+        m
+    };
+    // `@k` branching from bb0 to bb1, whose leading phi (a double) has an
+    // incoming from `pred`, after `edit` on `@k`.
+    let phi_from = |pred: BlockId, edit: &dyn Fn(&mut Function)| {
+        let mut m = mixed_kernel(&[], |_, b, g| {
+            let next = b.new_block();
+            b.br(next);
+            b.switch_to(next);
+            let v = b.phi(Ty::F64, vec![(pred, Operand::f64(0.5))]);
+            let x = b.si_to_fp(g);
+            b.fadd(x, v)
+        });
+        let k = m.find_func("k").unwrap();
+        edit(m.func_mut(k));
+        m
+    };
+    let bare = |intr: Intrinsic| {
+        mixed_kernel(&[], move |m, b, g| {
+            b.intr(intr, vec![]);
+            to_f64(m, b, g)
+        })
+    };
+    let phi = Inst::Phi { ty: Ty::I64, incomings: vec![] };
+    let cases: Vec<(&str, Module, &str)> = vec![
+        (
+            "a listed instruction missing from the arena",
+            broken(&|f| f.blocks[0].insts.push(InstId(999))),
+            "bb0 in @k lists missing inst %999",
+        ),
+        (
+            "a phi after a non-phi",
+            broken(&|f| {
+                let p = f.add_inst(phi.clone());
+                f.blocks[0].insts.push(p);
+            }),
+            "phi executed directly (phi after non-phi)",
+        ),
+        (
+            "a phi at function entry",
+            broken(&|f| {
+                let p = f.add_inst(phi.clone());
+                f.blocks[0].insts.insert(0, p);
+            }),
+            "phi executed directly (phi after non-phi)",
+        ),
+        (
+            "an operand naming a missing instruction",
+            mixed_kernel(&[], |m, b, _| to_f64(m, b, Operand::Inst(InstId(999)))),
+            "operand references missing inst %999",
+        ),
+        (
+            "an operand naming a missing global",
+            mixed_kernel(&[], |_, b, _| b.load(Ty::F64, Operand::Global(GlobalId(7)))),
+            "operand references missing global 7",
+        ),
+        (
+            "an operand naming a missing parameter",
+            mixed_kernel(&[], |m, b, _| to_f64(m, b, Operand::Param(3))),
+            "operand references missing param 3",
+        ),
+        (
+            "a direct call of a missing function",
+            mixed_kernel(&[], |m, b, g| {
+                b.call(Operand::Func(FuncRef(99)), vec![], None);
+                to_f64(m, b, g)
+            }),
+            "indirect call through non-function pointer",
+        ),
+        (
+            "a direct call with the wrong arity",
+            mixed_kernel(&[], |m, b, _| {
+                let mut h = FuncBuilder::new("h", vec![Ty::F64], Some(Ty::F64));
+                h.ret(Some(Operand::Param(0)));
+                let h = Operand::Func(m.add_function(h.finish()));
+                b.call(h, vec![], Some(Ty::F64)).unwrap()
+            }),
+            "call of @h with 0 args (expects 1)",
+        ),
+        ("malloc without an operand", bare(Intrinsic::Malloc), "malloc intrinsic with no operand"),
+        ("free without an operand", bare(Intrinsic::Free), "free intrinsic with no operand"),
+        ("assume without an operand", bare(Intrinsic::Assume(())), "assume intrinsic with no operand"),
+        (
+            "a branch to a missing block",
+            broken(&|f| f.blocks[0].term = Term::Br(BlockId(9))),
+            "branch in @k targets missing bb9",
+        ),
+        (
+            "an edge into a block whose leading entry is missing",
+            phi_from(BlockId(0), &|f| f.blocks[1].insts.insert(0, InstId(999))),
+            "bb1 in @k lists missing inst %999",
+        ),
+        (
+            "a phi with no incoming for its edge",
+            phi_from(BlockId(7), &|_| {}),
+            "missing incoming for bb0",
+        ),
+    ];
+    for (what, m, trap) in cases {
+        assert!(value_classes(&m).is_ok(), "{what}: the class rule refuses it");
+        assert!(!Image::new(m.clone()).runs_untagged(), "{what}: lowered");
+        let err = alike_across_tiers(what, &m, &[]).result.unwrap_err();
+        assert!(err.kind.to_string().contains(trap), "{what}: {err}");
+    }
+
+    // A well-formed kernel beside a malformed function it never calls.
+    let m = mixed_kernel(&[], |m, b, g| {
+        let mut h = FuncBuilder::new("unused", vec![], None);
+        h.si_to_fp(Operand::Param(0));
+        h.ret(None);
+        m.add_function(h.finish());
+        b.si_to_fp(g)
+    });
+    assert!(value_classes(&m).is_ok());
+    assert!(!Image::new(m.clone()).runs_untagged());
+    let o = alike_across_tiers("a malformed function never called", &m, &[]);
+    assert_eq!(out_f64(&o), (0..16).map(f64::from).collect::<Vec<_>>());
 }
 
 /// The sanitizer's region-release hook keys on the tagged engine's

@@ -9,13 +9,13 @@
 //! operand a running instruction reads is in the domain its operator
 //! computes in — so the untagged engine and the tagged one cannot disagree.
 //!
-//! A value's [`Class`] is the set of representations it may hold at run
-//! time: integer bits, pointer bits (both read by integer operators, and
-//! identical as bits) or float bits. Each instruction produces a class
-//! fixed by its operator and type; phis, selects, direct-call results and
-//! `ret` operands join theirs to a fixpoint. A module fails when a value
-//! may hold float bits on one path and integer bits on another, or when an
-//! operand's class is not one its reader accepts:
+//! A value's class is the set of representations it may hold at run time:
+//! integer bits (pointers included) or float bits. Each instruction
+//! produces a class fixed by its operator and type; phis, selects,
+//! direct-call results and `ret` operands join theirs to a fixpoint. A
+//! module fails when a value may hold float bits on one path and integer
+//! bits on another, or when an operand's class is not one its reader
+//! accepts:
 //!
 //! * float operators, `fptosi`, float compares and non-exchange float
 //!   atomics read float bits;
@@ -41,42 +41,35 @@ use crate::verify::VerifyError;
 
 /// The set of representations a value may hold at run time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Class(u8);
+struct Class(u8);
 
 impl Class {
     /// Never assigned: the value is zero.
-    pub const NONE: Class = Class(0);
-    pub const INT: Class = Class(1);
-    pub const PTR: Class = Class(2);
-    pub const FLOAT: Class = Class(4);
+    const NONE: Class = Class(0);
     /// Integer or pointer bits: what an integer reader accepts.
-    pub const BITS: Class = Class(3);
+    const BITS: Class = Class(1);
+    const FLOAT: Class = Class(2);
 
-    /// What a value produced at type `ty` holds.
-    fn of_ty(ty: Ty) -> Class {
-        match ty {
-            Ty::F64 => Class::FLOAT,
-            Ty::Ptr => Class::PTR,
-            Ty::I1 | Ty::I8 | Ty::I32 | Ty::I64 => Class::INT,
-        }
-    }
-
-    /// What a parameter of type `ty` may receive: float bits exactly when
-    /// it is `f64`.
-    fn of_param(ty: Ty) -> Class {
-        if ty.is_float() {
+    fn float_if(float: bool) -> Class {
+        if float {
             Class::FLOAT
         } else {
             Class::BITS
         }
     }
 
-    pub fn join(self, other: Class) -> Class {
+    /// What a value produced at type `ty`, or a parameter of type `ty`,
+    /// holds: float bits exactly when it is `f64`.
+    fn of_ty(ty: Ty) -> Class {
+        Class::float_if(ty.is_float())
+    }
+
+    fn join(self, other: Class) -> Class {
         Class(self.0 | other.0)
     }
 
     /// Is every representation `self` may hold also one of `other`'s?
-    pub fn within(self, other: Class) -> bool {
+    fn within(self, other: Class) -> bool {
         self.0 & !other.0 == 0
     }
 
@@ -138,22 +131,19 @@ struct FnClasses {
 
 /// Every value class of a module that passed the rule.
 #[derive(Clone, Debug)]
-pub struct Classes {
+struct Classes {
     funcs: Vec<FnClasses>,
 }
 
 impl Classes {
     /// The class of `op` as read inside function `func`.
-    pub fn operand(&self, func: usize, op: Operand) -> Class {
+    fn operand(&self, func: usize, op: Operand) -> Class {
         let Some(f) = self.funcs.get(func) else { return Class::NONE };
         match op {
             Operand::Inst(i) => f.insts.get(i.index()).copied().unwrap_or_default(),
             Operand::Param(p) => f.params.get(p as usize).copied().unwrap_or_default(),
-            // An integer constant of any other type is an integer.
-            Operand::ConstI(_, Ty::Ptr) => Class::PTR,
-            Operand::ConstI(..) => Class::INT,
+            Operand::ConstI(..) | Operand::Global(_) | Operand::Func(_) => Class::BITS,
             Operand::ConstF(_) => Class::FLOAT,
-            Operand::Global(_) | Operand::Func(_) => Class::PTR,
         }
     }
 
@@ -162,16 +152,21 @@ impl Classes {
     }
 }
 
-/// Run the rule over `m`: its value classes, or the first function and
-/// instruction that reads an operand outside its operator's domain (or
-/// holds a value whose class depends on the path).
-pub fn value_classes(m: &Module) -> Result<Classes, VerifyError> {
+/// Run the rule over `m`: the first function and instruction that reads an
+/// operand outside its operator's domain (or holds a value whose class
+/// depends on the path), if any.
+pub fn value_classes(m: &Module) -> Result<(), VerifyError> {
+    classes(m).map(drop)
+}
+
+/// The value classes of `m`, if it passes the rule.
+fn classes(m: &Module) -> Result<Classes, VerifyError> {
     let mut cl = Classes {
         funcs: m
             .funcs
             .iter()
             .map(|f| FnClasses {
-                params: f.params.iter().map(|&t| Class::of_param(t)).collect(),
+                params: f.params.iter().map(|&t| Class::of_ty(t)).collect(),
                 insts: vec![Class::NONE; f.insts.len()],
                 ret: Class::NONE,
             })
@@ -188,7 +183,7 @@ pub fn value_classes(m: &Module) -> Result<Classes, VerifyError> {
     }
     let candidates = |n: usize| by_arity.get(n).map_or(&[][..], |v| &v[..]);
 
-    // Classes only grow (a join is a union of three bits), so this ends.
+    // Classes only grow (a join is a union of two bits), so this ends.
     let mut changed = true;
     while changed {
         changed = false;
@@ -229,30 +224,30 @@ fn produced<'c>(
     candidates: impl Fn(usize) -> &'c [usize],
 ) -> Class {
     match inst {
-        Inst::Bin { op, .. } => float_or_int(op.is_float()),
-        Inst::Un { op, .. } => float_or_int(op.is_float()),
-        Inst::Cast { kind, to, .. } => match kind {
+        Inst::Bin { op, .. } => Class::float_if(op.is_float()),
+        Inst::Un { op, .. } => Class::float_if(op.is_float()),
+        Inst::Cast { kind, .. } => match kind {
             CastKind::SiToFp => Class::FLOAT,
-            CastKind::PtrCast if *to == Ty::Ptr => Class::PTR,
-            CastKind::IntCast | CastKind::ZExtCast | CastKind::FpToSi | CastKind::PtrCast => Class::INT,
+            CastKind::IntCast | CastKind::ZExtCast | CastKind::FpToSi | CastKind::PtrCast => Class::BITS,
         },
-        Inst::Cmp { .. } => Class::INT,
+        Inst::Cmp { .. } => Class::BITS,
         Inst::Select { if_true, if_false, .. } => {
             cl.operand(fi, *if_true).join(cl.operand(fi, *if_false))
         }
         Inst::Load { ty, .. } | Inst::Atomic { ty, .. } | Inst::Cas { ty, .. } => Class::of_ty(*ty),
         Inst::Store { .. } => Class::NONE,
-        Inst::PtrAdd { .. } | Inst::Alloca { .. } => Class::PTR,
+        Inst::PtrAdd { .. } | Inst::Alloca { .. } => Class::BITS,
         Inst::Call { ret: None, .. } => Class::NONE,
         Inst::Call { callee: Operand::Func(g), .. } => cl.ret(g.0 as usize),
         Inst::Call { args, .. } => candidates(args.len())
             .iter()
             .fold(Class::NONE, |c, &g| c.join(cl.ret(g))),
         Inst::Intr { intr, .. } => match intr {
-            Intrinsic::ThreadId | Intrinsic::BlockId | Intrinsic::BlockDim | Intrinsic::GridDim => {
-                Class::INT
-            }
-            Intrinsic::Malloc => Class::PTR,
+            Intrinsic::ThreadId
+            | Intrinsic::BlockId
+            | Intrinsic::BlockDim
+            | Intrinsic::GridDim
+            | Intrinsic::Malloc => Class::BITS,
             Intrinsic::AlignedBarrier
             | Intrinsic::Barrier
             | Intrinsic::AssertFail
@@ -262,14 +257,6 @@ fn produced<'c>(
         Inst::Phi { incomings, .. } => incomings
             .iter()
             .fold(Class::NONE, |c, inc| c.join(cl.operand(fi, inc.value))),
-    }
-}
-
-fn float_or_int(float: bool) -> Class {
-    if float {
-        Class::FLOAT
-    } else {
-        Class::INT
     }
 }
 
@@ -432,7 +419,7 @@ mod tests {
             b.store(Ty::I64, p, x);
             b.atomic(AtomicOp::Exchange, Ty::I64, p, x);
         });
-        let cl = value_classes(&m).unwrap();
+        let cl = classes(&m).unwrap();
         assert_eq!(cl.operand(0, Operand::Param(0)), Class::BITS);
         assert_eq!(cl.operand(0, Operand::f64(1.0)), Class::FLOAT);
     }
@@ -481,7 +468,7 @@ mod tests {
             b.switch_to(body);
         });
         let never = Operand::Inst(crate::InstId(0));
-        assert_eq!(value_classes(&m).unwrap().operand(0, never), Class::NONE);
+        assert_eq!(classes(&m).unwrap().operand(0, never), Class::NONE);
     }
 
     /// Calls: a result has its callee's return class, a direct call's

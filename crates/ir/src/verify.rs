@@ -100,6 +100,10 @@ pub fn verify_function(f: &Function, m: Option<&Module>) -> Result<(), VerifyErr
             seen[iid.index()] = true;
             let inst = f.inst(iid);
             if inst.is_phi() {
+                // Function entry has no incoming edge to choose a value.
+                if bid == BlockId::ENTRY {
+                    return Err(err(f, format!("phi %{} at function entry", iid.0)));
+                }
                 if !in_phi_prefix {
                     return Err(err(f, format!("phi %{} not at start of bb{}", iid.0, bid.0)));
                 }

@@ -148,6 +148,21 @@ fn verify_rejects_use_before_def() {
 }
 
 #[test]
+fn verify_rejects_phi_at_function_entry() {
+    // bb0 loops to itself, so its phi has an incoming for its one
+    // predecessor; entering the function still reaches it along no edge.
+    let mut b = FuncBuilder::new("f", vec![Ty::I64], None);
+    let entry = b.current_block();
+    let exit = b.new_block();
+    let p = b.phi(Ty::I64, vec![(entry, Operand::i64(0))]);
+    let c = b.icmp_slt(p, Operand::Param(0));
+    b.cond_br(c, entry, exit);
+    b.switch_to(exit);
+    b.ret(None);
+    expect_err(b.finish(), "phi %0 at function entry");
+}
+
+#[test]
 fn verify_rejects_call_arity_mismatch() {
     let mut m = Module::new("m");
     let callee = m.add_function(Function::declaration("g", vec![Ty::I64, Ty::I64], None));

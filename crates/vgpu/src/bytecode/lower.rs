@@ -9,8 +9,8 @@
 //! to a missing block, a phi with no incoming for an edge into its block —
 //! make [`lower_module`] return `None` wherever in the module's listed
 //! code they sit, and the device runs the module on the interpreter, which
-//! raises those traps itself. The verifier rejects all of them but the
-//! phi at function entry. What verified IR can reach otherwise stays a
+//! raises those traps itself. The verifier rejects every one of them.
+//! What verified IR can reach otherwise stays a
 //! trap op: a direct call of a declaration, `assert.fail`, `unreachable`,
 //! and the body of a declaration launched as a kernel.
 //!
@@ -21,33 +21,23 @@
 
 use std::collections::HashMap;
 
-use nzomp_ir::analysis::class::{value_classes, Class, Classes};
+use nzomp_ir::analysis::class::value_classes;
 use nzomp_ir::inst::{Inst, InstId, Intrinsic, Term};
 use nzomp_ir::{BlockId, Function, Module, Operand};
 
 use crate::error::TrapKind;
 use crate::exec::{is_runtime_fn, malformed, used_results, GlobalLayout};
 use crate::memory::DevPtr;
-use crate::sanitize::REGION_RELEASE_FNS;
 
 use super::{BcFunc, BcModule, Edge, FuncMeta, Op, Src};
 
 /// Lower every function of `module`. `layout` resolves global operands to
 /// their device addresses (fixed at device load, like the layout itself).
-/// `None` when the module is malformed (see the module docs), when the
-/// value-class rule fails it, or when a call that can reach an allocator
-/// release function passes arguments whose pointer/integer tags (which
-/// the sanitizer's release hook keys on) the rule leaves open: the module
-/// then runs on the tagged interpreter.
+/// `None` when the module is malformed (see the module docs) or when the
+/// value-class rule fails it: the module then runs on the tagged
+/// interpreter.
 pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout) -> Option<BcModule> {
-    let classes = value_classes(module).ok()?;
-    let release: Vec<u32> = module
-        .funcs
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| !f.is_declaration() && REGION_RELEASE_FNS.contains(&f.name.as_str()))
-        .map(|(i, _)| i as u32)
-        .collect();
+    value_classes(module).ok()?;
     let meta = module
         .funcs
         .iter()
@@ -58,26 +48,13 @@ pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout) -> Option<BcM
             runtime: is_runtime_fn(&f.name),
         })
         .collect();
-    let ctx = Ctx { module, layout, classes: &classes, release: &release };
-    let funcs = (0..module.funcs.len())
-        .map(|fi| lower_func(&ctx, fi))
-        .collect::<Option<_>>()?;
+    let funcs = module.funcs.iter().map(|f| lower_func(module, layout, f)).collect::<Option<_>>()?;
     Some(BcModule { funcs, meta })
 }
 
-/// What lowering one function reads of the whole module.
-struct Ctx<'m> {
+struct FnLowerer<'m> {
     module: &'m Module,
     layout: &'m GlobalLayout,
-    classes: &'m Classes,
-    /// Defined allocator release functions (`REGION_RELEASE_FNS`).
-    release: &'m [u32],
-}
-
-struct FnLowerer<'m> {
-    ctx: &'m Ctx<'m>,
-    /// Index of `func` in the module.
-    fi: usize,
     func: &'m Function,
     /// Value slot per arena instruction (0 = dead-result scratch).
     slot_of: Vec<u32>,
@@ -97,8 +74,6 @@ struct FnLowerer<'m> {
     /// bits.
     regs0: Vec<u64>,
     const_of: HashMap<u64, u32>,
-    /// Call ops whose first two arguments are a pointer and an integer.
-    ptr_size_calls: Vec<u32>,
 }
 
 /// A function whose every execution traps with `t` on its first step.
@@ -109,12 +84,10 @@ fn trap_only(t: TrapKind) -> BcFunc {
         edges: Vec::new(),
         traps: vec![t],
         regs0: vec![0],
-        ptr_size_calls: Box::new([]),
     }
 }
 
-fn lower_func(ctx: &Ctx<'_>, fi: usize) -> Option<BcFunc> {
-    let func = &ctx.module.funcs[fi];
+fn lower_func<'m>(module: &'m Module, layout: &'m GlobalLayout, func: &'m Function) -> Option<BcFunc> {
     if func.blocks.is_empty() {
         // Declaration (or stripped body): executing it meets the
         // interpreter's missing-entry-block trap on the first step.
@@ -134,8 +107,8 @@ fn lower_func(ctx: &Ctx<'_>, fi: usize) -> Option<BcFunc> {
     let used = used_results(func);
 
     let mut lw = FnLowerer {
-        ctx,
-        fi,
+        module,
+        layout,
         func,
         slot_of,
         used,
@@ -146,7 +119,6 @@ fn lower_func(ctx: &Ctx<'_>, fi: usize) -> Option<BcFunc> {
         block_start: Vec::new(),
         regs0: vec![0; n_slots as usize],
         const_of: HashMap::new(),
-        ptr_size_calls: Vec::new(),
     };
 
     let is_phi = |iid: &InstId| func.insts.get(iid.index()).is_some_and(Inst::is_phi);
@@ -183,7 +155,6 @@ fn lower_func(ctx: &Ctx<'_>, fi: usize) -> Option<BcFunc> {
             edges,
             traps: lw.traps,
             regs0: lw.regs0,
-            ptr_size_calls: lw.ptr_size_calls.into_boxed_slice(),
         },
         func.params.len() as u32,
     )
@@ -314,29 +285,6 @@ impl<'m> FnLowerer<'m> {
         Src::Reg(slot)
     }
 
-    /// Record what the sanitizer's release hook needs of the call at the
-    /// next op, whose arguments are `args`, when it may reach one of
-    /// `targets` among the release functions: the tagged engine releases
-    /// exactly when the first argument is a pointer and the second an
-    /// integer. A value that is never assigned is zero, and releasing
-    /// from a null pointer or for zero bytes retires nothing, so such a
-    /// value may count either way. `None` when the class rule leaves
-    /// those tags open.
-    fn note_release_args(&mut self, args: &[Operand], mut targets: impl FnMut(&Function) -> bool) -> Option<()> {
-        let m = self.ctx.module;
-        if !self.ctx.release.iter().any(|&g| targets(&m.funcs[g as usize])) {
-            return Some(());
-        }
-        let class = |i: usize| args.get(i).map_or(Class::NONE, |a| self.ctx.classes.operand(self.fi, *a));
-        let (p, size) = (class(0), class(1));
-        if args.len() >= 2 && p.within(Class::PTR) && size.within(Class::INT) {
-            self.ptr_size_calls.push(self.ops.len() as u32);
-        } else if args.len() >= 2 && Class::PTR.within(p) && Class::INT.within(size) {
-            return None;
-        }
-        Some(())
-    }
-
     /// Pre-translate one operand (the interpreter's `eval`, done once);
     /// `None` when it names a missing instruction, parameter or global.
     fn src(&mut self, op: Operand) -> Option<Src> {
@@ -346,7 +294,7 @@ impl<'m> FnLowerer<'m> {
             Operand::Param(_) => return None,
             Operand::ConstI(v, _) => self.cnum(v as u64),
             Operand::ConstF(v) => self.cnum(v.to_bits()),
-            Operand::Global(g) => self.cnum(self.ctx.layout.addr_of.get(g.index())?.0),
+            Operand::Global(g) => self.cnum(self.layout.addr_of.get(g.index())?.0),
             Operand::Func(f) => self.cnum(DevPtr::func(f.0).0),
         })
     }
@@ -437,7 +385,7 @@ impl<'m> FnLowerer<'m> {
                         // interpreter does, and traps before charging call
                         // cost or evaluating args, so an eager trap op is
                         // observationally identical.
-                        let g = self.ctx.module.funcs.get(f.0 as usize)?;
+                        let g = self.module.funcs.get(f.0 as usize)?;
                         if g.is_declaration() {
                             let t = self.add_trap(TrapKind::UnresolvedCall(g.name.clone()));
                             self.emit(Op::TrapInst { t }, loc);
@@ -447,7 +395,6 @@ impl<'m> FnLowerer<'m> {
                             return None;
                         }
                         let runtime = is_runtime_fn(&g.name);
-                        self.note_release_args(args, |r| std::ptr::eq(r, g))?;
                         let args = self.srcs(args)?;
                         self.emit(
                             Op::Call {
@@ -460,7 +407,6 @@ impl<'m> FnLowerer<'m> {
                         );
                     }
                     other => {
-                        self.note_release_args(args, |r| r.params.len() == args.len())?;
                         let callee = self.src(*other)?;
                         let args = self.srcs(args)?;
                         self.emit(

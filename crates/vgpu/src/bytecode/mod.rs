@@ -14,7 +14,9 @@
 //!   same `nzomp_ir` rules the interpreter's tagged adapters use), loads
 //!   and stores move the bits as they are, and `RtVal` appears only at
 //!   the edges: launch arguments (converted once per thread in
-//!   `kernel_frame`) and atomics handed to [`GlobalMem`]. That is the
+//!   `kernel_frame`) and atomics handed to [`GlobalMem`]. The sanitizer's
+//!   release hook reads a call's first two arguments as bits on both
+//!   tiers ([`TeamExec::san_on_call`]), so it needs no tag. That is the
 //!   interpreter's behaviour exactly when every operand is read in the
 //!   domain it was produced in, which lowering proves with the value-class
 //!   rule (`nzomp_ir::analysis::class`); a module it cannot prove is not
@@ -158,11 +160,6 @@ pub(crate) struct BcFunc {
     /// operands reference immediates as plain [`Src::Reg`] reads and
     /// frame setup is one copy.
     pub regs0: Vec<u64>,
-    /// Sorted indexes of the call ops whose first two arguments the
-    /// tagged engine holds as a pointer and an integer — the shape the
-    /// sanitizer's region-release hook keys on
-    /// ([`TeamExec::san_on_call_bits`]).
-    pub ptr_size_calls: Box<[u32]>,
 }
 
 /// Per-function call metadata for indirect-call checks at dispatch.
@@ -454,6 +451,38 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
             }};
         }
 
+        // Call `$callee` (function `$target`) with `$args` read in the
+        // caller's frame: the sanitizer's release hook sees their bits,
+        // the caller's frame is saved, and the callee's op 0 runs next.
+        macro_rules! enter {
+            ($target:expr, $callee:expr, $args:expr, $ret_dst:expr) => {{
+                let argv: Vec<u64> = $args.iter().map(|s| readv!(s)).collect();
+                if exec.san_armed() {
+                    if let [addr, size, ..] = argv[..] {
+                        exec.san_on_call($target, addr, size);
+                    }
+                }
+                let new_frame = BcFrame {
+                    func: $target,
+                    pc: 0,
+                    regs: fresh_regs($callee),
+                    args: argv,
+                    ret_dst: $ret_dst,
+                    local_base: thread.local_top,
+                };
+                frame.pc = cur_pc!();
+                frame.regs = regs;
+                thread.frames.push(std::mem::replace(&mut frame, new_frame));
+                regs = std::mem::take(&mut frame.regs);
+                cur = $callee;
+                ops = &cur.ops;
+                traps = &cur.traps;
+                edges = &cur.edges;
+                // A function's entry is its op 0.
+                op_ptr = ops.as_ptr();
+            }};
+        }
+
         // Step prologue — identical, op for op, to the interpreter's
         // run_thread: fuel check, fault poll against the step counter,
         // then dispatch.
@@ -597,29 +626,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     let Some(callee) = bc.funcs.get(*target as usize) else {
                         fail!(TrapKind::BadIndirectCall);
                     };
-                    let argv: Vec<u64> = args.iter().map(|s| readv!(s)).collect();
-                    if exec.san_armed() {
-                        let tags = cur.ptr_size_calls.binary_search(&(cur_pc!() - 1)).is_ok();
-                        exec.san_on_call_bits(*target, &argv, tags);
-                    }
-                    let new_frame = BcFrame {
-                        func: *target,
-                        pc: 0,
-                        regs: fresh_regs(callee),
-                        args: argv,
-                        ret_dst: *ret_dst,
-                        local_base: thread.local_top,
-                    };
-                    frame.pc = cur_pc!();
-                    frame.regs = regs;
-                    thread.frames.push(std::mem::replace(&mut frame, new_frame));
-                    regs = std::mem::take(&mut frame.regs);
-                    cur = callee;
-                    ops = &cur.ops;
-                    traps = &cur.traps;
-                    edges = &cur.edges;
-                    // A function's entry is its op 0.
-                    op_ptr = ops.as_ptr();
+                    enter!(*target, callee, args, *ret_dst);
                 }
                 Op::CallInd {
                     callee,
@@ -654,29 +661,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     let Some(callee_fn) = bc.funcs.get(target as usize) else {
                         fail!(TrapKind::BadIndirectCall);
                     };
-                    let argv: Vec<u64> = args.iter().map(|s| readv!(s)).collect();
-                    if exec.san_armed() {
-                        let tags = cur.ptr_size_calls.binary_search(&(cur_pc!() - 1)).is_ok();
-                        exec.san_on_call_bits(target, &argv, tags);
-                    }
-                    let new_frame = BcFrame {
-                        func: target,
-                        pc: 0,
-                        regs: fresh_regs(callee_fn),
-                        args: argv,
-                        ret_dst: *ret_dst,
-                        local_base: thread.local_top,
-                    };
-                    frame.pc = cur_pc!();
-                    frame.regs = regs;
-                    thread.frames.push(std::mem::replace(&mut frame, new_frame));
-                    regs = std::mem::take(&mut frame.regs);
-                    cur = callee_fn;
-                    ops = &cur.ops;
-                    traps = &cur.traps;
-                    edges = &cur.edges;
-                    // A function's entry is its op 0.
-                    op_ptr = ops.as_ptr();
+                    enter!(target, callee_fn, args, *ret_dst);
                 }
                 Op::Atomic {
                     op,

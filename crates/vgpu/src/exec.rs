@@ -367,33 +367,18 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
         self.san.is_some()
     }
 
-    /// Sanitizer hook at a (direct or indirect) call, after argument
-    /// evaluation: allocator release entry points retire the freed
-    /// range's shadow (ownership transfer — see
-    /// `sanitize::REGION_RELEASE_FNS`) when the first two arguments are a
-    /// pointer and an integer.
+    /// Sanitizer hook at a (direct or indirect) call of `target` whose
+    /// first two arguments, read as bits, are `addr` and `size`: a call of
+    /// an allocator release entry point (`sanitize::REGION_RELEASE_FNS`)
+    /// retires the shadow of `[addr, addr + round8(max(size, 0)))` in
+    /// `addr`'s segment (ownership transfer). Both tiers call it, so a
+    /// release is a fact of its callee, whatever the arguments' tags.
     #[inline]
-    pub(crate) fn san_on_call(&mut self, target: u32, argv: &[RtVal]) {
-        if let (Some(&RtVal::P(p)), Some(&RtVal::I(sz))) = (argv.first(), argv.get(1)) {
-            self.san_release(target, p, sz);
-        }
-    }
-
-    /// [`TeamExec::san_on_call`] for untagged arguments: `ptr_and_size`
-    /// is what lowering proved of the call site's first two arguments'
-    /// tags, so both tiers release exactly the same ranges.
-    #[inline]
-    pub(crate) fn san_on_call_bits(&mut self, target: u32, argv: &[u64], ptr_and_size: bool) {
-        match *argv {
-            [p, sz, ..] if ptr_and_size => self.san_release(target, DevPtr(p), sz as i64),
-            _ => {}
-        }
-    }
-
-    fn san_release(&mut self, target: u32, p: DevPtr, sz: i64) {
+    pub(crate) fn san_on_call(&mut self, target: u32, addr: u64, size: u64) {
         let Some(san) = self.san.as_deref_mut() else { return };
         if san.is_release_fn(target) {
-            let aligned = (sz.max(0) as u64).next_multiple_of(8);
+            let p = DevPtr(addr);
+            let aligned = ((size as i64).max(0) as u64).next_multiple_of(8);
             san.on_region_release(p.segment(), p.offset(), aligned);
         }
     }

@@ -428,7 +428,9 @@ impl<'a> TeamExec<'a, InterpBackend> {
             .iter()
             .map(|a| self.eval(thread, *a))
             .collect::<Result<_, _>>()?;
-        self.san_on_call(target, &argv);
+        if let [addr, size, ..] = argv[..] {
+            self.san_on_call(target, addr.to_bits() as u64, size.to_bits() as u64);
+        }
         let frame = Frame {
             func: target,
             block: BlockId::ENTRY,

@@ -335,6 +335,18 @@ fn dedup_key(space: Segment, first: (IrLoc, AccessKind), second: (IrLoc, AccessK
     (s, first.0, first.1, second.0, second.1)
 }
 
+/// Remove `range`'s bytes from `shadow`: byte by byte while the range is
+/// no wider than the map, in one pass over the map otherwise.
+fn retire<V>(shadow: &mut HashMap<u64, V>, range: std::ops::Range<u64>) {
+    if range.end - range.start <= shadow.len() as u64 {
+        for b in range {
+            shadow.remove(&b);
+        }
+    } else {
+        shadow.retain(|b, _| !range.contains(b));
+    }
+}
+
 /// Barrier-arrival info the interpreter hands to
 /// [`TeamSan::on_barrier_release`] for each waiting thread.
 #[derive(Clone, Copy, Debug)]
@@ -397,19 +409,13 @@ impl TeamSan {
     /// `[off, off+size)` of `space` was released back to a runtime
     /// allocator. The allocator's atomic bookkeeping orders this owner
     /// before any future owner of the bytes, so the range's shadow — both
-    /// the epoch cells and the cross-team byte summary — is retired.
+    /// the epoch cells and the cross-team byte summary — is retired. The
+    /// work is bounded by the shadow's size, whatever `size` is.
     pub fn on_region_release(&mut self, space: Segment, off: u64, size: u64) {
+        let range = off..off.saturating_add(size);
         match space {
-            Segment::Shared => {
-                for b in off..off + size {
-                    self.shared.remove(&b);
-                }
-            }
-            Segment::Global => {
-                for b in off..off + size {
-                    self.global.remove(&b);
-                }
-            }
+            Segment::Shared => retire(&mut self.shared, range),
+            Segment::Global => retire(&mut self.global, range),
             _ => {}
         }
     }

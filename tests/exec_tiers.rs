@@ -468,8 +468,8 @@ fn unprovable_modules_fall_back_to_the_interpreter_exactly() {
 /// interpreter meets as a `MalformedIr`, `BadLaunch` or `BadIndirectCall`
 /// trap is not lowered, so it runs on the interpreter whichever tier is
 /// asked for, with the interpreter's outputs, memory, metrics, trap kind
-/// and exact message at every axis. The verifier rejects every shape but
-/// one, a phi at function entry. Each module passes the
+/// and exact message at every axis. The verifier rejects every one of
+/// these shapes. Each module passes the
 /// value-class rule, so the shape alone refuses it; refusal is per
 /// module, so a malformed function that is never called refuses its
 /// module too.
@@ -600,16 +600,16 @@ fn malformed_modules_run_on_the_interpreter() {
     assert_eq!(out_f64(&o), (0..16).map(f64::from).collect::<Vec<_>>());
 }
 
-/// The sanitizer's region-release hook keys on the tagged engine's
-/// pointer and integer tags of a release call's first two arguments, and
-/// the untagged tier has no tags: lowering decides each such call from the
-/// value classes, and refuses a module where they leave it open. Every
-/// thread of `@k` writes shared `x` and then calls `@__kmpc_free_shared`
-/// on it: released, the next thread's write meets a fresh shadow; not
-/// released, it races with the previous one.
+/// A release is a fact of its callee: a call of an allocator release
+/// function retires the shadow of the range its first two arguments name,
+/// read as bits, on both tiers and whatever the tagged engine holds them
+/// as. Every thread of `@k` writes shared `x` and then calls
+/// `@__kmpc_free_shared` on it, so the next thread's write meets a fresh
+/// shadow: no race, for a pointer, an integer or either, and for a release
+/// of `i64::MAX` bytes, whose work is bounded by the shadow's size.
 #[test]
-fn the_release_hook_sees_the_tags_the_oracle_sees() {
-    let build = |arg: fn(&mut FuncBuilder, Operand) -> Operand| {
+fn the_release_hook_reads_its_callee() {
+    let build = |size: i64, arg: fn(&mut FuncBuilder, Operand) -> Operand| {
         let mut m = Module::new("release");
         let x = Operand::Global(m.add_global(Global::new("x", Space::Shared, 8, Init::Zero)));
         let mut f = FuncBuilder::new("__kmpc_free_shared", vec![Ty::Ptr, Ty::I64], None);
@@ -618,13 +618,14 @@ fn the_release_hook_sees_the_tags_the_oracle_sees() {
         let mut b = FuncBuilder::new("k", vec![Ty::Ptr], None);
         b.store(Ty::I64, x, Operand::i64(1));
         let p = arg(&mut b, x);
-        b.call(free, vec![p, Operand::i64(8)], None);
+        b.call(free, vec![p, Operand::i64(size)], None);
         b.ret(None);
         let k = m.add_function(b.finish());
         m.add_kernel(k, ExecMode::Spmd);
         m
     };
     let races = |what: &str, m: &Module| {
+        assert!(Image::new(m.clone()).runs_untagged(), "{what}");
         assert_alike(what, &tier_axes(), |run| {
             let mut dev = Device::load_with(m.clone(), DeviceConfig::default(), run);
             let out = dev.alloc(8);
@@ -637,20 +638,15 @@ fn the_release_hook_sees_the_tags_the_oracle_sees() {
         dev.sanitizer_counts().0
     };
 
-    let pointer = build(|_, x| x);
-    assert!(Image::new(pointer.clone()).runs_untagged());
-    assert_eq!(races("a pointer argument", &pointer), 0);
-
-    let integer = build(|b, x| b.cast(CastKind::PtrCast, Ty::I64, x));
-    assert!(Image::new(integer.clone()).runs_untagged());
-    assert!(races("an integer argument", &integer) > 0);
-
-    let either = build(|b, x| {
+    assert_eq!(races("a pointer argument", &build(8, |_, x| x)), 0);
+    let integer = build(8, |b, x| b.cast(CastKind::PtrCast, Ty::I64, x));
+    assert_eq!(races("an integer argument", &integer), 0);
+    let either = build(8, |b, x| {
         let i = b.cast(CastKind::PtrCast, Ty::I64, x);
         let tid = b.thread_id();
         let odd = b.and(tid, Operand::i64(1));
         b.select(Ty::Ptr, odd, x, i)
     });
-    assert!(!Image::new(either.clone()).runs_untagged());
-    races("a pointer or an integer", &either);
+    assert_eq!(races("a pointer or an integer", &either), 0);
+    assert_eq!(races("a release of i64::MAX bytes", &build(i64::MAX, |_, x| x)), 0);
 }

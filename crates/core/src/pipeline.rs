@@ -255,12 +255,6 @@ impl CompileCache {
             self.touch(slot);
             return Ok(slot);
         }
-        // So is a module whose values the class rule cannot prove: a device
-        // would run it on its interpreter, at a third of the speed, and
-        // devices are shared. Checked past the lookup, since a module that
-        // fails never gets an entry to hit.
-        nzomp_ir::analysis::class::value_classes(&key.0)
-            .map_err(|err| CompileError::Verify { stage: "input", err })?;
         self.misses += 1;
         let output = Rc::new(compile(key.0.clone(), config)?);
         if self.entries.len() >= CACHE_ENTRIES {
@@ -433,11 +427,11 @@ mod tests {
         assert_eq!((c.hits, c.misses, c.len()), (1, 2, 2));
     }
 
-    /// A module whose values the class rule cannot prove — here a branch
-    /// on a double — is refused at the `input` stage while the verifier
-    /// still accepts it: neither a hit nor a miss, and no slot.
+    /// A module that reads a value outside its domain — here a branch on
+    /// a double — fails verification at the `link` stage, before the
+    /// optimizer runs: a miss, like every failed compile, and no slot.
     #[test]
-    fn an_unprovable_module_is_refused_at_input() {
+    fn an_ill_classed_module_fails_verification() {
         let mut m = Module::new("branch_on_f64");
         let mut b = FuncBuilder::new("k", vec![Ty::F64], None);
         let (t, f) = (b.new_block(), b.new_block());
@@ -448,12 +442,12 @@ mod tests {
         }
         let k = m.add_function(b.finish());
         m.add_kernel(k, ExecMode::Spmd);
-        assert!(nzomp_ir::verify_module(&m).is_ok());
+        assert!(nzomp_ir::verify_module(&m).is_err());
         let mut c = CompileCache::new();
         let err = c.compile_slot(m, BuildConfig::Cuda).unwrap_err();
-        assert!(matches!(err, CompileError::Verify { stage: "input", .. }), "{err}");
+        assert!(matches!(err, CompileError::Verify { stage: "link", .. }), "{err}");
         assert!(err.to_string().contains("@k: terminator of bb0: reads float bits"), "{err}");
-        assert_eq!((c.hits, c.misses, c.len()), (0, 0, 0));
+        assert_eq!((c.hits, c.misses, c.len()), (0, 1, 0));
     }
 
     #[test]

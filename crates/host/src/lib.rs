@@ -950,7 +950,7 @@ impl Host {
     /// is a typed error.
     pub fn take_metrics(&self, t: Ticket) -> Result<KernelMetrics, HostError> {
         match self.ticket_result(t)? {
-            Some(Ok(m)) => Ok(m.clone()),
+            Some(Ok(m)) => Ok(*m),
             Some(Err(e)) => Err(HostError::Exec(e.clone())),
             None => Err(HostError::Stream(SE::UnknownTicket(t))),
         }

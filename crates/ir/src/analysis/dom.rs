@@ -10,14 +10,12 @@ use crate::func::{BlockId, Function};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DomTree {
     idom: Vec<Option<BlockId>>,
-    /// RPO index per block (usize::MAX for unreachable).
-    #[allow(dead_code)]
-    order: Vec<usize>,
 }
 
 impl DomTree {
     pub fn compute(f: &Function) -> DomTree {
         let rpo = cfg::reverse_post_order(f);
+        // RPO index per block (usize::MAX for unreachable).
         let mut order = vec![usize::MAX; f.blocks.len()];
         for (i, b) in rpo.iter().enumerate() {
             order[b.index()] = i;
@@ -25,7 +23,7 @@ impl DomTree {
         let preds = cfg::predecessors(f);
         let mut idom: Vec<Option<BlockId>> = vec![None; f.blocks.len()];
         if f.blocks.is_empty() {
-            return DomTree { idom, order };
+            return DomTree { idom };
         }
         idom[BlockId::ENTRY.index()] = Some(BlockId::ENTRY);
         let mut changed = true;
@@ -52,7 +50,7 @@ impl DomTree {
         }
         // Entry's idom is conventionally itself; normalize to None for the
         // public API (entry has no strict dominator).
-        DomTree { idom, order }
+        DomTree { idom }
     }
 
     /// Immediate dominator (None for the entry block and unreachable blocks).

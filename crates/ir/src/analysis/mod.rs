@@ -2,7 +2,6 @@
 //! collection (register-pressure estimation).
 
 pub mod callgraph;
-pub mod class;
 pub mod cfg;
 pub mod dom;
 pub mod liveness;

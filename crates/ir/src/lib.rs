@@ -46,4 +46,4 @@ pub use parser::{parse_module, parse_module_strict, ParseError};
 pub use printer::{fmt_f64, print_function, print_module, FORMAT_VERSION};
 pub use types::{Space, Ty};
 pub use value::Operand;
-pub use verify::{verify_function, verify_module, VerifyError};
+pub use verify::{verify_domains, verify_function, verify_module, VerifyError};

@@ -1,13 +1,15 @@
-//! Structural IR verifier. Run after construction and between passes in
-//! debug builds; catches malformed CFGs, dangling references and type
-//! mismatches early instead of deep inside the interpreter.
+//! IR verifier. Run after construction and between passes in debug
+//! builds; catches malformed CFGs, dangling references, type mismatches
+//! and operands outside their reader's value domain early instead of deep
+//! inside the interpreter.
 
 use std::collections::HashSet;
 use std::fmt;
 
 use crate::func::{BlockId, Function};
-use crate::inst::{Inst, Term};
+use crate::inst::{AtomicOp, CastKind, Inst, Term};
 use crate::module::Module;
+use crate::types::Ty;
 use crate::value::Operand;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -336,7 +338,201 @@ pub fn verify_names(m: &Module) -> Result<(), VerifyError> {
     Ok(())
 }
 
-/// Verify all functions of a module plus kernel metadata.
+/// The bits a value holds at run time: float bits for `f64`, integer bits
+/// for every other type (pointers included).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Domain {
+    Int,
+    Float,
+}
+
+impl Domain {
+    fn float_if(float: bool) -> Domain {
+        if float {
+            Domain::Float
+        } else {
+            Domain::Int
+        }
+    }
+
+    fn of(ty: Ty) -> Domain {
+        Domain::float_if(ty.is_float())
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Domain::Int => "integer",
+            Domain::Float => "float",
+        }
+    }
+
+    /// The domains a cast of `kind` reads and produces.
+    fn of_cast(kind: CastKind) -> (Domain, Domain) {
+        match kind {
+            CastKind::SiToFp => (Domain::Int, Domain::Float),
+            CastKind::FpToSi => (Domain::Float, Domain::Int),
+            CastKind::IntCast | CastKind::ZExtCast | CastKind::PtrCast => (Domain::Int, Domain::Int),
+        }
+    }
+
+    /// The domain of `op` as read in `f`; `None` for a reference to a
+    /// missing parameter or instruction, or to one that produces nothing
+    /// (only malformed IR has those, and they read the same in both).
+    fn held(f: &Function, op: Operand) -> Option<Domain> {
+        match op {
+            Operand::Inst(i) => match f.insts.get(i.index())? {
+                Inst::Bin { op, .. } => Some(Domain::float_if(op.is_float())),
+                Inst::Un { op, .. } => Some(Domain::float_if(op.is_float())),
+                Inst::Cast { kind, .. } => Some(Domain::of_cast(*kind).1),
+                inst => inst.result_ty().map(Domain::of),
+            },
+            Operand::Param(p) => f.params.get(p as usize).copied().map(Domain::of),
+            Operand::ConstF(_) => Some(Domain::Float),
+            Operand::ConstI(..) | Operand::Global(_) | Operand::Func(_) => Some(Domain::Int),
+        }
+    }
+}
+
+/// `Err` naming `at()` when it reads bits of `held` where `want` bits are
+/// required.
+fn expect(
+    f: &Function,
+    at: impl FnOnce() -> String,
+    held: Option<Domain>,
+    want: Domain,
+) -> Result<(), VerifyError> {
+    match held {
+        Some(held) if held != want => {
+            let (held, want) = (held.name(), want.name());
+            Err(err(f, format!("{}: reads {held} bits where {want} bits are required", at())))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// The functions a call of `callee` with `n` arguments may run and read
+/// arguments for: the direct callee if it is defined with arity `n`, or,
+/// for an indirect call, every defined function of arity `n`.
+fn callees(m: &Module, callee: Operand, n: usize) -> impl Iterator<Item = &Function> {
+    let (direct, any) = match callee {
+        Operand::Func(g) => (m.funcs.get(g.index()), &[][..]),
+        _ => (None, &m.funcs[..]),
+    };
+    direct.into_iter().chain(any).filter(move |g| !g.is_declaration() && g.params.len() == n)
+}
+
+/// The value-domain rule: every operand the listed code of `m` reads holds
+/// the bits its reader computes in, so an executor that keeps only the
+/// bits and one that tags them and converts at a mismatched use cannot
+/// disagree (docs/ir-format.md, "Value domains"). Operators fix the
+/// domain of what they produce and read; phis, selects, calls and `ret`
+/// hold their declared type's, and so must what flows into them.
+/// One pass, no allocation unless it fails, and no panic on malformed IR.
+pub fn verify_domains(m: &Module) -> Result<(), VerifyError> {
+    use Domain::{Float, Int};
+    for f in &m.funcs {
+        for (bi, block) in f.blocks.iter().enumerate() {
+            for &iid in &block.insts {
+                let Some(inst) = f.insts.get(iid.index()) else { continue };
+                let at = || format!("%{} ({}) in bb{bi}", iid.0, inst_name(inst));
+                let read = |op, want| expect(f, at, Domain::held(f, op), want);
+                // What no arm reads — integer compare operands, stored
+                // values, compare-and-swap operands, exchanged values —
+                // moves bits of either domain.
+                match inst {
+                    Inst::Bin { op, lhs, rhs, .. } => {
+                        read(*lhs, Domain::float_if(op.is_float()))?;
+                        read(*rhs, Domain::float_if(op.is_float()))?;
+                    }
+                    Inst::Un { op, arg, .. } => read(*arg, Domain::float_if(op.is_float()))?,
+                    Inst::Cast { kind, arg, .. } => read(*arg, Domain::of_cast(*kind).0)?,
+                    Inst::Cmp { ty, lhs, rhs, .. } if ty.is_float() => {
+                        read(*lhs, Float)?;
+                        read(*rhs, Float)?;
+                    }
+                    Inst::Select { ty, cond, if_true, if_false } => {
+                        read(*cond, Int)?;
+                        read(*if_true, Domain::of(*ty))?;
+                        read(*if_false, Domain::of(*ty))?;
+                    }
+                    Inst::Phi { ty, incomings } => {
+                        for inc in incomings {
+                            read(inc.value, Domain::of(*ty))?;
+                        }
+                    }
+                    Inst::Load { ptr, .. } | Inst::Store { ptr, .. } | Inst::Cas { ptr, .. } => {
+                        read(*ptr, Int)?
+                    }
+                    Inst::PtrAdd { base, offset } => {
+                        read(*base, Int)?;
+                        read(*offset, Int)?;
+                    }
+                    Inst::Atomic { op, ty, ptr, value } => {
+                        read(*ptr, Int)?;
+                        if *op != AtomicOp::Exchange {
+                            read(*value, Domain::of(*ty))?;
+                        }
+                    }
+                    Inst::Intr { args, .. } => {
+                        for &a in args {
+                            read(a, Int)?;
+                        }
+                    }
+                    Inst::Call { callee, args, ret } => {
+                        if !matches!(callee, Operand::Func(_)) {
+                            read(*callee, Int)?;
+                        }
+                        for g in callees(m, *callee, args.len()) {
+                            for (&a, &ty) in args.iter().zip(&g.params) {
+                                read(a, Domain::of(ty))?;
+                            }
+                            // A callee returning nothing leaves the result
+                            // as it was in both tiers.
+                            if let Some(want) = ret {
+                                expect(f, at, g.ret.map(Domain::of), Domain::of(*want))?;
+                            }
+                        }
+                    }
+                    Inst::Cmp { .. } | Inst::Alloca { .. } => {}
+                }
+            }
+            let at = || format!("terminator of bb{bi}");
+            match (&block.term, f.ret) {
+                (Term::CondBr { cond, .. }, _) => expect(f, at, Domain::held(f, *cond), Int)?,
+                (Term::Ret(Some(v)), Some(ty)) => {
+                    expect(f, at, Domain::held(f, *v), Domain::of(ty))?
+                }
+                (Term::Ret(Some(_)), None) => return Err(err(f, "ret with value in void function")),
+                (Term::Br(_) | Term::Ret(None) | Term::Unreachable, _) => {}
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The name an error gives `inst`'s operator.
+fn inst_name(inst: &Inst) -> &'static str {
+    match inst {
+        Inst::Bin { op, .. } => op.mnemonic(),
+        Inst::Un { op, .. } => op.mnemonic(),
+        Inst::Cast { kind, .. } => kind.mnemonic(),
+        Inst::Cmp { ty, .. } if ty.is_float() => "fcmp",
+        Inst::Cmp { .. } => "icmp",
+        Inst::Select { .. } => "select",
+        Inst::Load { .. } => "load",
+        Inst::Store { .. } => "store",
+        Inst::PtrAdd { .. } => "ptradd",
+        Inst::Alloca { .. } => "alloca",
+        Inst::Call { .. } => "call",
+        Inst::Atomic { .. } => "atomic",
+        Inst::Cas { .. } => "cas",
+        Inst::Intr { intr, .. } => intr.mnemonic(),
+        Inst::Phi { .. } => "phi",
+    }
+}
+
+/// Verify all functions of a module plus kernel metadata, then the value
+/// domains of what they read ([`verify_domains`]).
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
     verify_names(m)?;
     for f in &m.funcs {
@@ -356,5 +552,5 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
             });
         }
     }
-    Ok(())
+    verify_domains(m)
 }

@@ -6,8 +6,8 @@ use nzomp_ir::builder::build_counted_loop;
 use nzomp_ir::link::{link, LinkError};
 use nzomp_ir::printer::{print_function, print_module};
 use nzomp_ir::{
-    BlockId, ExecMode, FuncBuilder, Function, Global, Init, Module, Operand, Pred, Space, Term,
-    Ty, VerifyError,
+    AtomicOp, BinOp, BlockId, ExecMode, FuncBuilder, Function, Global, Init, Module, Operand, Pred, Space,
+    Term, Ty, VerifyError,
 };
 
 // ---------------------------------------------------------------------------
@@ -208,6 +208,147 @@ fn verify_rejects_kernel_declaration() {
     m.add_kernel(d, ExecMode::Spmd);
     let err = nzomp_ir::verify_module(&m).unwrap_err();
     assert!(err.message.contains("declaration"), "{err}");
+}
+
+// ---------------------------------------------------------------------------
+// value domains
+// ---------------------------------------------------------------------------
+
+/// A module of one function `@k(params)` whose body `body` builds.
+fn one(params: Vec<Ty>, body: impl FnOnce(&mut FuncBuilder)) -> Module {
+    let mut m = Module::new("m");
+    let mut b = FuncBuilder::new("k", params, None);
+    body(&mut b);
+    b.ret(None);
+    m.add_function(b.finish());
+    m
+}
+
+fn refused(m: &Module) -> String {
+    nzomp_ir::verify_module(m).unwrap_err().to_string()
+}
+
+#[test]
+fn integer_and_pointer_bits_are_one_class() {
+    let m = one(vec![Ty::Ptr, Ty::I64], |b| {
+        // A pointer offset by a pointer, an integer used as a pointer,
+        // and a double stored through an `i64` store: bits move as bits.
+        let p = b.ptr_add(Operand::Param(0), Operand::Param(0));
+        let x = b.load(Ty::F64, Operand::Param(1));
+        b.store(Ty::I64, p, x);
+        b.atomic(AtomicOp::Exchange, Ty::I64, p, x);
+    });
+    assert_eq!(nzomp_ir::verify_module(&m), Ok(()));
+}
+
+#[test]
+fn an_operand_outside_its_operators_domain_is_named() {
+    let m = one(vec![Ty::I64], |b| {
+        b.fadd(Operand::Param(0), Operand::f64(1.0));
+    });
+    assert_eq!(
+        refused(&m),
+        "verify error in @k: %0 (FAdd) in bb0: reads integer bits where float bits are required"
+    );
+    let m = one(vec![Ty::Ptr], |b| {
+        b.atomic(AtomicOp::Add, Ty::F64, Operand::Param(0), Operand::i64(1));
+    });
+    assert!(refused(&m).contains("%0 (atomic) in bb0: reads integer bits"));
+}
+
+/// A phi holds its declared type's domain, and an incoming outside it is
+/// read at the phi.
+#[test]
+fn a_phi_incoming_outside_the_phis_type_fails() {
+    let m = one(vec![Ty::I64], |b| {
+        let (t, f, join) = (b.new_block(), b.new_block(), b.new_block());
+        b.cond_br(Operand::Param(0), t, f);
+        for bb in [t, f] {
+            b.switch_to(bb);
+            b.br(join);
+        }
+        b.switch_to(join);
+        b.phi(Ty::F64, vec![(t, Operand::f64(1.0)), (f, Operand::i64(1))]);
+    });
+    assert!(refused(&m).contains("%0 (phi) in bb3: reads integer bits where float bits are required"));
+}
+
+/// The other joins: a returned operand must hold its function's return
+/// type (and a void function returns nothing), a call's result its
+/// declared type whatever its callee returns, and a value that nothing
+/// flows into (a phi of only itself) holds its declared type's domain
+/// rather than fitting every reader.
+#[test]
+fn joins_hold_their_declared_domain() {
+    let mut m = Module::new("m");
+    let mut g = FuncBuilder::new("g", vec![Ty::I64], Some(Ty::F64));
+    g.ret(Some(Operand::Param(0)));
+    m.add_function(g.finish());
+    assert!(refused(&m).contains("@g: terminator of bb0: reads integer bits where float bits are required"));
+
+    // Unverified, a function may return a value it does not declare, and a
+    // direct call may disagree with its callee's return type.
+    let mut m = Module::new("m");
+    let mut g = FuncBuilder::new("g", vec![], None);
+    g.ret(Some(Operand::i64(1)));
+    m.add_function(g.finish());
+    let err = nzomp_ir::verify_domains(&m).unwrap_err().to_string();
+    assert!(err.contains("@g: ret with value in void function"), "{err}");
+
+    let mut m = Module::new("m");
+    let mut g = FuncBuilder::new("g", vec![], Some(Ty::I64));
+    g.ret(Some(Operand::i64(1)));
+    let g = Operand::Func(m.add_function(g.finish()));
+    let mut k = FuncBuilder::new("k", vec![], None);
+    k.call(g, vec![], Some(Ty::F64));
+    k.ret(None);
+    m.add_function(k.finish());
+    let err = nzomp_ir::verify_domains(&m).unwrap_err().to_string();
+    assert!(err.contains("@k: %0 (call) in bb0: reads integer bits where float bits are required"), "{err}");
+
+    // bb1 is unreachable and its own only predecessor.
+    let m = one(vec![], |b| {
+        let (entry, head) = (b.current_block(), b.new_block());
+        b.switch_to(head);
+        let v = b.phi(Ty::F64, vec![]);
+        b.phi_add_incoming(v, head, v);
+        b.bin(BinOp::Add, Ty::I64, v, Operand::i64(1));
+        b.br(head);
+        b.switch_to(entry);
+    });
+    let err = refused(&m);
+    assert!(err.contains("%1 (Add) in bb1: reads float bits where integer bits are required"), "{err}");
+}
+
+/// Calls: a result has its callee's return domain, a direct call's
+/// arguments are held to its callee's parameters, and an indirect call's
+/// to every defined function of its arity.
+#[test]
+fn calls_carry_classes_across_functions() {
+    let mut m = Module::new("m");
+    let mut g = FuncBuilder::new("half", vec![Ty::F64], Some(Ty::F64));
+    let h = g.fmul(Operand::Param(0), Operand::f64(0.5));
+    g.ret(Some(h));
+    let half = Operand::Func(m.add_function(g.finish()));
+    let mut k = FuncBuilder::new("k", vec![Ty::Ptr], None);
+    let r = k.call(half, vec![Operand::f64(3.0)], Some(Ty::F64)).unwrap();
+    k.fadd(r, r);
+    k.ret(None);
+    m.add_function(k.finish());
+    assert!(nzomp_ir::verify_module(&m).is_ok());
+
+    let mut bad = m.clone();
+    bad.funcs[1].map_operands(|op| if op == Operand::f64(3.0) { Operand::i64(3) } else { op });
+    assert!(refused(&bad).contains("@k: %0 (call) in bb0: reads integer bits"));
+
+    // `@k` itself has arity 1 with a pointer parameter, so an indirect
+    // call with a double argument fails.
+    let mut ind = m.clone();
+    let mut k2 = FuncBuilder::new("k2", vec![Ty::Ptr], None);
+    k2.call(Operand::Param(0), vec![Operand::f64(1.0)], Some(Ty::F64));
+    k2.ret(None);
+    ind.add_function(k2.finish());
+    assert!(refused(&ind).contains("@k2: %0 (call) in bb0: reads float bits"));
 }
 
 // ---------------------------------------------------------------------------

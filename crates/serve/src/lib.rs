@@ -444,8 +444,7 @@ impl Serve {
             s.active = s.active.saturating_sub(1);
             match &done.outcome {
                 Outcome::Completed { finished, .. } => {
-                    s.completed += 1;
-                    s.latencies.push(finished.saturating_sub(done.submitted_at));
+                    s.record_completion(finished.saturating_sub(done.submitted_at));
                     self.metrics.completed += 1;
                 }
                 Outcome::Faulted { .. } => {
@@ -738,14 +737,13 @@ impl Serve {
         self.host.stats()
     }
 
-    /// Per-tenant report rows (sorted-latency percentiles, peak quota
-    /// footprint) — part of the replay snapshot.
+    /// Per-tenant report rows (latency percentiles, peak quota footprint)
+    /// — part of the replay snapshot.
     pub fn tenant_rows(&self) -> Vec<ServeRow> {
         self.sessions
             .iter()
             .map(|s| {
-                let mut lat = s.latencies.clone();
-                lat.sort_unstable();
+                let lat = &s.latencies;
                 ServeRow {
                     tenant: s.name.clone(),
                     submitted: s.submitted,
@@ -754,8 +752,8 @@ impl Serve {
                     rejected_quota: s.rejected_quota,
                     rejected_backlog: s.rejected_backlog,
                     rejected_saturated: s.rejected_saturated,
-                    p50_cycles: percentile(&lat, 50.0).unwrap_or(0),
-                    p99_cycles: percentile(&lat, 99.0).unwrap_or(0),
+                    p50_cycles: percentile(lat, 50.0).unwrap_or(0),
+                    p99_cycles: percentile(lat, 99.0).unwrap_or(0),
                     peak_bytes: s.peak_bytes,
                 }
             })

@@ -2,6 +2,8 @@
 //! [`nzomp_host::RecoveryMetrics`]: plain data, `Eq`-comparable, so the
 //! trace-replay determinism gate can assert bit-identity over them.
 
+use std::collections::BTreeMap;
+
 /// Everything the serving layer counts across a run. All plain `u64`s;
 /// equality over the whole struct is part of the replay contract.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -63,32 +65,65 @@ impl ServeRow {
     }
 }
 
-/// Nearest-rank percentile of a **sorted ascending** latency series.
-/// `None` when the series is empty or `p` is outside `(0, 100]` — no NaN,
-/// no panic.
-pub(crate) fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
-    if sorted.is_empty() || !(p > 0.0 && p <= 100.0) {
+/// Nearest-rank percentile of a latency series held as a count per
+/// distinct latency: the smallest latency whose cumulative count reaches
+/// rank `ceil(p / 100 · total)`. `None` when the series is empty or `p` is
+/// outside `(0, 100]` — no NaN, no panic.
+pub(crate) fn percentile(counts: &BTreeMap<u64, u64>, p: f64) -> Option<u64> {
+    let total: u64 = counts.values().sum();
+    if total == 0 || !(p > 0.0 && p <= 100.0) {
         return None;
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted.get(rank.max(1) - 1).copied()
+    let rank = (((p / 100.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0;
+    counts.iter().find_map(|(&latency, &n)| {
+        seen += n;
+        (seen >= rank).then_some(latency)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Session, TenantConfig};
+
+    fn counts(series: &[u64]) -> BTreeMap<u64, u64> {
+        let mut c = BTreeMap::new();
+        for &l in series {
+            *c.entry(l).or_insert(0) += 1;
+        }
+        c
+    }
 
     #[test]
     fn percentile_is_nearest_rank_and_total_on_empty_or_bad_p() {
-        let s = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
+        let s = counts(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
         assert_eq!(percentile(&s, 50.0), Some(50));
         assert_eq!(percentile(&s, 99.0), Some(100));
         assert_eq!(percentile(&s, 100.0), Some(100));
         assert_eq!(percentile(&s, 1.0), Some(10));
-        assert_eq!(percentile(&[42], 50.0), Some(42));
-        assert_eq!(percentile(&[], 50.0), None);
+        assert_eq!(percentile(&counts(&[42]), 50.0), Some(42));
+        assert_eq!(percentile(&counts(&[]), 50.0), None);
         assert_eq!(percentile(&s, 0.0), None);
         assert_eq!(percentile(&s, 101.0), None);
         assert_eq!(percentile(&s, f64::NAN), None);
+    }
+
+    /// A tenant's record grows with the distinct latencies, not with the
+    /// completions, and answers what sorting every latency would.
+    #[test]
+    fn a_latency_record_is_one_entry_per_distinct_latency() {
+        let mut s = Session::new("t".into(), TenantConfig::default());
+        let series: Vec<u64> = (0..10_000u64).map(|i| 1_000 + 10 * (i % 13).min(6)).collect();
+        for &l in &series {
+            s.record_completion(l);
+        }
+        assert_eq!((s.completed, s.latencies.len()), (10_000, 7));
+        let mut sorted = series;
+        sorted.sort_unstable();
+        for p in [50.0, 99.0] {
+            let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+            assert_eq!(percentile(&s.latencies, p), Some(sorted[rank - 1]), "p{p}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! byte-granular quota ledger, and the tenant's slice of every service
 //! counter.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use nzomp_host::BufId;
 
@@ -78,9 +78,9 @@ pub(crate) struct Session {
     pub rejected_saturated: u64,
     pub rejected_backlog: u64,
     pub rejected_quota: u64,
-    /// Modeled submit→finish latency of every completed request, in
-    /// admission order (sorted only at report time).
-    pub latencies: Vec<u64>,
+    /// How many completed requests took each modeled submit→finish
+    /// latency: one entry per distinct latency, however many complete.
+    pub latencies: BTreeMap<u64, u64>,
 }
 
 impl Session {
@@ -99,8 +99,14 @@ impl Session {
             rejected_saturated: 0,
             rejected_backlog: 0,
             rejected_quota: 0,
-            latencies: Vec::new(),
+            latencies: BTreeMap::new(),
         }
+    }
+
+    /// Count a completed request that took `cycles` modeled cycles.
+    pub fn record_completion(&mut self, cycles: u64) {
+        self.completed += 1;
+        *self.latencies.entry(cycles).or_insert(0) += 1;
     }
 
     /// Queued + dispatched — what the per-tenant backlog check limits.

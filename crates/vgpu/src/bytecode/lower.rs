@@ -14,14 +14,13 @@
 //! trap op: a direct call of a declaration, `assert.fail`, `unreachable`,
 //! and the body of a declaration launched as a kernel.
 //!
-//! Lowering also refuses a module the value-class rule
-//! (`nzomp_ir::analysis::class`) cannot prove: the register file holds bits
+//! Lowering also refuses a module that fails the verifier's value-domain
+//! rule ([`nzomp_ir::verify_domains`]): the register file holds bits
 //! without a tag, which is only the tagged interpreter's behaviour when
 //! every operand is read in the domain it was produced in.
 
 use std::collections::HashMap;
 
-use nzomp_ir::analysis::class::value_classes;
 use nzomp_ir::inst::{Inst, InstId, Intrinsic, Term};
 use nzomp_ir::{BlockId, Function, Module, Operand};
 
@@ -33,11 +32,10 @@ use super::{BcFunc, BcModule, Edge, FuncMeta, Op, Src};
 
 /// Lower every function of `module`. `layout` resolves global operands to
 /// their device addresses (fixed at device load, like the layout itself).
-/// `None` when the module is malformed (see the module docs) or when the
-/// value-class rule fails it: the module then runs on the tagged
-/// interpreter.
+/// `None` when the module is malformed (see the module docs) or fails the
+/// value-domain rule: the module then runs on the tagged interpreter.
 pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout) -> Option<BcModule> {
-    value_classes(module).ok()?;
+    nzomp_ir::verify_domains(module).ok()?;
     let meta = module
         .funcs
         .iter()

@@ -18,9 +18,10 @@
 //!   release hook reads a call's first two arguments as bits on both
 //!   tiers ([`TeamExec::san_on_call`]), so it needs no tag. That is the
 //!   interpreter's behaviour exactly when every operand is read in the
-//!   domain it was produced in, which lowering proves with the value-class
-//!   rule (`nzomp_ir::analysis::class`); a module it cannot prove is not
-//!   lowered and runs on the tagged interpreter (`Device::launch`).
+//!   domain it was produced in, which is what the verifier's value-domain
+//!   rule ([`nzomp_ir::verify_domains`]) checks; lowering runs it too, and
+//!   a module that fails is not lowered and runs on the tagged interpreter
+//!   (`Device::launch`).
 //! * **Pre-translated operands** ([`Src`]) — instruction results become
 //!   slot reads, params become argument reads, constants (including
 //!   resolved global addresses and function pointers) are immediate
@@ -674,7 +675,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     issue!();
                     let pv = DevPtr(readv!(p));
                     // The operand as the tagged engine would combine it:
-                    // the class rule puts it in the domain of `ty` unless
+                    // the domain rule puts it in the domain of `ty` unless
                     // the op is an exchange, which stores its bits as
                     // they are.
                     let vv = rtval_from_bits(readv!(v) as i64, *ty);

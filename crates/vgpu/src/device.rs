@@ -102,7 +102,7 @@ pub struct Image {
     san: OnceLock<Arc<ModuleSan>>,
     /// The bytecode image, lowered at the first bytecode-tier launch;
     /// `None` when the module is malformed (a shape the verifier rejects)
-    /// or the value-class rule cannot prove it: it then runs on the
+    /// or fails the verifier's value-domain rule: it then runs on the
     /// interpreter.
     bc: OnceLock<Option<BcModule>>,
     /// Per function index, what launching it as a kernel needs, worked
@@ -114,8 +114,8 @@ pub struct Image {
     by_name: OnceLock<Box<[u32]>>,
 }
 
-/// A function as a kernel: its name, shared by every launch's
-/// [`KernelMetrics`], and its register demand.
+/// A function as a kernel: its name, shared with the launch ops a host
+/// queues for it, and its register demand.
 struct Kernel {
     name: Arc<str>,
     regs: u32,
@@ -218,19 +218,19 @@ impl Image {
         order.get(at).filter(|&&i| name_of(i) == name).map(|&i| FuncRef(i))
     }
 
-    /// The shared name of kernel `name` — what [`KernelMetrics::kernel_name`]
-    /// of its launches will hold — or `None` if the module has no such
-    /// function.
+    /// The shared name of kernel `name` — what a host's launch op holds, so
+    /// that queueing a launch copies no bytes — or `None` if the module has
+    /// no such function.
     pub fn kernel_name(&self, name: &str) -> Option<Arc<str>> {
         let f = self.resolve(name)?;
         Some(Arc::clone(&self.kernel(f).name))
     }
 
     /// Whether launches of this image can run untagged on the bytecode
-    /// tier: its module is well-formed and the value-class rule proved it
-    /// (lowering it now if no launch has yet). A `false` image runs every
-    /// launch on the interpreter, with identical results and about a third
-    /// the speed.
+    /// tier: its module is well-formed and passes the value-domain rule
+    /// (lowering it now if no launch has yet), as every verified module
+    /// does. A `false` image runs every launch on the interpreter, with
+    /// identical results and about a third the speed.
     pub fn runs_untagged(&self) -> bool {
         self.bytecode().is_some()
     }
@@ -666,8 +666,7 @@ impl Device {
                 return Err(refuse(TrapKind::BadLaunch(msg)));
             }
         };
-        let Kernel { name, regs } = self.image.kernel(func_ref);
-        let regs = *regs;
+        let regs = self.image.kernel(func_ref).regs;
 
         // Occupancy is computed up front: the wave chunking drives *both*
         // the parallel team engine (which wave a team runs in) and the
@@ -690,8 +689,8 @@ impl Device {
         let mut lsan = (self.run.sanitize != Sanitize::Off).then(LaunchSan::default);
         let ctx = LaunchCtx {
             image: &self.image,
-            // The untagged tier runs only what the class rule proved, so
-            // the launch arguments must carry the classes it assumed.
+            // The untagged tier runs only what the domain rule passed, so
+            // the launch arguments must carry the domains it assumed.
             bc: match self.run.tier {
                 ExecTier::Bytecode if args_fit(&func.params, args) => self.image.bytecode(),
                 ExecTier::Bytecode | ExecTier::Interp => None,
@@ -732,7 +731,6 @@ impl Device {
         let time_ms = cycles_total as f64 / (cost::CLOCK_GHZ * 1e6);
 
         Ok(KernelMetrics {
-            kernel_name: Arc::clone(name),
             teams: launch.teams,
             threads_per_team: launch.threads_per_team,
             regs_per_thread: regs,
@@ -757,7 +755,7 @@ impl Device {
     }
 }
 
-/// Whether every launch argument holds the class the value-class rule
+/// Whether every launch argument holds the domain the value-domain rule
 /// assumes of its parameter: float exactly when the parameter is `f64`.
 fn args_fit(params: &[Ty], args: &[RtVal]) -> bool {
     params.iter().zip(args).all(|(ty, a)| ty.is_float() == matches!(a, RtVal::F(_)))

@@ -1,18 +1,13 @@
 //! Kernel execution metrics — the columns of the paper's Fig. 11 plus
 //! counters used by tests and the ablation analysis.
 
-use std::sync::Arc;
-
 /// Metrics of one kernel launch.
 ///
 /// `PartialEq` is part of the parallel-execution contract: the
 /// determinism tests assert metrics from an N-worker launch compare equal
 /// to the sequential baseline, field for field.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct KernelMetrics {
-    /// The kernel's name, shared with the loaded image (a clone copies no
-    /// bytes).
-    pub kernel_name: Arc<str>,
     pub teams: u32,
     pub threads_per_team: u32,
 

@@ -11,8 +11,8 @@
 //! coerces to the domain (`as_i` / `as_f`). The bytecode tier (`bytecode/`)
 //! runs the untagged one (`bits_*`), where a register is raw bits and the
 //! operator's static class says how to read them — sound only on images
-//! that pass `nzomp_ir::analysis::class`, which is the only kind the
-//! device lowers.
+//! that pass the verifier's value-domain rule ([`nzomp_ir::verify_domains`]),
+//! the only kind the device lowers.
 
 use nzomp_ir::inst::{AtomicOp, BinOp, CastKind, Pred, UnOp};
 use nzomp_ir::Ty;

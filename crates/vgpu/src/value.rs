@@ -6,7 +6,7 @@ use crate::memory::DevPtr;
 /// interpreter — the tagged oracle — computes with, converting at a use
 /// whose domain differs from the tag. The bytecode tier keeps only the
 /// bits (`to_bits`) and converts at no use; it runs only modules whose
-/// uses the value-class rule proves never differ. A tag decides nothing
+/// uses the verifier's value-domain rule shows never differ. A tag decides nothing
 /// else: `I` and `P` are the same bits to every reader, the sanitizer's
 /// release hook included. Integers of all widths
 /// are carried as `i64` (the IR performs arithmetic in 64-bit two's

@@ -26,7 +26,7 @@
 
 use nzomp::pipeline::compile;
 use nzomp::BuildConfig;
-use nzomp_ir::analysis::class::value_classes;
+use nzomp_ir::verify::verify_domains;
 use nzomp_ir::parser::parse_module_strict;
 use nzomp_ir::module::FuncRef;
 use nzomp_ir::{
@@ -336,7 +336,7 @@ fn corpus_mutants_alike(verified: bool, cap: impl Fn(&str) -> usize) -> usize {
 #[test]
 fn nothing_we_ship_falls_back_to_the_interpreter() {
     let untagged = |what: &str, m: Module| {
-        if let Err(e) = value_classes(&m) {
+        if let Err(e) = verify_domains(&m) {
             panic!("{what}: {e}");
         }
         assert!(Image::new(m).runs_untagged(), "{what}: a release call's argument tags are open");
@@ -402,7 +402,7 @@ fn out_f64(o: &ProxyOutcome) -> Vec<f64> {
 #[test]
 fn unprovable_modules_fall_back_to_the_interpreter_exactly() {
     let ill_classed = |what: &str, m: &Module, extra: &[RtVal]| {
-        assert!(value_classes(m).is_err(), "{what}: the class rule proved it");
+        assert!(verify_domains(m).is_err(), "{what}: the class rule proved it");
         assert!(!Image::new(m.clone()).runs_untagged(), "{what}");
         alike_across_tiers(what, m, extra)
     };
@@ -580,7 +580,7 @@ fn malformed_modules_run_on_the_interpreter() {
         ),
     ];
     for (what, m, trap) in cases {
-        assert!(value_classes(&m).is_ok(), "{what}: the class rule refuses it");
+        assert!(verify_domains(&m).is_ok(), "{what}: the class rule refuses it");
         assert!(!Image::new(m.clone()).runs_untagged(), "{what}: lowered");
         let err = alike_across_tiers(what, &m, &[]).result.unwrap_err();
         assert!(err.kind.to_string().contains(trap), "{what}: {err}");
@@ -594,7 +594,7 @@ fn malformed_modules_run_on_the_interpreter() {
         m.add_function(h.finish());
         b.si_to_fp(g)
     });
-    assert!(value_classes(&m).is_ok());
+    assert!(verify_domains(&m).is_ok());
     assert!(!Image::new(m.clone()).runs_untagged());
     let o = alike_across_tiers("a malformed function never called", &m, &[]);
     assert_eq!(out_f64(&o), (0..16).map(f64::from).collect::<Vec<_>>());

@@ -323,7 +323,7 @@ pub fn assert_same(what: &str, base: &ProxyOutcome, got: &ProxyOutcome) {
 /// verdict counts only if `verdict`.
 fn first_difference(base: &ProxyOutcome, got: &ProxyOutcome, verdict: bool) -> Option<String> {
     let result = |o: &ProxyOutcome| match &o.result {
-        Ok(m) if !verdict => Ok(KernelMetrics { sanitizer_races: 0, sanitizer_divergences: 0, ..m.clone() }),
+        Ok(m) if !verdict => Ok(KernelMetrics { sanitizer_races: 0, sanitizer_divergences: 0, ..*m }),
         r => r.clone(),
     };
     let (a, b) = (result(base), result(got));

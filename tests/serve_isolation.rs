@@ -360,7 +360,7 @@ fn hostile_requests(scale: &Rc<Module>, inp: &Rc<Vec<u8>>) -> Vec<(Want, Request
     }
     // Refused before it is compiled, naming the function and instruction,
     // rather than run on the interpreter of the device both tenants share.
-    let refused = "after input: verify error in @w.omp_outlined.body.0: %5 (FAdd) in bb0: \
+    let refused = "after link: verify error in @w.omp_outlined.body.0: %5 (FAdd) in bb0: \
                    reads integer bits where float bits are required";
     reqs.push((Want::Faulted(refused), ill_classed_req()));
     let shaped = |launch| RequestSpec { launch, ..scale_req(scale, inp.clone()) };

@@ -351,6 +351,43 @@ fn calls_carry_classes_across_functions() {
     assert!(refused(&ind).contains("@k2: %0 (call) in bb0: reads float bits"));
 }
 
+/// An indirect call is held to every defined function of its arity, in
+/// module order, whatever sits between them: functions of other arities
+/// and declarations of the same arity are not its callees, and of two
+/// callees that fail it, the first in the module is the one named.
+#[test]
+fn an_indirect_call_is_held_to_every_defined_function_of_its_arity() {
+    let define = |m: &mut Module, name: &str, params: Vec<Ty>, ret: Ty| {
+        let mut g = FuncBuilder::new(name, params, Some(ret));
+        g.ret(Some(if ret == Ty::F64 { Operand::f64(0.0) } else { Operand::i64(0) }));
+        m.add_function(g.finish());
+    };
+    let mut m = Module::new("m");
+    define(&mut m, "a", vec![Ty::F64], Ty::F64);
+    define(&mut m, "b", vec![Ty::I64, Ty::I64], Ty::F64);
+    m.add_function(Function::declaration("d", vec![Ty::Ptr], Some(Ty::F64)));
+    let mut k = FuncBuilder::new("k", vec![Ty::Ptr, Ty::I64], None);
+    k.call(Operand::Param(0), vec![Operand::f64(1.0)], Some(Ty::F64));
+    k.call(Operand::Param(0), vec![Operand::i64(1), Operand::Param(1)], Some(Ty::F64));
+    k.ret(None);
+    m.add_function(k.finish());
+    define(&mut m, "c", vec![Ty::F64], Ty::F64);
+    assert!(nzomp_ir::verify_module(&m).is_ok());
+
+    // `@e` reads its argument as integer bits; `@g` returns integer bits.
+    let mut e_first = m.clone();
+    define(&mut e_first, "e", vec![Ty::Ptr], Ty::F64);
+    define(&mut e_first, "g", vec![Ty::F64], Ty::I64);
+    let err = refused(&e_first);
+    assert!(err.contains("@k: %0 (call) in bb0: reads float bits where integer bits are required"), "{err}");
+
+    let mut g_first = m.clone();
+    define(&mut g_first, "g", vec![Ty::F64], Ty::I64);
+    define(&mut g_first, "e", vec![Ty::Ptr], Ty::F64);
+    let err = refused(&g_first);
+    assert!(err.contains("@k: %0 (call) in bb0: reads integer bits where float bits are required"), "{err}");
+}
+
 // ---------------------------------------------------------------------------
 // printer
 // ---------------------------------------------------------------------------

@@ -25,29 +25,26 @@ use nzomp_ir::inst::{Inst, InstId, Intrinsic, Term};
 use nzomp_ir::{BlockId, Function, Module, Operand};
 
 use crate::error::TrapKind;
-use crate::exec::{is_runtime_fn, malformed, used_results, GlobalLayout};
+use crate::exec::{is_runtime_fn, malformed, GlobalLayout};
 use crate::memory::DevPtr;
 
-use super::{BcFunc, BcModule, Edge, FuncMeta, Op, Src};
+use super::{BcFunc, BcModule, Edge, Op, Src};
 
 /// Lower every function of `module`. `layout` resolves global operands to
-/// their device addresses (fixed at device load, like the layout itself).
-/// `None` when the module is malformed (see the module docs) or fails the
-/// value-domain rule: the module then runs on the tagged interpreter.
-pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout) -> Option<BcModule> {
+/// their device addresses (fixed at device load, like the layout itself);
+/// `live` is the image's live-result table (`Image::live_results`), which
+/// each atomic op carries its entry of. `None` when the module is malformed
+/// (see the module docs) or fails the value-domain rule: the module then
+/// runs on the tagged interpreter.
+pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout, live: &[Box<[bool]>]) -> Option<BcModule> {
     nzomp_ir::verify_domains(module).ok()?;
-    let meta = module
+    let funcs = module
         .funcs
         .iter()
-        .map(|f| FuncMeta {
-            name: f.name.clone(),
-            params: f.params.len() as u32,
-            is_decl: f.is_declaration(),
-            runtime: is_runtime_fn(&f.name),
-        })
-        .collect();
-    let funcs = module.funcs.iter().map(|f| lower_func(module, layout, f)).collect::<Option<_>>()?;
-    Some(BcModule { funcs, meta })
+        .zip(live)
+        .map(|(f, live)| lower_func(module, layout, f, live))
+        .collect::<Option<_>>()?;
+    Some(BcModule { funcs })
 }
 
 struct FnLowerer<'m> {
@@ -56,7 +53,8 @@ struct FnLowerer<'m> {
     func: &'m Function,
     /// Value slot per arena instruction (0 = dead-result scratch).
     slot_of: Vec<u32>,
-    used: Vec<bool>,
+    /// The function's entry of the live-result table.
+    live: &'m [bool],
     ops: Vec<Op>,
     locs: Vec<(u32, u32)>,
     traps: Vec<TrapKind>,
@@ -85,7 +83,12 @@ fn trap_only(t: TrapKind) -> BcFunc {
     }
 }
 
-fn lower_func<'m>(module: &'m Module, layout: &'m GlobalLayout, func: &'m Function) -> Option<BcFunc> {
+fn lower_func<'m>(
+    module: &'m Module,
+    layout: &'m GlobalLayout,
+    func: &'m Function,
+    live: &'m [bool],
+) -> Option<BcFunc> {
     if func.blocks.is_empty() {
         // Declaration (or stripped body): executing it meets the
         // interpreter's missing-entry-block trap on the first step.
@@ -100,16 +103,12 @@ fn lower_func<'m>(module: &'m Module, layout: &'m GlobalLayout, func: &'m Functi
             n_slots += 1;
         }
     }
-    // An atomic's merge validation keys on the arena-wide map, as the
-    // interpreter's does, so validation counts match across tiers.
-    let used = used_results(func);
-
     let mut lw = FnLowerer {
         module,
         layout,
         func,
         slot_of,
-        used,
+        live,
         ops: Vec::new(),
         locs: Vec::new(),
         traps: Vec::new(),
@@ -421,7 +420,7 @@ impl<'m> FnLowerer<'m> {
             Inst::Atomic { op, ty, ptr, value } => {
                 let p = self.src(*ptr)?;
                 let v = self.src(*value)?;
-                let used = self.used.get(iid.index()).copied().unwrap_or(true);
+                let used = self.live.get(iid.index()).copied().unwrap_or(true);
                 self.emit(
                     Op::Atomic {
                         op: *op,
@@ -546,6 +545,7 @@ mod tests {
     use nzomp_ir::{FuncBuilder, Ty};
 
     use super::*;
+    use crate::Image;
 
     /// `out[0] = tid + 1`: three listed instructions.
     fn store_tid_plus_one() -> Function {
@@ -560,7 +560,8 @@ mod tests {
     fn lowered(f: Function) -> BcFunc {
         let mut m = Module::new("slots");
         m.add_function(f);
-        lower_module(&m, &GlobalLayout::default()).unwrap().funcs.remove(0)
+        let image = Image::new(m);
+        lower_module(&image.module, &GlobalLayout::default(), image.live_results()).unwrap().funcs.remove(0)
     }
 
     /// Arena entries no block lists — here a chain of adds, each reading

@@ -14,9 +14,10 @@
 //!   same `nzomp_ir` rules the interpreter's tagged adapters use), loads
 //!   and stores move the bits as they are, and `RtVal` appears only at
 //!   the edges: launch arguments (converted once per thread in
-//!   `kernel_frame`) and atomics handed to [`GlobalMem`]. The sanitizer's
-//!   release hook reads a call's first two arguments as bits on both
-//!   tiers ([`TeamExec::san_on_call`]), so it needs no tag. That is the
+//!   `kernel_frame`) and the operand and result of an atomic, which
+//!   [`TeamExec::atomic`] performs for both tiers. The sanitizer's release
+//!   hook reads a call's first two arguments as bits on both tiers
+//!   ([`TeamExec::san_on_call`]), so it needs no tag. That is the
 //!   interpreter's behaviour exactly when every operand is read in the
 //!   domain it was produced in, which is what the verifier's value-domain
 //!   rule ([`nzomp_ir::verify_domains`]) checks; lowering runs it too, and
@@ -38,7 +39,11 @@
 //! uses the same [`cost`](crate::cost) table in the same
 //! order, and the traps verified IR can reach (a direct call of a
 //! declaration, `assert.fail`, `unreachable`, an indirect call's checks)
-//! carry the interpreter's exact kinds and messages. Malformed IR is not
+//! carry the interpreter's exact kinds and messages. What an op does to
+//! the machine — memory, atomics, barrier arrival, the device heap, a
+//! call's checks — is not this loop's code: it calls the same
+//! [`TeamExec`] methods the interpreter does, and only decodes operands,
+//! charges cycles and writes results. Malformed IR is not
 //! lowered at all: it runs on the interpreter, which raises its own
 //! `MalformedIr` traps. See `docs/exec-tiers.md` for the full contract.
 
@@ -52,9 +57,9 @@ use nzomp_ir::{OpClass, Ty};
 use crate::cost;
 use crate::error::TrapKind;
 use crate::exec::{malformed, ExecBackend, Status, TeamExec, ThreadCtx};
-use crate::gmem::{rtval_from_bits, GlobalMem};
-use crate::memory::{DevPtr, Segment};
-use crate::ops::{bits_bin, bits_cast, bits_cmp, bits_un, combine_atomic};
+use crate::gmem::rtval_from_bits;
+use crate::memory::DevPtr;
+use crate::ops::{bits_bin, bits_cast, bits_cmp, bits_un};
 use crate::sanitize::{AccessKind, IrLoc};
 use crate::value::RtVal;
 
@@ -119,9 +124,9 @@ pub(crate) enum Op {
         p: Src,
         v: Src,
         dst: u32,
-        /// Whether the result register is live (pre-computed from the
-        /// used-results map; buffered global atomics validate their
-        /// observed value at the wave merge exactly when it is).
+        /// Whether the result register is live (the image's live-result
+        /// table, `Image::live_results`; buffered global atomics validate
+        /// their observed value at the wave merge exactly when it is).
         used: bool,
     },
     Cas { ty: Ty, p: Src, e: Src, n: Src, dst: u32 },
@@ -163,23 +168,11 @@ pub(crate) struct BcFunc {
     pub regs0: Vec<u64>,
 }
 
-/// Per-function call metadata for indirect-call checks at dispatch.
-#[derive(Clone, Debug)]
-pub(crate) struct FuncMeta {
-    pub name: String,
-    pub params: u32,
-    pub is_decl: bool,
-    /// OpenMP runtime entry point (`__kmpc*` / `omp_*`) — counted as a
-    /// runtime call.
-    pub runtime: bool,
-}
-
 /// A whole module lowered to bytecode. Pure function of the IR module and
 /// the device's global layout, so the device caches it across launches.
 #[derive(Clone, Debug)]
 pub(crate) struct BcModule {
     pub funcs: Vec<BcFunc>,
-    pub meta: Vec<FuncMeta>,
 }
 
 /// One bytecode call frame.
@@ -635,30 +628,9 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     ret_dst,
                 } => {
                     issue!();
-                    let cp = DevPtr(readv!(callee));
-                    if cp.segment() != Segment::Func {
-                        fail!(TrapKind::BadIndirectCall);
-                    }
-                    let target = cp.offset() as u32;
-                    let Some(m) = bc.meta.get(target as usize) else {
-                        fail!(TrapKind::BadIndirectCall);
-                    };
-                    if m.is_decl {
-                        fail!(TrapKind::UnresolvedCall(m.name.clone()));
-                    }
-                    if m.params as usize != args.len() {
-                        fail!(TrapKind::BadLaunch(format!(
-                            "call of @{} with {} args (expects {})",
-                            m.name,
-                            args.len(),
-                            m.params
-                        )));
-                    }
+                    let target = try_v!(exec.call_target(DevPtr(readv!(callee)), args.len()));
                     charge!(cost::CALL);
                     charge!(cost::INDIRECT_CALL);
-                    if m.runtime {
-                        exec.counters.runtime_calls += 1;
-                    }
                     let Some(callee_fn) = bc.funcs.get(target as usize) else {
                         fail!(TrapKind::BadIndirectCall);
                     };
@@ -680,21 +652,8 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     // they are.
                     let vv = rtval_from_bits(readv!(v) as i64, *ty);
                     charge_mem!(cost::ATOMIC);
-                    if pv.segment() == Segment::Global {
-                        exec.counters.global_accesses += 2;
-                        let result_used = match &exec.global {
-                            GlobalMem::Direct { .. } => true,
-                            GlobalMem::Buffered(_) => *used,
-                        };
-                        let old =
-                            try_v!(exec.global.atomic(*op, *ty, pv.offset(), vv, result_used));
-                        setv(&mut regs, *dst, old.to_bits() as u64);
-                    } else {
-                        let old = try_v!(exec.mem_read(thread, pv, ty.size()));
-                        let new = combine_atomic(*op, *ty, rtval_from_bits(old, *ty), vv);
-                        try_v!(exec.mem_write(thread, pv, ty.size(), new.to_bits()));
-                        setv(&mut regs, *dst, old as u64);
-                    }
+                    let old = try_v!(exec.atomic(thread, *op, *ty, pv, vv, *used));
+                    setv(&mut regs, *dst, old.to_bits() as u64);
                     if exec.san_armed() {
                         let loc = loc_of(cur, frame.func, cur_pc!() as usize - 1);
                         exec.san_record(thread.tid, loc, AccessKind::Atomic, pv, ty.size());
@@ -706,20 +665,8 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     let ev = readv!(e) as i64;
                     let nv = readv!(n) as i64;
                     charge_mem!(cost::ATOMIC);
-                    if pv.segment() == Segment::Global {
-                        exec.counters.global_accesses += 1;
-                        let (old, stored) = try_v!(exec.global.cas(*ty, pv.offset(), ev, nv));
-                        if stored {
-                            exec.counters.global_accesses += 1;
-                        }
-                        setv(&mut regs, *dst, old.to_bits() as u64);
-                    } else {
-                        let old = try_v!(exec.mem_read(thread, pv, ty.size()));
-                        if old == ev {
-                            try_v!(exec.mem_write(thread, pv, ty.size(), nv));
-                        }
-                        setv(&mut regs, *dst, old as u64);
-                    }
+                    let old = try_v!(exec.cas(thread, *ty, pv, ev, nv));
+                    setv(&mut regs, *dst, old.to_bits() as u64);
                     if exec.san_armed() {
                         let loc = loc_of(cur, frame.func, cur_pc!() as usize - 1);
                         exec.san_record(thread.tid, loc, AccessKind::Atomic, pv, ty.size());
@@ -743,16 +690,9 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 }
                 Op::Barrier { aligned } => {
                     issue!();
-                    if thread.drop_next_barrier {
-                        // Injected fault: sail past the barrier; the team
-                        // scheduler observes the broken promise downstream.
-                        thread.drop_next_barrier = false;
-                    } else {
-                        if exec.san_armed() {
-                            thread.barrier_site = Some(loc_of(cur, frame.func, cur_pc!() as usize - 1));
-                        }
-                        thread.status = Status::AtBarrier { aligned: *aligned };
-                        frame.pc = cur_pc!();
+                    let (func, pc) = (frame.func, cur_pc!());
+                    if exec.arrive(thread, *aligned, move || Some(loc_of(cur, func, pc as usize - 1))) {
+                        frame.pc = pc;
                         frame.regs = regs;
                         sync!();
                         thread.frames.push(frame);
@@ -767,18 +707,14 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 }
                 Op::Malloc { size, dst } => {
                     issue!();
-                    let sz = (readv!(size) as i64).max(0) as u64;
+                    let sz = readv!(size) as i64;
                     charge_mem!(cost::MALLOC);
-                    exec.counters.device_mallocs += 1;
-                    let off = try_v!(exec.heap_alloc(sz));
-                    setv(&mut regs, *dst, DevPtr::global(off as u32).0);
+                    let p = try_v!(exec.malloc(sz));
+                    setv(&mut regs, *dst, p.0);
                 }
                 Op::Free { p } => {
                     issue!();
-                    let pv = DevPtr(readv!(p));
-                    if !pv.is_null() {
-                        try_v!(exec.heap_free(pv));
-                    }
+                    try_v!(exec.free(DevPtr(readv!(p))));
                 }
                 Op::Br { edge } => {
                     follow!(*edge);

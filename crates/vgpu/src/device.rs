@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 use nzomp_ir::analysis::callgraph::CallGraph;
 use nzomp_ir::analysis::liveness;
 use nzomp_ir::module::FuncRef;
-use nzomp_ir::{Module, Space, Ty};
+use nzomp_ir::{Function, Module, Operand, Space, Ty};
 
 use crate::bytecode::{lower_module, BcModule};
 use crate::cost::{self, DeviceConfig};
@@ -82,8 +82,9 @@ pub struct WaveStats {
 }
 
 /// Everything that is a pure function of the loaded module — layout,
-/// initial memory, and the lazily derived sanitizer tables, bytecode and
-/// kernels (shared name, register demand): built once by [`Image::new`],
+/// initial memory, and the lazily derived sanitizer tables, live-result
+/// table, bytecode and kernels (shared name, register demand): built once
+/// by [`Image::new`],
 /// shared (`Arc`) by every device created from it, borrowed by every
 /// launch, never invalidated.
 /// Which device fills a lazy part first cannot matter: each is a pure
@@ -100,6 +101,9 @@ pub struct Image {
     /// What the sanitizer skips and hooks in this module, worked out at
     /// the first sanitized launch.
     san: OnceLock<Arc<ModuleSan>>,
+    /// Per function, which instruction results some operand reads, worked
+    /// out at the first launch: what both tiers tell a buffered atomic.
+    live: OnceLock<Box<[Box<[bool]>]>>,
     /// The bytecode image, lowered at the first bytecode-tier launch;
     /// `None` when the module is malformed (a shape the verifier rejects)
     /// or fails the verifier's value-domain rule: it then runs on the
@@ -169,6 +173,7 @@ impl Image {
             global_init,
             constant,
             san: OnceLock::new(),
+            live: OnceLock::new(),
             bc: OnceLock::new(),
             by_name: OnceLock::new(),
         }
@@ -179,8 +184,19 @@ impl Image {
             .get_or_init(|| Arc::new(ModuleSan::new(&self.module, &self.layout.addr_of)))
     }
 
+    /// Per function index, per arena instruction, whether an operand of
+    /// the function (an instruction's, a phi incoming's or a terminator's)
+    /// reads the result. A buffered global atomic validates the old value
+    /// it observed exactly when its result is live (`gmem.rs`), so both
+    /// tiers read this one table.
+    pub(crate) fn live_results(&self) -> &[Box<[bool]>] {
+        self.live.get_or_init(|| self.module.funcs.iter().map(live_results_of).collect())
+    }
+
     fn bytecode(&self) -> Option<&BcModule> {
-        self.bc.get_or_init(|| lower_module(&self.module, &self.layout)).as_ref()
+        self.bc
+            .get_or_init(|| lower_module(&self.module, &self.layout, self.live_results()))
+            .as_ref()
     }
 
     /// Registers are allocated for the whole call tree on a GPU (no real
@@ -234,6 +250,25 @@ impl Image {
     pub fn runs_untagged(&self) -> bool {
         self.bytecode().is_some()
     }
+}
+
+/// One entry of [`Image::live_results`].
+fn live_results_of(func: &Function) -> Box<[bool]> {
+    let mut live = vec![false; func.insts.len()];
+    let mut mark = |op: Operand| {
+        if let Operand::Inst(i) = op {
+            if let Some(u) = live.get_mut(i.index()) {
+                *u = true;
+            }
+        }
+    };
+    for inst in &func.insts {
+        inst.for_each_operand(&mut mark);
+    }
+    for block in &func.blocks {
+        block.term.for_each_operand(&mut mark);
+    }
+    live.into_boxed_slice()
 }
 
 /// Everything a memcpy or a launch changes on a [`Device`]: global memory

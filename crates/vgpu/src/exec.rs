@@ -3,9 +3,12 @@
 //!
 //! A [`TeamExec`] owns the team-local machine state — shared memory, the
 //! global-memory view, cycle/event counters, the fuel budget, the fault
-//! plan, and the sanitizer — and drives the run-to-synchronization-point
+//! plan, and the sanitizer — performs every effect an op has on it
+//! (memory accesses, atomics, compare-and-swap, barrier arrival, the
+//! device heap, call checks), and drives the run-to-synchronization-point
 //! scheduler, which recycles one thread context from each returned thread
-//! to the next. How one thread actually steps through a kernel is
+//! to the next. How one thread actually steps through a kernel — decoding
+//! operands, charging cycles, writing results, control flow — is
 //! delegated to an [`ExecBackend`]:
 //!
 //! * [`crate::interp::InterpBackend`] — the tree-walking reference
@@ -24,7 +27,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use nzomp_ir::{Function, Module, Operand};
+use nzomp_ir::inst::AtomicOp;
+use nzomp_ir::{Module, Ty};
 
 use crate::bytecode::{BcBackend, BcModule};
 use crate::cost;
@@ -34,6 +38,7 @@ use crate::faults::{FaultAction, FaultPlan, FaultSite};
 use crate::gmem::{rtval_from_bits, GlobalMem};
 use crate::interp::InterpBackend;
 use crate::memory::{DevPtr, Region, Segment};
+use crate::ops::combine_atomic;
 use crate::sanitize::{AccessKind, BarrierArrival, IrLoc, ModuleSan, TeamSan};
 use crate::value::RtVal;
 
@@ -81,8 +86,10 @@ pub(crate) struct LaunchCtx<'a> {
     pub image: &'a Image,
     /// Lowered bytecode when the launch runs on the bytecode tier; `None`
     /// runs it on the interpreter: the interpreter tier was asked for, or
-    /// the image is malformed or unprovable, or a launch argument's tag
-    /// does not fit its parameter. Both tiers produce bit-identical runs.
+    /// the image is malformed or fails the value-domain rule, or a launch
+    /// argument's tag does not fit its parameter. The tier decides only
+    /// how operands are decoded and control flows; every effect is
+    /// [`TeamExec`]'s, so both tiers produce bit-identical runs.
     pub bc: Option<&'a BcModule>,
     pub faults: Option<&'a FaultPlan>,
     pub check_assumes: bool,
@@ -209,26 +216,6 @@ pub(crate) fn next_trigger<F>(thread: &ThreadCtx<F>) -> u64 {
         .map_or(u64::MAX, |s| s.after_steps)
 }
 
-/// Which instruction results of `func` are referenced by at least one
-/// operand (instructions, phi incomings, or block terminators).
-pub(crate) fn used_results(func: &Function) -> Vec<bool> {
-    let mut used = vec![false; func.insts.len()];
-    let mut mark = |op: Operand| {
-        if let Operand::Inst(i) = op {
-            if let Some(u) = used.get_mut(i.index()) {
-                *u = true;
-            }
-        }
-    };
-    for inst in &func.insts {
-        inst.for_each_operand(&mut mark);
-    }
-    for block in &func.blocks {
-        block.term.for_each_operand(&mut mark);
-    }
-    used
-}
-
 /// One execution backend: owns how a single thread steps through a kernel.
 ///
 /// The contract every implementation must honor, bit for bit:
@@ -244,10 +231,14 @@ pub(crate) fn used_results(func: &Function) -> Vec<bool> {
 /// * **Accounting.** Instruction counters, per-op cycle charges from
 ///   the [`cost`] table, and the memory-cycle split match the reference
 ///   interpreter exactly.
-/// * **Sanitizer and effects.** Memory accesses reach
-///   `TeamExec::san_record` with the same [`IrLoc`]s, and global-memory
-///   traffic goes through [`TeamExec::global`] so buffered (parallel)
-///   execution logs the same effects.
+/// * **Effects.** A backend decodes an op's operands, charges its cycles
+///   and writes its result; what the op does to the machine is a
+///   `TeamExec` method both tiers call — `mem_read` / `mem_write`,
+///   `atomic`, `cas`, `arrive` (barriers), `malloc` / `free`,
+///   `call_target` (a call's checks) and `san_on_call` — so buffered
+///   (parallel) execution logs the same effects and traps carry the same
+///   messages. Memory accesses reach `TeamExec::san_record` with the same
+///   [`IrLoc`]s.
 pub trait ExecBackend<'a>: Sized {
     /// Backend-specific call-frame representation.
     type Frame: std::fmt::Debug;
@@ -305,11 +296,11 @@ pub struct TeamExec<'a, B: ExecBackend<'a>> {
     /// every hook then degenerates to one pointer test — the same
     /// zero-cost-when-disabled shape as `faults`).
     pub(crate) san: Option<Box<TeamSan>>,
-    /// Per-function cache of which instruction results are referenced by
-    /// any operand — computed lazily, only consulted by buffered global
-    /// atomics to decide whether their observed old value needs merge
-    /// validation (a dead result cannot steer behavior).
-    result_used: HashMap<u32, Vec<bool>>,
+    /// Per function, per arena instruction, whether the result is read by
+    /// some operand ([`Image::live_results`]): the `live` flag the
+    /// interpreter hands [`TeamExec::atomic`] (lowering bakes it into each
+    /// atomic op).
+    pub(crate) live_results: &'a [Box<[bool]>],
     /// The backend's own state (e.g. the lowered bytecode module).
     pub(crate) backend: B,
 }
@@ -339,7 +330,7 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
             fuel,
             faults: ctx.faults,
             san: ctx.san.map(|m| Box::new(TeamSan::new(team_id, Arc::clone(m)))),
-            result_used: HashMap::new(),
+            live_results: image.live_results(),
             backend,
         }
     }
@@ -381,22 +372,6 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
             let aligned = ((size as i64).max(0) as u64).next_multiple_of(8);
             san.on_region_release(p.segment(), p.offset(), aligned);
         }
-    }
-
-    /// Whether instruction `iid` of function `func_idx` has a live result.
-    /// Lazily computes (and caches) the per-function used-result map;
-    /// unknown functions or out-of-range ids answer `true` (conservative:
-    /// validate).
-    pub(crate) fn result_is_used(&mut self, func_idx: u32, iid: nzomp_ir::inst::InstId) -> bool {
-        let module = self.module;
-        let used = self.result_used.entry(func_idx).or_insert_with(|| {
-            module
-                .funcs
-                .get(func_idx as usize)
-                .map(used_results)
-                .unwrap_or_default()
-        });
-        used.get(iid.index()).copied().unwrap_or(true)
     }
 
     /// Run the launch's kernel and tear down into what the device needs
@@ -642,26 +617,120 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
         Ok(rtval_from_bits(bits, ty))
     }
 
-    /// Device-heap bump allocation — the `Malloc` intrinsic's shared core.
-    /// Heap offsets depend on every prior allocation, so malloc cannot be
-    /// buffered: a buffered team signals [`TrapKind::ParallelBailout`] and
-    /// the engine re-runs it in direct mode.
-    pub(crate) fn heap_alloc(&mut self, size: u64) -> Result<u64, TrapKind> {
+    // ---- effects ---------------------------------------------------------
+    //
+    // A backend decodes an op's operands, charges its cycles and writes its
+    // result; what the op does to the machine is one of the helpers below,
+    // the same code on both tiers. Each stays out of line but `arrive`:
+    // inlined, a helper plants a second copy of its switches in the
+    // bytecode dispatch loop (the codegen cliff of docs/exec-tiers.md).
+
+    /// Atomic read-modify-write of the `ty` at `p` with operand `v`;
+    /// returns the old value. In global memory it is two accesses. A
+    /// buffered view logs the operation for the wave-ordered merge, which
+    /// validates the old value the team observed when `live` (the result is
+    /// read by some operand: a dead result cannot steer the team); in every
+    /// other case it is a read, [`combine_atomic`] and a write.
+    #[inline(never)]
+    pub(crate) fn atomic(
+        &mut self,
+        thread: &mut ThreadCtx<B::Frame>,
+        op: AtomicOp,
+        ty: Ty,
+        p: DevPtr,
+        v: RtVal,
+        live: bool,
+    ) -> Result<RtVal, TrapKind> {
+        if let (Segment::Global, GlobalMem::Buffered(view)) = (p.segment(), &mut self.global) {
+            self.counters.global_accesses += 2;
+            return view.atomic(op, ty, p.offset(), v, live);
+        }
+        let old = self.load_typed(thread, p, ty)?;
+        self.mem_write(thread, p, ty.size(), combine_atomic(op, ty, old, v).to_bits())?;
+        Ok(old)
+    }
+
+    /// Compare-and-swap of the `ty` at `p`: stores `new` when the bits
+    /// there equal `expected`, and returns the old value. In global memory
+    /// it is one access, two when it stores. A buffered view logs it, and
+    /// the merge validates the value it observed.
+    #[inline(never)]
+    pub(crate) fn cas(
+        &mut self,
+        thread: &mut ThreadCtx<B::Frame>,
+        ty: Ty,
+        p: DevPtr,
+        expected: i64,
+        new: i64,
+    ) -> Result<RtVal, TrapKind> {
+        if let (Segment::Global, GlobalMem::Buffered(view)) = (p.segment(), &mut self.global) {
+            let (old, stored) = view.cas(ty, p.offset(), expected, new)?;
+            self.counters.global_accesses += 1 + u64::from(stored);
+            return Ok(old);
+        }
+        let old = self.load_typed(thread, p, ty)?;
+        if old.to_bits() == expected {
+            self.mem_write(thread, p, ty.size(), new)?;
+        }
+        Ok(old)
+    }
+
+    /// A thread's arrival at a barrier (`aligned`: one every thread of the
+    /// team promises to reach). An injected dropped arrival
+    /// ([`FaultAction::DropBarrierArrival`]) lets it sail past once — the
+    /// scheduler then meets the broken promise downstream; otherwise it
+    /// parks, and an armed sanitizer records `site()` for its divergence
+    /// check. Returns whether the thread parked.
+    ///
+    /// Inlined, unlike its neighbours: it has no switch to plant, and as a
+    /// call it moved one of the dispatch loop's issue counters out of its
+    /// register, which cost `exec_seq` ≈ 4 % in paired runs.
+    #[inline(always)]
+    pub(crate) fn arrive(
+        &self,
+        thread: &mut ThreadCtx<B::Frame>,
+        aligned: bool,
+        site: impl FnOnce() -> Option<IrLoc>,
+    ) -> bool {
+        if std::mem::take(&mut thread.drop_next_barrier) {
+            return false;
+        }
+        if self.san_armed() {
+            thread.barrier_site = site();
+        }
+        thread.status = Status::AtBarrier { aligned };
+        true
+    }
+
+    /// The `malloc` intrinsic: an 8-byte-aligned bump allocation of `size`
+    /// bytes (none when negative) in the device heap. Heap offsets depend
+    /// on every prior allocation, so it cannot be buffered: a buffered team
+    /// signals [`TrapKind::ParallelBailout`] and the engine re-runs it in
+    /// direct mode.
+    #[inline(never)]
+    pub(crate) fn malloc(&mut self, size: i64) -> Result<DevPtr, TrapKind> {
+        self.counters.device_mallocs += 1;
         let GlobalMem::Direct { region, heap } = &mut self.global else {
             return Err(TrapKind::ParallelBailout);
         };
-        let aligned = (size + 7) & !7;
+        let aligned = (size.max(0) as u64 + 7) & !7;
         let off = region.len() as u64;
         if off + aligned > heap.limit {
             return Err(TrapKind::OutOfMemory);
         }
         region.grow_to((off + aligned) as usize);
         heap.live_allocs.insert(off, aligned);
-        Ok(off)
+        Ok(DevPtr::global(off as u32))
     }
 
-    /// The `Free` intrinsic's shared core (after the null check).
-    pub(crate) fn heap_free(&mut self, p: DevPtr) -> Result<(), TrapKind> {
+    /// The `free` intrinsic: nothing for a null pointer, otherwise the end
+    /// of the allocation `p` starts ([`TrapKind::BadFree`] if none does).
+    /// Like `malloc`, not buffered.
+    #[inline(never)]
+    pub(crate) fn free(&mut self, p: DevPtr) -> Result<(), TrapKind> {
+        if p.is_null() {
+            return Ok(());
+        }
         let GlobalMem::Direct { heap, .. } = &mut self.global else {
             return Err(TrapKind::ParallelBailout);
         };
@@ -669,6 +738,37 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
             return Err(TrapKind::BadFree);
         }
         Ok(())
+    }
+
+    /// The function a call with `nargs` arguments runs: `callee` is the
+    /// function pointer an indirect call reads, or `DevPtr::func` of a
+    /// direct call's callee. Traps [`TrapKind::BadIndirectCall`] for
+    /// anything but a pointer to a function of the module,
+    /// [`TrapKind::UnresolvedCall`] for a declaration and
+    /// [`TrapKind::BadLaunch`] for the wrong arity; a call of the device
+    /// runtime counts in [`Counters::runtime_calls`].
+    #[inline(never)]
+    pub(crate) fn call_target(&mut self, callee: DevPtr, nargs: usize) -> Result<u32, TrapKind> {
+        let target = callee.offset() as u32;
+        let func = match self.module.funcs.get(target as usize) {
+            Some(func) if callee.segment() == Segment::Func => func,
+            _ => return Err(TrapKind::BadIndirectCall),
+        };
+        if func.is_declaration() {
+            return Err(TrapKind::UnresolvedCall(func.name.clone()));
+        }
+        if func.params.len() != nargs {
+            return Err(TrapKind::BadLaunch(format!(
+                "call of @{} with {} args (expects {})",
+                func.name,
+                nargs,
+                func.params.len()
+            )));
+        }
+        if is_runtime_fn(&func.name) {
+            self.counters.runtime_calls += 1;
+        }
+        Ok(target)
     }
 }
 
@@ -743,5 +843,68 @@ impl<'a> TeamEngine<'a> {
             TeamEngine::Interp(e) => e.finish(ctx),
             TeamEngine::Bytecode(e) => e.finish(ctx),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// On every segment a direct-mode atomic is a read, [`combine_atomic`]
+    /// and a write, and a compare-and-swap a read and, when the bits match,
+    /// a write, each access counted. `gmem.rs`'s `buffered_is_direct`
+    /// restates this path as its oracle; this test holds it to `TeamExec`.
+    #[test]
+    fn a_direct_atomic_is_a_read_a_combine_and_a_write_on_every_segment() {
+        let (module, layout, constant) = (Module::default(), GlobalLayout::default(), Region::with_size(16));
+        let (mut global, mut heap) = (Region::with_size(16), HeapState::default());
+        let mut exec = TeamExec {
+            module: &module,
+            check_assumes: false,
+            team_id: 0,
+            num_teams: 1,
+            nthreads: 4,
+            shared: Region::with_size(16),
+            layout: &layout,
+            global: GlobalMem::Direct { region: &mut global, heap: &mut heap },
+            constant: &constant,
+            counters: Counters::default(),
+            fuel: 0,
+            faults: None,
+            san: None,
+            live_results: &[],
+            backend: InterpBackend,
+        };
+        let mut t = ThreadCtx::<crate::interp::Frame> { tid: 3, local: Region::with_size(16), ..Default::default() };
+        let accesses = |c: &Counters| c.global_accesses + c.shared_accesses + c.local_accesses;
+        let rmws = [
+            (AtomicOp::Add, Ty::I32, RtVal::I(5)),
+            (AtomicOp::Min, Ty::I8, RtVal::I(-7)),
+            (AtomicOp::Exchange, Ty::I64, RtVal::I(-2)),
+            (AtomicOp::Max, Ty::F64, RtVal::F(0.5)),
+        ];
+        for p in [DevPtr::global(8), DevPtr::shared(8), DevPtr::local(3, 8)] {
+            exec.mem_write(&mut t, p, 8, 0x4010_0000_0000_0003).unwrap();
+            for (op, ty, v) in rmws {
+                let (there, n) = (exec.mem_read(&t, p, ty.size()).unwrap(), accesses(&exec.counters));
+                let old = exec.atomic(&mut t, op, ty, p, v, false).unwrap();
+                assert_eq!((old.to_bits(), accesses(&exec.counters) - n), (there, 2), "{op:?} {ty:?} at {p:?}");
+                let want = combine_atomic(op, ty, old, v).to_bits() & (u64::MAX >> (64 - 8 * ty.size())) as i64;
+                assert_eq!(exec.mem_read(&t, p, ty.size()), Ok(want), "{op:?} {ty:?} at {p:?}");
+            }
+            for (flip, stores) in [(1, false), (0, true)] {
+                let (there, n) = (exec.mem_read(&t, p, 8).unwrap(), accesses(&exec.counters));
+                let old = exec.cas(&mut t, Ty::I64, p, there ^ flip, 9).unwrap();
+                let got = (old.to_bits(), accesses(&exec.counters) - n, exec.mem_read(&t, p, 8));
+                assert_eq!(got, (there, 1 + u64::from(stores), Ok(if stores { 9 } else { there })), "CAS at {p:?}");
+            }
+        }
+        let traps = [(DevPtr::NULL, TrapKind::NullDeref), (DevPtr::constant(8), TrapKind::OutOfBounds)];
+        for (p, trap) in traps {
+            assert_eq!(exec.atomic(&mut t, AtomicOp::Add, Ty::I32, p, RtVal::I(1), false), Err(trap.clone()));
+            assert_eq!(exec.cas(&mut t, Ty::I32, p, 0, 1), Err(trap));
+        }
+        let foreign = Err(TrapKind::CrossThreadLocalAccess { owner: 2, accessor: 3 });
+        assert_eq!(exec.cas(&mut t, Ty::I32, DevPtr::local(2, 8), 0, 1), foreign);
     }
 }

@@ -5,8 +5,8 @@
 //! through a [`GlobalMem`]:
 //!
 //! * [`GlobalMem::Direct`] writes straight through to the device's master
-//!   region (and owns the heap allocator) — this is the sequential
-//!   interpreter's behavior, bit for bit.
+//!   region (and owns the heap allocator) — sequential execution, bit for
+//!   bit.
 //! * [`GlobalMem::Buffered`] gives the team a private copy-on-write *view*
 //!   of the master region taken at wave start. Reads and writes hit the
 //!   view (so a team observes its own stores), while every globally
@@ -19,6 +19,12 @@
 //!   enforced). The view's state is flat and the worker's, not the
 //!   team's: one [`WaveScratch`] per worker thread, indexed by chunk,
 //!   handed from team to team.
+//!
+//! `GlobalMem` itself reads and writes; atomics are the buffered view's
+//! alone (`BufferedGlobal::atomic`, `BufferedGlobal::cas`). A direct
+//! atomic needs no view of its own: `TeamExec::atomic` and `TeamExec::cas`
+//! perform it as a read, a combine and a write through `GlobalMem`, the
+//! same code they run for shared and local memory.
 //!
 //! Atomics are logged as *operations*, not resulting values: replay
 //! re-applies `add`/`min`/`max`/`cas` against the then-current master
@@ -440,14 +446,17 @@ impl<'a> BufferedGlobal<'a> {
         Ok(())
     }
 
+    /// Atomic RMW at `off`: returns the old value the team observes.
+    /// `live` reports whether the result is read — the merge validates the
+    /// observed value exactly when it is.
     #[inline(never)]
-    fn atomic(
+    pub(crate) fn atomic(
         &mut self,
         op: AtomicOp,
         ty: Ty,
         off: u64,
         v: RtVal,
-        result_used: bool,
+        live: bool,
     ) -> Result<RtVal, TrapKind> {
         let size = ty.size();
         self.check(off, size)?;
@@ -460,7 +469,7 @@ impl<'a> BufferedGlobal<'a> {
             off,
             operand: v,
             observed: old.to_bits(),
-            validate: result_used,
+            validate: live,
         })));
         // Validated (commits only if observed == master) or exchange
         // (result independent of the old value): view == replay master
@@ -468,12 +477,13 @@ impl<'a> BufferedGlobal<'a> {
         // *master* old value, which may differ from the view's — any later
         // read of these bytes must be logged and validated.
         self.scratch
-            .sync(off, size, result_used || matches!(op, AtomicOp::Exchange));
+            .sync(off, size, live || matches!(op, AtomicOp::Exchange));
         Ok(old)
     }
 
+    /// Compare-and-swap at `off`: returns `(old, stored)`.
     #[inline(never)]
-    fn cas(&mut self, ty: Ty, off: u64, expected: i64, new: i64) -> Result<(RtVal, bool), TrapKind> {
+    pub(crate) fn cas(&mut self, ty: Ty, off: u64, expected: i64, new: i64) -> Result<(RtVal, bool), TrapKind> {
         let size = ty.size();
         self.check(off, size)?;
         let old = rtval_from_bits(self.scratch.peek(self.base, off, size), ty);
@@ -519,51 +529,6 @@ impl GlobalMem<'_> {
         match self {
             GlobalMem::Direct { region, .. } => region.write(off, size, value),
             GlobalMem::Buffered(b) => b.write(off, size, value),
-        }
-    }
-
-    /// Atomic RMW: returns the old (typed) value the team observes.
-    /// `result_used` reports whether the instruction's result register is
-    /// live — buffered execution validates the observed value at merge
-    /// exactly when it is.
-    pub fn atomic(
-        &mut self,
-        op: AtomicOp,
-        ty: Ty,
-        off: u64,
-        v: RtVal,
-        result_used: bool,
-    ) -> Result<RtVal, TrapKind> {
-        let size = ty.size();
-        match self {
-            GlobalMem::Direct { region, .. } => {
-                let old = rtval_from_bits(region.read(off, size)?, ty);
-                region.write(off, size, combine_atomic(op, ty, old, v).to_bits())?;
-                Ok(old)
-            }
-            GlobalMem::Buffered(b) => b.atomic(op, ty, off, v, result_used),
-        }
-    }
-
-    /// Compare-and-swap: returns `(old, stored)`.
-    pub fn cas(
-        &mut self,
-        ty: Ty,
-        off: u64,
-        expected: i64,
-        new: i64,
-    ) -> Result<(RtVal, bool), TrapKind> {
-        let size = ty.size();
-        match self {
-            GlobalMem::Direct { region, .. } => {
-                let old = rtval_from_bits(region.read(off, size)?, ty);
-                let stored = old.to_bits() == expected;
-                if stored {
-                    region.write(off, size, new)?;
-                }
-                Ok((old, stored))
-            }
-            GlobalMem::Buffered(b) => b.cas(ty, off, expected, new),
         }
     }
 }
@@ -851,14 +816,36 @@ mod tests {
             Access::Store { off, size, value } => mem.write(off, size, value).map(|()| (0, false)),
             Access::Atomic { op, ty, off, operand, live } => {
                 let v = if ty.is_float() { RtVal::F(operand as f64 * 0.5) } else { RtVal::I(operand) };
-                mem.atomic(op, ty, off, v, live).map(|old| (old.to_bits(), false))
+                let old = match mem {
+                    GlobalMem::Buffered(view) => view.atomic(op, ty, off, v, live)?,
+                    // What `TeamExec::atomic` does in direct mode (held to it
+                    // by `exec.rs`'s `a_direct_atomic_is_a_read_a_combine_and_a_write_on_every_segment`).
+                    GlobalMem::Direct { .. } => {
+                        let old = rtval_from_bits(mem.read(off, ty.size())?, ty);
+                        mem.write(off, ty.size(), combine_atomic(op, ty, old, v).to_bits())?;
+                        old
+                    }
+                };
+                Ok((old.to_bits(), false))
             }
             Access::Cas { ty, off, expected, new, hit } => {
                 let expected = match mem.read(off, ty.size()) {
                     Ok(there) if hit => there,
                     _ => expected,
                 };
-                mem.cas(ty, off, expected, new).map(|(old, stored)| (old.to_bits(), stored))
+                match mem {
+                    GlobalMem::Buffered(view) => view.cas(ty, off, expected, new).map(|(old, stored)| (old.to_bits(), stored)),
+                    // What `TeamExec::cas` does in direct mode (held to it
+                    // by the same test).
+                    GlobalMem::Direct { .. } => {
+                        let old = mem.read(off, ty.size())?;
+                        let stored = old == expected;
+                        if stored {
+                            mem.write(off, ty.size(), new)?;
+                        }
+                        Ok((old, stored))
+                    }
+                }
             }
         }
     }

@@ -12,10 +12,9 @@ use nzomp_ir::{BlockId, Function, OpClass, Operand, Ty};
 
 use crate::cost;
 use crate::error::TrapKind;
-use crate::exec::{is_runtime_fn, malformed, ExecBackend, Status, TeamExec, ThreadCtx};
-use crate::gmem::GlobalMem;
-use crate::memory::{DevPtr, Segment};
-use crate::ops::{combine_atomic, corrupt_value, exec_bin, exec_cast, exec_cmp, exec_un};
+use crate::exec::{malformed, ExecBackend, Status, TeamExec, ThreadCtx};
+use crate::memory::DevPtr;
+use crate::ops::{corrupt_value, exec_bin, exec_cast, exec_cmp, exec_un};
 use crate::sanitize::{AccessKind, IrLoc};
 use crate::value::RtVal;
 
@@ -113,12 +112,7 @@ impl<'a> TeamExec<'a, InterpBackend> {
         if !self.san_armed() {
             return;
         }
-        let Some(frame) = thread.frames.last() else { return };
-        let loc = IrLoc {
-            func: frame.func,
-            block: frame.block.0,
-            inst: iid.0,
-        };
+        let Some(loc) = loc_of(thread, iid) else { return };
         self.san_record(thread.tid, loc, kind, p, size);
     }
 
@@ -308,36 +302,16 @@ impl<'a> TeamExec<'a, InterpBackend> {
             Inst::Atomic { op, ty, ptr, value } => {
                 let p = self.eval(thread, *ptr)?.as_ptr();
                 let v = self.eval(thread, *value)?;
+                let live = thread
+                    .frames
+                    .last()
+                    .and_then(|f| self.live_results.get(f.func as usize)?.get(iid.index()).copied())
+                    .unwrap_or(true);
                 thread.cycles += cost::ATOMIC;
                 thread.busy_cycles += cost::ATOMIC;
                 thread.mem_cycles += cost::ATOMIC;
-                if p.segment() == Segment::Global {
-                    // Global atomics go through the global view so buffered
-                    // execution can log the *operation* for wave-ordered
-                    // replay. Two accesses (read + write), as before.
-                    self.counters.global_accesses += 2;
-                    // Only buffered execution cares whether the observed
-                    // old value can steer behavior; skip the liveness
-                    // lookup on the sequential hot path.
-                    let result_used = match &self.global {
-                        GlobalMem::Direct { .. } => true,
-                        GlobalMem::Buffered(_) => {
-                            let func_idx = thread
-                                .frames
-                                .last()
-                                .map(|f| f.func)
-                                .ok_or_else(|| malformed("atomic executed with no frame"))?;
-                            self.result_is_used(func_idx, iid)
-                        }
-                    };
-                    let old = self.global.atomic(*op, *ty, p.offset(), v, result_used)?;
-                    self.set_reg(thread, iid, old)?;
-                } else {
-                    let old = self.load_typed(thread, p, *ty)?;
-                    let new = combine_atomic(*op, *ty, old, v);
-                    self.mem_write(thread, p, ty.size(), new.to_bits())?;
-                    self.set_reg(thread, iid, old)?;
-                }
+                let old = self.atomic(thread, *op, *ty, p, v, live)?;
+                self.set_reg(thread, iid, old)?;
                 self.san_at(thread, iid, AccessKind::Atomic, p, ty.size());
             }
             Inst::Cas {
@@ -352,21 +326,8 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 thread.cycles += cost::ATOMIC;
                 thread.busy_cycles += cost::ATOMIC;
                 thread.mem_cycles += cost::ATOMIC;
-                if p.segment() == Segment::Global {
-                    self.counters.global_accesses += 1;
-                    let (old, stored) =
-                        self.global.cas(*ty, p.offset(), e.to_bits(), n.to_bits())?;
-                    if stored {
-                        self.counters.global_accesses += 1;
-                    }
-                    self.set_reg(thread, iid, old)?;
-                } else {
-                    let old = self.load_typed(thread, p, *ty)?;
-                    if old.to_bits() == e.to_bits() {
-                        self.mem_write(thread, p, ty.size(), n.to_bits())?;
-                    }
-                    self.set_reg(thread, iid, old)?;
-                }
+                let old = self.cas(thread, *ty, p, e.to_bits(), n.to_bits())?;
+                self.set_reg(thread, iid, old)?;
                 self.san_at(thread, iid, AccessKind::Atomic, p, ty.size());
             }
             Inst::Intr { intr, args } => {
@@ -390,39 +351,16 @@ impl<'a> TeamExec<'a, InterpBackend> {
         args: &[Operand],
         has_ret: bool,
     ) -> Result<(), TrapKind> {
-        let (target, indirect) = match callee {
-            Operand::Func(f) => (f.0, false),
-            other => {
-                let p = self.eval(thread, other)?.as_ptr();
-                if p.segment() != Segment::Func {
-                    return Err(TrapKind::BadIndirectCall);
-                }
-                (p.offset() as u32, true)
-            }
+        let (p, indirect) = match callee {
+            Operand::Func(f) => (DevPtr::func(f.0), false),
+            other => (self.eval(thread, other)?.as_ptr(), true),
         };
-        if target as usize >= self.module.funcs.len() {
-            return Err(TrapKind::BadIndirectCall);
-        }
-        let func = &self.module.funcs[target as usize];
-        if func.is_declaration() {
-            return Err(TrapKind::UnresolvedCall(func.name.clone()));
-        }
-        if func.params.len() != args.len() {
-            return Err(TrapKind::BadLaunch(format!(
-                "call of @{} with {} args (expects {})",
-                func.name,
-                args.len(),
-                func.params.len()
-            )));
-        }
+        let target = self.call_target(p, args.len())?;
         thread.cycles += cost::CALL;
         thread.busy_cycles += cost::CALL;
         if indirect {
             thread.cycles += cost::INDIRECT_CALL;
             thread.busy_cycles += cost::INDIRECT_CALL;
-        }
-        if is_runtime_fn(&func.name) {
-            self.counters.runtime_calls += 1;
         }
         let argv: Vec<RtVal> = args
             .iter()
@@ -431,11 +369,12 @@ impl<'a> TeamExec<'a, InterpBackend> {
         if let [addr, size, ..] = argv[..] {
             self.san_on_call(target, addr.to_bits() as u64, size.to_bits() as u64);
         }
+        let nregs = self.module.funcs.get(target as usize).map_or(0, |f| f.insts.len());
         let frame = Frame {
             func: target,
             block: BlockId::ENTRY,
             inst_idx: 0,
-            regs: vec![RtVal::I(0); func.insts.len()],
+            regs: vec![RtVal::I(0); nregs],
             args: argv,
             ret_dst: has_ret.then_some(iid),
             local_base: thread.local_top,
@@ -468,36 +407,9 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 let v = RtVal::I(self.num_teams as i64);
                 self.set_reg(thread, iid, v)?;
             }
-            Intrinsic::AlignedBarrier => {
-                if thread.drop_next_barrier {
-                    // Injected fault: the thread sails past the barrier.
-                    // The team scheduler observes the broken promise as a
-                    // deadlock (or a divergent-arrival trap) downstream.
-                    thread.drop_next_barrier = false;
-                } else {
-                    if self.san_armed() {
-                        thread.barrier_site = thread.frames.last().map(|f| IrLoc {
-                            func: f.func,
-                            block: f.block.0,
-                            inst: iid.0,
-                        });
-                    }
-                    thread.status = Status::AtBarrier { aligned: true };
-                }
-            }
-            Intrinsic::Barrier => {
-                if thread.drop_next_barrier {
-                    thread.drop_next_barrier = false;
-                } else {
-                    if self.san_armed() {
-                        thread.barrier_site = thread.frames.last().map(|f| IrLoc {
-                            func: f.func,
-                            block: f.block.0,
-                            inst: iid.0,
-                        });
-                    }
-                    thread.status = Status::AtBarrier { aligned: false };
-                }
+            Intrinsic::AlignedBarrier | Intrinsic::Barrier => {
+                let site = loc_of(thread, iid);
+                self.arrive(thread, matches!(intr, Intrinsic::AlignedBarrier), move || site);
             }
             Intrinsic::Assume(()) => {
                 if self.check_assumes {
@@ -515,23 +427,19 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 let Some(&sz) = args.first() else {
                     return Err(malformed("malloc intrinsic with no operand"));
                 };
-                let size = self.eval(thread, sz)?.as_i().max(0) as u64;
+                let size = self.eval(thread, sz)?.as_i();
                 thread.cycles += cost::MALLOC;
                 thread.busy_cycles += cost::MALLOC;
                 thread.mem_cycles += cost::MALLOC;
-                self.counters.device_mallocs += 1;
-                let off = self.heap_alloc(size)?;
-                self.set_reg(thread, iid, RtVal::P(DevPtr::global(off as u32)))?;
+                let p = self.malloc(size)?;
+                self.set_reg(thread, iid, RtVal::P(p))?;
             }
             Intrinsic::Free => {
                 let Some(&ptr) = args.first() else {
                     return Err(malformed("free intrinsic with no operand"));
                 };
                 let p = self.eval(thread, ptr)?.as_ptr();
-                if p.is_null() {
-                    return Ok(());
-                }
-                self.heap_free(p)?;
+                self.free(p)?;
             }
         }
         Ok(())
@@ -640,4 +548,13 @@ impl<'a> TeamExec<'a, InterpBackend> {
         self.counters.instructions += phi_count as u64;
         Ok(())
     }
+}
+
+/// The IR site of instruction `iid` in the thread's live frame.
+fn loc_of(thread: &ThreadCtx<Frame>, iid: InstId) -> Option<IrLoc> {
+    thread.frames.last().map(|f| IrLoc {
+        func: f.func,
+        block: f.block.0,
+        inst: iid.0,
+    })
 }

@@ -6,7 +6,8 @@
 //! what only the device knows: how an operand reaches the operator's
 //! domain, that an integer operation without a result is a
 //! [`TrapKind::DivByZero`], the address-space tag a `PtrCast` carries, and
-//! fault-injected load corruption. There are two forms. The interpreter
+//! fault-injected load corruption, and the value an atomic stores. There
+//! are two forms. The interpreter
 //! (`interp.rs`) runs the tagged one, where a dynamically typed [`RtVal`]
 //! coerces to the domain (`as_i` / `as_f`). The bytecode tier (`bytecode/`)
 //! runs the untagged one (`bits_*`), where a register is raw bits and the
@@ -119,11 +120,12 @@ pub(crate) fn bits_cmp(pred: Pred, float: bool, a: u64, b: u64) -> bool {
     }
 }
 
-/// The value an atomic read-modify-write of type `ty` stores (shared by
-/// direct execution, buffered execution, and wave-ordered replay, so all
-/// three agree bit for bit): the operation's binary operator over the value
-/// found and the operand — none of them can trap — or, for an exchange, the
-/// operand as it is. Out of line on purpose: inlined, it plants a second
+/// The value an atomic read-modify-write of type `ty` stores, for both
+/// tiers: its callers are `TeamExec::atomic` (the one direct-mode atomic),
+/// the buffered view and wave-ordered replay, so all three agree bit for
+/// bit. The operation's binary operator over the value found and the
+/// operand — none of them can trap — or, for an exchange, the operand as
+/// it is. Out of line on purpose: inlined, it plants a second
 /// copy of `exec_bin`'s switch in the bytecode dispatch loop, which costs
 /// `exec_seq` a fifth of its throughput (the codegen cliff of
 /// docs/exec-tiers.md).

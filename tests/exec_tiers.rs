@@ -270,13 +270,14 @@ fn verifier_rejected_mutants_behave_identically_across_tiers() {
     assert!(rejected >= 20, "only {rejected} mutants parsed and failed verification");
 }
 
-/// The other half: mutants the verifier *accepts*. The verifier checks no
-/// operand type, so a mutation in a type position lands here — an `i64`
-/// constant where a double was, a float load of a pointer — and the
-/// value-class rule decides which tier runs it. Either way the result is
-/// the interpreter's. At most 16 mutants of each generated kernel run,
-/// and 2 of each proxy application, whose launches cost a hundred times
-/// more: a few seconds in all.
+/// The other half: mutants the verifier *accepts*. `verify_module` runs
+/// the value-domain rule (`verify_domains`), so a mutation in a type
+/// position — an `i64` constant where a double was, a float load of a
+/// pointer — lands here only when every operand is still read in the
+/// domain it was produced in, and the bytecode tier runs it when asked.
+/// Either way the result is the interpreter's. At most 16 mutants of each
+/// generated kernel run, and 2 of each proxy application, whose launches
+/// cost a hundred times more: a few seconds in all.
 #[test]
 fn verifier_accepted_mutants_behave_identically_across_tiers() {
     let cap = |name: &str| if name.starts_with("proxy-") { 2 } else { 16 };
@@ -328,9 +329,9 @@ fn corpus_mutants_alike(verified: bool, cap: impl Fn(&str) -> usize) -> usize {
     total
 }
 
-/// Every image we ship runs untagged. A module the value-class rule cannot
-/// prove runs on the interpreter with every result still correct and at a
-/// third of the speed, so a silent fallback shows nowhere but here: every
+/// Every image we ship runs untagged. A module that fails the value-domain
+/// rule (`verify_domains`) runs on the interpreter with every result still
+/// correct and at a third of the speed, so a silent fallback shows nowhere but here: every
 /// proxy under every build configuration, the benchmark's request kernel
 /// and every corpus file must pass.
 #[test]
@@ -339,7 +340,7 @@ fn nothing_we_ship_falls_back_to_the_interpreter() {
         if let Err(e) = verify_domains(&m) {
             panic!("{what}: {e}");
         }
-        assert!(Image::new(m).runs_untagged(), "{what}: a release call's argument tags are open");
+        assert!(Image::new(m).runs_untagged(), "{what}: passes the domain rule, yet is not lowered");
     };
     for p in nzomp_proxies::all_proxies() {
         for cfg in BuildConfig::ALL {
@@ -353,7 +354,7 @@ fn nothing_we_ship_falls_back_to_the_interpreter() {
     }
 }
 
-/// Threads per team of the mixed-class kernels; two teams run.
+/// Threads per team of the mixed-domain kernels; two teams run.
 const MIXED_THREADS: u32 = 8;
 
 /// `@k(out, extra..)`: thread `g` of the grid stores the double `body`
@@ -394,15 +395,15 @@ fn out_f64(o: &ProxyOutcome) -> Vec<f64> {
     o.out_bits.as_ref().expect("the launch trapped").iter().map(|&b| f64::from_bits(b)).collect()
 }
 
-/// A module the value-class rule cannot prove runs on the tagged
-/// interpreter whichever tier is asked for, so it computes what the
-/// oracle computes — conversions at the mismatched uses included — in
-/// outputs, memory, metrics and traps, at every worker count and
-/// sanitizer setting.
+/// A module that fails the value-domain rule (`verify_domains`) runs on
+/// the tagged interpreter whichever tier is asked for, so it computes what
+/// the oracle computes — conversions at the mismatched uses included — in
+/// outputs, memory, metrics and traps, at every worker count and sanitizer
+/// setting.
 #[test]
 fn unprovable_modules_fall_back_to_the_interpreter_exactly() {
     let ill_classed = |what: &str, m: &Module, extra: &[RtVal]| {
-        assert!(verify_domains(m).is_err(), "{what}: the class rule proved it");
+        assert!(verify_domains(m).is_err(), "{what}: the domain rule passed it");
         assert!(!Image::new(m.clone()).runs_untagged(), "{what}");
         alike_across_tiers(what, m, extra)
     };
@@ -469,8 +470,8 @@ fn unprovable_modules_fall_back_to_the_interpreter_exactly() {
 /// trap is not lowered, so it runs on the interpreter whichever tier is
 /// asked for, with the interpreter's outputs, memory, metrics, trap kind
 /// and exact message at every axis. The verifier rejects every one of
-/// these shapes. Each module passes the
-/// value-class rule, so the shape alone refuses it; refusal is per
+/// these shapes. Each module passes the value-domain rule
+/// (`verify_domains`), so the shape alone refuses it; refusal is per
 /// module, so a malformed function that is never called refuses its
 /// module too.
 #[test]
@@ -580,7 +581,7 @@ fn malformed_modules_run_on_the_interpreter() {
         ),
     ];
     for (what, m, trap) in cases {
-        assert!(verify_domains(&m).is_ok(), "{what}: the class rule refuses it");
+        assert!(verify_domains(&m).is_ok(), "{what}: the domain rule fails it");
         assert!(!Image::new(m.clone()).runs_untagged(), "{what}: lowered");
         let err = alike_across_tiers(what, &m, &[]).result.unwrap_err();
         assert!(err.kind.to_string().contains(trap), "{what}: {err}");

@@ -165,7 +165,7 @@ use nzomp_proxies::rsbench::RSBench;
 use nzomp_proxies::testsnap::TestSnap;
 use nzomp_proxies::xsbench::XSBench;
 use nzomp_proxies::{compile_for_config, quick_device, verify_output, Proxy};
-use nzomp_vgpu::WaveStats;
+use nzomp_vgpu::{ExecTier, Image, WaveStats};
 
 /// An SPMD kernel `k(buf)` whose body gets the buffer and the global
 /// thread id.
@@ -183,17 +183,24 @@ fn kernel(name: &str, body: impl FnOnce(&mut FuncBuilder, Operand, Operand)) -> 
     m
 }
 
-/// The counts of one launch of `k`, the same at every worker count ≥ 2.
+/// The counts of one launch of `k`, the same at every worker count ≥ 2 and
+/// on both execution tiers: the interpreter hands the buffered view the
+/// same live-result flag and the same accesses the bytecode tier does.
 fn wave_stats(m: &Module, teams: u32, threads: u32, slots: usize) -> WaveStats {
-    let per_workers = WORKER_COUNTS.map(|workers| {
-        let mut dev = Device::load(m.clone(), DeviceConfig::default());
-        dev.set_worker_threads(workers);
-        let buf = dev.alloc((slots * 8) as u64);
-        dev.launch("k", Launch::new(teams, threads), &[RtVal::P(buf)]).unwrap();
-        dev.last_wave_stats().unwrap()
+    assert!(Image::new(m.clone()).runs_untagged(), "the bytecode tier must run it");
+    let per_run = [ExecTier::Interp, ExecTier::Bytecode].map(|tier| {
+        WORKER_COUNTS.map(|workers| {
+            let mut dev = Device::load(m.clone(), DeviceConfig::default());
+            dev.set_worker_threads(workers);
+            dev.set_exec_tier(tier);
+            let buf = dev.alloc((slots * 8) as u64);
+            dev.launch("k", Launch::new(teams, threads), &[RtVal::P(buf)]).unwrap();
+            dev.last_wave_stats().unwrap()
+        })
     });
-    assert!(per_workers.iter().all(|s| *s == per_workers[0]), "{per_workers:?}");
-    per_workers[0]
+    let first = per_run[0][0];
+    assert!(per_run.iter().flatten().all(|s| *s == first), "[interp, bytecode]: {per_run:?}");
+    first
 }
 
 /// Fetch-add index allocation (`slots[counter++] = gid`) serialises every
@@ -245,6 +252,32 @@ fn a_dead_result_reduction_reruns_no_team() {
             merged: 24,
             effects: 24 * 8,
             private_chunks: 24,
+            ..WaveStats::default()
+        }
+    );
+}
+
+/// A contended compare-and-swap (`cas(&buf[0], 0, gid + 1)`: the first
+/// thread to get there wins) re-runs every team but the first: each team's
+/// first swap observed the wave-start 0, which only team 0 still finds at
+/// its turn. Per thread one always-validated CAS, in the one chunk the
+/// team's first swap copies.
+#[test]
+fn a_contended_cas_reruns_every_team_but_the_first() {
+    let m = kernel("cas_first_wins", |b, buf, gid| {
+        let mine = b.add(gid, Operand::i64(1));
+        b.cas(Ty::I64, buf, Operand::i64(0), mine);
+    });
+    assert_eq!(
+        wave_stats(&m, 8, 4, 1),
+        WaveStats {
+            waves: 1,
+            teams: 8,
+            merged: 1,
+            rerun_validation: 7,
+            effects: 8 * 4,
+            validated: 8 * 4,
+            private_chunks: 8,
             ..WaveStats::default()
         }
     );

@@ -84,7 +84,8 @@ fn scale_app() -> Rc<Module> {
 }
 
 /// The writer with `state[i] = c + 1.0` for an `i64` parameter `c`: an
-/// `fadd` of integer bits, which the value-class rule refuses at the door.
+/// `fadd` of integer bits, which the value-domain rule (`verify_domains`,
+/// run by `verify_module` at the link stage) refuses at the door.
 fn ill_classed_req() -> RequestSpec {
     let mut m = Module::new("serve_ill_classed");
     spmd_kernel_for(
@@ -339,7 +340,7 @@ fn generated_req(module: Module, meta: LaunchMeta) -> RequestSpec {
 
 /// What the hostile tenant submits: generator modules, the first seeded
 /// mutation of each `gen-*.nzir` corpus file that still parses, a kernel
-/// the value-class rule cannot prove, launch shapes past what a device
+/// that fails the value-domain rule, launch shapes past what a device
 /// runs, and footprints at the quota's edge.
 fn hostile_requests(scale: &Rc<Module>, inp: &Rc<Vec<u8>>) -> Vec<(Want, RequestSpec)> {
     let mut reqs = Vec::new();

@@ -1,7 +1,8 @@
 //! IR verifier. Run after construction and between passes in debug
 //! builds; catches malformed CFGs, dangling references, type mismatches
-//! and operands outside their reader's value domain early instead of deep
-//! inside the interpreter.
+//! and operands outside their reader's value domain early. The vGPU runs
+//! it once per loaded image and refuses every launch of a module it
+//! rejects.
 
 use std::collections::HashSet;
 use std::fmt;

@@ -1,23 +1,16 @@
 //! IR → bytecode lowering.
 //!
-//! Lowering translates well-formed modules only. The shapes the
-//! interpreter meets as `MalformedIr` / `BadLaunch` / `BadIndirectCall`
-//! traps — a listed instruction missing from the arena, a phi after a
-//! non-phi or at function entry, an operand naming a missing instruction,
-//! global or parameter, a direct call of a missing function or with the
-//! wrong arity, `malloc` / `free` / `assume` without an operand, a branch
-//! to a missing block, a phi with no incoming for an edge into its block —
-//! make [`lower_module`] return `None` wherever in the module's listed
-//! code they sit, and the device runs the module on the interpreter, which
-//! raises those traps itself. The verifier rejects every one of them.
-//! What verified IR can reach otherwise stays a
-//! trap op: a direct call of a declaration, `assert.fail`, `unreachable`,
-//! and the body of a declaration launched as a kernel.
-//!
-//! Lowering also refuses a module that fails the verifier's value-domain
-//! rule ([`nzomp_ir::verify_domains`]): the register file holds bits
-//! without a tag, which is only the tagged interpreter's behaviour when
-//! every operand is read in the domain it was produced in.
+//! Lowering translates verified modules only: `Image` lowers a module once
+//! `verify_module` has accepted it, so every instruction a block lists,
+//! every operand, direct-call arity, intrinsic operand, branch target and
+//! phi incoming it reads is there, every phi leads its block and none sits
+//! at function entry, and every operand holds the bits its reader computes
+//! in (the value-domain rule, which the untagged register file needs).
+//! What verified IR can still reach stays a trap op: a direct call of a
+//! declaration, `assert.fail`, `unreachable`, and the body of a
+//! declaration launched as a kernel. The validation gate ([`validated`])
+//! holds every index the dispatch loop reads unchecked, whatever the
+//! lowerer produced.
 
 use std::collections::HashMap;
 
@@ -30,21 +23,25 @@ use crate::memory::DevPtr;
 
 use super::{BcFunc, BcModule, Edge, Op, Src};
 
-/// Lower every function of `module`. `layout` resolves global operands to
-/// their device addresses (fixed at device load, like the layout itself);
-/// `live` is the image's live-result table (`Image::live_results`), which
-/// each atomic op carries its entry of. `None` when the module is malformed
-/// (see the module docs) or fails the value-domain rule: the module then
-/// runs on the tagged interpreter.
-pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout, live: &[Box<[bool]>]) -> Option<BcModule> {
-    nzomp_ir::verify_domains(module).ok()?;
+/// Lower every function of `module`, which `verify_module` accepted.
+/// `layout` resolves global operands to their device addresses (fixed at
+/// device load, like the layout itself); `live` is the image's live-result
+/// table (`Image::live_results`), which each atomic op carries its entry
+/// of. `Err` when a lowered function fails the validation gate: a bug in
+/// lowering, which every launch of the image refuses with, on either tier.
+pub(crate) fn lower_module(module: &Module, layout: &GlobalLayout, live: &[Box<[bool]>]) -> Result<BcModule, TrapKind> {
     let funcs = module
         .funcs
         .iter()
         .zip(live)
-        .map(|(f, live)| lower_func(module, layout, f, live))
-        .collect::<Option<_>>()?;
-    Some(BcModule { funcs })
+        .map(|(f, live)| {
+            let gate = || malformed(format!("internal error: the bytecode of @{} fails its validation gate", f.name));
+            validated(lower_func(module, layout, f, live), f.params.len() as u32)
+                .filter(|bc| calls_fit(module, bc))
+                .ok_or_else(gate)
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(BcModule { funcs })
 }
 
 struct FnLowerer<'m> {
@@ -88,11 +85,11 @@ fn lower_func<'m>(
     layout: &'m GlobalLayout,
     func: &'m Function,
     live: &'m [bool],
-) -> Option<BcFunc> {
+) -> BcFunc {
     if func.blocks.is_empty() {
         // Declaration (or stripped body): executing it meets the
         // interpreter's missing-entry-block trap on the first step.
-        return Some(trap_only(malformed(format!("frame in @{} references missing bb0", func.name))));
+        return trap_only(malformed(format!("frame in @{} references missing bb0", func.name)));
     }
 
     let mut slot_of = vec![0u32; func.insts.len()];
@@ -118,43 +115,28 @@ fn lower_func<'m>(
         const_of: HashMap::new(),
     };
 
-    let is_phi = |iid: &InstId| func.insts.get(iid.index()).is_some_and(Inst::is_phi);
-    // Function entry is bb0's first op: a phi there has no edge to
-    // materialize it.
-    if func.blocks[0].insts.first().is_some_and(is_phi) {
-        return None;
-    }
     for (bi, block) in func.blocks.iter().enumerate() {
         let b = bi as u32;
-        // Leading phis are materialized by incoming edges; the block body
-        // starts at the first entry that is not a leading phi, and any
-        // later phi is one after a non-phi.
-        let body_start = block.insts.iter().take_while(|i| is_phi(i)).count();
+        // Leading phis lower to no op (each edge into the block moves
+        // them), so the block starts at its first other instruction.
         lw.block_start.push(lw.ops.len() as u32);
-        for &iid in &block.insts[body_start..] {
-            lw.lower_inst(b, iid, func.insts.get(iid.index())?)?;
+        for &iid in &block.insts {
+            lw.lower_inst(b, iid, &func.insts[iid.index()]);
         }
-        lw.lower_term(b, &block.term)?;
+        lw.lower_term(b, &block.term);
     }
 
     // Resolve branch targets and phi moves now that every block's op
     // offset is known.
     let pending = std::mem::take(&mut lw.pending);
-    let edges = pending
-        .into_iter()
-        .map(|(from, target)| lw.resolve_edge(from, target))
-        .collect::<Option<_>>()?;
-
-    validated(
-        BcFunc {
-            ops: lw.ops,
-            locs: lw.locs,
-            edges,
-            traps: lw.traps,
-            regs0: lw.regs0,
-        },
-        func.params.len() as u32,
-    )
+    let edges = pending.into_iter().map(|(from, target)| lw.resolve_edge(from, target)).collect();
+    BcFunc {
+        ops: lw.ops,
+        locs: lw.locs,
+        edges,
+        traps: lw.traps,
+        regs0: lw.regs0,
+    }
 }
 
 /// Which instruction results code that can run references: operands of
@@ -173,8 +155,8 @@ fn listed_uses(func: &Function) -> Vec<bool> {
         }
     };
     for block in &func.blocks {
-        for inst in block.insts.iter().filter_map(|i| func.insts.get(i.index())) {
-            inst.for_each_operand(&mut mark);
+        for &iid in &block.insts {
+            func.insts[iid.index()].for_each_operand(&mut mark);
         }
         block.term.for_each_operand(&mut mark);
     }
@@ -190,8 +172,8 @@ fn listed_uses(func: &Function) -> Vec<bool> {
 /// `getv` / `setv` rely on this to skip per-access bounds checks — verify
 /// once at lowering, dispatch unchecked. The lowerer above never produces
 /// an out-of-range index; the gate makes the dispatch loop's soundness
-/// independent of that claim. A function that fails refuses the module,
-/// which then runs on the interpreter.
+/// independent of that claim. A function that fails refuses every launch
+/// of its image.
 fn validated(f: BcFunc, params: u32) -> Option<BcFunc> {
     let n_slots = f.regs0.len() as u32;
     let src_ok = |s: &Src| match *s {
@@ -254,6 +236,18 @@ fn validated(f: BcFunc, params: u32) -> Option<BcFunc> {
     (n_slots > 0 && end_ok && edges_ok && f.ops.iter().all(|o| op_ok(o) && flow_ok(o))).then_some(f)
 }
 
+/// The gate's cross-function half: every direct call of `f` passes its
+/// callee's parameter count, the bound [`validated`] held the callee's
+/// argument reads to.
+fn calls_fit(module: &Module, f: &BcFunc) -> bool {
+    f.ops.iter().all(|op| match op {
+        Op::Call { target, args, .. } => {
+            module.funcs.get(*target as usize).is_some_and(|g| g.params.len() == args.len())
+        }
+        _ => true,
+    })
+}
+
 impl<'m> FnLowerer<'m> {
     fn emit(&mut self, op: Op, loc: (u32, u32)) {
         self.ops.push(op);
@@ -282,40 +276,37 @@ impl<'m> FnLowerer<'m> {
         Src::Reg(slot)
     }
 
-    /// Pre-translate one operand (the interpreter's `eval`, done once);
-    /// `None` when it names a missing instruction, parameter or global.
-    fn src(&mut self, op: Operand) -> Option<Src> {
-        Some(match op {
-            Operand::Inst(i) => Src::Reg(*self.slot_of.get(i.index())?),
-            Operand::Param(p) if (p as usize) < self.func.params.len() => Src::Arg(p),
-            Operand::Param(_) => return None,
+    /// Pre-translate one operand (the interpreter's `eval`, done once).
+    fn src(&mut self, op: Operand) -> Src {
+        match op {
+            Operand::Inst(i) => Src::Reg(self.slot_of[i.index()]),
+            Operand::Param(p) => Src::Arg(p),
             Operand::ConstI(v, _) => self.cnum(v as u64),
             Operand::ConstF(v) => self.cnum(v.to_bits()),
-            Operand::Global(g) => self.cnum(self.layout.addr_of.get(g.index())?.0),
+            Operand::Global(g) => self.cnum(self.layout.addr_of[g.index()].0),
             Operand::Func(f) => self.cnum(DevPtr::func(f.0).0),
-        })
+        }
     }
 
-    fn srcs(&mut self, args: &[Operand]) -> Option<Box<[Src]>> {
+    fn srcs(&mut self, args: &[Operand]) -> Box<[Src]> {
         args.iter().map(|a| self.src(*a)).collect()
     }
 
-    /// Lower one listed instruction; `None` refuses the module.
-    fn lower_inst(&mut self, b: u32, iid: InstId, inst: &Inst) -> Option<()> {
+    fn lower_inst(&mut self, b: u32, iid: InstId, inst: &Inst) {
         let loc = (b, iid.0);
         let dst = self.slot_of[iid.index()];
         match inst {
             Inst::Bin { op, lhs, rhs, .. } => {
-                let a = self.src(*lhs)?;
-                let bb = self.src(*rhs)?;
+                let a = self.src(*lhs);
+                let bb = self.src(*rhs);
                 self.emit(Op::Bin { op: *op, a, b: bb, dst }, loc);
             }
             Inst::Un { op, arg, .. } => {
-                let a = self.src(*arg)?;
+                let a = self.src(*arg);
                 self.emit(Op::Un { op: *op, a, dst }, loc);
             }
             Inst::Cast { kind, to, arg } => {
-                let a = self.src(*arg)?;
+                let a = self.src(*arg);
                 self.emit(
                     Op::Cast {
                         kind: *kind,
@@ -327,8 +318,8 @@ impl<'m> FnLowerer<'m> {
                 );
             }
             Inst::Cmp { pred, ty, lhs, rhs } => {
-                let a = self.src(*lhs)?;
-                let bb = self.src(*rhs)?;
+                let a = self.src(*lhs);
+                let bb = self.src(*rhs);
                 self.emit(
                     Op::Cmp {
                         pred: *pred,
@@ -346,23 +337,23 @@ impl<'m> FnLowerer<'m> {
                 if_false,
                 ..
             } => {
-                let c = self.src(*cond)?;
-                let t = self.src(*if_true)?;
-                let f = self.src(*if_false)?;
+                let c = self.src(*cond);
+                let t = self.src(*if_true);
+                let f = self.src(*if_false);
                 self.emit(Op::Select { c, t, f, dst }, loc);
             }
             Inst::Load { ty, ptr } => {
-                let p = self.src(*ptr)?;
+                let p = self.src(*ptr);
                 self.emit(Op::Load { ty: *ty, p, dst }, loc);
             }
             Inst::Store { ty, ptr, value } => {
-                let p = self.src(*ptr)?;
-                let v = self.src(*value)?;
+                let p = self.src(*ptr);
+                let v = self.src(*value);
                 self.emit(Op::Store { ty: *ty, p, v }, loc);
             }
             Inst::PtrAdd { base, offset } => {
-                let a = self.src(*base)?;
-                let bb = self.src(*offset)?;
+                let a = self.src(*base);
+                let bb = self.src(*offset);
                 self.emit(Op::PtrAdd { a, b: bb, dst }, loc);
             }
             Inst::Alloca { size } => {
@@ -378,21 +369,17 @@ impl<'m> FnLowerer<'m> {
                 let ret_dst = ret.is_some().then_some(dst);
                 match callee {
                     Operand::Func(f) => {
-                        // A declaration is checked before arity, as the
-                        // interpreter does, and traps before charging call
-                        // cost or evaluating args, so an eager trap op is
-                        // observationally identical.
-                        let g = self.module.funcs.get(f.0 as usize)?;
+                        // A declaration traps before charging call cost or
+                        // evaluating args, as in the interpreter, so an
+                        // eager trap op is observationally identical.
+                        let g = self.module.func(*f);
                         if g.is_declaration() {
                             let t = self.add_trap(TrapKind::UnresolvedCall(g.name.clone()));
                             self.emit(Op::TrapInst { t }, loc);
-                            return Some(());
-                        }
-                        if g.params.len() != args.len() {
-                            return None;
+                            return;
                         }
                         let runtime = is_runtime_fn(&g.name);
-                        let args = self.srcs(args)?;
+                        let args = self.srcs(args);
                         self.emit(
                             Op::Call {
                                 target: f.0,
@@ -404,8 +391,8 @@ impl<'m> FnLowerer<'m> {
                         );
                     }
                     other => {
-                        let callee = self.src(*other)?;
-                        let args = self.srcs(args)?;
+                        let callee = self.src(*other);
+                        let args = self.srcs(args);
                         self.emit(
                             Op::CallInd {
                                 callee,
@@ -418,9 +405,9 @@ impl<'m> FnLowerer<'m> {
                 }
             }
             Inst::Atomic { op, ty, ptr, value } => {
-                let p = self.src(*ptr)?;
-                let v = self.src(*value)?;
-                let used = self.live.get(iid.index()).copied().unwrap_or(true);
+                let p = self.src(*ptr);
+                let v = self.src(*value);
+                let used = self.live[iid.index()];
                 self.emit(
                     Op::Atomic {
                         op: *op,
@@ -439,9 +426,9 @@ impl<'m> FnLowerer<'m> {
                 expected,
                 new,
             } => {
-                let p = self.src(*ptr)?;
-                let e = self.src(*expected)?;
-                let n = self.src(*new)?;
+                let p = self.src(*ptr);
+                let e = self.src(*expected);
+                let n = self.src(*new);
                 self.emit(
                     Op::Cas {
                         ty: *ty,
@@ -461,7 +448,7 @@ impl<'m> FnLowerer<'m> {
                 Intrinsic::AlignedBarrier => self.emit(Op::Barrier { aligned: true }, loc),
                 Intrinsic::Barrier => self.emit(Op::Barrier { aligned: false }, loc),
                 Intrinsic::Assume(()) => {
-                    let c = self.src(*args.first()?)?;
+                    let c = self.src(args[0]);
                     self.emit(Op::Assume { c }, loc);
                 }
                 Intrinsic::AssertFail => {
@@ -469,21 +456,20 @@ impl<'m> FnLowerer<'m> {
                     self.emit(Op::TrapInst { t }, loc);
                 }
                 Intrinsic::Malloc => {
-                    let size = self.src(*args.first()?)?;
+                    let size = self.src(args[0]);
                     self.emit(Op::Malloc { size, dst }, loc);
                 }
                 Intrinsic::Free => {
-                    let p = self.src(*args.first()?)?;
+                    let p = self.src(args[0]);
                     self.emit(Op::Free { p }, loc);
                 }
             },
-            // A phi after a non-phi: leading phis never reach here.
-            Inst::Phi { .. } => return None,
+            // Materialized by the edges into its block (`resolve_edge`).
+            Inst::Phi { .. } => {}
         }
-        Some(())
     }
 
-    fn lower_term(&mut self, b: u32, term: &Term) -> Option<()> {
+    fn lower_term(&mut self, b: u32, term: &Term) {
         let from = BlockId(b);
         match term {
             Term::Br(t) => {
@@ -495,16 +481,13 @@ impl<'m> FnLowerer<'m> {
                 if_true,
                 if_false,
             } => {
-                let c = self.src(*cond)?;
+                let c = self.src(*cond);
                 let t = self.new_edge(from, *if_true);
                 let f = self.new_edge(from, *if_false);
                 self.emit(Op::CondBr { c, t, f }, (b, 0));
             }
             Term::Ret(v) => {
-                let v = match v {
-                    Some(op) => Some(self.src(*op)?),
-                    None => None,
-                };
+                let v = v.map(|op| self.src(op));
                 self.emit(Op::Ret { v }, (b, 0));
             }
             Term::Unreachable => {
@@ -513,29 +496,26 @@ impl<'m> FnLowerer<'m> {
                 self.emit(Op::TrapBare { t }, (b, 0));
             }
         }
-        Some(())
     }
 
     /// Resolve `from → target`: branch offset plus the phi parallel-move
-    /// list. `None` when the target block is missing or one of its
-    /// leading phis has no incoming for `from`.
-    fn resolve_edge(&mut self, from: BlockId, target: BlockId) -> Option<Edge> {
-        let block = self.func.blocks.get(target.index())?;
+    /// list, one move per leading phi of the target (the verifier gives
+    /// each exactly one incoming per predecessor).
+    fn resolve_edge(&mut self, from: BlockId, target: BlockId) -> Edge {
         let mut moves: Vec<(u32, Src)> = Vec::new();
-        for &iid in &block.insts {
-            // Every listed entry is in the arena: lowering the block's
-            // body checked that.
-            let Some(Inst::Phi { incomings, .. }) = self.func.insts.get(iid.index()) else {
+        for &iid in &self.func.blocks[target.index()].insts {
+            let Inst::Phi { incomings, .. } = &self.func.insts[iid.index()] else {
                 break;
             };
-            let inc = incomings.iter().find(|i| i.pred == from)?;
-            let s = self.src(inc.value)?;
-            moves.push((self.slot_of[iid.index()], s));
+            for inc in incomings.iter().filter(|i| i.pred == from) {
+                let s = self.src(inc.value);
+                moves.push((self.slot_of[iid.index()], s));
+            }
         }
-        Some(Edge {
+        Edge {
             pc: self.block_start[target.index()],
             moves: moves.into_boxed_slice(),
-        })
+        }
     }
 }
 
@@ -582,9 +562,33 @@ mod tests {
         assert_eq!(lowered(padded).regs0.len(), 4);
     }
 
+    /// The gate's cross-function half holds a direct call to its callee's
+    /// parameter count: lowering passes it, and one argument short fails.
+    #[test]
+    fn the_gate_refuses_a_direct_call_of_the_wrong_arity() {
+        let mut m = Module::new("calls");
+        let mut h = FuncBuilder::new("h", vec![Ty::I64], None);
+        h.ret(None);
+        let h = m.add_function(h.finish());
+        let mut k = FuncBuilder::new("k", vec![], None);
+        k.call(Operand::Func(h), vec![Operand::i64(1)], None);
+        k.ret(None);
+        m.add_function(k.finish());
+        let image = Image::new(m.clone());
+        let mut k = lower_module(&m, &GlobalLayout::default(), image.live_results()).unwrap().funcs.remove(1);
+        assert!(calls_fit(&m, &k));
+        for op in &mut k.ops {
+            if let Op::Call { args, .. } = op {
+                *args = Box::new([]);
+            }
+        }
+        assert!(!calls_fit(&m, &k));
+    }
+
     /// The gate refuses a function naming a slot past its frame template
-    /// or an argument past its parameter count — the module then runs on
-    /// the interpreter — and passes the same function with both in range.
+    /// or an argument past its parameter count — every launch of the
+    /// image is then refused — and passes the same function with both in
+    /// range.
     #[test]
     fn the_validation_gate_refuses_out_of_range_indexes() {
         let f = lowered(store_tid_plus_one());

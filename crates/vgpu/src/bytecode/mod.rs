@@ -20,9 +20,9 @@
 //!   ([`TeamExec::san_on_call`]), so it needs no tag. That is the
 //!   interpreter's behaviour exactly when every operand is read in the
 //!   domain it was produced in, which is what the verifier's value-domain
-//!   rule ([`nzomp_ir::verify_domains`]) checks; lowering runs it too, and
-//!   a module that fails is not lowered and runs on the tagged interpreter
-//!   (`Device::launch`).
+//!   rule ([`nzomp_ir::verify_domains`]) checks. Only verified modules
+//!   are lowered, and `Device::launch` refuses an argument whose tag
+//!   contradicts its parameter, on both tiers.
 //! * **Pre-translated operands** ([`Src`]) — instruction results become
 //!   slot reads, params become argument reads, constants (including
 //!   resolved global addresses and function pointers) are immediate
@@ -43,9 +43,9 @@
 //! the machine — memory, atomics, barrier arrival, the device heap, a
 //! call's checks — is not this loop's code: it calls the same
 //! [`TeamExec`] methods the interpreter does, and only decodes operands,
-//! charges cycles and writes results. Malformed IR is not
-//! lowered at all: it runs on the interpreter, which raises its own
-//! `MalformedIr` traps. See `docs/exec-tiers.md` for the full contract.
+//! charges cycles and writes results. Malformed IR is not lowered at
+//! all: every launch of an image the verifier rejects is refused. See
+//! `docs/exec-tiers.md` for the full contract.
 
 mod lower;
 
@@ -105,7 +105,7 @@ pub(crate) enum Op {
     PtrAdd { a: Src, b: Src, dst: u32 },
     /// `size` is pre-aligned to 8 bytes at lowering.
     Alloca { size: u64, dst: u32 },
-    /// Direct call, statically resolved and checked at lowering.
+    /// Direct call, statically resolved; the gate checks its arity.
     Call {
         target: u32,
         args: Box<[Src]>,
@@ -209,8 +209,8 @@ fn getv(regs: &[u64], frame: &BcFrame, s: &Src) -> u64 {
         }
         // SAFETY: the gate holds every `Arg` index below the function's
         // parameter count, and every frame is entered with exactly that
-        // many arguments: the launch, lowering (direct calls) and
-        // `CallInd` (at dispatch) each check arity.
+        // many arguments: the launch, the gate (direct calls, `calls_fit`)
+        // and `CallInd` (at dispatch) each check arity.
         Src::Arg(i) => {
             debug_assert!((i as usize) < frame.args.len());
             unsafe { *frame.args.get_unchecked(i as usize) }

@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 use nzomp_ir::analysis::callgraph::CallGraph;
 use nzomp_ir::analysis::liveness;
 use nzomp_ir::module::FuncRef;
-use nzomp_ir::{Function, Module, Operand, Space, Ty};
+use nzomp_ir::{verify_module, Function, Module, Operand, Space, VerifyError};
 
 use crate::bytecode::{lower_module, BcModule};
 use crate::cost::{self, DeviceConfig};
@@ -81,16 +81,22 @@ pub struct WaveStats {
     pub private_chunks: u64,
 }
 
-/// Everything that is a pure function of the loaded module — layout,
-/// initial memory, and the lazily derived sanitizer tables, live-result
-/// table, bytecode and kernels (shared name, register demand): built once
-/// by [`Image::new`],
-/// shared (`Arc`) by every device created from it, borrowed by every
-/// launch, never invalidated.
+/// A loaded module: the verifier's verdict on it, and everything that is a
+/// pure function of it — layout, initial memory, and the lazily derived
+/// sanitizer tables, live-result table, bytecode and kernels (shared name,
+/// register demand). Built once by [`Image::new`], shared (`Arc`) by every
+/// device created from it, borrowed by every launch, never invalidated.
 /// Which device fills a lazy part first cannot matter: each is a pure
 /// function of the module.
+///
+/// An image is a verified module. [`Image::new`] runs
+/// [`nzomp_ir::verify_module`] once, and every launch of an image it
+/// rejects is refused with the verifier's message
+/// ([`TrapKind::MalformedIr`]), on either tier, before any thread runs.
 pub struct Image {
     pub(crate) module: Module,
+    /// What `verify_module` said of `module`.
+    verdict: Result<(), VerifyError>,
     pub(crate) layout: GlobalLayout,
     /// Initializer image of the global-space globals: the bytes a fresh
     /// device's global memory starts from.
@@ -104,17 +110,15 @@ pub struct Image {
     /// Per function, which instruction results some operand reads, worked
     /// out at the first launch: what both tiers tell a buffered atomic.
     live: OnceLock<Box<[Box<[bool]>]>>,
-    /// The bytecode image, lowered at the first bytecode-tier launch;
-    /// `None` when the module is malformed (a shape the verifier rejects)
-    /// or fails the verifier's value-domain rule: it then runs on the
-    /// interpreter.
-    bc: OnceLock<Option<BcModule>>,
+    /// The bytecode image, lowered at the first launch of a verified
+    /// module on either tier (see [`Image::bytecode`]).
+    bc: OnceLock<Result<BcModule, TrapKind>>,
     /// Per function index, what launching it as a kernel needs, worked
     /// out at its first launch.
     kernels: Vec<OnceLock<Kernel>>,
-    /// Every function index ordered by name (ties by index), sorted at the
-    /// first lookup: a launch finds its kernel by binary search, not by a
-    /// scan of the module.
+    /// Every function index ordered by name, sorted at the first lookup: a
+    /// launch finds its kernel by binary search, not by a scan of the
+    /// module.
     by_name: OnceLock<Box<[u32]>>,
 }
 
@@ -132,6 +136,7 @@ impl Image {
     /// shared-space globals are *not* statically initialized (real shared
     /// memory is undefined at kernel start — the runtime initializes what
     /// it needs in `__kmpc_target_init`, exactly as in the paper §III).
+    /// A module the verifier rejects still loads; its launches are refused.
     pub fn new(module: Module) -> Image {
         let mut layout = GlobalLayout {
             addr_of: Vec::with_capacity(module.globals.len()),
@@ -168,6 +173,7 @@ impl Image {
         }
         Image {
             kernels: module.funcs.iter().map(|_| OnceLock::new()).collect(),
+            verdict: verify_module(&module),
             module,
             layout,
             global_init,
@@ -193,10 +199,19 @@ impl Image {
         self.live.get_or_init(|| self.module.funcs.iter().map(live_results_of).collect())
     }
 
-    fn bytecode(&self) -> Option<&BcModule> {
+    /// The lowered module, or the refusal every launch of this image
+    /// returns on either tier: the verifier's rejection, or a function
+    /// that failed lowering's validation gate (an internal error). Both
+    /// tiers ask, so an image a launch refuses on one it refuses on the
+    /// other.
+    fn bytecode(&self) -> Result<&BcModule, TrapKind> {
+        if let Err(e) = &self.verdict {
+            return Err(TrapKind::MalformedIr(e.to_string()));
+        }
         self.bc
             .get_or_init(|| lower_module(&self.module, &self.layout, self.live_results()))
             .as_ref()
+            .map_err(TrapKind::clone)
     }
 
     /// Registers are allocated for the whole call tree on a GPU (no real
@@ -219,15 +234,15 @@ impl Image {
         })
     }
 
-    /// The function named `name` — the first, as `Module::find_func`
-    /// answers — resolved through the image's name index.
+    /// The function named `name`, resolved through the image's name index.
+    /// Names are unique in a verified module, and only a verified module
+    /// launches.
     fn resolve(&self, name: &str) -> Option<FuncRef> {
         let funcs = &self.module.funcs;
         let name_of = |i: u32| funcs[i as usize].name.as_str();
         let order = self.by_name.get_or_init(|| {
             let mut order: Vec<u32> = (0..funcs.len() as u32).collect();
-            // Stable: equal names stay in index order.
-            order.sort_by(|&a, &b| name_of(a).cmp(name_of(b)));
+            order.sort_unstable_by(|&a, &b| name_of(a).cmp(name_of(b)));
             order.into_boxed_slice()
         });
         let at = order.partition_point(|&i| name_of(i) < name);
@@ -240,15 +255,6 @@ impl Image {
     pub fn kernel_name(&self, name: &str) -> Option<Arc<str>> {
         let f = self.resolve(name)?;
         Some(Arc::clone(&self.kernel(f).name))
-    }
-
-    /// Whether launches of this image can run untagged on the bytecode
-    /// tier: its module is well-formed and passes the value-domain rule
-    /// (lowering it now if no launch has yet), as every verified module
-    /// does. A `false` image runs every launch on the interpreter, with
-    /// identical results and about a third the speed.
-    pub fn runs_untagged(&self) -> bool {
-        self.bytecode().is_some()
     }
 }
 
@@ -677,6 +683,7 @@ impl Device {
         if let Some(kind) = self.poll_device_fault(true) {
             return Err(refuse(kind));
         }
+        let bc = self.image.bytecode().map_err(refuse)?;
         let func_ref = self
             .image
             .resolve(kernel)
@@ -685,6 +692,14 @@ impl Device {
         if func.params.len() != args.len() {
             let msg = format!("kernel @{kernel} takes {} args, got {}", func.params.len(), args.len());
             return Err(refuse(TrapKind::BadLaunch(msg)));
+        }
+        // The bytecode tier's registers are untagged bits, read in the
+        // domain the verifier gave each parameter: float exactly for `f64`.
+        for (i, (ty, arg)) in func.params.iter().zip(args).enumerate() {
+            if ty.is_float() != matches!(arg, RtVal::F(_)) {
+                let msg = format!("kernel @{kernel} parameter {i} is {ty}, got {arg:?}");
+                return Err(refuse(TrapKind::BadLaunch(msg)));
+            }
         }
         // A shape no SM can hold is refused before anything is sized from it.
         let smem = self.image.layout.shared_size;
@@ -724,11 +739,9 @@ impl Device {
         let mut lsan = (self.run.sanitize != Sanitize::Off).then(LaunchSan::default);
         let ctx = LaunchCtx {
             image: &self.image,
-            // The untagged tier runs only what the domain rule passed, so
-            // the launch arguments must carry the domains it assumed.
             bc: match self.run.tier {
-                ExecTier::Bytecode if args_fit(&func.params, args) => self.image.bytecode(),
-                ExecTier::Bytecode | ExecTier::Interp => None,
+                ExecTier::Bytecode => Some(bc),
+                ExecTier::Interp => None,
             },
             faults: self.faults.as_ref(),
             check_assumes: self.config.check_assumes,
@@ -788,12 +801,6 @@ impl Device {
             sanitizer_divergences: divergences,
         })
     }
-}
-
-/// Whether every launch argument holds the domain the value-domain rule
-/// assumes of its parameter: float exactly when the parameter is `f64`.
-fn args_fit(params: &[Ty], args: &[RtVal]) -> bool {
-    params.iter().zip(args).all(|(ty, a)| ty.is_float() == matches!(a, RtVal::F(_)))
 }
 
 /// The occupancy / wave model, folded team by team: teams are issued in
@@ -984,7 +991,7 @@ type TeamsOutcome = Result<Counters, (TrapKind, u32, u32)>;
 mod tests {
     use super::*;
     use crate::faults::DeviceFaultSite;
-    use nzomp_ir::{ExecMode, FuncBuilder, Function, Operand};
+    use nzomp_ir::{ExecMode, FuncBuilder, Function, Operand, Ty};
 
     /// A saved state put back on a fresh device of the same image reads
     /// as the device it was saved from: memory, the next bump allocation,
@@ -1037,18 +1044,30 @@ mod tests {
         assert_eq!(fault.kind, TrapKind::MemcpyFault, "op 0 of the plan is still ahead");
     }
 
-    /// The name index answers as the scan it replaced: the first function
-    /// of a name (names may repeat), and nothing for a name the module
-    /// lacks, whether it sorts before, between or after the others.
+    /// The name index answers as the scan it replaced: the function of a
+    /// name, and nothing for a name the module lacks, whether it sorts
+    /// before, between or after the others. Names are unique in a module
+    /// the verifier accepts, and one that repeats a name is refused at
+    /// launch with the verifier's message, on either tier.
     #[test]
     fn the_name_index_answers_as_find_func() {
         let mut m = Module::new("names");
-        for name in ["m", "b", "k", "a", "b", "zz", "__kmpc", "b"] {
+        for name in ["m", "b", "k", "a", "zz", "__kmpc"] {
             m.add_function(Function::declaration(name, vec![], None));
         }
         let image = Image::new(m.clone());
+        assert_eq!(image.verdict, Ok(()));
         for name in ["m", "b", "k", "a", "zz", "__kmpc", "", "0", "c", "z", "zzz", "B"] {
             assert_eq!(image.resolve(name), m.find_func(name), "{name:?}");
+        }
+
+        m.add_function(Function::declaration("b", vec![], None));
+        let refusal = TrapKind::MalformedIr("verify error in @<module>: symbol @b is defined twice".into());
+        for tier in [ExecTier::Interp, ExecTier::Bytecode] {
+            let mut dev = Device::load(m.clone(), DeviceConfig::default());
+            dev.set_exec_tier(tier);
+            let err = dev.launch("b", Launch::new(1, 1), &[]).unwrap_err();
+            assert_eq!(err, ExecError { kind: refusal.clone(), team: 0, thread: 0, func: "b".into() }, "{tier:?}");
         }
     }
 }

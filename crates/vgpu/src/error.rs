@@ -34,11 +34,12 @@ pub enum TrapKind {
     BadFree,
     /// Kernel argument count/type mismatch at launch.
     BadLaunch(String),
-    /// The interpreter met IR the verifier would have rejected (e.g. a phi
-    /// with no incoming for the taken edge). Well-linked modules never hit
-    /// this — `nzomp::pipeline` verifies at link time — but a hand-built
-    /// module loaded directly onto a device degrades to this typed error
-    /// instead of aborting the process.
+    /// IR the device does not run. A launch of an image whose module the
+    /// verifier rejects is refused with the verifier's message, on either
+    /// tier, before any thread runs (`Image::new` verifies once). Verified
+    /// IR meets it only as the body of a declaration launched as a kernel;
+    /// otherwise it names an engine invariant broken (a bug, typed rather
+    /// than a process abort).
     MalformedIr(String),
     /// The device vanished mid-operation (injected by a
     /// [`crate::faults::DeviceFaultKind::Lost`] site, modeling a GPU
@@ -84,7 +85,7 @@ impl fmt::Display for TrapKind {
             TrapKind::OutOfMemory => write!(f, "device heap exhausted"),
             TrapKind::BadFree => write!(f, "free() of unknown pointer"),
             TrapKind::BadLaunch(m) => write!(f, "bad launch: {m}"),
-            TrapKind::MalformedIr(m) => write!(f, "malformed IR reached the interpreter: {m}"),
+            TrapKind::MalformedIr(m) => write!(f, "malformed IR: {m}"),
             TrapKind::DeviceLost => write!(f, "device lost"),
             TrapKind::Stalled { fuel } => write!(
                 f,

@@ -42,8 +42,9 @@ use crate::ops::combine_atomic;
 use crate::sanitize::{AccessKind, BarrierArrival, IrLoc, ModuleSan, TeamSan};
 use crate::value::RtVal;
 
-/// Typed error for states only reachable through IR the verifier rejects
-/// (or engine-invariant violations). Never a process abort.
+/// Typed error for a declaration's body and for engine-invariant
+/// violations; an image the verifier rejects never runs. Never a process
+/// abort.
 pub(crate) fn malformed(msg: impl Into<String>) -> TrapKind {
     TrapKind::MalformedIr(msg.into())
 }
@@ -85,11 +86,10 @@ pub struct HeapState {
 pub(crate) struct LaunchCtx<'a> {
     pub image: &'a Image,
     /// Lowered bytecode when the launch runs on the bytecode tier; `None`
-    /// runs it on the interpreter: the interpreter tier was asked for, or
-    /// the image is malformed or fails the value-domain rule, or a launch
-    /// argument's tag does not fit its parameter. The tier decides only
-    /// how operands are decoded and control flows; every effect is
-    /// [`TeamExec`]'s, so both tiers produce bit-identical runs.
+    /// runs it on the interpreter, the oracle, which only a launch that
+    /// asks for it reaches. The tier decides only how operands are decoded
+    /// and control flows; every effect is [`TeamExec`]'s, so both tiers
+    /// produce bit-identical runs.
     pub bc: Option<&'a BcModule>,
     pub faults: Option<&'a FaultPlan>,
     pub check_assumes: bool,
@@ -852,8 +852,9 @@ mod tests {
 
     /// On every segment a direct-mode atomic is a read, [`combine_atomic`]
     /// and a write, and a compare-and-swap a read and, when the bits match,
-    /// a write, each access counted. `gmem.rs`'s `buffered_is_direct`
-    /// restates this path as its oracle; this test holds it to `TeamExec`.
+    /// a write, each access counted in that segment's counter and no other.
+    /// `gmem.rs`'s `buffered_is_direct` restates this path as its oracle;
+    /// this test holds it to `TeamExec`.
     #[test]
     fn a_direct_atomic_is_a_read_a_combine_and_a_write_on_every_segment() {
         let (module, layout, constant) = (Module::default(), GlobalLayout::default(), Region::with_size(16));
@@ -876,7 +877,16 @@ mod tests {
             backend: InterpBackend,
         };
         let mut t = ThreadCtx::<crate::interp::Frame> { tid: 3, local: Region::with_size(16), ..Default::default() };
-        let accesses = |c: &Counters| c.global_accesses + c.shared_accesses + c.local_accesses;
+        // The counters after `n` more accesses to `p`'s segment.
+        let counted = |c: &Counters, p: DevPtr, n: u64| {
+            let mut c = c.clone();
+            match p.segment() {
+                Segment::Global => c.global_accesses += n,
+                Segment::Shared => c.shared_accesses += n,
+                _ => c.local_accesses += n,
+            }
+            c
+        };
         let rmws = [
             (AtomicOp::Add, Ty::I32, RtVal::I(5)),
             (AtomicOp::Min, Ty::I8, RtVal::I(-7)),
@@ -886,17 +896,18 @@ mod tests {
         for p in [DevPtr::global(8), DevPtr::shared(8), DevPtr::local(3, 8)] {
             exec.mem_write(&mut t, p, 8, 0x4010_0000_0000_0003).unwrap();
             for (op, ty, v) in rmws {
-                let (there, n) = (exec.mem_read(&t, p, ty.size()).unwrap(), accesses(&exec.counters));
+                let (there, before) = (exec.mem_read(&t, p, ty.size()).unwrap(), exec.counters.clone());
                 let old = exec.atomic(&mut t, op, ty, p, v, false).unwrap();
-                assert_eq!((old.to_bits(), accesses(&exec.counters) - n), (there, 2), "{op:?} {ty:?} at {p:?}");
+                assert_eq!((old.to_bits(), &exec.counters), (there, &counted(&before, p, 2)), "{op:?} {ty:?} at {p:?}");
                 let want = combine_atomic(op, ty, old, v).to_bits() & (u64::MAX >> (64 - 8 * ty.size())) as i64;
                 assert_eq!(exec.mem_read(&t, p, ty.size()), Ok(want), "{op:?} {ty:?} at {p:?}");
             }
             for (flip, stores) in [(1, false), (0, true)] {
-                let (there, n) = (exec.mem_read(&t, p, 8).unwrap(), accesses(&exec.counters));
+                let (there, before) = (exec.mem_read(&t, p, 8).unwrap(), exec.counters.clone());
                 let old = exec.cas(&mut t, Ty::I64, p, there ^ flip, 9).unwrap();
-                let got = (old.to_bits(), accesses(&exec.counters) - n, exec.mem_read(&t, p, 8));
-                assert_eq!(got, (there, 1 + u64::from(stores), Ok(if stores { 9 } else { there })), "CAS at {p:?}");
+                let want = counted(&before, p, 1 + u64::from(stores));
+                assert_eq!((old.to_bits(), &exec.counters), (there, &want), "CAS at {p:?}");
+                assert_eq!(exec.mem_read(&t, p, 8), Ok(if stores { 9 } else { there }), "CAS at {p:?}");
             }
         }
         let traps = [(DevPtr::NULL, TrapKind::NullDeref), (DevPtr::constant(8), TrapKind::OutOfBounds)];

@@ -133,13 +133,7 @@ impl<'a> TeamExec<'a, InterpBackend> {
             return self.step_term(thread, term);
         }
         let iid = block.insts[frame.inst_idx];
-        let Some(inst) = func.insts.get(iid.index()) else {
-            return Err(malformed(format!(
-                "bb{} in @{} lists missing inst %{}",
-                frame.block.0, func.name, iid.0
-            )));
-        };
-        let inst: &'a Inst = inst;
+        let inst: &'a Inst = &func.insts[iid.index()];
         self.counters.instructions += 1;
         thread.cycles += cost::ISSUE;
         thread.busy_cycles += cost::ISSUE;
@@ -151,14 +145,8 @@ impl<'a> TeamExec<'a, InterpBackend> {
             return Err(malformed("operand evaluated with no frame"));
         };
         Ok(match op {
-            Operand::Inst(i) => *frame
-                .regs
-                .get(i.index())
-                .ok_or_else(|| malformed(format!("operand references missing inst %{}", i.0)))?,
-            Operand::Param(p) => *frame
-                .args
-                .get(p as usize)
-                .ok_or_else(|| malformed(format!("operand references missing param {p}")))?,
+            Operand::Inst(i) => frame.regs[i.index()],
+            Operand::Param(p) => frame.args[p as usize],
             Operand::ConstI(v, ty) => {
                 if ty == Ty::Ptr {
                     RtVal::P(DevPtr(v as u64))
@@ -167,9 +155,7 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 }
             }
             Operand::ConstF(v) => RtVal::F(v),
-            Operand::Global(g) => RtVal::P(*self.layout.addr_of.get(g.index()).ok_or_else(
-                || malformed(format!("operand references missing global {}", g.0)),
-            )?),
+            Operand::Global(g) => RtVal::P(self.layout.addr_of[g.index()]),
             Operand::Func(f) => RtVal::P(DevPtr::func(f.0)),
         })
     }
@@ -178,10 +164,7 @@ impl<'a> TeamExec<'a, InterpBackend> {
         let Some(frame) = thread.frames.last_mut() else {
             return Err(malformed("register written with no frame"));
         };
-        let Some(slot) = frame.regs.get_mut(id.index()) else {
-            return Err(malformed(format!("result register %{} out of range", id.0)));
-        };
-        *slot = v;
+        frame.regs[id.index()] = v;
         Ok(())
     }
 
@@ -333,12 +316,10 @@ impl<'a> TeamExec<'a, InterpBackend> {
             Inst::Intr { intr, args } => {
                 self.exec_intr(thread, iid, *intr, args)?;
             }
-            Inst::Phi { .. } => {
-                // Phis are materialized by terminators; stepping onto one
-                // means the block was constructed with a phi after a
-                // non-phi — a shape the verifier rejects.
-                return Err(malformed("phi executed directly (phi after non-phi)"));
-            }
+            // Materialized by the edge into its block (`jump`), which
+            // steps past every leading phi, and the verifier keeps every
+            // phi leading: never stepped onto.
+            Inst::Phi { .. } => {}
         }
         Ok(())
     }
@@ -413,10 +394,7 @@ impl<'a> TeamExec<'a, InterpBackend> {
             }
             Intrinsic::Assume(()) => {
                 if self.check_assumes {
-                    let Some(&cond) = args.first() else {
-                        return Err(malformed("assume intrinsic with no operand"));
-                    };
-                    let c = self.eval(thread, cond)?.as_bool();
+                    let c = self.eval(thread, args[0])?.as_bool();
                     if !c {
                         return Err(TrapKind::AssumeViolated);
                     }
@@ -424,10 +402,7 @@ impl<'a> TeamExec<'a, InterpBackend> {
             }
             Intrinsic::AssertFail => return Err(TrapKind::AssertFail),
             Intrinsic::Malloc => {
-                let Some(&sz) = args.first() else {
-                    return Err(malformed("malloc intrinsic with no operand"));
-                };
-                let size = self.eval(thread, sz)?.as_i();
+                let size = self.eval(thread, args[0])?.as_i();
                 thread.cycles += cost::MALLOC;
                 thread.busy_cycles += cost::MALLOC;
                 thread.mem_cycles += cost::MALLOC;
@@ -435,10 +410,7 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 self.set_reg(thread, iid, RtVal::P(p))?;
             }
             Intrinsic::Free => {
-                let Some(&ptr) = args.first() else {
-                    return Err(malformed("free intrinsic with no operand"));
-                };
-                let p = self.eval(thread, ptr)?.as_ptr();
+                let p = self.eval(thread, args[0])?.as_ptr();
                 self.free(p)?;
             }
         }
@@ -477,13 +449,7 @@ impl<'a> TeamExec<'a, InterpBackend> {
                     }
                     Some(caller) => {
                         if let (Some(dst), Some(v)) = (frame.ret_dst, val) {
-                            let Some(slot) = caller.regs.get_mut(dst.index()) else {
-                                return Err(malformed(format!(
-                                    "return destination %{} out of range",
-                                    dst.0
-                                )));
-                            };
-                            *slot = v;
+                            caller.regs[dst.index()] = v;
                         }
                     }
                 }
@@ -501,51 +467,26 @@ impl<'a> TeamExec<'a, InterpBackend> {
             return Err(malformed("branch with no frame"));
         };
         let from = frame.block;
-        let Some(block) = func.blocks.get(target.index()) else {
-            return Err(malformed(format!(
-                "branch in @{} targets missing bb{}",
-                func.name, target.0
-            )));
-        };
-        // Evaluate all phi inputs before writing any.
+        // Evaluate all phi inputs before writing any. The verifier gives
+        // each leading phi exactly one incoming per predecessor.
         let mut writes: Vec<(InstId, RtVal)> = Vec::new();
-        let mut phi_count = 0usize;
-        for &iid in &block.insts {
-            let Some(inst) = func.insts.get(iid.index()) else {
-                return Err(malformed(format!(
-                    "bb{} in @{} lists missing inst %{}",
-                    target.0, func.name, iid.0
-                )));
+        for &iid in &func.blocks[target.index()].insts {
+            let Inst::Phi { incomings, .. } = &func.insts[iid.index()] else {
+                break;
             };
-            match inst {
-                Inst::Phi { incomings, .. } => {
-                    phi_count += 1;
-                    // The verifier rejects this shape (`ir::verify`); a
-                    // hand-built module loaded straight onto a device
-                    // degrades to a typed trap instead of a process abort.
-                    let Some(inc) = incomings.iter().find(|i| i.pred == from) else {
-                        return Err(malformed(format!(
-                            "phi %{} in @{} bb{} missing incoming for bb{}",
-                            iid.0, func.name, target.0, from.0
-                        )));
-                    };
-                    writes.push((iid, self.eval(thread, inc.value)?));
-                }
-                _ => break,
+            for inc in incomings.iter().filter(|i| i.pred == from) {
+                writes.push((iid, self.eval(thread, inc.value)?));
             }
         }
         let Some(frame) = thread.frames.last_mut() else {
             return Err(malformed("branch with no frame"));
         };
-        for (iid, v) in writes {
-            let Some(slot) = frame.regs.get_mut(iid.index()) else {
-                return Err(malformed(format!("phi result %{} out of range", iid.0)));
-            };
-            *slot = v;
-        }
         frame.block = target;
-        frame.inst_idx = phi_count;
-        self.counters.instructions += phi_count as u64;
+        frame.inst_idx = writes.len();
+        self.counters.instructions += writes.len() as u64;
+        for (iid, v) in writes {
+            frame.regs[iid.index()] = v;
+        }
         Ok(())
     }
 }

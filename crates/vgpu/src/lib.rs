@@ -19,9 +19,10 @@
 //!    kernel time / #regs / SMem the same way the A100 numbers move in
 //!    Fig. 10–13.
 //!
-//! The crate is panic-free by policy: malformed IR, bad host accesses and
-//! injected faults all surface as typed [`ExecError`]s, never process
-//! aborts. The lint gate below enforces it (tests are exempt).
+//! The crate is panic-free by policy: malformed IR is refused at launch
+//! (an image is a verified module, [`Image`]), and bad launches, bad host
+//! accesses and injected faults all surface as typed [`ExecError`]s, never
+//! process aborts. The lint gate below enforces it (tests are exempt).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]

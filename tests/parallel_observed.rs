@@ -165,7 +165,7 @@ use nzomp_proxies::rsbench::RSBench;
 use nzomp_proxies::testsnap::TestSnap;
 use nzomp_proxies::xsbench::XSBench;
 use nzomp_proxies::{compile_for_config, quick_device, verify_output, Proxy};
-use nzomp_vgpu::{ExecTier, Image, WaveStats};
+use nzomp_vgpu::{ExecTier, WaveStats};
 
 /// An SPMD kernel `k(buf)` whose body gets the buffer and the global
 /// thread id.
@@ -187,7 +187,7 @@ fn kernel(name: &str, body: impl FnOnce(&mut FuncBuilder, Operand, Operand)) -> 
 /// on both execution tiers: the interpreter hands the buffered view the
 /// same live-result flag and the same accesses the bytecode tier does.
 fn wave_stats(m: &Module, teams: u32, threads: u32, slots: usize) -> WaveStats {
-    assert!(Image::new(m.clone()).runs_untagged(), "the bytecode tier must run it");
+    assert_eq!(nzomp_ir::verify_module(m), Ok(()), "the bytecode tier must run it");
     let per_run = [ExecTier::Interp, ExecTier::Bytecode].map(|tier| {
         WORKER_COUNTS.map(|workers| {
             let mut dev = Device::load(m.clone(), DeviceConfig::default());

@@ -205,8 +205,8 @@ fn bad_launch() -> (Device, Launch, Vec<RtVal>) {
 
 fn malformed_ir() -> (Device, Launch, Vec<RtVal>) {
     // A phi with no incoming for the taken edge. `nzomp::compile` rejects
-    // this at link time; loading the module straight onto the device must
-    // degrade to a typed trap, never a process abort.
+    // this at link time; a device loads it, and refuses every launch with
+    // the verifier's message, never a process abort.
     let mut m = Module::new("mal");
     let mut b = FuncBuilder::new("mal", vec![], None);
     let tid = b.thread_id(); // %0
@@ -224,7 +224,7 @@ fn malformed_ir() -> (Device, Launch, Vec<RtVal>) {
     m.add_kernel(f, ExecMode::Spmd);
     // The verifier refuses this module...
     assert!(nzomp_ir::verify_module(&m).is_err());
-    // ...but the device still loads whatever it is given.
+    // ...and so does the device, at launch.
     (default_dev(m), Launch::new(1, 1), vec![])
 }
 
@@ -415,14 +415,14 @@ fn every_trap_kind_has_exact_error_and_display() {
             setup: malformed_ir,
             expect: ExecError {
                 kind: TrapKind::MalformedIr(
-                    "phi %2 in @mal bb2 missing incoming for bb0".into(),
+                    "verify error in @mal: phi %2 in bb2 missing incoming for predecessor bb0".into(),
                 ),
                 team: 0,
                 thread: 0,
                 func: "mal".into(),
             },
-            display: "trap in team 0 thread 0 (@mal): malformed IR reached the interpreter: \
-                      phi %2 in @mal bb2 missing incoming for bb0",
+            display: "trap in team 0 thread 0 (@mal): malformed IR: \
+                      verify error in @mal: phi %2 in bb2 missing incoming for predecessor bb0",
         },
         Case {
             name: "device_lost",

@@ -48,7 +48,8 @@ struct FnLowerer<'m> {
     module: &'m Module,
     layout: &'m GlobalLayout,
     func: &'m Function,
-    /// Value slot per arena instruction (0 = dead-result scratch).
+    /// Value slot per arena instruction (0 = dead-result scratch; listed
+    /// results follow the parameter slots `1..=params`).
     slot_of: Vec<u32>,
     /// The function's entry of the live-result table.
     live: &'m [bool],
@@ -61,22 +62,24 @@ struct FnLowerer<'m> {
     /// First post-phi op offset per block.
     block_start: Vec<u32>,
     /// The frame template under construction, one entry per value slot:
-    /// instruction results first (zero), then the interned immediate
-    /// operands, each already in the dedicated slot `cnum` appended for
-    /// it, so operands stay plain `Src::Reg` reads. `const_of` dedups by
-    /// bits.
+    /// the scratch slot, the parameters and the instruction results first
+    /// (zero), then the interned immediate operands, each already in the
+    /// dedicated slot `cnum` appended for it, so every operand is a plain
+    /// slot read. `const_of` dedups by bits.
     regs0: Vec<u64>,
     const_of: HashMap<u64, u32>,
 }
 
-/// A function whose every execution traps with `t` on its first step.
-fn trap_only(t: TrapKind) -> BcFunc {
+/// A function of `params` parameters whose every execution traps with
+/// `t` on its first step. Its template still reserves the parameter
+/// slots, which a launch writes before that step.
+fn trap_only(t: TrapKind, params: usize) -> BcFunc {
     BcFunc {
         ops: vec![Op::TrapBare { t: 0 }],
         locs: vec![(0, 0)],
         edges: Vec::new(),
         traps: vec![t],
-        regs0: vec![0],
+        regs0: vec![0; 1 + params],
     }
 }
 
@@ -89,11 +92,13 @@ fn lower_func<'m>(
     if func.blocks.is_empty() {
         // Declaration (or stripped body): executing it meets the
         // interpreter's missing-entry-block trap on the first step.
-        return trap_only(malformed(format!("frame in @{} references missing bb0", func.name)));
+        let t = malformed(format!("frame in @{} references missing bb0", func.name));
+        return trap_only(t, func.params.len());
     }
 
     let mut slot_of = vec![0u32; func.insts.len()];
-    let mut n_slots = 1u32; // slot 0: shared dead-result scratch
+    // Slot 0: shared dead-result scratch; slots 1..=params: the parameters.
+    let mut n_slots = 1 + func.params.len() as u32;
     for (i, u) in listed_uses(func).into_iter().enumerate() {
         if u {
             slot_of[i] = n_slots;
@@ -164,22 +169,18 @@ fn listed_uses(func: &Function) -> Vec<bool> {
 }
 
 /// Validation gate for the dispatch loop's unchecked accesses: every
-/// `Src::Reg` index and every destination slot a function of `params`
-/// parameters can name must be in range of its frame template `regs0`,
-/// which every frame copies, and every `Src::Arg` index below `params`,
-/// the argument count every frame of it is entered with (launch, direct
-/// calls at lowering and indirect calls at dispatch each check arity).
-/// `getv` / `setv` rely on this to skip per-access bounds checks — verify
-/// once at lowering, dispatch unchecked. The lowerer above never produces
-/// an out-of-range index; the gate makes the dispatch loop's soundness
+/// operand and destination slot a function can name must be in range of
+/// its frame template `regs0`, which every frame copies, and the template
+/// must hold a slot for each of its `params` parameters (slots
+/// `1..=params`), which every call and launch writes. `getv` / `setv`
+/// rely on this to skip per-access bounds checks — verify once at
+/// lowering, dispatch unchecked. The lowerer above never produces an
+/// out-of-range index; the gate makes the dispatch loop's soundness
 /// independent of that claim. A function that fails refuses every launch
 /// of its image.
 fn validated(f: BcFunc, params: u32) -> Option<BcFunc> {
     let n_slots = f.regs0.len() as u32;
-    let src_ok = |s: &Src| match *s {
-        Src::Reg(i) => i < n_slots,
-        Src::Arg(i) => i < params,
-    };
+    let src_ok = |s: &Src| s.0 < n_slots;
     let dst_ok = |d: u32| d < n_slots;
     let op_ok = |op: &Op| match op {
         Op::Bin { a, b, dst, .. } | Op::Cmp { a, b, dst, .. } | Op::PtrAdd { a, b, dst } => {
@@ -233,12 +234,13 @@ fn validated(f: BcFunc, params: u32) -> Option<BcFunc> {
         Some(Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. })
             | Some(Op::TrapBare { .. } | Op::TrapInst { .. })
     );
-    (n_slots > 0 && end_ok && edges_ok && f.ops.iter().all(|o| op_ok(o) && flow_ok(o))).then_some(f)
+    (n_slots > params && end_ok && edges_ok && f.ops.iter().all(|o| op_ok(o) && flow_ok(o))).then_some(f)
 }
 
-/// The gate's cross-function half: every direct call of `f` passes its
-/// callee's parameter count, the bound [`validated`] held the callee's
-/// argument reads to.
+/// The gate's cross-function half: every direct call of `f` names a
+/// function of the module and passes exactly its parameter count, the
+/// slots [`validated`] held the callee's template to, so the dispatch
+/// loop indexes the target and writes the arguments unchecked.
 fn calls_fit(module: &Module, f: &BcFunc) -> bool {
     f.ops.iter().all(|op| match op {
         Op::Call { target, args, .. } => {
@@ -266,21 +268,21 @@ impl<'m> FnLowerer<'m> {
     }
 
     /// Intern an immediate into a dedicated value slot (dedup by bits) of
-    /// the frame template, so the operand is a plain `Reg`.
+    /// the frame template, so the operand is a plain slot read.
     fn cnum(&mut self, bits: u64) -> Src {
         let next = self.regs0.len() as u32;
         let slot = *self.const_of.entry(bits).or_insert(next);
         if slot == next {
             self.regs0.push(bits);
         }
-        Src::Reg(slot)
+        Src(slot)
     }
 
     /// Pre-translate one operand (the interpreter's `eval`, done once).
     fn src(&mut self, op: Operand) -> Src {
         match op {
-            Operand::Inst(i) => Src::Reg(self.slot_of[i.index()]),
-            Operand::Param(p) => Src::Arg(p),
+            Operand::Inst(i) => Src(self.slot_of[i.index()]),
+            Operand::Param(p) => Src(1 + p),
             Operand::ConstI(v, _) => self.cnum(v as u64),
             Operand::ConstF(v) => self.cnum(v.to_bits()),
             Operand::Global(g) => self.cnum(self.layout.addr_of[g.index()].0),
@@ -557,9 +559,9 @@ mod tests {
             prev = Operand::Inst(padded.add_inst(dead));
         }
         assert_eq!(padded.live_inst_count(), live.live_inst_count());
-        // Slot 0, `tid`, `x` and the interned `1`.
-        assert_eq!(lowered(live).regs0.len(), 4);
-        assert_eq!(lowered(padded).regs0.len(), 4);
+        // Slot 0, the parameter, `tid`, `x` and the interned `1`.
+        assert_eq!(lowered(live).regs0.len(), 5);
+        assert_eq!(lowered(padded).regs0.len(), 5);
     }
 
     /// The gate's cross-function half holds a direct call to its callee's
@@ -585,10 +587,10 @@ mod tests {
         assert!(!calls_fit(&m, &k));
     }
 
-    /// The gate refuses a function naming a slot past its frame template
-    /// or an argument past its parameter count — every launch of the
-    /// image is then refused — and passes the same function with both in
-    /// range.
+    /// The gate refuses a function naming a slot past its frame template,
+    /// or whose template has no slot for each parameter — every launch of
+    /// the image is then refused — and passes the same function with every
+    /// slot in range.
     #[test]
     fn the_validation_gate_refuses_out_of_range_indexes() {
         let f = lowered(store_tid_plus_one());
@@ -599,9 +601,11 @@ mod tests {
             *store = Op::Store { ty: Ty::I64, p, v };
             g
         };
-        assert!(validated(with_store(Src::Arg(0), Src::Reg(n_slots - 1)), params).is_some());
-        assert!(validated(with_store(Src::Arg(0), Src::Reg(n_slots)), params).is_none());
-        assert!(validated(with_store(Src::Arg(params), Src::Reg(1)), params).is_none());
-        assert!(validated(with_store(Src::Arg(params), Src::Reg(n_slots)), params).is_none());
+        assert!(validated(with_store(Src(params), Src(n_slots - 1)), params).is_some());
+        assert!(validated(with_store(Src(params), Src(n_slots)), params).is_none());
+        assert!(validated(with_store(Src(n_slots), Src(1)), params).is_none());
+        let bare = |slots: usize| BcFunc { regs0: vec![0; slots], ..trap_only(TrapKind::AssertFail, 0) };
+        assert!(validated(bare(1 + params as usize), params).is_some());
+        assert!(validated(bare(params as usize), params).is_none());
     }
 }

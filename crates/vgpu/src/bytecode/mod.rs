@@ -4,29 +4,31 @@
 //! Lowering (`lower.rs`) runs once per module and moves every per-step
 //! lookup the interpreter performs out of the hot loop:
 //!
-//! * **Register allocation** — SSA results that code a block lists (or a
-//!   terminator) uses get a dense value slot; dead results share one
-//!   scratch slot. Frames carry a flat `Vec<u64>` sized to the slot
-//!   count instead of the instruction arena.
-//! * **Registers are bits** — a slot, an argument and an immediate hold a
-//!   value's raw 64 bits with no type tag. Each op reads them in the
-//!   domain its operator's static class names (`ops::bits_*`, over the
-//!   same `nzomp_ir` rules the interpreter's tagged adapters use), loads
-//!   and stores move the bits as they are, and `RtVal` appears only at
-//!   the edges: launch arguments (converted once per thread in
+//! * **Register allocation** — a function's parameters are its slots
+//!   `1..=params`, and SSA results that code a block lists (or a
+//!   terminator) uses get the dense slots after them; dead results share
+//!   the scratch slot 0. Frames carry a flat `Vec<u64>` sized to the slot
+//!   count instead of the instruction arena, and a call or launch writes
+//!   its arguments into it.
+//! * **Registers are bits** — a slot holds a value's raw 64 bits with no
+//!   type tag, be it a parameter, a result or an immediate. Each op reads
+//!   them in the domain its operator's static class names (`ops::bits_*`,
+//!   over the same `nzomp_ir` rules the interpreter's tagged adapters
+//!   use), loads and stores move the bits as they are, and `RtVal` appears
+//!   only at the edges: launch arguments (converted once per thread in
 //!   `kernel_frame`) and the operand and result of an atomic, which
 //!   [`TeamExec::atomic`] performs for both tiers. The sanitizer's release
 //!   hook reads a call's first two arguments as bits on both tiers
-//!   ([`TeamExec::san_on_call`]), so it needs no tag. That is the
-//!   interpreter's behaviour exactly when every operand is read in the
-//!   domain it was produced in, which is what the verifier's value-domain
-//!   rule ([`nzomp_ir::verify_domains`]) checks. Only verified modules
-//!   are lowered, and `Device::launch` refuses an argument whose tag
-//!   contradicts its parameter, on both tiers.
-//! * **Pre-translated operands** ([`Src`]) — instruction results become
-//!   slot reads, params become argument reads, constants (including
-//!   resolved global addresses and function pointers) are immediate
-//!   values interned into slots.
+//!   ([`TeamExec::san_on_call`]; here the callee's slots 1 and 2), so it
+//!   needs no tag. That is the interpreter's behaviour exactly when every
+//!   operand is read in the domain it was produced in, which is what the
+//!   verifier's value-domain rule ([`nzomp_ir::verify_domains`]) checks.
+//!   Only verified modules are lowered, and `Device::launch` refuses an
+//!   argument whose tag contradicts its parameter, on both tiers.
+//! * **Pre-translated operands** ([`Src`]) — every operand is one slot
+//!   read: an instruction result's slot, a parameter's slot, or the slot
+//!   an immediate (a constant, a resolved global address, a function
+//!   pointer) is interned into.
 //! * **Pre-resolved control flow** ([`Edge`]) — branch targets are op
 //!   offsets and phi materialization is a pre-computed parallel move list;
 //!   the superinstruction shape (operand fetch fused into each op,
@@ -63,23 +65,15 @@ use crate::ops::{bits_bin, bits_cast, bits_cmp, bits_un};
 use crate::sanitize::{AccessKind, IrLoc};
 use crate::value::RtVal;
 
-/// A pre-translated operand. Resolution that the interpreter performs per
-/// evaluation (arena lookup, constant tagging, global address lookup) has
-/// already happened; what remains is a slot read or an argument read.
-/// Immediates (constants, resolved globals, function pointers) have no
-/// variant of their own: lowering interns each into a dedicated value
-/// slot that frame setup pre-fills (see [`BcFunc::regs0`]), so the
-/// overwhelmingly common operand kind is `Reg` and the read compiles to
-/// one compare plus an unchecked load — an immediate variant, beside the
-/// three the enum once had, turned this match into an indirect jump per
-/// operand, which measurably drags the dispatch loop.
+/// A pre-translated operand: a value slot of the current frame.
+/// Resolution that the interpreter performs per evaluation (arena lookup,
+/// parameter lookup, constant tagging, global address lookup) has already
+/// happened. Parameter `p` is slot `1 + p`, which a call or launch writes,
+/// and each immediate (constant, resolved global, function pointer) has a
+/// dedicated slot that frame setup pre-fills (see [`BcFunc::regs0`]), so
+/// the read is one unchecked load with no operand kind to branch on.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Src {
-    /// Value slot in the current frame.
-    Reg(u32),
-    /// Function argument `n`, below the function's parameter count.
-    Arg(u32),
-}
+pub(crate) struct Src(pub u32);
 
 /// A resolved control-flow edge: where to go and which phi moves to
 /// materialize (parallel-copy semantics, evaluated in phi listing order).
@@ -105,7 +99,8 @@ pub(crate) enum Op {
     PtrAdd { a: Src, b: Src, dst: u32 },
     /// `size` is pre-aligned to 8 bytes at lowering.
     Alloca { size: u64, dst: u32 },
-    /// Direct call, statically resolved; the gate checks its arity.
+    /// Direct call, statically resolved; the gate checks its arity and
+    /// target.
     Call {
         target: u32,
         args: Box<[Src]>,
@@ -149,6 +144,8 @@ pub(crate) enum Op {
     TrapInst { t: u32 },
 }
 
+const _: () = assert!(size_of::<Op>() == 32);
+
 /// One lowered function.
 #[derive(Clone, Debug)]
 pub(crate) struct BcFunc {
@@ -160,16 +157,18 @@ pub(crate) struct BcFunc {
     /// Pre-built trap values of the trap ops.
     pub traps: Vec<TrapKind>,
     /// The register file a frame of this function starts from, one entry
-    /// per value slot (slot 0 is the shared dead-result scratch): zero,
-    /// except that every interned immediate operand already sits in its
-    /// dedicated slot (disjoint from every instruction-result slot), so
-    /// operands reference immediates as plain [`Src::Reg`] reads and
-    /// frame setup is one copy.
+    /// per value slot (slot 0 is the shared dead-result scratch, slots
+    /// `1..=params` the parameters): zero, except that every interned
+    /// immediate operand already sits in its dedicated slot (after every
+    /// parameter and instruction-result slot), so operands reference
+    /// immediates as plain slot reads and frame setup is one copy plus
+    /// the arguments.
     pub regs0: Vec<u64>,
 }
 
 /// A whole module lowered to bytecode. Pure function of the IR module and
 /// the device's global layout, so the device caches it across launches.
+/// One [`BcFunc`] per function of the module, at the function's index.
 #[derive(Clone, Debug)]
 pub(crate) struct BcModule {
     pub funcs: Vec<BcFunc>,
@@ -177,11 +176,13 @@ pub(crate) struct BcModule {
 
 /// One bytecode call frame.
 #[derive(Debug)]
-pub(crate) struct BcFrame {
+pub(crate) struct BcFrame<'a> {
+    /// The function this frame runs.
+    code: &'a BcFunc,
+    /// Its index in the module (the sanitizer's [`IrLoc`]).
     func: u32,
     pc: u32,
     regs: Vec<u64>,
-    args: Vec<u64>,
     /// Caller value slot that receives the return value.
     ret_dst: Option<u32>,
     /// Thread-local stack watermark to restore on return.
@@ -195,32 +196,15 @@ pub(crate) struct BcBackend<'a> {
 
 /// Operand read; runs 1–3× per op.
 #[inline(always)]
-fn getv(regs: &[u64], frame: &BcFrame, s: &Src) -> u64 {
-    match *s {
-        // SAFETY: every `Reg` index a lowered function can name is
-        // range-checked against the function's slot count by the
-        // validation gate in `lower.rs` (`validated`), and a frame's
-        // register file is always a copy of the function's `regs0`, one
-        // entry per slot. Verified once at lowering,
-        // dispatched unchecked (the JVM/Wasm layout).
-        Src::Reg(i) => {
-            debug_assert!((i as usize) < regs.len());
-            unsafe { *regs.get_unchecked(i as usize) }
-        }
-        // SAFETY: the gate holds every `Arg` index below the function's
-        // parameter count, and every frame is entered with exactly that
-        // many arguments: the launch, the gate (direct calls, `calls_fit`)
-        // and `CallInd` (at dispatch) each check arity.
-        Src::Arg(i) => {
-            debug_assert!((i as usize) < frame.args.len());
-            unsafe { *frame.args.get_unchecked(i as usize) }
-        }
-    }
-}
-
-/// A fresh frame register file: a copy of the function's template.
-fn fresh_regs(f: &BcFunc) -> Vec<u64> {
-    f.regs0.clone()
+fn getv(regs: &[u64], s: &Src) -> u64 {
+    // SAFETY: every operand slot a lowered function can name is
+    // range-checked against the function's slot count by the validation
+    // gate in `lower.rs` (`validated`), and a frame's register file is
+    // always a copy of the function's `regs0`, one entry per slot.
+    // Verified once at lowering, dispatched unchecked (the JVM/Wasm
+    // layout).
+    debug_assert!((s.0 as usize) < regs.len());
+    unsafe { *regs.get_unchecked(s.0 as usize) }
 }
 
 #[inline(always)]
@@ -228,7 +212,11 @@ fn setv(regs: &mut [u64], i: u32, v: u64) {
     // The dead-result scratch (slot 0) absorbs every dead write.
     // SAFETY: destination slots are range-checked against the slot count
     // by the validation gate in `lower.rs` (`validated`), and a frame's
-    // register file is always a copy of the function's `regs0`.
+    // register file is always a copy of the function's `regs0`. An
+    // argument's slot `1 + i` is a parameter slot of the callee, which
+    // the gate holds below its slot count: `calls_fit` gives a direct call
+    // exactly its callee's parameters, and `TeamExec::call_target` an
+    // indirect one.
     debug_assert!((i as usize) < regs.len());
     unsafe { *regs.get_unchecked_mut(i as usize) = v }
 }
@@ -248,28 +236,31 @@ fn loc_of(cur: &BcFunc, func: u32, opi: usize) -> IrLoc {
 }
 
 impl<'a> ExecBackend<'a> for BcBackend<'a> {
-    type Frame = BcFrame;
+    type Frame = BcFrame<'a>;
 
     fn kernel_frame(
         exec: &TeamExec<'a, Self>,
         kernel: u32,
         args: &[RtVal],
-        spent: Option<BcFrame>,
-    ) -> Result<BcFrame, TrapKind> {
+        spent: Option<BcFrame<'a>>,
+    ) -> Result<BcFrame<'a>, TrapKind> {
         let Some(f) = exec.backend.bc.funcs.get(kernel as usize) else {
             return Err(malformed(format!("kernel index {kernel} out of range")));
         };
-        // A spent kernel frame lends its two vectors; every field is set.
-        let (mut regs, mut argv) = spent.map(|s| (s.regs, s.args)).unwrap_or_default();
+        // A spent kernel frame lends its register file; every field is
+        // set. The launch checked the argument count, and the gate holds
+        // a slot for each parameter.
+        let mut regs = spent.map(|s| s.regs).unwrap_or_default();
         regs.clear();
         regs.extend_from_slice(&f.regs0);
-        argv.clear();
-        argv.extend(args.iter().map(|a| a.to_bits() as u64));
+        for (r, a) in regs.iter_mut().skip(1).zip(args) {
+            *r = a.to_bits() as u64;
+        }
         Ok(BcFrame {
+            code: f,
             func: kernel,
             pc: 0,
             regs,
-            args: argv,
             ret_dst: None,
             local_base: 0,
         })
@@ -277,20 +268,13 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
 
     fn run_thread(
         exec: &mut TeamExec<'a, Self>,
-        thread: &mut ThreadCtx<BcFrame>,
+        thread: &mut ThreadCtx<BcFrame<'a>>,
     ) -> Result<(), TrapKind> {
         let bc: &'a BcModule = exec.backend.bc;
         let Some(mut frame) = thread.frames.pop() else {
             return Err(malformed("live thread has no frame"));
         };
-        let mut cur: &'a BcFunc = match bc.funcs.get(frame.func as usize) {
-            Some(f) => f,
-            None => {
-                let e = malformed(format!("frame references missing function {}", frame.func));
-                thread.frames.push(frame);
-                return Err(e);
-            }
-        };
+        let mut cur: &'a BcFunc = frame.code;
         // Hoisted views of the current function's tables: plain slice
         // locals (re-set on call/return) so the dispatch loop never
         // reloads the `BcFunc` fields per op.
@@ -314,11 +298,12 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         // observable state ever lags. (`next_fault` is a read cache of
         // `thread.next_fault_step`, reloaded after each poll — the poll is
         // its only writer.)
-        // The op cursor is a raw pointer rather than an index: `Op` is 40
-        // bytes, so an indexed fetch pays a multiply on every dispatch,
-        // while a pointer is a plain load + bump. It is rebased whenever
-        // `ops` changes (call/return) and folded back to an index by
-        // `cur_pc!` at every (cold) exit.
+        // The op cursor is a raw pointer rather than an index: a pointer
+        // is a plain load + bump per dispatch, and with the 32-byte `Op`
+        // an index cursor still read `exec_seq` 2.8 % lower (5 of 6 pairs
+        // lost) and `serve_heavy` 0.9 % lower in the median. It is
+        // rebased whenever `ops` changes (call/return) and folded back to
+        // an index by `cur_pc!` at every (cold) exit.
         // SAFETY: `frame.pc` is always in range for `ops` — it is either
         // the entry (op 0; the gate holds `ops` non-empty) or a resume
         // point stored by this loop, and the
@@ -381,7 +366,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         }
         macro_rules! readv {
             ($s:expr) => {
-                getv(&regs, &frame, $s)
+                getv(&regs, $s)
             };
         }
         // Instruction accounting (instruction-position ops only;
@@ -446,21 +431,26 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
         }
 
         // Call `$callee` (function `$target`) with `$args` read in the
-        // caller's frame: the sanitizer's release hook sees their bits,
+        // caller's frame and written to the callee's parameter slots
+        // `1..=params`: the sanitizer's release hook sees the first two,
         // the caller's frame is saved, and the callee's op 0 runs next.
         macro_rules! enter {
             ($target:expr, $callee:expr, $args:expr, $ret_dst:expr) => {{
-                let argv: Vec<u64> = $args.iter().map(|s| readv!(s)).collect();
-                if exec.san_armed() {
-                    if let [addr, size, ..] = argv[..] {
+                let callee: &'a BcFunc = $callee;
+                let mut callee_regs = callee.regs0.clone();
+                for (i, s) in $args.iter().enumerate() {
+                    setv(&mut callee_regs, i as u32 + 1, readv!(s));
+                }
+                if exec.san_armed() && $args.len() >= 2 {
+                    if let [_, addr, size, ..] = callee_regs[..] {
                         exec.san_on_call($target, addr, size);
                     }
                 }
                 let new_frame = BcFrame {
+                    code: callee,
                     func: $target,
                     pc: 0,
-                    regs: fresh_regs($callee),
-                    args: argv,
+                    regs: callee_regs,
                     ret_dst: $ret_dst,
                     local_base: thread.local_top,
                 };
@@ -468,7 +458,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 frame.regs = regs;
                 thread.frames.push(std::mem::replace(&mut frame, new_frame));
                 regs = std::mem::take(&mut frame.regs);
-                cur = $callee;
+                cur = callee;
                 ops = &cur.ops;
                 traps = &cur.traps;
                 edges = &cur.edges;
@@ -617,10 +607,9 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     if *runtime {
                         exec.counters.runtime_calls += 1;
                     }
-                    let Some(callee) = bc.funcs.get(*target as usize) else {
-                        fail!(TrapKind::BadIndirectCall);
-                    };
-                    enter!(*target, callee, args, *ret_dst);
+                    // The gate's `calls_fit` holds every direct target
+                    // to a function of the module.
+                    enter!(*target, &bc.funcs[*target as usize], args, *ret_dst);
                 }
                 Op::CallInd {
                     callee,
@@ -631,10 +620,8 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     let target = try_v!(exec.call_target(DevPtr(readv!(callee)), args.len()));
                     charge!(cost::CALL);
                     charge!(cost::INDIRECT_CALL);
-                    let Some(callee_fn) = bc.funcs.get(target as usize) else {
-                        fail!(TrapKind::BadIndirectCall);
-                    };
-                    enter!(target, callee_fn, args, *ret_dst);
+                    // `call_target` returns only a defined function's index.
+                    enter!(target, &bc.funcs[target as usize], args, *ret_dst);
                 }
                 Op::Atomic {
                     op,
@@ -741,24 +728,7 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                             let ret_dst = frame.ret_dst;
                             frame = parent;
                             regs = std::mem::take(&mut frame.regs);
-                            cur = match bc.funcs.get(frame.func as usize) {
-                                Some(f) => f,
-                                None => {
-                                    // Can't reach the shared epilogue: the
-                                    // cursor is stale (it indexes the
-                                    // callee's ops) and the parent's stored
-                                    // resume pc must survive untouched, so
-                                    // this cold path exits by hand.
-                                    let e = malformed(format!(
-                                        "frame references missing function {}",
-                                        frame.func
-                                    ));
-                                    frame.regs = regs;
-                                    sync!();
-                                    thread.frames.push(frame);
-                                    return Err(e);
-                                }
-                            };
+                            cur = frame.code;
                             ops = &cur.ops;
                             traps = &cur.traps;
                             edges = &cur.edges;

@@ -473,8 +473,8 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
     /// Make `thread` thread `tid`'s context, in the storage of what it
     /// holds — a returned thread's context, or an empty one. Every field
     /// starts fresh by construction except the storage handed on: the
-    /// frame stack (whose kernel frame lends its register file and
-    /// argument copy to the new one) and the local-memory buffer, emptied.
+    /// frame stack (whose kernel frame lends its vectors to the new one)
+    /// and the local-memory buffer, emptied.
     fn recycle(
         &self,
         thread: &mut ThreadCtx<B::Frame>,

@@ -144,14 +144,15 @@ fn steady(counts: &[u64]) -> u64 {
 }
 
 /// Allocations one 16-thread launch of the scale kernel may make on the
-/// bytecode tier, once the image is lowered: 3 now — the kernel frame's
-/// register file and argument copy and the frame stack, which the threads
-/// of a team that never waits hand on in one recycled context
-/// (`TeamExec::run`), with the kernel name shared and no per-team vector
-/// — 8 when each launch copied the name and sized vectors by the grid,
-/// 53 when every thread got its own register file, argument copy and
-/// frame stack up front.
-const LAUNCH_BUDGET: u64 = 3;
+/// bytecode tier, once the image is lowered: 2 now — the kernel frame's
+/// register file, which holds the arguments in its parameter slots, and
+/// the frame stack, which the threads of a team that never waits hand on
+/// in one recycled context (`TeamExec::run`), with the kernel name shared
+/// and no per-team vector — 3 when the frame kept an argument copy beside
+/// its register file, 8 when each launch copied the name and sized
+/// vectors by the grid, 53 when every thread got its own register file,
+/// argument copy and frame stack up front.
+const LAUNCH_BUDGET: u64 = 2;
 
 #[test]
 fn a_launch_stays_within_its_allocation_budget() {
@@ -184,13 +185,15 @@ fn region_args() -> Vec<RegionArg> {
 }
 
 /// Allocations of one region (enqueue + sync) that finds its device
-/// running another image and rebinds it to one loaded before: 13 now — a
-/// bind is fresh device memory over the loaded image the host kept, and
-/// uploads and read-backs copy straight between host buffer and device —
-/// 21 when every transfer, zero-fill and launch made its own copy, 287
-/// when every bind cloned the linked module, laid it out, lowered it and
-/// sized its registers again. (Building the arguments is the caller's.)
-const REBIND_BUDGET: u64 = 13;
+/// running another image and rebinds it to one loaded before: 12 now — a
+/// bind is fresh device memory over the loaded image the host kept,
+/// uploads and read-backs copy straight between host buffer and device,
+/// and the launch's arguments go straight into the kernel frame's
+/// registers — 13 with an argument copy beside them, 21 when every
+/// transfer, zero-fill and launch made its own copy, 287 when every bind
+/// cloned the linked module, laid it out, lowered it and sized its
+/// registers again. (Building the arguments is the caller's.)
+const REBIND_BUDGET: u64 = 12;
 
 #[test]
 fn a_rebinding_region_stays_within_its_allocation_budget() {
@@ -220,14 +223,16 @@ fn a_rebinding_region_stays_within_its_allocation_budget() {
 /// Allocations of one served request (submit + drain: admission,
 /// dispatch, region, launch, outcome, completion) whose module the
 /// service has resolved before through the same `Rc` and whose image its
-/// device is running: 12 now — the outputs come back from retiring the
-/// region, with no list of output indices beside them — 13 with that
-/// list, 26 when each upload, read-back, zero-fill, output and kernel name
-/// was copied and a launch sized vectors by the grid, 94 when every
-/// dispatch cloned, re-verified, hashed and compared the module and every
-/// thread of the launch allocated its own frame. (Building the request is
-/// the tenant's.)
-const REQUEST_BUDGET: u64 = 12;
+/// device is running: 11 now — the outputs come back from retiring the
+/// region, with no list of output indices beside them, and the launch's
+/// arguments go straight into the kernel frame's registers — 12 with an
+/// argument copy beside them, 13 with that list as well, 26 when each
+/// upload, read-back, zero-fill, output and kernel name was copied and a
+/// launch sized vectors by the grid, 94 when every dispatch cloned,
+/// re-verified, hashed and compared the module and every thread of the
+/// launch allocated its own frame. (Building the request is the
+/// tenant's.)
+const REQUEST_BUDGET: u64 = 11;
 
 /// A service over one device with one tenant, and the benchmark's hot
 /// request for it.

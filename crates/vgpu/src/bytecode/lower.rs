@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use nzomp_ir::inst::{Inst, InstId, Intrinsic, Term};
+use nzomp_ir::inst::{BinOp, Inst, InstId, Intrinsic, Pred, Term};
 use nzomp_ir::{BlockId, Function, Module, Operand};
 
 use crate::error::TrapKind;
@@ -183,9 +183,39 @@ fn validated(f: BcFunc, params: u32) -> Option<BcFunc> {
     let src_ok = |s: &Src| s.0 < n_slots;
     let dst_ok = |d: u32| d < n_slots;
     let op_ok = |op: &Op| match op {
-        Op::Bin { a, b, dst, .. } | Op::Cmp { a, b, dst, .. } | Op::PtrAdd { a, b, dst } => {
-            src_ok(a) && src_ok(b) && dst_ok(*dst)
-        }
+        Op::Add { a, b, dst }
+        | Op::Sub { a, b, dst }
+        | Op::Mul { a, b, dst }
+        | Op::SDiv { a, b, dst }
+        | Op::SRem { a, b, dst }
+        | Op::UDiv { a, b, dst }
+        | Op::URem { a, b, dst }
+        | Op::And { a, b, dst }
+        | Op::Or { a, b, dst }
+        | Op::Xor { a, b, dst }
+        | Op::Shl { a, b, dst }
+        | Op::LShr { a, b, dst }
+        | Op::AShr { a, b, dst }
+        | Op::SMin { a, b, dst }
+        | Op::SMax { a, b, dst }
+        | Op::FAdd { a, b, dst }
+        | Op::FSub { a, b, dst }
+        | Op::FMul { a, b, dst }
+        | Op::FDiv { a, b, dst }
+        | Op::FMin { a, b, dst }
+        | Op::FMax { a, b, dst }
+        | Op::ICmpEq { a, b, dst }
+        | Op::ICmpNe { a, b, dst }
+        | Op::ICmpSlt { a, b, dst }
+        | Op::ICmpSle { a, b, dst }
+        | Op::ICmpSgt { a, b, dst }
+        | Op::ICmpSge { a, b, dst }
+        | Op::ICmpUlt { a, b, dst }
+        | Op::ICmpUle { a, b, dst }
+        | Op::ICmpUgt { a, b, dst }
+        | Op::ICmpUge { a, b, dst }
+        | Op::FCmp { a, b, dst, .. }
+        | Op::PtrAdd { a, b, dst } => src_ok(a) && src_ok(b) && dst_ok(*dst),
         Op::Un { a, dst, .. } | Op::Cast { a, dst, .. } | Op::Load { p: a, dst, .. } => {
             src_ok(a) && dst_ok(*dst)
         }
@@ -250,6 +280,55 @@ fn calls_fit(module: &Module, f: &BcFunc) -> bool {
     })
 }
 
+/// The op of binary operator `op`: the one map from [`BinOp`] onto the
+/// dispatch loop's per-operator ops.
+fn binary(op: BinOp, a: Src, b: Src, dst: u32) -> Op {
+    match op {
+        BinOp::Add => Op::Add { a, b, dst },
+        BinOp::Sub => Op::Sub { a, b, dst },
+        BinOp::Mul => Op::Mul { a, b, dst },
+        BinOp::SDiv => Op::SDiv { a, b, dst },
+        BinOp::SRem => Op::SRem { a, b, dst },
+        BinOp::UDiv => Op::UDiv { a, b, dst },
+        BinOp::URem => Op::URem { a, b, dst },
+        BinOp::And => Op::And { a, b, dst },
+        BinOp::Or => Op::Or { a, b, dst },
+        BinOp::Xor => Op::Xor { a, b, dst },
+        BinOp::Shl => Op::Shl { a, b, dst },
+        BinOp::LShr => Op::LShr { a, b, dst },
+        BinOp::AShr => Op::AShr { a, b, dst },
+        BinOp::SMin => Op::SMin { a, b, dst },
+        BinOp::SMax => Op::SMax { a, b, dst },
+        BinOp::FAdd => Op::FAdd { a, b, dst },
+        BinOp::FSub => Op::FSub { a, b, dst },
+        BinOp::FMul => Op::FMul { a, b, dst },
+        BinOp::FDiv => Op::FDiv { a, b, dst },
+        BinOp::FMin => Op::FMin { a, b, dst },
+        BinOp::FMax => Op::FMax { a, b, dst },
+    }
+}
+
+/// The op of a compare by `pred`, in IEEE semantics when `float`: the one
+/// map from [`Pred`] onto the per-predicate integer ops, and the one
+/// float compare.
+fn compare(pred: Pred, float: bool, a: Src, b: Src, dst: u32) -> Op {
+    if float {
+        return Op::FCmp { pred, a, b, dst };
+    }
+    match pred {
+        Pred::Eq => Op::ICmpEq { a, b, dst },
+        Pred::Ne => Op::ICmpNe { a, b, dst },
+        Pred::Slt => Op::ICmpSlt { a, b, dst },
+        Pred::Sle => Op::ICmpSle { a, b, dst },
+        Pred::Sgt => Op::ICmpSgt { a, b, dst },
+        Pred::Sge => Op::ICmpSge { a, b, dst },
+        Pred::Ult => Op::ICmpUlt { a, b, dst },
+        Pred::Ule => Op::ICmpUle { a, b, dst },
+        Pred::Ugt => Op::ICmpUgt { a, b, dst },
+        Pred::Uge => Op::ICmpUge { a, b, dst },
+    }
+}
+
 impl<'m> FnLowerer<'m> {
     fn emit(&mut self, op: Op, loc: (u32, u32)) {
         self.ops.push(op);
@@ -301,7 +380,7 @@ impl<'m> FnLowerer<'m> {
             Inst::Bin { op, lhs, rhs, .. } => {
                 let a = self.src(*lhs);
                 let bb = self.src(*rhs);
-                self.emit(Op::Bin { op: *op, a, b: bb, dst }, loc);
+                self.emit(binary(*op, a, bb, dst), loc);
             }
             Inst::Un { op, arg, .. } => {
                 let a = self.src(*arg);
@@ -322,16 +401,7 @@ impl<'m> FnLowerer<'m> {
             Inst::Cmp { pred, ty, lhs, rhs } => {
                 let a = self.src(*lhs);
                 let bb = self.src(*rhs);
-                self.emit(
-                    Op::Cmp {
-                        pred: *pred,
-                        float: ty.is_float(),
-                        a,
-                        b: bb,
-                        dst,
-                    },
-                    loc,
-                );
+                self.emit(compare(*pred, ty.is_float(), a, bb, dst), loc);
             }
             Inst::Select {
                 cond,
@@ -358,15 +428,7 @@ impl<'m> FnLowerer<'m> {
                 let bb = self.src(*offset);
                 self.emit(Op::PtrAdd { a, b: bb, dst }, loc);
             }
-            Inst::Alloca { size } => {
-                self.emit(
-                    Op::Alloca {
-                        size: (*size + 7) & !7,
-                        dst,
-                    },
-                    loc,
-                );
-            }
+            Inst::Alloca { size } => self.emit(Op::Alloca { size: *size, dst }, loc),
             Inst::Call { callee, args, ret } => {
                 let ret_dst = ret.is_some().then_some(dst);
                 match callee {
@@ -523,7 +585,9 @@ impl<'m> FnLowerer<'m> {
 
 #[cfg(test)]
 mod tests {
-    use nzomp_ir::inst::BinOp;
+    use std::collections::HashSet;
+    use std::mem::discriminant;
+
     use nzomp_ir::{FuncBuilder, Ty};
 
     use super::*;
@@ -562,6 +626,27 @@ mod tests {
         // Slot 0, the parameter, `tid`, `x` and the interned `1`.
         assert_eq!(lowered(live).regs0.len(), 5);
         assert_eq!(lowered(padded).regs0.len(), 5);
+    }
+
+    /// Every binary operator and every compare, integer and float, lowers
+    /// to its own op: no two share a variant, so none is dispatched on a
+    /// second operand. The float compares share the one `FCmp`, which
+    /// keeps its predicate.
+    #[test]
+    fn every_operator_lowers_to_its_own_op() {
+        let (a, b, dst) = (Src(1), Src(2), 3);
+        let mut seen = HashSet::new();
+        for &op in BinOp::ALL {
+            let lowered = binary(op, a, b, dst);
+            assert!(seen.insert(discriminant(&lowered)), "{op:?} shares an op");
+        }
+        for &pred in Pred::ALL {
+            let lowered = compare(pred, false, a, b, dst);
+            assert!(seen.insert(discriminant(&lowered)), "integer {pred:?} shares an op");
+            assert!(matches!(compare(pred, true, a, b, dst), Op::FCmp { pred: p, .. } if p == pred));
+        }
+        assert!(seen.insert(discriminant(&compare(Pred::Eq, true, a, b, dst))));
+        assert_eq!(seen.len(), BinOp::ALL.len() + Pred::ALL.len() + 1);
     }
 
     /// The gate's cross-function half holds a direct call to its callee's

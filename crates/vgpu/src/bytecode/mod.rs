@@ -29,6 +29,13 @@
 //!   read: an instruction result's slot, a parameter's slot, or the slot
 //!   an immediate (a constant, a resolved global address, a function
 //!   pointer) is interned into.
+//! * **One op per operator** — every binary operator and every integer
+//!   predicate is its own [`Op`] variant (lowering's `binary` and
+//!   `compare` are the one map onto them), so the jump on the op tag is
+//!   the only dispatch a step takes: each arm calls the `nzomp_ir`
+//!   evaluator with a constant operator, whose inner `match` folds away.
+//!   Float compares keep their predicate in one `FCmp`; unary operators
+//!   and casts keep theirs too, being rare and mostly libm calls.
 //! * **Pre-resolved control flow** ([`Edge`]) — branch targets are op
 //!   offsets and phi materialization is a pre-computed parallel move list;
 //!   the superinstruction shape (operand fetch fused into each op,
@@ -89,15 +96,52 @@ pub(crate) struct Edge {
 /// one fuel unit, one fault-poll point — so cross-tier step counts align.
 #[derive(Clone, Debug)]
 pub(crate) enum Op {
-    Bin { op: BinOp, a: Src, b: Src, dst: u32 },
+    // One op per binary operator, in `BinOp::ALL` order, and one per
+    // integer predicate, in `Pred::ALL` order: the op tag names the
+    // operator, so one indirect jump reaches its code. Lowering's
+    // `binary` and `compare` are the one map onto them.
+    Add { a: Src, b: Src, dst: u32 },
+    Sub { a: Src, b: Src, dst: u32 },
+    Mul { a: Src, b: Src, dst: u32 },
+    SDiv { a: Src, b: Src, dst: u32 },
+    SRem { a: Src, b: Src, dst: u32 },
+    UDiv { a: Src, b: Src, dst: u32 },
+    URem { a: Src, b: Src, dst: u32 },
+    And { a: Src, b: Src, dst: u32 },
+    Or { a: Src, b: Src, dst: u32 },
+    Xor { a: Src, b: Src, dst: u32 },
+    Shl { a: Src, b: Src, dst: u32 },
+    LShr { a: Src, b: Src, dst: u32 },
+    AShr { a: Src, b: Src, dst: u32 },
+    SMin { a: Src, b: Src, dst: u32 },
+    SMax { a: Src, b: Src, dst: u32 },
+    FAdd { a: Src, b: Src, dst: u32 },
+    FSub { a: Src, b: Src, dst: u32 },
+    FMul { a: Src, b: Src, dst: u32 },
+    FDiv { a: Src, b: Src, dst: u32 },
+    FMin { a: Src, b: Src, dst: u32 },
+    FMax { a: Src, b: Src, dst: u32 },
+    ICmpEq { a: Src, b: Src, dst: u32 },
+    ICmpNe { a: Src, b: Src, dst: u32 },
+    ICmpSlt { a: Src, b: Src, dst: u32 },
+    ICmpSle { a: Src, b: Src, dst: u32 },
+    ICmpSgt { a: Src, b: Src, dst: u32 },
+    ICmpSge { a: Src, b: Src, dst: u32 },
+    ICmpUlt { a: Src, b: Src, dst: u32 },
+    ICmpUle { a: Src, b: Src, dst: u32 },
+    ICmpUgt { a: Src, b: Src, dst: u32 },
+    ICmpUge { a: Src, b: Src, dst: u32 },
+    /// A float compare: rare enough (well under 1 % of dispatches) to keep
+    /// its predicate as an operand.
+    FCmp { pred: Pred, a: Src, b: Src, dst: u32 },
     Un { op: UnOp, a: Src, dst: u32 },
     Cast { kind: CastKind, to: Ty, a: Src, dst: u32 },
-    Cmp { pred: Pred, float: bool, a: Src, b: Src, dst: u32 },
     Select { c: Src, t: Src, f: Src, dst: u32 },
     Load { ty: Ty, p: Src, dst: u32 },
     Store { ty: Ty, p: Src, v: Src },
     PtrAdd { a: Src, b: Src, dst: u32 },
-    /// `size` is pre-aligned to 8 bytes at lowering.
+    /// `size` as the IR states it; [`ThreadCtx::alloca`] aligns and
+    /// bounds it.
     Alloca { size: u64, dst: u32 },
     /// Direct call, statically resolved; the gate checks its arity and
     /// target.
@@ -389,6 +433,37 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 memc += c;
             }};
         }
+        // A binary operator or a compare, its operator a constant at each
+        // use, so the evaluator's inner `match` folds away and one jump on
+        // the op tag reaches the operator's code. One body for every arm:
+        // issue, both reads, the evaluation (a zero divisor traps here,
+        // issued but uncharged), the charge and the write, in the
+        // interpreter's order.
+        macro_rules! arith {
+            ($a:expr, $b:expr, $dst:expr, $eval:expr, $flop:expr) => {{
+                issue!();
+                let av = readv!($a);
+                let bv = readv!($b);
+                let v = try_v!($eval(av, bv));
+                if $flop {
+                    flops += 1;
+                    charge!(cost::FP);
+                } else {
+                    charge!(cost::ALU);
+                }
+                setv(&mut regs, *$dst, v);
+            }};
+        }
+        macro_rules! binary {
+            ($op:expr, $a:expr, $b:expr, $dst:expr) => {
+                arith!($a, $b, $dst, |x, y| bits_bin($op, x, y), $op.is_float())
+            };
+        }
+        macro_rules! compare {
+            ($pred:expr, $float:expr, $a:expr, $b:expr, $dst:expr) => {
+                arith!($a, $b, $dst, |x, y| Ok::<_, TrapKind>(bits_cmp($pred, $float, x, y) as u64), false)
+            };
+        }
         // Take a resolved edge: materialize phi moves (evaluate all, then
         // write all), count them, and jump.
         macro_rules! follow {
@@ -501,19 +576,38 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
             op_ptr = unsafe { op_ptr.add(1) };
 
             match op {
-                Op::Bin { op, a, b, dst } => {
-                    issue!();
-                    let av = readv!(a);
-                    let bv = readv!(b);
-                    let v = try_v!(bits_bin(*op, av, bv));
-                    if op.is_float() {
-                        flops += 1;
-                        charge!(cost::FP);
-                    } else {
-                        charge!(cost::ALU);
-                    }
-                    setv(&mut regs, *dst, v);
-                }
+                Op::Add { a, b, dst } => binary!(BinOp::Add, a, b, dst),
+                Op::Sub { a, b, dst } => binary!(BinOp::Sub, a, b, dst),
+                Op::Mul { a, b, dst } => binary!(BinOp::Mul, a, b, dst),
+                Op::SDiv { a, b, dst } => binary!(BinOp::SDiv, a, b, dst),
+                Op::SRem { a, b, dst } => binary!(BinOp::SRem, a, b, dst),
+                Op::UDiv { a, b, dst } => binary!(BinOp::UDiv, a, b, dst),
+                Op::URem { a, b, dst } => binary!(BinOp::URem, a, b, dst),
+                Op::And { a, b, dst } => binary!(BinOp::And, a, b, dst),
+                Op::Or { a, b, dst } => binary!(BinOp::Or, a, b, dst),
+                Op::Xor { a, b, dst } => binary!(BinOp::Xor, a, b, dst),
+                Op::Shl { a, b, dst } => binary!(BinOp::Shl, a, b, dst),
+                Op::LShr { a, b, dst } => binary!(BinOp::LShr, a, b, dst),
+                Op::AShr { a, b, dst } => binary!(BinOp::AShr, a, b, dst),
+                Op::SMin { a, b, dst } => binary!(BinOp::SMin, a, b, dst),
+                Op::SMax { a, b, dst } => binary!(BinOp::SMax, a, b, dst),
+                Op::FAdd { a, b, dst } => binary!(BinOp::FAdd, a, b, dst),
+                Op::FSub { a, b, dst } => binary!(BinOp::FSub, a, b, dst),
+                Op::FMul { a, b, dst } => binary!(BinOp::FMul, a, b, dst),
+                Op::FDiv { a, b, dst } => binary!(BinOp::FDiv, a, b, dst),
+                Op::FMin { a, b, dst } => binary!(BinOp::FMin, a, b, dst),
+                Op::FMax { a, b, dst } => binary!(BinOp::FMax, a, b, dst),
+                Op::ICmpEq { a, b, dst } => compare!(Pred::Eq, false, a, b, dst),
+                Op::ICmpNe { a, b, dst } => compare!(Pred::Ne, false, a, b, dst),
+                Op::ICmpSlt { a, b, dst } => compare!(Pred::Slt, false, a, b, dst),
+                Op::ICmpSle { a, b, dst } => compare!(Pred::Sle, false, a, b, dst),
+                Op::ICmpSgt { a, b, dst } => compare!(Pred::Sgt, false, a, b, dst),
+                Op::ICmpSge { a, b, dst } => compare!(Pred::Sge, false, a, b, dst),
+                Op::ICmpUlt { a, b, dst } => compare!(Pred::Ult, false, a, b, dst),
+                Op::ICmpUle { a, b, dst } => compare!(Pred::Ule, false, a, b, dst),
+                Op::ICmpUgt { a, b, dst } => compare!(Pred::Ugt, false, a, b, dst),
+                Op::ICmpUge { a, b, dst } => compare!(Pred::Uge, false, a, b, dst),
+                Op::FCmp { pred, a, b, dst } => compare!(*pred, true, a, b, dst),
                 Op::Un { op, a, dst } => {
                     issue!();
                     let av = readv!(a);
@@ -531,20 +625,6 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                     let v = bits_cast(*kind, *to, av);
                     charge!(cost::ALU);
                     setv(&mut regs, *dst, v);
-                }
-                Op::Cmp {
-                    pred,
-                    float,
-                    a,
-                    b,
-                    dst,
-                } => {
-                    issue!();
-                    let av = readv!(a);
-                    let bv = readv!(b);
-                    let v = bits_cmp(*pred, *float, av, bv);
-                    charge!(cost::ALU);
-                    setv(&mut regs, *dst, v as u64);
                 }
                 Op::Select { c, t, f, dst } => {
                     issue!();
@@ -591,10 +671,8 @@ impl<'a> ExecBackend<'a> for BcBackend<'a> {
                 }
                 Op::Alloca { size, dst } => {
                     issue!();
-                    let off = thread.local_top;
-                    thread.local_top += size;
-                    thread.local.grow_to(thread.local_top as usize);
-                    setv(&mut regs, *dst, DevPtr::local(thread.tid, off as u32).0);
+                    let off = try_v!(thread.alloca(*size));
+                    setv(&mut regs, *dst, DevPtr::local(thread.tid, off).0);
                 }
                 Op::Call {
                     target,

@@ -37,7 +37,7 @@ use crate::error::TrapKind;
 use crate::faults::{FaultAction, FaultPlan, FaultSite};
 use crate::gmem::{rtval_from_bits, GlobalMem};
 use crate::interp::InterpBackend;
-use crate::memory::{DevPtr, Region, Segment};
+use crate::memory::{DevPtr, Region, Segment, LOCAL_STACK_BYTES};
 use crate::ops::combine_atomic;
 use crate::sanitize::{AccessKind, BarrierArrival, IrLoc, ModuleSan, TeamSan};
 use crate::value::RtVal;
@@ -205,6 +205,24 @@ impl<F> Default for ThreadCtx<F> {
             drop_next_barrier: false,
             barrier_site: None,
         }
+    }
+}
+
+impl<F> ThreadCtx<F> {
+    /// Reserve `size` bytes, rounded up to 8, on the thread's local stack
+    /// and return their offset — both tiers' `alloca`. A reservation that
+    /// would end past [`LOCAL_STACK_BYTES`] is `OutOfMemory`, and reserves
+    /// nothing.
+    pub(crate) fn alloca(&mut self, size: u64) -> Result<u32, TrapKind> {
+        let off = self.local_top;
+        let top = size
+            .checked_next_multiple_of(8)
+            .and_then(|aligned| off.checked_add(aligned))
+            .filter(|&top| top <= LOCAL_STACK_BYTES)
+            .ok_or(TrapKind::OutOfMemory)?;
+        self.local_top = top;
+        self.local.grow_to(top as usize);
+        Ok(off as u32)
     }
 }
 

@@ -77,7 +77,7 @@ use nzomp_ir::Ty;
 
 use crate::error::TrapKind;
 use crate::exec::HeapState;
-use crate::memory::Region;
+use crate::memory::{load_le, store_le, Region};
 use crate::ops::combine_atomic;
 use crate::value::RtVal;
 
@@ -407,9 +407,7 @@ impl<'a> BufferedGlobal<'a> {
             return Ok(v);
         }
         let rec = self.scratch.recs[ci];
-        let mut buf = [0u8; 8];
-        buf[..n].copy_from_slice(self.scratch.bytes(self.base, rec.slot, ci, lo, n));
-        let v = i64::from_le_bytes(buf);
+        let v = load_le(self.scratch.bytes(self.base, rec.slot, ci, lo, n));
         let mask = byte_mask(lo, n);
         if rec.synced & mask != mask {
             self.log_load(off, size, v);
@@ -432,7 +430,7 @@ impl<'a> BufferedGlobal<'a> {
         let (ci, lo, n) = (off as usize / CHUNK, off as usize % CHUNK, size as usize);
         if n != 0 && lo + n <= CHUNK {
             let (synced, copy) = self.scratch.private(self.base, ci);
-            copy[lo..lo + n].copy_from_slice(&value.to_le_bytes()[..n]);
+            store_le(&mut copy[lo..lo + n], value);
             *synced |= byte_mask(lo, n);
         } else {
             self.scratch.poke(self.base, off, size, value);
@@ -773,6 +771,42 @@ mod tests {
     }
 
     // ---- buffered ≡ direct ----------------------------------------------------
+
+    /// 1-, 4- and 8-byte loads and stores at every offset that ends at,
+    /// starts at or straddles the first 64-byte chunk boundary — the
+    /// fixed-width single-chunk paths and the split path beside them —
+    /// read what the direct view reads, and the merged log leaves the
+    /// direct view's bytes.
+    #[test]
+    fn accesses_around_a_chunk_boundary_are_direct() {
+        let image: Vec<u8> = (0..192u8).map(|i| i.wrapping_mul(29) ^ 0x5a).collect();
+        for size in [1u64, 4, 8] {
+            for off in CHUNK as u64 - size - 1..=CHUNK as u64 + 1 {
+                let accesses = [
+                    Access::Load { off, size },
+                    Access::Store { off, size, value: -0x0123_4567_89ab_cdef },
+                    Access::Load { off, size },
+                    Access::Load { off: off - 1, size },
+                    Access::Store { off: off + 1, size, value: 0x1122_3344_5566_7788 },
+                    Access::Load { off, size },
+                ];
+                let mut direct = Region { bytes: image.clone() };
+                let mut heap = HeapState { live_allocs: Default::default(), limit: 0 };
+                let mut mem = GlobalMem::Direct { region: &mut direct, heap: &mut heap };
+                let want: Vec<_> = accesses.iter().map(|a| perform(&mut mem, a)).collect();
+
+                let mut scratch = WaveScratch::default();
+                let mut mem = GlobalMem::Buffered(BufferedGlobal::new(&image, &mut scratch));
+                let got: Vec<_> = accesses.iter().map(|a| perform(&mut mem, a)).collect();
+                assert_eq!(got, want, "{size} bytes at {off}");
+                let GlobalMem::Buffered(view) = mem else { unreachable!() };
+                let team = view.finish();
+                let mut master = Region { bytes: image.clone() };
+                assert_eq!(apply_effects(&mut master, &scratch.log()[team.effects]), Ok(true));
+                assert_eq!(master.bytes, direct.bytes, "{size} bytes at {off}");
+            }
+        }
+    }
 
     #[derive(Clone, Debug)]
     enum Access {

@@ -273,11 +273,8 @@ impl<'a> TeamExec<'a, InterpBackend> {
                 self.set_reg(thread, iid, RtVal::P(b.add_bytes(o)))?;
             }
             Inst::Alloca { size } => {
-                let aligned = (*size + 7) & !7;
-                let off = thread.local_top;
-                thread.local_top += aligned;
-                thread.local.grow_to(thread.local_top as usize);
-                self.set_reg(thread, iid, RtVal::P(DevPtr::local(thread.tid, off as u32)))?;
+                let off = thread.alloca(*size)?;
+                self.set_reg(thread, iid, RtVal::P(DevPtr::local(thread.tid, off)))?;
             }
             Inst::Call { callee, args, ret } => {
                 self.exec_call(thread, iid, *callee, args, ret.is_some())?;

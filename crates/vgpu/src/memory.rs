@@ -38,6 +38,14 @@ const TAG_FUNC: u64 = 5;
 /// past it has no pointer, so hosts refuse it (`OutOfMemory`) up front.
 pub const GLOBAL_SPACE_BYTES: u64 = 1 << 32;
 
+/// Bytes of local stack one thread may reserve with `alloca`, also a
+/// constant of the device: past it an `alloca` traps `OutOfMemory`. The
+/// deepest stack any proxy, corpus kernel, generated module or benchmark
+/// workload reaches is 248 bytes; the bound is below the 32-bit pointer
+/// offset, so no reservation wraps onto another, and holds a team of
+/// `MAX_THREADS_PER_SM` threads to 128 MiB of local memory.
+pub const LOCAL_STACK_BYTES: u64 = 1 << 16;
+
 /// An encoded device pointer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DevPtr(pub u64);
@@ -153,9 +161,7 @@ impl Region {
         if end as usize > self.bytes.len() {
             return Err(TrapKind::OutOfBounds);
         }
-        let mut buf = [0u8; 8];
-        buf[..size as usize].copy_from_slice(&self.bytes[off as usize..end as usize]);
-        Ok(i64::from_le_bytes(buf))
+        Ok(load_le(&self.bytes[off as usize..end as usize]))
     }
 
     pub fn write(&mut self, off: u64, size: u64, value: i64) -> Result<(), TrapKind> {
@@ -166,9 +172,37 @@ impl Region {
         if end as usize > self.bytes.len() {
             return Err(TrapKind::OutOfBounds);
         }
-        let bytes = value.to_le_bytes();
-        self.bytes[off as usize..end as usize].copy_from_slice(&bytes[..size as usize]);
+        store_le(&mut self.bytes[off as usize..end as usize], value);
         Ok(())
+    }
+}
+
+/// The little-endian value of `bytes` (at most 8 of them), zero-extended.
+/// The widths values have — 1, 4 and 8 bytes — are each one fixed-width
+/// load: a [`Region`] and the buffered view's single-chunk path read
+/// through here, so none of their accesses calls a copy whose length is
+/// known only at run time.
+#[inline(always)]
+pub(crate) fn load_le(bytes: &[u8]) -> i64 {
+    match *bytes {
+        [b] => i64::from(b),
+        [b0, b1, b2, b3] => i64::from(u32::from_le_bytes([b0, b1, b2, b3])),
+        [b0, b1, b2, b3, b4, b5, b6, b7] => i64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]),
+        _ => bytes.iter().rev().fold(0, |v, &b| v << 8 | i64::from(b)),
+    }
+}
+
+/// Store the low `bytes.len()` (at most 8) bytes of `value` little-endian
+/// into `bytes`: [`load_le`]'s inverse, one fixed-width store for 1, 4
+/// and 8 bytes.
+#[inline(always)]
+pub(crate) fn store_le(bytes: &mut [u8], value: i64) {
+    let le = value.to_le_bytes();
+    match bytes {
+        [b] => *b = le[0],
+        [_, _, _, _] => bytes.copy_from_slice(&le[..4]),
+        [_, _, _, _, _, _, _, _] => bytes.copy_from_slice(&le),
+        _ => bytes.iter_mut().zip(le).for_each(|(d, s)| *d = s),
     }
 }
 
@@ -200,6 +234,34 @@ mod tests {
         assert_eq!(r.read(4, 4).unwrap(), 0xffff_ffff);
         assert!(r.read(5, 8).is_err());
         assert!(r.write(8, 1, 0).is_err());
+    }
+
+    /// The fixed-width helpers equal a byte-by-byte little-endian
+    /// reference at every width a value can have and at every offset of a
+    /// 24-byte region, for loads and for stores (which touch nothing
+    /// outside their range).
+    #[test]
+    fn fixed_width_moves_equal_the_bytewise_reference() {
+        let image: Vec<u8> = (0..24u8).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+        let value = 0x8877_6655_4433_2211_u64 as i64;
+        for size in 0..=8usize {
+            for off in 0..=24 - size {
+                let range = off..off + size;
+                let want = image[range.clone()]
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |v, (i, &b)| v | u64::from(b) << (8 * i));
+                assert_eq!(load_le(&image[range.clone()]) as u64, want, "load of {size} at {off}");
+
+                let mut got = image.clone();
+                store_le(&mut got[range.clone()], value);
+                let mut want = image.clone();
+                for (i, b) in want[range.clone()].iter_mut().enumerate() {
+                    *b = (value as u64 >> (8 * i)) as u8;
+                }
+                assert_eq!(got, want, "store of {size} at {off}");
+            }
+        }
     }
 
     #[test]

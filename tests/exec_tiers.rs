@@ -17,6 +17,8 @@
 //!   metrics, outputs and memory;
 //! * the recycled thread context — a thread built in the context another
 //!   returned sees fresh local memory and none of its pending faults;
+//! * the local-stack bound — an `alloca` past `LOCAL_STACK_BYTES` traps
+//!   `OutOfMemory` on the same step on both tiers;
 //! * the refusals — an image is a verified module, so every launch of one
 //!   the verifier rejects is refused on both tiers with the verifier's
 //!   exact message: one hand-built module per rejected shape, the phi
@@ -41,6 +43,7 @@ use nzomp_integration::{
     run_proxy_outcome, run_recovered, scale_module, tier_axes, ProxyOutcome, TIERS,
 };
 use nzomp_vgpu::device::Launch;
+use nzomp_vgpu::memory::LOCAL_STACK_BYTES;
 use nzomp_vgpu::{
     DevPtr, Device, DeviceConfig, FaultAction, FaultPlan, FaultSite, RtVal, RunConfig,
     Sanitize, TrapKind,
@@ -215,6 +218,51 @@ fn a_recycled_thread_context_starts_fresh() {
         trapped += usize::from(observe(&format!("seed {seed}"), Some(plan)).result.is_err());
     }
     assert!(trapped > 0, "no campaign trapped");
+}
+
+/// `@k()`: the entry block branches to a block that reserves `size` bytes
+/// of local stack and stores to them, then branches back to itself.
+fn alloca_loop(size: u64) -> Module {
+    let mut m = Module::new("stack");
+    let mut b = FuncBuilder::new("k", vec![], None);
+    let body = b.new_block();
+    b.br(body);
+    b.switch_to(body);
+    b.br(body);
+    let mut f = b.finish();
+    let slot = f.add_inst(Inst::Alloca { size });
+    let store = f.add_inst(Inst::Store { ty: Ty::I64, ptr: Operand::Inst(slot), value: Operand::i64(7) });
+    f.blocks[body.index()].insts.extend([slot, store]);
+    let k = m.add_function(f);
+    m.add_kernel(k, ExecMode::Spmd);
+    nzomp_ir::verify_module(&m).unwrap();
+    m
+}
+
+/// A thread's local stack is bounded: the `alloca` that would cross
+/// `LOCAL_STACK_BYTES` is issued, then traps `OutOfMemory`, on the same
+/// step on both tiers and every run axis — a single 2^40-byte reservation
+/// on its first body step, and a 4 KiB one in a loop on the iteration
+/// past the bound. Each budget is exactly the steps up to the trapping
+/// `alloca`, so the bound trips before the fuel runs out, and one step
+/// less runs the fuel out first.
+#[test]
+fn a_thread_local_stack_is_bounded() {
+    let reservations = LOCAL_STACK_BYTES / 4096;
+    // One step for the entry branch, then three per iteration (alloca,
+    // store, branch) and the trapping alloca.
+    for (size, steps) in [(1u64 << 40, 2), (4096, 1 + 3 * reservations + 1)] {
+        let m = alloca_loop(size);
+        for (fuel, want) in [(steps, TrapKind::OutOfMemory), (steps - 1, TrapKind::FuelExhausted)] {
+            let what = format!("alloca {size} with {fuel} steps");
+            let got = assert_alike(&what, &tier_axes(), |run| {
+                let cfg = DeviceConfig { max_steps: fuel, ..DeviceConfig::default() };
+                let mut dev = Device::load_with(m.clone(), cfg, run);
+                observe_launch(&mut dev, "k", Launch::new(1, 1), &[], (DevPtr::NULL, 0))
+            });
+            assert_eq!(got.result.unwrap_err().kind, want, "{what}");
+        }
+    }
 }
 
 /// Malformed IR the verifier rejects is refused with the *same* typed

@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 use nzomp_ir::analysis::callgraph::CallGraph;
 use nzomp_ir::analysis::liveness;
 use nzomp_ir::module::FuncRef;
-use nzomp_ir::{verify_module, Function, Module, Operand, Space, VerifyError};
+use nzomp_ir::{verify_module, Function, Module, Operand, Space};
 
 use crate::bytecode::{lower_module, BcModule};
 use crate::cost::{self, DeviceConfig};
@@ -14,7 +14,7 @@ use crate::error::{ExecError, TrapKind};
 use crate::exec::{Counters, ExecTier, GlobalLayout, HeapState, LaunchCtx, TeamEngine, TeamOutcome};
 use crate::faults::{DeviceFaultKind, FaultPlan};
 use crate::gmem::{apply_effects, GlobalMem, WaveScratch};
-use crate::memory::{DevPtr, Region};
+use crate::memory::{DevPtr, Region, Segment, GLOBAL_SPACE_BYTES};
 use crate::metrics::KernelMetrics;
 use crate::par::run_wave;
 use crate::run::{RunConfig, Sanitize};
@@ -93,10 +93,16 @@ pub struct WaveStats {
 /// [`nzomp_ir::verify_module`] once, and every launch of an image it
 /// rejects is refused with the verifier's message
 /// ([`TrapKind::MalformedIr`]), on either tier, before any thread runs.
+/// So is every launch of a module whose statics no device holds — global
+/// statics that leave the device heap no room in the 32-bit global
+/// segment, constant or shared statics past a 32-bit offset — with a
+/// [`TrapKind::BadLaunch`] that names the first global that does not fit
+/// and its segment; such an image holds no initial bytes.
 pub struct Image {
     pub(crate) module: Module,
-    /// What `verify_module` said of `module`.
-    verdict: Result<(), VerifyError>,
+    /// What every launch of this image is refused with, if anything: a
+    /// global the device cannot hold, or what `verify_module` said.
+    verdict: Result<(), TrapKind>,
     pub(crate) layout: GlobalLayout,
     /// Initializer image of the global-space globals: the bytes a fresh
     /// device's global memory starts from.
@@ -136,26 +142,46 @@ impl Image {
     /// shared-space globals are *not* statically initialized (real shared
     /// memory is undefined at kernel start — the runtime initializes what
     /// it needs in `__kmpc_target_init`, exactly as in the paper §III).
-    /// A module the verifier rejects still loads; its launches are refused.
+    /// A module the verifier rejects, or whose statics do not fit, still
+    /// loads; its launches are refused.
     pub fn new(module: Module) -> Image {
         let mut layout = GlobalLayout {
             addr_of: Vec::with_capacity(module.globals.len()),
             ..GlobalLayout::default()
         };
-        // 8-byte aligned bump allocation per segment.
-        fn place(top: &mut u64, size: u64) -> u32 {
-            let at = (*top + 7) & !7;
-            *top = at + size;
-            at as u32
+        // 8-byte aligned bump allocation per segment, up to `limit` bytes.
+        fn place(top: &mut u64, size: u64, limit: u64) -> Option<u32> {
+            let at = top.checked_next_multiple_of(8)?;
+            let end = at.checked_add(size).filter(|&end| end <= limit)?;
+            let offset = u32::try_from(at).ok()?;
+            *top = end;
+            Some(offset)
         }
+        // Offsets are 32 bits, and the device heap follows the global
+        // statics in the global segment.
+        let global_limit = GLOBAL_SPACE_BYTES - cost::HEAP_BYTES;
+        let mut refusal = None;
         for g in &module.globals {
-            layout.addr_of.push(match g.space {
-                Space::Global => DevPtr::global(place(&mut layout.global_static_size, g.size)),
-                Space::Constant => DevPtr::constant(place(&mut layout.const_size, g.size)),
+            let (seg, name, top, limit) = match g.space {
+                Space::Global => (Segment::Global, "global", &mut layout.global_static_size, global_limit),
+                Space::Constant => (Segment::Constant, "constant", &mut layout.const_size, GLOBAL_SPACE_BYTES),
                 // Local-space globals make no sense; treat as shared so
                 // they at least have storage.
-                Space::Shared | Space::Local => DevPtr::shared(place(&mut layout.shared_size, g.size)),
+                Space::Shared | Space::Local => (Segment::Shared, "shared", &mut layout.shared_size, GLOBAL_SPACE_BYTES),
+            };
+            let at = place(top, g.size, limit).unwrap_or_else(|| {
+                refusal.get_or_insert_with(|| {
+                    let msg = format!("@{} ({} B) does not fit the {name} segment's {limit} B of statics", g.name, g.size);
+                    TrapKind::BadLaunch(msg)
+                });
+                0
             });
+            layout.addr_of.push(DevPtr::new(seg, 0, at));
+        }
+        // A module whose statics no device holds loads with none: its
+        // launches are refused, so it renders no initial bytes.
+        if refusal.is_some() {
+            (layout.global_static_size, layout.const_size, layout.shared_size) = (0, 0, 0);
         }
 
         let mut global_init = vec![0; layout.global_static_size as usize];
@@ -167,13 +193,17 @@ impl Image {
                 _ => continue,
             };
             let at = addr.offset() as usize;
-            if let Some(dst) = bytes.get_mut(at..at + g.size as usize) {
+            if let Some(dst) = bytes.get_mut(at..).and_then(|b| b.get_mut(..g.size as usize)) {
                 g.init.fill(dst);
             }
         }
+        let verdict = match refusal {
+            Some(kind) => Err(kind),
+            None => verify_module(&module).map_err(|e| TrapKind::MalformedIr(e.to_string())),
+        };
         Image {
             kernels: module.funcs.iter().map(|_| OnceLock::new()).collect(),
-            verdict: verify_module(&module),
+            verdict,
             module,
             layout,
             global_init,
@@ -205,9 +235,7 @@ impl Image {
     /// tiers ask, so an image a launch refuses on one it refuses on the
     /// other.
     fn bytecode(&self) -> Result<&BcModule, TrapKind> {
-        if let Err(e) = &self.verdict {
-            return Err(TrapKind::MalformedIr(e.to_string()));
-        }
+        self.verdict.clone()?;
         self.bc
             .get_or_init(|| lower_module(&self.module, &self.layout, self.live_results()))
             .as_ref()
@@ -1068,6 +1096,54 @@ mod tests {
             dev.set_exec_tier(tier);
             let err = dev.launch("b", Launch::new(1, 1), &[]).unwrap_err();
             assert_eq!(err, ExecError { kind: refusal.clone(), team: 0, thread: 0, func: "b".into() }, "{tier:?}");
+        }
+    }
+
+    /// A module whose statics no device holds still loads, renders no
+    /// initial bytes, and every launch of it is refused on both tiers with
+    /// a `BadLaunch` naming the first global that does not fit and its
+    /// segment: a 2^40-byte global, a 2^33-byte one, two globals that fit
+    /// alone but together pass 4 GiB, a constant whose size overflows the
+    /// layout's arithmetic, and shared statics past a 32-bit offset. A
+    /// device made from such an image holds no global memory.
+    #[test]
+    fn statics_no_device_holds_are_refused_and_render_nothing() {
+        let global = |name: &str, space, size| nzomp_ir::Global::new(name, space, size, nzomp_ir::Init::I64(7));
+        let cases = [
+            (vec![global("huge", Space::Global, 1 << 40)], "@huge (1099511627776 B) does not fit the global segment"),
+            (vec![global("big", Space::Global, 1 << 33)], "@big (8589934592 B) does not fit the global segment"),
+            (
+                vec![global("a", Space::Global, 3 << 30), global("b", Space::Global, 3 << 30)],
+                "@b (3221225472 B) does not fit the global segment",
+            ),
+            (
+                vec![global("c", Space::Constant, 8), global("wrap", Space::Constant, u64::MAX)],
+                "@wrap (18446744073709551615 B) does not fit the constant segment",
+            ),
+            (vec![global("s", Space::Shared, (1 << 32) + 1)], "@s (4294967297 B) does not fit the shared segment"),
+        ];
+        for (globals, want) in cases {
+            let mut m = Module::new("statics");
+            let mut b = FuncBuilder::new("k", vec![], None);
+            for g in globals {
+                let at = Operand::Global(m.add_global(g));
+                let v = b.load(Ty::I64, at);
+                b.store(Ty::I64, at, v);
+            }
+            b.ret(None);
+            let f = m.add_function(b.finish());
+            m.add_kernel(f, ExecMode::Spmd);
+            let image = Arc::new(Image::new(m));
+            let Err(TrapKind::BadLaunch(msg)) = &image.verdict else { panic!("{want}: {:?}", image.verdict) };
+            assert!(msg.contains(want), "{msg:?} names no {want:?}");
+            assert_eq!((image.global_init.len(), image.constant.len()), (0, 0), "{want}");
+            for tier in [ExecTier::Interp, ExecTier::Bytecode] {
+                let run = RunConfig { tier, ..RunConfig::default() };
+                let mut dev = Device::from_image(Arc::clone(&image), DeviceConfig::default(), run);
+                assert!(dev.global_bytes().is_empty(), "{want}");
+                let err = dev.launch("k", Launch::new(1, 1), &[]).unwrap_err();
+                assert_eq!(err.kind, image.verdict.clone().unwrap_err(), "{want} on {tier:?}");
+            }
         }
     }
 }

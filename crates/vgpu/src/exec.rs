@@ -25,6 +25,7 @@
 //! suites treat the tier as an invisible knob.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use nzomp_ir::inst::AtomicOp;
@@ -37,7 +38,7 @@ use crate::error::TrapKind;
 use crate::faults::{FaultAction, FaultPlan, FaultSite};
 use crate::gmem::{rtval_from_bits, GlobalMem};
 use crate::interp::InterpBackend;
-use crate::memory::{DevPtr, Region, Segment, LOCAL_STACK_BYTES};
+use crate::memory::{load_le, store_le, DevPtr, Region, Segment, LOCAL_STACK_BYTES};
 use crate::ops::combine_atomic;
 use crate::sanitize::{AccessKind, BarrierArrival, IrLoc, ModuleSan, TeamSan};
 use crate::value::RtVal;
@@ -561,13 +562,90 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
     }
 
     // ---- memory ----------------------------------------------------------
+    //
+    // One door to memory, with the hit in line. `mem_read` and `mem_write`
+    // are inlined into both tiers' loops and test one word: the pointer's
+    // tag and owner (`ptr.0 >> 32`). Direct global memory, shared memory
+    // and the thread's own local memory each have one such word, and an
+    // in-bounds access of at most 8 bytes there is one fixed-width move and
+    // one count. A buffered view's global access is counted and handed to
+    // `GlobalMem`, which keeps the view's log. Everything else — null,
+    // constant, function pointers, another thread's local memory, owner
+    // bits on a global or shared pointer, out of bounds, a width past 8
+    // bytes, an unknown tag — goes through the cold door, which holds the
+    // whole rule and so every trap with its kind and message.
 
+    #[inline(always)]
     pub(crate) fn mem_read(
         &mut self,
         thread: &ThreadCtx<B::Frame>,
         ptr: DevPtr,
         size: u64,
     ) -> Result<i64, TrapKind> {
+        let word = ptr.0 >> 32;
+        let (bytes, count) = if word == GLOBAL_WORD {
+            match &self.global {
+                GlobalMem::Direct { region, .. } => (&region.bytes, &mut self.counters.global_accesses),
+                GlobalMem::Buffered(_) => {
+                    self.counters.global_accesses += 1;
+                    return self.global.read(ptr.offset(), size);
+                }
+            }
+        } else if word == SHARED_WORD {
+            (&self.shared.bytes, &mut self.counters.shared_accesses)
+        } else if word == local_word(thread.tid) {
+            (&thread.local.bytes, &mut self.counters.local_accesses)
+        } else {
+            return self.mem_read_door(thread, ptr, size);
+        };
+        match hit(ptr, size).and_then(|range| bytes.get(range)) {
+            Some(bytes) => {
+                *count += 1;
+                Ok(load_le(bytes))
+            }
+            None => self.mem_read_door(thread, ptr, size),
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn mem_write(
+        &mut self,
+        thread: &mut ThreadCtx<B::Frame>,
+        ptr: DevPtr,
+        size: u64,
+        value: i64,
+    ) -> Result<(), TrapKind> {
+        let word = ptr.0 >> 32;
+        let (bytes, count) = if word == GLOBAL_WORD {
+            match &mut self.global {
+                GlobalMem::Direct { region, .. } => (&mut region.bytes, &mut self.counters.global_accesses),
+                GlobalMem::Buffered(_) => {
+                    self.counters.global_accesses += 1;
+                    return self.global.write(ptr.offset(), size, value);
+                }
+            }
+        } else if word == SHARED_WORD {
+            (&mut self.shared.bytes, &mut self.counters.shared_accesses)
+        } else if word == local_word(thread.tid) {
+            (&mut thread.local.bytes, &mut self.counters.local_accesses)
+        } else {
+            return self.mem_write_door(thread, ptr, size, value);
+        };
+        match hit(ptr, size).and_then(|range| bytes.get_mut(range)) {
+            Some(bytes) => {
+                *count += 1;
+                store_le(bytes, value);
+                Ok(())
+            }
+            None => self.mem_write_door(thread, ptr, size, value),
+        }
+    }
+
+    /// The cold door of [`TeamExec::mem_read`]: the whole rule, for every
+    /// access the hit does not serve.
+    #[cold]
+    #[inline(never)]
+    fn mem_read_door(&mut self, thread: &ThreadCtx<B::Frame>, ptr: DevPtr, size: u64) -> Result<i64, TrapKind> {
         match ptr.segment() {
             Segment::Null => Err(TrapKind::NullDeref),
             Segment::Global => {
@@ -593,7 +671,10 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
         }
     }
 
-    pub(crate) fn mem_write(
+    /// The cold door of [`TeamExec::mem_write`].
+    #[cold]
+    #[inline(never)]
+    fn mem_write_door(
         &mut self,
         thread: &mut ThreadCtx<B::Frame>,
         ptr: DevPtr,
@@ -790,6 +871,28 @@ impl<'a, B: ExecBackend<'a>> TeamExec<'a, B> {
     }
 }
 
+/// The tag-and-owner word (`ptr.0 >> 32`) of a direct global pointer and
+/// of a shared pointer: both carry owner 0.
+const GLOBAL_WORD: u64 = DevPtr::global(0).0 >> 32;
+const SHARED_WORD: u64 = DevPtr::shared(0).0 >> 32;
+
+/// The tag-and-owner word of thread `tid`'s own local pointers. A launch
+/// holds thread ids below `cost::MAX_THREADS_PER_SM`, inside the 24 owner
+/// bits, so no other thread's pointer has this word.
+#[inline(always)]
+fn local_word(tid: u32) -> u64 {
+    DevPtr::local(tid, 0).0 >> 32
+}
+
+/// The byte range of an access the hit serves: at most 8 bytes (a value's
+/// widest) from `ptr`'s 32-bit offset, so the end cannot wrap. The region
+/// still has to hold it.
+#[inline(always)]
+fn hit(ptr: DevPtr, size: u64) -> Option<Range<usize>> {
+    let off = ptr.offset() as usize;
+    (size <= 8).then(|| off..off + size as usize)
+}
+
 /// What a team keeps of its returned threads: the slowest one's cycles,
 /// the sums of busy and memory cycles, and how many have returned.
 #[derive(Default)]
@@ -867,6 +970,7 @@ impl<'a> TeamEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gmem::{BufferedGlobal, WaveScratch};
 
     /// On every segment a direct-mode atomic is a read, [`combine_atomic`]
     /// and a write, and a compare-and-swap a read and, when the bits match,
@@ -935,5 +1039,161 @@ mod tests {
         }
         let foreign = Err(TrapKind::CrossThreadLocalAccess { owner: 2, accessor: 3 });
         assert_eq!(exec.cas(&mut t, Ty::I32, DevPtr::local(2, 8), 0, 1), foreign);
+    }
+
+    /// A team of four threads over `global`, with `shared` and `constant`
+    /// memory and nothing else armed.
+    fn team<'a>(
+        module: &'a Module,
+        layout: &'a GlobalLayout,
+        global: GlobalMem<'a>,
+        shared: Region,
+        constant: &'a Region,
+    ) -> TeamExec<'a, InterpBackend> {
+        TeamExec {
+            module,
+            check_assumes: false,
+            team_id: 0,
+            num_teams: 1,
+            nthreads: 4,
+            shared,
+            layout,
+            global,
+            constant,
+            counters: Counters::default(),
+            fuel: 0,
+            faults: None,
+            san: None,
+            live_results: &[],
+            backend: InterpBackend,
+        }
+    }
+
+    /// The memory rule `mem_read` and `mem_write` are held to, restated
+    /// over plain regions: the segment's region (`Region::read`/`write`,
+    /// a buffered view through `GlobalMem`), that segment's counter, and
+    /// the cold door's traps.
+    struct Rule<'a> {
+        global: GlobalMem<'a>,
+        shared: Region,
+        local: Region,
+        constant: Region,
+        counters: Counters,
+    }
+
+    impl Rule<'_> {
+        /// A load (`store` is `None`) or a store; a store reads as 0.
+        fn access(&mut self, tid: u32, p: DevPtr, size: u64, store: Option<i64>) -> Result<i64, TrapKind> {
+            let (off, c) = (p.offset(), &mut self.counters);
+            let region = |r: &mut Region| match store {
+                None => r.read(off, size),
+                Some(v) => r.write(off, size, v).map(|()| 0),
+            };
+            match (p.segment(), store) {
+                (Segment::Null, _) => Err(TrapKind::NullDeref),
+                (Segment::Func, _) | (Segment::Constant, Some(_)) => Err(TrapKind::OutOfBounds),
+                (Segment::Constant, None) => region(&mut self.constant),
+                (Segment::Global, _) => {
+                    c.global_accesses += 1;
+                    match store {
+                        None => self.global.read(off, size),
+                        Some(v) => self.global.write(off, size, v).map(|()| 0),
+                    }
+                }
+                (Segment::Shared, _) => {
+                    c.shared_accesses += 1;
+                    region(&mut self.shared)
+                }
+                (Segment::Local, _) if p.owner() != tid => {
+                    Err(TrapKind::CrossThreadLocalAccess { owner: p.owner(), accessor: tid })
+                }
+                (Segment::Local, _) => {
+                    c.local_accesses += 1;
+                    region(&mut self.local)
+                }
+            }
+        }
+    }
+
+    /// The in-line hit and the cold door together equal [`Rule`] for
+    /// every kind of pointer — null, direct and buffered global, global
+    /// and shared with owner bits, shared, the thread's own local memory,
+    /// another thread's, constant, function, an unknown tag — at offset 0,
+    /// at every offset from 9 bytes before a region's end to 1 past it,
+    /// and at `u32::MAX`, for every width from 0 to 9 bytes and `u64::MAX`:
+    /// each load and store returns the same value or trap, and leaves the
+    /// same counters and the same bytes (a buffered view: the same log).
+    /// Both tiers reach memory only through these two methods, so the
+    /// tier differential cannot see a fault in the hit; this test can.
+    #[test]
+    fn the_hit_and_the_door_are_the_memory_rule() {
+        const TID: u32 = 3;
+        let fill = |len: u8, salt: u8| Region { bytes: (0..len).map(|i| i.wrapping_mul(31) ^ salt).collect() };
+        let (global0, shared0, local0, constant) = (fill(40, 0x11), fill(24, 0x22), fill(16, 0x33), fill(32, 0x44));
+        // Each kind of pointer, and the length of the region it reaches.
+        let kinds: [(&str, fn(u32) -> DevPtr, usize); 10] = [
+            ("null", |off| DevPtr::new(Segment::Null, 0, off), 16),
+            ("global", DevPtr::global, 40),
+            ("global, owner 5", |off| DevPtr::new(Segment::Global, 5, off), 40),
+            ("shared", DevPtr::shared, 24),
+            ("shared, owner 1", |off| DevPtr::new(Segment::Shared, 1, off), 24),
+            ("own local", |off| DevPtr::local(TID, off), 16),
+            ("local of thread 2", |off| DevPtr::local(2, off), 16),
+            ("constant", DevPtr::constant, 32),
+            ("func", DevPtr::func, 16),
+            ("tag 0x7f", |off| DevPtr(0x7f << 56 | u64::from(off)), 16),
+        ];
+        assert_eq!(DevPtr(0x7f << 56).segment(), Segment::Null, "an unknown tag reads as null");
+        let sizes: Vec<u64> = (0..=9).chain([u64::MAX]).collect();
+        let (module, layout) = (Module::default(), GlobalLayout::default());
+        for buffered in [false, true] {
+            let (mut global, mut heap) = (global0.clone(), HeapState::default());
+            let (mut rule_global, mut rule_heap) = (global0.clone(), HeapState::default());
+            let (mut scratch, mut rule_scratch) = (WaveScratch::default(), WaveScratch::default());
+            let (view, rule_view) = if buffered {
+                (
+                    GlobalMem::Buffered(BufferedGlobal::new(&global0.bytes, &mut scratch)),
+                    GlobalMem::Buffered(BufferedGlobal::new(&global0.bytes, &mut rule_scratch)),
+                )
+            } else {
+                (
+                    GlobalMem::Direct { region: &mut global, heap: &mut heap },
+                    GlobalMem::Direct { region: &mut rule_global, heap: &mut rule_heap },
+                )
+            };
+            let mut exec = team(&module, &layout, view, shared0.clone(), &constant);
+            let mut t = ThreadCtx::<crate::interp::Frame> { tid: TID, local: local0.clone(), ..Default::default() };
+            let mut rule = Rule {
+                global: rule_view,
+                shared: shared0.clone(),
+                local: local0.clone(),
+                constant: constant.clone(),
+                counters: Counters::default(),
+            };
+            for (kind, ptr, len) in kinds {
+                let offsets = [0, u32::MAX].into_iter().chain(len as u32 - 9..=len as u32 + 1);
+                for (off, &size) in offsets.flat_map(|off| sizes.iter().map(move |size| (off, size))) {
+                    let (p, what) = (ptr(off), format!("{kind} at {off}, {size} B, buffered: {buffered}"));
+                    let got = exec.mem_read(&t, p, size);
+                    assert_eq!(got, rule.access(TID, p, size, None), "load of {what}");
+                    let value = 0x0102_0304_0506_0708 ^ i64::from(off) << 16 ^ size as i64;
+                    let got = exec.mem_write(&mut t, p, size, value).map(|()| 0);
+                    assert_eq!(got, rule.access(TID, p, size, Some(value)), "store of {what}");
+                    assert_eq!(exec.counters, rule.counters, "counters after {what}");
+                    assert_eq!((&exec.shared.bytes, &t.local.bytes), (&rule.shared.bytes, &rule.local.bytes), "{what}");
+                    if let (GlobalMem::Direct { region, .. }, GlobalMem::Direct { region: want, .. }) =
+                        (&exec.global, &rule.global)
+                    {
+                        assert_eq!(region.bytes, want.bytes, "global bytes after {what}");
+                    }
+                }
+            }
+            assert_eq!(exec.constant.bytes, constant.bytes, "constant memory is never written");
+            if let (GlobalMem::Buffered(view), GlobalMem::Buffered(rule_view)) = (exec.global, rule.global) {
+                let (team, rule_team) = (view.finish(), rule_view.finish());
+                let logs = (&scratch.log()[team.effects], &rule_scratch.log()[rule_team.effects]);
+                assert_eq!(format!("{:?}", logs.0), format!("{:?}", logs.1), "the buffered view's log");
+            }
+        }
     }
 }

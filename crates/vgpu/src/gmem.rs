@@ -387,12 +387,14 @@ impl<'a> BufferedGlobal<'a> {
     }
 
     // The four accessors stay out of line, and `GlobalMem::read`/`write`
-    // with them: the sequential path's code — `mem_read` calling a
-    // `GlobalMem::read` that is a test, `Region::read` and a jump here —
-    // then stays as it was, and the `Direct` arm pays no prologue for this
-    // one (the codegen cliff of docs/exec-tiers.md: `exec_seq` read 3–4 %
-    // lower with `read`/`write`, or with `atomic`/`cas`, left to the
-    // inliner).
+    // with them. An in-bounds direct access never reaches `GlobalMem`:
+    // `TeamExec::mem_read`'s in-line hit moves the bytes itself. A
+    // buffered one is counted there and calls `GlobalMem::read` straight
+    // away, a test and a jump here. Only the cold door's rare accesses
+    // (out of bounds, owner bits) take the `Direct` arm, which then pays
+    // no prologue for this one (the codegen
+    // cliff of docs/exec-tiers.md: `exec_seq` read 3–4 % lower with
+    // `read`/`write`, or with `atomic`/`cas`, left to the inliner).
     #[inline(never)]
     fn read(&mut self, off: u64, size: u64) -> Result<i64, TrapKind> {
         self.check(off, size)?;

@@ -53,7 +53,7 @@ pub struct DevPtr(pub u64);
 impl DevPtr {
     pub const NULL: DevPtr = DevPtr(0);
 
-    pub fn new(seg: Segment, owner: u32, offset: u32) -> DevPtr {
+    pub const fn new(seg: Segment, owner: u32, offset: u32) -> DevPtr {
         let tag = match seg {
             Segment::Null => TAG_NULL,
             Segment::Global => TAG_GLOBAL,
@@ -65,23 +65,23 @@ impl DevPtr {
         DevPtr((tag << 56) | ((owner as u64 & 0xff_ffff) << 32) | offset as u64)
     }
 
-    pub fn global(offset: u32) -> DevPtr {
+    pub const fn global(offset: u32) -> DevPtr {
         DevPtr::new(Segment::Global, 0, offset)
     }
 
-    pub fn shared(offset: u32) -> DevPtr {
+    pub const fn shared(offset: u32) -> DevPtr {
         DevPtr::new(Segment::Shared, 0, offset)
     }
 
-    pub fn local(owner_thread: u32, offset: u32) -> DevPtr {
+    pub const fn local(owner_thread: u32, offset: u32) -> DevPtr {
         DevPtr::new(Segment::Local, owner_thread, offset)
     }
 
-    pub fn constant(offset: u32) -> DevPtr {
+    pub const fn constant(offset: u32) -> DevPtr {
         DevPtr::new(Segment::Constant, 0, offset)
     }
 
-    pub fn func(index: u32) -> DevPtr {
+    pub const fn func(index: u32) -> DevPtr {
         DevPtr::new(Segment::Func, 0, index)
     }
 

@@ -16,7 +16,7 @@ use nzomp_integration::corpus::{corpus_texts, mutate_text};
 use nzomp_integration::assert_counters_agree;
 use nzomp_integration::gen::{generate, parse_launch_comment, LaunchMeta};
 use nzomp_ir::parser::parse_module_strict;
-use nzomp_ir::{Module, Operand, Ty};
+use nzomp_ir::{Global, Init, Module, Operand, Space, Ty};
 use nzomp_serve::trace::{self, Replayed, Trace, TraceOp};
 use nzomp_serve::{
     Outcome, RejectReason, ReqArg, ReqId, RequestSpec, SBuf, Serve, ServeConfig, ServeError,
@@ -454,5 +454,90 @@ fn hostile_tenant_ends_typed_and_leaves_its_neighbour_alone() {
         (outputs, serve.session_image(good).unwrap())
     };
     let hostile = hostile_requests(&scale, &inp);
+    assert_eq!(run(&[]), run(&hostile));
+}
+
+/// `out[i] = g[i]; g[i] = i` over global-space globals of `sizes` bytes:
+/// the kernel reads the first and writes the last.
+fn big_statics_req(sizes: &[u64]) -> RequestSpec {
+    let mut m = Module::new("serve_big_statics");
+    spmd_kernel_for(
+        &mut m,
+        RuntimeFlavor::Modern,
+        "b",
+        &[Ty::Ptr, Ty::I64],
+        |_b, p| p[1],
+        |m, b, iv, p| {
+            let globals: Vec<_> = (sizes.iter().enumerate())
+                .map(|(i, &size)| Global::new(format!("big{i}"), Space::Global, size, Init::I64(7)))
+                .map(|g| Operand::Global(m.add_global(g)))
+                .collect();
+            let pg = b.gep(globals[0], iv, 8);
+            let x = b.load(Ty::I64, pg);
+            let pw = b.gep(globals[globals.len() - 1], iv, 8);
+            b.store(Ty::I64, pw, iv);
+            let po = b.gep(p[0], iv, 8);
+            b.store(Ty::I64, po, x);
+        },
+    );
+    RequestSpec {
+        module: Rc::new(m),
+        config: BuildConfig::NewRtNoAssumptions,
+        kernel: "b".into(),
+        launch: launch(),
+        args: vec![ReqArg::Out(8 * N as u64), ReqArg::Scalar(RtVal::I(N as i64))],
+    }
+}
+
+/// A tenant whose module declares global statics no device holds — a
+/// 2^40-byte global, a 2^33-byte one, two that together pass 4 GiB —
+/// submits through `Serve::submit_at`: each request faults with a bad
+/// launch that names the global and its segment, no device allocates the
+/// statics, and the well-behaved tenant beside it computes the same
+/// outputs and session image as in a run without it.
+#[test]
+fn statics_past_the_global_segment_fault_and_leave_the_neighbour_alone() {
+    let (w, scale) = (writer_app(), scale_app());
+    let inp = Rc::new(nzomp_host::f64_bytes(&(0..N).map(|i| i as f64).collect::<Vec<_>>()));
+    let hostile = [
+        (big_statics_req(&[1 << 40]), "@big0 (1099511627776 B) does not fit the global segment"),
+        (big_statics_req(&[1 << 33]), "@big0 (8589934592 B) does not fit the global segment"),
+        (big_statics_req(&[3 << 30, 3 << 30]), "@big1 (3221225472 B) does not fit the global segment"),
+    ];
+    let run = |hostile: &[(RequestSpec, &str)]| {
+        let mut serve = Serve::new(cfg(2));
+        let good = serve.add_tenant("good", TenantConfig::default());
+        let evil = serve.add_tenant("evil", TenantConfig::default());
+        let state = serve.session_map(good, vec![0u8; 8 * N]).unwrap();
+        let mut at = 0;
+        let mut submit = |serve: &mut Serve, t, spec| {
+            at += GAP;
+            serve.submit_at(at, t, spec).unwrap()
+        };
+        let mut goods = Vec::new();
+        let mut evils = Vec::new();
+        for round in 0..3 {
+            goods.push(submit(&mut serve, good, write_req(&w, state, round + 1)));
+            if let Some((spec, want)) = hostile.get(round as usize) {
+                evils.push((*want, submit(&mut serve, evil, spec.clone())));
+            }
+            goods.push(submit(&mut serve, good, scale_req(&scale, inp.clone())));
+        }
+        serve.drain();
+        for (want, r) in evils {
+            match serve.outcome(r) {
+                Some(Outcome::Faulted { error, .. }) if error.contains("bad launch") && error.contains(want) => {}
+                o => panic!("wanted a bad launch naming {want:?}, got {o:?}"),
+            }
+        }
+        let outputs: Vec<_> = goods
+            .iter()
+            .map(|r| match serve.outcome(*r) {
+                Some(Outcome::Completed { outputs, .. }) => outputs.clone(),
+                o => panic!("the neighbour's request did not complete: {o:?}"),
+            })
+            .collect();
+        (outputs, serve.session_image(good).unwrap())
+    };
     assert_eq!(run(&[]), run(&hostile));
 }
